@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import isopu
-from .linalg import AbelianPresentation, cols_from_vectors, kernel_gens
+from .linalg import AbelianPresentation, block_diag, cols_from_vectors, kernel_gens
 from .rings import (RingElement, SpanExpander, StructuredIso, Subalgebra,
                     TooLarge, _span_relation_lattice)
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden,
@@ -148,7 +148,7 @@ def invariant_ring(beta):
             masked = A.mask_vec(v, iso.im_support)
             cols.append(A.sub_vec(img, masked))
         mat = cols_from_vectors(cols, A.n_coords)
-        in_moduli = [_vec_order(A, v) for v in current]
+        in_moduli = [A.vector_order(v) for v in current]
         ker = kernel_gens(mat, pres.lattice, in_moduli)
         nxt = []
         for coeffs in ker:
@@ -165,13 +165,6 @@ def invariant_ring(beta):
     if not sub.is_subalgebra():
         raise AssertionError("invariants failed to be a unital subalgebra")
     return sub
-
-
-def _vec_order(A, vec):
-    o = 1
-    for x, m in zip(vec, A.coord_moduli):
-        o = math.lcm(o, m // math.gcd(int(x), m))
-    return o
 
 
 def trace_map(beta, a):
@@ -359,7 +352,7 @@ class PresentedBase:
     def from_subalgebra(B):
         expander = SpanExpander(B)
         gens = list(B.gen_vectors)
-        orders = [B.vector_order(g) for g in gens]
+        orders = [B.ring.vector_order(g) for g in gens]
         rel = _span_relation_lattice(B)
 
         def mul(i, j):
@@ -420,7 +413,7 @@ class ScalarExtension:
         self._check_structural_map()
         self.ag = list(A.basis_vectors())
         self.k, self.l = base.k, len(self.ag)
-        moduli = [math.gcd(base.orders[i], _vec_order(A, self.ag[j]))
+        moduli = [math.gcd(base.orders[i], A.vector_order(self.ag[j]))
                   for i in range(self.k) for j in range(self.l)]
         rel_cols = []
         # R-side additive relations, tensored with each A generator
@@ -538,7 +531,7 @@ class ScalarExtension:
                 cols.append(tuple(a - b for a, b in zip(moved, kept)))
             rows.append(cols_from_vectors(cols, g))
         stacked = np.concatenate(rows, axis=0)
-        aug = _block_diag([self.pres.lattice] * self.beta.S.n)
+        aug = block_diag([self.pres.lattice] * self.beta.S.n)
         gens = kernel_gens(stacked, aug, self.pres.moduli)
         return self.pres.subgroup_canon(gens)
 
@@ -553,18 +546,6 @@ class ScalarExtension:
 
 def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _block_diag(blocks):
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=object)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def extend_scalars(beta, R=None, structural_images=None, require_galois=True,

@@ -180,20 +180,25 @@ def verify_e_unitary_correspondence(beta, brute_force_subalgebras=False):
 
 
 def enumerate_subalgebras_over(beta, base):
-    """Every A^beta-subalgebra of A, by closing one added element at a time."""
+    """Every A^beta-subalgebra of A, by closing one added coset at a time.
+
+    The closure of B + Z*v depends only on the coset v + B, so each found
+    subalgebra B is extended by one representative per nonzero coset: the
+    vectors w with 0 <= w_j < B.basis[j, j], since the canonical basis is
+    lower-triangular and contains diag(moduli).  That is |A|/|B| - 1
+    candidates per B instead of |A|.
+    """
     A = beta.A
     if A.size > BRUTE_FORCE_RING_GUARD:
         raise TooLarge(f"|A| = {A.size} beyond the brute-force guard")
     start = Subalgebra(A, list(base.gen_vectors) + [A.one().vec()]).closure_under_mul()
     found = {start}
     frontier = [start]
-    all_vecs = [a.vec() for a in A.elements()]
     while frontier:
         cur = frontier.pop()
-        for v in all_vecs:
-            if cur.member_vec(v):
-                continue
-            bigger = Subalgebra(A, list(cur.gen_vectors) + [v]).closure_under_mul()
+        reps = itertools.product(*(range(int(cur.basis[j, j])) for j in range(A.n_coords)))
+        for w in itertools.islice(reps, 1, None):  # the first is the zero coset
+            bigger = Subalgebra(A, list(cur.gen_vectors) + [w]).closure_under_mul()
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .actions import (UnitalAction, induce_partial_group_action, invariant_ring,
                       is_injective, sigma_trace_image)
-from .linalg import AbelianPresentation, cols_from_vectors, kernel_gens, solve_cols
+from .linalg import AbelianPresentation, block_diag, cols_from_vectors, kernel_gens, solve_cols
 from .rings import Subalgebra, TensorPresentation, NotSubring
 from .semigroups import SubSemigroup, is_e_unitary
 
@@ -29,24 +29,16 @@ class EquivalenceViolation(AssertionError):
     """The provably equivalent criteria disagreed: a bug or a misread instance."""
 
 
+class CertificateMismatch(AssertionError):
+    """A computed certificate failed its independent re-verification."""
+
+
 class NotSubalgebra(Exception):
     pass
 
 
 class PreconditionFail(Exception):
     pass
-
-
-def _block_diag(blocks):
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=object)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def galois_rhs(beta, s):
@@ -60,7 +52,8 @@ def galois_rhs(beta, s):
     for e in beta.S.idempotents:
         if e == s:
             literal = literal + beta.ideal_one(e)
-    assert literal == direct
+    if literal != direct:
+        raise CertificateMismatch(f"delta-sum for s={s} disagrees with 1_s")
     return direct
 
 
@@ -88,7 +81,7 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     A = beta.A
     n = A.n_coords
     mat = _coordinate_system_matrix(beta, isos)
-    aug = _block_diag([A.presentation.lattice] * len(isos))
+    aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
     in_moduli = list(A.coord_moduli) * n
     sol = solve_cols(mat, aug, target, in_moduli)
@@ -119,7 +112,8 @@ def solve_galois_coordinates(beta):
     rhs = [galois_rhs(beta, s).vec() for s in range(beta.S.n)]
     coords = _solve_coordinates(beta, beta.isos, rhs)
     if coords is not None:
-        assert verify_coordinates(beta, coords)
+        if not verify_coordinates(beta, coords):
+            raise CertificateMismatch("Galois coordinate system fails its defining identity")
     return coords
 
 
@@ -133,7 +127,8 @@ def solve_partial_action_coordinates(beta, alpha=None):
     coords = _solve_coordinates(beta, alpha.isos, rhs)
     if coords is not None:
         rhs_els = [A.from_vec(v) for v in rhs]
-        assert verify_coordinates(beta, coords, isos=alpha.isos, rhs=rhs_els)
+        if not verify_coordinates(beta, coords, isos=alpha.isos, rhs=rhs_els):
+            raise CertificateMismatch("partial-action coordinate system fails its defining identity")
     return coords
 
 
@@ -274,7 +269,8 @@ def psi_check(beta, invariants=None, guard=1 << 20):
     for i in range(tensor.k):
         for j in range(tensor.l):
             vec = psi_image_vector(beta, pa, m_els[i], n_els[j])
-            assert pa.satisfies_constraints(vec)
+            if not pa.satisfies_constraints(vec):
+                raise CertificateMismatch(f"psi image of generator pair ({i}, {j}) leaves PA")
             images.append(vec)
     image_order = pa.ambient.subgroup_order(images)
     t_order = tensor.order()
@@ -319,7 +315,8 @@ def compute_S_B(beta, B: Subalgebra):
         if ok:
             members.add(s)
     sub = SubSemigroup(beta.S, frozenset(members))
-    assert sub.is_full
+    if not sub.is_full:
+        raise CertificateMismatch("S_B is not full")
     return sub
 
 
@@ -398,11 +395,12 @@ def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20):
         augs.append(tensor.pres.lattice)
         target.extend([0] * g)
     mat = np.concatenate(blocks, axis=0)
-    aug = _block_diag(augs)
+    aug = block_diag(augs)
     sol = solve_cols(mat, aug, target, tensor.pres.moduli)
     if sol is None:
         return None
-    assert verify_separability_idempotent(tensor, sol)
+    if not verify_separability_idempotent(tensor, sol):
+        raise CertificateMismatch("separability idempotent fails its defining equations")
     return tensor, sol
 
 

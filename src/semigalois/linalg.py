@@ -160,6 +160,19 @@ def diag_cols(moduli):
     return m
 
 
+def block_diag(blocks):
+    """Block-diagonal object matrix with the given 2-D blocks in order."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=object)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
 def cols_from_vectors(vectors, n):
     """n x k column matrix from a sequence of k coordinate vectors."""
     m = np.zeros((n, len(vectors)), dtype=object)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -188,19 +189,57 @@ class Atom:
     def frobenius(self, a, j):
         """a ** (p**j); the ring automorphisms of GF(p^k) are exactly these."""
         if self.kind == "zmod":
-            if j % 1 != 0:
-                raise RingError("bad twist")
+            if j != 0:
+                raise RingError(f"{self.label()} admits no twist, got {j}")
             return a
         return self.power(a, self.p ** (j % self.k))
 
-    def frobenius_matrix(self, j):
-        """Additive matrix of Frobenius^j on the basis 1, x, ..., x^(k-1)."""
-        cols = []
-        for i in range(self.coords):
-            basis = self.one() if self.kind == "zmod" else tuple(1 if t == i else 0 for t in range(self.k))
-            img = self.frobenius(basis, j)
-            cols.append([img] if self.kind == "zmod" else list(img))
-        return np.array(cols, dtype=object).T
+    def frobenius_cols(self, j):
+        """Images of the basis 1, x, ..., x^(k-1) under Frobenius^j, built once per j."""
+        cache = self._frobenius_cache
+        if j not in cache:
+            if self.kind == "zmod":
+                cols = ((self.frobenius(1, j),),)
+            else:
+                cols = tuple(self.frobenius(tuple(1 if t == i else 0 for t in range(self.k)), j)
+                             for i in range(self.k))
+            cache[j] = cols
+        return cache[j]
+
+    @cached_property
+    def _frobenius_cache(self):
+        return {}
+
+    @cached_property
+    def _x_powers(self):
+        """x^d for d <= 2k-2 over a GF atom, from `mul`: the structure constants,
+        since x^i * x^j = x^(i+j) for the k x k basis products."""
+        x = tuple(1 if t == 1 else 0 for t in range(self.k))
+        powers = [self.one()]
+        for _ in range(2 * self.k - 2):
+            powers.append(self.mul(powers[-1], x))
+        return tuple(powers)
+
+    def mul_coords(self, u, v):
+        """Product of two coordinate chunks of this atom, as a list of ints."""
+        if self.kind == "zmod":
+            return [int(u[0]) * int(v[0]) % self.order]
+        k, p = self.k, self.p
+        conv = [0] * (2 * k - 1)
+        for i, x in enumerate(u):
+            if x:
+                x = int(x)
+                for j, y in enumerate(v):
+                    if y:
+                        conv[i + j] += x * int(y)
+        out = conv[:k]
+        for d in range(k, 2 * k - 1):
+            c = conv[d]
+            if c:
+                for t, z in enumerate(self._x_powers[d]):
+                    if z:
+                        out[t] += c * z
+        return [c % p for c in out]
 
     def elements(self):
         if self.kind == "zmod":
@@ -310,10 +349,24 @@ class FiniteRing:
         return tuple((a - b) % m for a, b, m in zip(u, v, self.coord_moduli))
 
     def mul_vec(self, u, v):
-        return self.to_vec(self.from_vec(u) * self.from_vec(v))
+        out = []
+        for (lo, hi), a in zip(self._spans, self.atoms):
+            out.extend(a.mul_coords(u[lo:hi], v[lo:hi]))
+        return tuple(out)
+
+    def vector_order(self, vec):
+        """Additive order of a coordinate vector."""
+        o = 1
+        for x, m in zip(vec, self.coord_moduli):
+            o = math.lcm(o, m // math.gcd(int(x), m))
+        return o
 
     def mask_vec(self, u, support):
-        return tuple(x if self.coord_atom(i) in support else 0 for i, x in enumerate(u))
+        out = [0] * self.n_coords
+        for idx in support:
+            lo, hi = self._spans[idx]
+            out[lo:hi] = u[lo:hi]
+        return tuple(out)
 
     def mult_matrix(self, vec):
         """Additive matrix of multiplication by the element with coords `vec`."""
@@ -426,8 +479,8 @@ class StructuredIso:
             if a != b:
                 raise RingError(f"atoms {i} and {j} differ; no isomorphism can match them")
             t = self.twist.get(i, 0)
-            if a.kind == "zmod" and t % 1:
-                raise RingError("zmod atoms admit no twist")
+            if a.kind == "zmod" and t:
+                raise RingError(f"atom {i} is {a.label()}, which admits no twist (got {t})")
             self.twist[i] = t % a.k if a.kind == "gf" else 0
         for i in dom:
             self.twist.setdefault(i, 0)
@@ -482,21 +535,31 @@ class StructuredIso:
             comps[j] = self.ring.atoms[i].frobenius(el.comps[i], self.twist[i])
         return RingElement(self.ring, tuple(comps))
 
+    def _blocks(self):
+        """(domain offset, image offset, Frobenius columns) per matched atom."""
+        ring = self.ring
+        return [(ring.atom_span(i)[0], ring.atom_span(j)[0], ring.atoms[i].frobenius_cols(self.twist[i]))
+                for i, j in self.matching.items()]
+
     def apply_vec(self, vec):
-        return self.ring.to_vec(self.apply(self.ring.from_vec(self.ring.mask_vec(vec, self.dom_support))))
+        """(mask to domain, then apply) on coordinates, by the blocks of `matrix`."""
+        out = [0] * self.ring.n_coords
+        for lo_d, lo_i, cols in self._blocks():
+            for c, col in enumerate(cols):
+                x = int(vec[lo_d + c])
+                if x:
+                    for r, z in enumerate(col):
+                        out[lo_i + r] += x * z
+        return tuple(x % m for x, m in zip(out, self.ring.coord_moduli))
 
     def matrix(self):
         """Additive n x n matrix of (mask to domain, then apply)."""
         n = self.ring.n_coords
         mat = np.zeros((n, n), dtype=object)
-        for i, j in self.matching.items():
-            a = self.ring.atoms[i]
-            lo_d, _ = self.ring.atom_span(i)
-            lo_i, _ = self.ring.atom_span(j)
-            frob = a.frobenius_matrix(self.twist[i])
-            for r in range(a.coords):
-                for c in range(a.coords):
-                    mat[lo_i + r, lo_d + c] = int(frob[r, c])
+        for lo_d, lo_i, cols in self._blocks():
+            for c, col in enumerate(cols):
+                for r, z in enumerate(col):
+                    mat[lo_i + r, lo_d + c] = int(z)
         return mat
 
 
@@ -612,11 +675,9 @@ class Subalgebra:
         return self.member(self.ring.one())
 
     def closed_under_mul(self):
-        for u in self.gen_vectors:
-            for v in self.gen_vectors:
-                if not self.member_vec(self.ring.mul_vec(u, v)):
-                    return False
-        return True
+        gens = self.gen_vectors
+        return all(self.member_vec(self.ring.mul_vec(gens[i], gens[j]))
+                   for i in range(len(gens)) for j in range(i, len(gens)))
 
     def is_subalgebra(self):
         return self.contains_one() and self.closed_under_mul()
@@ -638,23 +699,29 @@ class Subalgebra:
     def elements(self):
         return (self.ring.from_vec(v) for v in self.element_vectors())
 
-    def vector_order(self, vec):
-        """Additive order of a coordinate vector in the ring."""
-        o = 1
-        for x, m in zip(vec, self.ring.coord_moduli):
-            o = math.lcm(o, m // math.gcd(int(x), m))
-        return o
-
     def closure_under_mul(self):
-        """Smallest multiplicatively closed additive span containing this one."""
+        """Smallest multiplicatively closed additive span containing this one.
+
+        `gens` spans `current`; the products among `gens[:checked]` are known
+        to lie in it, so each round multiplies only the newly added generators,
+        each unordered pair once (the ring is commutative).
+        """
+        ring = self.ring
         current = self
+        gens = list(self.gen_vectors)
+        checked = 0
         while True:
-            extra = [self.ring.mul_vec(u, v)
-                     for u in current.gen_vectors for v in current.gen_vectors
-                     if not current.member_vec(self.ring.mul_vec(u, v))]
+            extra = {}
+            for j in range(checked, len(gens)):
+                for i in range(j + 1):
+                    w = ring.mul_vec(gens[i], gens[j])
+                    if w not in extra and not current.member_vec(w):
+                        extra[w] = None
             if not extra:
                 return current
-            current = Subalgebra(self.ring, list(current.gen_vectors) + extra)
+            checked = len(gens)
+            gens.extend(extra)
+            current = Subalgebra(ring, gens)
 
 
 class TensorPresentation:
@@ -684,8 +751,8 @@ class TensorPresentation:
         self._mexp = SpanExpander(M)
         self._nexp = SpanExpander(N)
 
-        morders = [M.vector_order(v) for v in self.mg]
-        norders = [N.vector_order(v) for v in self.ng]
+        morders = [ring.vector_order(v) for v in self.mg]
+        norders = [ring.vector_order(v) for v in self.ng]
         moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
 
         rel_cols = []
@@ -745,29 +812,18 @@ class TensorPresentation:
         return cols_from_vectors(cols, self.ring.n_coords)
 
     def left_mult_matrix(self, b_vec):
-        """Matrix of z -> (b (x) 1) * z on tensor coordinates, b in M."""
-        g = self.k * self.l
-        cols = []
-        for i in range(self.k):
-            exp = self._mexp.expand(self.ring.mul_vec(b_vec, self.mg[i]))
-            for j in range(self.l):
-                col = [0] * g
-                for a, u in enumerate(exp):
-                    col[self.index(a, j)] = u
-                cols.append(tuple(col))
-        return cols_from_vectors(cols, g)
+        """Matrix of z -> (b (x) 1) * z on tensor coordinates, b in M.
+
+        With E the matrix of b* on M's generators this is E (x) I_l, since
+        coordinate (i, j) is generator pair (mg[i], ng[j]).
+        """
+        E = cols_from_vectors([self._mexp.expand(self.ring.mul_vec(b_vec, m)) for m in self.mg], self.k)
+        return np.kron(E, np.eye(self.l, dtype=object))
 
     def right_mult_matrix(self, b_vec):
-        g = self.k * self.l
-        cols = []
-        for i in range(self.k):
-            for j in range(self.l):
-                exp = self._nexp.expand(self.ring.mul_vec(b_vec, self.ng[j]))
-                col = [0] * g
-                for b, v in enumerate(exp):
-                    col[self.index(i, b)] = v
-                cols.append(tuple(col))
-        return cols_from_vectors(cols, g)
+        """Matrix of z -> (1 (x) b) * z: I_k (x) F, with F the matrix of b* on N's generators."""
+        F = cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
+        return np.kron(np.eye(self.k, dtype=object), F)
 
     def eq(self, z, w):
         return self.pres.eq(z, w)
@@ -794,7 +850,7 @@ class SpanExpander:
             if any(vec):
                 raise NotSubring(f"vector {vec} is outside the span")
             return ()
-        in_moduli = [self.sub.vector_order(g) for g in self.sub.gen_vectors]
+        in_moduli = [self.ring.vector_order(g) for g in self.sub.gen_vectors]
         sol = solve_cols(self._mat, self.ring.presentation.lattice, vec, in_moduli)
         if sol is None:
             raise NotSubring(f"vector {vec} is outside the span")
@@ -808,7 +864,7 @@ def _span_relation_lattice(sub):
     if not sub.gen_vectors:
         return []
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
-    in_moduli = [sub.vector_order(g) for g in sub.gen_vectors]
+    in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
     gens = kernel_gens(mat, ring.presentation.lattice, in_moduli)
     # declared generator orders are relations too
     for i, d in enumerate(in_moduli):

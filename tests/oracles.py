@@ -75,3 +75,41 @@ def subgroup_elements_by_closure(moduli, gens):
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def subring_closure(moduli, mul, gens):
+    """The smallest subgroup of prod Z/d_i containing `gens` and closed under `mul`.
+
+    Additive spans come from `subgroup_elements_by_closure`; products of
+    generator pairs are adjoined until none is new, which suffices because
+    `mul` is bilinear.  Returns (elements, generators used).
+    """
+    gens = [tuple(g[i] % moduli[i] for i in range(len(moduli))) for g in gens]
+    while True:
+        elems = subgroup_elements_by_closure(moduli, gens)
+        new = {mul(u, v) for u in gens for v in gens} - elems
+        if not new:
+            return frozenset(elems), gens
+        gens = gens + sorted(new)
+
+
+def subalgebras_by_element_scan(moduli, mul, start_gens):
+    """Every `mul`-closed subgroup containing `start_gens`, as element sets.
+
+    Starts from the closure of `start_gens` and adjoins every element of the
+    ambient box to every subring found, one element at a time.
+    """
+    start, gens = subring_closure(moduli, mul, start_gens)
+    found = {start: gens}
+    frontier = [start]
+    box = list(itertools.product(*[range(d) for d in moduli]))
+    while frontier:
+        cur = frontier.pop()
+        for v in box:
+            if v in cur:
+                continue
+            bigger, more = subring_closure(moduli, mul, found[cur] + [v])
+            if bigger not in found:
+                found[bigger] = more
+                frontier.append(bigger)
+    return set(found)

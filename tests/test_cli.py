@@ -196,3 +196,17 @@ def test_analyze_on_a_group():
     assert code == 0
     assert b"e_unitary" in out
     assert b"sigma_classes  classes=[[1],[g]]" in out
+
+
+def test_twist_on_zmod_atom_is_a_positioned_error(tmp_path):
+    good = "map = g : 0->1:0 1->0:0"
+    text = (INSTANCES / "c2_swap.sgi").read_text()
+    line_no = text.splitlines().index(good) + 1
+    p = tmp_path / "twisted.sgi"
+    p.write_text(text.replace(good, "map = g : 0->1:1 1->0:0"))
+    with pytest.raises(inst.ParseError) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == line_no
+    code, out, err = run_cli(["galois", str(p)])
+    assert code == 2 and out == b""
+    assert f"line {line_no}:".encode() in err and b"admits no twist" in err

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from semigalois import correspondence as co
-from semigalois.actions import invariant_ring, is_injective
-from semigalois.corpus import (c2_swap_fixture, chain_semilattice_fixture,
+from semigalois.actions import invariant_ring, is_injective, validate_action
+from semigalois.corpus import (b2_swap_fixture, c2_swap_fixture, chain_semilattice_fixture,
                                collapsing_semilattice_fixture, corpus,
-                               f9_cubed_fixture)
+                               f9_cubed_fixture, s7_monoid)
 from semigalois.galois import compute_S_B, is_galois
-from semigalois.rings import Subalgebra
+from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
 from semigalois.semigroups import (SubSemigroup, is_e_unitary,
-                                   enumerate_full_inverse_subsemigroups)
+                                   enumerate_full_inverse_subsemigroups, validate_table)
+from oracles import subalgebras_by_element_scan, subring_closure
 
 
 def admissible(b):
@@ -180,3 +181,76 @@ def test_general_correspondence_on_galois_corpus():
         assert rep.bijective, rep.failures
         count += 1
     assert count >= 8
+
+
+def _cyclic_shift(atom, n):
+    """C_n shifting n copies of `atom` cyclically (C2 on atom^2 for n = 2)."""
+    S = validate_table([[(i + j) % n for j in range(n)] for i in range(n)],
+                       names=["1"] + [f"g{i}" for i in range(1, n)])
+    A = FiniteRing([atom] * n)
+    return validate_action(S, A, [StructuredIso(A, {i: (i + g) % n for i in range(n)}, {})
+                                  for g in range(n)])
+
+
+def _s7_on_gf4_cubed():
+    S = s7_monoid()
+    A = FiniteRing([Atom.gf(2, 2)] * 3)
+    by_name = {
+        "1": StructuredIso.identity_on(A, {0, 1, 2}),
+        "s": StructuredIso(A, {0: 2, 1: 1}, {1: 1}),
+        "s'": StructuredIso(A, {2: 0, 1: 1}, {1: 1}),
+        "t": StructuredIso(A, {1: 1}, {1: 1}),
+        "s*t": StructuredIso.identity_on(A, {1}),
+        "s*s'": StructuredIso.identity_on(A, {1, 2}),
+        "s'*s": StructuredIso.identity_on(A, {0, 1}),
+    }
+    return validate_action(S, A, [by_name[S.names[i]] for i in range(S.n)])
+
+
+SCAN_CASES = {
+    "c2_gf4^2": lambda: _cyclic_shift(Atom.gf(2, 2), 2),
+    "s7_gf4^3": _s7_on_gf4_cubed,
+    "c3_z4^3": lambda: _cyclic_shift(Atom.zmod(2, 2), 3),
+    "b2_zero": b2_swap_fixture,
+}
+
+
+def _element_mul(A):
+    """Products through RingElement, i.e. the per-atom polynomial arithmetic."""
+    return lambda u, v: A.to_vec(A.from_vec(u) * A.from_vec(v))
+
+
+def _fixed_points(beta):
+    """A^beta by brute force over the element API."""
+    return [a.vec() for a in beta.A.elements()
+            if all(iso.apply(a.mask(iso.dom_support)) == a.mask(iso.im_support)
+                   for iso in beta.isos)]
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_subalgebra_scan_matches_element_scan(case):
+    beta = SCAN_CASES[case]()
+    A = beta.A
+    got = co.enumerate_subalgebras_over(beta, invariant_ring(beta))
+    assert len(set(got)) == len(got)
+    got_sets = {frozenset(B.element_vectors()) for B in got}
+    expected = subalgebras_by_element_scan(
+        A.coord_moduli, _element_mul(A), _fixed_points(beta) + [A.one().vec()])
+    assert got_sets == expected
+    assert [B.order for B in got] == sorted(len(e) for e in expected)
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_closure_under_mul_matches_element_closure(case):
+    A = SCAN_CASES[case]().A
+    rng = random.Random(case)
+    pool = [a.vec() for a in A.elements()]
+    mul = _element_mul(A)
+    for _ in range(25):
+        gens = rng.sample(pool, rng.randrange(1, 4))
+        span = Subalgebra(A, gens)
+        closed = span.closure_under_mul()
+        expected, _ = subring_closure(A.coord_moduli, mul, gens)
+        assert frozenset(closed.element_vectors()) == expected
+        assert closed.closed_under_mul()
+        assert span.closed_under_mul() == (span.order == len(expected))

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from semigalois import galois as gl
@@ -268,3 +274,35 @@ def test_scalar_extension_f9_over_fixture_base():
     ext = extend_scalars(beta, R, images)
     assert ext.pres.order() == 81
     assert gl.scalar_extension_is_galois(ext)
+
+
+_OPTIMIZED_PROBE = textwrap.dedent("""
+    import sys
+    from semigalois import galois as gl
+    from semigalois.actions import invariant_ring
+    from semigalois.corpus import c2_swap_fixture
+    from semigalois.rings import Subalgebra
+    if __debug__:
+        sys.exit(3)
+    setattr(gl, sys.argv[1], lambda *args, **kwargs: False)
+    beta = c2_swap_fixture()
+    try:
+        if sys.argv[1] == "verify_coordinates":
+            gl.solve_galois_coordinates(beta)
+        else:
+            gl.is_separable(Subalgebra.full(beta.A), invariant_ring(beta))
+    except gl.CertificateMismatch:
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+@pytest.mark.parametrize("verifier", ["verify_coordinates", "verify_separability_idempotent"])
+def test_certificate_reverification_survives_optimize(verifier):
+    """Under python -O a failing re-verification still raises."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE, verifier],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from semigalois import rings as rg
@@ -201,6 +203,83 @@ def test_tensor_bilinear_structure():
     # multiplication matrices act like multiplication on pure tensors
     z = t.pure(e1, e1)
     left = t.left_mult_matrix(e1.vec())
-    import numpy as np
     lz = tuple(int(x) for x in left.dot(np.array(z, dtype=object).reshape(-1, 1)).ravel())
     assert t.eq(lz, t.pure(e1 * e1, e1))
+
+
+KERNEL_ATOMS = {
+    "GF(4)": rg.Atom.gf(2, 2), "GF(8)": rg.Atom.gf(2, 3), "GF(9)": rg.Atom.gf(3, 2),
+    "GF(16)": rg.Atom.gf(2, 4), "GF(27)": rg.Atom.gf(3, 3),
+    "Z/8": rg.Atom.zmod(2, 3), "Z/9": rg.Atom.zmod(3, 2),
+}
+KERNEL_RINGS = {**{name: [atom] for name, atom in KERNEL_ATOMS.items()},
+                "Z/4 x GF(4) x GF(4) x Z/3": [rg.Atom.zmod(2, 2), rg.Atom.gf(2, 2),
+                                              rg.Atom.gf(2, 2), rg.Atom.zmod(3)]}
+
+
+def _isos(A):
+    """Every matching of atoms onto equal atoms with every twist, on all atoms or all but atom 0."""
+    n = len(A.atoms)
+    twists = [range(a.k) if a.kind == "gf" else range(1) for a in A.atoms]
+    for perm in itertools.permutations(range(n)):
+        if any(A.atoms[i] != A.atoms[perm[i]] for i in range(n)):
+            continue
+        for tw in itertools.product(*twists):
+            for dom in (range(n), range(1, n)):
+                yield rg.StructuredIso(A, {i: perm[i] for i in dom}, {i: tw[i] for i in dom})
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_kernel_matches_polynomial_arithmetic(name):
+    """mul_vec, mult_matrix and apply_vec against Atom.mul / Atom.frobenius on all elements."""
+    A = rg.FiniteRing(KERNEL_RINGS[name])
+    els = list(A.elements())
+    moduli = np.array(A.coord_moduli, dtype=object)
+    for x in els:
+        u = x.vec()
+        mat = A.mult_matrix(u)
+        for y in els:
+            want = (x * y).vec()  # RingElement products go through Atom.mul
+            assert A.mul_vec(u, y.vec()) == want
+            assert tuple(mat.dot(np.array(y.vec(), dtype=object)) % moduli) == want
+    for iso in _isos(A):
+        for x in els:
+            comps = [a.zero() for a in A.atoms]
+            for i, j in iso.matching.items():
+                comps[j] = A.atoms[i].frobenius(x.comps[i], iso.twist[i])
+            assert iso.apply_vec(x.vec()) == rg.RingElement(A, tuple(comps)).vec()
+
+
+def _mult_matrix_by_loops(t, b_vec, side):
+    """The tensor multiplication matrices column by column, as a reference."""
+    g = t.k * t.l
+    mat = np.zeros((g, g), dtype=object)
+    for i in range(t.k):
+        for j in range(t.l):
+            if side == "left":
+                for a, u in enumerate(t._mexp.expand(t.ring.mul_vec(b_vec, t.mg[i]))):
+                    mat[t.index(a, j), t.index(i, j)] = u
+            else:
+                for c, v in enumerate(t._nexp.expand(t.ring.mul_vec(b_vec, t.ng[j]))):
+                    mat[t.index(i, c), t.index(i, j)] = v
+    return mat
+
+
+@pytest.mark.parametrize("atoms", [
+    (rg.Atom.gf(2, 2), rg.Atom.gf(2, 2), rg.Atom.zmod(2, 2)),
+    (rg.Atom.gf(3, 2), rg.Atom.zmod(3, 2)),
+    (rg.Atom.gf(2, 3), rg.Atom.gf(2, 2), rg.Atom.zmod(2)),
+], ids=["gf4^2xz4", "gf9xz9", "gf8xgf4xz2"])
+def test_tensor_mult_matrices_match_loops(atoms):
+    rng = random.Random(len(atoms))
+    A = rg.FiniteRing(atoms)
+    full = rg.Subalgebra.full(A)
+    R = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
+    pool = [a.vec() for a in A.elements()]
+    M = rg.Subalgebra(A, list(R.gen_vectors) + [rng.choice(pool)]).closure_under_mul()
+    for X, Y in ((full, full), (M, full), (full, M)):
+        t = rg.tensor_over_subring(X, Y, R, guard=1 << 20)
+        for b in rng.sample(list(M.element_vectors()), min(4, M.order)):
+            for side, got in (("left", t.left_mult_matrix(b)), ("right", t.right_mult_matrix(b))):
+                want = _mult_matrix_by_loops(t, b, side)
+                assert got.shape == want.shape and (got == want).all()
