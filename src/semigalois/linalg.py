@@ -6,28 +6,25 @@ to per-coordinate moduli: canonical Hermite bases, kernels of maps between
 finite abelian groups, and affine solves.  All arithmetic is integer-exact;
 there is no floating point anywhere, so every comparison is tolerance-zero.
 
-The workhorse is a column-elimination pass on numpy int64 arrays.  Entry
-growth is monitored; on the (rare) overflow the computation restarts with
-Python-integer (object dtype) arrays, which are slower but unbounded.
+The workhorse is a sparse column elimination on Python integers.  Each
+column is a {row: value} dict of its nonzero entries, and a row index names
+the columns that are nonzero in each row, so an elimination step touches
+only nonzeros; the systems built here (tensor relations, block-diagonal
+lattices) are almost all zeros.  Python integers do not overflow, so entries
+need no bound.  A tracked transform, where one is asked for, is kept modulo
+its moduli column by column.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-# With every entry and every quotient below 2^26, a single column operation
-# stays below 2^53 and can never wrap int64.
-_INT64_CAP = 1 << 26
 
-
-class _NeedsBigints(Exception):
-    """Internal signal: int64 entries grew past the safe bound."""
-
-
-def _to_array(mat, rows=None, dtype=np.int64):
-    a = np.array(mat, dtype=dtype)
+def _to_array(mat, rows=None):
+    a = np.asarray(mat, dtype=object)
     if a.size == 0:
         a = a.reshape((rows or 0, 0))
     if a.ndim != 2:
@@ -35,120 +32,119 @@ def _to_array(mat, rows=None, dtype=np.int64):
     return a
 
 
-def _colop(work, track, j, j0, q, guard):
-    """Column j -= q * column j0, with wraparound-proof bounds on int64."""
-    if guard:
-        if abs(q) > _INT64_CAP:
-            raise _NeedsBigints
-        work[:, j] -= q * work[:, j0]
-        if np.abs(work[:, j]).max(initial=0) > _INT64_CAP:
-            raise _NeedsBigints
-        if track is not None:
-            track[:, j] -= q * track[:, j0]
-            if np.abs(track[:, j]).max(initial=0) > _INT64_CAP:
-                raise _NeedsBigints
-    else:
-        work[:, j] -= q * work[:, j0]
-        if track is not None:
-            track[:, j] -= q * track[:, j0]
+def _columns(blocks, rows=None):
+    """(rows, columns) of the blocks side by side, each column a {row: value} dict.
 
-
-def _echelon(work, track, track_moduli, guard):
-    """Column-eliminate `work` in place to a canonical staircase form.
-
-    Column operations (swap, negate, add integer multiples) are mirrored on
-    `track` when given; rows of `track` are reduced modulo `track_moduli`
-    after every sweep, which is sound whenever the tracked combination only
-    matters modulo those moduli.  Returns the pivot list [(row, col), ...].
+    `rows` defaults to the first block's; every block must match it.
     """
-    rows, cols = work.shape
-    if guard and work.size and np.abs(work).max(initial=0) > _INT64_CAP:
-        raise _NeedsBigints
+    cols = []
+    for b in blocks:
+        a = _to_array(b, rows=rows)
+        if rows is None:
+            rows = a.shape[0]
+        elif a.shape[0] != rows:
+            raise ValueError("row mismatch in block stack")
+        block = [{} for _ in range(a.shape[1])]
+        rs, cs = np.nonzero(a)
+        for r, c, v in zip(rs.tolist(), cs.tolist(), a[rs, cs].tolist()):
+            block[c][r] = int(v)
+        cols += block
+    return rows, cols
+
+
+def _echelon(cols, rows, track_moduli=None):
+    """Column-eliminate `cols` in place to the canonical staircase form.
+
+    Row by row, the columns from the current one on are reduced by floor
+    quotients against the first column of least |value| until at most one
+    is nonzero there; that one is swapped into place and made positive.  A
+    final pass reduces earlier pivot columns against each pivot, which makes
+    the staircase the canonical Hermite representative of the column
+    lattice.  With `track_moduli` every operation is mirrored on a transform
+    that starts as the identity on the first len(track_moduli) columns; its
+    entries are reduced modulo those moduli whenever an operation touches
+    them, which is sound whenever the tracked combination only matters
+    modulo them.  Returns (transform columns or None, [(row, col), ...]).
+    """
+    index = [set() for _ in range(rows)]
+    for j, c in enumerate(cols):
+        for r in c:
+            index[r].add(j)
+    track = None
+    if track_moduli is not None:
+        track = [{j: 1} if j < len(track_moduli) else {} for j in range(len(cols))]
+
+    def sub(j, j0, q):
+        """Column j -= q * column j0."""
+        cj = cols[j]
+        for r, v in cols[j0].items():
+            x = cj.get(r, 0) - q * v
+            if x:
+                cj[r] = x
+                index[r].add(j)
+            else:
+                del cj[r]
+                index[r].discard(j)
+        if track is not None:
+            tj = track[j]
+            for r, v in track[j0].items():
+                x = (tj.get(r, 0) - q * v) % track_moduli[r]
+                if x:
+                    tj[r] = x
+                else:
+                    tj.pop(r, None)
+
     pivots = []
     col = 0
     for row in range(rows):
-        if col >= cols:
+        if col >= len(cols):
             break
         while True:
-            nz = np.nonzero(work[row, col:])[0]
-            if nz.size <= 1:
+            nz = sorted(j for j in index[row] if j >= col)
+            if len(nz) <= 1:
                 break
-            nz = nz + col
-            j0 = nz[np.argmin(np.abs(work[row, nz]))]
+            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            p = cols[j0][row]
             for j in nz:
-                if j == j0:
-                    continue
-                q = int(work[row, j]) // int(work[row, j0])
-                if q != 0:
-                    _colop(work, track, j, j0, q, guard)
-        nz = np.nonzero(work[row, col:])[0]
-        if nz.size == 0:
+                if j != j0:
+                    q = cols[j][row] // p
+                    if q:
+                        sub(j, j0, q)
+        if not nz:
             continue
-        j0 = int(nz[0]) + col
+        j0 = nz[0]
         if j0 != col:
-            work[:, [col, j0]] = work[:, [j0, col]]
+            a, b = cols[col], cols[j0]
+            for r in a.keys() - b.keys():
+                index[r].discard(col)
+                index[r].add(j0)
+            for r in b.keys() - a.keys():
+                index[r].discard(j0)
+                index[r].add(col)
+            cols[col], cols[j0] = b, a
             if track is not None:
-                track[:, [col, j0]] = track[:, [j0, col]]
-        if work[row, col] < 0:
-            work[:, col] = -work[:, col]
+                track[col], track[j0] = track[j0], track[col]
+        if cols[col][row] < 0:
+            cols[col] = {r: -v for r, v in cols[col].items()}
             if track is not None:
-                track[:, col] = -track[:, col]
+                track[col] = {r: x for r, v in track[col].items()
+                              if (x := -v % track_moduli[r])}
         pivots.append((row, col))
         col += 1
-        if track is not None and track_moduli is not None:
-            np.remainder(track, track_moduli, out=track)
-    # Normalize: reduce earlier pivot columns against each pivot so the
-    # staircase is the canonical Hermite representative of the column lattice.
     for row, col in pivots:
-        p = int(work[row, col])
-        for _, jc in pivots:
-            if jc >= col:
-                break
-            q = int(work[row, jc]) // p
-            if q != 0:
-                _colop(work, track, jc, col, q, guard)
-    if track is not None and track_moduli is not None:
-        np.remainder(track, track_moduli, out=track)
-    return pivots
-
-
-def _run_echelon(work_cols, n_track, track_moduli):
-    """Echelon with a tracked transform on the first `n_track` original columns.
-
-    Tries int64 first, falls back to Python integers on overflow.
-    """
-    for dtype, guard in ((np.int64, True), (object, False)):
-        try:
-            work = _to_array(work_cols, dtype=dtype)
-        except OverflowError:
-            continue
-        cols = work.shape[1]
-        track = None
-        tm = None
-        if n_track is not None:
-            track = np.zeros((n_track, cols), dtype=dtype)
-            for i in range(min(n_track, cols)):
-                track[i, i] = 1
-            if track_moduli is not None:
-                tm = np.array(track_moduli, dtype=dtype).reshape(n_track, 1)
-        try:
-            pivots = _echelon(work, track, tm, guard)
-            return work, track, pivots
-        except _NeedsBigints:
-            continue
-    raise AssertionError("unreachable")
+        p = cols[col][row]
+        for jc in sorted(j for j in index[row] if j < col):
+            q = cols[jc][row] // p
+            if q:
+                sub(jc, col, q)
+    return track, pivots
 
 
 def _hstack(blocks, rows):
-    cols = []
-    for b in blocks:
-        a = _to_array(b, rows=rows, dtype=object)
-        if a.shape[0] != rows:
-            raise ValueError("row mismatch in block stack")
-        cols.append(a)
-    if not cols:
-        return np.zeros((rows, 0), dtype=object)
-    return np.concatenate(cols, axis=1)
+    arrays = [_to_array(b, rows=rows) for b in blocks]
+    if any(a.shape[0] != rows for a in arrays):
+        raise ValueError("row mismatch in block stack")
+    return np.concatenate(arrays, axis=1)
 
 
 def diag_cols(moduli):
@@ -175,13 +171,11 @@ def block_diag(blocks):
 
 def cols_from_vectors(vectors, n):
     """n x k column matrix from a sequence of k coordinate vectors."""
-    m = np.zeros((n, len(vectors)), dtype=object)
-    for j, v in enumerate(vectors):
-        if len(v) != n:
-            raise ValueError("vector length mismatch")
-        for i, x in enumerate(v):
-            m[i, j] = int(x)
-    return m
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vector length mismatch")
+    k = len(vectors)
+    flat = np.fromiter(map(int, chain.from_iterable(vectors)), dtype=object, count=k * n)
+    return flat.reshape(k, n).T
 
 
 def lattice_canon(cols, moduli=None):
@@ -192,20 +186,20 @@ def lattice_canon(cols, moduli=None):
     equality is array equality.  Requires the lattice to be full rank,
     which the moduli guarantee.
     """
+    n = None if moduli is None else len(moduli)
+    n, work = _columns([cols], n)
     if moduli is not None:
-        n = len(moduli)
-        stacked = _hstack([cols, diag_cols(moduli)], rows=n)
-    else:
-        stacked = _to_array(cols, dtype=object)
-        n = stacked.shape[0]
-    work, _, pivots = _run_echelon(stacked, None, None)
+        work += [{i: int(d)} if d else {} for i, d in enumerate(moduli)]
+    _, pivots = _echelon(work, n)
     if len(pivots) != n:
         raise ValueError("lattice is not full rank")
-    basis = work[:, :n]
-    for i in range(n):
-        if basis[i, i] <= 0 or any(basis[j, i] != 0 for j in range(i)):
+    basis = np.zeros((n, n), dtype=object)
+    for j, c in enumerate(work[:n]):
+        if c.get(j, 0) <= 0 or min(c) < j:
             raise AssertionError("echelon did not produce a triangular basis")
-    return np.array(basis, dtype=object)
+        for i, v in c.items():
+            basis[i, j] = v
+    return basis
 
 
 def lattice_det(basis):
@@ -229,6 +223,16 @@ def lattice_member(basis, vec):
     return all(x == 0 for x in lattice_reduce(basis, vec))
 
 
+def _eliminate_map(mat, aug, in_moduli):
+    """Echelon of [mat | aug], tracking the transform on mat's columns mod in_moduli."""
+    mat = _to_array(mat)
+    r, n = mat.shape
+    _, work = _columns([mat, aug], r)
+    moduli = [int(d) for d in in_moduli]
+    track, pivots = _echelon(work, r, moduli)
+    return work, track, pivots, moduli
+
+
 def kernel_gens(mat, aug, in_moduli):
     """Generators of {x mod in_moduli : mat @ x lies in span(aug)}.
 
@@ -237,15 +241,11 @@ def kernel_gens(mat, aug, in_moduli):
     The diagonal in_moduli generators are implicit; callers re-adjoin them
     when canonicalizing the resulting subgroup.
     """
-    mat = _to_array(mat, dtype=object)
-    r, n = mat.shape
-    stacked = _hstack([mat, aug], rows=r)
-    work, track, pivots = _run_echelon(stacked, n, in_moduli)
-    nonpivot = set(range(stacked.shape[1])) - {c for _, c in pivots}
+    work, track, pivots, moduli = _eliminate_map(mat, aug, in_moduli)
     gens = []
-    for j in sorted(nonpivot):
-        if all(work[i, j] == 0 for i in range(r)):
-            v = tuple(int(track[i, j]) % int(in_moduli[i]) for i in range(n))
+    for j in range(len(pivots), len(work)):
+        if not work[j]:
+            v = tuple(track[j].get(i, 0) % d for i, d in enumerate(moduli))
             if any(v):
                 gens.append(v)
     return gens
@@ -253,32 +253,23 @@ def kernel_gens(mat, aug, in_moduli):
 
 def solve_cols(mat, aug, target, in_moduli):
     """One x (mod in_moduli) with mat @ x = target modulo span(aug), or None."""
-    mat = _to_array(mat, dtype=object)
-    r, n = mat.shape
-    stacked = _hstack([mat, aug], rows=r)
-    work, track, pivots = _run_echelon(stacked, n, in_moduli)
     b = [int(t) for t in target]
-    if len(b) != r:
+    if len(b) != _to_array(mat).shape[0]:
         raise ValueError("target length mismatch")
-    x = [0] * n
-    pivot_by_row = dict(pivots)
-    for row in range(r):
-        col = pivot_by_row.get(row)
-        if col is None:
-            if b[row] != 0:
-                return None
-            continue
-        q, rem = divmod(b[row], int(work[row, col]))
+    work, track, pivots, moduli = _eliminate_map(mat, aug, in_moduli)
+    x = [0] * len(moduli)
+    for row, col in pivots:
+        q, rem = divmod(b[row], work[col][row])
         if rem:
             return None
         if q:
-            for i in range(r):
-                b[i] -= q * int(work[i, col])
-            for i in range(n):
-                x[i] += q * int(track[i, col])
+            for i, v in work[col].items():
+                b[i] -= q * v
+            for i, v in track[col].items():
+                x[i] += q * v
     if any(b):
         return None
-    return tuple(x[i] % int(in_moduli[i]) for i in range(n))
+    return tuple(v % d for v, d in zip(x, moduli))
 
 
 def snf_invariants(mat, rows=None):
@@ -287,7 +278,7 @@ def snf_invariants(mat, rows=None):
     Used only for displaying group structure; all decisions elsewhere go
     through the lattice machinery above.
     """
-    a = [[int(x) for x in row] for row in np.asarray(_to_array(mat, rows=rows, dtype=object))]
+    a = [[int(x) for x in row] for row in _to_array(mat, rows=rows)]
     invs = []
     while a and a[0]:
         # locate smallest nonzero entry and move it to (0, 0)
@@ -354,9 +345,8 @@ class AbelianPresentation:
         if any(d < 1 for d in self.moduli):
             raise ValueError("moduli must be positive")
         self.n = len(self.moduli)
-        rel = _hstack([relations], rows=self.n) if len(relations) else np.zeros((self.n, 0), dtype=object)
-        self.relations = rel
-        self.lattice = lattice_canon(rel, self.moduli)
+        self.relations = _hstack([relations], rows=self.n)
+        self.lattice = lattice_canon(self.relations, self.moduli)
 
     def order(self):
         return lattice_det(self.lattice)
@@ -393,7 +383,7 @@ class AbelianPresentation:
         return solve_cols(mat, target.lattice, rhs, self.moduli)
 
     def assert_map_well_defined(self, mat, target):
-        mat = _to_array(mat, rows=target.n, dtype=object)
+        mat = _to_array(mat, rows=target.n)
         for i, d in enumerate(self.moduli):
             img = [d * int(mat[j, i]) for j in range(target.n)]
             if not target.is_zero(img):

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's lattice engine: quotient orders are
 counted by union-find enumeration over a coordinate box, and memberships by
-exhaustive search.  Slow but obviously correct on small inputs.
+exhaustive search.  Slow but obviously correct on small inputs.  The one
+exception is `dense_run_echelon`, a frozen copy of the engine's previous
+implementation, kept as the reference for the current one.
 """
 
 import itertools
+
+import numpy as np
 
 
 class UnionFind:
@@ -113,3 +117,130 @@ def subalgebras_by_element_scan(moduli, mul, start_gens):
                 found[bigger] = more
                 frontier.append(bigger)
     return set(found)
+
+
+# The dense column echelon that the library used before its sparse
+# Python-int engine, frozen here as the reference the new engine must match
+# operation for operation: int64 with a guarded overflow retry on
+# object-dtype arrays, tracked transform reduced after every pivot.
+
+# With every entry and every quotient below 2^26, a single column operation
+# stays below 2^53 and can never wrap int64.
+_INT64_CAP = 1 << 26
+
+
+class _NeedsBigints(Exception):
+    """Internal signal: int64 entries grew past the safe bound."""
+
+
+def _to_array(mat, rows=None, dtype=np.int64):
+    a = np.array(mat, dtype=dtype)
+    if a.size == 0:
+        a = a.reshape((rows or 0, 0))
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    return a
+
+
+def _colop(work, track, j, j0, q, guard):
+    """Column j -= q * column j0, with wraparound-proof bounds on int64."""
+    if guard:
+        if abs(q) > _INT64_CAP:
+            raise _NeedsBigints
+        work[:, j] -= q * work[:, j0]
+        if np.abs(work[:, j]).max(initial=0) > _INT64_CAP:
+            raise _NeedsBigints
+        if track is not None:
+            track[:, j] -= q * track[:, j0]
+            if np.abs(track[:, j]).max(initial=0) > _INT64_CAP:
+                raise _NeedsBigints
+    else:
+        work[:, j] -= q * work[:, j0]
+        if track is not None:
+            track[:, j] -= q * track[:, j0]
+
+
+def _echelon(work, track, track_moduli, guard):
+    """Column-eliminate `work` in place to a canonical staircase form.
+
+    Column operations (swap, negate, add integer multiples) are mirrored on
+    `track` when given; rows of `track` are reduced modulo `track_moduli`
+    after every sweep, which is sound whenever the tracked combination only
+    matters modulo those moduli.  Returns the pivot list [(row, col), ...].
+    """
+    rows, cols = work.shape
+    if guard and work.size and np.abs(work).max(initial=0) > _INT64_CAP:
+        raise _NeedsBigints
+    pivots = []
+    col = 0
+    for row in range(rows):
+        if col >= cols:
+            break
+        while True:
+            nz = np.nonzero(work[row, col:])[0]
+            if nz.size <= 1:
+                break
+            nz = nz + col
+            j0 = nz[np.argmin(np.abs(work[row, nz]))]
+            for j in nz:
+                if j == j0:
+                    continue
+                q = int(work[row, j]) // int(work[row, j0])
+                if q != 0:
+                    _colop(work, track, j, j0, q, guard)
+        nz = np.nonzero(work[row, col:])[0]
+        if nz.size == 0:
+            continue
+        j0 = int(nz[0]) + col
+        if j0 != col:
+            work[:, [col, j0]] = work[:, [j0, col]]
+            if track is not None:
+                track[:, [col, j0]] = track[:, [j0, col]]
+        if work[row, col] < 0:
+            work[:, col] = -work[:, col]
+            if track is not None:
+                track[:, col] = -track[:, col]
+        pivots.append((row, col))
+        col += 1
+        if track is not None and track_moduli is not None:
+            np.remainder(track, track_moduli, out=track)
+    # Normalize: reduce earlier pivot columns against each pivot so the
+    # staircase is the canonical Hermite representative of the column lattice.
+    for row, col in pivots:
+        p = int(work[row, col])
+        for _, jc in pivots:
+            if jc >= col:
+                break
+            q = int(work[row, jc]) // p
+            if q != 0:
+                _colop(work, track, jc, col, q, guard)
+    if track is not None and track_moduli is not None:
+        np.remainder(track, track_moduli, out=track)
+    return pivots
+
+
+def dense_run_echelon(work_cols, n_track, track_moduli):
+    """Echelon with a tracked transform on the first `n_track` original columns.
+
+    Tries int64 first, falls back to Python integers on overflow.
+    """
+    for dtype, guard in ((np.int64, True), (object, False)):
+        try:
+            work = _to_array(work_cols, dtype=dtype)
+        except OverflowError:
+            continue
+        cols = work.shape[1]
+        track = None
+        tm = None
+        if n_track is not None:
+            track = np.zeros((n_track, cols), dtype=dtype)
+            for i in range(min(n_track, cols)):
+                track[i, i] = 1
+            if track_moduli is not None:
+                tm = np.array(track_moduli, dtype=dtype).reshape(n_track, 1)
+        try:
+            pivots = _echelon(work, track, tm, guard)
+            return work, track, pivots
+        except _NeedsBigints:
+            continue
+    raise AssertionError("unreachable")

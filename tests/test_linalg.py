@@ -1,10 +1,12 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from semigalois import linalg
-from oracles import quotient_order_by_enumeration, subgroup_elements_by_closure
+from oracles import (dense_run_echelon, quotient_order_by_enumeration,
+                     subgroup_elements_by_closure)
 
 
 def test_lattice_canon_is_triangular_and_canonical():
@@ -101,11 +103,143 @@ def test_subgroup_order_matches_closure_oracle(seed):
 def test_bigint_fallback_gives_same_lattice():
     big = 10**30
     basis = linalg.lattice_canon([[big, 1], [1, 0]], moduli=[big * 7, big * 11])
-    assert linalg.lattice_det(basis) == linalg.lattice_det(basis)  # smoke: no overflow crash
-    assert basis[0, 0] >= 1
+    # the columns (10^30, 1) and (1, 0) alone already span Z^2
+    assert linalg.lattice_det(basis) == 1
+    assert basis.tolist() == [[1, 0], [0, 1]]
 
 
 def test_snf_invariants_display():
     pres = linalg.AbelianPresentation([4, 2], relations=np.array([[2], [0]], dtype=object))
     assert pres.invariants() == (2, 2)
     assert pres.order() == 4
+
+
+BIG = 10**30
+
+
+def _random_system(rng):
+    """A small integer matrix with the shapes the engine meets, plus track moduli.
+
+    Zero columns, zero and repeated rows (rows without a pivot), negative
+    entries, entries near 10^30, appended diagonal modulus columns, and
+    track moduli that include 1 and 2^40 all occur.  (The dense engine cannot
+    take a track modulus beyond int64; `test_solve_with_bigint_moduli` covers
+    those.)
+    """
+    rows = rng.randint(1, 6)
+    ncols = rng.randint(0, 7)
+    values = [1, -1, 2, -2, 3, -4, 6, 9, -12, rng.randint(-50, 50)]
+    if rng.random() < 0.3:
+        values += [BIG + rng.randint(-3, 3), -BIG + rng.randint(-3, 3)]
+    density = rng.choice([0.2, 0.5, 0.9])
+    mat = [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)]
+           for _ in range(rows)]
+    for row in mat:
+        if ncols and rng.random() < 0.2:
+            row[rng.randrange(ncols)] = 0
+    if rows > 1 and rng.random() < 0.3:
+        mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
+    if rng.random() < 0.2:
+        mat[rng.randrange(rows)] = [0] * ncols
+    n_track = rng.randint(0, ncols) if rng.random() < 0.7 else None
+    if rng.random() < 0.5:
+        for i in range(rows):
+            mat[i] += [rng.choice([1, 2, 4, 9, BIG]) if k == i else 0 for k in range(rows)]
+    moduli = None
+    if n_track is not None:
+        moduli = [rng.choice([1, 1, 2, 3, 4, 8, 9, 1 << 40]) for _ in range(n_track)]
+    return np.array(mat, dtype=object).reshape(rows, -1), n_track, moduli
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_echelon_matches_dense_oracle(seed):
+    rng = random.Random(500 + seed)
+    for _ in range(150):
+        mat, n_track, moduli = _random_system(rng)
+        work, track, pivots = dense_run_echelon(mat, n_track, moduli)
+        rows, cols = linalg._columns([mat])
+        sparse_track, sparse_pivots = linalg._echelon(cols, rows, moduli)
+        assert sparse_pivots == [(int(r), int(c)) for r, c in pivots]
+        assert [[c.get(i, 0) for c in cols] for i in range(rows)] == work.tolist()
+        assert all(v for c in cols for v in c.values())
+        if moduli is None:
+            assert sparse_track is None
+        else:
+            reduced = [[c.get(i, 0) % d for c in sparse_track] for i, d in enumerate(moduli)]
+            assert reduced == track.tolist()
+
+
+def test_sparse_echelon_bigint_entries_match_dense_oracle():
+    mat = np.array([[BIG, -BIG - 1, 0, 3], [0, 7, -BIG, 0], [0, 0, 0, 0], [5, 0, 2 * BIG, 1]],
+                   dtype=object)
+    moduli = [1, 1 << 40, 6]
+    work, track, pivots = dense_run_echelon(mat, 3, moduli)
+    rows, cols = linalg._columns([mat])
+    sparse_track, sparse_pivots = linalg._echelon(cols, rows, moduli)
+    assert sparse_pivots == pivots
+    assert [[c.get(i, 0) for c in cols] for i in range(rows)] == work.tolist()
+    assert [[c.get(i, 0) % d for c in sparse_track] for i, d in enumerate(moduli)] == track.tolist()
+
+
+def test_solve_with_bigint_moduli():
+    # x -> 3x from Z/(2 * 10^30) to Z/(2 * 10^30): image 3Z, kernel trivial
+    src = linalg.AbelianPresentation([2 * BIG])
+    assert src.solve_map([[3]], src, [6 * BIG - 3]) == (2 * BIG - 1,)
+    assert src.subgroup_order(src.kernel_of_map([[3]], src)) == 1
+    # x -> 2x has kernel {0, 10^30}
+    assert src.kernel_of_map([[2]], src) == [(BIG,)]
+    # list input beyond int64 stays exact: gcd(2^63 + 1, 2^64) = 1
+    assert linalg.lattice_canon([[2**63 + 1]], moduli=[2**64]).tolist() == [[1]]
+
+
+def _random_lattice(rng):
+    n = rng.randint(1, 5)
+    moduli = [rng.choice([1, 2, 3, 4, 8, 9, 12, BIG]) for _ in range(n)]
+    k = rng.randint(0, 5)
+    mat = np.array([[rng.randint(-20, 20) for _ in range(k)] for _ in range(n)],
+                   dtype=object).reshape(n, k)
+    return mat, moduli
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lattice_canon_spans_the_sympy_hermite_lattice(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    mat, moduli = _random_lattice(random.Random(600 + seed))
+    n = len(moduli)
+    basis = sympy.Matrix(linalg.lattice_canon(mat, moduli).tolist())
+    stacked = sympy.Matrix.hstack(sympy.Matrix(n, mat.shape[1], mat.ravel().tolist()),
+                                  sympy.diag(*moduli))
+    hnf = hermite_normal_form(stacked)
+    assert hnf.shape == (n, n)
+    assert abs(hnf.det()) == basis.det()
+    # each basis's columns are integer combinations of the other's
+    assert all(x.is_integer for x in basis.inv() * hnf)
+    assert all(x.is_integer for x in hnf.inv() * basis)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_snf_invariants_match_sympy_invariant_factors(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    mat, moduli = _random_lattice(random.Random(700 + seed))
+    n = len(moduli)
+    pres = linalg.AbelianPresentation(moduli, relations=mat if mat.shape[1] else ())
+    stacked = sympy.Matrix.hstack(sympy.Matrix(n, mat.shape[1], mat.ravel().tolist()),
+                                  sympy.diag(*moduli))
+    expected = sorted(abs(int(d)) for d in invariant_factors(stacked, domain=sympy.ZZ))
+    assert pres.invariants() == tuple(d for d in expected if d != 1)
+    assert pres.order() == math.prod(expected)
+
+
+def test_cols_from_vectors_exact_values_and_shapes():
+    vectors = [(1, 0, -2), (0, BIG, 3), (np.int64(4), 5, 0)]
+    mat = linalg.cols_from_vectors(vectors, 3)
+    assert mat.shape == (3, 3) and mat.dtype == object
+    assert mat.tolist() == [[1, 0, 4], [0, BIG, 5], [-2, 3, 0]]
+    assert all(type(x) is int for x in mat.ravel())
+    assert linalg.cols_from_vectors([], 4).shape == (4, 0)
+    with pytest.raises(ValueError):
+        linalg.cols_from_vectors([(1, 2), (3,)], 2)
