@@ -58,11 +58,16 @@ def enumerate_beta_complete(beta):
             if is_beta_complete(beta, T)]
 
 
-def fixed_subalgebra(beta, T: SubSemigroup):
-    """A^{beta|T}; always an A^beta-subalgebra when T is full."""
+def fixed_subalgebra(beta, T: SubSemigroup, base=None):
+    """A^{beta|T}; always an A^beta-subalgebra when T is full.
+
+    `base` is A^beta when the caller holds it; otherwise it is computed.
+    """
     restricted, _ = restrict_action(beta, T)
     B = invariant_ring(restricted)
-    if not B.contains(invariant_ring(beta)):
+    if base is None:
+        base = invariant_ring(beta)
+    if not B.contains(base):
         raise AssertionError("fixed ring must contain the full invariants")
     return B
 
@@ -124,12 +129,12 @@ def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
     failures = []
     seen_algebras = {}
     for T in subsemigroups:
-        B = fixed_subalgebra(beta, T)
+        B = fixed_subalgebra(beta, T, base)
         sep = is_separable(B, base) is not None
         strong, fail_at, _ = is_beta_strong(beta, B)
         back = pullback(B)
         round_t = back.members == T.members
-        fixed_again = fixed_subalgebra(beta, s_b_map(B))
+        fixed_again = fixed_subalgebra(beta, s_b_map(B), base)
         round_b = fixed_again == B
         key = B
         if key in seen_algebras:
@@ -254,8 +259,9 @@ def verify_general_correspondence(beta, brute_force_subalgebras=False):
                          sorted(map(sorted, pulled_sets)), sorted(map(sorted, maximal_sets))))
 
     pairs = []
+    base = invariant_ring(beta)
     for T, img_pair in zip(pulled, image_report.pairs):
-        B = fixed_subalgebra(beta, T)
+        B = fixed_subalgebra(beta, T, base)
         back = frozenset(s for s in range(S.n)
                          if proj[s] in set(img_pair.s_b_members))
         round_t = back == T.members

@@ -206,10 +206,10 @@ class PABetaS:
         self._constraints = (constraint_rows, row_moduli)
 
     def compress(self, family):
-        """Compressed coordinates of a full family {s: RingElement}."""
+        """Compressed coordinates of a family {t: coordinate vector} on the maximal t."""
         vec = []
         for t in self.maximal:
-            v = family[t].vec()
+            v = family[t]
             _, coords = self.offsets[t]
             vec.extend(v[i] for i in coords)
         return tuple(vec)
@@ -234,13 +234,13 @@ class PABetaS:
         return gens
 
 
-def psi_image_vector(beta, pa, x_el, y_el):
-    """psi(x (x) y) = (x beta_s(y 1_{s^-1}))_s on the maximal coordinates."""
-    family = {}
-    for t in pa.maximal:
-        iso = beta.isos[t]
-        family[t] = x_el * iso.apply(y_el.mask(iso.dom_support))
-    return pa.compress(family)
+def psi_image_vector(beta, pa, x, y):
+    """psi(x (x) y) = (x beta_s(y 1_{s^-1}))_s on the maximal coordinates.
+
+    x and y are coordinate vectors; `apply_vec` masks y to the domain.
+    """
+    A = beta.A
+    return pa.compress({t: A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in pa.maximal})
 
 
 def build_pa_beta_s(beta):
@@ -257,18 +257,19 @@ class PsiReport:
     cokernel_witness: tuple | None = None
 
 
-def psi_check(beta, invariants=None, guard=1 << 20):
-    """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?"""
-    A = beta.A
-    base = invariants if invariants is not None else invariant_ring(beta)
-    tensor = TensorPresentation(Subalgebra.full(A), Subalgebra.full(A), base, guard=guard)
+def psi_check(beta, invariants=None, guard=1 << 20, tensor=None):
+    """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
+
+    `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
+    psi is evaluated on every generator pair of the tensor, on coordinates.
+    """
+    if tensor is None:
+        tensor = _full_tensor(beta, invariants, guard)
     pa = PABetaS(beta)
-    m_els = [A.from_vec(v) for v in tensor.mg]
-    n_els = [A.from_vec(v) for v in tensor.ng]
     images = []
     for i in range(tensor.k):
         for j in range(tensor.l):
-            vec = psi_image_vector(beta, pa, m_els[i], n_els[j])
+            vec = psi_image_vector(beta, pa, tensor.mg[i], tensor.ng[j])
             if not pa.satisfies_constraints(vec):
                 raise CertificateMismatch(f"psi image of generator pair ({i}, {j}) leaves PA")
             images.append(vec)
@@ -375,21 +376,25 @@ def _separates(beta, s, t, supp, g_vec):
     return lhs != rhs
 
 
-def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20):
+def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20, tensor=None):
     """A separability idempotent of B over R in B (x)_R B, or None.
 
-    Solves m(z) = 1 and ((b (x) 1) - (1 (x) b)) z = 0 for b over the
-    generators of B exactly, then re-verifies every defining equation.
+    Solves m(z) = 1 and ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over
+    generators of B as an R-algebra (`Subalgebra.algebra_generators`): the b
+    satisfying the second equation form an R-subalgebra of B, so these
+    suffice.  The answer is then re-verified on every additive generator of
+    B.  `tensor` is a built B (x)_R B to reuse; without it one is built.
     """
     if not B.contains(R):
         raise NotSubring("separability needs R inside B")
-    tensor = TensorPresentation(B, B, R, guard=guard)
+    if tensor is None:
+        tensor = TensorPresentation(B, B, R, guard=guard)
     g = tensor.k * tensor.l
     A = B.ring
     blocks = [tensor.mult_map_vec()]
     augs = [A.presentation.lattice]
     target = list(A.one().vec())
-    for b in B.gen_vectors:
+    for b in B.algebra_generators(R):
         diff = tensor.left_mult_matrix(b) - tensor.right_mult_matrix(b)
         blocks.append(diff)
         augs.append(tensor.pres.lattice)
@@ -405,27 +410,41 @@ def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20):
 
 
 def verify_separability_idempotent(tensor, z):
-    """Direct evaluation of both defining equations of a separability idempotent."""
+    """Direct evaluation of both defining equations of a separability idempotent.
+
+    The second is checked for every additive generator b of M.  With z
+    reshaped to the k x l matrix Z, (b (x) 1)z is E.Z and (1 (x) b)z is
+    Z.F^T, for E and F the matrices of b* on the two factors' generators.
+    """
     A = tensor.ring
-    mz = tensor.mult_map_vec().dot(np.array(z, dtype=object).reshape(-1, 1))
+    zcol = np.array(z, dtype=object).reshape(-1, 1)
+    mz = tensor.mult_map_vec().dot(zcol)
     got = tuple(int(mz[i, 0]) % A.coord_moduli[i] for i in range(A.n_coords))
     if got != A.one().vec():
         return False
+    Z = zcol.reshape(tensor.k, tensor.l)
     for b in tensor.M.gen_vectors:
-        left = tensor.left_mult_matrix(b).dot(np.array(z, dtype=object).reshape(-1, 1))
-        right = tensor.right_mult_matrix(b).dot(np.array(z, dtype=object).reshape(-1, 1))
-        lv = tuple(int(x) for x in left.ravel())
-        rv = tuple(int(x) for x in right.ravel())
-        if not tensor.pres.eq(lv, rv):
+        left = tensor.left_factor(b).dot(Z)
+        right = Z.dot(tensor.right_factor(b).T)
+        if not tensor.pres.eq(tuple(map(int, left.ravel())), tuple(map(int, right.ravel()))):
             return False
     return True
 
 
-def separability_idempotent_from_coordinates(beta, coords, invariants=None):
-    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A."""
-    A = beta.A
+def _full_tensor(beta, invariants, guard=1 << 20):
+    """A (x)_{A^beta} A, over `invariants` when given."""
+    full = Subalgebra.full(beta.A)
     base = invariants if invariants is not None else invariant_ring(beta)
-    tensor = TensorPresentation(Subalgebra.full(A), Subalgebra.full(A), base)
+    return TensorPresentation(full, full, base, guard=guard)
+
+
+def separability_idempotent_from_coordinates(beta, coords, invariants=None, tensor=None):
+    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A.
+
+    `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
+    """
+    if tensor is None:
+        tensor = _full_tensor(beta, invariants)
     z = [0] * (tensor.k * tensor.l)
     for x, y in coords:
         pv = tensor.pure(x, y)
@@ -487,12 +506,14 @@ def cross_check_equivalences(beta: UnitalAction, guard=1 << 20):
     cert.coordinates = coords
     verdicts["coordinates"] = coords is not None
 
-    psi = psi_check(beta, invariants=inv, guard=guard)
+    # one A (x)_{A^beta} A serves psi, separability and the coordinate-built idempotent
+    tensor = _full_tensor(beta, inv, guard)
+    psi = psi_check(beta, tensor=tensor)
     cert.psi = psi
     verdicts["psi_bijective"] = psi.bijective
 
-    sep = is_separable(Subalgebra.full(beta.A), inv, guard=guard)
-    strong, failure, witnesses = is_beta_strong(beta, Subalgebra.full(beta.A))
+    sep = is_separable(tensor.M, inv, tensor=tensor)
+    strong, failure, witnesses = is_beta_strong(beta, tensor.M)
     cert.separability_idempotent = (sep[1] if sep else None)
     cert.strong_witnesses = witnesses
     cert.strong_failure = failure
@@ -520,7 +541,7 @@ def cross_check_equivalences(beta: UnitalAction, guard=1 << 20):
         raise EquivalenceViolation("beta-Galois and alpha-Galois disagree")
 
     if galois and coords is not None:
-        tensor, e_vec = separability_idempotent_from_coordinates(beta, coords, invariants=inv)
+        _, e_vec = separability_idempotent_from_coordinates(beta, coords, tensor=tensor)
         if not verify_separability_idempotent(tensor, e_vec):
             raise EquivalenceViolation("coordinate-built separability idempotent failed")
 

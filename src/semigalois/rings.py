@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import AbelianPresentation, cols_from_vectors, kernel_gens, lattice_reduce, solve_cols
+from .linalg import AbelianPresentation, cols_from_vectors, kernel_gens, lattice_reduce
 
 ATOM_ORDER_GUARD = 1 << 20
 ELEMENT_SCAN_GUARD = 1 << 16
@@ -699,6 +699,22 @@ class Subalgebra:
     def elements(self):
         return (self.ring.from_vec(v) for v in self.element_vectors())
 
+    def algebra_generators(self, base):
+        """Generators, chosen greedily from `gen_vectors`, of this subalgebra as a `base`-algebra.
+
+        A generator already in the `base`-algebra generated by the earlier
+        choices is skipped; otherwise it is chosen and that algebra is
+        re-closed under multiplication.  `base` must be a unital subalgebra
+        inside this one.
+        """
+        chosen = []
+        current = base
+        for g in self.gen_vectors:
+            if not current.member_vec(g):
+                chosen.append(g)
+                current = Subalgebra(self.ring, list(current.gen_vectors) + [g]).closure_under_mul()
+        return chosen
+
     def closure_under_mul(self):
         """Smallest multiplicatively closed additive span containing this one.
 
@@ -737,11 +753,17 @@ class TensorPresentation:
         ring = M.ring
         if N.ring != ring or R.ring != ring:
             raise AtomMismatch("tensor factors live in different rings")
+        checked = []  # factors known to be unital subalgebras; `in` matches by identity first
         for big in (M, N):
+            if big in checked:
+                continue
             if not big.contains(R):
                 raise NotSubring("R is not contained in both factors")
-            if not big.is_subalgebra() or not R.is_subalgebra():
-                raise NotSubring("tensor factors must be unital subalgebras")
+            for sub in (big, R):
+                if sub not in checked:
+                    if not sub.is_subalgebra():
+                        raise NotSubring("tensor factors must be unital subalgebras")
+                    checked.append(sub)
         if M.order * N.order > guard:
             raise TooLarge("tensor factors beyond the size guard")
         self.ring, self.M, self.N, self.R = ring, M, N, R
@@ -811,19 +833,25 @@ class TensorPresentation:
                 for i in range(self.k) for j in range(self.l)]
         return cols_from_vectors(cols, self.ring.n_coords)
 
+    def left_factor(self, b_vec):
+        """k x k matrix E of m -> b*m on M's generators: column i expands b*mg[i]."""
+        return cols_from_vectors([self._mexp.expand(self.ring.mul_vec(b_vec, m)) for m in self.mg], self.k)
+
+    def right_factor(self, b_vec):
+        """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j]."""
+        return cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
+
     def left_mult_matrix(self, b_vec):
         """Matrix of z -> (b (x) 1) * z on tensor coordinates, b in M.
 
-        With E the matrix of b* on M's generators this is E (x) I_l, since
-        coordinate (i, j) is generator pair (mg[i], ng[j]).
+        This is E (x) I_l with E = `left_factor(b)`, since coordinate (i, j)
+        is generator pair (mg[i], ng[j]).
         """
-        E = cols_from_vectors([self._mexp.expand(self.ring.mul_vec(b_vec, m)) for m in self.mg], self.k)
-        return np.kron(E, np.eye(self.l, dtype=object))
+        return np.kron(self.left_factor(b_vec), np.eye(self.l, dtype=object))
 
     def right_mult_matrix(self, b_vec):
-        """Matrix of z -> (1 (x) b) * z: I_k (x) F, with F the matrix of b* on N's generators."""
-        F = cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
-        return np.kron(np.eye(self.k, dtype=object), F)
+        """Matrix of z -> (1 (x) b) * z: I_k (x) F with F = `right_factor(b)`."""
+        return np.kron(np.eye(self.k, dtype=object), self.right_factor(b_vec))
 
     def eq(self, z, w):
         return self.pres.eq(z, w)
@@ -833,29 +861,47 @@ class TensorPresentation:
 
 
 class SpanExpander:
-    """Expand ring vectors as integer combinations of a subalgebra's generators."""
+    """Expand ring vectors as integer combinations of a subalgebra's generators.
+
+    A subalgebra's generators are the columns j of its canonical
+    lower-triangular basis with a nonzero residue; every other column is
+    d_j e_j, zero in the ring.  So the walk of `lattice_reduce` down that
+    basis expands a member, and its quotient at a generator's column is that
+    generator's coefficient (reduced modulo the generator's order).  Another
+    expansion of the same vector differs by a relation of the generators.
+    """
 
     def __init__(self, sub):
         self.sub = sub
-        self.ring = sub.ring
+        ring = self.ring = sub.ring
         self._cache = {}
-        self._mat = cols_from_vectors(list(sub.gen_vectors), sub.ring.n_coords)
+        n, basis = ring.n_coords, sub.basis
+        # (pivot row, pivot, entries below it, generator order or 0) per basis column
+        self._walk = []
+        for j in range(n):
+            col = [int(basis[i, j]) for i in range(n)]
+            residue = tuple(c % m for c, m in zip(col, ring.coord_moduli))
+            self._walk.append((j, col[j], [(i, col[i]) for i in range(j + 1, n) if col[i]],
+                               ring.vector_order(residue) if any(residue) else 0))
 
     def expand(self, vec):
         vec = tuple(int(x) % m for x, m in zip(vec, self.ring.coord_moduli))
         hit = self._cache.get(vec)
         if hit is not None:
             return hit
-        if not self.sub.gen_vectors:
-            if any(vec):
+        w = list(vec)
+        coeffs = []
+        for j, pivot, below, order in self._walk:
+            q, rem = divmod(w[j], pivot)
+            if rem:
                 raise NotSubring(f"vector {vec} is outside the span")
-            return ()
-        in_moduli = [self.ring.vector_order(g) for g in self.sub.gen_vectors]
-        sol = solve_cols(self._mat, self.ring.presentation.lattice, vec, in_moduli)
-        if sol is None:
-            raise NotSubring(f"vector {vec} is outside the span")
-        self._cache[vec] = sol
-        return sol
+            if q:
+                for i, v in below:
+                    w[i] -= q * v
+            if order:
+                coeffs.append(q % order)
+        self._cache[vec] = tuple(coeffs)
+        return self._cache[vec]
 
 
 def _span_relation_lattice(sub):

@@ -493,13 +493,13 @@ def verify_zero_correspondence(beta, brute_force_subalgebras=False):
     maximal_sets = {T.members for T in maximal}
     seen_algebras = {}
     for T in maximal:
-        B = fixed_subalgebra(beta, T)
+        B = fixed_subalgebra(beta, T, base)
         sep = is_separable(B, base) is not None
         strong, fail_at, _ = is_beta_strong(beta, B)
         img_sb = compute_S_B(beta_img, B)
         back = frozenset(s for s in range(S.n) if proj[s] in img_sb.members)
         round_t = back == T.members
-        fixed_again = fixed_subalgebra(beta, SubSemigroup(S, back))
+        fixed_again = fixed_subalgebra(beta, SubSemigroup(S, back), base)
         round_b = fixed_again == B
         if B in seen_algebras:
             failures.append(("duplicate fixed algebra", tuple(sorted(T.members))))

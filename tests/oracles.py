@@ -2,9 +2,13 @@
 
 These deliberately avoid the library's lattice engine: quotient orders are
 counted by union-find enumeration over a coordinate box, and memberships by
-exhaustive search.  Slow but obviously correct on small inputs.  The one
-exception is `dense_run_echelon`, a frozen copy of the engine's previous
-implementation, kept as the reference for the current one.
+exhaustive search.  Slow but obviously correct on small inputs.  The
+exceptions are frozen copies of routes the library has since replaced, kept
+as references for the current ones: `dense_run_echelon` (the previous
+echelon engine), `expand_by_solve` (span expansion by one exact solve),
+`separable_all_generators` and `verify_idempotent_by_kron` (the separability
+solve and check over every additive generator, on Kronecker matrices) and
+`psi_image_by_elements` (the comparison map through ring elements).
 """
 
 import itertools
@@ -244,3 +248,72 @@ def dense_run_echelon(work_cols, n_track, track_moduli):
         except _NeedsBigints:
             continue
     raise AssertionError("unreachable")
+
+
+# Frozen library routes that faster code replaced, kept as references.
+
+
+def expand_by_solve(sub, vec):
+    """Coefficients of `vec` over `sub.gen_vectors` from one exact `solve_cols`."""
+    from semigalois.linalg import cols_from_vectors, solve_cols
+    from semigalois.rings import NotSubring
+    ring = sub.ring
+    vec = tuple(int(x) % m for x, m in zip(vec, ring.coord_moduli))
+    if not sub.gen_vectors:
+        if any(vec):
+            raise NotSubring(f"vector {vec} is outside the span")
+        return ()
+    mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
+    in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
+    sol = solve_cols(mat, ring.presentation.lattice, vec, in_moduli)
+    if sol is None:
+        raise NotSubring(f"vector {vec} is outside the span")
+    return sol
+
+
+def separable_all_generators(B, R):
+    """(B (x)_R B, z) solving m(z) = 1 and (b (x) 1 - 1 (x) b)z = 0 for every
+    additive generator b of B, or None."""
+    from semigalois.linalg import block_diag, solve_cols
+    from semigalois.rings import TensorPresentation
+    tensor = TensorPresentation(B, B, R)
+    A = B.ring
+    blocks = [tensor.mult_map_vec()]
+    augs = [A.presentation.lattice]
+    target = list(A.one().vec())
+    for b in B.gen_vectors:
+        blocks.append(tensor.left_mult_matrix(b) - tensor.right_mult_matrix(b))
+        augs.append(tensor.pres.lattice)
+        target.extend([0] * (tensor.k * tensor.l))
+    sol = solve_cols(np.concatenate(blocks, axis=0), block_diag(augs), target,
+                     tensor.pres.moduli)
+    return None if sol is None else (tensor, sol)
+
+
+def verify_idempotent_by_kron(tensor, z):
+    """Both defining equations of a separability idempotent, on the full
+    Kronecker matrices (b (x) 1) and (1 (x) b) for every generator b."""
+    A = tensor.ring
+    zcol = np.array(z, dtype=object).reshape(-1, 1)
+    mz = tensor.mult_map_vec().dot(zcol)
+    if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one().vec():
+        return False
+    for b in tensor.M.gen_vectors:
+        left = tensor.left_mult_matrix(b).dot(zcol)
+        right = tensor.right_mult_matrix(b).dot(zcol)
+        if not tensor.pres.eq(tuple(map(int, left.ravel())), tuple(map(int, right.ravel()))):
+            return False
+    return True
+
+
+def psi_image_by_elements(beta, pa, x_vec, y_vec):
+    """psi(x (x) y) on PA's maximal coordinates, through `RingElement`
+    products and the polynomial `StructuredIso.apply`."""
+    A = beta.A
+    x, y = A.from_vec(x_vec), A.from_vec(y_vec)
+    out = []
+    for t in pa.maximal:
+        iso = beta.isos[t]
+        v = (x * iso.apply(y.mask(iso.dom_support))).vec()
+        out.extend(v[i] for i in pa.offsets[t][1])
+    return tuple(out)

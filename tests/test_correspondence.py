@@ -62,6 +62,21 @@ def test_fixed_subalgebra_orders():
     assert (f_all.order, f_mid.order, f_e.order) == (27, 243, 729)
 
 
+def test_fixed_subalgebra_takes_the_callers_base(monkeypatch):
+    """A given base skips recomputing A^beta, and the containment check still raises."""
+    beta = f9_cubed_fixture()
+    base = invariant_ring(beta)
+    T = SubSemigroup(beta.S, frozenset(beta.S.idempotents))
+    want = co.fixed_subalgebra(beta, T)
+    calls = []
+    monkeypatch.setattr(co, "invariant_ring", lambda b: calls.append(b) or invariant_ring(b))
+    assert co.fixed_subalgebra(beta, T, base) == want
+    assert len(calls) == 1  # only the restricted action's invariants
+    full_T = SubSemigroup(beta.S, frozenset(range(beta.S.n)))
+    with pytest.raises(AssertionError, match="contain the full invariants"):
+        co.fixed_subalgebra(beta, full_T, Subalgebra.full(beta.A))
+
+
 def test_fixed_subalgebra_is_antitone():
     beta = f9_cubed_fixture()
     ts = enumerate_full_inverse_subsemigroups(beta.S)

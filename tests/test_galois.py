@@ -11,8 +11,14 @@ from semigalois.actions import invariant_ring, is_injective
 from semigalois.corpus import (c2_swap_fixture, c2_fixed_atom_fixture,
                                chain_semilattice_fixture, corpus,
                                f9_cubed_fixture, trace_gap_fixture)
-from semigalois.rings import Atom, FiniteRing, Subalgebra
+from semigalois.correspondence import enumerate_subalgebras_over
+from semigalois.instance import parse_instance
+from semigalois.rings import Atom, FiniteRing, Subalgebra, TensorPresentation
 from semigalois.semigroups import is_e_unitary
+from oracles import psi_image_by_elements, separable_all_generators, verify_idempotent_by_kron
+from test_correspondence import SCAN_CASES
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def admissible(b):
@@ -210,6 +216,83 @@ def test_trace_gap_is_flagged_not_fatal():
     rep = gl.cross_check_equivalences(trace_gap_fixture())
     assert not rep.galois and rep.trace_gap
     assert rep.verdicts["trace_image"] and not rep.verdicts["coordinates"]
+
+
+def _separability_pairs(case):
+    """(B, R) pairs: every subalgebra over the invariants of a scan action, or fixed pairs."""
+    if case in SCAN_CASES:
+        beta = SCAN_CASES[case]()
+        base = invariant_ring(beta)
+        return [(B, base) for B in enumerate_subalgebras_over(beta, base)]
+    pairs = []
+    for beta in (trace_gap_fixture(), c2_fixed_atom_fixture(), f9_cubed_fixture()):
+        pairs.append((Subalgebra.full(beta.A), invariant_ring(beta)))
+    for atoms in ([Atom.zmod(3), Atom.zmod(3)], [Atom.zmod(2), Atom.zmod(2)], [Atom.zmod(3)]):
+        A = FiniteRing(atoms)
+        pairs.append((Subalgebra.full(A), Subalgebra(A, [A.one().vec()])))
+    beta = f9_cubed_fixture()
+    A = beta.A
+    pairs.append((Subalgebra(A, [A.element([(1, 0), (0, 0), (1, 0)]).vec(),
+                                 A.element([(0, 1), (0, 0), (0, 1)]).vec(),
+                                 A.element([(0, 0), (1, 0), (0, 0)]).vec(),
+                                 A.element([(0, 0), (0, 1), (0, 0)]).vec()]),
+                  invariant_ring(beta)))
+    return pairs
+
+
+@pytest.mark.parametrize("case", ["c2_gf4^2", "s7_gf4^3", "c3_z4^3", "fixed"])
+def test_separability_on_algebra_generators_matches_all_generators(case):
+    """The solve over algebra generators gives the all-generator verdict, and
+    its idempotent passes the check over every additive generator."""
+    verdicts = []
+    for B, R in _separability_pairs(case):
+        chosen = B.algebra_generators(R)
+        assert set(chosen) <= set(B.gen_vectors)
+        assert Subalgebra(B.ring, list(R.gen_vectors) + chosen).closure_under_mul() == B
+        want = separable_all_generators(B, R)
+        got = gl.is_separable(B, R)
+        assert (got is None) == (want is None)
+        for tensor, z in filter(None, (got, want)):
+            assert gl.verify_separability_idempotent(tensor, z)
+            assert verify_idempotent_by_kron(tensor, z)
+        verdicts.append(got is not None)
+    if case == "c3_z4^3":  # Z/4 + 2A and its kin are not separable
+        assert True in verdicts and False in verdicts
+
+
+def test_idempotent_check_rejects_what_the_kron_check_rejects():
+    """E.Z and Z.F^T decide the same equations as the Kronecker matrices."""
+    beta = f9_cubed_fixture()
+    tensor, z = gl.is_separable(Subalgebra.full(beta.A), invariant_ring(beta))
+    for i in range(len(z)):
+        bumped = tuple(x + (1 if j == i else 0) for j, x in enumerate(z))
+        assert gl.verify_separability_idempotent(tensor, bumped) == \
+            verify_idempotent_by_kron(tensor, bumped)
+
+
+@pytest.mark.parametrize("instance", sorted(p.name for p in (REPO / "instances").glob("*.sgi")))
+def test_psi_image_vector_matches_element_route(instance):
+    beta = parse_instance(REPO / "instances" / instance).action
+    pa = gl.PABetaS(beta)
+    gens = Subalgebra.full(beta.A).gen_vectors
+    for x in gens:
+        for y in gens:
+            assert gl.psi_image_vector(beta, pa, x, y) == psi_image_by_elements(beta, pa, x, y)
+
+
+def test_cross_check_builds_one_tensor(monkeypatch):
+    builds = []
+    original = TensorPresentation.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorPresentation, "__init__", counted)
+    for beta in (c2_swap_fixture(), f9_cubed_fixture(), trace_gap_fixture()):
+        builds.clear()
+        rep = gl.cross_check_equivalences(beta)
+        assert len(builds) == 1, rep.verdicts
 
 
 def test_separability_idempotent_from_coordinates():

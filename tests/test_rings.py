@@ -8,7 +8,7 @@ from semigalois import rings as rg
 from semigalois import isopu
 from semigalois.linalg import AbelianPresentation
 from semigalois.corpus import random_ring, random_structured_iso
-from oracles import quotient_order_by_enumeration
+from oracles import expand_by_solve, quotient_order_by_enumeration
 
 
 def test_atom_guards():
@@ -170,6 +170,83 @@ def test_tensor_rejects_non_subring():
     half = rg.Subalgebra.span_of_elements(B, [B.element([1, 0])])
     with pytest.raises(rg.NotSubring):
         rg.tensor_over_subring(rg.Subalgebra.full(B), rg.Subalgebra.full(B), half)
+
+
+def test_tensor_checks_each_factor_once(monkeypatch):
+    """N is M: one containment and one unital check per distinct factor, same errors."""
+    B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
+    full = rg.Subalgebra.full(B)
+    diag = rg.Subalgebra.span_of_elements(B, [B.one()])
+    half = rg.Subalgebra.span_of_elements(B, [B.element([1, 0])])
+    calls = []
+    for name in ("contains", "is_subalgebra"):
+        original = getattr(rg.Subalgebra, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append((_name, id(self)))
+            return _original(self, *args)
+
+        monkeypatch.setattr(rg.Subalgebra, name, counted)
+    rg.TensorPresentation(full, full, diag)
+    assert calls == [("contains", id(full)), ("is_subalgebra", id(full)),
+                     ("is_subalgebra", id(diag))]
+    calls.clear()
+    rg.TensorPresentation(full, full, full)
+    assert calls == [("contains", id(full)), ("is_subalgebra", id(full))]
+    with pytest.raises(rg.NotSubring, match="not contained"):
+        rg.TensorPresentation(full, diag, full)
+    with pytest.raises(rg.NotSubring, match="unital"):
+        rg.TensorPresentation(full, full, half)
+
+
+EXPANDER_RINGS = {
+    "gf4^2": [rg.Atom.gf(2, 2)] * 2,
+    "z4^3": [rg.Atom.zmod(2, 2)] * 3,
+    "z8xz2": [rg.Atom.zmod(2, 3), rg.Atom.zmod(2)],
+    "z4xgf4^2": [rg.Atom.zmod(2, 2), rg.Atom.gf(2, 2), rg.Atom.gf(2, 2)],
+}
+
+
+def _combine(A, coeffs, gens):
+    return tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % d
+                 for i, d in enumerate(A.coord_moduli))
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDER_RINGS))
+def test_span_expander_matches_solve_oracle(name):
+    """Back-substitution expands every member, as the solve oracle does, and
+    rejects every non-member; each coefficient lies within its generator's order."""
+    A = rg.FiniteRing(EXPANDER_RINGS[name])
+    rng = random.Random(name)
+    pool = [a.vec() for a in A.elements()]
+    for _ in range(6):
+        span = rg.Subalgebra(A, rng.sample(pool, rng.randrange(1, 4)))
+        for sub in (span, span.closure_under_mul()):
+            expander = rg.SpanExpander(sub)
+            orders = [A.vector_order(g) for g in sub.gen_vectors]
+            members = set(sub.element_vectors())
+            for vec in members:
+                got = expander.expand(vec)
+                assert len(got) == len(orders)
+                assert all(0 <= c < d for c, d in zip(got, orders))
+                assert _combine(A, got, sub.gen_vectors) == vec
+                assert _combine(A, expand_by_solve(sub, vec), sub.gen_vectors) == vec
+            for vec in rng.sample([v for v in pool if v not in members],
+                                  min(6, A.size - len(members))):
+                with pytest.raises(rg.NotSubring):
+                    expander.expand(vec)
+                with pytest.raises(rg.NotSubring):
+                    expand_by_solve(sub, vec)
+
+
+def test_span_expander_on_zero_subalgebra():
+    A = rg.FiniteRing(EXPANDER_RINGS["z4xgf4^2"])
+    zero = rg.Subalgebra(A, [])
+    assert zero.gen_vectors == () and zero.order == 1
+    expander = rg.SpanExpander(zero)
+    assert expander.expand(A.zero().vec()) == () == expand_by_solve(zero, A.zero().vec())
+    with pytest.raises(rg.NotSubring):
+        expander.expand(A.one().vec())
 
 
 @pytest.mark.parametrize("seed", range(8))
