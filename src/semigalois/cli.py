@@ -159,6 +159,15 @@ def cmd_galois(beta, report, opts):
                 generators=[repr(g) for g in cert.trace_image_generators])
 
 
+def _add_correspondence_verdicts(report, rep):
+    """The bijection and brute-force verdicts, then one line per failure."""
+    report.add("bijection", rep.bijective)
+    if rep.brute_force_match is not None:
+        report.add("brute_force_match", rep.brute_force_match)
+    for f in rep.failures:
+        report.info("failure", detail=[str(x) for x in f])
+
+
 def cmd_correspond(beta, report, opts):
     from .correspondence import verify_e_unitary_correspondence, verify_general_correspondence
     brute = opts.get("brute-force-subalgebras", False)
@@ -179,11 +188,7 @@ def cmd_correspond(beta, report, opts):
                    subalgebra_order=p.subalgebra_order,
                    s_b=_names(beta.S, p.s_b_members),
                    separable=p.separable, strong=p.strong)
-    report.add("bijection", rep.bijective)
-    if rep.brute_force_match is not None:
-        report.add("brute_force_match", rep.brute_force_match)
-    for f in rep.failures:
-        report.info("failure", detail=[str(x) for x in f])
+    _add_correspondence_verdicts(report, rep)
 
 
 def cmd_zero(beta, report, opts):
@@ -215,9 +220,7 @@ def cmd_zero(beta, report, opts):
         report.add(f"pair_T_{'_'.join(_names(S, p.members))}",
                    p.separable and p.strong and p.round_trip_t and p.round_trip_b,
                    subalgebra_order=p.subalgebra_order)
-    report.add("bijection", rep.bijective)
-    if rep.brute_force_match is not None:
-        report.add("brute_force_match", rep.brute_force_match)
+    _add_correspondence_verdicts(report, rep)
 
 
 def cmd_selftest(report, seed, opts):

@@ -4,7 +4,10 @@ For an E-unitary injective Galois action the beta-complete full inverse
 subsemigroups T of S biject with the separable beta-strong subalgebras of A
 via T -> A^{beta|T} and B -> S_B; the general (and zero-aware) cases route
 through the image semigroup beta(S) and pull subsemigroups back along beta.
-Reports carry every object and the first counterexample on failure.
+All three routes check their preconditions, choose their Ts and hand them
+to one engine, `verify_pairs`, which runs the pair loop and the optional
+brute-force subalgebra scan.  Reports carry every object and a failure
+tuple per broken check.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ def _compatible_pair(S, a, b):
 def enumerate_beta_complete(beta):
     return [T for T in enumerate_full_inverse_subsemigroups(beta.S)
             if is_beta_complete(beta, T)]
+
+
+def enumerate_beta_maximal(beta):
+    return [T for T in enumerate_full_inverse_subsemigroups(beta.S)
+            if is_beta_maximal(beta, T)]
 
 
 def fixed_subalgebra(beta, T: SubSemigroup, base=None):
@@ -118,42 +126,71 @@ class CorrespondenceReport:
     failures: list = field(default_factory=list)
     brute_force_match: bool | None = None
 
-    def verdict(self):
-        return self.bijective and not self.failures
+
+def pull_back(S, proj, members):
+    """The elements of S whose image under `proj` lies in `members`."""
+    return frozenset(s for s in range(S.n) if proj[s] in members)
 
 
-def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
-    """Shared verification: T -> B = A^{beta|T} -> back, plus B -> fixed -> B."""
+def verify_pairs(beta, ts, brute_force_subalgebras=False, image=None):
+    """The one correspondence engine: T -> B = A^{beta|T} -> S_B -> A^{beta|S_B}.
+
+    For each T in the list `ts`, B must be separable over A^beta and
+    beta-strong (judged on beta), S_B must be T and fix B again, and no two
+    Ts may fix one B.  S_B is taken on beta, or with `image = (beta_img,
+    proj)` on the image action and pulled back along proj.  The brute-force
+    scan matches the S_Bs of all separable beta-strong subalgebras to `ts`.
+    """
+    S = beta.S
     base = invariant_ring(beta)
+
+    def round_trip(B, s_b):
+        if image is None:
+            return s_b
+        beta_img, proj = image
+        return SubSemigroup(S, pull_back(S, proj, compute_S_B(beta_img, B).members))
+
     pairs = []
     failures = []
     seen_algebras = {}
-    for T in subsemigroups:
+    for T in ts:
+        members = tuple(sorted(T.members))
         B = fixed_subalgebra(beta, T, base)
         sep = is_separable(B, base) is not None
-        strong, fail_at, _ = is_beta_strong(beta, B)
-        back = pullback(B)
+        s_b = compute_S_B(beta, B)
+        strong, fail_at, _ = is_beta_strong(beta, B, s_b)
+        back = round_trip(B, s_b)
         round_t = back.members == T.members
-        fixed_again = fixed_subalgebra(beta, s_b_map(B), base)
-        round_b = fixed_again == B
-        key = B
-        if key in seen_algebras:
-            failures.append(("duplicate fixed algebra", tuple(sorted(T.members)),
-                             tuple(sorted(seen_algebras[key]))))
-        seen_algebras[key] = T.members
+        round_b = fixed_subalgebra(beta, back, base) == B
+        if B in seen_algebras:
+            failures.append(("duplicate fixed algebra", members, seen_algebras[B]))
+        seen_algebras[B] = members
         pairs.append(CorrespondencePair(
-            tuple(sorted(T.members)), B.order,
-            [repr(g) for g in B.generators()],
+            members, B.order, [repr(g) for g in B.generators()],
             tuple(sorted(back.members)), sep, strong, round_t, round_b))
         if not sep:
-            failures.append(("fixed algebra not separable", tuple(sorted(T.members))))
+            failures.append(("fixed algebra not separable", members))
         if not strong:
-            failures.append(("fixed algebra not beta-strong", tuple(sorted(T.members)), fail_at))
+            failures.append(("fixed algebra not beta-strong", members, fail_at))
         if not round_t:
-            failures.append(("S_B != T", tuple(sorted(T.members)), tuple(sorted(back.members))))
+            failures.append(("S_B != T", members, tuple(sorted(back.members))))
         if not round_b:
-            failures.append(("A^{beta|S_B} != B", tuple(sorted(T.members))))
-    return pairs, failures
+            failures.append(("A^{beta|S_B} != B", members))
+    report = CorrespondenceReport(not failures, pairs, failures)
+    if brute_force_subalgebras:
+        found = []
+        for B in enumerate_subalgebras_over(beta, base):
+            if is_separable(B, base) is None:
+                continue
+            s_b = compute_S_B(beta, B)
+            if is_beta_strong(beta, B, s_b)[0]:
+                found.append(round_trip(B, s_b).members)
+        report.brute_force_match = (len(found) == len(ts)
+                                    and set(found) == {T.members for T in ts})
+        if not report.brute_force_match:
+            report.bijective = False
+            failures.append(("brute-force subalgebra scan mismatch",))
+    return report
 
 
 def verify_e_unitary_correspondence(beta, brute_force_subalgebras=False):
@@ -169,19 +206,7 @@ def verify_e_unitary_correspondence(beta, brute_force_subalgebras=False):
         raise PreconditionFail("some A_s is zero")
     if not is_galois(beta):
         raise PreconditionFail("A is not beta-Galois over its invariants")
-
-    ts = enumerate_beta_complete(beta)
-    pairs, failures = _correspondence_core(
-        beta, ts,
-        s_b_map=lambda B: compute_S_B(beta, B),
-        pullback=lambda B: compute_S_B(beta, B))
-    report = CorrespondenceReport(not failures, pairs, failures)
-    if brute_force_subalgebras:
-        report.brute_force_match = _brute_force_check(beta, [p.members for p in pairs])
-        if not report.brute_force_match:
-            report.bijective = False
-            report.failures.append(("brute-force subalgebra scan mismatch",))
-    return report
+    return verify_pairs(beta, enumerate_beta_complete(beta), brute_force_subalgebras)
 
 
 def enumerate_subalgebras_over(beta, base):
@@ -210,27 +235,17 @@ def enumerate_subalgebras_over(beta, base):
     return sorted(found, key=lambda s: (s.order, repr([g for g in s.gen_vectors])))
 
 
-def _brute_force_check(beta, t_side_members):
-    """Exhaustively match separable + strong subalgebras against the T-side."""
-    base = invariant_ring(beta)
-    winners = []
-    for B in enumerate_subalgebras_over(beta, base):
-        if is_separable(B, base) is None:
-            continue
-        strong, _, _ = is_beta_strong(beta, B)
-        if strong:
-            winners.append(B)
-    expected = {tuple(members) for members in t_side_members}
-    got = {tuple(sorted(compute_S_B(beta, B).members)) for B in winners}
-    return len(winners) == len(t_side_members) and got == expected
-
-
 def verify_general_correspondence(beta, brute_force_subalgebras=False):
     """The correspondence for arbitrary (zero-free) unital actions.
 
     Routes through the image semigroup: beta(S) acts injectively and is
-    E-unitary for Galois actions, the E-unitary machinery applies there,
-    and subsemigroups pull back along beta to the beta-maximal ones.
+    E-unitary for Galois actions, its beta-complete Ts pull back along beta
+    to the beta-maximal Ts of S, and the engine checks those with S_B taken
+    on the image.  Strongness is judged on beta, which skips the same pairs
+    (s, t) as the image does: an element of S_B below s^{-1}t maps below
+    beta_{s^{-1}t}, and if u in S_B has beta_u below beta_{s^{-1}t}, then
+    s^{-1}t u^{-1}u lies below s^{-1}t with the iso beta_u, so in S_B, and
+    is nonzero as S has no zero.
     """
     S = beta.S
     if S.zero is not None:
@@ -244,33 +259,14 @@ def verify_general_correspondence(beta, brute_force_subalgebras=False):
     if not is_e_unitary(img_S):
         raise PreconditionFail("image semigroup is not E-unitary (theorem violated?)")
 
-    image_report = verify_e_unitary_correspondence(beta_img, brute_force_subalgebras)
-    failures = list(image_report.failures)
-
-    maximal = [T for T in enumerate_full_inverse_subsemigroups(S) if is_beta_maximal(beta, T)]
-    pulled = []
-    for pair in image_report.pairs:
-        members = frozenset(s for s in range(S.n) if proj[s] in set(pair.members))
-        pulled.append(SubSemigroup(S, members))
-    pulled_sets = {T.members for T in pulled}
-    maximal_sets = {T.members for T in maximal}
+    ts = [SubSemigroup(S, pull_back(S, proj, T.members))
+          for T in enumerate_beta_complete(beta_img)]
+    report = verify_pairs(beta, ts, brute_force_subalgebras, image=(beta_img, proj))
+    pulled_sets = {T.members for T in ts}
+    maximal_sets = {T.members for T in enumerate_beta_maximal(beta)}
     if pulled_sets != maximal_sets:
-        failures.append(("beta-maximal pullback mismatch",
-                         sorted(map(sorted, pulled_sets)), sorted(map(sorted, maximal_sets))))
-
-    pairs = []
-    base = invariant_ring(beta)
-    for T, img_pair in zip(pulled, image_report.pairs):
-        B = fixed_subalgebra(beta, T, base)
-        back = frozenset(s for s in range(S.n)
-                         if proj[s] in set(img_pair.s_b_members))
-        round_t = back == T.members
-        if not round_t:
-            failures.append(("pullback round trip failed", tuple(sorted(T.members))))
-        pairs.append(CorrespondencePair(
-            tuple(sorted(T.members)), B.order, [repr(g) for g in B.generators()],
-            tuple(sorted(back)), img_pair.separable, img_pair.strong,
-            round_t, img_pair.round_trip_b))
-    report = CorrespondenceReport(not failures, pairs, failures,
-                                  image_report.brute_force_match)
+        report.bijective = False
+        report.failures.append(("beta-maximal pullback mismatch",
+                                sorted(map(sorted, pulled_sets)),
+                                sorted(map(sorted, maximal_sets))))
     return report

@@ -4,8 +4,9 @@ The zero-aware layer mirrors the sigma machinery: strong compatibility
 replaces compatibility, tau replaces the minimum group congruence, and
 primitive inverse semigroups trade places with groupoids (adjoin or strip
 the zero).  Unital actions with zero convert to orthogonal partial
-groupoid actions and back, and the Galois correspondence goes through the
-image semigroup exactly as in the zero-free general case.
+groupoid actions and back, and the Galois correspondence runs on the
+engine of `correspondence`, through the image semigroup as in the zero-free
+general case.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import isopu
-from .actions import image_action, invariant_ring
-from .correspondence import (CorrespondencePair, CorrespondenceReport,
-                             fixed_subalgebra, is_beta_maximal)
-from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_galois, is_separable
+from .actions import image_action
+from .correspondence import enumerate_beta_maximal, verify_pairs
+from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
-from .semigroups import (InverseSemigroup, SemigroupError, SubSemigroup,
-                         ZeroRequired, _UnionFind,
-                         enumerate_full_inverse_subsemigroups, validate_table)
+from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, _UnionFind,
+                         validate_table)
 
 
 class NotPrimitive(SemigroupError):
@@ -471,9 +470,9 @@ def require_zero_action(beta):
 def verify_zero_correspondence(beta, brute_force_subalgebras=False):
     """beta-maximal subsemigroups vs separable beta-strong subalgebras.
 
-    Runs on the image semigroup inside Iso_pu(A) (the empty iso is its
-    zero) and pulls the subsemigroups back along beta; both round trips
-    are checked on every enumerated object.
+    The correspondence engine `verify_pairs` checks every beta-maximal T,
+    with S_B taken on the image semigroup inside Iso_pu(A) (the empty iso
+    is its zero) and pulled back along beta.
     """
     S = beta.S
     require_zero_action(beta)
@@ -484,51 +483,6 @@ def verify_zero_correspondence(beta, brute_force_subalgebras=False):
     if not is_galois(beta):
         raise PreconditionFail("A is not beta-Galois over its invariants")
 
-    img_S, beta_img, proj = image_action(beta)
-    base = invariant_ring(beta)
-    failures = []
-    pairs = []
-    maximal = [T for T in enumerate_full_inverse_subsemigroups(S)
-               if is_beta_maximal(beta, T)]
-    maximal_sets = {T.members for T in maximal}
-    seen_algebras = {}
-    for T in maximal:
-        B = fixed_subalgebra(beta, T, base)
-        sep = is_separable(B, base) is not None
-        strong, fail_at, _ = is_beta_strong(beta, B)
-        img_sb = compute_S_B(beta_img, B)
-        back = frozenset(s for s in range(S.n) if proj[s] in img_sb.members)
-        round_t = back == T.members
-        fixed_again = fixed_subalgebra(beta, SubSemigroup(S, back), base)
-        round_b = fixed_again == B
-        if B in seen_algebras:
-            failures.append(("duplicate fixed algebra", tuple(sorted(T.members))))
-        seen_algebras[B] = T
-        pairs.append(CorrespondencePair(
-            tuple(sorted(T.members)), B.order, [repr(g) for g in B.generators()],
-            tuple(sorted(back)), sep, strong, round_t, round_b))
-        for flag, tag in ((sep, "fixed algebra not separable"),
-                          (strong, "fixed algebra not beta-strong"),
-                          (round_t, "pullback of beta(S)_B differs from T"),
-                          (round_b, "A^{beta|T} round trip failed")):
-            if not flag:
-                failures.append((tag, tuple(sorted(T.members)), fail_at if tag.endswith("strong") else None))
-    report = CorrespondenceReport(not failures, pairs, failures)
-    if brute_force_subalgebras:
-        from .correspondence import enumerate_subalgebras_over
-        winners = []
-        for B in enumerate_subalgebras_over(beta, base):
-            if is_separable(B, base) is None:
-                continue
-            strong, _, _ = is_beta_strong(beta, B)
-            if strong:
-                winners.append(B)
-        got = set()
-        for B in winners:
-            img_sb = compute_S_B(beta_img, B)
-            got.add(frozenset(s for s in range(S.n) if proj[s] in img_sb.members))
-        report.brute_force_match = (got == maximal_sets and len(winners) == len(maximal))
-        if not report.brute_force_match:
-            report.bijective = False
-            report.failures.append(("brute-force subalgebra scan mismatch",))
-    return report
+    _, beta_img, proj = image_action(beta)
+    return verify_pairs(beta, enumerate_beta_maximal(beta), brute_force_subalgebras,
+                        image=(beta_img, proj))

@@ -7,8 +7,11 @@ exceptions are frozen copies of routes the library has since replaced, kept
 as references for the current ones: `dense_run_echelon` (the previous
 echelon engine), `expand_by_solve` (span expansion by one exact solve),
 `separable_all_generators` and `verify_idempotent_by_kron` (the separability
-solve and check over every additive generator, on Kronecker matrices) and
-`psi_image_by_elements` (the comparison map through ring elements).
+solve and check over every additive generator, on Kronecker matrices),
+`psi_image_by_elements` (the comparison map through ring elements) and the
+three correspondence routes with their own pair loops and brute-force
+matchers (`e_unitary_correspondence_by_own_loop`,
+`general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`).
 """
 
 import itertools
@@ -317,3 +320,202 @@ def psi_image_by_elements(beta, pa, x_vec, y_vec):
         v = (x * iso.apply(y.mask(iso.dom_support))).vec()
         out.extend(v[i] for i in pa.offsets[t][1])
     return tuple(out)
+
+
+# The correspondence as three separate pair loops with two brute-force
+# matchers, before one engine replaced them.
+
+
+def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
+    from semigalois.actions import invariant_ring
+    from semigalois.correspondence import CorrespondencePair, fixed_subalgebra
+    from semigalois.galois import is_beta_strong, is_separable
+    base = invariant_ring(beta)
+    pairs = []
+    failures = []
+    seen_algebras = {}
+    for T in subsemigroups:
+        B = fixed_subalgebra(beta, T, base)
+        sep = is_separable(B, base) is not None
+        strong, fail_at, _ = is_beta_strong(beta, B)
+        back = pullback(B)
+        round_t = back.members == T.members
+        fixed_again = fixed_subalgebra(beta, s_b_map(B), base)
+        round_b = fixed_again == B
+        if B in seen_algebras:
+            failures.append(("duplicate fixed algebra", tuple(sorted(T.members)),
+                             tuple(sorted(seen_algebras[B]))))
+        seen_algebras[B] = T.members
+        pairs.append(CorrespondencePair(
+            tuple(sorted(T.members)), B.order,
+            [repr(g) for g in B.generators()],
+            tuple(sorted(back.members)), sep, strong, round_t, round_b))
+        if not sep:
+            failures.append(("fixed algebra not separable", tuple(sorted(T.members))))
+        if not strong:
+            failures.append(("fixed algebra not beta-strong", tuple(sorted(T.members)), fail_at))
+        if not round_t:
+            failures.append(("S_B != T", tuple(sorted(T.members)), tuple(sorted(back.members))))
+        if not round_b:
+            failures.append(("A^{beta|S_B} != B", tuple(sorted(T.members))))
+    return pairs, failures
+
+
+def _brute_force_check(beta, t_side_members):
+    from semigalois.actions import invariant_ring
+    from semigalois.correspondence import enumerate_subalgebras_over
+    from semigalois.galois import compute_S_B, is_beta_strong, is_separable
+    base = invariant_ring(beta)
+    winners = []
+    for B in enumerate_subalgebras_over(beta, base):
+        if is_separable(B, base) is None:
+            continue
+        strong, _, _ = is_beta_strong(beta, B)
+        if strong:
+            winners.append(B)
+    expected = {tuple(members) for members in t_side_members}
+    got = {tuple(sorted(compute_S_B(beta, B).members)) for B in winners}
+    return len(winners) == len(t_side_members) and got == expected
+
+
+def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
+    """The E-unitary route with S_B computed three times per T."""
+    from semigalois.actions import is_injective
+    from semigalois.correspondence import CorrespondenceReport, enumerate_beta_complete
+    from semigalois.galois import PreconditionFail, compute_S_B, is_galois
+    from semigalois.semigroups import is_e_unitary
+    S = beta.S
+    if S.zero is not None:
+        raise PreconditionFail("use the zero-case verifier for semigroups with zero")
+    if not is_e_unitary(S):
+        raise PreconditionFail("S is not E-unitary")
+    if not is_injective(beta):
+        raise PreconditionFail("beta is not injective")
+    if not beta.all_ideals_nonzero():
+        raise PreconditionFail("some A_s is zero")
+    if not is_galois(beta):
+        raise PreconditionFail("A is not beta-Galois over its invariants")
+    pairs, failures = _correspondence_core(
+        beta, enumerate_beta_complete(beta),
+        s_b_map=lambda B: compute_S_B(beta, B),
+        pullback=lambda B: compute_S_B(beta, B))
+    report = CorrespondenceReport(not failures, pairs, failures)
+    if brute_force_subalgebras:
+        report.brute_force_match = _brute_force_check(beta, [p.members for p in pairs])
+        if not report.brute_force_match:
+            report.bijective = False
+            report.failures.append(("brute-force subalgebra scan mismatch",))
+    return report
+
+
+def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False):
+    """The general route running the whole E-unitary route on beta(S)."""
+    from semigalois.actions import image_action, invariant_ring
+    from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
+                                           fixed_subalgebra, is_beta_maximal)
+    from semigalois.galois import PreconditionFail, is_galois
+    from semigalois.semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups,
+                                       is_e_unitary)
+    S = beta.S
+    if S.zero is not None:
+        raise PreconditionFail("use the zero-case verifier for semigroups with zero")
+    if not beta.all_ideals_nonzero():
+        raise PreconditionFail("some A_s is zero")
+    if not is_galois(beta):
+        raise PreconditionFail("A is not beta-Galois over its invariants")
+    img_S, beta_img, proj = image_action(beta)
+    if not is_e_unitary(img_S):
+        raise PreconditionFail("image semigroup is not E-unitary (theorem violated?)")
+    image_report = e_unitary_correspondence_by_own_loop(beta_img, brute_force_subalgebras)
+    failures = list(image_report.failures)
+    maximal = [T for T in enumerate_full_inverse_subsemigroups(S) if is_beta_maximal(beta, T)]
+    pulled = []
+    for pair in image_report.pairs:
+        members = frozenset(s for s in range(S.n) if proj[s] in set(pair.members))
+        pulled.append(SubSemigroup(S, members))
+    pulled_sets = {T.members for T in pulled}
+    maximal_sets = {T.members for T in maximal}
+    if pulled_sets != maximal_sets:
+        failures.append(("beta-maximal pullback mismatch",
+                         sorted(map(sorted, pulled_sets)), sorted(map(sorted, maximal_sets))))
+    pairs = []
+    base = invariant_ring(beta)
+    for T, img_pair in zip(pulled, image_report.pairs):
+        B = fixed_subalgebra(beta, T, base)
+        back = frozenset(s for s in range(S.n) if proj[s] in set(img_pair.s_b_members))
+        round_t = back == T.members
+        if not round_t:
+            failures.append(("pullback round trip failed", tuple(sorted(T.members))))
+        pairs.append(CorrespondencePair(
+            tuple(sorted(T.members)), B.order, [repr(g) for g in B.generators()],
+            tuple(sorted(back)), img_pair.separable, img_pair.strong,
+            round_t, img_pair.round_trip_b))
+    return CorrespondenceReport(not failures, pairs, failures, image_report.brute_force_match)
+
+
+def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
+    """The zero route with its own pair loop and inline brute-force scan."""
+    from semigalois.actions import image_action, invariant_ring
+    from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
+                                           enumerate_subalgebras_over, fixed_subalgebra,
+                                           is_beta_maximal)
+    from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong, is_galois,
+                                   is_separable)
+    from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
+    from semigalois.zerocase import is_categorical_at_zero, require_zero_action
+    S = beta.S
+    require_zero_action(beta)
+    if not is_categorical_at_zero(S):
+        raise PreconditionFail("the zero correspondence assumes categoricity at zero")
+    if not all(beta.im_support(s) for s in range(S.n) if s != S.zero):
+        raise PreconditionFail("A_s = 0 for a nonzero s")
+    if not is_galois(beta):
+        raise PreconditionFail("A is not beta-Galois over its invariants")
+    img_S, beta_img, proj = image_action(beta)
+    base = invariant_ring(beta)
+    failures = []
+    pairs = []
+    maximal = [T for T in enumerate_full_inverse_subsemigroups(S)
+               if is_beta_maximal(beta, T)]
+    maximal_sets = {T.members for T in maximal}
+    seen_algebras = {}
+    for T in maximal:
+        B = fixed_subalgebra(beta, T, base)
+        sep = is_separable(B, base) is not None
+        strong, fail_at, _ = is_beta_strong(beta, B)
+        img_sb = compute_S_B(beta_img, B)
+        back = frozenset(s for s in range(S.n) if proj[s] in img_sb.members)
+        round_t = back == T.members
+        fixed_again = fixed_subalgebra(beta, SubSemigroup(S, back), base)
+        round_b = fixed_again == B
+        if B in seen_algebras:
+            failures.append(("duplicate fixed algebra", tuple(sorted(T.members))))
+        seen_algebras[B] = T
+        pairs.append(CorrespondencePair(
+            tuple(sorted(T.members)), B.order, [repr(g) for g in B.generators()],
+            tuple(sorted(back)), sep, strong, round_t, round_b))
+        for flag, tag in ((sep, "fixed algebra not separable"),
+                          (strong, "fixed algebra not beta-strong"),
+                          (round_t, "pullback of beta(S)_B differs from T"),
+                          (round_b, "A^{beta|T} round trip failed")):
+            if not flag:
+                failures.append((tag, tuple(sorted(T.members)),
+                                 fail_at if tag.endswith("strong") else None))
+    report = CorrespondenceReport(not failures, pairs, failures)
+    if brute_force_subalgebras:
+        winners = []
+        for B in enumerate_subalgebras_over(beta, base):
+            if is_separable(B, base) is None:
+                continue
+            strong, _, _ = is_beta_strong(beta, B)
+            if strong:
+                winners.append(B)
+        got = set()
+        for B in winners:
+            img_sb = compute_S_B(beta_img, B)
+            got.add(frozenset(s for s in range(S.n) if proj[s] in img_sb.members))
+        report.brute_force_match = (got == maximal_sets and len(winners) == len(maximal))
+        if not report.brute_force_match:
+            report.bijective = False
+            report.failures.append(("brute-force subalgebra scan mismatch",))
+    return report

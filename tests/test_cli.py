@@ -210,3 +210,20 @@ def test_twist_on_zmod_atom_is_a_positioned_error(tmp_path):
     code, out, err = run_cli(["galois", str(p)])
     assert code == 2 and out == b""
     assert f"line {line_no}:".encode() in err and b"admits no twist" in err
+
+
+@pytest.mark.parametrize("command,name", [("correspond", "c2_swap"), ("zero", "b2_f3f3")])
+def test_both_correspondence_commands_print_failure_lines(monkeypatch, command, name):
+    """A T list missing its first T fails the brute-force match on both commands."""
+    from semigalois import cli, correspondence, zerocase
+    route = (correspondence, "enumerate_beta_complete") if command == "correspond" \
+        else (zerocase, "enumerate_beta_maximal")
+    all_ts = getattr(*route)
+    monkeypatch.setattr(*route, lambda beta: all_ts(beta)[1:])
+    beta = inst.parse_instance(INSTANCES / f"{name}.sgi").action
+    report = cli.Report(command, "-", 0)
+    getattr(cli, f"cmd_{command}")(beta, report, {"brute-force-subalgebras": True})
+    lines = cli.emit_report(report).decode().splitlines()
+    assert lines[-4:] == ["FAIL bijection", "FAIL brute_force_match",
+                          "failure  detail=[brute-force subalgebra scan mismatch]",
+                          "# result: FAIL"]
