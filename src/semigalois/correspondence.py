@@ -2,12 +2,12 @@
 
 For an E-unitary injective Galois action the beta-complete full inverse
 subsemigroups T of S biject with the separable beta-strong subalgebras of A
-via T -> A^{beta|T} and B -> S_B; the general (and zero-aware) cases route
-through the image semigroup beta(S) and pull subsemigroups back along beta.
-All three routes check their preconditions, choose their Ts and hand them
-to one engine, `verify_pairs`, which runs the pair loop and the optional
-brute-force subalgebra scan.  Reports carry every object and a failure
-tuple per broken check.
+via T -> A^{beta|T} and B -> S_B; the general case routes through the
+image semigroup beta(S) and pulls its subsemigroups back along beta, and
+the zero case takes the beta-maximal Ts.  All three routes check their
+preconditions, choose their Ts and hand them to one engine, `verify_pairs`,
+which runs the pair loop and the optional brute-force subalgebra scan.
+Reports carry every object and a failure tuple per broken check.
 """
 
 from __future__ import annotations
@@ -132,24 +132,17 @@ def pull_back(S, proj, members):
     return frozenset(s for s in range(S.n) if proj[s] in members)
 
 
-def verify_pairs(beta, ts, brute_force_subalgebras=False, image=None):
+def verify_pairs(beta, ts, brute_force_subalgebras=False):
     """The one correspondence engine: T -> B = A^{beta|T} -> S_B -> A^{beta|S_B}.
 
     For each T in the list `ts`, B must be separable over A^beta and
-    beta-strong (judged on beta), S_B must be T and fix B again, and no two
-    Ts may fix one B.  S_B is taken on beta, or with `image = (beta_img,
-    proj)` on the image action and pulled back along proj.  The brute-force
-    scan matches the S_Bs of all separable beta-strong subalgebras to `ts`.
+    beta-strong, S_B must be T and fix B again, and no two Ts may fix one
+    B.  S_B is taken on beta for every route: membership of s depends only
+    on beta_s, so S_B on the image semigroup beta(S) pulls back to exactly
+    this set.  The brute-force scan matches the S_Bs of all separable
+    beta-strong subalgebras to `ts`.
     """
-    S = beta.S
     base = invariant_ring(beta)
-
-    def round_trip(B, s_b):
-        if image is None:
-            return s_b
-        beta_img, proj = image
-        return SubSemigroup(S, pull_back(S, proj, compute_S_B(beta_img, B).members))
-
     pairs = []
     failures = []
     seen_algebras = {}
@@ -159,21 +152,20 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False, image=None):
         sep = is_separable(B, base) is not None
         s_b = compute_S_B(beta, B)
         strong, fail_at, _ = is_beta_strong(beta, B, s_b)
-        back = round_trip(B, s_b)
-        round_t = back.members == T.members
-        round_b = fixed_subalgebra(beta, back, base) == B
+        round_t = s_b.members == T.members
+        round_b = fixed_subalgebra(beta, s_b, base) == B
         if B in seen_algebras:
             failures.append(("duplicate fixed algebra", members, seen_algebras[B]))
         seen_algebras[B] = members
         pairs.append(CorrespondencePair(
             members, B.order, [repr(g) for g in B.generators()],
-            tuple(sorted(back.members)), sep, strong, round_t, round_b))
+            tuple(sorted(s_b.members)), sep, strong, round_t, round_b))
         if not sep:
             failures.append(("fixed algebra not separable", members))
         if not strong:
             failures.append(("fixed algebra not beta-strong", members, fail_at))
         if not round_t:
-            failures.append(("S_B != T", members, tuple(sorted(back.members))))
+            failures.append(("S_B != T", members, tuple(sorted(s_b.members))))
         if not round_b:
             failures.append(("A^{beta|S_B} != B", members))
     report = CorrespondenceReport(not failures, pairs, failures)
@@ -184,7 +176,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False, image=None):
                 continue
             s_b = compute_S_B(beta, B)
             if is_beta_strong(beta, B, s_b)[0]:
-                found.append(round_trip(B, s_b).members)
+                found.append(s_b.members)
         report.brute_force_match = (len(found) == len(ts)
                                     and set(found) == {T.members for T in ts})
         if not report.brute_force_match:
@@ -240,9 +232,10 @@ def verify_general_correspondence(beta, brute_force_subalgebras=False):
 
     Routes through the image semigroup: beta(S) acts injectively and is
     E-unitary for Galois actions, its beta-complete Ts pull back along beta
-    to the beta-maximal Ts of S, and the engine checks those with S_B taken
-    on the image.  Strongness is judged on beta, which skips the same pairs
-    (s, t) as the image does: an element of S_B below s^{-1}t maps below
+    to the beta-maximal Ts of S, and the engine checks those on beta: S_B
+    on beta is the pullback of S_B on the image, and strongness on beta
+    skips the same pairs (s, t) as the image does: an element of S_B below
+    s^{-1}t maps below
     beta_{s^{-1}t}, and if u in S_B has beta_u below beta_{s^{-1}t}, then
     s^{-1}t u^{-1}u lies below s^{-1}t with the iso beta_u, so in S_B, and
     is nonzero as S has no zero.
@@ -261,7 +254,7 @@ def verify_general_correspondence(beta, brute_force_subalgebras=False):
 
     ts = [SubSemigroup(S, pull_back(S, proj, T.members))
           for T in enumerate_beta_complete(beta_img)]
-    report = verify_pairs(beta, ts, brute_force_subalgebras, image=(beta_img, proj))
+    report = verify_pairs(beta, ts, brute_force_subalgebras)
     pulled_sets = {T.members for T in ts}
     maximal_sets = {T.members for T in enumerate_beta_maximal(beta)}
     if pulled_sets != maximal_sets:

@@ -5,8 +5,7 @@ replaces compatibility, tau replaces the minimum group congruence, and
 primitive inverse semigroups trade places with groupoids (adjoin or strip
 the zero).  Unital actions with zero convert to orthogonal partial
 groupoid actions and back, and the Galois correspondence runs on the
-engine of `correspondence`, through the image semigroup as in the zero-free
-general case.
+engine of `correspondence` over the beta-maximal subsemigroups.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import isopu
-from .actions import image_action
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
@@ -470,9 +468,9 @@ def require_zero_action(beta):
 def verify_zero_correspondence(beta, brute_force_subalgebras=False):
     """beta-maximal subsemigroups vs separable beta-strong subalgebras.
 
-    The correspondence engine `verify_pairs` checks every beta-maximal T,
-    with S_B taken on the image semigroup inside Iso_pu(A) (the empty iso
-    is its zero) and pulled back along beta.
+    The correspondence engine `verify_pairs` checks every beta-maximal T.
+    S_B is taken on beta; it is the pullback along beta of S_B on the image
+    semigroup inside Iso_pu(A), whose zero is the empty iso.
     """
     S = beta.S
     require_zero_action(beta)
@@ -482,7 +480,4 @@ def verify_zero_correspondence(beta, brute_force_subalgebras=False):
         raise PreconditionFail("A_s = 0 for a nonzero s")
     if not is_galois(beta):
         raise PreconditionFail("A is not beta-Galois over its invariants")
-
-    _, beta_img, proj = image_action(beta)
-    return verify_pairs(beta, enumerate_beta_maximal(beta), brute_force_subalgebras,
-                        image=(beta_img, proj))
+    return verify_pairs(beta, enumerate_beta_maximal(beta), brute_force_subalgebras)

@@ -149,52 +149,42 @@ def test_galois_corpus_matches_the_old_general_route():
     assert count >= 8
 
 
-# -- failure paths, on the beta-side S_B and through the image ---------------
+# -- failure paths --------------------------------------------------------------
 
 
-def _modes(beta):
-    _, beta_img, proj = image_action(beta)
-    return {"beta": None, "image": (beta_img, proj)}
-
-
-@pytest.mark.parametrize("mode", ["beta", "image"])
-def test_t_that_is_not_beta_maximal_fails_the_round_trip(mode):
+def test_t_that_is_not_beta_maximal_fails_the_round_trip():
     beta = c2_times_chain()
     # {1, f, gf} is full, but g has the same iso as gf and is missing
     T = SubSemigroup(beta.S, frozenset({0, 2, 3}))
-    rep = co.verify_pairs(beta, [T], image=_modes(beta)[mode])
+    rep = co.verify_pairs(beta, [T])
     assert rep.failures == [("S_B != T", (0, 2, 3), (0, 1, 2, 3))]
     assert not rep.bijective and not rep.pairs[0].round_trip_t
     assert rep.pairs[0].round_trip_b
 
 
-@pytest.mark.parametrize("mode", ["beta", "image"])
-def test_two_ts_with_one_fixed_algebra_are_duplicates(mode):
+def test_two_ts_with_one_fixed_algebra_are_duplicates():
     beta = c2_times_chain()
     full = SubSemigroup(beta.S, frozenset(range(4)))
     T = SubSemigroup(beta.S, frozenset({0, 2, 3}))
-    rep = co.verify_pairs(beta, [full, T], image=_modes(beta)[mode])
+    rep = co.verify_pairs(beta, [full, T])
     assert rep.failures == [("duplicate fixed algebra", (0, 2, 3), (0, 1, 2, 3)),
                             ("S_B != T", (0, 2, 3), (0, 1, 2, 3))]
-    rep = co.verify_pairs(beta, [full, full], image=_modes(beta)[mode])
+    rep = co.verify_pairs(beta, [full, full])
     assert rep.failures == [("duplicate fixed algebra", (0, 1, 2, 3), (0, 1, 2, 3))]
 
 
-@pytest.mark.parametrize("mode", ["beta", "image"])
-def test_missing_t_is_a_brute_force_mismatch(mode):
+def test_missing_t_is_a_brute_force_mismatch():
     beta = c2_times_chain()
     full = SubSemigroup(beta.S, frozenset(range(4)))
-    rep = co.verify_pairs(beta, [full], brute_force_subalgebras=True, image=_modes(beta)[mode])
+    rep = co.verify_pairs(beta, [full], brute_force_subalgebras=True)
     assert rep.failures == [("brute-force subalgebra scan mismatch",)]
     assert rep.brute_force_match is False and not rep.bijective
     assert rep.pairs[0].separable and rep.pairs[0].strong
     # the scan finds each subalgebra once, so a repeated T is a mismatch too
     E = SubSemigroup(beta.S, frozenset({0, 2}))
-    rep = co.verify_pairs(beta, [E, full], brute_force_subalgebras=True,
-                          image=_modes(beta)[mode])
+    rep = co.verify_pairs(beta, [E, full], brute_force_subalgebras=True)
     assert rep.brute_force_match and rep.bijective
-    rep = co.verify_pairs(beta, [E, full, full], brute_force_subalgebras=True,
-                          image=_modes(beta)[mode])
+    rep = co.verify_pairs(beta, [E, full, full], brute_force_subalgebras=True)
     assert rep.failures == [("duplicate fixed algebra", (0, 1, 2, 3), (0, 1, 2, 3)),
                             ("brute-force subalgebra scan mismatch",)]
 
@@ -224,19 +214,24 @@ def test_e_unitary_route_computes_s_b_once_per_t(monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["general", "zero"])
-def test_image_routes_compute_s_b_once_on_each_side_per_t(monkeypatch, route):
+def test_other_routes_compute_s_b_once_per_t(monkeypatch, route):
     beta = c2_times_chain() if route == "general" else b2_swap_fixture()
-    _, beta_img, proj = image_action(beta)
     ts = co.enumerate_beta_maximal(beta)
     calls = _count_s_b(monkeypatch)
-    co.verify_pairs(beta, ts, image=(beta_img, proj))
-    assert sum(b is beta for b in calls) == len(ts) == sum(b is beta_img for b in calls)
-    assert len(calls) == 2 * len(ts)
-    calls.clear()
     verify = (co.verify_general_correspondence if route == "general"
               else zc.verify_zero_correspondence)
     assert len(verify(beta).pairs) == len(ts)
-    assert sum(b is beta for b in calls) == len(ts) == len(calls) // 2
+    assert len(calls) == len(ts) and all(b is beta for b in calls)
+
+
+def test_s_b_on_beta_is_the_pullback_of_s_b_on_the_image():
+    """Why the engine needs no image: membership in S_B reads only beta_s."""
+    for beta in [c2_times_chain(), c2_swap_with_identity(), b2_swap_fixture()]:
+        _, beta_img, proj = image_action(beta)
+        for T in co.enumerate_beta_maximal(beta):
+            B = co.fixed_subalgebra(beta, T)
+            pulled = co.pull_back(beta.S, proj, galois.compute_S_B(beta_img, B).members)
+            assert pulled == galois.compute_S_B(beta, B).members
 
 
 def test_brute_force_verification_computes_the_invariants_once(monkeypatch):
