@@ -19,9 +19,8 @@ from . import isopu
 from .actions import image_action, invariant_ring, is_injective, restrict_action
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_separable, is_galois
 from .rings import Subalgebra
-from .semigroups import (SubSemigroup, TooLarge, SUBSEMIGROUP_GUARD,
-                         enumerate_full_inverse_subsemigroups, is_e_unitary,
-                         join_of)
+from .semigroups import (SubSemigroup, TooLarge, enumerate_full_inverse_subsemigroups,
+                         is_e_unitary, join_of)
 
 BRUTE_FORCE_RING_GUARD = 1 << 10
 
@@ -29,31 +28,18 @@ BRUTE_FORCE_RING_GUARD = 1 << 10
 def is_beta_complete(beta, T: SubSemigroup):
     """T full, and closed under joins u whose iso is the sum of the members'.
 
-    Exhaustive over nonempty compatible subsets P of T (guarded); only
-    joins u with beta_u equal to the Iso_pu join of beta[P] must land in T.
+    A compatible P in T with such a join u can be replaced by everything in
+    T below u (compatible, as it lies below u; its joins are squeezed between
+    those of P and u), so one set Q per u outside T decides it.
     """
     if not T.is_full:
         return False
-    members = sorted(T.members)
-    if len(members) > SUBSEMIGROUP_GUARD:
-        raise TooLarge("subset scan beyond the guard")
     S = beta.S
-    for r in range(1, len(members) + 1):
-        for P in itertools.combinations(members, r):
-            if any(not _compatible_pair(S, a, b) for a, b in itertools.combinations(P, 2)):
-                continue
-            u = join_of(S, P)
-            if u is None or u in T.members:
-                continue
-            join_iso = isopu.join_sum([beta.isos[p] for p in P])
-            if join_iso == beta.isos[u]:
-                return False
+    for u in set(range(S.n)) - T.members:
+        Q = [t for t in T.members if S.leq[t][u]]
+        if Q and join_of(S, Q) == u and isopu.join_sum([beta.isos[t] for t in Q]) == beta.isos[u]:
+            return False
     return True
-
-
-def _compatible_pair(S, a, b):
-    return (S.table[S.inv[a]][b] in S.idempotents
-            and S.table[a][S.inv[b]] in S.idempotents)
 
 
 def enumerate_beta_complete(beta):
@@ -87,7 +73,9 @@ def is_beta_maximal(beta, T: SubSemigroup):
     demand applies exactly when the join lies in beta(S) at all (otherwise
     no element of S realizes it and nothing is asked).  For injective
     actions on E-unitary semigroups this is equivalent to beta-completeness
-    of T, which is what the general correspondence reduces to.
+    of T, which is what the general correspondence reduces to.  As in
+    `is_beta_complete`, a family with join j can be replaced by everything
+    in beta(T) below j, so one family per j in beta(S) \\ beta(T) decides it.
     """
     if not T.is_full:
         return False
@@ -96,14 +84,10 @@ def is_beta_maximal(beta, T: SubSemigroup):
     for s in range(beta.S.n):
         if beta.isos[s] in image_of_T and s not in T.members:
             return False
-    isos = sorted(image_of_T, key=repr)
-    for r in range(1, len(isos) + 1):
-        for fam in itertools.combinations(isos, r):
-            if any(not isopu.is_compatible(f, g) for f, g in itertools.combinations(fam, 2)):
-                continue
-            join = isopu.join_sum(fam)
-            if join in image_of_S and join not in image_of_T:
-                return False
+    for j in image_of_S - image_of_T:
+        fam = [f for f in image_of_T if isopu.natural_leq_iso(f, j)]
+        if fam and isopu.join_sum(fam) == j:
+            return False
     return True
 
 
@@ -151,7 +135,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
         B = fixed_subalgebra(beta, T, base)
         sep = is_separable(B, base) is not None
         s_b = compute_S_B(beta, B)
-        strong, fail_at, _ = is_beta_strong(beta, B, s_b)
+        strong, fail_at = is_beta_strong(beta, B, s_b)
         round_t = s_b.members == T.members
         round_b = fixed_subalgebra(beta, s_b, base) == B
         if B in seen_algebras:

@@ -12,6 +12,7 @@ insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -93,15 +94,19 @@ def _solve_coordinates(beta, isos, rhs_vectors):
 
 
 def verify_coordinates(beta, coords, isos=None, rhs=None):
-    """Directly re-evaluate the defining identity of a coordinate system."""
+    """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, apart from the solve.
+
+    `rhs` holds coordinate vectors; `apply_vec` masks y to the domain.
+    """
     A = beta.A
     if isos is None:
         isos = beta.isos
-        rhs = [galois_rhs(beta, s) for s in range(beta.S.n)]
+        rhs = [galois_rhs(beta, s).vec() for s in range(beta.S.n)]
+    pairs = [(x.vec(), y.vec()) for x, y in coords]
     for iso, want in zip(isos, rhs):
-        total = A.zero()
-        for x, y in coords:
-            total = total + x * iso.apply(y.mask(iso.dom_support))
+        total = A.zero().vec()
+        for x, y in pairs:
+            total = A.add_vec(total, A.mul_vec(x, iso.apply_vec(y)))
         if total != want:
             return False
     return True
@@ -120,14 +125,13 @@ def solve_galois_coordinates(beta):
 def solve_partial_action_coordinates(beta, alpha=None):
     """Coordinates for the induced partial group action (delta at 1_G)."""
     if alpha is None:
-        alpha = induce_partial_group_action(beta, check_boolean_sum=False)
+        alpha = induce_partial_group_action(beta)
     A = beta.A
     rhs = [(A.one() if g == alpha.group.identity else A.zero()).vec()
            for g in range(alpha.group.size())]
     coords = _solve_coordinates(beta, alpha.isos, rhs)
     if coords is not None:
-        rhs_els = [A.from_vec(v) for v in rhs]
-        if not verify_coordinates(beta, coords, isos=alpha.isos, rhs=rhs_els):
+        if not verify_coordinates(beta, coords, isos=alpha.isos, rhs=rhs):
             raise CertificateMismatch("partial-action coordinate system fails its defining identity")
     return coords
 
@@ -322,7 +326,7 @@ def compute_S_B(beta, B: Subalgebra):
 
 
 def is_beta_strong(beta, B: Subalgebra, s_b=None):
-    """beta-strongness of B, with separating witnesses per (s, t, e).
+    """beta-strongness of B: (True, None), or (False, (s, t, frozenset({i}))).
 
     A pair (s, t) needs separating only when no nonzero element of S_B
     restricts s^{-1}t (S_B is an order ideal, so this subsumes membership
@@ -332,48 +336,30 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     where the action collapses onto a twist-fixed subring even though the
     correspondence demonstrably holds there.
 
-    The separation defect b -> beta_s(b 1)e - beta_t(b 1)e is additive in b,
-    so scanning the generators decides it; the witness scan falls back to
-    the full span only to honor the documented search order.
+    The separation defect b -> beta_s(b 1)e - beta_t(b 1)e is additive in b
+    and in e, so a support e is separated by B iff one of its atoms is, by a
+    generator of B: a pair fails at the first atom of im(s) u im(t) that no
+    generator separates, which is also the first failing support by size.
     """
     if s_b is None:
         s_b = compute_S_B(beta, B)
     S = beta.S
     A = beta.A
-    witnesses = {}
+
+    @functools.cache
+    def moved(s):
+        return [beta.isos[s].apply_vec(g) for g in B.gen_vectors]
+
     for s in range(S.n):
         for t in range(S.n):
             prod = S.table[S.inv[s]][t]
             if any(u != S.zero and S.leq[u][prod] for u in s_b.members):
                 continue
-            supports = set()
-            for base in (beta.im_support(s), beta.im_support(t)):
-                for r in range(1, len(base) + 1):
-                    for combo in itertools.combinations(sorted(base), r):
-                        supports.add(frozenset(combo))
-            for supp in sorted(supports, key=lambda f: (len(f), sorted(f))):
-                found = None
-                for g in B.gen_vectors:
-                    if _separates(beta, s, t, supp, g):
-                        found = A.from_vec(g)
-                        break
-                if found is None:
-                    for g in B.element_vectors():
-                        if _separates(beta, s, t, supp, g):
-                            found = A.from_vec(g)
-                            break
-                if found is None:
-                    return False, (s, t, supp), witnesses
-                witnesses[(s, t, supp)] = found
-    return True, None, witnesses
-
-
-def _separates(beta, s, t, supp, g_vec):
-    A = beta.A
-    iso_s, iso_t = beta.isos[s], beta.isos[t]
-    lhs = A.mask_vec(iso_s.apply_vec(A.mask_vec(g_vec, iso_s.dom_support)), supp)
-    rhs = A.mask_vec(iso_t.apply_vec(A.mask_vec(g_vec, iso_t.dom_support)), supp)
-    return lhs != rhs
+            for i in sorted(beta.im_support(s) | beta.im_support(t)):
+                lo, hi = A.atom_span(i)
+                if all(x[lo:hi] == y[lo:hi] for x, y in zip(moved(s), moved(t))):
+                    return False, (s, t, frozenset({i}))
+    return True, None
 
 
 def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20, tensor=None):
@@ -461,7 +447,6 @@ class GaloisCertificate:
     trace_image_generators: list = field(default_factory=list)
     psi: PsiReport | None = None
     separability_idempotent: tuple | None = None
-    strong_witnesses: dict = field(default_factory=dict)
     strong_failure: tuple | None = None
     alpha_coordinates: list | None = None
 
@@ -513,9 +498,8 @@ def cross_check_equivalences(beta: UnitalAction, guard=1 << 20):
     verdicts["psi_bijective"] = psi.bijective
 
     sep = is_separable(tensor.M, inv, tensor=tensor)
-    strong, failure, witnesses = is_beta_strong(beta, tensor.M)
+    strong, failure = is_beta_strong(beta, tensor.M)
     cert.separability_idempotent = (sep[1] if sep else None)
-    cert.strong_witnesses = witnesses
     cert.strong_failure = failure
     verdicts["separable_and_strong"] = (sep is not None) and strong
 
@@ -560,7 +544,7 @@ def scalar_extension_is_galois(ext, beta=None):
     invariants coincide with the image of the base ring R.
     """
     beta = beta if beta is not None else ext.beta
-    alpha = induce_partial_group_action(beta, check_boolean_sum=False)
+    alpha = induce_partial_group_action(beta)
     inv_canon = ext.invariants_canon()
     r_canon = ext.r_image_canon()
     if not (inv_canon == r_canon).all():

@@ -8,10 +8,15 @@ as references for the current ones: `dense_run_echelon` (the previous
 echelon engine), `expand_by_solve` (span expansion by one exact solve),
 `separable_all_generators` and `verify_idempotent_by_kron` (the separability
 solve and check over every additive generator, on Kronecker matrices),
-`psi_image_by_elements` (the comparison map through ring elements) and the
-three correspondence routes with their own pair loops and brute-force
-matchers (`e_unitary_correspondence_by_own_loop`,
-`general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`).
+`psi_image_by_elements` (the comparison map through ring elements),
+`verify_coordinates_by_elements` (the coordinate identity through ring
+elements), the three correspondence routes with their own pair loops and
+brute-force matchers (`e_unitary_correspondence_by_own_loop`,
+`general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`)
+and the five power-set scans that per-atom and per-element tests replaced
+(`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
+`full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
+`beta_maximal_by_subset_scan`).
 """
 
 import itertools
@@ -337,7 +342,7 @@ def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
     for T in subsemigroups:
         B = fixed_subalgebra(beta, T, base)
         sep = is_separable(B, base) is not None
-        strong, fail_at, _ = is_beta_strong(beta, B)
+        strong, fail_at = is_beta_strong(beta, B)
         back = pullback(B)
         round_t = back.members == T.members
         fixed_again = fixed_subalgebra(beta, s_b_map(B), base)
@@ -370,7 +375,7 @@ def _brute_force_check(beta, t_side_members):
     for B in enumerate_subalgebras_over(beta, base):
         if is_separable(B, base) is None:
             continue
-        strong, _, _ = is_beta_strong(beta, B)
+        strong, _ = is_beta_strong(beta, B)
         if strong:
             winners.append(B)
     expected = {tuple(members) for members in t_side_members}
@@ -482,7 +487,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     for T in maximal:
         B = fixed_subalgebra(beta, T, base)
         sep = is_separable(B, base) is not None
-        strong, fail_at, _ = is_beta_strong(beta, B)
+        strong, fail_at = is_beta_strong(beta, B)
         img_sb = compute_S_B(beta_img, B)
         back = frozenset(s for s in range(S.n) if proj[s] in img_sb.members)
         round_t = back == T.members
@@ -507,7 +512,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         for B in enumerate_subalgebras_over(beta, base):
             if is_separable(B, base) is None:
                 continue
-            strong, _, _ = is_beta_strong(beta, B)
+            strong, _ = is_beta_strong(beta, B)
             if strong:
                 winners.append(B)
         got = set()
@@ -519,3 +524,128 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
             report.bijective = False
             report.failures.append(("brute-force subalgebra scan mismatch",))
     return report
+
+
+def verify_coordinates_by_elements(beta, coords, isos=None, rhs=None):
+    """The coordinate identity sum x f(y 1_dom) = rhs_f, through `RingElement`
+    products and the polynomial `StructuredIso.apply`."""
+    from semigalois.galois import galois_rhs
+    A = beta.A
+    if isos is None:
+        isos = beta.isos
+        rhs = [galois_rhs(beta, s) for s in range(beta.S.n)]
+    for iso, want in zip(isos, rhs):
+        total = A.zero()
+        for x, y in coords:
+            total = total + x * iso.apply(y.mask(iso.dom_support))
+        if total != want:
+            return False
+    return True
+
+
+# The five power-set scans, before each was reduced to a per-atom or
+# per-element test.
+
+
+def _separates(beta, s, t, supp, g_vec):
+    A = beta.A
+    iso_s, iso_t = beta.isos[s], beta.isos[t]
+    lhs = A.mask_vec(iso_s.apply_vec(A.mask_vec(g_vec, iso_s.dom_support)), supp)
+    rhs = A.mask_vec(iso_t.apply_vec(A.mask_vec(g_vec, iso_t.dom_support)), supp)
+    return lhs != rhs
+
+
+def beta_strong_by_support_scan(beta, B, s_b=None):
+    """(ok, failure) of beta-strongness, trying every nonempty support inside
+    im(s) or im(t) in the order (size, members), against the generators of B
+    and then every element of B."""
+    from semigalois.galois import compute_S_B
+    if s_b is None:
+        s_b = compute_S_B(beta, B)
+    S = beta.S
+    for s in range(S.n):
+        for t in range(S.n):
+            prod = S.table[S.inv[s]][t]
+            if any(u != S.zero and S.leq[u][prod] for u in s_b.members):
+                continue
+            supports = set()
+            for base in (beta.im_support(s), beta.im_support(t)):
+                for r in range(1, len(base) + 1):
+                    for combo in itertools.combinations(sorted(base), r):
+                        supports.add(frozenset(combo))
+            for supp in sorted(supports, key=lambda f: (len(f), sorted(f))):
+                if not any(_separates(beta, s, t, supp, g) for g in B.gen_vectors) and \
+                        not any(_separates(beta, s, t, supp, g) for g in B.element_vectors()):
+                    return False, (s, t, supp)
+    return True, None
+
+
+def boolean_sum_by_inclusion_exclusion(A, idempotents_list):
+    """The join of commuting idempotents as the signed sum over all nonempty subsets."""
+    total = A.zero()
+    for r in range(1, len(idempotents_list) + 1):
+        sign = 1 if r % 2 == 1 else -1
+        for combo in itertools.combinations(idempotents_list, r):
+            prod = A.one()
+            for e in combo:
+                prod = prod * e
+            total = total + (sign * prod)
+    return total
+
+
+def full_inverse_subsemigroups_by_power_set(S):
+    """E(S) plus every subset of S \\ E(S) that closes, sorted by bitmask."""
+    from semigalois.semigroups import SubSemigroup
+    non_idem = [s for s in range(S.n) if s not in S.idempotents]
+    base = frozenset(S.idempotents)
+    found = []
+    for r in range(len(non_idem) + 1):
+        for extra in itertools.combinations(non_idem, r):
+            members = base | set(extra)
+            if all(S.inv[a] in members for a in extra) and all(
+                    S.table[a][b] in members for a in members for b in members):
+                found.append(SubSemigroup(S, frozenset(members)))
+    return sorted(found, key=lambda t: t.bitmask())
+
+
+def beta_complete_by_subset_scan(beta, T):
+    """beta-completeness over every nonempty compatible subset P of T."""
+    from semigalois import isopu
+    from semigalois.semigroups import compatible, join_of
+    if not T.is_full:
+        return False
+    S = beta.S
+    members = sorted(T.members)
+    for r in range(1, len(members) + 1):
+        for P in itertools.combinations(members, r):
+            if any(not compatible(S, a, b) for a, b in itertools.combinations(P, 2)):
+                continue
+            u = join_of(S, P)
+            if u is None or u in T.members:
+                continue
+            if isopu.join_sum([beta.isos[p] for p in P]) == beta.isos[u]:
+                return False
+    return True
+
+
+def beta_maximal_by_subset_scan(beta, T):
+    """beta-maximality over every nonempty compatible family inside beta(T)
+    (pairwise compatibility is looked up, computed once per pair)."""
+    from semigalois import isopu
+    if not T.is_full:
+        return False
+    image_of_T = {beta.isos[t] for t in T.members}
+    image_of_S = {beta.isos[s] for s in range(beta.S.n)}
+    for s in range(beta.S.n):
+        if beta.isos[s] in image_of_T and s not in T.members:
+            return False
+    isos = sorted(image_of_T, key=repr)
+    compatible = {(f, g): isopu.is_compatible(f, g) for f, g in itertools.combinations(isos, 2)}
+    for r in range(1, len(isos) + 1):
+        for fam in itertools.combinations(isos, r):
+            if not all(compatible[pair] for pair in itertools.combinations(fam, 2)):
+                continue
+            join = isopu.join_sum(fam)
+            if join in image_of_S and join not in image_of_T:
+                return False
+    return True

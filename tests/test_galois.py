@@ -133,15 +133,15 @@ def test_compute_s_b_rejects_non_subalgebra():
 
 def test_beta_strong_cases():
     beta = c2_swap_fixture()
-    ok, fail, wit = gl.is_beta_strong(beta, Subalgebra.full(beta.A))
-    assert ok and fail is None and wit
+    ok, fail = gl.is_beta_strong(beta, Subalgebra.full(beta.A))
+    assert ok and fail is None
     bad = c2_fixed_atom_fixture()
-    ok2, fail2, _ = gl.is_beta_strong(bad, Subalgebra.full(bad.A))
+    ok2, fail2 = gl.is_beta_strong(bad, Subalgebra.full(bad.A))
     assert not ok2 and fail2 is not None
     # B = invariants: S_B = S, vacuously strong
     inv = invariant_ring(beta)
-    ok3, _, wit3 = gl.is_beta_strong(beta, inv)
-    assert ok3 and not wit3
+    ok3, _ = gl.is_beta_strong(beta, inv)
+    assert ok3
 
 
 def test_beta_strong_excludes_non_arising_algebra():
@@ -157,7 +157,7 @@ def test_beta_strong_excludes_non_arising_algebra():
     assert B.order == 81 and B.is_subalgebra()
     inv = invariant_ring(beta)
     assert gl.is_separable(B, inv) is not None
-    ok, fail, _ = gl.is_beta_strong(beta, B)
+    ok, fail = gl.is_beta_strong(beta, B)
     assert not ok
 
 
