@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import isopu
-from .linalg import AbelianPresentation, block_diag, cols_from_vectors, kernel_gens
+from .linalg import AbelianPresentation, block_diag, cols_from_vectors, kernel_gens, vstack
 from .rings import (RingElement, SpanExpander, StructuredIso, Subalgebra,
                     TooLarge, _span_relation_lattice)
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden,
@@ -352,8 +350,7 @@ class PresentedBase:
         def mul(i, j):
             return expander.expand(B.ring.mul_vec(gens[i], gens[j]))
 
-        return PresentedBase(gens, orders, cols_from_vectors(rel, len(gens)) if rel else (),
-                             mul, expander.expand(B.ring.one().vec()),
+        return PresentedBase(gens, orders, rel, mul, expander.expand(B.ring.one().vec()),
                              f"Subalgebra(order={B.order})")
 
     def combine(self, coeff_vectors, weights):
@@ -411,12 +408,10 @@ class ScalarExtension:
                   for i in range(self.k) for j in range(self.l)]
         rel_cols = []
         # R-side additive relations, tensored with each A generator
-        rel_matrix = base.pres.relations
-        for col in range(rel_matrix.shape[1]):
-            coeffs = [int(rel_matrix[i, col]) for i in range(base.k)]
+        for col in base.pres.relations.cols:
             for j in range(self.l):
                 out = [0] * (self.k * self.l)
-                for i, c in enumerate(coeffs):
+                for i, c in col.items():
                     out[self.index(i, j)] = c
                 rel_cols.append(tuple(out))
         for i, d in enumerate(base.orders):
@@ -436,7 +431,7 @@ class ScalarExtension:
                     for b, v in enumerate(right):
                         col[self.index(i, b)] -= v
                     rel_cols.append(tuple(col))
-        self.pres = AbelianPresentation(moduli, cols_from_vectors(rel_cols, self.k * self.l))
+        self.pres = AbelianPresentation(moduli, rel_cols)
 
     def _check_structural_map(self):
         base, inv, A = self.base, self.invariants, self.beta.A
@@ -524,9 +519,8 @@ class ScalarExtension:
                 kept = self._mask(z, iso.im_support)
                 cols.append(tuple(a - b for a, b in zip(moved, kept)))
             rows.append(cols_from_vectors(cols, g))
-        stacked = np.concatenate(rows, axis=0)
         aug = block_diag([self.pres.lattice] * self.beta.S.n)
-        gens = kernel_gens(stacked, aug, self.pres.moduli)
+        gens = kernel_gens(vstack(rows), aug, self.pres.moduli)
         return self.pres.subgroup_canon(gens)
 
     def sigma_trace_vec(self, z, alpha):

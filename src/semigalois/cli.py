@@ -254,10 +254,29 @@ def cmd_selftest(report, seed, opts):
 
 
 ENV_PREFIX = "SEMIGALOIS_"
+FORMATS = ("text", "json-lines")
 
 
 def _env_default(name, fallback):
+    """The SEMIGALOIS_* setting for an option, as a string: argparse passes a
+    string default through the option's `type`, so a bad setting is a usage error."""
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
+
+
+def _format_name(text):
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
+    return text
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -267,11 +286,11 @@ def build_parser():
     p.add_argument("command", choices=["validate", "analyze", "galois",
                                        "correspond", "zero", "selftest"])
     p.add_argument("instance", nargs="?", help="instance file (not used by selftest)")
-    p.add_argument("--format", default=_env_default("format", "text"),
-                   choices=["text", "json-lines"])
-    p.add_argument("--seed", type=int, default=int(_env_default("seed", "0")))
-    p.add_argument("--guard-max-order", type=int,
-                   default=int(_env_default("guard-max-order", str(1 << 20))))
+    p.add_argument("--format", type=_format_name, default=_env_default("format", "text"),
+                   choices=FORMATS)
+    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    p.add_argument("--guard-max-order", type=_positive_int,
+                   default=_env_default("guard-max-order", str(1 << 20)))
     p.add_argument("--brute-force-subalgebras", action="store_true",
                    default=_env_default("brute-force-subalgebras", "") in ("1", "true", "yes"))
     p.add_argument("--timing", action="store_true")

@@ -190,7 +190,7 @@ def enumerate_subalgebras_over(beta, base):
 
     The closure of B + Z*v depends only on the coset v + B, so each found
     subalgebra B is extended by one representative per nonzero coset: the
-    vectors w with 0 <= w_j < B.basis[j, j], since the canonical basis is
+    vectors w with 0 <= w_j < B.basis.cols[j][j], since the canonical basis is
     lower-triangular and contains diag(moduli).  That is |A|/|B| - 1
     candidates per B instead of |A|.
     """
@@ -202,7 +202,7 @@ def enumerate_subalgebras_over(beta, base):
     frontier = [start]
     while frontier:
         cur = frontier.pop()
-        reps = itertools.product(*(range(int(cur.basis[j, j])) for j in range(A.n_coords)))
+        reps = itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols)))
         for w in itertools.islice(reps, 1, None):  # the first is the zero coset
             bigger = Subalgebra(A, list(cur.gen_vectors) + [w]).closure_under_mul()
             if bigger not in found:

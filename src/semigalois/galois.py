@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .actions import (UnitalAction, induce_partial_group_action, invariant_ring,
                       is_injective, sigma_trace_image)
-from .linalg import AbelianPresentation, block_diag, cols_from_vectors, kernel_gens, solve_cols
+from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
+                     hstack, kernel_gens, lattice_det, lattice_member, solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation, NotSubring
 from .semigroups import SubSemigroup, is_e_unitary
 
@@ -61,15 +59,12 @@ def galois_rhs(beta, s):
 def _coordinate_system_matrix(beta, isos):
     """Stacked matrix of y -> (sum_i x_i * f(y_i 1_dom))_f over basis x."""
     A = beta.A
-    n = A.n_coords
-    basis = A.basis_vectors()
-    mult_mats = [A.mult_matrix(v) for v in basis]
+    mult_mats = [A.mult_matrix(v) for v in A.basis_vectors()]
     blocks = []
     for iso in isos:
         iso_mat = iso.matrix()
-        row = [mult_mats[i].dot(iso_mat) for i in range(n)]
-        blocks.append(np.concatenate(row, axis=1))
-    return np.concatenate(blocks, axis=0)
+        blocks.append(hstack([m @ iso_mat for m in mult_mats]))
+    return vstack(blocks)
 
 
 def _solve_coordinates(beta, isos, rhs_vectors):
@@ -176,8 +171,7 @@ class PABetaS:
         self.moduli = tuple(moduli)
         self.ambient = AbelianPresentation(self.moduli)
 
-        constraint_rows = []
-        row_moduli = []
+        constraints = []  # (index of +1, index of -1, modulus) per constraint row
         pair_supports = {}
         for s in range(S.n):
             above = [t for t in self.maximal if S.leq[s][t]]
@@ -188,26 +182,22 @@ class PABetaS:
             for i in range(A.n_coords):
                 if A.coord_atom(i) not in supp:
                     continue
-                row = [0] * self.total
                 p1, c1 = self.offsets[t1]
                 p2, c2 = self.offsets[t2]
-                row[p1 + c1.index(i)] = 1
-                row[p2 + c2.index(i)] = -1
-                constraint_rows.append(row)
-                row_moduli.append(A.coord_moduli[i])
-        if constraint_rows:
-            mat = np.array(constraint_rows, dtype=object)
-            aug = np.zeros((len(constraint_rows), len(constraint_rows)), dtype=object)
-            for i, d in enumerate(row_moduli):
-                aug[i, i] = d
-            gens = kernel_gens(mat, aug, self.moduli)
+                constraints.append((p1 + c1.index(i), p2 + c2.index(i), A.coord_moduli[i]))
+        if constraints:
+            cols = [{} for _ in range(self.total)]
+            for r, (plus, minus, _) in enumerate(constraints):
+                cols[plus][r] = 1
+                cols[minus][r] = -1
+            gens = kernel_gens(Matrix(len(constraints), cols),
+                               diag_cols([d for _, _, d in constraints]), self.moduli)
         else:
             gens = [tuple(1 if j == i else 0 for j in range(self.total))
                     for i in range(self.total)]
         self.subgroup = self.ambient.subgroup_canon(gens)
-        self.order = self.ambient.order() // math.prod(
-            int(self.subgroup[i, i]) for i in range(self.total))
-        self._constraints = (constraint_rows, row_moduli)
+        self.order = self.ambient.order() // lattice_det(self.subgroup)
+        self._constraints = constraints
 
     def compress(self, family):
         """Compressed coordinates of a family {t: coordinate vector} on the maximal t."""
@@ -219,20 +209,15 @@ class PABetaS:
         return tuple(vec)
 
     def member(self, vec):
-        from .linalg import lattice_member
         return lattice_member(self.subgroup, vec)
 
     def satisfies_constraints(self, vec):
-        rows, mods = self._constraints
-        for row, d in zip(rows, mods):
-            if sum(r * x for r, x in zip(row, vec)) % d:
-                return False
-        return True
+        return all((vec[plus] - vec[minus]) % d == 0 for plus, minus, d in self._constraints)
 
     def element_generators(self):
         gens = []
         for j in range(self.total):
-            col = tuple(int(self.subgroup[i, j]) % self.moduli[i] for i in range(self.total))
+            col = tuple(x % d for x, d in zip(self.subgroup.column(j), self.moduli))
             if any(col):
                 gens.append(col)
         return gens
@@ -291,7 +276,6 @@ def psi_check(beta, invariants=None, guard=1 << 20, tensor=None):
                 break
     if image_order != pa.order:
         img_canon = pa.ambient.subgroup_canon(images)
-        from .linalg import lattice_member
         for cand in pa.element_generators():
             if not lattice_member(img_canon, cand):
                 report.cokernel_witness = cand
@@ -381,13 +365,10 @@ def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20, tensor=None):
     augs = [A.presentation.lattice]
     target = list(A.one().vec())
     for b in B.algebra_generators(R):
-        diff = tensor.left_mult_matrix(b) - tensor.right_mult_matrix(b)
-        blocks.append(diff)
+        blocks.append(tensor.mult_difference(b))
         augs.append(tensor.pres.lattice)
         target.extend([0] * g)
-    mat = np.concatenate(blocks, axis=0)
-    aug = block_diag(augs)
-    sol = solve_cols(mat, aug, target, tensor.pres.moduli)
+    sol = solve_cols(vstack(blocks), block_diag(augs), target, tensor.pres.moduli)
     if sol is None:
         return None
     if not verify_separability_idempotent(tensor, sol):
@@ -400,19 +381,23 @@ def verify_separability_idempotent(tensor, z):
 
     The second is checked for every additive generator b of M.  With z
     reshaped to the k x l matrix Z, (b (x) 1)z is E.Z and (1 (x) b)z is
-    Z.F^T, for E and F the matrices of b* on the two factors' generators.
+    Z.F^T, for E and F the matrices of b* on the two factors' generators:
+    column j of E.Z is E times column j of Z, and row i of Z.F^T is F
+    times row i of Z.
     """
     A = tensor.ring
-    zcol = np.array(z, dtype=object).reshape(-1, 1)
-    mz = tensor.mult_map_vec().dot(zcol)
-    got = tuple(int(mz[i, 0]) % A.coord_moduli[i] for i in range(A.n_coords))
-    if got != A.one().vec():
+    mz = tensor.mult_map_vec().apply(z)
+    if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one().vec():
         return False
-    Z = zcol.reshape(tensor.k, tensor.l)
+    k, l = tensor.k, tensor.l
+    z_rows = [z[i * l:(i + 1) * l] for i in range(k)]
+    z_cols = [z[j::l] for j in range(l)]
     for b in tensor.M.gen_vectors:
-        left = tensor.left_factor(b).dot(Z)
-        right = Z.dot(tensor.right_factor(b).T)
-        if not tensor.pres.eq(tuple(map(int, left.ravel())), tuple(map(int, right.ravel()))):
+        E, F = tensor.left_factor(b), tensor.right_factor(b)
+        ez_cols = [E.apply(c) for c in z_cols]
+        left = tuple(ez_cols[j][i] for i in range(k) for j in range(l))
+        right = tuple(x for r in z_rows for x in F.apply(r))
+        if not tensor.pres.eq(left, right):
             return False
     return True
 
@@ -547,9 +532,9 @@ def scalar_extension_is_galois(ext, beta=None):
     alpha = induce_partial_group_action(beta)
     inv_canon = ext.invariants_canon()
     r_canon = ext.r_image_canon()
-    if not (inv_canon == r_canon).all():
+    if inv_canon != r_canon:
         return False
     gens = ext.generator_vectors()
     traces = [ext.sigma_trace_vec(z, alpha) for z in gens]
     trace_canon = ext.pres.subgroup_canon(traces)
-    return (trace_canon == r_canon).all()
+    return trace_canon == r_canon

@@ -242,6 +242,8 @@ def _parse_options(lines):
                 out[key] = int(val)
             except ValueError:
                 raise ParseError(no, f"{key} needs an integer") from None
+            if key == "guard-max-order" and out[key] < 1:
+                raise ParseError(no, f"{key} must be at least 1, got {out[key]}")
         elif key == "brute-force-subalgebras":
             if val.lower() not in _BOOL:
                 raise ParseError(no, f"{key} needs a boolean")

@@ -6,50 +6,69 @@ to per-coordinate moduli: canonical Hermite bases, kernels of maps between
 finite abelian groups, and affine solves.  All arithmetic is integer-exact;
 there is no floating point anywhere, so every comparison is tolerance-zero.
 
-The workhorse is a sparse column elimination on Python integers.  Each
-column is a {row: value} dict of its nonzero entries, and a row index names
-the columns that are nonzero in each row, so an elimination step touches
-only nonzeros; the systems built here (tensor relations, block-diagonal
-lattices) are almost all zeros.  Python integers do not overflow, so entries
-need no bound.  A tracked transform, where one is asked for, is kept modulo
-its moduli column by column.
+Every matrix is a `Matrix`: a row count and a list of sparse columns, each
+a {row: value} dict of its nonzero entries.  The builders below emit it,
+and the workhorse, a column elimination on Python integers, works on copies
+of its columns.  A row index names the columns that are nonzero in each
+row, so an elimination step touches only nonzeros; the systems built here
+(tensor relations, block-diagonal lattices) are almost all zeros.  Python
+integers do not overflow, so entries need no bound.  A tracked transform,
+where one is asked for, is kept modulo its moduli column by column.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-
-import numpy as np
 
 
-def _to_array(mat, rows=None):
-    a = np.asarray(mat, dtype=object)
-    if a.size == 0:
-        a = a.reshape((rows or 0, 0))
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return a
+class Matrix:
+    """An integer matrix: `rows` and a list of {row: value} columns with no zero stored."""
 
+    __slots__ = ("rows", "cols")
 
-def _columns(blocks, rows=None):
-    """(rows, columns) of the blocks side by side, each column a {row: value} dict.
+    def __init__(self, rows, cols=()):
+        self.rows = rows
+        self.cols = list(cols)
 
-    `rows` defaults to the first block's; every block must match it.
-    """
-    cols = []
-    for b in blocks:
-        a = _to_array(b, rows=rows)
-        if rows is None:
-            rows = a.shape[0]
-        elif a.shape[0] != rows:
-            raise ValueError("row mismatch in block stack")
-        block = [{} for _ in range(a.shape[1])]
-        rs, cs = np.nonzero(a)
-        for r, c, v in zip(rs.tolist(), cs.tolist(), a[rs, cs].tolist()):
-            block[c][r] = int(v)
-        cols += block
-    return rows, cols
+    @property
+    def shape(self):
+        return (self.rows, len(self.cols))
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols
+
+    def column(self, j):
+        """Column j as a dense tuple."""
+        c = self.cols[j]
+        return tuple(c.get(i, 0) for i in range(self.rows))
+
+    def tolist(self):
+        """The dense rows."""
+        return [[c.get(i, 0) for c in self.cols] for i in range(self.rows)]
+
+    def apply(self, vec):
+        """The product with the integer vector `vec`, as a tuple."""
+        out = [0] * self.rows
+        for x, c in zip(vec, self.cols):
+            if x:
+                for i, v in c.items():
+                    out[i] += x * v
+        return tuple(out)
+
+    def __matmul__(self, other):
+        """The product self @ other, column by column of `other`."""
+        if other.rows != len(self.cols):
+            raise ValueError("inner dimension mismatch")
+        cols = []
+        for oc in other.cols:
+            col = {}
+            for k, x in oc.items():
+                for i, v in self.cols[k].items():
+                    col[i] = col.get(i, 0) + x * v
+            cols.append({i: v for i, v in col.items() if v})
+        return Matrix(self.rows, cols)
 
 
 def _echelon(cols, rows, track_moduli=None):
@@ -140,82 +159,87 @@ def _echelon(cols, rows, track_moduli=None):
     return track, pivots
 
 
-def _hstack(blocks, rows):
-    arrays = [_to_array(b, rows=rows) for b in blocks]
-    if any(a.shape[0] != rows for a in arrays):
+def hstack(blocks):
+    """The blocks side by side, sharing their column dicts; each must have as
+    many rows as the first."""
+    rows = blocks[0].rows
+    if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch in block stack")
-    return np.concatenate(arrays, axis=1)
+    return Matrix(rows, [c for b in blocks for c in b.cols])
+
+
+def vstack(blocks):
+    """The blocks one above another; each must have as many columns as the first."""
+    cols = [{} for _ in blocks[0].cols]
+    offset = 0
+    for b in blocks:
+        if len(b.cols) != len(cols):
+            raise ValueError("column mismatch in block stack")
+        for col, c in zip(cols, b.cols):
+            for i, v in c.items():
+                col[offset + i] = v
+        offset += b.rows
+    return Matrix(offset, cols)
 
 
 def diag_cols(moduli):
     """Columns d_i * e_i for the declared per-coordinate moduli."""
-    n = len(moduli)
-    m = np.zeros((n, n), dtype=object)
-    for i, d in enumerate(moduli):
-        m[i, i] = int(d)
-    return m
+    return Matrix(len(moduli), [{i: int(d)} if d else {} for i, d in enumerate(moduli)])
 
 
 def block_diag(blocks):
-    """Block-diagonal object matrix with the given 2-D blocks in order."""
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=object)
-    r = c = 0
+    """Block-diagonal matrix with the given blocks in order."""
+    cols = []
+    offset = 0
     for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+        cols += [{offset + i: v for i, v in c.items()} for c in b.cols]
+        offset += b.rows
+    return Matrix(offset, cols)
 
 
 def cols_from_vectors(vectors, n):
-    """n x k column matrix from a sequence of k coordinate vectors."""
+    """n x k matrix whose columns are the k coordinate vectors."""
     if any(len(v) != n for v in vectors):
         raise ValueError("vector length mismatch")
-    k = len(vectors)
-    flat = np.fromiter(map(int, chain.from_iterable(vectors)), dtype=object, count=k * n)
-    return flat.reshape(k, n).T
+    return Matrix(n, [{i: int(x) for i, x in enumerate(v) if x} for v in vectors])
 
 
 def lattice_canon(cols, moduli=None):
     """Canonical (column-Hermite) basis of span(cols) + diag(moduli)*Z^n.
 
-    The result is an n x n lower-triangular integer array with positive
-    diagonal; it is a complete invariant of the lattice, so subgroup
-    equality is array equality.  Requires the lattice to be full rank,
-    which the moduli guarantee.
+    The result is an n x n lower-triangular `Matrix` with positive diagonal;
+    it is a complete invariant of the lattice, so subgroup equality is
+    matrix equality.  Requires the lattice to be full rank, which the
+    moduli guarantee.
     """
-    n = None if moduli is None else len(moduli)
-    n, work = _columns([cols], n)
+    n = cols.rows
+    work = [dict(c) for c in cols.cols]
     if moduli is not None:
-        work += [{i: int(d)} if d else {} for i, d in enumerate(moduli)]
+        if len(moduli) != n:
+            raise ValueError("one modulus per row")
+        work += diag_cols(moduli).cols
     _, pivots = _echelon(work, n)
     if len(pivots) != n:
         raise ValueError("lattice is not full rank")
-    basis = np.zeros((n, n), dtype=object)
     for j, c in enumerate(work[:n]):
         if c.get(j, 0) <= 0 or min(c) < j:
             raise AssertionError("echelon did not produce a triangular basis")
-        for i, v in c.items():
-            basis[i, j] = v
-    return basis
+    return Matrix(n, work[:n])
 
 
 def lattice_det(basis):
     """Index [Z^n : L] for a canonical basis, i.e. the diagonal product."""
-    return math.prod(int(basis[i, i]) for i in range(basis.shape[0]))
+    return math.prod(c[j] for j, c in enumerate(basis.cols))
 
 
 def lattice_reduce(basis, vec):
     """Canonical coset representative of `vec` modulo the lattice."""
     w = [int(x) for x in vec]
-    n = len(w)
-    for j in range(n):
-        q = w[j] // int(basis[j, j])
+    for j, c in enumerate(basis.cols):
+        q = w[j] // c[j]
         if q:
-            for i in range(j, n):
-                w[i] -= q * int(basis[i, j])
+            for i, v in c.items():
+                w[i] -= q * v
     return tuple(w)
 
 
@@ -225,19 +249,17 @@ def lattice_member(basis, vec):
 
 def _eliminate_map(mat, aug, in_moduli):
     """Echelon of [mat | aug], tracking the transform on mat's columns mod in_moduli."""
-    mat = _to_array(mat)
-    r, n = mat.shape
-    _, work = _columns([mat, aug], r)
+    work = [dict(c) for c in hstack([mat, aug]).cols]
     moduli = [int(d) for d in in_moduli]
-    track, pivots = _echelon(work, r, moduli)
+    track, pivots = _echelon(work, mat.rows, moduli)
     return work, track, pivots, moduli
 
 
 def kernel_gens(mat, aug, in_moduli):
     """Generators of {x mod in_moduli : mat @ x lies in span(aug)}.
 
-    `mat` is r x n, `aug` is a list/array of r-vectors spanning the lattice
-    of target elements that count as zero (e.g. diag of target moduli).
+    `mat` is r x n, `aug` an r-row matrix whose columns span the lattice of
+    target elements that count as zero (e.g. diag of target moduli).
     The diagonal in_moduli generators are implicit; callers re-adjoin them
     when canonicalizing the resulting subgroup.
     """
@@ -254,7 +276,7 @@ def kernel_gens(mat, aug, in_moduli):
 def solve_cols(mat, aug, target, in_moduli):
     """One x (mod in_moduli) with mat @ x = target modulo span(aug), or None."""
     b = [int(t) for t in target]
-    if len(b) != _to_array(mat).shape[0]:
+    if len(b) != mat.rows:
         raise ValueError("target length mismatch")
     work, track, pivots, moduli = _eliminate_map(mat, aug, in_moduli)
     x = [0] * len(moduli)
@@ -272,13 +294,13 @@ def solve_cols(mat, aug, target, in_moduli):
     return tuple(v % d for v, d in zip(x, moduli))
 
 
-def snf_invariants(mat, rows=None):
+def snf_invariants(mat):
     """Invariant factors of coker(mat) via Smith elimination (no transforms).
 
     Used only for displaying group structure; all decisions elsewhere go
     through the lattice machinery above.
     """
-    a = [[int(x) for x in row] for row in _to_array(mat, rows=rows)]
+    a = mat.tolist()
     invs = []
     while a and a[0]:
         # locate smallest nonzero entry and move it to (0, 0)
@@ -335,9 +357,10 @@ class AbelianPresentation:
     """A finite abelian group Z^n / L with L = span(relations) + diag(moduli).
 
     `moduli` are the declared additive orders of the raw generators; extra
-    relation columns come from tensor bilinearity, middle-linearity, etc.
-    Elements are raw integer coordinate vectors; `canon` picks the unique
-    coset representative, so tuple equality decides group equality.
+    relation columns come from tensor bilinearity, middle-linearity, etc.,
+    given as a `Matrix` or as a sequence of relation vectors.  Elements are
+    raw integer coordinate vectors; `canon` picks the unique coset
+    representative, so tuple equality decides group equality.
     """
 
     def __init__(self, moduli, relations=()):
@@ -345,7 +368,11 @@ class AbelianPresentation:
         if any(d < 1 for d in self.moduli):
             raise ValueError("moduli must be positive")
         self.n = len(self.moduli)
-        self.relations = _hstack([relations], rows=self.n)
+        if not isinstance(relations, Matrix):
+            relations = cols_from_vectors(relations, self.n)
+        if relations.rows != self.n:
+            raise ValueError("relations need one row per generator")
+        self.relations = relations
         self.lattice = lattice_canon(self.relations, self.moduli)
 
     def order(self):
@@ -364,37 +391,11 @@ class AbelianPresentation:
         return (0,) * self.n
 
     def subgroup_canon(self, gens):
-        cols = _hstack([cols_from_vectors(list(gens), self.n), self.lattice], rows=self.n)
-        return lattice_canon(cols)
+        return lattice_canon(hstack([cols_from_vectors(list(gens), self.n), self.lattice]))
 
     def subgroup_order(self, gens):
         # |(span(gens)+L)/L| = [Z^n : L] / [Z^n : span(gens)+L]
         return self.order() // lattice_det(self.subgroup_canon(gens))
 
-    def subgroup_member(self, subgroup_basis, vec):
-        return lattice_member(subgroup_basis, vec)
-
-    def kernel_of_map(self, mat, target):
-        """Generators of {x : mat @ x = 0 in `target`} as a subgroup here."""
-        return kernel_gens(mat, target.lattice, self.moduli)
-
-    def solve_map(self, mat, target, rhs):
-        """One preimage of `rhs` under mat: self -> target, or None."""
-        return solve_cols(mat, target.lattice, rhs, self.moduli)
-
-    def assert_map_well_defined(self, mat, target):
-        mat = _to_array(mat, rows=target.n)
-        for i, d in enumerate(self.moduli):
-            img = [d * int(mat[j, i]) for j in range(target.n)]
-            if not target.is_zero(img):
-                raise ValueError(f"map not well defined on generator {i}")
-
     def invariants(self):
-        cols = _hstack([self.relations, diag_cols(self.moduli)], rows=self.n)
-        return snf_invariants(cols, rows=self.n)
-
-    def describe(self):
-        invs = self.invariants()
-        if not invs:
-            return "0"
-        return " x ".join(f"Z/{d}" for d in invs)
+        return snf_invariants(hstack([self.relations, diag_cols(self.moduli)]))

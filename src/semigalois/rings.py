@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .linalg import AbelianPresentation, cols_from_vectors, kernel_gens, lattice_reduce
+from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kernel_gens, lattice_det,
+                     lattice_member)
 
 ATOM_ORDER_GUARD = 1 << 20
 ELEMENT_SCAN_GUARD = 1 << 16
@@ -555,12 +554,11 @@ class StructuredIso:
     def matrix(self):
         """Additive n x n matrix of (mask to domain, then apply)."""
         n = self.ring.n_coords
-        mat = np.zeros((n, n), dtype=object)
-        for lo_d, lo_i, cols in self._blocks():
-            for c, col in enumerate(cols):
-                for r, z in enumerate(col):
-                    mat[lo_i + r, lo_d + c] = int(z)
-        return mat
+        cols = [{} for _ in range(n)]
+        for lo_d, lo_i, block in self._blocks():
+            for c, col in enumerate(block):
+                cols[lo_d + c] = {lo_i + r: int(z) for r, z in enumerate(col) if z}
+        return Matrix(n, cols)
 
 
 def ideal_order(ring, support):
@@ -630,13 +628,12 @@ class Subalgebra:
     def __init__(self, ring, gen_vectors):
         self.ring = ring
         self.basis = ring.presentation.subgroup_canon([tuple(v) for v in gen_vectors])
-        self.order = ring.presentation.order() // math.prod(
-            int(self.basis[i, i]) for i in range(ring.n_coords))
+        self.order = ring.presentation.order() // lattice_det(self.basis)
         gens = []
         for j in range(ring.n_coords):
-            col = tuple(int(self.basis[i, j]) for i in range(ring.n_coords))
-            if any(c % m for c, m in zip(col, ring.coord_moduli)):
-                gens.append(tuple(c % m for c, m in zip(col, ring.coord_moduli)))
+            col = tuple(c % m for c, m in zip(self.basis.column(j), ring.coord_moduli))
+            if any(col):
+                gens.append(col)
         self.gen_vectors = tuple(gens)
 
     @staticmethod
@@ -649,18 +646,16 @@ class Subalgebra:
 
     def __eq__(self, other):
         return (isinstance(other, Subalgebra) and self.ring == other.ring
-                and bool((self.basis == other.basis).all()))
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ring, tuple(int(self.basis[i, j])
-                                      for i in range(self.ring.n_coords)
-                                      for j in range(self.ring.n_coords))))
+        return hash((self.ring, tuple(x for row in self.basis.tolist() for x in row)))
 
     def __repr__(self):
         return f"Subalgebra(order={self.order})"
 
     def member_vec(self, vec):
-        return all(x == 0 for x in lattice_reduce(self.basis, vec))
+        return lattice_member(self.basis, vec)
 
     def member(self, el):
         return self.member_vec(el.vec())
@@ -686,14 +681,14 @@ class Subalgebra:
         """Every element of the subgroup, each exactly once (guarded)."""
         if self.order > ELEMENT_SCAN_GUARD:
             raise TooLarge(f"subalgebra of order {self.order} too large to enumerate")
-        n = self.ring.n_coords
-        ranges = [range(self.ring.coord_moduli[j] // int(self.basis[j, j])) for j in range(n)]
+        cols = self.basis.cols
+        ranges = [range(m // c[j]) for j, (m, c) in enumerate(zip(self.ring.coord_moduli, cols))]
         for coeffs in itertools.product(*ranges):
-            vec = [0] * n
-            for j, c in enumerate(coeffs):
+            vec = [0] * self.ring.n_coords
+            for c, col in zip(coeffs, cols):
                 if c:
-                    for i in range(j, n):
-                        vec[i] += c * int(self.basis[i, j])
+                    for i, v in col.items():
+                        vec[i] += c * v
             yield tuple(x % m for x, m in zip(vec, self.ring.coord_moduli))
 
     def elements(self):
@@ -780,38 +775,16 @@ class TensorPresentation:
         rel_cols = []
         for c in _span_relation_lattice(M):
             for j in range(self.l):
-                rel_cols.append(self._embed_left(c, j))
+                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
         for c in _span_relation_lattice(N):
             for i in range(self.k):
-                rel_cols.append(self._embed_right(i, c))
+                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
         for r in R.gen_vectors:
-            for i in range(self.k):
-                left = self._mexp.expand(ring.mul_vec(r, self.mg[i]))
-                for j in range(self.l):
-                    right = self._nexp.expand(ring.mul_vec(r, self.ng[j]))
-                    col = [0] * (self.k * self.l)
-                    for a, u in enumerate(left):
-                        col[self.index(a, j)] += u
-                    for b, v in enumerate(right):
-                        col[self.index(i, b)] -= v
-                    rel_cols.append(tuple(col))
-        self.pres = AbelianPresentation(moduli, cols_from_vectors(rel_cols, self.k * self.l)
-                                        if rel_cols else ())
+            rel_cols += self.mult_difference(r).cols
+        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
 
     def index(self, i, j):
         return i * self.l + j
-
-    def _embed_left(self, coeffs, j):
-        col = [0] * (self.k * self.l)
-        for i, c in enumerate(coeffs):
-            col[self.index(i, j)] = c
-        return tuple(col)
-
-    def _embed_right(self, i, coeffs):
-        col = [0] * (self.k * self.l)
-        for j, c in enumerate(coeffs):
-            col[self.index(i, j)] = c
-        return tuple(col)
 
     def order(self):
         return self.pres.order()
@@ -841,17 +814,22 @@ class TensorPresentation:
         """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j]."""
         return cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
 
-    def left_mult_matrix(self, b_vec):
-        """Matrix of z -> (b (x) 1) * z on tensor coordinates, b in M.
+    def mult_difference(self, b_vec):
+        """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
 
-        This is E (x) I_l with E = `left_factor(b)`, since coordinate (i, j)
-        is generator pair (mg[i], ng[j]).
+        This is E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`:
+        coordinate (i, j) is generator pair (mg[i], ng[j]), so column (i, j)
+        is sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c).
         """
-        return np.kron(self.left_factor(b_vec), np.eye(self.l, dtype=object))
-
-    def right_mult_matrix(self, b_vec):
-        """Matrix of z -> (1 (x) b) * z: I_k (x) F with F = `right_factor(b)`."""
-        return np.kron(np.eye(self.k, dtype=object), self.right_factor(b_vec))
+        E, F = self.left_factor(b_vec), self.right_factor(b_vec)
+        cols = []
+        for i in range(self.k):
+            for j in range(self.l):
+                col = {self.index(a, j): u for a, u in E.cols[i].items()}
+                for c, v in F.cols[j].items():
+                    col[self.index(i, c)] = col.get(self.index(i, c), 0) - v
+                cols.append({r: x for r, x in col.items() if x})
+        return Matrix(self.k * self.l, cols)
 
     def eq(self, z, w):
         return self.pres.eq(z, w)
@@ -875,13 +853,11 @@ class SpanExpander:
         self.sub = sub
         ring = self.ring = sub.ring
         self._cache = {}
-        n, basis = ring.n_coords, sub.basis
         # (pivot row, pivot, entries below it, generator order or 0) per basis column
         self._walk = []
-        for j in range(n):
-            col = [int(basis[i, j]) for i in range(n)]
-            residue = tuple(c % m for c, m in zip(col, ring.coord_moduli))
-            self._walk.append((j, col[j], [(i, col[i]) for i in range(j + 1, n) if col[i]],
+        for j, col in enumerate(sub.basis.cols):
+            residue = tuple(c % m for c, m in zip(sub.basis.column(j), ring.coord_moduli))
+            self._walk.append((j, col[j], sorted((i, v) for i, v in col.items() if i > j),
                                ring.vector_order(residue) if any(residue) else 0))
 
     def expand(self, vec):
@@ -916,8 +892,3 @@ def _span_relation_lattice(sub):
     for i, d in enumerate(in_moduli):
         gens.append(tuple(d if t == i else 0 for t in range(len(in_moduli))))
     return gens
-
-
-def tensor_over_subring(M, N, R, guard=1 << 14):
-    """Presentation of M (x)_R N with its bilinear structure maps."""
-    return TensorPresentation(M, N, R, guard=guard)

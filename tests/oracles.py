@@ -16,12 +16,36 @@ brute-force matchers (`e_unitary_correspondence_by_own_loop`,
 and the five power-set scans that per-atom and per-element tests replaced
 (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
-`beta_maximal_by_subset_scan`).
+`beta_maximal_by_subset_scan`).  `dense` and `sparse` convert between the
+library's sparse `Matrix` and numpy object arrays for dense fixtures.
 """
 
 import itertools
 
 import numpy as np
+
+from semigalois.linalg import cols_from_vectors
+
+
+def dense(mat):
+    """A `Matrix` as a 2-D numpy object array of Python ints."""
+    return np.array(mat.tolist(), dtype=object).reshape(mat.shape)
+
+
+def sparse(rows):
+    """A 2-D array (or list of rows) as a `Matrix`, with exact integer entries."""
+    a = np.array(rows, dtype=object)
+    return cols_from_vectors(list(a.T), a.shape[0])
+
+
+def kron_left(tensor, b_vec):
+    """Dense matrix of z -> (b (x) 1) * z: E (x) I_l with E = `left_factor(b)`."""
+    return np.kron(dense(tensor.left_factor(b_vec)), np.eye(tensor.l, dtype=object))
+
+
+def kron_right(tensor, b_vec):
+    """Dense matrix of z -> (1 (x) b) * z: I_k (x) F with F = `right_factor(b)`."""
+    return np.kron(np.eye(tensor.k, dtype=object), dense(tensor.right_factor(b_vec)))
 
 
 class UnionFind:
@@ -286,14 +310,14 @@ def separable_all_generators(B, R):
     from semigalois.rings import TensorPresentation
     tensor = TensorPresentation(B, B, R)
     A = B.ring
-    blocks = [tensor.mult_map_vec()]
+    blocks = [dense(tensor.mult_map_vec())]
     augs = [A.presentation.lattice]
     target = list(A.one().vec())
     for b in B.gen_vectors:
-        blocks.append(tensor.left_mult_matrix(b) - tensor.right_mult_matrix(b))
+        blocks.append(kron_left(tensor, b) - kron_right(tensor, b))
         augs.append(tensor.pres.lattice)
         target.extend([0] * (tensor.k * tensor.l))
-    sol = solve_cols(np.concatenate(blocks, axis=0), block_diag(augs), target,
+    sol = solve_cols(sparse(np.concatenate(blocks, axis=0)), block_diag(augs), target,
                      tensor.pres.moduli)
     return None if sol is None else (tensor, sol)
 
@@ -303,12 +327,12 @@ def verify_idempotent_by_kron(tensor, z):
     Kronecker matrices (b (x) 1) and (1 (x) b) for every generator b."""
     A = tensor.ring
     zcol = np.array(z, dtype=object).reshape(-1, 1)
-    mz = tensor.mult_map_vec().dot(zcol)
+    mz = dense(tensor.mult_map_vec()).dot(zcol)
     if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one().vec():
         return False
     for b in tensor.M.gen_vectors:
-        left = tensor.left_mult_matrix(b).dot(zcol)
-        right = tensor.right_mult_matrix(b).dot(zcol)
+        left = kron_left(tensor, b).dot(zcol)
+        right = kron_right(tensor, b).dot(zcol)
         if not tensor.pres.eq(tuple(map(int, left.ravel())), tuple(map(int, right.ravel()))):
             return False
     return True

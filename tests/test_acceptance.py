@@ -21,7 +21,7 @@ from semigalois.correspondence import (enumerate_beta_complete, fixed_subalgebra
 from semigalois.galois import (compute_S_B, cross_check_equivalences, is_galois,
                                scalar_extension_is_galois,
                                solve_partial_action_coordinates)
-from semigalois.rings import Atom, FiniteRing, Subalgebra, tensor_over_subring
+from semigalois.rings import Atom, FiniteRing, Subalgebra, TensorPresentation
 from semigalois.semigroups import is_e_unitary, sigma_partition
 from oracles import quotient_order_by_enumeration
 
@@ -267,10 +267,10 @@ def test_criterion_5_oracle_equivalence():
             continue
         full = Subalgebra.full(A)
         prime = Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
-        tensor = tensor_over_subring(full, full, prime)
+        tensor = TensorPresentation(full, full, prime)
         moduli = list(tensor.pres.moduli)
-        cols = [[int(tensor.pres.relations[i, j]) for i in range(tensor.pres.n)]
-                for j in range(tensor.pres.relations.shape[1])]
+        rel = tensor.pres.relations
+        cols = [rel.column(j) for j in range(rel.shape[1])]
         if tensor.order() != quotient_order_by_enumeration(moduli, cols, limit=600_000):
             ok = False
             detail.append(f"tensor order mismatch on {A!r}")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,39 @@ REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
 
 
-def run_cli(args):
+def run_cli(args, env=None):
+    """(exit code, stdout, stderr) of one CLI run, with `env` added to the environment."""
     proc = subprocess.run([sys.executable, "-m", "semigalois.cli", *args],
-                          capture_output=True, cwd=REPO)
+                          capture_output=True, cwd=REPO, env={**os.environ, **(env or {})})
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _assert_usage_error(code, err, message):
+    assert code == 2
+    assert b"usage: semigalois" in err and message in err
+    assert b"Traceback" not in err
+
+
+def test_bad_seed_setting_is_a_usage_error():
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi"], {"SEMIGALOIS_SEED": "abc"})
+    _assert_usage_error(code, err, b"argument --seed: invalid int value: 'abc'")
+
+
+def test_bad_guard_setting_is_a_usage_error():
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi"],
+                           {"SEMIGALOIS_GUARD_MAX_ORDER": "x"})
+    _assert_usage_error(code, err, b"argument --guard-max-order: invalid int value: 'x'")
+
+
+def test_unknown_format_setting_is_a_usage_error():
+    code, out, err = run_cli(["galois", "instances/c2_swap.sgi"], {"SEMIGALOIS_FORMAT": "xml"})
+    _assert_usage_error(code, err, b"argument --format: invalid choice: 'xml'")
+    assert out == b""
+
+
+def test_guard_flag_below_one_is_a_usage_error():
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--guard-max-order", "0"])
+    _assert_usage_error(code, err, b"argument --guard-max-order: must be at least 1, got 0")
 
 
 def test_shipped_fixture_parses():
@@ -189,6 +219,31 @@ brute-force-subalgebras = true
     assert code == 0
     assert b"seed=17" in out
     assert b"brute_force_match" in out
+
+
+def test_options_guard_below_one_is_a_positioned_error(tmp_path):
+    p = tmp_path / "guard.sgi"
+    p.write_text("""
+[semigroup]
+elements = 1
+row = 1
+
+[ring]
+atom = zmod 3
+
+[action]
+map = 1 : 0->0:0
+
+[options]
+guard-max-order = -5
+""")
+    with pytest.raises(inst.ParseError) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == 13
+    code, out, err = run_cli(["galois", str(p)])
+    assert code == 2 and out == b""
+    assert b"line 13" in err and b"guard-max-order must be at least 1" in err
+    assert b"Traceback" not in err
 
 
 def test_analyze_on_a_group():

@@ -5,40 +5,40 @@ import numpy as np
 import pytest
 
 from semigalois import linalg
-from oracles import (dense_run_echelon, quotient_order_by_enumeration,
+from oracles import (dense, dense_run_echelon, quotient_order_by_enumeration, sparse,
                      subgroup_elements_by_closure)
 
 
 def test_lattice_canon_is_triangular_and_canonical():
-    basis = linalg.lattice_canon([[2, 1], [0, 3]], moduli=[4, 6])
+    basis = linalg.lattice_canon(sparse([[2, 1], [0, 3]]), moduli=[4, 6])
     assert basis.shape == (2, 2)
-    assert basis[0, 1] == 0
-    assert basis[0, 0] > 0 and basis[1, 1] > 0
+    b = dense(basis)
+    assert b[0, 1] == 0
+    assert b[0, 0] > 0 and b[1, 1] > 0
     # same lattice from redundant shuffled generators gives the identical basis
-    again = linalg.lattice_canon([[1, 3, 2], [3, 3, 0]], moduli=[4, 6])
-    assert (basis == again).all()
+    again = linalg.lattice_canon(sparse([[1, 3, 2], [3, 3, 0]]), moduli=[4, 6])
+    assert basis == again
 
 
 def test_doubling_kernel_on_z4():
     # kernel of x -> 2x on Z/4 is {0, 2}
     pres = linalg.AbelianPresentation([4])
-    gens = pres.kernel_of_map([[2]], pres)
+    gens = linalg.kernel_gens(sparse([[2]]), pres.lattice, pres.moduli)
     canon = pres.subgroup_canon(gens)
     assert pres.subgroup_order(gens) == 2
-    assert pres.subgroup_member(canon, [2])
-    assert not pres.subgroup_member(canon, [1])
+    assert linalg.lattice_member(canon, [2])
+    assert not linalg.lattice_member(canon, [1])
 
 
 def test_solve_two_x_equals_one_mod_four_has_no_solution():
     pres = linalg.AbelianPresentation([4])
-    assert pres.solve_map([[2]], pres, [1]) is None
-    assert pres.solve_map([[2]], pres, [2]) in {(1,), (3,)}
+    assert linalg.solve_cols(sparse([[2]]), pres.lattice, [1], pres.moduli) is None
+    assert linalg.solve_cols(sparse([[2]]), pres.lattice, [2], pres.moduli) in {(1,), (3,)}
 
 
 def test_identity_map_kernel_trivial():
     pres = linalg.AbelianPresentation([3, 9, 2])
-    eye = np.eye(3, dtype=int)
-    gens = pres.kernel_of_map(eye, pres)
+    gens = linalg.kernel_gens(sparse(np.eye(3, dtype=int)), pres.lattice, pres.moduli)
     assert pres.subgroup_order(gens) == 1
 
 
@@ -57,16 +57,17 @@ def test_solve_and_kernel_round_trip_random_maps(seed):
         for i in range(m):
             step = dst[i] // __import__("math").gcd(dst[i], src[j])
             mat[i, j] = step * rng.randint(0, 3)
-    src_p.assert_map_well_defined(mat, dst_p)
+    for j, d in enumerate(src):
+        assert dst_p.is_zero([d * int(mat[i, j]) for i in range(m)])
 
-    for g in src_p.kernel_of_map(mat, dst_p):
+    for g in linalg.kernel_gens(sparse(mat), dst_p.lattice, src_p.moduli):
         img = [sum(int(mat[i, j]) * g[j] for j in range(n)) for i in range(m)]
         assert dst_p.is_zero(img)
 
     for _ in range(5):
         x = tuple(rng.randrange(d) for d in src)
         rhs = [sum(int(mat[i, j]) * x[j] for j in range(n)) for i in range(m)]
-        sol = src_p.solve_map(mat, dst_p, rhs)
+        sol = linalg.solve_cols(sparse(mat), dst_p.lattice, rhs, src_p.moduli)
         assert sol is not None
         img = [sum(int(mat[i, j]) * sol[j] for j in range(n)) for i in range(m)]
         assert all(dst_p.is_zero([a - b for a, b in zip(img, rhs)]) for _ in [0])
@@ -80,7 +81,7 @@ def test_presentation_order_matches_enumeration_oracle(seed):
     cols = []
     for _ in range(rng.randint(0, 4)):
         cols.append([rng.randrange(-3, 4) for _ in range(n)])
-    pres = linalg.AbelianPresentation(moduli, relations=np.array(cols, dtype=object).T if cols else ())
+    pres = linalg.AbelianPresentation(moduli, relations=cols)
     expected = quotient_order_by_enumeration(moduli, cols)
     assert pres.order() == expected
 
@@ -97,19 +98,19 @@ def test_subgroup_order_matches_closure_oracle(seed):
     assert got == expected
     canon = pres.subgroup_canon([tuple(g) for g in gens])
     for el in subgroup_elements_by_closure(moduli, gens):
-        assert pres.subgroup_member(canon, el)
+        assert linalg.lattice_member(canon, el)
 
 
 def test_bigint_fallback_gives_same_lattice():
     big = 10**30
-    basis = linalg.lattice_canon([[big, 1], [1, 0]], moduli=[big * 7, big * 11])
+    basis = linalg.lattice_canon(sparse([[big, 1], [1, 0]]), moduli=[big * 7, big * 11])
     # the columns (10^30, 1) and (1, 0) alone already span Z^2
     assert linalg.lattice_det(basis) == 1
     assert basis.tolist() == [[1, 0], [0, 1]]
 
 
 def test_snf_invariants_display():
-    pres = linalg.AbelianPresentation([4, 2], relations=np.array([[2], [0]], dtype=object))
+    pres = linalg.AbelianPresentation([4, 2], relations=sparse([[2], [0]]))
     assert pres.invariants() == (2, 2)
     assert pres.order() == 4
 
@@ -157,10 +158,11 @@ def test_sparse_echelon_matches_dense_oracle(seed):
     for _ in range(150):
         mat, n_track, moduli = _random_system(rng)
         work, track, pivots = dense_run_echelon(mat, n_track, moduli)
-        rows, cols = linalg._columns([mat])
+        rows, cols = mat.shape[0], sparse(mat).cols
         sparse_track, sparse_pivots = linalg._echelon(cols, rows, moduli)
         assert sparse_pivots == [(int(r), int(c)) for r, c in pivots]
-        assert [[c.get(i, 0) for c in cols] for i in range(rows)] == work.tolist()
+        assert [[c.get(i, 0) for c in cols] for i in range(rows)] == \
+            work.reshape(mat.shape).tolist()
         assert all(v for c in cols for v in c.values())
         if moduli is None:
             assert sparse_track is None
@@ -174,7 +176,7 @@ def test_sparse_echelon_bigint_entries_match_dense_oracle():
                    dtype=object)
     moduli = [1, 1 << 40, 6]
     work, track, pivots = dense_run_echelon(mat, 3, moduli)
-    rows, cols = linalg._columns([mat])
+    rows, cols = mat.shape[0], sparse(mat).cols
     sparse_track, sparse_pivots = linalg._echelon(cols, rows, moduli)
     assert sparse_pivots == pivots
     assert [[c.get(i, 0) for c in cols] for i in range(rows)] == work.tolist()
@@ -184,12 +186,12 @@ def test_sparse_echelon_bigint_entries_match_dense_oracle():
 def test_solve_with_bigint_moduli():
     # x -> 3x from Z/(2 * 10^30) to Z/(2 * 10^30): image 3Z, kernel trivial
     src = linalg.AbelianPresentation([2 * BIG])
-    assert src.solve_map([[3]], src, [6 * BIG - 3]) == (2 * BIG - 1,)
-    assert src.subgroup_order(src.kernel_of_map([[3]], src)) == 1
+    assert linalg.solve_cols(sparse([[3]]), src.lattice, [6 * BIG - 3], src.moduli) == (2 * BIG - 1,)
+    assert src.subgroup_order(linalg.kernel_gens(sparse([[3]]), src.lattice, src.moduli)) == 1
     # x -> 2x has kernel {0, 10^30}
-    assert src.kernel_of_map([[2]], src) == [(BIG,)]
-    # list input beyond int64 stays exact: gcd(2^63 + 1, 2^64) = 1
-    assert linalg.lattice_canon([[2**63 + 1]], moduli=[2**64]).tolist() == [[1]]
+    assert linalg.kernel_gens(sparse([[2]]), src.lattice, src.moduli) == [(BIG,)]
+    # input beyond int64 stays exact: gcd(2^63 + 1, 2^64) = 1
+    assert linalg.lattice_canon(sparse([[2**63 + 1]]), moduli=[2**64]).tolist() == [[1]]
 
 
 def _random_lattice(rng):
@@ -208,7 +210,7 @@ def test_lattice_canon_spans_the_sympy_hermite_lattice(seed):
 
     mat, moduli = _random_lattice(random.Random(600 + seed))
     n = len(moduli)
-    basis = sympy.Matrix(linalg.lattice_canon(mat, moduli).tolist())
+    basis = sympy.Matrix(linalg.lattice_canon(sparse(mat), moduli).tolist())
     stacked = sympy.Matrix.hstack(sympy.Matrix(n, mat.shape[1], mat.ravel().tolist()),
                                   sympy.diag(*moduli))
     hnf = hermite_normal_form(stacked)
@@ -226,7 +228,7 @@ def test_snf_invariants_match_sympy_invariant_factors(seed):
 
     mat, moduli = _random_lattice(random.Random(700 + seed))
     n = len(moduli)
-    pres = linalg.AbelianPresentation(moduli, relations=mat if mat.shape[1] else ())
+    pres = linalg.AbelianPresentation(moduli, relations=sparse(mat))
     stacked = sympy.Matrix.hstack(sympy.Matrix(n, mat.shape[1], mat.ravel().tolist()),
                                   sympy.diag(*moduli))
     expected = sorted(abs(int(d)) for d in invariant_factors(stacked, domain=sympy.ZZ))
@@ -237,9 +239,42 @@ def test_snf_invariants_match_sympy_invariant_factors(seed):
 def test_cols_from_vectors_exact_values_and_shapes():
     vectors = [(1, 0, -2), (0, BIG, 3), (np.int64(4), 5, 0)]
     mat = linalg.cols_from_vectors(vectors, 3)
-    assert mat.shape == (3, 3) and mat.dtype == object
+    assert mat.shape == (3, 3)
     assert mat.tolist() == [[1, 0, 4], [0, BIG, 5], [-2, 3, 0]]
-    assert all(type(x) is int for x in mat.ravel())
+    assert all(type(x) is int and x for c in mat.cols for x in c.values())
     assert linalg.cols_from_vectors([], 4).shape == (4, 0)
     with pytest.raises(ValueError):
         linalg.cols_from_vectors([(1, 2), (3,)], 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_builders_match_numpy(seed):
+    """Stacks, block diagonals, products and matrix-vector products against numpy."""
+    rng = random.Random(800 + seed)
+
+    def rand(rows, cols):
+        return np.array([[rng.choice([0, 0, 1, -2, 3, BIG]) for _ in range(cols)]
+                         for _ in range(rows)], dtype=object).reshape(rows, cols)
+
+    r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+    a, b, d = rand(r, k), rand(k, c), rand(rng.randint(1, 4), k)
+    assert dense(sparse(a) @ sparse(b)).tolist() == a.dot(b).reshape(r, c).tolist()
+    x = [rng.randint(-5, 5) for _ in range(k)]
+    assert sparse(a).apply(x) == tuple(a.dot(np.array(x, dtype=object)).reshape(r).tolist())
+    assert dense(linalg.vstack([sparse(a), sparse(d)])).tolist() == \
+        np.concatenate([a, d], axis=0).tolist()
+    assert linalg.hstack([sparse(a), sparse(rand(r, 2))]).shape == (r, k + 2)
+    with pytest.raises(ValueError):
+        linalg.hstack([sparse(a), sparse(rand(r + 1, 2))])
+    blocks = [rand(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(3)]
+    want = np.zeros((sum(m.shape[0] for m in blocks), sum(m.shape[1] for m in blocks)),
+                    dtype=object)
+    i = j = 0
+    for m in blocks:
+        want[i:i + m.shape[0], j:j + m.shape[1]] = m
+        i, j = i + m.shape[0], j + m.shape[1]
+    got = linalg.block_diag([sparse(m) for m in blocks])
+    assert got.shape == want.shape and dense(got).tolist() == want.tolist()
+    assert all(v for col in got.cols for v in col.values())
+    with pytest.raises(ValueError):
+        linalg.vstack([sparse(a), sparse(rand(1, k + 1))])

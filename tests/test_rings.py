@@ -8,7 +8,7 @@ from semigalois import rings as rg
 from semigalois import isopu
 from semigalois.linalg import AbelianPresentation
 from semigalois.corpus import random_ring, random_structured_iso
-from oracles import expand_by_solve, quotient_order_by_enumeration
+from oracles import dense, expand_by_solve, kron_left, kron_right, quotient_order_by_enumeration
 
 
 def test_atom_guards():
@@ -151,12 +151,12 @@ def test_subalgebra_element_enumeration():
 
 def test_tensor_examples():
     F3 = rg.FiniteRing([rg.Atom.zmod(3)])
-    t = rg.tensor_over_subring(*(rg.Subalgebra.full(F3),) * 3)
+    t = rg.TensorPresentation(*(rg.Subalgebra.full(F3),) * 3)
     assert t.order() == 3
 
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     diag = rg.Subalgebra.span_of_elements(B, [B.one()])
-    t2 = rg.tensor_over_subring(rg.Subalgebra.full(B), rg.Subalgebra.full(B), diag)
+    t2 = rg.TensorPresentation(rg.Subalgebra.full(B), rg.Subalgebra.full(B), diag)
     assert t2.order() == 81
 
     # Z/4 (x)_Z Z/2 = Z/2, realized at the presentation level: one generator
@@ -169,7 +169,7 @@ def test_tensor_rejects_non_subring():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     half = rg.Subalgebra.span_of_elements(B, [B.element([1, 0])])
     with pytest.raises(rg.NotSubring):
-        rg.tensor_over_subring(rg.Subalgebra.full(B), rg.Subalgebra.full(B), half)
+        rg.TensorPresentation(rg.Subalgebra.full(B), rg.Subalgebra.full(B), half)
 
 
 def test_tensor_checks_each_factor_once(monkeypatch):
@@ -259,10 +259,10 @@ def test_tensor_order_matches_box_oracle(seed):
     full = rg.Subalgebra.full(A)
     prime = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
     R = rng.choice([full, prime])
-    tensor = rg.tensor_over_subring(full, full, R)
+    tensor = rg.TensorPresentation(full, full, R)
     moduli = list(tensor.pres.moduli)
-    cols = [[int(tensor.pres.relations[i, j]) for i in range(tensor.pres.n)]
-            for j in range(tensor.pres.relations.shape[1])]
+    rel = tensor.pres.relations
+    cols = [rel.column(j) for j in range(rel.shape[1])]
     expected = quotient_order_by_enumeration(moduli, cols)
     assert tensor.order() == expected
 
@@ -270,7 +270,7 @@ def test_tensor_order_matches_box_oracle(seed):
 def test_tensor_bilinear_structure():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     diag = rg.Subalgebra.span_of_elements(B, [B.one()])
-    t = rg.tensor_over_subring(rg.Subalgebra.full(B), rg.Subalgebra.full(B), diag)
+    t = rg.TensorPresentation(rg.Subalgebra.full(B), rg.Subalgebra.full(B), diag)
     e1 = B.element([1, 0])
     # middle linearity over R: (r m) (x) n = m (x) (r n) for r in the base
     r = B.one()
@@ -279,9 +279,12 @@ def test_tensor_bilinear_structure():
     assert t.eq(lhs, rhs)
     # multiplication matrices act like multiplication on pure tensors
     z = t.pure(e1, e1)
-    left = t.left_mult_matrix(e1.vec())
+    left = kron_left(t, e1.vec())
     lz = tuple(int(x) for x in left.dot(np.array(z, dtype=object).reshape(-1, 1)).ravel())
     assert t.eq(lz, t.pure(e1 * e1, e1))
+    # and the solver's difference block is the two Kronecker matrices' difference
+    diff = dense(t.mult_difference(e1.vec()))
+    assert (diff == left - kron_right(t, e1.vec())).all()
 
 
 KERNEL_ATOMS = {
@@ -308,23 +311,26 @@ def _isos(A):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
 def test_kernel_matches_polynomial_arithmetic(name):
-    """mul_vec, mult_matrix and apply_vec against Atom.mul / Atom.frobenius on all elements."""
+    """mul_vec, mult_matrix, apply_vec and iso matrices against Atom.mul / Atom.frobenius."""
     A = rg.FiniteRing(KERNEL_RINGS[name])
     els = list(A.elements())
     moduli = np.array(A.coord_moduli, dtype=object)
     for x in els:
         u = x.vec()
-        mat = A.mult_matrix(u)
+        mat = dense(A.mult_matrix(u))
         for y in els:
             want = (x * y).vec()  # RingElement products go through Atom.mul
             assert A.mul_vec(u, y.vec()) == want
             assert tuple(mat.dot(np.array(y.vec(), dtype=object)) % moduli) == want
     for iso in _isos(A):
+        mat = dense(iso.matrix())
         for x in els:
             comps = [a.zero() for a in A.atoms]
             for i, j in iso.matching.items():
                 comps[j] = A.atoms[i].frobenius(x.comps[i], iso.twist[i])
-            assert iso.apply_vec(x.vec()) == rg.RingElement(A, tuple(comps)).vec()
+            want = rg.RingElement(A, tuple(comps)).vec()
+            assert iso.apply_vec(x.vec()) == want
+            assert tuple(mat.dot(np.array(x.vec(), dtype=object)) % moduli) == want
 
 
 def _mult_matrix_by_loops(t, b_vec, side):
@@ -355,8 +361,11 @@ def test_tensor_mult_matrices_match_loops(atoms):
     pool = [a.vec() for a in A.elements()]
     M = rg.Subalgebra(A, list(R.gen_vectors) + [rng.choice(pool)]).closure_under_mul()
     for X, Y in ((full, full), (M, full), (full, M)):
-        t = rg.tensor_over_subring(X, Y, R, guard=1 << 20)
+        t = rg.TensorPresentation(X, Y, R)
         for b in rng.sample(list(M.element_vectors()), min(4, M.order)):
-            for side, got in (("left", t.left_mult_matrix(b)), ("right", t.right_mult_matrix(b))):
+            for side, got in (("left", kron_left(t, b)), ("right", kron_right(t, b))):
                 want = _mult_matrix_by_loops(t, b, side)
                 assert got.shape == want.shape and (got == want).all()
+            got = dense(t.mult_difference(b))
+            want = _mult_matrix_by_loops(t, b, "left") - _mult_matrix_by_loops(t, b, "right")
+            assert got.shape == want.shape and (got == want).all()
