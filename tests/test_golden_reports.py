@@ -1,7 +1,7 @@
 """CLI reports on the shipped instances, byte for byte against golden files.
 
-Every shipped instance runs through galois, correspond, correspond
---brute-force-subalgebras and zero, in text and json-lines; stdout and the
+Every shipped instance runs through validate, analyze, galois, correspond,
+correspond --brute-force-subalgebras and zero, in text and json-lines; stdout and the
 exit code must equal what is recorded under tests/golden/.  A change that
 is meant to keep behaviour (a refactor, a faster engine) must leave this
 test passing unchanged.  After a deliberate change of report content,
@@ -23,6 +23,8 @@ INSTANCES = sorted(p.name for p in (REPO / "instances").glob("*.sgi"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 COMMANDS = {
+    "validate": ["validate"],
+    "analyze": ["analyze"],
     "galois": ["galois"],
     "correspond": ["correspond"],
     "correspond-brute": ["correspond", "--brute-force-subalgebras"],
