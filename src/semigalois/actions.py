@@ -10,13 +10,15 @@ map (presented tensor, not an atom ring).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import isopu
-from .linalg import AbelianPresentation, block_diag, cols_from_vectors, kernel_gens, vstack
-from .rings import (RingElement, SpanExpander, StructuredIso, Subalgebra,
-                    TooLarge, _span_relation_lattice)
-from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden,
+from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
+                     kron_difference, vstack)
+from .rings import (RingElement, SpanExpander, StructuredIso, Subalgebra, TensorPresentation,
+                    TooLarge)
+from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired,
                          is_e_unitary, restrict_table, sigma_partition,
                          validate_table)
 
@@ -65,22 +67,12 @@ class UnitalAction:
         self.A = A
         self.isos = tuple(isos)
 
-    def iso(self, s):
-        return self.isos[s]
-
-    def dom_support(self, s):
-        """Atom support of A_{s^{-1}} (the domain of beta_s)."""
-        return self.isos[s].dom_support
-
     def im_support(self, s):
         return self.isos[s].im_support
 
     def ideal_one(self, s):
         """The idempotent 1_s generating A_s."""
         return self.A.idempotent(self.im_support(s))
-
-    def apply(self, s, a):
-        return self.isos[s].apply(a)
 
     def all_ideals_nonzero(self):
         return all(self.im_support(s) for s in self.S.nonzero_elements())
@@ -89,47 +81,182 @@ class UnitalAction:
         return f"UnitalAction(|S|={self.S.n}, A={self.A!r})"
 
 
+class AxiomFail(Exception):
+    """Partial-action axiom violation, tagged PIS0-3 or PGr0-3."""
+
+    def __init__(self, tag, detail=""):
+        super().__init__(f"{tag}: {detail}" if detail else tag)
+        self.tag = tag
+
+
+class ActionShape:
+    """What the action axioms read of the acting structure.
+
+    `table[s][t]` is the product's index, or None where a groupoid product
+    is undefined; `inv[s]` the inverse; `units` the elements that must act
+    as identities, in checking order; `ranges[s]` the unit ss^{-1} (or r(s));
+    `zero` the zero's index or None.
+    """
+
+    def __init__(self, table, inv, units, ranges, names, zero=None):
+        self.n = len(table)
+        self.table, self.inv, self.units, self.ranges = table, inv, units, ranges
+        self.names, self.zero = names, zero
+
+    @staticmethod
+    def of_semigroup(S):
+        return ActionShape(S.table, S.inv, S.idempotents,
+                           [S.table[s][S.inv[s]] for s in range(S.n)], S.names, S.zero)
+
+
+def _covered(shape, isos):
+    return set().union(*(isos[e].im_support for e in shape.units))
+
+
+def _zero_acts_empty(shape, A, isos):
+    if shape.zero is None:
+        raise ZeroRequired("this operation needs a declared zero")
+    return not isos[shape.zero].dom_support
+
+
+# tag -> (scope, test).  Whole-action tests take (shape, A, isos); unit tests
+# take (iso of the unit, union of the earlier units' images); element tests
+# take (shape, A, isos, s); pair tests take (composite beta_s beta_t, the
+# product's iso, or None where the product is undefined).
+AXIOMS = {
+    "count": ("whole", lambda shape, A, isos: len(isos) == shape.n),
+    "zero": ("whole", _zero_acts_empty),
+    "cover": ("whole", lambda shape, A, isos: _covered(shape, isos) == set(range(len(A.atoms)))),
+    "ring": ("element", lambda shape, A, isos, s: isos[s].ring == A),
+    "inverse": ("element", lambda shape, A, isos, s: isos[shape.inv[s]] == isos[s].inverse()),
+    "range": ("element",
+              lambda shape, A, isos, s: isos[s].im_support <= isos[shape.ranges[s]].im_support),
+    "unit_identity": ("unit", lambda f, seen: f.is_identity_map()),
+    "unit_orthogonal": ("unit", lambda f, seen: not seen & f.im_support),
+    "product_eq": ("pair", lambda comp, f: f is None or comp == f),
+    "product_dom": ("pair", lambda comp, f: f is None or comp.dom_support <= f.dom_support),
+    "product_leq": ("pair", lambda comp, f: f is None or isopu.natural_leq_iso(comp, f)),
+    "undefined_empty": ("pair", lambda comp, f: f is not None or not comp.dom_support),
+}
+
+
+# One row per reading of an action: its axioms in checking order, each with
+# the error it raises (an exception class, or the tag of an AxiomFail) and
+# the message template.  Templates may name {e} (a
+# unit), {s}, {inv}, {range} (an element, its inverse, its range unit),
+# {t}, {st} (a pair and its product) and {covered} (the atoms the units cover).
+ACTION_ROWS = {
+    "unital": (
+        ("count", ActionError, "one iso per element required"),
+        ("ring", ActionError, "iso on the wrong ring"),
+        ("product_eq", HomFail, "beta_{s} beta_{t} != beta_{st}"),
+        ("cover", CoverFail, "idempotent ideals cover atoms {covered} only"),
+        ("unit_identity", IdempotentNotIdentity, "{e}"),
+        ("inverse", HomFail, "beta_{inv} is not the inverse map of beta_{s}"),
+    ),
+    "partial group": (
+        ("unit_identity", PartialActionAxiomFail, "P1: identity must act as Id_A on A"),
+        ("cover", PartialActionAxiomFail, "P1: identity must act as Id_A on A"),
+        ("inverse", PartialActionAxiomFail, "inverse classes must carry inverse maps"),
+        ("product_leq", PartialActionAxiomFail, "P2/P3 fail at classes {s}, {t}"),
+    ),
+    "PIS": (
+        ("count", "PIS", "one iso per element"),
+        ("zero", "PIS0", "A_0 must be the zero ideal"),
+        ("unit_identity", "PIS1", "idempotent {e} must act as an identity"),
+        ("cover", "PIS1", "idempotent ideals do not cover A"),
+        ("inverse", "PIS", "inverse of beta_{s} mismatched"),
+        ("range", "PIS", "A_{s} must sit inside A_{range}"),
+        ("product_dom", "PIS2", "({s},{t})"),
+        ("product_leq", "PIS3", "({s},{t})"),
+    ),
+    "PGr": (
+        ("count", "PGr", "one iso per element"),
+        ("unit_identity", "PGr1", "identity {e} must act as an identity map"),
+        ("unit_orthogonal", "PGr0", "identity ideals overlap; the sum is not direct"),
+        ("cover", "PGr0", "identity ideals do not sum to A"),
+        ("inverse", "PGr", "inverse of {s} mismatched"),
+        ("range", "PGr", "A_{s} must sit inside A_{range}"),
+        ("product_dom", "PGr2", "({s},{t})"),
+        ("product_leq", "PGr3", "({s},{t})"),
+        ("undefined_empty", "PGr2", "undefined product ({s},{t}) with a nonzero composite"),
+    ),
+}
+ACTION_ROWS["PIS without zero"] = tuple(e for e in ACTION_ROWS["PIS"] if e[0] != "zero")
+# without orthogonality the identity ideals need only cover A, which is PGr1
+ACTION_ROWS["PGr not orthogonal"] = tuple(
+    (tag, "PGr1" if tag == "cover" else error, template)
+    for tag, error, template in ACTION_ROWS["PGr"] if tag != "unit_orthogonal")
+
+
+def check_action_axioms(row, shape, A, isos):
+    """Check the axioms of `row` in order; raise the row's error at the first
+    failure, with the failing axiom's tag as its `axiom` attribute."""
+    failure = _first_failure(row, shape, A, isos)
+    if failure is not None:
+        tag, error, message = failure
+        exc = AxiomFail(error, message) if isinstance(error, str) else error(message)
+        exc.axiom = tag
+        raise exc
+
+
+def _first_failure(row, shape, A, isos):
+    """(tag, error, message) of the first failing axiom of `row`, or None.
+
+    Consecutive axioms of one scope share one loop (over the units, the
+    elements, or the ordered pairs with one composite each), so within a
+    loop each unit, element or pair meets every axiom of the run before the
+    next one is looked at.
+    """
+    names = shape.names
+    for scope, run in itertools.groupby(row, key=lambda entry: AXIOMS[entry[0]][0]):
+        run = [(tag, AXIOMS[tag][1], error, template) for tag, error, template in run]
+        if scope == "whole":
+            for tag, test, error, template in run:
+                if not test(shape, A, isos):
+                    return tag, error, template.format(covered=sorted(_covered(shape, isos))
+                                                       if tag == "cover" else None)
+        elif scope == "unit":
+            seen = set()
+            for e in shape.units:
+                for tag, test, error, template in run:
+                    if not test(isos[e], seen):
+                        return tag, error, template.format(e=names[e])
+                seen |= isos[e].im_support
+        elif scope == "element":
+            for s in range(shape.n):
+                for tag, test, error, template in run:
+                    if not test(shape, A, isos, s):
+                        return tag, error, template.format(s=names[s], inv=names[shape.inv[s]],
+                                                           range=names[shape.ranges[s]])
+        else:
+            for s in range(shape.n):
+                for t in range(shape.n):
+                    comp = isopu.compose(isos[s], isos[t])
+                    st = shape.table[s][t]
+                    target = None if st is None else isos[st]
+                    for tag, test, error, template in run:
+                        if not test(comp, target):
+                            return tag, error, template.format(
+                                s=names[s], t=names[t], st=None if st is None else names[st])
+
+
 def validate_action(S, A, isos):
     """Check the unital action axioms exhaustively.
 
     hom: beta_s beta_t = beta_{st} as partial isos (the global-action axiom
     pins the composite's domain to A_{(st)^{-1}});
     cover: the idempotent ideals sum to A;
-    idempotents act as the identity on their ideal.
+    idempotents act as the identity on their ideal;
+    beta_{s^{-1}} is the inverse map of beta_s.
     """
     isos = list(isos)
-    if len(isos) != S.n:
-        raise ActionError("one iso per element required")
-    for s in range(S.n):
-        if isos[s].ring != A:
-            raise ActionError("iso on the wrong ring")
-    for s in range(S.n):
-        for t in range(S.n):
-            if isopu.compose(isos[s], isos[t]) != isos[S.table[s][t]]:
-                raise HomFail(f"beta_{S.names[s]} beta_{S.names[t]} != beta_{S.names[S.table[s][t]]}")
-    covered = set()
-    for e in S.idempotents:
-        covered |= isos[e].im_support
-    if covered != set(range(len(A.atoms))):
-        raise CoverFail(f"idempotent ideals cover atoms {sorted(covered)} only")
-    for e in S.idempotents:
-        f = isos[e]
-        if not (f.dom_support == f.im_support and f.is_identity_map()):
-            raise IdempotentNotIdentity(S.names[e])
-    for s in range(S.n):
-        if isos[S.inv[s]] != isos[s].inverse():
-            raise HomFail(f"beta_{S.names[S.inv[s]]} is not the inverse map of beta_{S.names[s]}")
+    check_action_axioms(ACTION_ROWS["unital"], ActionShape.of_semigroup(S), A, isos)
     return UnitalAction(S, A, isos)
 
 
 def is_injective(beta):
-    seen = {}
-    for s in range(beta.S.n):
-        key = beta.isos[s]
-        if key in seen:
-            return False
-        seen[key] = s
-    return True
+    return len(set(beta.isos)) == beta.S.n
 
 
 def invariant_ring(beta):
@@ -166,9 +293,12 @@ def invariant_ring(beta):
 
 def trace_map(beta, a):
     """tr(a) = sum over s of beta_s(a 1_{s^-1}); need not be invariant."""
-    total = beta.A.zero()
-    for s in range(beta.S.n):
-        iso = beta.isos[s]
+    return _trace(beta.A, beta.isos, a)
+
+
+def _trace(A, isos, a):
+    total = A.zero()
+    for iso in isos:
         total = total + iso.apply(a.mask(iso.dom_support))
     return total
 
@@ -180,33 +310,13 @@ class PartialGroupAction:
         self.group = group
         self.A = A
         self.isos = tuple(isos)
-        self._validate()
-
-    def iso(self, g):
-        return self.isos[g]
-
-    def _validate(self):
-        G = self.group
-        e = G.identity
-        if self.isos[e].dom_support != frozenset(range(len(self.A.atoms))) \
-                or not self.isos[e].is_identity_map():
-            raise PartialActionAxiomFail("P1: identity must act as Id_A on A")
-        for gIdx in range(G.size()):
-            if self.isos[G.inverse(gIdx)] != self.isos[gIdx].inverse():
-                raise PartialActionAxiomFail("inverse classes must carry inverse maps")
-        for gIdx in range(G.size()):
-            for h in range(G.size()):
-                comp = isopu.compose(self.isos[gIdx], self.isos[h])
-                target = self.isos[G.table[gIdx][h]]
-                if not isopu.natural_leq_iso(comp, target):
-                    raise PartialActionAxiomFail(f"P2/P3 fail at classes {gIdx}, {h}")
+        n = group.size()
+        shape = ActionShape(group.table, [group.inverse(g) for g in range(n)], [group.identity],
+                            [group.identity] * n, [str(g) for g in range(n)])
+        check_action_axioms(ACTION_ROWS["partial group"], shape, A, self.isos)
 
     def trace(self, a):
-        total = self.A.zero()
-        for g in range(self.group.size()):
-            iso = self.isos[g]
-            total = total + iso.apply(a.mask(iso.dom_support))
-        return total
+        return _trace(self.A, self.isos, a)
 
 
 def induce_partial_group_action(beta):
@@ -315,225 +425,65 @@ def image_action(beta):
     return T, beta_img, tuple(proj)
 
 
-class PresentedBase:
-    """The scalar ring R of an extension, as additive generators with
-    relations and structure constants.  Works for an atom-product ring or
-    for a subalgebra of one (e.g. the invariant ring itself)."""
-
-    def __init__(self, gens, orders, relations, mul_expand, one_coeffs, label):
-        self.gens = gens
-        self.orders = list(orders)
-        self.k = len(gens)
-        self.pres = AbelianPresentation(self.orders, relations)
-        self.mul_expand = mul_expand  # (i, j) -> coeff vector over gens
-        self.one_coeffs = tuple(one_coeffs)
-        self.label = label
-        self.size = self.pres.order()
-
-    @staticmethod
-    def from_finite_ring(R):
-        gens = R.basis_vectors()
-
-        def mul(i, j):
-            return R.mul_vec(gens[i], gens[j])
-
-        return PresentedBase(gens, R.coord_moduli, (), mul,
-                             R.one().vec(), repr(R))
-
-    @staticmethod
-    def from_subalgebra(B):
-        expander = SpanExpander(B)
-        gens = list(B.gen_vectors)
-        orders = [B.ring.vector_order(g) for g in gens]
-        rel = _span_relation_lattice(B)
-
-        def mul(i, j):
-            return expander.expand(B.ring.mul_vec(gens[i], gens[j]))
-
-        return PresentedBase(gens, orders, rel, mul, expander.expand(B.ring.one().vec()),
-                             f"Subalgebra(order={B.order})")
-
-    def combine(self, coeff_vectors, weights):
-        out = [0] * self.k
-        for c, vec in zip(weights, coeff_vectors):
-            if c:
-                for i, x in enumerate(vec):
-                    out[i] += c * x
-        return tuple(out)
-
-    def mul_coeffs(self, u, v):
-        """Product of two coefficient vectors, as a coefficient vector."""
-        out = [0] * self.k
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                prod = self.mul_expand(i, j)
-                for w, x in enumerate(prod):
-                    out[w] += a * b * x
-        return tuple(out)
-
-
 class ScalarExtension:
     """The action on R (x)_{A^beta} A induced by beta, on a presentation.
 
-    R comes with a structural map from the invariant ring (coefficient
-    vectors over R's generators; the inclusion when R is the invariant
-    subalgebra itself).  The extension is never rebuilt as an atom ring;
-    every Galois re-test works on the presented group, exactly like the
-    in-ring tensor machinery.
+    Coordinate (i, j) of `pres` is r_i (x) e_j for the k additive generators
+    r_i of R and the coordinate basis e_j of A, so 1 (x) f acts as
+    I_k (x) (the matrix of f).  The extension is never rebuilt as an atom
+    ring; every Galois re-test works on the presented group, exactly like
+    the in-ring tensor machinery.
     """
 
-    def __init__(self, beta, base: PresentedBase, structural_images,
-                 invariants=None, guard=1 << 14):
-        A = beta.A
-        if base.size * A.size > guard:
-            raise TooLarge("|R| * |A| beyond the scalar-extension guard")
-        self.beta = beta
-        self.base = base
-        inv = invariants if invariants is not None else invariant_ring(beta)
-        self.invariants = inv
-        if len(structural_images) != len(inv.gen_vectors):
-            raise ActionError("one image in R per invariant-ring generator")
-        self.base_images = [tuple(int(x) for x in img) for img in structural_images]
-        for img in self.base_images:
-            if len(img) != base.k:
-                raise ActionError("structural images are coefficient vectors over R")
-        self._check_structural_map()
-        self.ag = list(A.basis_vectors())
-        self.k, self.l = base.k, len(self.ag)
-        moduli = [math.gcd(base.orders[i], A.vector_order(self.ag[j]))
-                  for i in range(self.k) for j in range(self.l)]
-        rel_cols = []
-        # R-side additive relations, tensored with each A generator
-        for col in base.pres.relations.cols:
-            for j in range(self.l):
-                out = [0] * (self.k * self.l)
-                for i, c in col.items():
-                    out[self.index(i, j)] = c
-                rel_cols.append(tuple(out))
-        for i, d in enumerate(base.orders):
-            for j in range(self.l):
-                out = [0] * (self.k * self.l)
-                out[self.index(i, j)] = d
-                rel_cols.append(tuple(out))
-        # middle linearity over the invariant ring's generators
-        for bvec, img in zip(inv.gen_vectors, self.base_images):
-            for i in range(self.k):
-                left = base.mul_coeffs(img, _unit(base.k, i))
-                for j in range(self.l):
-                    right = A.mul_vec(bvec, self.ag[j])
-                    col = [0] * (self.k * self.l)
-                    for a, u in enumerate(left):
-                        col[self.index(a, j)] += u
-                    for b, v in enumerate(right):
-                        col[self.index(i, b)] -= v
-                    rel_cols.append(tuple(col))
-        self.pres = AbelianPresentation(moduli, rel_cols)
+    def __init__(self, beta, pres, k):
+        self.beta, self.pres, self.k, self.l = beta, pres, k, beta.A.n_coords
 
-    def _check_structural_map(self):
-        base, inv, A = self.base, self.invariants, self.beta.A
-        expander = SpanExpander(inv)
-        one_coeffs = expander.expand(A.one().vec())
-        got_one = base.combine(self.base_images, one_coeffs)
-        if not base.pres.eq(got_one, base.one_coeffs):
-            raise ActionError("structural map must send 1 to 1")
-        for (cu, u) in zip(self.base_images, inv.gen_vectors):
-            for (cv, v) in zip(self.base_images, inv.gen_vectors):
-                prod = expander.expand(A.mul_vec(u, v))
-                lhs = base.combine(self.base_images, prod)
-                rhs = base.mul_coeffs(cu, cv)
-                if not base.pres.eq(lhs, rhs):
-                    raise ActionError("structural map is not multiplicative")
-
-    def index(self, i, j):
-        return i * self.l + j
-
-    def pure(self, r_coeffs, a_vec):
-        col = [0] * (self.k * self.l)
-        for i, u in enumerate(r_coeffs):
-            if u:
-                for j, v in enumerate(a_vec):
-                    if v:
-                        col[self.index(i, j)] += u * v
-        return tuple(col)
-
-    def one(self):
-        return self.pure(self.base.one_coeffs, self.beta.A.one().vec())
+    def _on_a(self, mat):
+        """I_k (x) mat: `mat` applied to the A side of every coordinate."""
+        return block_diag([mat] * self.k)
 
     def act(self, iso: StructuredIso, z):
         """(1 (x) f) applied to z masked into the domain ideal of f."""
-        out = [0] * (self.k * self.l)
-        A = self.beta.A
-        for i in range(self.k):
-            for j in range(self.l):
-                c = z[self.index(i, j)]
-                if not c:
-                    continue
-                masked = A.mask_vec(self.ag[j], iso.dom_support)
-                img = iso.apply_vec(masked)
-                for b, v in enumerate(img):
-                    if v:
-                        out[self.index(i, b)] += c * v
-        return tuple(out)
-
-    def _mask(self, z, support):
-        out = [0] * (self.k * self.l)
-        A = self.beta.A
-        for i in range(self.k):
-            for j in range(self.l):
-                c = z[self.index(i, j)]
-                if not c:
-                    continue
-                masked = A.mask_vec(self.ag[j], support)
-                for b, v in enumerate(masked):
-                    if v:
-                        out[self.index(i, b)] += c * v
-        return tuple(out)
+        return self._on_a(iso.matrix()).apply(z)
 
     def generator_vectors(self):
-        out = []
-        for i in range(self.k):
-            for j in range(self.l):
-                col = [0] * (self.k * self.l)
-                col[self.index(i, j)] = 1
-                out.append(tuple(col))
-        return out
+        g = self.k * self.l
+        return [tuple(int(i == j) for j in range(g)) for i in range(g)]
 
     def r_image_canon(self):
-        gens = [self.pure(_unit(self.k, i), self.beta.A.one().vec())
-                for i in range(self.k)]
-        return self.pres.subgroup_canon(gens)
+        """The subgroup R (x) 1, spanned by r_i (x) 1."""
+        ones = self._on_a(cols_from_vectors([self.beta.A.one().vec()], self.l))
+        return self.pres.subgroup_canon([ones.column(i) for i in range(self.k)])
 
     def invariants_canon(self):
-        """Fixed subgroup of the extended action, via one kernel solve."""
-        g = self.k * self.l
-        rows = []
-        for s in range(self.beta.S.n):
-            iso = self.beta.isos[s]
-            cols = []
-            for z in self.generator_vectors():
-                moved = self.act(iso, z)
-                kept = self._mask(z, iso.im_support)
-                cols.append(tuple(a - b for a, b in zip(moved, kept)))
-            rows.append(cols_from_vectors(cols, g))
+        """Fixed subgroup of the extended action, via one kernel solve: the kernel
+        of I_k (x) (beta_s - mask to im(s)), stacked over s."""
+        A = self.beta.A
+        rows = [self._on_a(iso.matrix() - StructuredIso.identity_on(A, iso.im_support).matrix())
+                for iso in self.beta.isos]
         aug = block_diag([self.pres.lattice] * self.beta.S.n)
         gens = kernel_gens(vstack(rows), aug, self.pres.moduli)
         return self.pres.subgroup_canon(gens)
 
     def sigma_trace_vec(self, z, alpha):
-        total = (0,) * (self.k * self.l)
-        for g in range(alpha.group.size()):
-            iso = alpha.isos[g]
-            moved = self.act(iso, z)
-            total = tuple(a + b for a, b in zip(total, moved))
-        return total
+        return tuple(map(sum, zip(*(self.act(iso, z) for iso in alpha.isos))))
 
 
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
+def _check_structural_map(R, inv, images):
+    """The images in R of inv's generators must define a unital ring map A^beta -> R."""
+    A = inv.ring
+    expander = SpanExpander(inv)
+    phi = cols_from_vectors(images, R.n_coords)
+
+    def image(vec):
+        return phi.apply(expander.expand(vec))
+
+    if not R.presentation.eq(image(A.one().vec()), R.one().vec()):
+        raise ActionError("structural map must send 1 to 1")
+    for cu, u in zip(images, inv.gen_vectors):
+        for cv, v in zip(images, inv.gen_vectors):
+            if not R.presentation.eq(image(A.mul_vec(u, v)), R.mul_vec(cu, cv)):
+                raise ActionError("structural map is not multiplicative")
 
 
 def extend_scalars(beta, R=None, structural_images=None, require_galois=True,
@@ -541,8 +491,9 @@ def extend_scalars(beta, R=None, structural_images=None, require_galois=True,
     """Scalar extension R (x)_{A^beta} A with the induced action data.
 
     With R omitted the base is the invariant ring itself (structural map =
-    inclusion).  `structural_images` are coefficient vectors over R's
-    additive generators, or RingElements when R is an atom-product ring.
+    inclusion) and the presentation is the tensor A^beta (x)_{A^beta} A.
+    Otherwise R is a FiniteRing and `structural_images`, one per generator
+    of A^beta, are RingElements of R or coordinate vectors over R.
     When `require_galois`, beta is first checked through the coordinate
     criterion (the galois module re-tests the extension afterwards).
     """
@@ -551,15 +502,21 @@ def extend_scalars(beta, R=None, structural_images=None, require_galois=True,
         if solve_galois_coordinates(beta) is None:
             raise NotGalois("scalar extension is stated for Galois actions")
     inv = invariant_ring(beta)
+    A = beta.A
+    if (inv.order if R is None else R.size) * A.size > guard:
+        raise TooLarge("|R| * |A| beyond the scalar-extension guard")
     if R is None:
-        base = PresentedBase.from_subalgebra(inv)
-        images = [_unit(base.k, i) for i in range(base.k)]
-        return ScalarExtension(beta, base, images, invariants=inv, guard=guard)
-    base = PresentedBase.from_finite_ring(R)
-    images = []
-    for img in structural_images:
-        if isinstance(img, RingElement):
-            images.append(img.vec())
-        else:
-            images.append(tuple(img))
-    return ScalarExtension(beta, base, images, invariants=inv, guard=guard)
+        tensor = TensorPresentation(inv, Subalgebra.full(A), inv, guard=guard)
+        return ScalarExtension(beta, tensor.pres, tensor.k)
+    images = [img.vec() if isinstance(img, RingElement) else tuple(int(x) for x in img)
+              for img in structural_images]
+    if len(images) != len(inv.gen_vectors):
+        raise ActionError("one image in R per invariant-ring generator")
+    if any(len(img) != R.n_coords for img in images):
+        raise ActionError("structural images are coefficient vectors over R")
+    _check_structural_map(R, inv, images)
+    # middle linearity over the invariant ring's generators b: phi(b) r (x) a = r (x) b a
+    relations = hstack([kron_difference(R.mult_matrix(img), A.mult_matrix(b))
+                        for b, img in zip(inv.gen_vectors, images)])
+    moduli = [math.gcd(d, e) for d in R.coord_moduli for e in A.coord_moduli]
+    return ScalarExtension(beta, AbelianPresentation(moduli, relations), R.n_coords)

@@ -18,7 +18,7 @@ from . import __version__
 from .actions import invariant_ring, is_injective
 from .corpus import corpus as make_corpus
 from .galois import PreconditionFail, cross_check_equivalences
-from .instance import ParseError, parse_instance
+from .instance import _BOOL, ParseError, parse_instance
 from .semigroups import SemigroupError, is_e_unitary, sigma_partition
 from . import zerocase as zc
 
@@ -279,6 +279,16 @@ def _positive_int(text):
     return value
 
 
+def _env_bool(parser, name):
+    """A boolean SEMIGALOIS_* setting, spelled as under [options]; a store_true
+    flag's default skips `type`, so a bad setting is reported here."""
+    text = _env_default(name, "false").strip().lower()
+    if text not in _BOOL:
+        parser.error(f"argument --{name}: invalid boolean value: {text!r} "
+                     f"(choose from {', '.join(_BOOL)})")
+    return _BOOL[text]
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="semigalois",
                                 description="Galois machinery for inverse semigroup "
@@ -291,9 +301,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     p.add_argument("--guard-max-order", type=_positive_int,
                    default=_env_default("guard-max-order", str(1 << 20)))
-    p.add_argument("--brute-force-subalgebras", action="store_true",
-                   default=_env_default("brute-force-subalgebras", "") in ("1", "true", "yes"))
+    p.add_argument("--brute-force-subalgebras", action="store_true")
     p.add_argument("--timing", action="store_true")
+    p.set_defaults(brute_force_subalgebras=_env_bool(p, "brute-force-subalgebras"))
     return p
 
 

@@ -232,10 +232,6 @@ def psi_image_vector(beta, pa, x, y):
     return pa.compress({t: A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in pa.maximal})
 
 
-def build_pa_beta_s(beta):
-    return PABetaS(beta)
-
-
 @dataclass
 class PsiReport:
     bijective: bool

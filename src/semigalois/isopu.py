@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .rings import RingError, StructuredIso, ideal_order
+from .rings import RingError, StructuredIso
 
 
 class NotCompatible(RingError):
@@ -92,13 +92,6 @@ def join_sum(isos) -> StructuredIso:
     return StructuredIso(ring, matching, twist)
 
 
-def meet_iso(f: StructuredIso, g: StructuredIso) -> StructuredIso:
-    """Largest common restriction of f and g."""
-    atoms = [i for i in f.dom_support & g.dom_support
-             if f.matching[i] == g.matching[i] and f.twist[i] == g.twist[i]]
-    return StructuredIso(f.ring, {i: f.matching[i] for i in atoms}, {i: f.twist[i] for i in atoms})
-
-
 def iso_pu_elements(ring, max_count=200_000):
     """Every element of Iso_pu(A): all type-preserving matchings with twists.
 
@@ -136,7 +129,3 @@ def iso_pu_elements(ring, max_count=200_000):
 def upper_bounds(isos, universe):
     """All elements of `universe` lying above every member of `isos`."""
     return [u for u in universe if all(natural_leq_iso(f, u) for f in isos)]
-
-
-def domain_order(f: StructuredIso) -> int:
-    return ideal_order(f.ring, f.dom_support)

@@ -57,6 +57,16 @@ class Matrix:
                     out[i] += x * v
         return tuple(out)
 
+    def __sub__(self, other):
+        """The difference self - other, column by column."""
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            col = dict(a)
+            for i, v in b.items():
+                col[i] = col.get(i, 0) - v
+            cols.append({i: v for i, v in col.items() if v})
+        return Matrix(self.rows, cols)
+
     def __matmul__(self, other):
         """The product self @ other, column by column of `other`."""
         if other.rows != len(self.cols):
@@ -180,6 +190,17 @@ def vstack(blocks):
                 col[offset + i] = v
         offset += b.rows
     return Matrix(offset, cols)
+
+
+def kron_difference(E, F):
+    """E (x) I_l - I_k (x) F for a k x k matrix E and an l x l matrix F.
+
+    Coordinate (i, j) is row i * l + j, so column (i, j) is
+    sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c).
+    """
+    l = F.rows
+    left = Matrix(E.rows * l, [{a * l + j: u for a, u in ec.items()} for ec in E.cols for j in range(l)])
+    return left - block_diag([F] * len(E.cols))
 
 
 def diag_cols(moduli):

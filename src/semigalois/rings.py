@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kernel_gens, lattice_det,
-                     lattice_member)
+from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kernel_gens, kron_difference,
+                     lattice_det, lattice_member)
 
 ATOM_ORDER_GUARD = 1 << 20
 ELEMENT_SCAN_GUARD = 1 << 16
@@ -340,9 +340,6 @@ class FiniteRing:
 
     def add_vec(self, u, v):
         return tuple((a + b) % m for a, b, m in zip(u, v, self.coord_moduli))
-
-    def neg_vec(self, u):
-        return tuple((-a) % m for a, m in zip(u, self.coord_moduli))
 
     def sub_vec(self, u, v):
         return tuple((a - b) % m for a, b, m in zip(u, v, self.coord_moduli))
@@ -815,21 +812,9 @@ class TensorPresentation:
         return cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
 
     def mult_difference(self, b_vec):
-        """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
-
-        This is E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`:
-        coordinate (i, j) is generator pair (mg[i], ng[j]), so column (i, j)
-        is sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c).
-        """
-        E, F = self.left_factor(b_vec), self.right_factor(b_vec)
-        cols = []
-        for i in range(self.k):
-            for j in range(self.l):
-                col = {self.index(a, j): u for a, u in E.cols[i].items()}
-                for c, v in F.cols[j].items():
-                    col[self.index(i, c)] = col.get(self.index(i, c), 0) - v
-                cols.append({r: x for r, x in col.items() if x})
-        return Matrix(self.k * self.l, cols)
+        """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N:
+        E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`."""
+        return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
 
     def eq(self, z, w):
         return self.pres.eq(z, w)

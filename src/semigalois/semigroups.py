@@ -307,9 +307,6 @@ class SubSemigroup:
     def is_full(self):
         return self.parent.idempotents <= self.members
 
-    def sorted_members(self):
-        return sorted(self.members)
-
     def bitmask(self):
         return sum(1 << s for s in self.members)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import isopu
+from .actions import (ACTION_ROWS, ActionShape, AxiomFail,  # noqa: F401 (AxiomFail is re-exported)
+                      check_action_axioms)
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
@@ -30,14 +32,6 @@ class NotStronglyCompatible(SemigroupError):
 
 class GroupoidError(Exception):
     pass
-
-
-class AxiomFail(Exception):
-    """Partial-action axiom violation, tagged PIS0-3 or PGr0-3."""
-
-    def __init__(self, tag, detail=""):
-        super().__init__(f"{tag}: {detail}" if detail else tag)
-        self.tag = tag
 
 
 def _require_zero(S):
@@ -297,42 +291,11 @@ class PartialSemigroupAction:
     A: object
     isos: tuple
 
-    def dom_support(self, s):
-        return self.isos[s].dom_support
-
-    def im_support(self, s):
-        return self.isos[s].im_support
-
 
 def validate_partial_semigroup_action(S, A, isos, with_zero=True):
     isos = tuple(isos)
-    if len(isos) != S.n:
-        raise AxiomFail("PIS", "one iso per element")
-    if with_zero:
-        _require_zero(S)
-        if isos[S.zero].dom_support:
-            raise AxiomFail("PIS0", "A_0 must be the zero ideal")
-    covered = set()
-    for e in S.idempotents:
-        covered |= isos[e].im_support
-        if not isos[e].is_identity_map():
-            raise AxiomFail("PIS1", f"idempotent {S.names[e]} must act as an identity")
-    if covered != set(range(len(A.atoms))):
-        raise AxiomFail("PIS1", "idempotent ideals do not cover A")
-    for s in range(S.n):
-        if isos[S.inv[s]] != isos[s].inverse():
-            raise AxiomFail("PIS", f"inverse of beta_{S.names[s]} mismatched")
-        rng = S.table[s][S.inv[s]]
-        if not isos[s].im_support <= isos[rng].im_support:
-            raise AxiomFail("PIS", f"A_{S.names[s]} must sit inside A_{S.names[rng]}")
-    for s in range(S.n):
-        for t in range(S.n):
-            comp = isopu.compose(isos[s], isos[t])
-            target = isos[S.table[s][t]]
-            if not comp.dom_support <= target.dom_support:
-                raise AxiomFail("PIS2", f"({S.names[s]},{S.names[t]})")
-            if not isopu.natural_leq_iso(comp, target):
-                raise AxiomFail("PIS3", f"({S.names[s]},{S.names[t]})")
+    row = ACTION_ROWS["PIS" if with_zero else "PIS without zero"]
+    check_action_axioms(row, ActionShape.of_semigroup(S), A, isos)
     return PartialSemigroupAction(S, A, isos)
 
 
@@ -348,38 +311,8 @@ class PartialGroupoidAction:
 
 def validate_partial_groupoid_action(G, d, r, inv, A, isos, orthogonal=True):
     isos = tuple(isos)
-    if len(isos) != G.n:
-        raise AxiomFail("PGr", "one iso per element")
-    ids = G.identities()
-    covered = set()
-    seen = set()
-    for e in ids:
-        if not isos[e].is_identity_map():
-            raise AxiomFail("PGr1", f"identity {G.names[e]} must act as an identity map")
-        if orthogonal and covered & isos[e].im_support:
-            raise AxiomFail("PGr0", "identity ideals overlap; the sum is not direct")
-        covered |= isos[e].im_support
-        seen.add(e)
-    if covered != set(range(len(A.atoms))):
-        raise AxiomFail("PGr1" if not orthogonal else "PGr0", "identity ideals do not sum to A")
-    for g in range(G.n):
-        if isos[inv[g]] != isos[g].inverse():
-            raise AxiomFail("PGr", f"inverse of {G.names[g]} mismatched")
-        if not isos[g].im_support <= isos[r[g]].im_support:
-            raise AxiomFail("PGr", f"A_{G.names[g]} must sit inside A_{G.names[r[g]]}")
-    for g in range(G.n):
-        for h in range(G.n):
-            comp = isopu.compose(isos[g], isos[h])
-            if G.defined(g, h):
-                target = isos[G.mul(g, h)]
-                if not comp.dom_support <= target.dom_support:
-                    raise AxiomFail("PGr2", f"({G.names[g]},{G.names[h]})")
-                if not isopu.natural_leq_iso(comp, target):
-                    raise AxiomFail("PGr3", f"({G.names[g]},{G.names[h]})")
-            else:
-                if comp.dom_support:
-                    raise AxiomFail("PGr2", f"undefined product ({G.names[g]},{G.names[h]}) "
-                                            "with a nonzero composite")
+    row = ACTION_ROWS["PGr" if orthogonal else "PGr not orthogonal"]
+    check_action_axioms(row, ActionShape(G.product, inv, G.identities(), r, G.names), A, isos)
     return PartialGroupoidAction(G, d, r, inv, A, isos)
 
 

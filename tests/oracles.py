@@ -13,14 +13,21 @@ solve and check over every additive generator, on Kronecker matrices),
 elements), the three correspondence routes with their own pair loops and
 brute-force matchers (`e_unitary_correspondence_by_own_loop`,
 `general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`)
-and the five power-set scans that per-atom and per-element tests replaced
+the five power-set scans that per-atom and per-element tests replaced
 (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
-`beta_maximal_by_subset_scan`).  `dense` and `sparse` convert between the
-library's sparse `Matrix` and numpy object arrays for dense fixtures.
+`beta_maximal_by_subset_scan`), the four action-axiom validators with
+their own loops (`validate_action_by_own_loops`,
+`validate_partial_group_action_by_own_loops`,
+`validate_partial_semigroup_action_by_own_loops`,
+`validate_partial_groupoid_action_by_own_loops`), and scalar extension on
+its own presented base and relation loops (`extend_scalars_by_loops`).
+`dense` and `sparse` convert between the library's sparse `Matrix` and
+numpy object arrays for dense fixtures.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -673,3 +680,312 @@ def beta_maximal_by_subset_scan(beta, T):
             if join in image_of_S and join not in image_of_T:
                 return False
     return True
+
+
+# The four action-axiom validators, each with its own loops, before one
+# table-driven checker replaced them.  The exception classes are the
+# library's, so old and new can be compared by class, tag and message.
+
+
+def validate_action_by_own_loops(S, A, isos):
+    from semigalois import isopu
+    from semigalois.actions import (ActionError, CoverFail, HomFail, IdempotentNotIdentity,
+                                    UnitalAction)
+    isos = list(isos)
+    if len(isos) != S.n:
+        raise ActionError("one iso per element required")
+    for s in range(S.n):
+        if isos[s].ring != A:
+            raise ActionError("iso on the wrong ring")
+    for s in range(S.n):
+        for t in range(S.n):
+            if isopu.compose(isos[s], isos[t]) != isos[S.table[s][t]]:
+                raise HomFail(f"beta_{S.names[s]} beta_{S.names[t]} != beta_{S.names[S.table[s][t]]}")
+    covered = set()
+    for e in S.idempotents:
+        covered |= isos[e].im_support
+    if covered != set(range(len(A.atoms))):
+        raise CoverFail(f"idempotent ideals cover atoms {sorted(covered)} only")
+    for e in S.idempotents:
+        f = isos[e]
+        if not (f.dom_support == f.im_support and f.is_identity_map()):
+            raise IdempotentNotIdentity(S.names[e])
+    for s in range(S.n):
+        if isos[S.inv[s]] != isos[s].inverse():
+            raise HomFail(f"beta_{S.names[S.inv[s]]} is not the inverse map of beta_{S.names[s]}")
+    return UnitalAction(S, A, isos)
+
+
+def validate_partial_group_action_by_own_loops(G, A, isos):
+    """The checks `PartialGroupAction` ran on construction."""
+    from semigalois import isopu
+    from semigalois.actions import PartialActionAxiomFail
+    e = G.identity
+    if isos[e].dom_support != frozenset(range(len(A.atoms))) or not isos[e].is_identity_map():
+        raise PartialActionAxiomFail("P1: identity must act as Id_A on A")
+    for g in range(G.size()):
+        if isos[G.inverse(g)] != isos[g].inverse():
+            raise PartialActionAxiomFail("inverse classes must carry inverse maps")
+    for g in range(G.size()):
+        for h in range(G.size()):
+            comp = isopu.compose(isos[g], isos[h])
+            if not isopu.natural_leq_iso(comp, isos[G.table[g][h]]):
+                raise PartialActionAxiomFail(f"P2/P3 fail at classes {g}, {h}")
+
+
+def validate_partial_semigroup_action_by_own_loops(S, A, isos, with_zero=True):
+    from semigalois import isopu
+    from semigalois.zerocase import AxiomFail, PartialSemigroupAction, _require_zero
+    isos = tuple(isos)
+    if len(isos) != S.n:
+        raise AxiomFail("PIS", "one iso per element")
+    if with_zero:
+        _require_zero(S)
+        if isos[S.zero].dom_support:
+            raise AxiomFail("PIS0", "A_0 must be the zero ideal")
+    covered = set()
+    for e in S.idempotents:
+        covered |= isos[e].im_support
+        if not isos[e].is_identity_map():
+            raise AxiomFail("PIS1", f"idempotent {S.names[e]} must act as an identity")
+    if covered != set(range(len(A.atoms))):
+        raise AxiomFail("PIS1", "idempotent ideals do not cover A")
+    for s in range(S.n):
+        if isos[S.inv[s]] != isos[s].inverse():
+            raise AxiomFail("PIS", f"inverse of beta_{S.names[s]} mismatched")
+        rng = S.table[s][S.inv[s]]
+        if not isos[s].im_support <= isos[rng].im_support:
+            raise AxiomFail("PIS", f"A_{S.names[s]} must sit inside A_{S.names[rng]}")
+    for s in range(S.n):
+        for t in range(S.n):
+            comp = isopu.compose(isos[s], isos[t])
+            target = isos[S.table[s][t]]
+            if not comp.dom_support <= target.dom_support:
+                raise AxiomFail("PIS2", f"({S.names[s]},{S.names[t]})")
+            if not isopu.natural_leq_iso(comp, target):
+                raise AxiomFail("PIS3", f"({S.names[s]},{S.names[t]})")
+    return PartialSemigroupAction(S, A, isos)
+
+
+def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos, orthogonal=True):
+    from semigalois import isopu
+    from semigalois.zerocase import AxiomFail, PartialGroupoidAction
+    isos = tuple(isos)
+    if len(isos) != G.n:
+        raise AxiomFail("PGr", "one iso per element")
+    covered = set()
+    for e in G.identities():
+        if not isos[e].is_identity_map():
+            raise AxiomFail("PGr1", f"identity {G.names[e]} must act as an identity map")
+        if orthogonal and covered & isos[e].im_support:
+            raise AxiomFail("PGr0", "identity ideals overlap; the sum is not direct")
+        covered |= isos[e].im_support
+    if covered != set(range(len(A.atoms))):
+        raise AxiomFail("PGr1" if not orthogonal else "PGr0", "identity ideals do not sum to A")
+    for g in range(G.n):
+        if isos[inv[g]] != isos[g].inverse():
+            raise AxiomFail("PGr", f"inverse of {G.names[g]} mismatched")
+        if not isos[g].im_support <= isos[r[g]].im_support:
+            raise AxiomFail("PGr", f"A_{G.names[g]} must sit inside A_{G.names[r[g]]}")
+    for g in range(G.n):
+        for h in range(G.n):
+            comp = isopu.compose(isos[g], isos[h])
+            if G.defined(g, h):
+                target = isos[G.mul(g, h)]
+                if not comp.dom_support <= target.dom_support:
+                    raise AxiomFail("PGr2", f"({G.names[g]},{G.names[h]})")
+                if not isopu.natural_leq_iso(comp, target):
+                    raise AxiomFail("PGr3", f"({G.names[g]},{G.names[h]})")
+            elif comp.dom_support:
+                raise AxiomFail("PGr2", f"undefined product ({G.names[g]},{G.names[h]}) "
+                                        "with a nonzero composite")
+    return PartialGroupoidAction(G, d, r, inv, A, isos)
+
+
+# Scalar extension on its own presented base, with its own relation loops,
+# before it was built on the tensor relations shared with `TensorPresentation`.
+
+
+class PresentedBaseByLoops:
+    """The scalar ring R as additive generators with relations and structure constants."""
+
+    def __init__(self, gens, orders, relations, mul_expand, one_coeffs):
+        from semigalois.linalg import AbelianPresentation
+        self.gens = gens
+        self.orders = list(orders)
+        self.k = len(gens)
+        self.pres = AbelianPresentation(self.orders, relations)
+        self.mul_expand = mul_expand
+        self.one_coeffs = tuple(one_coeffs)
+        self.size = self.pres.order()
+
+    @staticmethod
+    def from_finite_ring(R):
+        gens = R.basis_vectors()
+        return PresentedBaseByLoops(gens, R.coord_moduli, (),
+                                    lambda i, j: R.mul_vec(gens[i], gens[j]), R.one().vec())
+
+    @staticmethod
+    def from_subalgebra(B):
+        from semigalois.rings import SpanExpander, _span_relation_lattice
+        expander = SpanExpander(B)
+        gens = list(B.gen_vectors)
+        orders = [B.ring.vector_order(g) for g in gens]
+        return PresentedBaseByLoops(
+            gens, orders, _span_relation_lattice(B),
+            lambda i, j: expander.expand(B.ring.mul_vec(gens[i], gens[j])),
+            expander.expand(B.ring.one().vec()))
+
+    def combine(self, coeff_vectors, weights):
+        out = [0] * self.k
+        for c, vec in zip(weights, coeff_vectors):
+            if c:
+                for i, x in enumerate(vec):
+                    out[i] += c * x
+        return tuple(out)
+
+    def mul_coeffs(self, u, v):
+        out = [0] * self.k
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                if a and b:
+                    for w, x in enumerate(self.mul_expand(i, j)):
+                        out[w] += a * b * x
+        return tuple(out)
+
+
+def _unit(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+class ScalarExtensionByLoops:
+    """R (x)_{A^beta} A with hand-written relation, action and mask loops."""
+
+    def __init__(self, beta, base, structural_images, guard=1 << 14):
+        from semigalois.actions import ActionError, invariant_ring
+        from semigalois.linalg import AbelianPresentation
+        from semigalois.rings import TooLarge
+        A = beta.A
+        if base.size * A.size > guard:
+            raise TooLarge("|R| * |A| beyond the scalar-extension guard")
+        self.beta, self.base = beta, base
+        inv = self.invariants = invariant_ring(beta)
+        if len(structural_images) != len(inv.gen_vectors):
+            raise ActionError("one image in R per invariant-ring generator")
+        self.base_images = [tuple(int(x) for x in img) for img in structural_images]
+        for img in self.base_images:
+            if len(img) != base.k:
+                raise ActionError("structural images are coefficient vectors over R")
+        self._check_structural_map()
+        self.ag = list(A.basis_vectors())
+        self.k, self.l = base.k, len(self.ag)
+        moduli = [math.gcd(base.orders[i], A.vector_order(self.ag[j]))
+                  for i in range(self.k) for j in range(self.l)]
+        rel_cols = []
+        for col in base.pres.relations.cols:
+            for j in range(self.l):
+                out = [0] * (self.k * self.l)
+                for i, c in col.items():
+                    out[self.index(i, j)] = c
+                rel_cols.append(tuple(out))
+        for i, d in enumerate(base.orders):
+            for j in range(self.l):
+                out = [0] * (self.k * self.l)
+                out[self.index(i, j)] = d
+                rel_cols.append(tuple(out))
+        for bvec, img in zip(inv.gen_vectors, self.base_images):
+            for i in range(self.k):
+                left = base.mul_coeffs(img, _unit(base.k, i))
+                for j in range(self.l):
+                    right = A.mul_vec(bvec, self.ag[j])
+                    col = [0] * (self.k * self.l)
+                    for a, u in enumerate(left):
+                        col[self.index(a, j)] += u
+                    for b, v in enumerate(right):
+                        col[self.index(i, b)] -= v
+                    rel_cols.append(tuple(col))
+        self.pres = AbelianPresentation(moduli, rel_cols)
+
+    def _check_structural_map(self):
+        from semigalois.actions import ActionError
+        from semigalois.rings import SpanExpander
+        base, inv, A = self.base, self.invariants, self.beta.A
+        expander = SpanExpander(inv)
+        got_one = base.combine(self.base_images, expander.expand(A.one().vec()))
+        if not base.pres.eq(got_one, base.one_coeffs):
+            raise ActionError("structural map must send 1 to 1")
+        for (cu, u) in zip(self.base_images, inv.gen_vectors):
+            for (cv, v) in zip(self.base_images, inv.gen_vectors):
+                lhs = base.combine(self.base_images, expander.expand(A.mul_vec(u, v)))
+                if not base.pres.eq(lhs, base.mul_coeffs(cu, cv)):
+                    raise ActionError("structural map is not multiplicative")
+
+    def index(self, i, j):
+        return i * self.l + j
+
+    def pure(self, r_coeffs, a_vec):
+        col = [0] * (self.k * self.l)
+        for i, u in enumerate(r_coeffs):
+            for j, v in enumerate(a_vec):
+                col[self.index(i, j)] += u * v
+        return tuple(col)
+
+    def act(self, iso, z):
+        out = [0] * (self.k * self.l)
+        A = self.beta.A
+        for i in range(self.k):
+            for j in range(self.l):
+                c = z[self.index(i, j)]
+                if c:
+                    img = iso.apply_vec(A.mask_vec(self.ag[j], iso.dom_support))
+                    for b, v in enumerate(img):
+                        out[self.index(i, b)] += c * v
+        return tuple(out)
+
+    def _mask(self, z, support):
+        out = [0] * (self.k * self.l)
+        A = self.beta.A
+        for i in range(self.k):
+            for j in range(self.l):
+                c = z[self.index(i, j)]
+                if c:
+                    for b, v in enumerate(A.mask_vec(self.ag[j], support)):
+                        out[self.index(i, b)] += c * v
+        return tuple(out)
+
+    def generator_vectors(self):
+        return [_unit(self.k * self.l, i) for i in range(self.k * self.l)]
+
+    def r_image_canon(self):
+        gens = [self.pure(_unit(self.k, i), self.beta.A.one().vec()) for i in range(self.k)]
+        return self.pres.subgroup_canon(gens)
+
+    def invariants_canon(self):
+        from semigalois.linalg import block_diag, kernel_gens, vstack
+        rows = []
+        for iso in self.beta.isos:
+            cols = [tuple(a - b for a, b in zip(self.act(iso, z), self._mask(z, iso.im_support)))
+                    for z in self.generator_vectors()]
+            rows.append(cols_from_vectors(cols, self.k * self.l))
+        aug = block_diag([self.pres.lattice] * self.beta.S.n)
+        gens = kernel_gens(vstack(rows), aug, self.pres.moduli)
+        return self.pres.subgroup_canon(gens)
+
+    def sigma_trace_vec(self, z, alpha):
+        total = (0,) * (self.k * self.l)
+        for iso in alpha.isos:
+            total = tuple(a + b for a, b in zip(total, self.act(iso, z)))
+        return total
+
+
+def extend_scalars_by_loops(beta, R=None, structural_images=None, guard=1 << 14):
+    """The extension as `actions.extend_scalars` built it (the Galois precondition
+    is left to the caller)."""
+    from semigalois.actions import invariant_ring
+    from semigalois.rings import RingElement
+    if R is None:
+        base = PresentedBaseByLoops.from_subalgebra(invariant_ring(beta))
+        return ScalarExtensionByLoops(beta, base, [_unit(base.k, i) for i in range(base.k)], guard)
+    images = [img.vec() if isinstance(img, RingElement) else tuple(img)
+              for img in structural_images]
+    return ScalarExtensionByLoops(beta, PresentedBaseByLoops.from_finite_ring(R), images, guard)

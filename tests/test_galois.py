@@ -76,10 +76,10 @@ def test_trace_criterion():
 
 def test_pa_beta_s_orders():
     beta = c2_swap_fixture()
-    pa = gl.build_pa_beta_s(beta)
+    pa = gl.PABetaS(beta)
     assert pa.order == 81
     beta7 = f9_cubed_fixture()
-    pa7 = gl.build_pa_beta_s(beta7)
+    pa7 = gl.PABetaS(beta7)
     assert pa7.order == 729 * 81 * 9  # independent hand count: a_1, a_s, free e1 part of a_s'
 
 
