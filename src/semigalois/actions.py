@@ -10,6 +10,7 @@ map (presented tensor, not an atom ring).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -142,9 +143,9 @@ AXIOMS = {
 
 # One row per reading of an action: its axioms in checking order, each with
 # the error it raises (an exception class, or the tag of an AxiomFail) and
-# the message template.  Templates may name {e} (a
-# unit), {s}, {inv}, {range} (an element, its inverse, its range unit),
-# {t}, {st} (a pair and its product) and {covered} (the atoms the units cover).
+# the message template.  Templates may name {e} (a unit), {s}, {inv},
+# {range} (an element, its inverse, its range unit), {t}, {st} (a pair and
+# its product) and {covered} (the atoms the units cover).
 ACTION_ROWS = {
     "unital": (
         ("count", ActionError, "one iso per element required"),
@@ -200,17 +201,22 @@ def check_action_axioms(row, shape, A, isos):
         raise exc
 
 
+@functools.cache
+def _runs(row):
+    """`row` as (scope, [(tag, test, error, template), ...]) runs of one scope each."""
+    return [(scope, [(tag, AXIOMS[tag][1], error, template) for tag, error, template in run])
+            for scope, run in itertools.groupby(row, key=lambda entry: AXIOMS[entry[0]][0])]
+
+
 def _first_failure(row, shape, A, isos):
     """(tag, error, message) of the first failing axiom of `row`, or None.
 
-    Consecutive axioms of one scope share one loop (over the units, the
-    elements, or the ordered pairs with one composite each), so within a
-    loop each unit, element or pair meets every axiom of the run before the
-    next one is looked at.
+    The axioms of a run share one loop (over the units, the elements, or the
+    ordered pairs with one composite each), so each unit, element or pair
+    meets every axiom of the run before the next one is looked at.
     """
     names = shape.names
-    for scope, run in itertools.groupby(row, key=lambda entry: AXIOMS[entry[0]][0]):
-        run = [(tag, AXIOMS[tag][1], error, template) for tag, error, template in run]
+    for scope, run in _runs(row):
         if scope == "whole":
             for tag, test, error, template in run:
                 if not test(shape, A, isos):

@@ -199,8 +199,14 @@ def kron_difference(E, F):
     sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c).
     """
     l = F.rows
-    left = Matrix(E.rows * l, [{a * l + j: u for a, u in ec.items()} for ec in E.cols for j in range(l)])
-    return left - block_diag([F] * len(E.cols))
+    cols = []
+    for i, ec in enumerate(E.cols):
+        for j, fc in enumerate(F.cols):
+            col = {a * l + j: u for a, u in ec.items()}
+            for c, v in fc.items():
+                col[i * l + c] = col.get(i * l + c, 0) - v
+            cols.append({r: x for r, x in col.items() if x})
+    return Matrix(E.rows * l, cols)
 
 
 def diag_cols(moduli):

@@ -790,12 +790,7 @@ class TensorPresentation:
         """Coordinates of m (x) n for ring elements m in M, n in N."""
         u = self._mexp.expand(m_el.vec() if isinstance(m_el, RingElement) else tuple(m_el))
         v = self._nexp.expand(n_el.vec() if isinstance(n_el, RingElement) else tuple(n_el))
-        col = [0] * (self.k * self.l)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    col[self.index(i, j)] += a * b
-        return tuple(col)
+        return tuple(a * b for a in u for b in v)
 
     def mult_map_vec(self):
         """Matrix of the multiplication map m (x) n -> m*n into ring coords."""

@@ -179,13 +179,6 @@ def test_every_axiom_of_every_row_fails_somewhere(compared, row):
     assert hit == {tag for tag, _, _ in ac.ACTION_ROWS[row]}
 
 
-def test_rows_keep_their_exception_classes():
-    assert {e for _, e, _ in ac.ACTION_ROWS["unital"]} == {
-        ac.ActionError, ac.HomFail, ac.CoverFail, ac.IdempotentNotIdentity}
-    assert {e for _, e, _ in ac.ACTION_ROWS["partial group"]} == {ac.PartialActionAxiomFail}
-    assert zc.AxiomFail is ac.AxiomFail
-
-
 def test_merged_checker_composes_once_per_pair(monkeypatch):
     """The pair axioms of a row share one composite per ordered pair."""
     beta = f9_cubed_fixture()

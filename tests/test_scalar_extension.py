@@ -13,7 +13,6 @@ inputs with the same errors.
 import pytest
 
 from oracles import extend_scalars_by_loops
-from semigalois import actions as ac
 from semigalois.actions import extend_scalars, invariant_ring, is_injective
 from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.galois import is_galois, scalar_extension_is_galois
@@ -119,7 +118,3 @@ def test_bad_structural_maps_fail_alike():
         extend_scalars(beta, big, images)
     with pytest.raises(TooLarge, match="scalar-extension guard"):
         extend_scalars_by_loops(beta, big, images)
-
-
-def test_scalar_extension_has_no_base_class_of_its_own():
-    assert not hasattr(ac, "PresentedBase")
