@@ -10,9 +10,8 @@ map (presented tensor, not an atom ring).
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
+from typing import NamedTuple
 
 from . import isopu
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
@@ -90,19 +89,20 @@ class AxiomFail(Exception):
         self.tag = tag
 
 
-class ActionShape:
+class ActionShape(NamedTuple):
     """What the action axioms read of the acting structure.
 
     `table[s][t]` is the product's index, or None where a groupoid product
-    is undefined; `inv[s]` the inverse; `units` the elements that must act
-    as identities, in checking order; `ranges[s]` the unit ss^{-1} (or r(s));
-    `zero` the zero's index or None.
+    is undefined; `units` are the elements that must act as identities, in
+    checking order; `ranges[s]` is the unit ss^{-1} (or r(s)).
     """
 
-    def __init__(self, table, inv, units, ranges, names, zero=None):
-        self.n = len(table)
-        self.table, self.inv, self.units, self.ranges = table, inv, units, ranges
-        self.names, self.zero = names, zero
+    table: list
+    inv: list
+    units: list
+    ranges: list
+    names: list
+    zero: int | None = None
 
     @staticmethod
     def of_semigroup(S):
@@ -110,141 +110,109 @@ class ActionShape:
                            [S.table[s][S.inv[s]] for s in range(S.n)], S.names, S.zero)
 
 
-def _covered(shape, isos):
-    return set().union(*(isos[e].im_support for e in shape.units))
-
-
-def _zero_acts_empty(shape, A, isos):
-    if shape.zero is None:
-        raise ZeroRequired("this operation needs a declared zero")
-    return not isos[shape.zero].dom_support
-
-
-# tag -> (scope, test).  Whole-action tests take (shape, A, isos); unit tests
-# take (iso of the unit, union of the earlier units' images); element tests
-# take (shape, A, isos, s); pair tests take (composite beta_s beta_t, the
-# product's iso, or None where the product is undefined).
-AXIOMS = {
-    "count": ("whole", lambda shape, A, isos: len(isos) == shape.n),
-    "zero": ("whole", _zero_acts_empty),
-    "cover": ("whole", lambda shape, A, isos: _covered(shape, isos) == set(range(len(A.atoms)))),
-    "ring": ("element", lambda shape, A, isos, s: isos[s].ring == A),
-    "inverse": ("element", lambda shape, A, isos, s: isos[shape.inv[s]] == isos[s].inverse()),
-    "range": ("element",
-              lambda shape, A, isos, s: isos[s].im_support <= isos[shape.ranges[s]].im_support),
-    "unit_identity": ("unit", lambda f, seen: f.is_identity_map()),
-    "unit_orthogonal": ("unit", lambda f, seen: not seen & f.im_support),
-    "product_eq": ("pair", lambda comp, f: f is None or comp == f),
-    "product_dom": ("pair", lambda comp, f: f is None or comp.dom_support <= f.dom_support),
-    "product_leq": ("pair", lambda comp, f: f is None or isopu.natural_leq_iso(comp, f)),
-    "undefined_empty": ("pair", lambda comp, f: f is not None or not comp.dom_support),
-}
-
-
-# One row per reading of an action: its axioms in checking order, each with
-# the error it raises (an exception class, or the tag of an AxiomFail) and
-# the message template.  Templates may name {e} (a unit), {s}, {inv},
-# {range} (an element, its inverse, its range unit), {t}, {st} (a pair and
-# its product) and {covered} (the atoms the units cover).
+# One row per reading of an action: each axiom it checks, with the error it
+# raises (an exception class, or the tag of an AxiomFail) and the message.
+# Messages may name {e} (a unit), {s}, {inv}, {range} (an element, its
+# inverse, its range unit), {t}, {st} (a pair and its product) and
+# {covered} (the atoms the units cover).
 ACTION_ROWS = {
-    "unital": (
-        ("count", ActionError, "one iso per element required"),
-        ("ring", ActionError, "iso on the wrong ring"),
-        ("product_eq", HomFail, "beta_{s} beta_{t} != beta_{st}"),
-        ("cover", CoverFail, "idempotent ideals cover atoms {covered} only"),
-        ("unit_identity", IdempotentNotIdentity, "{e}"),
-        ("inverse", HomFail, "beta_{inv} is not the inverse map of beta_{s}"),
-    ),
-    "partial group": (
-        ("unit_identity", PartialActionAxiomFail, "P1: identity must act as Id_A on A"),
-        ("cover", PartialActionAxiomFail, "P1: identity must act as Id_A on A"),
-        ("inverse", PartialActionAxiomFail, "inverse classes must carry inverse maps"),
-        ("product_leq", PartialActionAxiomFail, "P2/P3 fail at classes {s}, {t}"),
-    ),
-    "PIS": (
-        ("count", "PIS", "one iso per element"),
-        ("zero", "PIS0", "A_0 must be the zero ideal"),
-        ("unit_identity", "PIS1", "idempotent {e} must act as an identity"),
-        ("cover", "PIS1", "idempotent ideals do not cover A"),
-        ("inverse", "PIS", "inverse of beta_{s} mismatched"),
-        ("range", "PIS", "A_{s} must sit inside A_{range}"),
-        ("product_dom", "PIS2", "({s},{t})"),
-        ("product_leq", "PIS3", "({s},{t})"),
-    ),
-    "PGr": (
-        ("count", "PGr", "one iso per element"),
-        ("unit_identity", "PGr1", "identity {e} must act as an identity map"),
-        ("unit_orthogonal", "PGr0", "identity ideals overlap; the sum is not direct"),
-        ("cover", "PGr0", "identity ideals do not sum to A"),
-        ("inverse", "PGr", "inverse of {s} mismatched"),
-        ("range", "PGr", "A_{s} must sit inside A_{range}"),
-        ("product_dom", "PGr2", "({s},{t})"),
-        ("product_leq", "PGr3", "({s},{t})"),
-        ("undefined_empty", "PGr2", "undefined product ({s},{t}) with a nonzero composite"),
-    ),
+    "unital": {
+        "count": (ActionError, "one iso per element required"),
+        "ring": (ActionError, "iso on the wrong ring"),
+        "product_eq": (HomFail, "beta_{s} beta_{t} != beta_{st}"),
+        "unit_identity": (IdempotentNotIdentity, "{e}"),
+        "cover": (CoverFail, "idempotent ideals cover atoms {covered} only"),
+        "inverse": (HomFail, "beta_{inv} is not the inverse map of beta_{s}"),
+    },
+    "partial group": {
+        "unit_identity": (PartialActionAxiomFail, "P1: identity must act as Id_A on A"),
+        "cover": (PartialActionAxiomFail, "P1: identity must act as Id_A on A"),
+        "inverse": (PartialActionAxiomFail, "inverse classes must carry inverse maps"),
+        "product_leq": (PartialActionAxiomFail, "P2/P3 fail at classes {s}, {t}"),
+    },
+    "PIS": {
+        "count": ("PIS", "one iso per element"),
+        "zero": ("PIS0", "A_0 must be the zero ideal"),
+        "unit_identity": ("PIS1", "idempotent {e} must act as an identity"),
+        "cover": ("PIS1", "idempotent ideals do not cover A"),
+        "inverse": ("PIS", "inverse of beta_{s} mismatched"),
+        "range": ("PIS", "A_{s} must sit inside A_{range}"),
+        "product_dom": ("PIS2", "({s},{t})"),
+        "product_leq": ("PIS3", "({s},{t})"),
+    },
+    "PGr": {
+        "count": ("PGr", "one iso per element"),
+        "unit_identity": ("PGr1", "identity {e} must act as an identity map"),
+        "unit_orthogonal": ("PGr0", "identity ideals overlap; the sum is not direct"),
+        "cover": ("PGr0", "identity ideals do not sum to A"),
+        "inverse": ("PGr", "inverse of {s} mismatched"),
+        "range": ("PGr", "A_{s} must sit inside A_{range}"),
+        "product_dom": ("PGr2", "({s},{t})"),
+        "product_leq": ("PGr3", "({s},{t})"),
+        "undefined_empty": ("PGr2", "undefined product ({s},{t}) with a nonzero composite"),
+    },
 }
-ACTION_ROWS["PIS without zero"] = tuple(e for e in ACTION_ROWS["PIS"] if e[0] != "zero")
-# without orthogonality the identity ideals need only cover A, which is PGr1
-ACTION_ROWS["PGr not orthogonal"] = tuple(
-    (tag, "PGr1" if tag == "cover" else error, template)
-    for tag, error, template in ACTION_ROWS["PGr"] if tag != "unit_orthogonal")
 
 
 def check_action_axioms(row, shape, A, isos):
-    """Check the axioms of `row` in order; raise the row's error at the first
-    failure, with the failing axiom's tag as its `axiom` attribute."""
-    failure = _first_failure(row, shape, A, isos)
-    if failure is not None:
-        tag, error, message = failure
-        exc = AxiomFail(error, message) if isinstance(error, str) else error(message)
-        exc.axiom = tag
-        raise exc
+    """Raise the error `row` names for the first of its axioms that fails.
 
-
-@functools.cache
-def _runs(row):
-    """`row` as (scope, [(tag, test, error, template), ...]) runs of one scope each."""
-    return [(scope, [(tag, AXIOMS[tag][1], error, template) for tag, error, template in run])
-            for scope, run in itertools.groupby(row, key=lambda entry: AXIOMS[entry[0]][0])]
-
-
-def _first_failure(row, shape, A, isos):
-    """(tag, error, message) of the first failing axiom of `row`, or None.
-
-    The axioms of a run share one loop (over the units, the elements, or the
-    ordered pairs with one composite each), so each unit, element or pair
-    meets every axiom of the run before the next one is looked at.
+    Axioms run in the order written below, and the axioms of one loop meet
+    each unit, element or ordered pair in turn; every row has a cover axiom.
+    The unital homomorphism axiom runs before the units are looked at: once
+    it holds, idempotents act as identities and inverses as inverse maps.
     """
-    names = shape.names
-    for scope, run in _runs(row):
-        if scope == "whole":
-            for tag, test, error, template in run:
-                if not test(shape, A, isos):
-                    return tag, error, template.format(covered=sorted(_covered(shape, isos))
-                                                       if tag == "cover" else None)
-        elif scope == "unit":
-            seen = set()
-            for e in shape.units:
-                for tag, test, error, template in run:
-                    if not test(isos[e], seen):
-                        return tag, error, template.format(e=names[e])
-                seen |= isos[e].im_support
-        elif scope == "element":
-            for s in range(shape.n):
-                for tag, test, error, template in run:
-                    if not test(shape, A, isos, s):
-                        return tag, error, template.format(s=names[s], inv=names[shape.inv[s]],
-                                                           range=names[shape.ranges[s]])
-        else:
-            for s in range(shape.n):
-                for t in range(shape.n):
-                    comp = isopu.compose(isos[s], isos[t])
-                    st = shape.table[s][t]
-                    target = None if st is None else isos[st]
-                    for tag, test, error, template in run:
-                        if not test(comp, target):
-                            return tag, error, template.format(
-                                s=names[s], t=names[t], st=None if st is None else names[st])
+    names, n = shape.names, len(shape.table)
+
+    def fail(axiom, s=None, t=None, st=None, **fields):
+        error, template = row[axiom]
+        if s is not None:
+            fields.update(s=names[s], inv=names[shape.inv[s]], range=names[shape.ranges[s]])
+        if t is not None:
+            fields.update(t=names[t], st=None if st is None else names[st])
+        message = template.format(**fields)
+        raise AxiomFail(error, message) if isinstance(error, str) else error(message)
+
+    if "count" in row and len(isos) != n:
+        fail("count")
+    if "zero" in row:
+        if shape.zero is None:
+            raise ZeroRequired("this operation needs a declared zero")
+        if isos[shape.zero].dom_support:
+            fail("zero")
+    if "ring" in row and any(iso.ring != A for iso in isos):
+        fail("ring")
+    if "product_eq" in row:
+        for s in range(n):
+            for t in range(n):
+                st = shape.table[s][t]
+                if isopu.compose(isos[s], isos[t]) != isos[st]:
+                    fail("product_eq", s, t, st)
+    covered = set()
+    for e in shape.units:
+        if "unit_identity" in row and not isos[e].is_identity_map():
+            fail("unit_identity", e=names[e])
+        if "unit_orthogonal" in row and covered & isos[e].im_support:
+            fail("unit_orthogonal")
+        covered |= isos[e].im_support
+    if covered != set(range(len(A.atoms))):
+        fail("cover", covered=sorted(covered))
+    for s in range(n):
+        if "inverse" in row and isos[shape.inv[s]] != isos[s].inverse():
+            fail("inverse", s)
+        if "range" in row and not isos[s].im_support <= isos[shape.ranges[s]].im_support:
+            fail("range", s)
+    if row.keys() & {"product_dom", "product_leq", "undefined_empty"}:
+        for s in range(n):
+            for t in range(n):
+                st, comp = shape.table[s][t], isopu.compose(isos[s], isos[t])
+                if st is None:
+                    if "undefined_empty" in row and comp.dom_support:
+                        fail("undefined_empty", s, t)
+                elif "product_dom" in row and not comp.dom_support <= isos[st].dom_support:
+                    fail("product_dom", s, t, st)
+                elif "product_leq" in row and not isopu.natural_leq_iso(comp, isos[st]):
+                    fail("product_leq", s, t, st)
 
 
 def validate_action(S, A, isos):
@@ -252,8 +220,8 @@ def validate_action(S, A, isos):
 
     hom: beta_s beta_t = beta_{st} as partial isos (the global-action axiom
     pins the composite's domain to A_{(st)^{-1}});
-    cover: the idempotent ideals sum to A;
     idempotents act as the identity on their ideal;
+    cover: the idempotent ideals sum to A;
     beta_{s^{-1}} is the inverse map of beta_s.
     """
     isos = list(isos)
@@ -262,7 +230,13 @@ def validate_action(S, A, isos):
 
 
 def is_injective(beta):
-    return len(set(beta.isos)) == beta.S.n
+    seen = {}
+    for s in range(beta.S.n):
+        key = beta.isos[s]
+        if key in seen:
+            return False
+        seen[key] = s
+    return True
 
 
 def invariant_ring(beta):
@@ -453,8 +427,12 @@ class ScalarExtension:
         return self._on_a(iso.matrix()).apply(z)
 
     def generator_vectors(self):
-        g = self.k * self.l
-        return [tuple(int(i == j) for j in range(g)) for i in range(g)]
+        out = []
+        for i in range(self.k * self.l):
+            col = [0] * (self.k * self.l)
+            col[i] = 1
+            out.append(tuple(col))
+        return out
 
     def r_image_canon(self):
         """The subgroup R (x) 1, spanned by r_i (x) 1."""
@@ -472,7 +450,11 @@ class ScalarExtension:
         return self.pres.subgroup_canon(gens)
 
     def sigma_trace_vec(self, z, alpha):
-        return tuple(map(sum, zip(*(self.act(iso, z) for iso in alpha.isos))))
+        total = (0,) * (self.k * self.l)
+        for g in range(alpha.group.size()):
+            moved = self.act(alpha.isos[g], z)
+            total = tuple(a + b for a, b in zip(total, moved))
+        return total
 
 
 def _check_structural_map(R, inv, images):

@@ -279,10 +279,13 @@ def _positive_int(text):
     return value
 
 
-def _env_bool(parser, name):
-    """A boolean SEMIGALOIS_* setting, spelled as under [options]; a store_true
-    flag's default skips `type`, so a bad setting is reported here."""
-    text = _env_default(name, "false").strip().lower()
+def _bool_setting(parser, name, value):
+    """A store_true flag's value: True when given, else its SEMIGALOIS_* setting,
+    spelled as under [options].  argparse does not pass a store_true default
+    through `type`, so a bad setting is reported here, and only without the flag."""
+    if not isinstance(value, str):
+        return value
+    text = value.strip().lower()
     if text not in _BOOL:
         parser.error(f"argument --{name}: invalid boolean value: {text!r} "
                      f"(choose from {', '.join(_BOOL)})")
@@ -301,14 +304,17 @@ def build_parser():
     p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     p.add_argument("--guard-max-order", type=_positive_int,
                    default=_env_default("guard-max-order", str(1 << 20)))
-    p.add_argument("--brute-force-subalgebras", action="store_true")
+    p.add_argument("--brute-force-subalgebras", action="store_true",
+                   default=_env_default("brute-force-subalgebras", "false"))
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(brute_force_subalgebras=_env_bool(p, "brute-force-subalgebras"))
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    args.brute_force_subalgebras = _bool_setting(parser, "brute-force-subalgebras",
+                                                 args.brute_force_subalgebras)
     if args.command == "selftest":
         report = Report("selftest", "-", args.seed)
         cmd_selftest(report, args.seed, vars(args))

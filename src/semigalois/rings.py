@@ -790,7 +790,12 @@ class TensorPresentation:
         """Coordinates of m (x) n for ring elements m in M, n in N."""
         u = self._mexp.expand(m_el.vec() if isinstance(m_el, RingElement) else tuple(m_el))
         v = self._nexp.expand(n_el.vec() if isinstance(n_el, RingElement) else tuple(n_el))
-        return tuple(a * b for a in u for b in v)
+        col = [0] * (self.k * self.l)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    col[self.index(i, j)] += a * b
+        return tuple(col)
 
     def mult_map_vec(self):
         """Matrix of the multiplication map m (x) n -> m*n into ring coords."""
@@ -807,8 +812,11 @@ class TensorPresentation:
         return cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
 
     def mult_difference(self, b_vec):
-        """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N:
-        E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`."""
+        """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
+
+        This is E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`:
+        coordinate (i, j) is generator pair (mg[i], ng[j]).
+        """
         return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
 
     def eq(self, z, w):

@@ -292,10 +292,9 @@ class PartialSemigroupAction:
     isos: tuple
 
 
-def validate_partial_semigroup_action(S, A, isos, with_zero=True):
+def validate_partial_semigroup_action(S, A, isos):
     isos = tuple(isos)
-    row = ACTION_ROWS["PIS" if with_zero else "PIS without zero"]
-    check_action_axioms(row, ActionShape.of_semigroup(S), A, isos)
+    check_action_axioms(ACTION_ROWS["PIS"], ActionShape.of_semigroup(S), A, isos)
     return PartialSemigroupAction(S, A, isos)
 
 
@@ -309,10 +308,10 @@ class PartialGroupoidAction:
     isos: tuple
 
 
-def validate_partial_groupoid_action(G, d, r, inv, A, isos, orthogonal=True):
+def validate_partial_groupoid_action(G, d, r, inv, A, isos):
     isos = tuple(isos)
-    row = ACTION_ROWS["PGr" if orthogonal else "PGr not orthogonal"]
-    check_action_axioms(row, ActionShape(G.product, inv, G.identities(), r, G.names), A, isos)
+    shape = ActionShape(G.product, inv, G.identities(), r, G.names)
+    check_action_axioms(ACTION_ROWS["PGr"], shape, A, isos)
     return PartialGroupoidAction(G, d, r, inv, A, isos)
 
 

@@ -733,16 +733,15 @@ def validate_partial_group_action_by_own_loops(G, A, isos):
                 raise PartialActionAxiomFail(f"P2/P3 fail at classes {g}, {h}")
 
 
-def validate_partial_semigroup_action_by_own_loops(S, A, isos, with_zero=True):
+def validate_partial_semigroup_action_by_own_loops(S, A, isos):
     from semigalois import isopu
     from semigalois.zerocase import AxiomFail, PartialSemigroupAction, _require_zero
     isos = tuple(isos)
     if len(isos) != S.n:
         raise AxiomFail("PIS", "one iso per element")
-    if with_zero:
-        _require_zero(S)
-        if isos[S.zero].dom_support:
-            raise AxiomFail("PIS0", "A_0 must be the zero ideal")
+    _require_zero(S)
+    if isos[S.zero].dom_support:
+        raise AxiomFail("PIS0", "A_0 must be the zero ideal")
     covered = set()
     for e in S.idempotents:
         covered |= isos[e].im_support
@@ -767,7 +766,7 @@ def validate_partial_semigroup_action_by_own_loops(S, A, isos, with_zero=True):
     return PartialSemigroupAction(S, A, isos)
 
 
-def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos, orthogonal=True):
+def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos):
     from semigalois import isopu
     from semigalois.zerocase import AxiomFail, PartialGroupoidAction
     isos = tuple(isos)
@@ -777,11 +776,11 @@ def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos, orthogo
     for e in G.identities():
         if not isos[e].is_identity_map():
             raise AxiomFail("PGr1", f"identity {G.names[e]} must act as an identity map")
-        if orthogonal and covered & isos[e].im_support:
+        if covered & isos[e].im_support:
             raise AxiomFail("PGr0", "identity ideals overlap; the sum is not direct")
         covered |= isos[e].im_support
     if covered != set(range(len(A.atoms))):
-        raise AxiomFail("PGr1" if not orthogonal else "PGr0", "identity ideals do not sum to A")
+        raise AxiomFail("PGr0", "identity ideals do not sum to A")
     for g in range(G.n):
         if isos[inv[g]] != isos[g].inverse():
             raise AxiomFail("PGr", f"inverse of {G.names[g]} mismatched")

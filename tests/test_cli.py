@@ -57,6 +57,13 @@ def test_unknown_brute_force_setting_is_a_usage_error():
     assert out == b""
 
 
+def test_brute_force_flag_overrides_a_bad_setting():
+    code, out, _ = run_cli(["correspond", "instances/c2_swap.sgi", "--brute-force-subalgebras"],
+                           {"SEMIGALOIS_BRUTE_FORCE_SUBALGEBRAS": "maybe"})
+    assert code == 0
+    assert b"ok   brute_force_match" in out
+
+
 def test_guard_flag_below_one_is_a_usage_error():
     code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--guard-max-order", "0"])
     _assert_usage_error(code, err, b"argument --guard-max-order: must be at least 1, got 0")
