@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 from . import isopu
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
-                     kron_difference, vstack)
-from .rings import (RingElement, SpanExpander, StructuredIso, Subalgebra, TensorPresentation,
-                    TooLarge)
+                     kron_difference, residues, vstack)
+from .rings import RingElement, SpanExpander, StructuredIso, Subalgebra, TensorPresentation
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired,
                          is_e_unitary, restrict_table, sigma_partition,
                          validate_table)
@@ -254,15 +253,8 @@ def invariant_ring(beta):
         mat = cols_from_vectors(cols, A.n_coords)
         in_moduli = [A.vector_order(v) for v in current]
         ker = kernel_gens(mat, pres.lattice, in_moduli)
-        nxt = []
-        for coeffs in ker:
-            vec = [0] * A.n_coords
-            for c, v in zip(coeffs, current):
-                if c:
-                    for i in range(A.n_coords):
-                        vec[i] += c * v[i]
-            nxt.append(tuple(x % m for x, m in zip(vec, A.coord_moduli)))
-        current = [v for v in nxt if any(v)]
+        span = cols_from_vectors(current, A.n_coords)
+        current = residues([span.apply(coeffs) for coeffs in ker], A.coord_moduli)
         if not current:
             break
     sub = Subalgebra(A, current)
@@ -474,8 +466,7 @@ def _check_structural_map(R, inv, images):
                 raise ActionError("structural map is not multiplicative")
 
 
-def extend_scalars(beta, R=None, structural_images=None, require_galois=True,
-                   guard=1 << 14):
+def extend_scalars(beta, R=None, structural_images=None, require_galois=True):
     """Scalar extension R (x)_{A^beta} A with the induced action data.
 
     With R omitted the base is the invariant ring itself (structural map =
@@ -491,10 +482,8 @@ def extend_scalars(beta, R=None, structural_images=None, require_galois=True,
             raise NotGalois("scalar extension is stated for Galois actions")
     inv = invariant_ring(beta)
     A = beta.A
-    if (inv.order if R is None else R.size) * A.size > guard:
-        raise TooLarge("|R| * |A| beyond the scalar-extension guard")
     if R is None:
-        tensor = TensorPresentation(inv, Subalgebra.full(A), inv, guard=guard)
+        tensor = TensorPresentation(inv, Subalgebra.full(A), inv)
         return ScalarExtension(beta, tensor.pres, tensor.k)
     images = [img.vec() if isinstance(img, RingElement) else tuple(int(x) for x in img)
               for img in structural_images]

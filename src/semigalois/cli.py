@@ -2,7 +2,8 @@
 
 Commands: validate, analyze, galois, correspond, zero, selftest.  Reports
 are byte-stable for a given input (timing is withheld unless --timing);
-the exit code is 0 exactly when every requested verdict holds.
+the exit code is 0 exactly when every requested verdict holds, and 3 when
+loading or the command runs out of its work budget (`--budget`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, budget
 from .actions import invariant_ring, is_injective
 from .corpus import corpus as make_corpus
 from .galois import PreconditionFail, cross_check_equivalences
@@ -134,7 +135,7 @@ def cmd_analyze(beta, report, opts):
 
 def cmd_galois(beta, report, opts):
     t0 = time.monotonic()
-    rep = cross_check_equivalences(beta, guard=opts.get("guard-max-order", 1 << 20))
+    rep = cross_check_equivalences(beta)
     report.time("cross_check", time.monotonic() - t0)
     for name, verdict in rep.verdicts.items():
         report.add(f"criterion_{name}", verdict)
@@ -223,7 +224,7 @@ def cmd_zero(beta, report, opts):
     _add_correspondence_verdicts(report, rep)
 
 
-def cmd_selftest(report, seed, opts):
+def cmd_selftest(beta, report, opts):
     """A seeded slice of the property corpus; the full suite lives in pytest."""
     from .corpus import f9_cubed_fixture, c2_swap_fixture, b2_swap_fixture
     from .correspondence import verify_e_unitary_correspondence
@@ -243,7 +244,7 @@ def cmd_selftest(report, seed, opts):
         return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
                 and b.all_ideals_nonzero())
 
-    batch = make_corpus(seed, 25, predicate=admissible)
+    batch = make_corpus(report.seed, 25, predicate=admissible)
     galois_count = 0
     for b in batch:
         r = cross_check_equivalences(b)
@@ -255,6 +256,7 @@ def cmd_selftest(report, seed, opts):
 
 ENV_PREFIX = "SEMIGALOIS_"
 FORMATS = ("text", "json-lines")
+DEFAULT_BUDGET = 2_000_000
 
 
 def _env_default(name, fallback):
@@ -302,8 +304,8 @@ def build_parser():
     p.add_argument("--format", type=_format_name, default=_env_default("format", "text"),
                    choices=FORMATS)
     p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-    p.add_argument("--guard-max-order", type=_positive_int,
-                   default=_env_default("guard-max-order", str(1 << 20)))
+    p.add_argument("--budget", type=_positive_int,
+                   default=_env_default("budget", str(DEFAULT_BUDGET)))
     p.add_argument("--brute-force-subalgebras", action="store_true",
                    default=_env_default("brute-force-subalgebras", "false"))
     p.add_argument("--timing", action="store_true")
@@ -315,36 +317,43 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.brute_force_subalgebras = _bool_setting(parser, "brute-force-subalgebras",
                                                  args.brute_force_subalgebras)
+    opts = {}
     if args.command == "selftest":
-        report = Report("selftest", "-", args.seed)
-        cmd_selftest(report, args.seed, vars(args))
-        sys.stdout.buffer.write(emit_report(report, args.format, args.timing))
-        return 0 if report.ok() else 1
-    if not args.instance:
+        beta, report = None, Report("selftest", "-", args.seed)
+    elif not args.instance:
         print("error: this command needs an instance file", file=sys.stderr)
         return 2
-    try:
-        inst = parse_instance(args.instance)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.instance}", file=sys.stderr)
-        return 2
-    except (ParseError, SemigroupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    opts = dict(inst.options)
-    if args.brute_force_subalgebras:
-        opts["brute-force-subalgebras"] = True
-    opts.setdefault("guard-max-order", args.guard_max_order)
-    seed = opts.get("seed", args.seed)
-    report = Report(args.command, _digest(args.instance), seed)
+    else:
+        try:
+            with budget.limit(args.budget):
+                inst = parse_instance(args.instance)
+        except FileNotFoundError:
+            print(f"error: no such file: {args.instance}", file=sys.stderr)
+            return 2
+        except (ParseError, SemigroupError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except budget.BudgetExceeded as exc:
+            print(f"error: budget: {exc}", file=sys.stderr)
+            return 3
+        opts = dict(inst.options)
+        if args.brute_force_subalgebras:
+            opts["brute-force-subalgebras"] = True
+        seed = opts.get("seed", args.seed)
+        beta, report = inst.action, Report(args.command, _digest(args.instance), seed)
     handler = {"validate": cmd_validate, "analyze": cmd_analyze, "galois": cmd_galois,
-               "correspond": cmd_correspond, "zero": cmd_zero}[args.command]
+               "correspond": cmd_correspond, "zero": cmd_zero, "selftest": cmd_selftest}
+    code = None
     try:
-        handler(inst.action, report, opts)
+        with budget.limit(opts.get("budget", args.budget)):  # fresh on every call
+            handler[args.command](beta, report, opts)
     except PreconditionFail as exc:
         report.add("precondition", False, detail=str(exc))
+    except budget.BudgetExceeded as exc:
+        report.add("budget", False, quantity=exc.quantity, spent=exc.spent, limit=exc.limit)
+        code = 3
     sys.stdout.buffer.write(emit_report(report, args.format, args.timing))
-    return 0 if report.ok() else 1
+    return code or (0 if report.ok() else 1)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ import random
 
 from . import isopu
 from .actions import validate_action
-from .rings import Atom, FiniteRing, StructuredIso
-from .semigroups import TooLarge, saturate_presentation, validate_table
+from .rings import Atom, FiniteRing, StructuredIso, TooLarge
+from .semigroups import saturate_presentation, validate_table
 
 
 def s7_presentation():

@@ -19,10 +19,7 @@ from . import isopu
 from .actions import image_action, invariant_ring, is_injective, restrict_action
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_separable, is_galois
 from .rings import Subalgebra
-from .semigroups import (SubSemigroup, TooLarge, enumerate_full_inverse_subsemigroups,
-                         is_e_unitary, join_of)
-
-BRUTE_FORCE_RING_GUARD = 1 << 10
+from .semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of
 
 
 def is_beta_complete(beta, T: SubSemigroup):
@@ -195,8 +192,6 @@ def enumerate_subalgebras_over(beta, base):
     candidates per B instead of |A|.
     """
     A = beta.A
-    if A.size > BRUTE_FORCE_RING_GUARD:
-        raise TooLarge(f"|A| = {A.size} beyond the brute-force guard")
     start = Subalgebra(A, list(base.gen_vectors) + [A.one().vec()]).closure_under_mul()
     found = {start}
     frontier = [start]

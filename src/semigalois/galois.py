@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .actions import (UnitalAction, induce_partial_group_action, invariant_ring,
                       is_injective, sigma_trace_image)
 from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
-                     hstack, kernel_gens, lattice_det, lattice_member, solve_cols, vstack)
+                     hstack, kernel_gens, lattice_det, lattice_member, residues, solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation, NotSubring
 from .semigroups import SubSemigroup, is_e_unitary
 
@@ -215,12 +215,7 @@ class PABetaS:
         return all((vec[plus] - vec[minus]) % d == 0 for plus, minus, d in self._constraints)
 
     def element_generators(self):
-        gens = []
-        for j in range(self.total):
-            col = tuple(x % d for x, d in zip(self.subgroup.column(j), self.moduli))
-            if any(col):
-                gens.append(col)
-        return gens
+        return residues(map(self.subgroup.column, range(self.total)), self.moduli)
 
 
 def psi_image_vector(beta, pa, x, y):
@@ -242,14 +237,14 @@ class PsiReport:
     cokernel_witness: tuple | None = None
 
 
-def psi_check(beta, invariants=None, guard=1 << 20, tensor=None):
+def psi_check(beta, invariants=None, tensor=None):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
     `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
     psi is evaluated on every generator pair of the tensor, on coordinates.
     """
     if tensor is None:
-        tensor = _full_tensor(beta, invariants, guard)
+        tensor = _full_tensor(beta, invariants)
     pa = PABetaS(beta)
     images = []
     for i in range(tensor.k):
@@ -342,7 +337,7 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     return True, None
 
 
-def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20, tensor=None):
+def is_separable(B: Subalgebra, R: Subalgebra, tensor=None):
     """A separability idempotent of B over R in B (x)_R B, or None.
 
     Solves m(z) = 1 and ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over
@@ -354,7 +349,7 @@ def is_separable(B: Subalgebra, R: Subalgebra, guard=1 << 20, tensor=None):
     if not B.contains(R):
         raise NotSubring("separability needs R inside B")
     if tensor is None:
-        tensor = TensorPresentation(B, B, R, guard=guard)
+        tensor = TensorPresentation(B, B, R)
     g = tensor.k * tensor.l
     A = B.ring
     blocks = [tensor.mult_map_vec()]
@@ -398,11 +393,11 @@ def verify_separability_idempotent(tensor, z):
     return True
 
 
-def _full_tensor(beta, invariants, guard=1 << 20):
+def _full_tensor(beta, invariants):
     """A (x)_{A^beta} A, over `invariants` when given."""
     full = Subalgebra.full(beta.A)
     base = invariants if invariants is not None else invariant_ring(beta)
-    return TensorPresentation(full, full, base, guard=guard)
+    return TensorPresentation(full, full, base)
 
 
 def separability_idempotent_from_coordinates(beta, coords, invariants=None, tensor=None):
@@ -441,7 +436,7 @@ class EquivalenceReport:
     trace_gap: bool = False
 
 
-def cross_check_equivalences(beta: UnitalAction, guard=1 << 20):
+def cross_check_equivalences(beta: UnitalAction):
     """Evaluate criteria (coordinates), (psi), (separable+strong), (trace).
 
     Preconditions: S finite E-unitary without zero, beta unital injective,
@@ -473,7 +468,7 @@ def cross_check_equivalences(beta: UnitalAction, guard=1 << 20):
     verdicts["coordinates"] = coords is not None
 
     # one A (x)_{A^beta} A serves psi, separability and the coordinate-built idempotent
-    tensor = _full_tensor(beta, inv, guard)
+    tensor = _full_tensor(beta, inv)
     psi = psi_check(beta, tensor=tensor)
     cert.psi = psi
     verdicts["psi_bijective"] = psi.bijective

@@ -237,12 +237,12 @@ def _parse_options(lines):
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("_", "-")
         val = val.strip()
-        if key in ("seed", "guard-max-order"):
+        if key in ("seed", "budget"):
             try:
                 out[key] = int(val)
             except ValueError:
                 raise ParseError(no, f"{key} needs an integer") from None
-            if key == "guard-max-order" and out[key] < 1:
+            if key == "budget" and out[key] < 1:
                 raise ParseError(no, f"{key} must be at least 1, got {out[key]}")
         elif key == "brute-force-subalgebras":
             if val.lower() not in _BOOL:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+from .budget import spend
+
 
 class Matrix:
     """An integer matrix: `rows` and a list of {row: value} columns with no zero stored."""
@@ -93,7 +95,8 @@ def _echelon(cols, rows, track_moduli=None):
     that starts as the identity on the first len(track_moduli) columns; its
     entries are reduced modulo those moduli whenever an operation touches
     them, which is sound whenever the tracked combination only matters
-    modulo them.  Returns (transform columns or None, [(row, col), ...]).
+    modulo them.  Each pivot row charges the budget the entries it updated.
+    Returns (transform columns or None, [(row, col), ...]).
     """
     index = [set() for _ in range(rows)]
     for j, c in enumerate(cols):
@@ -104,7 +107,7 @@ def _echelon(cols, rows, track_moduli=None):
         track = [{j: 1} if j < len(track_moduli) else {} for j in range(len(cols))]
 
     def sub(j, j0, q):
-        """Column j -= q * column j0."""
+        """Column j -= q * column j0; returns the number of entries updated."""
         cj = cols[j]
         for r, v in cols[j0].items():
             x = cj.get(r, 0) - q * v
@@ -122,12 +125,14 @@ def _echelon(cols, rows, track_moduli=None):
                     tj[r] = x
                 else:
                     tj.pop(r, None)
+        return len(cols[j0]) + (len(track[j0]) if track is not None else 0)
 
     pivots = []
     col = 0
     for row in range(rows):
         if col >= len(cols):
             break
+        updated = 0
         while True:
             nz = sorted(j for j in index[row] if j >= col)
             if len(nz) <= 1:
@@ -138,7 +143,7 @@ def _echelon(cols, rows, track_moduli=None):
                 if j != j0:
                     q = cols[j][row] // p
                     if q:
-                        sub(j, j0, q)
+                        updated += sub(j, j0, q)
         if not nz:
             continue
         j0 = nz[0]
@@ -159,13 +164,16 @@ def _echelon(cols, rows, track_moduli=None):
                 track[col] = {r: x for r, v in track[col].items()
                               if (x := -v % track_moduli[r])}
         pivots.append((row, col))
+        spend("echelon_entries", updated)
         col += 1
     for row, col in pivots:
         p = cols[col][row]
+        updated = 0
         for jc in sorted(j for j in index[row] if j < col):
             q = cols[jc][row] // p
             if q:
-                sub(jc, col, q)
+                updated += sub(jc, col, q)
+        spend("echelon_entries", updated)
     return track, pivots
 
 
@@ -222,6 +230,12 @@ def block_diag(blocks):
         cols += [{offset + i: v for i, v in c.items()} for c in b.cols]
         offset += b.rows
     return Matrix(offset, cols)
+
+
+def residues(vectors, moduli):
+    """The vectors reduced modulo `moduli`, the zero ones dropped."""
+    reduced = (tuple(x % d for x, d in zip(v, moduli)) for v in vectors)
+    return [v for v in reduced if any(v)]
 
 
 def cols_from_vectors(vectors, n):
@@ -291,13 +305,8 @@ def kernel_gens(mat, aug, in_moduli):
     when canonicalizing the resulting subgroup.
     """
     work, track, pivots, moduli = _eliminate_map(mat, aug, in_moduli)
-    gens = []
-    for j in range(len(pivots), len(work)):
-        if not work[j]:
-            v = tuple(track[j].get(i, 0) % d for i, d in enumerate(moduli))
-            if any(v):
-                gens.append(v)
-    return gens
+    zero = [j for j in range(len(pivots), len(work)) if not work[j]]
+    return residues([[track[j].get(i, 0) for i in range(len(moduli))] for j in zero], moduli)
 
 
 def solve_cols(mat, aug, target, in_moduli):

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .budget import spend
 from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kernel_gens, kron_difference,
-                     lattice_det, lattice_member)
+                     lattice_det, lattice_member, residues)
 
 ATOM_ORDER_GUARD = 1 << 20
-ELEMENT_SCAN_GUARD = 1 << 16
 
 
 class RingError(Exception):
@@ -120,10 +120,11 @@ class Atom:
     def __post_init__(self):
         if self.kind not in ("zmod", "gf"):
             raise RingError(f"unknown atom kind {self.kind!r}")
+        # k is bounded before p ** k is computed, and p before the primality test
+        if not 0 < self.k <= ATOM_ORDER_GUARD.bit_length() or self.p ** self.k > ATOM_ORDER_GUARD:
+            raise TooLarge(f"atom order {self.p}^{self.k} out of range")
         if not _is_prime(self.p):
             raise RingError(f"{self.p} is not prime")
-        if self.k < 1 or self.p ** self.k > ATOM_ORDER_GUARD:
-            raise TooLarge(f"atom order {self.p}^{self.k} out of range")
         if self.kind == "gf":
             if len(self.poly) != self.k + 1 or not _poly_irreducible(self.poly, self.p):
                 raise RingError(f"poly {self.poly} is not monic irreducible of degree {self.k} over F_{self.p}")
@@ -345,6 +346,7 @@ class FiniteRing:
         return tuple((a - b) % m for a, b, m in zip(u, v, self.coord_moduli))
 
     def mul_vec(self, u, v):
+        spend("ring_products", len(self.atoms))
         out = []
         for (lo, hi), a in zip(self._spans, self.atoms):
             out.extend(a.mul_coords(u[lo:hi], v[lo:hi]))
@@ -372,8 +374,7 @@ class FiniteRing:
     # -- enumeration ------------------------------------------------------
 
     def elements(self):
-        if self.size > ELEMENT_SCAN_GUARD:
-            raise TooLarge(f"ring of order {self.size} too large to enumerate")
+        spend("elements", self.size)
         for comps in itertools.product(*[a.elements() for a in self.atoms]):
             yield RingElement(self, tuple(comps))
 
@@ -565,15 +566,14 @@ def ideal_order(ring, support):
 def verify_iso_extensional(iso, pair_limit=256):
     """Independent oracle: check bijectivity, additivity, multiplicativity, 1->1.
 
-    Domains up to 2^16 are handled by basis-increment additivity plus
+    Every domain element is checked by basis-increment additivity plus
     basis-pair multiplicativity (equivalent to the all-pairs statement by
     additivity); small domains are additionally checked on all pairs.
     """
     ring = iso.ring
     dom = sorted(iso.dom_support)
     order = ideal_order(ring, iso.dom_support)
-    if order > ELEMENT_SCAN_GUARD:
-        raise TooLarge(f"ideal of order {order} too large for the extensional oracle")
+    spend("elements", order)
 
     def dom_elements():
         parts = [list(ring.atoms[i].elements()) if i in iso.dom_support else [ring.atoms[i].zero()]
@@ -626,12 +626,8 @@ class Subalgebra:
         self.ring = ring
         self.basis = ring.presentation.subgroup_canon([tuple(v) for v in gen_vectors])
         self.order = ring.presentation.order() // lattice_det(self.basis)
-        gens = []
-        for j in range(ring.n_coords):
-            col = tuple(c % m for c, m in zip(self.basis.column(j), ring.coord_moduli))
-            if any(col):
-                gens.append(col)
-        self.gen_vectors = tuple(gens)
+        self.gen_vectors = tuple(residues(map(self.basis.column, range(ring.n_coords)),
+                                          ring.coord_moduli))
 
     @staticmethod
     def full(ring):
@@ -675,18 +671,12 @@ class Subalgebra:
         return self.contains_one() and self.closed_under_mul()
 
     def element_vectors(self):
-        """Every element of the subgroup, each exactly once (guarded)."""
-        if self.order > ELEMENT_SCAN_GUARD:
-            raise TooLarge(f"subalgebra of order {self.order} too large to enumerate")
+        """Every element of the subgroup, each exactly once."""
+        spend("elements", self.order)
         cols = self.basis.cols
         ranges = [range(m // c[j]) for j, (m, c) in enumerate(zip(self.ring.coord_moduli, cols))]
         for coeffs in itertools.product(*ranges):
-            vec = [0] * self.ring.n_coords
-            for c, col in zip(coeffs, cols):
-                if c:
-                    for i, v in col.items():
-                        vec[i] += c * v
-            yield tuple(x % m for x, m in zip(vec, self.ring.coord_moduli))
+            yield tuple(x % m for x, m in zip(self.basis.apply(coeffs), self.ring.coord_moduli))
 
     def elements(self):
         return (self.ring.from_vec(v) for v in self.element_vectors())
@@ -741,7 +731,7 @@ class TensorPresentation:
     two module actions are carried as integer matrices on the generators.
     """
 
-    def __init__(self, M, N, R, guard=1 << 20):
+    def __init__(self, M, N, R):
         ring = M.ring
         if N.ring != ring or R.ring != ring:
             raise AtomMismatch("tensor factors live in different rings")
@@ -756,8 +746,6 @@ class TensorPresentation:
                     if not sub.is_subalgebra():
                         raise NotSubring("tensor factors must be unital subalgebras")
                     checked.append(sub)
-        if M.order * N.order > guard:
-            raise TooLarge("tensor factors beyond the size guard")
         self.ring, self.M, self.N, self.R = ring, M, N, R
         self.mg = list(M.gen_vectors)
         self.ng = list(N.gen_vectors)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-SUBSEMIGROUP_GUARD = 16
-PRESENTATION_CAP = 10_000
+from .budget import spend
 
 
 class SemigroupError(Exception):
@@ -54,10 +53,6 @@ class NotFull(SemigroupError):
     pass
 
 
-class TooLarge(SemigroupError):
-    pass
-
-
 class ZeroRequired(SemigroupError):
     pass
 
@@ -78,39 +73,15 @@ class InverseSemigroup:
         self.leq = leq  # leq[s][t] True iff s <= t in the natural order
         self.n = len(table)
 
-    def mul(self, s, t):
-        return self.table[s][t]
-
-    def word(self, start, word):
-        x = start
-        for s in word:
-            x = self.table[x][s]
-        return x
-
     def is_idempotent(self, s):
         return s in self.idempotents
-
-    def natural_leq(self, s, t):
-        return self.leq[s][t]
-
-    def name(self, s):
-        return self.names[s]
 
     def __repr__(self):
         z = f", zero={self.names[self.zero]}" if self.zero is not None else ""
         return f"InverseSemigroup(n={self.n}{z})"
 
-    def elements(self):
-        return range(self.n)
-
     def nonzero_elements(self):
         return [s for s in range(self.n) if s != self.zero]
-
-    def identity(self):
-        for e in self.idempotents:
-            if all(self.table[e][s] == s == self.table[s][e] for s in range(self.n)):
-                return e
-        return None
 
 
 def validate_table(raw, zero=None, names=None):
@@ -328,17 +299,17 @@ def enumerate_full_inverse_subsemigroups(S):
 
     Cyclic extension: each T found is extended by each s outside it, from
     E(S) on, which reaches every full T one element of T at a time.  The
-    work grows with the output ((C2)^8 has 417 199 subgroups), hence the guard.
+    work grows with the output ((C2)^8 has 417 199 subgroups), so each
+    closure is charged to the work budget.
     """
     non_idem = [s for s in range(S.n) if s not in S.idempotents]
-    if len(non_idem) > SUBSEMIGROUP_GUARD:
-        raise TooLarge(f"|S \\ E(S)| = {len(non_idem)} exceeds the enumeration guard")
     found = {frozenset(S.idempotents)}
     frontier = list(found)
     while frontier:
         members = frontier.pop()
         for s in non_idem:
             if s not in members:
+                spend("subsemigroups", 1)
                 bigger = generated_subsemigroup(S, members | {s}).members
                 if bigger not in found:
                     found.add(bigger)
@@ -406,7 +377,7 @@ class _Coset:
         self.rep = rep
 
 
-def saturate_presentation(generators, relations, cap=PRESENTATION_CAP):
+def saturate_presentation(generators, relations):
     """Close an inverse monoid presentation into a multiplication table.
 
     `generators` are names; `relations` are pairs of words, each word a
@@ -416,7 +387,9 @@ def saturate_presentation(generators, relations, cap=PRESENTATION_CAP):
     dynamically discovered idempotent-commutation relations; if it closes,
     the result is exactly the presented inverse monoid (a regular monoid
     with commuting idempotents is inverse, and conversely every inverse
-    quotient satisfies everything imposed here).
+    quotient satisfies everything imposed here).  Each scan charges the work
+    budget for the row it defines and the relation letters it traces, so a
+    budget limit stops an infinite quotient.
     """
     g = len(generators)
     nsyms = 2 * g
@@ -443,8 +416,6 @@ def saturate_presentation(generators, relations, cap=PRESENTATION_CAP):
         cur = cosets[x].row[s]
         if cur is not None:
             return find(cur)
-        if next_id > cap:
-            raise TooLarge(f"presentation closure exceeded {cap} elements")
         new = next_id
         next_id += 1
         uf[new] = new
@@ -498,13 +469,15 @@ def saturate_presentation(generators, relations, cap=PRESENTATION_CAP):
 
     def scan(x):
         """Define the full row of x, then trace every relation from x."""
+        rels = static_rels + dynamic_rels
+        spend("coset_steps", nsyms + sum(len(u) + len(v) for u, v in rels))
         for s in range(nsyms):
             x = find(x)
             if x not in cosets:
                 return
             define(x, s)
             settle()
-        for u, v in static_rels + dynamic_rels:
+        for u, v in rels:
             x = find(x)
             if x not in cosets:
                 return
@@ -513,7 +486,7 @@ def saturate_presentation(generators, relations, cap=PRESENTATION_CAP):
                 pending.append((a, b))
                 settle()
 
-    for _round in range(10_000):
+    while True:
         while True:
             before = next_id
             merged_before = len(cosets)
@@ -544,8 +517,6 @@ def saturate_presentation(generators, relations, cap=PRESENTATION_CAP):
                            for x in live() for s in range(nsyms))
             if complete and not pending:
                 break
-    else:
-        raise TooLarge("presentation saturation did not stabilize")
 
     order = sorted(live())
     index = {x: i for i, x in enumerate(order)}

@@ -18,7 +18,7 @@ from .actions import (ACTION_ROWS, ActionShape, AxiomFail,  # noqa: F401 (AxiomF
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
-from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, _UnionFind,
+from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, _partition_quotient,
                          validate_table)
 
 
@@ -92,16 +92,7 @@ def tau_partition(S):
             return s == t
         return any(u != z and S.leq[u][s] and S.leq[u][t] for u in range(S.n))
 
-    uf = _UnionFind(S.n)
-    for s in range(S.n):
-        for t in range(s + 1, S.n):
-            if direct(s, t):
-                uf.union(s, t)
-    reps = sorted({uf.find(s) for s in range(S.n)})
-    index = {r: i for i, r in enumerate(reps)}
-    projection = tuple(index[uf.find(s)] for s in range(S.n))
-    classes = tuple(tuple(s for s in range(S.n) if projection[s] == i)
-                    for i in range(len(reps)))
+    classes, projection = _partition_quotient(S, direct)
     if is_0_e_unitary(S) and is_categorical_at_zero(S):
         for s in range(S.n):
             for t in range(S.n):

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,9 +33,9 @@ def test_bad_seed_setting_is_a_usage_error():
 
 
 def test_bad_guard_setting_is_a_usage_error():
-    code, _, err = run_cli(["galois", "instances/c2_swap.sgi"],
-                           {"SEMIGALOIS_GUARD_MAX_ORDER": "x"})
-    _assert_usage_error(code, err, b"argument --guard-max-order: invalid int value: 'x'")
+    """SEMIGALOIS_BUDGET, which replaced the guard setting, is validated like it."""
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi"], {"SEMIGALOIS_BUDGET": "x"})
+    _assert_usage_error(code, err, b"argument --budget: invalid int value: 'x'")
 
 
 def test_unknown_format_setting_is_a_usage_error():
@@ -65,8 +67,54 @@ def test_brute_force_flag_overrides_a_bad_setting():
 
 
 def test_guard_flag_below_one_is_a_usage_error():
-    code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--guard-max-order", "0"])
-    _assert_usage_error(code, err, b"argument --guard-max-order: must be at least 1, got 0")
+    """--budget, which replaced --guard-max-order, must be at least 1 as well."""
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--budget", "0"])
+    _assert_usage_error(code, err, b"argument --budget: must be at least 1, got 0")
+
+
+def test_old_guard_spellings_are_unknown(tmp_path):
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--guard-max-order", "5"])
+    _assert_usage_error(code, err, b"unrecognized arguments: --guard-max-order 5")
+    p = tmp_path / "old.sgi"
+    p.write_text((INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\nguard-max-order = 5\n")
+    code, out, err = run_cli(["galois", str(p)])
+    assert code == 2 and out == b"" and b"unknown option 'guard-max-order'" in err
+
+
+def test_small_budget_is_a_reported_verdict():
+    """A trip inside the command ends the report with FAIL budget and exits 3."""
+    code, out, err = run_cli(["correspond", "instances/c2_swap.sgi", "--budget", "5"])
+    assert code == 3 and err == b""
+    lines = out.decode().splitlines()
+    assert lines[-2:] == ["FAIL budget  quantity=ring_products  spent=6  limit=5",
+                          "# result: FAIL"]
+
+
+def test_budget_trip_while_loading_is_an_error_line():
+    """S7 is given by a presentation, and its first scan already costs more than 1."""
+    code, out, err = run_cli(["validate", "instances/s7_f9cubed.sgi"], {"SEMIGALOIS_BUDGET": "1"})
+    assert code == 3 and out == b""
+    assert err == b"error: budget: quantity=coset_steps  spent=38  limit=1\n"
+
+
+def test_budget_in_the_file_wins_over_the_flag(tmp_path):
+    p = tmp_path / "budget.sgi"
+    p.write_text((INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\nbudget = 1\n")
+    code, out, _ = run_cli(["galois", str(p), "--budget", "1000000"])
+    assert code == 3 and b"FAIL budget" in out
+
+
+@pytest.mark.parametrize("atom", ["zmod 2305843009213693951 1", "zmod 2 2000000000"])
+def test_huge_atom_is_refused_before_any_arithmetic(tmp_path, atom):
+    """Bounds on p and k come before the primality test and before p ** k."""
+    p = tmp_path / "huge.sgi"
+    p.write_text(f"[semigroup]\nelements = 1\nrow = 1\n[ring]\natom = {atom}\n"
+                 "[action]\nmap = 1 : 0->0:0\n")
+    t0 = time.monotonic()
+    code, out, err = run_cli(["validate", str(p)])
+    assert time.monotonic() - t0 < 5
+    assert code == 2 and out == b""
+    assert err.startswith(b"error: line 5: bad atom spec: atom order ") and b"out of range" in err
 
 
 def test_shipped_fixture_parses():
@@ -244,6 +292,7 @@ brute-force-subalgebras = true
 
 
 def test_options_guard_below_one_is_a_positioned_error(tmp_path):
+    """The [options] budget key, which replaced guard-max-order, must be at least 1."""
     p = tmp_path / "guard.sgi"
     p.write_text("""
 [semigroup]
@@ -257,14 +306,14 @@ atom = zmod 3
 map = 1 : 0->0:0
 
 [options]
-guard-max-order = -5
+budget = -5
 """)
     with pytest.raises(inst.ParseError) as err:
         inst.parse_instance(p)
     assert err.value.line_no == 13
     code, out, err = run_cli(["galois", str(p)])
     assert code == 2 and out == b""
-    assert b"line 13" in err and b"guard-max-order must be at least 1" in err
+    assert b"line 13" in err and b"budget must be at least 1" in err
     assert b"Traceback" not in err
 
 
@@ -304,3 +353,31 @@ def test_both_correspondence_commands_print_failure_lines(monkeypatch, command, 
     assert lines[-4:] == ["FAIL bijection", "FAIL brute_force_match",
                           "failure  detail=[brute-force subalgebra scan mismatch]",
                           "# result: FAIL"]
+
+
+def test_documented_settings_match_the_parser(monkeypatch):
+    """docs/format.md names exactly the flags, SEMIGALOIS_* variables and
+    [options] keys that the CLI and the instance loader accept."""
+    from semigalois import cli
+    doc = (REPO / "docs" / "format.md").read_text()
+    flags = {o for a in cli.build_parser()._actions for o in a.option_strings
+             if o.startswith("--") and o != "--help"}
+    assert set(re.findall(r"`(--[a-z][a-z-]*)", doc)) == flags
+    names = {f[2:] for f in flags} | {"guard-max-order"}
+    read = set()
+    for var in {cli.ENV_PREFIX + n.upper().replace("-", "_") for n in names}:
+        monkeypatch.setenv(var, "sentinel")
+        if "sentinel" in {a.default for a in cli.build_parser()._actions}:
+            read.add(var)
+        monkeypatch.delenv(var)
+    assert set(re.findall(r"SEMIGALOIS_[A-Z_]+", doc)) == read
+    block = doc.split("## `[options]`", 1)[1].split("```")[1]
+    documented = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
+    accepted = set()
+    for key in names | documented:
+        try:
+            inst._parse_options([(1, f"{key} = 1")])
+            accepted.add(key)
+        except inst.ParseError as exc:
+            assert "unknown option" in str(exc)
+    assert documented == accepted

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from semigalois import budget
 from semigalois import correspondence as co
 from semigalois.actions import invariant_ring, is_injective, validate_action
 from semigalois.corpus import (b2_swap_fixture, c2_swap_fixture, chain_semilattice_fixture,
@@ -141,15 +142,15 @@ def test_brute_force_flag_on_fixture():
 
 
 def test_brute_force_guard():
+    """The scan pays for its candidates through their products and
+    eliminations, so a small budget stops it."""
     beta = f9_cubed_fixture()
-    import semigalois.correspondence as mod
-    old = mod.BRUTE_FORCE_RING_GUARD
-    mod.BRUTE_FORCE_RING_GUARD = 16
-    try:
-        with pytest.raises(Exception):
-            co.enumerate_subalgebras_over(beta, invariant_ring(beta))
-    finally:
-        mod.BRUTE_FORCE_RING_GUARD = old
+    inv = invariant_ring(beta)
+    with budget.limit(1000), pytest.raises(budget.BudgetExceeded) as exc:
+        co.enumerate_subalgebras_over(beta, inv)
+    assert exc.value.quantity in ("ring_products", "echelon_entries")
+    with budget.limit(10 ** 6):
+        assert len(co.enumerate_subalgebras_over(beta, inv)) > 1
 
 
 def test_beta_maximal_injective_reduces_to_beta_complete():

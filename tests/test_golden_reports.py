@@ -1,7 +1,8 @@
 """CLI reports on the shipped instances, byte for byte against golden files.
 
 Every shipped instance runs through validate, analyze, galois, correspond,
-correspond --brute-force-subalgebras and zero, in text and json-lines; stdout and the
+correspond --brute-force-subalgebras, zero and galois --budget 1 (the budget
+verdict), in text and json-lines; stdout and the
 exit code must equal what is recorded under tests/golden/.  A change that
 is meant to keep behaviour (a refactor, a faster engine) must leave this
 test passing unchanged.  After a deliberate change of report content,
@@ -29,6 +30,7 @@ COMMANDS = {
     "correspond": ["correspond"],
     "correspond-brute": ["correspond", "--brute-force-subalgebras"],
     "zero": ["zero"],
+    "galois-budget": ["galois", "--budget", "1"],
 }
 FORMATS = ["text", "json-lines"]
 CASES = [(i, c, f) for i in INSTANCES for c in COMMANDS for f in FORMATS]

@@ -157,16 +157,44 @@ def chain_on_z2(n):
     return validate_action(S, A, [StructuredIso.identity_on(A, range(n - k)) for k in range(n)])
 
 
-@pytest.mark.parametrize("make,invariants,pairs", [
-    (cyclic_shift_on_z2, 2, 4),  # one pair per subgroup of C10
-    (chain_on_z2, 1024, 1),  # E(S) = S is the only full subsemigroup
+@pytest.mark.parametrize("make,n,invariants,pairs", [
+    # one pair per subgroup of C_n
+    pytest.param(cyclic_shift_on_z2, 10, 2, 4, id="cyclic_shift_on_z2-2-4"),
+    pytest.param(cyclic_shift_on_z2, 20, 2, 6, id="cyclic_shift_on_z2-20-2-6"),
+    # E(S) = S is the only full subsemigroup
+    pytest.param(chain_on_z2, 10, 1024, 1, id="chain_on_z2-1024-1"),
 ])
-def test_tripwire_answers_known_by_construction(make, invariants, pairs):
-    beta = make(10)
+def test_tripwire_answers_known_by_construction(make, n, invariants, pairs):
+    """C20 was refused by the size guards (more than 16 non-idempotents, a
+    tensor of |A|^2 = 2^40); without them it takes about a second."""
+    beta = make(n)
     report = gl.cross_check_equivalences(beta)
     assert report.galois and report.invariants_order == invariants
     corr = verify_e_unitary_correspondence(beta)
     assert corr.bijective and len(corr.pairs) == pairs
+
+
+def c2_swapping_pairs(atoms):
+    """C2 swapping the two copies of each atom in atoms[0]^2 x atoms[1]^2 x ...:
+    Galois, with the diagonal as A^beta."""
+    A = FiniteRing([a for a in atoms for _ in range(2)])
+    m = len(A.atoms)
+    S = validate_table([[0, 1], [1, 0]], names=["1", "g"])
+    return validate_action(S, A, [StructuredIso.identity_on(A, range(m)),
+                                  StructuredIso(A, {i: i ^ 1 for i in range(m)}, {})])
+
+
+@pytest.mark.parametrize("atoms,invariants", [
+    ((Atom.gf(2, 4), Atom.gf(2, 2)), 64),
+    ((Atom.gf(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), ), 256),
+], ids=["gf16^2xgf4^2", "gf256^2"])
+def test_tensor_guard_refusals_decide(atoms, invariants):
+    """|A| = 2^12 and 2^16: the tensor guard refused both, and each takes a fraction of a second."""
+    beta = c2_swapping_pairs(atoms)
+    report = gl.cross_check_equivalences(beta)
+    assert report.galois and report.invariants_order == invariants
+    corr = verify_e_unitary_correspondence(beta)
+    assert corr.bijective and len(corr.pairs) == 2
 
 
 def _counting(monkeypatch, owner, name):

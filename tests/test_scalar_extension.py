@@ -13,13 +13,14 @@ inputs with the same errors.
 import pytest
 
 from oracles import extend_scalars_by_loops
+from semigalois import budget
 from semigalois.actions import extend_scalars, invariant_ring, is_injective
 from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.galois import is_galois, scalar_extension_is_galois
-from semigalois.rings import Atom, FiniteRing, TooLarge
+from semigalois.rings import Atom, FiniteRing
 from semigalois.semigroups import is_e_unitary
 
-GUARD = 1 << 14
+GUARD = 1 << 14  # the |R| * |A| bound of the cases: the old scalar-extension guard
 
 
 def _eligible(b):
@@ -40,7 +41,7 @@ def _projection(beta, i):
 
 
 def foreign_cases():
-    """(beta, R, structural images) with |R| * |A| within the extension guard."""
+    """(beta, R, structural images) with |R| * |A| within GUARD."""
     cases = []
     for beta in _batch():
         A, inv = beta.A, invariant_ring(beta)
@@ -96,9 +97,10 @@ def _outcome(fn, *args):
 
 
 def test_bad_structural_maps_fail_alike():
-    """Images scaled by 2, rotated, truncated or of the wrong length, a unital
-    map that is not multiplicative, and a ring beyond the guard, are refused
-    by both with the same error."""
+    """Images scaled by 2, rotated, truncated or of the wrong length, and a
+    unital map that is not multiplicative, are refused by both with the same error.
+    R = A over the fixture, which the old size guard refused, is extended alike
+    by both, and a small budget stops it."""
     refused = set()
     for beta, R, images in foreign_cases() + [_f9_over_gf9((1, 0))]:
         vecs = [img.vec() if hasattr(img, "vec") else tuple(img) for img in images]
@@ -114,7 +116,7 @@ def test_bad_structural_maps_fail_alike():
     beta = f9_cubed_fixture()
     big = FiniteRing(beta.A.atoms)
     images = list(invariant_ring(beta).gen_vectors)
-    with pytest.raises(TooLarge, match="scalar-extension guard"):
+    _assert_same(extend_scalars(beta, big, images),
+                 extend_scalars_by_loops(beta, big, images, guard=big.size * beta.A.size))
+    with budget.limit(100), pytest.raises(budget.BudgetExceeded):
         extend_scalars(beta, big, images)
-    with pytest.raises(TooLarge, match="scalar-extension guard"):
-        extend_scalars_by_loops(beta, big, images)

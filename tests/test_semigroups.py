@@ -1,5 +1,6 @@
 import pytest
 
+from semigalois import budget
 from semigalois import semigroups as sg
 from semigalois.corpus import (b2_table, c2_table, f9_cubed_ring,
                                non_e_unitary_monoid, s7_monoid)
@@ -245,10 +246,13 @@ def test_full_subsemigroup_enumeration():
 
 
 def test_enumeration_guard():
+    """The enumeration charges one unit of budget per closure, so S7 x S7
+    (33 non-idempotents, once refused by a size guard) stops at its limit."""
     big = sg.direct_product(s7_monoid(), s7_monoid())
     assert big.n == 49
-    with pytest.raises(sg.TooLarge):
+    with budget.limit(100), pytest.raises(budget.BudgetExceeded) as exc:
         sg.enumerate_full_inverse_subsemigroups(big)
+    assert (exc.value.quantity, exc.value.spent, exc.value.limit) == ("subsemigroups", 101, 100)
 
 
 def test_restricted_product():
@@ -271,6 +275,8 @@ def test_equiv_T_is_an_equivalence():
 
 
 def test_presentation_cap():
-    # the bicyclic-monoid-flavored presentation p q = 1 has an infinite quotient
-    with pytest.raises(sg.TooLarge):
-        sg.saturate_presentation(["p", "q"], [((0, 1), ())], cap=300)
+    """The presentation p q = 1 has an infinite quotient; the budget its
+    scans are charged stops the saturation."""
+    with budget.limit(300), pytest.raises(budget.BudgetExceeded) as exc:
+        sg.saturate_presentation(["p", "q"], [((0, 1), ())])
+    assert (exc.value.quantity, exc.value.spent, exc.value.limit) == ("coset_steps", 308, 300)
