@@ -304,10 +304,8 @@ def induce_partial_group_action(beta):
     if not is_injective(beta):
         raise NotInjective("the induced partial action needs an injective beta")
     quo = sigma_partition(beta.S)
-    isos = []
-    for cls in quo.classes:
-        join = isopu.join_sum([beta.isos[s] for s in cls])
-        isos.append(join)
+    isos = isopu.class_joins(beta.isos, quo.classes)
+    for cls, join in zip(quo.classes, isos):
         if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent(join.im_support):
             raise AssertionError("boolean sum disagrees with the support union")
     return PartialGroupAction(quo, beta.A, isos)
@@ -333,22 +331,14 @@ def verify_class_join_group(beta):
     """The class joins under 'unique element above the composite' form a
     group isomorphic to S/sigma, via sigma(s) -> join over sigma(s).
 
-    Returns True, or raises AssertionError naming the failing product.
+    Returns True, or raises AssertionError.
     """
     alpha = induce_partial_group_action(beta)
-    quo = alpha.group
     joins = list(alpha.isos)
-    m = len(joins)
-    if len(set(joins)) != m:
+    if len(set(joins)) != len(joins):
         raise AssertionError("class joins collide; G' smaller than S/sigma")
-    for a in range(m):
-        for b in range(m):
-            comp = isopu.compose(joins[a], joins[b])
-            above = [c for c in range(m) if isopu.natural_leq_iso(comp, joins[c])]
-            if above != [quo.table[a][b]]:
-                raise AssertionError(
-                    f"composite of classes {a},{b} sits below {above}, "
-                    f"expected exactly class {quo.table[a][b]}")
+    if isopu.join_product_table(joins) != alpha.group.table:
+        raise AssertionError("the product of class joins is not that of S/sigma")
     return True
 
 
@@ -375,22 +365,14 @@ def image_action(beta):
     classes = {}
     for s in range(beta.S.n):
         classes.setdefault(beta.isos[s], []).append(s)
-    keys = sorted(classes, key=lambda k: min(classes[k]))
+    keys = list(classes)  # in the order of their least preimages
     index = {k: i for i, k in enumerate(keys)}
     proj = [index[beta.isos[s]] for s in range(beta.S.n)]
-    m = len(keys)
-    table = [[None] * m for _ in range(m)]
-    for a, ka in enumerate(keys):
-        for b, kb in enumerate(keys):
-            comp = isopu.compose(ka, kb)
-            if comp not in index:
-                raise AssertionError("image of a homomorphism must be closed")
-            table[a][b] = index[comp]
     zero = None
     if beta.S.zero is not None:
         zero = proj[beta.S.zero]
-    names = [beta.S.names[min(classes[k])] for k in keys]
-    T = validate_table(table, zero=zero, names=names)
+    names = [beta.S.names[classes[k][0]] for k in keys]
+    T = validate_table(isopu.composition_table(keys), zero=zero, names=names)
     beta_img = validate_action(T, beta.A, keys)
     if invariant_ring(beta_img) != invariant_ring(beta):
         raise AssertionError("image action changed the invariant ring")
@@ -466,20 +448,19 @@ def _check_structural_map(R, inv, images):
                 raise ActionError("structural map is not multiplicative")
 
 
-def extend_scalars(beta, R=None, structural_images=None, require_galois=True):
+def extend_scalars(beta, R=None, structural_images=None):
     """Scalar extension R (x)_{A^beta} A with the induced action data.
 
     With R omitted the base is the invariant ring itself (structural map =
     inclusion) and the presentation is the tensor A^beta (x)_{A^beta} A.
     Otherwise R is a FiniteRing and `structural_images`, one per generator
     of A^beta, are RingElements of R or coordinate vectors over R.
-    When `require_galois`, beta is first checked through the coordinate
-    criterion (the galois module re-tests the extension afterwards).
+    beta is first checked through the coordinate criterion (the galois
+    module re-tests the extension afterwards).
     """
-    if require_galois:
-        from .galois import solve_galois_coordinates
-        if solve_galois_coordinates(beta) is None:
-            raise NotGalois("scalar extension is stated for Galois actions")
+    from .galois import solve_galois_coordinates
+    if solve_galois_coordinates(beta) is None:
+        raise NotGalois("scalar extension is stated for Galois actions")
     inv = invariant_ring(beta)
     A = beta.A
     if R is None:

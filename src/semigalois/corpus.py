@@ -226,27 +226,23 @@ def close_isos(seed_isos, cap=24):
 def tautological_action(isos):
     """The abstract table of a closed iso set acting by itself."""
     ring = isos[0].ring
-    index = {f: i for i, f in enumerate(isos)}
-    table = [[index[isopu.compose(f, g)] for g in isos] for f in isos]
-    zero = index.get(StructuredIso.empty(ring))
-    names = []
-    for i, f in enumerate(isos):
-        names.append(f"b{i}")
-    S = validate_table(table, zero=zero, names=names)
+    empty = StructuredIso.empty(ring)
+    zero = isos.index(empty) if empty in isos else None
+    S = validate_table(isopu.composition_table(isos), zero=zero,
+                       names=[f"b{i}" for i in range(len(isos))])
     return validate_action(S, ring, isos)
 
 
-def random_instance(rng: random.Random, max_atoms=3, n_gens=2, cap=14,
-                    with_zero=False):
+def random_instance(rng: random.Random, cap=14, with_zero=False):
     """One random closed instance, or None when the draw violates a guard.
 
     The identity of A is always among the generators, so the cover axiom
     holds; instances whose closure creates the empty iso are kept only when
     `with_zero` (the empty iso is the zero of Iso_pu).
     """
-    ring = random_ring(rng, max_atoms=max_atoms)
+    ring = random_ring(rng)
     gens = [StructuredIso.identity_on(ring, range(len(ring.atoms)))]
-    for _ in range(n_gens):
+    for _ in range(2):
         gens.append(random_structured_iso(rng, ring))
     try:
         closed = close_isos(gens, cap=cap)
@@ -284,47 +280,52 @@ SMALL_GROUPS = {
 }
 
 
-def random_groupoid(rng: random.Random, max_components=2, max_objects=3):
-    """A disjoint union of connected groupoids (pair groupoid x small group)."""
-    from .zerocase import connected_groupoid, validate_groupoid
-    comps = []
-    for _ in range(rng.randint(1, max_components)):
-        gname = rng.choice(list(SMALL_GROUPS))
-        objects = rng.randint(1, max_objects)
-        comps.append(connected_groupoid(SMALL_GROUPS[gname], objects))
-    total = sum(g.n for g in comps)
-    product = [[None] * total for _ in range(total)]
-    names = []
+def disjoint_union(comps, prefix):
+    """The disjoint union of groupoids, numbered component by component and
+    named prefix + index, as `validate_groupoid` returns it."""
+    from .zerocase import validate_groupoid
+    n = sum(g.n for g in comps)
+    product = [[None] * n for _ in range(n)]
     offset = 0
     for g in comps:
         for a in range(g.n):
             for b in range(g.n):
                 if g.defined(a, b):
                     product[offset + a][offset + b] = offset + g.mul(a, b)
-        names.extend(f"c{offset + i}" for i in range(g.n))
         offset += g.n
-    return validate_groupoid(total, product, names)[0]
+    return validate_groupoid(n, product, [f"{prefix}{i}" for i in range(n)])
 
 
-def random_primitive_semigroup(rng: random.Random, **kw):
+def random_groupoid(rng: random.Random):
+    """A disjoint union of one or two connected groupoids (pair groupoid on
+    one to three objects x small group)."""
+    from .zerocase import connected_groupoid
+    comps = []
+    for _ in range(rng.randint(1, 2)):
+        gname = rng.choice(list(SMALL_GROUPS))
+        objects = rng.randint(1, 3)
+        comps.append(connected_groupoid(SMALL_GROUPS[gname], objects))
+    return disjoint_union(comps, "c")[0]
+
+
+def random_primitive_semigroup(rng: random.Random):
     from .zerocase import groupoid_to_primitive
-    return groupoid_to_primitive(random_groupoid(rng, **kw))
+    return groupoid_to_primitive(random_groupoid(rng))
 
 
-def random_orthogonal_groupoid_action(rng: random.Random, partial=True):
+def random_orthogonal_groupoid_action(rng: random.Random):
     """A validated (orthogonal, possibly partial) groupoid action on atoms.
 
     Each connected component gets one atom type and one atom per object;
     morphisms match atoms positionally with coboundary twists, which makes
-    composition exact; a partial variant restricts everything to a random
-    central idempotent.
+    composition exact; with probability 0.6 everything is restricted to a
+    random central idempotent.
     """
-    from .zerocase import connected_groupoid, validate_groupoid, validate_partial_groupoid_action
+    from .zerocase import connected_groupoid, validate_partial_groupoid_action
     kinds = [("zmod", 3, 1), ("zmod", 2, 2), ("gf", 3, 2), ("gf", 2, 2), ("zmod", 5, 1)]
     comps = []
     atom_list = []
     iso_specs = []
-    offset_obj = 0
     for _ in range(rng.randint(1, 2)):
         gname = rng.choice(list(SMALL_GROUPS))
         gtab = SMALL_GROUPS[gname]
@@ -333,8 +334,7 @@ def random_orthogonal_groupoid_action(rng: random.Random, partial=True):
         atom = Atom.zmod(p, k) if kind == "zmod" else Atom.gf(p, k)
         twist_mod = k if kind == "gf" else 1
         f = [rng.randrange(twist_mod) for _ in range(objects)]
-        comp = connected_groupoid(gtab, objects)
-        comps.append((comp, objects, len(gtab)))
+        comps.append(connected_groupoid(gtab, objects))
         base = len(atom_list)
         atom_list.extend([atom] * objects)
         # element order inside connected_groupoid: (g, i, j) lexicographic
@@ -343,40 +343,18 @@ def random_orthogonal_groupoid_action(rng: random.Random, partial=True):
         for (g, i, j) in elems:
             iso_specs.append(({base + i: base + j},
                               {base + i: (f[j] - f[i]) % twist_mod} if twist_mod > 1 else {}))
-        offset_obj += objects
     ring = FiniteRing(atom_list)
-    # assemble the disjoint-union groupoid in the same element order
-    blocks = []
-    off = 0
-    for comp, objects, glen in comps:
-        blocks.append((comp, off))
-        off += comp.n
-    n = off
-    product = [[None] * n for _ in range(n)]
-    for comp, off0 in blocks:
-        for a in range(comp.n):
-            for b in range(comp.n):
-                if comp.defined(a, b):
-                    product[off0 + a][off0 + b] = off0 + comp.mul(a, b)
-    names = [f"g{i}" for i in range(n)]
-    G, d, r, inv = validate_groupoid(n, product, names)
+    G, d, r, inv = disjoint_union(comps, "g")
     isos = [StructuredIso(ring, m, t) for m, t in iso_specs]
-    if partial and rng.random() < 0.6:
+    if rng.random() < 0.6:
         keep = frozenset(i for i in range(len(ring.atoms)) if rng.random() < 0.7)
         restricted = []
         for iso in isos:
             matching = {i: j for i, j in iso.matching.items() if i in keep and j in keep}
             twist = {i: iso.twist[i] for i in matching}
             restricted.append(StructuredIso(ring, matching, twist))
-        ids = G.identities()
-        covered = set()
-        for e in ids:
-            covered |= restricted[e].im_support
-        if covered != set(range(len(ring.atoms))):
-            # restriction must stay an action on the same atom list
-            return None
         isos = restricted
-    try:
+    try:  # a restriction that no longer covers A fails the cover axiom here
         return validate_partial_groupoid_action(G, d, r, inv, ring, isos)
     except Exception:
         return None

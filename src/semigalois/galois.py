@@ -237,14 +237,14 @@ class PsiReport:
     cokernel_witness: tuple | None = None
 
 
-def psi_check(beta, invariants=None, tensor=None):
+def psi_check(beta, tensor=None):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
     `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
     psi is evaluated on every generator pair of the tensor, on coordinates.
     """
     if tensor is None:
-        tensor = _full_tensor(beta, invariants)
+        tensor = _full_tensor(beta, invariant_ring(beta))
     pa = PABetaS(beta)
     images = []
     for i in range(tensor.k):
@@ -394,19 +394,18 @@ def verify_separability_idempotent(tensor, z):
 
 
 def _full_tensor(beta, invariants):
-    """A (x)_{A^beta} A, over `invariants` when given."""
+    """A (x)_{A^beta} A, with `invariants` = A^beta."""
     full = Subalgebra.full(beta.A)
-    base = invariants if invariants is not None else invariant_ring(beta)
-    return TensorPresentation(full, full, base)
+    return TensorPresentation(full, full, invariants)
 
 
-def separability_idempotent_from_coordinates(beta, coords, invariants=None, tensor=None):
+def separability_idempotent_from_coordinates(beta, coords, tensor=None):
     """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A.
 
     `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
     """
     if tensor is None:
-        tensor = _full_tensor(beta, invariants)
+        tensor = _full_tensor(beta, invariant_ring(beta))
     z = [0] * (tensor.k * tensor.l)
     for x, y in coords:
         pv = tensor.pure(x, y)
@@ -513,14 +512,13 @@ def is_galois(beta):
     return solve_galois_coordinates(beta) is not None
 
 
-def scalar_extension_is_galois(ext, beta=None):
+def scalar_extension_is_galois(ext):
     """Re-test Galois-ness of a scalar extension on its presentation.
 
     Checks the trace criterion for the extended action and that the
     invariants coincide with the image of the base ring R.
     """
-    beta = beta if beta is not None else ext.beta
-    alpha = induce_partial_group_action(beta)
+    alpha = induce_partial_group_action(ext.beta)
     inv_canon = ext.invariants_canon()
     r_canon = ext.r_image_canon()
     if inv_canon != r_canon:

@@ -92,6 +92,43 @@ def join_sum(isos) -> StructuredIso:
     return StructuredIso(ring, matching, twist)
 
 
+def class_joins(isos, classes):
+    """The join of `isos` over each class of a partition of their indices."""
+    return [join_sum(isos[s] for s in cls) for cls in classes]
+
+
+def join_product_table(joins):
+    """The product of class joins: the one join above each nonempty composite,
+    and the empty join for an empty composite.
+
+    Raises AssertionError when a nonempty composite lies below no join or
+    below several.
+    """
+    table = []
+    for a, f in enumerate(joins):
+        row = []
+        for b, g in enumerate(joins):
+            comp = compose(f, g)
+            if not comp.dom_support:
+                row.append(joins.index(comp))
+                continue
+            above = [c for c, h in enumerate(joins) if natural_leq_iso(comp, h)]
+            if len(above) != 1:
+                raise AssertionError(f"composite of classes {a},{b} sits below {above}")
+            row.append(above[0])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def composition_table(isos):
+    """table[a][b] is the index of isos[a] isos[b]; `isos` must be closed under composition."""
+    index = {f: i for i, f in enumerate(isos)}
+    table = [[index.get(compose(f, g)) for g in isos] for f in isos]
+    if any(None in row for row in table):
+        raise AssertionError("the isos are not closed under composition")
+    return table
+
+
 def iso_pu_elements(ring, max_count=200_000):
     """Every element of Iso_pu(A): all type-preserving matchings with twists.
 

@@ -331,61 +331,23 @@ def solve_cols(mat, aug, target, in_moduli):
 
 
 def snf_invariants(mat):
-    """Invariant factors of coker(mat) via Smith elimination (no transforms).
+    """Invariant factors of coker(mat), for displaying group structure.
 
-    Used only for displaying group structure; all decisions elsewhere go
-    through the lattice machinery above.
+    `_echelon` runs on the columns and on the rows in turn until every
+    column has at most one entry; the nonzero entries left then go through
+    the gcd/lcm chain.  All decisions go through the lattice machinery above.
     """
-    a = mat.tolist()
-    invs = []
-    while a and a[0]:
-        # locate smallest nonzero entry and move it to (0, 0)
-        best = None
-        for i, row in enumerate(a):
-            for j, v in enumerate(row):
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
+    cols, rows = [dict(c) for c in mat.cols], mat.rows
+    while True:
+        _echelon(cols, rows)
+        if all(len(c) <= 1 for c in cols):
             break
-        _, pi, pj = best
-        a[0], a[pi] = a[pi], a[0]
-        for row in a:
-            row[0], row[pj] = row[pj], row[0]
-        # clear the pivot row and column, re-pivoting while remainders appear
-        while True:
-            dirty = False
-            p = a[0][0]
-            for i in range(1, len(a)):
-                q = a[i][0] // p
-                if q:
-                    for j in range(len(a[i])):
-                        a[i][j] -= q * a[0][j]
-                if a[i][0]:
-                    a[0], a[i] = a[i], a[0]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(1, len(a[0])):
-                q = a[0][j] // p
-                if q:
-                    for row in a:
-                        row[j] -= q * row[0]
-                if a[0][j]:
-                    for row in a:
-                        row[0], row[j] = row[j], row[0]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        invs.append(abs(a[0][0]))
-        a = [row[1:] for row in a[1:]]
-    # enforce the divisibility chain
-    invs = [v for v in invs if v]
+        cols, rows = cols_from_vectors(Matrix(rows, cols).tolist(), len(cols)).cols, len(cols)
+    invs = [abs(v) for c in cols for v in c.values()]
     for i in range(len(invs)):
         for j in range(i + 1, len(invs)):
             g = math.gcd(invs[i], invs[j])
-            invs[i], invs[j] = g, invs[i] * invs[j] // g if g else 0
+            invs[i], invs[j] = g, invs[i] * invs[j] // g
     return tuple(v for v in sorted(invs) if v != 1)
 
 

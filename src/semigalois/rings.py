@@ -59,16 +59,6 @@ def _poly_trim(c):
     return tuple(c)
 
 
-def _poly_mulmod(a, b, mod, p):
-    """Product of little-endian coefficient tuples modulo (mod, p)."""
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] = (res[i + j] + x * y) % p
-    return _poly_divmod(res, mod, p)[1]
-
-
 def _poly_divmod(a, b, p):
     a = list(a)
     b = _poly_trim(b)
@@ -160,50 +150,27 @@ class Atom:
     def one(self):
         return 1 if self.kind == "zmod" else ((1,) + (0,) * (self.k - 1))
 
-    def add(self, a, b):
-        if self.kind == "zmod":
-            return (a + b) % self.order
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        if self.kind == "zmod":
-            return (-a) % self.order
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        if self.kind == "zmod":
-            return (a * b) % self.order
-        prod = _poly_mulmod(a, b, self.poly, self.p)
-        return tuple(prod) + (0,) * (self.k - len(prod))
-
-    def power(self, a, e):
-        res = self.one()
-        base = a
-        while e:
-            if e & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return res
-
-    def frobenius(self, a, j):
-        """a ** (p**j); the ring automorphisms of GF(p^k) are exactly these."""
-        if self.kind == "zmod":
-            if j != 0:
-                raise RingError(f"{self.label()} admits no twist, got {j}")
-            return a
-        return self.power(a, self.p ** (j % self.k))
-
     def frobenius_cols(self, j):
-        """Images of the basis 1, x, ..., x^(k-1) under Frobenius^j, built once per j."""
+        """Images of the basis 1, x, ..., x^(k-1) under Frobenius^j, built once per j:
+        the powers of y = x^(p^j), with y found by square-and-multiply."""
         cache = self._frobenius_cache
         if j not in cache:
             if self.kind == "zmod":
-                cols = ((self.frobenius(1, j),),)
+                if j:
+                    raise RingError(f"{self.label()} admits no twist, got {j}")
+                cols = [(1,)]
             else:
-                cols = tuple(self.frobenius(tuple(1 if t == i else 0 for t in range(self.k)), j)
-                             for i in range(self.k))
-            cache[j] = cols
+                x = tuple(1 if t == 1 else 0 for t in range(self.k))
+                y, e = self.one(), self.p ** (j % self.k)
+                while e:
+                    if e & 1:
+                        y = self.mul_coords(y, x)
+                    x = self.mul_coords(x, x)
+                    e >>= 1
+                cols = [self.one()]
+                for _ in range(self.k - 1):
+                    cols.append(tuple(self.mul_coords(cols[-1], y)))
+            cache[j] = tuple(cols)
         return cache[j]
 
     @cached_property
@@ -212,12 +179,15 @@ class Atom:
 
     @cached_property
     def _x_powers(self):
-        """x^d for d <= 2k-2 over a GF atom, from `mul`: the structure constants,
-        since x^i * x^j = x^(i+j) for the k x k basis products."""
-        x = tuple(1 if t == 1 else 0 for t in range(self.k))
-        powers = [self.one()]
-        for _ in range(2 * self.k - 2):
-            powers.append(self.mul(powers[-1], x))
+        """x^d for d <= 2k-2 over a GF atom, from the monic modulus: x^k is
+        -(poly_0 + ... + poly_(k-1) x^(k-1)), and each further power shifts
+        the one before up a degree and rewrites its x^k term."""
+        k, p = self.k, self.p
+        powers = [tuple(1 if t == d else 0 for t in range(k)) for d in range(k)]
+        top = tuple(-c % p for c in self.poly[:k])
+        for _ in range(k - 1):
+            last = powers[-1]
+            powers.append(tuple((s + last[-1] * c) % p for s, c in zip((0,) + last[:-1], top)))
         return tuple(powers)
 
     def mul_coords(self, u, v):
@@ -392,7 +362,11 @@ def sorted_support_key(s):
 
 
 class RingElement:
-    """An element of a FiniteRing; immutable and hashable."""
+    """An element of a FiniteRing; immutable and hashable.
+
+    The printed and API view of a coordinate vector: its arithmetic is the
+    ring's coordinate kernel (`add_vec`, `mul_vec`).
+    """
 
     __slots__ = ("ring", "comps")
 
@@ -406,25 +380,19 @@ class RingElement:
 
     def __add__(self, other):
         self._check(other)
-        return RingElement(self.ring, tuple(a.add(x, y) for a, x, y in zip(self.ring.atoms, self.comps, other.comps)))
+        return self.ring.from_vec(self.ring.add_vec(self.vec(), other.vec()))
 
     def __neg__(self):
-        return RingElement(self.ring, tuple(a.neg(x) for a, x in zip(self.ring.atoms, self.comps)))
+        return self.ring.from_vec(tuple(-x for x in self.vec()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            base, res, e = self, self.ring.zero(), other % self.ring.exponent
-            while e:
-                if e & 1:
-                    res = res + base
-                base = base + base
-                e >>= 1
-            return res
+            return self.ring.from_vec(tuple(other * x for x in self.vec()))
         self._check(other)
-        return RingElement(self.ring, tuple(a.mul(x, y) for a, x, y in zip(self.ring.atoms, self.comps, other.comps)))
+        return self.ring.from_vec(self.ring.mul_vec(self.vec(), other.vec()))
 
     __rmul__ = __mul__
 
@@ -457,8 +425,7 @@ class StructuredIso:
     `matching` maps each domain atom index to its image atom index (the
     atoms must carry identical (kind, p, k, poly)); `twist` gives the
     Frobenius power applied on each domain atom (always 0 on zmod atoms).
-    Local atoms force any isomorphism of unital ideals into this shape,
-    and `verify_iso_extensional` double-checks the representation.
+    Local atoms force any isomorphism of unital ideals into this shape.
     """
 
     __slots__ = ("ring", "matching", "twist", "_key")
@@ -527,10 +494,7 @@ class StructuredIso:
             raise AtomMismatch("element not in this ring")
         if not el.support() <= self.dom_support:
             raise OutOfDomain(f"element supported on {sorted(el.support())} not in domain {sorted(self.dom_support)}")
-        comps = [a.zero() for a in self.ring.atoms]
-        for i, j in self.matching.items():
-            comps[j] = self.ring.atoms[i].frobenius(el.comps[i], self.twist[i])
-        return RingElement(self.ring, tuple(comps))
+        return self.ring.from_vec(self.apply_vec(el.vec()))
 
     def _blocks(self):
         """(domain offset, image offset, Frobenius columns) per matched atom."""
@@ -557,61 +521,6 @@ class StructuredIso:
             for c, col in enumerate(block):
                 cols[lo_d + c] = {lo_i + r: int(z) for r, z in enumerate(col) if z}
         return Matrix(n, cols)
-
-
-def ideal_order(ring, support):
-    return math.prod(ring.atoms[i].order for i in support)
-
-
-def verify_iso_extensional(iso, pair_limit=256):
-    """Independent oracle: check bijectivity, additivity, multiplicativity, 1->1.
-
-    Every domain element is checked by basis-increment additivity plus
-    basis-pair multiplicativity (equivalent to the all-pairs statement by
-    additivity); small domains are additionally checked on all pairs.
-    """
-    ring = iso.ring
-    dom = sorted(iso.dom_support)
-    order = ideal_order(ring, iso.dom_support)
-    spend("elements", order)
-
-    def dom_elements():
-        parts = [list(ring.atoms[i].elements()) if i in iso.dom_support else [ring.atoms[i].zero()]
-                 for i in range(len(ring.atoms))]
-        for comps in itertools.product(*parts):
-            yield RingElement(ring, tuple(comps))
-
-    one_dom = ring.idempotent(iso.dom_support)
-    one_im = ring.idempotent(iso.im_support)
-    if iso.apply(one_dom) != one_im:
-        return False
-    basis = [b.mask(iso.dom_support) for b in ring.basis_elements()]
-    basis = [b for b in basis if b.support()]
-    images = set()
-    for x in dom_elements():
-        fx = iso.apply(x)
-        if not fx.support() <= iso.im_support:
-            return False
-        images.add(fx)
-        for b in basis:
-            if iso.apply(x + b) != fx + iso.apply(b):
-                return False
-    if len(images) != order:
-        return False
-    for b in basis:
-        fb = iso.apply(b)
-        for c in basis:
-            if iso.apply(b * c) != fb * iso.apply(c):
-                return False
-    if order <= pair_limit:
-        els = list(dom_elements())
-        for x in els:
-            for y in els:
-                if iso.apply(x * y) != iso.apply(x) * iso.apply(y):
-                    return False
-                if iso.apply(x + y) != iso.apply(x) + iso.apply(y):
-                    return False
-    return True
 
 
 class Subalgebra:

@@ -144,24 +144,48 @@ def compatible(S, s, t):
             and S.table[s][S.inv[t]] in S.idempotents)
 
 
-def _lower_bound_related(S, s, t):
-    return any(S.leq[u][s] and S.leq[u][t] for u in range(S.n))
+def shares_lower_bound(S, s, t):
+    """s and t have a common lower bound; a zero is related only to itself
+    and is never a lower bound.  The closure is sigma on a semigroup without
+    zero and tau on one with zero."""
+    z = S.zero
+    if z in (s, t):
+        return s == t
+    return any(u != z and S.leq[u][s] and S.leq[u][t] for u in range(S.n))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def lower_bound_classes(S):
+    """The classes of the closure of `shares_lower_bound`, each sorted, in the
+    order of their least members, and the projection onto class indices."""
+    projection = [None] * S.n
+    classes = []
+    for s in range(S.n):
+        if projection[s] is None:
+            members, frontier = {s}, [s]
+            while frontier:
+                a = frontier.pop()
+                for t in range(S.n):
+                    if t not in members and shares_lower_bound(S, a, t):
+                        members.add(t)
+                        frontier.append(t)
+            for t in members:
+                projection[t] = len(classes)
+            classes.append(tuple(sorted(members)))
+    return tuple(classes), tuple(projection)
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x, p[x] = p[x], p[p[x]]
-        return x
 
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x != y:
-            self.parent[max(x, y)] = min(x, y)
+def quotient_table(S, classes, projection):
+    """The product table of the classes, or None when the partition is not a congruence."""
+    table = []
+    for cls in classes:
+        row = []
+        for cls2 in classes:
+            prods = {projection[S.table[s][t]] for s in cls for t in cls2}
+            if len(prods) != 1:
+                return None
+            row.append(prods.pop())
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -181,32 +205,15 @@ class QuotientGroup:
         raise NotAGroupQuotient("class without inverse")
 
 
-def _partition_quotient(S, related):
-    uf = _UnionFind(S.n)
-    for s in range(S.n):
-        for t in range(s + 1, S.n):
-            if related(s, t):
-                uf.union(s, t)
-    reps = sorted({uf.find(s) for s in range(S.n)})
-    index = {r: i for i, r in enumerate(reps)}
-    projection = tuple(index[uf.find(s)] for s in range(S.n))
-    classes = tuple(tuple(s for s in range(S.n) if projection[s] == i) for i in range(len(reps)))
-    return classes, projection
-
-
-def sigma_partition(S, _allow_zero=False):
-    """The minimum group congruence: transitive closure of sharing a lower bound."""
-    if S.zero is not None and not _allow_zero:
+def sigma_partition(S):
+    """The minimum group congruence: the closure of `shares_lower_bound`."""
+    if S.zero is not None:
         raise ZeroForbidden("sigma is for semigroups without zero; use tau")
-    classes, projection = _partition_quotient(S, lambda s, t: _lower_bound_related(S, s, t))
+    classes, projection = lower_bound_classes(S)
+    table = quotient_table(S, classes, projection)
+    if table is None:
+        raise NotAGroupQuotient("sigma is not a congruence")
     m = len(classes)
-    table = [[None] * m for _ in range(m)]
-    for g, cls in enumerate(classes):
-        for h, cls2 in enumerate(classes):
-            prods = {projection[S.table[s][t]] for s in cls for t in cls2}
-            if len(prods) != 1:
-                raise NotAGroupQuotient(f"sigma is not a congruence between classes {g}, {h}")
-            table[g][h] = prods.pop()
     idem_classes = [g for g in range(m) if table[g][g] == g]
     if len(idem_classes) != 1:
         raise NotAGroupQuotient("quotient has several idempotent classes")
@@ -216,7 +223,7 @@ def sigma_partition(S, _allow_zero=False):
             raise NotAGroupQuotient("idempotent class is not an identity")
         if not any(table[g][h] == e for h in range(m)):
             raise NotAGroupQuotient("class without inverse")
-    return QuotientGroup(classes, tuple(tuple(r) for r in table), projection, e)
+    return QuotientGroup(classes, table, projection, e)
 
 
 def is_e_unitary(S):

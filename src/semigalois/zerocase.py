@@ -18,8 +18,8 @@ from .actions import (ACTION_ROWS, ActionShape, AxiomFail,  # noqa: F401 (AxiomF
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
-from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, _partition_quotient,
-                         validate_table)
+from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, lower_bound_classes,
+                         quotient_table, shares_lower_bound, validate_table)
 
 
 class NotPrimitive(SemigroupError):
@@ -85,19 +85,12 @@ def tau_partition(S):
     strong-compatibility relation there).
     """
     _require_zero(S)
-    z = S.zero
-
-    def direct(s, t):
-        if s == z or t == z:
-            return s == t
-        return any(u != z and S.leq[u][s] and S.leq[u][t] for u in range(S.n))
-
-    classes, projection = _partition_quotient(S, direct)
+    classes, projection = lower_bound_classes(S)
     if is_0_e_unitary(S) and is_categorical_at_zero(S):
         for s in range(S.n):
             for t in range(S.n):
                 same = projection[s] == projection[t]
-                if same != direct(s, t):
+                if same != shares_lower_bound(S, s, t):
                     raise AssertionError("tau is not transitive on a categorical 0-E-unitary table")
                 if same != strongly_compatible(S, s, t):
                     raise AssertionError("tau differs from strong compatibility")
@@ -107,14 +100,9 @@ def tau_partition(S):
 def tau_quotient(S):
     """S/tau as an inverse semigroup with zero; requires tau to be a congruence."""
     classes, projection = tau_partition(S)
-    m = len(classes)
-    table = [[None] * m for _ in range(m)]
-    for g in range(m):
-        for h in range(m):
-            prods = {projection[S.table[s][t]] for s in classes[g] for t in classes[h]}
-            if len(prods) != 1:
-                raise SemigroupError("tau is not a congruence on this table")
-            table[g][h] = prods.pop()
+    table = quotient_table(S, classes, projection)
+    if table is None:
+        raise SemigroupError("tau is not a congruence on this table")
     zero = projection[S.zero]
     names = ["{" + ",".join(S.names[s] for s in cls) + "}" for cls in classes]
     return validate_table(table, zero=zero, names=names), projection
@@ -349,33 +337,14 @@ def p_prime_construction(beta):
     if not (is_0_e_unitary(S) and is_categorical_at_zero(S)):
         raise PreconditionFail("P' needs a 0-E-unitary, categorical-at-zero S")
     classes, projection = tau_partition(S)
-    joins = []
-    for cls in classes:
-        if S.zero in cls:
-            joins.append(StructuredIso.empty(beta.A))
-        else:
-            joins.append(isopu.join_sum([beta.isos[s] for s in cls]))
-    quotient, _ = tau_quotient(S)
-    # the product on P': unique join above each nonzero composite
-    m = len(joins)
-    table = [[None] * m for _ in range(m)]
     empty = StructuredIso.empty(beta.A)
-    for a in range(m):
-        for b in range(m):
-            comp = isopu.compose(joins[a], joins[b])
-            if not comp.dom_support:
-                table[a][b] = joins.index(empty)
-                continue
-            above = [c for c in range(m) if isopu.natural_leq_iso(comp, joins[c])]
-            if len(above) != 1:
-                raise AssertionError("composite lies below several class joins")
-            table[a][b] = above[0]
-    for a in range(m):
-        for b in range(m):
-            if table[a][b] != quotient.table[a][b]:
-                raise AssertionError("P' is not isomorphic to S/tau")
+    joins = isopu.class_joins([empty if s == S.zero else iso for s, iso in enumerate(beta.isos)],
+                              classes)
+    table = isopu.join_product_table(joins)
+    if table != quotient_table(S, classes, projection):
+        raise AssertionError("P' is not isomorphic to S/tau")
     P = validate_table(table, zero=joins.index(empty),
-                       names=[f"a{c}" for c in range(m)])
+                       names=[f"a{c}" for c in range(len(joins))])
     if not is_primitive(P):
         raise AssertionError("P' failed primitivity")
     return P, joins, projection

@@ -21,7 +21,10 @@ their own loops (`validate_action_by_own_loops`,
 `validate_partial_group_action_by_own_loops`,
 `validate_partial_semigroup_action_by_own_loops`,
 `validate_partial_groupoid_action_by_own_loops`), and scalar extension on
-its own presented base and relation loops (`extend_scalars_by_loops`).
+its own presented base and relation loops (`extend_scalars_by_loops`),
+and the polynomial element route (`atom_mul`, `atom_frobenius` and the
+element and iso helpers built on them) that the coordinate kernel replaced,
+with `verify_iso_extensional` on top of it.
 `dense` and `sparse` convert between the library's sparse `Matrix` and
 numpy object arrays for dense fixtures.
 """
@@ -988,3 +991,131 @@ def extend_scalars_by_loops(beta, R=None, structural_images=None, guard=1 << 14)
     images = [img.vec() if isinstance(img, RingElement) else tuple(img)
               for img in structural_images]
     return ScalarExtensionByLoops(beta, PresentedBaseByLoops.from_finite_ring(R), images, guard)
+
+
+# -- the polynomial element route ---------------------------------------------
+#
+# Ring arithmetic straight from the definitions: a GF(p^k) component is a
+# little-endian coefficient tuple, multiplied as a polynomial and reduced by
+# long division against the monic modulus; Frobenius^j is the power p^j.
+# The library's coordinate kernel (structure constants and Frobenius
+# columns) is checked against these.
+
+
+def atom_add(atom, a, b):
+    if atom.kind == "zmod":
+        return (a + b) % atom.order
+    return tuple((x + y) % atom.p for x, y in zip(a, b))
+
+
+def atom_scale(atom, a, n):
+    """The integer multiple n * a."""
+    if atom.kind == "zmod":
+        return n * a % atom.order
+    return tuple(n * x % atom.p for x in a)
+
+
+def atom_mul(atom, a, b):
+    if atom.kind == "zmod":
+        return a * b % atom.order
+    k, p = atom.k, atom.p
+    res = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            res[i + j] = (res[i + j] + x * y) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        c = res[d]
+        for t, m in enumerate(atom.poly):
+            res[d - k + t] = (res[d - k + t] - c * m) % p
+    return tuple(res[:k])
+
+
+def atom_power(atom, a, e):
+    res = atom.one()
+    for _ in range(e):
+        res = atom_mul(atom, res, a)
+    return res
+
+
+def atom_frobenius(atom, a, j):
+    """a ** (p ** j); the identity on a Z/p^k atom."""
+    if atom.kind == "zmod":
+        return a
+    return atom_power(atom, a, atom.p ** (j % atom.k))
+
+
+def _elementwise(op, x, *rest):
+    from semigalois.rings import RingElement
+    return RingElement(x.ring, tuple(op(a, *args) for a, *args in
+                                     zip(x.ring.atoms, x.comps, *(y.comps for y in rest))))
+
+
+def element_sum(x, y):
+    return _elementwise(atom_add, x, y)
+
+
+def element_product(x, y):
+    return _elementwise(atom_mul, x, y)
+
+
+def element_multiple(x, n):
+    return _elementwise(lambda atom, a: atom_scale(atom, a, n), x)
+
+
+def iso_apply_by_polynomials(iso, el):
+    """The iso applied atom by atom through `atom_frobenius`."""
+    from semigalois.rings import RingElement
+    comps = [a.zero() for a in iso.ring.atoms]
+    for i, j in iso.matching.items():
+        comps[j] = atom_frobenius(iso.ring.atoms[i], el.comps[i], iso.twist[i])
+    return RingElement(iso.ring, tuple(comps))
+
+
+def verify_iso_extensional(iso, pair_limit=256):
+    """Check that `iso.apply` is a bijective, additive, multiplicative,
+    1 -> 1 map of its domain ideal onto its image ideal.
+
+    Every domain element is checked by basis-increment additivity plus
+    basis-pair multiplicativity (equivalent to the all-pairs statement by
+    additivity); small domains are additionally checked on all pairs.
+    Products are taken on the polynomial route above.
+    """
+    from semigalois.rings import RingElement
+    ring = iso.ring
+    order = math.prod(ring.atoms[i].order for i in iso.dom_support)
+
+    def dom_elements():
+        parts = [list(ring.atoms[i].elements()) if i in iso.dom_support else [ring.atoms[i].zero()]
+                 for i in range(len(ring.atoms))]
+        for comps in itertools.product(*parts):
+            yield RingElement(ring, tuple(comps))
+
+    if iso.apply(ring.idempotent(iso.dom_support)) != ring.idempotent(iso.im_support):
+        return False
+    basis = [b.mask(iso.dom_support) for b in ring.basis_elements()]
+    basis = [b for b in basis if b.support()]
+    images = set()
+    for x in dom_elements():
+        fx = iso.apply(x)
+        if not fx.support() <= iso.im_support:
+            return False
+        images.add(fx)
+        for b in basis:
+            if iso.apply(element_sum(x, b)) != element_sum(fx, iso.apply(b)):
+                return False
+    if len(images) != order:
+        return False
+    for b in basis:
+        for c in basis:
+            if iso.apply(element_product(b, c)) != element_product(iso.apply(b), iso.apply(c)):
+                return False
+    if order <= pair_limit:
+        els = list(dom_elements())
+        for x in els:
+            for y in els:
+                fx, fy = iso.apply(x), iso.apply(y)
+                if iso.apply(element_product(x, y)) != element_product(fx, fy):
+                    return False
+                if iso.apply(element_sum(x, y)) != element_sum(fx, fy):
+                    return False
+    return True

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from semigalois import actions as ac
@@ -225,6 +227,23 @@ def test_scalar_extension_structural_map_checked():
         ac.extend_scalars(beta, R, [R.element([2])])  # 1 must map to 1
 
 
-def test_class_joins_form_quotient_group():
+def cut_first_join(joins):
+    """The class joins with the first one restricted to one atom fewer."""
+    first = joins[0]
+    keep = sorted(first.matching)[:-1]
+    cut = StructuredIso(first.ring, {i: first.matching[i] for i in keep},
+                        {i: first.twist[i] for i in keep})
+    return [cut, *joins[1:]]
+
+
+def test_class_joins_form_quotient_group(monkeypatch):
     for beta in (f9_cubed_fixture(), c2_swap_fixture(), chain_semilattice_fixture()):
         assert ac.verify_class_join_group(beta)
+    # with the identity class's join cut down, g g^-1 lies below no join
+    induce = ac.induce_partial_group_action
+    monkeypatch.setattr(ac, "induce_partial_group_action",
+                        lambda beta: SimpleNamespace(group=induce(beta).group,
+                                                     isos=cut_first_join(induce(beta).isos)))
+    for beta in (f9_cubed_fixture(), c2_swap_fixture()):
+        with pytest.raises(AssertionError, match="sits below"):
+            ac.verify_class_join_group(beta)

@@ -236,6 +236,26 @@ def test_snf_invariants_match_sympy_invariant_factors(seed):
     assert pres.order() == math.prod(expected)
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [0, 2]],
+    [[6, 4], [4, 6]],
+    [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+    [[12, 18], [8, 12], [0, 5]],
+], ids=["z4", "sym", "3x3", "three-passes"])
+def test_snf_invariants_over_several_echelon_passes(rows, monkeypatch):
+    """Inputs on which one column echelon leaves off-diagonal entries."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    passes = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *a: passes.append(1) or echelon(*a))
+    got = linalg.snf_invariants(sparse(rows))
+    assert len(passes) > 1
+    expected = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert got == tuple(sorted(abs(int(d)) for d in expected if abs(int(d)) > 1))
+
+
 def test_cols_from_vectors_exact_values_and_shapes():
     vectors = [(1, 0, -2), (0, BIG, 3), (np.int64(4), 5, 0)]
     mat = linalg.cols_from_vectors(vectors, 3)

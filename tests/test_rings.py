@@ -8,7 +8,9 @@ from semigalois import rings as rg
 from semigalois import isopu
 from semigalois.linalg import AbelianPresentation
 from semigalois.corpus import random_ring, random_structured_iso
-from oracles import dense, expand_by_solve, kron_left, kron_right, quotient_order_by_enumeration
+from oracles import (atom_frobenius, atom_power, dense, element_multiple, element_product,
+                     element_sum, expand_by_solve, iso_apply_by_polynomials, kron_left, kron_right,
+                     quotient_order_by_enumeration, verify_iso_extensional)
 
 
 def test_atom_guards():
@@ -77,12 +79,12 @@ def test_structured_iso_requires_matching_atoms():
 def test_verify_iso_extensional_accepts_and_rejects():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     swap = rg.StructuredIso(B, {0: 1, 1: 0}, {})
-    assert rg.verify_iso_extensional(swap)
-    assert rg.verify_iso_extensional(isopu.compose(swap, swap))
+    assert verify_iso_extensional(swap)
+    assert verify_iso_extensional(isopu.compose(swap, swap))
 
     f9 = rg.FiniteRing([rg.Atom.gf(3, 2, (1, 0, 1))])
     good = rg.StructuredIso(f9, {0: 0}, {0: 1})
-    assert rg.verify_iso_extensional(good)
+    assert verify_iso_extensional(good)
 
     class CorruptedIso(rg.StructuredIso):
         def apply(self, el):
@@ -93,7 +95,7 @@ def test_verify_iso_extensional_accepts_and_rejects():
             return rg.RingElement(self.ring, tuple(comps))
 
     bad = CorruptedIso(f9, {0: 0}, {0: 1})
-    assert not rg.verify_iso_extensional(bad)
+    assert not verify_iso_extensional(bad)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -309,28 +311,100 @@ def _isos(A):
                 yield rg.StructuredIso(A, {i: perm[i] for i in dom}, {i: tw[i] for i in dom})
 
 
+LARGE_ATOMS = {
+    "GF(256)": rg.Atom.gf(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    "GF(81)": rg.Atom.gf(3, 4, (2, 0, 0, 2, 1)),
+    "GF(125)": rg.Atom.gf(5, 3, (3, 3, 0, 1)),
+    "Z/1024": rg.Atom.zmod(2, 10),
+    "GF(7) mod x+3": rg.Atom.gf(7, 1, (3, 1)),
+}
+
+
+def _check_atom_tables(atom):
+    """`_x_powers` and every `frobenius_cols(j)` against the polynomial route."""
+    if atom.kind == "zmod":
+        assert atom.frobenius_cols(0) == ((1,),)
+        with pytest.raises(rg.RingError):
+            atom.frobenius_cols(1)
+        return
+    basis = [tuple(1 if t == i else 0 for t in range(atom.k)) for i in range(atom.k)]
+    x = basis[1] if atom.k > 1 else None
+    assert len(atom._x_powers) == 2 * atom.k - 1
+    for d, power in enumerate(atom._x_powers):
+        assert power == atom_power(atom, x, d)
+    for j in range(2 * atom.k):
+        assert atom.frobenius_cols(j) == tuple(atom_frobenius(atom, b, j) for b in basis)
+
+
+def _check_pair(A, x, y, mat=None):
+    """The kernel's product, sum and difference of x and y."""
+    want = element_product(x, y)
+    assert A.mul_vec(x.vec(), y.vec()) == want.vec()
+    assert x * y == want
+    if mat is not None:
+        moduli = np.array(A.coord_moduli, dtype=object)
+        assert tuple(mat.dot(np.array(y.vec(), dtype=object)) % moduli) == want.vec()
+    assert x + y == element_sum(x, y)
+    assert x - y == element_sum(x, element_multiple(y, -1))
+
+
+def _check_multiples(A, x):
+    """The kernel's negation and integer multiples of x."""
+    assert -x == element_multiple(x, -1)
+    for n in (-5, 0, 1, 3, A.exponent + 2):
+        assert n * x == x * n == element_multiple(x, n)
+
+
+def _check_iso(iso, x, mat=None):
+    """apply_vec, apply and the iso matrix on x against the polynomial Frobenius."""
+    A = iso.ring
+    want = iso_apply_by_polynomials(iso, x)
+    assert iso.apply_vec(x.vec()) == want.vec()
+    assert iso.apply(x.mask(iso.dom_support)) == want
+    if mat is not None:
+        moduli = np.array(A.coord_moduli, dtype=object)
+        assert tuple(mat.dot(np.array(x.vec(), dtype=object)) % moduli) == want.vec()
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
 def test_kernel_matches_polynomial_arithmetic(name):
-    """mul_vec, mult_matrix, apply_vec and iso matrices against Atom.mul / Atom.frobenius."""
+    """The coordinate kernel against the polynomial route of tests/oracles.py, on
+    every element pair: mul_vec, mult_matrix and RingElement arithmetic; and on
+    every element and iso: apply_vec, apply and iso matrices; and each atom's
+    reduction table and Frobenius columns."""
     A = rg.FiniteRing(KERNEL_RINGS[name])
+    for atom in set(A.atoms):
+        _check_atom_tables(atom)
     els = list(A.elements())
-    moduli = np.array(A.coord_moduli, dtype=object)
     for x in els:
-        u = x.vec()
-        mat = dense(A.mult_matrix(u))
+        _check_multiples(A, x)
+        mat = dense(A.mult_matrix(x.vec()))
         for y in els:
-            want = (x * y).vec()  # RingElement products go through Atom.mul
-            assert A.mul_vec(u, y.vec()) == want
-            assert tuple(mat.dot(np.array(y.vec(), dtype=object)) % moduli) == want
+            _check_pair(A, x, y, mat)
     for iso in _isos(A):
         mat = dense(iso.matrix())
         for x in els:
-            comps = [a.zero() for a in A.atoms]
-            for i, j in iso.matching.items():
-                comps[j] = A.atoms[i].frobenius(x.comps[i], iso.twist[i])
-            want = rg.RingElement(A, tuple(comps)).vec()
-            assert iso.apply_vec(x.vec()) == want
-            assert tuple(mat.dot(np.array(x.vec(), dtype=object)) % moduli) == want
+            _check_iso(iso, x, mat)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ATOMS))
+def test_kernel_matches_polynomial_arithmetic_on_large_atoms(name):
+    """The same checks on seeded random elements of atoms too large to enumerate."""
+    atom = LARGE_ATOMS[name]
+    _check_atom_tables(atom)
+    A = rg.FiniteRing([atom, atom])
+    rng = random.Random(name)
+
+    def draw():
+        return A.from_vec([rng.randrange(m) for m in A.coord_moduli])
+
+    for _ in range(100):
+        x = draw()
+        _check_multiples(A, x)
+        _check_pair(A, x, draw())
+    for iso in _isos(A):
+        for _ in range(4):
+            _check_iso(iso, draw())
 
 
 def _mult_matrix_by_loops(t, b_vec, side):

@@ -192,6 +192,14 @@ def test_sigma_group_cases():
     assert set(quo.classes[quo.projection[0]]) == set(S7.idempotents)
 
 
+def test_quotient_table_is_none_off_congruences():
+    chain = sg.validate_table([[0, 1, 2], [1, 1, 2], [2, 2, 2]], names=["1", "e", "f"])
+    classes, projection = sg.lower_bound_classes(chain)
+    assert sg.quotient_table(chain, classes, projection) == sg.sigma_partition(chain).table
+    # {1, f} | {e}: 1 * e = e and f * e = f lie in different classes
+    assert sg.quotient_table(chain, ((0, 2), (1,)), (0, 1, 0)) is None
+
+
 def test_sigma_refuses_declared_zero():
     with pytest.raises(sg.ZeroForbidden):
         sg.sigma_partition(b2_table())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from semigalois import isopu
 from semigalois import zerocase as zc
 from semigalois.corpus import (b2_swap_fixture, b2_table, group_with_zero_fixture,
                                groupoid_action_corpus, non_categorical_semilattice,
@@ -200,6 +201,15 @@ def test_p_prime_on_group_with_zero():
     P, joins, proj = zc.p_prime_construction(beta)
     assert P.n == 3  # (C2)^0
     assert zc.is_primitive(P)
+
+
+@pytest.mark.parametrize("fixture", [b2_swap_fixture, group_with_zero_fixture])
+def test_p_prime_rejects_a_cut_class_join(fixture, monkeypatch):
+    from test_actions import cut_first_join
+    class_joins = isopu.class_joins
+    monkeypatch.setattr(isopu, "class_joins", lambda *a: cut_first_join(class_joins(*a)))
+    with pytest.raises(AssertionError, match="sits below"):
+        zc.p_prime_construction(fixture())
 
 
 def test_p_prime_matches_sigma_machinery_on_adjoined_zero():
