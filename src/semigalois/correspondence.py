@@ -117,7 +117,8 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     """The one correspondence engine: T -> B = A^{beta|T} -> S_B -> A^{beta|S_B}.
 
     For each T in the list `ts`, B must be separable over A^beta and
-    beta-strong, S_B must be T and fix B again, and no two Ts may fix one
+    beta-strong, S_B must be T and fix B again (a fixed ring computed
+    afresh only when S_B is not T), and no two Ts may fix one
     B.  S_B is taken on beta for every route: membership of s depends only
     on beta_s, so S_B on the image semigroup beta(S) pulls back to exactly
     this set.  The brute-force scan matches the S_Bs of all separable
@@ -134,7 +135,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
         s_b = compute_S_B(beta, B)
         strong, fail_at = is_beta_strong(beta, B, s_b)
         round_t = s_b.members == T.members
-        round_b = fixed_subalgebra(beta, s_b, base) == B
+        round_b = round_t or fixed_subalgebra(beta, s_b, base) == B
         if B in seen_algebras:
             failures.append(("duplicate fixed algebra", members, seen_algebras[B]))
         seen_algebras[B] = members

@@ -316,10 +316,16 @@ class FiniteRing:
         return tuple((a - b) % m for a, b, m in zip(u, v, self.coord_moduli))
 
     def mul_vec(self, u, v):
+        """Product of coordinate vectors, atom by atom; an atom where either
+        factor is zero gets zeros without a product, but every atom is charged."""
         spend("ring_products", len(self.atoms))
         out = []
         for (lo, hi), a in zip(self._spans, self.atoms):
-            out.extend(a.mul_coords(u[lo:hi], v[lo:hi]))
+            x, y = u[lo:hi], v[lo:hi]
+            if any(x) and any(y):
+                out.extend(a.mul_coords(x, y))
+            else:
+                out.extend([0] * (hi - lo))
         return tuple(out)
 
     def vector_order(self, vec):
@@ -528,7 +534,8 @@ class Subalgebra:
 
     Equality of subalgebras is equality of canonical bases; membership is a
     triangular solve.  Closure under multiplication and presence of 1 are
-    checked on demand, not assumed.
+    checked on demand, not assumed, and remembered: a subalgebra is never
+    changed after construction.
     """
 
     def __init__(self, ring, gen_vectors):
@@ -577,6 +584,10 @@ class Subalgebra:
                    for i in range(len(gens)) for j in range(i, len(gens)))
 
     def is_subalgebra(self):
+        return self._is_subalgebra
+
+    @cached_property
+    def _is_subalgebra(self):
         return self.contains_one() and self.closed_under_mul()
 
     def element_vectors(self):
@@ -660,7 +671,7 @@ class TensorPresentation:
         self.ng = list(N.gen_vectors)
         self.k, self.l = len(self.mg), len(self.ng)
         self._mexp = SpanExpander(M)
-        self._nexp = SpanExpander(N)
+        self._nexp = self._mexp if N is M else SpanExpander(N)
 
         morders = [ring.vector_order(v) for v in self.mg]
         norders = [ring.vector_order(v) for v in self.ng]
@@ -696,17 +707,31 @@ class TensorPresentation:
 
     def mult_map_vec(self):
         """Matrix of the multiplication map m (x) n -> m*n into ring coords."""
-        cols = [self.ring.mul_vec(self.mg[i], self.ng[j])
-                for i in range(self.k) for j in range(self.l)]
+        return self._mult_map
+
+    @cached_property
+    def _mult_map(self):
+        """Built once per tensor, each unordered generator pair multiplied once
+        (the ring is commutative)."""
+        products = {}
+        cols = []
+        for u in self.mg:
+            for v in self.ng:
+                key = (u, v) if u <= v else (v, u)
+                if key not in products:
+                    products[key] = self.ring.mul_vec(u, v)
+                cols.append(products[key])
         return cols_from_vectors(cols, self.ring.n_coords)
 
     def left_factor(self, b_vec):
         """k x k matrix E of m -> b*m on M's generators: column i expands b*mg[i]."""
-        return cols_from_vectors([self._mexp.expand(self.ring.mul_vec(b_vec, m)) for m in self.mg], self.k)
+        return self._mexp.mult_matrix(b_vec)
 
     def right_factor(self, b_vec):
-        """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j]."""
-        return cols_from_vectors([self._nexp.expand(self.ring.mul_vec(b_vec, n)) for n in self.ng], self.l)
+        """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j].
+
+        When N is M the two factors share one expander, so F is E."""
+        return self._nexp.mult_matrix(b_vec)
 
     def mult_difference(self, b_vec):
         """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
@@ -738,12 +763,24 @@ class SpanExpander:
         self.sub = sub
         ring = self.ring = sub.ring
         self._cache = {}
+        self._mult_matrices = {}
         # (pivot row, pivot, entries below it, generator order or 0) per basis column
         self._walk = []
         for j, col in enumerate(sub.basis.cols):
             residue = tuple(c % m for c, m in zip(sub.basis.column(j), ring.coord_moduli))
             self._walk.append((j, col[j], sorted((i, v) for i, v in col.items() if i > j),
                                ring.vector_order(residue) if any(residue) else 0))
+
+    def mult_matrix(self, b_vec):
+        """Matrix of m -> b*m on the generators, column j expanding b times
+        generator j; built once per b."""
+        b_vec = tuple(b_vec)
+        mat = self._mult_matrices.get(b_vec)
+        if mat is None:
+            gens = self.sub.gen_vectors
+            mat = cols_from_vectors([self.expand(self.ring.mul_vec(b_vec, g)) for g in gens], len(gens))
+            self._mult_matrices[b_vec] = mat
+        return mat
 
     def expand(self, vec):
         vec = tuple(int(x) % m for x, m in zip(vec, self.ring.coord_moduli))

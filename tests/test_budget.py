@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from semigalois import budget
@@ -15,3 +18,25 @@ def test_limit_blocks_nest_and_spending_outside_is_free():
         with pytest.raises(budget.BudgetExceeded):
             budget.spend("elements", 1)
     budget.spend("elements", 10 ** 9)
+
+
+NUMBER_WORDS = {w: n for n, w in enumerate(
+    "zero one two three four five six seven eight nine ten eleven twelve".split())}
+
+
+def test_documented_margin_over_c20_holds(tmp_path, capsysbinary):
+    """docs/format.md puts the default budget at "about m times" what `galois`
+    spends on C20 rotating (Z/2)^20: the spend lies within DEFAULT / (m +- 1/2)."""
+    from semigalois import cli
+    from semigalois.instance import action_to_instance_text
+    from test_polynomial_scans import cyclic_shift_on_z2
+
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "format.md").read_text()
+    word = re.search(r"about (\w+) times what `galois` spends on C20", " ".join(doc.split()))
+    m = NUMBER_WORDS[word.group(1)]
+    path = tmp_path / "c20.sgi"
+    path.write_text(action_to_instance_text(cyclic_shift_on_z2(20)))
+    codes = [cli.main(["galois", str(path), "--budget", str(int(cli.DEFAULT_BUDGET / bound))])
+             for bound in (m - 0.5, m + 0.5)]
+    capsysbinary.readouterr()
+    assert codes == [0, 3]

@@ -241,3 +241,81 @@ def test_brute_force_verification_computes_the_invariants_once(monkeypatch):
     rep = co.verify_e_unitary_correspondence(beta, brute_force_subalgebras=True)
     assert rep.brute_force_match
     assert sum(b is beta for b in calls) == 1
+
+
+@pytest.mark.parametrize("name", ["c2_swap", "s7_f9cubed", "trace_gap_c2"])
+def test_correspond_fixes_each_member_set_and_checks_each_subalgebra_once(
+        monkeypatch, capsysbinary, name):
+    """One `correspond`: A^{beta|T} once per distinct member set (the round trip
+    reuses B when S_B is T), and `closed_under_mul` at most once per object."""
+    from semigalois import cli
+    from semigalois.rings import Subalgebra
+    fixed, closed = [], []
+    original_fixed = co.fixed_subalgebra
+    original_closed = Subalgebra.closed_under_mul
+
+    def counted_fixed(beta, T, base=None):
+        fixed.append(T.members)
+        return original_fixed(beta, T, base)
+
+    def counted_closed(self):
+        closed.append(self)  # held, so no two objects share an id
+        return original_closed(self)
+
+    monkeypatch.setattr(co, "fixed_subalgebra", counted_fixed)
+    monkeypatch.setattr(Subalgebra, "closed_under_mul", counted_closed)
+    cli.main(["correspond", str(INSTANCES / f"{name}.sgi")])
+    capsysbinary.readouterr()
+    assert len(fixed) == len(set(fixed))
+    assert len(closed) == len({id(sub) for sub in closed})
+    if name != "trace_gap_c2":  # not Galois: no pairs to fix
+        assert fixed
+
+
+def _assert_reverses_inclusion(beta, rep):
+    """On every two pairs of a report, T <= T' iff A^{beta|T} contains A^{beta|T'}."""
+    fixed = {frozenset(p.members): co.fixed_subalgebra(beta, SubSemigroup(beta.S, frozenset(p.members)))
+             for p in rep.pairs}
+    for t1, b1 in fixed.items():
+        for t2, b2 in fixed.items():
+            assert (t1 <= t2) == b1.contains(b2), (sorted(t1), sorted(t2))
+
+
+def _printed_correspondence(beta):
+    """The report `correspond` (or `zero`, with a declared zero) prints pairs from, or None."""
+    if beta.S.zero is not None:
+        verify = zc.verify_zero_correspondence
+    elif is_injective(beta) and is_e_unitary(beta.S):
+        verify = co.verify_e_unitary_correspondence
+    else:
+        verify = co.verify_general_correspondence
+    rep = _decide(verify, beta, False)
+    return None if isinstance(rep, str) else rep
+
+
+ORDER_CASES = {**{name: lambda name=name: _shipped(name)
+                   for name in ["c2_swap", "s7_f9cubed", "trace_gap_c2", "b2_f3f3"]},
+               **NON_INJECTIVE, **ZERO_CASES}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_correspondences_reverse_inclusion(name):
+    beta = ORDER_CASES[name]()
+    rep = _printed_correspondence(beta)
+    if name == "trace_gap_c2":  # not Galois
+        assert rep is None
+    else:
+        assert rep.bijective and rep.pairs
+        _assert_reverses_inclusion(beta, rep)
+
+
+@pytest.mark.parametrize("seed,with_zero", [(88, False), (7, True)])
+def test_corpus_correspondences_reverse_inclusion(seed, with_zero):
+    several = 0
+    for beta in corpus(seed, 60, with_zero=with_zero,
+                       predicate=lambda b: b.all_ideals_nonzero() and b.S.n > 1 and b.A.size <= 2000):
+        rep = _printed_correspondence(beta)
+        if rep is not None and rep.bijective:
+            _assert_reverses_inclusion(beta, rep)
+            several += len(rep.pairs) > 1
+    assert several >= 5

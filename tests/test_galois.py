@@ -260,6 +260,25 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
         assert True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize("case", ["c2_gf4^2", "s7_gf4^3", "c3_z4^3", "fixed"])
+def test_tensor_on_one_factor_matches_two_equal_factors(case):
+    """B (x)_R B built on one factor object (the factor matrices shared) against
+    the same tensor on an equal but distinct copy of B (the general path)."""
+    for B, R in _separability_pairs(case):
+        twin = Subalgebra(B.ring, B.gen_vectors)
+        assert twin == B and twin is not B
+        one, two = TensorPresentation(B, B, R), TensorPresentation(B, twin, R)
+        assert one.pres.moduli == two.pres.moduli
+        assert one.pres.lattice == two.pres.lattice
+        assert one.mult_map_vec() == two.mult_map_vec()
+        for b in B.gen_vectors:
+            assert one.left_factor(b) is one.right_factor(b)
+            assert two.left_factor(b) is not two.right_factor(b)
+            assert one.mult_difference(b) == two.mult_difference(b)
+        sep_one, sep_two = gl.is_separable(B, R, tensor=one), gl.is_separable(B, R, tensor=two)
+        assert (sep_one and sep_one[1]) == (sep_two and sep_two[1])
+
+
 def test_idempotent_check_rejects_what_the_kron_check_rejects():
     """E.Z and Z.F^T decide the same equations as the Kronecker matrices."""
     beta = f9_cubed_fixture()

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from semigalois import budget
 from semigalois import rings as rg
 from semigalois import isopu
 from semigalois.linalg import AbelianPresentation
@@ -405,6 +406,38 @@ def test_kernel_matches_polynomial_arithmetic_on_large_atoms(name):
     for iso in _isos(A):
         for _ in range(4):
             _check_iso(iso, draw())
+
+
+SKIP_RINGS = {
+    "GF(4) x Z/4 x GF(9) x Z/9": [rg.Atom.gf(2, 2), rg.Atom.zmod(2, 2), rg.Atom.gf(3, 2),
+                                  rg.Atom.zmod(3, 2)],
+    "GF(8) x GF(8) x Z/8 x GF(25) x Z/5": [rg.Atom.gf(2, 3), rg.Atom.gf(2, 3), rg.Atom.zmod(2, 3),
+                                           rg.Atom.gf(5, 2), rg.Atom.zmod(5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_RINGS))
+def test_kernel_skips_zero_atoms_and_charges_every_atom(name):
+    """`mul_vec` multiplies only atoms where both factors are nonzero: seeded
+    vectors zero on random atom sets against the polynomial route, and one
+    call charges len(atoms) ring products whatever its zero slices."""
+    A = rg.FiniteRing(SKIP_RINGS[name])
+    n = len(A.atoms)
+    rng = random.Random(name)
+
+    def draw():
+        zero = set(rng.sample(range(n), rng.randrange(n + 1)))
+        vec = [rng.randrange(m) for m in A.coord_moduli]
+        return A.from_vec(A.mask_vec(vec, set(range(n)) - zero))
+
+    for _ in range(300):
+        x, y = draw(), draw()
+        assert A.mul_vec(x.vec(), y.vec()) == element_product(x, y).vec()
+        with budget.limit(n):
+            A.mul_vec(x.vec(), y.vec())
+        with budget.limit(n - 1), pytest.raises(budget.BudgetExceeded) as exc:
+            A.mul_vec(x.vec(), y.vec())
+        assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
 
 
 def _mult_matrix_by_loops(t, b_vec, side):
