@@ -35,3 +35,9 @@ def spend(quantity, amount):
         tally[0] += amount
         if tally[0] > tally[1]:
             raise BudgetExceeded(quantity, tally[0], tally[1])
+
+
+def spent():
+    """The total charged in the open block so far; 0 outside any block."""
+    tally = _tally.get()
+    return tally[0] if tally is not None else 0

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from . import isopu
 from .actions import image_action, invariant_ring, is_injective, restrict_action
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_separable, is_galois
-from .rings import Subalgebra
 from .semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of
 
 
@@ -118,24 +117,28 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
 
     For each T in the list `ts`, B must be separable over A^beta and
     beta-strong, S_B must be T and fix B again (a fixed ring computed
-    afresh only when S_B is not T), and no two Ts may fix one
-    B.  S_B is taken on beta for every route: membership of s depends only
-    on beta_s, so S_B on the image semigroup beta(S) pulls back to exactly
-    this set.  The brute-force scan matches the S_Bs of all separable
-    beta-strong subalgebras to `ts`.
+    afresh only when S_B is not T; the fixed ring of all of S is A^beta),
+    and no two Ts may fix one B.  S_B is taken on beta for every route:
+    membership of s depends only on beta_s, so S_B on the image semigroup
+    beta(S) pulls back to exactly this set.  The brute-force scan matches
+    the S_Bs of all separable beta-strong subalgebras to `ts`.
     """
     base = invariant_ring(beta)
+
+    def fixed(T):
+        return base if len(T.members) == beta.S.n else fixed_subalgebra(beta, T, base)
+
     pairs = []
     failures = []
     seen_algebras = {}
     for T in ts:
         members = tuple(sorted(T.members))
-        B = fixed_subalgebra(beta, T, base)
+        B = fixed(T)
         sep = is_separable(B, base) is not None
         s_b = compute_S_B(beta, B)
         strong, fail_at = is_beta_strong(beta, B, s_b)
         round_t = s_b.members == T.members
-        round_b = round_t or fixed_subalgebra(beta, s_b, base) == B
+        round_b = round_t or fixed(s_b) == B
         if B in seen_algebras:
             failures.append(("duplicate fixed algebra", members, seen_algebras[B]))
         seen_algebras[B] = members
@@ -193,14 +196,14 @@ def enumerate_subalgebras_over(beta, base):
     candidates per B instead of |A|.
     """
     A = beta.A
-    start = Subalgebra(A, list(base.gen_vectors) + [A.one().vec()]).closure_under_mul()
+    start = base.adjoin(A.one().vec())
     found = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
         reps = itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols)))
         for w in itertools.islice(reps, 1, None):  # the first is the zero coset
-            bigger = Subalgebra(A, list(cur.gen_vectors) + [w]).closure_under_mul()
+            bigger = cur.adjoin(w)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

@@ -107,28 +107,35 @@ def verify_coordinates(beta, coords, isos=None, rhs=None):
     return True
 
 
+def _galois_system(beta):
+    """(isos, right sides) of the Galois coordinate system."""
+    return list(beta.isos), [galois_rhs(beta, s).vec() for s in range(beta.S.n)]
+
+
+def _partial_action_system(beta, alpha):
+    """(isos, right sides) of the coordinate system of alpha (delta at 1_G)."""
+    A = beta.A
+    return list(alpha.isos), [(A.one() if g == alpha.group.identity else A.zero()).vec()
+                              for g in range(alpha.group.size())]
+
+
+def _solve_verified(beta, isos, rhs, name):
+    coords = _solve_coordinates(beta, isos, rhs)
+    if coords is not None and not verify_coordinates(beta, coords, isos=isos, rhs=rhs):
+        raise CertificateMismatch(f"{name} coordinate system fails its defining identity")
+    return coords
+
+
 def solve_galois_coordinates(beta):
     """Criterion (coordinates): a Galois coordinate system or None."""
-    rhs = [galois_rhs(beta, s).vec() for s in range(beta.S.n)]
-    coords = _solve_coordinates(beta, beta.isos, rhs)
-    if coords is not None:
-        if not verify_coordinates(beta, coords):
-            raise CertificateMismatch("Galois coordinate system fails its defining identity")
-    return coords
+    return _solve_verified(beta, *_galois_system(beta), "Galois")
 
 
 def solve_partial_action_coordinates(beta, alpha=None):
     """Coordinates for the induced partial group action (delta at 1_G)."""
     if alpha is None:
         alpha = induce_partial_group_action(beta)
-    A = beta.A
-    rhs = [(A.one() if g == alpha.group.identity else A.zero()).vec()
-           for g in range(alpha.group.size())]
-    coords = _solve_coordinates(beta, alpha.isos, rhs)
-    if coords is not None:
-        if not verify_coordinates(beta, coords, isos=alpha.isos, rhs=rhs):
-            raise CertificateMismatch("partial-action coordinate system fails its defining identity")
-    return coords
+    return _solve_verified(beta, *_partial_action_system(beta, alpha), "partial-action")
 
 
 def is_galois_trace_criterion(beta, alpha=None):
@@ -223,8 +230,12 @@ def psi_image_vector(beta, pa, x, y):
 
     x and y are coordinate vectors; `apply_vec` masks y to the domain.
     """
-    A = beta.A
-    return pa.compress({t: A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in pa.maximal})
+    return _psi_image(beta.A, pa, x, [beta.isos[t].apply_vec(y) for t in pa.maximal])
+
+
+def _psi_image(A, pa, x, moved_y):
+    """psi(x (x) y) from y's images beta_t(y 1_{t^-1}), t in `pa.maximal` in order."""
+    return pa.compress({t: A.mul_vec(x, m) for t, m in zip(pa.maximal, moved_y)})
 
 
 @dataclass
@@ -241,15 +252,17 @@ def psi_check(beta, tensor=None):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
     `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
-    psi is evaluated on every generator pair of the tensor, on coordinates.
+    psi is evaluated on every generator pair of the tensor, on coordinates,
+    with each beta_t applied to each generator of the second factor once.
     """
     if tensor is None:
         tensor = _full_tensor(beta, invariant_ring(beta))
     pa = PABetaS(beta)
+    moved = [[beta.isos[t].apply_vec(y) for t in pa.maximal] for y in tensor.ng]
     images = []
     for i in range(tensor.k):
         for j in range(tensor.l):
-            vec = psi_image_vector(beta, pa, tensor.mg[i], tensor.ng[j])
+            vec = _psi_image(beta.A, pa, tensor.mg[i], moved[j])
             if not pa.satisfies_constraints(vec):
                 raise CertificateMismatch(f"psi image of generator pair ({i}, {j}) leaves PA")
             images.append(vec)
@@ -494,7 +507,12 @@ def cross_check_equivalences(beta: UnitalAction):
             raise EquivalenceViolation(f"trace criterion broke necessity: {verdicts}")
         trace_gap = True
 
-    alpha_coords = solve_partial_action_coordinates(beta, alpha)
+    # alpha's system is often beta's (same isos in the same order, same right
+    # sides: S a group, say); it then has beta's solution, and the check below holds
+    if _partial_action_system(beta, alpha) == _galois_system(beta):
+        alpha_coords = coords
+    else:
+        alpha_coords = solve_partial_action_coordinates(beta, alpha)
     cert.alpha_coordinates = alpha_coords
     if (alpha_coords is not None) != galois:
         raise EquivalenceViolation("beta-Galois and alpha-Galois disagree")

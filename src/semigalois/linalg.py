@@ -134,10 +134,11 @@ def _echelon(cols, rows, track_moduli=None):
             break
         updated = 0
         while True:
-            nz = sorted(j for j in index[row] if j >= col)
+            nz = [j for j in index[row] if j >= col]
             if len(nz) <= 1:
                 break
-            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            # each reduction changes only its own column, so their order is free
+            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
             p = cols[j0][row]
             for j in nz:
                 if j != j0:
@@ -169,7 +170,7 @@ def _echelon(cols, rows, track_moduli=None):
     for row, col in pivots:
         p = cols[col][row]
         updated = 0
-        for jc in sorted(j for j in index[row] if j < col):
+        for jc in [j for j in index[row] if j < col]:
             q = cols[jc][row] // p
             if q:
                 updated += sub(jc, col, q)

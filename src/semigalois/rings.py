@@ -240,6 +240,7 @@ class FiniteRing:
             self._spans.append((pos, pos + a.coords))
             pos += a.coords
         self.exponent = math.lcm(*self.coord_moduli)
+        self._products = {}  # unordered pair of coordinate tuples -> their product
 
     def __eq__(self, other):
         return isinstance(other, FiniteRing) and self.atoms == other.atoms
@@ -317,16 +318,26 @@ class FiniteRing:
 
     def mul_vec(self, u, v):
         """Product of coordinate vectors, atom by atom; an atom where either
-        factor is zero gets zeros without a product, but every atom is charged."""
+        factor is zero gets zeros without a product, but every atom is charged.
+
+        Each unordered pair is multiplied once per ring and kept in its
+        product table; a repeat is read from there and charged all the same,
+        so the table holds at most (budget / atoms) entries.
+        """
         spend("ring_products", len(self.atoms))
-        out = []
-        for (lo, hi), a in zip(self._spans, self.atoms):
-            x, y = u[lo:hi], v[lo:hi]
-            if any(x) and any(y):
-                out.extend(a.mul_coords(x, y))
-            else:
-                out.extend([0] * (hi - lo))
-        return tuple(out)
+        u, v = tuple(u), tuple(v)
+        key = (u, v) if u <= v else (v, u)
+        out = self._products.get(key)
+        if out is None:
+            out = []
+            for (lo, hi), a in zip(self._spans, self.atoms):
+                x, y = u[lo:hi], v[lo:hi]
+                if any(x) and any(y):
+                    out.extend(a.mul_coords(x, y))
+                else:
+                    out.extend([0] * (hi - lo))
+            out = self._products[key] = tuple(out)
+        return out
 
     def vector_order(self, vec):
         """Additive order of a coordinate vector."""
@@ -434,7 +445,7 @@ class StructuredIso:
     Local atoms force any isomorphism of unital ideals into this shape.
     """
 
-    __slots__ = ("ring", "matching", "twist", "_key")
+    __slots__ = ("ring", "matching", "twist", "_key", "_plan")
 
     def __init__(self, ring, matching, twist):
         self.ring = ring
@@ -455,6 +466,7 @@ class StructuredIso:
         for i in dom:
             self.twist.setdefault(i, 0)
         self._key = (tuple(sorted(self.matching.items())), tuple(sorted(self.twist.items())))
+        self._plan = None
 
     @property
     def dom_support(self):
@@ -502,31 +514,35 @@ class StructuredIso:
             raise OutOfDomain(f"element supported on {sorted(el.support())} not in domain {sorted(self.dom_support)}")
         return self.ring.from_vec(self.apply_vec(el.vec()))
 
-    def _blocks(self):
-        """(domain offset, image offset, Frobenius columns) per matched atom."""
-        ring = self.ring
-        return [(ring.atom_span(i)[0], ring.atom_span(j)[0], ring.atoms[i].frobenius_cols(self.twist[i]))
-                for i, j in self.matching.items()]
+    def application_plan(self):
+        """((domain coordinate, ((image coordinate, coefficient), ...)), ...):
+        the nonzero entries of the Frobenius blocks, built on first use."""
+        if self._plan is None:
+            ring = self.ring
+            plan = []
+            for i, j in self.matching.items():
+                lo_d, lo_i = ring.atom_span(i)[0], ring.atom_span(j)[0]
+                for c, col in enumerate(ring.atoms[i].frobenius_cols(self.twist[i])):
+                    plan.append((lo_d + c, tuple((lo_i + r, int(z)) for r, z in enumerate(col) if z)))
+            self._plan = tuple(plan)
+        return self._plan
 
     def apply_vec(self, vec):
-        """(mask to domain, then apply) on coordinates, by the blocks of `matrix`."""
+        """(mask to domain, then apply) on coordinates, by the plan."""
         out = [0] * self.ring.n_coords
-        for lo_d, lo_i, cols in self._blocks():
-            for c, col in enumerate(cols):
-                x = int(vec[lo_d + c])
-                if x:
-                    for r, z in enumerate(col):
-                        out[lo_i + r] += x * z
+        for c, targets in self.application_plan():
+            x = vec[c]
+            if x:
+                for r, z in targets:
+                    out[r] += x * z
         return tuple(x % m for x, m in zip(out, self.ring.coord_moduli))
 
     def matrix(self):
         """Additive n x n matrix of (mask to domain, then apply)."""
-        n = self.ring.n_coords
-        cols = [{} for _ in range(n)]
-        for lo_d, lo_i, block in self._blocks():
-            for c, col in enumerate(block):
-                cols[lo_d + c] = {lo_i + r: int(z) for r, z in enumerate(col) if z}
-        return Matrix(n, cols)
+        cols = [{} for _ in range(self.ring.n_coords)]
+        for c, targets in self.application_plan():
+            cols[c] = dict(targets)
+        return Matrix(self.ring.n_coords, cols)
 
 
 class Subalgebra:
@@ -547,7 +563,10 @@ class Subalgebra:
 
     @staticmethod
     def full(ring):
-        return Subalgebra(ring, ring.basis_vectors())
+        """The whole ring, a unital subalgebra by construction: its check takes no products."""
+        sub = Subalgebra(ring, ring.basis_vectors())
+        sub._is_subalgebra = True
+        return sub
 
     @staticmethod
     def span_of_elements(ring, elements):
@@ -605,41 +624,50 @@ class Subalgebra:
         """Generators, chosen greedily from `gen_vectors`, of this subalgebra as a `base`-algebra.
 
         A generator already in the `base`-algebra generated by the earlier
-        choices is skipped; otherwise it is chosen and that algebra is
-        re-closed under multiplication.  `base` must be a unital subalgebra
-        inside this one.
+        choices is skipped; otherwise it is chosen and adjoined to that
+        algebra.  `base` must be a unital subalgebra inside this one.
         """
         chosen = []
         current = base
         for g in self.gen_vectors:
             if not current.member_vec(g):
                 chosen.append(g)
-                current = Subalgebra(self.ring, list(current.gen_vectors) + [g]).closure_under_mul()
+                current = current.adjoin(g)
         return chosen
 
     def closure_under_mul(self):
-        """Smallest multiplicatively closed additive span containing this one.
+        """Smallest multiplicatively closed additive span containing this one."""
+        return _close_under_mul(self, list(self.gen_vectors), 0)
 
-        `gens` spans `current`; the products among `gens[:checked]` are known
-        to lie in it, so each round multiplies only the newly added generators,
-        each unordered pair once (the ring is commutative).
-        """
-        ring = self.ring
-        current = self
-        gens = list(self.gen_vectors)
-        checked = 0
-        while True:
-            extra = {}
-            for j in range(checked, len(gens)):
-                for i in range(j + 1):
-                    w = ring.mul_vec(gens[i], gens[j])
-                    if w not in extra and not current.member_vec(w):
-                        extra[w] = None
-            if not extra:
-                return current
-            checked = len(gens)
-            gens.extend(extra)
-            current = Subalgebra(ring, gens)
+    def adjoin(self, vec):
+        """Smallest multiplicatively closed additive span containing this one,
+        which must be closed under multiplication, and `vec`: the products
+        among this span's generators lie in it, so only `vec` and what it
+        brings in are multiplied."""
+        gens = list(self.gen_vectors) + [tuple(vec)]
+        return _close_under_mul(Subalgebra(self.ring, gens), gens, len(gens) - 1)
+
+
+def _close_under_mul(current, gens, checked):
+    """Close `current`, spanned by `gens`, under multiplication.
+
+    The products among `gens[:checked]` are known to lie in `current`, so
+    each round multiplies only the newly added generators, each unordered
+    pair once (the ring is commutative).
+    """
+    ring = current.ring
+    while True:
+        extra = {}
+        for j in range(checked, len(gens)):
+            for i in range(j + 1):
+                w = ring.mul_vec(gens[i], gens[j])
+                if w not in extra and not current.member_vec(w):
+                    extra[w] = None
+        if not extra:
+            return current
+        checked = len(gens)
+        gens.extend(extra)
+        current = Subalgebra(ring, gens)
 
 
 class TensorPresentation:
@@ -677,11 +705,12 @@ class TensorPresentation:
         norders = [ring.vector_order(v) for v in self.ng]
         moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
 
+        m_relations = _span_relation_lattice(M)
         rel_cols = []
-        for c in _span_relation_lattice(M):
+        for c in m_relations:
             for j in range(self.l):
                 rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in _span_relation_lattice(N):
+        for c in (m_relations if N is M else _span_relation_lattice(N)):
             for i in range(self.k):
                 rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
         for r in R.gen_vectors:

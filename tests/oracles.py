@@ -5,9 +5,11 @@ counted by union-find enumeration over a coordinate box, and memberships by
 exhaustive search.  Slow but obviously correct on small inputs.  The
 exceptions are frozen copies of routes the library has since replaced, kept
 as references for the current ones: `dense_run_echelon` (the previous
-echelon engine), `expand_by_solve` (span expansion by one exact solve),
-`separable_all_generators` and `verify_idempotent_by_kron` (the separability
-solve and check over every additive generator, on Kronecker matrices),
+echelon engine), `sparse_echelon_by_sorted_scans` (the sparse engine
+before it dropped its per-step sorts), `expand_by_solve` (span expansion
+by one exact solve), `separable_all_generators` and
+`verify_idempotent_by_kron` (the separability solve and check over every
+additive generator, on Kronecker matrices),
 `psi_image_by_elements` (the comparison map through ring elements),
 `verify_coordinates_by_elements` (the coordinate identity through ring
 elements), the three correspondence routes with their own pair loops and
@@ -293,6 +295,92 @@ def dense_run_echelon(work_cols, n_track, track_moduli):
 
 
 # Frozen library routes that faster code replaced, kept as references.
+
+
+def sparse_echelon_by_sorted_scans(cols, rows, track_moduli=None):
+    """`linalg._echelon` as it was with a sorted scan of each pivot row, frozen.
+
+    Eliminates the {row: value} columns `cols` in place and returns
+    (transform columns or None, pivots, charges), where `charges` lists the
+    entries updated per pivot row, as the engine charges them to the budget.
+    """
+    index = [set() for _ in range(rows)]
+    for j, c in enumerate(cols):
+        for r in c:
+            index[r].add(j)
+    track = None
+    if track_moduli is not None:
+        track = [{j: 1} if j < len(track_moduli) else {} for j in range(len(cols))]
+    charges = []
+
+    def sub(j, j0, q):
+        cj = cols[j]
+        for r, v in cols[j0].items():
+            x = cj.get(r, 0) - q * v
+            if x:
+                cj[r] = x
+                index[r].add(j)
+            else:
+                del cj[r]
+                index[r].discard(j)
+        if track is not None:
+            tj = track[j]
+            for r, v in track[j0].items():
+                x = (tj.get(r, 0) - q * v) % track_moduli[r]
+                if x:
+                    tj[r] = x
+                else:
+                    tj.pop(r, None)
+        return len(cols[j0]) + (len(track[j0]) if track is not None else 0)
+
+    pivots = []
+    col = 0
+    for row in range(rows):
+        if col >= len(cols):
+            break
+        updated = 0
+        while True:
+            nz = sorted(j for j in index[row] if j >= col)
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            p = cols[j0][row]
+            for j in nz:
+                if j != j0:
+                    q = cols[j][row] // p
+                    if q:
+                        updated += sub(j, j0, q)
+        if not nz:
+            continue
+        j0 = nz[0]
+        if j0 != col:
+            a, b = cols[col], cols[j0]
+            for r in a.keys() - b.keys():
+                index[r].discard(col)
+                index[r].add(j0)
+            for r in b.keys() - a.keys():
+                index[r].discard(j0)
+                index[r].add(col)
+            cols[col], cols[j0] = b, a
+            if track is not None:
+                track[col], track[j0] = track[j0], track[col]
+        if cols[col][row] < 0:
+            cols[col] = {r: -v for r, v in cols[col].items()}
+            if track is not None:
+                track[col] = {r: x for r, v in track[col].items()
+                              if (x := -v % track_moduli[r])}
+        pivots.append((row, col))
+        charges.append(updated)
+        col += 1
+    for row, col in pivots:
+        p = cols[col][row]
+        updated = 0
+        for jc in sorted(j for j in index[row] if j < col):
+            q = cols[jc][row] // p
+            if q:
+                updated += sub(jc, col, q)
+        charges.append(updated)
+    return track, pivots, charges
 
 
 def expand_by_solve(sub, vec):

@@ -1,3 +1,4 @@
+import contextlib
 import re
 from pathlib import Path
 
@@ -40,3 +41,38 @@ def test_documented_margin_over_c20_holds(tmp_path, capsysbinary):
              for bound in (m - 0.5, m + 0.5)]
     capsysbinary.readouterr()
     assert codes == [0, 3]
+
+
+# What each command spends on each shipped instance, pinned as an upper bound
+# so that work a decision repeats shows up here.  Columns: validate, analyze,
+# galois, correspond, correspond --brute-force-subalgebras, zero.
+SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
+                  ["correspond", "--brute-force-subalgebras"], ["zero"]]
+SPEND_CEILINGS = {
+    "b2_f3f3": [0, 9, 0, 0, 0, 118],
+    "c2_swap": [0, 19, 127, 115, 215, 0],
+    "s7_f9cubed": [0, 35, 1738, 1781, 6850, 0],
+    "trace_gap_c2": [0, 10, 278, 58, 58, 0],
+}
+
+
+@pytest.mark.parametrize("instance", sorted(SPEND_CEILINGS))
+def test_spend_per_shipped_instance_stays_under_its_ceiling(monkeypatch, capsysbinary, instance):
+    from semigalois import cli
+
+    path = Path(__file__).resolve().parent.parent / "instances" / f"{instance}.sgi"
+    real_limit, spent = budget.limit, []
+
+    @contextlib.contextmanager
+    def recording_limit(n):
+        with real_limit(n):
+            try:
+                yield
+            finally:
+                spent.append(budget.spent())
+
+    monkeypatch.setattr(budget, "limit", recording_limit)
+    for command, ceiling in zip(SPEND_COMMANDS, SPEND_CEILINGS[instance]):
+        cli.main([command[0], str(path), *command[1:]])
+        assert spent[-1] <= ceiling, (command, spent[-1])  # the command's block, after parsing's
+    capsysbinary.readouterr()

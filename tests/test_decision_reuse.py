@@ -1,0 +1,168 @@
+"""Each decision derives every product, iso image and linear system once.
+
+Call counts around one in-process `cli.main` on the shipped instances, the
+per-ring product table (a lookup returns the product and is charged like
+one), and the per-iso application plan against the iso matrix and the
+polynomial Frobenius.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from semigalois import budget, cli, correspondence, galois
+from semigalois import rings as rg
+from semigalois.corpus import random_ring, random_structured_iso
+from oracles import element_product, iso_apply_by_polynomials
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def _run(capsys, *args):
+    code = cli.main(list(args))
+    capsys.readouterr()
+    return code
+
+
+def _recording(monkeypatch, owner, name, record):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("instance,solves", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
+def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance, solves):
+    """On a group the partial-action system is the Galois system and reuses its
+    solution; on the S7 monoid it differs and is solved apart."""
+    calls = []
+    _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
+    assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])
+def test_correspond_takes_no_restriction_for_all_of_s(monkeypatch, capsys, brute):
+    """The fixed ring of all of S is A^beta, which the engine already holds."""
+    sizes = []
+    _recording(monkeypatch, correspondence, "restrict_action",
+               lambda beta, T: sizes.append((len(T.members), beta.S.n)))
+    for path in sorted(INSTANCES.glob("*.sgi")):
+        _run(capsys, "correspond", str(path), *(["--brute-force-subalgebras"] if brute else []))
+    assert sizes and all(k < n for k, n in sizes)
+
+
+def test_tensor_with_n_is_m_builds_one_relation_lattice(monkeypatch):
+    A = rg.FiniteRing([rg.Atom.gf(2, 2), rg.Atom.zmod(2, 2), rg.Atom.gf(2, 2)])
+    full = rg.Subalgebra.full(A)
+    R = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
+    M = R.adjoin(A.element([(0, 1), 1, (1, 0)]).vec())
+    calls = []
+    _recording(monkeypatch, rg, "_span_relation_lattice", lambda sub: calls.append(sub))
+    rg.TensorPresentation(full, full, R)
+    assert calls == [full]
+    calls.clear()
+    rg.TensorPresentation(M, full, R)
+    assert calls == [M, full]
+
+
+def test_full_subalgebra_is_never_checked_for_closure(monkeypatch, capsys):
+    """Subalgebra.full is a unital subalgebra by construction."""
+    fulls, checked = [], []
+    original_full = rg.Subalgebra.full
+
+    def full(ring):
+        sub = original_full(ring)
+        fulls.append(sub)  # kept alive, so no other subalgebra reuses its id
+        return sub
+
+    monkeypatch.setattr(rg.Subalgebra, "full", staticmethod(full))
+    _recording(monkeypatch, rg.Subalgebra, "closed_under_mul", lambda self: checked.append(id(self)))
+    for path in sorted(INSTANCES.glob("*.sgi")):
+        for command in ("galois", "correspond"):
+            _run(capsys, command, str(path))
+    assert fulls and checked
+    assert not {id(f) for f in fulls} & set(checked)
+    assert all(f.is_subalgebra() for f in fulls)
+
+
+def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeypatch):
+    """Adjoining g to a closed span multiplies g by the span's generators, and
+    gives the closure of the whole generator list."""
+    A = rg.FiniteRing([rg.Atom.gf(2, 2)] * 3)
+    R = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
+    g = A.element([(0, 1), (1, 1), (0, 0)]).vec()
+    products = []
+    _recording(monkeypatch, rg.FiniteRing, "mul_vec", lambda self, u, v: products.append((u, v)))
+    grown = R.adjoin(g)
+    first_round = products[:len(R.gen_vectors) + 1]
+    assert all(g in pair for pair in first_round)
+    monkeypatch.undo()
+    assert grown == rg.Subalgebra(A, list(R.gen_vectors) + [g]).closure_under_mul()
+    chosen = rg.Subalgebra.full(A).algebra_generators(R)
+    assert rg.Subalgebra(A, list(R.gen_vectors) + chosen).closure_under_mul() == rg.Subalgebra.full(A)
+
+
+PRODUCT_RINGS = [
+    [rg.Atom.gf(2, 2), rg.Atom.zmod(3), rg.Atom.gf(3, 2)],
+    [rg.Atom.zmod(2, 3), rg.Atom.zmod(2, 3)],
+    [rg.Atom.gf(2, 3), rg.Atom.zmod(5), rg.Atom.gf(2, 3), rg.Atom.zmod(2)],
+]
+
+
+@pytest.mark.parametrize("atoms", PRODUCT_RINGS, ids=["gf4xz3xgf9", "z8^2", "gf8xz5xgf8xz2"])
+def test_product_table_hit_returns_the_product_and_charges_alike(monkeypatch, atoms):
+    A = rg.FiniteRing(atoms)
+    n = len(A.atoms)
+    rng = random.Random(n)
+    pool = [A.from_vec([rng.randrange(m) for m in A.coord_moduli]) for _ in range(12)]
+    atom_products = []
+    _recording(monkeypatch, rg.Atom, "mul_coords", lambda *a: atom_products.append(a))
+    for x in pool:
+        for y in pool:
+            with budget.limit(10 ** 6):
+                first = A.mul_vec(x.vec(), y.vec())
+                assert budget.spent() == n
+                taken = len(atom_products)
+                again = A.mul_vec(y.vec(), x.vec())  # the unordered pair: a hit
+                assert budget.spent() == 2 * n and len(atom_products) == taken
+            assert first == again == element_product(x, y).vec()
+            with budget.limit(n - 1), pytest.raises(budget.BudgetExceeded) as exc:
+                A.mul_vec(x.vec(), y.vec())
+            assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
+    assert len(A._products) == len({frozenset((x.vec(), y.vec())) for x in pool for y in pool})
+
+
+def test_rings_with_equal_atoms_share_no_table():
+    atoms = [rg.Atom.gf(2, 2), rg.Atom.zmod(3)]
+    A, B = rg.FiniteRing(atoms), rg.FiniteRing(atoms)
+    assert A == B and A._products is not B._products
+    A.mul_vec(A.one().vec(), A.one().vec())
+    assert len(A._products) == 1 and not B._products
+
+
+def test_application_plan_matches_iso_matrix_and_polynomials():
+    """apply_vec by the plan equals the iso matrix reduced mod the moduli and the
+    polynomial Frobenius, on twisted GF isos and partial domains, and the plan
+    reads only domain coordinates."""
+    rng = random.Random(7)
+    twisted = partial = 0
+    for _ in range(200):
+        A = random_ring(rng, max_atoms=4)
+        iso = random_structured_iso(rng, A)
+        twisted += any(iso.twist.values())
+        partial += len(iso.matching) < len(A.atoms)
+        domain = {c for i in iso.matching for c in range(*A.atom_span(i))}
+        assert {c for c, _ in iso.application_plan()} <= domain
+        mat = iso.matrix()
+        for _ in range(5):
+            vec = tuple(rng.randrange(m) for m in A.coord_moduli)
+            want = tuple(x % m for x, m in zip(mat.apply(vec), A.coord_moduli))
+            assert iso.apply_vec(vec) == want
+            x = A.from_vec(vec).mask(iso.dom_support)
+            assert iso.apply_vec(x.vec()) == iso_apply_by_polynomials(iso, x).vec()
+    assert twisted > 20 and partial > 20

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from semigalois import linalg
+from semigalois import budget, linalg
 from oracles import (dense, dense_run_echelon, quotient_order_by_enumeration, sparse,
-                     subgroup_elements_by_closure)
+                     sparse_echelon_by_sorted_scans, subgroup_elements_by_closure)
 
 
 def test_lattice_canon_is_triangular_and_canonical():
@@ -298,3 +298,38 @@ def test_matrix_builders_match_numpy(seed):
     assert all(v for col in got.cols for v in col.values())
     with pytest.raises(ValueError):
         linalg.vstack([sparse(a), sparse(rand(1, k + 1))])
+
+
+def _random_sparse_columns(rng):
+    """Sparse {row: value} columns with many nonzeros per row, so that a pivot
+    row is reduced over several rounds and ties in |value| are common."""
+    rows = rng.randint(1, 14)
+    ncols = rng.randint(0, 18)
+    values = [1, -1, 2, -2, 3, -3, 4, 6, -6, 12, rng.randint(-40, 40), BIG + rng.randint(-2, 2)]
+    density = rng.choice([0.1, 0.25, 0.5])
+    cols = [{r: v for r in range(rows) if rng.random() < density and (v := rng.choice(values))}
+            for _ in range(ncols)]
+    if ncols > 1 and rng.random() < 0.3:
+        cols[rng.randrange(ncols)] = dict(cols[rng.randrange(ncols)])
+    moduli = None
+    if ncols and rng.random() < 0.5:
+        moduli = [rng.choice([1, 2, 3, 4, 8, 9, 1 << 40]) for _ in range(rng.randint(1, ncols))]
+    return rows, cols, moduli
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_matches_sorted_scan_oracle(seed):
+    """Picking the pivot by (|value|, index) without sorting the row gives the
+    frozen sorted-scan engine's columns, transform, pivots and charges."""
+    rng = random.Random(900 + seed)
+    tracked = 0
+    for _ in range(200):
+        rows, cols, moduli = _random_sparse_columns(rng)
+        tracked += moduli is not None
+        want_cols = [dict(c) for c in cols]
+        want_track, want_pivots, charges = sparse_echelon_by_sorted_scans(want_cols, rows, moduli)
+        with budget.limit(10 ** 12):
+            track, pivots = linalg._echelon(cols, rows, moduli)
+            assert budget.spent() == sum(charges)
+        assert (cols, track, pivots) == (want_cols, want_track, want_pivots)
+    assert 50 < tracked < 150
