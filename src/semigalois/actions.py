@@ -11,12 +11,13 @@ map (presented tensor, not an atom ring).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 from . import isopu
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
                      kron_difference, residues, vstack)
-from .rings import RingElement, SpanExpander, StructuredIso, Subalgebra, TensorPresentation
+from .rings import Block, RingElement, SpanExpander, StructuredIso, Subalgebra, TensorPresentation
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired,
                          is_e_unitary, restrict_table, sigma_partition,
                          validate_table)
@@ -75,6 +76,32 @@ class UnitalAction:
 
     def all_ideals_nonzero(self):
         return all(self.im_support(s) for s in self.S.nonzero_elements())
+
+    @cached_property
+    def orbits(self):
+        """The orbits O of the atom maps, as `Block`s A e_O in order of least atom.
+
+        An idempotent of A is a support indicator, invariant exactly when
+        every beta_s keeps its support, so the e_O are the primitive
+        idempotents of A^beta.  Each is central and beta_s(y e_O 1_{s^-1})
+        = beta_s(y 1_{s^-1}) e_O 1_s, so every system the Galois criteria
+        solve is block diagonal over the orbits.
+        """
+        root = list(range(len(self.A.atoms)))
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for iso in self.isos:
+            for i, j in iso.matching.items():
+                a, b = sorted((find(i), find(j)))
+                root[b] = a
+        orbits = {}
+        for a in range(len(root)):
+            orbits.setdefault(find(a), []).append(a)
+        return tuple(Block(self.A, atoms) for atoms in orbits.values())
 
     def __repr__(self):
         return f"UnitalAction(|S|={self.S.n}, A={self.A!r})"

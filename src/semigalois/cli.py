@@ -9,6 +9,7 @@ loading or the command runs out of its work budget (`--budget`).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +18,6 @@ import time
 
 from . import __version__, budget
 from .actions import invariant_ring, is_injective
-from .corpus import corpus as make_corpus
 from .galois import PreconditionFail, cross_check_equivalences
 from .instance import _BOOL, ParseError, parse_instance
 from .semigroups import SemigroupError, is_e_unitary, sigma_partition
@@ -226,7 +226,8 @@ def cmd_zero(beta, report, opts):
 
 def cmd_selftest(beta, report, opts):
     """A seeded slice of the property corpus; the full suite lives in pytest."""
-    from .corpus import f9_cubed_fixture, c2_swap_fixture, b2_swap_fixture
+    # the corpus module is loaded here, not at import: no other command needs it
+    from .corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
     from .correspondence import verify_e_unitary_correspondence
 
     t0 = time.monotonic()
@@ -244,7 +245,7 @@ def cmd_selftest(beta, report, opts):
         return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
                 and b.all_ideals_nonzero())
 
-    batch = make_corpus(report.seed, 25, predicate=admissible)
+    batch = corpus(report.seed, 25, predicate=admissible)
     galois_count = 0
     for b in batch:
         r = cross_check_equivalences(b)
@@ -265,6 +266,25 @@ def _env_default(name, fallback):
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
 
 
+class _EnvOption(argparse.Action):
+    """An option stored as given (a flag storing True, with nargs=0) whose
+    default is its SEMIGALOIS_* setting, read whenever argparse asks for it,
+    so that one parser serves every call.  The setting is interned: argparse
+    converts a string default only when the value it ends up with is that
+    very object."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+
+    @property
+    def default(self):
+        return sys.intern(_env_default(self.dest, self._fallback))
+
+    @default.setter
+    def default(self, value):
+        self._fallback = value
+
+
 def _format_name(text):
     if text not in FORMATS:
         raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
@@ -282,9 +302,9 @@ def _positive_int(text):
 
 
 def _bool_setting(parser, name, value):
-    """A store_true flag's value: True when given, else its SEMIGALOIS_* setting,
-    spelled as under [options].  argparse does not pass a store_true default
-    through `type`, so a bad setting is reported here, and only without the flag."""
+    """A flag's value: True when given, else its SEMIGALOIS_* setting, spelled
+    as under [options].  The flag has no `type` to pass its default through,
+    so a bad setting is reported here, and only without the flag."""
     if not isinstance(value, str):
         return value
     text = value.strip().lower()
@@ -301,21 +321,25 @@ def build_parser():
     p.add_argument("command", choices=["validate", "analyze", "galois",
                                        "correspond", "zero", "selftest"])
     p.add_argument("instance", nargs="?", help="instance file (not used by selftest)")
-    p.add_argument("--format", type=_format_name, default=_env_default("format", "text"),
+    p.add_argument("--format", action=_EnvOption, type=_format_name, default="text",
                    choices=FORMATS)
-    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-    p.add_argument("--budget", type=_positive_int,
-                   default=_env_default("budget", str(DEFAULT_BUDGET)))
-    p.add_argument("--brute-force-subalgebras", action="store_true",
-                   default=_env_default("brute-force-subalgebras", "false"))
+    p.add_argument("--seed", action=_EnvOption, type=int, default="0")
+    p.add_argument("--budget", action=_EnvOption, type=_positive_int, default=str(DEFAULT_BUDGET))
+    p.add_argument("--brute-force-subalgebras", action=_EnvOption, nargs=0, default="false")
     p.add_argument("--timing", action="store_true")
     return p
 
 
+@functools.cache
+def parser():
+    """The one parser every `main` call uses, built on first use: its options
+    read their SEMIGALOIS_* settings at parse time, so it keeps no state."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.brute_force_subalgebras = _bool_setting(parser, "brute-force-subalgebras",
+    args = parser().parse_args(argv)
+    args.brute_force_subalgebras = _bool_setting(parser(), "brute-force-subalgebras",
                                                  args.brute_force_subalgebras)
     opts = {}
     if args.command == "selftest":

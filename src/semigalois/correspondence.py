@@ -120,8 +120,10 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     afresh only when S_B is not T; the fixed ring of all of S is A^beta),
     and no two Ts may fix one B.  S_B is taken on beta for every route:
     membership of s depends only on beta_s, so S_B on the image semigroup
-    beta(S) pulls back to exactly this set.  The brute-force scan matches
-    the S_Bs of all separable beta-strong subalgebras to `ts`.
+    beta(S) pulls back to exactly this set.  Every B contains A^beta and so
+    the indicator of each orbit of beta, and its separability is decided
+    one orbit at a time.  The brute-force scan matches the S_Bs of all
+    separable beta-strong subalgebras to `ts`.
     """
     base = invariant_ring(beta)
 
@@ -134,7 +136,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     for T in ts:
         members = tuple(sorted(T.members))
         B = fixed(T)
-        sep = is_separable(B, base) is not None
+        sep = is_separable(B, base, blocks=beta.orbits) is not None
         s_b = compute_S_B(beta, B)
         strong, fail_at = is_beta_strong(beta, B, s_b)
         round_t = s_b.members == T.members
@@ -157,7 +159,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     if brute_force_subalgebras:
         found = []
         for B in enumerate_subalgebras_over(beta, base):
-            if is_separable(B, base) is None:
+            if is_separable(B, base, blocks=beta.orbits) is None:
                 continue
             s_b = compute_S_B(beta, B)
             if is_beta_strong(beta, B, s_b)[0]:

@@ -1,13 +1,16 @@
 """Galois criteria for unital inverse semigroup actions, with certificates.
 
 Four independently implemented routes test whether A is Galois over its
-invariants: coordinate systems (one exact linear solve over the additive
+invariants: coordinate systems (an exact linear solve over the additive
 basis), bijectivity of the comparison map into the compatible-family ring,
 separability plus strongness, and the twisted-trace image.  On E-unitary
 injective instances the first three are provably equivalent and asserted
 unanimous, and cross-checked against the induced partial group action;
 the trace-image test is enforced as a necessary condition, with its known
 insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
+The linear systems of the first three are solved one orbit of the atom
+maps at a time (`UnitalAction.orbits`), and their assembled certificates
+are re-verified over all of A.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 from .actions import (UnitalAction, induce_partial_group_action, invariant_ring,
                       is_injective, sigma_trace_image)
 from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
-                     hstack, kernel_gens, lattice_det, lattice_member, residues, solve_cols, vstack)
+                     hstack, kernel_gens, lattice_det, lattice_member, residues, scatter_lattice,
+                     solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation, NotSubring
 from .semigroups import SubSemigroup, is_e_unitary
 
@@ -56,10 +60,9 @@ def galois_rhs(beta, s):
     return direct
 
 
-def _coordinate_system_matrix(beta, isos):
+def _coordinate_system_matrix(ring, isos):
     """Stacked matrix of y -> (sum_i x_i * f(y_i 1_dom))_f over basis x."""
-    A = beta.A
-    mult_mats = [A.mult_matrix(v) for v in A.basis_vectors()]
+    mult_mats = [ring.mult_matrix(v) for v in ring.basis_vectors()]
     blocks = []
     for iso in isos:
         iso_mat = iso.matrix()
@@ -72,20 +75,25 @@ def _solve_coordinates(beta, isos, rhs_vectors):
 
     Any coordinate system can be rewritten onto the basis x by pushing the
     integer expansion coefficients onto the y side, so solvability with
-    basis x is equivalent to existence.
+    basis x is equivalent to existence.  The isos move atoms within the
+    orbits of beta, so x_i f(y_i 1) reads y_i only on x_i's orbit, and the
+    system is solved one orbit at a time (`UnitalAction.orbits`); each y_i
+    is zero off x_i's orbit.
     """
     A = beta.A
-    n = A.n_coords
-    mat = _coordinate_system_matrix(beta, isos)
-    aug = block_diag([A.presentation.lattice] * len(isos))
-    target = [x for vec in rhs_vectors for x in vec]
-    in_moduli = list(A.coord_moduli) * n
-    sol = solve_cols(mat, aug, target, in_moduli)
-    if sol is None:
-        return None
-    ys = [A.from_vec(sol[i * n:(i + 1) * n]) for i in range(n)]
-    xs = A.basis_elements()
-    return list(zip(xs, ys))
+    ys = [None] * A.n_coords
+    for block in beta.orbits:
+        ring = block.ring
+        n = ring.n_coords
+        mat = _coordinate_system_matrix(ring, [block.iso(f) for f in isos])
+        aug = block_diag([ring.presentation.lattice] * len(isos))
+        target = [x for vec in rhs_vectors for x in block.restrict(vec)]
+        sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n)
+        if sol is None:
+            return None
+        for i, c in enumerate(block.coords):
+            ys[c] = A.from_vec(block.extend(sol[i * n:(i + 1) * n]))
+    return list(zip(A.basis_elements(), ys))
 
 
 def verify_coordinates(beta, coords, isos=None, rhs=None):
@@ -155,7 +163,9 @@ class PABetaS:
     A family is determined by its values on the maximal elements of S, and
     conversely any maximal tuple satisfying the pairwise meet constraints
     extends uniquely; the constraints and all arithmetic happen on the
-    compressed coordinates.
+    compressed coordinates.  A constraint row ties two copies of one
+    coordinate of A, so the rows, and the subgroup they cut out, split
+    along the orbits of beta: one `_PAPart` per orbit.
     """
 
     def __init__(self, beta):
@@ -163,7 +173,6 @@ class PABetaS:
         self.beta = beta
         self.maximal = [s for s in range(S.n)
                         if not any(t != s and S.leq[s][t] for t in range(S.n))]
-        self.block_coords = []
         self.offsets = {}
         moduli = []
         pos = 0
@@ -171,7 +180,6 @@ class PABetaS:
             coords = [i for i in range(A.n_coords)
                       if A.coord_atom(i) in beta.im_support(t)]
             self.offsets[t] = (pos, coords)
-            self.block_coords.append(coords)
             moduli.extend(A.coord_moduli[i] for i in coords)
             pos += len(coords)
         self.total = pos
@@ -192,19 +200,10 @@ class PABetaS:
                 p1, c1 = self.offsets[t1]
                 p2, c2 = self.offsets[t2]
                 constraints.append((p1 + c1.index(i), p2 + c2.index(i), A.coord_moduli[i]))
-        if constraints:
-            cols = [{} for _ in range(self.total)]
-            for r, (plus, minus, _) in enumerate(constraints):
-                cols[plus][r] = 1
-                cols[minus][r] = -1
-            gens = kernel_gens(Matrix(len(constraints), cols),
-                               diag_cols([d for _, _, d in constraints]), self.moduli)
-        else:
-            gens = [tuple(1 if j == i else 0 for j in range(self.total))
-                    for i in range(self.total)]
-        self.subgroup = self.ambient.subgroup_canon(gens)
+        where = [(t, i) for t in self.maximal for i in self.offsets[t][1]]
+        self.parts = [_PAPart(block, where, self.moduli, constraints) for block in beta.orbits]
+        self.subgroup = scatter_lattice(self.total, [(p.positions, p.subgroup) for p in self.parts])
         self.order = self.ambient.order() // lattice_det(self.subgroup)
-        self._constraints = constraints
 
     def compress(self, family):
         """Compressed coordinates of a family {t: coordinate vector} on the maximal t."""
@@ -218,11 +217,45 @@ class PABetaS:
     def member(self, vec):
         return lattice_member(self.subgroup, vec)
 
-    def satisfies_constraints(self, vec):
-        return all((vec[plus] - vec[minus]) % d == 0 for plus, minus, d in self._constraints)
-
     def element_generators(self):
         return residues(map(self.subgroup.column, range(self.total)), self.moduli)
+
+
+class _PAPart:
+    """The coordinates of PA on one orbit's block, with their constraint rows
+    and the subgroup those cut out.
+
+    `positions` are PA's coordinates on the block, in PA's order, and
+    `reads` say where each sits in a family on the block ring: (maximal t,
+    block-ring coordinate).
+    """
+
+    def __init__(self, block, where, pa_moduli, constraints):
+        local = {c: r for r, c in enumerate(block.coords)}
+        self.positions = [p for p, (_, i) in enumerate(where) if i in local]
+        self.reads = [(where[p][0], local[where[p][1]]) for p in self.positions]
+        index = {p: r for r, p in enumerate(self.positions)}
+        self.rows = [(index[plus], index[minus], d) for plus, minus, d in constraints
+                     if plus in index]
+        moduli = [pa_moduli[p] for p in self.positions]
+        self.ambient = AbelianPresentation(moduli)
+        if self.rows:
+            cols = [{} for _ in moduli]
+            for r, (plus, minus, _) in enumerate(self.rows):
+                cols[plus][r] = 1
+                cols[minus][r] = -1
+            gens = kernel_gens(Matrix(len(self.rows), cols),
+                               diag_cols([d for _, _, d in self.rows]), moduli)
+            self.subgroup = self.ambient.subgroup_canon(gens)
+        else:
+            self.subgroup = scatter_lattice(len(moduli), [])  # all of the ambient group
+
+    def compress(self, family):
+        """This part's coordinates of a family {t: block-ring vector}."""
+        return tuple(family[t][c] for t, c in self.reads)
+
+    def satisfies_constraints(self, vec):
+        return all((vec[plus] - vec[minus]) % d == 0 for plus, minus, d in self.rows)
 
 
 def psi_image_vector(beta, pa, x, y):
@@ -230,12 +263,7 @@ def psi_image_vector(beta, pa, x, y):
 
     x and y are coordinate vectors; `apply_vec` masks y to the domain.
     """
-    return _psi_image(beta.A, pa, x, [beta.isos[t].apply_vec(y) for t in pa.maximal])
-
-
-def _psi_image(A, pa, x, moved_y):
-    """psi(x (x) y) from y's images beta_t(y 1_{t^-1}), t in `pa.maximal` in order."""
-    return pa.compress({t: A.mul_vec(x, m) for t, m in zip(pa.maximal, moved_y)})
+    return pa.compress({t: beta.A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in pa.maximal})
 
 
 @dataclass
@@ -251,35 +279,53 @@ class PsiReport:
 def psi_check(beta, tensor=None):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
-    `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
-    psi is evaluated on every generator pair of the tensor, on coordinates,
-    with each beta_t applied to each generator of the second factor once.
+    `tensor` is a built A (x)_{A^beta} A, split along the orbits of beta, to
+    reuse; without it one is built.  psi maps the pairs of an orbit's block
+    into PA's part on that block and every cross pair to zero, so it is
+    checked one orbit at a time: on each generator pair of the block, on
+    block-ring coordinates, with each beta_t applied to each generator of
+    the second factor once.
     """
     if tensor is None:
         tensor = _full_tensor(beta, invariant_ring(beta))
+    if [part.block.atoms for part in tensor.parts] != [block.atoms for block in beta.orbits]:
+        raise ValueError("the tensor is not split along the orbits of beta")
     pa = PABetaS(beta)
-    moved = [[beta.isos[t].apply_vec(y) for t in pa.maximal] for y in tensor.ng]
-    images = []
-    for i in range(tensor.k):
-        for j in range(tensor.l):
-            vec = _psi_image(beta.A, pa, tensor.mg[i], moved[j])
-            if not pa.satisfies_constraints(vec):
-                raise CertificateMismatch(f"psi image of generator pair ({i}, {j}) leaves PA")
-            images.append(vec)
-    image_order = pa.ambient.subgroup_order(images)
+    image_order = 1
+    image_parts = []
+    kernel_witness = None
+    for part, pa_part in zip(tensor.parts, pa.parts):
+        ring = part.block.ring
+        isos = [part.block.iso(beta.isos[t]) for t in pa.maximal]
+        moved = [[iso.apply_vec(y) for iso in isos] for y in part.ng]
+        images = []
+        for a, x in enumerate(part.mg):
+            for b in range(part.l):
+                family = {t: ring.mul_vec(x, m) for t, m in zip(pa.maximal, moved[b])}
+                vec = pa_part.compress(family)
+                if not pa_part.satisfies_constraints(vec):
+                    raise CertificateMismatch(f"psi image of generator pair "
+                                              f"({part.rows[a]}, {part.cols[b]}) leaves PA")
+                images.append(vec)
+        canon = pa_part.ambient.subgroup_canon(images)
+        order = pa_part.ambient.order() // lattice_det(canon)
+        image_order *= order
+        image_parts.append((pa_part.positions, canon))
+        if kernel_witness is None and order != part.order():
+            # an element of the kernel: combination of generators mapping to 0
+            mat = cols_from_vectors(images, len(pa_part.positions))
+            for gvec in kernel_gens(mat, pa_part.ambient.lattice, part.pres.moduli):
+                if not part.pres.is_zero(gvec):
+                    witness = [0] * (tensor.k * tensor.l)
+                    for p, x in zip(part.positions, gvec):
+                        witness[p] = x
+                    kernel_witness = tuple(witness)
+                    break
     t_order = tensor.order()
     bij = (image_order == t_order == pa.order)
-    report = PsiReport(bij, t_order, pa.order, image_order)
-    if image_order != t_order:
-        # an element of the kernel: combination of generators mapping to 0
-        mat = cols_from_vectors(images, pa.total)
-        gens = kernel_gens(mat, pa.ambient.lattice, tensor.pres.moduli)
-        for gvec in gens:
-            if not tensor.pres.is_zero(gvec):
-                report.kernel_witness = gvec
-                break
+    report = PsiReport(bij, t_order, pa.order, image_order, kernel_witness)
     if image_order != pa.order:
-        img_canon = pa.ambient.subgroup_canon(images)
+        img_canon = scatter_lattice(pa.total, image_parts)
         for cand in pa.element_generators():
             if not lattice_member(img_canon, cand):
                 report.cokernel_witness = cand
@@ -350,34 +396,44 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     return True, None
 
 
-def is_separable(B: Subalgebra, R: Subalgebra, tensor=None):
+def is_separable(B: Subalgebra, R: Subalgebra, tensor=None, blocks=None):
     """A separability idempotent of B over R in B (x)_R B, or None.
 
     Solves m(z) = 1 and ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over
     generators of B as an R-algebra (`Subalgebra.algebra_generators`): the b
     satisfying the second equation form an R-subalgebra of B, so these
-    suffice.  The answer is then re-verified on every additive generator of
-    B.  `tensor` is a built B (x)_R B to reuse; without it one is built.
+    suffice.  `blocks` are `Block`s whose indicators lie in R (the orbits of
+    an action when R holds its invariants); B is then the direct sum of its
+    blocks, B is separable over R exactly when each block is over R's, and
+    the system is solved block by block on the tensor's parts, with zero on
+    every cross pair.  The assembled answer is then re-verified on every
+    additive generator of B.  `tensor` is a built B (x)_R B to reuse, which
+    brings its own blocks; without it one is built.
     """
     if not B.contains(R):
         raise NotSubring("separability needs R inside B")
     if tensor is None:
-        tensor = TensorPresentation(B, B, R)
-    g = tensor.k * tensor.l
-    A = B.ring
-    blocks = [tensor.mult_map_vec()]
-    augs = [A.presentation.lattice]
-    target = list(A.one().vec())
-    for b in B.algebra_generators(R):
-        blocks.append(tensor.mult_difference(b))
-        augs.append(tensor.pres.lattice)
-        target.extend([0] * g)
-    sol = solve_cols(vstack(blocks), block_diag(augs), target, tensor.pres.moduli)
-    if sol is None:
-        return None
-    if not verify_separability_idempotent(tensor, sol):
+        tensor = TensorPresentation(B, B, R, blocks)
+    z = [0] * (tensor.k * tensor.l)
+    for part in tensor.parts:
+        ring = part.block.ring
+        g = part.k * part.l
+        mats = [part.mult_map]
+        augs = [ring.presentation.lattice]
+        target = list(ring.one().vec())
+        for b in part.M.algebra_generators(part.R):
+            mats.append(part.mult_difference(b))
+            augs.append(part.pres.lattice)
+            target.extend([0] * g)
+        sol = solve_cols(vstack(mats), block_diag(augs), target, part.pres.moduli)
+        if sol is None:
+            return None
+        for p, x in zip(part.positions, sol):
+            z[p] = x
+    z = tuple(z)
+    if not verify_separability_idempotent(tensor, z):
         raise CertificateMismatch("separability idempotent fails its defining equations")
-    return tensor, sol
+    return tensor, z
 
 
 def verify_separability_idempotent(tensor, z):
@@ -386,30 +442,33 @@ def verify_separability_idempotent(tensor, z):
     The second is checked for every additive generator b of M.  With z
     reshaped to the k x l matrix Z, (b (x) 1)z is E.Z and (1 (x) b)z is
     Z.F^T, for E and F the matrices of b* on the two factors' generators:
-    column j of E.Z is E times column j of Z, and row i of Z.F^T is F
-    times row i of Z.
+    entry (i, j) of Z goes to (a, j) with weight E[a, i] and to (i, c) with
+    weight F[c, j].  The difference is summed over the nonzero entries of z
+    and must be zero in the tensor.
     """
     A = tensor.ring
     mz = tensor.mult_map_vec().apply(z)
     if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one().vec():
         return False
-    k, l = tensor.k, tensor.l
-    z_rows = [z[i * l:(i + 1) * l] for i in range(k)]
-    z_cols = [z[j::l] for j in range(l)]
+    l = tensor.l
+    entries = [(p // l, p % l, x) for p, x in enumerate(z) if x]
     for b in tensor.M.gen_vectors:
         E, F = tensor.left_factor(b), tensor.right_factor(b)
-        ez_cols = [E.apply(c) for c in z_cols]
-        left = tuple(ez_cols[j][i] for i in range(k) for j in range(l))
-        right = tuple(x for r in z_rows for x in F.apply(r))
-        if not tensor.pres.eq(left, right):
+        diff = {}
+        for i, j, x in entries:
+            for a, e in E.cols[i].items():
+                diff[a * l + j] = diff.get(a * l + j, 0) + e * x
+            for c, f in F.cols[j].items():
+                diff[i * l + c] = diff.get(i * l + c, 0) - f * x
+        if not tensor.is_zero(diff):
             return False
     return True
 
 
 def _full_tensor(beta, invariants):
-    """A (x)_{A^beta} A, with `invariants` = A^beta."""
+    """A (x)_{A^beta} A, with `invariants` = A^beta, split along the orbits of beta."""
     full = Subalgebra.full(beta.A)
-    return TensorPresentation(full, full, invariants)
+    return TensorPresentation(full, full, invariants, beta.orbits)
 
 
 def separability_idempotent_from_coordinates(beta, coords, tensor=None):
@@ -421,8 +480,8 @@ def separability_idempotent_from_coordinates(beta, coords, tensor=None):
         tensor = _full_tensor(beta, invariant_ring(beta))
     z = [0] * (tensor.k * tensor.l)
     for x, y in coords:
-        pv = tensor.pure(x, y)
-        z = [a + b for a, b in zip(z, pv)]
+        for p, v in tensor.pure_terms(x, y):
+            z[p] += v
     return tensor, tuple(z)
 
 

@@ -18,6 +18,7 @@ where one is asked for, is kept modulo its moduli column by column.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from .budget import spend
@@ -286,7 +287,61 @@ def lattice_reduce(basis, vec):
 
 
 def lattice_member(basis, vec):
-    return all(x == 0 for x in lattice_reduce(basis, vec))
+    """vec lies in the lattice: the walk of `lattice_reduce`, stopped at the
+    first pivot that leaves a remainder.
+
+    vec is a sequence, or a {coordinate: value} dict of its nonzero entries;
+    a dict is walked over the coordinates it reaches only, in increasing
+    order, as each column of the triangular basis touches rows from its
+    pivot down.
+    """
+    if isinstance(vec, dict):
+        w = dict(vec)
+        pending = list(w)
+        heapq.heapify(pending)
+        while pending:
+            j = heapq.heappop(pending)
+            x = w.pop(j)
+            if x:
+                c = basis.cols[j]
+                q, r = divmod(x, c[j])
+                if r:
+                    return False
+                for i, v in c.items():
+                    if i != j:
+                        if i not in w:
+                            w[i] = 0
+                            heapq.heappush(pending, i)
+                        w[i] -= q * v
+        return True
+    w = [int(x) for x in vec]
+    for j, c in enumerate(basis.cols):
+        if w[j]:
+            q, r = divmod(w[j], c[j])
+            if r:
+                return False
+            for i, v in c.items():
+                w[i] -= q * v
+    return True
+
+
+def scatter_lattice(n, parts):
+    """The canonical basis of a direct sum of lattices on disjoint coordinates.
+
+    Each of `parts` is (indices, basis): a canonical basis on the increasing
+    coordinates `indices` of Z^n.  Every other coordinate carries Z itself.
+    The blocks' columns and rows move into place and every other column is a
+    unit column.  One increasing map on rows and columns keeps each column
+    lower-triangular and each entry left of a pivot reduced below it, so the
+    result is the canonical basis `lattice_canon` gives for the same lattice.
+    """
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        return parts[0][1]  # one part on every coordinate is the whole lattice
+    cols = [{i: 1} for i in range(n)]
+    for indices, basis in parts:
+        for j, c in zip(indices, basis.cols):
+            cols[j] = {indices[r]: v for r, v in c.items()}
+    return Matrix(n, cols)
 
 
 def _eliminate_map(mat, aug, in_moduli):
@@ -372,7 +427,27 @@ class AbelianPresentation:
         if relations.rows != self.n:
             raise ValueError("relations need one row per generator")
         self.relations = relations
-        self.lattice = lattice_canon(self.relations, self.moduli)
+        # the diagonal alone is already canonical
+        self.lattice = (lattice_canon(relations, self.moduli) if relations.cols
+                        else diag_cols(self.moduli))
+
+    @classmethod
+    def direct_sum(cls, n, parts):
+        """The group on n generators that is `pres` on the increasing generators
+        `indices` of each (indices, pres) in `parts` and zero on every other
+        generator, which gets modulus 1.  No echelon runs: the lattice is the
+        parts' canonical lattices put in place (`scatter_lattice`)."""
+        moduli = [1] * n
+        relations = []
+        for indices, pres in parts:
+            for i, d in zip(indices, pres.moduli):
+                moduli[i] = d
+            relations += [{indices[r]: v for r, v in c.items()} for c in pres.relations.cols]
+        self = cls.__new__(cls)
+        self.moduli, self.n = tuple(moduli), n
+        self.relations = Matrix(n, relations)
+        self.lattice = scatter_lattice(n, [(indices, pres.lattice) for indices, pres in parts])
+        return self
 
     def order(self):
         return lattice_det(self.lattice)
@@ -384,7 +459,7 @@ class AbelianPresentation:
         return lattice_member(self.lattice, vec)
 
     def eq(self, u, v):
-        return self.canon(u) == self.canon(v)
+        return self.is_zero([a - b for a, b in zip(u, v)])
 
     def zero(self):
         return (0,) * self.n

@@ -555,11 +555,21 @@ class Subalgebra:
     """
 
     def __init__(self, ring, gen_vectors):
+        self._set_basis(ring, ring.presentation.subgroup_canon([tuple(v) for v in gen_vectors]))
+
+    def _set_basis(self, ring, basis):
         self.ring = ring
-        self.basis = ring.presentation.subgroup_canon([tuple(v) for v in gen_vectors])
-        self.order = ring.presentation.order() // lattice_det(self.basis)
-        self.gen_vectors = tuple(residues(map(self.basis.column, range(ring.n_coords)),
+        self.basis = basis
+        self.order = ring.presentation.order() // lattice_det(basis)
+        self.gen_vectors = tuple(residues(map(basis.column, range(ring.n_coords)),
                                           ring.coord_moduli))
+
+    @staticmethod
+    def with_basis(ring, basis):
+        """The subgroup whose canonical basis is `basis`, taken as given."""
+        sub = Subalgebra.__new__(Subalgebra)
+        sub._set_basis(ring, basis)
+        return sub
 
     @staticmethod
     def full(ring):
@@ -670,6 +680,78 @@ def _close_under_mul(current, gens, checked):
         current = Subalgebra(ring, gens)
 
 
+class Block:
+    """The ideal A e_O of a ring A for a set O of its atoms, as a ring of its own.
+
+    e_O is a central idempotent, so for a partition of the atoms A is the
+    direct sum of its blocks, and a system that commutes with each e_O
+    splits into one system per block.  The block ring's coordinates are A's
+    coordinates on O's atoms, in A's order (`coords`), so the unknowns of a
+    block system keep their global relative order.  The block of all the
+    atoms is A itself, with every map below the identity.
+    """
+
+    def __init__(self, ring, atoms):
+        self.whole = ring
+        self.atoms = tuple(sorted(atoms))
+        self.ring = (ring if len(self.atoms) == len(ring.atoms)
+                     else FiniteRing([ring.atoms[a] for a in self.atoms]))
+        self.coords = tuple(c for a in self.atoms for c in range(*ring.atom_span(a)))
+        self._local = {a: i for i, a in enumerate(self.atoms)}
+        self._isos = {}
+
+    def indicator(self):
+        """e_O as a coordinate vector of A."""
+        return self.whole.idempotent(self.atoms).vec()
+
+    def restrict(self, vec):
+        """The block-ring coordinates of vec * e_O."""
+        return tuple(vec[c] for c in self.coords)
+
+    def extend(self, vec):
+        """The vector of A that is `vec` on the block and zero elsewhere."""
+        out = [0] * self.whole.n_coords
+        for c, x in zip(self.coords, vec):
+            out[c] = x
+        return tuple(out)
+
+    def iso(self, iso):
+        """`iso` on the block ring, restricted once per iso; its matching must
+        keep the block's atoms among themselves."""
+        if self.ring is self.whole:
+            return iso
+        got = self._isos.get(iso)
+        if got is None:
+            local = self._local
+            if any((i in local) != (j in local) for i, j in iso.matching.items()):
+                raise RingError("the iso moves atoms into or out of the block")
+            got = self._isos[iso] = StructuredIso(
+                self.ring, {local[i]: local[j] for i, j in iso.matching.items() if i in local},
+                {local[i]: t for i, t in iso.twist.items() if i in local})
+        return got
+
+    def subalgebra(self, sub):
+        """sub * e_O as a subalgebra of the block ring; sub must contain e_O.
+
+        sub is then the direct sum of its blocks, so its canonical basis is
+        theirs put in place (`linalg.scatter_lattice`): the columns at the
+        block's coordinates, read back, are the block's canonical basis.
+        """
+        if self.ring is self.whole:
+            return sub
+        pos = {c: r for r, c in enumerate(self.coords)}
+        cols = []
+        for c in self.coords:
+            col = sub.basis.cols[c]
+            if not col.keys() <= pos.keys():
+                raise NotSubring("the subalgebra does not split along the block")
+            cols.append({pos[r]: v for r, v in col.items()})
+        part = Subalgebra.with_basis(self.ring, Matrix(len(self.coords), cols))
+        if sub.is_subalgebra():
+            part._is_subalgebra = True  # e_O is its one
+        return part
+
+
 class TensorPresentation:
     """M (x)_R N for subalgebras R <= M, N of one ring, as an abelian group.
 
@@ -677,9 +759,17 @@ class TensorPresentation:
     are the additive relation lattices of each side plus middle-linearity
     r*m (x) n = m (x) r*n over the generators of R.  Multiplication and the
     two module actions are carried as integer matrices on the generators.
+
+    `blocks` is a partition of the atoms into `Block`s whose indicators e_O
+    lie in R, such as the orbits of an action when R holds its invariants;
+    without it the ring is one block.  Each canonical generator of M and of
+    N then lies in one block, and a pair from two blocks is zero:
+    m e_O (x) n e_P = m (x) e_O e_P n = 0.  So each block's pairs are
+    presented on the block ring (`parts`), and the parts are joined in the
+    global generator order, every cross pair a generator of modulus 1.
     """
 
-    def __init__(self, M, N, R):
+    def __init__(self, M, N, R, blocks=None):
         ring = M.ring
         if N.ring != ring or R.ring != ring:
             raise AtomMismatch("tensor factors live in different rings")
@@ -694,28 +784,31 @@ class TensorPresentation:
                     if not sub.is_subalgebra():
                         raise NotSubring("tensor factors must be unital subalgebras")
                     checked.append(sub)
+        if blocks is None:
+            blocks = [Block(ring, range(len(ring.atoms)))]
+        if sorted(a for block in blocks for a in block.atoms) != list(range(len(ring.atoms))):
+            raise ValueError("the blocks must partition the atoms")
+        if len(blocks) > 1 and not all(R.member_vec(block.indicator()) for block in blocks):
+            raise NotSubring("each block's indicator must lie in R")
         self.ring, self.M, self.N, self.R = ring, M, N, R
         self.mg = list(M.gen_vectors)
         self.ng = list(N.gen_vectors)
         self.k, self.l = len(self.mg), len(self.ng)
         self._mexp = SpanExpander(M)
         self._nexp = self._mexp if N is M else SpanExpander(N)
+        self._factors = {}
 
-        morders = [ring.vector_order(v) for v in self.mg]
-        norders = [ring.vector_order(v) for v in self.ng]
-        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
-
-        m_relations = _span_relation_lattice(M)
-        rel_cols = []
-        for c in m_relations:
-            for j in range(self.l):
-                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in (m_relations if N is M else _span_relation_lattice(N)):
-            for i in range(self.k):
-                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
-        for r in R.gen_vectors:
-            rel_cols += self.mult_difference(r).cols
-        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
+        owner = {c: b for b, block in enumerate(blocks) for c in block.coords}
+        self._mblock = [owner[next(c for c, x in enumerate(g) if x)] for g in self.mg]
+        self._nblock = [owner[next(c for c, x in enumerate(g) if x)] for g in self.ng]
+        self.parts = [_TensorBlock(self, block,
+                                   [i for i, o in enumerate(self._mblock) if o == b],
+                                   [j for j, o in enumerate(self._nblock) if o == b])
+                      for b, block in enumerate(blocks)]
+        # one block is the whole tensor, and its maps are the tensor's
+        self._one = self.parts[0] if len(self.parts) == 1 else None
+        self.pres = self._one.pres if self._one else AbelianPresentation.direct_sum(
+            self.k * self.l, [(part.positions, part.pres) for part in self.parts])
 
     def index(self, i, j):
         return i * self.l + j
@@ -725,14 +818,21 @@ class TensorPresentation:
 
     def pure(self, m_el, n_el):
         """Coordinates of m (x) n for ring elements m in M, n in N."""
+        col = [0] * (self.k * self.l)
+        for p, x in self.pure_terms(m_el, n_el):
+            col[p] += x
+        return tuple(col)
+
+    def pure_terms(self, m_el, n_el):
+        """The (coordinate, coefficient) terms of m (x) n: the products of the
+        two expansions, cross pairs left out."""
         u = self._mexp.expand(m_el.vec() if isinstance(m_el, RingElement) else tuple(m_el))
         v = self._nexp.expand(n_el.vec() if isinstance(n_el, RingElement) else tuple(n_el))
-        col = [0] * (self.k * self.l)
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
-                    col[self.index(i, j)] += a * b
-        return tuple(col)
+                    if b and self._mblock[i] == self._nblock[j]:
+                        yield self.index(i, j), a * b
 
     def mult_map_vec(self):
         """Matrix of the multiplication map m (x) n -> m*n into ring coords."""
@@ -740,27 +840,43 @@ class TensorPresentation:
 
     @cached_property
     def _mult_map(self):
-        """Built once per tensor, each unordered generator pair multiplied once
-        (the ring is commutative)."""
-        products = {}
-        cols = []
-        for u in self.mg:
-            for v in self.ng:
-                key = (u, v) if u <= v else (v, u)
-                if key not in products:
-                    products[key] = self.ring.mul_vec(u, v)
-                cols.append(products[key])
-        return cols_from_vectors(cols, self.ring.n_coords)
+        """The parts' maps put in place; a cross pair maps to zero."""
+        if self._one:
+            return self._one.mult_map
+        cols = [{} for _ in range(self.k * self.l)]
+        for part in self.parts:
+            coords = part.block.coords
+            for p, col in zip(part.positions, part.mult_map.cols):
+                cols[p] = {coords[r]: v for r, v in col.items()}
+        return Matrix(self.ring.n_coords, cols)
 
     def left_factor(self, b_vec):
         """k x k matrix E of m -> b*m on M's generators: column i expands b*mg[i]."""
-        return self._mexp.mult_matrix(b_vec)
+        return self._factor(b_vec, True)
 
     def right_factor(self, b_vec):
         """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j].
 
-        When N is M the two factors share one expander, so F is E."""
-        return self._nexp.mult_matrix(b_vec)
+        When N is M the two sides share their matrices, so F is E."""
+        return self._factor(b_vec, self.N is self.M)
+
+    def _factor(self, b_vec, left):
+        """The parts' factor matrices of b's block components put in place, built once per b."""
+        if self._one:
+            return self._one.left_factor(b_vec) if left else self._one.right_factor(b_vec)
+        key = (tuple(b_vec), left)
+        mat = self._factors.get(key)
+        if mat is None:
+            cols = [{} for _ in range(self.k if left else self.l)]
+            for part in self.parts:
+                b = part.block.restrict(b_vec)
+                if any(b):
+                    idx = part.rows if left else part.cols
+                    block_mat = part.left_factor(b) if left else part.right_factor(b)
+                    for i, col in zip(idx, block_mat.cols):
+                        cols[i] = {idx[r]: v for r, v in col.items()}
+            mat = self._factors[key] = Matrix(len(cols), cols)
+        return mat
 
     def mult_difference(self, b_vec):
         """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
@@ -775,6 +891,74 @@ class TensorPresentation:
 
     def is_zero(self, z):
         return self.pres.is_zero(z)
+
+
+class _TensorBlock:
+    """The generator pairs of a `TensorPresentation` in one block, presented as
+    M e_O (x)_{R e_O} N e_O on the block ring.
+
+    `rows` and `cols` are the indices of the block's generators among the
+    tensor's, and `positions` the tensor coordinates of the block's pairs,
+    in the block's own coordinate order.
+    """
+
+    def __init__(self, tensor, block, rows, cols):
+        self.block = block
+        M = self.M = block.subalgebra(tensor.M)
+        N = self.N = M if tensor.N is tensor.M else block.subalgebra(tensor.N)
+        self.R = block.subalgebra(tensor.R)
+        ring = block.ring
+        self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
+        self.k, self.l = len(self.mg), len(self.ng)
+        self.rows, self.cols = rows, cols
+        self.positions = [tensor.index(i, j) for i in rows for j in cols]
+        self.mexp = tensor._mexp if M is tensor.M else SpanExpander(M)
+        self.nexp = self.mexp if N is M else (tensor._nexp if N is tensor.N else SpanExpander(N))
+
+        morders = [ring.vector_order(v) for v in self.mg]
+        norders = [ring.vector_order(v) for v in self.ng]
+        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
+
+        m_relations = _span_relation_lattice(M)
+        rel_cols = []
+        for c in m_relations:
+            for j in range(self.l):
+                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
+        for c in (m_relations if N is M else _span_relation_lattice(N)):
+            for i in range(self.k):
+                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
+        for r in self.R.gen_vectors:
+            rel_cols += self.mult_difference(r).cols
+        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
+
+    def index(self, i, j):
+        return i * self.l + j
+
+    def order(self):
+        return self.pres.order()
+
+    @cached_property
+    def mult_map(self):
+        """Built once per block, each unordered generator pair multiplied once
+        (the ring is commutative)."""
+        products = {}
+        cols = []
+        for u in self.mg:
+            for v in self.ng:
+                key = (u, v) if u <= v else (v, u)
+                if key not in products:
+                    products[key] = self.block.ring.mul_vec(u, v)
+                cols.append(products[key])
+        return cols_from_vectors(cols, self.block.ring.n_coords)
+
+    def left_factor(self, b_vec):
+        return self.mexp.mult_matrix(b_vec)
+
+    def right_factor(self, b_vec):
+        return self.nexp.mult_matrix(b_vec)
+
+    def mult_difference(self, b_vec):
+        return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
 
 
 class SpanExpander:

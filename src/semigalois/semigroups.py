@@ -72,6 +72,7 @@ class InverseSemigroup:
         self.idempotents = idems
         self.leq = leq  # leq[s][t] True iff s <= t in the natural order
         self.n = len(table)
+        self.facts = {}  # properties derived from the table, each computed once
 
     def is_idempotent(self, s):
         return s in self.idempotents

@@ -54,9 +54,21 @@ def strongly_compatible(S, s, t):
     return a != z and b != z and a in S.idempotents and b in S.idempotents
 
 
+def _remembered(S, key, compute):
+    """compute(S), derived once per semigroup and kept in `S.facts`: a
+    validated table never changes."""
+    if key not in S.facts:
+        S.facts[key] = compute(S)
+    return S.facts[key]
+
+
 def is_0_e_unitary(S):
     """No non-idempotent sits above a nonzero idempotent."""
     _require_zero(S)
+    return _remembered(S, "0_e_unitary", _is_0_e_unitary)
+
+
+def _is_0_e_unitary(S):
     for e in nonzero_idempotents(S):
         for s in range(S.n):
             if S.leq[e][s] and s not in S.idempotents:
@@ -67,6 +79,10 @@ def is_0_e_unitary(S):
 def is_categorical_at_zero(S):
     """stu = 0 forces st = 0 or tu = 0."""
     _require_zero(S)
+    return _remembered(S, "categorical_at_zero", _is_categorical_at_zero)
+
+
+def _is_categorical_at_zero(S):
     z = S.zero
     for s in range(S.n):
         for t in range(S.n):
@@ -85,6 +101,10 @@ def tau_partition(S):
     strong-compatibility relation there).
     """
     _require_zero(S)
+    return _remembered(S, "tau_partition", _tau_partition)
+
+
+def _tau_partition(S):
     classes, projection = lower_bound_classes(S)
     if is_0_e_unitary(S) and is_categorical_at_zero(S):
         for s in range(S.n):
@@ -111,6 +131,10 @@ def tau_quotient(S):
 def is_primitive(S):
     """The natural order is equality on nonzero elements."""
     _require_zero(S)
+    return _remembered(S, "primitive", _is_primitive)
+
+
+def _is_primitive(S):
     z = S.zero
     for s in range(S.n):
         for t in range(S.n):

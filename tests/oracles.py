@@ -26,7 +26,10 @@ their own loops (`validate_action_by_own_loops`,
 its own presented base and relation loops (`extend_scalars_by_loops`),
 and the polynomial element route (`atom_mul`, `atom_frobenius` and the
 element and iso helpers built on them) that the coordinate kernel replaced,
-with `verify_iso_extensional` on top of it.
+with `verify_iso_extensional` on top of it.  Last, the Galois systems over
+the whole of A, as they were solved before each split into one block per
+orbit: `WholeTensorPresentation`, `solve_coordinates_whole`,
+`pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`.
 `dense` and `sparse` convert between the library's sparse `Matrix` and
 numpy object arrays for dense fixtures.
 """
@@ -1207,3 +1210,168 @@ def verify_iso_extensional(iso, pair_limit=256):
                 if iso.apply(element_sum(x, y)) != element_sum(fx, fy):
                     return False
     return True
+
+
+# The Galois systems over the whole of A, as they were solved before each
+# split into one block per orbit of the action: one tensor generator per
+# pair of generators (cross-orbit pairs included) under one relation
+# lattice, one coordinate system, one PA constraint kernel, one psi image
+# and one separability solve.
+
+
+class WholeTensorPresentation:
+    """M (x)_R N on every pair of canonical generators, with one relation lattice."""
+
+    def __init__(self, M, N, R):
+        from semigalois.linalg import AbelianPresentation, Matrix
+        from semigalois.rings import SpanExpander, _span_relation_lattice
+        ring = M.ring
+        self.ring, self.M, self.N, self.R = ring, M, N, R
+        self.mg = list(M.gen_vectors)
+        self.ng = list(N.gen_vectors)
+        self.k, self.l = len(self.mg), len(self.ng)
+        self._mexp = SpanExpander(M)
+        self._nexp = self._mexp if N is M else SpanExpander(N)
+        morders = [ring.vector_order(v) for v in self.mg]
+        norders = [ring.vector_order(v) for v in self.ng]
+        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
+        m_relations = _span_relation_lattice(M)
+        rel_cols = []
+        for c in m_relations:
+            for j in range(self.l):
+                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
+        for c in (m_relations if N is M else _span_relation_lattice(N)):
+            for i in range(self.k):
+                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
+        for r in R.gen_vectors:
+            rel_cols += self.mult_difference(r).cols
+        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
+
+    def index(self, i, j):
+        return i * self.l + j
+
+    def order(self):
+        return self.pres.order()
+
+    def pure(self, m_vec, n_vec):
+        u, v = self._mexp.expand(m_vec), self._nexp.expand(n_vec)
+        col = [0] * (self.k * self.l)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                col[self.index(i, j)] += a * b
+        return tuple(col)
+
+    def mult_map_vec(self):
+        return cols_from_vectors([self.ring.mul_vec(u, v) for u in self.mg for v in self.ng],
+                                 self.ring.n_coords)
+
+    def left_factor(self, b_vec):
+        return self._mexp.mult_matrix(b_vec)
+
+    def right_factor(self, b_vec):
+        return self._nexp.mult_matrix(b_vec)
+
+    def mult_difference(self, b_vec):
+        from semigalois.linalg import kron_difference
+        return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
+
+    def is_zero(self, z):
+        return self.pres.is_zero(z)
+
+
+def whole_full_tensor(beta):
+    from semigalois.actions import invariant_ring
+    from semigalois.rings import Subalgebra
+    full = Subalgebra.full(beta.A)
+    return WholeTensorPresentation(full, full, invariant_ring(beta))
+
+
+def solve_coordinates_whole(beta, isos, rhs_vectors):
+    """The coordinate system sum_i x_i f(y_i 1) = rhs_f in one solve over A."""
+    from semigalois.linalg import block_diag, hstack, solve_cols, vstack
+    A = beta.A
+    n = A.n_coords
+    mult_mats = [A.mult_matrix(v) for v in A.basis_vectors()]
+    mat = vstack([hstack([m @ iso.matrix() for m in mult_mats]) for iso in isos])
+    aug = block_diag([A.presentation.lattice] * len(isos))
+    target = [x for vec in rhs_vectors for x in vec]
+    sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n)
+    if sol is None:
+        return None
+    return list(zip(A.basis_elements(), [A.from_vec(sol[i * n:(i + 1) * n]) for i in range(n)]))
+
+
+def pa_subgroup_whole(beta):
+    """(maximal, moduli, canonical subgroup) of PA_beta(S), from one kernel
+    over every pairwise meet constraint."""
+    from semigalois.linalg import AbelianPresentation, Matrix, diag_cols, kernel_gens
+    S, A = beta.S, beta.A
+    maximal = [s for s in range(S.n) if not any(t != s and S.leq[s][t] for t in range(S.n))]
+    offsets, moduli, pos = {}, [], 0
+    for t in maximal:
+        coords = [i for i in range(A.n_coords) if A.coord_atom(i) in beta.im_support(t)]
+        offsets[t] = (pos, coords)
+        moduli.extend(A.coord_moduli[i] for i in coords)
+        pos += len(coords)
+    supports = {}
+    for s in range(S.n):
+        above = [t for t in maximal if S.leq[s][t]]
+        for pair in itertools.combinations(above, 2):
+            supports.setdefault(pair, set()).update(beta.im_support(s))
+    rows = []
+    for (t1, t2), supp in sorted(supports.items()):
+        for i in range(A.n_coords):
+            if A.coord_atom(i) in supp:
+                (p1, c1), (p2, c2) = offsets[t1], offsets[t2]
+                rows.append((p1 + c1.index(i), p2 + c2.index(i), A.coord_moduli[i]))
+    if rows:
+        cols = [{} for _ in range(pos)]
+        for r, (plus, minus, _) in enumerate(rows):
+            cols[plus][r] = 1
+            cols[minus][r] = -1
+        gens = kernel_gens(Matrix(len(rows), cols), diag_cols([d for _, _, d in rows]), moduli)
+    else:
+        gens = [tuple(1 if j == i else 0 for j in range(pos)) for i in range(pos)]
+    ambient = AbelianPresentation(moduli)
+    return maximal, offsets, ambient, ambient.subgroup_canon(gens)
+
+
+def psi_check_whole(beta):
+    """(tensor order, PA order, image order, kernel witness, cokernel witness)
+    of psi on every generator pair of the whole tensor."""
+    from semigalois.linalg import kernel_gens, lattice_det, lattice_member, residues
+    tensor = whole_full_tensor(beta)
+    maximal, offsets, ambient, subgroup = pa_subgroup_whole(beta)
+    A = beta.A
+    images = []
+    for x in tensor.mg:
+        for y in tensor.ng:
+            family = {t: A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in maximal}
+            images.append(tuple(family[t][i] for t in maximal for i in offsets[t][1]))
+    pa_order = ambient.order() // lattice_det(subgroup)
+    image_order = ambient.subgroup_order(images)
+    kernel_witness = cokernel_witness = None
+    if image_order != tensor.order():
+        mat = cols_from_vectors(images, len(ambient.moduli))
+        kernel_witness = next(g for g in kernel_gens(mat, ambient.lattice, tensor.pres.moduli)
+                              if not tensor.is_zero(g))
+    if image_order != pa_order:
+        img_canon = ambient.subgroup_canon(images)
+        elements = residues(map(subgroup.column, range(len(ambient.moduli))), ambient.moduli)
+        cokernel_witness = next(c for c in elements if not lattice_member(img_canon, c))
+    return tensor.order(), pa_order, image_order, kernel_witness, cokernel_witness
+
+
+def is_separable_whole(B, R):
+    """(B (x)_R B, z) from one solve of m(z) = 1 and (b (x) 1 - 1 (x) b)z = 0
+    over the algebra generators b of B, on the whole tensor, or None."""
+    from semigalois.linalg import block_diag, solve_cols, vstack
+    tensor = WholeTensorPresentation(B, B, R)
+    A = B.ring
+    mats, augs, target = [tensor.mult_map_vec()], [A.presentation.lattice], list(A.one().vec())
+    for b in B.algebra_generators(R):
+        mats.append(tensor.mult_difference(b))
+        augs.append(tensor.pres.lattice)
+        target.extend([0] * (tensor.k * tensor.l))
+    sol = solve_cols(vstack(mats), block_diag(augs), target, tensor.pres.moduli)
+    return None if sol is None else (tensor, sol)

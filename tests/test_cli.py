@@ -381,3 +381,27 @@ def test_documented_settings_match_the_parser(monkeypatch):
         except inst.ParseError as exc:
             assert "unknown option" in str(exc)
     assert documented == accepted
+
+
+def test_one_parser_reads_the_environment_on_every_call(monkeypatch, capsysbinary):
+    """cli.main reuses one parser; each call sees the SEMIGALOIS_* settings of
+    its own moment."""
+    from semigalois import cli
+    path = str(INSTANCES / "c2_swap.sgi")
+    parser = cli.parser()
+    monkeypatch.setenv("SEMIGALOIS_BUDGET", "1")
+    monkeypatch.setenv("SEMIGALOIS_FORMAT", "json-lines")
+    assert cli.main(["galois", path]) == 3
+    first = capsysbinary.readouterr().out.decode().splitlines()
+    monkeypatch.setenv("SEMIGALOIS_BUDGET", str(cli.DEFAULT_BUDGET))
+    monkeypatch.setenv("SEMIGALOIS_FORMAT", "text")
+    assert cli.main(["galois", path]) == 0
+    second = capsysbinary.readouterr().out.decode().splitlines()
+    assert cli.parser() is parser
+    assert json.loads(first[0])["type"] == "header"
+    assert any(json.loads(line).get("name") == "budget" for line in first)
+    assert second[0].startswith("# semigalois report") and second[-1] == "# result: PASS"
+    monkeypatch.delenv("SEMIGALOIS_BUDGET")
+    monkeypatch.setenv("SEMIGALOIS_SEED", "7")
+    assert cli.main(["galois", path, "--format", "text"]) == 0
+    assert b"seed=7" in capsysbinary.readouterr().out.splitlines()[0]

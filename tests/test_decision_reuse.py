@@ -6,12 +6,13 @@ one), and the per-iso application plan against the iso matrix and the
 polynomial Frobenius.
 """
 
+import collections
 import random
 from pathlib import Path
 
 import pytest
 
-from semigalois import budget, cli, correspondence, galois
+from semigalois import budget, cli, correspondence, galois, zerocase
 from semigalois import rings as rg
 from semigalois.corpus import random_ring, random_structured_iso
 from oracles import element_product, iso_apply_by_polynomials
@@ -43,6 +44,26 @@ def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance
     _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
     assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
     assert len(calls) == solves
+
+
+ZERO_FACTS = ["_is_0_e_unitary", "_is_categorical_at_zero", "_is_primitive", "_tau_partition"]
+
+
+@pytest.mark.parametrize("args", [["zero"], ["zero", "--brute-force-subalgebras"], ["analyze"]])
+def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
+    """Each zero-case fact is computed at most once per semigroup in one
+    cli.main on b2_f3f3 (S, and P' of the tau-class joins, which zero also asks
+    about), and the command reads them many times."""
+    computed, asked = collections.Counter(), collections.Counter()
+    for name in ZERO_FACTS:
+        _recording(monkeypatch, zerocase, name,
+                   lambda S, name=name: computed.update([(name, id(S))]))
+        _recording(monkeypatch, zerocase, name[1:], lambda S, name=name: asked.update([name]))
+    assert _run(capsys, args[0], str(INSTANCES / "b2_f3f3.sgi"), *args[1:]) == 0
+    assert computed and max(computed.values()) == 1
+    assert {name for name, _ in computed} == set(ZERO_FACTS)
+    if args[0] == "zero":
+        assert sum(asked.values()) > len(computed)
 
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])

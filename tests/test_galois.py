@@ -408,3 +408,42 @@ def test_certificate_reverification_survives_optimize(verifier):
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE, verifier],
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+_OPTIMIZED_TWO_ORBIT_PROBE = textwrap.dedent("""
+    import sys
+    from semigalois import galois as gl
+    from semigalois.actions import invariant_ring, validate_action
+    from semigalois.corpus import c2_table
+    from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
+    if __debug__:
+        sys.exit(3)
+    A = FiniteRing([Atom.gf(2, 2), Atom.gf(2, 2), Atom.zmod(3), Atom.zmod(3)])
+    beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
+                                           StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
+    inv = invariant_ring(beta)
+    tensor = gl._full_tensor(beta, inv)
+    if len(beta.orbits) != 2 or len(tensor.parts) != 2:
+        sys.exit(4)
+    setattr(gl, sys.argv[1], lambda *args, **kwargs: False)
+    try:
+        if sys.argv[1] == "verify_coordinates":
+            gl.solve_galois_coordinates(beta)
+        else:
+            gl.is_separable(Subalgebra.full(A), inv, tensor=tensor)
+    except gl.CertificateMismatch:
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+@pytest.mark.parametrize("verifier", ["verify_coordinates", "verify_separability_idempotent"])
+def test_assembled_certificate_reverification_survives_optimize(verifier):
+    """Under python -O a failing global re-verification of a certificate
+    assembled from two orbit blocks still raises."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_TWO_ORBIT_PROBE, verifier],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -333,3 +333,51 @@ def test_echelon_matches_sorted_scan_oracle(seed):
             assert budget.spent() == sum(charges)
         assert (cols, track, pivots) == (want_cols, want_track, want_pivots)
     assert 50 < tracked < 150
+
+
+def _random_presentation(rng, n):
+    moduli = [rng.choice([1, 2, 3, 4, 8, 9]) for _ in range(n)]
+    rels = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    return linalg.AbelianPresentation(moduli, rels)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scattered_blocks_are_the_canonical_basis_of_the_direct_sum(seed):
+    """Canonical block lattices put in place on interleaved coordinates, with
+    every other coordinate zero, equal the canonical basis of the whole."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    coords = list(range(n))
+    rng.shuffle(coords)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    pieces = [sorted(coords[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    parts = [(idx, _random_presentation(rng, len(idx))) for idx in pieces[:-1] or pieces]
+    whole = linalg.AbelianPresentation.direct_sum(n, parts)
+    moduli, rels = [1] * n, []
+    for idx, pres in parts:
+        for i, d in zip(idx, pres.moduli):
+            moduli[i] = d
+        for col in pres.relations.cols:
+            rels.append([col.get(idx.index(i), 0) if i in idx else 0 for i in range(n)])
+    reference = linalg.AbelianPresentation(moduli, rels)
+    assert whole.moduli == reference.moduli and whole.lattice == reference.lattice
+    assert whole.lattice == linalg.lattice_canon(whole.relations, whole.moduli)
+    assert whole.invariants() == reference.invariants()
+    assert whole.order() == math.prod(pres.order() for _, pres in parts)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_membership_and_equality_match_the_canonical_representatives(seed):
+    """lattice_member on a sequence and on a {coordinate: value} dict, and eq
+    by one reduction of the difference, against comparing coset representatives."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    pres = _random_presentation(rng, n)
+    for _ in range(40):
+        u = [rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)]
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        zero = all(x == 0 for x in linalg.lattice_reduce(pres.lattice, u))
+        assert linalg.lattice_member(pres.lattice, u) == zero
+        assert linalg.lattice_member(pres.lattice, {i: x for i, x in enumerate(u) if x}) == zero
+        assert pres.eq(u, v) == (pres.canon(u) == pres.canon(v))
+        assert pres.eq(u, [a + b for a, b in zip(u, pres.lattice.column(rng.randrange(n)))])
