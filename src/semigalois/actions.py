@@ -17,10 +17,10 @@ from typing import NamedTuple
 from . import isopu
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
                      kron_difference, residues, vstack)
-from .rings import Block, RingElement, SpanExpander, StructuredIso, Subalgebra, TensorPresentation
-from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired,
-                         is_e_unitary, restrict_table, sigma_partition,
-                         validate_table)
+from .rings import (AtomMismatch, Block, RingElement, SpanExpander, StructuredIso, Subalgebra,
+                    TensorPresentation)
+from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
+                         remembered, restrict_table, sigma_partition, validate_table)
 
 
 class ActionError(SemigroupError):
@@ -66,6 +66,7 @@ class UnitalAction:
         self.S = S
         self.A = A
         self.isos = tuple(isos)
+        self.facts = {}  # what is derived from beta, each computed once (`remembered`)
 
     def im_support(self, s):
         return self.isos[s].im_support
@@ -256,17 +257,19 @@ def validate_action(S, A, isos):
 
 
 def is_injective(beta):
-    seen = {}
-    for s in range(beta.S.n):
-        key = beta.isos[s]
-        if key in seen:
-            return False
-        seen[key] = s
-    return True
+    return remembered(beta, "injective", _is_injective)
+
+
+def _is_injective(beta):
+    return len(set(beta.isos)) == beta.S.n
 
 
 def invariant_ring(beta):
     """A^beta = {a : beta_s(a 1_{s^-1}) = a 1_s for all s}, as a Subalgebra."""
+    return remembered(beta, "invariants", _invariant_ring)
+
+
+def _invariant_ring(beta):
     A = beta.A
     pres = A.presentation
     current = [tuple(v) for v in A.basis_vectors()]
@@ -296,9 +299,16 @@ def trace_map(beta, a):
 
 
 def _trace(A, isos, a):
-    total = A.zero()
+    if a.ring != A:
+        raise AtomMismatch("element not in this ring")
+    return A.from_vec(_trace_vec(A, isos, a.vec()))
+
+
+def _trace_vec(A, isos, vec):
+    """The sum over the isos f of f(vec 1_dom), on coordinates."""
+    total = A.zero().vec()
     for iso in isos:
-        total = total + iso.apply(a.mask(iso.dom_support))
+        total = A.add_vec(total, iso.apply_vec(vec))
     return total
 
 
@@ -330,6 +340,10 @@ def induce_partial_group_action(beta):
         raise NotEUnitary("the induced partial action needs an E-unitary S")
     if not is_injective(beta):
         raise NotInjective("the induced partial action needs an injective beta")
+    return remembered(beta, "alpha", _induce_partial_group_action)
+
+
+def _induce_partial_group_action(beta):
     quo = sigma_partition(beta.S)
     isos = isopu.class_joins(beta.isos, quo.classes)
     for cls, join in zip(quo.classes, isos):
@@ -347,11 +361,9 @@ def _boolean_sum(A, idempotents_list):
     return one - rest
 
 
-def sigma_trace(beta, a, alpha=None):
+def sigma_trace(beta, a):
     """tr^sigma(a): the trace of the induced partial group action."""
-    if alpha is None:
-        alpha = induce_partial_group_action(beta)
-    return alpha.trace(a)
+    return induce_partial_group_action(beta).trace(a)
 
 
 def verify_class_join_group(beta):
@@ -369,12 +381,10 @@ def verify_class_join_group(beta):
     return True
 
 
-def sigma_trace_image(beta, alpha=None):
+def sigma_trace_image(beta):
     """The additive image tr^sigma(A) as a Subalgebra (it lands in A^beta)."""
-    if alpha is None:
-        alpha = induce_partial_group_action(beta)
-    gens = [alpha.trace(b).vec() for b in beta.A.basis_elements()]
-    return Subalgebra(beta.A, gens)
+    A, isos = beta.A, induce_partial_group_action(beta).isos
+    return Subalgebra(A, [_trace_vec(A, isos, v) for v in A.basis_vectors()])
 
 
 def restrict_action(beta, T: SubSemigroup):
@@ -428,12 +438,8 @@ class ScalarExtension:
         return self._on_a(iso.matrix()).apply(z)
 
     def generator_vectors(self):
-        out = []
-        for i in range(self.k * self.l):
-            col = [0] * (self.k * self.l)
-            col[i] = 1
-            out.append(tuple(col))
-        return out
+        n = self.k * self.l
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
     def r_image_canon(self):
         """The subgroup R (x) 1, spanned by r_i (x) 1."""
@@ -451,11 +457,8 @@ class ScalarExtension:
         return self.pres.subgroup_canon(gens)
 
     def sigma_trace_vec(self, z, alpha):
-        total = (0,) * (self.k * self.l)
-        for g in range(alpha.group.size()):
-            moved = self.act(alpha.isos[g], z)
-            total = tuple(a + b for a, b in zip(total, moved))
-        return total
+        """The sum over g of (1 (x) alpha_g) applied to z, unreduced."""
+        return tuple(map(sum, zip(*(self.act(iso, z) for iso in alpha.isos))))
 
 
 def _check_structural_map(R, inv, images):

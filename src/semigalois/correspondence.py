@@ -48,16 +48,10 @@ def enumerate_beta_maximal(beta):
             if is_beta_maximal(beta, T)]
 
 
-def fixed_subalgebra(beta, T: SubSemigroup, base=None):
-    """A^{beta|T}; always an A^beta-subalgebra when T is full.
-
-    `base` is A^beta when the caller holds it; otherwise it is computed.
-    """
-    restricted, _ = restrict_action(beta, T)
-    B = invariant_ring(restricted)
-    if base is None:
-        base = invariant_ring(beta)
-    if not B.contains(base):
+def fixed_subalgebra(beta, T: SubSemigroup):
+    """A^{beta|T}; always an A^beta-subalgebra when T is full."""
+    B = invariant_ring(restrict_action(beta, T)[0])
+    if not B.contains(invariant_ring(beta)):
         raise AssertionError("fixed ring must contain the full invariants")
     return B
 
@@ -128,7 +122,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     base = invariant_ring(beta)
 
     def fixed(T):
-        return base if len(T.members) == beta.S.n else fixed_subalgebra(beta, T, base)
+        return base if len(T.members) == beta.S.n else fixed_subalgebra(beta, T)
 
     pairs = []
     failures = []

@@ -19,13 +19,13 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .actions import (UnitalAction, induce_partial_group_action, invariant_ring,
+from .actions import (UnitalAction, image_action, induce_partial_group_action, invariant_ring,
                       is_injective, sigma_trace_image)
 from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
                      hstack, kernel_gens, lattice_det, lattice_member, residues, scatter_lattice,
                      solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation, NotSubring
-from .semigroups import SubSemigroup, is_e_unitary
+from .semigroups import SubSemigroup, is_e_unitary, remembered
 
 
 class EquivalenceViolation(AssertionError):
@@ -96,15 +96,15 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     return list(zip(A.basis_elements(), ys))
 
 
-def verify_coordinates(beta, coords, isos=None, rhs=None):
+def verify_coordinates(beta, coords, system=None):
     """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, apart from the solve.
 
-    `rhs` holds coordinate vectors; `apply_vec` masks y to the domain.
+    `system` is the pair (isos, right sides), the right sides coordinate
+    vectors; by default it is beta's Galois system.  `apply_vec` masks y to
+    the domain.
     """
     A = beta.A
-    if isos is None:
-        isos = beta.isos
-        rhs = [galois_rhs(beta, s).vec() for s in range(beta.S.n)]
+    isos, rhs = _galois_system(beta) if system is None else system
     pairs = [(x.vec(), y.vec()) for x, y in coords]
     for iso, want in zip(isos, rhs):
         total = A.zero().vec()
@@ -116,42 +116,43 @@ def verify_coordinates(beta, coords, isos=None, rhs=None):
 
 
 def _galois_system(beta):
-    """(isos, right sides) of the Galois coordinate system."""
-    return list(beta.isos), [galois_rhs(beta, s).vec() for s in range(beta.S.n)]
+    """(isos, right sides) of the Galois coordinate system, derived once per action."""
+    return remembered(beta, "galois_system", _derive_galois_system)
 
 
-def _partial_action_system(beta, alpha):
+def _derive_galois_system(beta):
+    return tuple(beta.isos), tuple(galois_rhs(beta, s).vec() for s in range(beta.S.n))
+
+
+def _partial_action_system(beta):
     """(isos, right sides) of the coordinate system of alpha (delta at 1_G)."""
-    A = beta.A
-    return list(alpha.isos), [(A.one() if g == alpha.group.identity else A.zero()).vec()
-                              for g in range(alpha.group.size())]
+    A, alpha = beta.A, induce_partial_group_action(beta)
+    return tuple(alpha.isos), tuple((A.one() if g == alpha.group.identity else A.zero()).vec()
+                                    for g in range(alpha.group.size()))
 
 
-def _solve_verified(beta, isos, rhs, name):
-    coords = _solve_coordinates(beta, isos, rhs)
-    if coords is not None and not verify_coordinates(beta, coords, isos=isos, rhs=rhs):
+def _solve_verified(beta, system, name):
+    coords = _solve_coordinates(beta, *system)
+    if coords is not None and not verify_coordinates(beta, coords, system):
         raise CertificateMismatch(f"{name} coordinate system fails its defining identity")
     return coords
 
 
 def solve_galois_coordinates(beta):
     """Criterion (coordinates): a Galois coordinate system or None."""
-    return _solve_verified(beta, *_galois_system(beta), "Galois")
+    return _solve_verified(beta, _galois_system(beta), "Galois")
 
 
-def solve_partial_action_coordinates(beta, alpha=None):
+def solve_partial_action_coordinates(beta):
     """Coordinates for the induced partial group action (delta at 1_G)."""
-    if alpha is None:
-        alpha = induce_partial_group_action(beta)
-    return _solve_verified(beta, *_partial_action_system(beta, alpha), "partial-action")
+    return _solve_verified(beta, _partial_action_system(beta), "partial-action")
 
 
-def is_galois_trace_criterion(beta, alpha=None):
+def is_galois_trace_criterion(beta):
     """Criterion (trace): tr^sigma(A) equals the invariant subring."""
     if not is_injective(beta):
-        from .actions import image_action
         _, beta, _ = image_action(beta)
-    return sigma_trace_image(beta, alpha) == invariant_ring(beta)
+    return sigma_trace_image(beta) == invariant_ring(beta)
 
 
 # -- the compatible-family ring PA_beta(S) and the comparison map psi --------
@@ -214,9 +215,6 @@ class PABetaS:
             vec.extend(v[i] for i in coords)
         return tuple(vec)
 
-    def member(self, vec):
-        return lattice_member(self.subgroup, vec)
-
     def element_generators(self):
         return residues(map(self.subgroup.column, range(self.total)), self.moduli)
 
@@ -276,20 +274,16 @@ class PsiReport:
     cokernel_witness: tuple | None = None
 
 
-def psi_check(beta, tensor=None):
+def psi_check(beta):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
-    `tensor` is a built A (x)_{A^beta} A, split along the orbits of beta, to
-    reuse; without it one is built.  psi maps the pairs of an orbit's block
-    into PA's part on that block and every cross pair to zero, so it is
-    checked one orbit at a time: on each generator pair of the block, on
-    block-ring coordinates, with each beta_t applied to each generator of
-    the second factor once.
+    The tensor is split along the orbits of beta (`_full_tensor`).  psi maps
+    the pairs of an orbit's block into PA's part on that block and every
+    cross pair to zero, so it is checked one orbit at a time: on each
+    generator pair of the block, on block-ring coordinates, with each beta_t
+    applied to each generator of the second factor once.
     """
-    if tensor is None:
-        tensor = _full_tensor(beta, invariant_ring(beta))
-    if [part.block.atoms for part in tensor.parts] != [block.atoms for block in beta.orbits]:
-        raise ValueError("the tensor is not split along the orbits of beta")
+    tensor = _full_tensor(beta)
     pa = PABetaS(beta)
     image_order = 1
     image_parts = []
@@ -465,19 +459,19 @@ def verify_separability_idempotent(tensor, z):
     return True
 
 
-def _full_tensor(beta, invariants):
-    """A (x)_{A^beta} A, with `invariants` = A^beta, split along the orbits of beta."""
+def _full_tensor(beta):
+    """A (x)_{A^beta} A split along the orbits of beta, built once per action."""
+    return remembered(beta, "full_tensor", _derive_full_tensor)
+
+
+def _derive_full_tensor(beta):
     full = Subalgebra.full(beta.A)
-    return TensorPresentation(full, full, invariants, beta.orbits)
+    return TensorPresentation(full, full, invariant_ring(beta), beta.orbits)
 
 
-def separability_idempotent_from_coordinates(beta, coords, tensor=None):
-    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A.
-
-    `tensor` is a built A (x)_{A^beta} A to reuse; without it one is built.
-    """
-    if tensor is None:
-        tensor = _full_tensor(beta, invariant_ring(beta))
+def separability_idempotent_from_coordinates(beta, coords):
+    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A."""
+    tensor = _full_tensor(beta)
     z = [0] * (tensor.k * tensor.l)
     for x, y in coords:
         for p, v in tensor.pure_terms(x, y):
@@ -538,20 +532,18 @@ def cross_check_equivalences(beta: UnitalAction):
     cert.coordinates = coords
     verdicts["coordinates"] = coords is not None
 
-    # one A (x)_{A^beta} A serves psi, separability and the coordinate-built idempotent
-    tensor = _full_tensor(beta, inv)
-    psi = psi_check(beta, tensor=tensor)
+    psi = psi_check(beta)
     cert.psi = psi
     verdicts["psi_bijective"] = psi.bijective
 
+    tensor = _full_tensor(beta)
     sep = is_separable(tensor.M, inv, tensor=tensor)
     strong, failure = is_beta_strong(beta, tensor.M)
     cert.separability_idempotent = (sep[1] if sep else None)
     cert.strong_failure = failure
     verdicts["separable_and_strong"] = (sep is not None) and strong
 
-    alpha = induce_partial_group_action(beta)
-    trace_img = sigma_trace_image(beta, alpha)
+    trace_img = sigma_trace_image(beta)
     cert.trace_image_generators = trace_img.generators()
     verdicts["trace_image"] = trace_img == inv
 
@@ -568,17 +560,17 @@ def cross_check_equivalences(beta: UnitalAction):
 
     # alpha's system is often beta's (same isos in the same order, same right
     # sides: S a group, say); it then has beta's solution, and the check below holds
-    if _partial_action_system(beta, alpha) == _galois_system(beta):
+    if _partial_action_system(beta) == _galois_system(beta):
         alpha_coords = coords
     else:
-        alpha_coords = solve_partial_action_coordinates(beta, alpha)
+        alpha_coords = solve_partial_action_coordinates(beta)
     cert.alpha_coordinates = alpha_coords
     if (alpha_coords is not None) != galois:
         raise EquivalenceViolation("beta-Galois and alpha-Galois disagree")
 
     if galois and coords is not None:
-        _, e_vec = separability_idempotent_from_coordinates(beta, coords, tensor=tensor)
-        if not verify_separability_idempotent(tensor, e_vec):
+        built = separability_idempotent_from_coordinates(beta, coords)
+        if not verify_separability_idempotent(*built):
             raise EquivalenceViolation("coordinate-built separability idempotent failed")
 
     return EquivalenceReport(galois, verdicts, cert, inv.order, trace_gap)

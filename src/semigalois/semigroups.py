@@ -72,7 +72,7 @@ class InverseSemigroup:
         self.idempotents = idems
         self.leq = leq  # leq[s][t] True iff s <= t in the natural order
         self.n = len(table)
-        self.facts = {}  # properties derived from the table, each computed once
+        self.facts = {}  # properties derived from the table, each computed once (`remembered`)
 
     def is_idempotent(self, s):
         return s in self.idempotents
@@ -206,10 +206,23 @@ class QuotientGroup:
         raise NotAGroupQuotient("class without inverse")
 
 
+def remembered(obj, key, compute):
+    """compute(obj), derived once per object and kept in `obj.facts`: a
+    validated semigroup or action never changes.  A raise is not kept, so
+    it recurs on every call."""
+    if key not in obj.facts:
+        obj.facts[key] = compute(obj)
+    return obj.facts[key]
+
+
 def sigma_partition(S):
     """The minimum group congruence: the closure of `shares_lower_bound`."""
     if S.zero is not None:
         raise ZeroForbidden("sigma is for semigroups without zero; use tau")
+    return remembered(S, "sigma", _sigma_partition)
+
+
+def _sigma_partition(S):
     classes, projection = lower_bound_classes(S)
     table = quotient_table(S, classes, projection)
     if table is None:
@@ -231,6 +244,10 @@ def is_e_unitary(S):
     """E-unitarity via its three characterizations, asserted to agree."""
     if S.zero is not None:
         raise ZeroForbidden("declared zero: E-unitarity questions go through the zero module")
+    return remembered(S, "e_unitary", _is_e_unitary)
+
+
+def _is_e_unitary(S):
     via_order = all(s in S.idempotents
                     for e in S.idempotents for s in range(S.n) if S.leq[e][s])
     quo = sigma_partition(S)

@@ -19,7 +19,7 @@ from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
 from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, lower_bound_classes,
-                         quotient_table, shares_lower_bound, validate_table)
+                         quotient_table, remembered, shares_lower_bound, validate_table)
 
 
 class NotPrimitive(SemigroupError):
@@ -54,18 +54,10 @@ def strongly_compatible(S, s, t):
     return a != z and b != z and a in S.idempotents and b in S.idempotents
 
 
-def _remembered(S, key, compute):
-    """compute(S), derived once per semigroup and kept in `S.facts`: a
-    validated table never changes."""
-    if key not in S.facts:
-        S.facts[key] = compute(S)
-    return S.facts[key]
-
-
 def is_0_e_unitary(S):
     """No non-idempotent sits above a nonzero idempotent."""
     _require_zero(S)
-    return _remembered(S, "0_e_unitary", _is_0_e_unitary)
+    return remembered(S, "0_e_unitary", _is_0_e_unitary)
 
 
 def _is_0_e_unitary(S):
@@ -79,7 +71,7 @@ def _is_0_e_unitary(S):
 def is_categorical_at_zero(S):
     """stu = 0 forces st = 0 or tu = 0."""
     _require_zero(S)
-    return _remembered(S, "categorical_at_zero", _is_categorical_at_zero)
+    return remembered(S, "categorical_at_zero", _is_categorical_at_zero)
 
 
 def _is_categorical_at_zero(S):
@@ -101,7 +93,7 @@ def tau_partition(S):
     strong-compatibility relation there).
     """
     _require_zero(S)
-    return _remembered(S, "tau_partition", _tau_partition)
+    return remembered(S, "tau_partition", _tau_partition)
 
 
 def _tau_partition(S):
@@ -131,7 +123,7 @@ def tau_quotient(S):
 def is_primitive(S):
     """The natural order is equality on nonzero elements."""
     _require_zero(S)
-    return _remembered(S, "primitive", _is_primitive)
+    return remembered(S, "primitive", _is_primitive)
 
 
 def _is_primitive(S):

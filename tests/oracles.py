@@ -465,12 +465,12 @@ def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
     failures = []
     seen_algebras = {}
     for T in subsemigroups:
-        B = fixed_subalgebra(beta, T, base)
+        B = fixed_subalgebra(beta, T)
         sep = is_separable(B, base) is not None
         strong, fail_at = is_beta_strong(beta, B)
         back = pullback(B)
         round_t = back.members == T.members
-        fixed_again = fixed_subalgebra(beta, s_b_map(B), base)
+        fixed_again = fixed_subalgebra(beta, s_b_map(B))
         round_b = fixed_again == B
         if B in seen_algebras:
             failures.append(("duplicate fixed algebra", tuple(sorted(T.members)),
@@ -540,7 +540,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
 
 def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False):
     """The general route running the whole E-unitary route on beta(S)."""
-    from semigalois.actions import image_action, invariant_ring
+    from semigalois.actions import image_action
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
     from semigalois.galois import PreconditionFail, is_galois
@@ -569,9 +569,8 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
         failures.append(("beta-maximal pullback mismatch",
                          sorted(map(sorted, pulled_sets)), sorted(map(sorted, maximal_sets))))
     pairs = []
-    base = invariant_ring(beta)
     for T, img_pair in zip(pulled, image_report.pairs):
-        B = fixed_subalgebra(beta, T, base)
+        B = fixed_subalgebra(beta, T)
         back = frozenset(s for s in range(S.n) if proj[s] in set(img_pair.s_b_members))
         round_t = back == T.members
         if not round_t:
@@ -610,13 +609,13 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     maximal_sets = {T.members for T in maximal}
     seen_algebras = {}
     for T in maximal:
-        B = fixed_subalgebra(beta, T, base)
+        B = fixed_subalgebra(beta, T)
         sep = is_separable(B, base) is not None
         strong, fail_at = is_beta_strong(beta, B)
         img_sb = compute_S_B(beta_img, B)
         back = frozenset(s for s in range(S.n) if proj[s] in img_sb.members)
         round_t = back == T.members
-        fixed_again = fixed_subalgebra(beta, SubSemigroup(S, back), base)
+        fixed_again = fixed_subalgebra(beta, SubSemigroup(S, back))
         round_b = fixed_again == B
         if B in seen_algebras:
             failures.append(("duplicate fixed algebra", tuple(sorted(T.members))))
@@ -651,15 +650,13 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     return report
 
 
-def verify_coordinates_by_elements(beta, coords, isos=None, rhs=None):
-    """The coordinate identity sum x f(y 1_dom) = rhs_f, through `RingElement`
-    products and the polynomial `StructuredIso.apply`."""
+def verify_coordinates_by_elements(beta, coords):
+    """The Galois coordinate identity sum x f(y 1_dom) = rhs_f, through
+    `RingElement` products and the polynomial `StructuredIso.apply`."""
     from semigalois.galois import galois_rhs
     A = beta.A
-    if isos is None:
-        isos = beta.isos
-        rhs = [galois_rhs(beta, s) for s in range(beta.S.n)]
-    for iso, want in zip(isos, rhs):
+    for s, iso in enumerate(beta.isos):
+        want = galois_rhs(beta, s)
         total = A.zero()
         for x, y in coords:
             total = total + x * iso.apply(y.mask(iso.dom_support))

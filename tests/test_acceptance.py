@@ -65,7 +65,6 @@ def test_criterion_1_fixture_facts():
             ok = False
             detail.append(f"membership of {el!r}")
     # plain trace fails invariance exactly on u e2 with u^3 != u
-    alpha = induce_partial_group_action(beta)
     witnessed = False
     for u0 in range(3):
         for u1 in range(3):
@@ -81,7 +80,7 @@ def test_criterion_1_fixture_facts():
         ok = False
         detail.append("no u with u^3 != u scanned")
     for a in A.elements():
-        if not inv.member(sigma_trace(beta, a, alpha)):
+        if not inv.member(sigma_trace(beta, a)):
             ok = False
             detail.append(f"sigma trace escaped invariants at {a!r}")
             break

@@ -66,9 +66,8 @@ def test_plain_trace_not_invariant_but_sigma_trace_is():
     xe2 = A.element([(0, 0), (0, 1), (0, 0)])
     assert ac.trace_map(beta, xe2) == xe2
     assert not inv.member(xe2)
-    alpha = ac.induce_partial_group_action(beta)
     for a in A.elements():
-        assert inv.member(ac.sigma_trace(beta, a, alpha))
+        assert inv.member(ac.sigma_trace(beta, a))
 
 
 def test_sigma_trace_on_c2_swap():
@@ -83,7 +82,7 @@ def test_semilattice_sigma_trace_is_identity():
     alpha = ac.induce_partial_group_action(beta)
     assert alpha.group.size() == 1
     for a in beta.A.elements():
-        assert ac.sigma_trace(beta, a, alpha) == a
+        assert ac.sigma_trace(beta, a) == a
 
 
 def test_induced_action_on_group_is_itself():
@@ -128,20 +127,19 @@ def test_sigma_trace_invariance_property_on_corpus():
     for beta in corpus(32, 15, predicate=admissible):
         if beta.A.size > 729:
             continue
-        alpha = ac.induce_partial_group_action(beta)
         inv = ac.invariant_ring(beta)
         for s in range(beta.S.n):
             iso = beta.isos[s]
             for a in list(beta.A.elements())[:40]:
                 a_dom = a.mask(iso.dom_support)
-                lhs = ac.sigma_trace(beta, iso.apply(a_dom), alpha)
-                rhs = ac.sigma_trace(beta, a_dom, alpha)
+                lhs = ac.sigma_trace(beta, iso.apply(a_dom))
+                rhs = ac.sigma_trace(beta, a_dom)
                 assert lhs == rhs
         # bimodule property over the invariants
         gens = inv.generators()
         for b in gens[:3]:
             for a in list(beta.A.elements())[:20]:
-                assert ac.sigma_trace(beta, b * a, alpha) == b * ac.sigma_trace(beta, a, alpha)
+                assert ac.sigma_trace(beta, b * a) == b * ac.sigma_trace(beta, a)
 
 
 def test_sigma_trace_image_lands_in_invariants_on_corpus():

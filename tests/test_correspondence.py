@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from semigalois import actions as ac
 from semigalois import budget
 from semigalois import correspondence as co
 from semigalois.actions import invariant_ring, is_injective, validate_action
@@ -63,19 +64,20 @@ def test_fixed_subalgebra_orders():
     assert (f_all.order, f_mid.order, f_e.order) == (27, 243, 729)
 
 
-def test_fixed_subalgebra_takes_the_callers_base(monkeypatch):
-    """A given base skips recomputing A^beta, and the containment check still raises."""
+def test_fixed_subalgebra_reads_the_remembered_invariants(monkeypatch):
+    """A^beta is derived once per action however many fixed rings are taken,
+    and the containment check still raises (on a wrong A^beta planted as the
+    one beta remembers)."""
     beta = f9_cubed_fixture()
-    base = invariant_ring(beta)
-    T = SubSemigroup(beta.S, frozenset(beta.S.idempotents))
-    want = co.fixed_subalgebra(beta, T)
-    calls = []
-    monkeypatch.setattr(co, "invariant_ring", lambda b: calls.append(b) or invariant_ring(b))
-    assert co.fixed_subalgebra(beta, T, base) == want
-    assert len(calls) == 1  # only the restricted action's invariants
-    full_T = SubSemigroup(beta.S, frozenset(range(beta.S.n)))
+    derived, original = [], ac._invariant_ring
+    monkeypatch.setattr(ac, "_invariant_ring", lambda b: derived.append(b) or original(b))
+    ts = enumerate_full_inverse_subsemigroups(beta.S)
+    for T in ts:
+        co.fixed_subalgebra(beta, T)
+    assert sum(b is beta for b in derived) == 1
+    beta.facts["invariants"] = Subalgebra.full(beta.A)
     with pytest.raises(AssertionError, match="contain the full invariants"):
-        co.fixed_subalgebra(beta, full_T, Subalgebra.full(beta.A))
+        co.fixed_subalgebra(beta, ts[-1])
 
 
 def test_fixed_subalgebra_is_antitone():

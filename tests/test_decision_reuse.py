@@ -1,9 +1,10 @@
-"""Each decision derives every product, iso image and linear system once.
+"""Each decision derives every fact, product, iso image and linear system once.
 
-Call counts around one in-process `cli.main` on the shipped instances, the
-per-ring product table (a lookup returns the product and is charged like
-one), and the per-iso application plan against the iso matrix and the
-polynomial Frobenius.
+Call counts around one in-process `cli.main` on the shipped instances (the
+facts each semigroup and action remembers, and the solves), the per-ring
+product table (a lookup returns the product and is charged like one), and
+the per-iso application plan against the iso matrix and the polynomial
+Frobenius.
 """
 
 import collections
@@ -12,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from semigalois import budget, cli, correspondence, galois, zerocase
+from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
-from semigalois.corpus import random_ring, random_structured_iso
+from semigalois.corpus import (b2_swap_fixture, collapsing_semilattice_fixture,
+                               f9_cubed_fixture, random_ring, random_structured_iso)
 from oracles import element_product, iso_apply_by_polynomials
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -64,6 +66,71 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
     assert {name for name, _ in computed} == set(ZERO_FACTS)
     if args[0] == "zero":
         assert sum(asked.values()) > len(computed)
+
+
+# What each command derives about S (the first two) and about beta, by the
+# function that derives it.
+FACTS = [(semigroups, "_sigma_partition"), (semigroups, "_is_e_unitary"),
+         (actions, "_is_injective"), (actions, "_invariant_ring"),
+         (actions, "_induce_partial_group_action"), (galois, "_derive_galois_system"),
+         (galois, "_derive_full_tensor")]
+COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
+            ["analyze"], ["zero"]]
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
+def test_facts_are_derived_once_per_semigroup_and_action(monkeypatch, capsys, args):
+    """In one cli.main on each shipped instance, sigma and E-unitarity are
+    derived at most once per semigroup object, and injectivity, A^beta, the
+    induced alpha, the Galois system and A (x)_{A^beta} A at most once per
+    action object."""
+    derived, held = collections.Counter(), []  # held: no two objects share an id
+    for owner, name in FACTS:
+        _recording(monkeypatch, owner, name,
+                   lambda obj, name=name: held.append(obj) or derived.update([(name, id(obj))]))
+    seen = set()
+    for path in sorted(INSTANCES.glob("*.sgi")):
+        derived.clear()
+        _run(capsys, args[0], str(path), *args[1:])
+        assert all(count == 1 for count in derived.values()), (path.name, derived)
+        seen |= {name for name, _ in derived}
+    assert seen  # every command derives some fact on some instance
+    if args == ["galois"]:
+        assert seen == {name for _, name in FACTS}
+
+
+def test_a_remembered_fact_raises_its_precondition_on_every_call():
+    """A raise is never remembered: a precondition, or a budget trip inside
+    the derivation, recurs on the next call, and the fact is derived once the
+    trip is lifted."""
+    beta = collapsing_semilattice_fixture()  # not injective
+    for _ in range(2):
+        with pytest.raises(actions.NotInjective):
+            actions.induce_partial_group_action(beta)
+    S = b2_swap_fixture().S  # declares a zero
+    for _ in range(2):
+        with pytest.raises(semigroups.ZeroForbidden):
+            semigroups.sigma_partition(S)
+    assert "alpha" not in beta.facts and "sigma" not in S.facts
+    beta = f9_cubed_fixture()
+    for _ in range(2):
+        with budget.limit(1), pytest.raises(budget.BudgetExceeded):
+            actions.invariant_ring(beta)
+    assert "invariants" not in beta.facts
+    assert actions.invariant_ring(beta) is actions.invariant_ring(beta)
+    assert actions.invariant_ring(beta).order == 27
+
+
+def test_verify_coordinates_takes_a_whole_system():
+    """The default system is beta's Galois system; a given one is used whole."""
+    beta = f9_cubed_fixture()
+    coords = galois.solve_galois_coordinates(beta)
+    isos, rhs = galois._galois_system(beta)
+    assert galois.verify_coordinates(beta, coords)
+    assert galois.verify_coordinates(beta, coords, system=(isos, rhs))
+    assert not galois.verify_coordinates(beta, coords, system=(isos, rhs[1:] + rhs[:1]))
+    assert not galois.verify_coordinates(beta, [(beta.A.one(), beta.A.one())],
+                                         system=(beta.isos, rhs))
 
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])

@@ -422,7 +422,7 @@ _OPTIMIZED_TWO_ORBIT_PROBE = textwrap.dedent("""
     beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
                                            StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
     inv = invariant_ring(beta)
-    tensor = gl._full_tensor(beta, inv)
+    tensor = gl._full_tensor(beta)
     if len(beta.orbits) != 2 or len(tensor.parts) != 2:
         sys.exit(4)
     setattr(gl, sys.argv[1], lambda *args, **kwargs: False)

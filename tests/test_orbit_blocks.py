@@ -12,8 +12,7 @@ import random
 import pytest
 
 from semigalois import galois as gl
-from semigalois.actions import (induce_partial_group_action, invariant_ring, is_injective,
-                                validate_action)
+from semigalois.actions import invariant_ring, is_injective, validate_action
 from semigalois.corpus import (c2_table, corpus, f9_cubed_fixture, s7_monoid, trace_gap_fixture)
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.linalg import lattice_member
@@ -92,16 +91,15 @@ def test_the_corpora_and_rungs_hold_many_multi_orbit_instances():
 @pytest.mark.parametrize("name,beta", _split_instances(), ids=[n for n, _ in _split_instances()])
 def test_split_routes_match_the_whole_routes(name, beta):
     inv = invariant_ring(beta)
-    tensor = gl._full_tensor(beta, inv)
+    tensor = gl._full_tensor(beta)
     whole = whole_full_tensor(beta)
     assert tensor.order() == whole.order()
     assert tensor.pres.lattice == whole.pres.lattice  # the canonical basis, put together
 
-    for isos, rhs in (gl._galois_system(beta),
-                      gl._partial_action_system(beta, induce_partial_group_action(beta))):
+    for isos, rhs in (gl._galois_system(beta), gl._partial_action_system(beta)):
         assert gl._solve_coordinates(beta, isos, rhs) == solve_coordinates_whole(beta, isos, rhs)
 
-    psi = gl.psi_check(beta, tensor=tensor)
+    psi = gl.psi_check(beta)
     t_order, pa_order, image_order, kernel_witness, cokernel_witness = psi_check_whole(beta)
     assert (psi.tensor_order, psi.pa_order, psi.image_order) == (t_order, pa_order, image_order)
     assert psi.cokernel_witness == cokernel_witness
@@ -199,21 +197,15 @@ def test_psi_image_vector_matches_element_route_on_a_multi_orbit_instance():
 def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
     """Over the span of the orbit indicators, a base smaller than A^beta, the
     tensor outgrows psi's image; the witness, put together from one block,
-    is nonzero in the tensor and psi maps it to zero."""
+    is nonzero in the tensor and psi maps it to zero.  That tensor is planted
+    as the one beta remembers, since psi reads no other."""
     beta = MULTI_ORBIT["c2_(gf4xz3xz4)^2"]()
     A = beta.A
     full = Subalgebra.full(A)
     base = Subalgebra(A, [block.indicator() for block in beta.orbits]).closure_under_mul()
-    tensor = TensorPresentation(full, full, base, beta.orbits)
-    psi = gl.psi_check(beta, tensor=tensor)
+    tensor = beta.facts["full_tensor"] = TensorPresentation(full, full, base, beta.orbits)
+    psi = gl.psi_check(beta)
     assert psi.image_order < psi.tensor_order and psi.kernel_witness is not None
     assert not tensor.is_zero(psi.kernel_witness)
     pa, image = _psi_of(beta, tensor, psi.kernel_witness)
     assert lattice_member(pa.ambient.lattice, image)
-
-
-def test_psi_takes_only_a_tensor_split_along_the_orbits():
-    beta = MULTI_ORBIT["trace_gap"]()
-    full = Subalgebra.full(beta.A)
-    with pytest.raises(ValueError):
-        gl.psi_check(beta, tensor=TensorPresentation(full, full, invariant_ring(beta)))

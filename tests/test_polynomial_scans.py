@@ -64,7 +64,6 @@ def compare_scans(beta):
     assert [t.members for t in ts] == \
         [t.members for t in full_inverse_subsemigroups_by_power_set(S)]
     counts = [0, 0, 0]
-    base = invariant_ring(beta)
     for T in ts:
         complete = is_beta_complete(beta, T)
         assert complete == beta_complete_by_subset_scan(beta, T)
@@ -72,7 +71,7 @@ def compare_scans(beta):
         maximal = is_beta_maximal(beta, T)
         assert maximal == beta_maximal_by_subset_scan(beta, T)
         counts[1] += not maximal
-        B = fixed_subalgebra(beta, T, base)
+        B = fixed_subalgebra(beta, T)
         got = gl.is_beta_strong(beta, B)
         assert got == beta_strong_by_support_scan(beta, B)
         counts[2] += not got[0]
