@@ -456,9 +456,11 @@ class ScalarExtension:
         gens = kernel_gens(vstack(rows), aug, self.pres.moduli)
         return self.pres.subgroup_canon(gens)
 
-    def sigma_trace_vec(self, z, alpha):
-        """The sum over g of (1 (x) alpha_g) applied to z, unreduced."""
-        return tuple(map(sum, zip(*(self.act(iso, z) for iso in alpha.isos))))
+    def sigma_trace_vec(self, z):
+        """The sum over g of (1 (x) alpha_g) applied to z, unreduced, for beta's
+        induced partial group action alpha."""
+        isos = induce_partial_group_action(self.beta).isos
+        return tuple(map(sum, zip(*(self.act(iso, z) for iso in isos))))
 
 
 def _check_structural_map(R, inv, images):

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from . import isopu
 from .actions import image_action, invariant_ring, is_injective, restrict_action
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_separable, is_galois
+from .linalg import lattice_reduce
+from .rings import Subalgebra
 from .semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of
 
 
@@ -117,7 +119,9 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     beta(S) pulls back to exactly this set.  Every B contains A^beta and so
     the indicator of each orbit of beta, and its separability is decided
     one orbit at a time.  The brute-force scan matches the S_Bs of all
-    separable beta-strong subalgebras to `ts`.
+    separable beta-strong subalgebras to `ts`; it takes the pair loop's
+    verdict on each fixed algebra and tests any other B for separability
+    only once it is beta-strong.
     """
     base = invariant_ring(beta)
 
@@ -126,18 +130,21 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
 
     pairs = []
     failures = []
-    seen_algebras = {}
+    judged = {}  # B -> (the last T fixing it, S_B, separable, strong, where strongness fails)
     for T in ts:
         members = tuple(sorted(T.members))
         B = fixed(T)
-        sep = is_separable(B, base, blocks=beta.orbits) is not None
-        s_b = compute_S_B(beta, B)
-        strong, fail_at = is_beta_strong(beta, B, s_b)
+        verdict = judged.get(B)
+        if verdict is None:
+            sep = is_separable(B, base, blocks=beta.orbits) is not None
+            s_b = compute_S_B(beta, B)
+            strong, fail_at = is_beta_strong(beta, B, s_b)
+        else:
+            failures.append(("duplicate fixed algebra", members, verdict[0]))
+            _, s_b, sep, strong, fail_at = verdict
+        judged[B] = members, s_b, sep, strong, fail_at
         round_t = s_b.members == T.members
         round_b = round_t or fixed(s_b) == B
-        if B in seen_algebras:
-            failures.append(("duplicate fixed algebra", members, seen_algebras[B]))
-        seen_algebras[B] = members
         pairs.append(CorrespondencePair(
             members, B.order, [repr(g) for g in B.generators()],
             tuple(sorted(s_b.members)), sep, strong, round_t, round_b))
@@ -153,10 +160,14 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     if brute_force_subalgebras:
         found = []
         for B in enumerate_subalgebras_over(beta, base):
-            if is_separable(B, base, blocks=beta.orbits) is None:
-                continue
-            s_b = compute_S_B(beta, B)
-            if is_beta_strong(beta, B, s_b)[0]:
+            verdict = judged.get(B)
+            if verdict is not None:
+                _, s_b, sep, strong, _ = verdict
+            else:  # strongness first: it is the cheaper test
+                s_b = compute_S_B(beta, B)
+                strong = is_beta_strong(beta, B, s_b)[0]
+                sep = strong and is_separable(B, base, blocks=beta.orbits) is not None
+            if sep and strong:
                 found.append(s_b.members)
         report.brute_force_match = (len(found) == len(ts)
                                     and set(found) == {T.members for T in ts})
@@ -186,24 +197,89 @@ def enumerate_subalgebras_over(beta, base):
     """Every A^beta-subalgebra of A, by closing one added coset at a time.
 
     The closure of B + Z*v depends only on the coset v + B, so each found
-    subalgebra B is extended by one representative per nonzero coset: the
+    subalgebra B is extended by representatives of its nonzero cosets: the
     vectors w with 0 <= w_j < B.basis.cols[j][j], since the canonical basis is
-    lower-triangular and contains diag(moduli).  That is |A|/|B| - 1
-    candidates per B instead of |A|.
+    lower-triangular and contains diag(moduli).  It depends only on the orbit
+    of the coset under the units u of A^beta, too: B contains A^beta and u^-1
+    is a power of u, so u*w and w each lie in the closure of B and the other.
+    So one representative per orbit is closed (`_UnitOrbits`): at most
+    |A|/|B| - 1 closures per B instead of |A|.
     """
     A = beta.A
     start = base.adjoin(A.one().vec())
+    unit_orbits = _UnitOrbits(beta, base)
     found = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
+        closed = set()  # the cosets in the orbit of one already closed
         reps = itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols)))
         for w in itertools.islice(reps, 1, None):  # the first is the zero coset
+            if w in closed:
+                continue
             bigger = cur.adjoin(w)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
+            closed.update(unit_orbits.orbit(cur, w))
     return sorted(found, key=lambda s: (s.order, repr([g for g in s.gen_vectors])))
+
+
+class _UnitOrbits:
+    """The orbits of the units of A^beta on the cosets of subalgebras B >= A^beta.
+
+    A^beta holds the indicator e_O of each orbit O of beta, so its units are
+    the products of the units of the blocks A^beta e_O, B is the direct sum
+    of its blocks, and the orbit of w + B is the product of the orbits of its
+    block parts.  An invariant is fixed on O by its value on one atom, so
+    A^beta e_O has at most one atom's elements; they are enumerated once, for
+    the first part that needs them, and kept as a generating set of the unit
+    group: each unit that the earlier ones do not generate.  A part's orbit
+    is then its closure under multiplication by those generators.
+    """
+
+    def __init__(self, beta, base):
+        self.ring, self.base, self.blocks = beta.A, base, beta.orbits
+        self.generators = {}  # block -> generators of (A^beta e_O)^x, on the block ring
+
+    def _unit_generators(self, block):
+        if block not in self.generators:
+            ring = block.ring
+            part = Subalgebra.with_basis(ring, block.basis(self.base))
+            # F_2 is the one finite local ring with no unit but 1: nothing to enumerate
+            units = part.element_vectors() if part.order > 2 else ()
+            one = ring.one().vec()
+            group, gens = {one}, []
+            for u in units:
+                if u in group or not ring.is_unit_vec(u):
+                    continue
+                gens.append(u)
+                layer = list(group)  # the group grows by its cosets h u^k until they return
+                while True:
+                    layer = [ring.mul_vec(u, h) for h in layer]
+                    if layer[0] in group:
+                        break
+                    group.update(layer)
+            self.generators[block] = gens
+        return self.generators[block]
+
+    def orbit(self, cur, w):
+        """The canonical representatives of the cosets u*w + cur, w one of them."""
+        orbit = [self.ring.zero().vec()]
+        for block in self.blocks:
+            part = block.restrict(w)
+            if not any(part):
+                continue
+            basis = block.basis(cur)
+            moved, todo = {part}, [part]
+            for v in todo:
+                for g in self._unit_generators(block):
+                    x = lattice_reduce(basis, block.ring.mul_vec(g, v))
+                    if x not in moved:
+                        moved.add(x)
+                        todo.append(x)
+            orbit = [self.ring.add_vec(o, block.extend(m)) for o in orbit for m in moved]
+        return orbit
 
 
 def verify_general_correspondence(beta, brute_force_subalgebras=False):

@@ -587,12 +587,12 @@ def scalar_extension_is_galois(ext):
     Checks the trace criterion for the extended action and that the
     invariants coincide with the image of the base ring R.
     """
-    alpha = induce_partial_group_action(ext.beta)
+    induce_partial_group_action(ext.beta)  # its precondition raises before the solve
     inv_canon = ext.invariants_canon()
     r_canon = ext.r_image_canon()
     if inv_canon != r_canon:
         return False
     gens = ext.generator_vectors()
-    traces = [ext.sigma_trace_vec(z, alpha) for z in gens]
+    traces = [ext.sigma_trace_vec(z) for z in gens]
     trace_canon = ext.pres.subgroup_canon(traces)
     return trace_canon == r_canon

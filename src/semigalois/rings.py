@@ -339,6 +339,12 @@ class FiniteRing:
             out = self._products[key] = tuple(out)
         return out
 
+    def is_unit_vec(self, vec):
+        """The element is a unit: on every atom a GF coordinate block is
+        nonzero and a Z/p^k coordinate is prime to p."""
+        return all(vec[lo] % a.p if a.kind == "zmod" else any(vec[lo:hi])
+                   for (lo, hi), a in zip(self._spans, self.atoms))
+
     def vector_order(self, vec):
         """Additive order of a coordinate vector."""
         o = 1
@@ -587,7 +593,7 @@ class Subalgebra:
                 and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ring, tuple(x for row in self.basis.tolist() for x in row)))
+        return hash((self.ring, tuple(tuple(sorted(c.items())) for c in self.basis.cols)))
 
     def __repr__(self):
         return f"Subalgebra(order={self.order})"
@@ -730,15 +736,15 @@ class Block:
                 {local[i]: t for i, t in iso.twist.items() if i in local})
         return got
 
-    def subalgebra(self, sub):
-        """sub * e_O as a subalgebra of the block ring; sub must contain e_O.
+    def basis(self, sub):
+        """The canonical basis of sub * e_O on the block ring; sub must contain e_O.
 
         sub is then the direct sum of its blocks, so its canonical basis is
         theirs put in place (`linalg.scatter_lattice`): the columns at the
         block's coordinates, read back, are the block's canonical basis.
         """
         if self.ring is self.whole:
-            return sub
+            return sub.basis
         pos = {c: r for r, c in enumerate(self.coords)}
         cols = []
         for c in self.coords:
@@ -746,7 +752,13 @@ class Block:
             if not col.keys() <= pos.keys():
                 raise NotSubring("the subalgebra does not split along the block")
             cols.append({pos[r]: v for r, v in col.items()})
-        part = Subalgebra.with_basis(self.ring, Matrix(len(self.coords), cols))
+        return Matrix(len(self.coords), cols)
+
+    def subalgebra(self, sub):
+        """sub * e_O as a subalgebra of the block ring, on `basis`."""
+        if self.ring is self.whole:
+            return sub
+        part = Subalgebra.with_basis(self.ring, self.basis(sub))
         if sub.is_subalgebra():
             part._is_subalgebra = True  # e_O is its one
         return part

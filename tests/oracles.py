@@ -18,12 +18,14 @@ brute-force matchers (`e_unitary_correspondence_by_own_loop`,
 the five power-set scans that per-atom and per-element tests replaced
 (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
-`beta_maximal_by_subset_scan`), the four action-axiom validators with
+`beta_maximal_by_subset_scan`), the subalgebra scan that closed every
+coset (`subalgebras_by_coset_scan`), the four action-axiom validators with
 their own loops (`validate_action_by_own_loops`,
 `validate_partial_group_action_by_own_loops`,
 `validate_partial_semigroup_action_by_own_loops`,
 `validate_partial_groupoid_action_by_own_loops`), and scalar extension on
-its own presented base and relation loops (`extend_scalars_by_loops`),
+its own presented base and relation loops (`extend_scalars_by_loops`,
+re-tested by `scalar_extension_is_galois_by_loops`),
 and the polynomial element route (`atom_mul`, `atom_frobenius` and the
 element and iso helpers built on them) that the coordinate kernel replaced,
 with `verify_iso_extensional` on top of it.  Last, the Galois systems over
@@ -491,13 +493,30 @@ def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
     return pairs, failures
 
 
+def subalgebras_by_coset_scan(beta, base):
+    """Every `base`-subalgebra of A, closing every nonzero coset representative
+    of each subalgebra found (the scan before it closed one per unit orbit)."""
+    A = beta.A
+    start = base.adjoin(A.one().vec())
+    found = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        reps = itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols)))
+        for w in itertools.islice(reps, 1, None):  # the first is the zero coset
+            bigger = cur.adjoin(w)
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda s: (s.order, repr([g for g in s.gen_vectors])))
+
+
 def _brute_force_check(beta, t_side_members):
     from semigalois.actions import invariant_ring
-    from semigalois.correspondence import enumerate_subalgebras_over
     from semigalois.galois import compute_S_B, is_beta_strong, is_separable
     base = invariant_ring(beta)
     winners = []
-    for B in enumerate_subalgebras_over(beta, base):
+    for B in subalgebras_by_coset_scan(beta, base):
         if is_separable(B, base) is None:
             continue
         strong, _ = is_beta_strong(beta, B)
@@ -586,8 +605,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     """The zero route with its own pair loop and inline brute-force scan."""
     from semigalois.actions import image_action, invariant_ring
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
-                                           enumerate_subalgebras_over, fixed_subalgebra,
-                                           is_beta_maximal)
+                                           fixed_subalgebra, is_beta_maximal)
     from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong, is_galois,
                                    is_separable)
     from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
@@ -633,7 +651,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     report = CorrespondenceReport(not failures, pairs, failures)
     if brute_force_subalgebras:
         winners = []
-        for B in enumerate_subalgebras_over(beta, base):
+        for B in subalgebras_by_coset_scan(beta, base):
             if is_separable(B, base) is None:
                 continue
             strong, _ = is_beta_strong(beta, B)
@@ -1066,6 +1084,18 @@ class ScalarExtensionByLoops:
         for iso in alpha.isos:
             total = tuple(a + b for a, b in zip(total, self.act(iso, z)))
         return total
+
+
+def scalar_extension_is_galois_by_loops(ext):
+    """The Galois re-test of `galois.scalar_extension_is_galois`, passing the
+    induced alpha to this module's `sigma_trace_vec`."""
+    from semigalois.actions import induce_partial_group_action
+    alpha = induce_partial_group_action(ext.beta)
+    r_canon = ext.r_image_canon()
+    if ext.invariants_canon() != r_canon:
+        return False
+    traces = [ext.sigma_trace_vec(z, alpha) for z in ext.generator_vectors()]
+    return ext.pres.subgroup_canon(traces) == r_canon
 
 
 def extend_scalars_by_loops(beta, R=None, structural_images=None, guard=1 << 14):

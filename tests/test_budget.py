@@ -50,8 +50,8 @@ SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
                   ["correspond", "--brute-force-subalgebras"], ["zero"]]
 SPEND_CEILINGS = {
     "b2_f3f3": [0, 9, 0, 0, 0, 118],
-    "c2_swap": [0, 19, 123, 115, 215, 0],
-    "s7_f9cubed": [0, 35, 1063, 1210, 5655, 0],
+    "c2_swap": [0, 19, 123, 115, 144, 0],
+    "s7_f9cubed": [0, 35, 1063, 1210, 1674, 0],
     "trace_gap_c2": [0, 10, 128, 5, 5, 0],
 }
 

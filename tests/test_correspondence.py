@@ -148,7 +148,7 @@ def test_brute_force_guard():
     eliminations, so a small budget stops it."""
     beta = f9_cubed_fixture()
     inv = invariant_ring(beta)
-    with budget.limit(1000), pytest.raises(budget.BudgetExceeded) as exc:
+    with budget.limit(400), pytest.raises(budget.BudgetExceeded) as exc:
         co.enumerate_subalgebras_over(beta, inv)
     assert exc.value.quantity in ("ring_products", "echelon_entries")
     with budget.limit(10 ** 6):

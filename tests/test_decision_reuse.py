@@ -254,3 +254,30 @@ def test_application_plan_matches_iso_matrix_and_polynomials():
             x = A.from_vec(vec).mask(iso.dom_support)
             assert iso.apply_vec(x.vec()) == iso_apply_by_polynomials(iso, x).vec()
     assert twisted > 20 and partial > 20
+
+
+@pytest.mark.parametrize("args,adjoins,weak", [
+    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 9, 1),
+    (["zero", "b2_f3f3.sgi", "--brute-force-subalgebras"], 3, 0),
+], ids=["correspond", "zero"])
+def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, args, adjoins, weak):
+    """The scan reuses the pair loop's verdict on each fixed algebra, and
+    decides separability only for the subalgebras it finds beta-strong (on
+    s7_f9cubed it lists one that is not); the closures the whole command
+    takes are pinned (44 and 5 when every coset was closed)."""
+    separable, strong, adjoined = collections.Counter(), {}, []
+    real_strong = correspondence.is_beta_strong
+
+    def recording_strong(beta, B, s_b=None):
+        verdict = real_strong(beta, B, s_b)
+        strong[B] = verdict[0]
+        return verdict
+
+    monkeypatch.setattr(correspondence, "is_beta_strong", recording_strong)
+    _recording(monkeypatch, correspondence, "is_separable", lambda B, R, **kw: separable.update([B]))
+    _recording(monkeypatch, rg.Subalgebra, "adjoin", lambda sub, vec: adjoined.append(vec))
+    assert _run(capsys, args[0], str(INSTANCES / args[1]), *args[2:]) == 0
+    assert separable and max(separable.values()) == 1
+    assert not any(strong.get(B) is False for B in separable)
+    assert list(strong.values()).count(False) == weak
+    assert len(adjoined) == adjoins

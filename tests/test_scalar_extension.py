@@ -12,10 +12,12 @@ inputs with the same errors.
 
 import pytest
 
-from oracles import extend_scalars_by_loops
+from oracles import extend_scalars_by_loops, scalar_extension_is_galois_by_loops
 from semigalois import budget
-from semigalois.actions import extend_scalars, invariant_ring, is_injective
-from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
+from semigalois.actions import (NotInjective, ScalarExtension, extend_scalars, invariant_ring,
+                                is_injective)
+from semigalois.corpus import (c2_swap_fixture, collapsing_semilattice_fixture, corpus,
+                               f9_cubed_fixture)
 from semigalois.galois import is_galois, scalar_extension_is_galois
 from semigalois.rings import Atom, FiniteRing
 from semigalois.semigroups import is_e_unitary
@@ -73,7 +75,7 @@ def _assert_same(new, old):
     assert new.pres.lattice == old.pres.lattice
     assert new.invariants_canon() == old.invariants_canon()
     assert new.r_image_canon() == old.r_image_canon()
-    assert scalar_extension_is_galois(new) == scalar_extension_is_galois(old)
+    assert scalar_extension_is_galois(new) == scalar_extension_is_galois_by_loops(old)
 
 
 def test_extension_over_the_invariants_matches_the_old_one():
@@ -120,3 +122,15 @@ def test_bad_structural_maps_fail_alike():
                  extend_scalars_by_loops(beta, big, images, guard=big.size * beta.A.size))
     with budget.limit(100), pytest.raises(budget.BudgetExceeded):
         extend_scalars(beta, big, images)
+
+
+def test_galois_re_test_raises_its_precondition_before_the_invariant_solve(monkeypatch):
+    """sigma_trace_vec reads beta's induced alpha; the re-test asks for alpha
+    first, so a non-injective beta is refused before any solve."""
+    beta = collapsing_semilattice_fixture()
+    solved = []
+    monkeypatch.setattr(ScalarExtension, "invariants_canon", lambda self: solved.append(self))
+    ext = ScalarExtension(beta, beta.A.presentation, 1)
+    with pytest.raises(NotInjective):
+        scalar_extension_is_galois(ext)
+    assert not solved
