@@ -9,8 +9,12 @@ unanimous, and cross-checked against the induced partial group action;
 the trace-image test is enforced as a necessary condition, with its known
 insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
 The linear systems of the first three are solved one orbit of the atom
-maps at a time (`UnitalAction.orbits`), and their assembled certificates
-are re-verified over all of A.
+maps at a time (`UnitalAction.orbits`).  The tensor A (x)_{A^beta} A is
+held as one `TensorPresentation` per orbit (`orbit_tensors`): a generator
+pair from two orbits is zero, so it is no generator at all.  The assembled
+coordinate system is re-verified over all of A, and a separability
+idempotent, one vector per orbit, by m(z) summed over the orbits against
+1 of A and by each orbit's commutation equations on its own tensor.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .actions import (UnitalAction, image_action, induce_partial_group_action, i
 from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
                      hstack, kernel_gens, lattice_det, lattice_member, residues, scatter_lattice,
                      solve_cols, vstack)
-from .rings import Subalgebra, TensorPresentation, NotSubring
+from .rings import Block, Subalgebra, TensorPresentation, NotSubring
 from .semigroups import SubSemigroup, is_e_unitary, remembered
 
 
@@ -201,19 +205,12 @@ class PABetaS:
                 p1, c1 = self.offsets[t1]
                 p2, c2 = self.offsets[t2]
                 constraints.append((p1 + c1.index(i), p2 + c2.index(i), A.coord_moduli[i]))
-        where = [(t, i) for t in self.maximal for i in self.offsets[t][1]]
-        self.parts = [_PAPart(block, where, self.moduli, constraints) for block in beta.orbits]
+        where = [(m, i) for m, t in enumerate(self.maximal) for i in self.offsets[t][1]]
+        isos = [beta.isos[t] for t in self.maximal]
+        self.parts = [_PAPart(block, isos, where, self.moduli, constraints)
+                      for block in beta.orbits]
         self.subgroup = scatter_lattice(self.total, [(p.positions, p.subgroup) for p in self.parts])
         self.order = self.ambient.order() // lattice_det(self.subgroup)
-
-    def compress(self, family):
-        """Compressed coordinates of a family {t: coordinate vector} on the maximal t."""
-        vec = []
-        for t in self.maximal:
-            v = family[t]
-            _, coords = self.offsets[t]
-            vec.extend(v[i] for i in coords)
-        return tuple(vec)
 
     def element_generators(self):
         return residues(map(self.subgroup.column, range(self.total)), self.moduli)
@@ -221,14 +218,17 @@ class PABetaS:
 
 class _PAPart:
     """The coordinates of PA on one orbit's block, with their constraint rows
-    and the subgroup those cut out.
+    and the subgroup those cut out, and psi on the block's tensor.
 
     `positions` are PA's coordinates on the block, in PA's order, and
-    `reads` say where each sits in a family on the block ring: (maximal t,
-    block-ring coordinate).
+    `reads` say where each sits in a family on the block ring: (index of the
+    maximal t, block-ring coordinate).  `isos` are the maps beta_t of the
+    maximal t on the block ring.
     """
 
-    def __init__(self, block, where, pa_moduli, constraints):
+    def __init__(self, block, isos, where, pa_moduli, constraints):
+        self.ring = block.ring
+        self.isos = [block.iso(iso) for iso in isos]
         local = {c: r for r, c in enumerate(block.coords)}
         self.positions = [p for p, (_, i) in enumerate(where) if i in local]
         self.reads = [(where[p][0], local[where[p][1]]) for p in self.positions]
@@ -248,20 +248,19 @@ class _PAPart:
         else:
             self.subgroup = scatter_lattice(len(moduli), [])  # all of the ambient group
 
-    def compress(self, family):
-        """This part's coordinates of a family {t: block-ring vector}."""
+    def moved(self, y):
+        """(beta_t(y 1_{t^-1}))_t over the maximal t, for y on the block ring;
+        `apply_vec` masks y to the domain."""
+        return [iso.apply_vec(y) for iso in self.isos]
+
+    def psi_image(self, x, moved):
+        """psi(x (x) y) = (x beta_t(y 1_{t^-1}))_t on this part's coordinates,
+        for x on the block ring and `moved` = `moved(y)`."""
+        family = [self.ring.mul_vec(x, m) for m in moved]
         return tuple(family[t][c] for t, c in self.reads)
 
     def satisfies_constraints(self, vec):
         return all((vec[plus] - vec[minus]) % d == 0 for plus, minus, d in self.rows)
-
-
-def psi_image_vector(beta, pa, x, y):
-    """psi(x (x) y) = (x beta_s(y 1_{s^-1}))_s on the maximal coordinates.
-
-    x and y are coordinate vectors; `apply_vec` masks y to the domain.
-    """
-    return pa.compress({t: beta.A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in pa.maximal})
 
 
 @dataclass
@@ -270,52 +269,46 @@ class PsiReport:
     tensor_order: int
     pa_order: int
     image_order: int
-    kernel_witness: tuple | None = None
+    kernel_witness: tuple | None = None  # (orbit index, vector on that orbit's tensor)
     cokernel_witness: tuple | None = None
 
 
 def psi_check(beta):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
-    The tensor is split along the orbits of beta (`_full_tensor`).  psi maps
-    the pairs of an orbit's block into PA's part on that block and every
-    cross pair to zero, so it is checked one orbit at a time: on each
-    generator pair of the block, on block-ring coordinates, with each beta_t
-    applied to each generator of the second factor once.
+    The tensor is one tensor per orbit of beta (`_full_tensor`), and psi
+    maps an orbit's tensor into PA's part on that orbit's block, so it is
+    checked one orbit at a time: on each generator pair of the orbit's
+    tensor, on block-ring coordinates, with each beta_t applied to each
+    generator of the second factor once.
     """
-    tensor = _full_tensor(beta)
+    tensors = _full_tensor(beta)
     pa = PABetaS(beta)
-    image_order = 1
+    t_order = image_order = 1
     image_parts = []
     kernel_witness = None
-    for part, pa_part in zip(tensor.parts, pa.parts):
-        ring = part.block.ring
-        isos = [part.block.iso(beta.isos[t]) for t in pa.maximal]
-        moved = [[iso.apply_vec(y) for iso in isos] for y in part.ng]
+    for o, ((_, tensor), part) in enumerate(zip(tensors, pa.parts)):
+        moved = [part.moved(y) for y in tensor.ng]
         images = []
-        for a, x in enumerate(part.mg):
-            for b in range(part.l):
-                family = {t: ring.mul_vec(x, m) for t, m in zip(pa.maximal, moved[b])}
-                vec = pa_part.compress(family)
-                if not pa_part.satisfies_constraints(vec):
-                    raise CertificateMismatch(f"psi image of generator pair "
-                                              f"({part.rows[a]}, {part.cols[b]}) leaves PA")
+        for a, x in enumerate(tensor.mg):
+            for b, m in enumerate(moved):
+                vec = part.psi_image(x, m)
+                if not part.satisfies_constraints(vec):
+                    raise CertificateMismatch(f"psi image of generator pair ({a}, {b}) "
+                                              f"on orbit {o} leaves PA")
                 images.append(vec)
-        canon = pa_part.ambient.subgroup_canon(images)
-        order = pa_part.ambient.order() // lattice_det(canon)
+        canon = part.ambient.subgroup_canon(images)
+        order = part.ambient.order() // lattice_det(canon)
         image_order *= order
-        image_parts.append((pa_part.positions, canon))
-        if kernel_witness is None and order != part.order():
+        t_order *= tensor.order()
+        image_parts.append((part.positions, canon))
+        if kernel_witness is None and order != tensor.order():
             # an element of the kernel: combination of generators mapping to 0
-            mat = cols_from_vectors(images, len(pa_part.positions))
-            for gvec in kernel_gens(mat, pa_part.ambient.lattice, part.pres.moduli):
-                if not part.pres.is_zero(gvec):
-                    witness = [0] * (tensor.k * tensor.l)
-                    for p, x in zip(part.positions, gvec):
-                        witness[p] = x
-                    kernel_witness = tuple(witness)
+            mat = cols_from_vectors(images, len(part.positions))
+            for gvec in kernel_gens(mat, part.ambient.lattice, tensor.pres.moduli):
+                if not tensor.is_zero(gvec):
+                    kernel_witness = (o, gvec)
                     break
-    t_order = tensor.order()
     bij = (image_order == t_order == pa.order)
     report = PsiReport(bij, t_order, pa.order, image_order, kernel_witness)
     if image_order != pa.order:
@@ -390,8 +383,33 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     return True, None
 
 
-def is_separable(B: Subalgebra, R: Subalgebra, tensor=None, blocks=None):
-    """A separability idempotent of B over R in B (x)_R B, or None.
+def orbit_tensors(B, R, blocks):
+    """B (x)_R B as one (block, B e_O (x)_{R e_O} B e_O) pair per block.
+
+    `blocks` partition the atoms into `Block`s whose indicators e_O lie in
+    R, such as the orbits of an action when R holds its invariants; None is
+    the ring as one block.  Each canonical generator of B then lies in one
+    block, and a pair from two blocks is zero: b e_O (x) c e_P =
+    b (x) e_O e_P c = 0.  So B (x)_R B is the direct sum of the blocks'
+    tensors, each presented on its block ring.
+    """
+    ring = B.ring
+    TensorPresentation.check_factors(B, B, R)
+    if blocks is None:
+        blocks = [Block(ring, range(len(ring.atoms)))]
+    if sorted(a for block in blocks for a in block.atoms) != list(range(len(ring.atoms))):
+        raise ValueError("the blocks must partition the atoms")
+    if len(blocks) > 1 and not all(R.member_vec(block.indicator()) for block in blocks):
+        raise NotSubring("each block's indicator must lie in R")
+    split = []
+    for block in blocks:
+        part = block.subalgebra(B)
+        split.append((block, TensorPresentation(part, part, block.subalgebra(R))))
+    return tuple(split)
+
+
+def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
+    """A separability idempotent of B over R, or None.
 
     Solves m(z) = 1 and ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over
     generators of B as an R-algebra (`Subalgebra.algebra_generators`): the b
@@ -399,84 +417,100 @@ def is_separable(B: Subalgebra, R: Subalgebra, tensor=None, blocks=None):
     suffice.  `blocks` are `Block`s whose indicators lie in R (the orbits of
     an action when R holds its invariants); B is then the direct sum of its
     blocks, B is separable over R exactly when each block is over R's, and
-    the system is solved block by block on the tensor's parts, with zero on
-    every cross pair.  The assembled answer is then re-verified on every
-    additive generator of B.  `tensor` is a built B (x)_R B to reuse, which
-    brings its own blocks; without it one is built.
+    the system is solved on each block's tensor (`orbit_tensors`).  The
+    answer is (tensors, z), z one vector per block, re-verified on every
+    additive generator of B.  `tensors` is a built `orbit_tensors` to reuse,
+    which brings its own blocks; without it one is built.
     """
     if not B.contains(R):
         raise NotSubring("separability needs R inside B")
-    if tensor is None:
-        tensor = TensorPresentation(B, B, R, blocks)
-    z = [0] * (tensor.k * tensor.l)
-    for part in tensor.parts:
-        ring = part.block.ring
-        g = part.k * part.l
-        mats = [part.mult_map]
+    if tensors is None:
+        tensors = orbit_tensors(B, R, blocks)
+    z = []
+    for block, tensor in tensors:
+        ring = block.ring
+        mats = [tensor.mult_map_vec()]
         augs = [ring.presentation.lattice]
         target = list(ring.one().vec())
-        for b in part.M.algebra_generators(part.R):
-            mats.append(part.mult_difference(b))
-            augs.append(part.pres.lattice)
-            target.extend([0] * g)
-        sol = solve_cols(vstack(mats), block_diag(augs), target, part.pres.moduli)
+        for b in tensor.M.algebra_generators(tensor.R):
+            mats.append(tensor.mult_difference(b))
+            augs.append(tensor.pres.lattice)
+            target.extend([0] * (tensor.k * tensor.l))
+        sol = solve_cols(vstack(mats), block_diag(augs), target, tensor.pres.moduli)
         if sol is None:
             return None
-        for p, x in zip(part.positions, sol):
-            z[p] = x
+        z.append(sol)
     z = tuple(z)
-    if not verify_separability_idempotent(tensor, z):
+    if not verify_separability_idempotent(tensors, z):
         raise CertificateMismatch("separability idempotent fails its defining equations")
-    return tensor, z
+    return tensors, z
 
 
-def verify_separability_idempotent(tensor, z):
+def verify_separability_idempotent(tensors, z):
     """Direct evaluation of both defining equations of a separability idempotent.
 
-    The second is checked for every additive generator b of M.  With z
-    reshaped to the k x l matrix Z, (b (x) 1)z is E.Z and (1 (x) b)z is
-    Z.F^T, for E and F the matrices of b* on the two factors' generators:
-    entry (i, j) of Z goes to (a, j) with weight E[a, i] and to (i, c) with
-    weight F[c, j].  The difference is summed over the nonzero entries of z
-    and must be zero in the tensor.
+    `tensors` are `orbit_tensors` and z has one vector per block, on that
+    block's tensor.  m(z), summed over the blocks, must be 1 of the ring.
+    The second equation is checked on each block's tensor for every
+    additive generator b of its first factor.  With z reshaped to the
+    k x l matrix Z, (b (x) 1)z is E.Z and (1 (x) b)z is Z.F^T, for E and F
+    the matrices of b* on the two factors' generators: entry (i, j) of Z
+    goes to (a, j) with weight E[a, i] and to (i, c) with weight F[c, j].
+    The difference is summed over the nonzero entries of z and must be zero
+    in the tensor.
     """
-    A = tensor.ring
-    mz = tensor.mult_map_vec().apply(z)
+    if len(z) != len(tensors):
+        return False
+    A = tensors[0][0].whole
+    mz = [0] * A.n_coords
+    for (block, tensor), part in zip(tensors, z):
+        for c, x in zip(block.coords, tensor.mult_map_vec().apply(part)):
+            mz[c] += x
     if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one().vec():
         return False
-    l = tensor.l
-    entries = [(p // l, p % l, x) for p, x in enumerate(z) if x]
-    for b in tensor.M.gen_vectors:
-        E, F = tensor.left_factor(b), tensor.right_factor(b)
-        diff = {}
-        for i, j, x in entries:
-            for a, e in E.cols[i].items():
-                diff[a * l + j] = diff.get(a * l + j, 0) + e * x
-            for c, f in F.cols[j].items():
-                diff[i * l + c] = diff.get(i * l + c, 0) - f * x
-        if not tensor.is_zero(diff):
-            return False
+    for (_, tensor), part in zip(tensors, z):
+        l = tensor.l
+        entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
+        for b in tensor.M.gen_vectors:
+            E, F = tensor.left_factor(b), tensor.right_factor(b)
+            diff = {}
+            for i, j, x in entries:
+                for a, e in E.cols[i].items():
+                    diff[a * l + j] = diff.get(a * l + j, 0) + e * x
+                for c, f in F.cols[j].items():
+                    diff[i * l + c] = diff.get(i * l + c, 0) - f * x
+            if not tensor.is_zero(diff):
+                return False
     return True
 
 
+def _full_algebra(beta):
+    """A as a subalgebra of itself, built once per action."""
+    return remembered(beta, "full_algebra", lambda beta: Subalgebra.full(beta.A))
+
+
 def _full_tensor(beta):
-    """A (x)_{A^beta} A split along the orbits of beta, built once per action."""
+    """A (x)_{A^beta} A as one tensor per orbit of beta (`orbit_tensors`),
+    built once per action."""
     return remembered(beta, "full_tensor", _derive_full_tensor)
 
 
 def _derive_full_tensor(beta):
-    full = Subalgebra.full(beta.A)
-    return TensorPresentation(full, full, invariant_ring(beta), beta.orbits)
+    return orbit_tensors(_full_algebra(beta), invariant_ring(beta), beta.orbits)
 
 
 def separability_idempotent_from_coordinates(beta, coords):
-    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A."""
-    tensor = _full_tensor(beta)
-    z = [0] * (tensor.k * tensor.l)
-    for x, y in coords:
-        for p, v in tensor.pure_terms(x, y):
-            z[p] += v
-    return tensor, tuple(z)
+    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A:
+    on each orbit's tensor, the sum of the pairs' block components."""
+    tensors = _full_tensor(beta)
+    z = []
+    for block, tensor in tensors:
+        part = [0] * (tensor.k * tensor.l)
+        for x, y in coords:
+            for p, v in tensor.pure_terms(block.restrict(x.vec()), block.restrict(y.vec())):
+                part[p] += v
+        z.append(tuple(part))
+    return tensors, tuple(z)
 
 
 # -- the cross-checked equivalence report ------------------------------------
@@ -536,9 +570,9 @@ def cross_check_equivalences(beta: UnitalAction):
     cert.psi = psi
     verdicts["psi_bijective"] = psi.bijective
 
-    tensor = _full_tensor(beta)
-    sep = is_separable(tensor.M, inv, tensor=tensor)
-    strong, failure = is_beta_strong(beta, tensor.M)
+    full = _full_algebra(beta)
+    sep = is_separable(full, inv, tensors=_full_tensor(beta))
+    strong, failure = is_beta_strong(beta, full)
     cert.separability_idempotent = (sep[1] if sep else None)
     cert.strong_failure = failure
     verdicts["separable_and_strong"] = (sep is not None) and strong

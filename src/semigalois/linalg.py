@@ -431,24 +431,6 @@ class AbelianPresentation:
         self.lattice = (lattice_canon(relations, self.moduli) if relations.cols
                         else diag_cols(self.moduli))
 
-    @classmethod
-    def direct_sum(cls, n, parts):
-        """The group on n generators that is `pres` on the increasing generators
-        `indices` of each (indices, pres) in `parts` and zero on every other
-        generator, which gets modulus 1.  No echelon runs: the lattice is the
-        parts' canonical lattices put in place (`scatter_lattice`)."""
-        moduli = [1] * n
-        relations = []
-        for indices, pres in parts:
-            for i, d in zip(indices, pres.moduli):
-                moduli[i] = d
-            relations += [{indices[r]: v for r, v in c.items()} for c in pres.relations.cols]
-        self = cls.__new__(cls)
-        self.moduli, self.n = tuple(moduli), n
-        self.relations = Matrix(n, relations)
-        self.lattice = scatter_lattice(n, [(indices, pres.lattice) for indices, pres in parts])
-        return self
-
     def order(self):
         return lattice_det(self.lattice)
 

@@ -771,17 +771,36 @@ class TensorPresentation:
     are the additive relation lattices of each side plus middle-linearity
     r*m (x) n = m (x) r*n over the generators of R.  Multiplication and the
     two module actions are carried as integer matrices on the generators.
-
-    `blocks` is a partition of the atoms into `Block`s whose indicators e_O
-    lie in R, such as the orbits of an action when R holds its invariants;
-    without it the ring is one block.  Each canonical generator of M and of
-    N then lies in one block, and a pair from two blocks is zero:
-    m e_O (x) n e_P = m (x) e_O e_P n = 0.  So each block's pairs are
-    presented on the block ring (`parts`), and the parts are joined in the
-    global generator order, every cross pair a generator of modulus 1.
     """
 
-    def __init__(self, M, N, R, blocks=None):
+    def __init__(self, M, N, R):
+        self.check_factors(M, N, R)
+        ring = self.ring = M.ring
+        self.M, self.N, self.R = M, N, R
+        self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
+        self.k, self.l = len(self.mg), len(self.ng)
+        self._mexp = SpanExpander(M)
+        self._nexp = self._mexp if N is M else SpanExpander(N)
+
+        morders = [ring.vector_order(v) for v in self.mg]
+        norders = [ring.vector_order(v) for v in self.ng]
+        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
+
+        m_relations = _span_relation_lattice(M)
+        rel_cols = []
+        for c in m_relations:
+            for j in range(self.l):
+                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
+        for c in (m_relations if N is M else _span_relation_lattice(N)):
+            for i in range(self.k):
+                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
+        for r in R.gen_vectors:
+            rel_cols += self.mult_difference(r).cols
+        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
+
+    @staticmethod
+    def check_factors(M, N, R):
+        """Raise unless M, N and R are unital subalgebras of one ring with R in M and N."""
         ring = M.ring
         if N.ring != ring or R.ring != ring:
             raise AtomMismatch("tensor factors live in different rings")
@@ -796,31 +815,6 @@ class TensorPresentation:
                     if not sub.is_subalgebra():
                         raise NotSubring("tensor factors must be unital subalgebras")
                     checked.append(sub)
-        if blocks is None:
-            blocks = [Block(ring, range(len(ring.atoms)))]
-        if sorted(a for block in blocks for a in block.atoms) != list(range(len(ring.atoms))):
-            raise ValueError("the blocks must partition the atoms")
-        if len(blocks) > 1 and not all(R.member_vec(block.indicator()) for block in blocks):
-            raise NotSubring("each block's indicator must lie in R")
-        self.ring, self.M, self.N, self.R = ring, M, N, R
-        self.mg = list(M.gen_vectors)
-        self.ng = list(N.gen_vectors)
-        self.k, self.l = len(self.mg), len(self.ng)
-        self._mexp = SpanExpander(M)
-        self._nexp = self._mexp if N is M else SpanExpander(N)
-        self._factors = {}
-
-        owner = {c: b for b, block in enumerate(blocks) for c in block.coords}
-        self._mblock = [owner[next(c for c, x in enumerate(g) if x)] for g in self.mg]
-        self._nblock = [owner[next(c for c, x in enumerate(g) if x)] for g in self.ng]
-        self.parts = [_TensorBlock(self, block,
-                                   [i for i, o in enumerate(self._mblock) if o == b],
-                                   [j for j, o in enumerate(self._nblock) if o == b])
-                      for b, block in enumerate(blocks)]
-        # one block is the whole tensor, and its maps are the tensor's
-        self._one = self.parts[0] if len(self.parts) == 1 else None
-        self.pres = self._one.pres if self._one else AbelianPresentation.direct_sum(
-            self.k * self.l, [(part.positions, part.pres) for part in self.parts])
 
     def index(self, i, j):
         return i * self.l + j
@@ -837,13 +831,13 @@ class TensorPresentation:
 
     def pure_terms(self, m_el, n_el):
         """The (coordinate, coefficient) terms of m (x) n: the products of the
-        two expansions, cross pairs left out."""
+        two expansions."""
         u = self._mexp.expand(m_el.vec() if isinstance(m_el, RingElement) else tuple(m_el))
         v = self._nexp.expand(n_el.vec() if isinstance(n_el, RingElement) else tuple(n_el))
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
-                    if b and self._mblock[i] == self._nblock[j]:
+                    if b:
                         yield self.index(i, j), a * b
 
     def mult_map_vec(self):
@@ -852,43 +846,27 @@ class TensorPresentation:
 
     @cached_property
     def _mult_map(self):
-        """The parts' maps put in place; a cross pair maps to zero."""
-        if self._one:
-            return self._one.mult_map
-        cols = [{} for _ in range(self.k * self.l)]
-        for part in self.parts:
-            coords = part.block.coords
-            for p, col in zip(part.positions, part.mult_map.cols):
-                cols[p] = {coords[r]: v for r, v in col.items()}
-        return Matrix(self.ring.n_coords, cols)
+        """Built once, each unordered generator pair multiplied once (the ring
+        is commutative)."""
+        products = {}
+        cols = []
+        for u in self.mg:
+            for v in self.ng:
+                key = (u, v) if u <= v else (v, u)
+                if key not in products:
+                    products[key] = self.ring.mul_vec(u, v)
+                cols.append(products[key])
+        return cols_from_vectors(cols, self.ring.n_coords)
 
     def left_factor(self, b_vec):
         """k x k matrix E of m -> b*m on M's generators: column i expands b*mg[i]."""
-        return self._factor(b_vec, True)
+        return self._mexp.mult_matrix(b_vec)
 
     def right_factor(self, b_vec):
         """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j].
 
         When N is M the two sides share their matrices, so F is E."""
-        return self._factor(b_vec, self.N is self.M)
-
-    def _factor(self, b_vec, left):
-        """The parts' factor matrices of b's block components put in place, built once per b."""
-        if self._one:
-            return self._one.left_factor(b_vec) if left else self._one.right_factor(b_vec)
-        key = (tuple(b_vec), left)
-        mat = self._factors.get(key)
-        if mat is None:
-            cols = [{} for _ in range(self.k if left else self.l)]
-            for part in self.parts:
-                b = part.block.restrict(b_vec)
-                if any(b):
-                    idx = part.rows if left else part.cols
-                    block_mat = part.left_factor(b) if left else part.right_factor(b)
-                    for i, col in zip(idx, block_mat.cols):
-                        cols[i] = {idx[r]: v for r, v in col.items()}
-            mat = self._factors[key] = Matrix(len(cols), cols)
-        return mat
+        return self._nexp.mult_matrix(b_vec)
 
     def mult_difference(self, b_vec):
         """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
@@ -903,74 +881,6 @@ class TensorPresentation:
 
     def is_zero(self, z):
         return self.pres.is_zero(z)
-
-
-class _TensorBlock:
-    """The generator pairs of a `TensorPresentation` in one block, presented as
-    M e_O (x)_{R e_O} N e_O on the block ring.
-
-    `rows` and `cols` are the indices of the block's generators among the
-    tensor's, and `positions` the tensor coordinates of the block's pairs,
-    in the block's own coordinate order.
-    """
-
-    def __init__(self, tensor, block, rows, cols):
-        self.block = block
-        M = self.M = block.subalgebra(tensor.M)
-        N = self.N = M if tensor.N is tensor.M else block.subalgebra(tensor.N)
-        self.R = block.subalgebra(tensor.R)
-        ring = block.ring
-        self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
-        self.k, self.l = len(self.mg), len(self.ng)
-        self.rows, self.cols = rows, cols
-        self.positions = [tensor.index(i, j) for i in rows for j in cols]
-        self.mexp = tensor._mexp if M is tensor.M else SpanExpander(M)
-        self.nexp = self.mexp if N is M else (tensor._nexp if N is tensor.N else SpanExpander(N))
-
-        morders = [ring.vector_order(v) for v in self.mg]
-        norders = [ring.vector_order(v) for v in self.ng]
-        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
-
-        m_relations = _span_relation_lattice(M)
-        rel_cols = []
-        for c in m_relations:
-            for j in range(self.l):
-                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in (m_relations if N is M else _span_relation_lattice(N)):
-            for i in range(self.k):
-                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
-        for r in self.R.gen_vectors:
-            rel_cols += self.mult_difference(r).cols
-        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
-
-    def index(self, i, j):
-        return i * self.l + j
-
-    def order(self):
-        return self.pres.order()
-
-    @cached_property
-    def mult_map(self):
-        """Built once per block, each unordered generator pair multiplied once
-        (the ring is commutative)."""
-        products = {}
-        cols = []
-        for u in self.mg:
-            for v in self.ng:
-                key = (u, v) if u <= v else (v, u)
-                if key not in products:
-                    products[key] = self.block.ring.mul_vec(u, v)
-                cols.append(products[key])
-        return cols_from_vectors(cols, self.block.ring.n_coords)
-
-    def left_factor(self, b_vec):
-        return self.mexp.mult_matrix(b_vec)
-
-    def right_factor(self, b_vec):
-        return self.nexp.mult_matrix(b_vec)
-
-    def mult_difference(self, b_vec):
-        return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
 
 
 class SpanExpander:

@@ -31,7 +31,9 @@ element and iso helpers built on them) that the coordinate kernel replaced,
 with `verify_iso_extensional` on top of it.  Last, the Galois systems over
 the whole of A, as they were solved before each split into one block per
 orbit: `WholeTensorPresentation`, `solve_coordinates_whole`,
-`pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`.
+`pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`, with
+`joined_tensor_lattice` and `joined_tensor_vector`, which put the orbit
+tensors' lattices and vectors in place on the whole tensor.
 `dense` and `sparse` convert between the library's sparse `Matrix` and
 numpy object arrays for dense fixtures.
 """
@@ -452,6 +454,25 @@ def psi_image_by_elements(beta, pa, x_vec, y_vec):
         v = (x * iso.apply(y.mask(iso.dom_support))).vec()
         out.extend(v[i] for i in pa.offsets[t][1])
     return tuple(out)
+
+
+def check_psi_images_on_orbits(beta):
+    """psi on each pair of A's additive generators through ring elements
+    (`psi_image_by_elements`) against the per-orbit image `psi_check` uses
+    (`_PAPart.psi_image`): a pair on one orbit's block lands in PA's part
+    there, and a pair from two orbits maps to zero."""
+    from semigalois.galois import PABetaS
+    pa = PABetaS(beta)
+    for o, (block, part) in enumerate(zip(beta.orbits, pa.parts)):
+        for x in block.ring.basis_vectors():
+            for q, other in enumerate(beta.orbits):
+                for y in other.ring.basis_vectors():
+                    want = [0] * pa.total
+                    if o == q:
+                        for p, v in zip(part.positions, part.psi_image(x, part.moved(y))):
+                            want[p] = v
+                    assert psi_image_by_elements(beta, pa, block.extend(x),
+                                                 other.extend(y)) == tuple(want)
 
 
 # The correspondence as three separate pair loops with two brute-force
@@ -1311,6 +1332,33 @@ def whole_full_tensor(beta):
     from semigalois.rings import Subalgebra
     full = Subalgebra.full(beta.A)
     return WholeTensorPresentation(full, full, invariant_ring(beta))
+
+
+def _pair_positions(tensors, whole):
+    """Per orbit tensor of A (x)_{A^beta} A, the coordinates of its generator
+    pairs on `whole`: each block generator, put in place, is one of A's."""
+    index = {g: i for i, g in enumerate(whole.mg)}
+    return [[index[block.extend(u)] * whole.l + index[block.extend(v)]
+             for u in tensor.mg for v in tensor.ng] for block, tensor in tensors]
+
+
+def joined_tensor_lattice(tensors, whole):
+    """The orbit tensors' canonical lattices put in place on `whole`'s
+    generator pairs (`scatter_lattice`), a pair from two orbits zero."""
+    from semigalois.linalg import scatter_lattice
+    positions = _pair_positions(tensors, whole)
+    return scatter_lattice(whole.k * whole.l, [(pos, tensor.pres.lattice)
+                                               for pos, (_, tensor) in zip(positions, tensors)])
+
+
+def joined_tensor_vector(tensors, whole, parts):
+    """The vector on `whole` that is parts[o] on orbit o's generator pairs and
+    zero on every other pair."""
+    out = [0] * (whole.k * whole.l)
+    for o, positions in enumerate(_pair_positions(tensors, whole)):
+        for p, x in zip(positions, parts.get(o, ())):
+            out[p] = x
+    return tuple(out)
 
 
 def solve_coordinates_whole(beta, isos, rhs_vectors):

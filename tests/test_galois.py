@@ -7,15 +7,16 @@ from pathlib import Path
 import pytest
 
 from semigalois import galois as gl
-from semigalois.actions import invariant_ring, is_injective
-from semigalois.corpus import (c2_swap_fixture, c2_fixed_atom_fixture,
+from semigalois.actions import invariant_ring, is_injective, validate_action
+from semigalois.corpus import (c2_swap_fixture, c2_fixed_atom_fixture, c2_table,
                                chain_semilattice_fixture, corpus,
                                f9_cubed_fixture, trace_gap_fixture)
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
-from semigalois.rings import Atom, FiniteRing, Subalgebra, TensorPresentation
+from semigalois.rings import Atom, Block, FiniteRing, StructuredIso, Subalgebra, TensorPresentation
 from semigalois.semigroups import is_e_unitary
-from oracles import psi_image_by_elements, separable_all_generators, verify_idempotent_by_kron
+from oracles import (check_psi_images_on_orbits, joined_tensor_vector, separable_all_generators,
+                     verify_idempotent_by_kron, whole_full_tensor)
 from test_correspondence import SCAN_CASES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -24,6 +25,11 @@ REPO = Path(__file__).resolve().parent.parent
 def admissible(b):
     return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
             and b.all_ideals_nonzero())
+
+
+def _one_block(tensor):
+    """A tensor of a whole ring, as the one block `is_separable` takes."""
+    return ((Block(tensor.ring, range(len(tensor.ring.atoms))), tensor),)
 
 
 def test_galois_rhs():
@@ -167,11 +173,12 @@ def test_separability_idempotent_for_f3f3_over_diagonal():
     diag = Subalgebra(A, [A.one().vec()])
     out = gl.is_separable(full, diag)
     assert out is not None
-    tensor, z = out
+    tensors, z = out
+    (_, tensor), = tensors
     # e = (1,0)(x)(1,0) + (0,1)(x)(0,1) also satisfies both equations
     e1, e2 = A.element([1, 0]), A.element([0, 1])
     hand = tuple(a + b for a, b in zip(tensor.pure(e1, e1), tensor.pure(e2, e2)))
-    assert gl.verify_separability_idempotent(tensor, hand)
+    assert gl.verify_separability_idempotent(tensors, (hand,))
 
 
 def test_trivial_separability():
@@ -250,11 +257,14 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
         assert set(chosen) <= set(B.gen_vectors)
         assert Subalgebra(B.ring, list(R.gen_vectors) + chosen).closure_under_mul() == B
         want = separable_all_generators(B, R)
+        if want is not None:
+            want = _one_block(want[0]), (want[1],)
         got = gl.is_separable(B, R)
         assert (got is None) == (want is None)
-        for tensor, z in filter(None, (got, want)):
-            assert gl.verify_separability_idempotent(tensor, z)
-            assert verify_idempotent_by_kron(tensor, z)
+        for tensors, z in filter(None, (got, want)):
+            assert gl.verify_separability_idempotent(tensors, z)
+            (_, tensor), = tensors
+            assert verify_idempotent_by_kron(tensor, z[0])
         verdicts.append(got is not None)
     if case == "c3_z4^3":  # Z/4 + 2A and its kin are not separable
         assert True in verdicts and False in verdicts
@@ -275,31 +285,43 @@ def test_tensor_on_one_factor_matches_two_equal_factors(case):
             assert one.left_factor(b) is one.right_factor(b)
             assert two.left_factor(b) is not two.right_factor(b)
             assert one.mult_difference(b) == two.mult_difference(b)
-        sep_one, sep_two = gl.is_separable(B, R, tensor=one), gl.is_separable(B, R, tensor=two)
+        sep_one = gl.is_separable(B, R, tensors=_one_block(one))
+        sep_two = gl.is_separable(B, R, tensors=_one_block(two))
         assert (sep_one and sep_one[1]) == (sep_two and sep_two[1])
 
 
+def _c2_swap_gf4_z3():
+    """C2 swapping the atoms of GF(4)^2 x (Z/3)^2 in pairs: two orbits of two
+    atoms, so on each orbit some generator pairs multiply to zero."""
+    A = FiniteRing([Atom.gf(2, 2), Atom.gf(2, 2), Atom.zmod(3), Atom.zmod(3)])
+    return validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
+                                           StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
+
+
 def test_idempotent_check_rejects_what_the_kron_check_rejects():
-    """E.Z and Z.F^T decide the same equations as the Kronecker matrices."""
-    beta = f9_cubed_fixture()
-    tensor, z = gl.is_separable(Subalgebra.full(beta.A), invariant_ring(beta))
-    for i in range(len(z)):
-        bumped = tuple(x + (1 if j == i else 0) for j, x in enumerate(z))
-        assert gl.verify_separability_idempotent(tensor, bumped) == \
-            verify_idempotent_by_kron(tensor, bumped)
+    """E.Z and Z.F^T decide the same equations as the Kronecker matrices on
+    the whole tensor, with the ring as one block and one orbit at a time."""
+    for beta in (f9_cubed_fixture(), _c2_swap_gf4_z3()):
+        full, inv, whole = Subalgebra.full(beta.A), invariant_ring(beta), whole_full_tensor(beta)
+        for blocks in (None, beta.orbits):
+            tensors, z = gl.is_separable(full, inv, blocks=blocks)
+            assert len(tensors) == (1 if blocks is None else 2)
+            for o, part in enumerate(z):
+                for i in range(len(part)):
+                    bumped = z[:o] + (tuple(x + (j == i) for j, x in enumerate(part)),) + z[o + 1:]
+                    joined = joined_tensor_vector(tensors, whole, dict(enumerate(bumped)))
+                    assert gl.verify_separability_idempotent(tensors, bumped) == \
+                        verify_idempotent_by_kron(whole, joined)
 
 
 @pytest.mark.parametrize("instance", sorted(p.name for p in (REPO / "instances").glob("*.sgi")))
 def test_psi_image_vector_matches_element_route(instance):
-    beta = parse_instance(REPO / "instances" / instance).action
-    pa = gl.PABetaS(beta)
-    gens = Subalgebra.full(beta.A).gen_vectors
-    for x in gens:
-        for y in gens:
-            assert gl.psi_image_vector(beta, pa, x, y) == psi_image_by_elements(beta, pa, x, y)
+    check_psi_images_on_orbits(parse_instance(REPO / "instances" / instance).action)
 
 
 def test_cross_check_builds_one_tensor(monkeypatch):
+    """A (x)_{A^beta} A is built once per cross-check: one `TensorPresentation`
+    per orbit, on the orbit's block ring."""
     builds = []
     original = TensorPresentation.__init__
 
@@ -311,14 +333,16 @@ def test_cross_check_builds_one_tensor(monkeypatch):
     for beta in (c2_swap_fixture(), f9_cubed_fixture(), trace_gap_fixture()):
         builds.clear()
         rep = gl.cross_check_equivalences(beta)
-        assert len(builds) == 1, rep.verdicts
+        assert [args[0].ring for args in builds] == [block.ring for block in beta.orbits], \
+            rep.verdicts
 
 
 def test_separability_idempotent_from_coordinates():
     beta = f9_cubed_fixture()
     coords = gl.solve_galois_coordinates(beta)
-    tensor, z = gl.separability_idempotent_from_coordinates(beta, coords)
-    assert gl.verify_separability_idempotent(tensor, z)
+    tensors, z = gl.separability_idempotent_from_coordinates(beta, coords)
+    assert len(tensors) == len(z) == len(beta.orbits) == 2
+    assert gl.verify_separability_idempotent(tensors, z)
 
 
 def test_scalar_extension_retest():
@@ -422,15 +446,15 @@ _OPTIMIZED_TWO_ORBIT_PROBE = textwrap.dedent("""
     beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
                                            StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
     inv = invariant_ring(beta)
-    tensor = gl._full_tensor(beta)
-    if len(beta.orbits) != 2 or len(tensor.parts) != 2:
+    tensors = gl._full_tensor(beta)
+    if len(beta.orbits) != 2 or len(tensors) != 2:
         sys.exit(4)
     setattr(gl, sys.argv[1], lambda *args, **kwargs: False)
     try:
         if sys.argv[1] == "verify_coordinates":
             gl.solve_galois_coordinates(beta)
         else:
-            gl.is_separable(Subalgebra.full(A), inv, tensor=tensor)
+            gl.is_separable(Subalgebra.full(A), inv, tensors=tensors)
     except gl.CertificateMismatch:
         sys.exit(0)
     sys.exit(1)

@@ -7,6 +7,7 @@ multi-orbit instances, and the orbit indicators are checked to be the
 primitive idempotents of A^beta by enumeration.
 """
 
+import math
 import random
 
 import pytest
@@ -17,10 +18,12 @@ from semigalois.corpus import (c2_table, corpus, f9_cubed_fixture, s7_monoid, tr
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.linalg import lattice_member
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,
-                              Subalgebra, TensorPresentation)
+                              Subalgebra)
 from semigalois.semigroups import is_e_unitary
-from oracles import (element_product, is_separable_whole, psi_check_whole, psi_image_by_elements,
-                     solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
+from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
+                     joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
+                     psi_image_by_elements, solve_coordinates_whole, verify_idempotent_by_kron,
+                     whole_full_tensor)
 
 
 def admissible(b):
@@ -70,14 +73,18 @@ def _split_instances():
     return cases
 
 
-def _psi_of(beta, tensor, witness):
-    """psi of a tensor coordinate vector, summed over the generator pairs it names."""
+def _psi_of(beta, tensors, witness):
+    """psi of a kernel witness (orbit index, vector on that orbit's tensor),
+    summed over the generator pairs it names, through ring elements."""
     pa = gl.PABetaS(beta)
+    o, vec = witness
+    block, tensor = tensors[o]
     total = [0] * pa.total
-    for p, x in enumerate(witness):
+    for p, x in enumerate(vec):
         if x:
             i, j = divmod(p, tensor.l)
-            image = gl.psi_image_vector(beta, pa, tensor.mg[i], tensor.ng[j])
+            image = psi_image_by_elements(beta, pa, block.extend(tensor.mg[i]),
+                                          block.extend(tensor.ng[j]))
             total = [a + x * b for a, b in zip(total, image)]
     return pa, tuple(total)
 
@@ -91,10 +98,12 @@ def test_the_corpora_and_rungs_hold_many_multi_orbit_instances():
 @pytest.mark.parametrize("name,beta", _split_instances(), ids=[n for n, _ in _split_instances()])
 def test_split_routes_match_the_whole_routes(name, beta):
     inv = invariant_ring(beta)
-    tensor = gl._full_tensor(beta)
+    tensors = gl._full_tensor(beta)
     whole = whole_full_tensor(beta)
-    assert tensor.order() == whole.order()
-    assert tensor.pres.lattice == whole.pres.lattice  # the canonical basis, put together
+    assert [block.atoms for block, _ in tensors] == [block.atoms for block in beta.orbits]
+    assert math.prod(tensor.order() for _, tensor in tensors) == whole.order()
+    # the canonical basis, put together
+    assert joined_tensor_lattice(tensors, whole) == whole.pres.lattice
 
     for isos, rhs in (gl._galois_system(beta), gl._partial_action_system(beta)):
         assert gl._solve_coordinates(beta, isos, rhs) == solve_coordinates_whole(beta, isos, rhs)
@@ -105,15 +114,18 @@ def test_split_routes_match_the_whole_routes(name, beta):
     assert psi.cokernel_witness == cokernel_witness
     assert (psi.kernel_witness is None) == (kernel_witness is None)
     if psi.kernel_witness is not None:
-        assert not tensor.is_zero(psi.kernel_witness)
-        pa, image = _psi_of(beta, tensor, psi.kernel_witness)
+        o, vec = psi.kernel_witness
+        assert not tensors[o][1].is_zero(vec)
+        assert not whole.is_zero(joined_tensor_vector(tensors, whole, {o: vec}))
+        pa, image = _psi_of(beta, tensors, psi.kernel_witness)
         assert lattice_member(pa.ambient.lattice, image)
 
     full = Subalgebra.full(beta.A)
-    split, reference = gl.is_separable(full, inv, tensor=tensor), is_separable_whole(full, inv)
+    split, reference = gl.is_separable(full, inv, tensors=tensors), is_separable_whole(full, inv)
     assert (split is None) == (reference is None)
     if split is not None:
-        assert verify_idempotent_by_kron(*split)
+        z = joined_tensor_vector(tensors, whole, dict(enumerate(split[1])))
+        assert verify_idempotent_by_kron(whole, z)
 
 
 @pytest.mark.parametrize("name", ["s7_gf4^3", "c2_(gf4xz3xz4)^2", "trace_gap"])
@@ -177,35 +189,31 @@ def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
     full = Subalgebra.full(A)
     inv = invariant_ring(beta)
     with pytest.raises(NotSubring):
-        TensorPresentation(full, full, inv, [Block(A, [0]), Block(A, [1, 2, 3, 4, 5])])
+        gl.orbit_tensors(full, inv, [Block(A, [0]), Block(A, [1, 2, 3, 4, 5])])
     with pytest.raises(ValueError):
-        TensorPresentation(full, full, inv, beta.orbits[:2])
+        gl.orbit_tensors(full, inv, beta.orbits[:2])
     prime = Subalgebra(A, [A.one().vec()]).closure_under_mul()
     with pytest.raises(NotSubring):
-        TensorPresentation(full, full, prime, beta.orbits)
+        gl.orbit_tensors(full, prime, beta.orbits)
 
 
 def test_psi_image_vector_matches_element_route_on_a_multi_orbit_instance():
-    beta = MULTI_ORBIT["c2_(gf4xz3xz4)^2"]()
-    pa = gl.PABetaS(beta)
-    gens = Subalgebra.full(beta.A).gen_vectors
-    for x in gens:
-        for y in gens:
-            assert gl.psi_image_vector(beta, pa, x, y) == psi_image_by_elements(beta, pa, x, y)
+    check_psi_images_on_orbits(MULTI_ORBIT["c2_(gf4xz3xz4)^2"]())
 
 
 def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
     """Over the span of the orbit indicators, a base smaller than A^beta, the
-    tensor outgrows psi's image; the witness, put together from one block,
-    is nonzero in the tensor and psi maps it to zero.  That tensor is planted
-    as the one beta remembers, since psi reads no other."""
+    tensor outgrows psi's image; the witness, a vector on one orbit's
+    tensor, is nonzero there and psi maps it to zero.  Those orbit tensors
+    are planted as the ones beta remembers, since psi reads no others."""
     beta = MULTI_ORBIT["c2_(gf4xz3xz4)^2"]()
     A = beta.A
     full = Subalgebra.full(A)
     base = Subalgebra(A, [block.indicator() for block in beta.orbits]).closure_under_mul()
-    tensor = beta.facts["full_tensor"] = TensorPresentation(full, full, base, beta.orbits)
+    tensors = beta.facts["full_tensor"] = gl.orbit_tensors(full, base, beta.orbits)
     psi = gl.psi_check(beta)
     assert psi.image_order < psi.tensor_order and psi.kernel_witness is not None
-    assert not tensor.is_zero(psi.kernel_witness)
-    pa, image = _psi_of(beta, tensor, psi.kernel_witness)
+    o, vec = psi.kernel_witness
+    assert not tensors[o][1].is_zero(vec)
+    pa, image = _psi_of(beta, tensors, psi.kernel_witness)
     assert lattice_member(pa.ambient.lattice, image)

@@ -2,13 +2,16 @@
 
 `bench/tracer.py` patches the functions in its `LAYERS` table by
 "module:function" or "module:Class.method"; a renamed one would crash a
-traced benchmark run, so this checks each spec against the package.
+traced benchmark run, so this checks each spec against the package the way
+the tracer resolves it, and that a tensor carries what its build hook reads.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from semigalois.rings import Atom, FiniteRing, Subalgebra, TensorPresentation
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -29,4 +32,24 @@ def test_layer_spec_resolves(group, spec):
     module, cls, attr = tracer._resolve(spec)
     owner = module if cls is None else cls
     assert callable(getattr(owner, attr)), f"{group}: {spec}"
+    if cls is not None:  # the tracer patches a method in its class's own __dict__
+        assert attr in cls.__dict__, f"{group}: {spec}"
 
+
+def test_tensor_build_hook_reads_a_built_tensor():
+    """The `rings.tensor` hook reads k, l and pres.relations of the tensor it
+    was called on; a traced build counts them."""
+    A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
+    full = Subalgebra.full(A)
+    diag = Subalgebra(A, [A.one().vec()])
+    tensor = TensorPresentation(full, full, diag)
+    assert (tensor.k, tensor.l) == (2, 2) and tensor.pres.relations.rows == 4
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        TensorPresentation(full, full, diag)
+    finally:
+        recorder.uninstall()
+    assert recorder.calls()["rings.tensor"] == 1
+    assert recorder.counts["rings.tensor.generators"] == tensor.k * tensor.l
+    assert recorder.counts["rings.tensor.relations"] == len(tensor.pres.relations.cols)
