@@ -391,13 +391,16 @@ def orbit_tensors(B, R, blocks):
     the ring as one block.  Each canonical generator of B then lies in one
     block, and a pair from two blocks is zero: b e_O (x) c e_P =
     b (x) e_O e_P c = 0.  So B (x)_R B is the direct sum of the blocks'
-    tensors, each presented on its block ring.
+    tensors, each presented on its block ring.  With one block, the ring
+    itself, that tensor's constructor checks the factors, which are B and R.
     """
     ring = B.ring
-    TensorPresentation.check_factors(B, B, R)
+    atoms = tuple(range(len(ring.atoms)))
     if blocks is None:
-        blocks = [Block(ring, range(len(ring.atoms)))]
-    if sorted(a for block in blocks for a in block.atoms) != list(range(len(ring.atoms))):
+        blocks = [Block(ring, atoms)]
+    if len(blocks) > 1 or blocks[0].atoms != atoms:
+        TensorPresentation.check_factors(B, B, R)
+    if sorted(a for block in blocks for a in block.atoms) != list(atoms):
         raise ValueError("the blocks must partition the atoms")
     if len(blocks) > 1 and not all(R.member_vec(block.indicator()) for block in blocks):
         raise NotSubring("each block's indicator must lie in R")
@@ -420,12 +423,18 @@ def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
     the system is solved on each block's tensor (`orbit_tensors`).  The
     answer is (tensors, z), z one vector per block, re-verified on every
     additive generator of B.  `tensors` is a built `orbit_tensors` to reuse,
-    which brings its own blocks; without it one is built.
+    which brings its own blocks; without it one is built, and its checks
+    decide R <= B.
     """
-    if not B.contains(R):
-        raise NotSubring("separability needs R inside B")
     if tensors is None:
-        tensors = orbit_tensors(B, R, blocks)
+        try:
+            tensors = orbit_tensors(B, R, blocks)
+        except NotSubring:
+            if not B.contains(R):
+                raise NotSubring("separability needs R inside B") from None
+            raise
+    elif not B.contains(R):
+        raise NotSubring("separability needs R inside B")
     z = []
     for block, tensor in tensors:
         ring = block.ring

@@ -7,13 +7,14 @@ finite abelian groups, and affine solves.  All arithmetic is integer-exact;
 there is no floating point anywhere, so every comparison is tolerance-zero.
 
 Every matrix is a `Matrix`: a row count and a list of sparse columns, each
-a {row: value} dict of its nonzero entries.  The builders below emit it,
-and the workhorse, a column elimination on Python integers, works on copies
-of its columns.  A row index names the columns that are nonzero in each
-row, so an elimination step touches only nonzeros; the systems built here
-(tensor relations, block-diagonal lattices) are almost all zeros.  Python
-integers do not overflow, so entries need no bound.  A tracked transform,
-where one is asked for, is kept modulo its moduli column by column.
+a {row: value} dict of its nonzero entries; the systems built here (tensor
+relations, block-diagonal lattices) are almost all zeros.  Canonical bases
+come from insertion modulo the diagonal (`lattice_canon`); solves, kernels
+and Smith invariants from a column elimination (`_echelon`) on copies of
+the columns, whose row index names the columns nonzero in each row, so a
+step touches only nonzeros.  A tracked transform, where one is asked for,
+is kept modulo its moduli column by column.  Python integers do not
+overflow, so entries need no bound.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ class Matrix:
 
     def column(self, j):
         """Column j as a dense tuple."""
-        c = self.cols[j]
-        return tuple(c.get(i, 0) for i in range(self.rows))
+        out = [0] * self.rows
+        for i, v in self.cols[j].items():
+            out[i] = v
+        return tuple(out)
 
     def tolist(self):
         """The dense rows."""
@@ -247,27 +250,113 @@ def cols_from_vectors(vectors, n):
     return Matrix(n, [{i: int(x) for i, x in enumerate(v) if x} for v in vectors])
 
 
-def lattice_canon(cols, moduli=None):
-    """Canonical (column-Hermite) basis of span(cols) + diag(moduli)*Z^n.
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
-    The result is an n x n lower-triangular `Matrix` with positive diagonal;
-    it is a complete invariant of the lattice, so subgroup equality is
-    matrix equality.  Requires the lattice to be full rank, which the
-    moduli guarantee.
+
+def _insert(work, vec, moduli):
+    """Insert the column `vec` into `work`, whose column i has pivot row i
+    and whose span contains diag(moduli); returns the entries written.
+
+    vec's rows go in increasing order.  A pivot that divides vec's entry
+    clears it by a multiple of its column; otherwise an extended-gcd step
+    replaces pivot column h and vec by s*h + t*vec (pivot gcd) and the
+    combination that vanishes there.  Each entry is reduced modulo its
+    row's modulus d_r: the columns from r on span d_r e_r.
+    """
+    v = {r: x for r, y in vec.items() if (x := y % moduli[r])}
+    pending = list(v)
+    heapq.heapify(pending)
+    written = 0
+    while pending:
+        i = heapq.heappop(pending)
+        b = v.pop(i, 0)
+        if not b:
+            continue
+        h = work[i]
+        a = h[i]
+        if b % a == 0:
+            q = b // a
+            for r, y in h.items():
+                if r != i:
+                    if r not in v:
+                        heapq.heappush(pending, r)
+                    x = (v.get(r, 0) - q * y) % moduli[r]
+                    if x:
+                        v[r] = x
+                    else:
+                        v.pop(r, None)
+            written += len(h) - 1
+            continue
+        g, s, t = _xgcd(a, b)
+        a, b = a // g, b // g
+        pivot, rest = {i: g}, {}
+        for r in h.keys() | v.keys():
+            if r != i:
+                y, x, m = h.get(r, 0), v.get(r, 0), moduli[r]
+                if (z := (s * y + t * x) % m):
+                    pivot[r] = z
+                if (z := (b * y - a * x) % m):
+                    rest[r] = z
+        written += len(pivot) + len(rest)
+        work[i], v = pivot, rest
+        pending = list(v)
+        heapq.heapify(pending)
+    return written
+
+
+def _reduce_below_pivots(work):
+    """Reduce each entry below a pivot into [0, pivot), by floor quotients
+    of the pivot column, which makes the triangular basis the canonical
+    Hermite one; returns the number of entries written."""
+    written = 0
+    for j, c in enumerate(work):
+        pending = [r for r in c if r != j]
+        heapq.heapify(pending)
+        while pending:
+            r = heapq.heappop(pending)
+            q = c.get(r, 0) // work[r][r]
+            if q:
+                for i, v in work[r].items():
+                    if i not in c:
+                        heapq.heappush(pending, i)
+                    x = c.get(i, 0) - q * v
+                    if x:
+                        c[i] = x
+                    else:
+                        del c[i]
+                written += len(work[r])
+    return written
+
+
+def lattice_canon(cols, moduli, basis=None):
+    """Canonical (column-Hermite) basis of span(cols) + span(basis).
+
+    `basis` is the canonical basis of a lattice containing diag(moduli)*Z^n,
+    by default that diagonal.  Each column is inserted into it (`_insert`)
+    and the entries below the pivots are reduced last, each into
+    [0, pivot), so the n x n lower-triangular result is a complete
+    invariant of the lattice: subgroup equality is matrix equality.  The
+    entries written are charged as `echelon_entries`.
     """
     n = cols.rows
-    work = [dict(c) for c in cols.cols]
-    if moduli is not None:
-        if len(moduli) != n:
-            raise ValueError("one modulus per row")
-        work += diag_cols(moduli).cols
-    _, pivots = _echelon(work, n)
-    if len(pivots) != n:
-        raise ValueError("lattice is not full rank")
-    for j, c in enumerate(work[:n]):
+    if len(moduli) != n or min(moduli, default=1) < 1:
+        raise ValueError("one positive modulus per row")
+    work = [dict(c) for c in (basis if basis is not None else diag_cols(moduli)).cols]
+    for c in cols.cols:
+        spend("echelon_entries", _insert(work, c, moduli))
+    spend("echelon_entries", _reduce_below_pivots(work))
+    for j, c in enumerate(work):
         if c.get(j, 0) <= 0 or min(c) < j:
-            raise AssertionError("echelon did not produce a triangular basis")
-    return Matrix(n, work[:n])
+            raise AssertionError("insertion did not produce a triangular basis")
+    return Matrix(n, work)
 
 
 def lattice_det(basis):
@@ -446,8 +535,11 @@ class AbelianPresentation:
     def zero(self):
         return (0,) * self.n
 
-    def subgroup_canon(self, gens):
-        return lattice_canon(hstack([cols_from_vectors(list(gens), self.n), self.lattice]))
+    def subgroup_canon(self, gens, basis=None):
+        """Canonical basis of span(gens) + `basis`, a canonical basis of a
+        lattice that contains L (L itself by default)."""
+        return lattice_canon(cols_from_vectors(list(gens), self.n), self.moduli,
+                             self.lattice if basis is None else basis)
 
     def subgroup_order(self, gens):
         # |(span(gens)+L)/L| = [Z^n : L] / [Z^n : span(gens)+L]

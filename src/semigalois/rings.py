@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .budget import spend
-from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kernel_gens, kron_difference,
-                     lattice_det, lattice_member, residues)
+from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kron_difference, lattice_det,
+                     lattice_member)
 
 ATOM_ORDER_GUARD = 1 << 20
 
@@ -339,6 +339,10 @@ class FiniteRing:
             out = self._products[key] = tuple(out)
         return out
 
+    def atom_mask(self, vec):
+        """The atoms on which a coordinate vector is nonzero, as a bit mask."""
+        return sum(1 << a for a, (lo, hi) in enumerate(self._spans) if any(vec[lo:hi]))
+
     def is_unit_vec(self, vec):
         """The element is a unit: on every atom a GF coordinate block is
         nonzero and a Z/p^k coordinate is prime to p."""
@@ -567,8 +571,10 @@ class Subalgebra:
         self.ring = ring
         self.basis = basis
         self.order = ring.presentation.order() // lattice_det(basis)
-        self.gen_vectors = tuple(residues(map(basis.column, range(ring.n_coords)),
-                                          ring.coord_moduli))
+        # canonical columns are reduced, and one whose pivot is the modulus is
+        # d_j e_j, zero in the ring; the others are the generators
+        self.gen_vectors = tuple(basis.column(j) for j, (c, d) in
+                                 enumerate(zip(basis.cols, ring.coord_moduli)) if c[j] != d)
 
     @staticmethod
     def with_basis(ring, basis):
@@ -614,9 +620,12 @@ class Subalgebra:
         return self.member(self.ring.one())
 
     def closed_under_mul(self):
+        """Every product of two generators lies in the span; a pair on
+        disjoint atoms multiplies to 0, so only pairs whose atoms meet count."""
         gens = self.gen_vectors
+        masks = [self.ring.atom_mask(g) for g in gens]
         return all(self.member_vec(self.ring.mul_vec(gens[i], gens[j]))
-                   for i in range(len(gens)) for j in range(i, len(gens)))
+                   for i in range(len(gens)) for j in range(i, len(gens)) if masks[i] & masks[j])
 
     def is_subalgebra(self):
         return self._is_subalgebra
@@ -655,13 +664,17 @@ class Subalgebra:
         """Smallest multiplicatively closed additive span containing this one."""
         return _close_under_mul(self, list(self.gen_vectors), 0)
 
+    def extended(self, vectors):
+        """The additive span of this one and `vectors`, inserted into its canonical basis."""
+        return Subalgebra.with_basis(self.ring, self.ring.presentation.subgroup_canon(vectors, self.basis))
+
     def adjoin(self, vec):
         """Smallest multiplicatively closed additive span containing this one,
         which must be closed under multiplication, and `vec`: the products
         among this span's generators lie in it, so only `vec` and what it
         brings in are multiplied."""
         gens = list(self.gen_vectors) + [tuple(vec)]
-        return _close_under_mul(Subalgebra(self.ring, gens), gens, len(gens) - 1)
+        return _close_under_mul(self.extended(gens[-1:]), gens, len(gens) - 1)
 
 
 def _close_under_mul(current, gens, checked):
@@ -669,7 +682,8 @@ def _close_under_mul(current, gens, checked):
 
     The products among `gens[:checked]` are known to lie in `current`, so
     each round multiplies only the newly added generators, each unordered
-    pair once (the ring is commutative).
+    pair once (the ring is commutative), and inserts only the products it
+    finds outside the span.
     """
     ring = current.ring
     while True:
@@ -683,7 +697,7 @@ def _close_under_mul(current, gens, checked):
             return current
         checked = len(gens)
         gens.extend(extra)
-        current = Subalgebra(ring, gens)
+        current = current.extended(extra)
 
 
 class Block:
@@ -795,7 +809,7 @@ class TensorPresentation:
             for i in range(self.k):
                 rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
         for r in R.gen_vectors:
-            rel_cols += self.mult_difference(r).cols
+            rel_cols += [c for c in self.mult_difference(r).cols if c]
         self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
 
     @staticmethod
@@ -899,12 +913,14 @@ class SpanExpander:
         ring = self.ring = sub.ring
         self._cache = {}
         self._mult_matrices = {}
-        # (pivot row, pivot, entries below it, generator order or 0) per basis column
-        self._walk = []
-        for j, col in enumerate(sub.basis.cols):
-            residue = tuple(c % m for c, m in zip(sub.basis.column(j), ring.coord_moduli))
-            self._walk.append((j, col[j], sorted((i, v) for i, v in col.items() if i > j),
-                               ring.vector_order(residue) if any(residue) else 0))
+        # (pivot row, pivot, entries below it, generator order or 0) per basis
+        # column; a column is a generator when its pivot is not the modulus
+        m = ring.coord_moduli
+        self._walk = [(j, col[j], sorted((i, v) for i, v in col.items() if i > j),
+                       math.lcm(*(m[i] // math.gcd(x, m[i]) for i, x in col.items()))
+                       if col[j] != m[j] else 0)
+                      for j, col in enumerate(sub.basis.cols)]
+        self._orders = [step[3] for step in self._walk if step[3]]
 
     def mult_matrix(self, b_vec):
         """Matrix of m -> b*m on the generators, column j expanding b times
@@ -922,30 +938,41 @@ class SpanExpander:
         hit = self._cache.get(vec)
         if hit is not None:
             return hit
-        w = list(vec)
+        coeffs = self.quotients(list(vec))
+        if coeffs is None:
+            raise NotSubring(f"vector {vec} is outside the span")
+        self._cache[vec] = tuple(q % d for q, d in zip(coeffs, self._orders))
+        return self._cache[vec]
+
+    def quotients(self, w):
+        """H^-1 w on the generator columns, for the canonical basis H and an
+        integer vector w (changed in place), or None off the lattice."""
         coeffs = []
         for j, pivot, below, order in self._walk:
             q, rem = divmod(w[j], pivot)
             if rem:
-                raise NotSubring(f"vector {vec} is outside the span")
+                return None
             if q:
                 for i, v in below:
                     w[i] -= q * v
             if order:
-                coeffs.append(q % order)
-        self._cache[vec] = tuple(coeffs)
-        return self._cache[vec]
+                coeffs.append(q)
+        return coeffs
 
 
 def _span_relation_lattice(sub):
-    """Generators of {c : sum c_i * g_i = 0 in the ring} for a subalgebra."""
-    ring = sub.ring
-    if not sub.gen_vectors:
-        return []
-    mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
-    in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
-    gens = kernel_gens(mat, ring.presentation.lattice, in_moduli)
-    # declared generator orders are relations too
-    for i, d in enumerate(in_moduli):
-        gens.append(tuple(d if t == i else 0 for t in range(len(in_moduli))))
-    return gens
+    """Generators, modulo the generators' orders, of {c : sum c_i * g_i = 0
+    in the ring}: H^-1(d_r e_r) on the generator columns of the canonical
+    basis H, as H y = sum c_i g_i lies in diag(d) exactly when y is a
+    combination of these (a column d_r e_r of H gives e_r, no generator)."""
+    expander = SpanExpander(sub)
+    moduli = sub.ring.coord_moduli
+    relations = []
+    for r, (_, _, _, order) in enumerate(expander._walk):
+        if order:
+            w = [0] * len(moduli)
+            w[r] = moduli[r]
+            c = tuple(q % d for q, d in zip(expander.quotients(w), expander._orders))
+            if any(c):
+                relations.append(c)
+    return relations

@@ -6,7 +6,10 @@ exhaustive search.  Slow but obviously correct on small inputs.  The
 exceptions are frozen copies of routes the library has since replaced, kept
 as references for the current ones: `dense_run_echelon` (the previous
 echelon engine), `sparse_echelon_by_sorted_scans` (the sparse engine
-before it dropped its per-step sorts), `expand_by_solve` (span expansion
+before it dropped its per-step sorts), the canonical bases and span
+relations that insertion modulo the diagonal replaced
+(`lattice_canon_by_echelon`, `span_relations_by_kernel`,
+`gen_vectors_by_dense_residues`), `expand_by_solve` (span expansion
 by one exact solve), `separable_all_generators` and
 `verify_idempotent_by_kron` (the separability solve and check over every
 additive generator, on Kronecker matrices),
@@ -388,6 +391,43 @@ def sparse_echelon_by_sorted_scans(cols, rows, track_moduli=None):
                 updated += sub(jc, col, q)
         charges.append(updated)
     return track, pivots, charges
+
+
+def lattice_canon_by_echelon(cols, moduli):
+    """`linalg.lattice_canon` as it was, frozen: one echelon of the columns
+    beside diag(moduli), on the frozen sorted-scan engine (which leaves the
+    columns `linalg._echelon` leaves)."""
+    from semigalois.linalg import Matrix
+    n = cols.rows
+    work = [dict(c) for c in cols.cols] + [{i: int(d)} for i, d in enumerate(moduli)]
+    _, pivots, _ = sparse_echelon_by_sorted_scans(work, n)
+    if len(pivots) != n:
+        raise ValueError("lattice is not full rank")
+    return Matrix(n, work[:n])
+
+
+def span_relations_by_kernel(sub):
+    """`rings._span_relation_lattice` as it was, frozen: the relations of
+    the generators from a tracked `kernel_gens` elimination against the
+    ring's lattice, then each generator's order."""
+    from semigalois.linalg import cols_from_vectors, kernel_gens
+    ring = sub.ring
+    if not sub.gen_vectors:
+        return []
+    mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
+    in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
+    gens = kernel_gens(mat, ring.presentation.lattice, in_moduli)
+    for i, d in enumerate(in_moduli):
+        gens.append(tuple(d if t == i else 0 for t in range(len(in_moduli))))
+    return gens
+
+
+def gen_vectors_by_dense_residues(sub):
+    """`Subalgebra.gen_vectors` as it was read, frozen: every basis column
+    made dense and reduced modulo the ring's moduli, the zero ones dropped."""
+    from semigalois.linalg import residues
+    ring = sub.ring
+    return tuple(residues(map(sub.basis.column, range(ring.n_coords)), ring.coord_moduli))
 
 
 def expand_by_solve(sub, vec):
@@ -956,12 +996,12 @@ class PresentedBaseByLoops:
 
     @staticmethod
     def from_subalgebra(B):
-        from semigalois.rings import SpanExpander, _span_relation_lattice
+        from semigalois.rings import SpanExpander
         expander = SpanExpander(B)
         gens = list(B.gen_vectors)
         orders = [B.ring.vector_order(g) for g in gens]
         return PresentedBaseByLoops(
-            gens, orders, _span_relation_lattice(B),
+            gens, orders, span_relations_by_kernel(B),
             lambda i, j: expander.expand(B.ring.mul_vec(gens[i], gens[j])),
             expander.expand(B.ring.one().vec()))
 
@@ -1272,7 +1312,7 @@ class WholeTensorPresentation:
 
     def __init__(self, M, N, R):
         from semigalois.linalg import AbelianPresentation, Matrix
-        from semigalois.rings import SpanExpander, _span_relation_lattice
+        from semigalois.rings import SpanExpander
         ring = M.ring
         self.ring, self.M, self.N, self.R = ring, M, N, R
         self.mg = list(M.gen_vectors)
@@ -1283,12 +1323,12 @@ class WholeTensorPresentation:
         morders = [ring.vector_order(v) for v in self.mg]
         norders = [ring.vector_order(v) for v in self.ng]
         moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
-        m_relations = _span_relation_lattice(M)
+        m_relations = span_relations_by_kernel(M)
         rel_cols = []
         for c in m_relations:
             for j in range(self.l):
                 rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in (m_relations if N is M else _span_relation_lattice(N)):
+        for c in (m_relations if N is M else span_relations_by_kernel(N)):
             for i in range(self.k):
                 rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
         for r in R.gen_vectors:

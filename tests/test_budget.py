@@ -49,10 +49,10 @@ def test_documented_margin_over_c20_holds(tmp_path, capsysbinary):
 SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
                   ["correspond", "--brute-force-subalgebras"], ["zero"]]
 SPEND_CEILINGS = {
-    "b2_f3f3": [0, 9, 0, 0, 0, 118],
-    "c2_swap": [0, 19, 123, 115, 144, 0],
-    "s7_f9cubed": [0, 35, 1063, 1210, 1674, 0],
-    "trace_gap_c2": [0, 10, 128, 5, 5, 0],
+    "b2_f3f3": [0, 8, 0, 0, 0, 93],
+    "c2_swap": [0, 17, 103, 89, 111, 0],
+    "s7_f9cubed": [0, 27, 889, 827, 1196, 0],
+    "trace_gap_c2": [0, 8, 102, 5, 5, 0],
 }
 
 
@@ -84,26 +84,40 @@ def test_spend_per_shipped_instance_stays_under_its_ceiling(monkeypatch, capsysb
     capsysbinary.readouterr()
 
 
-# `galois` on C2 swapping 32 pairs of Z/2: 32 orbits of two atoms each.
-C2_32_PAIRS_CEILING = 45_376
+# `galois` on C2 swapping k pairs of Z/2 (k orbits of two atoms each), by k.
+C2_PAIRS_CEILINGS = {32: 13_024, 128: 174_976}
 
 
-def test_c2_swapping_32_pairs_passes_under_the_default_budget(monkeypatch, capsysbinary, tmp_path):
-    """Solved one orbit at a time, the 64-atom swap is decided well inside the
-    default budget; its spend is pinned as an upper bound."""
+def _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, k):
+    """What `galois` spends on C2 swapping k pairs of Z/2, which must pass."""
     from semigalois import cli
     from semigalois.actions import validate_action
     from semigalois.corpus import c2_table
     from semigalois.instance import action_to_instance_text
     from semigalois.rings import Atom, FiniteRing, StructuredIso
 
-    A = FiniteRing([Atom.zmod(2)] * 64)
-    beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(64)),
-                                           StructuredIso(A, {i: i ^ 1 for i in range(64)}, {})])
-    assert len(beta.orbits) == 32
-    path = tmp_path / "c2_32_pairs.sgi"
+    A = FiniteRing([Atom.zmod(2)] * (2 * k))
+    beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(2 * k)),
+                                           StructuredIso(A, {i: i ^ 1 for i in range(2 * k)}, {})])
+    assert len(beta.orbits) == k
+    path = tmp_path / f"c2_{k}_pairs.sgi"
     path.write_text(action_to_instance_text(beta))
     spent = _record_spends(monkeypatch)
     assert cli.main(["galois", str(path)]) == 0
     assert capsysbinary.readouterr().out.endswith(b"# result: PASS\n")
-    assert spent[-1] <= C2_32_PAIRS_CEILING, spent[-1]
+    return spent[-1]
+
+
+def test_c2_swapping_32_pairs_passes_under_the_default_budget(monkeypatch, capsysbinary, tmp_path):
+    """Solved one orbit at a time, the 64-atom swap is decided well inside the
+    default budget; its spend is pinned as an upper bound."""
+    spent = _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, 32)
+    assert spent <= C2_PAIRS_CEILINGS[32], spent
+
+
+def test_c2_swapping_128_pairs_passes_under_the_default_budget(monkeypatch, capsysbinary, tmp_path):
+    """The 256-atom swap passes under the default budget: A^beta's 128
+    generators each live on one orbit, and the closure check multiplies only
+    the pairs on a common orbit."""
+    spent = _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, 128)
+    assert spent <= C2_PAIRS_CEILINGS[128], spent

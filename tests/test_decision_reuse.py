@@ -281,3 +281,23 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, args,
     assert not any(strong.get(B) is False for B in separable)
     assert list(strong.values()).count(False) == weak
     assert len(adjoined) == adjoins
+
+
+@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 3)])
+def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instance, checks):
+    """is_separable(A, A^beta) checks R <= B once per pair of objects: on one
+    orbit the tensor's constructor checks B and R themselves, and on two
+    orbits the whole pair is checked, then each orbit's block pair (3 and 4
+    checks when is_separable and orbit_tensors each checked the whole pair).
+    An R outside B still raises is_separable's own error."""
+    from semigalois.instance import parse_instance
+    beta = parse_instance(INSTANCES / instance).action
+    full, inv = rg.Subalgebra.full(beta.A), actions.invariant_ring(beta)
+    pairs = []
+    _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
+    assert galois.is_separable(full, inv, blocks=beta.orbits) is not None
+    assert len(pairs) == checks
+    assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
+    assert pairs[0] == (full, inv)
+    with pytest.raises(rg.NotSubring, match="separability needs R inside B"):
+        galois.is_separable(inv, full, blocks=beta.orbits)
