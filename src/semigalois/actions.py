@@ -293,6 +293,53 @@ def _invariant_ring(beta):
     return sub
 
 
+def fixed_atom_violation(beta):
+    """The fixed-atom rule: the first (s, j) with s not idempotent and beta_s
+    fixing atom j of its domain with twist 0; None exactly when A is
+    beta-Galois.
+
+    At an atom a of im(s), reached from b with twist t, the Galois system
+    sum_i x_i beta_s(y_i 1_{s^-1}) = [s idempotent] 1_s reads
+    sum_i x_i[a] Frob^t(y_i[b]) = [s idempotent].  If such an s fixes j, so
+    does ss^-1, and the two equations at j ask sum_i x_i[j] y_i[j] to be 0
+    and 1.  Otherwise, as idempotents act as identities, a triple (b, a, t)
+    asks 1 exactly when b = a and t = 0.  Pairs (x_i, y_i) on a single atom
+    j give 0 whenever b != a.  The twists of the maps fixing j form a
+    subgroup H_j of Z/k (beta_s beta_u and beta_{s^-1} fix j when beta_s and
+    beta_u do), GF(p^k) is a Galois field extension of its H_j-fixed field,
+    and its Galois coordinates give sum x Frob^t(y) = [t = 0] on H_j.  On
+    Z/p^k, H_j = 0 and x = y = 1 do.
+    """
+    for s in range(beta.S.n):
+        if not beta.S.is_idempotent(s):
+            iso = beta.isos[s]
+            for j, image in sorted(iso.matching.items()):
+                if image == j and not iso.twist[j]:
+                    return s, j
+    return None
+
+
+def invariant_order_from_atoms(beta):
+    """|A^beta| as the product over the orbits O of |atom_r^{H_r}|, r the least atom of O.
+
+    H_r is the group of twists of the maps fixing r (`fixed_atom_violation`),
+    generated by h = gcd(k, those twists): atom_r^{H_r} is GF(p^h) in
+    GF(p^k), and all of Z/p^k.  Each atom c of O is beta_s(r) for some s,
+    since r's idempotent fixes it and the maps compose and invert along O,
+    and an invariant a has a[c] = Frob^t(a[r]).  Two such s have twists
+    apart by an element of H_r (s'^-1 s fixes r), so a[r] may be any
+    H_r-fixed value, and the a it defines is invariant: an s taking b to c
+    composes with the s' taking r to b.
+    """
+    order = 1
+    for block in beta.orbits:
+        r = block.atoms[0]
+        atom = beta.A.atoms[r]
+        twists = [iso.twist[r] for iso in beta.isos if iso.matching.get(r) == r]
+        order *= atom.order if atom.kind == "zmod" else atom.p ** math.gcd(atom.k, *twists)
+    return order
+
+
 def trace_map(beta, a):
     """tr(a) = sum over s of beta_s(a 1_{s^-1}); need not be invariant."""
     return _trace(beta.A, beta.isos, a)

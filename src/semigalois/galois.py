@@ -15,6 +15,9 @@ pair from two orbits is zero, so it is no generator at all.  The assembled
 coordinate system is re-verified over all of A, and a separability
 idempotent, one vector per orbit, by m(z) summed over the orbits against
 1 of A and by each orbit's commutation equations on its own tensor.
+`is_galois`, the precondition of the correspondences, solves nothing: it is
+the fixed-atom rule of the atom model, held to the criteria on every
+cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .actions import (UnitalAction, image_action, induce_partial_group_action, invariant_ring,
+from .actions import (UnitalAction, fixed_atom_violation, image_action,
+                      induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, sigma_trace_image)
 from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
                      hstack, kernel_gens, lattice_det, lattice_member, residues, scatter_lattice,
@@ -512,11 +516,12 @@ def separability_idempotent_from_coordinates(beta, coords):
     """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A:
     on each orbit's tensor, the sum of the pairs' block components."""
     tensors = _full_tensor(beta)
+    pairs = [(x.vec(), y.vec()) for x, y in coords]
     z = []
     for block, tensor in tensors:
         part = [0] * (tensor.k * tensor.l)
-        for x, y in coords:
-            for p, v in tensor.pure_terms(block.restrict(x.vec()), block.restrict(y.vec())):
+        for x, y in pairs:
+            for p, v in tensor.pure_terms(block.restrict(x), block.restrict(y)):
                 part[p] += v
         z.append(tuple(part))
     return tensors, tuple(z)
@@ -549,7 +554,9 @@ def cross_check_equivalences(beta: UnitalAction):
 
     Preconditions: S finite E-unitary without zero, beta unital injective,
     all A_s nonzero.  The first three criteria and alpha-Galois are
-    provably equivalent and asserted unanimous with zero tolerance.  The
+    provably equivalent and asserted unanimous with zero tolerance, and so
+    are the fixed-atom rule (`is_galois`) and the atom count of |A^beta|
+    (`actions.invariant_order_from_atoms`) against A^beta's order.  The
     trace-image criterion is necessary but not sufficient: when a class of
     the quotient group acts trivially on an atom whose characteristic does
     not divide the class count, the trace stays surjective while the
@@ -595,6 +602,10 @@ def cross_check_equivalences(beta: UnitalAction):
     if len(core) != 1:
         raise EquivalenceViolation(f"provably equivalent criteria disagree: {verdicts}")
     galois = core.pop()
+    if is_galois(beta) != galois:
+        raise EquivalenceViolation(f"the fixed-atom rule disagrees with the criteria: {verdicts}")
+    if invariant_order_from_atoms(beta) != inv.order:
+        raise EquivalenceViolation(f"the atom count of |A^beta| disagrees with {inv.order}")
     trace_gap = False
     if verdicts["trace_image"] != galois:
         if galois or not verdicts["trace_image"]:
@@ -620,8 +631,10 @@ def cross_check_equivalences(beta: UnitalAction):
 
 
 def is_galois(beta):
-    """The cheap decider used as a precondition elsewhere: criterion (coordinates)."""
-    return solve_galois_coordinates(beta) is not None
+    """The precondition of the correspondences: the fixed-atom rule
+    (`actions.fixed_atom_violation`), which solves nothing and which
+    `cross_check_equivalences` checks against the criteria."""
+    return fixed_atom_violation(beta) is None
 
 
 def scalar_extension_is_galois(ext):

@@ -17,8 +17,9 @@ additive generator, on Kronecker matrices),
 `verify_coordinates_by_elements` (the coordinate identity through ring
 elements), the three correspondence routes with their own pair loops and
 brute-force matchers (`e_unitary_correspondence_by_own_loop`,
-`general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`)
-the five power-set scans that per-atom and per-element tests replaced
+`general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`,
+which decide their Galois precondition by the coordinate solve, not by the
+fixed-atom rule the library's routes use), the five power-set scans that per-atom and per-element tests replaced
 (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
 `beta_maximal_by_subset_scan`), the subalgebra scan that closed every
@@ -592,7 +593,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     """The E-unitary route with S_B computed three times per T."""
     from semigalois.actions import is_injective
     from semigalois.correspondence import CorrespondenceReport, enumerate_beta_complete
-    from semigalois.galois import PreconditionFail, compute_S_B, is_galois
+    from semigalois.galois import PreconditionFail, compute_S_B, solve_galois_coordinates
     from semigalois.semigroups import is_e_unitary
     S = beta.S
     if S.zero is not None:
@@ -603,7 +604,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("beta is not injective")
     if not beta.all_ideals_nonzero():
         raise PreconditionFail("some A_s is zero")
-    if not is_galois(beta):
+    if solve_galois_coordinates(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     pairs, failures = _correspondence_core(
         beta, enumerate_beta_complete(beta),
@@ -623,7 +624,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
     from semigalois.actions import image_action
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import PreconditionFail, is_galois
+    from semigalois.galois import PreconditionFail, solve_galois_coordinates
     from semigalois.semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups,
                                        is_e_unitary)
     S = beta.S
@@ -631,7 +632,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
         raise PreconditionFail("use the zero-case verifier for semigroups with zero")
     if not beta.all_ideals_nonzero():
         raise PreconditionFail("some A_s is zero")
-    if not is_galois(beta):
+    if solve_galois_coordinates(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     img_S, beta_img, proj = image_action(beta)
     if not is_e_unitary(img_S):
@@ -667,8 +668,8 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     from semigalois.actions import image_action, invariant_ring
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong, is_galois,
-                                   is_separable)
+    from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong, is_separable,
+                                   solve_galois_coordinates)
     from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
     from semigalois.zerocase import is_categorical_at_zero, require_zero_action
     S = beta.S
@@ -677,7 +678,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("the zero correspondence assumes categoricity at zero")
     if not all(beta.im_support(s) for s in range(S.n) if s != S.zero):
         raise PreconditionFail("A_s = 0 for a nonzero s")
-    if not is_galois(beta):
+    if solve_galois_coordinates(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     img_S, beta_img, proj = image_action(beta)
     base = invariant_ring(beta)

@@ -82,11 +82,13 @@ def test_old_guard_spellings_are_unknown(tmp_path):
 
 
 def test_small_budget_is_a_reported_verdict():
-    """A trip inside the command ends the report with FAIL budget and exits 3."""
+    """A trip inside the command ends the report with FAIL budget and exits 3.
+    correspond solves no coordinate system, so its first charged work is the
+    kernel of A^beta."""
     code, out, err = run_cli(["correspond", "instances/c2_swap.sgi", "--budget", "5"])
     assert code == 3 and err == b""
     lines = out.decode().splitlines()
-    assert lines[-2:] == ["FAIL budget  quantity=ring_products  spent=6  limit=5",
+    assert lines[-2:] == ["FAIL budget  quantity=echelon_entries  spent=7  limit=5",
                           "# result: FAIL"]
 
 

@@ -48,6 +48,19 @@ def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance
     assert len(calls) == solves
 
 
+@pytest.mark.parametrize("args", [["correspond"], ["correspond", "--brute-force-subalgebras"],
+                                  ["zero"]], ids=" ".join)
+def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, capsys, args):
+    """correspond (both routes) and zero take their "A is beta-Galois"
+    precondition from the fixed-atom rule, so no command solves a coordinate
+    system on any shipped instance, and each passes on some."""
+    calls, codes = [], []
+    _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
+    for path in sorted(INSTANCES.glob("*.sgi")):
+        codes.append(_run(capsys, args[0], str(path), *args[1:]))
+    assert calls == [] and 0 in codes
+
+
 ZERO_FACTS = ["_is_0_e_unitary", "_is_categorical_at_zero", "_is_primitive", "_tau_partition"]
 
 
@@ -165,16 +178,17 @@ def test_full_subalgebra_is_never_checked_for_closure(monkeypatch, capsys):
 
     def full(ring):
         sub = original_full(ring)
-        fulls.append(sub)  # kept alive, so no other subalgebra reuses its id
+        fulls.append(sub)
         return sub
 
+    # both lists keep their subalgebras alive, so no two of them share an id
     monkeypatch.setattr(rg.Subalgebra, "full", staticmethod(full))
-    _recording(monkeypatch, rg.Subalgebra, "closed_under_mul", lambda self: checked.append(id(self)))
+    _recording(monkeypatch, rg.Subalgebra, "closed_under_mul", lambda self: checked.append(self))
     for path in sorted(INSTANCES.glob("*.sgi")):
         for command in ("galois", "correspond"):
             _run(capsys, command, str(path))
     assert fulls and checked
-    assert not {id(f) for f in fulls} & set(checked)
+    assert not {id(f) for f in fulls} & {id(c) for c in checked}
     assert all(f.is_subalgebra() for f in fulls)
 
 
