@@ -72,8 +72,8 @@ class UnitalAction:
         return self.isos[s].im_support
 
     def ideal_one(self, s):
-        """The idempotent 1_s generating A_s."""
-        return self.A.idempotent(self.im_support(s))
+        """The idempotent 1_s generating A_s, as a coordinate vector."""
+        return self.A.idempotent_vec(self.im_support(s))
 
     def all_ideals_nonzero(self):
         return all(self.im_support(s) for s in self.S.nonzero_elements())
@@ -272,14 +272,12 @@ def invariant_ring(beta):
 def _invariant_ring(beta):
     A = beta.A
     pres = A.presentation
-    current = [tuple(v) for v in A.basis_vectors()]
-    for s in range(beta.S.n):
-        iso = beta.isos[s]
-        cols = []
-        for v in current:
-            img = iso.apply_vec(v)
-            masked = A.mask_vec(v, iso.im_support)
-            cols.append(A.sub_vec(img, masked))
+    current = A.basis_vectors()
+    for iso in beta.isos:
+        support = iso.im_support
+        cols = [A.sub_vec(iso.apply_vec(v), A.mask_vec(v, support)) for v in current]
+        if not any(map(any, cols)):  # an idempotent's map, or one fixing the span
+            continue
         mat = cols_from_vectors(cols, A.n_coords)
         in_moduli = [A.vector_order(v) for v in current]
         ker = kernel_gens(mat, pres.lattice, in_moduli)
@@ -353,7 +351,7 @@ def _trace(A, isos, a):
 
 def _trace_vec(A, isos, vec):
     """The sum over the isos f of f(vec 1_dom), on coordinates."""
-    total = A.zero().vec()
+    total = A.zero_vec
     for iso in isos:
         total = A.add_vec(total, iso.apply_vec(vec))
     return total
@@ -394,18 +392,17 @@ def _induce_partial_group_action(beta):
     quo = sigma_partition(beta.S)
     isos = isopu.class_joins(beta.isos, quo.classes)
     for cls, join in zip(quo.classes, isos):
-        if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent(join.im_support):
+        if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent_vec(join.im_support):
             raise AssertionError("boolean sum disagrees with the support union")
     return PartialGroupAction(quo, beta.A, isos)
 
 
 def _boolean_sum(A, idempotents_list):
     """The join of commuting idempotents, inclusion-exclusion factored as 1 - prod(1 - e_i)."""
-    one = A.one()
-    rest = one
+    one = rest = A.one_vec
     for e in idempotents_list:
-        rest = rest * (one - e)
-    return one - rest
+        rest = A.mul_vec(rest, A.sub_vec(one, e))
+    return A.sub_vec(one, rest)
 
 
 def sigma_trace(beta, a):
@@ -490,7 +487,7 @@ class ScalarExtension:
 
     def r_image_canon(self):
         """The subgroup R (x) 1, spanned by r_i (x) 1."""
-        ones = self._on_a(cols_from_vectors([self.beta.A.one().vec()], self.l))
+        ones = self._on_a(cols_from_vectors([self.beta.A.one_vec], self.l))
         return self.pres.subgroup_canon([ones.column(i) for i in range(self.k)])
 
     def invariants_canon(self):
@@ -519,7 +516,7 @@ def _check_structural_map(R, inv, images):
     def image(vec):
         return phi.apply(expander.expand(vec))
 
-    if not R.presentation.eq(image(A.one().vec()), R.one().vec()):
+    if not R.presentation.eq(image(A.one_vec), R.one_vec):
         raise ActionError("structural map must send 1 to 1")
     for cu, u in zip(images, inv.gen_vectors):
         for cv, v in zip(images, inv.gen_vectors):
@@ -534,11 +531,10 @@ def extend_scalars(beta, R=None, structural_images=None):
     inclusion) and the presentation is the tensor A^beta (x)_{A^beta} A.
     Otherwise R is a FiniteRing and `structural_images`, one per generator
     of A^beta, are RingElements of R or coordinate vectors over R.
-    beta is first checked through the coordinate criterion (the galois
-    module re-tests the extension afterwards).
+    beta is first checked by the fixed-atom rule (the galois module
+    re-tests the extension afterwards).
     """
-    from .galois import solve_galois_coordinates
-    if solve_galois_coordinates(beta) is None:
+    if fixed_atom_violation(beta) is not None:
         raise NotGalois("scalar extension is stated for Galois actions")
     inv = invariant_ring(beta)
     A = beta.A

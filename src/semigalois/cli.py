@@ -145,10 +145,10 @@ def cmd_galois(beta, report, opts):
                     note="trace image equals the invariants although the extension "
                          "is not Galois; the trace test is necessary, not sufficient")
     report.info("galois", value=rep.galois, invariants_order=rep.invariants_order)
-    cert = rep.certificate
+    cert, element = rep.certificate, beta.A.from_vec
     if cert.coordinates is not None:
         report.info("coordinates",
-                    pairs=[f"({x!r},{y!r})" for x, y in cert.coordinates])
+                    pairs=[f"({element(x)!r},{element(y)!r})" for x, y in cert.coordinates])
     if cert.psi is not None:
         report.info("psi_orders", tensor=cert.psi.tensor_order, pa=cert.psi.pa_order,
                     image=cert.psi.image_order)
@@ -157,7 +157,7 @@ def cmd_galois(beta, report, opts):
         report.info("strong_failure", s=beta.S.names[s], t=beta.S.names[t],
                     idempotent_support=sorted(supp))
     report.info("trace_image_generators",
-                generators=[repr(g) for g in cert.trace_image_generators])
+                generators=[repr(element(g)) for g in cert.trace_image_generators])
 
 
 def _add_correspondence_verdicts(report, rep):
@@ -266,19 +266,22 @@ def _env_default(name, fallback):
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
 
 
+_SETTINGS = {}  # option -> its setting, read once per `main` call
+
+
 class _EnvOption(argparse.Action):
     """An option stored as given (a flag storing True, with nargs=0) whose
-    default is its SEMIGALOIS_* setting, read whenever argparse asks for it,
-    so that one parser serves every call.  The setting is interned: argparse
-    converts a string default only when the value it ends up with is that
-    very object."""
+    default is its SEMIGALOIS_* setting, read whenever argparse asks for it
+    (in `main`, from `_SETTINGS`), so that one parser serves every call.  The
+    setting is interned: argparse converts a string default only when the
+    value it ends up with is that very object."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, True if self.nargs == 0 else values)
 
     @property
     def default(self):
-        return sys.intern(_env_default(self.dest, self._fallback))
+        return _SETTINGS.get(self.dest) or sys.intern(_env_default(self.dest, self._fallback))
 
     @default.setter
     def default(self, value):
@@ -338,7 +341,11 @@ def parser():
 
 
 def main(argv=None):
-    args = parser().parse_args(argv)
+    _SETTINGS.update((a.dest, a.default) for a in parser()._actions if isinstance(a, _EnvOption))
+    try:
+        args = parser().parse_args(argv)
+    finally:
+        _SETTINGS.clear()
     args.brute_force_subalgebras = _bool_setting(parser(), "brute-force-subalgebras",
                                                  args.brute_force_subalgebras)
     opts = {}

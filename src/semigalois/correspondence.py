@@ -51,10 +51,12 @@ def enumerate_beta_maximal(beta):
 
 
 def fixed_subalgebra(beta, T: SubSemigroup):
-    """A^{beta|T}; always an A^beta-subalgebra when T is full."""
-    B = invariant_ring(restrict_action(beta, T)[0])
-    if not B.contains(invariant_ring(beta)):
+    """A^{beta|T}; always an A^beta-subalgebra when T is full (checked, and
+    kept as its `known_base`)."""
+    B, base = invariant_ring(restrict_action(beta, T)[0]), invariant_ring(beta)
+    if not B.contains(base):
         raise AssertionError("fixed ring must contain the full invariants")
+    B.known_base = base
     return B
 
 
@@ -87,7 +89,7 @@ def is_beta_maximal(beta, T: SubSemigroup):
 class CorrespondencePair:
     members: tuple  # subsemigroup members (sorted indices in S)
     subalgebra_order: int
-    subalgebra_generators: list
+    subalgebra_generators: tuple  # B's canonical generators, as coordinate vectors
     s_b_members: tuple
     separable: bool
     strong: bool
@@ -146,7 +148,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
         round_t = s_b.members == T.members
         round_b = round_t or fixed(s_b) == B
         pairs.append(CorrespondencePair(
-            members, B.order, [repr(g) for g in B.generators()],
+            members, B.order, B.gen_vectors,
             tuple(sorted(s_b.members)), sep, strong, round_t, round_b))
         if not sep:
             failures.append(("fixed algebra not separable", members))
@@ -206,7 +208,7 @@ def enumerate_subalgebras_over(beta, base):
     |A|/|B| - 1 closures per B instead of |A|.
     """
     A = beta.A
-    start = base.adjoin(A.one().vec())
+    start = base.adjoin(A.one_vec)
     unit_orbits = _UnitOrbits(beta, base)
     found = {start}
     frontier = [start]
@@ -248,7 +250,7 @@ class _UnitOrbits:
             part = Subalgebra.with_basis(ring, block.basis(self.base))
             # F_2 is the one finite local ring with no unit but 1: nothing to enumerate
             units = part.element_vectors() if part.order > 2 else ()
-            one = ring.one().vec()
+            one = ring.one_vec
             group, gens = {one}, []
             for u in units:
                 if u in group or not ring.is_unit_vec(u):
@@ -265,7 +267,7 @@ class _UnitOrbits:
 
     def orbit(self, cur, w):
         """The canonical representatives of the cosets u*w + cur, w one of them."""
-        orbit = [self.ring.zero().vec()]
+        orbit = [self.ring.zero_vec]
         for block in self.blocks:
             part = block.restrict(w)
             if not any(part):

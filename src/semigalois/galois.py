@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .actions import (UnitalAction, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
@@ -58,11 +58,11 @@ def galois_rhs(beta, s):
     The delta-sum is also evaluated literally and compared.
     """
     A = beta.A
-    direct = beta.ideal_one(s) if beta.S.is_idempotent(s) else A.zero()
-    literal = A.zero()
+    direct = beta.ideal_one(s) if beta.S.is_idempotent(s) else A.zero_vec
+    literal = A.zero_vec
     for e in beta.S.idempotents:
         if e == s:
-            literal = literal + beta.ideal_one(e)
+            literal = A.add_vec(literal, beta.ideal_one(e))
     if literal != direct:
         raise CertificateMismatch(f"delta-sum for s={s} disagrees with 1_s")
     return direct
@@ -100,23 +100,21 @@ def _solve_coordinates(beta, isos, rhs_vectors):
         if sol is None:
             return None
         for i, c in enumerate(block.coords):
-            ys[c] = A.from_vec(block.extend(sol[i * n:(i + 1) * n]))
-    return list(zip(A.basis_elements(), ys))
+            ys[c] = block.extend(sol[i * n:(i + 1) * n])
+    return list(zip(A.basis_vectors(), ys))
 
 
 def verify_coordinates(beta, coords, system=None):
     """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, apart from the solve.
 
-    `system` is the pair (isos, right sides), the right sides coordinate
-    vectors; by default it is beta's Galois system.  `apply_vec` masks y to
-    the domain.
+    `system` is the pair (isos, right sides); by default it is beta's
+    Galois system.  `apply_vec` masks y to the domain.
     """
     A = beta.A
     isos, rhs = _galois_system(beta) if system is None else system
-    pairs = [(x.vec(), y.vec()) for x, y in coords]
     for iso, want in zip(isos, rhs):
-        total = A.zero().vec()
-        for x, y in pairs:
+        total = A.zero_vec
+        for x, y in coords:
             total = A.add_vec(total, A.mul_vec(x, iso.apply_vec(y)))
         if total != want:
             return False
@@ -129,13 +127,13 @@ def _galois_system(beta):
 
 
 def _derive_galois_system(beta):
-    return tuple(beta.isos), tuple(galois_rhs(beta, s).vec() for s in range(beta.S.n))
+    return tuple(beta.isos), tuple(galois_rhs(beta, s) for s in range(beta.S.n))
 
 
 def _partial_action_system(beta):
     """(isos, right sides) of the coordinate system of alpha (delta at 1_G)."""
     A, alpha = beta.A, induce_partial_group_action(beta)
-    return tuple(alpha.isos), tuple((A.one() if g == alpha.group.identity else A.zero()).vec()
+    return tuple(alpha.isos), tuple(A.one_vec if g == alpha.group.identity else A.zero_vec
                                     for g in range(alpha.group.size()))
 
 
@@ -147,7 +145,7 @@ def _solve_verified(beta, system, name):
 
 
 def solve_galois_coordinates(beta):
-    """Criterion (coordinates): a Galois coordinate system or None."""
+    """Criterion (coordinates): a Galois coordinate system (x, y pairs) or None."""
     return _solve_verified(beta, _galois_system(beta), "Galois")
 
 
@@ -444,7 +442,7 @@ def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
         ring = block.ring
         mats = [tensor.mult_map_vec()]
         augs = [ring.presentation.lattice]
-        target = list(ring.one().vec())
+        target = list(ring.one_vec)
         for b in tensor.M.algebra_generators(tensor.R):
             mats.append(tensor.mult_difference(b))
             augs.append(tensor.pres.lattice)
@@ -479,7 +477,7 @@ def verify_separability_idempotent(tensors, z):
     for (block, tensor), part in zip(tensors, z):
         for c, x in zip(block.coords, tensor.mult_map_vec().apply(part)):
             mz[c] += x
-    if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one().vec():
+    if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one_vec:
         return False
     for (_, tensor), part in zip(tensors, z):
         l = tensor.l
@@ -516,11 +514,10 @@ def separability_idempotent_from_coordinates(beta, coords):
     """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A:
     on each orbit's tensor, the sum of the pairs' block components."""
     tensors = _full_tensor(beta)
-    pairs = [(x.vec(), y.vec()) for x, y in coords]
     z = []
     for block, tensor in tensors:
         part = [0] * (tensor.k * tensor.l)
-        for x, y in pairs:
+        for x, y in coords:
             for p, v in tensor.pure_terms(block.restrict(x), block.restrict(y)):
                 part[p] += v
         z.append(tuple(part))
@@ -532,8 +529,10 @@ def separability_idempotent_from_coordinates(beta, coords):
 
 @dataclass
 class GaloisCertificate:
+    """Its elements are coordinate vectors, as everywhere in a decision."""
+
     coordinates: list | None = None
-    trace_image_generators: list = field(default_factory=list)
+    trace_image_generators: tuple = ()
     psi: PsiReport | None = None
     separability_idempotent: tuple | None = None
     strong_failure: tuple | None = None
@@ -594,7 +593,7 @@ def cross_check_equivalences(beta: UnitalAction):
     verdicts["separable_and_strong"] = (sep is not None) and strong
 
     trace_img = sigma_trace_image(beta)
-    cert.trace_image_generators = trace_img.generators()
+    cert.trace_image_generators = trace_img.gen_vectors
     verdicts["trace_image"] = trace_img == inv
 
     core = {verdicts["coordinates"], verdicts["psi_bijective"],

@@ -33,11 +33,7 @@ def compose(f: StructuredIso, g: StructuredIso) -> StructuredIso:
             matching[i] = f.matching[j]
             a = g.ring.atoms[i]
             twist[i] = (g.twist[i] + f.twist[j]) % a.k if a.kind == "gf" else 0
-    return StructuredIso(f.ring, matching, twist)
-
-
-def inverse(f: StructuredIso) -> StructuredIso:
-    return f.inverse()
+    return StructuredIso.trusted(f.ring, matching, twist)
 
 
 def is_idempotent_iso(f: StructuredIso) -> bool:
@@ -58,9 +54,8 @@ def is_compatible(f: StructuredIso, g: StructuredIso) -> bool:
     (b) f, g coincide on dom f cap dom g, and f^{-1}, g^{-1} coincide on
         im f cap im g.
     """
-    via_idem = (is_idempotent_iso(compose(f.inverse(), g))
-                and is_idempotent_iso(compose(f, g.inverse())))
     fi, gi = f.inverse(), g.inverse()
+    via_idem = is_idempotent_iso(compose(fi, g)) and is_idempotent_iso(compose(f, gi))
     via_restr = (_restrictions_agree(f, g, f.dom_support & g.dom_support)
                  and _restrictions_agree(fi, gi, f.im_support & g.im_support))
     if via_idem != via_restr:
@@ -89,7 +84,7 @@ def join_sum(isos) -> StructuredIso:
     for f in isos:
         matching.update(f.matching)
         twist.update(f.twist)
-    return StructuredIso(ring, matching, twist)
+    return StructuredIso.trusted(ring, matching, twist)
 
 
 def class_joins(isos, classes):
@@ -128,41 +123,3 @@ def composition_table(isos):
         raise AssertionError("the isos are not closed under composition")
     return table
 
-
-def iso_pu_elements(ring, max_count=200_000):
-    """Every element of Iso_pu(A): all type-preserving matchings with twists.
-
-    Exhaustive; used by oracles and the upper-bound scans in tests.
-    """
-    atoms = ring.atoms
-    by_type = {}
-    for i, a in enumerate(atoms):
-        by_type.setdefault(a, []).append(i)
-    out = []
-    for dom in ring.all_supports():
-        groups = {}
-        for i in dom:
-            groups.setdefault(atoms[i], []).append(i)
-        target_choices = []
-        for a, srcs in groups.items():
-            pool = by_type[a]
-            target_choices.append([(srcs, perm) for perm in itertools.permutations(pool, len(srcs))])
-        for combo in itertools.product(*target_choices):
-            ims = [j for _, perm in combo for j in perm]
-            if len(set(ims)) != len(ims):
-                continue
-            matching = {}
-            for srcs, perm in combo:
-                matching.update(zip(srcs, perm))
-            twist_ranges = [range(atoms[i].k) if atoms[i].kind == "gf" else range(1)
-                            for i in sorted(matching)]
-            for tw in itertools.product(*twist_ranges):
-                out.append(StructuredIso(ring, matching, dict(zip(sorted(matching), tw))))
-                if len(out) > max_count:
-                    raise RingError("Iso_pu(A) too large to enumerate")
-    return out
-
-
-def upper_bounds(isos, universe):
-    """All elements of `universe` lying above every member of `isos`."""
-    return [u for u in universe if all(natural_leq_iso(f, u) for f in isos)]

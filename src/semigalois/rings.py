@@ -241,9 +241,12 @@ class FiniteRing:
             pos += a.coords
         self.exponent = math.lcm(*self.coord_moduli)
         self._products = {}  # unordered pair of coordinate tuples -> their product
+        self._idempotents = {}  # atom set -> its indicator vector, built on first use
+        self.zero_vec = (0,) * self.n_coords
+        self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
 
     def __eq__(self, other):
-        return isinstance(other, FiniteRing) and self.atoms == other.atoms
+        return self is other or isinstance(other, FiniteRing) and self.atoms == other.atoms
 
     def __hash__(self):
         return hash(self.atoms)
@@ -269,14 +272,21 @@ class FiniteRing:
         return RingElement(self, tuple(fixed))
 
     def zero(self):
-        return RingElement(self, tuple(a.zero() for a in self.atoms))
+        return self.from_vec(self.zero_vec)
 
     def one(self):
-        return RingElement(self, tuple(a.one() for a in self.atoms))
+        return self.from_vec(self.one_vec)
 
     def idempotent(self, support):
-        return RingElement(self, tuple(a.one() if i in support else a.zero()
-                                       for i, a in enumerate(self.atoms)))
+        return self.from_vec(self.idempotent_vec(support))
+
+    def idempotent_vec(self, support):
+        """The indicator of a set of atoms as a coordinate vector, kept per set."""
+        support = frozenset(support)
+        if support not in self._idempotents:
+            firsts = {self._spans[i][0] for i in support}
+            self._idempotents[support] = tuple(int(c in firsts) for c in range(self.n_coords))
+        return self._idempotents[support]
 
     def from_vec(self, vec):
         comps = []
@@ -294,9 +304,6 @@ class FiniteRing:
     def basis_vectors(self):
         """Atom-pure additive generators e_0, ..., e_{n-1} as coordinate vectors."""
         return [tuple(1 if i == j else 0 for j in range(self.n_coords)) for i in range(self.n_coords)]
-
-    def basis_elements(self):
-        return [self.from_vec(v) for v in self.basis_vectors()]
 
     def coord_atom(self, i):
         """Atom index owning flat coordinate i."""
@@ -453,30 +460,36 @@ class StructuredIso:
     atoms must carry identical (kind, p, k, poly)); `twist` gives the
     Frobenius power applied on each domain atom (always 0 on zmod atoms).
     Local atoms force any isomorphism of unital ideals into this shape.
+    The constructor checks this; `trusted` builds an iso derived from valid
+    ones (a composite, inverse, join or block restriction) without checks.
     """
 
     __slots__ = ("ring", "matching", "twist", "_key", "_plan")
 
     def __init__(self, ring, matching, twist):
-        self.ring = ring
-        self.matching = dict(matching)
-        self.twist = {i: int(t) for i, t in twist.items()}
-        dom = set(self.matching)
-        im = set(self.matching.values())
-        if len(im) != len(dom):
+        matching, twist = dict(matching), {i: int(t) for i, t in twist.items()}
+        if len(set(matching.values())) != len(matching):
             raise RingError("matching is not a bijection")
-        for i, j in self.matching.items():
+        for i, j in matching.items():
             a, b = ring.atoms[i], ring.atoms[j]
             if a != b:
                 raise RingError(f"atoms {i} and {j} differ; no isomorphism can match them")
-            t = self.twist.get(i, 0)
+            t = twist.get(i, 0)
             if a.kind == "zmod" and t:
                 raise RingError(f"atom {i} is {a.label()}, which admits no twist (got {t})")
-            self.twist[i] = t % a.k if a.kind == "gf" else 0
-        for i in dom:
-            self.twist.setdefault(i, 0)
-        self._key = (tuple(sorted(self.matching.items())), tuple(sorted(self.twist.items())))
-        self._plan = None
+            twist[i] = t % a.k if a.kind == "gf" else 0
+        self._fill(ring, matching, twist)
+
+    def _fill(self, ring, matching, twist):
+        self.ring, self.matching, self.twist, self._plan = ring, matching, twist, None
+        self._key = (tuple(sorted(matching.items())), tuple(sorted(twist.items())))
+        return self
+
+    @staticmethod
+    def trusted(ring, matching, twist):
+        """The iso of valid data: dicts matching equal atoms bijectively and
+        giving each domain atom its twist, reduced mod k (0 on zmod atoms)."""
+        return StructuredIso.__new__(StructuredIso)._fill(ring, matching, twist)
 
     @property
     def dom_support(self):
@@ -487,7 +500,8 @@ class StructuredIso:
         return frozenset(self.matching.values())
 
     def __eq__(self, other):
-        return isinstance(other, StructuredIso) and self.ring == other.ring and self._key == other._key
+        return (isinstance(other, StructuredIso) and self._key == other._key
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
         return hash(self._key)
@@ -515,7 +529,7 @@ class StructuredIso:
         for i, j in self.matching.items():
             a = self.ring.atoms[i]
             twist[j] = (-self.twist[i]) % a.k if a.kind == "gf" else 0
-        return StructuredIso(self.ring, matching, twist)
+        return StructuredIso.trusted(self.ring, matching, twist)
 
     def apply(self, el):
         if not isinstance(el, RingElement) or el.ring != self.ring:
@@ -561,8 +575,10 @@ class Subalgebra:
     Equality of subalgebras is equality of canonical bases; membership is a
     triangular solve.  Closure under multiplication and presence of 1 are
     checked on demand, not assumed, and remembered: a subalgebra is never
-    changed after construction.
+    changed after construction.  `known_base` is one checked to lie in it.
     """
+
+    known_base = None
 
     def __init__(self, ring, gen_vectors):
         self._set_basis(ring, ring.presentation.subgroup_canon([tuple(v) for v in gen_vectors]))
@@ -617,7 +633,7 @@ class Subalgebra:
         return all(self.member_vec(v) for v in other.gen_vectors)
 
     def contains_one(self):
-        return self.member(self.ring.one())
+        return self.member_vec(self.ring.one_vec)
 
     def closed_under_mul(self):
         """Every product of two generators lies in the span; a pair on
@@ -722,7 +738,7 @@ class Block:
 
     def indicator(self):
         """e_O as a coordinate vector of A."""
-        return self.whole.idempotent(self.atoms).vec()
+        return self.whole.idempotent_vec(self.atoms)
 
     def restrict(self, vec):
         """The block-ring coordinates of vec * e_O."""
@@ -745,7 +761,7 @@ class Block:
             local = self._local
             if any((i in local) != (j in local) for i, j in iso.matching.items()):
                 raise RingError("the iso moves atoms into or out of the block")
-            got = self._isos[iso] = StructuredIso(
+            got = self._isos[iso] = StructuredIso.trusted(
                 self.ring, {local[i]: local[j] for i, j in iso.matching.items() if i in local},
                 {local[i]: t for i, t in iso.twist.items() if i in local})
         return got
@@ -822,7 +838,7 @@ class TensorPresentation:
         for big in (M, N):
             if big in checked:
                 continue
-            if not big.contains(R):
+            if big.known_base is not R and not big.contains(R):
                 raise NotSubring("R is not contained in both factors")
             for sub in (big, R):
                 if sub not in checked:

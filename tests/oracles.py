@@ -32,7 +32,8 @@ its own presented base and relation loops (`extend_scalars_by_loops`,
 re-tested by `scalar_extension_is_galois_by_loops`),
 and the polynomial element route (`atom_mul`, `atom_frobenius` and the
 element and iso helpers built on them) that the coordinate kernel replaced,
-with `verify_iso_extensional` on top of it.  Last, the Galois systems over
+with `verify_iso_extensional` on top of it; A^beta from one kernel for
+every s (`invariant_ring_by_all_kernels`).  Last, the Galois systems over
 the whole of A, as they were solved before each split into one block per
 orbit: `WholeTensorPresentation`, `solve_coordinates_whole`,
 `pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`, with
@@ -542,7 +543,7 @@ def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
         seen_algebras[B] = T.members
         pairs.append(CorrespondencePair(
             tuple(sorted(T.members)), B.order,
-            [repr(g) for g in B.generators()],
+            B.gen_vectors,
             tuple(sorted(back.members)), sep, strong, round_t, round_b))
         if not sep:
             failures.append(("fixed algebra not separable", tuple(sorted(T.members))))
@@ -657,7 +658,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
         if not round_t:
             failures.append(("pullback round trip failed", tuple(sorted(T.members))))
         pairs.append(CorrespondencePair(
-            tuple(sorted(T.members)), B.order, [repr(g) for g in B.generators()],
+            tuple(sorted(T.members)), B.order, B.gen_vectors,
             tuple(sorted(back)), img_pair.separable, img_pair.strong,
             round_t, img_pair.round_trip_b))
     return CorrespondenceReport(not failures, pairs, failures, image_report.brute_force_match)
@@ -701,7 +702,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
             failures.append(("duplicate fixed algebra", tuple(sorted(T.members))))
         seen_algebras[B] = T
         pairs.append(CorrespondencePair(
-            tuple(sorted(T.members)), B.order, [repr(g) for g in B.generators()],
+            tuple(sorted(T.members)), B.order, B.gen_vectors,
             tuple(sorted(back)), sep, strong, round_t, round_b))
         for flag, tag in ((sep, "fixed algebra not separable"),
                           (strong, "fixed algebra not beta-strong"),
@@ -731,14 +732,16 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
 
 
 def verify_coordinates_by_elements(beta, coords):
-    """The Galois coordinate identity sum x f(y 1_dom) = rhs_f, through
-    `RingElement` products and the polynomial `StructuredIso.apply`."""
+    """The Galois coordinate identity sum x f(y 1_dom) = rhs_f for pairs of
+    coordinate vectors, through `RingElement` products and the polynomial
+    `StructuredIso.apply`."""
     from semigalois.galois import galois_rhs
     A = beta.A
+    elements = [(A.from_vec(x), A.from_vec(y)) for x, y in coords]
     for s, iso in enumerate(beta.isos):
-        want = galois_rhs(beta, s)
+        want = A.from_vec(galois_rhs(beta, s))
         total = A.zero()
-        for x, y in coords:
+        for x, y in elements:
             total = total + x * iso.apply(y.mask(iso.dom_support))
         if total != want:
             return False
@@ -1272,7 +1275,7 @@ def verify_iso_extensional(iso, pair_limit=256):
 
     if iso.apply(ring.idempotent(iso.dom_support)) != ring.idempotent(iso.im_support):
         return False
-    basis = [b.mask(iso.dom_support) for b in ring.basis_elements()]
+    basis = [ring.from_vec(b).mask(iso.dom_support) for b in ring.basis_vectors()]
     basis = [b for b in basis if b.support()]
     images = set()
     for x in dom_elements():
@@ -1414,7 +1417,7 @@ def solve_coordinates_whole(beta, isos, rhs_vectors):
     sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n)
     if sol is None:
         return None
-    return list(zip(A.basis_elements(), [A.from_vec(sol[i * n:(i + 1) * n]) for i in range(n)]))
+    return list(zip(A.basis_vectors(), [sol[i * n:(i + 1) * n] for i in range(n)]))
 
 
 def pa_subgroup_whole(beta):
@@ -1491,3 +1494,60 @@ def is_separable_whole(B, R):
         target.extend([0] * (tensor.k * tensor.l))
     sol = solve_cols(vstack(mats), block_diag(augs), target, tensor.pres.moduli)
     return None if sol is None else (tensor, sol)
+
+
+def invariant_ring_by_all_kernels(beta):
+    """A^beta as `actions.invariant_ring` computed it before it skipped the
+    maps that are zero on the span: one kernel for every s, in order."""
+    from semigalois.linalg import cols_from_vectors, kernel_gens, residues
+    from semigalois.rings import Subalgebra
+    A = beta.A
+    current = [tuple(v) for v in A.basis_vectors()]
+    for iso in beta.isos:
+        cols = [A.sub_vec(iso.apply_vec(v), A.mask_vec(v, iso.im_support)) for v in current]
+        ker = kernel_gens(cols_from_vectors(cols, A.n_coords), A.presentation.lattice,
+                          [A.vector_order(v) for v in current])
+        span = cols_from_vectors(current, A.n_coords)
+        current = residues([span.apply(coeffs) for coeffs in ker], A.coord_moduli)
+        if not current:
+            break
+    return Subalgebra(A, current)
+
+
+def iso_pu_elements(ring, max_count=200_000):
+    """Every element of Iso_pu(A): all type-preserving matchings with twists,
+    by exhaustive enumeration; raises RingError past `max_count`."""
+    from semigalois.rings import RingError, StructuredIso
+    atoms = ring.atoms
+    by_type = {}
+    for i, a in enumerate(atoms):
+        by_type.setdefault(a, []).append(i)
+    out = []
+    for dom in ring.all_supports():
+        groups = {}
+        for i in dom:
+            groups.setdefault(atoms[i], []).append(i)
+        target_choices = []
+        for a, srcs in groups.items():
+            pool = by_type[a]
+            target_choices.append([(srcs, perm) for perm in itertools.permutations(pool, len(srcs))])
+        for combo in itertools.product(*target_choices):
+            ims = [j for _, perm in combo for j in perm]
+            if len(set(ims)) != len(ims):
+                continue
+            matching = {}
+            for srcs, perm in combo:
+                matching.update(zip(srcs, perm))
+            twist_ranges = [range(atoms[i].k) if atoms[i].kind == "gf" else range(1)
+                            for i in sorted(matching)]
+            for tw in itertools.product(*twist_ranges):
+                out.append(StructuredIso(ring, matching, dict(zip(sorted(matching), tw))))
+                if len(out) > max_count:
+                    raise RingError("Iso_pu(A) too large to enumerate")
+    return out
+
+
+def upper_bounds(isos, universe):
+    """All elements of `universe` lying above every member of `isos`."""
+    from semigalois.isopu import natural_leq_iso
+    return [u for u in universe if all(natural_leq_iso(f, u) for f in isos)]

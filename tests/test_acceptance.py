@@ -23,7 +23,7 @@ from semigalois.galois import (compute_S_B, cross_check_equivalences, is_galois,
                                solve_partial_action_coordinates)
 from semigalois.rings import Atom, FiniteRing, Subalgebra, TensorPresentation
 from semigalois.semigroups import is_e_unitary, sigma_partition
-from oracles import quotient_order_by_enumeration
+from oracles import iso_pu_elements, quotient_order_by_enumeration, upper_bounds
 
 
 def _verdict(name, ok, elapsed, detail=""):
@@ -225,8 +225,8 @@ def test_criterion_4_structural_invariants():
         if not all(isopu.natural_leq_iso(f, join) for f in fam):
             ok = False
             detail.append("join not an upper bound")
-        universe = isopu.iso_pu_elements(A, max_count=5000) if A.size <= 1024 else [big]
-        for ub in isopu.upper_bounds(fam, universe):
+        universe = iso_pu_elements(A, max_count=5000) if A.size <= 1024 else [big]
+        for ub in upper_bounds(fam, universe):
             if not isopu.natural_leq_iso(join, ub):
                 ok = False
                 detail.append("join not least")

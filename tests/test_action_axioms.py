@@ -140,7 +140,7 @@ def _mutations(rng, isos, inv, universe):
 
 @functools.lru_cache(maxsize=None)
 def _universe(ring):
-    return isopu.iso_pu_elements(ring)
+    return oracles.iso_pu_elements(ring)
 
 
 @pytest.fixture(scope="module")

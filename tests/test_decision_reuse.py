@@ -15,8 +15,9 @@ import pytest
 
 from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
-from semigalois.corpus import (b2_swap_fixture, collapsing_semilattice_fixture,
-                               f9_cubed_fixture, random_ring, random_structured_iso)
+from semigalois.corpus import (b2_swap_fixture, c2_fixed_atom_fixture,
+                               collapsing_semilattice_fixture, f9_cubed_fixture, random_ring,
+                               random_structured_iso)
 from oracles import element_product, iso_apply_by_polynomials
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -61,6 +62,17 @@ def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, c
     assert calls == [] and 0 in codes
 
 
+def test_scalar_extension_decides_galois_without_a_coordinate_solve(monkeypatch):
+    """extend_scalars takes its "beta is Galois" precondition from the
+    fixed-atom rule (one solve per call when it took the coordinate criterion)."""
+    calls = []
+    _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
+    assert actions.extend_scalars(f9_cubed_fixture()).pres.order() == 729
+    with pytest.raises(actions.NotGalois):
+        actions.extend_scalars(c2_fixed_atom_fixture())
+    assert calls == []
+
+
 ZERO_FACTS = ["_is_0_e_unitary", "_is_categorical_at_zero", "_is_primitive", "_tau_partition"]
 
 
@@ -70,9 +82,10 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
     cli.main on b2_f3f3 (S, and P' of the tau-class joins, which zero also asks
     about), and the command reads them many times."""
     computed, asked = collections.Counter(), collections.Counter()
+    held = []  # no two semigroups share an id
     for name in ZERO_FACTS:
         _recording(monkeypatch, zerocase, name,
-                   lambda S, name=name: computed.update([(name, id(S))]))
+                   lambda S, name=name: held.append(S) or computed.update([(name, id(S))]))
         _recording(monkeypatch, zerocase, name[1:], lambda S, name=name: asked.update([name]))
     assert _run(capsys, args[0], str(INSTANCES / "b2_f3f3.sgi"), *args[1:]) == 0
     assert computed and max(computed.values()) == 1
@@ -142,7 +155,7 @@ def test_verify_coordinates_takes_a_whole_system():
     assert galois.verify_coordinates(beta, coords)
     assert galois.verify_coordinates(beta, coords, system=(isos, rhs))
     assert not galois.verify_coordinates(beta, coords, system=(isos, rhs[1:] + rhs[:1]))
-    assert not galois.verify_coordinates(beta, [(beta.A.one(), beta.A.one())],
+    assert not galois.verify_coordinates(beta, [(beta.A.one_vec, beta.A.one_vec)],
                                          system=(beta.isos, rhs))
 
 
@@ -315,3 +328,32 @@ def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instan
     assert pairs[0] == (full, inv)
     with pytest.raises(rg.NotSubring, match="separability needs R inside B"):
         galois.is_separable(inv, full, blocks=beta.orbits)
+
+
+@pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])
+@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 2), ("s7_f9cubed.sgi", 9)])
+def test_correspond_checks_each_fixed_algebra_over_the_invariants_once(monkeypatch, capsys,
+                                                                       instance, checks, brute):
+    """fixed_subalgebra checks A^{beta|T} >= A^beta, and the separability
+    test of that pair does not check it again: each pair of objects is
+    checked once (3 and 11 checks when fixed_subalgebra and is_separable
+    both checked the pair).  On s7_f9cubed each block pair of a
+    two-orbit separability test is checked too."""
+    pairs = []
+    _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
+    flags = ["--brute-force-subalgebras"] if brute else []
+    assert _run(capsys, "correspond", str(INSTANCES / instance), *flags) == 0
+    assert len(pairs) == checks
+    assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
+
+
+def test_a_fixed_algebra_outside_the_invariants_raises_as_before(monkeypatch):
+    """A fixed algebra that misses A^beta (here the span of 1, planted for
+    every restriction) still stops correspond with fixed_subalgebra's error."""
+    from semigalois.instance import parse_instance
+    beta = parse_instance(INSTANCES / "s7_f9cubed.sgi").action
+    real = correspondence.invariant_ring
+    monkeypatch.setattr(correspondence, "invariant_ring", lambda b: real(b) if b is beta
+                        else rg.Subalgebra(b.A, [b.A.one_vec]))
+    with pytest.raises(AssertionError, match="fixed ring must contain the full invariants"):
+        correspondence.verify_e_unitary_correspondence(beta)
