@@ -338,6 +338,39 @@ def invariant_order_from_atoms(beta):
     return order
 
 
+def separability_violation(beta, B):
+    """The free-part rule: the first orbit block whose part B e_O is not free
+    over A^beta e_O, or None; for a unital subalgebra B containing A^beta,
+    None exactly when B is separable over A^beta.
+
+    B holds each e_O, so it is separable iff each B e_O is over A^beta e_O.
+    An invariant is fixed on O by its value at one atom
+    (`invariant_order_from_atoms`), so A^beta e_O embeds in each atom of O,
+    as a subfield K of GF(p^k), or as all of Z/p^k.  On GF(p^k) or Z/p
+    atoms, B e_O is reduced, a product of finite fields over K, so
+    separable.  On Z/p^k atoms, each primitive idempotent f of B under e_O
+    has Bf local and holding Z/p^k f.  B e_O mod p is a subring of F_p^O
+    whose idempotents lift (the kernel is nil): the vectors constant on the
+    atom classes of the f, read off the generators' residues, so
+    |p^{k-1} B e_O| = p^{#f}.  Bf is separable iff Bf/pBf is a field, iff
+    Bf = Z/p^k f (Nakayama), iff |Bf| = p^k, its least order; so the orbit
+    passes iff |B e_O| = |p^{k-1} B e_O|^k, i.e. B e_O is free over Z/p^k.
+    |B e_O| is the product of modulus / pivot over O's coordinates, since
+    B's canonical basis is the direct sum of its blocks'.
+    """
+    A = beta.A
+    gens = B.gen_vectors
+    for block in beta.orbits:
+        atom = A.atoms[block.atoms[0]]
+        if atom.kind == "gf" or atom.k == 1:
+            continue
+        order = math.prod(atom.order // B.basis.cols[c][c] for c in block.coords)
+        classes = {tuple(g[c] % atom.p for g in gens) for c in block.coords}
+        if order != atom.order ** len(classes):
+            return block
+    return None
+
+
 def trace_map(beta, a):
     """tr(a) = sum over s of beta_s(a 1_{s^-1}); need not be invariant."""
     return _trace(beta.A, beta.isos, a)

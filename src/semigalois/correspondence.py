@@ -16,8 +16,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import isopu
-from .actions import image_action, invariant_ring, is_injective, restrict_action
-from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_separable, is_galois
+from .actions import (image_action, invariant_ring, is_injective, restrict_action,
+                      separability_violation)
+from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_galois
 from .linalg import lattice_reduce
 from .rings import Subalgebra
 from .semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of
@@ -51,12 +52,10 @@ def enumerate_beta_maximal(beta):
 
 
 def fixed_subalgebra(beta, T: SubSemigroup):
-    """A^{beta|T}; always an A^beta-subalgebra when T is full (checked, and
-    kept as its `known_base`)."""
+    """A^{beta|T}; always an A^beta-subalgebra when T is full (checked)."""
     B, base = invariant_ring(restrict_action(beta, T)[0]), invariant_ring(beta)
     if not B.contains(base):
         raise AssertionError("fixed ring must contain the full invariants")
-    B.known_base = base
     return B
 
 
@@ -118,12 +117,13 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     afresh only when S_B is not T; the fixed ring of all of S is A^beta),
     and no two Ts may fix one B.  S_B is taken on beta for every route:
     membership of s depends only on beta_s, so S_B on the image semigroup
-    beta(S) pulls back to exactly this set.  Every B contains A^beta and so
-    the indicator of each orbit of beta, and its separability is decided
-    one orbit at a time.  The brute-force scan matches the S_Bs of all
-    separable beta-strong subalgebras to `ts`; it takes the pair loop's
-    verdict on each fixed algebra and tests any other B for separability
-    only once it is beta-strong.
+    beta(S) pulls back to exactly this set.  Every B contains A^beta, so
+    its separability is decided by the free-part rule
+    (`actions.separability_violation`), with no tensor built.  The
+    brute-force scan matches the S_Bs of all separable beta-strong
+    subalgebras to `ts`; it takes the pair loop's verdict on each fixed
+    algebra and tests any other B for separability only once it is
+    beta-strong.
     """
     base = invariant_ring(beta)
 
@@ -138,7 +138,7 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
         B = fixed(T)
         verdict = judged.get(B)
         if verdict is None:
-            sep = is_separable(B, base, blocks=beta.orbits) is not None
+            sep = separability_violation(beta, B) is None
             s_b = compute_S_B(beta, B)
             strong, fail_at = is_beta_strong(beta, B, s_b)
         else:
@@ -165,10 +165,10 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
             verdict = judged.get(B)
             if verdict is not None:
                 _, s_b, sep, strong, _ = verdict
-            else:  # strongness first: it is the cheaper test
+            else:
                 s_b = compute_S_B(beta, B)
                 strong = is_beta_strong(beta, B, s_b)[0]
-                sep = strong and is_separable(B, base, blocks=beta.orbits) is not None
+                sep = strong and separability_violation(beta, B) is None
             if sep and strong:
                 found.append(s_b.members)
         report.brute_force_match = (len(found) == len(ts)

@@ -17,7 +17,8 @@ idempotent, one vector per orbit, by m(z) summed over the orbits against
 1 of A and by each orbit's commutation equations on its own tensor.
 `is_galois`, the precondition of the correspondences, solves nothing: it is
 the fixed-atom rule of the atom model, held to the criteria on every
-cross-check.
+cross-check, as is the free-part rule the correspondences decide
+separability by (`actions.separability_violation`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 from .actions import (UnitalAction, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
-                      is_injective, sigma_trace_image)
-from .linalg import (AbelianPresentation, Matrix, block_diag, cols_from_vectors, diag_cols,
-                     hstack, kernel_gens, lattice_det, lattice_member, residues, scatter_lattice,
-                     solve_cols, vstack)
+                      is_injective, separability_violation, sigma_trace_image)
+from .linalg import (AbelianPresentation, Matrix, block_diag, diag_cols, hstack, kernel_gens,
+                     lattice_det, lattice_member, residues, scatter_lattice, solve_cols, vstack)
 from .rings import Block, Subalgebra, TensorPresentation, NotSubring
 from .semigroups import SubSemigroup, is_e_unitary, remembered
 
@@ -271,7 +271,6 @@ class PsiReport:
     tensor_order: int
     pa_order: int
     image_order: int
-    kernel_witness: tuple | None = None  # (orbit index, vector on that orbit's tensor)
     cokernel_witness: tuple | None = None
 
 
@@ -283,12 +282,18 @@ def psi_check(beta):
     checked one orbit at a time: on each generator pair of the orbit's
     tensor, on block-ring coordinates, with each beta_t applied to each
     generator of the second factor once.
+
+    psi is injective, so an orbit whose image is smaller than its tensor
+    raises EquivalenceViolation: for atoms i, j of one orbit, A^beta e_O
+    embeds in the atom F as K (`actions.separability_violation`), the part
+    e_i (x) e_j of the tensor is F (x)_K F, the maximal beta_t taking j to i
+    realize every K-embedding tau of F (`actions.invariant_order_from_atoms`),
+    and psi there is u (x) v -> (u tau(v))_tau, an isomorphism onto prod_tau F.
     """
     tensors = _full_tensor(beta)
     pa = PABetaS(beta)
     t_order = image_order = 1
     image_parts = []
-    kernel_witness = None
     for o, ((_, tensor), part) in enumerate(zip(tensors, pa.parts)):
         moved = [part.moved(y) for y in tensor.ng]
         images = []
@@ -304,15 +309,11 @@ def psi_check(beta):
         image_order *= order
         t_order *= tensor.order()
         image_parts.append((part.positions, canon))
-        if kernel_witness is None and order != tensor.order():
-            # an element of the kernel: combination of generators mapping to 0
-            mat = cols_from_vectors(images, len(part.positions))
-            for gvec in kernel_gens(mat, part.ambient.lattice, tensor.pres.moduli):
-                if not tensor.is_zero(gvec):
-                    kernel_witness = (o, gvec)
-                    break
-    bij = (image_order == t_order == pa.order)
-    report = PsiReport(bij, t_order, pa.order, image_order, kernel_witness)
+        if order != tensor.order():
+            raise EquivalenceViolation(f"psi kills part of the tensor on orbit {o}: "
+                                       f"image order {order}, tensor order {tensor.order()}")
+    bij = (image_order == pa.order)
+    report = PsiReport(bij, t_order, pa.order, image_order)
     if image_order != pa.order:
         img_canon = scatter_lattice(pa.total, image_parts)
         for cand in pa.element_generators():
@@ -425,8 +426,8 @@ def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
     the system is solved on each block's tensor (`orbit_tensors`).  The
     answer is (tensors, z), z one vector per block, re-verified on every
     additive generator of B.  `tensors` is a built `orbit_tensors` to reuse,
-    which brings its own blocks; without it one is built, and its checks
-    decide R <= B.
+    which brings its own blocks (R <= B is checked unless R is B's
+    `known_base`); without it one is built, and its checks decide R <= B.
     """
     if tensors is None:
         try:
@@ -435,7 +436,7 @@ def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
             if not B.contains(R):
                 raise NotSubring("separability needs R inside B") from None
             raise
-    elif not B.contains(R):
+    elif B.known_base is not R and not B.contains(R):
         raise NotSubring("separability needs R inside B")
     z = []
     for block, tensor in tensors:
@@ -507,7 +508,10 @@ def _full_tensor(beta):
 
 
 def _derive_full_tensor(beta):
-    return orbit_tensors(_full_algebra(beta), invariant_ring(beta), beta.orbits)
+    full, inv = _full_algebra(beta), invariant_ring(beta)
+    tensors = orbit_tensors(full, inv, beta.orbits)
+    full.known_base = inv  # orbit_tensors checked inv <= full
+    return tensors
 
 
 def separability_idempotent_from_coordinates(beta, coords):
@@ -603,6 +607,8 @@ def cross_check_equivalences(beta: UnitalAction):
     galois = core.pop()
     if is_galois(beta) != galois:
         raise EquivalenceViolation(f"the fixed-atom rule disagrees with the criteria: {verdicts}")
+    if (separability_violation(beta, full) is None) != (sep is not None):
+        raise EquivalenceViolation("the free-part rule disagrees with the separability solve")
     if invariant_order_from_atoms(beta) != inv.order:
         raise EquivalenceViolation(f"the atom count of |A^beta| disagrees with {inv.order}")
     trace_gap = False

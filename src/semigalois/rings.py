@@ -838,7 +838,7 @@ class TensorPresentation:
         for big in (M, N):
             if big in checked:
                 continue
-            if big.known_base is not R and not big.contains(R):
+            if not big.contains(R):
                 raise NotSubring("R is not contained in both factors")
             for sub in (big, R):
                 if sub not in checked:

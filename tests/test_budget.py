@@ -49,9 +49,9 @@ def test_documented_margin_over_c20_holds(tmp_path, capsysbinary):
 SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
                   ["correspond", "--brute-force-subalgebras"], ["zero"]]
 SPEND_CEILINGS = {
-    "b2_f3f3": [0, 8, 0, 0, 0, 57],
-    "c2_swap": [0, 17, 103, 65, 87, 0],
-    "s7_f9cubed": [0, 27, 889, 493, 862, 0],
+    "b2_f3f3": [0, 8, 0, 0, 0, 16],
+    "c2_swap": [0, 17, 103, 24, 46, 0],
+    "s7_f9cubed": [0, 27, 889, 93, 462, 0],
     "trace_gap_c2": [0, 8, 102, 0, 0, 0],
 }
 

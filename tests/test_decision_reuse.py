@@ -284,14 +284,15 @@ def test_application_plan_matches_iso_matrix_and_polynomials():
 
 
 @pytest.mark.parametrize("args,adjoins,weak", [
-    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 9, 1),
-    (["zero", "b2_f3f3.sgi", "--brute-force-subalgebras"], 3, 0),
+    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 6, 1),
+    (["zero", "b2_f3f3.sgi", "--brute-force-subalgebras"], 2, 0),
 ], ids=["correspond", "zero"])
 def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, args, adjoins, weak):
     """The scan reuses the pair loop's verdict on each fixed algebra, and
-    decides separability only for the subalgebras it finds beta-strong (on
+    asks the free-part rule only of the subalgebras it finds beta-strong (on
     s7_f9cubed it lists one that is not); the closures the whole command
-    takes are pinned (44 and 5 when every coset was closed)."""
+    takes are pinned (44 and 5 when every coset was closed, 9 and 3 while
+    separability chose algebra generators by adjoining them)."""
     separable, strong, adjoined = collections.Counter(), {}, []
     real_strong = correspondence.is_beta_strong
 
@@ -301,7 +302,8 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, args,
         return verdict
 
     monkeypatch.setattr(correspondence, "is_beta_strong", recording_strong)
-    _recording(monkeypatch, correspondence, "is_separable", lambda B, R, **kw: separable.update([B]))
+    _recording(monkeypatch, correspondence, "separability_violation",
+               lambda beta, B: separable.update([B]))
     _recording(monkeypatch, rg.Subalgebra, "adjoin", lambda sub, vec: adjoined.append(vec))
     assert _run(capsys, args[0], str(INSTANCES / args[1]), *args[2:]) == 0
     assert separable and max(separable.values()) == 1
@@ -331,20 +333,47 @@ def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instan
 
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])
-@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 2), ("s7_f9cubed.sgi", 9)])
+@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
 def test_correspond_checks_each_fixed_algebra_over_the_invariants_once(monkeypatch, capsys,
                                                                        instance, checks, brute):
-    """fixed_subalgebra checks A^{beta|T} >= A^beta, and the separability
-    test of that pair does not check it again: each pair of objects is
-    checked once (3 and 11 checks when fixed_subalgebra and is_separable
-    both checked the pair).  On s7_f9cubed each block pair of a
-    two-orbit separability test is checked too."""
+    """fixed_subalgebra checks A^{beta|T} >= A^beta once per T other than S,
+    and nothing checks it again: the free-part rule builds no tensor, so no
+    tensor checks its factors (2 and 9 checks when separability built
+    orbit tensors, 3 and 11 when is_separable checked the pair as well)."""
     pairs = []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
     flags = ["--brute-force-subalgebras"] if brute else []
     assert _run(capsys, "correspond", str(INSTANCES / instance), *flags) == 0
     assert len(pairs) == checks
     assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
+
+
+@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 3)])
+def test_galois_checks_the_invariants_inside_a_once_per_object_pair(monkeypatch, capsys,
+                                                                     instance, checks):
+    """`galois` checks A^beta <= A while it builds A's orbit tensors, which mark
+    A^beta as A's known base, so the separability criterion does not check
+    the pair again (2 and 4 checks when it did).  On s7_f9cubed each orbit's
+    block pair is checked too."""
+    pairs = []
+    _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
+    assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
+    assert len(pairs) == checks
+    assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
+
+
+@pytest.mark.parametrize("args", [["correspond"], ["correspond", "--brute-force-subalgebras"],
+                                  ["zero"]], ids=" ".join)
+def test_correspondences_build_no_tensor(monkeypatch, capsys, args):
+    """correspond (both routes) and zero decide separability by the free-part
+    rule, so no command builds a TensorPresentation on any shipped instance
+    (2 on c2_swap, 6 on s7_f9cubed and 2 on b2_f3f3 when each solved a
+    separability system), and each passes on some."""
+    built, codes = [], []
+    _recording(monkeypatch, rg.TensorPresentation, "__init__", lambda *a: built.append(a))
+    for path in sorted(INSTANCES.glob("*.sgi")):
+        codes.append(_run(capsys, args[0], str(path), *args[1:]))
+    assert built == [] and 0 in codes
 
 
 def test_a_fixed_algebra_outside_the_invariants_raises_as_before(monkeypatch):

@@ -16,14 +16,12 @@ from semigalois import galois as gl
 from semigalois.actions import invariant_ring, is_injective, validate_action
 from semigalois.corpus import (c2_table, corpus, f9_cubed_fixture, s7_monoid, trace_gap_fixture)
 from semigalois.correspondence import enumerate_subalgebras_over
-from semigalois.linalg import lattice_member
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,
                               Subalgebra)
 from semigalois.semigroups import is_e_unitary
 from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
                      joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
-                     psi_image_by_elements, solve_coordinates_whole, verify_idempotent_by_kron,
-                     whole_full_tensor)
+                     solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
 
 
 def admissible(b):
@@ -73,22 +71,6 @@ def _split_instances():
     return cases
 
 
-def _psi_of(beta, tensors, witness):
-    """psi of a kernel witness (orbit index, vector on that orbit's tensor),
-    summed over the generator pairs it names, through ring elements."""
-    pa = gl.PABetaS(beta)
-    o, vec = witness
-    block, tensor = tensors[o]
-    total = [0] * pa.total
-    for p, x in enumerate(vec):
-        if x:
-            i, j = divmod(p, tensor.l)
-            image = psi_image_by_elements(beta, pa, block.extend(tensor.mg[i]),
-                                          block.extend(tensor.ng[j]))
-            total = [a + x * b for a, b in zip(total, image)]
-    return pa, tuple(total)
-
-
 def test_the_corpora_and_rungs_hold_many_multi_orbit_instances():
     multi = [name for name, beta in _split_instances() if len(beta.orbits) > 1]
     assert set(MULTI_ORBIT) <= set(multi) and len(multi) >= 40
@@ -112,13 +94,7 @@ def test_split_routes_match_the_whole_routes(name, beta):
     t_order, pa_order, image_order, kernel_witness, cokernel_witness = psi_check_whole(beta)
     assert (psi.tensor_order, psi.pa_order, psi.image_order) == (t_order, pa_order, image_order)
     assert psi.cokernel_witness == cokernel_witness
-    assert (psi.kernel_witness is None) == (kernel_witness is None)
-    if psi.kernel_witness is not None:
-        o, vec = psi.kernel_witness
-        assert not tensors[o][1].is_zero(vec)
-        assert not whole.is_zero(joined_tensor_vector(tensors, whole, {o: vec}))
-        pa, image = _psi_of(beta, tensors, psi.kernel_witness)
-        assert lattice_member(pa.ambient.lattice, image)
+    assert kernel_witness is None and image_order == t_order  # psi is injective
 
     full = Subalgebra.full(beta.A)
     split, reference = gl.is_separable(full, inv, tensors=tensors), is_separable_whole(full, inv)
@@ -203,17 +179,17 @@ def test_psi_image_vector_matches_element_route_on_a_multi_orbit_instance():
 
 def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
     """Over the span of the orbit indicators, a base smaller than A^beta, the
-    tensor outgrows psi's image; the witness, a vector on one orbit's
-    tensor, is nonzero there and psi maps it to zero.  Those orbit tensors
-    are planted as the ones beta remembers, since psi reads no others."""
+    tensor outgrows psi's image, so psi has a kernel.  Over A^beta psi is
+    injective (A e_O is free over A^beta e_O), so psi_check reports no
+    witness: it raises EquivalenceViolation.  Those orbit tensors are
+    planted as the ones beta remembers, since psi reads no others."""
     beta = MULTI_ORBIT["c2_(gf4xz3xz4)^2"]()
     A = beta.A
     full = Subalgebra.full(A)
+    psi = gl.psi_check(beta)
+    assert psi.image_order == psi.tensor_order
     base = Subalgebra(A, [block.indicator() for block in beta.orbits]).closure_under_mul()
     tensors = beta.facts["full_tensor"] = gl.orbit_tensors(full, base, beta.orbits)
-    psi = gl.psi_check(beta)
-    assert psi.image_order < psi.tensor_order and psi.kernel_witness is not None
-    o, vec = psi.kernel_witness
-    assert not tensors[o][1].is_zero(vec)
-    pa, image = _psi_of(beta, tensors, psi.kernel_witness)
-    assert lattice_member(pa.ambient.lattice, image)
+    assert math.prod(tensor.order() for _, tensor in tensors) > psi.tensor_order
+    with pytest.raises(gl.EquivalenceViolation, match="psi kills part of the tensor on orbit 0"):
+        gl.psi_check(beta)
