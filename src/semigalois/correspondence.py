@@ -122,8 +122,8 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     (`actions.separability_violation`), with no tensor built.  The
     brute-force scan matches the S_Bs of all separable beta-strong
     subalgebras to `ts`; it takes the pair loop's verdict on each fixed
-    algebra and tests any other B for separability only once it is
-    beta-strong.
+    algebra, asks any other B the free-part rule first, and computes S_B
+    and strongness only for a separable B.
     """
     base = invariant_ring(beta)
 
@@ -165,10 +165,11 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
             verdict = judged.get(B)
             if verdict is not None:
                 _, s_b, sep, strong, _ = verdict
-            else:
+            elif separability_violation(beta, B) is None:
                 s_b = compute_S_B(beta, B)
-                strong = is_beta_strong(beta, B, s_b)[0]
-                sep = strong and separability_violation(beta, B) is None
+                sep, strong = True, is_beta_strong(beta, B, s_b)[0]
+            else:
+                continue
             if sep and strong:
                 found.append(s_b.members)
         report.brute_force_match = (len(found) == len(ts)
@@ -201,13 +202,25 @@ def enumerate_subalgebras_over(beta, base):
     The closure of B + Z*v depends only on the coset v + B, so each found
     subalgebra B is extended by representatives of its nonzero cosets: the
     vectors w with 0 <= w_j < B.basis.cols[j][j], since the canonical basis is
-    lower-triangular and contains diag(moduli).  It depends only on the orbit
-    of the coset under the units u of A^beta, too: B contains A^beta and u^-1
-    is a power of u, so u*w and w each lie in the closure of B and the other.
-    So one representative per orbit is closed (`_UnitOrbits`): at most
-    |A|/|B| - 1 closures per B instead of |A|.
+    lower-triangular and contains diag(moduli).
+
+    Only cosets of prime order in A/B are closed: those w with q*w in B for a
+    prime q of an atom (every order in A divides a product of those primes).
+    They suffice.  For a subalgebra C > B, take x in C \\ B, of order n in A/B,
+    and a prime q dividing n; then w = (n/q)*x lies in C \\ B and q*w = n*x in
+    B, so B < B[w] <= C, and induction on |C/B| reaches C from the found B[w].
+
+    The closure depends only on the orbit of the coset under the units u of
+    A^beta, too: B contains A^beta and u^-1 is a power of u, so u*w and w each
+    lie in the closure of B and the other.  Units keep q-torsion, as
+    q*(u*w) = u*(q*w) lies in B, so one representative per orbit of the
+    prime-order cosets is closed (`_UnitOrbits`).  The marked cosets all
+    have prime order, so the orbit lookup goes first and spares them the
+    torsion test, which every coset passes on GF(p^k) atoms.  Neither test
+    is charged.
     """
     A = beta.A
+    primes = {a.p for a in A.atoms}
     start = base.adjoin(A.one_vec)
     unit_orbits = _UnitOrbits(beta, base)
     found = {start}
@@ -217,7 +230,7 @@ def enumerate_subalgebras_over(beta, base):
         closed = set()  # the cosets in the orbit of one already closed
         reps = itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols)))
         for w in itertools.islice(reps, 1, None):  # the first is the zero coset
-            if w in closed:
+            if w in closed or not any(cur.member_vec([q * x for x in w]) for q in primes):
                 continue
             bigger = cur.adjoin(w)
             if bigger not in found:

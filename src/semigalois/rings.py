@@ -615,6 +615,10 @@ class Subalgebra:
                 and self.basis == other.basis)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
         return hash((self.ring, tuple(tuple(sorted(c.items())) for c in self.basis.cols)))
 
     def __repr__(self):

@@ -121,3 +121,26 @@ def test_c2_swapping_128_pairs_passes_under_the_default_budget(monkeypatch, caps
     the pairs on a common orbit."""
     spent = _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, 128)
     assert spent <= C2_PAIRS_CEILINGS[128], spent
+
+
+# `correspond --brute-force-subalgebras` on C4 rotating (Z/16)^4.
+C4_Z16_BRUTE_CEILING = 200_765
+
+
+def test_c4_on_z16_brute_force_scan_passes_under_the_default_budget(monkeypatch, capsysbinary,
+                                                                     tmp_path):
+    """The brute-force scan on C4 rotating (Z/16)^4 (|A| = 65 536, 643
+    subalgebras) closes only prime-order cosets and passes under the default
+    budget; closing cosets of every order, it tripped on `ring_products`
+    (spent=2000003).  Its spend is pinned as an upper bound."""
+    from semigalois import cli
+    from semigalois.instance import action_to_instance_text
+    from semigalois.rings import Atom
+    from test_correspondence import _cyclic_shift
+
+    path = tmp_path / "c4_z16.sgi"
+    path.write_text(action_to_instance_text(_cyclic_shift(Atom.zmod(2, 4), 4)))
+    spent = _record_spends(monkeypatch)
+    assert cli.main(["correspond", str(path), "--brute-force-subalgebras"]) == 0
+    assert capsysbinary.readouterr().out.endswith(b"# result: PASS\n")
+    assert spent[-1] <= C4_Z16_BRUTE_CEILING, spent[-1]

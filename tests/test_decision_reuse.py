@@ -283,32 +283,53 @@ def test_application_plan_matches_iso_matrix_and_polynomials():
     assert twisted > 20 and partial > 20
 
 
-@pytest.mark.parametrize("args,adjoins,weak", [
-    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 6, 1),
-    (["zero", "b2_f3f3.sgi", "--brute-force-subalgebras"], 2, 0),
-], ids=["correspond", "zero"])
-def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, args, adjoins, weak):
-    """The scan reuses the pair loop's verdict on each fixed algebra, and
-    asks the free-part rule only of the subalgebras it finds beta-strong (on
-    s7_f9cubed it lists one that is not); the closures the whole command
-    takes are pinned (44 and 5 when every coset was closed, 9 and 3 while
-    separability chose algebra generators by adjoining them)."""
-    separable, strong, adjoined = collections.Counter(), {}, []
-    real_strong = correspondence.is_beta_strong
+def _c3_on_z8_cubed(directory):
+    """C3 rotating (Z/8)^3, written as an instance file in `directory`."""
+    from semigalois.instance import action_to_instance_text
+    from test_correspondence import _cyclic_shift
+    path = directory / "c3_z8cubed.sgi"
+    path.write_text(action_to_instance_text(_cyclic_shift(rg.Atom.zmod(2, 3), 3)))
+    return path
+
+
+@pytest.mark.parametrize("args,adjoins,weak,split", [
+    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 6, 1, 0),
+    (["zero", "b2_f3f3.sgi", "--brute-force-subalgebras"], 2, 0, 0),
+    (["correspond", None, "--brute-force-subalgebras"], 55, 3, 20),
+], ids=["correspond", "zero", "correspond_c3_z8cubed"])
+def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_path,
+                                                      args, adjoins, weak, split):
+    """The scan reuses the pair loop's verdict on each fixed algebra, asks
+    the free-part rule of any other subalgebra first, and asks strongness
+    only of the separable ones: on s7_f9cubed (GF(9) atoms, all separable)
+    it lists one that is not beta-strong, and on C3 over (Z/8)^3, 20 of the
+    25 subalgebras are not separable and are never asked.  The closures the
+    whole command takes are pinned (44 and 5 when every coset was closed, 9
+    and 3 while separability chose algebra generators by adjoining them; 148
+    on C3 over (Z/8)^3 while cosets of every order were closed)."""
+    separable, strong, adjoined = {}, {}, []
+    asked = collections.Counter()
+    real_rule, real_strong = correspondence.separability_violation, correspondence.is_beta_strong
+
+    def recording_rule(beta, B):
+        asked[("separable", B)] += 1
+        separable[B] = real_rule(beta, B)
+        return separable[B]
 
     def recording_strong(beta, B, s_b=None):
-        verdict = real_strong(beta, B, s_b)
-        strong[B] = verdict[0]
-        return verdict
+        asked[("strong", B)] += 1
+        strong[B] = real_strong(beta, B, s_b)
+        return strong[B]
 
+    monkeypatch.setattr(correspondence, "separability_violation", recording_rule)
     monkeypatch.setattr(correspondence, "is_beta_strong", recording_strong)
-    _recording(monkeypatch, correspondence, "separability_violation",
-               lambda beta, B: separable.update([B]))
     _recording(monkeypatch, rg.Subalgebra, "adjoin", lambda sub, vec: adjoined.append(vec))
-    assert _run(capsys, args[0], str(INSTANCES / args[1]), *args[2:]) == 0
-    assert separable and max(separable.values()) == 1
-    assert not any(strong.get(B) is False for B in separable)
-    assert list(strong.values()).count(False) == weak
+    path = INSTANCES / args[1] if args[1] else _c3_on_z8_cubed(tmp_path)
+    assert _run(capsys, args[0], str(path), *args[2:]) == 0
+    assert max(asked.values()) == 1
+    assert strong and all(B in separable and separable[B] is None for B in strong)
+    assert [v[0] for v in strong.values()].count(False) == weak
+    assert [v is None for v in separable.values()].count(False) == split
     assert len(adjoined) == adjoins
 
 

@@ -1,10 +1,12 @@
-"""The subalgebra scan closes one coset per orbit of the units of A^beta.
+"""The subalgebra scan closes one prime-order coset per orbit of the units of A^beta.
 
 `enumerate_subalgebras_over` must list what the scan that closed every
 coset (`oracles.subalgebras_by_coset_scan`) lists, bases and order, on the
-shipped instances, the fixtures, three actions with |A| up to 729 and two
-seeded corpora of actions with two or more orbits (one of them with zero).
-The skip rests on cur.adjoin(u*w) == cur.adjoin(w) for every unit u of
+shipped instances, the fixtures, six actions with |A| up to 5184 (three of
+them on Z/p^k atoms, one with two primes) and two seeded corpora of actions
+with two or more orbits (one of them with zero).  Every coset it closes has
+prime order in A/B, and its closures on C3 over (Z/8)^3 are pinned.  The
+orbit skip rests on cur.adjoin(u*w) == cur.adjoin(w) for every unit u of
 A^beta, checked on seeded draws; each orbit the scan marks is checked
 against the products with every unit, and the units against an inverse
 search.
@@ -15,6 +17,7 @@ import random
 from pathlib import Path
 
 import pytest
+import sympy
 
 from semigalois import budget
 from semigalois import correspondence as co
@@ -54,6 +57,9 @@ CASES = {
     "c3_z8^3": lambda: _cyclic_shift(Atom.zmod(2, 3), 3),
     "c2_gf16^2": lambda: c2_swap([Atom.gf(2, 4)]),
     "s7_gf9^3": lambda: s7_on(Atom.gf(3, 2)),
+    "c2_z256^2": lambda: c2_swap([Atom.zmod(2, 8)]),
+    "c3_z27^3": lambda: _cyclic_shift(Atom.zmod(3, 3), 3),
+    "c2_z8^2xz9^2": lambda: c2_swap([Atom.zmod(2, 3), Atom.zmod(3, 2)]),
 }
 
 
@@ -80,6 +86,46 @@ def test_scan_lists_what_the_coset_scan_lists_on_corpora(name):
         base = invariant_ring(beta)
         got = co.enumerate_subalgebras_over(beta, base)
         assert [B.basis for B in got] == [B.basis for B in subalgebras_by_coset_scan(beta, base)]
+
+
+def _scan_closures(monkeypatch, beta):
+    """The (B, w) of each closure the scan takes; the first adjoins 1 to A^beta."""
+    closures, real_adjoin = [], rg.Subalgebra.adjoin
+
+    def adjoin(sub, vec):
+        closures.append((sub, vec))
+        return real_adjoin(sub, vec)
+
+    monkeypatch.setattr(rg.Subalgebra, "adjoin", adjoin)
+    base = invariant_ring(beta)
+    co.enumerate_subalgebras_over(beta, base)
+    assert closures[0] == (base, beta.A.one_vec)
+    return closures
+
+
+def _coset_order(B, w):
+    """The order of w + B in A/B, by trying each multiple of w in turn."""
+    n = 1
+    while not B.member_vec([n * x for x in w]):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("case", ["c3_z8^3", "c2_z256^2", "c3_z27^3", "c2_z8^2xz9^2",
+                                  "s7_f9cubed", "b2_zero"])
+def test_every_closed_coset_has_prime_order(monkeypatch, case):
+    closures = _scan_closures(monkeypatch, CASES[case]())[1:]
+    orders = {_coset_order(B, w) for B, w in closures}
+    assert closures and all(sympy.isprime(n) for n in orders), orders
+
+
+@pytest.mark.parametrize("case,closures", [
+    ("c3_z8^3", 55), ("c2_z256^2", 9), ("c3_z27^3", 90), ("c2_z8^2xz9^2", 18),
+])
+def test_scan_closes_only_the_prime_order_cosets(monkeypatch, case, closures):
+    """Pinned `adjoin` calls of the scan (148, 37, 309 and 49 while cosets of
+    every order were closed)."""
+    assert len(_scan_closures(monkeypatch, CASES[case]())) == closures
 
 
 def test_a_unit_of_the_invariants_keeps_the_closure():
