@@ -260,34 +260,6 @@ FORMATS = ("text", "json-lines")
 DEFAULT_BUDGET = 2_000_000
 
 
-def _env_default(name, fallback):
-    """The SEMIGALOIS_* setting for an option, as a string: argparse passes a
-    string default through the option's `type`, so a bad setting is a usage error."""
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
-
-
-_SETTINGS = {}  # option -> its setting, read once per `main` call
-
-
-class _EnvOption(argparse.Action):
-    """An option stored as given (a flag storing True, with nargs=0) whose
-    default is its SEMIGALOIS_* setting, read whenever argparse asks for it
-    (in `main`, from `_SETTINGS`), so that one parser serves every call.  The
-    setting is interned: argparse converts a string default only when the
-    value it ends up with is that very object."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True if self.nargs == 0 else values)
-
-    @property
-    def default(self):
-        return _SETTINGS.get(self.dest) or sys.intern(_env_default(self.dest, self._fallback))
-
-    @default.setter
-    def default(self, value):
-        self._fallback = value
-
-
 def _format_name(text):
     if text not in FORMATS:
         raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
@@ -317,6 +289,18 @@ def _bool_setting(parser, name, value):
     return _BOOL[text]
 
 
+_FALLBACKS = {"format": "text", "seed": "0", "budget": str(DEFAULT_BUDGET),
+              "brute_force_subalgebras": "false"}
+
+
+def _read_settings(p):
+    """Set each option's default to its SEMIGALOIS_* setting, as a string:
+    argparse passes a string default through the option's `type`, so a bad
+    setting is a usage error."""
+    p.set_defaults(**{dest: os.environ.get(ENV_PREFIX + dest.upper(), fallback)
+                      for dest, fallback in _FALLBACKS.items()})
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="semigalois",
                                 description="Galois machinery for inverse semigroup "
@@ -324,28 +308,25 @@ def build_parser():
     p.add_argument("command", choices=["validate", "analyze", "galois",
                                        "correspond", "zero", "selftest"])
     p.add_argument("instance", nargs="?", help="instance file (not used by selftest)")
-    p.add_argument("--format", action=_EnvOption, type=_format_name, default="text",
-                   choices=FORMATS)
-    p.add_argument("--seed", action=_EnvOption, type=int, default="0")
-    p.add_argument("--budget", action=_EnvOption, type=_positive_int, default=str(DEFAULT_BUDGET))
-    p.add_argument("--brute-force-subalgebras", action=_EnvOption, nargs=0, default="false")
+    p.add_argument("--format", type=_format_name, choices=FORMATS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--brute-force-subalgebras", action="store_true")
     p.add_argument("--timing", action="store_true")
+    _read_settings(p)
     return p
 
 
 @functools.cache
 def parser():
-    """The one parser every `main` call uses, built on first use: its options
-    read their SEMIGALOIS_* settings at parse time, so it keeps no state."""
+    """The one parser every `main` call uses, built on first use; each call
+    reads the SEMIGALOIS_* settings of its own moment (`_read_settings`)."""
     return build_parser()
 
 
 def main(argv=None):
-    _SETTINGS.update((a.dest, a.default) for a in parser()._actions if isinstance(a, _EnvOption))
-    try:
-        args = parser().parse_args(argv)
-    finally:
-        _SETTINGS.clear()
+    _read_settings(parser())
+    args = parser().parse_args(argv)
     args.brute_force_subalgebras = _bool_setting(parser(), "brute-force-subalgebras",
                                                  args.brute_force_subalgebras)
     opts = {}

@@ -8,10 +8,12 @@ injective instances the first three are provably equivalent and asserted
 unanimous, and cross-checked against the induced partial group action;
 the trace-image test is enforced as a necessary condition, with its known
 insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
-The linear systems of the first three are solved one orbit of the atom
-maps at a time (`UnitalAction.orbits`).  The tensor A (x)_{A^beta} A is
-held as one `TensorPresentation` per orbit (`orbit_tensors`): a generator
-pair from two orbits is zero, so it is no generator at all.  The assembled
+The coordinate and separability systems are solved one orbit of the atom
+maps at a time (`UnitalAction.orbits`), and psi is checked one orbit at a
+time into PA_beta(S), which is free on classes of tied coordinates
+(`PABetaS`), so it needs no solve.  The tensor A (x)_{A^beta} A is held as
+one `TensorPresentation` per orbit (`_full_tensor`): a generator pair from
+two orbits is zero, so it is no generator at all.  The assembled
 coordinate system is re-verified over all of A, and a separability
 idempotent, one vector per orbit, by m(z) summed over the orbits against
 1 of A and by each orbit's commutation equations on its own tensor.
@@ -24,15 +26,15 @@ separability by (`actions.separability_violation`).
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 from .actions import (UnitalAction, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
-from .linalg import (AbelianPresentation, Matrix, block_diag, diag_cols, hstack, kernel_gens,
-                     lattice_det, lattice_member, residues, scatter_lattice, solve_cols, vstack)
-from .rings import Block, Subalgebra, TensorPresentation, NotSubring
+from .linalg import (AbelianPresentation, block_diag, hstack, lattice_det, lattice_member,
+                     solve_cols, vstack)
+from .rings import Subalgebra, TensorPresentation
 from .semigroups import SubSemigroup, is_e_unitary, remembered
 
 
@@ -167,88 +169,69 @@ def is_galois_trace_criterion(beta):
 class PABetaS:
     """The ring of compatible families (a_s), compressed to maximal coordinates.
 
-    A family is determined by its values on the maximal elements of S, and
-    conversely any maximal tuple satisfying the pairwise meet constraints
-    extends uniquely; the constraints and all arithmetic happen on the
-    compressed coordinates.  A constraint row ties two copies of one
-    coordinate of A, so the rows, and the subgroup they cut out, split
-    along the orbits of beta: one `_PAPart` per orbit.
+    A family is determined by its values on the maximal elements t of S,
+    one copy (t, i) of each coordinate i of A_t, and a tuple of copies is a
+    family exactly when (t1, i) and (t2, i) agree whenever some s below both
+    has i in A_s.  Those ties join the copies into classes, each made of
+    copies of one coordinate of A, so PA is free on the classes: one value
+    per class, and the order is the product of the classes' moduli.  A
+    class lies in one orbit of beta: one `_PAPart` per orbit.
     """
 
     def __init__(self, beta):
         S, A = beta.S, beta.A
-        self.beta = beta
         self.maximal = [s for s in range(S.n)
                         if not any(t != s and S.leq[s][t] for t in range(S.n))]
-        self.offsets = {}
-        moduli = []
-        pos = 0
-        for t in self.maximal:
-            coords = [i for i in range(A.n_coords)
-                      if A.coord_atom(i) in beta.im_support(t)]
-            self.offsets[t] = (pos, coords)
-            moduli.extend(A.coord_moduli[i] for i in coords)
-            pos += len(coords)
-        self.total = pos
-        self.moduli = tuple(moduli)
-        self.ambient = AbelianPresentation(self.moduli)
+        self.copies = [(t, i) for t in self.maximal for i in range(A.n_coords)
+                       if A.coord_atom(i) in beta.im_support(t)]
+        position = {copy: p for p, copy in enumerate(self.copies)}
+        root = list(range(len(self.copies)))
 
-        constraints = []  # (index of +1, index of -1, modulus) per constraint row
-        pair_supports = {}
+        def find(p):
+            while root[p] != p:
+                root[p] = p = root[root[p]]
+            return p
+
         for s in range(S.n):
-            above = [t for t in self.maximal if S.leq[s][t]]
-            for t1, t2 in itertools.combinations(above, 2):
-                key = (t1, t2)
-                pair_supports.setdefault(key, set()).update(beta.im_support(s))
-        for (t1, t2), supp in sorted(pair_supports.items()):
+            first, *rest = [t for t in self.maximal if S.leq[s][t]]
             for i in range(A.n_coords):
-                if A.coord_atom(i) not in supp:
-                    continue
-                p1, c1 = self.offsets[t1]
-                p2, c2 = self.offsets[t2]
-                constraints.append((p1 + c1.index(i), p2 + c2.index(i), A.coord_moduli[i]))
-        where = [(m, i) for m, t in enumerate(self.maximal) for i in self.offsets[t][1]]
+                if A.coord_atom(i) in beta.im_support(s):
+                    for t in rest:
+                        a, b = find(position[first, i]), find(position[t, i])
+                        root[max(a, b)] = min(a, b)
+        classes = {}
+        for p in range(len(self.copies)):
+            classes.setdefault(find(p), []).append(p)
+        self.classes = sorted(classes.values())  # by least position
+        self.order = math.prod(A.coord_moduli[self.copies[c[0]][1]] for c in self.classes)
         isos = [beta.isos[t] for t in self.maximal]
-        self.parts = [_PAPart(block, isos, where, self.moduli, constraints)
-                      for block in beta.orbits]
-        self.subgroup = scatter_lattice(self.total, [(p.positions, p.subgroup) for p in self.parts])
-        self.order = self.ambient.order() // lattice_det(self.subgroup)
-
-    def element_generators(self):
-        return residues(map(self.subgroup.column, range(self.total)), self.moduli)
+        self.parts = [_PAPart(block, isos, self) for block in beta.orbits]
 
 
 class _PAPart:
-    """The coordinates of PA on one orbit's block, with their constraint rows
-    and the subgroup those cut out, and psi on the block's tensor.
+    """PA's classes on one orbit's block, and psi on the block's tensor.
 
-    `positions` are PA's coordinates on the block, in PA's order, and
-    `reads` say where each sits in a family on the block ring: (index of the
-    maximal t, block-ring coordinate).  `isos` are the maps beta_t of the
-    maximal t on the block ring.
+    `classes` are PA's classes whose copies lie in the block, in PA's order.
+    `reads` say where the first copy of each class sits in a family on the
+    block ring, as (index of the maximal t, block-ring coordinate), and
+    `ties` where each other copy sits, after the number of its class.
+    `isos` are the maps beta_t of the maximal t on the block ring.
     """
 
-    def __init__(self, block, isos, where, pa_moduli, constraints):
+    def __init__(self, block, isos, pa):
         self.ring = block.ring
         self.isos = [block.iso(iso) for iso in isos]
         local = {c: r for r, c in enumerate(block.coords)}
-        self.positions = [p for p, (_, i) in enumerate(where) if i in local]
-        self.reads = [(where[p][0], local[where[p][1]]) for p in self.positions]
-        index = {p: r for r, p in enumerate(self.positions)}
-        self.rows = [(index[plus], index[minus], d) for plus, minus, d in constraints
-                     if plus in index]
-        moduli = [pa_moduli[p] for p in self.positions]
-        self.ambient = AbelianPresentation(moduli)
-        if self.rows:
-            cols = [{} for _ in moduli]
-            for r, (plus, minus, _) in enumerate(self.rows):
-                cols[plus][r] = 1
-                cols[minus][r] = -1
-            gens = kernel_gens(Matrix(len(self.rows), cols),
-                               diag_cols([d for _, _, d in self.rows]), moduli)
-            self.subgroup = self.ambient.subgroup_canon(gens)
-        else:
-            self.subgroup = scatter_lattice(len(moduli), [])  # all of the ambient group
+        column = {t: m for m, t in enumerate(pa.maximal)}
+        self.classes = [c for c in pa.classes if pa.copies[c[0]][1] in local]
+
+        def where(p):
+            t, i = pa.copies[p]
+            return column[t], local[i]
+
+        self.reads = [where(c[0]) for c in self.classes]
+        self.ties = [(k, *where(p)) for k, c in enumerate(self.classes) for p in c[1:]]
+        self.ambient = AbelianPresentation([self.ring.coord_moduli[r] for _, r in self.reads])
 
     def moved(self, y):
         """(beta_t(y 1_{t^-1}))_t over the maximal t, for y on the block ring;
@@ -256,13 +239,14 @@ class _PAPart:
         return [iso.apply_vec(y) for iso in self.isos]
 
     def psi_image(self, x, moved):
-        """psi(x (x) y) = (x beta_t(y 1_{t^-1}))_t on this part's coordinates,
-        for x on the block ring and `moved` = `moved(y)`."""
+        """psi(x (x) y) = (x beta_t(y 1_{t^-1}))_t, one value per class, for x
+        on the block ring and `moved` = `moved(y)`; None when two copies of
+        a class differ, so that the family leaves PA."""
         family = [self.ring.mul_vec(x, m) for m in moved]
-        return tuple(family[t][c] for t, c in self.reads)
-
-    def satisfies_constraints(self, vec):
-        return all((vec[plus] - vec[minus]) % d == 0 for plus, minus, d in self.rows)
+        values = tuple(family[m][r] for m, r in self.reads)
+        if any(family[m][r] != values[k] for k, m, r in self.ties):
+            return None
+        return values
 
 
 @dataclass
@@ -278,10 +262,12 @@ def psi_check(beta):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
     The tensor is one tensor per orbit of beta (`_full_tensor`), and psi
-    maps an orbit's tensor into PA's part on that orbit's block, so it is
+    maps an orbit's tensor onto PA's classes in that orbit's block, so it is
     checked one orbit at a time: on each generator pair of the orbit's
     tensor, on block-ring coordinates, with each beta_t applied to each
-    generator of the second factor once.
+    generator of the second factor once.  When psi is not onto, the
+    cokernel witness is the indicator, on PA's copies, of the first class
+    outside the image.
 
     psi is injective, so an orbit whose image is smaller than its tensor
     raises EquivalenceViolation: for atoms i, j of one orbit, A^beta e_O
@@ -293,14 +279,14 @@ def psi_check(beta):
     tensors = _full_tensor(beta)
     pa = PABetaS(beta)
     t_order = image_order = 1
-    image_parts = []
+    canons = []
     for o, ((_, tensor), part) in enumerate(zip(tensors, pa.parts)):
         moved = [part.moved(y) for y in tensor.ng]
         images = []
         for a, x in enumerate(tensor.mg):
             for b, m in enumerate(moved):
                 vec = part.psi_image(x, m)
-                if not part.satisfies_constraints(vec):
+                if vec is None:
                     raise CertificateMismatch(f"psi image of generator pair ({a}, {b}) "
                                               f"on orbit {o} leaves PA")
                 images.append(vec)
@@ -308,18 +294,16 @@ def psi_check(beta):
         order = part.ambient.order() // lattice_det(canon)
         image_order *= order
         t_order *= tensor.order()
-        image_parts.append((part.positions, canon))
+        canons.append(canon)
         if order != tensor.order():
             raise EquivalenceViolation(f"psi kills part of the tensor on orbit {o}: "
                                        f"image order {order}, tensor order {tensor.order()}")
     bij = (image_order == pa.order)
     report = PsiReport(bij, t_order, pa.order, image_order)
-    if image_order != pa.order:
-        img_canon = scatter_lattice(pa.total, image_parts)
-        for cand in pa.element_generators():
-            if not lattice_member(img_canon, cand):
-                report.cokernel_witness = cand
-                break
+    if not bij:
+        missing = min(c for part, canon in zip(pa.parts, canons)
+                      for k, c in enumerate(part.classes) if not lattice_member(canon, {k: 1}))
+        report.cokernel_witness = tuple(int(p in missing) for p in range(len(pa.copies)))
     return report
 
 
@@ -336,7 +320,7 @@ def compute_S_B(beta, B: Subalgebra):
         iso = beta.isos[s]
         ok = True
         for g in B.gen_vectors:
-            moved = iso.apply_vec(A.mask_vec(g, iso.dom_support))
+            moved = iso.apply_vec(g)
             kept = A.mask_vec(g, iso.im_support)
             if moved != kept:
                 ok = False
@@ -386,58 +370,19 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     return True, None
 
 
-def orbit_tensors(B, R, blocks):
-    """B (x)_R B as one (block, B e_O (x)_{R e_O} B e_O) pair per block.
+def is_separable(tensors):
+    """A separability idempotent of A over A^beta, or None.
 
-    `blocks` partition the atoms into `Block`s whose indicators e_O lie in
-    R, such as the orbits of an action when R holds its invariants; None is
-    the ring as one block.  Each canonical generator of B then lies in one
-    block, and a pair from two blocks is zero: b e_O (x) c e_P =
-    b (x) e_O e_P c = 0.  So B (x)_R B is the direct sum of the blocks'
-    tensors, each presented on its block ring.  With one block, the ring
-    itself, that tensor's constructor checks the factors, which are B and R.
+    `tensors` are A (x)_{A^beta} A as one tensor per orbit O of beta
+    (`_full_tensor`).  e_O lies in A^beta, so A is the direct sum of its
+    blocks A e_O, and A is separable over A^beta exactly when each block is
+    over A^beta e_O.  On each block's tensor this solves m(z) = 1 and
+    ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over generators of A e_O as
+    an A^beta e_O-algebra (`Subalgebra.algebra_generators`): the b
+    satisfying the second equation form a subalgebra, so these suffice.
+    The answer z, one vector per block, is re-verified on every additive
+    generator.
     """
-    ring = B.ring
-    atoms = tuple(range(len(ring.atoms)))
-    if blocks is None:
-        blocks = [Block(ring, atoms)]
-    if len(blocks) > 1 or blocks[0].atoms != atoms:
-        TensorPresentation.check_factors(B, B, R)
-    if sorted(a for block in blocks for a in block.atoms) != list(atoms):
-        raise ValueError("the blocks must partition the atoms")
-    if len(blocks) > 1 and not all(R.member_vec(block.indicator()) for block in blocks):
-        raise NotSubring("each block's indicator must lie in R")
-    split = []
-    for block in blocks:
-        part = block.subalgebra(B)
-        split.append((block, TensorPresentation(part, part, block.subalgebra(R))))
-    return tuple(split)
-
-
-def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
-    """A separability idempotent of B over R, or None.
-
-    Solves m(z) = 1 and ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over
-    generators of B as an R-algebra (`Subalgebra.algebra_generators`): the b
-    satisfying the second equation form an R-subalgebra of B, so these
-    suffice.  `blocks` are `Block`s whose indicators lie in R (the orbits of
-    an action when R holds its invariants); B is then the direct sum of its
-    blocks, B is separable over R exactly when each block is over R's, and
-    the system is solved on each block's tensor (`orbit_tensors`).  The
-    answer is (tensors, z), z one vector per block, re-verified on every
-    additive generator of B.  `tensors` is a built `orbit_tensors` to reuse,
-    which brings its own blocks (R <= B is checked unless R is B's
-    `known_base`); without it one is built, and its checks decide R <= B.
-    """
-    if tensors is None:
-        try:
-            tensors = orbit_tensors(B, R, blocks)
-        except NotSubring:
-            if not B.contains(R):
-                raise NotSubring("separability needs R inside B") from None
-            raise
-    elif B.known_base is not R and not B.contains(R):
-        raise NotSubring("separability needs R inside B")
     z = []
     for block, tensor in tensors:
         ring = block.ring
@@ -455,13 +400,14 @@ def is_separable(B: Subalgebra, R: Subalgebra, tensors=None, blocks=None):
     z = tuple(z)
     if not verify_separability_idempotent(tensors, z):
         raise CertificateMismatch("separability idempotent fails its defining equations")
-    return tensors, z
+    return z
 
 
 def verify_separability_idempotent(tensors, z):
     """Direct evaluation of both defining equations of a separability idempotent.
 
-    `tensors` are `orbit_tensors` and z has one vector per block, on that
+    `tensors` are (block, tensor) pairs over a partition of the atoms, as
+    `_full_tensor` builds them, and z has one vector per block, on that
     block's tensor.  m(z), summed over the blocks, must be 1 of the ring.
     The second equation is checked on each block's tensor for every
     additive generator b of its first factor.  With z reshaped to the
@@ -502,16 +448,24 @@ def _full_algebra(beta):
 
 
 def _full_tensor(beta):
-    """A (x)_{A^beta} A as one tensor per orbit of beta (`orbit_tensors`),
-    built once per action."""
+    """A (x)_{A^beta} A as one (block, tensor) pair per orbit O of beta,
+    built once per action.
+
+    e_O lies in A^beta, so a generator pair from two orbits is zero,
+    b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
+    of the blocks' A e_O (x)_{A^beta e_O} A e_O, each presented on its block
+    ring; each constructor checks its factors.
+    """
     return remembered(beta, "full_tensor", _derive_full_tensor)
 
 
 def _derive_full_tensor(beta):
     full, inv = _full_algebra(beta), invariant_ring(beta)
-    tensors = orbit_tensors(full, inv, beta.orbits)
-    full.known_base = inv  # orbit_tensors checked inv <= full
-    return tensors
+    tensors = []
+    for block in beta.orbits:
+        part = block.subalgebra(full)
+        tensors.append((block, TensorPresentation(part, part, block.subalgebra(inv))))
+    return tuple(tensors)
 
 
 def separability_idempotent_from_coordinates(beta, coords):
@@ -590,9 +544,9 @@ def cross_check_equivalences(beta: UnitalAction):
     verdicts["psi_bijective"] = psi.bijective
 
     full = _full_algebra(beta)
-    sep = is_separable(full, inv, tensors=_full_tensor(beta))
+    sep = is_separable(_full_tensor(beta))
     strong, failure = is_beta_strong(beta, full)
-    cert.separability_idempotent = (sep[1] if sep else None)
+    cert.separability_idempotent = sep
     cert.strong_failure = failure
     verdicts["separable_and_strong"] = (sep is not None) and strong
 

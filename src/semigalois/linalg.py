@@ -414,25 +414,6 @@ def lattice_member(basis, vec):
     return True
 
 
-def scatter_lattice(n, parts):
-    """The canonical basis of a direct sum of lattices on disjoint coordinates.
-
-    Each of `parts` is (indices, basis): a canonical basis on the increasing
-    coordinates `indices` of Z^n.  Every other coordinate carries Z itself.
-    The blocks' columns and rows move into place and every other column is a
-    unit column.  One increasing map on rows and columns keeps each column
-    lower-triangular and each entry left of a pivot reduced below it, so the
-    result is the canonical basis `lattice_canon` gives for the same lattice.
-    """
-    if len(parts) == 1 and len(parts[0][0]) == n:
-        return parts[0][1]  # one part on every coordinate is the whole lattice
-    cols = [{i: 1} for i in range(n)]
-    for indices, basis in parts:
-        for j, c in zip(indices, basis.cols):
-            cols[j] = {indices[r]: v for r, v in c.items()}
-    return Matrix(n, cols)
-
-
 def _eliminate_map(mat, aug, in_moduli):
     """Echelon of [mat | aug], tracking the transform on mat's columns mod in_moduli."""
     work = [dict(c) for c in hstack([mat, aug]).cols]

@@ -575,10 +575,8 @@ class Subalgebra:
     Equality of subalgebras is equality of canonical bases; membership is a
     triangular solve.  Closure under multiplication and presence of 1 are
     checked on demand, not assumed, and remembered: a subalgebra is never
-    changed after construction.  `known_base` is one checked to lie in it.
+    changed after construction.
     """
-
-    known_base = None
 
     def __init__(self, ring, gen_vectors):
         self._set_basis(ring, ring.presentation.subgroup_canon([tuple(v) for v in gen_vectors]))
@@ -740,10 +738,6 @@ class Block:
         self._local = {a: i for i, a in enumerate(self.atoms)}
         self._isos = {}
 
-    def indicator(self):
-        """e_O as a coordinate vector of A."""
-        return self.whole.idempotent_vec(self.atoms)
-
     def restrict(self, vec):
         """The block-ring coordinates of vec * e_O."""
         return tuple(vec[c] for c in self.coords)
@@ -774,8 +768,8 @@ class Block:
         """The canonical basis of sub * e_O on the block ring; sub must contain e_O.
 
         sub is then the direct sum of its blocks, so its canonical basis is
-        theirs put in place (`linalg.scatter_lattice`): the columns at the
-        block's coordinates, read back, are the block's canonical basis.
+        theirs put in place: the columns at the block's coordinates, read
+        back, are the block's canonical basis.
         """
         if self.ring is self.whole:
             return sub.basis
@@ -805,11 +799,25 @@ class TensorPresentation:
     are the additive relation lattices of each side plus middle-linearity
     r*m (x) n = m (x) r*n over the generators of R.  Multiplication and the
     two module actions are carried as integer matrices on the generators.
+    The constructor raises unless M, N and R are unital subalgebras of one
+    ring with R in M and N.
     """
 
     def __init__(self, M, N, R):
-        self.check_factors(M, N, R)
         ring = self.ring = M.ring
+        if N.ring != ring or R.ring != ring:
+            raise AtomMismatch("tensor factors live in different rings")
+        checked = []  # factors known to be unital subalgebras; `in` matches by identity first
+        for big in (M, N):
+            if big in checked:
+                continue
+            if not big.contains(R):
+                raise NotSubring("R is not contained in both factors")
+            for sub in (big, R):
+                if sub not in checked:
+                    if not sub.is_subalgebra():
+                        raise NotSubring("tensor factors must be unital subalgebras")
+                    checked.append(sub)
         self.M, self.N, self.R = M, N, R
         self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
         self.k, self.l = len(self.mg), len(self.ng)
@@ -831,24 +839,6 @@ class TensorPresentation:
         for r in R.gen_vectors:
             rel_cols += [c for c in self.mult_difference(r).cols if c]
         self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
-
-    @staticmethod
-    def check_factors(M, N, R):
-        """Raise unless M, N and R are unital subalgebras of one ring with R in M and N."""
-        ring = M.ring
-        if N.ring != ring or R.ring != ring:
-            raise AtomMismatch("tensor factors live in different rings")
-        checked = []  # factors known to be unital subalgebras; `in` matches by identity first
-        for big in (M, N):
-            if big in checked:
-                continue
-            if not big.contains(R):
-                raise NotSubring("R is not contained in both factors")
-            for sub in (big, R):
-                if sub not in checked:
-                    if not sub.is_subalgebra():
-                        raise NotSubring("tensor factors must be unital subalgebras")
-                    checked.append(sub)
 
     def index(self, i, j):
         return i * self.l + j

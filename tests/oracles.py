@@ -38,7 +38,11 @@ the whole of A, as they were solved before each split into one block per
 orbit: `WholeTensorPresentation`, `solve_coordinates_whole`,
 `pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`, with
 `joined_tensor_lattice` and `joined_tensor_vector`, which put the orbit
-tensors' lattices and vectors in place on the whole tensor.
+tensors' lattices and vectors in place on the whole tensor
+(`scatter_lattice`).  Separability of any unital subalgebra B over R, on
+`Block`s whose indicators lie in R (`orbit_tensors` and `is_separable`),
+is the general route the library kept only for A over A^beta; it solves
+each block through `galois.is_separable`.
 `dense` and `sparse` convert between the library's sparse `Matrix` and
 numpy object arrays for dense fixtures.
 """
@@ -486,33 +490,36 @@ def verify_idempotent_by_kron(tensor, z):
 
 
 def psi_image_by_elements(beta, pa, x_vec, y_vec):
-    """psi(x (x) y) on PA's maximal coordinates, through `RingElement`
-    products and the polynomial `StructuredIso.apply`."""
+    """psi(x (x) y) on PA's copies (t, i), through `RingElement` products
+    and the polynomial `StructuredIso.apply`."""
     A = beta.A
     x, y = A.from_vec(x_vec), A.from_vec(y_vec)
-    out = []
+    family = {}
     for t in pa.maximal:
         iso = beta.isos[t]
-        v = (x * iso.apply(y.mask(iso.dom_support))).vec()
-        out.extend(v[i] for i in pa.offsets[t][1])
-    return tuple(out)
+        family[t] = (x * iso.apply(y.mask(iso.dom_support))).vec()
+    return tuple(family[t][i] for t, i in pa.copies)
 
 
 def check_psi_images_on_orbits(beta):
     """psi on each pair of A's additive generators through ring elements
     (`psi_image_by_elements`) against the per-orbit image `psi_check` uses
-    (`_PAPart.psi_image`): a pair on one orbit's block lands in PA's part
-    there, and a pair from two orbits maps to zero."""
+    (`_PAPart.psi_image`): a pair on one orbit's block has one value per
+    class there, which the element route gives at every copy in the class,
+    and a pair from two orbits maps to zero."""
     from semigalois.galois import PABetaS
     pa = PABetaS(beta)
     for o, (block, part) in enumerate(zip(beta.orbits, pa.parts)):
         for x in block.ring.basis_vectors():
             for q, other in enumerate(beta.orbits):
                 for y in other.ring.basis_vectors():
-                    want = [0] * pa.total
+                    want = [0] * len(pa.copies)
                     if o == q:
-                        for p, v in zip(part.positions, part.psi_image(x, part.moved(y))):
-                            want[p] = v
+                        values = part.psi_image(x, part.moved(y))
+                        assert values is not None
+                        for copies, v in zip(part.classes, values):
+                            for p in copies:
+                                want[p] = v
                     assert psi_image_by_elements(beta, pa, block.extend(x),
                                                  other.extend(y)) == tuple(want)
 
@@ -524,7 +531,7 @@ def check_psi_images_on_orbits(beta):
 def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
     from semigalois.actions import invariant_ring
     from semigalois.correspondence import CorrespondencePair, fixed_subalgebra
-    from semigalois.galois import is_beta_strong, is_separable
+    from semigalois.galois import is_beta_strong
     base = invariant_ring(beta)
     pairs = []
     failures = []
@@ -576,7 +583,7 @@ def subalgebras_by_coset_scan(beta, base):
 
 def _brute_force_check(beta, t_side_members):
     from semigalois.actions import invariant_ring
-    from semigalois.galois import compute_S_B, is_beta_strong, is_separable
+    from semigalois.galois import compute_S_B, is_beta_strong
     base = invariant_ring(beta)
     winners = []
     for B in subalgebras_by_coset_scan(beta, base):
@@ -669,7 +676,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     from semigalois.actions import image_action, invariant_ring
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong, is_separable,
+    from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong,
                                    solve_galois_coordinates)
     from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
     from semigalois.zerocase import is_categorical_at_zero, require_zero_action
@@ -1378,6 +1385,26 @@ def whole_full_tensor(beta):
     return WholeTensorPresentation(full, full, invariant_ring(beta))
 
 
+def scatter_lattice(n, parts):
+    """The canonical basis of a direct sum of lattices on disjoint coordinates.
+
+    Each of `parts` is (indices, basis): a canonical basis on the increasing
+    coordinates `indices` of Z^n.  Every other coordinate carries Z itself.
+    The blocks' columns and rows move into place and every other column is a
+    unit column.  One increasing map on rows and columns keeps each column
+    lower-triangular and each entry left of a pivot reduced below it, so the
+    result is the canonical basis `lattice_canon` gives for the same lattice.
+    """
+    from semigalois.linalg import Matrix
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        return parts[0][1]  # one part on every coordinate is the whole lattice
+    cols = [{i: 1} for i in range(n)]
+    for indices, basis in parts:
+        for j, c in zip(indices, basis.cols):
+            cols[j] = {indices[r]: v for r, v in c.items()}
+    return Matrix(n, cols)
+
+
 def _pair_positions(tensors, whole):
     """Per orbit tensor of A (x)_{A^beta} A, the coordinates of its generator
     pairs on `whole`: each block generator, put in place, is one of A's."""
@@ -1389,7 +1416,6 @@ def _pair_positions(tensors, whole):
 def joined_tensor_lattice(tensors, whole):
     """The orbit tensors' canonical lattices put in place on `whole`'s
     generator pairs (`scatter_lattice`), a pair from two orbits zero."""
-    from semigalois.linalg import scatter_lattice
     positions = _pair_positions(tensors, whole)
     return scatter_lattice(whole.k * whole.l, [(pos, tensor.pres.lattice)
                                                for pos, (_, tensor) in zip(positions, tensors)])
@@ -1479,6 +1505,64 @@ def psi_check_whole(beta):
         elements = residues(map(subgroup.column, range(len(ambient.moduli))), ambient.moduli)
         cokernel_witness = next(c for c in elements if not lattice_member(img_canon, c))
     return tensor.order(), pa_order, image_order, kernel_witness, cokernel_witness
+
+
+def orbit_tensors(B, R, blocks):
+    """B (x)_R B as one (block, B e_O (x)_{R e_O} B e_O) pair per block.
+
+    `blocks` partition the atoms into `Block`s whose indicators e_O lie in
+    R, such as the orbits of an action when R holds its invariants; None is
+    the ring as one block.  Each canonical generator of B then lies in one
+    block, and a pair from two blocks is zero: b e_O (x) c e_P =
+    b (x) e_O e_P c = 0.  So B (x)_R B is the direct sum of the blocks'
+    tensors, each presented on its block ring.  With one block, the ring
+    itself, that tensor's constructor checks the factors, which are B and R.
+    """
+    from semigalois.rings import Block, NotSubring, TensorPresentation
+    ring = B.ring
+    atoms = tuple(range(len(ring.atoms)))
+    if blocks is None:
+        blocks = [Block(ring, atoms)]
+    if len(blocks) > 1 or blocks[0].atoms != atoms:
+        if not (B.contains(R) and B.is_subalgebra() and R.is_subalgebra()):
+            raise NotSubring("tensor factors must be unital subalgebras with R in B")
+    if sorted(a for block in blocks for a in block.atoms) != list(atoms):
+        raise ValueError("the blocks must partition the atoms")
+    if len(blocks) > 1 and not all(R.member_vec(ring.idempotent_vec(block.atoms))
+                                   for block in blocks):
+        raise NotSubring("each block's indicator must lie in R")
+    split = []
+    for block in blocks:
+        part = block.subalgebra(B)
+        split.append((block, TensorPresentation(part, part, block.subalgebra(R))))
+    return tuple(split)
+
+
+def is_separable(B, R, tensors=None, blocks=None):
+    """A separability idempotent of B over R, or None: the general route
+    before `galois.is_separable` kept only A over A^beta.
+
+    `blocks` are `Block`s whose indicators lie in R (the orbits of an
+    action when R holds its invariants); B is then the direct sum of its
+    blocks, B is separable over R exactly when each block is over R's, and
+    the system is solved on each block's tensor (`orbit_tensors`) by
+    `galois.is_separable`.  The answer is (tensors, z), z one vector per
+    block.  `tensors` is a built `orbit_tensors` to reuse, which brings its
+    own blocks; without it one is built, and its checks decide R <= B.
+    """
+    from semigalois import galois
+    from semigalois.rings import NotSubring
+    if tensors is None:
+        try:
+            tensors = orbit_tensors(B, R, blocks)
+        except NotSubring:
+            if not B.contains(R):
+                raise NotSubring("separability needs R inside B") from None
+            raise
+    elif not B.contains(R):
+        raise NotSubring("separability needs R inside B")
+    z = galois.is_separable(tensors)
+    return None if z is None else (tensors, z)
 
 
 def is_separable_whole(B, R):

@@ -51,7 +51,7 @@ SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
 SPEND_CEILINGS = {
     "b2_f3f3": [0, 8, 0, 0, 0, 16],
     "c2_swap": [0, 17, 103, 24, 46, 0],
-    "s7_f9cubed": [0, 27, 889, 93, 462, 0],
+    "s7_f9cubed": [0, 27, 867, 93, 462, 0],
     "trace_gap_c2": [0, 8, 102, 0, 0, 0],
 }
 

@@ -13,9 +13,11 @@ from semigalois.corpus import (c2_swap_fixture, c2_fixed_atom_fixture, c2_table,
                                f9_cubed_fixture, trace_gap_fixture)
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
-from semigalois.rings import Atom, Block, FiniteRing, StructuredIso, Subalgebra, TensorPresentation
+from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso, Subalgebra,
+                              TensorPresentation)
 from semigalois.semigroups import is_e_unitary
-from oracles import (check_psi_images_on_orbits, joined_tensor_vector, separable_all_generators,
+from oracles import (check_psi_images_on_orbits, is_separable, joined_tensor_vector,
+                     separable_all_generators,
                      verify_idempotent_by_kron, whole_full_tensor)
 from test_correspondence import SCAN_CASES
 
@@ -163,7 +165,7 @@ def test_beta_strong_excludes_non_arising_algebra():
     ])
     assert B.order == 81 and B.is_subalgebra()
     inv = invariant_ring(beta)
-    assert gl.is_separable(B, inv) is not None
+    assert is_separable(B, inv) is not None
     ok, fail = gl.is_beta_strong(beta, B)
     assert not ok
 
@@ -172,7 +174,7 @@ def test_separability_idempotent_for_f3f3_over_diagonal():
     A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
     full = Subalgebra.full(A)
     diag = Subalgebra(A, [A.one().vec()])
-    out = gl.is_separable(full, diag)
+    out = is_separable(full, diag)
     assert out is not None
     tensors, z = out
     (_, tensor), = tensors
@@ -185,7 +187,7 @@ def test_separability_idempotent_for_f3f3_over_diagonal():
 def test_trivial_separability():
     A = FiniteRing([Atom.zmod(3)])
     full = Subalgebra.full(A)
-    out = gl.is_separable(full, full)
+    out = is_separable(full, full)
     assert out is not None
 
 
@@ -199,7 +201,7 @@ def test_non_separable_case():
     A = FiniteRing([Atom.zmod(2), Atom.zmod(2)])
     full = Subalgebra.full(A)
     diag = Subalgebra(A, [A.one().vec()])
-    assert gl.is_separable(full, diag) is not None
+    assert is_separable(full, diag) is not None
 
 
 def test_cross_check_on_corpus_slice():
@@ -260,7 +262,7 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
         want = separable_all_generators(B, R)
         if want is not None:
             want = _one_block(want[0]), (want[1],)
-        got = gl.is_separable(B, R)
+        got = is_separable(B, R)
         assert (got is None) == (want is None)
         for tensors, z in filter(None, (got, want)):
             assert gl.verify_separability_idempotent(tensors, z)
@@ -286,8 +288,8 @@ def test_tensor_on_one_factor_matches_two_equal_factors(case):
             assert one.left_factor(b) is one.right_factor(b)
             assert two.left_factor(b) is not two.right_factor(b)
             assert one.mult_difference(b) == two.mult_difference(b)
-        sep_one = gl.is_separable(B, R, tensors=_one_block(one))
-        sep_two = gl.is_separable(B, R, tensors=_one_block(two))
+        sep_one = is_separable(B, R, tensors=_one_block(one))
+        sep_two = is_separable(B, R, tensors=_one_block(two))
         assert (sep_one and sep_one[1]) == (sep_two and sep_two[1])
 
 
@@ -305,7 +307,7 @@ def test_idempotent_check_rejects_what_the_kron_check_rejects():
     for beta in (f9_cubed_fixture(), _c2_swap_gf4_z3()):
         full, inv, whole = Subalgebra.full(beta.A), invariant_ring(beta), whole_full_tensor(beta)
         for blocks in (None, beta.orbits):
-            tensors, z = gl.is_separable(full, inv, blocks=blocks)
+            tensors, z = is_separable(full, inv, blocks=blocks)
             assert len(tensors) == (1 if blocks is None else 2)
             for o, part in enumerate(z):
                 for i in range(len(part)):
@@ -376,8 +378,8 @@ def test_separability_rejects_non_unital_base():
     A = FiniteRing([Atom.zmod(2, 2)])
     full = Subalgebra.full(A)
     ideal = Subalgebra(A, [A.element([2]).vec()])
-    with pytest.raises(gl.NotSubring):
-        gl.is_separable(full, ideal)
+    with pytest.raises(NotSubring):
+        is_separable(full, ideal)
 
 
 def test_scalar_extension_f9_over_fixture_base():
@@ -406,9 +408,7 @@ def test_scalar_extension_f9_over_fixture_base():
 _OPTIMIZED_PROBE = textwrap.dedent("""
     import sys
     from semigalois import galois as gl
-    from semigalois.actions import invariant_ring
     from semigalois.corpus import c2_swap_fixture
-    from semigalois.rings import Subalgebra
     if __debug__:
         sys.exit(3)
     setattr(gl, sys.argv[1], lambda *args, **kwargs: False)
@@ -417,7 +417,7 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
         if sys.argv[1] == "verify_coordinates":
             gl.solve_galois_coordinates(beta)
         else:
-            gl.is_separable(Subalgebra.full(beta.A), invariant_ring(beta))
+            gl.is_separable(gl._full_tensor(beta))
     except gl.CertificateMismatch:
         sys.exit(0)
     sys.exit(1)
@@ -438,15 +438,14 @@ def test_certificate_reverification_survives_optimize(verifier):
 _OPTIMIZED_TWO_ORBIT_PROBE = textwrap.dedent("""
     import sys
     from semigalois import galois as gl
-    from semigalois.actions import invariant_ring, validate_action
+    from semigalois.actions import validate_action
     from semigalois.corpus import c2_table
-    from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
+    from semigalois.rings import Atom, FiniteRing, StructuredIso
     if __debug__:
         sys.exit(3)
     A = FiniteRing([Atom.gf(2, 2), Atom.gf(2, 2), Atom.zmod(3), Atom.zmod(3)])
     beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
                                            StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
-    inv = invariant_ring(beta)
     tensors = gl._full_tensor(beta)
     if len(beta.orbits) != 2 or len(tensors) != 2:
         sys.exit(4)
@@ -455,7 +454,7 @@ _OPTIMIZED_TWO_ORBIT_PROBE = textwrap.dedent("""
         if sys.argv[1] == "verify_coordinates":
             gl.solve_galois_coordinates(beta)
         else:
-            gl.is_separable(Subalgebra.full(A), inv, tensors=tensors)
+            gl.is_separable(tensors)
     except gl.CertificateMismatch:
         sys.exit(0)
     sys.exit(1)

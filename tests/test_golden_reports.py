@@ -3,7 +3,8 @@
 Every shipped instance runs through validate, analyze, galois, correspond,
 correspond --brute-force-subalgebras, zero and galois --budget 1 (the budget
 verdict), in text and json-lines; stdout and the
-exit code must equal what is recorded under tests/golden/.  A change that
+exit code must equal what is recorded under tests/golden/, also for galois
+and correspond under python -O.  A change that
 is meant to keep behaviour (a refactor, a faster engine) must leave this
 test passing unchanged.  After a deliberate change of report content,
 regenerate the files with
@@ -48,11 +49,12 @@ def _clean_env():
     return env
 
 
-def run_case(instance, command, fmt):
-    """(exit code, stdout bytes) of one CLI run, free of SEMIGALOIS_* settings."""
+def run_case(instance, command, fmt, python_flags=()):
+    """(exit code, stdout bytes) of one CLI run, free of SEMIGALOIS_* settings;
+    `python_flags` go to the interpreter."""
     args = [COMMANDS[command][0], f"instances/{instance}", *COMMANDS[command][1:],
             "--format", fmt]
-    proc = subprocess.run([sys.executable, "-m", "semigalois.cli", *args],
+    proc = subprocess.run([sys.executable, *python_flags, "-m", "semigalois.cli", *args],
                           capture_output=True, cwd=REPO, env=_clean_env())
     return proc.returncode, proc.stdout
 
@@ -67,6 +69,17 @@ def test_golden_set_covers_every_shipped_instance():
 def test_cli_report_matches_golden(instance, command, fmt):
     name = _case_name(instance, command, fmt)
     code, out = run_case(instance, command, fmt)
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("instance,command", [(i, c) for i in INSTANCES
+                                              for c in ("galois", "correspond")])
+def test_cli_report_matches_golden_under_optimize(instance, command):
+    """Under python -O, which strips asserts, galois and correspond print the
+    golden bytes and exit code: no verdict rests on an assert."""
+    name = _case_name(instance, command, "text")
+    code, out = run_case(instance, command, "text", ["-O"])
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 

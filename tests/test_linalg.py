@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from semigalois import budget, linalg
-from oracles import (dense, dense_run_echelon, quotient_order_by_enumeration, sparse,
-                     sparse_echelon_by_sorted_scans, subgroup_elements_by_closure)
+from oracles import (dense, dense_run_echelon, quotient_order_by_enumeration, scatter_lattice,
+                     sparse, sparse_echelon_by_sorted_scans, subgroup_elements_by_closure)
 
 
 def test_lattice_canon_is_triangular_and_canonical():
@@ -352,7 +352,7 @@ def test_scattered_blocks_are_the_canonical_basis_of_the_direct_sum(seed):
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
     pieces = [sorted(coords[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
     parts = [(idx, _random_presentation(rng, len(idx))) for idx in pieces[:-1] or pieces]
-    lattice = linalg.scatter_lattice(n, [(idx, pres.lattice) for idx, pres in parts])
+    lattice = scatter_lattice(n, [(idx, pres.lattice) for idx, pres in parts])
     moduli, rels = [1] * n, []
     for idx, pres in parts:
         for i, d in zip(idx, pres.moduli):

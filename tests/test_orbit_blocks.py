@@ -9,19 +9,26 @@ primitive idempotents of A^beta by enumeration.
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from semigalois import galois as gl
+from semigalois import galois as gl, linalg
 from semigalois.actions import invariant_ring, is_injective, validate_action
 from semigalois.corpus import (c2_table, corpus, f9_cubed_fixture, s7_monoid, trace_gap_fixture)
 from semigalois.correspondence import enumerate_subalgebras_over
+from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,
                               Subalgebra)
 from semigalois.semigroups import is_e_unitary
-from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
-                     joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
-                     solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
+from oracles import (check_psi_images_on_orbits, element_product, is_separable,
+                     is_separable_whole, joined_tensor_lattice, joined_tensor_vector,
+                     orbit_tensors, psi_check_whole, solve_coordinates_whole,
+                     verify_idempotent_by_kron, whole_full_tensor)
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def admissible(b):
@@ -37,19 +44,26 @@ def c2_swap(atoms):
                                            StructuredIso(A, {i: i ^ 1 for i in range(m)}, {})])
 
 
-def s7_on(atom):
-    """The 7-element monoid on atom^3 (GF(p^k), k even): orbits {0, 2} and {1}."""
+def s7_on(atom, fixed=()):
+    """The 7-element monoid on atom^3 (GF(p^k), k even): orbits {0, 2} and
+    {1}, and one more for each atom of `fixed`, put after them and fixed
+    by every map."""
     S = s7_monoid()
-    A = FiniteRing([atom] * 3)
+    A = FiniteRing([atom] * 3 + list(fixed))
     tw = atom.k // 2
+    kept = {a: a for a in range(3, len(A.atoms))}
+
+    def iso(matching, twist=()):
+        return StructuredIso(A, {**matching, **kept}, dict(twist))
+
     by_name = {
-        "1": StructuredIso.identity_on(A, {0, 1, 2}),
-        "s": StructuredIso(A, {0: 2, 1: 1}, {1: tw}),
-        "s'": StructuredIso(A, {2: 0, 1: 1}, {1: -tw}),
-        "t": StructuredIso(A, {1: 1}, {1: tw}),
-        "s*t": StructuredIso.identity_on(A, {1}),
-        "s*s'": StructuredIso.identity_on(A, {1, 2}),
-        "s'*s": StructuredIso.identity_on(A, {0, 1}),
+        "1": iso({0: 0, 1: 1, 2: 2}),
+        "s": iso({0: 2, 1: 1}, {1: tw}),
+        "s'": iso({2: 0, 1: 1}, {1: -tw}),
+        "t": iso({1: 1}, {1: tw}),
+        "s*t": iso({1: 1}),
+        "s*s'": iso({1: 1, 2: 2}),
+        "s'*s": iso({0: 0, 1: 1}),
     }
     return validate_action(S, A, [by_name[S.names[i]] for i in range(S.n)])
 
@@ -57,6 +71,9 @@ def s7_on(atom):
 MULTI_ORBIT = {
     "c2_gf8^2xgf4^2": lambda: c2_swap([Atom.gf(2, 3), Atom.gf(2, 2)]),
     "s7_gf4^3": lambda: s7_on(Atom.gf(2, 2)),
+    "s7_gf16^3": lambda: s7_on(Atom.gf(2, 4)),
+    "s7_gf25^3": lambda: s7_on(Atom.gf(5, 2)),
+    "s7_gf9^3xz2": lambda: s7_on(Atom.gf(3, 2), [Atom.zmod(2)]),
     "c2_(gf4xz3xz4)^2": lambda: c2_swap([Atom.gf(2, 2), Atom.zmod(3), Atom.zmod(2, 2)]),
     "s7_gf9^3": f9_cubed_fixture,
     "trace_gap": trace_gap_fixture,
@@ -75,6 +92,17 @@ def test_the_corpora_and_rungs_hold_many_multi_orbit_instances():
     multi = [name for name, beta in _split_instances() if len(beta.orbits) > 1]
     assert set(MULTI_ORBIT) <= set(multi) and len(multi) >= 40
     assert [b.atoms for b in MULTI_ORBIT["s7_gf4^3"]().orbits] == [(0, 2), (1,)]
+
+
+def test_some_split_instances_tie_copies_in_pa():
+    """PA's classes of two or more tied copies, which psi reads one value
+    from, occur on the S7 rungs only: none of the corpora's instances ties."""
+    tied = [name for name, beta in _split_instances()
+            if any(len(copies) > 1 for copies in gl.PABetaS(beta).classes)]
+    assert len(tied) >= 4, tied
+    beta = MULTI_ORBIT["s7_gf9^3xz2"]()
+    assert not gl.is_galois(beta) and len(beta.orbits) == 3
+    assert sum(len(copies) > 1 for copies in gl.PABetaS(beta).classes) == 3
 
 
 @pytest.mark.parametrize("name,beta", _split_instances(), ids=[n for n, _ in _split_instances()])
@@ -97,10 +125,10 @@ def test_split_routes_match_the_whole_routes(name, beta):
     assert kernel_witness is None and image_order == t_order  # psi is injective
 
     full = Subalgebra.full(beta.A)
-    split, reference = gl.is_separable(full, inv, tensors=tensors), is_separable_whole(full, inv)
+    split, reference = gl.is_separable(tensors), is_separable_whole(full, inv)
     assert (split is None) == (reference is None)
     if split is not None:
-        z = joined_tensor_vector(tensors, whole, dict(enumerate(split[1])))
+        z = joined_tensor_vector(tensors, whole, dict(enumerate(split)))
         assert verify_idempotent_by_kron(whole, z)
 
 
@@ -111,7 +139,7 @@ def test_split_separability_matches_the_whole_solve_on_every_subalgebra(name):
     inv = invariant_ring(beta)
     verdicts = []
     for B in enumerate_subalgebras_over(beta, inv):
-        split = gl.is_separable(B, inv, blocks=beta.orbits)
+        split = is_separable(B, inv, blocks=beta.orbits)
         assert (split is None) == (is_separable_whole(B, inv) is None)
         verdicts.append(split is not None)
     assert True in verdicts
@@ -129,7 +157,7 @@ def test_orbit_indicators_are_the_primitive_idempotents_of_the_invariants(seed):
     small = corpus(seed, 40, predicate=lambda b: b.S.zero is None and b.A.size <= 400)
     small += [MULTI_ORBIT["s7_gf4^3"](), MULTI_ORBIT["trace_gap"]()]
     for beta in small:
-        got = {block.indicator() for block in beta.orbits}
+        got = {beta.A.idempotent_vec(block.atoms) for block in beta.orbits}
         assert got == _primitive_idempotents(invariant_ring(beta))
         atoms = sorted(a for block in beta.orbits for a in block.atoms)
         assert atoms == list(range(len(beta.A.atoms)))
@@ -165,16 +193,33 @@ def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
     full = Subalgebra.full(A)
     inv = invariant_ring(beta)
     with pytest.raises(NotSubring):
-        gl.orbit_tensors(full, inv, [Block(A, [0]), Block(A, [1, 2, 3, 4, 5])])
+        orbit_tensors(full, inv, [Block(A, [0]), Block(A, [1, 2, 3, 4, 5])])
     with pytest.raises(ValueError):
-        gl.orbit_tensors(full, inv, beta.orbits[:2])
+        orbit_tensors(full, inv, beta.orbits[:2])
     prime = Subalgebra(A, [A.one().vec()]).closure_under_mul()
     with pytest.raises(NotSubring):
-        gl.orbit_tensors(full, prime, beta.orbits)
+        orbit_tensors(full, prime, beta.orbits)
 
 
 def test_psi_image_vector_matches_element_route_on_a_multi_orbit_instance():
     check_psi_images_on_orbits(MULTI_ORBIT["c2_(gf4xz3xz4)^2"]())
+
+
+def test_psi_check_takes_no_kernel_on_tied_copies(monkeypatch):
+    """PA is free on its classes, so once A^beta and the orbit tensors are
+    built, psi_check on s7_f9cubed, whose orbit {0, 2} ties copies, calls no
+    `kernel_gens` anywhere."""
+    beta = parse_instance(INSTANCES / "s7_f9cubed.sgi").action
+    assert any(len(copies) > 1 for copies in gl.PABetaS(beta).classes)
+    gl._full_tensor(beta)
+    calls = []
+    original = linalg.kernel_gens
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semigalois") and hasattr(module, "kernel_gens"):
+            monkeypatch.setattr(module, "kernel_gens",
+                                lambda *args: calls.append(args) or original(*args))
+    assert gl.psi_check(beta).bijective
+    assert calls == []
 
 
 def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
@@ -188,8 +233,8 @@ def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
     full = Subalgebra.full(A)
     psi = gl.psi_check(beta)
     assert psi.image_order == psi.tensor_order
-    base = Subalgebra(A, [block.indicator() for block in beta.orbits]).closure_under_mul()
-    tensors = beta.facts["full_tensor"] = gl.orbit_tensors(full, base, beta.orbits)
+    base = Subalgebra(A, [A.idempotent_vec(block.atoms) for block in beta.orbits]).closure_under_mul()
+    tensors = beta.facts["full_tensor"] = orbit_tensors(full, base, beta.orbits)
     assert math.prod(tensor.order() for _, tensor in tensors) > psi.tensor_order
     with pytest.raises(gl.EquivalenceViolation, match="psi kills part of the tensor on orbit 0"):
         gl.psi_check(beta)

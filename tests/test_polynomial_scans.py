@@ -14,7 +14,8 @@ import pytest
 
 from oracles import (beta_complete_by_subset_scan, beta_maximal_by_subset_scan,
                      beta_strong_by_support_scan, boolean_sum_by_inclusion_exclusion,
-                     full_inverse_subsemigroups_by_power_set, verify_coordinates_by_elements)
+                     full_inverse_subsemigroups_by_power_set, is_separable,
+                     verify_coordinates_by_elements)
 from semigalois import actions, correspondence, galois as gl
 from semigalois.actions import invariant_ring, validate_action
 from semigalois.correspondence import (fixed_subalgebra, is_beta_complete, is_beta_maximal,
@@ -114,7 +115,7 @@ def test_strongness_failure_on_separable_f9_subalgebra():
         A.element([(0, 0), (1, 0), (0, 0)]).vec(),
         A.element([(0, 0), (0, 1), (0, 0)]).vec(),
     ])
-    assert gl.is_separable(B, invariant_ring(beta)) is not None
+    assert is_separable(B, invariant_ring(beta)) is not None
     got = gl.is_beta_strong(beta, B)
     assert got == beta_strong_by_support_scan(beta, B)
     ok, (s, t, supp) = got
