@@ -19,7 +19,7 @@ import time
 from . import __version__, budget
 from .actions import invariant_ring, is_injective
 from .galois import PreconditionFail, cross_check_equivalences
-from .instance import _BOOL, ParseError, parse_instance
+from .instance import _BOOL, ParseError, instance_text, parse_instance_text
 from .semigroups import SemigroupError, is_e_unitary, sigma_partition
 from . import zerocase as zc
 
@@ -90,11 +90,6 @@ def _fmt(v):
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(_fmt(x) for x in v) + "]"
     return str(v)
-
-
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _names(S, indices):
@@ -337,10 +332,15 @@ def main(argv=None):
         return 2
     else:
         try:
+            with open(args.instance, "rb") as fh:
+                data = fh.read()
             with budget.limit(args.budget):
-                inst = parse_instance(args.instance)
+                inst = parse_instance_text(instance_text(data))
         except FileNotFoundError:
             print(f"error: no such file: {args.instance}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: cannot read {args.instance}: {exc.strerror or exc}", file=sys.stderr)
             return 2
         except (ParseError, SemigroupError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -352,7 +352,7 @@ def main(argv=None):
         if args.brute_force_subalgebras:
             opts["brute-force-subalgebras"] = True
         seed = opts.get("seed", args.seed)
-        beta, report = inst.action, Report(args.command, _digest(args.instance), seed)
+        beta, report = inst.action, Report(args.command, hashlib.sha256(data).hexdigest(), seed)
     handler = {"validate": cmd_validate, "analyze": cmd_analyze, "galois": cmd_galois,
                "correspond": cmd_correspond, "zero": cmd_zero, "selftest": cmd_selftest}
     code = None

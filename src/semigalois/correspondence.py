@@ -13,7 +13,6 @@ Reports carry every object and a failure tuple per broken check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import isopu
 from .actions import (image_action, invariant_ring, is_injective, restrict_action,
@@ -84,24 +83,36 @@ def is_beta_maximal(beta, T: SubSemigroup):
     return True
 
 
-@dataclass
 class CorrespondencePair:
-    members: tuple  # subsemigroup members (sorted indices in S)
-    subalgebra_order: int
-    subalgebra_generators: tuple  # B's canonical generators, as coordinate vectors
-    s_b_members: tuple
-    separable: bool
-    strong: bool
-    round_trip_t: bool
-    round_trip_b: bool
+    """One object of the correspondence, equal to another with equal fields."""
+
+    def __init__(self, members, subalgebra_order, subalgebra_generators, s_b_members,
+                 separable, strong, round_trip_t, round_trip_b):
+        self.members = members  # subsemigroup members (sorted indices in S)
+        self.subalgebra_order = subalgebra_order
+        # B's canonical generators, as coordinate vectors
+        self.subalgebra_generators = subalgebra_generators
+        self.s_b_members = s_b_members
+        self.separable, self.strong = separable, strong
+        self.round_trip_t, self.round_trip_b = round_trip_t, round_trip_b
+
+    def _fields(self):
+        return (self.members, self.subalgebra_order, self.subalgebra_generators,
+                self.s_b_members, self.separable, self.strong, self.round_trip_t,
+                self.round_trip_b)
+
+    def __eq__(self, other):
+        if other.__class__ is not CorrespondencePair:
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
-@dataclass
 class CorrespondenceReport:
-    bijective: bool
-    pairs: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    brute_force_match: bool | None = None
+    def __init__(self, bijective, pairs=None, failures=None, brute_force_match=None):
+        self.bijective = bijective
+        self.pairs = [] if pairs is None else pairs
+        self.failures = [] if failures is None else failures
+        self.brute_force_match = brute_force_match  # None when no brute-force scan ran
 
 
 def pull_back(S, proj, members):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .actions import (UnitalAction, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
@@ -249,13 +248,11 @@ class _PAPart:
         return values
 
 
-@dataclass
 class PsiReport:
-    bijective: bool
-    tensor_order: int
-    pa_order: int
-    image_order: int
-    cokernel_witness: tuple | None = None
+    def __init__(self, bijective, tensor_order, pa_order, image_order, cokernel_witness=None):
+        self.bijective = bijective
+        self.tensor_order, self.pa_order, self.image_order = tensor_order, pa_order, image_order
+        self.cokernel_witness = cokernel_witness
 
 
 def psi_check(beta):
@@ -485,25 +482,23 @@ def separability_idempotent_from_coordinates(beta, coords):
 # -- the cross-checked equivalence report ------------------------------------
 
 
-@dataclass
 class GaloisCertificate:
     """Its elements are coordinate vectors, as everywhere in a decision."""
 
-    coordinates: list | None = None
-    trace_image_generators: tuple = ()
-    psi: PsiReport | None = None
-    separability_idempotent: tuple | None = None
-    strong_failure: tuple | None = None
-    alpha_coordinates: list | None = None
+    def __init__(self, coordinates=None, trace_image_generators=(), psi=None,
+                 separability_idempotent=None, strong_failure=None, alpha_coordinates=None):
+        self.coordinates = coordinates
+        self.trace_image_generators = trace_image_generators
+        self.psi = psi  # a PsiReport
+        self.separability_idempotent = separability_idempotent
+        self.strong_failure = strong_failure
+        self.alpha_coordinates = alpha_coordinates
 
 
-@dataclass
 class EquivalenceReport:
-    galois: bool
-    verdicts: dict
-    certificate: GaloisCertificate
-    invariants_order: int
-    trace_gap: bool = False
+    def __init__(self, galois, verdicts, certificate, invariants_order, trace_gap=False):
+        self.galois, self.verdicts, self.certificate = galois, verdicts, certificate
+        self.invariants_order, self.trace_gap = invariants_order, trace_gap
 
 
 def cross_check_equivalences(beta: UnitalAction):

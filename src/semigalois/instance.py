@@ -10,8 +10,6 @@ else is recomputed by validation).  Errors carry line positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .actions import validate_action
 from .rings import Atom, FiniteRing, StructuredIso
 from .semigroups import saturate_presentation, validate_table
@@ -23,12 +21,10 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-@dataclass
 class InstanceFile:
-    semigroup: object
-    ring: object
-    action: object
-    options: dict = field(default_factory=dict)
+    def __init__(self, semigroup, ring, action, options=None):
+        self.semigroup, self.ring, self.action = semigroup, ring, action
+        self.options = {} if options is None else options
 
 
 def _split_sections(text):
@@ -272,12 +268,24 @@ def parse_instance_text(text):
     return InstanceFile(S, A, beta, options)
 
 
-def parse_instance(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def instance_text(data):
+    """The text of an instance file's bytes, which must be UTF-8 and not blank;
+    a bad byte is reported on its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; a character appended to them
+        # falls on the bad byte's line
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
     if not text.strip():
         raise ParseError(1, "empty instance file")
-    return parse_instance_text(text)
+    return text
+
+
+def parse_instance(path):
+    with open(path, "rb") as fh:
+        return parse_instance_text(instance_text(fh.read()))
 
 
 def action_to_instance_text(beta, comment=None):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .budget import spend
@@ -98,16 +97,15 @@ DEFAULT_GF_POLYS = {
 }
 
 
-@dataclass(frozen=True)
 class Atom:
-    """One local factor: Z mod p^k, or GF(p^k) with an explicit modulus poly."""
+    """One local factor: Z mod p^k, or GF(p^k) with an explicit modulus poly.
 
-    kind: str  # "zmod" | "gf"
-    p: int
-    k: int
-    poly: tuple = ()
+    A value: equal and hashed by (kind, p, k, poly), checked on construction.
+    """
 
-    def __post_init__(self):
+    def __init__(self, kind, p, k, poly=()):
+        self.kind = kind  # "zmod" | "gf"
+        self.p, self.k, self.poly = p, k, poly
         if self.kind not in ("zmod", "gf"):
             raise RingError(f"unknown atom kind {self.kind!r}")
         # k is bounded before p ** k is computed, and p before the primality test
@@ -118,6 +116,17 @@ class Atom:
         if self.kind == "gf":
             if len(self.poly) != self.k + 1 or not _poly_irreducible(self.poly, self.p):
                 raise RingError(f"poly {self.poly} is not monic irreducible of degree {self.k} over F_{self.p}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return (self.kind, self.p, self.k, self.poly) == (other.kind, other.p, other.k, other.poly)
+
+    def __hash__(self):
+        return hash((self.kind, self.p, self.k, self.poly))
+
+    def __repr__(self):
+        return f"Atom(kind={self.kind!r}, p={self.p!r}, k={self.k!r}, poly={self.poly!r})"
 
     @staticmethod
     def zmod(p, k=1):
@@ -464,7 +473,7 @@ class StructuredIso:
     ones (a composite, inverse, join or block restriction) without checks.
     """
 
-    __slots__ = ("ring", "matching", "twist", "_key", "_plan")
+    __slots__ = ("ring", "matching", "twist", "_hash", "_plan")
 
     def __init__(self, ring, matching, twist):
         matching, twist = dict(matching), {i: int(t) for i, t in twist.items()}
@@ -481,8 +490,8 @@ class StructuredIso:
         self._fill(ring, matching, twist)
 
     def _fill(self, ring, matching, twist):
-        self.ring, self.matching, self.twist, self._plan = ring, matching, twist, None
-        self._key = (tuple(sorted(matching.items())), tuple(sorted(twist.items())))
+        self.ring, self.matching, self.twist = ring, matching, twist
+        self._hash = self._plan = None
         return self
 
     @staticmethod
@@ -500,11 +509,16 @@ class StructuredIso:
         return frozenset(self.matching.values())
 
     def __eq__(self, other):
-        return (isinstance(other, StructuredIso) and self._key == other._key
+        return (isinstance(other, StructuredIso) and self.matching == other.matching
+                and self.twist == other.twist
                 and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        return hash(self._key)
+        """The hash of the sorted (matching, twist) items, computed on first use."""
+        if self._hash is None:
+            self._hash = hash((tuple(sorted(self.matching.items())),
+                               tuple(sorted(self.twist.items()))))
+        return self._hash
 
     def __repr__(self):
         if not self.matching:

@@ -12,7 +12,6 @@ presentation into a table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .budget import spend
 
@@ -189,12 +188,25 @@ def quotient_table(S, classes, projection):
     return tuple(table)
 
 
-@dataclass(frozen=True)
 class QuotientGroup:
-    classes: tuple  # tuple of sorted element tuples
-    table: tuple  # class product table
-    projection: tuple  # element index -> class index
-    identity: int = field(default=0)
+    """A group quotient of S, as a value: equal and hashed by its fields."""
+
+    def __init__(self, classes, table, projection, identity=0):
+        self.classes = classes  # tuple of sorted element tuples
+        self.table = table  # class product table
+        self.projection = projection  # element index -> class index
+        self.identity = identity
+
+    def _fields(self):
+        return self.classes, self.table, self.projection, self.identity
+
+    def __eq__(self, other):
+        if other.__class__ is not QuotientGroup:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def size(self):
         return len(self.classes)
@@ -285,19 +297,27 @@ def join_of(S, P):
     return None
 
 
-@dataclass(frozen=True)
 class SubSemigroup:
-    parent: InverseSemigroup
-    members: frozenset
+    """An inverse subsemigroup of `parent`, checked closed under products and
+    inverses on construction; equal and hashed by (parent, members)."""
 
-    def __post_init__(self):
-        t = self.parent.table
+    def __init__(self, parent, members):
+        self.parent, self.members = parent, members
+        t = parent.table
         for a in self.members:
             if self.parent.inv[a] not in self.members:
                 raise SemigroupError("not closed under inverses")
             for b in self.members:
                 if t[a][b] not in self.members:
                     raise SemigroupError("not closed under products")
+
+    def __eq__(self, other):
+        if other.__class__ is not SubSemigroup:
+            return NotImplemented
+        return self.parent == other.parent and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.parent, self.members))
 
     @property
     def is_full(self):

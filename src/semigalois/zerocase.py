@@ -10,16 +10,14 @@ engine of `correspondence` over the beta-maximal subsemigroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import isopu
 from .actions import (ACTION_ROWS, ActionShape, AxiomFail,  # noqa: F401 (AxiomFail is re-exported)
                       check_action_axioms)
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
-from .semigroups import (InverseSemigroup, SemigroupError, ZeroRequired, lower_bound_classes,
-                         quotient_table, remembered, shares_lower_bound, validate_table)
+from .semigroups import (SemigroupError, ZeroRequired, lower_bound_classes, quotient_table,
+                         remembered, shares_lower_bound, validate_table)
 
 
 class NotPrimitive(SemigroupError):
@@ -162,11 +160,21 @@ def meet_formulas_check(S, s, t):
 # -- groupoids ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Groupoid:
-    n: int
-    product: tuple  # n x n tuple with entries element-index or None
-    names: tuple
+    """A finite groupoid as a value: equal and hashed by (n, product, names)."""
+
+    def __init__(self, n, product, names):
+        self.n = n
+        self.product = product  # n x n tuple with entries element-index or None
+        self.names = names
+
+    def __eq__(self, other):
+        if other.__class__ is not Groupoid:
+            return NotImplemented
+        return (self.n, self.product, self.names) == (other.n, other.product, other.names)
+
+    def __hash__(self):
+        return hash((self.n, self.product, self.names))
 
     def defined(self, g, h):
         return self.product[g][h] is not None
@@ -278,13 +286,11 @@ def connected_groupoid(group_table, objects, names=None):
 # -- partial actions and their conversion (PIS <-> PGr) -----------------------
 
 
-@dataclass
 class PartialSemigroupAction:
     """A partial action of an inverse semigroup with zero: A_s ideal of A_{ss^-1}."""
 
-    S: InverseSemigroup
-    A: object
-    isos: tuple
+    def __init__(self, S, A, isos):
+        self.S, self.A, self.isos = S, A, isos
 
 
 def validate_partial_semigroup_action(S, A, isos):
@@ -293,14 +299,9 @@ def validate_partial_semigroup_action(S, A, isos):
     return PartialSemigroupAction(S, A, isos)
 
 
-@dataclass
 class PartialGroupoidAction:
-    G: Groupoid
-    d: tuple
-    r: tuple
-    inv: tuple
-    A: object
-    isos: tuple
+    def __init__(self, G, d, r, inv, A, isos):
+        self.G, self.d, self.r, self.inv, self.A, self.isos = G, d, r, inv, A, isos
 
 
 def validate_partial_groupoid_action(G, d, r, inv, A, isos):

@@ -133,6 +133,56 @@ def test_empty_file_positioned_error(tmp_path):
     assert err.value.line_no == 1
 
 
+def _assert_input_error(code, out, err, message):
+    """Exit 2, nothing on stdout, and one `error: ...` line on stderr."""
+    assert code == 2 and out == b""
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1 and message in err
+    assert b"Traceback" not in err
+
+
+def test_non_utf8_file_names_the_line_of_the_first_bad_byte(tmp_path):
+    text = (INSTANCES / "c2_swap.sgi").read_bytes().splitlines(keepends=True)
+    p = tmp_path / "latin1.sgi"
+    p.write_bytes(b"".join(text[:2]) + b"# caf\xe9 \xff\n" + b"".join(text[2:]))
+    _assert_input_error(*run_cli(["galois", str(p)]), b"error: line 3: not UTF-8 text: byte 0xe9")
+    with pytest.raises(inst.ParseError, match="not UTF-8") as exc:
+        inst.parse_instance(p)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("data,line_no", [(b"\xff", 1), (b"[ring]\r\n\x80", 2), (b"a\rb\n\n\xc3(", 4)])
+def test_bad_byte_line_counts_line_breaks_as_the_parser_does(data, line_no):
+    with pytest.raises(inst.ParseError) as exc:
+        inst.instance_text(data)
+    assert exc.value.line_no == line_no
+
+
+def test_unreadable_path_is_an_error_line(tmp_path):
+    _assert_input_error(*run_cli(["galois", str(tmp_path)]),
+                        f"error: cannot read {tmp_path}: ".encode())
+    _assert_input_error(*run_cli(["galois", str(tmp_path / "missing.sgi")]),
+                        b"error: no such file: ")
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A fresh `import semigalois.cli` loads this list of package modules,
+    which the benchmark's tracer wraps, and not `dataclasses`, which no
+    module under src/ names."""
+    from test_golden_reports import _clean_env
+    probe = ("import sys; before = set(sys.modules); import semigalois.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=REPO,
+                          env=_clean_env(), check=True)
+    loaded = proc.stdout.decode().split()
+    assert "dataclasses" not in loaded
+    assert not [p for p in (REPO / "src").rglob("*.py") if "dataclasses" in p.read_text()]
+    assert [m for m in loaded if m.split(".")[0] == "semigalois"] == [
+        "semigalois", "semigalois.actions", "semigalois.budget", "semigalois.cli",
+        "semigalois.correspondence", "semigalois.galois", "semigalois.instance",
+        "semigalois.isopu", "semigalois.linalg", "semigalois.rings", "semigalois.semigroups",
+        "semigalois.zerocase"]
+
+
 def test_non_associative_table_names_the_failure(tmp_path):
     p = tmp_path / "bad.sgi"
     p.write_text("""

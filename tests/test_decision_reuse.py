@@ -18,7 +18,7 @@ from semigalois import rings as rg
 from semigalois.corpus import (b2_swap_fixture, c2_fixed_atom_fixture,
                                collapsing_semilattice_fixture, f9_cubed_fixture, random_ring,
                                random_structured_iso)
-from oracles import element_product, is_separable, iso_apply_by_polynomials
+from oracles import element_product, iso_apply_by_polynomials
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -333,24 +333,26 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_p
     assert len(adjoined) == adjoins
 
 
-@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 3)])
+@pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
 def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instance, checks):
-    """oracles.is_separable(A, A^beta) checks R <= B once per pair of objects: on one
-    orbit the tensor's constructor checks B and R themselves, and on two
-    orbits the whole pair is checked, then each orbit's block pair (3 and 4
-    checks when is_separable and orbit_tensors each checked the whole pair).
-    An R outside B still raises is_separable's own error."""
+    """The library's route, galois.is_separable(galois._full_tensor(beta)),
+    checks R <= B once per pair of objects: each orbit's tensor constructor
+    checks its block pair, and the solve checks nothing again (1 and 3 checks
+    when this counted the reference route in tests/oracles.py, which checks
+    the whole pair on two orbits as well).  An R outside B still raises the
+    constructor's error."""
     from semigalois.instance import parse_instance
     beta = parse_instance(INSTANCES / instance).action
-    full, inv = rg.Subalgebra.full(beta.A), actions.invariant_ring(beta)
     pairs = []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
-    assert is_separable(full, inv, blocks=beta.orbits) is not None
+    tensors = galois._full_tensor(beta)
+    assert galois.is_separable(tensors) is not None
     assert len(pairs) == checks
     assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
-    assert pairs[0] == (full, inv)
-    with pytest.raises(rg.NotSubring, match="separability needs R inside B"):
-        is_separable(inv, full, blocks=beta.orbits)
+    assert pairs == [(tensor.M, tensor.R) for _, tensor in tensors]
+    _, tensor = tensors[0]
+    with pytest.raises(rg.NotSubring, match="R is not contained in both factors"):
+        rg.TensorPresentation(tensor.R, tensor.R, tensor.M)
 
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])

@@ -2,10 +2,11 @@
 
 Each example starts from a shipped instance and replaces, inserts or
 deletes lines built from the format's own section headers, keys and values,
-mixed with junk and huge integers.  Every command must end in one of the
-documented exit codes (0 verdicts hold, 1 a verdict fails, 2 an input error,
-3 the budget ran out) and never raise.  The run is derandomized, so tier-1
-sees the same examples every time.
+mixed with junk and huge integers; a second test then splices in bytes that
+are not UTF-8 or are NUL, and a third passes a directory.  Every command
+must end in one of the documented exit codes (0 verdicts hold, 1 a verdict
+fails, 2 an input error, 3 the budget ran out) and never raise.  The run is
+derandomized, so tier-1 sees the same examples every time.
 """
 
 import contextlib
@@ -68,6 +69,14 @@ def instance_text(draw):
     return "\n".join(lines) + "\n"
 
 
+def _run(command, path):
+    """(exit code, stderr) of one in-process CLI run."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, str(path), "--budget", "20000"])
+    return code, stderr.getvalue()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=instance_text(), command=st.sampled_from(COMMANDS))
@@ -75,7 +84,46 @@ def test_fuzzed_instances_end_in_an_exit_code(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.sgi"
         path.write_text(text)
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([command, str(path), "--budget", "20000"])
+        code, _ = _run(command, path)
     assert code in (0, 1, 2, 3)
+
+
+# invalid UTF-8 (a lone continuation byte, a truncated or overlong sequence,
+# an encoded surrogate, bytes UTF-8 never uses) and NUL, which decodes
+CHUNK = st.sampled_from([b"\x80", b"\xff", b"\xfe\xff", b"\xc3(", b"\xe2\x82", b"\xc0\xaf",
+                         b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80", b"\x00", b"\x00\x00"])
+
+
+@st.composite
+def instance_bytes(draw):
+    data = bytearray(draw(instance_text()).encode())
+    for at, chunk in draw(st.lists(st.tuples(st.integers(0, 4000), CHUNK), min_size=1, max_size=3)):
+        at %= len(data) + 1
+        data[at:at] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=instance_bytes(), command=st.sampled_from(COMMANDS))
+def test_fuzzed_bytes_end_in_an_exit_code(data, command):
+    """A file that is not UTF-8 is an input error on the line of its first
+    bad byte; NULs reach the parser like any other character."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.sgi"
+        path.write_bytes(data)
+        code, err = _run(command, path)
+    assert code in (0, 1, 2, 3)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data[:exc.start].count(b"\n") + 1
+        assert code == 2
+        assert err == f"error: line {line_no}: not UTF-8 text: byte 0x{data[exc.start]:02x}\n"
+
+
+def test_a_directory_is_an_input_error():
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            code, err = _run(command, tmp)
+            assert code == 2 and err == f"error: cannot read {tmp}: Is a directory\n"

@@ -5,7 +5,7 @@ import pytest
 from oracles import iso_pu_elements, upper_bounds
 from semigalois import isopu
 from semigalois.corpus import random_ring, random_structured_iso, f9_cubed_fixture
-from semigalois.rings import Atom, FiniteRing, StructuredIso
+from semigalois.rings import Atom, Block, FiniteRing, StructuredIso
 
 
 def f3f3():
@@ -117,3 +117,60 @@ def test_iso_pu_enumeration_counts():
     B = f3f3()
     # 1 empty + 2x2 singleton matchings + 2 full matchings = 7
     assert len(iso_pu_elements(B)) == 7
+
+
+def _gf9_ring():
+    return FiniteRing([Atom.gf(3, 2), Atom.gf(3, 2), Atom.zmod(3, 2), Atom.gf(3, 2)])
+
+
+def test_isos_built_by_different_routes_are_equal_and_hash_equal():
+    """Equality reads the matching and twist dicts, whatever their insertion
+    order, and the ring by value; the hash agrees with it."""
+    A = _gf9_ring()
+    f = StructuredIso(A, {0: 1, 1: 0, 2: 2}, {0: 1})
+    ident = StructuredIso.identity_on(A, {0, 1, 2})
+    same = [
+        StructuredIso(A, {2: 2, 1: 0, 0: 1}, {2: 0, 1: 0, 0: 3}),
+        StructuredIso.trusted(A, {1: 0, 2: 2, 0: 1}, {2: 0, 0: 1, 1: 0}),
+        StructuredIso(_gf9_ring(), {0: 1, 1: 0, 2: 2}, {0: 1}),
+        isopu.compose(f, ident),
+        isopu.compose(ident, f),
+        f.inverse().inverse(),
+    ]
+    for g in same:
+        assert g == f and f == g and hash(g) == hash(f)
+    assert len({f, *same}) == 1
+    assert f.inverse() == StructuredIso(A, {1: 0, 0: 1, 2: 2}, {1: 1})
+    assert hash(f.inverse()) == hash(StructuredIso(A, {2: 2, 0: 1, 1: 0}, {1: 1}))
+
+
+def test_block_isos_equal_isos_built_on_an_equal_ring():
+    A = _gf9_ring()
+    f = StructuredIso(A, {0: 1, 1: 0, 3: 3}, {1: 1, 3: 1})
+    on_block = Block(A, [0, 1, 3]).iso(f)
+    fresh = FiniteRing([Atom.gf(3, 2)] * 3)
+    assert on_block.ring is not fresh and on_block.ring == fresh
+    built = StructuredIso(fresh, {2: 2, 1: 0, 0: 1}, {2: 1, 1: 1})
+    assert on_block == built and hash(on_block) == hash(built)
+    assert on_block != f
+
+
+def test_isos_that_differ_in_twist_or_matching_alone_are_unequal():
+    A = _gf9_ring()
+    f = StructuredIso(A, {0: 1, 1: 0, 2: 2}, {0: 1})
+    assert f != StructuredIso(A, {0: 1, 1: 0, 2: 2}, {1: 1})
+    assert f != StructuredIso(A, {0: 1, 1: 0, 2: 2}, {})
+    assert f != StructuredIso(A, {0: 3, 1: 0, 2: 2}, {0: 1})
+    assert f != StructuredIso(A, {0: 1, 1: 0}, {0: 1})
+    assert f != StructuredIso(FiniteRing([Atom.gf(3, 2)] * 2 + [Atom.zmod(3, 2), Atom.zmod(3)]),
+                              {0: 1, 1: 0, 2: 2}, {0: 1})
+    assert f != f.matching and f != (f.matching, f.twist)
+
+
+def test_iso_hash_is_stable_across_calls():
+    A = _gf9_ring()
+    f = StructuredIso(A, {3: 3, 0: 1, 1: 0}, {0: 1, 3: 1})
+    first = hash(f)
+    assert {f: 1}[StructuredIso.trusted(A, {0: 1, 1: 0, 3: 3}, {3: 1, 0: 1, 1: 0})] == 1
+    f.application_plan()
+    assert hash(f) == first == hash(f)
