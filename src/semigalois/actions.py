@@ -20,7 +20,8 @@ from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack,
 from .rings import (AtomMismatch, Block, RingElement, SpanExpander, StructuredIso, Subalgebra,
                     TensorPresentation)
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
-                         remembered, restrict_table, sigma_partition, validate_table)
+                         linked_classes, remembered, restrict_table, sigma_partition,
+                         validate_table)
 
 
 class ActionError(SemigroupError):
@@ -88,21 +89,8 @@ class UnitalAction:
         = beta_s(y 1_{s^-1}) e_O 1_s, so every system the Galois criteria
         solve is block diagonal over the orbits.
         """
-        root = list(range(len(self.A.atoms)))
-
-        def find(a):
-            while root[a] != a:
-                a = root[a]
-            return a
-
-        for iso in self.isos:
-            for i, j in iso.matching.items():
-                a, b = sorted((find(i), find(j)))
-                root[b] = a
-        orbits = {}
-        for a in range(len(root)):
-            orbits.setdefault(find(a), []).append(a)
-        return tuple(Block(self.A, atoms) for atoms in orbits.values())
+        pairs = (pair for iso in self.isos for pair in iso.matching.items())
+        return tuple(Block(self.A, atoms) for atoms in linked_classes(len(self.A.atoms), pairs))
 
     def __repr__(self):
         return f"UnitalAction(|S|={self.S.n}, A={self.A!r})"
@@ -321,8 +309,11 @@ def invariant_order_from_atoms(beta):
     """|A^beta| as the product over the orbits O of |atom_r^{H_r}|, r the least atom of O.
 
     H_r is the group of twists of the maps fixing r (`fixed_atom_violation`),
-    generated by h = gcd(k, those twists): atom_r^{H_r} is GF(p^h) in
-    GF(p^k), and all of Z/p^k.  Each atom c of O is beta_s(r) for some s,
+    a subgroup of Z/n for the atom's n = `coords` coordinates, generated by
+    h = gcd(n, those twists).  atom_r^{H_r} is the ring fixed by Frob^h,
+    free on h coordinates modulo the atom's `modulus` m, so of order m^h:
+    GF(p^h) in GF(p^k) (n = k, m = p), and all of Z/p^k (n = h = 1,
+    m = p^k).  Each atom c of O is beta_s(r) for some s,
     since r's idempotent fixes it and the maps compose and invert along O,
     and an invariant a has a[c] = Frob^t(a[r]).  Two such s have twists
     apart by an element of H_r (s'^-1 s fixes r), so a[r] may be any
@@ -334,7 +325,7 @@ def invariant_order_from_atoms(beta):
         r = block.atoms[0]
         atom = beta.A.atoms[r]
         twists = [iso.twist[r] for iso in beta.isos if iso.matching.get(r) == r]
-        order *= atom.order if atom.kind == "zmod" else atom.p ** math.gcd(atom.k, *twists)
+        order *= atom.modulus ** math.gcd(atom.coords, *twists)
     return order
 
 
@@ -346,27 +337,29 @@ def separability_violation(beta, B):
     B holds each e_O, so it is separable iff each B e_O is over A^beta e_O.
     An invariant is fixed on O by its value at one atom
     (`invariant_order_from_atoms`), so A^beta e_O embeds in each atom of O,
-    as a subfield K of GF(p^k), or as all of Z/p^k.  On GF(p^k) or Z/p
-    atoms, B e_O is reduced, a product of finite fields over K, so
-    separable.  On Z/p^k atoms, each primitive idempotent f of B under e_O
-    has Bf local and holding Z/p^k f.  B e_O mod p is a subring of F_p^O
-    whose idempotents lift (the kernel is nil): the vectors constant on the
-    atom classes of the f, read off the generators' residues, so
-    |p^{k-1} B e_O| = p^{#f}.  Bf is separable iff Bf/pBf is a field, iff
-    Bf = Z/p^k f (Nakayama), iff |Bf| = p^k, its least order; so the orbit
-    passes iff |B e_O| = |p^{k-1} B e_O|^k, i.e. B e_O is free over Z/p^k.
-    |B e_O| is the product of modulus / pivot over O's coordinates, since
-    B's canonical basis is the direct sum of its blocks'.
+    as a subring K of it.  An atom whose coordinate modulus m is p is a
+    field (GF(p^k), or Z/p): there B e_O is reduced, a product of finite
+    fields over the subfield K, so separable.  An atom with m = p^k, k > 1,
+    has one coordinate (it is Z/p^k), and K is all of it.  Each primitive
+    idempotent f of B under e_O has Bf local and holding (Z/m) f.  B e_O
+    mod p is a subring of F_p^O whose idempotents lift (the kernel is nil):
+    the vectors constant on the atom classes of the f, read off the
+    generators' residues, so |p^{k-1} B e_O| = p^{#f}.  Bf is separable iff
+    Bf/pBf is a field, iff Bf = (Z/m) f (Nakayama), iff |Bf| = m, its least
+    order; so the orbit passes iff |B e_O| = m^{#f}, i.e. B e_O is free
+    over Z/m.  |B e_O| is the product of m / pivot over O's coordinates,
+    since B's canonical basis is the direct sum of its blocks'.
     """
     A = beta.A
     gens = B.gen_vectors
     for block in beta.orbits:
         atom = A.atoms[block.atoms[0]]
-        if atom.kind == "gf" or atom.k == 1:
+        m = atom.modulus
+        if m == atom.p:
             continue
-        order = math.prod(atom.order // B.basis.cols[c][c] for c in block.coords)
+        order = math.prod(m // B.basis.cols[c][c] for c in block.coords)
         classes = {tuple(g[c] % atom.p for g in gens) for c in block.coords}
-        if order != atom.order ** len(classes):
+        if order != m ** len(classes):
             return block
     return None
 

@@ -34,7 +34,7 @@ from .actions import (UnitalAction, fixed_atom_violation, image_action,
 from .linalg import (AbelianPresentation, block_diag, hstack, lattice_det, lattice_member,
                      solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation
-from .semigroups import SubSemigroup, is_e_unitary, remembered
+from .semigroups import SubSemigroup, is_e_unitary, linked_classes, remembered
 
 
 class EquivalenceViolation(AssertionError):
@@ -184,24 +184,13 @@ class PABetaS:
         self.copies = [(t, i) for t in self.maximal for i in range(A.n_coords)
                        if A.coord_atom(i) in beta.im_support(t)]
         position = {copy: p for p, copy in enumerate(self.copies)}
-        root = list(range(len(self.copies)))
-
-        def find(p):
-            while root[p] != p:
-                root[p] = p = root[root[p]]
-            return p
-
+        ties = []
         for s in range(S.n):
             first, *rest = [t for t in self.maximal if S.leq[s][t]]
             for i in range(A.n_coords):
                 if A.coord_atom(i) in beta.im_support(s):
-                    for t in rest:
-                        a, b = find(position[first, i]), find(position[t, i])
-                        root[max(a, b)] = min(a, b)
-        classes = {}
-        for p in range(len(self.copies)):
-            classes.setdefault(find(p), []).append(p)
-        self.classes = sorted(classes.values())  # by least position
+                    ties += [(position[first, i], position[t, i]) for t in rest]
+        self.classes = linked_classes(len(self.copies), ties)  # by least position
         self.order = math.prod(A.coord_moduli[self.copies[c[0]][1]] for c in self.classes)
         isos = [beta.isos[t] for t in self.maximal]
         self.parts = [_PAPart(block, isos, self) for block in beta.orbits]

@@ -134,21 +134,22 @@ def _parse_ring(lines):
         if not parts:
             raise ParseError(no, "empty atom spec")
         kind = parts[0].lower()
+        if kind not in ("zmod", "gf"):
+            raise ParseError(no, f"unknown atom kind {kind!r}")
+        poly = None
+        for token in parts[3:]:
+            if kind != "gf" or not token.startswith("poly="):
+                raise ParseError(no, f"unexpected atom token {token!r}")
+            if poly is not None:
+                raise ParseError(no, "poly= given twice")
+            poly = token[5:]
         try:
             if kind == "zmod":
                 p, k = int(parts[1]), int(parts[2]) if len(parts) > 2 else 1
                 atoms.append(Atom.zmod(p, k))
-            elif kind == "gf":
-                p, k = int(parts[1]), int(parts[2])
-                poly = None
-                for extra in parts[3:]:
-                    if extra.startswith("poly="):
-                        poly = tuple(int(c) for c in extra[5:].split(","))
-                atoms.append(Atom.gf(p, k, poly))
             else:
-                raise ParseError(no, f"unknown atom kind {kind!r}")
-        except ParseError:
-            raise
+                p, k = int(parts[1]), int(parts[2])
+                atoms.append(Atom.gf(p, k, None if poly is None else tuple(int(c) for c in poly.split(","))))
         except Exception as exc:
             raise ParseError(no, f"bad atom spec: {exc}") from None
     if not atoms:

@@ -31,8 +31,7 @@ def compose(f: StructuredIso, g: StructuredIso) -> StructuredIso:
     for i, j in g.matching.items():
         if j in f.matching:
             matching[i] = f.matching[j]
-            a = g.ring.atoms[i]
-            twist[i] = (g.twist[i] + f.twist[j]) % a.k if a.kind == "gf" else 0
+            twist[i] = (g.twist[i] + f.twist[j]) % g.ring.atoms[i].coords
     return StructuredIso.trusted(f.ring, matching, twist)
 
 

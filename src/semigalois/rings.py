@@ -2,7 +2,10 @@
 
 An atom is either Z/p^k or GF(p^k); every finite commutative ring is a
 product of local rings, so this representation is lossless up to
-isomorphism.  It also makes the objects the Galois machinery needs finitely
+isomorphism.  Both kinds are Galois rings and are held alike: r coordinates
+modulo one integer, multiplied as polynomials modulo the atom's `poly`.  An
+element is the vector of all atoms' coordinates, printed per atom.  The
+product form makes the objects the Galois machinery needs finitely
 structured: central idempotents are exactly the support indicators, unital
 ideals are atom subsets, and ring isomorphisms between unital ideals are
 atom matchings with a per-atom automorphism twist (trivial on Z/p^k,
@@ -100,6 +103,12 @@ DEFAULT_GF_POLYS = {
 class Atom:
     """One local factor: Z mod p^k, or GF(p^k) with an explicit modulus poly.
 
+    Both are Galois rings, GR(p^k, 1) and GR(p, k), and are held alike:
+    `coords` coordinates, each modulo `modulus`, multiplied as polynomials
+    modulo `poly` (p^k and one coordinate on Z/p^k; p and k coordinates on
+    GF(p^k)).  `kind` names the format an atom is read and printed in; no
+    arithmetic reads it.
+
     A value: equal and hashed by (kind, p, k, poly), checked on construction.
     """
 
@@ -116,6 +125,10 @@ class Atom:
         if self.kind == "gf":
             if len(self.poly) != self.k + 1 or not _poly_irreducible(self.poly, self.p):
                 raise RingError(f"poly {self.poly} is not monic irreducible of degree {self.k} over F_{self.p}")
+            self.coords, self.modulus = k, p
+        else:
+            self.coords, self.modulus = 1, p ** k
+        self.coord_moduli = (self.modulus,) * self.coords
 
     def __eq__(self, other):
         if other.__class__ is not Atom:
@@ -144,41 +157,26 @@ class Atom:
     def order(self):
         return self.p ** self.k
 
-    @property
-    def coords(self):
-        """Number of additive coordinates (cyclic summands)."""
-        return 1 if self.kind == "zmod" else self.k
-
-    @property
-    def coord_moduli(self):
-        return (self.p ** self.k,) if self.kind == "zmod" else (self.p,) * self.k
-
-    def zero(self):
-        return 0 if self.kind == "zmod" else (0,) * self.k
-
-    def one(self):
-        return 1 if self.kind == "zmod" else ((1,) + (0,) * (self.k - 1))
-
     def frobenius_cols(self, j):
-        """Images of the basis 1, x, ..., x^(k-1) under Frobenius^j, built once per j:
-        the powers of y = x^(p^j), with y found by square-and-multiply."""
+        """Images of the basis 1, x, ..., x^(r-1), r = `coords`, under
+        Frobenius^j, built once per j: the powers of y = x^(p^j), with y found
+        by square-and-multiply.  On one coordinate they are the identity."""
         cache = self._frobenius_cache
         if j not in cache:
-            if self.kind == "zmod":
-                if j:
-                    raise RingError(f"{self.label()} admits no twist, got {j}")
-                cols = [(1,)]
-            else:
-                x = tuple(1 if t == 1 else 0 for t in range(self.k))
-                y, e = self.one(), self.p ** (j % self.k)
-                while e:
-                    if e & 1:
-                        y = self.mul_coords(y, x)
-                    x = self.mul_coords(x, x)
-                    e >>= 1
-                cols = [self.one()]
-                for _ in range(self.k - 1):
-                    cols.append(tuple(self.mul_coords(cols[-1], y)))
+            if j and self.kind == "zmod":
+                raise RingError(f"{self.label()} admits no twist, got {j}")
+            r = self.coords
+            one = (1,) + (0,) * (r - 1)
+            x = tuple(1 if t == 1 else 0 for t in range(r))
+            y, e = one, self.p ** (j % r)
+            while e:
+                if e & 1:
+                    y = self.mul_coords(y, x)
+                x = self.mul_coords(x, x)
+                e >>= 1
+            cols = [one]
+            for _ in range(r - 1):
+                cols.append(tuple(self.mul_coords(cols[-1], y)))
             cache[j] = tuple(cols)
         return cache[j]
 
@@ -188,42 +186,34 @@ class Atom:
 
     @cached_property
     def _x_powers(self):
-        """x^d for d <= 2k-2 over a GF atom, from the monic modulus: x^k is
-        -(poly_0 + ... + poly_(k-1) x^(k-1)), and each further power shifts
-        the one before up a degree and rewrites its x^k term."""
-        k, p = self.k, self.p
-        powers = [tuple(1 if t == d else 0 for t in range(k)) for d in range(k)]
-        top = tuple(-c % p for c in self.poly[:k])
-        for _ in range(k - 1):
+        """x^d for d <= 2r-2, r = `coords`, from the monic modulus: x^r is
+        -(poly_0 + ... + poly_(r-1) x^(r-1)), and each further power shifts
+        the one before up a degree and rewrites its x^r term."""
+        r, m = self.coords, self.modulus
+        powers = [tuple(1 if t == d else 0 for t in range(r)) for d in range(r)]
+        top = tuple(-c % m for c in self.poly[:r])
+        for _ in range(r - 1):
             last = powers[-1]
-            powers.append(tuple((s + last[-1] * c) % p for s, c in zip((0,) + last[:-1], top)))
+            powers.append(tuple((s + last[-1] * c) % m for s, c in zip((0,) + last[:-1], top)))
         return tuple(powers)
 
     def mul_coords(self, u, v):
-        """Product of two coordinate chunks of this atom, as a list of ints."""
-        if self.kind == "zmod":
-            return [int(u[0]) * int(v[0]) % self.order]
-        k, p = self.k, self.p
-        conv = [0] * (2 * k - 1)
+        """Product of two coordinate chunks of this atom, as a list of ints:
+        their product as polynomials, each x^d with d >= `coords` rewritten
+        by `_x_powers`."""
+        r = self.coords
+        conv = [0] * (2 * r - 1)
         for i, x in enumerate(u):
             if x:
-                x = int(x)
-                for j, y in enumerate(v):
-                    if y:
-                        conv[i + j] += x * int(y)
-        out = conv[:k]
-        for d in range(k, 2 * k - 1):
+                for d, y in enumerate(v, i):
+                    conv[d] += x * y
+        for d in range(r, 2 * r - 1):
             c = conv[d]
             if c:
                 for t, z in enumerate(self._x_powers[d]):
-                    if z:
-                        out[t] += c * z
-        return [c % p for c in out]
-
-    def elements(self):
-        if self.kind == "zmod":
-            return range(self.order)
-        return itertools.product(range(self.p), repeat=self.k)
+                    conv[t] += c * z
+        m = self.modulus
+        return [c % m for c in conv[:r]]
 
     def label(self):
         if self.kind == "zmod":
@@ -232,7 +222,8 @@ class Atom:
 
 
 class FiniteRing:
-    """An ordered product of atoms; elements are per-atom component tuples."""
+    """An ordered product of atoms; elements are coordinate vectors, each
+    atom's coordinates in one span, in the order of the atoms."""
 
     def __init__(self, atoms):
         atoms = tuple(atoms)
@@ -266,19 +257,21 @@ class FiniteRing:
     # -- elements ---------------------------------------------------------
 
     def element(self, comps):
+        """The element with per-atom components `comps`, in the format of
+        `RingElement.comps`: an int on a Z/p^k atom, a tuple on GF(p^k)."""
         comps = tuple(comps)
         if len(comps) != len(self.atoms):
             raise AtomMismatch("component count mismatch")
-        fixed = []
+        vec = []
         for a, c in zip(self.atoms, comps):
             if a.kind == "zmod":
-                fixed.append(int(c) % a.order)
+                vec.append(c)
             else:
-                c = tuple(int(x) % a.p for x in c)
+                c = tuple(c)
                 if len(c) != a.k:
                     raise AtomMismatch("GF component length mismatch")
-                fixed.append(c)
-        return RingElement(self, tuple(fixed))
+                vec.extend(c)
+        return self.from_vec(vec)
 
     def zero(self):
         return self.from_vec(self.zero_vec)
@@ -298,17 +291,7 @@ class FiniteRing:
         return self._idempotents[support]
 
     def from_vec(self, vec):
-        comps = []
-        for (lo, hi), a in zip(self._spans, self.atoms):
-            chunk = [int(v) % m for v, m in zip(vec[lo:hi], a.coord_moduli)]
-            comps.append(chunk[0] if a.kind == "zmod" else tuple(chunk))
-        return RingElement(self, tuple(comps))
-
-    def to_vec(self, el):
-        vec = []
-        for a, c in zip(self.atoms, el.comps):
-            vec.extend([c] if a.kind == "zmod" else list(c))
-        return tuple(vec)
+        return RingElement(self, tuple(int(v) % m for v, m in zip(vec, self.coord_moduli)))
 
     def basis_vectors(self):
         """Atom-pure additive generators e_0, ..., e_{n-1} as coordinate vectors."""
@@ -360,10 +343,9 @@ class FiniteRing:
         return sum(1 << a for a, (lo, hi) in enumerate(self._spans) if any(vec[lo:hi]))
 
     def is_unit_vec(self, vec):
-        """The element is a unit: on every atom a GF coordinate block is
-        nonzero and a Z/p^k coordinate is prime to p."""
-        return all(vec[lo] % a.p if a.kind == "zmod" else any(vec[lo:hi])
-                   for (lo, hi), a in zip(self._spans, self.atoms))
+        """The element is a unit: on every atom some coordinate is prime to
+        p, as an atom's maximal ideal is p times the atom."""
+        return all(any(x % a.p for x in vec[lo:hi]) for (lo, hi), a in zip(self._spans, self.atoms))
 
     def vector_order(self, vec):
         """Additive order of a coordinate vector."""
@@ -388,8 +370,8 @@ class FiniteRing:
 
     def elements(self):
         spend("elements", self.size)
-        for comps in itertools.product(*[a.elements() for a in self.atoms]):
-            yield RingElement(self, tuple(comps))
+        for vec in itertools.product(*[range(m) for m in self.coord_moduli]):
+            yield RingElement(self, vec)
 
     def all_supports(self):
         idx = range(len(self.atoms))
@@ -407,15 +389,16 @@ def sorted_support_key(s):
 class RingElement:
     """An element of a FiniteRing; immutable and hashable.
 
-    The printed and API view of a coordinate vector: its arithmetic is the
-    ring's coordinate kernel (`add_vec`, `mul_vec`).
+    It holds its reduced coordinate vector, and its arithmetic is the ring's
+    coordinate kernel (`add_vec`, `mul_vec`); `comps` reads the vector per
+    atom, as the element is printed.
     """
 
-    __slots__ = ("ring", "comps")
+    __slots__ = ("ring", "_vec")
 
-    def __init__(self, ring, comps):
+    def __init__(self, ring, vec):
         self.ring = ring
-        self.comps = comps
+        self._vec = vec
 
     def _check(self, other):
         if not isinstance(other, RingElement) or other.ring != self.ring:
@@ -423,43 +406,51 @@ class RingElement:
 
     def __add__(self, other):
         self._check(other)
-        return self.ring.from_vec(self.ring.add_vec(self.vec(), other.vec()))
+        return self.ring.from_vec(self.ring.add_vec(self._vec, other._vec))
 
     def __neg__(self):
-        return self.ring.from_vec(tuple(-x for x in self.vec()))
+        return self.ring.from_vec(tuple(-x for x in self._vec))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.ring.from_vec(tuple(other * x for x in self.vec()))
+            return self.ring.from_vec(tuple(other * x for x in self._vec))
         self._check(other)
-        return self.ring.from_vec(self.ring.mul_vec(self.vec(), other.vec()))
+        return self.ring.from_vec(self.ring.mul_vec(self._vec, other._vec))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, RingElement) and self.ring == other.ring and self.comps == other.comps
+        return isinstance(other, RingElement) and self.ring == other.ring and self._vec == other._vec
 
     def __hash__(self):
-        return hash(self.comps)
+        return hash(self._vec)
 
     def __repr__(self):
         return f"<{', '.join(map(str, self.comps))}>"
 
+    @property
+    def comps(self):
+        """The per-atom components: an int on a Z/p^k atom, a tuple of its
+        coordinates on a GF(p^k) atom (a 1-tuple on GF(p))."""
+        vec = self._vec
+        return tuple(vec[lo] if a.kind == "zmod" else vec[lo:hi]
+                     for (lo, hi), a in zip(self.ring._spans, self.ring.atoms))
+
     def support(self):
-        return frozenset(i for i, (a, c) in enumerate(zip(self.ring.atoms, self.comps)) if c != a.zero())
+        vec = self._vec
+        return frozenset(i for i, (lo, hi) in enumerate(self.ring._spans) if any(vec[lo:hi]))
 
     def is_idempotent(self):
         return self * self == self
 
     def vec(self):
-        return self.ring.to_vec(self)
+        return self._vec
 
     def mask(self, support):
-        return RingElement(self.ring, tuple(c if i in support else a.zero()
-                                            for i, (a, c) in enumerate(zip(self.ring.atoms, self.comps))))
+        return RingElement(self.ring, self.ring.mask_vec(self._vec, support))
 
 
 class StructuredIso:
@@ -467,7 +458,8 @@ class StructuredIso:
 
     `matching` maps each domain atom index to its image atom index (the
     atoms must carry identical (kind, p, k, poly)); `twist` gives the
-    Frobenius power applied on each domain atom (always 0 on zmod atoms).
+    Frobenius power applied on each domain atom, reduced mod the atom's
+    `coords` (so always 0 on Z/p^k atoms).
     Local atoms force any isomorphism of unital ideals into this shape.
     The constructor checks this; `trusted` builds an iso derived from valid
     ones (a composite, inverse, join or block restriction) without checks.
@@ -486,7 +478,7 @@ class StructuredIso:
             t = twist.get(i, 0)
             if a.kind == "zmod" and t:
                 raise RingError(f"atom {i} is {a.label()}, which admits no twist (got {t})")
-            twist[i] = t % a.k if a.kind == "gf" else 0
+            twist[i] = t % a.coords
         self._fill(ring, matching, twist)
 
     def _fill(self, ring, matching, twist):
@@ -497,7 +489,7 @@ class StructuredIso:
     @staticmethod
     def trusted(ring, matching, twist):
         """The iso of valid data: dicts matching equal atoms bijectively and
-        giving each domain atom its twist, reduced mod k (0 on zmod atoms)."""
+        giving each domain atom its twist, reduced mod the atom's `coords`."""
         return StructuredIso.__new__(StructuredIso)._fill(ring, matching, twist)
 
     @property
@@ -539,10 +531,8 @@ class StructuredIso:
 
     def inverse(self):
         matching = {j: i for i, j in self.matching.items()}
-        twist = {}
-        for i, j in self.matching.items():
-            a = self.ring.atoms[i]
-            twist[j] = (-self.twist[i]) % a.k if a.kind == "gf" else 0
+        atoms = self.ring.atoms
+        twist = {j: -self.twist[i] % atoms[i].coords for i, j in self.matching.items()}
         return StructuredIso.trusted(self.ring, matching, twist)
 
     def apply(self, el):

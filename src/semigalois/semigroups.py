@@ -174,6 +174,26 @@ def lower_bound_classes(S):
     return tuple(classes), tuple(projection)
 
 
+def linked_classes(n, pairs):
+    """The classes of the equivalence on range(n) generated by `pairs`,
+    each ascending, in the order of their least members: a union-find
+    whose root is always its class's least member."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        root[max(a, b)] = min(a, b)
+    classes = {}
+    for a in range(n):
+        classes.setdefault(find(a), []).append(a)
+    return list(classes.values())
+
+
 def quotient_table(S, classes, projection):
     """The product table of the classes, or None when the partition is not a congruence."""
     table = []

@@ -1220,8 +1220,20 @@ def atom_mul(atom, a, b):
     return tuple(res[:k])
 
 
+def atom_zero(atom):
+    return 0 if atom.kind == "zmod" else (0,) * atom.k
+
+
+def atom_one(atom):
+    return 1 if atom.kind == "zmod" else ((1,) + (0,) * (atom.k - 1))
+
+
+def atom_elements(atom):
+    return range(atom.order) if atom.kind == "zmod" else itertools.product(range(atom.p), repeat=atom.k)
+
+
 def atom_power(atom, a, e):
-    res = atom.one()
+    res = atom_one(atom)
     for _ in range(e):
         res = atom_mul(atom, res, a)
     return res
@@ -1235,9 +1247,8 @@ def atom_frobenius(atom, a, j):
 
 
 def _elementwise(op, x, *rest):
-    from semigalois.rings import RingElement
-    return RingElement(x.ring, tuple(op(a, *args) for a, *args in
-                                     zip(x.ring.atoms, x.comps, *(y.comps for y in rest))))
+    return x.ring.element(op(a, *args) for a, *args in
+                          zip(x.ring.atoms, x.comps, *(y.comps for y in rest)))
 
 
 def element_sum(x, y):
@@ -1254,11 +1265,10 @@ def element_multiple(x, n):
 
 def iso_apply_by_polynomials(iso, el):
     """The iso applied atom by atom through `atom_frobenius`."""
-    from semigalois.rings import RingElement
-    comps = [a.zero() for a in iso.ring.atoms]
+    comps = [atom_zero(a) for a in iso.ring.atoms]
     for i, j in iso.matching.items():
         comps[j] = atom_frobenius(iso.ring.atoms[i], el.comps[i], iso.twist[i])
-    return RingElement(iso.ring, tuple(comps))
+    return iso.ring.element(comps)
 
 
 def verify_iso_extensional(iso, pair_limit=256):
@@ -1270,15 +1280,14 @@ def verify_iso_extensional(iso, pair_limit=256):
     additivity); small domains are additionally checked on all pairs.
     Products are taken on the polynomial route above.
     """
-    from semigalois.rings import RingElement
     ring = iso.ring
     order = math.prod(ring.atoms[i].order for i in iso.dom_support)
 
     def dom_elements():
-        parts = [list(ring.atoms[i].elements()) if i in iso.dom_support else [ring.atoms[i].zero()]
+        parts = [list(atom_elements(ring.atoms[i])) if i in iso.dom_support else [atom_zero(ring.atoms[i])]
                  for i in range(len(ring.atoms))]
         for comps in itertools.product(*parts):
-            yield RingElement(ring, tuple(comps))
+            yield ring.element(comps)
 
     if iso.apply(ring.idempotent(iso.dom_support)) != ring.idempotent(iso.im_support):
         return False

@@ -376,6 +376,23 @@ def test_analyze_on_a_group():
     assert b"sigma_classes  classes=[[1],[g]]" in out
 
 
+@pytest.mark.parametrize("atom,message", [
+    ("gf 3 2 polly=1,0,1", "unexpected atom token 'polly=1,0,1'"),
+    ("zmod 3 1 junk", "unexpected atom token 'junk'"),
+    ("zmod 3 1 whatever=7", "unexpected atom token 'whatever=7'"),
+    ("gf 3 2 poly=1,0,1 poly=2,1,1", "poly= given twice"),
+])
+def test_unknown_atom_token_is_a_positioned_error(tmp_path, atom, message):
+    """Each line would otherwise parse, the last with either polynomial."""
+    p = tmp_path / "atom.sgi"
+    p.write_text(f"[semigroup]\nelements = 1\nrow = 1\n\n[ring]\natom = {atom}\n\n"
+                 "[action]\nmap = 1 : 0->0:0\n")
+    with pytest.raises(inst.ParseError, match=re.escape(message)) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == 6
+    _assert_input_error(*run_cli(["galois", str(p)]), f"line 6: {message}".encode())
+
+
 def test_twist_on_zmod_atom_is_a_positioned_error(tmp_path):
     good = "map = g : 0->1:0 1->0:0"
     text = (INSTANCES / "c2_swap.sgi").read_text()
@@ -433,6 +450,23 @@ def test_documented_settings_match_the_parser(monkeypatch):
         except inst.ParseError as exc:
             assert "unknown option" in str(exc)
     assert documented == accepted
+
+
+def test_documented_atom_lines_parse_to_their_labels():
+    """Each `atom =` line of docs/format.md's [ring] example block parses to
+    the atom its comment names, and each line its prose rejects is rejected."""
+    section = (REPO / "docs" / "format.md").read_text().split("## `[ring]`", 1)[1].split("\n## ", 1)[0]
+    _, block, prose = section.split("```", 2)
+    examples = [line.split("#") for line in block.splitlines() if line.startswith("atom =")]
+    assert len(examples) >= 3
+    for spec, comment in examples:
+        ring = inst._parse_ring([(1, spec)])
+        assert [a.label() for a in ring.atoms] == [comment.split(":")[0].strip()], spec
+    rejected = re.findall(r"`(atom = [^`]*)`", " ".join(prose.split()))
+    assert len(rejected) == 3
+    for spec in rejected:
+        with pytest.raises(inst.ParseError):
+            inst._parse_ring([(1, spec)])
 
 
 def test_one_parser_reads_the_environment_on_every_call(monkeypatch, capsysbinary):

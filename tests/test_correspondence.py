@@ -235,7 +235,7 @@ SCAN_CASES = {
 
 def _element_mul(A):
     """Products through RingElement, i.e. the per-atom polynomial arithmetic."""
-    return lambda u, v: A.to_vec(A.from_vec(u) * A.from_vec(v))
+    return lambda u, v: (A.from_vec(u) * A.from_vec(v)).vec()
 
 
 def _fixed_points(beta):

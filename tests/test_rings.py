@@ -9,7 +9,7 @@ from semigalois import rings as rg
 from semigalois import isopu
 from semigalois.linalg import AbelianPresentation
 from semigalois.corpus import random_ring, random_structured_iso
-from oracles import (atom_frobenius, atom_power, dense, element_multiple, element_product,
+from oracles import (atom_elements, atom_frobenius, atom_power, dense, element_multiple, element_product,
                      element_sum, expand_by_solve, iso_apply_by_polynomials, kron_left, kron_right,
                      quotient_order_by_enumeration, verify_iso_extensional)
 
@@ -93,7 +93,7 @@ def test_verify_iso_extensional_accepts_and_rejects():
             comps = list(out.comps)
             if comps[0] != (0, 0):
                 comps[0] = (comps[0][0], (comps[0][1] + comps[0][0]) % 3)
-            return rg.RingElement(self.ring, tuple(comps))
+            return self.ring.element(comps)
 
     bad = CorruptedIso(f9, {0: 0}, {0: 1})
     assert not verify_iso_extensional(bad)
@@ -406,6 +406,34 @@ def test_kernel_matches_polynomial_arithmetic_on_large_atoms(name):
     for iso in _isos(A):
         for _ in range(4):
             _check_iso(iso, draw())
+
+
+ELEMENT_RINGS = {**KERNEL_RINGS, "GF(7) mod x+3 x Z/7": [LARGE_ATOMS["GF(7) mod x+3"], rg.Atom.zmod(7)]}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_RINGS))
+def test_elements_follow_the_per_atom_product(name):
+    """`elements()` lists the per-atom product of the polynomial route's atom
+    elements, in its order, and each element's `comps`, `repr` and `vec` read
+    that tuple: an int on Z/p^k, a tuple on GF(p^k), a 1-tuple on GF(p)."""
+    A = rg.FiniteRing(ELEMENT_RINGS[name])
+    want = list(itertools.product(*[atom_elements(a) for a in A.atoms]))
+    got = list(A.elements())
+    assert [x.comps for x in got] == want
+    for x, comps in zip(got, want):
+        assert repr(x) == "<" + ", ".join(map(str, comps)) + ">"
+        assert x.vec() == tuple(v for c in comps for v in (c if isinstance(c, tuple) else (c,)))
+        assert A.element(comps) == x
+
+
+def test_one_coordinate_gf_atom_prints_as_a_tuple_and_is_not_zmod():
+    gf7, z7 = rg.FiniteRing([LARGE_ATOMS["GF(7) mod x+3"]]), rg.FiniteRing([rg.Atom.zmod(7)])
+    x, y = gf7.from_vec((3,)), z7.from_vec((3,))
+    assert (repr(x), repr(y)) == ("<(3,)>", "<3>")
+    assert (x.comps, y.comps) == (((3,),), (3,))
+    assert x.vec() == y.vec() and x != y
+    mixed = rg.FiniteRing(KERNEL_RINGS["Z/4 x GF(4) x GF(4) x Z/3"])
+    assert repr(mixed.element([7, (1, 0), (0, 3), -1])) == "<3, (1, 0), (0, 1), 2>"
 
 
 SKIP_RINGS = {
