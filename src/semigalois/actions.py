@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import isopu
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
                      kron_difference, residues, vstack)
-from .rings import (AtomMismatch, Block, RingElement, SpanExpander, StructuredIso, Subalgebra,
+from .rings import (AtomMismatch, Block, RingElement, StructuredIso, Subalgebra,
                     TensorPresentation)
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
                          linked_classes, remembered, restrict_table, sigma_partition,
@@ -536,11 +536,10 @@ class ScalarExtension:
 def _check_structural_map(R, inv, images):
     """The images in R of inv's generators must define a unital ring map A^beta -> R."""
     A = inv.ring
-    expander = SpanExpander(inv)
     phi = cols_from_vectors(images, R.n_coords)
 
     def image(vec):
-        return phi.apply(expander.expand(vec))
+        return phi.apply(inv.expand(vec))
 
     if not R.presentation.eq(image(A.one_vec), R.one_vec):
         raise ActionError("structural map must send 1 to 1")

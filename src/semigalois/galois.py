@@ -288,7 +288,8 @@ def psi_check(beta):
     report = PsiReport(bij, t_order, pa.order, image_order)
     if not bij:
         missing = min(c for part, canon in zip(pa.parts, canons)
-                      for k, c in enumerate(part.classes) if not lattice_member(canon, {k: 1}))
+                      for k, c in enumerate(part.classes)
+                      if not lattice_member(canon, [int(i == k) for i in range(canon.rows)]))
         report.cokernel_witness = tuple(int(p in missing) for p in range(len(pa.copies)))
     return report
 
@@ -417,12 +418,12 @@ def verify_separability_idempotent(tensors, z):
         entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
         for b in tensor.M.gen_vectors:
             E, F = tensor.left_factor(b), tensor.right_factor(b)
-            diff = {}
+            diff = [0] * (tensor.k * l)
             for i, j, x in entries:
                 for a, e in E.cols[i].items():
-                    diff[a * l + j] = diff.get(a * l + j, 0) + e * x
+                    diff[a * l + j] += e * x
                 for c, f in F.cols[j].items():
-                    diff[i * l + c] = diff.get(i * l + c, 0) - f * x
+                    diff[i * l + c] -= f * x
             if not tensor.is_zero(diff):
                 return False
     return True

@@ -64,8 +64,8 @@ def _parse_semigroup(lines):
     elements = None
     table_rows = []
     zero = None
-    it = iter(lines)
-    for no, line in it:
+    seen = set()  # the single-valued keys read so far
+    for no, line in lines:
         if "=" not in line and not table_rows and elements is None:
             raise ParseError(no, f"expected key = value, got {line!r}")
         if elements is not None and "=" not in line:
@@ -74,6 +74,10 @@ def _parse_semigroup(lines):
         key, _, val = line.partition("=")
         key = key.strip().lower()
         val = val.strip()
+        if key in ("generators", "elements", "zero"):
+            if key in seen:
+                raise ParseError(no, f"{key} given twice")
+            seen.add(key)
         if key == "generators":
             generators = val.split()
         elif key == "relation":
@@ -234,6 +238,8 @@ def _parse_options(lines):
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("_", "-")
         val = val.strip()
+        if key in out:
+            raise ParseError(no, f"{key} given twice")
         if key in ("seed", "budget"):
             try:
                 out[key] = int(val)

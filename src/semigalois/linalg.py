@@ -9,10 +9,11 @@ there is no floating point anywhere, so every comparison is tolerance-zero.
 Every matrix is a `Matrix`: a row count and a list of sparse columns, each
 a {row: value} dict of its nonzero entries; the systems built here (tensor
 relations, block-diagonal lattices) are almost all zeros.  Canonical bases
-come from insertion modulo the diagonal (`lattice_canon`); solves, kernels
-and Smith invariants from a column elimination (`_echelon`) on copies of
-the columns, whose row index names the columns nonzero in each row, so a
-step touches only nonzeros.  A tracked transform, where one is asked for,
+come from insertion modulo the diagonal (`lattice_canon`); membership and a
+member's coordinates come from one walk down such a basis
+(`lattice_quotients`); solves, kernels and Smith invariants come from a
+column elimination (`_echelon`) on copies of the columns, whose row index
+names the columns nonzero in each row, so a step touches only nonzeros.  A tracked transform, where one is asked for,
 is kept modulo its moduli column by column.  Python integers do not
 overflow, so entries need no bound.
 """
@@ -375,43 +376,31 @@ def lattice_reduce(basis, vec):
     return tuple(w)
 
 
-def lattice_member(basis, vec):
-    """vec lies in the lattice: the walk of `lattice_reduce`, stopped at the
-    first pivot that leaves a remainder.
+def lattice_quotients(basis, vec):
+    """The walk of `lattice_reduce` down a canonical basis, stopped at the
+    first pivot that leaves a remainder: the quotient at each column, or
+    None when vec is off the lattice.
 
-    vec is a sequence, or a {coordinate: value} dict of its nonzero entries;
-    a dict is walked over the coordinates it reaches only, in increasing
-    order, as each column of the triangular basis touches rows from its
-    pivot down.
+    The basis is lower-triangular, so the quotients are H^-1 vec for the
+    basis H, and vec is their combination of its columns.  This is the one
+    walk behind membership and a subalgebra's generator coordinates.
     """
-    if isinstance(vec, dict):
-        w = dict(vec)
-        pending = list(w)
-        heapq.heapify(pending)
-        while pending:
-            j = heapq.heappop(pending)
-            x = w.pop(j)
-            if x:
-                c = basis.cols[j]
-                q, r = divmod(x, c[j])
-                if r:
-                    return False
-                for i, v in c.items():
-                    if i != j:
-                        if i not in w:
-                            w[i] = 0
-                            heapq.heappush(pending, i)
-                        w[i] -= q * v
-        return True
     w = [int(x) for x in vec]
+    quotients = [0] * len(w)
     for j, c in enumerate(basis.cols):
         if w[j]:
             q, r = divmod(w[j], c[j])
             if r:
-                return False
+                return None
             for i, v in c.items():
                 w[i] -= q * v
-    return True
+            quotients[j] = q
+    return quotients
+
+
+def lattice_member(basis, vec):
+    """vec lies in the lattice: its `lattice_quotients` walk ends."""
+    return lattice_quotients(basis, vec) is not None
 
 
 def _eliminate_map(mat, aug, in_moduli):

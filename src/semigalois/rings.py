@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .budget import spend
 from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kron_difference, lattice_det,
-                     lattice_member)
+                     lattice_member, lattice_quotients)
 
 ATOM_ORDER_GUARD = 1 << 20
 
@@ -576,10 +576,16 @@ class StructuredIso:
 class Subalgebra:
     """An additive subgroup of a ring stored by a canonical Hermite basis.
 
-    Equality of subalgebras is equality of canonical bases; membership is a
-    triangular solve.  Closure under multiplication and presence of 1 are
-    checked on demand, not assumed, and remembered: a subalgebra is never
-    changed after construction.
+    Equality of subalgebras is equality of canonical bases.  The generators
+    are the basis columns j with a nonzero residue; every other column is
+    d_j e_j, zero in the ring.  One walk down the basis
+    (`linalg.lattice_quotients`) decides membership and, read at the
+    generator columns, gives a member's coordinates over the generators
+    (`expand`); the generators' orders, their relations and the matrices of
+    multiplication by an element are derived from it once per subalgebra.
+    Closure under multiplication and presence of 1 are checked on demand,
+    not assumed, and remembered: a subalgebra is never changed after
+    construction.
     """
 
     def __init__(self, ring, gen_vectors):
@@ -591,8 +597,11 @@ class Subalgebra:
         self.order = ring.presentation.order() // lattice_det(basis)
         # canonical columns are reduced, and one whose pivot is the modulus is
         # d_j e_j, zero in the ring; the others are the generators
-        self.gen_vectors = tuple(basis.column(j) for j, (c, d) in
-                                 enumerate(zip(basis.cols, ring.coord_moduli)) if c[j] != d)
+        self._gen_cols = [j for j, (c, d) in enumerate(zip(basis.cols, ring.coord_moduli))
+                          if c[j] != d]
+        self.gen_vectors = tuple(basis.column(j) for j in self._gen_cols)
+        self._expansions = {}
+        self._mult_matrices = {}
 
     @staticmethod
     def with_basis(ring, basis):
@@ -681,6 +690,56 @@ class Subalgebra:
                 chosen.append(g)
                 current = current.adjoin(g)
         return chosen
+
+    @cached_property
+    def orders(self):
+        """The additive order of each generator."""
+        m = self.ring.coord_moduli
+        return tuple(math.lcm(*(m[i] // math.gcd(x, m[i]) for i, x in self.basis.cols[j].items()))
+                     for j in self._gen_cols)
+
+    def _coordinates(self, quotients):
+        """The walk's quotients read at the generator columns, modulo the orders."""
+        return tuple(quotients[j] % d for j, d in zip(self._gen_cols, self.orders))
+
+    def expand(self, vec):
+        """vec's coordinates over the generators, each below its generator's
+        order; raises NotSubring off the span.  Another expansion of the same
+        vector differs by one of the `relations`."""
+        vec = tuple(int(x) % m for x, m in zip(vec, self.ring.coord_moduli))
+        hit = self._expansions.get(vec)
+        if hit is None:
+            quotients = lattice_quotients(self.basis, vec)
+            if quotients is None:
+                raise NotSubring(f"vector {vec} is outside the span")
+            hit = self._expansions[vec] = self._coordinates(quotients)
+        return hit
+
+    @cached_property
+    def relations(self):
+        """Generators, modulo the generators' orders, of {c : sum c_i * g_i = 0
+        in the ring}: H^-1(d_r e_r) on the generator columns of the canonical
+        basis H, as H y = sum c_i g_i lies in diag(d) exactly when y is a
+        combination of these (a column d_r e_r of H gives e_r, no generator)."""
+        moduli = self.ring.coord_moduli
+        relations = []
+        for r in self._gen_cols:
+            c = self._coordinates(lattice_quotients(
+                self.basis, [moduli[r] if i == r else 0 for i in range(len(moduli))]))
+            if any(c):
+                relations.append(c)
+        return relations
+
+    def mult_matrix(self, b_vec):
+        """Matrix of m -> b*m on the generators, column j expanding b times
+        generator j; built once per b."""
+        b_vec = tuple(b_vec)
+        mat = self._mult_matrices.get(b_vec)
+        if mat is None:
+            gens = self.gen_vectors
+            mat = self._mult_matrices[b_vec] = cols_from_vectors(
+                [self.expand(self.ring.mul_vec(b_vec, g)) for g in gens], len(gens))
+        return mat
 
     def closure_under_mul(self):
         """Smallest multiplicatively closed additive span containing this one."""
@@ -799,10 +858,13 @@ class Block:
 class TensorPresentation:
     """M (x)_R N for subalgebras R <= M, N of one ring, as an abelian group.
 
-    Generators are the pairs of canonical generators of M and N; relations
-    are the additive relation lattices of each side plus middle-linearity
-    r*m (x) n = m (x) r*n over the generators of R.  Multiplication and the
-    two module actions are carried as integer matrices on the generators.
+    Generators are the pairs of canonical generators of M and N, of order
+    the gcd of the pair's `orders`; relations are each side's `relations`
+    plus middle-linearity r*m (x) n = m (x) r*n over the generators of R.
+    Multiplication and the two module actions are carried as integer
+    matrices on the generators, from each factor's `expand` and
+    `mult_matrix`, so a factor's are computed once however many tensors
+    use it.
     The constructor raises unless M, N and R are unital subalgebras of one
     ring with R in M and N.
     """
@@ -825,19 +887,13 @@ class TensorPresentation:
         self.M, self.N, self.R = M, N, R
         self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
         self.k, self.l = len(self.mg), len(self.ng)
-        self._mexp = SpanExpander(M)
-        self._nexp = self._mexp if N is M else SpanExpander(N)
+        moduli = [math.gcd(a, b) for a in M.orders for b in N.orders]
 
-        morders = [ring.vector_order(v) for v in self.mg]
-        norders = [ring.vector_order(v) for v in self.ng]
-        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
-
-        m_relations = _span_relation_lattice(M)
         rel_cols = []
-        for c in m_relations:
+        for c in M.relations:
             for j in range(self.l):
                 rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in (m_relations if N is M else _span_relation_lattice(N)):
+        for c in N.relations:
             for i in range(self.k):
                 rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
         for r in R.gen_vectors:
@@ -860,8 +916,8 @@ class TensorPresentation:
     def pure_terms(self, m_el, n_el):
         """The (coordinate, coefficient) terms of m (x) n: the products of the
         two expansions."""
-        u = self._mexp.expand(m_el.vec() if isinstance(m_el, RingElement) else tuple(m_el))
-        v = self._nexp.expand(n_el.vec() if isinstance(n_el, RingElement) else tuple(n_el))
+        u = self.M.expand(m_el.vec() if isinstance(m_el, RingElement) else m_el)
+        v = self.N.expand(n_el.vec() if isinstance(n_el, RingElement) else n_el)
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
@@ -888,13 +944,13 @@ class TensorPresentation:
 
     def left_factor(self, b_vec):
         """k x k matrix E of m -> b*m on M's generators: column i expands b*mg[i]."""
-        return self._mexp.mult_matrix(b_vec)
+        return self.M.mult_matrix(b_vec)
 
     def right_factor(self, b_vec):
         """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j].
 
         When N is M the two sides share their matrices, so F is E."""
-        return self._nexp.mult_matrix(b_vec)
+        return self.N.mult_matrix(b_vec)
 
     def mult_difference(self, b_vec):
         """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
@@ -909,84 +965,3 @@ class TensorPresentation:
 
     def is_zero(self, z):
         return self.pres.is_zero(z)
-
-
-class SpanExpander:
-    """Expand ring vectors as integer combinations of a subalgebra's generators.
-
-    A subalgebra's generators are the columns j of its canonical
-    lower-triangular basis with a nonzero residue; every other column is
-    d_j e_j, zero in the ring.  So the walk of `lattice_reduce` down that
-    basis expands a member, and its quotient at a generator's column is that
-    generator's coefficient (reduced modulo the generator's order).  Another
-    expansion of the same vector differs by a relation of the generators.
-    """
-
-    def __init__(self, sub):
-        self.sub = sub
-        ring = self.ring = sub.ring
-        self._cache = {}
-        self._mult_matrices = {}
-        # (pivot row, pivot, entries below it, generator order or 0) per basis
-        # column; a column is a generator when its pivot is not the modulus
-        m = ring.coord_moduli
-        self._walk = [(j, col[j], sorted((i, v) for i, v in col.items() if i > j),
-                       math.lcm(*(m[i] // math.gcd(x, m[i]) for i, x in col.items()))
-                       if col[j] != m[j] else 0)
-                      for j, col in enumerate(sub.basis.cols)]
-        self._orders = [step[3] for step in self._walk if step[3]]
-
-    def mult_matrix(self, b_vec):
-        """Matrix of m -> b*m on the generators, column j expanding b times
-        generator j; built once per b."""
-        b_vec = tuple(b_vec)
-        mat = self._mult_matrices.get(b_vec)
-        if mat is None:
-            gens = self.sub.gen_vectors
-            mat = cols_from_vectors([self.expand(self.ring.mul_vec(b_vec, g)) for g in gens], len(gens))
-            self._mult_matrices[b_vec] = mat
-        return mat
-
-    def expand(self, vec):
-        vec = tuple(int(x) % m for x, m in zip(vec, self.ring.coord_moduli))
-        hit = self._cache.get(vec)
-        if hit is not None:
-            return hit
-        coeffs = self.quotients(list(vec))
-        if coeffs is None:
-            raise NotSubring(f"vector {vec} is outside the span")
-        self._cache[vec] = tuple(q % d for q, d in zip(coeffs, self._orders))
-        return self._cache[vec]
-
-    def quotients(self, w):
-        """H^-1 w on the generator columns, for the canonical basis H and an
-        integer vector w (changed in place), or None off the lattice."""
-        coeffs = []
-        for j, pivot, below, order in self._walk:
-            q, rem = divmod(w[j], pivot)
-            if rem:
-                return None
-            if q:
-                for i, v in below:
-                    w[i] -= q * v
-            if order:
-                coeffs.append(q)
-        return coeffs
-
-
-def _span_relation_lattice(sub):
-    """Generators, modulo the generators' orders, of {c : sum c_i * g_i = 0
-    in the ring}: H^-1(d_r e_r) on the generator columns of the canonical
-    basis H, as H y = sum c_i g_i lies in diag(d) exactly when y is a
-    combination of these (a column d_r e_r of H gives e_r, no generator)."""
-    expander = SpanExpander(sub)
-    moduli = sub.ring.coord_moduli
-    relations = []
-    for r, (_, _, _, order) in enumerate(expander._walk):
-        if order:
-            w = [0] * len(moduli)
-            w[r] = moduli[r]
-            c = tuple(q % d for q, d in zip(expander.quotients(w), expander._orders))
-            if any(c):
-                relations.append(c)
-    return relations

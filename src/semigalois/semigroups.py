@@ -156,22 +156,19 @@ def shares_lower_bound(S, s, t):
 
 def lower_bound_classes(S):
     """The classes of the closure of `shares_lower_bound`, each sorted, in the
-    order of their least members, and the projection onto class indices."""
+    order of their least members, and the projection onto class indices.
+
+    s and t share a lower bound exactly when some u other than the zero lies
+    below both, and u shares one (itself) with each element above it, so the
+    pairs (u, s) with u <= s, both nonzero, generate the same equivalence."""
+    z = S.zero
+    classes = linked_classes(S.n, ((u, s) for u in range(S.n) if u != z
+                                   for s in range(S.n) if s != z and S.leq[u][s]))
     projection = [None] * S.n
-    classes = []
-    for s in range(S.n):
-        if projection[s] is None:
-            members, frontier = {s}, [s]
-            while frontier:
-                a = frontier.pop()
-                for t in range(S.n):
-                    if t not in members and shares_lower_bound(S, a, t):
-                        members.add(t)
-                        frontier.append(t)
-            for t in members:
-                projection[t] = len(classes)
-            classes.append(tuple(sorted(members)))
-    return tuple(classes), tuple(projection)
+    for k, members in enumerate(classes):
+        for t in members:
+            projection[t] = k
+    return tuple(map(tuple, classes)), tuple(projection)
 
 
 def linked_classes(n, pairs):

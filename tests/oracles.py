@@ -413,9 +413,9 @@ def lattice_canon_by_echelon(cols, moduli):
 
 
 def span_relations_by_kernel(sub):
-    """`rings._span_relation_lattice` as it was, frozen: the relations of
-    the generators from a tracked `kernel_gens` elimination against the
-    ring's lattice, then each generator's order."""
+    """The relations of a subalgebra's generators as they were once computed,
+    frozen: a tracked `kernel_gens` elimination against the ring's lattice,
+    then each generator's order."""
     from semigalois.linalg import cols_from_vectors, kernel_gens
     ring = sub.ring
     if not sub.gen_vectors:
@@ -1007,14 +1007,12 @@ class PresentedBaseByLoops:
 
     @staticmethod
     def from_subalgebra(B):
-        from semigalois.rings import SpanExpander
-        expander = SpanExpander(B)
         gens = list(B.gen_vectors)
         orders = [B.ring.vector_order(g) for g in gens]
         return PresentedBaseByLoops(
             gens, orders, span_relations_by_kernel(B),
-            lambda i, j: expander.expand(B.ring.mul_vec(gens[i], gens[j])),
-            expander.expand(B.ring.one().vec()))
+            lambda i, j: B.expand(B.ring.mul_vec(gens[i], gens[j])),
+            B.expand(B.ring.one().vec()))
 
     def combine(self, coeff_vectors, weights):
         out = [0] * self.k
@@ -1088,15 +1086,13 @@ class ScalarExtensionByLoops:
 
     def _check_structural_map(self):
         from semigalois.actions import ActionError
-        from semigalois.rings import SpanExpander
         base, inv, A = self.base, self.invariants, self.beta.A
-        expander = SpanExpander(inv)
-        got_one = base.combine(self.base_images, expander.expand(A.one().vec()))
+        got_one = base.combine(self.base_images, inv.expand(A.one().vec()))
         if not base.pres.eq(got_one, base.one_coeffs):
             raise ActionError("structural map must send 1 to 1")
         for (cu, u) in zip(self.base_images, inv.gen_vectors):
             for (cv, v) in zip(self.base_images, inv.gen_vectors):
-                lhs = base.combine(self.base_images, expander.expand(A.mul_vec(u, v)))
+                lhs = base.combine(self.base_images, inv.expand(A.mul_vec(u, v)))
                 if not base.pres.eq(lhs, base.mul_coeffs(cu, cv)):
                     raise ActionError("structural map is not multiplicative")
 
@@ -1332,14 +1328,11 @@ class WholeTensorPresentation:
 
     def __init__(self, M, N, R):
         from semigalois.linalg import AbelianPresentation, Matrix
-        from semigalois.rings import SpanExpander
         ring = M.ring
         self.ring, self.M, self.N, self.R = ring, M, N, R
         self.mg = list(M.gen_vectors)
         self.ng = list(N.gen_vectors)
         self.k, self.l = len(self.mg), len(self.ng)
-        self._mexp = SpanExpander(M)
-        self._nexp = self._mexp if N is M else SpanExpander(N)
         morders = [ring.vector_order(v) for v in self.mg]
         norders = [ring.vector_order(v) for v in self.ng]
         moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
@@ -1362,7 +1355,7 @@ class WholeTensorPresentation:
         return self.pres.order()
 
     def pure(self, m_vec, n_vec):
-        u, v = self._mexp.expand(m_vec), self._nexp.expand(n_vec)
+        u, v = self.M.expand(m_vec), self.N.expand(n_vec)
         col = [0] * (self.k * self.l)
         for i, a in enumerate(u):
             for j, b in enumerate(v):
@@ -1374,10 +1367,10 @@ class WholeTensorPresentation:
                                  self.ring.n_coords)
 
     def left_factor(self, b_vec):
-        return self._mexp.mult_matrix(b_vec)
+        return self.M.mult_matrix(b_vec)
 
     def right_factor(self, b_vec):
-        return self._nexp.mult_matrix(b_vec)
+        return self.N.mult_matrix(b_vec)
 
     def mult_difference(self, b_vec):
         from semigalois.linalg import kron_difference

@@ -393,6 +393,35 @@ def test_unknown_atom_token_is_a_positioned_error(tmp_path, atom, message):
     _assert_input_error(*run_cli(["galois", str(p)]), f"line 6: {message}".encode())
 
 
+_C2_RING_AND_ACTION = ("[ring]\natom = zmod 3\natom = zmod 3\n\n[action]\n"
+                       "map = 1 : 0->0:0 1->1:0\nmap = g : 0->1:0 1->0:0\n")
+_C2_WITH_OPTIONS = (INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\n"
+
+
+@pytest.mark.parametrize("key,text,second", [
+    ("generators", "[semigroup]\ngenerators = s\ngenerators = g\nrelation = g g : 1\n\n"
+     + _C2_RING_AND_ACTION, "generators = g"),
+    ("elements", "[semigroup]\nelements = a b\nelements = 1 g\nrow = 1 g\nrow = g 1\n\n"
+     + _C2_RING_AND_ACTION, "elements = 1 g"),
+    ("zero", "[semigroup]\nelements = 1 0\nrow = 1 0\nrow = 0 0\nzero = 1\nzero = 0\n\n"
+     "[ring]\natom = zmod 3\n\n[action]\nmap = 1 : 0->0:0\nmap = 0 : empty\n", "zero = 0"),
+    ("seed", _C2_WITH_OPTIONS + "seed = 3\nseed = 4\n", "seed = 4"),
+    ("budget", _C2_WITH_OPTIONS + "budget = 5\nbudget = 2000000\n", "budget = 2000000"),
+    ("brute-force-subalgebras", _C2_WITH_OPTIONS + "brute-force-subalgebras = true\n"
+     "brute_force_subalgebras = false\n", "brute_force_subalgebras = false"),
+], ids=["generators", "elements", "zero", "seed", "budget", "brute-force-subalgebras"])
+def test_repeated_single_valued_key_is_a_positioned_error(tmp_path, key, text, second):
+    """Each file would otherwise parse, with the second value silently winning."""
+    line_no = text.splitlines().index(second) + 1
+    p = tmp_path / "repeated.sgi"
+    p.write_text(text)
+    message = f"{key} given twice"
+    with pytest.raises(inst.ParseError, match=re.escape(message)) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == line_no
+    _assert_input_error(*run_cli(["galois", str(p)]), f"line {line_no}: {message}".encode())
+
+
 def test_twist_on_zmod_atom_is_a_positioned_error(tmp_path):
     good = "map = g : 0->1:0 1->0:0"
     text = (INSTANCES / "c2_swap.sgi").read_text()

@@ -13,7 +13,8 @@ from semigalois.galois import compute_S_B, is_galois
 from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
 from semigalois.semigroups import (SubSemigroup, is_e_unitary,
                                    enumerate_full_inverse_subsemigroups, validate_table)
-from oracles import subalgebras_by_element_scan, subring_closure
+from oracles import (element_product, iso_apply_by_polynomials, subalgebras_by_element_scan,
+                     subring_closure)
 
 
 def admissible(b):
@@ -234,14 +235,15 @@ SCAN_CASES = {
 
 
 def _element_mul(A):
-    """Products through RingElement, i.e. the per-atom polynomial arithmetic."""
-    return lambda u, v: (A.from_vec(u) * A.from_vec(v)).vec()
+    """Products by the oracle's per-atom polynomial arithmetic, not `mul_vec`."""
+    return lambda u, v: element_product(A.from_vec(u), A.from_vec(v)).vec()
 
 
 def _fixed_points(beta):
-    """A^beta by brute force over the element API."""
+    """A^beta by brute force, each iso applied atom by atom through the
+    oracle's Frobenius, not the iso's matrix."""
     return [a.vec() for a in beta.A.elements()
-            if all(iso.apply(a.mask(iso.dom_support)) == a.mask(iso.im_support)
+            if all(iso_apply_by_polynomials(iso, a.mask(iso.dom_support)) == a.mask(iso.im_support)
                    for iso in beta.isos)]
 
 

@@ -8,6 +8,7 @@ Frobenius.
 """
 
 import collections
+import functools
 import random
 from pathlib import Path
 
@@ -171,17 +172,28 @@ def test_correspond_takes_no_restriction_for_all_of_s(monkeypatch, capsys, brute
 
 
 def test_tensor_with_n_is_m_builds_one_relation_lattice(monkeypatch):
+    """A subalgebra's relations are computed once, however many tensor
+    factors it is: once for N is M, and not again in a later tensor."""
     A = rg.FiniteRing([rg.Atom.gf(2, 2), rg.Atom.zmod(2, 2), rg.Atom.gf(2, 2)])
     full = rg.Subalgebra.full(A)
     R = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
     M = R.adjoin(A.element([(0, 1), 1, (1, 0)]).vec())
     calls = []
-    _recording(monkeypatch, rg, "_span_relation_lattice", lambda sub: calls.append(sub))
+    original = rg.Subalgebra.relations.func
+
+    def relations(sub):
+        calls.append(sub)
+        return original(sub)
+
+    recorded = functools.cached_property(relations)
+    recorded.__set_name__(rg.Subalgebra, "relations")
+    monkeypatch.setattr(rg.Subalgebra, "relations", recorded)
     rg.TensorPresentation(full, full, R)
     assert calls == [full]
     calls.clear()
     rg.TensorPresentation(M, full, R)
-    assert calls == [M, full]
+    rg.TensorPresentation(full, M, R)
+    assert calls == [M]
 
 
 def test_full_subalgebra_is_never_checked_for_closure(monkeypatch, capsys):

@@ -122,7 +122,7 @@ def test_walk_relations_span_the_kernel_relations():
         A = beta.A
         for sub in _spans(beta, rng):
             gens = sub.gen_vectors
-            walk, frozen = rg._span_relation_lattice(sub), span_relations_by_kernel(sub)
+            walk, frozen = sub.relations, span_relations_by_kernel(sub)
             if not gens:
                 assert walk == frozen == []
                 continue

@@ -2,8 +2,8 @@ import pytest
 
 from semigalois import budget
 from semigalois import semigroups as sg
-from semigalois.corpus import (b2_table, c2_table, f9_cubed_ring,
-                               non_e_unitary_monoid, s7_monoid)
+from semigalois.corpus import (b2_table, c2_table, chain_semilattice_fixture, corpus,
+                               f9_cubed_ring, non_e_unitary_monoid, s7_monoid)
 from semigalois import isopu
 from semigalois.rings import StructuredIso
 
@@ -198,6 +198,38 @@ def test_quotient_table_is_none_off_congruences():
     assert sg.quotient_table(chain, classes, projection) == sg.sigma_partition(chain).table
     # {1, f} | {e}: 1 * e = e and f * e = f lie in different classes
     assert sg.quotient_table(chain, ((0, 2), (1,)), (0, 1, 0)) is None
+
+
+def _lower_bound_closure(S):
+    """The closure of `shares_lower_bound` by a breadth-first search from
+    each element not yet placed, in the shape of `lower_bound_classes`."""
+    projection = [None] * S.n
+    classes = []
+    for s in range(S.n):
+        if projection[s] is None:
+            members, frontier = {s}, [s]
+            while frontier:
+                a = frontier.pop()
+                for t in range(S.n):
+                    if t not in members and sg.shares_lower_bound(S, a, t):
+                        members.add(t)
+                        frontier.append(t)
+            for t in members:
+                projection[t] = len(classes)
+            classes.append(tuple(sorted(members)))
+    return tuple(classes), tuple(projection)
+
+
+def test_lower_bound_classes_match_the_breadth_first_closure():
+    """sigma and tau classes from the union-find over u <= s equal the
+    closure of the pairwise relation, on corpora with and without zero."""
+    semigroups = ([beta.S for beta in corpus(3, 30)]
+                  + [beta.S for beta in corpus(5, 30, with_zero=True)]
+                  + [s7_monoid(), b2_table(), c2_table(), non_e_unitary_monoid(),
+                     chain_semilattice_fixture().S])
+    assert any(S.zero is not None for S in semigroups)
+    for S in semigroups:
+        assert sg.lower_bound_classes(S) == _lower_bound_closure(S)
 
 
 def test_sigma_refuses_declared_zero():
