@@ -15,10 +15,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import isopu
-from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, kernel_gens,
-                     kron_difference, residues, vstack)
+from .linalg import block_diag, cols_from_vectors, kernel_gens, residues, vstack
 from .rings import (AtomMismatch, Block, RingElement, StructuredIso, Subalgebra,
-                    TensorPresentation)
+                    tensor_presentation)
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
                          linked_classes, remembered, restrict_table, sigma_partition,
                          validate_table)
@@ -489,11 +488,11 @@ def image_action(beta):
 class ScalarExtension:
     """The action on R (x)_{A^beta} A induced by beta, on a presentation.
 
-    Coordinate (i, j) of `pres` is r_i (x) e_j for the k additive generators
-    r_i of R and the coordinate basis e_j of A, so 1 (x) f acts as
-    I_k (x) (the matrix of f).  The extension is never rebuilt as an atom
-    ring; every Galois re-test works on the presented group, exactly like
-    the in-ring tensor machinery.
+    Coordinate (i, j) of `pres` is r_i (x) e_j for the k generators r_i of
+    R as a subalgebra (A^beta's own, or a given ring's coordinate basis) and
+    the coordinate basis e_j of A, so 1 (x) f acts as I_k (x) (the matrix of
+    f).  The extension is never rebuilt as an atom ring; every Galois
+    re-test works on the presented group, like the in-ring tensors.
     """
 
     def __init__(self, beta, pres, k):
@@ -552,29 +551,31 @@ def _check_structural_map(R, inv, images):
 def extend_scalars(beta, R=None, structural_images=None):
     """Scalar extension R (x)_{A^beta} A with the induced action data.
 
-    With R omitted the base is the invariant ring itself (structural map =
-    inclusion) and the presentation is the tensor A^beta (x)_{A^beta} A.
-    Otherwise R is a FiniteRing and `structural_images`, one per generator
-    of A^beta, are RingElements of R or coordinate vectors over R.
+    R is a FiniteRing and `structural_images`, one per generator b of
+    A^beta, are RingElements of R or coordinate vectors over R; with both
+    omitted R is A^beta and the map the inclusion.  One path builds every
+    case: `tensor_presentation` of R and A, b acting as its image on R.
     beta is first checked by the fixed-atom rule (the galois module
     re-tests the extension afterwards).
     """
     if fixed_atom_violation(beta) is not None:
         raise NotGalois("scalar extension is stated for Galois actions")
+    if (R is None) != (structural_images is None):
+        raise ActionError("R and its structural images come together")
     inv = invariant_ring(beta)
-    A = beta.A
-    if R is None:
-        tensor = TensorPresentation(inv, Subalgebra.full(A), inv)
-        return ScalarExtension(beta, tensor.pres, tensor.k)
-    images = [img.vec() if isinstance(img, RingElement) else tuple(int(x) for x in img)
-              for img in structural_images]
-    if len(images) != len(inv.gen_vectors):
-        raise ActionError("one image in R per invariant-ring generator")
-    if any(len(img) != R.n_coords for img in images):
-        raise ActionError("structural images are coefficient vectors over R")
-    _check_structural_map(R, inv, images)
-    # middle linearity over the invariant ring's generators b: phi(b) r (x) a = r (x) b a
-    relations = hstack([kron_difference(R.mult_matrix(img), A.mult_matrix(b))
-                        for b, img in zip(inv.gen_vectors, images)])
-    moduli = [math.gcd(d, e) for d in R.coord_moduli for e in A.coord_moduli]
-    return ScalarExtension(beta, AbelianPresentation(moduli, relations), R.n_coords)
+    base, images = inv, inv.gen_vectors
+    if R is not None:
+        if any(isinstance(img, RingElement) and img.ring != R for img in structural_images):
+            raise AtomMismatch("structural images from a ring other than R")
+        images = [img.vec() if isinstance(img, RingElement) else tuple(int(x) for x in img)
+                  for img in structural_images]
+        if len(images) != len(inv.gen_vectors):
+            raise ActionError("one image in R per invariant-ring generator")
+        if any(len(img) != R.n_coords for img in images):
+            raise ActionError("structural images are coefficient vectors over R")
+        _check_structural_map(R, inv, images)
+        base = Subalgebra.full(R)
+    full = Subalgebra.full(beta.A)
+    pres = tensor_presentation(base, full, [(base.mult_matrix(img), full.mult_matrix(b))
+                                            for b, img in zip(inv.gen_vectors, images)])
+    return ScalarExtension(beta, pres, len(base.gen_vectors))

@@ -855,12 +855,25 @@ class Block:
         return part
 
 
+def tensor_presentation(M, N, actions):
+    """M (x) N for subalgebras M, N of one ring or two, as an abelian group.
+
+    Generator pair (i, j) sits at i * l + j, of order the gcd of the two
+    `orders`; relations are each side's `relations` and the nonzero columns of
+    E (x) I_l - I_k (x) F per (E, F) in `actions`: a base generator on M and on N.
+    """
+    k, l = len(M.orders), len(N.orders)
+    rel_cols = [{i * l + j: x for i, x in enumerate(c) if x} for c in M.relations for j in range(l)]
+    rel_cols += [{i * l + j: x for j, x in enumerate(c) if x} for c in N.relations for i in range(k)]
+    rel_cols += [c for E, F in actions for c in kron_difference(E, F).cols if c]
+    return AbelianPresentation([math.gcd(a, b) for a in M.orders for b in N.orders],
+                               Matrix(k * l, rel_cols))
+
+
 class TensorPresentation:
     """M (x)_R N for subalgebras R <= M, N of one ring, as an abelian group.
 
-    Generators are the pairs of canonical generators of M and N, of order
-    the gcd of the pair's `orders`; relations are each side's `relations`
-    plus middle-linearity r*m (x) n = m (x) r*n over the generators of R.
+    The group is `tensor_presentation` with R's generators acting on both sides.
     Multiplication and the two module actions are carried as integer
     matrices on the generators, from each factor's `expand` and
     `mult_matrix`, so a factor's are computed once however many tensors
@@ -887,18 +900,8 @@ class TensorPresentation:
         self.M, self.N, self.R = M, N, R
         self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
         self.k, self.l = len(self.mg), len(self.ng)
-        moduli = [math.gcd(a, b) for a in M.orders for b in N.orders]
-
-        rel_cols = []
-        for c in M.relations:
-            for j in range(self.l):
-                rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in N.relations:
-            for i in range(self.k):
-                rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
-        for r in R.gen_vectors:
-            rel_cols += [c for c in self.mult_difference(r).cols if c]
-        self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
+        self.pres = tensor_presentation(M, N, [(M.mult_matrix(r), N.mult_matrix(r))
+                                               for r in R.gen_vectors])
 
     def index(self, i, j):
         return i * self.l + j

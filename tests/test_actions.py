@@ -7,7 +7,7 @@ from semigalois.corpus import (c2_swap_fixture, c2_fixed_atom_fixture,
                                chain_semilattice_fixture,
                                collapsing_semilattice_fixture, corpus,
                                f9_cubed_fixture)
-from semigalois.rings import Atom, FiniteRing, StructuredIso
+from semigalois.rings import Atom, AtomMismatch, FiniteRing, StructuredIso
 from semigalois.semigroups import SubSemigroup, is_e_unitary, validate_table
 
 
@@ -218,11 +218,18 @@ def test_scalar_extension_rejects_non_galois():
         ac.extend_scalars(beta, R, [R.one()] * len(ac.invariant_ring(beta).gen_vectors))
 
 
-def test_scalar_extension_structural_map_checked():
-    beta = c2_swap_fixture()
-    R = FiniteRing([Atom.zmod(3)])
-    with pytest.raises(ac.ActionError):
-        ac.extend_scalars(beta, R, [R.element([2])])  # 1 must map to 1
+Z3 = FiniteRing([Atom.zmod(3)])
+
+
+@pytest.mark.parametrize("R, images, error", [
+    (Z3, [Z3.element([2])], ac.ActionError),  # 1 must map to 1
+    (Z3, None, ac.ActionError),  # R without its images
+    (None, [Z3.one()], ac.ActionError),  # images without their R
+    (Z3, [FiniteRing([Atom.zmod(3, 2)]).element([4])], AtomMismatch),  # an image from another ring
+], ids=["not-unital", "no-images", "no-ring", "foreign-element"])
+def test_scalar_extension_structural_map_checked(R, images, error):
+    with pytest.raises(error):
+        ac.extend_scalars(c2_swap_fixture(), R, images)
 
 
 def cut_first_join(joins):
