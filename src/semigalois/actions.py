@@ -11,13 +11,12 @@ map (presented tensor, not an atom ring).
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from . import isopu
-from .linalg import block_diag, cols_from_vectors, kernel_gens, residues, vstack
-from .rings import (AtomMismatch, Block, RingElement, StructuredIso, Subalgebra,
-                    tensor_presentation)
+from .linalg import cols_from_vectors, kernel_gens, residues
+from .rings import AtomMismatch, Block, RingElement, Subalgebra, tensor_presentation
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
                          linked_classes, remembered, restrict_table, sigma_partition,
                          validate_table)
@@ -257,22 +256,39 @@ def invariant_ring(beta):
 
 
 def _invariant_ring(beta):
-    A = beta.A
-    pres = A.presentation
-    current = A.basis_vectors()
-    for iso in beta.isos:
-        support = iso.im_support
-        cols = [A.sub_vec(iso.apply_vec(v), A.mask_vec(v, support)) for v in current]
+    return fixed_ring(beta.A, beta.isos)
+
+
+def fixed_points(pres, maps):
+    """Generators of the common kernel of `maps` on the group `pres` presents,
+    the one solve behind A^beta, A^{beta|T} and the scalar extension's
+    invariants.  A map sends integer vectors to integer vectors, additively up
+    to the lattice, and the lattice into itself.  Each map's kernel is solved
+    on the span the maps before it left, mod each vector's `vector_order`."""
+    current = pres.generator_vectors()
+    for f in maps:
+        cols = [f(v) for v in current]
         if not any(map(any, cols)):  # an idempotent's map, or one fixing the span
             continue
-        mat = cols_from_vectors(cols, A.n_coords)
-        in_moduli = [A.vector_order(v) for v in current]
-        ker = kernel_gens(mat, pres.lattice, in_moduli)
-        span = cols_from_vectors(current, A.n_coords)
-        current = residues([span.apply(coeffs) for coeffs in ker], A.coord_moduli)
+        mat = cols_from_vectors(cols, pres.n)
+        ker = kernel_gens(mat, pres.lattice, [pres.vector_order(v) for v in current])
+        span = cols_from_vectors(current, pres.n)
+        current = residues([span.apply(coeffs) for coeffs in ker], pres.moduli)
         if not current:
             break
-    sub = Subalgebra(A, current)
+    return current
+
+
+def _defect(iso):
+    """The map vec -> f(vec 1_dom) - vec 1_im of the iso f."""
+    A, support = iso.ring, iso.im_support
+    return lambda vec: A.sub_vec(iso.apply_vec(vec), A.mask_vec(vec, support))
+
+
+def fixed_ring(A, isos):
+    """{a : f(a 1_dom) = a 1_im for the isos f, in order}, a unital subalgebra
+    (checked) for the isos of a unital action or of a full T."""
+    sub = Subalgebra(A, fixed_points(A.presentation, [_defect(iso) for iso in isos]))
     if not sub.is_subalgebra():
         raise AssertionError("invariants failed to be a unital subalgebra")
     return sub
@@ -490,46 +506,40 @@ class ScalarExtension:
 
     Coordinate (i, j) of `pres` is r_i (x) e_j for the k generators r_i of
     R as a subalgebra (A^beta's own, or a given ring's coordinate basis) and
-    the coordinate basis e_j of A, so 1 (x) f acts as I_k (x) (the matrix of
-    f).  The extension is never rebuilt as an atom ring; every Galois
-    re-test works on the presented group, like the in-ring tensors.
+    the coordinate basis e_j of A, so 1 (x) f is f (`apply_vec`) on each slice
+    of l coordinates, reduced mod A's m_j, which each gcd(ord r_i, m_j) divides.
+    The extension is never rebuilt as an atom ring; every Galois re-test works
+    on the presented group, like the in-ring tensors.
     """
 
     def __init__(self, beta, pres, k):
         self.beta, self.pres, self.k, self.l = beta, pres, k, beta.A.n_coords
 
-    def _on_a(self, mat):
-        """I_k (x) mat: `mat` applied to the A side of every coordinate."""
-        return block_diag([mat] * self.k)
+    def _on_slices(self, f, z):
+        """z with the map f, which keeps 0, applied to each of its k slices."""
+        slices = (z[i:i + self.l] for i in range(0, len(z), self.l))
+        return tuple(x for s in slices for x in (f(s) if any(s) else s))
 
-    def act(self, iso: StructuredIso, z):
+    def act(self, iso, z):
         """(1 (x) f) applied to z masked into the domain ideal of f."""
-        return self._on_a(iso.matrix()).apply(z)
-
-    def generator_vectors(self):
-        n = self.k * self.l
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return self._on_slices(iso.apply_vec, z)
 
     def r_image_canon(self):
         """The subgroup R (x) 1, spanned by r_i (x) 1."""
-        ones = self._on_a(cols_from_vectors([self.beta.A.one_vec], self.l))
-        return self.pres.subgroup_canon([ones.column(i) for i in range(self.k)])
+        zero = (0,) * self.l
+        return self.pres.subgroup_canon([zero * i + self.beta.A.one_vec + zero * (self.k - 1 - i)
+                                         for i in range(self.k)])
 
     def invariants_canon(self):
-        """Fixed subgroup of the extended action, via one kernel solve: the kernel
-        of I_k (x) (beta_s - mask to im(s)), stacked over s."""
-        A = self.beta.A
-        rows = [self._on_a(iso.matrix() - StructuredIso.identity_on(A, iso.im_support).matrix())
-                for iso in self.beta.isos]
-        aug = block_diag([self.pres.lattice] * self.beta.S.n)
-        gens = kernel_gens(vstack(rows), aug, self.pres.moduli)
-        return self.pres.subgroup_canon(gens)
+        """Fixed subgroup of the extended action: the `fixed_points` of
+        z -> (1 (x) beta_s) z - (1 (x) 1_s) z, over s in order."""
+        maps = [partial(self._on_slices, _defect(iso)) for iso in self.beta.isos]
+        return self.pres.subgroup_canon(fixed_points(self.pres, maps))
 
     def sigma_trace_vec(self, z):
-        """The sum over g of (1 (x) alpha_g) applied to z, unreduced, for beta's
-        induced partial group action alpha."""
+        """The sum over g of (1 (x) alpha_g) z for beta's induced alpha: a trace per slice."""
         isos = induce_partial_group_action(self.beta).isos
-        return tuple(map(sum, zip(*(self.act(iso, z) for iso in isos))))
+        return self._on_slices(partial(_trace_vec, self.beta.A, isos), z)
 
 
 def _check_structural_map(R, inv, images):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from . import isopu
-from .actions import (image_action, invariant_ring, is_injective, restrict_action,
+from .actions import (NotFullSub, fixed_ring, image_action, invariant_ring, is_injective,
                       separability_violation)
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_galois
 from .linalg import lattice_reduce
@@ -51,9 +51,12 @@ def enumerate_beta_maximal(beta):
 
 
 def fixed_subalgebra(beta, T: SubSemigroup):
-    """A^{beta|T}; always an A^beta-subalgebra when T is full (checked)."""
-    B, base = invariant_ring(restrict_action(beta, T)[0]), invariant_ring(beta)
-    if not B.contains(base):
+    """A^{beta|T}: the `actions.fixed_ring` of the beta_t, t in T in sorted order.
+    T must be a full subsemigroup of S; A^{beta|T} then contains A^beta (checked)."""
+    if T.parent is not beta.S or not T.is_full:
+        raise NotFullSub("the fixed ring needs a full subsemigroup of S")
+    B = fixed_ring(beta.A, [beta.isos[t] for t in sorted(T.members)])
+    if not B.contains(invariant_ring(beta)):
         raise AssertionError("fixed ring must contain the full invariants")
     return B
 

@@ -31,8 +31,8 @@ import math
 from .actions import (UnitalAction, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
-from .linalg import (AbelianPresentation, block_diag, hstack, lattice_det, lattice_member,
-                     solve_cols, vstack)
+from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, lattice_det,
+                     lattice_member, solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation
 from .semigroups import SubSemigroup, is_e_unitary, linked_classes, remembered
 
@@ -70,13 +70,12 @@ def galois_rhs(beta, s):
 
 
 def _coordinate_system_matrix(ring, isos):
-    """Stacked matrix of y -> (sum_i x_i * f(y_i 1_dom))_f over basis x."""
-    mult_mats = [ring.mult_matrix(v) for v in ring.basis_vectors()]
-    blocks = []
-    for iso in isos:
-        iso_mat = iso.matrix()
-        blocks.append(hstack([m @ iso_mat for m in mult_mats]))
-    return vstack(blocks)
+    """Stacked matrix of y -> (sum_i x_i * f(y_i 1_dom))_f over basis x, with
+    f's columns from `apply_vec`."""
+    basis = ring.basis_vectors()
+    mult_mats = [ring.mult_matrix(v) for v in basis]
+    iso_mats = (cols_from_vectors([iso.apply_vec(v) for v in basis], ring.n_coords) for iso in isos)
+    return vstack([hstack([m @ f for m in mult_mats]) for f in iso_mats])
 
 
 def _solve_coordinates(beta, isos, rhs_vectors):
@@ -592,7 +591,7 @@ def scalar_extension_is_galois(ext):
     r_canon = ext.r_image_canon()
     if inv_canon != r_canon:
         return False
-    gens = ext.generator_vectors()
+    gens = ext.pres.generator_vectors()
     traces = [ext.sigma_trace_vec(z) for z in gens]
     trace_canon = ext.pres.subgroup_canon(traces)
     return trace_canon == r_canon

@@ -8,7 +8,8 @@ there is no floating point anywhere, so every comparison is tolerance-zero.
 
 Every matrix is a `Matrix`: a row count and a list of sparse columns, each
 a {row: value} dict of its nonzero entries; the systems built here (tensor
-relations, block-diagonal lattices) are almost all zeros.  Canonical bases
+relations, block-diagonal lattices) are almost all zeros.  A `Matrix` is
+applied (`apply`) and multiplied (`@`), with no `-`.  Canonical bases
 come from insertion modulo the diagonal (`lattice_canon`); membership and a
 member's coordinates come from one walk down such a basis
 (`lattice_quotients`); solves, kernels and Smith invariants come from a
@@ -63,16 +64,6 @@ class Matrix:
                 for i, v in c.items():
                     out[i] += x * v
         return tuple(out)
-
-    def __sub__(self, other):
-        """The difference self - other, column by column."""
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            col = dict(a)
-            for i, v in b.items():
-                col[i] = col.get(i, 0) - v
-            cols.append({i: v for i, v in col.items() if v})
-        return Matrix(self.rows, cols)
 
     def __matmul__(self, other):
         """The product self @ other, column by column of `other`."""
@@ -492,6 +483,14 @@ class AbelianPresentation:
 
     def order(self):
         return lattice_det(self.lattice)
+
+    def vector_order(self, vec):
+        """The order of `vec` modulo the diagonal alone: a multiple of its order."""
+        return math.lcm(*(d // math.gcd(x, d) for x, d in zip(vec, self.moduli) if x))
+
+    def generator_vectors(self):
+        """The raw generators, as unit vectors."""
+        return [tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)]
 
     def canon(self, vec):
         return lattice_reduce(self.lattice, vec)

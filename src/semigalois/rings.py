@@ -295,7 +295,7 @@ class FiniteRing:
 
     def basis_vectors(self):
         """Atom-pure additive generators e_0, ..., e_{n-1} as coordinate vectors."""
-        return [tuple(1 if i == j else 0 for j in range(self.n_coords)) for i in range(self.n_coords)]
+        return self.presentation.generator_vectors()
 
     def coord_atom(self, i):
         """Atom index owning flat coordinate i."""
@@ -349,10 +349,7 @@ class FiniteRing:
 
     def vector_order(self, vec):
         """Additive order of a coordinate vector."""
-        o = 1
-        for x, m in zip(vec, self.coord_moduli):
-            o = math.lcm(o, m // math.gcd(int(x), m))
-        return o
+        return self.presentation.vector_order(vec)
 
     def mask_vec(self, u, support):
         out = [0] * self.n_coords
@@ -565,13 +562,6 @@ class StructuredIso:
                     out[r] += x * z
         return tuple(x % m for x, m in zip(out, self.ring.coord_moduli))
 
-    def matrix(self):
-        """Additive n x n matrix of (mask to domain, then apply)."""
-        cols = [{} for _ in range(self.ring.n_coords)]
-        for c, targets in self.application_plan():
-            cols[c] = dict(targets)
-        return Matrix(self.ring.n_coords, cols)
-
 
 class Subalgebra:
     """An additive subgroup of a ring stored by a canonical Hermite basis.
@@ -694,9 +684,7 @@ class Subalgebra:
     @cached_property
     def orders(self):
         """The additive order of each generator."""
-        m = self.ring.coord_moduli
-        return tuple(math.lcm(*(m[i] // math.gcd(x, m[i]) for i, x in self.basis.cols[j].items()))
-                     for j in self._gen_cols)
+        return tuple(map(self.ring.vector_order, self.gen_vectors))
 
     def _coordinates(self, quotients):
         """The walk's quotients read at the generator columns, modulo the orders."""

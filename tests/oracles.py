@@ -29,7 +29,9 @@ their own loops (`validate_action_by_own_loops`,
 `validate_partial_semigroup_action_by_own_loops`,
 `validate_partial_groupoid_action_by_own_loops`), and scalar extension on
 its own presented base and relation loops (`extend_scalars_by_loops`,
-re-tested by `scalar_extension_is_galois_by_loops`),
+re-tested by `scalar_extension_is_galois_by_loops`), and its iso application
+as block-diagonal copies of an iso's matrix with the fixed subgroup from one
+stacked kernel (`ScalarExtensionByMatrices`, on `iso_matrix_by_polynomials`),
 and the polynomial element route (`atom_mul`, `atom_frobenius` and the
 element and iso helpers built on them) that the coordinate kernel replaced,
 with `verify_iso_extensional` on top of it; A^beta from one kernel for
@@ -1154,6 +1156,42 @@ class ScalarExtensionByLoops:
         return total
 
 
+class ScalarExtensionByMatrices:
+    """A scalar extension's action as it was applied before it went through
+    `apply_vec`: 1 (x) f as the block-diagonal I_k (x) (f's matrix), unreduced,
+    and the fixed subgroup from one kernel of I_k (x) (beta_s - 1_s), stacked
+    over s.  It reads the presentation of the extension `ext` it is held to."""
+
+    def __init__(self, ext):
+        self.beta, self.pres, self.k, self.l = ext.beta, ext.pres, ext.k, ext.l
+
+    def _on_a(self, mat):
+        from semigalois.linalg import block_diag
+        return block_diag([mat] * self.k)
+
+    def act(self, iso, z):
+        return self._on_a(iso_matrix_by_polynomials(iso)).apply(z)
+
+    def r_image_canon(self):
+        ones = self._on_a(cols_from_vectors([self.beta.A.one_vec], self.l))
+        return self.pres.subgroup_canon([ones.column(i) for i in range(self.k)])
+
+    def invariants_canon(self):
+        from semigalois.linalg import block_diag, kernel_gens, vstack
+        from semigalois.rings import StructuredIso
+        A = self.beta.A
+        rows = [self._on_a(sparse(dense(iso_matrix_by_polynomials(iso)) - dense(
+            iso_matrix_by_polynomials(StructuredIso.identity_on(A, iso.im_support)))))
+            for iso in self.beta.isos]
+        aug = block_diag([self.pres.lattice] * self.beta.S.n)
+        return self.pres.subgroup_canon(kernel_gens(vstack(rows), aug, self.pres.moduli))
+
+    def sigma_trace_vec(self, z):
+        from semigalois.actions import induce_partial_group_action
+        isos = induce_partial_group_action(self.beta).isos
+        return tuple(map(sum, zip(*(self.act(iso, z) for iso in isos))))
+
+
 def scalar_extension_is_galois_by_loops(ext):
     """The Galois re-test of `galois.scalar_extension_is_galois`, passing the
     induced alpha to this module's `sigma_trace_vec`."""
@@ -1265,6 +1303,14 @@ def iso_apply_by_polynomials(iso, el):
     for i, j in iso.matching.items():
         comps[j] = atom_frobenius(iso.ring.atoms[i], el.comps[i], iso.twist[i])
     return iso.ring.element(comps)
+
+
+def iso_matrix_by_polynomials(iso):
+    """The n x n matrix of (mask to domain, then apply): column j is the image
+    of the unit vector e_j by `iso_apply_by_polynomials`, zero off the domain."""
+    A = iso.ring
+    return cols_from_vectors([iso_apply_by_polynomials(iso, A.from_vec(e)).vec()
+                              for e in A.basis_vectors()], A.n_coords)
 
 
 def verify_iso_extensional(iso, pair_limit=256):
@@ -1439,7 +1485,7 @@ def solve_coordinates_whole(beta, isos, rhs_vectors):
     A = beta.A
     n = A.n_coords
     mult_mats = [A.mult_matrix(v) for v in A.basis_vectors()]
-    mat = vstack([hstack([m @ iso.matrix() for m in mult_mats]) for iso in isos])
+    mat = vstack([hstack([m @ iso_matrix_by_polynomials(iso) for m in mult_mats]) for iso in isos])
     aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
     sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -181,6 +182,38 @@ def test_cli_import_loads_no_dataclasses():
         "semigalois.correspondence", "semigalois.galois", "semigalois.instance",
         "semigalois.isopu", "semigalois.linalg", "semigalois.rings", "semigalois.semigroups",
         "semigalois.zerocase"]
+
+
+def _readers(name):
+    """(module, innermost enclosing def or class) of each place a module under
+    src/ reads `name`, as a variable or an attribute; imports and the
+    definition itself do not count."""
+    readers = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name, module)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                readers.append((module, scope))
+            visit(child, scope, module)
+
+    for path in sorted((REPO / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.stem)
+    return readers
+
+
+def test_one_fixed_point_solve_and_one_iso_application():
+    """The fixed ring of a family of maps has one solve, `fixed_points`, the one
+    reader of `kernel_gens`; an iso is applied only through its plan, which
+    only `apply_vec` reads."""
+    from semigalois.linalg import Matrix
+    from semigalois.rings import StructuredIso
+    assert _readers("kernel_gens") == [("actions", "fixed_points")]
+    assert _readers("application_plan") == [("rings", "apply_vec")]
+    assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 
 
 def test_non_associative_table_names_the_failure(tmp_path):

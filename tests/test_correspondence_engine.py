@@ -2,14 +2,16 @@
 
 `tests/oracles.py` keeps the E-unitary, general and zero routes as they
 were, each with its own pair loop and brute-force matcher; every route here
-must give the same pairs, verdicts and brute-force match.
+must give the same pairs, verdicts and brute-force match.  The fixed ring
+A^{beta|T} of every T the routes take, solved on beta's own isos, is held to
+the invariants of the restricted action it replaced, at the same spend.
 """
 
 from pathlib import Path
 
 import pytest
 
-from semigalois import actions
+from semigalois import actions, budget
 from semigalois import correspondence as co
 from semigalois import galois
 from semigalois import zerocase as zc
@@ -320,3 +322,42 @@ def test_corpus_correspondences_reverse_inclusion(seed, with_zero):
             _assert_reverses_inclusion(beta, rep)
             several += len(rep.pairs) > 1
     assert several >= 5
+
+
+def _route_ts(beta):
+    """Every T a correspondence route takes on beta: the beta-complete Ts
+    (E-unitary route), the pullbacks of the image's beta-complete Ts (general
+    route) and the beta-maximal Ts (general and zero routes), by member set."""
+    ts = co.enumerate_beta_complete(beta) + co.enumerate_beta_maximal(beta)
+    _, beta_img, proj = image_action(beta)
+    ts += [SubSemigroup(beta.S, co.pull_back(beta.S, proj, T.members))
+           for T in co.enumerate_beta_complete(beta_img)]
+    return list({T.members: T for T in ts}.values())
+
+
+def _fixed_ring_cases(source):
+    if source == "shipped":
+        return [_shipped(path.stem) for path in sorted(INSTANCES.glob("*.sgi"))]
+    if source == "brute-rungs":
+        from test_bench_library_calls import workloads
+        return [rung.beta for rung in workloads.brute_rungs()]
+    return corpus(2408, 60, with_zero=source == "corpus-with-zero")
+
+
+@pytest.mark.parametrize("source", ["corpus", "corpus-with-zero", "shipped", "brute-rungs"])
+def test_fixed_subalgebra_matches_the_restricted_action(source):
+    """A^{beta|T} from beta's own isos on T has the canonical basis of the
+    invariants of the restricted action, at the same budget spend."""
+    ts = 0
+    for beta in _fixed_ring_cases(source):
+        actions.invariant_ring(beta)  # remembered, so neither route below pays for it
+        for T in _route_ts(beta):
+            with budget.limit(10 ** 12):
+                got = co.fixed_subalgebra(beta, T)
+                spent = budget.spent()
+            with budget.limit(10 ** 12):
+                want = actions.invariant_ring(actions.restrict_action(beta, T)[0])
+                assert budget.spent() == spent
+            assert got.basis == want.basis
+            ts += 1
+    assert ts >= 9

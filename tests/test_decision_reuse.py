@@ -3,8 +3,8 @@
 Call counts around one in-process `cli.main` on the shipped instances (the
 facts each semigroup and action remembers, and the solves), the per-ring
 product table (a lookup returns the product and is charged like one), and
-the per-iso application plan against the iso matrix and the polynomial
-Frobenius.
+the per-iso application plan against the polynomial Frobenius, as a
+matrix and element by element.
 """
 
 import collections
@@ -19,7 +19,7 @@ from semigalois import rings as rg
 from semigalois.corpus import (b2_swap_fixture, c2_fixed_atom_fixture,
                                collapsing_semilattice_fixture, f9_cubed_fixture, random_ring,
                                random_structured_iso)
-from oracles import element_product, iso_apply_by_polynomials
+from oracles import element_product, iso_apply_by_polynomials, iso_matrix_by_polynomials
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -162,13 +162,16 @@ def test_verify_coordinates_takes_a_whole_system():
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])
 def test_correspond_takes_no_restriction_for_all_of_s(monkeypatch, capsys, brute):
-    """The fixed ring of all of S is A^beta, which the engine already holds."""
+    """The fixed ring of all of S is A^beta, which the engine already holds:
+    a fixed-point solve is taken only for member sets smaller than S."""
+    from semigalois.instance import parse_instance
     sizes = []
-    _recording(monkeypatch, correspondence, "restrict_action",
-               lambda beta, T: sizes.append((len(T.members), beta.S.n)))
+    _recording(monkeypatch, correspondence, "fixed_ring", lambda A, isos: sizes.append(len(isos)))
     for path in sorted(INSTANCES.glob("*.sgi")):
+        n, start = parse_instance(path).action.S.n, len(sizes)
         _run(capsys, "correspond", str(path), *(["--brute-force-subalgebras"] if brute else []))
-    assert sizes and all(k < n for k, n in sizes)
+        assert all(k < n for k in sizes[start:])
+    assert sizes
 
 
 def test_tensor_with_n_is_m_builds_one_relation_lattice(monkeypatch):
@@ -273,9 +276,10 @@ def test_rings_with_equal_atoms_share_no_table():
 
 
 def test_application_plan_matches_iso_matrix_and_polynomials():
-    """apply_vec by the plan equals the iso matrix reduced mod the moduli and the
-    polynomial Frobenius, on twisted GF isos and partial domains, and the plan
-    reads only domain coordinates."""
+    """apply_vec by the plan equals the iso's matrix from the polynomial
+    Frobenius, reduced mod the moduli, and the polynomial Frobenius on masked
+    elements, on twisted GF isos and partial domains, and the plan reads only
+    domain coordinates."""
     rng = random.Random(7)
     twisted = partial = 0
     for _ in range(200):
@@ -285,7 +289,7 @@ def test_application_plan_matches_iso_matrix_and_polynomials():
         partial += len(iso.matching) < len(A.atoms)
         domain = {c for i in iso.matching for c in range(*A.atom_span(i))}
         assert {c for c, _ in iso.application_plan()} <= domain
-        mat = iso.matrix()
+        mat = iso_matrix_by_polynomials(iso)
         for _ in range(5):
             vec = tuple(rng.randrange(m) for m in A.coord_moduli)
             want = tuple(x % m for x, m in zip(mat.apply(vec), A.coord_moduli))
@@ -412,12 +416,11 @@ def test_correspondences_build_no_tensor(monkeypatch, capsys, args):
 
 
 def test_a_fixed_algebra_outside_the_invariants_raises_as_before(monkeypatch):
-    """A fixed algebra that misses A^beta (here the span of 1, planted for
-    every restriction) still stops correspond with fixed_subalgebra's error."""
+    """A fixed algebra that misses A^beta (here the span of 1, planted as the
+    fixed ring of every T other than S) still stops correspond with
+    fixed_subalgebra's error."""
     from semigalois.instance import parse_instance
     beta = parse_instance(INSTANCES / "s7_f9cubed.sgi").action
-    real = correspondence.invariant_ring
-    monkeypatch.setattr(correspondence, "invariant_ring", lambda b: real(b) if b is beta
-                        else rg.Subalgebra(b.A, [b.A.one_vec]))
+    monkeypatch.setattr(correspondence, "fixed_ring", lambda A, isos: rg.Subalgebra(A, [A.one_vec]))
     with pytest.raises(AssertionError, match="fixed ring must contain the full invariants"):
         correspondence.verify_e_unitary_correspondence(beta)

@@ -7,7 +7,7 @@ import pytest
 from semigalois import budget
 from semigalois import rings as rg
 from semigalois import isopu
-from semigalois.linalg import AbelianPresentation
+from semigalois.linalg import AbelianPresentation, cols_from_vectors
 from semigalois.corpus import random_ring, random_structured_iso
 from oracles import (atom_elements, atom_frobenius, atom_power, dense, element_multiple, element_product,
                      element_sum, expand_by_solve, iso_apply_by_polynomials, kron_left, kron_right,
@@ -356,7 +356,8 @@ def _check_multiples(A, x):
 
 
 def _check_iso(iso, x, mat=None):
-    """apply_vec, apply and the iso matrix on x against the polynomial Frobenius."""
+    """apply_vec, apply and the matrix `mat` of apply_vec on the basis, on x,
+    against the polynomial Frobenius."""
     A = iso.ring
     want = iso_apply_by_polynomials(iso, x)
     assert iso.apply_vec(x.vec()) == want.vec()
@@ -370,8 +371,9 @@ def _check_iso(iso, x, mat=None):
 def test_kernel_matches_polynomial_arithmetic(name):
     """The coordinate kernel against the polynomial route of tests/oracles.py, on
     every element pair: mul_vec, mult_matrix and RingElement arithmetic; and on
-    every element and iso: apply_vec, apply and iso matrices; and each atom's
-    reduction table and Frobenius columns."""
+    every element and iso: apply_vec, apply and the matrix of apply_vec on the
+    basis, so apply_vec is additive; and each atom's reduction table and
+    Frobenius columns."""
     A = rg.FiniteRing(KERNEL_RINGS[name])
     for atom in set(A.atoms):
         _check_atom_tables(atom)
@@ -382,7 +384,7 @@ def test_kernel_matches_polynomial_arithmetic(name):
         for y in els:
             _check_pair(A, x, y, mat)
     for iso in _isos(A):
-        mat = dense(iso.matrix())
+        mat = dense(cols_from_vectors([iso.apply_vec(e) for e in A.basis_vectors()], A.n_coords))
         for x in els:
             _check_iso(iso, x, mat)
 

@@ -7,12 +7,18 @@ structural map from A^beta: the full ring A, each atom of A (a projection),
 F3 x F3 over a diagonal, and the fixtures of the Galois tests.  They must
 agree on the presented group (moduli and canonical lattice), the fixed
 subgroup, the image of R and the Galois re-test, and refuse the same bad
-inputs with the same errors.
+inputs with the same errors.  On the same cases the extension's iso
+application (one `apply_vec` per slice) and its fixed subgroup (one kernel
+per map) are held to the block-diagonal iso matrices and the stacked kernel
+they replaced (`ScalarExtensionByMatrices`).
 """
+
+import random
 
 import pytest
 
-from oracles import extend_scalars_by_loops, scalar_extension_is_galois_by_loops
+from oracles import (ScalarExtensionByMatrices, extend_scalars_by_loops,
+                     scalar_extension_is_galois_by_loops)
 from semigalois import budget
 from semigalois.actions import (NotInjective, ScalarExtension, extend_scalars, invariant_ring,
                                 is_injective)
@@ -88,6 +94,27 @@ def test_extension_over_foreign_rings_matches_the_old_one():
     assert len(cases) >= 43
     for beta, R, images in cases:
         _assert_same(extend_scalars(beta, R, images), extend_scalars_by_loops(beta, R, images))
+
+
+@pytest.mark.parametrize("r_given", [False, True], ids=["R-omitted", "R-given"])
+def test_iso_application_matches_the_matrix_route(r_given):
+    """act and sigma_trace_vec agree with the matrix route in the presented
+    group on every generator and on seeded vectors with entries outside
+    [0, modulus), and invariants_canon and r_image_canon are its bases."""
+    rng = random.Random(2408)
+    cases = foreign_cases() if r_given else [(beta,) for beta in _batch()]
+    for case in cases:
+        new = extend_scalars(*case)
+        old = ScalarExtensionByMatrices(new)
+        assert new.invariants_canon() == old.invariants_canon()
+        assert new.r_image_canon() == old.r_image_canon()
+        n = new.k * new.l
+        zs = new.pres.generator_vectors() + [tuple(rng.randrange(-99, 99) for _ in range(n))
+                                             for _ in range(3)]
+        for z in zs:
+            for iso in new.beta.isos:
+                assert new.pres.eq(new.act(iso, z), old.act(iso, z))
+            assert new.pres.eq(new.sigma_trace_vec(z), old.sigma_trace_vec(z))
 
 
 def _outcome(fn, *args):
