@@ -405,10 +405,8 @@ class PartialGroupAction:
         self.group = group
         self.A = A
         self.isos = tuple(isos)
-        n = group.size()
-        shape = ActionShape(group.table, [group.inverse(g) for g in range(n)], [group.identity],
-                            [group.identity] * n, [str(g) for g in range(n)])
-        check_action_axioms(ACTION_ROWS["partial group"], shape, A, self.isos)
+        check_action_axioms(ACTION_ROWS["partial group"], ActionShape.of_semigroup(group), A,
+                            self.isos)
 
     def trace(self, a):
         return _trace(self.A, self.isos, a)
@@ -430,12 +428,12 @@ def induce_partial_group_action(beta):
 
 
 def _induce_partial_group_action(beta):
-    quo = sigma_partition(beta.S)
-    isos = isopu.class_joins(beta.isos, quo.classes)
-    for cls, join in zip(quo.classes, isos):
+    G, classes, _ = sigma_partition(beta.S)
+    isos = isopu.class_joins(beta.isos, classes)
+    for cls, join in zip(classes, isos):
         if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent_vec(join.im_support):
             raise AssertionError("boolean sum disagrees with the support union")
-    return PartialGroupAction(quo, beta.A, isos)
+    return PartialGroupAction(G, beta.A, isos)
 
 
 def _boolean_sum(A, idempotents_list):

@@ -116,9 +116,8 @@ def cmd_analyze(beta, report, opts):
     inv = invariant_ring(beta)
     report.info("invariants", order=inv.order, generators=[repr(g) for g in inv.generators()])
     if S.zero is None:
-        quo = sigma_partition(S)
-        report.info("sigma_classes",
-                    classes=[_names(S, c) for c in quo.classes], group_order=quo.size())
+        G, classes, _ = sigma_partition(S)
+        report.info("sigma_classes", classes=[_names(S, c) for c in classes], group_order=G.n)
         report.add("e_unitary", is_e_unitary(S))
     else:
         classes, _ = zc.tau_partition(S)
@@ -199,12 +198,12 @@ def cmd_zero(beta, report, opts):
     prim = zc.is_primitive(S)
     report.info("primitive", value=prim)
     if prim:
-        (G, d, r, inv_map), order = zc.primitive_to_groupoid(S)
-        back = zc.groupoid_to_primitive(G)
-        report.add("groupoid_round_trip", back.table == S.table and back.zero == S.zero,
-                   groupoid_size=G.n, identities=[G.names[e] for e in G.identities()])
         alpha = zc.validate_partial_semigroup_action(S, beta.A, beta.isos)
-        report.add("action_conversion_round_trip", zc.convert_round_trip_ok(alpha))
+        gamma, table_ok, action_ok = zc.round_trips(alpha)
+        G = gamma.G
+        report.add("groupoid_round_trip", table_ok,
+                   groupoid_size=G.n, identities=[G.names[e] for e in G.identities()])
+        report.add("action_conversion_round_trip", action_ok)
     if zc.is_0_e_unitary(S) and zc.is_categorical_at_zero(S):
         P, joins, _ = zc.p_prime_construction(beta)
         report.add("p_prime_primitive", zc.is_primitive(P), order=P.n)

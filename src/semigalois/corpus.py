@@ -305,7 +305,7 @@ def random_groupoid(rng: random.Random):
         gname = rng.choice(list(SMALL_GROUPS))
         objects = rng.randint(1, 3)
         comps.append(connected_groupoid(SMALL_GROUPS[gname], objects))
-    return disjoint_union(comps, "c")[0]
+    return disjoint_union(comps, "c")
 
 
 def random_primitive_semigroup(rng: random.Random):
@@ -344,7 +344,7 @@ def random_orthogonal_groupoid_action(rng: random.Random):
             iso_specs.append(({base + i: base + j},
                               {base + i: (f[j] - f[i]) % twist_mod} if twist_mod > 1 else {}))
     ring = FiniteRing(atom_list)
-    G, d, r, inv = disjoint_union(comps, "g")
+    G = disjoint_union(comps, "g")
     isos = [StructuredIso(ring, m, t) for m, t in iso_specs]
     if rng.random() < 0.6:
         keep = frozenset(i for i in range(len(ring.atoms)) if rng.random() < 0.7)
@@ -355,7 +355,7 @@ def random_orthogonal_groupoid_action(rng: random.Random):
             restricted.append(StructuredIso(ring, matching, twist))
         isos = restricted
     try:  # a restriction that no longer covers A fails the cover axiom here
-        return validate_partial_groupoid_action(G, d, r, inv, ring, isos)
+        return validate_partial_groupoid_action(G, ring, isos)
     except Exception:
         return None
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .actions import (UnitalAction, fixed_atom_violation, image_action,
+from .actions import (UnitalAction, _defect, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, lattice_det,
@@ -133,8 +133,9 @@ def _derive_galois_system(beta):
 def _partial_action_system(beta):
     """(isos, right sides) of the coordinate system of alpha (delta at 1_G)."""
     A, alpha = beta.A, induce_partial_group_action(beta)
-    return tuple(alpha.isos), tuple(A.one_vec if g == alpha.group.identity else A.zero_vec
-                                    for g in range(alpha.group.size()))
+    (one,) = alpha.group.idempotents
+    return tuple(alpha.isos), tuple(A.one_vec if g == one else A.zero_vec
+                                    for g in range(alpha.group.n))
 
 
 def _solve_verified(beta, system, name):
@@ -297,23 +298,16 @@ def psi_check(beta):
 
 
 def compute_S_B(beta, B: Subalgebra):
-    """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B} (generators suffice)."""
+    """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B}: the s whose
+    defect vanishes on B's generators (they suffice, the defect being
+    additive).  The other direction, T -> A^{beta|T}, is the common kernel of
+    the same defects (`actions.fixed_ring`)."""
     if not B.is_subalgebra():
         raise NotSubalgebra("S_B needs a unital subalgebra")
-    A = beta.A
-    members = set()
-    for s in range(beta.S.n):
-        iso = beta.isos[s]
-        ok = True
-        for g in B.gen_vectors:
-            moved = iso.apply_vec(g)
-            kept = A.mask_vec(g, iso.im_support)
-            if moved != kept:
-                ok = False
-                break
-        if ok:
-            members.add(s)
-    sub = SubSemigroup(beta.S, frozenset(members))
+    defects = map(_defect, beta.isos)
+    members = frozenset(s for s, defect in enumerate(defects)
+                        if not any(any(defect(g)) for g in B.gen_vectors))
+    sub = SubSemigroup(beta.S, members)
     if not sub.is_full:
         raise CertificateMismatch("S_B is not full")
     return sub

@@ -3,10 +3,10 @@
 Tables are dense n x n index matrices.  Validation checks associativity,
 regularity and commuting idempotents (which together force unique
 inverses), plus the zero axiom when a zero is declared.  On top of the
-table: the natural partial order, the compatibility relation, the minimum
-group congruence sigma with its quotient group, meets/joins, full inverse
-subsemigroups, and a saturation routine that closes a generators+relations
-presentation into a table.
+table: the natural partial order, the compatibility relation, quotients by
+a congruence (the minimum group congruence sigma among them), meets/joins,
+full inverse subsemigroups, and a saturation routine that closes a
+generators+relations presentation into a table.
 """
 
 from __future__ import annotations
@@ -126,7 +126,10 @@ def validate_table(raw, zero=None, names=None):
         names = tuple(str(x) for x in names)
         if len(names) != n or len(set(names)) != n:
             raise SemigroupError("names must be distinct, one per element")
-    leq = tuple(tuple(any(table[t][f] == s for f in idems) for t in range(n)) for s in range(n))
+    # s <= t (s = tf for an idempotent f) iff s = ts^{-1}s: s^{-1}s is idempotent,
+    # and s = tf gives s^{-1}s = ft^{-1}tf = t^{-1}tf, so ts^{-1}s = tt^{-1}tf = s
+    src = [table[inv[s]][s] for s in range(n)]
+    leq = tuple(tuple(table[t][src[s]] == s for t in range(n)) for s in range(n))
     return InverseSemigroup(table, tuple(inv), zero, names, idems, leq)
 
 
@@ -205,34 +208,16 @@ def quotient_table(S, classes, projection):
     return tuple(table)
 
 
-class QuotientGroup:
-    """A group quotient of S, as a value: equal and hashed by its fields."""
-
-    def __init__(self, classes, table, projection, identity=0):
-        self.classes = classes  # tuple of sorted element tuples
-        self.table = table  # class product table
-        self.projection = projection  # element index -> class index
-        self.identity = identity
-
-    def _fields(self):
-        return self.classes, self.table, self.projection, self.identity
-
-    def __eq__(self, other):
-        if other.__class__ is not QuotientGroup:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def size(self):
-        return len(self.classes)
-
-    def inverse(self, g):
-        for h in range(len(self.classes)):
-            if self.table[g][h] == self.identity:
-                return h
-        raise NotAGroupQuotient("class without inverse")
+def quotient(S, classes, projection):
+    """S modulo the partition `classes` (`projection` sends each element to the
+    index of its class), validated, with the zero's class as its zero and each
+    class named by its members; None when the partition is not a congruence."""
+    table = quotient_table(S, classes, projection)
+    if table is None:
+        return None
+    zero = None if S.zero is None else projection[S.zero]
+    names = ["{" + ",".join(S.names[s] for s in cls) + "}" for cls in classes]
+    return validate_table(table, zero=zero, names=names)
 
 
 def remembered(obj, key, compute):
@@ -245,28 +230,25 @@ def remembered(obj, key, compute):
 
 
 def sigma_partition(S):
-    """The minimum group congruence: the closure of `shares_lower_bound`."""
+    """The minimum group congruence, the closure of `shares_lower_bound`: the
+    group S/sigma, the classes and the projection onto them."""
     if S.zero is not None:
         raise ZeroForbidden("sigma is for semigroups without zero; use tau")
     return remembered(S, "sigma", _sigma_partition)
 
 
 def _sigma_partition(S):
+    """S/sigma is an inverse semigroup; it is a group exactly when it has one
+    idempotent e.  For then ss^{-1} = e = s^{-1}s for every s, as both are
+    idempotents, so es = ss^{-1}s = s = se: e is the identity and s^{-1}
+    the group inverse of s."""
     classes, projection = lower_bound_classes(S)
-    table = quotient_table(S, classes, projection)
-    if table is None:
+    G = quotient(S, classes, projection)
+    if G is None:
         raise NotAGroupQuotient("sigma is not a congruence")
-    m = len(classes)
-    idem_classes = [g for g in range(m) if table[g][g] == g]
-    if len(idem_classes) != 1:
+    if len(G.idempotents) != 1:
         raise NotAGroupQuotient("quotient has several idempotent classes")
-    e = idem_classes[0]
-    for g in range(m):
-        if table[e][g] != g or table[g][e] != g:
-            raise NotAGroupQuotient("idempotent class is not an identity")
-        if not any(table[g][h] == e for h in range(m)):
-            raise NotAGroupQuotient("class without inverse")
-    return QuotientGroup(classes, table, projection, e)
+    return G, classes, projection
 
 
 def is_e_unitary(S):
@@ -279,10 +261,10 @@ def is_e_unitary(S):
 def _is_e_unitary(S):
     via_order = all(s in S.idempotents
                     for e in S.idempotents for s in range(S.n) if S.leq[e][s])
-    quo = sigma_partition(S)
-    via_sigma_classes = all(set(quo.classes[quo.projection[e]]) == set(S.idempotents)
+    _, classes, projection = sigma_partition(S)
+    via_sigma_classes = all(set(classes[projection[e]]) == set(S.idempotents)
                             for e in S.idempotents)
-    via_compat = all(compatible(S, s, t) == (quo.projection[s] == quo.projection[t])
+    via_compat = all(compatible(S, s, t) == (projection[s] == projection[t])
                      for s in range(S.n) for t in range(S.n))
     if not (via_order == via_sigma_classes == via_compat):
         raise CharacterizationMismatch(

@@ -1,11 +1,15 @@
 """Inverse semigroups with zero: strong compatibility, tau, groupoids.
 
 The zero-aware layer mirrors the sigma machinery: strong compatibility
-replaces compatibility, tau replaces the minimum group congruence, and
-primitive inverse semigroups trade places with groupoids (adjoin or strip
-the zero).  Unital actions with zero convert to orthogonal partial
-groupoid actions and back, and the Galois correspondence runs on the
-engine of `correspondence` over the beta-maximal subsemigroups.
+replaces compatibility, tau replaces the minimum group congruence (S/tau
+comes from the same `semigroups.quotient` as S/sigma, and is P'), and
+primitive inverse semigroups trade places with groupoids (strip or adjoin
+the zero); a `Groupoid` holds its own d, r and inverse maps.  Unital
+actions with zero convert to orthogonal partial groupoid actions and back
+in one round trip (`round_trips`), which gives the table verdict and the
+action verdict, each up to the canonical relabeling.  The Galois
+correspondence runs on the engine of `correspondence` over the
+beta-maximal subsemigroups.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from .actions import (ACTION_ROWS, ActionShape, AxiomFail,  # noqa: F401 (AxiomF
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
-from .semigroups import (SemigroupError, ZeroRequired, lower_bound_classes, quotient_table,
-                         remembered, shares_lower_bound, validate_table)
+from .semigroups import (SemigroupError, ZeroRequired, lower_bound_classes, quotient, remembered,
+                         shares_lower_bound, validate_table)
 
 
 class NotPrimitive(SemigroupError):
@@ -110,12 +114,10 @@ def _tau_partition(S):
 def tau_quotient(S):
     """S/tau as an inverse semigroup with zero; requires tau to be a congruence."""
     classes, projection = tau_partition(S)
-    table = quotient_table(S, classes, projection)
-    if table is None:
+    Q = quotient(S, classes, projection)
+    if Q is None:
         raise SemigroupError("tau is not a congruence on this table")
-    zero = projection[S.zero]
-    names = ["{" + ",".join(S.names[s] for s in cls) + "}" for cls in classes]
-    return validate_table(table, zero=zero, names=names), projection
+    return Q, projection
 
 
 def is_primitive(S):
@@ -161,12 +163,14 @@ def meet_formulas_check(S, s, t):
 
 
 class Groupoid:
-    """A finite groupoid as a value: equal and hashed by (n, product, names)."""
+    """A finite groupoid with its structure maps: d[g] = g^{-1}g, r[g] = gg^{-1}
+    and inv[g] = g^{-1}.  A value, equal and hashed by (n, product, names)."""
 
-    def __init__(self, n, product, names):
+    def __init__(self, n, product, names, d, r, inv):
         self.n = n
         self.product = product  # n x n tuple with entries element-index or None
         self.names = names
+        self.d, self.r, self.inv = d, r, inv
 
     def __eq__(self, other):
         if other.__class__ is not Groupoid:
@@ -186,25 +190,19 @@ class Groupoid:
         return p
 
     def identities(self):
-        out = []
-        for e in range(self.n):
-            if self.defined(e, e) and self.product[e][e] == e:
-                if all(self.product[g][e] in (None, g) for g in range(self.n)) and \
-                   all(self.product[e][g] in (None, g) for g in range(self.n)):
-                    out.append(e)
-        return out
+        return sorted(set(self.d))
 
 
 def validate_groupoid(n, product, names=None):
-    """Exhaustively check the groupoid axioms; returns (Groupoid, d, r, inv)."""
+    """Exhaustively check the groupoid axioms; returns the Groupoid with its d, r and inv."""
     product = tuple(tuple(row) for row in product)
     names = tuple(names) if names else tuple(f"g{i}" for i in range(n))
-    G = Groupoid(n, product, names)
-    ids = set(G.identities())
 
     def dfn(g, h):
         return product[g][h] is not None
 
+    ids = [e for e in range(n) if product[e][e] == e
+           and all(product[g][e] in (None, g) and product[e][g] in (None, g) for g in range(n))]
     # axiom (ii): g(hl) defined iff gh and hl defined; (i): iff (gh)l defined, equal
     for g in range(n):
         for h in range(n):
@@ -232,7 +230,7 @@ def validate_groupoid(n, product, names=None):
         if not cands:
             raise GroupoidError(f"axiom (iv) fails at {g}")
         inv[g] = cands[0]
-    return G, tuple(d), tuple(r), tuple(inv)
+    return Groupoid(n, product, names, tuple(d), tuple(r), tuple(inv))
 
 
 def primitive_to_groupoid(S):
@@ -280,7 +278,7 @@ def connected_groupoid(group_table, objects, names=None):
                 product[a][b] = index[(group_table[g][h], i, k)]
     if names is None:
         names = [f"({g};{i}->{j})" for g, i, j in elems]
-    return validate_groupoid(n, product, names)[0]
+    return validate_groupoid(n, product, names)
 
 
 # -- partial actions and their conversion (PIS <-> PGr) -----------------------
@@ -300,23 +298,23 @@ def validate_partial_semigroup_action(S, A, isos):
 
 
 class PartialGroupoidAction:
-    def __init__(self, G, d, r, inv, A, isos):
-        self.G, self.d, self.r, self.inv, self.A, self.isos = G, d, r, inv, A, isos
+    def __init__(self, G, A, isos):
+        self.G, self.A, self.isos = G, A, isos
 
 
-def validate_partial_groupoid_action(G, d, r, inv, A, isos):
+def validate_partial_groupoid_action(G, A, isos):
     isos = tuple(isos)
-    shape = ActionShape(G.product, inv, G.identities(), r, G.names)
+    shape = ActionShape(G.product, G.inv, G.identities(), G.r, G.names)
     check_action_axioms(ACTION_ROWS["PGr"], shape, A, isos)
-    return PartialGroupoidAction(G, d, r, inv, A, isos)
+    return PartialGroupoidAction(G, A, isos)
 
 
 def semigroup_action_to_groupoid(alpha: PartialSemigroupAction):
     """alpha* : strip the zero from a primitive partial action (PIS -> PGr)."""
     S = alpha.S
-    (G, d, r, inv), order = primitive_to_groupoid(S)
+    G, order = primitive_to_groupoid(S)
     isos = [alpha.isos[s] for s in order]
-    return validate_partial_groupoid_action(G, d, r, inv, alpha.A, isos), order
+    return validate_partial_groupoid_action(G, alpha.A, isos), order
 
 
 def groupoid_action_to_semigroup(gamma: PartialGroupoidAction):
@@ -326,28 +324,32 @@ def groupoid_action_to_semigroup(gamma: PartialGroupoidAction):
     return validate_partial_semigroup_action(S, gamma.A, isos)
 
 
+def round_trips(alpha: PartialSemigroupAction):
+    """alpha*, built once, and the verdicts of the two round trips through it:
+    (S*)^0 = S and (alpha*)^0 = alpha, each up to the canonical relabeling
+    (the nonzero elements in order, then the zero).  Returns (alpha*, the
+    table verdict, the action verdict); the action verdict implies the other."""
+    gamma, order = semigroup_action_to_groupoid(alpha)
+    back = groupoid_action_to_semigroup(gamma)
+    S = alpha.S
+    relabel = order + [S.zero]
+    table_ok = all(relabel[back.S.table[i][j]] == S.table[s][t]
+                   for i, s in enumerate(relabel) for j, t in enumerate(relabel))
+    action_ok = table_ok and all(back.isos[i] == alpha.isos[s] for i, s in enumerate(relabel))
+    return gamma, table_ok, action_ok
+
+
 def convert_round_trip_ok(alpha: PartialSemigroupAction):
     """(alpha*)^0 = alpha up to the canonical relabeling."""
-    (gamma, order) = semigroup_action_to_groupoid(alpha)
-    back = groupoid_action_to_semigroup(gamma)
-    if back.S.n != alpha.S.n:
-        return False
-    relabel = list(order) + [alpha.S.zero]
-    for i, s in enumerate(relabel):
-        if back.isos[i] != alpha.isos[s]:
-            return False
-        for j, t in enumerate(relabel):
-            if relabel[back.S.table[i][j]] != alpha.S.table[s][t]:
-                return False
-    return True
+    return round_trips(alpha)[2]
 
 
 def p_prime_construction(beta):
     """Joins over tau-classes of an action of a 0-E-unitary categorical S.
 
-    Returns the primitive semigroup P' of class joins with its product
-    (the unique element above each composite), checked to be isomorphic to
-    S/tau via tau(f) -> alpha_f.
+    Returns P' = S/tau, checked equal to the product of the class joins
+    (the unique join above each composite) via tau(f) -> alpha_f, with the
+    joins and the projection onto the tau-classes.
     """
     S = beta.S
     _require_zero(S)
@@ -357,11 +359,9 @@ def p_prime_construction(beta):
     empty = StructuredIso.empty(beta.A)
     joins = isopu.class_joins([empty if s == S.zero else iso for s, iso in enumerate(beta.isos)],
                               classes)
-    table = isopu.join_product_table(joins)
-    if table != quotient_table(S, classes, projection):
+    P, _ = tau_quotient(S)
+    if isopu.join_product_table(joins) != P.table:
         raise AssertionError("P' is not isomorphic to S/tau")
-    P = validate_table(table, zero=joins.index(empty),
-                       names=[f"a{c}" for c in range(len(joins))])
     if not is_primitive(P):
         raise AssertionError("P' failed primitivity")
     return P, joins, projection

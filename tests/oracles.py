@@ -22,7 +22,8 @@ which decide their Galois precondition by the coordinate solve, not by the
 fixed-atom rule the library's routes use), the five power-set scans that per-atom and per-element tests replaced
 (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
-`beta_maximal_by_subset_scan`), the subalgebra scan that closed every
+`beta_maximal_by_subset_scan`), the natural order by a scan over the
+idempotents (`natural_order_by_idempotents`), the subalgebra scan that closed every
 coset (`subalgebras_by_coset_scan`), the four action-axiom validators with
 their own loops (`validate_action_by_own_loops`,
 `validate_partial_group_action_by_own_loops`,
@@ -822,6 +823,13 @@ def full_inverse_subsemigroups_by_power_set(S):
     return sorted(found, key=lambda t: t.bitmask())
 
 
+def natural_order_by_idempotents(S):
+    """leq[s][t]: s = tf for some idempotent f, as `validate_table` computed
+    the natural order before it read s = ts^{-1}s."""
+    return tuple(tuple(any(S.table[t][f] == s for f in S.idempotents) for t in range(S.n))
+                 for s in range(S.n))
+
+
 def beta_complete_by_subset_scan(beta, T):
     """beta-completeness over every nonempty compatible subset P of T."""
     from semigalois import isopu
@@ -900,20 +908,21 @@ def validate_action_by_own_loops(S, A, isos):
 
 
 def validate_partial_group_action_by_own_loops(G, A, isos):
-    """The checks `PartialGroupAction` ran on construction."""
+    """The checks `PartialGroupAction` ran on construction; G is a group as
+    an `InverseSemigroup`, classes named as G names them."""
     from semigalois import isopu
     from semigalois.actions import PartialActionAxiomFail
-    e = G.identity
+    (e,) = G.idempotents
     if isos[e].dom_support != frozenset(range(len(A.atoms))) or not isos[e].is_identity_map():
         raise PartialActionAxiomFail("P1: identity must act as Id_A on A")
-    for g in range(G.size()):
-        if isos[G.inverse(g)] != isos[g].inverse():
+    for g in range(G.n):
+        if isos[G.inv[g]] != isos[g].inverse():
             raise PartialActionAxiomFail("inverse classes must carry inverse maps")
-    for g in range(G.size()):
-        for h in range(G.size()):
+    for g in range(G.n):
+        for h in range(G.n):
             comp = isopu.compose(isos[g], isos[h])
             if not isopu.natural_leq_iso(comp, isos[G.table[g][h]]):
-                raise PartialActionAxiomFail(f"P2/P3 fail at classes {g}, {h}")
+                raise PartialActionAxiomFail(f"P2/P3 fail at classes {G.names[g]}, {G.names[h]}")
 
 
 def validate_partial_semigroup_action_by_own_loops(S, A, isos):
@@ -949,7 +958,7 @@ def validate_partial_semigroup_action_by_own_loops(S, A, isos):
     return PartialSemigroupAction(S, A, isos)
 
 
-def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos):
+def validate_partial_groupoid_action_by_own_loops(G, A, isos):
     from semigalois import isopu
     from semigalois.zerocase import AxiomFail, PartialGroupoidAction
     isos = tuple(isos)
@@ -965,10 +974,10 @@ def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos):
     if covered != set(range(len(A.atoms))):
         raise AxiomFail("PGr0", "identity ideals do not sum to A")
     for g in range(G.n):
-        if isos[inv[g]] != isos[g].inverse():
+        if isos[G.inv[g]] != isos[g].inverse():
             raise AxiomFail("PGr", f"inverse of {G.names[g]} mismatched")
-        if not isos[g].im_support <= isos[r[g]].im_support:
-            raise AxiomFail("PGr", f"A_{G.names[g]} must sit inside A_{G.names[r[g]]}")
+        if not isos[g].im_support <= isos[G.r[g]].im_support:
+            raise AxiomFail("PGr", f"A_{G.names[g]} must sit inside A_{G.names[G.r[g]]}")
     for g in range(G.n):
         for h in range(G.n):
             comp = isopu.compose(isos[g], isos[h])
@@ -981,7 +990,7 @@ def validate_partial_groupoid_action_by_own_loops(G, d, r, inv, A, isos):
             elif comp.dom_support:
                 raise AxiomFail("PGr2", f"undefined product ({G.names[g]},{G.names[h]}) "
                                         "with a nonzero composite")
-    return PartialGroupoidAction(G, d, r, inv, A, isos)
+    return PartialGroupoidAction(G, A, isos)
 
 
 # Scalar extension on its own presented base, with its own relation loops,

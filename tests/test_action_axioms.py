@@ -27,7 +27,7 @@ MUTATIONS = 12
 
 
 def _pgr(gamma):
-    return lambda isos: (gamma.G, gamma.d, gamma.r, gamma.inv, gamma.A, isos)
+    return lambda isos: (gamma.G, gamma.A, isos)
 
 
 # row -> (new entry point, old validator); each takes the arguments its
@@ -67,10 +67,10 @@ def _inputs():
     for beta in zero_free + [f9_cubed_fixture(), c2_swap_fixture()]:
         if is_e_unitary(beta.S) and ac.is_injective(beta):
             a = ac.induce_partial_group_action(beta)
-            inv = [a.group.inverse(g) for g in range(a.group.size())]
-            out.append(("partial group", lambda isos, a=a: (a.group, a.A, isos), a.isos, inv))
+            out.append(("partial group", lambda isos, a=a: (a.group, a.A, isos), a.isos,
+                        a.group.inv))
     for gamma in groupoid_action_corpus(31, 25):
-        out.append(("PGr", _pgr(gamma), gamma.isos, gamma.inv))
+        out.append(("PGr", _pgr(gamma), gamma.isos, gamma.G.inv))
         z = zc.groupoid_action_to_semigroup(gamma)
         out.append(("PIS", lambda isos, z=z: (z.S, z.A, isos), z.isos, z.S.inv))
     return out
@@ -84,8 +84,8 @@ def _relabelled(S, **fields):
 
 
 def _groupoid_args(n, product, names, A):
-    G, d, r, inv = zc.validate_groupoid(n, product, names)
-    return lambda isos: (G, d, r, inv, A, isos)
+    G = zc.validate_groupoid(n, product, names)
+    return lambda isos: (G, A, isos)
 
 
 def _hand_built():
@@ -110,10 +110,10 @@ def _hand_built():
     shift = StructuredIso(F27, {0: 1, 1: 2}, {})
     c3 = ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["e", "a", "a2"])
     c3_isos = (StructuredIso.identity_on(F27, {0, 1, 2}), shift, shift.inverse())
-    undefined_square = zc.Groupoid(2, ((0, 1), (1, None)), ("e", "g"))
+    undefined_square = zc.Groupoid(2, ((0, 1), (1, None)), ("e", "g"), (0, 0), (0, 0), (0, 1))
     return [
         ("PGr", _groupoid_args(3, *c3, F27), c3_isos),
-        ("PGr", lambda isos: (undefined_square, (0, 0), (0, 0), (0, 1), F3, isos),
+        ("PGr", lambda isos: (undefined_square, F3, isos),
          (StructuredIso.identity_on(F3, {0}),) * 2),
         ("unital", lambda isos: (S, A, isos), beta.isos[:1]),
         ("unital", lambda isos: (S, A, isos),

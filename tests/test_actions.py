@@ -80,7 +80,7 @@ def test_sigma_trace_on_c2_swap():
 def test_semilattice_sigma_trace_is_identity():
     beta = chain_semilattice_fixture()
     alpha = ac.induce_partial_group_action(beta)
-    assert alpha.group.size() == 1
+    assert alpha.group.n == 1
     for a in beta.A.elements():
         assert ac.sigma_trace(beta, a) == a
 
@@ -88,7 +88,7 @@ def test_semilattice_sigma_trace_is_identity():
 def test_induced_action_on_group_is_itself():
     beta = c2_swap_fixture()
     alpha = ac.induce_partial_group_action(beta)
-    assert alpha.group.size() == 2
+    assert alpha.group.n == 2
     assert list(alpha.isos) == list(beta.isos)
 
 
@@ -116,7 +116,7 @@ def test_invariants_equal_for_beta_and_alpha_on_corpus():
         candidates = [a for a in A.elements()
                       if all(alpha.isos[g].apply(a.mask(alpha.isos[g].dom_support))
                              == a.mask(alpha.isos[g].im_support)
-                             for g in range(alpha.group.size()))] \
+                             for g in range(alpha.group.n))] \
             if A.size <= 729 else None
         if candidates is not None:
             assert len(candidates) == inv.order

@@ -216,6 +216,44 @@ def test_one_fixed_point_solve_and_one_iso_application():
     assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 
 
+def test_one_quotient_builder_and_one_round_trip():
+    """S/sigma, S/tau and P' are `InverseSemigroup`s from `quotient`, the one
+    reader of `quotient_table`; `zero` strips and re-adjoins the zero only
+    inside `zerocase.round_trips`."""
+    from semigalois import semigroups
+    assert not hasattr(semigroups, "QuotientGroup")
+    assert _readers("quotient_table") == [("semigroups", "quotient")]
+    modules = {module for name in ("primitive_to_groupoid", "groupoid_to_primitive")
+                 for module, _ in _readers(name)}
+    assert "cli" not in modules
+
+
+def test_zero_round_trips_with_the_zero_in_the_middle(tmp_path):
+    """C2 with its zero adjoined as the middle element: both round trips hold
+    up to the relabeling that puts the zero last."""
+    p = tmp_path / "c2_zero_middle.sgi"
+    p.write_text("""
+[semigroup]
+elements = b0 b1 b2
+row = b0 b1 b2
+row = b1 b1 b1
+row = b2 b1 b0
+zero = b1
+
+[ring]
+atom = gf 2 2 poly=1,1,1
+
+[action]
+map = b0 : 0->0:0
+map = b1 : empty
+map = b2 : 0->0:1
+""")
+    code, out, err = run_cli(["zero", str(p)])
+    assert code == 0, out
+    assert b"ok   groupoid_round_trip  groupoid_size=2  identities=[b0]" in out
+    assert b"ok   action_conversion_round_trip" in out
+
+
 def test_non_associative_table_names_the_failure(tmp_path):
     p = tmp_path / "bad.sgi"
     p.write_text("""

@@ -4,7 +4,7 @@ import pytest
 
 from semigalois import isopu
 from semigalois import zerocase as zc
-from semigalois.corpus import (b2_swap_fixture, b2_table, group_with_zero_fixture,
+from semigalois.corpus import (b2_swap_fixture, b2_table, corpus, group_with_zero_fixture,
                                groupoid_action_corpus, non_categorical_semilattice,
                                random_primitive_semigroup)
 from semigalois.semigroups import ZeroRequired, validate_table
@@ -95,6 +95,13 @@ def test_meet_formulas_rejects_incompatible():
         zc.meet_formulas_check(B2, 0, 3)
 
 
+def primitive_corpus():
+    """The primitive actions of the zero corpora of seeds 2408, 3, 5 and 7:
+    274 of them, 18 with the zero elsewhere than last."""
+    return [beta for seed in (2408, 3, 5, 7) for beta in corpus(seed, 100, with_zero=True)
+            if zc.is_primitive(beta.S)]
+
+
 def test_groupoid_round_trips_on_corpus():
     rng = random.Random(11)
     count = 0
@@ -102,30 +109,39 @@ def test_groupoid_round_trips_on_corpus():
     cases = [b2_table()]
     while len(cases) < 50:
         cases.append(random_primitive_semigroup(rng))
+    betas = primitive_corpus()
+    cases += [beta.S for beta in betas]
+    assert any(S.zero != S.n - 1 for S in cases)
     for S in cases:
-        (G, d, r, inv), order = zc.primitive_to_groupoid(S)
+        G, order = zc.primitive_to_groupoid(S)
         back = zc.groupoid_to_primitive(G)
-        assert back.table == S.table
-        assert back.zero == S.zero
+        # back is S relabeled: the nonzero elements in order, then the zero
+        relabel = order + [S.zero]
+        assert [[relabel[x] for x in row] for row in back.table] == \
+            [[S.table[s][t] for t in relabel] for s in relabel]
+        assert relabel[back.zero] == S.zero
         # groupoid -> primitive -> groupoid is also the identity
-        (G2, d2, r2, inv2), _ = zc.primitive_to_groupoid(back)
+        G2, _ = zc.primitive_to_groupoid(back)
         assert G2.product == G.product
-        assert (d2, r2, inv2) == (d, r, inv)
+        assert (G2.d, G2.r, G2.inv) == (G.d, G.r, G.inv)
         count += 1
         if S.table == b2_table().table:
             seen_b2 = True
-    assert count >= 50 and seen_b2
+    assert count >= 50 + 274 and seen_b2
+    for beta in betas:
+        alpha = zc.validate_partial_semigroup_action(beta.S, beta.A, beta.isos)
+        assert zc.round_trips(alpha)[1:] == (True, True)
 
 
 def test_b2_is_the_matrix_unit_groupoid():
-    (G, d, r, inv), order = zc.primitive_to_groupoid(b2_table())
+    G, order = zc.primitive_to_groupoid(b2_table())
     assert G.n == 4
     assert sorted(G.identities()) == sorted([order.index(0), order.index(3)])
 
 
 def test_group_with_zero_is_one_object_groupoid():
     S = group_with_zero_fixture().S
-    (G, d, r, inv), order = zc.primitive_to_groupoid(S)
+    G, order = zc.primitive_to_groupoid(S)
     assert len(G.identities()) == 1
     assert G.n == 2
 
@@ -185,8 +201,7 @@ def test_pgr_orthogonality_is_checked():
         first = with_overlap[ids[0]]
         with_overlap[ids[1]] = first
         with pytest.raises(zc.AxiomFail):
-            zc.validate_partial_groupoid_action(gamma.G, gamma.d, gamma.r, gamma.inv,
-                                                gamma.A, with_overlap)
+            zc.validate_partial_groupoid_action(gamma.G, gamma.A, with_overlap)
 
 
 def test_p_prime_on_primitive_is_isomorphic():
@@ -227,8 +242,7 @@ def test_p_prime_matches_sigma_machinery_on_adjoined_zero():
     from semigalois.actions import validate_action
     beta0 = validate_action(S0, beta.A, isos)
     P, joins, proj = zc.p_prime_construction(beta0)
-    quo = sigma_partition(S)
-    assert P.n == quo.size() + 1
+    assert P.n == sigma_partition(S)[0].n + 1
 
 
 def test_zero_correspondence_on_fixtures():
