@@ -8,10 +8,10 @@ __version__ = "0.1.0"
 
 from .rings import Atom, FiniteRing, RingElement, StructuredIso, Subalgebra
 from .semigroups import InverseSemigroup, SubSemigroup, validate_table
-from .actions import UnitalAction, validate_action
+from .actions import Action, validate_action
 
 __all__ = [
     "Atom", "FiniteRing", "RingElement", "StructuredIso", "Subalgebra",
     "InverseSemigroup", "SubSemigroup", "validate_table",
-    "UnitalAction", "validate_action", "__version__",
+    "Action", "validate_action", "__version__",
 ]

@@ -1,11 +1,18 @@
-"""Unital actions of finite inverse semigroups on finite commutative rings.
+"""Actions of finite inverse semigroups and groupoids on finite commutative rings.
 
-A unital action is a homomorphism into Iso_pu(A) whose idempotent ideals
-cover A.  On top of validation this module computes the invariant subring,
-the plain and sigma-twisted trace maps, the induced partial action of the
-quotient group S/sigma for E-unitary injective actions, restriction to full
-subsemigroups, the image action, and scalar extension along a base-ring
-map (presented tensor, not an atom ring).
+Every action is an `Action`: partial isos of A assigned to the elements
+of S, built by a validator only after its reading of the axioms
+(`ACTION_ROWS`) holds.  A unital action (`validate_action`) is a
+homomorphism into Iso_pu(A) whose idempotent ideals cover A; the induced
+partial action alpha of the quotient group S/sigma
+(`validate_partial_group_action`) and the zero case's partial semigroup
+and groupoid actions (in `zerocase`) are Actions too, so alpha's trace
+and Galois system are beta's definitions read on alpha.  On top of
+validation this module computes the invariant subring, the plain and
+sigma-twisted trace maps, alpha for E-unitary injective actions,
+restriction to full subsemigroups, the action of a closed set of isos on
+its own table (`iso_action`) and the image action through it, and scalar
+extension along a base-ring map (presented tensor, not an atom ring).
 """
 
 from __future__ import annotations
@@ -58,8 +65,10 @@ class PartialActionAxiomFail(ActionError):
     pass
 
 
-class UnitalAction:
-    """A validated assignment s -> beta_s; construct via validate_action."""
+class Action:
+    """A validated assignment s -> beta_s of partial isos of A to the elements
+    of S, an `InverseSemigroup` or a `Groupoid`; built by the validator of
+    its reading (`validate_action` for a unital action)."""
 
     def __init__(self, S, A, isos):
         self.S = S
@@ -91,7 +100,7 @@ class UnitalAction:
         return tuple(Block(self.A, atoms) for atoms in linked_classes(len(self.A.atoms), pairs))
 
     def __repr__(self):
-        return f"UnitalAction(|S|={self.S.n}, A={self.A!r})"
+        return f"Action(|S|={self.S.n}, A={self.A!r})"
 
 
 class AxiomFail(Exception):
@@ -239,7 +248,24 @@ def validate_action(S, A, isos):
     """
     isos = list(isos)
     check_action_axioms(ACTION_ROWS["unital"], ActionShape.of_semigroup(S), A, isos)
-    return UnitalAction(S, A, isos)
+    return Action(S, A, isos)
+
+
+def validate_partial_group_action(G, A, isos):
+    """Check the axioms of a unital partial action of the group G: the
+    identity acts as Id_A, inverses carry inverse maps, and
+    alpha_g alpha_h <= alpha_{gh}."""
+    isos = tuple(isos)
+    check_action_axioms(ACTION_ROWS["partial group"], ActionShape.of_semigroup(G), A, isos)
+    return Action(G, A, isos)
+
+
+def iso_action(isos, names, zero=None):
+    """A closed set of partial isos of one ring acting by itself, on their
+    composition table with its elements named `names` and `zero` the index
+    of its declared zero."""
+    S = validate_table(isopu.composition_table(isos), zero=zero, names=names)
+    return validate_action(S, isos[0].ring, isos)
 
 
 def is_injective(beta):
@@ -381,13 +407,9 @@ def separability_violation(beta, B):
 
 def trace_map(beta, a):
     """tr(a) = sum over s of beta_s(a 1_{s^-1}); need not be invariant."""
-    return _trace(beta.A, beta.isos, a)
-
-
-def _trace(A, isos, a):
-    if a.ring != A:
+    if a.ring != beta.A:
         raise AtomMismatch("element not in this ring")
-    return A.from_vec(_trace_vec(A, isos, a.vec()))
+    return beta.A.from_vec(_trace_vec(beta.A, beta.isos, a.vec()))
 
 
 def _trace_vec(A, isos, vec):
@@ -396,20 +418,6 @@ def _trace_vec(A, isos, vec):
     for iso in isos:
         total = A.add_vec(total, iso.apply_vec(vec))
     return total
-
-
-class PartialGroupAction:
-    """A unital partial action of a finite group, validated on construction."""
-
-    def __init__(self, group, A, isos):
-        self.group = group
-        self.A = A
-        self.isos = tuple(isos)
-        check_action_axioms(ACTION_ROWS["partial group"], ActionShape.of_semigroup(group), A,
-                            self.isos)
-
-    def trace(self, a):
-        return _trace(self.A, self.isos, a)
 
 
 def induce_partial_group_action(beta):
@@ -433,7 +441,7 @@ def _induce_partial_group_action(beta):
     for cls, join in zip(classes, isos):
         if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent_vec(join.im_support):
             raise AssertionError("boolean sum disagrees with the support union")
-    return PartialGroupAction(G, beta.A, isos)
+    return validate_partial_group_action(G, beta.A, isos)
 
 
 def _boolean_sum(A, idempotents_list):
@@ -446,7 +454,7 @@ def _boolean_sum(A, idempotents_list):
 
 def sigma_trace(beta, a):
     """tr^sigma(a): the trace of the induced partial group action."""
-    return induce_partial_group_action(beta).trace(a)
+    return trace_map(induce_partial_group_action(beta), a)
 
 
 def verify_class_join_group(beta):
@@ -459,7 +467,7 @@ def verify_class_join_group(beta):
     joins = list(alpha.isos)
     if len(set(joins)) != len(joins):
         raise AssertionError("class joins collide; G' smaller than S/sigma")
-    if isopu.join_product_table(joins) != alpha.group.table:
+    if isopu.join_product_table(joins) != alpha.S.table:
         raise AssertionError("the product of class joins is not that of S/sigma")
     return True
 
@@ -481,22 +489,18 @@ def restrict_action(beta, T: SubSemigroup):
 
 
 def image_action(beta):
-    """(beta(S), the induced injective action, the projection S -> beta(S))."""
+    """(the induced injective action of beta(S), the projection S -> beta(S))."""
     classes = {}
     for s in range(beta.S.n):
         classes.setdefault(beta.isos[s], []).append(s)
     keys = list(classes)  # in the order of their least preimages
     index = {k: i for i, k in enumerate(keys)}
     proj = [index[beta.isos[s]] for s in range(beta.S.n)]
-    zero = None
-    if beta.S.zero is not None:
-        zero = proj[beta.S.zero]
-    names = [beta.S.names[classes[k][0]] for k in keys]
-    T = validate_table(isopu.composition_table(keys), zero=zero, names=names)
-    beta_img = validate_action(T, beta.A, keys)
+    zero = None if beta.S.zero is None else proj[beta.S.zero]
+    beta_img = iso_action(keys, [beta.S.names[classes[k][0]] for k in keys], zero)
     if invariant_ring(beta_img) != invariant_ring(beta):
         raise AssertionError("image action changed the invariant ring")
-    return T, beta_img, tuple(proj)
+    return beta_img, tuple(proj)
 
 
 class ScalarExtension:

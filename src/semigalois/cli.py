@@ -200,7 +200,7 @@ def cmd_zero(beta, report, opts):
     if prim:
         alpha = zc.validate_partial_semigroup_action(S, beta.A, beta.isos)
         gamma, table_ok, action_ok = zc.round_trips(alpha)
-        G = gamma.G
+        G = gamma.S
         report.add("groupoid_round_trip", table_ok,
                    groupoid_size=G.n, identities=[G.names[e] for e in G.identities()])
         report.add("action_conversion_round_trip", action_ok)

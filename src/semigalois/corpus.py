@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import isopu
-from .actions import validate_action
+from .actions import AxiomFail, iso_action, validate_action
 from .rings import Atom, FiniteRing, StructuredIso, TooLarge
 from .semigroups import saturate_presentation, validate_table
 
@@ -223,16 +223,6 @@ def close_isos(seed_isos, cap=24):
     return order
 
 
-def tautological_action(isos):
-    """The abstract table of a closed iso set acting by itself."""
-    ring = isos[0].ring
-    empty = StructuredIso.empty(ring)
-    zero = isos.index(empty) if empty in isos else None
-    S = validate_table(isopu.composition_table(isos), zero=zero,
-                       names=[f"b{i}" for i in range(len(isos))])
-    return validate_action(S, ring, isos)
-
-
 def random_instance(rng: random.Random, cap=14, with_zero=False):
     """One random closed instance, or None when the draw violates a guard.
 
@@ -248,10 +238,11 @@ def random_instance(rng: random.Random, cap=14, with_zero=False):
         closed = close_isos(gens, cap=cap)
     except TooLarge:
         return None
-    has_zero = StructuredIso.empty(ring) in closed
-    if has_zero != with_zero:
+    empty = StructuredIso.empty(ring)
+    if (empty in closed) != with_zero:
         return None
-    return tautological_action(closed)
+    zero = closed.index(empty) if with_zero else None
+    return iso_action(closed, [f"b{i}" for i in range(len(closed))], zero)
 
 
 def corpus(seed, count, predicate=None, max_draws=50_000, **kw):
@@ -354,9 +345,9 @@ def random_orthogonal_groupoid_action(rng: random.Random):
             twist = {i: iso.twist[i] for i in matching}
             restricted.append(StructuredIso(ring, matching, twist))
         isos = restricted
-    try:  # a restriction that no longer covers A fails the cover axiom here
+    try:  # a restriction may break the PGr0 cover axiom or the PGr range axiom
         return validate_partial_groupoid_action(G, ring, isos)
-    except Exception:
+    except AxiomFail:
         return None
 
 

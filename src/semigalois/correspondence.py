@@ -332,8 +332,8 @@ def verify_general_correspondence(beta, brute_force_subalgebras=False):
     if not is_galois(beta):
         raise PreconditionFail("A is not beta-Galois over its invariants")
 
-    img_S, beta_img, proj = image_action(beta)
-    if not is_e_unitary(img_S):
+    beta_img, proj = image_action(beta)
+    if not is_e_unitary(beta_img.S):
         raise PreconditionFail("image semigroup is not E-unitary (theorem violated?)")
 
     ts = [SubSemigroup(S, pull_back(S, proj, T.members))

@@ -5,11 +5,13 @@ invariants: coordinate systems (an exact linear solve over the additive
 basis), bijectivity of the comparison map into the compatible-family ring,
 separability plus strongness, and the twisted-trace image.  On E-unitary
 injective instances the first three are provably equivalent and asserted
-unanimous, and cross-checked against the induced partial group action;
-the trace-image test is enforced as a necessary condition, with its known
+unanimous, and cross-checked against the induced partial group action
+alpha, an `Action` whose coordinate system is beta's definition
+(`_galois_system`) read on S/sigma and kept in alpha's own facts; the
+trace-image test is enforced as a necessary condition, with its known
 insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
 The coordinate and separability systems are solved one orbit of the atom
-maps at a time (`UnitalAction.orbits`), and psi is checked one orbit at a
+maps at a time (`Action.orbits`), and psi is checked one orbit at a
 time into PA_beta(S), which is free on classes of tied coordinates
 (`PABetaS`), so it needs no solve.  The tensor A (x)_{A^beta} A is held as
 one `TensorPresentation` per orbit (`_full_tensor`): a generator pair from
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .actions import (UnitalAction, _defect, fixed_atom_violation, image_action,
+from .actions import (Action, _defect, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
 from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, lattice_det,
@@ -56,7 +58,9 @@ class PreconditionFail(Exception):
 def galois_rhs(beta, s):
     """The right side sum over E(S) of 1_e delta_{e,s}: 1_s on idempotents, else 0.
 
-    The delta-sum is also evaluated literally and compared.
+    On the induced alpha, S is G = S/sigma, whose one idempotent acts as
+    Id_A: 1_A there and 0 elsewhere.  The delta-sum is also evaluated
+    literally and compared.
     """
     A = beta.A
     direct = beta.ideal_one(s) if beta.S.is_idempotent(s) else A.zero_vec
@@ -85,7 +89,7 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     integer expansion coefficients onto the y side, so solvability with
     basis x is equivalent to existence.  The isos move atoms within the
     orbits of beta, so x_i f(y_i 1) reads y_i only on x_i's orbit, and the
-    system is solved one orbit at a time (`UnitalAction.orbits`); each y_i
+    system is solved one orbit at a time (`Action.orbits`); each y_i
     is zero off x_i's orbit.
     """
     A = beta.A
@@ -130,14 +134,6 @@ def _derive_galois_system(beta):
     return tuple(beta.isos), tuple(galois_rhs(beta, s) for s in range(beta.S.n))
 
 
-def _partial_action_system(beta):
-    """(isos, right sides) of the coordinate system of alpha (delta at 1_G)."""
-    A, alpha = beta.A, induce_partial_group_action(beta)
-    (one,) = alpha.group.idempotents
-    return tuple(alpha.isos), tuple(A.one_vec if g == one else A.zero_vec
-                                    for g in range(alpha.group.n))
-
-
 def _solve_verified(beta, system, name):
     coords = _solve_coordinates(beta, *system)
     if coords is not None and not verify_coordinates(beta, coords, system):
@@ -151,14 +147,17 @@ def solve_galois_coordinates(beta):
 
 
 def solve_partial_action_coordinates(beta):
-    """Coordinates for the induced partial group action (delta at 1_G)."""
-    return _solve_verified(beta, _partial_action_system(beta), "partial-action")
+    """Coordinates for the induced partial group action alpha: alpha's own
+    Galois system (1_A at the one idempotent of G = S/sigma, 0 elsewhere),
+    solved on beta's orbits, within which alpha's joins move the atoms."""
+    system = _galois_system(induce_partial_group_action(beta))
+    return _solve_verified(beta, system, "partial-action")
 
 
 def is_galois_trace_criterion(beta):
     """Criterion (trace): tr^sigma(A) equals the invariant subring."""
     if not is_injective(beta):
-        _, beta, _ = image_action(beta)
+        beta, _ = image_action(beta)
     return sigma_trace_image(beta) == invariant_ring(beta)
 
 
@@ -484,7 +483,7 @@ class EquivalenceReport:
         self.invariants_order, self.trace_gap = invariants_order, trace_gap
 
 
-def cross_check_equivalences(beta: UnitalAction):
+def cross_check_equivalences(beta: Action):
     """Evaluate criteria (coordinates), (psi), (separable+strong), (trace).
 
     Preconditions: S finite E-unitary without zero, beta unital injective,
@@ -551,7 +550,7 @@ def cross_check_equivalences(beta: UnitalAction):
 
     # alpha's system is often beta's (same isos in the same order, same right
     # sides: S a group, say); it then has beta's solution, and the check below holds
-    if _partial_action_system(beta) == _galois_system(beta):
+    if _galois_system(induce_partial_group_action(beta)) == _galois_system(beta):
         alpha_coords = coords
     else:
         alpha_coords = solve_partial_action_coordinates(beta)

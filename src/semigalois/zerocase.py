@@ -4,19 +4,20 @@ The zero-aware layer mirrors the sigma machinery: strong compatibility
 replaces compatibility, tau replaces the minimum group congruence (S/tau
 comes from the same `semigroups.quotient` as S/sigma, and is P'), and
 primitive inverse semigroups trade places with groupoids (strip or adjoin
-the zero); a `Groupoid` holds its own d, r and inverse maps.  Unital
-actions with zero convert to orthogonal partial groupoid actions and back
-in one round trip (`round_trips`), which gives the table verdict and the
-action verdict, each up to the canonical relabeling.  The Galois
-correspondence runs on the engine of `correspondence` over the
-beta-maximal subsemigroups.
+the zero); a `Groupoid` holds its own d, r and inverse maps.  A partial
+action of S (PIS) or of a groupoid (PGr) is an `actions.Action`, built by
+its validator here.  Unital actions with zero convert to orthogonal
+partial groupoid actions and back in one round trip (`round_trips`),
+which gives the table verdict and the action verdict, each up to the
+canonical relabeling.  The Galois correspondence runs on the engine of
+`correspondence` over the beta-maximal subsemigroups.
 """
 
 from __future__ import annotations
 
 from . import isopu
-from .actions import (ACTION_ROWS, ActionShape, AxiomFail,  # noqa: F401 (AxiomFail is re-exported)
-                      check_action_axioms)
+from .actions import (ACTION_ROWS, Action, ActionShape, check_action_axioms,
+                      AxiomFail)  # noqa: F401 (AxiomFail is re-exported)
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
 from .rings import StructuredIso
@@ -284,32 +285,23 @@ def connected_groupoid(group_table, objects, names=None):
 # -- partial actions and their conversion (PIS <-> PGr) -----------------------
 
 
-class PartialSemigroupAction:
-    """A partial action of an inverse semigroup with zero: A_s ideal of A_{ss^-1}."""
-
-    def __init__(self, S, A, isos):
-        self.S, self.A, self.isos = S, A, isos
-
-
 def validate_partial_semigroup_action(S, A, isos):
+    """A partial action of an inverse semigroup with zero (PIS): A_0 = 0 and
+    A_s an ideal of A_{ss^-1}; the Action of S."""
     isos = tuple(isos)
     check_action_axioms(ACTION_ROWS["PIS"], ActionShape.of_semigroup(S), A, isos)
-    return PartialSemigroupAction(S, A, isos)
-
-
-class PartialGroupoidAction:
-    def __init__(self, G, A, isos):
-        self.G, self.A, self.isos = G, A, isos
+    return Action(S, A, isos)
 
 
 def validate_partial_groupoid_action(G, A, isos):
+    """An orthogonal partial action of the groupoid G (PGr); the Action of G."""
     isos = tuple(isos)
     shape = ActionShape(G.product, G.inv, G.identities(), G.r, G.names)
     check_action_axioms(ACTION_ROWS["PGr"], shape, A, isos)
-    return PartialGroupoidAction(G, A, isos)
+    return Action(G, A, isos)
 
 
-def semigroup_action_to_groupoid(alpha: PartialSemigroupAction):
+def semigroup_action_to_groupoid(alpha: Action):
     """alpha* : strip the zero from a primitive partial action (PIS -> PGr)."""
     S = alpha.S
     G, order = primitive_to_groupoid(S)
@@ -317,14 +309,14 @@ def semigroup_action_to_groupoid(alpha: PartialSemigroupAction):
     return validate_partial_groupoid_action(G, alpha.A, isos), order
 
 
-def groupoid_action_to_semigroup(gamma: PartialGroupoidAction):
+def groupoid_action_to_semigroup(gamma: Action):
     """gamma^0 : adjoin the zero acting by the empty iso (PGr -> PIS)."""
-    S = groupoid_to_primitive(gamma.G)
+    S = groupoid_to_primitive(gamma.S)
     isos = list(gamma.isos) + [StructuredIso.empty(gamma.A)]
     return validate_partial_semigroup_action(S, gamma.A, isos)
 
 
-def round_trips(alpha: PartialSemigroupAction):
+def round_trips(alpha: Action):
     """alpha*, built once, and the verdicts of the two round trips through it:
     (S*)^0 = S and (alpha*)^0 = alpha, each up to the canonical relabeling
     (the nonzero elements in order, then the zero).  Returns (alpha*, the
@@ -339,7 +331,7 @@ def round_trips(alpha: PartialSemigroupAction):
     return gamma, table_ok, action_ok
 
 
-def convert_round_trip_ok(alpha: PartialSemigroupAction):
+def convert_round_trip_ok(alpha: Action):
     """(alpha*)^0 = alpha up to the canonical relabeling."""
     return round_trips(alpha)[2]
 
@@ -385,7 +377,7 @@ def verify_zero_correspondence(beta, brute_force_subalgebras=False):
     require_zero_action(beta)
     if not is_categorical_at_zero(S):
         raise PreconditionFail("the zero correspondence assumes categoricity at zero")
-    if not all(beta.im_support(s) for s in range(S.n) if s != S.zero):
+    if not beta.all_ideals_nonzero():
         raise PreconditionFail("A_s = 0 for a nonzero s")
     if not is_galois(beta):
         raise PreconditionFail("A is not beta-Galois over its invariants")

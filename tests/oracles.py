@@ -645,8 +645,8 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
         raise PreconditionFail("some A_s is zero")
     if solve_galois_coordinates(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
-    img_S, beta_img, proj = image_action(beta)
-    if not is_e_unitary(img_S):
+    beta_img, proj = image_action(beta)
+    if not is_e_unitary(beta_img.S):
         raise PreconditionFail("image semigroup is not E-unitary (theorem violated?)")
     image_report = e_unitary_correspondence_by_own_loop(beta_img, brute_force_subalgebras)
     failures = list(image_report.failures)
@@ -691,7 +691,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("A_s = 0 for a nonzero s")
     if solve_galois_coordinates(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
-    img_S, beta_img, proj = image_action(beta)
+    beta_img, proj = image_action(beta)
     base = invariant_ring(beta)
     failures = []
     pairs = []
@@ -880,8 +880,8 @@ def beta_maximal_by_subset_scan(beta, T):
 
 def validate_action_by_own_loops(S, A, isos):
     from semigalois import isopu
-    from semigalois.actions import (ActionError, CoverFail, HomFail, IdempotentNotIdentity,
-                                    UnitalAction)
+    from semigalois.actions import (Action, ActionError, CoverFail, HomFail,
+                                    IdempotentNotIdentity)
     isos = list(isos)
     if len(isos) != S.n:
         raise ActionError("one iso per element required")
@@ -904,12 +904,12 @@ def validate_action_by_own_loops(S, A, isos):
     for s in range(S.n):
         if isos[S.inv[s]] != isos[s].inverse():
             raise HomFail(f"beta_{S.names[S.inv[s]]} is not the inverse map of beta_{S.names[s]}")
-    return UnitalAction(S, A, isos)
+    return Action(S, A, isos)
 
 
 def validate_partial_group_action_by_own_loops(G, A, isos):
-    """The checks `PartialGroupAction` ran on construction; G is a group as
-    an `InverseSemigroup`, classes named as G names them."""
+    """The checks of `actions.validate_partial_group_action`; G is a group as an
+    `InverseSemigroup`, classes named as G names them."""
     from semigalois import isopu
     from semigalois.actions import PartialActionAxiomFail
     (e,) = G.idempotents
@@ -927,7 +927,7 @@ def validate_partial_group_action_by_own_loops(G, A, isos):
 
 def validate_partial_semigroup_action_by_own_loops(S, A, isos):
     from semigalois import isopu
-    from semigalois.zerocase import AxiomFail, PartialSemigroupAction, _require_zero
+    from semigalois.zerocase import Action, AxiomFail, _require_zero
     isos = tuple(isos)
     if len(isos) != S.n:
         raise AxiomFail("PIS", "one iso per element")
@@ -955,12 +955,12 @@ def validate_partial_semigroup_action_by_own_loops(S, A, isos):
                 raise AxiomFail("PIS2", f"({S.names[s]},{S.names[t]})")
             if not isopu.natural_leq_iso(comp, target):
                 raise AxiomFail("PIS3", f"({S.names[s]},{S.names[t]})")
-    return PartialSemigroupAction(S, A, isos)
+    return Action(S, A, isos)
 
 
 def validate_partial_groupoid_action_by_own_loops(G, A, isos):
     from semigalois import isopu
-    from semigalois.zerocase import AxiomFail, PartialGroupoidAction
+    from semigalois.zerocase import Action, AxiomFail
     isos = tuple(isos)
     if len(isos) != G.n:
         raise AxiomFail("PGr", "one iso per element")
@@ -990,7 +990,7 @@ def validate_partial_groupoid_action_by_own_loops(G, A, isos):
             elif comp.dom_support:
                 raise AxiomFail("PGr2", f"undefined product ({G.names[g]},{G.names[h]}) "
                                         "with a nonzero composite")
-    return PartialGroupoidAction(G, A, isos)
+    return Action(G, A, isos)
 
 
 # Scalar extension on its own presented base, with its own relation loops,

@@ -171,7 +171,7 @@ def test_criterion_4_structural_invariants():
     for beta in batch:
         alpha = induce_partial_group_action(beta)
         inv = invariant_ring(beta)
-        for g in range(alpha.group.n):
+        for g in range(alpha.S.n):
             iso = alpha.isos[g]
             for v in inv.gen_vectors:
                 moved = iso.apply_vec(beta.A.mask_vec(v, iso.dom_support))
@@ -183,7 +183,7 @@ def test_criterion_4_structural_invariants():
             count = sum(1 for a in beta.A.elements()
                         if all(alpha.isos[g].apply(a.mask(alpha.isos[g].dom_support))
                                == a.mask(alpha.isos[g].im_support)
-                               for g in range(alpha.group.n)))
+                               for g in range(alpha.S.n)))
             if count != inv.order:
                 ok = False
                 detail.append("A^alpha order differs from A^beta")
@@ -307,7 +307,7 @@ def test_criterion_6_zero_case():
     for gamma in groupoid_action_corpus(606, 20):
         alpha = zc.groupoid_action_to_semigroup(gamma)
         gamma2, _ = zc.semigroup_action_to_groupoid(alpha)
-        if gamma2.G.product != gamma.G.product or list(gamma2.isos) != list(gamma.isos):
+        if gamma2.S.product != gamma.S.product or list(gamma2.isos) != list(gamma.isos):
             ok = False
             detail.append("gamma round trip")
         if not zc.convert_round_trip_ok(alpha):

@@ -27,14 +27,15 @@ MUTATIONS = 12
 
 
 def _pgr(gamma):
-    return lambda isos: (gamma.G, gamma.A, isos)
+    return lambda isos: (gamma.S, gamma.A, isos)
 
 
 # row -> (new entry point, old validator); each takes the arguments its
 # input's `args(isos)` builds.
 ROUTES = {
     "unital": (ac.validate_action, oracles.validate_action_by_own_loops),
-    "partial group": (ac.PartialGroupAction, oracles.validate_partial_group_action_by_own_loops),
+    "partial group": (ac.validate_partial_group_action,
+                      oracles.validate_partial_group_action_by_own_loops),
     "PIS": (zc.validate_partial_semigroup_action,
             oracles.validate_partial_semigroup_action_by_own_loops),
     "PGr": (zc.validate_partial_groupoid_action,
@@ -67,10 +68,10 @@ def _inputs():
     for beta in zero_free + [f9_cubed_fixture(), c2_swap_fixture()]:
         if is_e_unitary(beta.S) and ac.is_injective(beta):
             a = ac.induce_partial_group_action(beta)
-            out.append(("partial group", lambda isos, a=a: (a.group, a.A, isos), a.isos,
-                        a.group.inv))
+            out.append(("partial group", lambda isos, a=a: (a.S, a.A, isos), a.isos,
+                        a.S.inv))
     for gamma in groupoid_action_corpus(31, 25):
-        out.append(("PGr", _pgr(gamma), gamma.isos, gamma.G.inv))
+        out.append(("PGr", _pgr(gamma), gamma.isos, gamma.S.inv))
         z = zc.groupoid_action_to_semigroup(gamma)
         out.append(("PIS", lambda isos, z=z: (z.S, z.A, isos), z.isos, z.S.inv))
     return out

@@ -80,7 +80,7 @@ def test_sigma_trace_on_c2_swap():
 def test_semilattice_sigma_trace_is_identity():
     beta = chain_semilattice_fixture()
     alpha = ac.induce_partial_group_action(beta)
-    assert alpha.group.n == 1
+    assert alpha.S.n == 1
     for a in beta.A.elements():
         assert ac.sigma_trace(beta, a) == a
 
@@ -88,7 +88,7 @@ def test_semilattice_sigma_trace_is_identity():
 def test_induced_action_on_group_is_itself():
     beta = c2_swap_fixture()
     alpha = ac.induce_partial_group_action(beta)
-    assert alpha.group.n == 2
+    assert alpha.S.n == 2
     assert list(alpha.isos) == list(beta.isos)
 
 
@@ -116,7 +116,7 @@ def test_invariants_equal_for_beta_and_alpha_on_corpus():
         candidates = [a for a in A.elements()
                       if all(alpha.isos[g].apply(a.mask(alpha.isos[g].dom_support))
                              == a.mask(alpha.isos[g].im_support)
-                             for g in range(alpha.group.n))] \
+                             for g in range(alpha.S.n))] \
             if A.size <= 729 else None
         if candidates is not None:
             assert len(candidates) == inv.order
@@ -174,15 +174,15 @@ def test_restrict_requires_full():
 
 def test_image_action_injective_is_isomorphic():
     beta = f9_cubed_fixture()
-    T, beta_img, proj = ac.image_action(beta)
-    assert T.n == beta.S.n
+    beta_img, proj = ac.image_action(beta)
+    assert beta_img.S.n == beta.S.n
     assert sorted(proj) == list(range(beta.S.n))
 
 
 def test_image_action_collapses_and_preserves_invariants():
     beta = collapsing_semilattice_fixture()
-    T, beta_img, proj = ac.image_action(beta)
-    assert T.n == 1
+    beta_img, proj = ac.image_action(beta)
+    assert beta_img.S.n == 1
     assert ac.invariant_ring(beta_img) == ac.invariant_ring(beta)
     assert ac.is_injective(beta_img)
 
@@ -194,8 +194,8 @@ def test_image_action_of_galois_is_e_unitary_on_corpus():
                        and b.all_ideals_nonzero()):
         if not is_galois(beta):
             continue
-        T, beta_img, _ = ac.image_action(beta)
-        assert is_e_unitary(T)
+        beta_img, _ = ac.image_action(beta)
+        assert is_e_unitary(beta_img.S)
         count += 1
     assert count >= 10
 
@@ -247,7 +247,7 @@ def test_class_joins_form_quotient_group(monkeypatch):
     # with the identity class's join cut down, g g^-1 lies below no join
     induce = ac.induce_partial_group_action
     monkeypatch.setattr(ac, "induce_partial_group_action",
-                        lambda beta: SimpleNamespace(group=induce(beta).group,
+                        lambda beta: SimpleNamespace(S=induce(beta).S,
                                                      isos=cut_first_join(induce(beta).isos)))
     for beta in (f9_cubed_fixture(), c2_swap_fixture()):
         with pytest.raises(AssertionError, match="sits below"):

@@ -228,6 +228,22 @@ def test_one_quotient_builder_and_one_round_trip():
     assert "cli" not in modules
 
 
+def test_one_action_type():
+    """Every action is an `Action`: each reading has one validator, the one
+    place its `check_action_axioms` row runs, and a closed set of isos acts on
+    its composition table only through `iso_action`."""
+    from semigalois import actions, corpus, galois, zerocase
+    gone = [(actions, "UnitalAction"), (actions, "PartialGroupAction"),
+            (zerocase, "PartialSemigroupAction"), (zerocase, "PartialGroupoidAction"),
+            (galois, "_partial_action_system"), (corpus, "tautological_action")]
+    assert [name for module, name in gone if hasattr(module, name)] == []
+    assert sorted(_readers("check_action_axioms")) == [
+        ("actions", "validate_action"), ("actions", "validate_partial_group_action"),
+        ("zerocase", "validate_partial_groupoid_action"),
+        ("zerocase", "validate_partial_semigroup_action")]
+    assert _readers("composition_table") == [("actions", "iso_action")]
+
+
 def test_zero_round_trips_with_the_zero_in_the_middle(tmp_path):
     """C2 with its zero adjoined as the middle element: both round trips hold
     up to the relabeling that puts the zero last."""

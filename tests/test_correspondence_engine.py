@@ -230,7 +230,7 @@ def test_other_routes_compute_s_b_once_per_t(monkeypatch, route):
 def test_s_b_on_beta_is_the_pullback_of_s_b_on_the_image():
     """Why the engine needs no image: membership in S_B reads only beta_s."""
     for beta in [c2_times_chain(), c2_swap_with_identity(), b2_swap_fixture()]:
-        _, beta_img, proj = image_action(beta)
+        beta_img, proj = image_action(beta)
         for T in co.enumerate_beta_maximal(beta):
             B = co.fixed_subalgebra(beta, T)
             pulled = co.pull_back(beta.S, proj, galois.compute_S_B(beta_img, B).members)
@@ -329,7 +329,7 @@ def _route_ts(beta):
     (E-unitary route), the pullbacks of the image's beta-complete Ts (general
     route) and the beta-maximal Ts (general and zero routes), by member set."""
     ts = co.enumerate_beta_complete(beta) + co.enumerate_beta_maximal(beta)
-    _, beta_img, proj = image_action(beta)
+    beta_img, proj = image_action(beta)
     ts += [SubSemigroup(beta.S, co.pull_back(beta.S, proj, T.members))
            for T in co.enumerate_beta_complete(beta_img)]
     return list({T.members: T for T in ts}.values())

@@ -6,7 +6,7 @@ from semigalois import isopu
 from semigalois import zerocase as zc
 from semigalois.corpus import (b2_swap_fixture, b2_table, corpus, group_with_zero_fixture,
                                groupoid_action_corpus, non_categorical_semilattice,
-                               random_primitive_semigroup)
+                               random_orthogonal_groupoid_action, random_primitive_semigroup)
 from semigalois.semigroups import ZeroRequired, validate_table
 
 
@@ -163,7 +163,7 @@ def test_action_conversion_round_trips_on_corpus():
     for gamma in gammas:
         alpha = zc.groupoid_action_to_semigroup(gamma)
         gamma2, order = zc.semigroup_action_to_groupoid(alpha)
-        assert gamma2.G.product == gamma.G.product
+        assert gamma2.S.product == gamma.S.product
         assert list(gamma2.isos) == list(gamma.isos)
         assert zc.convert_round_trip_ok(alpha)
 
@@ -173,7 +173,7 @@ def test_action_conversion_on_b2_fixture():
     alpha = zc.validate_partial_semigroup_action(beta.S, beta.A, beta.isos)
     (gamma, order) = zc.semigroup_action_to_groupoid(alpha)
     # A = A_{e11} + A_{e22} as a direct sum
-    ids = gamma.G.identities()
+    ids = gamma.S.identities()
     supports = [gamma.isos[e].im_support for e in ids]
     assert frozenset().union(*supports) == frozenset({0, 1})
     assert not (supports[0] & supports[1])
@@ -190,18 +190,29 @@ def test_pis_axiom_errors_are_tagged():
     assert err.value.tag == "PIS0"
 
 
+def test_groupoid_action_draws_reject_only_axiom_failures(monkeypatch):
+    """A draw whose restriction fails an action axiom is rejected (None); any
+    other error in validation propagates rather than passing for a rejection."""
+    def broken(G, A, isos):
+        raise RuntimeError("validation bug")
+
+    monkeypatch.setattr(zc, "validate_partial_groupoid_action", broken)
+    with pytest.raises(RuntimeError, match="validation bug"):
+        random_orthogonal_groupoid_action(random.Random(123))
+
+
 def test_pgr_orthogonality_is_checked():
     gammas = groupoid_action_corpus(123, 5)
     gamma = gammas[0]
     with_overlap = list(gamma.isos)
     from semigalois.rings import StructuredIso
-    ids = gamma.G.identities()
+    ids = gamma.S.identities()
     if len(ids) >= 2:
         # force the second identity ideal onto the first: overlap
         first = with_overlap[ids[0]]
         with_overlap[ids[1]] = first
         with pytest.raises(zc.AxiomFail):
-            zc.validate_partial_groupoid_action(gamma.G, gamma.A, with_overlap)
+            zc.validate_partial_groupoid_action(gamma.S, gamma.A, with_overlap)
 
 
 def test_p_prime_on_primitive_is_isomorphic():
