@@ -297,7 +297,7 @@ def fixed_points(pres, maps):
         if not any(map(any, cols)):  # an idempotent's map, or one fixing the span
             continue
         mat = cols_from_vectors(cols, pres.n)
-        ker = kernel_gens(mat, pres.lattice, [pres.vector_order(v) for v in current])
+        ker = kernel_gens(mat, pres.lattice, [pres.vector_order(v) for v in current], pres.moduli)
         span = cols_from_vectors(current, pres.n)
         current = residues([span.apply(coeffs) for coeffs in ker], pres.moduli)
         if not current:

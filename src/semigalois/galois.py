@@ -100,7 +100,8 @@ def _solve_coordinates(beta, isos, rhs_vectors):
         mat = _coordinate_system_matrix(ring, [block.iso(f) for f in isos])
         aug = block_diag([ring.presentation.lattice] * len(isos))
         target = [x for vec in rhs_vectors for x in block.restrict(vec)]
-        sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n)
+        sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n,
+                         list(ring.coord_moduli) * len(isos))
         if sol is None:
             return None
         for i, c in enumerate(block.coords):
@@ -366,13 +367,14 @@ def is_separable(tensors):
     for block, tensor in tensors:
         ring = block.ring
         mats = [tensor.mult_map_vec()]
-        augs = [ring.presentation.lattice]
+        augs = [ring.presentation]
         target = list(ring.one_vec)
         for b in tensor.M.algebra_generators(tensor.R):
             mats.append(tensor.mult_difference(b))
-            augs.append(tensor.pres.lattice)
+            augs.append(tensor.pres)
             target.extend([0] * (tensor.k * tensor.l))
-        sol = solve_cols(vstack(mats), block_diag(augs), target, tensor.pres.moduli)
+        sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
+                         tensor.pres.moduli, [d for p in augs for d in p.moduli])
         if sol is None:
             return None
         z.append(sol)

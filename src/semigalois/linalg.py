@@ -9,14 +9,13 @@ there is no floating point anywhere, so every comparison is tolerance-zero.
 Every matrix is a `Matrix`: a row count and a list of sparse columns, each
 a {row: value} dict of its nonzero entries; the systems built here (tensor
 relations, block-diagonal lattices) are almost all zeros.  A `Matrix` is
-applied (`apply`) and multiplied (`@`), with no `-`.  Canonical bases
-come from insertion modulo the diagonal (`lattice_canon`); membership and a
-member's coordinates come from one walk down such a basis
-(`lattice_quotients`); solves, kernels and Smith invariants come from a
-column elimination (`_echelon`) on copies of the columns, whose row index
-names the columns nonzero in each row, so a step touches only nonzeros.  A tracked transform, where one is asked for,
-is kept modulo its moduli column by column.  Python integers do not
-overflow, so entries need no bound.
+applied (`apply`) and multiplied (`@`), with no `-`.  There is one
+elimination: canonical bases come from insertion modulo the diagonal
+(`_insert`, behind `lattice_canon`); membership and a member's coordinates
+come from one walk down such a basis (`lattice_quotients`).  Kernels and
+solves insert a map's columns into the basis of its graph lattice
+(`_graph_basis`), and Smith invariants alternate a canonical basis with
+that of its transpose.  Python integers do not overflow, so entries need no bound.
 """
 
 from __future__ import annotations
@@ -77,101 +76,6 @@ class Matrix:
                     col[i] = col.get(i, 0) + x * v
             cols.append({i: v for i, v in col.items() if v})
         return Matrix(self.rows, cols)
-
-
-def _echelon(cols, rows, track_moduli=None):
-    """Column-eliminate `cols` in place to the canonical staircase form.
-
-    Row by row, the columns from the current one on are reduced by floor
-    quotients against the first column of least |value| until at most one
-    is nonzero there; that one is swapped into place and made positive.  A
-    final pass reduces earlier pivot columns against each pivot, which makes
-    the staircase the canonical Hermite representative of the column
-    lattice.  With `track_moduli` every operation is mirrored on a transform
-    that starts as the identity on the first len(track_moduli) columns; its
-    entries are reduced modulo those moduli whenever an operation touches
-    them, which is sound whenever the tracked combination only matters
-    modulo them.  Each pivot row charges the budget the entries it updated.
-    Returns (transform columns or None, [(row, col), ...]).
-    """
-    index = [set() for _ in range(rows)]
-    for j, c in enumerate(cols):
-        for r in c:
-            index[r].add(j)
-    track = None
-    if track_moduli is not None:
-        track = [{j: 1} if j < len(track_moduli) else {} for j in range(len(cols))]
-
-    def sub(j, j0, q):
-        """Column j -= q * column j0; returns the number of entries updated."""
-        cj = cols[j]
-        for r, v in cols[j0].items():
-            x = cj.get(r, 0) - q * v
-            if x:
-                cj[r] = x
-                index[r].add(j)
-            else:
-                del cj[r]
-                index[r].discard(j)
-        if track is not None:
-            tj = track[j]
-            for r, v in track[j0].items():
-                x = (tj.get(r, 0) - q * v) % track_moduli[r]
-                if x:
-                    tj[r] = x
-                else:
-                    tj.pop(r, None)
-        return len(cols[j0]) + (len(track[j0]) if track is not None else 0)
-
-    pivots = []
-    col = 0
-    for row in range(rows):
-        if col >= len(cols):
-            break
-        updated = 0
-        while True:
-            nz = [j for j in index[row] if j >= col]
-            if len(nz) <= 1:
-                break
-            # each reduction changes only its own column, so their order is free
-            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
-            p = cols[j0][row]
-            for j in nz:
-                if j != j0:
-                    q = cols[j][row] // p
-                    if q:
-                        updated += sub(j, j0, q)
-        if not nz:
-            continue
-        j0 = nz[0]
-        if j0 != col:
-            a, b = cols[col], cols[j0]
-            for r in a.keys() - b.keys():
-                index[r].discard(col)
-                index[r].add(j0)
-            for r in b.keys() - a.keys():
-                index[r].discard(j0)
-                index[r].add(col)
-            cols[col], cols[j0] = b, a
-            if track is not None:
-                track[col], track[j0] = track[j0], track[col]
-        if cols[col][row] < 0:
-            cols[col] = {r: -v for r, v in cols[col].items()}
-            if track is not None:
-                track[col] = {r: x for r, v in track[col].items()
-                              if (x := -v % track_moduli[r])}
-        pivots.append((row, col))
-        spend("echelon_entries", updated)
-        col += 1
-    for row, col in pivots:
-        p = cols[col][row]
-        updated = 0
-        for jc in [j for j in index[row] if j < col]:
-            q = cols[jc][row] // p
-            if q:
-                updated += sub(jc, col, q)
-        spend("echelon_entries", updated)
-    return track, pivots
 
 
 def hstack(blocks):
@@ -304,12 +208,14 @@ def _insert(work, vec, moduli):
     return written
 
 
-def _reduce_below_pivots(work):
-    """Reduce each entry below a pivot into [0, pivot), by floor quotients
-    of the pivot column, which makes the triangular basis the canonical
-    Hermite one; returns the number of entries written."""
+def _reduce_below_pivots(work, first):
+    """Reduce each entry below a pivot into [0, pivot) in the columns from
+    `first` on, by floor quotients of the pivot column, which makes the
+    triangular basis of the lattice they span the canonical Hermite one;
+    returns the number of entries written."""
     written = 0
-    for j, c in enumerate(work):
+    for j in range(first, len(work)):
+        c = work[j]
         pending = [r for r in c if r != j]
         heapq.heapify(pending)
         while pending:
@@ -328,27 +234,41 @@ def _reduce_below_pivots(work):
     return written
 
 
-def lattice_canon(cols, moduli, basis=None):
-    """Canonical (column-Hermite) basis of span(cols) + span(basis).
+def _triangular(basis):
+    """`basis` is square and lower-triangular with positive pivots."""
+    return (len(basis.cols) == basis.rows
+            and all(c.get(j, 0) > 0 and min(c) >= j for j, c in enumerate(basis.cols)))
 
-    `basis` is the canonical basis of a lattice containing diag(moduli)*Z^n,
-    by default that diagonal.  Each column is inserted into it (`_insert`)
-    and the entries below the pivots are reduced last, each into
-    [0, pivot), so the n x n lower-triangular result is a complete
-    invariant of the lattice: subgroup equality is matrix equality.  The
-    entries written are charged as `echelon_entries`.
+
+def _insert_and_reduce(cols, moduli, basis, first=0):
+    """`basis`, lower-triangular with positive pivots and spanning a lattice
+    that contains diag(moduli)*Z^n, with each of `cols` inserted into it
+    (`_insert`) and the entries below the pivots of its columns from `first`
+    on reduced last.  The entries written are charged as `echelon_entries`.
     """
     n = cols.rows
     if len(moduli) != n or min(moduli, default=1) < 1:
         raise ValueError("one positive modulus per row")
-    work = [dict(c) for c in (basis if basis is not None else diag_cols(moduli)).cols]
+    work = [dict(c) for c in basis.cols]
     for c in cols.cols:
         spend("echelon_entries", _insert(work, c, moduli))
-    spend("echelon_entries", _reduce_below_pivots(work))
-    for j, c in enumerate(work):
-        if c.get(j, 0) <= 0 or min(c) < j:
-            raise AssertionError("insertion did not produce a triangular basis")
-    return Matrix(n, work)
+    spend("echelon_entries", _reduce_below_pivots(work, first))
+    result = Matrix(n, work)
+    if not _triangular(result):
+        raise AssertionError("insertion did not produce a triangular basis")
+    return result
+
+
+def lattice_canon(cols, moduli, basis=None):
+    """Canonical (column-Hermite) basis of span(cols) + span(basis).
+
+    `basis` is the canonical basis of a lattice containing diag(moduli)*Z^n,
+    by default that diagonal.  Each column is inserted into it and the
+    entries below the pivots are reduced last, each into [0, pivot)
+    (`_insert_and_reduce`), so the n x n lower-triangular result is a
+    complete invariant of the lattice: subgroup equality is matrix equality.
+    """
+    return _insert_and_reduce(cols, moduli, basis if basis is not None else diag_cols(moduli))
 
 
 def lattice_det(basis):
@@ -394,62 +314,82 @@ def lattice_member(basis, vec):
     return lattice_quotients(basis, vec) is not None
 
 
-def _eliminate_map(mat, aug, in_moduli):
-    """Echelon of [mat | aug], tracking the transform on mat's columns mod in_moduli."""
-    work = [dict(c) for c in hstack([mat, aug]).cols]
-    moduli = [int(d) for d in in_moduli]
-    track, pivots = _echelon(work, mat.rows, moduli)
-    return work, track, pivots, moduli
+def _graph_basis(mat, aug, in_moduli, aug_moduli):
+    """A basis of the graph lattice of `mat`, and mat's row count r.
 
-
-def kernel_gens(mat, aug, in_moduli):
-    """Generators of {x mod in_moduli : mat @ x lies in span(aug)}.
-
-    `mat` is r x n, `aug` an r-row matrix whose columns span the lattice of
-    target elements that count as zero (e.g. diag of target moduli).
-    The diagonal in_moduli generators are implicit; callers re-adjoin them
-    when canonicalizing the resulting subgroup.
+    The lattice is spanned by the columns (mat_j ; e_j), `aug` (the target's
+    canonical basis, containing diag(aug_moduli)) on the top r rows and
+    diag(in_moduli) on the bottom rows: it holds (y ; x) exactly when
+    y - mat @ x lies in span(aug), for a map that is well defined modulo
+    in_moduli.  The basis is triangular; its columns with a pivot in the
+    bottom rows are zero on top and reduced below their pivots, so their
+    bottom parts are the canonical basis of the kernel.  The top columns are
+    left unreduced: a walk down a triangular basis reduces a vector to the
+    one representative of its coset with each entry in [0, pivot), whatever
+    the entries below the pivots.
     """
-    work, track, pivots, moduli = _eliminate_map(mat, aug, in_moduli)
-    zero = [j for j in range(len(pivots), len(work)) if not work[j]]
-    return residues([[track[j].get(i, 0) for i in range(len(moduli))] for j in zero], moduli)
+    r, n = mat.rows, len(in_moduli)
+    if len(mat.cols) != n or aug.rows != r or len(aug_moduli) != r:
+        raise ValueError("one input modulus per column and one target modulus per row")
+    if not _triangular(aug):
+        raise ValueError("the target is not given by its canonical basis")
+    graph = Matrix(r + n, [{**c, r + j: 1} for j, c in enumerate(mat.cols)])
+    basis = Matrix(r + n, aug.cols + [{r + j: int(d)} for j, d in enumerate(in_moduli)])
+    moduli = [*map(int, aug_moduli), *map(int, in_moduli)]
+    return _insert_and_reduce(graph, moduli, basis, r), r
 
 
-def solve_cols(mat, aug, target, in_moduli):
-    """One x (mod in_moduli) with mat @ x = target modulo span(aug), or None."""
+def kernel_gens(mat, aug, in_moduli, aug_moduli):
+    """Generators of {x mod in_moduli : mat @ x lies in span(aug)}: the residues
+    of the kernel's canonical basis, whose diagonal in_moduli columns vanish.
+
+    `mat` is r x n and well defined modulo in_moduli; `aug` is the canonical
+    basis of the lattice of target elements that count as zero, containing
+    diag(aug_moduli) (e.g. a presentation's `lattice` and `moduli`).
+    """
+    basis, r = _graph_basis(mat, aug, in_moduli, aug_moduli)
+    return residues([[c.get(i, 0) for i in range(r, basis.rows)] for c in basis.cols[r:]],
+                    in_moduli)
+
+
+def solve_cols(mat, aug, target, in_moduli, aug_moduli):
+    """The canonical x (mod in_moduli) with mat @ x = target modulo span(aug),
+    or None; `mat` and `aug` as for `kernel_gens`.
+
+    (-target ; 0) reduces over the graph lattice to (0 ; x) exactly when x
+    solves, and the walk leaves x reduced over the kernel columns: the
+    canonical representative of the solution set, whatever the order of
+    elimination.
+    """
     b = [int(t) for t in target]
     if len(b) != mat.rows:
         raise ValueError("target length mismatch")
-    work, track, pivots, moduli = _eliminate_map(mat, aug, in_moduli)
-    x = [0] * len(moduli)
-    for row, col in pivots:
-        q, rem = divmod(b[row], work[col][row])
-        if rem:
-            return None
-        if q:
-            for i, v in work[col].items():
-                b[i] -= q * v
-            for i, v in track[col].items():
-                x[i] += q * v
-    if any(b):
-        return None
-    return tuple(v % d for v, d in zip(x, moduli))
+    basis, r = _graph_basis(mat, aug, in_moduli, aug_moduli)
+    w = lattice_reduce(basis, [-x for x in b] + [0] * len(in_moduli))
+    return None if any(w[:r]) else w[r:]
 
 
-def snf_invariants(mat):
-    """Invariant factors of coker(mat), for displaying group structure.
+def snf_invariants(basis):
+    """Invariant factors of Z^n / L for the canonical basis of L, for
+    displaying group structure.
 
-    `_echelon` runs on the columns and on the rows in turn until every
-    column has at most one entry; the nonzero entries left then go through
-    the gcd/lcm chain.  All decisions go through the lattice machinery above.
+    L's transpose has the same invariants and contains det * Z^n too, so
+    `lattice_canon` runs on the transpose modulo the determinant until the
+    basis is diagonal; each pass divides the first pivot by the gcd of its
+    column, or splits it off.  The diagonal then goes through the gcd/lcm
+    chain.
     """
-    cols, rows = [dict(c) for c in mat.cols], mat.rows
-    while True:
-        _echelon(cols, rows)
-        if all(len(c) <= 1 for c in cols):
-            break
-        cols, rows = cols_from_vectors(Matrix(rows, cols).tolist(), len(cols)).cols, len(cols)
-    invs = [abs(v) for c in cols for v in c.values()]
+    n = basis.rows
+    if not _triangular(basis):
+        raise ValueError("not the canonical basis of a full-rank lattice")
+    det = lattice_det(basis)
+    while any(len(c) > 1 for c in basis.cols):
+        rows = [{} for _ in range(n)]
+        for j, c in enumerate(basis.cols):
+            for i, v in c.items():
+                rows[i][j] = v
+        basis = lattice_canon(Matrix(n, rows), [det] * n)
+    invs = [c[j] for j, c in enumerate(basis.cols)]
     for i in range(len(invs)):
         for j in range(i + 1, len(invs)):
             g = math.gcd(invs[i], invs[j])
@@ -515,4 +455,4 @@ class AbelianPresentation:
         return self.order() // lattice_det(self.subgroup_canon(gens))
 
     def invariants(self):
-        return snf_invariants(hstack([self.relations, diag_cols(self.moduli)]))
+        return snf_invariants(self.lattice)

@@ -4,9 +4,10 @@ These deliberately avoid the library's lattice engine: quotient orders are
 counted by union-find enumeration over a coordinate box, and memberships by
 exhaustive search.  Slow but obviously correct on small inputs.  The
 exceptions are frozen copies of routes the library has since replaced, kept
-as references for the current ones: `dense_run_echelon` (the previous
-echelon engine), `sparse_echelon_by_sorted_scans` (the sparse engine
-before it dropped its per-step sorts), the canonical bases and span
+as references for the current ones: `sparse_echelon_by_sorted_scans`
+(the tracked column elimination that kernels and solves ran on before
+they read the insertion's graph lattice) with its kernel and solve
+(`kernel_and_solve_by_echelon`), the canonical bases and span
 relations that insertion modulo the diagonal replaced
 (`lattice_canon_by_echelon`, `span_relations_by_kernel`,
 `gen_vectors_by_dense_residues`), `expand_by_solve` (span expansion
@@ -186,138 +187,12 @@ def subalgebras_by_element_scan(moduli, mul, start_gens):
     return set(found)
 
 
-# The dense column echelon that the library used before its sparse
-# Python-int engine, frozen here as the reference the new engine must match
-# operation for operation: int64 with a guarded overflow retry on
-# object-dtype arrays, tracked transform reduced after every pivot.
-
-# With every entry and every quotient below 2^26, a single column operation
-# stays below 2^53 and can never wrap int64.
-_INT64_CAP = 1 << 26
-
-
-class _NeedsBigints(Exception):
-    """Internal signal: int64 entries grew past the safe bound."""
-
-
-def _to_array(mat, rows=None, dtype=np.int64):
-    a = np.array(mat, dtype=dtype)
-    if a.size == 0:
-        a = a.reshape((rows or 0, 0))
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return a
-
-
-def _colop(work, track, j, j0, q, guard):
-    """Column j -= q * column j0, with wraparound-proof bounds on int64."""
-    if guard:
-        if abs(q) > _INT64_CAP:
-            raise _NeedsBigints
-        work[:, j] -= q * work[:, j0]
-        if np.abs(work[:, j]).max(initial=0) > _INT64_CAP:
-            raise _NeedsBigints
-        if track is not None:
-            track[:, j] -= q * track[:, j0]
-            if np.abs(track[:, j]).max(initial=0) > _INT64_CAP:
-                raise _NeedsBigints
-    else:
-        work[:, j] -= q * work[:, j0]
-        if track is not None:
-            track[:, j] -= q * track[:, j0]
-
-
-def _echelon(work, track, track_moduli, guard):
-    """Column-eliminate `work` in place to a canonical staircase form.
-
-    Column operations (swap, negate, add integer multiples) are mirrored on
-    `track` when given; rows of `track` are reduced modulo `track_moduli`
-    after every sweep, which is sound whenever the tracked combination only
-    matters modulo those moduli.  Returns the pivot list [(row, col), ...].
-    """
-    rows, cols = work.shape
-    if guard and work.size and np.abs(work).max(initial=0) > _INT64_CAP:
-        raise _NeedsBigints
-    pivots = []
-    col = 0
-    for row in range(rows):
-        if col >= cols:
-            break
-        while True:
-            nz = np.nonzero(work[row, col:])[0]
-            if nz.size <= 1:
-                break
-            nz = nz + col
-            j0 = nz[np.argmin(np.abs(work[row, nz]))]
-            for j in nz:
-                if j == j0:
-                    continue
-                q = int(work[row, j]) // int(work[row, j0])
-                if q != 0:
-                    _colop(work, track, j, j0, q, guard)
-        nz = np.nonzero(work[row, col:])[0]
-        if nz.size == 0:
-            continue
-        j0 = int(nz[0]) + col
-        if j0 != col:
-            work[:, [col, j0]] = work[:, [j0, col]]
-            if track is not None:
-                track[:, [col, j0]] = track[:, [j0, col]]
-        if work[row, col] < 0:
-            work[:, col] = -work[:, col]
-            if track is not None:
-                track[:, col] = -track[:, col]
-        pivots.append((row, col))
-        col += 1
-        if track is not None and track_moduli is not None:
-            np.remainder(track, track_moduli, out=track)
-    # Normalize: reduce earlier pivot columns against each pivot so the
-    # staircase is the canonical Hermite representative of the column lattice.
-    for row, col in pivots:
-        p = int(work[row, col])
-        for _, jc in pivots:
-            if jc >= col:
-                break
-            q = int(work[row, jc]) // p
-            if q != 0:
-                _colop(work, track, jc, col, q, guard)
-    if track is not None and track_moduli is not None:
-        np.remainder(track, track_moduli, out=track)
-    return pivots
-
-
-def dense_run_echelon(work_cols, n_track, track_moduli):
-    """Echelon with a tracked transform on the first `n_track` original columns.
-
-    Tries int64 first, falls back to Python integers on overflow.
-    """
-    for dtype, guard in ((np.int64, True), (object, False)):
-        try:
-            work = _to_array(work_cols, dtype=dtype)
-        except OverflowError:
-            continue
-        cols = work.shape[1]
-        track = None
-        tm = None
-        if n_track is not None:
-            track = np.zeros((n_track, cols), dtype=dtype)
-            for i in range(min(n_track, cols)):
-                track[i, i] = 1
-            if track_moduli is not None:
-                tm = np.array(track_moduli, dtype=dtype).reshape(n_track, 1)
-        try:
-            pivots = _echelon(work, track, tm, guard)
-            return work, track, pivots
-        except _NeedsBigints:
-            continue
-    raise AssertionError("unreachable")
-
-
 # Frozen library routes that faster code replaced, kept as references.
 
 
 def sparse_echelon_by_sorted_scans(cols, rows, track_moduli=None):
-    """`linalg._echelon` as it was with a sorted scan of each pivot row, frozen.
+    """The column elimination `linalg._echelon` once ran, with a sorted scan of
+    each pivot row, frozen.
 
     Eliminates the {row: value} columns `cols` in place and returns
     (transform columns or None, pivots, charges), where `charges` lists the
@@ -404,8 +279,7 @@ def sparse_echelon_by_sorted_scans(cols, rows, track_moduli=None):
 
 def lattice_canon_by_echelon(cols, moduli):
     """`linalg.lattice_canon` as it was, frozen: one echelon of the columns
-    beside diag(moduli), on the frozen sorted-scan engine (which leaves the
-    columns `linalg._echelon` leaves)."""
+    beside diag(moduli), on the frozen sorted-scan engine."""
     from semigalois.linalg import Matrix
     n = cols.rows
     work = [dict(c) for c in cols.cols] + [{i: int(d)} for i, d in enumerate(moduli)]
@@ -413,6 +287,32 @@ def lattice_canon_by_echelon(cols, moduli):
     if len(pivots) != n:
         raise ValueError("lattice is not full rank")
     return Matrix(n, work[:n])
+
+
+def kernel_and_solve_by_echelon(mat, aug, in_moduli, target):
+    """`linalg.kernel_gens` and `linalg.solve_cols` as they were, frozen: one
+    tracked sorted-scan elimination of [mat | aug], where aug's columns span
+    the target's zero lattice, with the transform on mat's columns kept mod
+    in_moduli.  Returns (kernel generators, one solution of mat @ x = target
+    or None)."""
+    from semigalois.linalg import hstack, residues
+    work = [dict(c) for c in hstack([mat, aug]).cols]
+    moduli = [int(d) for d in in_moduli]
+    track, pivots, _ = sparse_echelon_by_sorted_scans(work, mat.rows, moduli)
+    zero = [j for j in range(len(pivots), len(work)) if not work[j]]
+    kernel = residues([[track[j].get(i, 0) for i in range(len(moduli))] for j in zero], moduli)
+    b, x = [int(t) for t in target], [0] * len(moduli)
+    for row, col in pivots:
+        q, rem = divmod(b[row], work[col][row])
+        if rem:
+            return kernel, None
+        for i, v in work[col].items():
+            b[i] -= q * v
+        for i, v in track[col].items():
+            x[i] += q * v
+    if any(b):
+        return kernel, None
+    return kernel, tuple(v % d for v, d in zip(x, moduli))
 
 
 def span_relations_by_kernel(sub):
@@ -425,7 +325,7 @@ def span_relations_by_kernel(sub):
         return []
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
     in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
-    gens = kernel_gens(mat, ring.presentation.lattice, in_moduli)
+    gens = kernel_gens(mat, ring.presentation.lattice, in_moduli, ring.coord_moduli)
     for i, d in enumerate(in_moduli):
         gens.append(tuple(d if t == i else 0 for t in range(len(in_moduli))))
     return gens
@@ -451,7 +351,7 @@ def expand_by_solve(sub, vec):
         return ()
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
     in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
-    sol = solve_cols(mat, ring.presentation.lattice, vec, in_moduli)
+    sol = solve_cols(mat, ring.presentation.lattice, vec, in_moduli, ring.coord_moduli)
     if sol is None:
         raise NotSubring(f"vector {vec} is outside the span")
     return sol
@@ -471,8 +371,9 @@ def separable_all_generators(B, R):
         blocks.append(kron_left(tensor, b) - kron_right(tensor, b))
         augs.append(tensor.pres.lattice)
         target.extend([0] * (tensor.k * tensor.l))
+    aug_moduli = list(A.coord_moduli) + list(tensor.pres.moduli) * len(B.gen_vectors)
     sol = solve_cols(sparse(np.concatenate(blocks, axis=0)), block_diag(augs), target,
-                     tensor.pres.moduli)
+                     tensor.pres.moduli, aug_moduli)
     return None if sol is None else (tensor, sol)
 
 
@@ -1155,7 +1056,7 @@ class ScalarExtensionByLoops:
                     for z in self.generator_vectors()]
             rows.append(cols_from_vectors(cols, self.k * self.l))
         aug = block_diag([self.pres.lattice] * self.beta.S.n)
-        gens = kernel_gens(vstack(rows), aug, self.pres.moduli)
+        gens = kernel_gens(vstack(rows), aug, self.pres.moduli, self.pres.moduli * self.beta.S.n)
         return self.pres.subgroup_canon(gens)
 
     def sigma_trace_vec(self, z, alpha):
@@ -1193,7 +1094,8 @@ class ScalarExtensionByMatrices:
             iso_matrix_by_polynomials(StructuredIso.identity_on(A, iso.im_support)))))
             for iso in self.beta.isos]
         aug = block_diag([self.pres.lattice] * self.beta.S.n)
-        return self.pres.subgroup_canon(kernel_gens(vstack(rows), aug, self.pres.moduli))
+        return self.pres.subgroup_canon(kernel_gens(vstack(rows), aug, self.pres.moduli,
+                                                    self.pres.moduli * self.beta.S.n))
 
     def sigma_trace_vec(self, z):
         from semigalois.actions import induce_partial_group_action
@@ -1497,7 +1399,7 @@ def solve_coordinates_whole(beta, isos, rhs_vectors):
     mat = vstack([hstack([m @ iso_matrix_by_polynomials(iso) for m in mult_mats]) for iso in isos])
     aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
-    sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n)
+    sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n, list(A.coord_moduli) * len(isos))
     if sol is None:
         return None
     return list(zip(A.basis_vectors(), [sol[i * n:(i + 1) * n] for i in range(n)]))
@@ -1531,7 +1433,8 @@ def pa_subgroup_whole(beta):
         for r, (plus, minus, _) in enumerate(rows):
             cols[plus][r] = 1
             cols[minus][r] = -1
-        gens = kernel_gens(Matrix(len(rows), cols), diag_cols([d for _, _, d in rows]), moduli)
+        out = [d for _, _, d in rows]
+        gens = kernel_gens(Matrix(len(rows), cols), diag_cols(out), moduli, out)
     else:
         gens = [tuple(1 if j == i else 0 for j in range(pos)) for i in range(pos)]
     ambient = AbelianPresentation(moduli)
@@ -1555,7 +1458,8 @@ def psi_check_whole(beta):
     kernel_witness = cokernel_witness = None
     if image_order != tensor.order():
         mat = cols_from_vectors(images, len(ambient.moduli))
-        kernel_witness = next(g for g in kernel_gens(mat, ambient.lattice, tensor.pres.moduli)
+        kernel_witness = next(g for g in kernel_gens(mat, ambient.lattice, tensor.pres.moduli,
+                                                     ambient.moduli)
                               if not tensor.is_zero(g))
     if image_order != pa_order:
         img_canon = ambient.subgroup_canon(images)
@@ -1628,12 +1532,13 @@ def is_separable_whole(B, R):
     from semigalois.linalg import block_diag, solve_cols, vstack
     tensor = WholeTensorPresentation(B, B, R)
     A = B.ring
-    mats, augs, target = [tensor.mult_map_vec()], [A.presentation.lattice], list(A.one().vec())
+    mats, augs, target = [tensor.mult_map_vec()], [A.presentation], list(A.one().vec())
     for b in B.algebra_generators(R):
         mats.append(tensor.mult_difference(b))
-        augs.append(tensor.pres.lattice)
+        augs.append(tensor.pres)
         target.extend([0] * (tensor.k * tensor.l))
-    sol = solve_cols(vstack(mats), block_diag(augs), target, tensor.pres.moduli)
+    sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
+                     tensor.pres.moduli, [d for p in augs for d in p.moduli])
     return None if sol is None else (tensor, sol)
 
 
@@ -1647,7 +1552,7 @@ def invariant_ring_by_all_kernels(beta):
     for iso in beta.isos:
         cols = [A.sub_vec(iso.apply_vec(v), A.mask_vec(v, iso.im_support)) for v in current]
         ker = kernel_gens(cols_from_vectors(cols, A.n_coords), A.presentation.lattice,
-                          [A.vector_order(v) for v in current])
+                          [A.vector_order(v) for v in current], A.coord_moduli)
         span = cols_from_vectors(current, A.n_coords)
         current = residues([span.apply(coeffs) for coeffs in ker], A.coord_moduli)
         if not current:

@@ -216,6 +216,14 @@ def test_one_fixed_point_solve_and_one_iso_application():
     assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 
 
+def test_one_lattice_engine():
+    """Canonical bases, kernels, solves and Smith invariants come from one
+    elimination, `_insert`, which only `_insert_and_reduce` reads; no `_echelon`
+    is left under src/."""
+    assert not [p for p in (REPO / "src").rglob("*.py") if "_echelon" in p.read_text()]
+    assert _readers("_insert") == [("linalg", "_insert_and_reduce")]
+
+
 def test_one_quotient_builder_and_one_round_trip():
     """S/sigma, S/tau and P' are `InverseSemigroup`s from `quotient`, the one
     reader of `quotient_table`; `zero` strips and re-adjoins the zero only

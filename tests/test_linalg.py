@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from semigalois import budget, linalg
-from oracles import (dense, dense_run_echelon, quotient_order_by_enumeration, scatter_lattice,
-                     sparse, sparse_echelon_by_sorted_scans, subgroup_elements_by_closure)
+from semigalois import linalg
+from oracles import (dense, kernel_and_solve_by_echelon, quotient_order_by_enumeration,
+                     scatter_lattice, sparse, subgroup_elements_by_closure)
 
 
 def test_lattice_canon_is_triangular_and_canonical():
@@ -23,7 +23,7 @@ def test_lattice_canon_is_triangular_and_canonical():
 def test_doubling_kernel_on_z4():
     # kernel of x -> 2x on Z/4 is {0, 2}
     pres = linalg.AbelianPresentation([4])
-    gens = linalg.kernel_gens(sparse([[2]]), pres.lattice, pres.moduli)
+    gens = linalg.kernel_gens(sparse([[2]]), pres.lattice, pres.moduli, pres.moduli)
     canon = pres.subgroup_canon(gens)
     assert pres.subgroup_order(gens) == 2
     assert linalg.lattice_member(canon, [2])
@@ -32,13 +32,14 @@ def test_doubling_kernel_on_z4():
 
 def test_solve_two_x_equals_one_mod_four_has_no_solution():
     pres = linalg.AbelianPresentation([4])
-    assert linalg.solve_cols(sparse([[2]]), pres.lattice, [1], pres.moduli) is None
-    assert linalg.solve_cols(sparse([[2]]), pres.lattice, [2], pres.moduli) in {(1,), (3,)}
+    assert linalg.solve_cols(sparse([[2]]), pres.lattice, [1], pres.moduli, pres.moduli) is None
+    assert linalg.solve_cols(sparse([[2]]), pres.lattice, [2], pres.moduli, pres.moduli) in {(1,), (3,)}
 
 
 def test_identity_map_kernel_trivial():
     pres = linalg.AbelianPresentation([3, 9, 2])
-    gens = linalg.kernel_gens(sparse(np.eye(3, dtype=int)), pres.lattice, pres.moduli)
+    gens = linalg.kernel_gens(sparse(np.eye(3, dtype=int)), pres.lattice, pres.moduli,
+                               pres.moduli)
     assert pres.subgroup_order(gens) == 1
 
 
@@ -60,14 +61,14 @@ def test_solve_and_kernel_round_trip_random_maps(seed):
     for j, d in enumerate(src):
         assert dst_p.is_zero([d * int(mat[i, j]) for i in range(m)])
 
-    for g in linalg.kernel_gens(sparse(mat), dst_p.lattice, src_p.moduli):
+    for g in linalg.kernel_gens(sparse(mat), dst_p.lattice, src_p.moduli, dst_p.moduli):
         img = [sum(int(mat[i, j]) * g[j] for j in range(n)) for i in range(m)]
         assert dst_p.is_zero(img)
 
     for _ in range(5):
         x = tuple(rng.randrange(d) for d in src)
         rhs = [sum(int(mat[i, j]) * x[j] for j in range(n)) for i in range(m)]
-        sol = linalg.solve_cols(sparse(mat), dst_p.lattice, rhs, src_p.moduli)
+        sol = linalg.solve_cols(sparse(mat), dst_p.lattice, rhs, src_p.moduli, dst_p.moduli)
         assert sol is not None
         img = [sum(int(mat[i, j]) * sol[j] for j in range(n)) for i in range(m)]
         assert all(dst_p.is_zero([a - b for a, b in zip(img, rhs)]) for _ in [0])
@@ -118,78 +119,15 @@ def test_snf_invariants_display():
 BIG = 10**30
 
 
-def _random_system(rng):
-    """A small integer matrix with the shapes the engine meets, plus track moduli.
-
-    Zero columns, zero and repeated rows (rows without a pivot), negative
-    entries, entries near 10^30, appended diagonal modulus columns, and
-    track moduli that include 1 and 2^40 all occur.  (The dense engine cannot
-    take a track modulus beyond int64; `test_solve_with_bigint_moduli` covers
-    those.)
-    """
-    rows = rng.randint(1, 6)
-    ncols = rng.randint(0, 7)
-    values = [1, -1, 2, -2, 3, -4, 6, 9, -12, rng.randint(-50, 50)]
-    if rng.random() < 0.3:
-        values += [BIG + rng.randint(-3, 3), -BIG + rng.randint(-3, 3)]
-    density = rng.choice([0.2, 0.5, 0.9])
-    mat = [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)]
-           for _ in range(rows)]
-    for row in mat:
-        if ncols and rng.random() < 0.2:
-            row[rng.randrange(ncols)] = 0
-    if rows > 1 and rng.random() < 0.3:
-        mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
-    if rng.random() < 0.2:
-        mat[rng.randrange(rows)] = [0] * ncols
-    n_track = rng.randint(0, ncols) if rng.random() < 0.7 else None
-    if rng.random() < 0.5:
-        for i in range(rows):
-            mat[i] += [rng.choice([1, 2, 4, 9, BIG]) if k == i else 0 for k in range(rows)]
-    moduli = None
-    if n_track is not None:
-        moduli = [rng.choice([1, 1, 2, 3, 4, 8, 9, 1 << 40]) for _ in range(n_track)]
-    return np.array(mat, dtype=object).reshape(rows, -1), n_track, moduli
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_sparse_echelon_matches_dense_oracle(seed):
-    rng = random.Random(500 + seed)
-    for _ in range(150):
-        mat, n_track, moduli = _random_system(rng)
-        work, track, pivots = dense_run_echelon(mat, n_track, moduli)
-        rows, cols = mat.shape[0], sparse(mat).cols
-        sparse_track, sparse_pivots = linalg._echelon(cols, rows, moduli)
-        assert sparse_pivots == [(int(r), int(c)) for r, c in pivots]
-        assert [[c.get(i, 0) for c in cols] for i in range(rows)] == \
-            work.reshape(mat.shape).tolist()
-        assert all(v for c in cols for v in c.values())
-        if moduli is None:
-            assert sparse_track is None
-        else:
-            reduced = [[c.get(i, 0) % d for c in sparse_track] for i, d in enumerate(moduli)]
-            assert reduced == track.tolist()
-
-
-def test_sparse_echelon_bigint_entries_match_dense_oracle():
-    mat = np.array([[BIG, -BIG - 1, 0, 3], [0, 7, -BIG, 0], [0, 0, 0, 0], [5, 0, 2 * BIG, 1]],
-                   dtype=object)
-    moduli = [1, 1 << 40, 6]
-    work, track, pivots = dense_run_echelon(mat, 3, moduli)
-    rows, cols = mat.shape[0], sparse(mat).cols
-    sparse_track, sparse_pivots = linalg._echelon(cols, rows, moduli)
-    assert sparse_pivots == pivots
-    assert [[c.get(i, 0) for c in cols] for i in range(rows)] == work.tolist()
-    assert [[c.get(i, 0) % d for c in sparse_track] for i, d in enumerate(moduli)] == track.tolist()
-
-
 def test_solve_with_bigint_moduli():
     # x -> 3x from Z/(2 * 10^30) to Z/(2 * 10^30): image 3Z, kernel trivial
     src = linalg.AbelianPresentation([2 * BIG])
-    assert linalg.solve_cols(sparse([[3]]), src.lattice, [6 * BIG - 3], src.moduli) == (2 * BIG - 1,)
-    assert src.subgroup_order(linalg.kernel_gens(sparse([[3]]), src.lattice, src.moduli)) == 1
+    assert linalg.solve_cols(sparse([[3]]), src.lattice, [6 * BIG - 3], src.moduli,
+                             src.moduli) == (2 * BIG - 1,)
+    assert src.subgroup_order(linalg.kernel_gens(sparse([[3]]), src.lattice, src.moduli,
+                                                 src.moduli)) == 1
     # x -> 2x has kernel {0, 10^30}
-    assert linalg.kernel_gens(sparse([[2]]), src.lattice, src.moduli) == [(BIG,)]
+    assert linalg.kernel_gens(sparse([[2]]), src.lattice, src.moduli, src.moduli) == [(BIG,)]
     # input beyond int64 stays exact: gcd(2^63 + 1, 2^64) = 1
     assert linalg.lattice_canon(sparse([[2**63 + 1]]), moduli=[2**64]).tolist() == [[1]]
 
@@ -236,22 +174,32 @@ def test_snf_invariants_match_sympy_invariant_factors(seed):
     assert pres.order() == math.prod(expected)
 
 
-@pytest.mark.parametrize("rows", [
-    [[2, 1], [0, 2]],
-    [[6, 4], [4, 6]],
-    [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
-    [[12, 18], [8, 12], [0, 5]],
-], ids=["z4", "sym", "3x3", "three-passes"])
-def test_snf_invariants_over_several_echelon_passes(rows, monkeypatch):
-    """Inputs on which one column echelon leaves off-diagonal entries."""
+@pytest.mark.parametrize("rows,passes", [
+    ([[2, 1], [0, 2]], 1),
+    ([[6, 4], [4, 6]], 1),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], 1),
+    ([[3, 0, 0], [8, 12, 0], [2, 0, 3]], 4),
+    ([[12, 18], [8, 12], [0, 5]], None),
+], ids=["z4", "sym", "3x3", "four-passes", "three-passes"])
+def test_snf_invariants_over_several_echelon_passes(rows, passes, monkeypatch):
+    """The canonical basis of each square input's lattice goes through
+    `passes` runs of `lattice_canon` on its transpose before it is diagonal,
+    and its invariants are sympy's.  The rank-deficient input has an infinite
+    cokernel and no canonical basis: it raises."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
 
-    passes = []
-    echelon = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda *a: passes.append(1) or echelon(*a))
-    got = linalg.snf_invariants(sparse(rows))
-    assert len(passes) > 1
+    if passes is None:
+        with pytest.raises(ValueError):
+            linalg.snf_invariants(sparse(rows))
+        return
+    det = abs(int(sympy.Matrix(rows).det()))
+    basis = linalg.lattice_canon(sparse(rows), [det] * len(rows))
+    seen = []
+    canon = linalg.lattice_canon
+    monkeypatch.setattr(linalg, "lattice_canon", lambda *a: seen.append(1) or canon(*a))
+    got = linalg.snf_invariants(basis)
+    assert len(seen) == passes
     expected = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
     assert got == tuple(sorted(abs(int(d)) for d in expected if abs(int(d)) > 1))
 
@@ -300,39 +248,46 @@ def test_matrix_builders_match_numpy(seed):
         linalg.vstack([sparse(a), sparse(rand(1, k + 1))])
 
 
-def _random_sparse_columns(rng):
-    """Sparse {row: value} columns with many nonzeros per row, so that a pivot
-    row is reduced over several rounds and ties in |value| are common."""
-    rows = rng.randint(1, 14)
-    ncols = rng.randint(0, 18)
-    values = [1, -1, 2, -2, 3, -3, 4, 6, -6, 12, rng.randint(-40, 40), BIG + rng.randint(-2, 2)]
-    density = rng.choice([0.1, 0.25, 0.5])
-    cols = [{r: v for r in range(rows) if rng.random() < density and (v := rng.choice(values))}
-            for _ in range(ncols)]
-    if ncols > 1 and rng.random() < 0.3:
-        cols[rng.randrange(ncols)] = dict(cols[rng.randrange(ncols)])
-    moduli = None
-    if ncols and rng.random() < 0.5:
-        moduli = [rng.choice([1, 2, 3, 4, 8, 9, 1 << 40]) for _ in range(rng.randint(1, ncols))]
-    return rows, cols, moduli
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_echelon_matches_sorted_scan_oracle(seed):
-    """Picking the pivot by (|value|, index) without sorting the row gives the
-    frozen sorted-scan engine's columns, transform, pivots and charges."""
+    """Kernels and solves on the insertion's graph lattice against the frozen
+    tracked elimination: on `_random_lattice` targets, BIG moduli included,
+    the kernels span one subgroup and the solves agree on solvability; each
+    answer solves, and permuting the target's rows, with its canonical basis
+    rebuilt, returns the same kernel and the same answer."""
     rng = random.Random(900 + seed)
-    tracked = 0
-    for _ in range(200):
-        rows, cols, moduli = _random_sparse_columns(rng)
-        tracked += moduli is not None
-        want_cols = [dict(c) for c in cols]
-        want_track, want_pivots, charges = sparse_echelon_by_sorted_scans(want_cols, rows, moduli)
-        with budget.limit(10 ** 12):
-            track, pivots = linalg._echelon(cols, rows, moduli)
-            assert budget.spent() == sum(charges)
-        assert (cols, track, pivots) == (want_cols, want_track, want_pivots)
-    assert 50 < tracked < 150
+    solved = unsolved = 0
+    for _ in range(100):
+        rels, moduli = _random_lattice(rng)
+        m, k = len(moduli), rels.shape[1]
+        dst = linalg.AbelianPresentation(moduli, relations=sparse(rels))
+        cols = [[rng.choice([0, 0, 2, 3, -6, 4, 2 * BIG]) for _ in range(m)]
+                for _ in range(rng.randint(1, 4))]
+        in_moduli = [dst.vector_order(c) * rng.choice([1, 2, 3]) for c in cols]
+        mat = linalg.cols_from_vectors(cols, m)
+        if rng.random() < 0.5:
+            b = list(mat.apply([rng.randrange(d) for d in in_moduli]))
+        else:
+            b = [rng.choice([0, 1]) for _ in range(m)]
+        aug = linalg.hstack([dst.relations, linalg.diag_cols(moduli)])
+        want_kernel, want_x = kernel_and_solve_by_echelon(mat, aug, in_moduli, b)
+        kernel = linalg.kernel_gens(mat, dst.lattice, in_moduli, dst.moduli)
+        x = linalg.solve_cols(mat, dst.lattice, b, in_moduli, dst.moduli)
+        src = linalg.AbelianPresentation(in_moduli)
+        assert src.subgroup_canon(kernel) == src.subgroup_canon(want_kernel)
+        assert (x is None) == (want_x is None)
+        if x is not None:
+            assert dst.is_zero([a - t for a, t in zip(mat.apply(x), b)])
+        solved += x is not None
+        unsolved += x is None
+        perm = rng.sample(range(m), m)
+        moved = linalg.AbelianPresentation(
+            [moduli[i] for i in perm], [[int(rels[i, j]) for i in perm] for j in range(k)])
+        moved_mat = linalg.cols_from_vectors([[c[i] for i in perm] for c in cols], m)
+        assert linalg.kernel_gens(moved_mat, moved.lattice, in_moduli, moved.moduli) == kernel
+        assert linalg.solve_cols(moved_mat, moved.lattice, [b[i] for i in perm], in_moduli,
+                                 moved.moduli) == x
+    assert solved > 10 and unsolved > 5
 
 
 def _random_presentation(rng, n):
