@@ -89,7 +89,7 @@ def test_small_budget_is_a_reported_verdict():
     code, out, err = run_cli(["correspond", "instances/c2_swap.sgi", "--budget", "5"])
     assert code == 3 and err == b""
     lines = out.decode().splitlines()
-    assert lines[-2:] == ["FAIL budget  quantity=echelon_entries  spent=7  limit=5",
+    assert lines[-2:] == ["FAIL budget  quantity=echelon_entries  spent=8  limit=5",
                           "# result: FAIL"]
 
 
