@@ -33,7 +33,7 @@ import math
 from .actions import (Action, _defect, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
-from .linalg import (AbelianPresentation, block_diag, cols_from_vectors, hstack, lattice_det,
+from .linalg import (AbelianPresentation, Matrix, block_diag, lattice_canon, lattice_det,
                      lattice_member, solve_cols, vstack)
 from .rings import Subalgebra, TensorPresentation
 from .semigroups import SubSemigroup, is_e_unitary, linked_classes, remembered
@@ -73,13 +73,31 @@ def galois_rhs(beta, s):
     return direct
 
 
-def _coordinate_system_matrix(ring, isos):
-    """Stacked matrix of y -> (sum_i x_i * f(y_i 1_dom))_f over basis x, with
-    f's columns from `apply_vec`."""
-    basis = ring.basis_vectors()
-    mult_mats = [ring.mult_matrix(v) for v in basis]
-    iso_mats = (cols_from_vectors([iso.apply_vec(v) for v in basis], ring.n_coords) for iso in isos)
-    return vstack([hstack([m @ f for m in mult_mats]) for f in iso_mats])
+class _UnitProducts:
+    """Products on the unit vectors e_i of a block ring, each pair multiplied
+    once, so that e_i times the image f(e_c) of a unit vector under a partial
+    iso f (`StructuredIso.apply_vec`) is a sum over that image's entries."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.units = ring.basis_vectors()
+        self.atom = [ring.coord_atom(c) for c in range(ring.n_coords)]
+        self._products = {}
+
+    def times_image(self, i, f, c):
+        """e_i f(e_c) as {coordinate: value} over its nonzero values."""
+        out = {}
+        for r, z in enumerate(f.apply_vec(self.units[c])):
+            if z:
+                key = (i, r) if i <= r else (r, i)
+                prod = self._products.get(key)
+                if prod is None:
+                    vec = self.ring.mul_vec(self.units[i], self.units[r])
+                    prod = self._products[key] = [(q, x) for q, x in enumerate(vec) if x]
+                for q, x in prod:
+                    out[q] = out.get(q, 0) + z * x
+        moduli = self.ring.coord_moduli
+        return {q: v for q, x in out.items() if (v := x % moduli[q])}
 
 
 def _solve_coordinates(beta, isos, rhs_vectors):
@@ -91,21 +109,48 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     orbits of beta, so x_i f(y_i 1) reads y_i only on x_i's orbit, and the
     system is solved one orbit at a time (`Action.orbits`); each y_i
     is zero off x_i's orbit.
+
+    On an orbit, y_i[c] is the coefficient of the generator pair x_i (x) e_c
+    of the orbit's tensor (`_full_tensor`), and only the free pairs
+    (`TensorPresentation.free_pairs`) carry an unknown.  The map
+    (y_i)_i -> (sum_i x_i f(y_i 1_dom))_f kills the tensor relations L:
+    x r (x) y - x (x) r y maps to 0, as f(r 1_dom) = r 1_im for invariant r.
+    So its kernel K contains L, and K has pivot 1 wherever L does; the
+    canonical solution, reduced below K's pivots, is zero there.  The
+    kernel of the restricted system is K n Z^F, whose pivots are multiples
+    of K's, so that solution is the restricted system's canonical one too:
+    the coordinates do not move.  Column (i, c) is nonzero on f only when f
+    takes e_c's atom to x_i's, which `matching` decides before any product;
+    it is then x_i times f's plan column at c, f(e_c) (`_UnitProducts`).
     """
     A = beta.A
     ys = [None] * A.n_coords
-    for block in beta.orbits:
+    for block, tensor in _full_tensor(beta):
         ring = block.ring
         n = ring.n_coords
-        mat = _coordinate_system_matrix(ring, [block.iso(f) for f in isos])
+        units = _UnitProducts(ring)
+        block_isos = [block.iso(f) for f in isos]
+        free = tensor.free_pairs
+        cols = []
+        for p in free:
+            i, c = divmod(p, n)
+            col = {}
+            for k, f in enumerate(block_isos):
+                if f.matching.get(units.atom[c]) == units.atom[i]:
+                    col.update((k * n + q, x) for q, x in units.times_image(i, f, c).items())
+            cols.append(col)
         aug = block_diag([ring.presentation.lattice] * len(isos))
         target = [x for vec in rhs_vectors for x in block.restrict(vec)]
-        sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n,
+        sol = solve_cols(Matrix(n * len(isos), cols), aug, target,
+                         [ring.coord_moduli[p % n] for p in free],
                          list(ring.coord_moduli) * len(isos))
         if sol is None:
             return None
-        for i, c in enumerate(block.coords):
-            ys[c] = block.extend(sol[i * n:(i + 1) * n])
+        y = [[0] * n for _ in range(n)]
+        for p, x in zip(free, sol):
+            y[p // n][p % n] = x
+        for i, g in enumerate(block.coords):
+            ys[g] = block.extend(y[i])
     return list(zip(A.basis_vectors(), ys))
 
 
@@ -200,41 +245,69 @@ class _PAPart:
     """PA's classes on one orbit's block, and psi on the block's tensor.
 
     `classes` are PA's classes whose copies lie in the block, in PA's order.
-    `reads` say where the first copy of each class sits in a family on the
-    block ring, as (index of the maximal t, block-ring coordinate), and
-    `ties` where each other copy sits, after the number of its class.
-    `isos` are the maps beta_t of the maximal t on the block ring.
+    `place` says which class each copy belongs to, by where the copy sits in
+    a family on the block ring: (index of the maximal t, block-ring
+    coordinate).  `isos` are the maps beta_t of the maximal t on the block
+    ring, and `maps` lists, for each pair (atom b, atom a), the indices of
+    those taking b to a.
     """
 
     def __init__(self, block, isos, pa):
-        self.ring = block.ring
-        self.isos = [block.iso(iso) for iso in isos]
+        ring = block.ring
         local = {c: r for r, c in enumerate(block.coords)}
         column = {t: m for m, t in enumerate(pa.maximal)}
         self.classes = [c for c in pa.classes if pa.copies[c[0]][1] in local]
+        self.place = {}
+        for k, c in enumerate(self.classes):
+            for p in c:
+                t, i = pa.copies[p]
+                self.place[column[t], local[i]] = k
+        self.isos = [block.iso(iso) for iso in isos]
+        self.maps = {}
+        for m, iso in enumerate(self.isos):
+            for pair in iso.matching.items():
+                self.maps.setdefault(pair, []).append(m)
+        self.units = _UnitProducts(ring)
+        self.ambient = AbelianPresentation([ring.coord_moduli[local[pa.copies[c[0]][1]]]
+                                            for c in self.classes])
 
-        def where(p):
-            t, i = pa.copies[p]
-            return column[t], local[i]
+    def psi_image(self, i, j):
+        """psi(e_i (x) e_j) = (e_i beta_t(e_j 1_{t^-1}))_t, one value per
+        class, for unit vectors e_i, e_j of the block ring: {class: value}
+        over the nonzero values, or None when two copies of a class differ,
+        so that the family leaves PA.
 
-        self.reads = [where(c[0]) for c in self.classes]
-        self.ties = [(k, *where(p)) for k, c in enumerate(self.classes) for p in c[1:]]
-        self.ambient = AbelianPresentation([self.ring.coord_moduli[r] for _, r in self.reads])
-
-    def moved(self, y):
-        """(beta_t(y 1_{t^-1}))_t over the maximal t, for y on the block ring;
-        `apply_vec` masks y to the domain."""
-        return [iso.apply_vec(y) for iso in self.isos]
-
-    def psi_image(self, x, moved):
-        """psi(x (x) y) = (x beta_t(y 1_{t^-1}))_t, one value per class, for x
-        on the block ring and `moved` = `moved(y)`; None when two copies of
-        a class differ, so that the family leaves PA."""
-        family = [self.ring.mul_vec(x, m) for m in moved]
-        values = tuple(family[m][r] for m, r in self.reads)
-        if any(family[m][r] != values[k] for k, m, r in self.ties):
+        e_i beta_t(e_j 1_{t^-1}) lies on e_i's atom a, and it is zero unless
+        beta_t takes e_j's atom b to a, so only those maximal t multiply
+        (`maps`); a class is in PA when it is zero at every copy, or met at
+        every copy with one value.
+        """
+        atom = self.units.atom
+        values, met = {}, {}
+        for m in self.maps.get((atom[j], atom[i]), ()):
+            for r, v in self.units.times_image(i, self.isos[m], j).items():
+                k = self.place[m, r]
+                if values.setdefault(k, v) != v:
+                    return None
+                met[k] = met.get(k, 0) + 1
+        if any(count != len(self.classes[k]) for k, count in met.items()):
             return None
         return values
+
+    def image_canon(self, tensor):
+        """The canonical basis of psi's image on the block's classes, from the
+        free pairs of the block's tensor (`TensorPresentation.free_pairs`),
+        whose generators are the block's unit vectors (`_full_tensor`): the
+        free pairs generate the tensor, so their images span psi's image.
+        Raises CertificateMismatch when an image leaves PA."""
+        images = []
+        for p in tensor.free_pairs:
+            i, j = divmod(p, tensor.l)
+            vec = self.psi_image(i, j)
+            if vec is None:
+                raise CertificateMismatch(f"psi image of generator pair ({i}, {j}) leaves PA")
+            images.append(vec)
+        return lattice_canon(Matrix(len(self.classes), images), self.ambient.moduli)
 
 
 class PsiReport:
@@ -249,11 +322,11 @@ def psi_check(beta):
 
     The tensor is one tensor per orbit of beta (`_full_tensor`), and psi
     maps an orbit's tensor onto PA's classes in that orbit's block, so it is
-    checked one orbit at a time: on each generator pair of the orbit's
-    tensor, on block-ring coordinates, with each beta_t applied to each
-    generator of the second factor once.  When psi is not onto, the
-    cokernel witness is the indicator, on PA's copies, of the first class
-    outside the image.
+    checked one orbit at a time: on each free generator pair of the orbit's
+    tensor (`_PAPart.image_canon`), on block-ring coordinates, multiplying
+    only by the beta_t that take the pair's second atom to its first.  When
+    psi is not onto, the cokernel witness is the indicator, on PA's copies,
+    of the first class outside the image.
 
     psi is injective, so an orbit whose image is smaller than its tensor
     raises EquivalenceViolation: for atoms i, j of one orbit, A^beta e_O
@@ -267,16 +340,7 @@ def psi_check(beta):
     t_order = image_order = 1
     canons = []
     for o, ((_, tensor), part) in enumerate(zip(tensors, pa.parts)):
-        moved = [part.moved(y) for y in tensor.ng]
-        images = []
-        for a, x in enumerate(tensor.mg):
-            for b, m in enumerate(moved):
-                vec = part.psi_image(x, m)
-                if vec is None:
-                    raise CertificateMismatch(f"psi image of generator pair ({a}, {b}) "
-                                              f"on orbit {o} leaves PA")
-                images.append(vec)
-        canon = part.ambient.subgroup_canon(images)
+        canon = part.image_canon(tensor)
         order = part.ambient.order() // lattice_det(canon)
         image_order *= order
         t_order *= tensor.order()
@@ -338,14 +402,19 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     def moved(s):
         return [beta.isos[s].apply_vec(g) for g in B.gen_vectors]
 
+    @functools.cache
+    def on_atom(s, i):
+        """beta_s(g 1_{s^-1}) e_i for the generators g of B, as one tuple."""
+        lo, hi = A.atom_span(i)
+        return tuple(v[lo:hi] for v in moved(s))
+
     for s in range(S.n):
         for t in range(S.n):
             prod = S.table[S.inv[s]][t]
             if any(u != S.zero and S.leq[u][prod] for u in s_b.members):
                 continue
             for i in sorted(beta.im_support(s) | beta.im_support(t)):
-                lo, hi = A.atom_span(i)
-                if all(x[lo:hi] == y[lo:hi] for x, y in zip(moved(s), moved(t))):
+                if on_atom(s, i) == on_atom(t, i):
                     return False, (s, t, frozenset({i}))
     return True, None
 
@@ -360,24 +429,37 @@ def is_separable(tensors):
     ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over generators of A e_O as
     an A^beta e_O-algebra (`Subalgebra.algebra_generators`): the b
     satisfying the second equation form a subalgebra, so these suffice.
-    The answer z, one vector per block, is re-verified on every additive
-    generator.
+    Both equations are well defined on the tensor, and every element of it
+    is a combination of the free pairs (`TensorPresentation.free_pairs`), so
+    a solution exists exactly when one supported on the free pairs does:
+    only those pairs carry an unknown, so only their columns of m are taken
+    and only their columns of each difference are built.  A difference lies
+    in the relations L exactly when its rewriting onto the free pairs lies
+    in L n Z^F (`TensorPresentation.free_mult_difference`), so the second
+    equation is solved there.  The answer z, one vector per block with
+    zeros off the free pairs, is re-verified on every additive generator.
     """
     z = []
     for block, tensor in tensors:
         ring = block.ring
-        mats = [tensor.mult_map_vec()]
-        augs = [ring.presentation]
+        free = tensor.free_pairs
+        m = tensor.mult_map_vec()
+        mats = [Matrix(m.rows, [m.cols[p] for p in free])]
+        lattices, moduli = [ring.presentation.lattice], list(ring.coord_moduli)
         target = list(ring.one_vec)
+        free_moduli = [tensor.pres.moduli[p] for p in free]
         for b in tensor.M.algebra_generators(tensor.R):
-            mats.append(tensor.mult_difference(b))
-            augs.append(tensor.pres)
-            target.extend([0] * (tensor.k * tensor.l))
-        sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
-                         tensor.pres.moduli, [d for p in augs for d in p.moduli])
+            mats.append(tensor.free_mult_difference(b))
+            lattices.append(tensor.free_lattice)
+            moduli += free_moduli
+            target += [0] * len(free)
+        sol = solve_cols(vstack(mats), block_diag(lattices), target, free_moduli, moduli)
         if sol is None:
             return None
-        z.append(sol)
+        part = [0] * (tensor.k * tensor.l)
+        for p, x in zip(free, sol):
+            part[p] = x
+        z.append(tuple(part))
     z = tuple(z)
     if not verify_separability_idempotent(tensors, z):
         raise CertificateMismatch("separability idempotent fails its defining equations")
@@ -435,7 +517,9 @@ def _full_tensor(beta):
     e_O lies in A^beta, so a generator pair from two orbits is zero,
     b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
     of the blocks' A e_O (x)_{A^beta e_O} A e_O, each presented on its block
-    ring; each constructor checks its factors.
+    ring; each constructor checks its factors.  Both factors' generators are
+    the block ring's unit vectors, in order, so generator pair (i, c) is
+    e_i (x) e_c, which psi and the coordinate solve rely on; this is checked.
     """
     return remembered(beta, "full_tensor", _derive_full_tensor)
 
@@ -445,7 +529,11 @@ def _derive_full_tensor(beta):
     tensors = []
     for block in beta.orbits:
         part = block.subalgebra(full)
-        tensors.append((block, TensorPresentation(part, part, block.subalgebra(inv))))
+        tensor = TensorPresentation(part, part, block.subalgebra(inv))
+        units = block.ring.basis_vectors()
+        if tensor.mg != units or tensor.ng != units:
+            raise AssertionError("the orbit tensor's generators are not the block's unit vectors")
+        tensors.append((block, tensor))
     return tuple(tensors)
 
 
@@ -499,6 +587,15 @@ def cross_check_equivalences(beta: Action):
     extension fails to be Galois (e.g. C2 on Z/5 x GF(9) by identity x
     Frobenius).  That one disagreement shape is reported as `trace_gap`;
     any other disagreement raises EquivalenceViolation.
+
+    alpha's coordinate system is solved only when beta has no coordinates:
+    beta's, when they exist, are alpha's as well, and are checked on
+    alpha's system.  S is E-unitary, so a class g other than the identity
+    holds no idempotent, and alpha_g agrees with some beta_s, s in g, at
+    each atom of its image: there sum_i x_i alpha_g(y_i 1) is
+    sum_i x_i beta_s(y_i 1_{s^-1}) = 0.  alpha_1 = Id_A, and the ideals of
+    the idempotents cover A, so on each atom sum_i x_i y_i is
+    sum_i x_i beta_e(y_i 1_e) = 1_e for an idempotent e there: it is 1.
     """
     S = beta.S
     if S.zero is not None:
@@ -551,11 +648,14 @@ def cross_check_equivalences(beta: Action):
         trace_gap = True
 
     # alpha's system is often beta's (same isos in the same order, same right
-    # sides: S a group, say); it then has beta's solution, and the check below holds
-    if _galois_system(induce_partial_group_action(beta)) == _galois_system(beta):
-        alpha_coords = coords
-    else:
-        alpha_coords = solve_partial_action_coordinates(beta)
+    # sides: S a group, say); otherwise beta's coordinates are checked on it
+    alpha_system = _galois_system(induce_partial_group_action(beta))
+    alpha_coords = coords
+    if alpha_system != _galois_system(beta):
+        if coords is None:
+            alpha_coords = solve_partial_action_coordinates(beta)
+        elif not verify_coordinates(beta, coords, alpha_system):
+            raise EquivalenceViolation("beta's Galois coordinates fail alpha's system")
     cert.alpha_coordinates = alpha_coords
     if (alpha_coords is not None) != galois:
         raise EquivalenceViolation("beta-Galois and alpha-Galois disagree")

@@ -101,20 +101,21 @@ def vstack(blocks):
     return Matrix(offset, cols)
 
 
-def kron_difference(E, F):
-    """E (x) I_l - I_k (x) F for a k x k matrix E and an l x l matrix F.
+def kron_difference(E, F, pairs=None):
+    """E (x) I_l - I_k (x) F for a k x k matrix E and an l x l matrix F, or
+    its columns at the coordinates `pairs` alone, in their order.
 
     Coordinate (i, j) is row i * l + j, so column (i, j) is
     sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c).
     """
     l = F.rows
     cols = []
-    for i, ec in enumerate(E.cols):
-        for j, fc in enumerate(F.cols):
-            col = {a * l + j: u for a, u in ec.items()}
-            for c, v in fc.items():
-                col[i * l + c] = col.get(i * l + c, 0) - v
-            cols.append({r: x for r, x in col.items() if x})
+    for p in range(len(E.cols) * l) if pairs is None else pairs:
+        i, j = divmod(p, l)
+        col = {a * l + j: u for a, u in E.cols[i].items()}
+        for c, v in F.cols[j].items():
+            col[i * l + c] = col.get(i * l + c, 0) - v
+        cols.append({r: x for r, x in col.items() if x})
     return Matrix(E.rows * l, cols)
 
 
@@ -278,7 +279,7 @@ def lattice_det(basis):
 
 def lattice_reduce(basis, vec):
     """Canonical coset representative of `vec` modulo the lattice."""
-    w = [int(x) for x in vec]
+    w = list(map(int, vec))
     for j, c in enumerate(basis.cols):
         q = w[j] // c[j]
         if q:
@@ -296,7 +297,7 @@ def lattice_quotients(basis, vec):
     basis H, and vec is their combination of its columns.  This is the one
     walk behind membership and a subalgebra's generator coordinates.
     """
-    w = [int(x) for x in vec]
+    w = list(map(int, vec))
     quotients = [0] * len(w)
     for j, c in enumerate(basis.cols):
         if w[j]:
@@ -417,6 +418,7 @@ class AbelianPresentation:
         if relations.rows != self.n:
             raise ValueError("relations need one row per generator")
         self.relations = relations
+        self._units = None
         # the diagonal alone is already canonical
         self.lattice = (lattice_canon(relations, self.moduli) if relations.cols
                         else diag_cols(self.moduli))
@@ -429,8 +431,11 @@ class AbelianPresentation:
         return math.lcm(*(d // math.gcd(x, d) for x, d in zip(vec, self.moduli) if x))
 
     def generator_vectors(self):
-        """The raw generators, as unit vectors."""
-        return [tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)]
+        """The raw generators, as a new list of the unit vectors, which are
+        built once per presentation."""
+        if self._units is None:
+            self._units = tuple(tuple(int(i == j) for j in range(self.n)) for i in range(self.n))
+        return list(self._units)
 
     def canon(self, vec):
         return lattice_reduce(self.lattice, vec)

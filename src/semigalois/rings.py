@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property
 
 from .budget import spend
@@ -310,10 +311,10 @@ class FiniteRing:
     # -- vector arithmetic (used by the solvers, avoids element objects) ---
 
     def add_vec(self, u, v):
-        return tuple((a + b) % m for a, b, m in zip(u, v, self.coord_moduli))
+        return tuple(map(operator.mod, map(operator.add, u, v), self.coord_moduli))
 
     def sub_vec(self, u, v):
-        return tuple((a - b) % m for a, b, m in zip(u, v, self.coord_moduli))
+        return tuple(map(operator.mod, map(operator.sub, u, v), self.coord_moduli))
 
     def mul_vec(self, u, v):
         """Product of coordinate vectors, atom by atom; an atom where either
@@ -554,13 +555,16 @@ class StructuredIso:
 
     def apply_vec(self, vec):
         """(mask to domain, then apply) on coordinates, by the plan."""
+        plan = self._plan
+        if plan is None:
+            plan = self.application_plan()
         out = [0] * self.ring.n_coords
-        for c, targets in self.application_plan():
+        for c, targets in plan:
             x = vec[c]
             if x:
                 for r, z in targets:
                     out[r] += x * z
-        return tuple(x % m for x, m in zip(out, self.ring.coord_moduli))
+        return tuple(map(operator.mod, out, self.ring.coord_moduli))
 
 
 class Subalgebra:
@@ -643,8 +647,7 @@ class Subalgebra:
     def closed_under_mul(self):
         """Every product of two generators lies in the span; a pair on
         disjoint atoms multiplies to 0, so only pairs whose atoms meet count."""
-        gens = self.gen_vectors
-        masks = [self.ring.atom_mask(g) for g in gens]
+        gens, masks = self.gen_vectors, self.gen_masks
         return all(self.member_vec(self.ring.mul_vec(gens[i], gens[j]))
                    for i in range(len(gens)) for j in range(i, len(gens)) if masks[i] & masks[j])
 
@@ -694,7 +697,7 @@ class Subalgebra:
         """vec's coordinates over the generators, each below its generator's
         order; raises NotSubring off the span.  Another expansion of the same
         vector differs by one of the `relations`."""
-        vec = tuple(int(x) % m for x, m in zip(vec, self.ring.coord_moduli))
+        vec = tuple(map(operator.mod, map(int, vec), self.ring.coord_moduli))
         hit = self._expansions.get(vec)
         if hit is None:
             quotients = lattice_quotients(self.basis, vec)
@@ -720,14 +723,22 @@ class Subalgebra:
 
     def mult_matrix(self, b_vec):
         """Matrix of m -> b*m on the generators, column j expanding b times
-        generator j; built once per b."""
+        generator j; built once per b.  A generator on atoms disjoint from
+        b's multiplies to 0, with no product taken."""
         b_vec = tuple(b_vec)
         mat = self._mult_matrices.get(b_vec)
         if mat is None:
-            gens = self.gen_vectors
+            gens, mask = self.gen_vectors, self.ring.atom_mask(b_vec)
+            zero = (0,) * len(gens)
             mat = self._mult_matrices[b_vec] = cols_from_vectors(
-                [self.expand(self.ring.mul_vec(b_vec, g)) for g in gens], len(gens))
+                [self.expand(self.ring.mul_vec(b_vec, g)) if mask & gm else zero
+                 for g, gm in zip(gens, self.gen_masks)], len(gens))
         return mat
+
+    @cached_property
+    def gen_masks(self):
+        """The atoms each generator is nonzero on, as bit masks."""
+        return tuple(map(self.ring.atom_mask, self.gen_vectors))
 
     def closure_under_mul(self):
         """Smallest multiplicatively closed additive span containing this one."""
@@ -897,6 +908,56 @@ class TensorPresentation:
     def order(self):
         return self.pres.order()
 
+    @cached_property
+    def free_pairs(self):
+        """The generator pairs p whose pivot in the canonical relation
+        lattice is not 1, in order; they generate the tensor.
+
+        A column of pivot 1 is e_p plus entries at later rows, each reduced
+        below that row's pivot, so zero at every row of pivot 1: the pair p
+        equals, in the tensor, minus a combination of free pairs alone.
+        """
+        return tuple(p for p, c in enumerate(self.pres.lattice.cols) if c[p] != 1)
+
+    @cached_property
+    def _free_positions(self):
+        return {p: s for s, p in enumerate(self.free_pairs)}
+
+    @cached_property
+    def _on_free_pairs(self):
+        """Per generator pair, the (free position, coefficient) terms of what
+        it equals on the free pairs: a free pair itself, any other pair p
+        minus the entries below its pivot 1 (`free_pairs`)."""
+        pos = self._free_positions
+        return [((pos[p], 1),) if p in pos else tuple((pos[r], -v) for r, v in c.items() if r != p)
+                for p, c in enumerate(self.pres.lattice.cols)]
+
+    @cached_property
+    def free_lattice(self):
+        """The canonical basis of the relations among the free pairs alone,
+        L n Z^F on their positions: L's columns at the free pairs, which are
+        zero at every row of pivot 1.  A vector of L n Z^F walked down L's
+        basis meets each column of pivot 1 at a zero entry, so these columns
+        span it."""
+        pos = self._free_positions
+        return Matrix(len(pos), [{pos[r]: v for r, v in self.pres.lattice.cols[p].items()}
+                                 for p in self.free_pairs])
+
+    def onto_free_pairs(self, mat):
+        """`mat`, into the tensor's coordinates, followed by the map that
+        rewrites each pair on the free pairs.  It subtracts multiples of L's
+        columns of pivot 1, so a column lies in L exactly when its image lies
+        in `free_lattice`."""
+        terms = self._on_free_pairs
+        cols = []
+        for col in mat.cols:
+            out = {}
+            for q, x in col.items():
+                for s, c in terms[q]:
+                    out[s] = out.get(s, 0) + c * x
+            cols.append({s: x for s, x in out.items() if x})
+        return Matrix(len(self.free_pairs), cols)
+
     def pure(self, m_el, n_el):
         """Coordinates of m (x) n for ring elements m in M, n in N."""
         col = [0] * (self.k * self.l)
@@ -922,11 +983,14 @@ class TensorPresentation:
     @cached_property
     def _mult_map(self):
         """Built once, each unordered generator pair multiplied once (the ring
-        is commutative)."""
+        is commutative), and a pair on disjoint atoms not at all: it is 0."""
         products = {}
         cols = []
-        for u in self.mg:
-            for v in self.ng:
+        for u, um in zip(self.mg, self.M.gen_masks):
+            for v, vm in zip(self.ng, self.N.gen_masks):
+                if not um & vm:
+                    cols.append(self.ring.zero_vec)
+                    continue
                 key = (u, v) if u <= v else (v, u)
                 if key not in products:
                     products[key] = self.ring.mul_vec(u, v)
@@ -950,6 +1014,19 @@ class TensorPresentation:
         coordinate (i, j) is generator pair (mg[i], ng[j]).
         """
         return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
+
+    def free_mult_difference(self, b_vec):
+        """`mult_difference(b)` on the free pairs alone: its columns at the
+        free pairs, each rewritten onto the free pairs (`onto_free_pairs`).
+        Column (i, j) is zero unless column i of E or column j of F is not,
+        so only those columns are built."""
+        E, F = self.left_factor(b_vec), self.right_factor(b_vec)
+        l, pos = self.l, self._free_positions
+        live = [p for p in self.free_pairs if E.cols[p // l] or F.cols[p % l]]
+        cols = [{} for _ in pos]
+        for p, col in zip(live, self.onto_free_pairs(kron_difference(E, F, live)).cols):
+            cols[pos[p]] = col
+        return Matrix(len(pos), cols)
 
     def eq(self, z, w):
         return self.pres.eq(z, w)

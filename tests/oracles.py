@@ -19,9 +19,10 @@ additive generator, on Kronecker matrices),
 elements), the three correspondence routes with their own pair loops and
 brute-force matchers (`e_unitary_correspondence_by_own_loop`,
 `general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`,
-which decide their Galois precondition by the coordinate solve, not by the
-fixed-atom rule the library's routes use), the five power-set scans that per-atom and per-element tests replaced
-(`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
+which decide their Galois precondition by the all-pairs coordinate solve
+`galois_by_all_pairs`, not by the fixed-atom rule the library's routes
+use), the five power-set scans that per-atom and per-element tests
+replaced (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
 `beta_maximal_by_subset_scan`), the natural order by a scan over the
 idempotents (`natural_order_by_idempotents`), the subalgebra scan that closed every
@@ -43,7 +44,10 @@ orbit: `WholeTensorPresentation`, `solve_coordinates_whole`,
 `pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`, with
 `joined_tensor_lattice` and `joined_tensor_vector`, which put the orbit
 tensors' lattices and vectors in place on the whole tensor
-(`scatter_lattice`).  Separability of any unital subalgebra B over R, on
+(`scatter_lattice`); and the three systems on every generator pair of each
+orbit tensor, before they were solved on its free pairs alone
+(`solve_coordinates_all_pairs`, `psi_image_canons_all_pairs`,
+`separable_all_pairs`).  Separability of any unital subalgebra B over R, on
 `Block`s whose indicators lie in R (`orbit_tensors` and `is_separable`),
 is the general route the library kept only for A over A^beta; it solves
 each block through `galois.is_separable`.
@@ -408,21 +412,22 @@ def psi_image_by_elements(beta, pa, x_vec, y_vec):
 def check_psi_images_on_orbits(beta):
     """psi on each pair of A's additive generators through ring elements
     (`psi_image_by_elements`) against the per-orbit image `psi_check` uses
-    (`_PAPart.psi_image`): a pair on one orbit's block has one value per
-    class there, which the element route gives at every copy in the class,
-    and a pair from two orbits maps to zero."""
+    (`_PAPart.psi_image`, on the indices of the unit vectors): a pair on one
+    orbit's block has one value per class there, which the element route
+    gives at every copy in the class (the image lists the nonzero values
+    alone), and a pair from two orbits maps to zero."""
     from semigalois.galois import PABetaS
     pa = PABetaS(beta)
     for o, (block, part) in enumerate(zip(beta.orbits, pa.parts)):
-        for x in block.ring.basis_vectors():
+        for i, x in enumerate(block.ring.basis_vectors()):
             for q, other in enumerate(beta.orbits):
-                for y in other.ring.basis_vectors():
+                for j, y in enumerate(other.ring.basis_vectors()):
                     want = [0] * len(pa.copies)
                     if o == q:
-                        values = part.psi_image(x, part.moved(y))
+                        values = part.psi_image(i, j)
                         assert values is not None
-                        for copies, v in zip(part.classes, values):
-                            for p in copies:
+                        for k, v in values.items():
+                            for p in part.classes[k]:
                                 want[p] = v
                     assert psi_image_by_elements(beta, pa, block.extend(x),
                                                  other.extend(y)) == tuple(want)
@@ -505,7 +510,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     """The E-unitary route with S_B computed three times per T."""
     from semigalois.actions import is_injective
     from semigalois.correspondence import CorrespondenceReport, enumerate_beta_complete
-    from semigalois.galois import PreconditionFail, compute_S_B, solve_galois_coordinates
+    from semigalois.galois import PreconditionFail, compute_S_B
     from semigalois.semigroups import is_e_unitary
     S = beta.S
     if S.zero is not None:
@@ -516,7 +521,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("beta is not injective")
     if not beta.all_ideals_nonzero():
         raise PreconditionFail("some A_s is zero")
-    if solve_galois_coordinates(beta) is None:
+    if galois_by_all_pairs(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     pairs, failures = _correspondence_core(
         beta, enumerate_beta_complete(beta),
@@ -536,7 +541,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
     from semigalois.actions import image_action
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import PreconditionFail, solve_galois_coordinates
+    from semigalois.galois import PreconditionFail
     from semigalois.semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups,
                                        is_e_unitary)
     S = beta.S
@@ -544,7 +549,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
         raise PreconditionFail("use the zero-case verifier for semigroups with zero")
     if not beta.all_ideals_nonzero():
         raise PreconditionFail("some A_s is zero")
-    if solve_galois_coordinates(beta) is None:
+    if galois_by_all_pairs(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     beta_img, proj = image_action(beta)
     if not is_e_unitary(beta_img.S):
@@ -580,8 +585,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     from semigalois.actions import image_action, invariant_ring
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import (PreconditionFail, compute_S_B, is_beta_strong,
-                                   solve_galois_coordinates)
+    from semigalois.galois import PreconditionFail, compute_S_B, is_beta_strong
     from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
     from semigalois.zerocase import is_categorical_at_zero, require_zero_action
     S = beta.S
@@ -590,7 +594,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("the zero correspondence assumes categoricity at zero")
     if not all(beta.im_support(s) for s in range(S.n) if s != S.zero):
         raise PreconditionFail("A_s = 0 for a nonzero s")
-    if solve_galois_coordinates(beta) is None:
+    if galois_by_all_pairs(beta) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     beta_img, proj = image_action(beta)
     base = invariant_ring(beta)
@@ -1540,6 +1544,92 @@ def is_separable_whole(B, R):
     sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
                      tensor.pres.moduli, [d for p in augs for d in p.moduli])
     return None if sol is None else (tensor, sol)
+
+
+# The three systems of the Galois criteria on every generator pair of each
+# orbit tensor, before each was solved on the free pairs alone: the
+# coordinate system with an unknown y_i[c] for every pair, psi's image from
+# every pair with every maximal beta_t applied, and the separability system
+# with an unknown for every pair.
+
+
+def solve_coordinates_all_pairs(beta, isos, rhs_vectors):
+    """sum_i x_i f(y_i 1) = rhs_f solved one orbit at a time on every
+    unknown y_i[c]: block f of the system is each basis vector's
+    multiplication matrix times f's matrix, from `apply_vec` on the basis.
+    Builds no tensor."""
+    from semigalois.linalg import block_diag, hstack, solve_cols, vstack
+    A = beta.A
+    ys = [None] * A.n_coords
+    for block in beta.orbits:
+        ring = block.ring
+        n = ring.n_coords
+        basis = ring.basis_vectors()
+        mult_mats = [ring.mult_matrix(v) for v in basis]
+        iso_mats = [cols_from_vectors([block.iso(f).apply_vec(v) for v in basis], n)
+                    for f in isos]
+        mat = vstack([hstack([m @ f for m in mult_mats]) for f in iso_mats])
+        aug = block_diag([ring.presentation.lattice] * len(isos))
+        target = [x for vec in rhs_vectors for x in block.restrict(vec)]
+        sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n,
+                         list(ring.coord_moduli) * len(isos))
+        if sol is None:
+            return None
+        for i, c in enumerate(block.coords):
+            ys[c] = block.extend(sol[i * n:(i + 1) * n])
+    return list(zip(A.basis_vectors(), ys))
+
+
+def galois_by_all_pairs(beta):
+    """beta's Galois coordinates from `solve_coordinates_all_pairs`, or None."""
+    from semigalois.galois import galois_rhs
+    return solve_coordinates_all_pairs(beta, beta.isos,
+                                       [galois_rhs(beta, s) for s in range(beta.S.n)])
+
+
+def psi_image_canons_all_pairs(beta):
+    """Per orbit, the canonical basis of psi's image on PA's classes there,
+    from every generator pair of the orbit's tensor: the whole family
+    (x beta_t(y 1_{t^-1}))_t over the maximal t, read at each class's first
+    copy, with every other copy of the class asserted equal to it."""
+    from semigalois.galois import PABetaS, _full_tensor
+    pa = PABetaS(beta)
+    canons = []
+    for (_, tensor), part in zip(_full_tensor(beta), pa.parts):
+        where = [[] for _ in part.classes]
+        for place, k in part.place.items():
+            where[k].append(place)
+        moved = [[iso.apply_vec(y) for iso in part.isos] for y in tensor.ng]
+        images = []
+        for x in tensor.mg:
+            for family in ([part.units.ring.mul_vec(x, v) for v in vs] for vs in moved):
+                values = [family[m][r] for m, r in (copies[0] for copies in where)]
+                assert all(family[m][r] == values[k]
+                           for k, copies in enumerate(where) for m, r in copies[1:])
+                images.append(values)
+        canons.append(part.ambient.subgroup_canon(images))
+    return canons
+
+
+def separable_all_pairs(tensors):
+    """z, one vector per block, solving m(z) = 1 and ((b (x) 1) - (1 (x) b))z
+    = 0 for the algebra generators b, with an unknown on every generator pair
+    of each block's tensor; None when some block has no solution."""
+    from semigalois.linalg import block_diag, solve_cols, vstack
+    z = []
+    for block, tensor in tensors:
+        mats, augs = [tensor.mult_map_vec()], [block.ring.presentation]
+        target = list(block.ring.one_vec)
+        for b in tensor.M.algebra_generators(tensor.R):
+            mats.append(tensor.mult_difference(b))
+            augs.append(tensor.pres)
+            target.extend([0] * (tensor.k * tensor.l))
+        sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
+                         tensor.pres.moduli, [d for p in augs for d in p.moduli])
+        if sol is None:
+            return None
+        z.append(sol)
+    return tuple(z)
 
 
 def invariant_ring_by_all_kernels(beta):
