@@ -8,22 +8,22 @@ partial action alpha of the quotient group S/sigma
 (`validate_partial_group_action`) and the zero case's partial semigroup
 and groupoid actions (in `zerocase`) are Actions too, so alpha's trace
 and Galois system are beta's definitions read on alpha.  On top of
-validation this module computes the invariant subring, the plain and
-sigma-twisted trace maps, alpha for E-unitary injective actions,
-restriction to full subsemigroups, the action of a closed set of isos on
-its own table (`iso_action`) and the image action through it, and scalar
-extension along a base-ring map (presented tensor, not an atom ring).
+validation this module computes the invariant subring (`fixed_ring`, the
+one solve behind A^beta and A^{beta|T}), the plain and sigma-twisted trace
+maps, alpha for E-unitary injective actions, restriction to full
+subsemigroups, and the action of a closed set of isos on its own table
+(`iso_action`) and the image action through it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from . import isopu
 from .linalg import cols_from_vectors, kernel_gens, residues
-from .rings import AtomMismatch, Block, RingElement, Subalgebra, tensor_presentation
+from .rings import AtomMismatch, Block, Subalgebra
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
                          linked_classes, remembered, restrict_table, sigma_partition,
                          validate_table)
@@ -54,10 +54,6 @@ class NotInjective(ActionError):
 
 
 class NotFullSub(ActionError):
-    pass
-
-
-class NotGalois(ActionError):
     pass
 
 
@@ -285,14 +281,25 @@ def _invariant_ring(beta):
     return fixed_ring(beta.A, beta.isos)
 
 
-def fixed_points(pres, maps):
-    """Generators of the common kernel of `maps` on the group `pres` presents,
-    the one solve behind A^beta, A^{beta|T} and the scalar extension's
-    invariants.  A map sends integer vectors to integer vectors, additively up
-    to the lattice, and the lattice into itself.  Each map's kernel is solved
-    on the span the maps before it left, mod each vector's `vector_order`."""
+def _defect(iso):
+    """The map vec -> f(vec 1_dom) - vec 1_im of the iso f."""
+    A, support = iso.ring, iso.im_support
+    return lambda vec: A.sub_vec(iso.apply_vec(vec), A.mask_vec(vec, support))
+
+
+def fixed_ring(A, isos):
+    """{a : f(a 1_dom) = a 1_im for the isos f, in order}, a unital subalgebra
+    (checked) for the isos of a unital action or of a full T.
+
+    This is the one solve behind A^beta and A^{beta|T}: the common kernel of
+    the isos' `_defect` maps on the group `A.presentation`.  A map sends
+    integer vectors to integer vectors, additively up to the lattice, and the
+    lattice into itself.  Each map's kernel is solved on the span the maps
+    before it left, mod each vector's `vector_order`."""
+    pres = A.presentation
     current = pres.generator_vectors()
-    for f in maps:
+    for iso in isos:
+        f = _defect(iso)
         cols = [f(v) for v in current]
         if not any(map(any, cols)):  # an idempotent's map, or one fixing the span
             continue
@@ -302,19 +309,7 @@ def fixed_points(pres, maps):
         current = residues([span.apply(coeffs) for coeffs in ker], pres.moduli)
         if not current:
             break
-    return current
-
-
-def _defect(iso):
-    """The map vec -> f(vec 1_dom) - vec 1_im of the iso f."""
-    A, support = iso.ring, iso.im_support
-    return lambda vec: A.sub_vec(iso.apply_vec(vec), A.mask_vec(vec, support))
-
-
-def fixed_ring(A, isos):
-    """{a : f(a 1_dom) = a 1_im for the isos f, in order}, a unital subalgebra
-    (checked) for the isos of a unital action or of a full T."""
-    sub = Subalgebra(A, fixed_points(A.presentation, [_defect(iso) for iso in isos]))
+    sub = Subalgebra(A, current)
     if not sub.is_subalgebra():
         raise AssertionError("invariants failed to be a unital subalgebra")
     return sub
@@ -457,21 +452,6 @@ def sigma_trace(beta, a):
     return trace_map(induce_partial_group_action(beta), a)
 
 
-def verify_class_join_group(beta):
-    """The class joins under 'unique element above the composite' form a
-    group isomorphic to S/sigma, via sigma(s) -> join over sigma(s).
-
-    Returns True, or raises AssertionError.
-    """
-    alpha = induce_partial_group_action(beta)
-    joins = list(alpha.isos)
-    if len(set(joins)) != len(joins):
-        raise AssertionError("class joins collide; G' smaller than S/sigma")
-    if isopu.join_product_table(joins) != alpha.S.table:
-        raise AssertionError("the product of class joins is not that of S/sigma")
-    return True
-
-
 def sigma_trace_image(beta):
     """The additive image tr^sigma(A) as a Subalgebra (it lands in A^beta)."""
     A, isos = beta.A, induce_partial_group_action(beta).isos
@@ -501,93 +481,3 @@ def image_action(beta):
     if invariant_ring(beta_img) != invariant_ring(beta):
         raise AssertionError("image action changed the invariant ring")
     return beta_img, tuple(proj)
-
-
-class ScalarExtension:
-    """The action on R (x)_{A^beta} A induced by beta, on a presentation.
-
-    Coordinate (i, j) of `pres` is r_i (x) e_j for the k generators r_i of
-    R as a subalgebra (A^beta's own, or a given ring's coordinate basis) and
-    the coordinate basis e_j of A, so 1 (x) f is f (`apply_vec`) on each slice
-    of l coordinates, reduced mod A's m_j, which each gcd(ord r_i, m_j) divides.
-    The extension is never rebuilt as an atom ring; every Galois re-test works
-    on the presented group, like the in-ring tensors.
-    """
-
-    def __init__(self, beta, pres, k):
-        self.beta, self.pres, self.k, self.l = beta, pres, k, beta.A.n_coords
-
-    def _on_slices(self, f, z):
-        """z with the map f, which keeps 0, applied to each of its k slices."""
-        slices = (z[i:i + self.l] for i in range(0, len(z), self.l))
-        return tuple(x for s in slices for x in (f(s) if any(s) else s))
-
-    def act(self, iso, z):
-        """(1 (x) f) applied to z masked into the domain ideal of f."""
-        return self._on_slices(iso.apply_vec, z)
-
-    def r_image_canon(self):
-        """The subgroup R (x) 1, spanned by r_i (x) 1."""
-        zero = (0,) * self.l
-        return self.pres.subgroup_canon([zero * i + self.beta.A.one_vec + zero * (self.k - 1 - i)
-                                         for i in range(self.k)])
-
-    def invariants_canon(self):
-        """Fixed subgroup of the extended action: the `fixed_points` of
-        z -> (1 (x) beta_s) z - (1 (x) 1_s) z, over s in order."""
-        maps = [partial(self._on_slices, _defect(iso)) for iso in self.beta.isos]
-        return self.pres.subgroup_canon(fixed_points(self.pres, maps))
-
-    def sigma_trace_vec(self, z):
-        """The sum over g of (1 (x) alpha_g) z for beta's induced alpha: a trace per slice."""
-        isos = induce_partial_group_action(self.beta).isos
-        return self._on_slices(partial(_trace_vec, self.beta.A, isos), z)
-
-
-def _check_structural_map(R, inv, images):
-    """The images in R of inv's generators must define a unital ring map A^beta -> R."""
-    A = inv.ring
-    phi = cols_from_vectors(images, R.n_coords)
-
-    def image(vec):
-        return phi.apply(inv.expand(vec))
-
-    if not R.presentation.eq(image(A.one_vec), R.one_vec):
-        raise ActionError("structural map must send 1 to 1")
-    for cu, u in zip(images, inv.gen_vectors):
-        for cv, v in zip(images, inv.gen_vectors):
-            if not R.presentation.eq(image(A.mul_vec(u, v)), R.mul_vec(cu, cv)):
-                raise ActionError("structural map is not multiplicative")
-
-
-def extend_scalars(beta, R=None, structural_images=None):
-    """Scalar extension R (x)_{A^beta} A with the induced action data.
-
-    R is a FiniteRing and `structural_images`, one per generator b of
-    A^beta, are RingElements of R or coordinate vectors over R; with both
-    omitted R is A^beta and the map the inclusion.  One path builds every
-    case: `tensor_presentation` of R and A, b acting as its image on R.
-    beta is first checked by the fixed-atom rule (the galois module
-    re-tests the extension afterwards).
-    """
-    if fixed_atom_violation(beta) is not None:
-        raise NotGalois("scalar extension is stated for Galois actions")
-    if (R is None) != (structural_images is None):
-        raise ActionError("R and its structural images come together")
-    inv = invariant_ring(beta)
-    base, images = inv, inv.gen_vectors
-    if R is not None:
-        if any(isinstance(img, RingElement) and img.ring != R for img in structural_images):
-            raise AtomMismatch("structural images from a ring other than R")
-        images = [img.vec() if isinstance(img, RingElement) else tuple(int(x) for x in img)
-                  for img in structural_images]
-        if len(images) != len(inv.gen_vectors):
-            raise ActionError("one image in R per invariant-ring generator")
-        if any(len(img) != R.n_coords for img in images):
-            raise ActionError("structural images are coefficient vectors over R")
-        _check_structural_map(R, inv, images)
-        base = Subalgebra.full(R)
-    full = Subalgebra.full(beta.A)
-    pres = tensor_presentation(base, full, [(base.mult_matrix(img), full.mult_matrix(b))
-                                            for b, img in zip(inv.gen_vectors, images)])
-    return ScalarExtension(beta, pres, len(base.gen_vectors))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import isopu
-from .actions import AxiomFail, iso_action, validate_action
+from .actions import iso_action, validate_action
 from .rings import Atom, FiniteRing, StructuredIso, TooLarge
 from .semigroups import saturate_presentation, validate_table
 
@@ -74,50 +74,6 @@ def c2_swap_fixture():
     return validate_action(S, A, [StructuredIso.identity_on(A, {0, 1}), swap])
 
 
-def c2_fixed_atom_fixture():
-    """C2 swapping two F_2 atoms while fixing a third: injective but not Galois.
-
-    The trace doubles (hence kills) the fixed characteristic-2 atom, so the
-    trace image is a proper subring of the invariants.
-    """
-    S = c2_table()
-    A = FiniteRing([Atom.zmod(2), Atom.zmod(2), Atom.zmod(2)])
-    g = StructuredIso(A, {0: 1, 1: 0, 2: 2}, {})
-    return validate_action(S, A, [StructuredIso.identity_on(A, {0, 1, 2}), g])
-
-
-def chain_semilattice_fixture():
-    """The 2-chain semilattice acting by identities on F_3 x F_3."""
-    S = validate_table([[0, 1], [1, 1]], names=["1", "e"])
-    A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-    return validate_action(S, A, [StructuredIso.identity_on(A, {0, 1}),
-                                  StructuredIso.identity_on(A, {0})])
-
-
-def collapsing_semilattice_fixture():
-    """Both idempotents act as Id_A: valid but not injective."""
-    S = validate_table([[0, 1], [1, 1]], names=["1", "e"])
-    A = FiniteRing([Atom.zmod(3)])
-    ident = StructuredIso.identity_on(A, {0})
-    return validate_action(S, A, [ident, ident])
-
-
-def non_e_unitary_monoid():
-    """{1, g, e} with g^2 = 1 and ge = eg = e: e <= g breaks E-unitarity."""
-    return validate_table([[0, 1, 2], [1, 0, 2], [2, 2, 2]], names=["1", "g", "e"])
-
-
-def trace_gap_fixture():
-    """C2 on Z/5 x GF(9) by identity x Frobenius: not Galois, yet the trace
-    image equals the invariants (2 is invertible mod 5, so doubling the
-    fixed atom stays surjective).  The minimal witness that the trace-image
-    test alone cannot decide Galois-ness."""
-    S = c2_table()
-    A = FiniteRing([Atom.zmod(5), Atom.gf(3, 2, (1, 0, 1))])
-    g = StructuredIso(A, {0: 0, 1: 1}, {1: 1})
-    return validate_action(S, A, [StructuredIso.identity_on(A, {0, 1}), g])
-
-
 def b2_table():
     """The combinatorial Brandt semigroup: 2x2 matrix units with zero."""
     # elements: 0=E11, 1=E12, 2=E21, 3=E22, 4=zero
@@ -143,16 +99,6 @@ def b2_swap_fixture():
         by_name["0"]: StructuredIso.empty(A),
     }
     return validate_action(S, A, [isos[i] for i in range(S.n)])
-
-
-def group_with_zero_fixture():
-    """C2 with an adjoined zero acting on F_3 x F_3 (swap), zero on 0."""
-    S = validate_table([[0, 1, 2], [1, 0, 2], [2, 2, 2]], zero=2, names=["1", "g", "0"])
-    A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-    isos = [StructuredIso.identity_on(A, {0, 1}),
-            StructuredIso(A, {0: 1, 1: 0}, {}),
-            StructuredIso.empty(A)]
-    return validate_action(S, A, isos)
 
 
 # -- random corpus -----------------------------------------------------------
@@ -260,129 +206,3 @@ def corpus(seed, count, predicate=None, max_draws=50_000, **kw):
     if len(out) < count:
         raise TooLarge(f"corpus generation stalled at {len(out)}/{count}")
     return out
-
-
-# -- zero-case corpus ---------------------------------------------------------
-
-SMALL_GROUPS = {
-    "C1": [[0]],
-    "C2": [[0, 1], [1, 0]],
-    "C3": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
-}
-
-
-def disjoint_union(comps, prefix):
-    """The disjoint union of groupoids, numbered component by component and
-    named prefix + index, as `validate_groupoid` returns it."""
-    from .zerocase import validate_groupoid
-    n = sum(g.n for g in comps)
-    product = [[None] * n for _ in range(n)]
-    offset = 0
-    for g in comps:
-        for a in range(g.n):
-            for b in range(g.n):
-                if g.defined(a, b):
-                    product[offset + a][offset + b] = offset + g.mul(a, b)
-        offset += g.n
-    return validate_groupoid(n, product, [f"{prefix}{i}" for i in range(n)])
-
-
-def random_groupoid(rng: random.Random):
-    """A disjoint union of one or two connected groupoids (pair groupoid on
-    one to three objects x small group)."""
-    from .zerocase import connected_groupoid
-    comps = []
-    for _ in range(rng.randint(1, 2)):
-        gname = rng.choice(list(SMALL_GROUPS))
-        objects = rng.randint(1, 3)
-        comps.append(connected_groupoid(SMALL_GROUPS[gname], objects))
-    return disjoint_union(comps, "c")
-
-
-def random_primitive_semigroup(rng: random.Random):
-    from .zerocase import groupoid_to_primitive
-    return groupoid_to_primitive(random_groupoid(rng))
-
-
-def random_orthogonal_groupoid_action(rng: random.Random):
-    """A validated (orthogonal, possibly partial) groupoid action on atoms.
-
-    Each connected component gets one atom type and one atom per object;
-    morphisms match atoms positionally with coboundary twists, which makes
-    composition exact; with probability 0.6 everything is restricted to a
-    random central idempotent.
-    """
-    from .zerocase import connected_groupoid, validate_partial_groupoid_action
-    kinds = [("zmod", 3, 1), ("zmod", 2, 2), ("gf", 3, 2), ("gf", 2, 2), ("zmod", 5, 1)]
-    comps = []
-    atom_list = []
-    iso_specs = []
-    for _ in range(rng.randint(1, 2)):
-        gname = rng.choice(list(SMALL_GROUPS))
-        gtab = SMALL_GROUPS[gname]
-        objects = rng.randint(1, 2)
-        kind, p, k = rng.choice(kinds)
-        atom = Atom.zmod(p, k) if kind == "zmod" else Atom.gf(p, k)
-        twist_mod = k if kind == "gf" else 1
-        f = [rng.randrange(twist_mod) for _ in range(objects)]
-        comps.append(connected_groupoid(gtab, objects))
-        base = len(atom_list)
-        atom_list.extend([atom] * objects)
-        # element order inside connected_groupoid: (g, i, j) lexicographic
-        elems = [(g, i, j) for g in range(len(gtab)) for i in range(objects)
-                 for j in range(objects)]
-        for (g, i, j) in elems:
-            iso_specs.append(({base + i: base + j},
-                              {base + i: (f[j] - f[i]) % twist_mod} if twist_mod > 1 else {}))
-    ring = FiniteRing(atom_list)
-    G = disjoint_union(comps, "g")
-    isos = [StructuredIso(ring, m, t) for m, t in iso_specs]
-    if rng.random() < 0.6:
-        keep = frozenset(i for i in range(len(ring.atoms)) if rng.random() < 0.7)
-        restricted = []
-        for iso in isos:
-            matching = {i: j for i, j in iso.matching.items() if i in keep and j in keep}
-            twist = {i: iso.twist[i] for i in matching}
-            restricted.append(StructuredIso(ring, matching, twist))
-        isos = restricted
-    try:  # a restriction may break the PGr0 cover axiom or the PGr range axiom
-        return validate_partial_groupoid_action(G, ring, isos)
-    except AxiomFail:
-        return None
-
-
-def groupoid_action_corpus(seed, count, max_draws=10_000):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(max_draws):
-        if len(out) >= count:
-            break
-        gamma = random_orthogonal_groupoid_action(rng)
-        if gamma is not None:
-            out.append(gamma)
-    if len(out) < count:
-        raise TooLarge(f"groupoid action corpus stalled at {len(out)}/{count}")
-    return out
-
-
-def non_categorical_semilattice():
-    """A meet semilattice with zero violating categoricity: e^f, f^g nonzero
-    but e^f^g = 0."""
-    # elements: 0, m1, m2, e, f, g with m1 <= e, f and m2 <= f, g
-    order = ["0", "m1", "m2", "e", "f", "g"]
-    below = {
-        "0": {"0"},
-        "m1": {"0", "m1"}, "m2": {"0", "m2"},
-        "e": {"0", "m1", "e"}, "g": {"0", "m2", "g"},
-        "f": {"0", "m1", "m2", "f"},
-    }
-
-    def meet(x, y):
-        common = below[x] & below[y]
-        best = [c for c in common if all(o in below[c] for o in common)]
-        (m,) = best
-        return m
-
-    idx = {x: i for i, x in enumerate(order)}
-    table = [[idx[meet(x, y)] for y in order] for x in order]
-    return validate_table(table, zero=0, names=order)

@@ -674,19 +674,3 @@ def is_galois(beta):
     `cross_check_equivalences` checks against the criteria."""
     return fixed_atom_violation(beta) is None
 
-
-def scalar_extension_is_galois(ext):
-    """Re-test Galois-ness of a scalar extension on its presentation.
-
-    Checks the trace criterion for the extended action and that the
-    invariants coincide with the image of the base ring R.
-    """
-    induce_partial_group_action(ext.beta)  # its precondition raises before the solve
-    inv_canon = ext.invariants_canon()
-    r_canon = ext.r_image_canon()
-    if inv_canon != r_canon:
-        return False
-    gens = ext.pres.generator_vectors()
-    traces = [ext.sigma_trace_vec(z) for z in gens]
-    trace_canon = ext.pres.subgroup_canon(traces)
-    return trace_canon == r_canon

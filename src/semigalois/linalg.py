@@ -51,10 +51,6 @@ class Matrix:
             out[i] = v
         return tuple(out)
 
-    def tolist(self):
-        """The dense rows."""
-        return [[c.get(i, 0) for c in self.cols] for i in range(self.rows)]
-
     def apply(self, vec):
         """The product with the integer vector `vec`, as a tuple."""
         out = [0] * self.rows
@@ -76,15 +72,6 @@ class Matrix:
                     col[i] = col.get(i, 0) + x * v
             cols.append({i: v for i, v in col.items() if v})
         return Matrix(self.rows, cols)
-
-
-def hstack(blocks):
-    """The blocks side by side, sharing their column dicts; each must have as
-    many rows as the first."""
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("row mismatch in block stack")
-    return Matrix(rows, [c for b in blocks for c in b.cols])
 
 
 def vstack(blocks):
@@ -443,9 +430,6 @@ class AbelianPresentation:
     def is_zero(self, vec):
         return lattice_member(self.lattice, vec)
 
-    def eq(self, u, v):
-        return self.is_zero([a - b for a, b in zip(u, v)])
-
     def zero(self):
         return (0,) * self.n
 
@@ -454,10 +438,3 @@ class AbelianPresentation:
         lattice that contains L (L itself by default)."""
         return lattice_canon(cols_from_vectors(list(gens), self.n), self.moduli,
                              self.lattice if basis is None else basis)
-
-    def subgroup_order(self, gens):
-        # |(span(gens)+L)/L| = [Z^n : L] / [Z^n : span(gens)+L]
-        return self.order() // lattice_det(self.subgroup_canon(gens))
-
-    def invariants(self):
-        return snf_invariants(self.lattice)

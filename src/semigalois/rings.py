@@ -280,9 +280,6 @@ class FiniteRing:
     def one(self):
         return self.from_vec(self.one_vec)
 
-    def idempotent(self, support):
-        return self.from_vec(self.idempotent_vec(support))
-
     def idempotent_vec(self, support):
         """The indicator of a set of atoms as a coordinate vector, kept per set."""
         support = frozenset(support)
@@ -359,29 +356,12 @@ class FiniteRing:
             out[lo:hi] = u[lo:hi]
         return tuple(out)
 
-    def mult_matrix(self, vec):
-        """Additive matrix of multiplication by the element with coords `vec`."""
-        cols = [self.mul_vec(vec, b) for b in self.basis_vectors()]
-        return cols_from_vectors(cols, self.n_coords)
-
     # -- enumeration ------------------------------------------------------
 
     def elements(self):
         spend("elements", self.size)
         for vec in itertools.product(*[range(m) for m in self.coord_moduli]):
             yield RingElement(self, vec)
-
-    def all_supports(self):
-        idx = range(len(self.atoms))
-        return [frozenset(s) for r in range(len(self.atoms) + 1) for s in itertools.combinations(idx, r)]
-
-    def enumerate_central_idempotents(self):
-        """All central idempotents: exactly the support indicators."""
-        return [self.idempotent(s) for s in sorted(self.all_supports(), key=sorted_support_key)]
-
-
-def sorted_support_key(s):
-    return (len(s), tuple(sorted(s)))
 
 
 class RingElement:
@@ -611,10 +591,6 @@ class Subalgebra:
         sub._is_subalgebra = True
         return sub
 
-    @staticmethod
-    def span_of_elements(ring, elements):
-        return Subalgebra(ring, [e.vec() for e in elements])
-
     def __eq__(self, other):
         return (isinstance(other, Subalgebra) and self.ring == other.ring
                 and self.basis == other.basis)
@@ -631,9 +607,6 @@ class Subalgebra:
 
     def member_vec(self, vec):
         return lattice_member(self.basis, vec)
-
-    def member(self, el):
-        return self.member_vec(el.vec())
 
     def generators(self):
         return [self.ring.from_vec(v) for v in self.gen_vectors]
@@ -854,25 +827,15 @@ class Block:
         return part
 
 
-def tensor_presentation(M, N, actions):
-    """M (x) N for subalgebras M, N of one ring or two, as an abelian group.
-
-    Generator pair (i, j) sits at i * l + j, of order the gcd of the two
-    `orders`; relations are each side's `relations` and the nonzero columns of
-    E (x) I_l - I_k (x) F per (E, F) in `actions`: a base generator on M and on N.
-    """
-    k, l = len(M.orders), len(N.orders)
-    rel_cols = [{i * l + j: x for i, x in enumerate(c) if x} for c in M.relations for j in range(l)]
-    rel_cols += [{i * l + j: x for j, x in enumerate(c) if x} for c in N.relations for i in range(k)]
-    rel_cols += [c for E, F in actions for c in kron_difference(E, F).cols if c]
-    return AbelianPresentation([math.gcd(a, b) for a in M.orders for b in N.orders],
-                               Matrix(k * l, rel_cols))
-
-
 class TensorPresentation:
     """M (x)_R N for subalgebras R <= M, N of one ring, as an abelian group.
 
-    The group is `tensor_presentation` with R's generators acting on both sides.
+    Generator pair (i, j) sits at i * l + j, of order the gcd of the two
+    `orders`; relations are each side's `relations` and the nonzero columns of
+    E (x) I_l - I_k (x) F per generator r of R, with E, F the matrices of
+    multiplication by r on M and on N.  When N is M and E is c times the
+    identity, column (i, j) is (E_ii - E_jj) e_(i,j) = 0, so that block is
+    not built: r = 1, or a multiple of 1 on Z/p^k, gives no relation.
     Multiplication and the two module actions are carried as integer
     matrices on the generators, from each factor's `expand` and
     `mult_matrix`, so a factor's are computed once however many tensors
@@ -898,9 +861,17 @@ class TensorPresentation:
                     checked.append(sub)
         self.M, self.N, self.R = M, N, R
         self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
-        self.k, self.l = len(self.mg), len(self.ng)
-        self.pres = tensor_presentation(M, N, [(M.mult_matrix(r), N.mult_matrix(r))
-                                               for r in R.gen_vectors])
+        self.k, self.l = k, l = len(self.mg), len(self.ng)
+        rel_cols = [{i * l + j: x for i, x in enumerate(c) if x} for c in M.relations for j in range(l)]
+        rel_cols += [{i * l + j: x for j, x in enumerate(c) if x} for c in N.relations for i in range(k)]
+        for r in R.gen_vectors:
+            E, F = M.mult_matrix(r), N.mult_matrix(r)
+            c = E.cols[0].get(0)
+            if E is F and all(col == {i: c} for i, col in enumerate(E.cols)):
+                continue
+            rel_cols += [col for col in kron_difference(E, F).cols if col]
+        self.pres = AbelianPresentation([math.gcd(a, b) for a in M.orders for b in N.orders],
+                                        Matrix(k * l, rel_cols))
 
     def index(self, i, j):
         return i * self.l + j
@@ -958,13 +929,6 @@ class TensorPresentation:
             cols.append({s: x for s, x in out.items() if x})
         return Matrix(len(self.free_pairs), cols)
 
-    def pure(self, m_el, n_el):
-        """Coordinates of m (x) n for ring elements m in M, n in N."""
-        col = [0] * (self.k * self.l)
-        for p, x in self.pure_terms(m_el, n_el):
-            col[p] += x
-        return tuple(col)
-
     def pure_terms(self, m_el, n_el):
         """The (coordinate, coefficient) terms of m (x) n: the products of the
         two expansions."""
@@ -1007,17 +971,11 @@ class TensorPresentation:
         When N is M the two sides share their matrices, so F is E."""
         return self.N.mult_matrix(b_vec)
 
-    def mult_difference(self, b_vec):
-        """Matrix of z -> ((b (x) 1) - (1 (x) b)) * z on tensor coordinates, b in M and in N.
-
-        This is E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`:
-        coordinate (i, j) is generator pair (mg[i], ng[j]).
-        """
-        return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
-
     def free_mult_difference(self, b_vec):
-        """`mult_difference(b)` on the free pairs alone: its columns at the
-        free pairs, each rewritten onto the free pairs (`onto_free_pairs`).
+        """The matrix of z -> ((b (x) 1) - (1 (x) b)) * z, E (x) I_l - I_k (x) F
+        with E, F = `left_factor(b)`, `right_factor(b)`, on the free pairs
+        alone: its columns at the free pairs, each rewritten onto the free
+        pairs (`onto_free_pairs`).
         Column (i, j) is zero unless column i of E or column j of F is not,
         so only those columns are built."""
         E, F = self.left_factor(b_vec), self.right_factor(b_vec)
@@ -1027,9 +985,6 @@ class TensorPresentation:
         for p, col in zip(live, self.onto_free_pairs(kron_difference(E, F, live)).cols):
             cols[pos[p]] = col
         return Matrix(len(pos), cols)
-
-    def eq(self, z, w):
-        return self.pres.eq(z, w)
 
     def is_zero(self, z):
         return self.pres.is_zero(z)

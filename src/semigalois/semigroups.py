@@ -4,7 +4,7 @@ Tables are dense n x n index matrices.  Validation checks associativity,
 regularity and commuting idempotents (which together force unique
 inverses), plus the zero axiom when a zero is declared.  On top of the
 table: the natural partial order, the compatibility relation, quotients by
-a congruence (the minimum group congruence sigma among them), meets/joins,
+a congruence (the minimum group congruence sigma among them), joins,
 full inverse subsemigroups, and a saturation routine that closes a
 generators+relations presentation into a table.
 """
@@ -45,10 +45,6 @@ class CharacterizationMismatch(AssertionError):
 
 
 class NotCompatibleSet(SemigroupError):
-    pass
-
-
-class NotFull(SemigroupError):
     pass
 
 
@@ -131,14 +127,6 @@ def validate_table(raw, zero=None, names=None):
     src = [table[inv[s]][s] for s in range(n)]
     leq = tuple(tuple(table[t][src[s]] == s for t in range(n)) for s in range(n))
     return InverseSemigroup(table, tuple(inv), zero, names, idems, leq)
-
-
-def idempotents(S):
-    return sorted(S.idempotents)
-
-
-def natural_leq(S, s, t):
-    return S.leq[s][t]
 
 
 def compatible(S, s, t):
@@ -272,15 +260,6 @@ def _is_e_unitary(S):
     return via_order
 
 
-def meet(S, s, t):
-    """The order-theoretic meet under the natural order, or None."""
-    lower = [w for w in range(S.n) if S.leq[w][s] and S.leq[w][t]]
-    for w in lower:
-        if all(S.leq[c][w] for c in lower):
-            return w
-    return None
-
-
 def join_of(S, P):
     """The least upper bound of P, or None; P must be pairwise compatible."""
     P = sorted(set(P))
@@ -361,36 +340,6 @@ def enumerate_full_inverse_subsemigroups(S):
     return sorted((SubSemigroup(S, m) for m in found), key=lambda t: t.bitmask())
 
 
-def restricted_product(S, s, t):
-    """s . t, defined exactly when s^{-1} s = t t^{-1}."""
-    if S.table[S.inv[s]][s] != S.table[t][S.inv[t]]:
-        return None
-    return S.table[s][t]
-
-
-def equiv_T(S, T, s, u):
-    """s ==_T u iff the restricted product u^{-1} . s exists and lies in T."""
-    if not T.is_full:
-        raise NotFull("the relation needs a full subsemigroup")
-    prod = restricted_product(S, S.inv[u], s)
-    return prod is not None and prod in T.members
-
-
-def verify_equiv_T_is_equivalence(S, T):
-    rel = {(s, u) for s in range(S.n) for u in range(S.n) if equiv_T(S, T, s, u)}
-    for s in range(S.n):
-        if (s, s) not in rel:
-            return False
-    for s, u in rel:
-        if (u, s) not in rel:
-            return False
-    for s, u in rel:
-        for v in range(S.n):
-            if (u, v) in rel and (s, v) not in rel:
-                return False
-    return True
-
-
 def restrict_table(S, members):
     """Table of the subsemigroup on its own indices, plus the index map."""
     order = sorted(members)
@@ -399,15 +348,6 @@ def restrict_table(S, members):
     zero = index[S.zero] if S.zero is not None and S.zero in members else None
     names = [S.names[s] for s in order]
     return validate_table(table, zero=zero, names=names), order
-
-
-def direct_product(S1, S2):
-    pairs = [(a, b) for a in range(S1.n) for b in range(S2.n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    table = [[index[(S1.table[a1][b1], S2.table[a2][b2])] for (b1, b2) in pairs]
-             for (a1, a2) in pairs]
-    names = [f"({S1.names[a]},{S2.names[b]})" for a, b in pairs]
-    return validate_table(table, names=names)
 
 
 # -- generators and relations ------------------------------------------------

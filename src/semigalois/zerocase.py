@@ -29,10 +29,6 @@ class NotPrimitive(SemigroupError):
     pass
 
 
-class NotStronglyCompatible(SemigroupError):
-    pass
-
-
 class GroupoidError(Exception):
     pass
 
@@ -134,30 +130,6 @@ def _is_primitive(S):
             if s != t and s != z and t != z and S.leq[s][t]:
                 return False
     return True
-
-
-def is_zero_restricted_partition(S, projection):
-    z_class = projection[S.zero]
-    return sum(1 for s in range(S.n) if projection[s] == z_class) == 1
-
-
-def meet_formulas_check(S, s, t):
-    """For strongly compatible nonzero s, t: s^t = ss^{-1}t with the
-    displayed idempotent identities."""
-    _require_zero(S)
-    if not strongly_compatible(S, s, t) or s == S.zero:
-        raise NotStronglyCompatible(f"{S.names[s]}, {S.names[t]}")
-    from .semigroups import meet
-    w = S.table[S.table[s][S.inv[s]]][t]
-    if w == S.zero:
-        return False
-    if meet(S, s, t) != w:
-        return False
-    lhs1 = S.table[w][S.inv[w]]
-    rhs1 = S.table[S.table[s][S.inv[s]]][S.table[t][S.inv[t]]]
-    lhs2 = S.table[S.inv[w]][w]
-    rhs2 = S.table[S.table[S.inv[s]][s]][S.table[S.inv[t]][t]]
-    return lhs1 == rhs1 and lhs2 == rhs2
 
 
 # -- groupoids ----------------------------------------------------------------
@@ -264,22 +236,6 @@ def groupoid_to_primitive(G: Groupoid):
     if not is_primitive(S):
         raise NotPrimitive("groupoid with zero adjoined failed primitivity")
     return S
-
-
-def connected_groupoid(group_table, objects, names=None):
-    """The groupoid (objects x objects) x Gamma: (g,i,j)(h,j,k) = (gh,i,k)."""
-    m = len(group_table)
-    elems = [(g, i, j) for g in range(m) for i in range(objects) for j in range(objects)]
-    index = {e: k for k, e in enumerate(elems)}
-    n = len(elems)
-    product = [[None] * n for _ in range(n)]
-    for a, (g, i, j) in enumerate(elems):
-        for b, (h, j2, k) in enumerate(elems):
-            if j == j2:
-                product[a][b] = index[(group_table[g][h], i, k)]
-    if names is None:
-        names = [f"({g};{i}->{j})" for g, i, j in elems]
-    return validate_groupoid(n, product, names)
 
 
 # -- partial actions and their conversion (PIS <-> PGr) -----------------------

@@ -30,13 +30,9 @@ coset (`subalgebras_by_coset_scan`), the four action-axiom validators with
 their own loops (`validate_action_by_own_loops`,
 `validate_partial_group_action_by_own_loops`,
 `validate_partial_semigroup_action_by_own_loops`,
-`validate_partial_groupoid_action_by_own_loops`), and scalar extension on
-its own presented base and relation loops (`extend_scalars_by_loops`,
-re-tested by `scalar_extension_is_galois_by_loops`), and its iso application
-as block-diagonal copies of an iso's matrix with the fixed subgroup from one
-stacked kernel (`ScalarExtensionByMatrices`, on `iso_matrix_by_polynomials`),
-and the polynomial element route (`atom_mul`, `atom_frobenius` and the
-element and iso helpers built on them) that the coordinate kernel replaced,
+`validate_partial_groupoid_action_by_own_loops`), and the polynomial
+element route (`atom_mul`, `atom_frobenius` and the element and iso
+helpers built on them) that the coordinate kernel replaced,
 with `verify_iso_extensional` on top of it; A^beta from one kernel for
 every s (`invariant_ring_by_all_kernels`).  Last, the Galois systems over
 the whole of A, as they were solved before each split into one block per
@@ -47,12 +43,28 @@ tensors' lattices and vectors in place on the whole tensor
 (`scatter_lattice`); and the three systems on every generator pair of each
 orbit tensor, before they were solved on its free pairs alone
 (`solve_coordinates_all_pairs`, `psi_image_canons_all_pairs`,
-`separable_all_pairs`).  Separability of any unital subalgebra B over R, on
+`separable_all_pairs`); and the tensor relations with the block of every
+generator of R built, scalar ones included (`tensor_presentation_every_block`).
+Separability of any unital subalgebra B over R, on
 `Block`s whose indicators lie in R (`orbit_tensors` and `is_separable`),
 is the general route the library kept only for A over A^beta; it solves
 each block through `galois.is_separable`.
+
+Scalar extension R (x)_{A^beta} A lives here alone: the paper's base-change
+statement is a test property, which no command decides.  Its two routes are
+held to each other: relation, action and mask loops on a presented base
+(`extend_scalars_by_loops`, re-tested by
+`scalar_extension_is_galois_by_loops`), and the action as block-diagonal
+copies of an iso's matrix with the fixed subgroup from one stacked kernel
+(`ScalarExtensionByMatrices`, on `iso_matrix_by_polynomials`).  The paper's
+properties that tests check and no decision reads live here too: the class
+joins form S/sigma (`verify_class_join_group`), the meet under the natural
+order (`meet`) and the direct product of two tables (`direct_product`).
+
 `dense` and `sparse` convert between the library's sparse `Matrix` and
-numpy object arrays for dense fixtures.
+numpy object arrays for dense fixtures; `hstack` puts matrices side by side
+and `mult_difference` is a tensor's E (x) I - I (x) F on every generator
+pair.
 """
 
 import itertools
@@ -60,12 +72,18 @@ import math
 
 import numpy as np
 
-from semigalois.linalg import cols_from_vectors
+from semigalois.linalg import Matrix, cols_from_vectors, kron_difference
 
 
 def dense(mat):
     """A `Matrix` as a 2-D numpy object array of Python ints."""
-    return np.array(mat.tolist(), dtype=object).reshape(mat.shape)
+    return np.array([[c.get(i, 0) for c in mat.cols] for i in range(mat.rows)],
+                    dtype=object).reshape(mat.shape)
+
+
+def hstack(blocks):
+    """The blocks side by side, sharing their column dicts."""
+    return Matrix(blocks[0].rows, [c for b in blocks for c in b.cols])
 
 
 def sparse(rows):
@@ -82,6 +100,20 @@ def kron_left(tensor, b_vec):
 def kron_right(tensor, b_vec):
     """Dense matrix of z -> (1 (x) b) * z: I_k (x) F with F = `right_factor(b)`."""
     return np.kron(np.eye(tensor.k, dtype=object), dense(tensor.right_factor(b_vec)))
+
+
+def pure(tensor, m, n):
+    """The coordinates of m (x) n on every generator pair of `tensor`."""
+    col = [0] * (tensor.k * tensor.l)
+    for p, x in tensor.pure_terms(m, n):
+        col[p] += x
+    return tuple(col)
+
+
+def mult_difference(tensor, b_vec):
+    """The `Matrix` of z -> ((b (x) 1) - (1 (x) b)) * z on every generator pair:
+    E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`."""
+    return kron_difference(tensor.left_factor(b_vec), tensor.right_factor(b_vec))
 
 
 class UnionFind:
@@ -299,7 +331,7 @@ def kernel_and_solve_by_echelon(mat, aug, in_moduli, target):
     the target's zero lattice, with the transform on mat's columns kept mod
     in_moduli.  Returns (kernel generators, one solution of mat @ x = target
     or None)."""
-    from semigalois.linalg import hstack, residues
+    from semigalois.linalg import residues
     work = [dict(c) for c in hstack([mat, aug]).cols]
     moduli = [int(d) for d in in_moduli]
     track, pivots, _ = sparse_echelon_by_sorted_scans(work, mat.rows, moduli)
@@ -392,7 +424,7 @@ def verify_idempotent_by_kron(tensor, z):
     for b in tensor.M.gen_vectors:
         left = kron_left(tensor, b).dot(zcol)
         right = kron_right(tensor, b).dot(zcol)
-        if not tensor.pres.eq(tuple(map(int, left.ravel())), tuple(map(int, right.ravel()))):
+        if not tensor.is_zero(tuple(map(int, (left - right).ravel()))):
             return False
     return True
 
@@ -898,8 +930,10 @@ def validate_partial_groupoid_action_by_own_loops(G, A, isos):
     return Action(G, A, isos)
 
 
-# Scalar extension on its own presented base, with its own relation loops,
-# before it was built on the tensor relations shared with `TensorPresentation`.
+# Scalar extension R (x)_{A^beta} A along a structural map A^beta -> R: the
+# paper's base-change statement, checked as a test property.  Two routes, held
+# to each other: relation, action and mask loops on a presented base, and the
+# action as block-diagonal iso matrices with one stacked kernel.
 
 
 class PresentedBaseByLoops:
@@ -1004,12 +1038,12 @@ class ScalarExtensionByLoops:
         from semigalois.actions import ActionError
         base, inv, A = self.base, self.invariants, self.beta.A
         got_one = base.combine(self.base_images, inv.expand(A.one().vec()))
-        if not base.pres.eq(got_one, base.one_coeffs):
+        if base.pres.canon(got_one) != base.pres.canon(base.one_coeffs):
             raise ActionError("structural map must send 1 to 1")
         for (cu, u) in zip(self.base_images, inv.gen_vectors):
             for (cv, v) in zip(self.base_images, inv.gen_vectors):
                 lhs = base.combine(self.base_images, inv.expand(A.mul_vec(u, v)))
-                if not base.pres.eq(lhs, base.mul_coeffs(cu, cv)):
+                if base.pres.canon(lhs) != base.pres.canon(base.mul_coeffs(cu, cv)):
                     raise ActionError("structural map is not multiplicative")
 
     def index(self, i, j):
@@ -1071,10 +1105,10 @@ class ScalarExtensionByLoops:
 
 
 class ScalarExtensionByMatrices:
-    """A scalar extension's action as it was applied before it went through
-    `apply_vec`: 1 (x) f as the block-diagonal I_k (x) (f's matrix), unreduced,
+    """The action on a scalar extension `ext` (a `ScalarExtensionByLoops`) by
+    matrices: 1 (x) f as the block-diagonal I_k (x) (f's matrix), unreduced,
     and the fixed subgroup from one kernel of I_k (x) (beta_s - 1_s), stacked
-    over s.  It reads the presentation of the extension `ext` it is held to."""
+    over s.  It reads the presentation of the extension it is held to."""
 
     def __init__(self, ext):
         self.beta, self.pres, self.k, self.l = ext.beta, ext.pres, ext.k, ext.l
@@ -1108,8 +1142,10 @@ class ScalarExtensionByMatrices:
 
 
 def scalar_extension_is_galois_by_loops(ext):
-    """The Galois re-test of `galois.scalar_extension_is_galois`, passing the
-    induced alpha to this module's `sigma_trace_vec`."""
+    """Re-test Galois-ness of a scalar extension on its presentation: its
+    invariants and its sigma-trace image are both the image of R.  The
+    induced alpha, which raises on a non-injective or non-E-unitary beta, is
+    built before any solve."""
     from semigalois.actions import induce_partial_group_action
     alpha = induce_partial_group_action(ext.beta)
     r_canon = ext.r_image_canon()
@@ -1120,8 +1156,9 @@ def scalar_extension_is_galois_by_loops(ext):
 
 
 def extend_scalars_by_loops(beta, R=None, structural_images=None, guard=1 << 14):
-    """The extension as `actions.extend_scalars` built it (the Galois precondition
-    is left to the caller)."""
+    """R (x)_{A^beta} A, with R = A^beta and the inclusion when both R and its
+    `structural_images` are omitted (the Galois precondition is left to the
+    caller)."""
     from semigalois.actions import invariant_ring
     from semigalois.rings import RingElement
     if R is None:
@@ -1246,7 +1283,8 @@ def verify_iso_extensional(iso, pair_limit=256):
         for comps in itertools.product(*parts):
             yield ring.element(comps)
 
-    if iso.apply(ring.idempotent(iso.dom_support)) != ring.idempotent(iso.im_support):
+    if (iso.apply(ring.from_vec(ring.idempotent_vec(iso.dom_support)))
+            != ring.from_vec(ring.idempotent_vec(iso.im_support))):
         return False
     basis = [ring.from_vec(b).mask(iso.dom_support) for b in ring.basis_vectors()]
     basis = [b for b in basis if b.support()]
@@ -1341,6 +1379,20 @@ class WholeTensorPresentation:
         return self.pres.is_zero(z)
 
 
+def tensor_presentation_every_block(M, N, R):
+    """M (x)_R N as `TensorPresentation` built it before it skipped a scalar
+    block: each side's relations, then every nonzero column of
+    E (x) I_l - I_k (x) F for every generator r of R."""
+    from semigalois.linalg import AbelianPresentation
+    k, l = len(M.orders), len(N.orders)
+    rel_cols = [{i * l + j: x for i, x in enumerate(c) if x} for c in M.relations for j in range(l)]
+    rel_cols += [{i * l + j: x for j, x in enumerate(c) if x} for c in N.relations for i in range(k)]
+    rel_cols += [c for r in R.gen_vectors
+                 for c in kron_difference(M.mult_matrix(r), N.mult_matrix(r)).cols if c]
+    return AbelianPresentation([math.gcd(a, b) for a in M.orders for b in N.orders],
+                               Matrix(k * l, rel_cols))
+
+
 def whole_full_tensor(beta):
     from semigalois.actions import invariant_ring
     from semigalois.rings import Subalgebra
@@ -1396,10 +1448,12 @@ def joined_tensor_vector(tensors, whole, parts):
 
 def solve_coordinates_whole(beta, isos, rhs_vectors):
     """The coordinate system sum_i x_i f(y_i 1) = rhs_f in one solve over A."""
-    from semigalois.linalg import block_diag, hstack, solve_cols, vstack
+    from semigalois.linalg import block_diag, solve_cols, vstack
+    from semigalois.rings import Subalgebra
     A = beta.A
     n = A.n_coords
-    mult_mats = [A.mult_matrix(v) for v in A.basis_vectors()]
+    full = Subalgebra.full(A)  # its generators are the unit vectors
+    mult_mats = [full.mult_matrix(v) for v in A.basis_vectors()]
     mat = vstack([hstack([m @ iso_matrix_by_polynomials(iso) for m in mult_mats]) for iso in isos])
     aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
@@ -1458,7 +1512,7 @@ def psi_check_whole(beta):
             family = {t: A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in maximal}
             images.append(tuple(family[t][i] for t in maximal for i in offsets[t][1]))
     pa_order = ambient.order() // lattice_det(subgroup)
-    image_order = ambient.subgroup_order(images)
+    image_order = ambient.order() // lattice_det(ambient.subgroup_canon(images))
     kernel_witness = cokernel_witness = None
     if image_order != tensor.order():
         mat = cols_from_vectors(images, len(ambient.moduli))
@@ -1558,14 +1612,16 @@ def solve_coordinates_all_pairs(beta, isos, rhs_vectors):
     unknown y_i[c]: block f of the system is each basis vector's
     multiplication matrix times f's matrix, from `apply_vec` on the basis.
     Builds no tensor."""
-    from semigalois.linalg import block_diag, hstack, solve_cols, vstack
+    from semigalois.linalg import block_diag, solve_cols, vstack
+    from semigalois.rings import Subalgebra
     A = beta.A
     ys = [None] * A.n_coords
     for block in beta.orbits:
         ring = block.ring
         n = ring.n_coords
         basis = ring.basis_vectors()
-        mult_mats = [ring.mult_matrix(v) for v in basis]
+        full = Subalgebra.full(ring)  # its generators are the unit vectors
+        mult_mats = [full.mult_matrix(v) for v in basis]
         iso_mats = [cols_from_vectors([block.iso(f).apply_vec(v) for v in basis], n)
                     for f in isos]
         mat = vstack([hstack([m @ f for m in mult_mats]) for f in iso_mats])
@@ -1621,7 +1677,7 @@ def separable_all_pairs(tensors):
         mats, augs = [tensor.mult_map_vec()], [block.ring.presentation]
         target = list(block.ring.one_vec)
         for b in tensor.M.algebra_generators(tensor.R):
-            mats.append(tensor.mult_difference(b))
+            mats.append(mult_difference(tensor, b))
             augs.append(tensor.pres)
             target.extend([0] * (tensor.k * tensor.l))
         sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
@@ -1659,7 +1715,8 @@ def iso_pu_elements(ring, max_count=200_000):
     for i, a in enumerate(atoms):
         by_type.setdefault(a, []).append(i)
     out = []
-    for dom in ring.all_supports():
+    for dom in (frozenset(s) for r in range(len(atoms) + 1)
+                for s in itertools.combinations(range(len(atoms)), r)):
         groups = {}
         for i in dom:
             groups.setdefault(atoms[i], []).append(i)
@@ -1687,3 +1744,42 @@ def upper_bounds(isos, universe):
     """All elements of `universe` lying above every member of `isos`."""
     from semigalois.isopu import natural_leq_iso
     return [u for u in universe if all(natural_leq_iso(f, u) for f in isos)]
+
+
+# -- paper properties that tests check and no decision reads -------------------
+
+
+def verify_class_join_group(beta):
+    """The class joins under 'unique element above the composite' form a
+    group isomorphic to S/sigma, via sigma(s) -> join over sigma(s).
+
+    Returns True, or raises AssertionError.
+    """
+    from semigalois import isopu
+    from semigalois.actions import induce_partial_group_action
+    alpha = induce_partial_group_action(beta)
+    joins = list(alpha.isos)
+    if len(set(joins)) != len(joins):
+        raise AssertionError("class joins collide; G' smaller than S/sigma")
+    if isopu.join_product_table(joins) != alpha.S.table:
+        raise AssertionError("the product of class joins is not that of S/sigma")
+    return True
+
+
+def meet(S, s, t):
+    """The order-theoretic meet under the natural order, or None."""
+    lower = [w for w in range(S.n) if S.leq[w][s] and S.leq[w][t]]
+    for w in lower:
+        if all(S.leq[c][w] for c in lower):
+            return w
+    return None
+
+
+def direct_product(S1, S2):
+    from semigalois.semigroups import validate_table
+    pairs = [(a, b) for a in range(S1.n) for b in range(S2.n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    table = [[index[(S1.table[a1][b1], S2.table[a2][b2])] for (b1, b2) in pairs]
+             for (a1, a2) in pairs]
+    names = [f"({S1.names[a]},{S2.names[b]})" for a, b in pairs]
+    return validate_table(table, names=names)

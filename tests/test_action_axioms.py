@@ -17,9 +17,9 @@ import string
 import pytest
 
 import oracles
+from fixtures import groupoid_action_corpus
 from semigalois import actions as ac, isopu, zerocase as zc
-from semigalois.corpus import (b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture,
-                               groupoid_action_corpus)
+from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.rings import Atom, FiniteRing, StructuredIso
 from semigalois.semigroups import InverseSemigroup, is_e_unitary
 

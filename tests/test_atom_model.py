@@ -21,15 +21,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import (c2_fixed_atom_fixture, chain_semilattice_fixture,
+                      collapsing_semilattice_fixture, group_with_zero_fixture, trace_gap_fixture)
+from oracles import direct_product
 from semigalois import galois
 from semigalois.actions import (fixed_atom_violation, invariant_order_from_atoms,
                                 invariant_ring, is_injective, validate_action)
-from semigalois.corpus import (b2_swap_fixture, c2_fixed_atom_fixture, c2_swap_fixture, c2_table,
-                               chain_semilattice_fixture, collapsing_semilattice_fixture, corpus,
-                               f9_cubed_fixture, group_with_zero_fixture, trace_gap_fixture)
+from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, c2_table, corpus, f9_cubed_fixture
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, FiniteRing, StructuredIso
-from semigalois.semigroups import direct_product, is_e_unitary, validate_table
+from semigalois.semigroups import is_e_unitary, validate_table
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -145,7 +146,8 @@ def test_cross_check_raises_on_a_planted_disagreement(monkeypatch, plant, fixtur
 _OPTIMIZED_PROBE = textwrap.dedent("""
     import sys
     from semigalois import galois as gl
-    from semigalois.corpus import c2_fixed_atom_fixture, c2_swap_fixture
+    from fixtures import c2_fixed_atom_fixture
+    from semigalois.corpus import c2_swap_fixture
     if __debug__:
         sys.exit(3)
     if sys.argv[1] == "rule":
@@ -166,9 +168,10 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
 
 @pytest.mark.parametrize("plant", ["rule", "count"])
 def test_planted_disagreement_raises_under_optimize(plant):
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE, plant],
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()

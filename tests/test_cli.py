@@ -206,12 +206,12 @@ def _readers(name):
 
 
 def test_one_fixed_point_solve_and_one_iso_application():
-    """The fixed ring of a family of maps has one solve, `fixed_points`, the one
+    """The fixed ring of a family of maps has one solve, `fixed_ring`, the one
     reader of `kernel_gens`; an iso is applied only through its plan, which
     only `apply_vec` reads."""
     from semigalois.linalg import Matrix
     from semigalois.rings import StructuredIso
-    assert _readers("kernel_gens") == [("actions", "fixed_points")]
+    assert _readers("kernel_gens") == [("actions", "fixed_ring")]
     assert _readers("application_plan") == [("rings", "apply_vec")]
     assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
+from fixtures import chain_semilattice_fixture, collapsing_semilattice_fixture
 from semigalois import actions as ac
 from semigalois import budget
 from semigalois import correspondence as co
 from semigalois.actions import invariant_ring, is_injective, validate_action
-from semigalois.corpus import (b2_swap_fixture, c2_swap_fixture, chain_semilattice_fixture,
-                               collapsing_semilattice_fixture, corpus,
-                               f9_cubed_fixture, s7_monoid)
+from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture, s7_monoid
 from semigalois.galois import compute_S_B, is_galois
 from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
 from semigalois.semigroups import (SubSemigroup, is_e_unitary,
@@ -132,7 +131,7 @@ def test_e_unitary_correspondence_semilattice():
 
 
 def test_correspondence_requires_galois():
-    from semigalois.corpus import c2_fixed_atom_fixture
+    from fixtures import c2_fixed_atom_fixture
     from semigalois.galois import PreconditionFail
     with pytest.raises(PreconditionFail):
         co.verify_e_unitary_correspondence(c2_fixed_atom_fixture())

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import collapsing_semilattice_fixture, group_with_zero_fixture
 from semigalois import actions, budget
 from semigalois import correspondence as co
 from semigalois import galois
 from semigalois import zerocase as zc
 from semigalois.actions import image_action, is_injective, validate_action
-from semigalois.corpus import (b2_swap_fixture, collapsing_semilattice_fixture, corpus,
-                               group_with_zero_fixture)
+from semigalois.corpus import b2_swap_fixture, corpus
 from semigalois.galois import PreconditionFail, is_galois
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, FiniteRing, StructuredIso

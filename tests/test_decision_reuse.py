@@ -14,11 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import collapsing_semilattice_fixture
 from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
-from semigalois.corpus import (b2_swap_fixture, c2_fixed_atom_fixture,
-                               collapsing_semilattice_fixture, f9_cubed_fixture, random_ring,
-                               random_structured_iso)
+from semigalois.corpus import b2_swap_fixture, f9_cubed_fixture, random_ring, random_structured_iso
 from oracles import element_product, iso_apply_by_polynomials, iso_matrix_by_polynomials
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -62,17 +61,6 @@ def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, c
     for path in sorted(INSTANCES.glob("*.sgi")):
         codes.append(_run(capsys, args[0], str(path), *args[1:]))
     assert calls == [] and 0 in codes
-
-
-def test_scalar_extension_decides_galois_without_a_coordinate_solve(monkeypatch):
-    """extend_scalars takes its "beta is Galois" precondition from the
-    fixed-atom rule (one solve per call when it took the coordinate criterion)."""
-    calls = []
-    _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
-    assert actions.extend_scalars(f9_cubed_fixture()).pres.order() == 729
-    with pytest.raises(actions.NotGalois):
-        actions.extend_scalars(c2_fixed_atom_fixture())
-    assert calls == []
 
 
 ZERO_FACTS = ["_is_0_e_unitary", "_is_categorical_at_zero", "_is_primitive", "_tau_partition"]
@@ -180,7 +168,7 @@ def test_tensor_with_n_is_m_builds_one_relation_lattice(monkeypatch):
     factors it is: once for N is M, and not again in a later tensor."""
     A = rg.FiniteRing([rg.Atom.gf(2, 2), rg.Atom.zmod(2, 2), rg.Atom.gf(2, 2)])
     full = rg.Subalgebra.full(A)
-    R = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
+    R = rg.Subalgebra(A, [A.one().vec()]).closure_under_mul()
     M = R.adjoin(A.element([(0, 1), 1, (1, 0)]).vec())
     calls = []
     original = rg.Subalgebra.relations.func
@@ -225,7 +213,7 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
     """Adjoining g to a closed span multiplies g by the span's generators, and
     gives the closure of the whole generator list."""
     A = rg.FiniteRing([rg.Atom.gf(2, 2)] * 3)
-    R = rg.Subalgebra.span_of_elements(A, [A.one()]).closure_under_mul()
+    R = rg.Subalgebra(A, [A.one().vec()]).closure_under_mul()
     g = A.element([(0, 1), (1, 1), (0, 0)]).vec()
     products = []
     _recording(monkeypatch, rg.FiniteRing, "mul_vec", lambda self, u, v: products.append((u, v)))

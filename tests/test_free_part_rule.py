@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import c2_fixed_atom_fixture
 from semigalois import budget, galois
 from semigalois.actions import invariant_ring, separability_violation, validate_action
-from semigalois.corpus import c2_fixed_atom_fixture, c2_swap_fixture, c2_table, corpus
+from semigalois.corpus import c2_swap_fixture, c2_table, corpus
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
 from semigalois.semigroups import validate_table
@@ -104,7 +105,8 @@ def test_cross_check_raises_when_the_rule_disagrees_with_the_solve(monkeypatch, 
 _OPTIMIZED_PROBE = textwrap.dedent("""
     import sys
     from semigalois import galois as gl
-    from semigalois.corpus import c2_fixed_atom_fixture, c2_swap_fixture
+    from fixtures import c2_fixed_atom_fixture
+    from semigalois.corpus import c2_swap_fixture
     if __debug__:
         sys.exit(3)
     gl.separability_violation = lambda beta, B: beta.orbits[0]
@@ -119,9 +121,10 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
 
 
 def test_planted_rule_disagreement_raises_under_optimize():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import trace_gap_fixture
 from semigalois import galois as gl, linalg
 from semigalois.actions import (induce_partial_group_action, invariant_ring, is_injective,
                                 validate_action)
-from semigalois.corpus import (c2_table, corpus, f9_cubed_fixture, s7_monoid, trace_gap_fixture)
+from semigalois.corpus import c2_table, corpus, f9_cubed_fixture, s7_monoid
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,

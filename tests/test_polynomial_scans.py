@@ -12,21 +12,21 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import (chain_semilattice_fixture, collapsing_semilattice_fixture,
+                      group_with_zero_fixture)
 from oracles import (beta_complete_by_subset_scan, beta_maximal_by_subset_scan,
                      beta_strong_by_support_scan, boolean_sum_by_inclusion_exclusion,
-                     full_inverse_subsemigroups_by_power_set, is_separable,
+                     direct_product, full_inverse_subsemigroups_by_power_set, is_separable,
                      verify_coordinates_by_elements)
 from semigalois import actions, correspondence, galois as gl
 from semigalois.actions import invariant_ring, validate_action
 from semigalois.correspondence import (fixed_subalgebra, is_beta_complete, is_beta_maximal,
                                        verify_e_unitary_correspondence)
-from semigalois.corpus import (b2_swap_fixture, c2_table, chain_semilattice_fixture,
-                               collapsing_semilattice_fixture, corpus, f9_cubed_fixture,
-                               group_with_zero_fixture)
+from semigalois.corpus import b2_swap_fixture, c2_table, corpus, f9_cubed_fixture
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
-from semigalois.semigroups import (direct_product, enumerate_full_inverse_subsemigroups,
-                                   sigma_partition, validate_table)
+from semigalois.semigroups import (enumerate_full_inverse_subsemigroups, sigma_partition,
+                                   validate_table)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 

@@ -2,14 +2,51 @@ import random
 
 import pytest
 
-from oracles import natural_order_by_idempotents
+from fixtures import (chain_semilattice_fixture, non_categorical_semilattice, non_e_unitary_monoid,
+                      random_primitive_semigroup)
+from oracles import direct_product, meet, natural_order_by_idempotents
 from semigalois import budget
 from semigalois import semigroups as sg
-from semigalois.corpus import (b2_table, c2_table, chain_semilattice_fixture, corpus,
-                               f9_cubed_ring, non_categorical_semilattice, non_e_unitary_monoid,
-                               random_primitive_semigroup, s7_monoid)
+from semigalois.corpus import b2_table, c2_table, corpus, f9_cubed_ring, s7_monoid
 from semigalois import isopu
 from semigalois.rings import StructuredIso
+
+
+# The relation ==_T of a full inverse subsemigroup T, which no decision reads.
+
+
+class NotFull(sg.SemigroupError):
+    pass
+
+
+def restricted_product(S, s, t):
+    """s . t, defined exactly when s^{-1} s = t t^{-1}."""
+    if S.table[S.inv[s]][s] != S.table[t][S.inv[t]]:
+        return None
+    return S.table[s][t]
+
+
+def equiv_T(S, T, s, u):
+    """s ==_T u iff the restricted product u^{-1} . s exists and lies in T."""
+    if not T.is_full:
+        raise NotFull("the relation needs a full subsemigroup")
+    prod = restricted_product(S, S.inv[u], s)
+    return prod is not None and prod in T.members
+
+
+def verify_equiv_T_is_equivalence(S, T):
+    rel = {(s, u) for s in range(S.n) for u in range(S.n) if equiv_T(S, T, s, u)}
+    for s in range(S.n):
+        if (s, s) not in rel:
+            return False
+    for s, u in rel:
+        if (u, s) not in rel:
+            return False
+    for s, u in rel:
+        for v in range(S.n):
+            if (u, v) in rel and (s, v) not in rel:
+                return False
+    return True
 
 
 # frozen output of the presentation saturation; also re-derived from the
@@ -34,7 +71,7 @@ def test_c2_table_is_a_group():
 def test_two_chain_semilattice():
     S = sg.validate_table([[0, 1], [1, 1]])
     assert sorted(S.idempotents) == [0, 1]
-    assert sg.natural_leq(S, 1, 0) and not sg.natural_leq(S, 0, 1)
+    assert S.leq[1][0] and not S.leq[0][1]
 
 
 def test_natural_order_reads_t_times_s_inverse_s():
@@ -117,17 +154,17 @@ def test_s7_order_facts():
     S = s7_monoid()
     names = {S.names[i]: i for i in range(S.n)}
     t, s, sp = names["t"], names["s"], names["s'"]
-    assert sg.natural_leq(S, t, s)
-    assert not sg.natural_leq(S, s, t)
+    assert S.leq[t][s]
+    assert not S.leq[s][t]
     assert sg.compatible(S, t, s)
     assert sg.compatible(S, s, sp)
-    assert sg.meet(S, s, sp) == t
+    assert meet(S, s, sp) == t
     assert sg.join_of(S, [names["s*s'"], names["s'*s"]]) == names["1"]
 
 
 def test_meet_in_semilattice_is_product():
     S = sg.validate_table([[0, 1], [1, 1]])
-    assert sg.meet(S, 0, 1) == 1
+    assert meet(S, 0, 1) == 1
     assert sg.join_of(S, [1, 0]) == 0
 
 
@@ -284,7 +321,7 @@ def test_idempotents_form_an_order_ideal():
         S = builder()
         for e in S.idempotents:
             for s in range(S.n):
-                if sg.natural_leq(S, s, e):
+                if S.leq[s][e]:
                     assert s in S.idempotents
 
 
@@ -307,7 +344,7 @@ def test_full_subsemigroup_enumeration():
 def test_enumeration_guard():
     """The enumeration charges one unit of budget per closure, so S7 x S7
     (33 non-idempotents, once refused by a size guard) stops at its limit."""
-    big = sg.direct_product(s7_monoid(), s7_monoid())
+    big = direct_product(s7_monoid(), s7_monoid())
     assert big.n == 49
     with budget.limit(100), pytest.raises(budget.BudgetExceeded) as exc:
         sg.enumerate_full_inverse_subsemigroups(big)
@@ -319,18 +356,18 @@ def test_restricted_product():
     names = {S7.names[i]: i for i in range(S7.n)}
     s, sp, one, t = names["s"], names["s'"], names["1"], names["t"]
     # s' . s defined: (s')^-1 s' = s s' equals s s^-1
-    assert sg.restricted_product(S7, sp, s) == S7.table[sp][s]
+    assert restricted_product(S7, sp, s) == S7.table[sp][s]
     # 1 . t undefined: 1 != t t^-1
-    assert sg.restricted_product(S7, one, t) is None
-    assert sg.restricted_product(S7, one, one) == one
+    assert restricted_product(S7, one, t) is None
+    assert restricted_product(S7, one, one) == one
 
 
 def test_equiv_T_is_an_equivalence():
     S7 = s7_monoid()
     for T in sg.enumerate_full_inverse_subsemigroups(S7):
-        assert sg.verify_equiv_T_is_equivalence(S7, T)
-    with pytest.raises(sg.NotFull):
-        sg.equiv_T(S7, sg.SubSemigroup(S7, frozenset({0})), 0, 0)
+        assert verify_equiv_T_is_equivalence(S7, T)
+    with pytest.raises(NotFull):
+        equiv_T(S7, sg.SubSemigroup(S7, frozenset({0})), 0, 0)
 
 
 def test_presentation_cap():

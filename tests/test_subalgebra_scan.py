@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 import sympy
 
+from fixtures import collapsing_semilattice_fixture
 from semigalois import budget
 from semigalois import correspondence as co
 from semigalois import rings as rg
 from semigalois.actions import invariant_ring
-from semigalois.corpus import (b2_swap_fixture, c2_swap_fixture, collapsing_semilattice_fixture,
-                               corpus, f9_cubed_fixture)
+from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.instance import parse_instance
 from semigalois.linalg import lattice_reduce
 from semigalois.rings import Atom, FiniteRing

@@ -1,7 +1,7 @@
-"""No module under src/semigalois imports a name it never reads.
+"""No module under src/semigalois or tests/ imports a name it never reads.
 
-The repository has no linter, and deleting code can leave an import
-behind.  Each module is parsed with `ast`; a module-level import is used
+The repository has no linter, and deleting or moving code can leave an
+import behind.  Each module is parsed with `ast`; a module-level import is used
 when the module reads the bound name anywhere, as a variable or as the base
 of an attribute.  Names the module lists in `__all__`, and names imported
 on a line marked `# noqa: F401` (kept for re-export), are allowed.
@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "semigalois"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "semigalois"
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(text):
@@ -37,7 +39,8 @@ def unused_imports(text):
                   if name not in read | exported and "# noqa: F401" not in lines[line - 1])
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 

@@ -2,12 +2,44 @@ import random
 
 import pytest
 
+from fixtures import (group_with_zero_fixture, groupoid_action_corpus, non_categorical_semilattice,
+                      random_orthogonal_groupoid_action, random_primitive_semigroup)
+from oracles import meet
 from semigalois import isopu
 from semigalois import zerocase as zc
-from semigalois.corpus import (b2_swap_fixture, b2_table, corpus, group_with_zero_fixture,
-                               groupoid_action_corpus, non_categorical_semilattice,
-                               random_orthogonal_groupoid_action, random_primitive_semigroup)
-from semigalois.semigroups import ZeroRequired, validate_table
+from semigalois.corpus import b2_swap_fixture, b2_table, corpus
+from semigalois.semigroups import SemigroupError, ZeroRequired, validate_table
+from semigalois.zerocase import _require_zero, strongly_compatible
+
+
+# Properties of tau and of strongly compatible pairs that no decision reads.
+
+
+class NotStronglyCompatible(SemigroupError):
+    pass
+
+
+def is_zero_restricted_partition(S, projection):
+    z_class = projection[S.zero]
+    return sum(1 for s in range(S.n) if projection[s] == z_class) == 1
+
+
+def meet_formulas_check(S, s, t):
+    """For strongly compatible nonzero s, t: s^t = ss^{-1}t with the
+    displayed idempotent identities."""
+    _require_zero(S)
+    if not strongly_compatible(S, s, t) or s == S.zero:
+        raise NotStronglyCompatible(f"{S.names[s]}, {S.names[t]}")
+    w = S.table[S.table[s][S.inv[s]]][t]
+    if w == S.zero:
+        return False
+    if meet(S, s, t) != w:
+        return False
+    lhs1 = S.table[w][S.inv[w]]
+    rhs1 = S.table[S.table[s][S.inv[s]]][S.table[t][S.inv[t]]]
+    lhs2 = S.table[S.inv[w]][w]
+    rhs2 = S.table[S.table[S.inv[s]][s]][S.table[S.inv[t]][t]]
+    return lhs1 == rhs1 and lhs2 == rhs2
 
 
 def test_strong_compatibility_cases():
@@ -69,7 +101,7 @@ def test_tau_quotient_is_primitive_and_zero_restricted():
             continue
         quotient, proj = zc.tau_quotient(S)
         assert zc.is_primitive(quotient)
-        assert zc.is_zero_restricted_partition(S, proj)
+        assert is_zero_restricted_partition(S, proj)
 
 
 def test_meet_formulas():
@@ -79,20 +111,20 @@ def test_meet_formulas():
             if s == B2.zero or t == B2.zero:
                 continue
             if zc.strongly_compatible(B2, s, t):
-                assert zc.meet_formulas_check(B2, s, t)
+                assert meet_formulas_check(B2, s, t)
     rng = random.Random(9)
     for _ in range(15):
         S = random_primitive_semigroup(rng)
         for s in range(S.n):
             for t in range(S.n):
                 if s != S.zero and t != S.zero and zc.strongly_compatible(S, s, t):
-                    assert zc.meet_formulas_check(S, s, t)
+                    assert meet_formulas_check(S, s, t)
 
 
 def test_meet_formulas_rejects_incompatible():
     B2 = b2_table()
-    with pytest.raises(zc.NotStronglyCompatible):
-        zc.meet_formulas_check(B2, 0, 3)
+    with pytest.raises(NotStronglyCompatible):
+        meet_formulas_check(B2, 0, 3)
 
 
 def primitive_corpus():
