@@ -427,7 +427,7 @@ def is_separable(tensors):
     blocks A e_O, and A is separable over A^beta exactly when each block is
     over A^beta e_O.  On each block's tensor this solves m(z) = 1 and
     ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over generators of A e_O as
-    an A^beta e_O-algebra (`Subalgebra.algebra_generators`): the b
+    an A^beta e_O-algebra (`TensorPresentation.algebra_generators`): the b
     satisfying the second equation form a subalgebra, so these suffice.
     Both equations are well defined on the tensor, and every element of it
     is a combination of the free pairs (`TensorPresentation.free_pairs`), so
@@ -448,7 +448,7 @@ def is_separable(tensors):
         lattices, moduli = [ring.presentation.lattice], list(ring.coord_moduli)
         target = list(ring.one_vec)
         free_moduli = [tensor.pres.moduli[p] for p in free]
-        for b in tensor.M.algebra_generators(tensor.R):
+        for b in tensor.algebra_generators():
             mats.append(tensor.free_mult_difference(b))
             lattices.append(tensor.free_lattice)
             moduli += free_moduli
@@ -472,11 +472,11 @@ def verify_separability_idempotent(tensors, z):
     `tensors` are (block, tensor) pairs over a partition of the atoms, as
     `_full_tensor` builds them, and z has one vector per block, on that
     block's tensor.  m(z), summed over the blocks, must be 1 of the ring.
-    The second equation is checked on each block's tensor for every
-    additive generator b of its first factor.  With z reshaped to the
-    k x l matrix Z, (b (x) 1)z is E.Z and (1 (x) b)z is Z.F^T, for E and F
-    the matrices of b* on the two factors' generators: entry (i, j) of Z
-    goes to (a, j) with weight E[a, i] and to (i, c) with weight F[c, j].
+    The second equation is checked on each block's tensor for every unit
+    vector b of its block ring.  With z reshaped to the k x l matrix Z,
+    (b (x) 1)z is E.Z and (1 (x) b)z is Z.E^T, for E the matrix of b* on
+    the unit vectors (`TensorPresentation.mult_matrix`): entry (i, j) of Z
+    goes to (a, j) with weight E[a, i] and to (i, c) with weight E[c, j].
     The difference is summed over the nonzero entries of z and must be zero
     in the tensor.
     """
@@ -492,13 +492,13 @@ def verify_separability_idempotent(tensors, z):
     for (_, tensor), part in zip(tensors, z):
         l = tensor.l
         entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
-        for b in tensor.M.gen_vectors:
-            E, F = tensor.left_factor(b), tensor.right_factor(b)
+        for b in tensor.ring.basis_vectors():
+            E = tensor.mult_matrix(b)
             diff = [0] * (tensor.k * l)
             for i, j, x in entries:
                 for a, e in E.cols[i].items():
                     diff[a * l + j] += e * x
-                for c, f in F.cols[j].items():
+                for c, f in E.cols[j].items():
                     diff[i * l + c] -= f * x
             if not tensor.is_zero(diff):
                 return False
@@ -517,24 +517,16 @@ def _full_tensor(beta):
     e_O lies in A^beta, so a generator pair from two orbits is zero,
     b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
     of the blocks' A e_O (x)_{A^beta e_O} A e_O, each presented on its block
-    ring; each constructor checks its factors.  Both factors' generators are
-    the block ring's unit vectors, in order, so generator pair (i, c) is
-    e_i (x) e_c, which psi and the coordinate solve rely on; this is checked.
+    ring, whose constructor checks A^beta e_O.  Generator pair (i, c) is
+    e_i (x) e_c of the block ring's unit vectors, which psi and the
+    coordinate solve rely on.
     """
     return remembered(beta, "full_tensor", _derive_full_tensor)
 
 
 def _derive_full_tensor(beta):
-    full, inv = _full_algebra(beta), invariant_ring(beta)
-    tensors = []
-    for block in beta.orbits:
-        part = block.subalgebra(full)
-        tensor = TensorPresentation(part, part, block.subalgebra(inv))
-        units = block.ring.basis_vectors()
-        if tensor.mg != units or tensor.ng != units:
-            raise AssertionError("the orbit tensor's generators are not the block's unit vectors")
-        tensors.append((block, tensor))
-    return tuple(tensors)
+    inv = invariant_ring(beta)
+    return tuple((block, TensorPresentation(block.ring, block.subalgebra(inv))) for block in beta.orbits)
 
 
 def separability_idempotent_from_coordinates(beta, coords):

@@ -99,10 +99,9 @@ def _parse_semigroup(lines):
         gen_index = {g: i for i, g in enumerate(generators)}
         rels = [(_parse_word(l, gen_index, no), _parse_word(r, gen_index, no))
                 for no, l, r in relations]
-        S = saturate_presentation(generators, rels)
         if zero is not None:
             raise ParseError(zero[0], "zero is only available with explicit tables")
-        return S
+        return saturate_presentation(generators, rels)
     if elements is None:
         raise ParseError(lines[0][0] if lines else 1, "semigroup needs elements or generators")
     index = {e: i for i, e in enumerate(elements)}

@@ -11,11 +11,11 @@ a {row: value} dict of its nonzero entries; the systems built here (tensor
 relations, block-diagonal lattices) are almost all zeros.  A `Matrix` is
 applied (`apply`) and multiplied (`@`), with no `-`.  There is one
 elimination: canonical bases come from insertion modulo the diagonal
-(`_insert`, behind `lattice_canon`); membership and a member's coordinates
-come from one walk down such a basis (`lattice_quotients`).  Kernels and
-solves insert a map's columns into the basis of its graph lattice
-(`_graph_basis`), and Smith invariants alternate a canonical basis with
-that of its transpose.  Python integers do not overflow, so entries need no bound.
+(`_insert`, behind `lattice_canon`); membership is one walk down such a
+basis (`lattice_member`).  Kernels and solves insert a map's columns into
+the basis of its graph lattice (`_graph_basis`), and Smith invariants
+alternate a canonical basis with that of its transpose.  Python integers do
+not overflow, so entries need no bound.
 """
 
 from __future__ import annotations
@@ -275,31 +275,18 @@ def lattice_reduce(basis, vec):
     return tuple(w)
 
 
-def lattice_quotients(basis, vec):
-    """The walk of `lattice_reduce` down a canonical basis, stopped at the
-    first pivot that leaves a remainder: the quotient at each column, or
-    None when vec is off the lattice.
-
-    The basis is lower-triangular, so the quotients are H^-1 vec for the
-    basis H, and vec is their combination of its columns.  This is the one
-    walk behind membership and a subalgebra's generator coordinates.
-    """
+def lattice_member(basis, vec):
+    """vec lies in the lattice: the walk of `lattice_reduce` down the
+    canonical basis leaves no remainder at any pivot."""
     w = list(map(int, vec))
-    quotients = [0] * len(w)
     for j, c in enumerate(basis.cols):
         if w[j]:
             q, r = divmod(w[j], c[j])
             if r:
-                return None
+                return False
             for i, v in c.items():
                 w[i] -= q * v
-            quotients[j] = q
-    return quotients
-
-
-def lattice_member(basis, vec):
-    """vec lies in the lattice: its `lattice_quotients` walk ends."""
-    return lattice_quotients(basis, vec) is not None
+    return True
 
 
 def _graph_basis(mat, aug, in_moduli, aug_moduli):
@@ -391,8 +378,8 @@ class AbelianPresentation:
     `moduli` are the declared additive orders of the raw generators; extra
     relation columns come from tensor bilinearity, middle-linearity, etc.,
     given as a `Matrix` or as a sequence of relation vectors.  Elements are
-    raw integer coordinate vectors; `canon` picks the unique coset
-    representative, so tuple equality decides group equality.
+    raw integer coordinate vectors; `lattice_reduce` on `lattice` picks the
+    unique coset representative, so tuple equality decides group equality.
     """
 
     def __init__(self, moduli, relations=()):
@@ -424,14 +411,8 @@ class AbelianPresentation:
             self._units = tuple(tuple(int(i == j) for j in range(self.n)) for i in range(self.n))
         return list(self._units)
 
-    def canon(self, vec):
-        return lattice_reduce(self.lattice, vec)
-
     def is_zero(self, vec):
         return lattice_member(self.lattice, vec)
-
-    def zero(self):
-        return (0,) * self.n
 
     def subgroup_canon(self, gens, basis=None):
         """Canonical basis of span(gens) + `basis`, a canonical basis of a

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .budget import spend
 from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kron_difference, lattice_det,
-                     lattice_member, lattice_quotients)
+                     lattice_member)
 
 ATOM_ORDER_GUARD = 1 << 20
 
@@ -345,10 +345,6 @@ class FiniteRing:
         p, as an atom's maximal ideal is p times the atom."""
         return all(any(x % a.p for x in vec[lo:hi]) for (lo, hi), a in zip(self._spans, self.atoms))
 
-    def vector_order(self, vec):
-        """Additive order of a coordinate vector."""
-        return self.presentation.vector_order(vec)
-
     def mask_vec(self, u, support):
         out = [0] * self.n_coords
         for idx in support:
@@ -552,14 +548,10 @@ class Subalgebra:
 
     Equality of subalgebras is equality of canonical bases.  The generators
     are the basis columns j with a nonzero residue; every other column is
-    d_j e_j, zero in the ring.  One walk down the basis
-    (`linalg.lattice_quotients`) decides membership and, read at the
-    generator columns, gives a member's coordinates over the generators
-    (`expand`); the generators' orders, their relations and the matrices of
-    multiplication by an element are derived from it once per subalgebra.
-    Closure under multiplication and presence of 1 are checked on demand,
-    not assumed, and remembered: a subalgebra is never changed after
-    construction.
+    d_j e_j, zero in the ring.  Membership is one walk down the basis
+    (`linalg.lattice_member`).  Closure under multiplication and presence
+    of 1 are checked on demand, not assumed, and remembered: a subalgebra
+    is never changed after construction.
     """
 
     def __init__(self, ring, gen_vectors):
@@ -571,11 +563,8 @@ class Subalgebra:
         self.order = ring.presentation.order() // lattice_det(basis)
         # canonical columns are reduced, and one whose pivot is the modulus is
         # d_j e_j, zero in the ring; the others are the generators
-        self._gen_cols = [j for j, (c, d) in enumerate(zip(basis.cols, ring.coord_moduli))
-                          if c[j] != d]
-        self.gen_vectors = tuple(basis.column(j) for j in self._gen_cols)
-        self._expansions = {}
-        self._mult_matrices = {}
+        self.gen_vectors = tuple(basis.column(j) for j, (c, d)
+                                 in enumerate(zip(basis.cols, ring.coord_moduli)) if c[j] != d)
 
     @staticmethod
     def with_basis(ring, basis):
@@ -641,72 +630,6 @@ class Subalgebra:
 
     def elements(self):
         return (self.ring.from_vec(v) for v in self.element_vectors())
-
-    def algebra_generators(self, base):
-        """Generators, chosen greedily from `gen_vectors`, of this subalgebra as a `base`-algebra.
-
-        A generator already in the `base`-algebra generated by the earlier
-        choices is skipped; otherwise it is chosen and adjoined to that
-        algebra.  `base` must be a unital subalgebra inside this one.
-        """
-        chosen = []
-        current = base
-        for g in self.gen_vectors:
-            if not current.member_vec(g):
-                chosen.append(g)
-                current = current.adjoin(g)
-        return chosen
-
-    @cached_property
-    def orders(self):
-        """The additive order of each generator."""
-        return tuple(map(self.ring.vector_order, self.gen_vectors))
-
-    def _coordinates(self, quotients):
-        """The walk's quotients read at the generator columns, modulo the orders."""
-        return tuple(quotients[j] % d for j, d in zip(self._gen_cols, self.orders))
-
-    def expand(self, vec):
-        """vec's coordinates over the generators, each below its generator's
-        order; raises NotSubring off the span.  Another expansion of the same
-        vector differs by one of the `relations`."""
-        vec = tuple(map(operator.mod, map(int, vec), self.ring.coord_moduli))
-        hit = self._expansions.get(vec)
-        if hit is None:
-            quotients = lattice_quotients(self.basis, vec)
-            if quotients is None:
-                raise NotSubring(f"vector {vec} is outside the span")
-            hit = self._expansions[vec] = self._coordinates(quotients)
-        return hit
-
-    @cached_property
-    def relations(self):
-        """Generators, modulo the generators' orders, of {c : sum c_i * g_i = 0
-        in the ring}: H^-1(d_r e_r) on the generator columns of the canonical
-        basis H, as H y = sum c_i g_i lies in diag(d) exactly when y is a
-        combination of these (a column d_r e_r of H gives e_r, no generator)."""
-        moduli = self.ring.coord_moduli
-        relations = []
-        for r in self._gen_cols:
-            c = self._coordinates(lattice_quotients(
-                self.basis, [moduli[r] if i == r else 0 for i in range(len(moduli))]))
-            if any(c):
-                relations.append(c)
-        return relations
-
-    def mult_matrix(self, b_vec):
-        """Matrix of m -> b*m on the generators, column j expanding b times
-        generator j; built once per b.  A generator on atoms disjoint from
-        b's multiplies to 0, with no product taken."""
-        b_vec = tuple(b_vec)
-        mat = self._mult_matrices.get(b_vec)
-        if mat is None:
-            gens, mask = self.gen_vectors, self.ring.atom_mask(b_vec)
-            zero = (0,) * len(gens)
-            mat = self._mult_matrices[b_vec] = cols_from_vectors(
-                [self.expand(self.ring.mul_vec(b_vec, g)) if mask & gm else zero
-                 for g, gm in zip(gens, self.gen_masks)], len(gens))
-        return mat
 
     @cached_property
     def gen_masks(self):
@@ -828,53 +751,69 @@ class Block:
 
 
 class TensorPresentation:
-    """M (x)_R N for subalgebras R <= M, N of one ring, as an abelian group.
+    """A (x)_R A for a unital subalgebra R of the ring A, as an abelian group.
 
-    Generator pair (i, j) sits at i * l + j, of order the gcd of the two
-    `orders`; relations are each side's `relations` and the nonzero columns of
-    E (x) I_l - I_k (x) F per generator r of R, with E, F the matrices of
-    multiplication by r on M and on N.  When N is M and E is c times the
-    identity, column (i, j) is (E_ii - E_jj) e_(i,j) = 0, so that block is
-    not built: r = 1, or a multiple of 1 on Z/p^k, gives no relation.
-    Multiplication and the two module actions are carried as integer
-    matrices on the generators, from each factor's `expand` and
-    `mult_matrix`, so a factor's are computed once however many tensors
-    use it.
-    The constructor raises unless M, N and R are unital subalgebras of one
-    ring with R in M and N.
+    Generator pair (i, j) is e_i (x) e_j of A's unit vectors, at i * n + j
+    for n = k = l coordinates, of order the gcd of the two coordinate
+    moduli; relations are the nonzero columns of E (x) I - I (x) E per
+    generator r of R, with E the matrix of multiplication by r on the unit
+    vectors (`mult_matrix`).  When E is c times the identity, column (i, j)
+    is (E_ii - E_jj) e_(i,j) = 0, so that block is not built: r = 1, or a
+    multiple of 1 on Z/p^k, gives no relation.
+    The constructor raises unless R is a unital subalgebra of the ring.
     """
 
-    def __init__(self, M, N, R):
-        ring = self.ring = M.ring
-        if N.ring != ring or R.ring != ring:
-            raise AtomMismatch("tensor factors live in different rings")
-        checked = []  # factors known to be unital subalgebras; `in` matches by identity first
-        for big in (M, N):
-            if big in checked:
-                continue
-            if not big.contains(R):
-                raise NotSubring("R is not contained in both factors")
-            for sub in (big, R):
-                if sub not in checked:
-                    if not sub.is_subalgebra():
-                        raise NotSubring("tensor factors must be unital subalgebras")
-                    checked.append(sub)
-        self.M, self.N, self.R = M, N, R
-        self.mg, self.ng = list(M.gen_vectors), list(N.gen_vectors)
-        self.k, self.l = k, l = len(self.mg), len(self.ng)
-        rel_cols = [{i * l + j: x for i, x in enumerate(c) if x} for c in M.relations for j in range(l)]
-        rel_cols += [{i * l + j: x for j, x in enumerate(c) if x} for c in N.relations for i in range(k)]
+    def __init__(self, ring, R):
+        if R.ring != ring:
+            raise AtomMismatch("R lives in another ring")
+        if not R.is_subalgebra():
+            raise NotSubring("R must be a unital subalgebra")
+        self.ring, self.R = ring, R
+        self.k = self.l = n = ring.n_coords
+        self._mult_matrices = {}
+        rel_cols = []
         for r in R.gen_vectors:
-            E, F = M.mult_matrix(r), N.mult_matrix(r)
+            E = self.mult_matrix(r)
             c = E.cols[0].get(0)
-            if E is F and all(col == {i: c} for i, col in enumerate(E.cols)):
+            if all(col == {i: c} for i, col in enumerate(E.cols)):
                 continue
-            rel_cols += [col for col in kron_difference(E, F).cols if col]
-        self.pres = AbelianPresentation([math.gcd(a, b) for a in M.orders for b in N.orders],
-                                        Matrix(k * l, rel_cols))
+            rel_cols += [col for col in kron_difference(E, E).cols if col]
+        moduli = ring.coord_moduli
+        self.pres = AbelianPresentation([math.gcd(a, b) for a in moduli for b in moduli],
+                                        Matrix(n * n, rel_cols))
 
-    def index(self, i, j):
-        return i * self.l + j
+    @cached_property
+    def _masks(self):
+        """The atom of each unit vector, as a bit mask."""
+        return tuple(1 << self.ring.coord_atom(i) for i in range(self.k))
+
+    def mult_matrix(self, b_vec):
+        """Matrix E of m -> b*m on the unit vectors, column i the coordinates
+        of b*e_i; built once per b.  A unit vector off b's atoms multiplies
+        to 0, with no product taken."""
+        b_vec = tuple(b_vec)
+        mat = self._mult_matrices.get(b_vec)
+        if mat is None:
+            ring, mask = self.ring, self.ring.atom_mask(b_vec)
+            mat = self._mult_matrices[b_vec] = cols_from_vectors(
+                [ring.mul_vec(b_vec, e) if mask & m else ring.zero_vec
+                 for e, m in zip(ring.basis_vectors(), self._masks)], self.k)
+        return mat
+
+    def algebra_generators(self):
+        """Unit vectors, chosen greedily, that generate A as an R-algebra.
+
+        A unit vector already in the R-algebra generated by the earlier
+        choices is skipped; otherwise it is chosen and adjoined to that
+        algebra.
+        """
+        chosen = []
+        current = self.R
+        for e in self.ring.basis_vectors():
+            if not current.member_vec(e):
+                chosen.append(e)
+                current = current.adjoin(e)
+        return chosen
 
     def order(self):
         return self.pres.order()
@@ -929,16 +868,15 @@ class TensorPresentation:
             cols.append({s: x for s, x in out.items() if x})
         return Matrix(len(self.free_pairs), cols)
 
-    def pure_terms(self, m_el, n_el):
-        """The (coordinate, coefficient) terms of m (x) n: the products of the
-        two expansions."""
-        u = self.M.expand(m_el.vec() if isinstance(m_el, RingElement) else m_el)
-        v = self.N.expand(n_el.vec() if isinstance(n_el, RingElement) else n_el)
-        for i, a in enumerate(u):
+    def pure_terms(self, m_vec, n_vec):
+        """The (pair, coefficient) terms of m (x) n for coordinate vectors m
+        and n: the products of their coordinates."""
+        l = self.l
+        for i, a in enumerate(m_vec):
             if a:
-                for j, b in enumerate(v):
+                for j, b in enumerate(n_vec):
                     if b:
-                        yield self.index(i, j), a * b
+                        yield i * l + j, a * b
 
     def mult_map_vec(self):
         """Matrix of the multiplication map m (x) n -> m*n into ring coords."""
@@ -946,43 +884,33 @@ class TensorPresentation:
 
     @cached_property
     def _mult_map(self):
-        """Built once, each unordered generator pair multiplied once (the ring
-        is commutative), and a pair on disjoint atoms not at all: it is 0."""
+        """Built once, each unordered pair of unit vectors multiplied once
+        (the ring is commutative), and a pair on two atoms not at all: it is 0."""
+        ring, units = self.ring, self.ring.basis_vectors()
         products = {}
         cols = []
-        for u, um in zip(self.mg, self.M.gen_masks):
-            for v, vm in zip(self.ng, self.N.gen_masks):
+        for u, um in zip(units, self._masks):
+            for v, vm in zip(units, self._masks):
                 if not um & vm:
-                    cols.append(self.ring.zero_vec)
+                    cols.append(ring.zero_vec)
                     continue
                 key = (u, v) if u <= v else (v, u)
                 if key not in products:
-                    products[key] = self.ring.mul_vec(u, v)
+                    products[key] = ring.mul_vec(u, v)
                 cols.append(products[key])
-        return cols_from_vectors(cols, self.ring.n_coords)
-
-    def left_factor(self, b_vec):
-        """k x k matrix E of m -> b*m on M's generators: column i expands b*mg[i]."""
-        return self.M.mult_matrix(b_vec)
-
-    def right_factor(self, b_vec):
-        """l x l matrix F of n -> b*n on N's generators: column j expands b*ng[j].
-
-        When N is M the two sides share their matrices, so F is E."""
-        return self.N.mult_matrix(b_vec)
+        return cols_from_vectors(cols, ring.n_coords)
 
     def free_mult_difference(self, b_vec):
-        """The matrix of z -> ((b (x) 1) - (1 (x) b)) * z, E (x) I_l - I_k (x) F
-        with E, F = `left_factor(b)`, `right_factor(b)`, on the free pairs
-        alone: its columns at the free pairs, each rewritten onto the free
-        pairs (`onto_free_pairs`).
-        Column (i, j) is zero unless column i of E or column j of F is not,
-        so only those columns are built."""
-        E, F = self.left_factor(b_vec), self.right_factor(b_vec)
+        """The matrix of z -> ((b (x) 1) - (1 (x) b)) * z, E (x) I - I (x) E
+        with E = `mult_matrix(b)`, on the free pairs alone: its columns at
+        the free pairs, each rewritten onto the free pairs (`onto_free_pairs`).
+        Column (i, j) is zero unless column i or column j of E is not, so
+        only those columns are built."""
+        E = self.mult_matrix(b_vec)
         l, pos = self.l, self._free_positions
-        live = [p for p in self.free_pairs if E.cols[p // l] or F.cols[p % l]]
+        live = [p for p in self.free_pairs if E.cols[p // l] or E.cols[p % l]]
         cols = [{} for _ in pos]
-        for p, col in zip(live, self.onto_free_pairs(kron_difference(E, F, live)).cols):
+        for p, col in zip(live, self.onto_free_pairs(kron_difference(E, E, live)).cols):
             cols[pos[p]] = col
         return Matrix(len(pos), cols)
 

@@ -45,10 +45,12 @@ orbit tensor, before they were solved on its free pairs alone
 (`solve_coordinates_all_pairs`, `psi_image_canons_all_pairs`,
 `separable_all_pairs`); and the tensor relations with the block of every
 generator of R built, scalar ones included (`tensor_presentation_every_block`).
-Separability of any unital subalgebra B over R, on
-`Block`s whose indicators lie in R (`orbit_tensors` and `is_separable`),
-is the general route the library kept only for A over A^beta; it solves
-each block through `galois.is_separable`.
+These read a factor's expansions, relations and multiplication matrices
+from `expand_by_solve`, `span_relations_by_kernel` and
+`mult_matrix_by_solve`, and choose algebra generators over any B greedily
+(`algebra_generators_by_adjoining`).  Separability of any unital
+subalgebra B over R is `is_separable_whole`; the library solves it for A
+over A^beta alone.
 
 Scalar extension R (x)_{A^beta} A lives here alone: the paper's base-change
 statement is a test property, which no command decides.  Its two routes are
@@ -62,9 +64,9 @@ joins form S/sigma (`verify_class_join_group`), the meet under the natural
 order (`meet`) and the direct product of two tables (`direct_product`).
 
 `dense` and `sparse` convert between the library's sparse `Matrix` and
-numpy object arrays for dense fixtures; `hstack` puts matrices side by side
-and `mult_difference` is a tensor's E (x) I - I (x) F on every generator
-pair.
+numpy object arrays for dense fixtures; `hstack` puts matrices side by side,
+`mult_difference` is a tensor's E (x) I - I (x) E on every generator pair,
+and `factor_generators` lists the additive generators of a tensor's factor.
 """
 
 import itertools
@@ -93,13 +95,13 @@ def sparse(rows):
 
 
 def kron_left(tensor, b_vec):
-    """Dense matrix of z -> (b (x) 1) * z: E (x) I_l with E = `left_factor(b)`."""
-    return np.kron(dense(tensor.left_factor(b_vec)), np.eye(tensor.l, dtype=object))
+    """Dense matrix of z -> (b (x) 1) * z: E (x) I with E = `mult_matrix(b)`."""
+    return np.kron(dense(tensor.mult_matrix(b_vec)), np.eye(tensor.l, dtype=object))
 
 
 def kron_right(tensor, b_vec):
-    """Dense matrix of z -> (1 (x) b) * z: I_k (x) F with F = `right_factor(b)`."""
-    return np.kron(np.eye(tensor.k, dtype=object), dense(tensor.right_factor(b_vec)))
+    """Dense matrix of z -> (1 (x) b) * z: I (x) E with E = `mult_matrix(b)`."""
+    return np.kron(np.eye(tensor.k, dtype=object), dense(tensor.mult_matrix(b_vec)))
 
 
 def pure(tensor, m, n):
@@ -112,8 +114,16 @@ def pure(tensor, m, n):
 
 def mult_difference(tensor, b_vec):
     """The `Matrix` of z -> ((b (x) 1) - (1 (x) b)) * z on every generator pair:
-    E (x) I_l - I_k (x) F with E, F = `left_factor(b)`, `right_factor(b)`."""
-    return kron_difference(tensor.left_factor(b_vec), tensor.right_factor(b_vec))
+    E (x) I - I (x) E with E = `mult_matrix(b)`."""
+    E = tensor.mult_matrix(b_vec)
+    return kron_difference(E, E)
+
+
+def factor_generators(tensor):
+    """The additive generators of a tensor's factor: B's canonical generators
+    on a `WholeTensorPresentation`, the ring's unit vectors on the library's
+    `TensorPresentation`."""
+    return tensor.gens if isinstance(tensor, WholeTensorPresentation) else tensor.ring.basis_vectors()
 
 
 class UnionFind:
@@ -360,7 +370,7 @@ def span_relations_by_kernel(sub):
     if not sub.gen_vectors:
         return []
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
-    in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
+    in_moduli = [ring.presentation.vector_order(g) for g in sub.gen_vectors]
     gens = kernel_gens(mat, ring.presentation.lattice, in_moduli, ring.coord_moduli)
     for i, d in enumerate(in_moduli):
         gens.append(tuple(d if t == i else 0 for t in range(len(in_moduli))))
@@ -386,19 +396,39 @@ def expand_by_solve(sub, vec):
             raise NotSubring(f"vector {vec} is outside the span")
         return ()
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
-    in_moduli = [ring.vector_order(g) for g in sub.gen_vectors]
+    in_moduli = [ring.presentation.vector_order(g) for g in sub.gen_vectors]
     sol = solve_cols(mat, ring.presentation.lattice, vec, in_moduli, ring.coord_moduli)
     if sol is None:
         raise NotSubring(f"vector {vec} is outside the span")
     return sol
 
 
+def mult_matrix_by_solve(sub, b_vec):
+    """Matrix of m -> b*m on `sub.gen_vectors`: column j expands b times
+    generator j by `expand_by_solve`."""
+    return cols_from_vectors([expand_by_solve(sub, sub.ring.mul_vec(b_vec, g)) for g in sub.gen_vectors],
+                             len(sub.gen_vectors))
+
+
+def algebra_generators_by_adjoining(B, R):
+    """Generators of B as an R-algebra, chosen greedily from `B.gen_vectors`
+    as subalgebras once chose them for any B: a generator already in the
+    R-algebra generated by the earlier choices is skipped, any other is
+    chosen and adjoined to it.  R must be a unital subalgebra inside B."""
+    chosen = []
+    current = R
+    for g in B.gen_vectors:
+        if not current.member_vec(g):
+            chosen.append(g)
+            current = current.adjoin(g)
+    return chosen
+
+
 def separable_all_generators(B, R):
     """(B (x)_R B, z) solving m(z) = 1 and (b (x) 1 - 1 (x) b)z = 0 for every
-    additive generator b of B, or None."""
+    additive generator b of B, or None, on `WholeTensorPresentation`."""
     from semigalois.linalg import block_diag, solve_cols
-    from semigalois.rings import TensorPresentation
-    tensor = TensorPresentation(B, B, R)
+    tensor = WholeTensorPresentation(B, R)
     A = B.ring
     blocks = [dense(tensor.mult_map_vec())]
     augs = [A.presentation.lattice]
@@ -421,7 +451,7 @@ def verify_idempotent_by_kron(tensor, z):
     mz = dense(tensor.mult_map_vec()).dot(zcol)
     if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one().vec():
         return False
-    for b in tensor.M.gen_vectors:
+    for b in factor_generators(tensor):
         left = kron_left(tensor, b).dot(zcol)
         right = kron_right(tensor, b).dot(zcol)
         if not tensor.is_zero(tuple(map(int, (left - right).ravel()))):
@@ -479,7 +509,7 @@ def _correspondence_core(beta, subsemigroups, s_b_map, pullback):
     seen_algebras = {}
     for T in subsemigroups:
         B = fixed_subalgebra(beta, T)
-        sep = is_separable(B, base) is not None
+        sep = is_separable_whole(B, base) is not None
         strong, fail_at = is_beta_strong(beta, B)
         back = pullback(B)
         round_t = back.members == T.members
@@ -528,7 +558,7 @@ def _brute_force_check(beta, t_side_members):
     base = invariant_ring(beta)
     winners = []
     for B in subalgebras_by_coset_scan(beta, base):
-        if is_separable(B, base) is None:
+        if is_separable_whole(B, base) is None:
             continue
         strong, _ = is_beta_strong(beta, B)
         if strong:
@@ -638,7 +668,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     seen_algebras = {}
     for T in maximal:
         B = fixed_subalgebra(beta, T)
-        sep = is_separable(B, base) is not None
+        sep = is_separable_whole(B, base) is not None
         strong, fail_at = is_beta_strong(beta, B)
         img_sb = compute_S_B(beta_img, B)
         back = frozenset(s for s in range(S.n) if proj[s] in img_sb.members)
@@ -662,7 +692,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     if brute_force_subalgebras:
         winners = []
         for B in subalgebras_by_coset_scan(beta, base):
-            if is_separable(B, base) is None:
+            if is_separable_whole(B, base) is None:
                 continue
             strong, _ = is_beta_strong(beta, B)
             if strong:
@@ -958,11 +988,11 @@ class PresentedBaseByLoops:
     @staticmethod
     def from_subalgebra(B):
         gens = list(B.gen_vectors)
-        orders = [B.ring.vector_order(g) for g in gens]
+        orders = [B.ring.presentation.vector_order(g) for g in gens]
         return PresentedBaseByLoops(
             gens, orders, span_relations_by_kernel(B),
-            lambda i, j: B.expand(B.ring.mul_vec(gens[i], gens[j])),
-            B.expand(B.ring.one().vec()))
+            lambda i, j: expand_by_solve(B, B.ring.mul_vec(gens[i], gens[j])),
+            expand_by_solve(B, B.ring.one().vec()))
 
     def combine(self, coeff_vectors, weights):
         out = [0] * self.k
@@ -1007,7 +1037,7 @@ class ScalarExtensionByLoops:
         self._check_structural_map()
         self.ag = list(A.basis_vectors())
         self.k, self.l = base.k, len(self.ag)
-        moduli = [math.gcd(base.orders[i], A.vector_order(self.ag[j]))
+        moduli = [math.gcd(base.orders[i], A.presentation.vector_order(self.ag[j]))
                   for i in range(self.k) for j in range(self.l)]
         rel_cols = []
         for col in base.pres.relations.cols:
@@ -1036,14 +1066,19 @@ class ScalarExtensionByLoops:
 
     def _check_structural_map(self):
         from semigalois.actions import ActionError
+        from semigalois.linalg import lattice_reduce
         base, inv, A = self.base, self.invariants, self.beta.A
-        got_one = base.combine(self.base_images, inv.expand(A.one().vec()))
-        if base.pres.canon(got_one) != base.pres.canon(base.one_coeffs):
+
+        def canon(vec):
+            return lattice_reduce(base.pres.lattice, vec)
+
+        got_one = base.combine(self.base_images, expand_by_solve(inv, A.one().vec()))
+        if canon(got_one) != canon(base.one_coeffs):
             raise ActionError("structural map must send 1 to 1")
         for (cu, u) in zip(self.base_images, inv.gen_vectors):
             for (cv, v) in zip(self.base_images, inv.gen_vectors):
-                lhs = base.combine(self.base_images, inv.expand(A.mul_vec(u, v)))
-                if base.pres.canon(lhs) != base.pres.canon(base.mul_coeffs(cu, cv)):
+                lhs = base.combine(self.base_images, expand_by_solve(inv, A.mul_vec(u, v)))
+                if canon(lhs) != canon(base.mul_coeffs(cu, cv)):
                     raise ActionError("structural map is not multiplicative")
 
     def index(self, i, j):
@@ -1323,28 +1358,28 @@ def verify_iso_extensional(iso, pair_limit=256):
 
 
 class WholeTensorPresentation:
-    """M (x)_R N on every pair of canonical generators, with one relation lattice."""
+    """B (x)_R B on every pair of B's canonical generators, with one relation
+    lattice, each product expanded by `expand_by_solve`."""
 
-    def __init__(self, M, N, R):
+    def __init__(self, B, R):
         from semigalois.linalg import AbelianPresentation, Matrix
-        ring = M.ring
-        self.ring, self.M, self.N, self.R = ring, M, N, R
-        self.mg = list(M.gen_vectors)
-        self.ng = list(N.gen_vectors)
-        self.k, self.l = len(self.mg), len(self.ng)
-        morders = [ring.vector_order(v) for v in self.mg]
-        norders = [ring.vector_order(v) for v in self.ng]
-        moduli = [math.gcd(morders[i], norders[j]) for i in range(self.k) for j in range(self.l)]
-        m_relations = span_relations_by_kernel(M)
+        ring = B.ring
+        self.ring, self.B, self.R = ring, B, R
+        self.gens = list(B.gen_vectors)
+        self.k = self.l = len(self.gens)
+        self._mult_matrices = {}
+        orders = [ring.presentation.vector_order(v) for v in self.gens]
+        moduli = [math.gcd(a, b) for a in orders for b in orders]
+        relations = span_relations_by_kernel(B)
         rel_cols = []
-        for c in m_relations:
+        for c in relations:
             for j in range(self.l):
                 rel_cols.append({self.index(i, j): x for i, x in enumerate(c) if x})
-        for c in (m_relations if N is M else span_relations_by_kernel(N)):
+        for c in relations:
             for i in range(self.k):
                 rel_cols.append({self.index(i, j): x for j, x in enumerate(c) if x})
         for r in R.gen_vectors:
-            rel_cols += self.mult_difference(r).cols
+            rel_cols += mult_difference(self, r).cols
         self.pres = AbelianPresentation(moduli, Matrix(self.k * self.l, rel_cols))
 
     def index(self, i, j):
@@ -1354,7 +1389,7 @@ class WholeTensorPresentation:
         return self.pres.order()
 
     def pure(self, m_vec, n_vec):
-        u, v = self.M.expand(m_vec), self.N.expand(n_vec)
+        u, v = expand_by_solve(self.B, m_vec), expand_by_solve(self.B, n_vec)
         col = [0] * (self.k * self.l)
         for i, a in enumerate(u):
             for j, b in enumerate(v):
@@ -1362,18 +1397,15 @@ class WholeTensorPresentation:
         return tuple(col)
 
     def mult_map_vec(self):
-        return cols_from_vectors([self.ring.mul_vec(u, v) for u in self.mg for v in self.ng],
+        return cols_from_vectors([self.ring.mul_vec(u, v) for u in self.gens for v in self.gens],
                                  self.ring.n_coords)
 
-    def left_factor(self, b_vec):
-        return self.M.mult_matrix(b_vec)
-
-    def right_factor(self, b_vec):
-        return self.N.mult_matrix(b_vec)
-
-    def mult_difference(self, b_vec):
-        from semigalois.linalg import kron_difference
-        return kron_difference(self.left_factor(b_vec), self.right_factor(b_vec))
+    def mult_matrix(self, b_vec):
+        """`mult_matrix_by_solve` on B, once per b."""
+        b_vec = tuple(b_vec)
+        if b_vec not in self._mult_matrices:
+            self._mult_matrices[b_vec] = mult_matrix_by_solve(self.B, b_vec)
+        return self._mult_matrices[b_vec]
 
     def is_zero(self, z):
         return self.pres.is_zero(z)
@@ -1382,22 +1414,27 @@ class WholeTensorPresentation:
 def tensor_presentation_every_block(M, N, R):
     """M (x)_R N as `TensorPresentation` built it before it skipped a scalar
     block: each side's relations, then every nonzero column of
-    E (x) I_l - I_k (x) F for every generator r of R."""
+    E (x) I_l - I_k (x) F for every generator r of R.  Each factor's orders,
+    relations and multiplication matrices come from the oracles
+    (`vector_order` of the ring's presentation, `span_relations_by_kernel`,
+    `mult_matrix_by_solve`)."""
     from semigalois.linalg import AbelianPresentation
-    k, l = len(M.orders), len(N.orders)
-    rel_cols = [{i * l + j: x for i, x in enumerate(c) if x} for c in M.relations for j in range(l)]
-    rel_cols += [{i * l + j: x for j, x in enumerate(c) if x} for c in N.relations for i in range(k)]
+    m_orders, n_orders = ([X.ring.presentation.vector_order(g) for g in X.gen_vectors] for X in (M, N))
+    k, l = len(m_orders), len(n_orders)
+    rel_cols = [{i * l + j: x for i, x in enumerate(c) if x}
+                for c in span_relations_by_kernel(M) for j in range(l)]
+    rel_cols += [{i * l + j: x for j, x in enumerate(c) if x}
+                 for c in span_relations_by_kernel(N) for i in range(k)]
     rel_cols += [c for r in R.gen_vectors
-                 for c in kron_difference(M.mult_matrix(r), N.mult_matrix(r)).cols if c]
-    return AbelianPresentation([math.gcd(a, b) for a in M.orders for b in N.orders],
+                 for c in kron_difference(mult_matrix_by_solve(M, r), mult_matrix_by_solve(N, r)).cols if c]
+    return AbelianPresentation([math.gcd(a, b) for a in m_orders for b in n_orders],
                                Matrix(k * l, rel_cols))
 
 
 def whole_full_tensor(beta):
     from semigalois.actions import invariant_ring
     from semigalois.rings import Subalgebra
-    full = Subalgebra.full(beta.A)
-    return WholeTensorPresentation(full, full, invariant_ring(beta))
+    return WholeTensorPresentation(Subalgebra.full(beta.A), invariant_ring(beta))
 
 
 def scatter_lattice(n, parts):
@@ -1423,9 +1460,10 @@ def scatter_lattice(n, parts):
 def _pair_positions(tensors, whole):
     """Per orbit tensor of A (x)_{A^beta} A, the coordinates of its generator
     pairs on `whole`: each block generator, put in place, is one of A's."""
-    index = {g: i for i, g in enumerate(whole.mg)}
+    index = {g: i for i, g in enumerate(whole.gens)}
     return [[index[block.extend(u)] * whole.l + index[block.extend(v)]
-             for u in tensor.mg for v in tensor.ng] for block, tensor in tensors]
+             for u in block.ring.basis_vectors() for v in block.ring.basis_vectors()]
+            for block, _ in tensors]
 
 
 def joined_tensor_lattice(tensors, whole):
@@ -1453,7 +1491,7 @@ def solve_coordinates_whole(beta, isos, rhs_vectors):
     A = beta.A
     n = A.n_coords
     full = Subalgebra.full(A)  # its generators are the unit vectors
-    mult_mats = [full.mult_matrix(v) for v in A.basis_vectors()]
+    mult_mats = [mult_matrix_by_solve(full, v) for v in A.basis_vectors()]
     mat = vstack([hstack([m @ iso_matrix_by_polynomials(iso) for m in mult_mats]) for iso in isos])
     aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
@@ -1507,8 +1545,8 @@ def psi_check_whole(beta):
     maximal, offsets, ambient, subgroup = pa_subgroup_whole(beta)
     A = beta.A
     images = []
-    for x in tensor.mg:
-        for y in tensor.ng:
+    for x in tensor.gens:
+        for y in tensor.gens:
             family = {t: A.mul_vec(x, beta.isos[t].apply_vec(y)) for t in maximal}
             images.append(tuple(family[t][i] for t in maximal for i in offsets[t][1]))
     pa_order = ambient.order() // lattice_det(subgroup)
@@ -1526,73 +1564,15 @@ def psi_check_whole(beta):
     return tensor.order(), pa_order, image_order, kernel_witness, cokernel_witness
 
 
-def orbit_tensors(B, R, blocks):
-    """B (x)_R B as one (block, B e_O (x)_{R e_O} B e_O) pair per block.
-
-    `blocks` partition the atoms into `Block`s whose indicators e_O lie in
-    R, such as the orbits of an action when R holds its invariants; None is
-    the ring as one block.  Each canonical generator of B then lies in one
-    block, and a pair from two blocks is zero: b e_O (x) c e_P =
-    b (x) e_O e_P c = 0.  So B (x)_R B is the direct sum of the blocks'
-    tensors, each presented on its block ring.  With one block, the ring
-    itself, that tensor's constructor checks the factors, which are B and R.
-    """
-    from semigalois.rings import Block, NotSubring, TensorPresentation
-    ring = B.ring
-    atoms = tuple(range(len(ring.atoms)))
-    if blocks is None:
-        blocks = [Block(ring, atoms)]
-    if len(blocks) > 1 or blocks[0].atoms != atoms:
-        if not (B.contains(R) and B.is_subalgebra() and R.is_subalgebra()):
-            raise NotSubring("tensor factors must be unital subalgebras with R in B")
-    if sorted(a for block in blocks for a in block.atoms) != list(atoms):
-        raise ValueError("the blocks must partition the atoms")
-    if len(blocks) > 1 and not all(R.member_vec(ring.idempotent_vec(block.atoms))
-                                   for block in blocks):
-        raise NotSubring("each block's indicator must lie in R")
-    split = []
-    for block in blocks:
-        part = block.subalgebra(B)
-        split.append((block, TensorPresentation(part, part, block.subalgebra(R))))
-    return tuple(split)
-
-
-def is_separable(B, R, tensors=None, blocks=None):
-    """A separability idempotent of B over R, or None: the general route
-    before `galois.is_separable` kept only A over A^beta.
-
-    `blocks` are `Block`s whose indicators lie in R (the orbits of an
-    action when R holds its invariants); B is then the direct sum of its
-    blocks, B is separable over R exactly when each block is over R's, and
-    the system is solved on each block's tensor (`orbit_tensors`) by
-    `galois.is_separable`.  The answer is (tensors, z), z one vector per
-    block.  `tensors` is a built `orbit_tensors` to reuse, which brings its
-    own blocks; without it one is built, and its checks decide R <= B.
-    """
-    from semigalois import galois
-    from semigalois.rings import NotSubring
-    if tensors is None:
-        try:
-            tensors = orbit_tensors(B, R, blocks)
-        except NotSubring:
-            if not B.contains(R):
-                raise NotSubring("separability needs R inside B") from None
-            raise
-    elif not B.contains(R):
-        raise NotSubring("separability needs R inside B")
-    z = galois.is_separable(tensors)
-    return None if z is None else (tensors, z)
-
-
 def is_separable_whole(B, R):
     """(B (x)_R B, z) from one solve of m(z) = 1 and (b (x) 1 - 1 (x) b)z = 0
     over the algebra generators b of B, on the whole tensor, or None."""
     from semigalois.linalg import block_diag, solve_cols, vstack
-    tensor = WholeTensorPresentation(B, B, R)
+    tensor = WholeTensorPresentation(B, R)
     A = B.ring
     mats, augs, target = [tensor.mult_map_vec()], [A.presentation], list(A.one().vec())
-    for b in B.algebra_generators(R):
-        mats.append(tensor.mult_difference(b))
+    for b in algebra_generators_by_adjoining(B, R):
+        mats.append(mult_difference(tensor, b))
         augs.append(tensor.pres)
         target.extend([0] * (tensor.k * tensor.l))
     sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
@@ -1621,7 +1601,7 @@ def solve_coordinates_all_pairs(beta, isos, rhs_vectors):
         n = ring.n_coords
         basis = ring.basis_vectors()
         full = Subalgebra.full(ring)  # its generators are the unit vectors
-        mult_mats = [full.mult_matrix(v) for v in basis]
+        mult_mats = [mult_matrix_by_solve(full, v) for v in basis]
         iso_mats = [cols_from_vectors([block.iso(f).apply_vec(v) for v in basis], n)
                     for f in isos]
         mat = vstack([hstack([m @ f for m in mult_mats]) for f in iso_mats])
@@ -1655,9 +1635,10 @@ def psi_image_canons_all_pairs(beta):
         where = [[] for _ in part.classes]
         for place, k in part.place.items():
             where[k].append(place)
-        moved = [[iso.apply_vec(y) for iso in part.isos] for y in tensor.ng]
+        units = tensor.ring.basis_vectors()
+        moved = [[iso.apply_vec(y) for iso in part.isos] for y in units]
         images = []
-        for x in tensor.mg:
+        for x in units:
             for family in ([part.units.ring.mul_vec(x, v) for v in vs] for vs in moved):
                 values = [family[m][r] for m, r in (copies[0] for copies in where)]
                 assert all(family[m][r] == values[k]
@@ -1676,7 +1657,7 @@ def separable_all_pairs(tensors):
     for block, tensor in tensors:
         mats, augs = [tensor.mult_map_vec()], [block.ring.presentation]
         target = list(block.ring.one_vec)
-        for b in tensor.M.algebra_generators(tensor.R):
+        for b in tensor.algebra_generators():
             mats.append(mult_difference(tensor, b))
             augs.append(tensor.pres)
             target.extend([0] * (tensor.k * tensor.l))
@@ -1698,7 +1679,7 @@ def invariant_ring_by_all_kernels(beta):
     for iso in beta.isos:
         cols = [A.sub_vec(iso.apply_vec(v), A.mask_vec(v, iso.im_support)) for v in current]
         ker = kernel_gens(cols_from_vectors(cols, A.n_coords), A.presentation.lattice,
-                          [A.vector_order(v) for v in current], A.coord_moduli)
+                          [A.presentation.vector_order(v) for v in current], A.coord_moduli)
         span = cols_from_vectors(current, A.n_coords)
         current = residues([span.apply(coeffs) for coeffs in ker], A.coord_moduli)
         if not current:

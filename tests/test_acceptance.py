@@ -261,9 +261,8 @@ def test_criterion_5_oracle_equivalence():
         A = random_ring(rng, max_atoms=2)
         if A.size > 81:
             continue
-        full = Subalgebra.full(A)
         prime = Subalgebra(A, [A.one().vec()]).closure_under_mul()
-        tensor = TensorPresentation(full, full, prime)
+        tensor = TensorPresentation(A, prime)
         moduli = list(tensor.pres.moduli)
         rel = tensor.pres.relations
         cols = [rel.column(j) for j in range(rel.shape[1])]

@@ -317,6 +317,28 @@ map = 1 : 0->0:0
     assert code == 2 and b"unknown generator" in err
 
 
+def test_zero_beside_a_presentation_is_refused_before_saturation(tmp_path):
+    """`zero =` is a positioned error (exit 2) before the presentation is
+    saturated: under a budget of 1 no `coset_steps` charge trips, where a
+    saturation's first charge already exceeds it."""
+    p = tmp_path / "zero_pres.sgi"
+    p.write_text("""
+[semigroup]
+generators = a
+zero = a
+
+[ring]
+atom = zmod 2
+
+[action]
+map = a : 0->0:0
+""")
+    for env in (None, {"SEMIGALOIS_BUDGET": "1"}):
+        code, out, err = run_cli(["validate", str(p)], env)
+        assert (code, out) == (2, b"")
+        assert err == b"error: line 4: zero is only available with explicit tables\n"
+
+
 def test_determinism_identical_bytes():
     code1, out1, _ = run_cli(["galois", "instances/c2_swap.sgi"])
     code2, out2, _ = run_cli(["galois", "instances/c2_swap.sgi"])

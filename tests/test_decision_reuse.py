@@ -8,7 +8,6 @@ matrix and element by element.
 """
 
 import collections
-import functools
 import random
 from pathlib import Path
 
@@ -163,31 +162,6 @@ def test_correspond_takes_no_restriction_for_all_of_s(monkeypatch, capsys, brute
     assert sizes
 
 
-def test_tensor_with_n_is_m_builds_one_relation_lattice(monkeypatch):
-    """A subalgebra's relations are computed once, however many tensor
-    factors it is: once for N is M, and not again in a later tensor."""
-    A = rg.FiniteRing([rg.Atom.gf(2, 2), rg.Atom.zmod(2, 2), rg.Atom.gf(2, 2)])
-    full = rg.Subalgebra.full(A)
-    R = rg.Subalgebra(A, [A.one().vec()]).closure_under_mul()
-    M = R.adjoin(A.element([(0, 1), 1, (1, 0)]).vec())
-    calls = []
-    original = rg.Subalgebra.relations.func
-
-    def relations(sub):
-        calls.append(sub)
-        return original(sub)
-
-    recorded = functools.cached_property(relations)
-    recorded.__set_name__(rg.Subalgebra, "relations")
-    monkeypatch.setattr(rg.Subalgebra, "relations", recorded)
-    rg.TensorPresentation(full, full, R)
-    assert calls == [full]
-    calls.clear()
-    rg.TensorPresentation(M, full, R)
-    rg.TensorPresentation(full, M, R)
-    assert calls == [M]
-
-
 def test_full_subalgebra_is_never_checked_for_closure(monkeypatch, capsys):
     """Subalgebra.full is a unital subalgebra by construction."""
     fulls, checked = [], []
@@ -222,7 +196,7 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
     assert all(g in pair for pair in first_round)
     monkeypatch.undo()
     assert grown == rg.Subalgebra(A, list(R.gen_vectors) + [g]).closure_under_mul()
-    chosen = rg.Subalgebra.full(A).algebra_generators(R)
+    chosen = rg.TensorPresentation(A, R).algebra_generators()
     assert rg.Subalgebra(A, list(R.gen_vectors) + chosen).closure_under_mul() == rg.Subalgebra.full(A)
 
 
@@ -341,23 +315,24 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_p
 @pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
 def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instance, checks):
     """The library's route, galois.is_separable(galois._full_tensor(beta)),
-    checks R <= B once per pair of objects: each orbit's tensor constructor
-    checks its block pair, and the solve checks nothing again (1 and 3 checks
-    when this counted the reference route in tests/oracles.py, which checks
-    the whole pair on two orbits as well).  An R outside B still raises the
-    constructor's error."""
+    picks the algebra generators of each orbit's block ring over its R once,
+    and checks no containment: R lies in the block ring by construction
+    (1 and 2 `contains` checks while each orbit tensor checked its factors).
+    An R that is not a unital subalgebra still raises the constructor's
+    error."""
     from semigalois.instance import parse_instance
     beta = parse_instance(INSTANCES / instance).action
-    pairs = []
+    pairs, picks = [], []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
+    _recording(monkeypatch, rg.TensorPresentation, "algebra_generators", picks.append)
     tensors = galois._full_tensor(beta)
     assert galois.is_separable(tensors) is not None
-    assert len(pairs) == checks
-    assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
-    assert pairs == [(tensor.M, tensor.R) for _, tensor in tensors]
-    _, tensor = tensors[0]
-    with pytest.raises(rg.NotSubring, match="R is not contained in both factors"):
-        rg.TensorPresentation(tensor.R, tensor.R, tensor.M)
+    assert pairs == []
+    assert len(picks) == checks
+    assert picks == [tensor for _, tensor in tensors]
+    block, _ = tensors[0]
+    with pytest.raises(rg.NotSubring, match="unital subalgebra"):
+        rg.TensorPresentation(block.ring, rg.Subalgebra(block.ring, [block.ring.basis_vectors()[0]]))
 
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])
@@ -379,15 +354,18 @@ def test_correspond_checks_each_fixed_algebra_over_the_invariants_once(monkeypat
 @pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
 def test_galois_checks_the_invariants_inside_a_once_per_object_pair(monkeypatch, capsys,
                                                                      instance, checks):
-    """`galois` checks A^beta e_O <= A e_O once per orbit O, in the constructor
-    of that orbit's tensor, and nothing checks a pair again (2 and 4 checks
-    when the separability criterion checked the whole pair as well, 3 on
-    s7_f9cubed when the whole pair was checked before the orbit tensors)."""
-    pairs = []
+    """`galois` needs no check of A^beta e_O <= A e_O: the orbit tensor of O
+    is built on the block ring, which holds A^beta e_O by construction, and
+    the separability solve picks algebra generators once per orbit (1 and 2
+    `contains` checks while each orbit tensor checked its factors, 2 and 4
+    when the separability criterion checked the whole pair as well)."""
+    pairs, picks = [], []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
+    _recording(monkeypatch, rg.TensorPresentation, "algebra_generators", picks.append)
     assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
-    assert len(pairs) == checks
-    assert len({(id(big), id(sub)) for big, sub in pairs}) == checks
+    assert pairs == []
+    assert len(picks) == checks
+    assert len(set(map(id, picks))) == checks
 
 
 @pytest.mark.parametrize("args", [["correspond"], ["correspond", "--brute-force-subalgebras"],

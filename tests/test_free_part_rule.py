@@ -4,7 +4,7 @@ A unital subalgebra B containing A^beta is separable over A^beta exactly
 when each orbit part B e_O is free over A^beta e_O: always on GF(p^k) and
 Z/p atoms, and on Z/p^k atoms when |B e_O| = |p^{k-1} B e_O|^k
 (`actions.separability_violation`).  The rule is held here to
-`oracles.is_separable` on the whole ring, over every subalgebra the
+`oracles.is_separable_whole` on the whole ring, over every subalgebra the
 brute-force scan finds: on seeded corpora with and without zero, on C_n
 over (Z/p^k)^n and on a two-orbit ring.  `cross_check_equivalences` must
 raise when the rule disagrees with the solve for B = A, also under
@@ -27,7 +27,7 @@ from semigalois.corpus import c2_swap_fixture, c2_table, corpus
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
 from semigalois.semigroups import validate_table
-from oracles import is_separable
+from oracles import is_separable_whole
 
 
 def scan_verdicts(beta):
@@ -37,7 +37,7 @@ def scan_verdicts(beta):
     subalgebras = enumerate_subalgebras_over(beta, base)
     separable = 0
     for B in subalgebras:
-        by_solve = is_separable(B, base) is not None
+        by_solve = is_separable_whole(B, base) is not None
         assert (separability_violation(beta, B) is None) == by_solve, B
         separable += by_solve
     return len(subalgebras), separable
@@ -86,7 +86,7 @@ def test_rule_names_the_orbit_that_is_not_free():
         assert separability_violation(beta, base) is None
         assert separability_violation(beta, full) is None
         assert separability_violation(beta, B).atoms == (2, 3)
-    assert is_separable(B, base) is None
+    assert is_separable_whole(B, base) is None
     subalgebras, separable = scan_verdicts(beta)
     assert separable < subalgebras
 

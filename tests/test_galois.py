@@ -15,8 +15,8 @@ from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso, Subalgebra,
                               TensorPresentation)
 from semigalois.semigroups import is_e_unitary
-from oracles import (check_psi_images_on_orbits, is_separable, joined_tensor_vector,
-                     mult_difference, pure, separable_all_generators,
+from oracles import (algebra_generators_by_adjoining, check_psi_images_on_orbits,
+                     is_separable_whole, joined_tensor_vector, pure, separable_all_generators,
                      verify_idempotent_by_kron, whole_full_tensor)
 from test_correspondence import SCAN_CASES
 
@@ -164,30 +164,26 @@ def test_beta_strong_excludes_non_arising_algebra():
     ])
     assert B.order == 81 and B.is_subalgebra()
     inv = invariant_ring(beta)
-    assert is_separable(B, inv) is not None
+    assert is_separable_whole(B, inv) is not None
     ok, fail = gl.is_beta_strong(beta, B)
     assert not ok
 
 
 def test_separability_idempotent_for_f3f3_over_diagonal():
     A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-    full = Subalgebra.full(A)
     diag = Subalgebra(A, [A.one().vec()])
-    out = is_separable(full, diag)
-    assert out is not None
-    tensors, z = out
+    tensors = _one_block(TensorPresentation(A, diag))
+    assert gl.is_separable(tensors) is not None
     (_, tensor), = tensors
     # e = (1,0)(x)(1,0) + (0,1)(x)(0,1) also satisfies both equations
-    e1, e2 = A.element([1, 0]), A.element([0, 1])
+    e1, e2 = A.element([1, 0]).vec(), A.element([0, 1]).vec()
     hand = tuple(a + b for a, b in zip(pure(tensor, e1, e1), pure(tensor, e2, e2)))
     assert gl.verify_separability_idempotent(tensors, (hand,))
 
 
 def test_trivial_separability():
     A = FiniteRing([Atom.zmod(3)])
-    full = Subalgebra.full(A)
-    out = is_separable(full, full)
-    assert out is not None
+    assert gl.is_separable(_one_block(TensorPresentation(A, Subalgebra.full(A)))) is not None
 
 
 def test_non_separable_case():
@@ -198,9 +194,8 @@ def test_non_separable_case():
     # solver honestly fails where no idempotent exists: F_2 x F_2 over F_2
     # diagonal in characteristic 2 IS separable, so assert solvability.
     A = FiniteRing([Atom.zmod(2), Atom.zmod(2)])
-    full = Subalgebra.full(A)
     diag = Subalgebra(A, [A.one().vec()])
-    assert is_separable(full, diag) is not None
+    assert gl.is_separable(_one_block(TensorPresentation(A, diag))) is not None
 
 
 def test_cross_check_on_corpus_slice():
@@ -253,44 +248,30 @@ def _separability_pairs(case):
 @pytest.mark.parametrize("case", ["c2_gf4^2", "s7_gf4^3", "c3_z4^3", "fixed"])
 def test_separability_on_algebra_generators_matches_all_generators(case):
     """The solve over algebra generators gives the all-generator verdict, and
-    its idempotent passes the check over every additive generator."""
+    its idempotent passes the check over every additive generator.  For
+    B = A the library's tensor picks the same algebra generators and gives
+    the same verdict, with an idempotent that passes both checks."""
     verdicts = []
     for B, R in _separability_pairs(case):
-        chosen = B.algebra_generators(R)
+        chosen = algebra_generators_by_adjoining(B, R)
         assert set(chosen) <= set(B.gen_vectors)
         assert Subalgebra(B.ring, list(R.gen_vectors) + chosen).closure_under_mul() == B
-        want = separable_all_generators(B, R)
-        if want is not None:
-            want = _one_block(want[0]), (want[1],)
-        got = is_separable(B, R)
+        want, got = separable_all_generators(B, R), is_separable_whole(B, R)
         assert (got is None) == (want is None)
-        for tensors, z in filter(None, (got, want)):
-            assert gl.verify_separability_idempotent(tensors, z)
+        for tensor, z in filter(None, (got, want)):
+            assert verify_idempotent_by_kron(tensor, z)
+        if B == Subalgebra.full(B.ring):
+            tensors = _one_block(TensorPresentation(B.ring, R))
             (_, tensor), = tensors
-            assert verify_idempotent_by_kron(tensor, z[0])
+            assert tensor.algebra_generators() == chosen
+            z = gl.is_separable(tensors)
+            assert (z is None) == (got is None)
+            if z is not None:
+                assert gl.verify_separability_idempotent(tensors, z)
+                assert verify_idempotent_by_kron(tensor, z[0])
         verdicts.append(got is not None)
     if case == "c3_z4^3":  # Z/4 + 2A and its kin are not separable
         assert True in verdicts and False in verdicts
-
-
-@pytest.mark.parametrize("case", ["c2_gf4^2", "s7_gf4^3", "c3_z4^3", "fixed"])
-def test_tensor_on_one_factor_matches_two_equal_factors(case):
-    """B (x)_R B built on one factor object (the factor matrices shared) against
-    the same tensor on an equal but distinct copy of B (the general path)."""
-    for B, R in _separability_pairs(case):
-        twin = Subalgebra(B.ring, B.gen_vectors)
-        assert twin == B and twin is not B
-        one, two = TensorPresentation(B, B, R), TensorPresentation(B, twin, R)
-        assert one.pres.moduli == two.pres.moduli
-        assert one.pres.lattice == two.pres.lattice
-        assert one.mult_map_vec() == two.mult_map_vec()
-        for b in B.gen_vectors:
-            assert one.left_factor(b) is one.right_factor(b)
-            assert two.left_factor(b) is not two.right_factor(b)
-            assert mult_difference(one, b) == mult_difference(two, b)
-        sep_one = is_separable(B, R, tensors=_one_block(one))
-        sep_two = is_separable(B, R, tensors=_one_block(two))
-        assert (sep_one and sep_one[1]) == (sep_two and sep_two[1])
 
 
 def _c2_swap_gf4_z3():
@@ -305,10 +286,11 @@ def test_idempotent_check_rejects_what_the_kron_check_rejects():
     """E.Z and Z.F^T decide the same equations as the Kronecker matrices on
     the whole tensor, with the ring as one block and one orbit at a time."""
     for beta in (f9_cubed_fixture(), _c2_swap_gf4_z3()):
-        full, inv, whole = Subalgebra.full(beta.A), invariant_ring(beta), whole_full_tensor(beta)
-        for blocks in (None, beta.orbits):
-            tensors, z = is_separable(full, inv, blocks=blocks)
-            assert len(tensors) == (1 if blocks is None else 2)
+        inv, whole = invariant_ring(beta), whole_full_tensor(beta)
+        for tensors, count in ((_one_block(TensorPresentation(beta.A, inv)), 1),
+                               (gl._full_tensor(beta), 2)):
+            z = gl.is_separable(tensors)
+            assert len(tensors) == len(z) == count
             for o, part in enumerate(z):
                 for i in range(len(part)):
                     bumped = z[:o] + (tuple(x + (j == i) for j, x in enumerate(part)),) + z[o + 1:]
@@ -336,7 +318,7 @@ def test_cross_check_builds_one_tensor(monkeypatch):
     for beta in (c2_swap_fixture(), f9_cubed_fixture(), trace_gap_fixture()):
         builds.clear()
         rep = gl.cross_check_equivalences(beta)
-        assert [args[0].ring for args in builds] == [block.ring for block in beta.orbits], \
+        assert [args[0] for args in builds] == [block.ring for block in beta.orbits], \
             rep.verdicts
 
 
@@ -376,10 +358,9 @@ def test_psi_on_trivial_c2_action_is_not_surjective():
 def test_separability_rejects_non_unital_base():
     """Z/4 over the ideal 2*Z/4: not a unital subring, refused."""
     A = FiniteRing([Atom.zmod(2, 2)])
-    full = Subalgebra.full(A)
     ideal = Subalgebra(A, [A.element([2]).vec()])
     with pytest.raises(NotSubring):
-        is_separable(full, ideal)
+        TensorPresentation(A, ideal)
 
 
 def test_scalar_extension_f9_over_fixture_base():

@@ -6,10 +6,8 @@ It must give the basis of the echelon route it replaced
 (`oracles.lattice_canon_by_echelon`), from diag(moduli) or from a given
 canonical basis.  On rings, `Subalgebra.extended` must equal the
 subalgebra of all the generators, the generators read off the sparse
-columns must be the dense residues, the span relations read off the
-canonical basis must span what the frozen `kernel_gens` route spans, and a
-tensor's relations, without the implied columns, must present the same
-lattice.  The kernel's triangular self-check must raise under python -O.
+columns must be the dense residues, and a tensor's relations, without the
+implied columns, must present the same lattice.  The kernel's triangular self-check must raise under python -O.
 """
 
 import os
@@ -114,29 +112,6 @@ def test_extended_equals_the_subalgebra_of_all_generators():
             assert grown.gen_vectors == want.gen_vectors == gen_vectors_by_dense_residues(grown)
 
 
-def test_walk_relations_span_the_kernel_relations():
-    """The relations H^-1(d_r e_r) read on the generator columns span, with
-    the generators' orders, the lattice the tracked kernel solve gave, and
-    each one is a relation of the generators."""
-    rng = random.Random(29)
-    for beta in ACTIONS:
-        A = beta.A
-        for sub in _spans(beta, rng):
-            gens = sub.gen_vectors
-            walk, frozen = sub.relations, span_relations_by_kernel(sub)
-            if not gens:
-                assert walk == frozen == []
-                continue
-            orders = [A.vector_order(g) for g in gens]
-            k = len(gens)
-            assert (linalg.lattice_canon(linalg.cols_from_vectors(walk, k), orders)
-                    == lattice_canon_by_echelon(linalg.cols_from_vectors(frozen, k), orders))
-            for c in walk:
-                total = [sum(x * g[i] for x, g in zip(c, gens)) for i in range(A.n_coords)]
-                assert all(t % m == 0 for t, m in zip(total, A.coord_moduli))
-                assert all(0 <= x < d for x, d in zip(c, orders)) and any(c)
-
-
 def test_tensor_drops_only_implied_relation_columns():
     """Without the declared-order side relations and the empty
     middle-linearity columns, the tensor presents the lattice that the
@@ -144,19 +119,18 @@ def test_tensor_drops_only_implied_relation_columns():
     for beta in ACTIONS:
         A = beta.A
         full, inv = rg.Subalgebra.full(A), invariant_ring(beta)
-        for M, N in ((full, full), (inv, full)):
-            tensor = rg.TensorPresentation(M, N, inv)
-            old = []
-            for c in span_relations_by_kernel(M):
-                old += [{tensor.index(i, j): x for i, x in enumerate(c) if x} for j in range(tensor.l)]
-            for c in span_relations_by_kernel(N):
-                old += [{tensor.index(i, j): x for j, x in enumerate(c) if x} for i in range(tensor.k)]
-            for r in inv.gen_vectors:
-                old += mult_difference(tensor, r).cols
-            assert all(tensor.pres.relations.cols)
-            assert len(tensor.pres.relations.cols) < len(old)
-            assert tensor.pres.lattice == lattice_canon_by_echelon(
-                linalg.Matrix(tensor.k * tensor.l, old), tensor.pres.moduli)
+        tensor = rg.TensorPresentation(A, inv)
+        n = tensor.l
+        old = []
+        for c in span_relations_by_kernel(full):
+            old += [{i * n + j: x for i, x in enumerate(c) if x} for j in range(n)]
+            old += [{i * n + j: x for j, x in enumerate(c) if x} for i in range(n)]
+        for r in inv.gen_vectors:
+            old += mult_difference(tensor, r).cols
+        assert all(tensor.pres.relations.cols)
+        assert len(tensor.pres.relations.cols) < len(old)
+        assert tensor.pres.lattice == lattice_canon_by_echelon(
+            linalg.Matrix(n * n, old), tensor.pres.moduli)
 
 
 _OPTIMIZED_PROBE = textwrap.dedent("""

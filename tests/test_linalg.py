@@ -324,17 +324,24 @@ def test_scattered_blocks_are_the_canonical_basis_of_the_direct_sum(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_quotients_are_the_coordinates_on_the_canonical_basis(seed):
-    """On a member the walk returns the one c with H c = vec, as the basis H
-    is triangular with nonzero pivots; off the lattice it returns None."""
+    """The membership walk down the triangular basis H meets H c with the
+    quotient c_j at each pivot, so it accepts H c; H c + r e_j with
+    0 < r < H_jj leaves the remainder r at pivot j, so it is refused.  Any
+    vector is accepted exactly when its coset representative is zero."""
     rng = random.Random(seed)
     n = rng.randint(1, 8)
     lattice = _random_presentation(rng, n).lattice
     for _ in range(40):
         c = [rng.randint(-5, 5) for _ in range(n)]
-        assert linalg.lattice_quotients(lattice, lattice.apply(c)) == c
+        member = lattice.apply(c)
+        assert linalg.lattice_member(lattice, member)
+        j = rng.randrange(n)
+        if lattice.cols[j][j] > 1:
+            r = rng.randrange(1, lattice.cols[j][j])
+            assert not linalg.lattice_member(lattice, [x + r * (i == j) for i, x in enumerate(member)])
         u = [rng.randint(-9, 9) for _ in range(n)]
         zero = all(x == 0 for x in linalg.lattice_reduce(lattice, u))
-        assert (linalg.lattice_quotients(lattice, u) is not None) == zero
+        assert linalg.lattice_member(lattice, u) == zero
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -349,4 +356,4 @@ def test_membership_and_equality_match_the_canonical_representatives(seed):
         zero = all(x == 0 for x in linalg.lattice_reduce(pres.lattice, u))
         assert linalg.lattice_member(pres.lattice, u) == zero
         shifted = [a + b for a, b in zip(u, pres.lattice.column(rng.randrange(n)))]
-        assert pres.canon(shifted) == pres.canon(u)
+        assert linalg.lattice_reduce(pres.lattice, shifted) == linalg.lattice_reduce(pres.lattice, u)

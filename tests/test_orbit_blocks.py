@@ -22,12 +22,11 @@ from semigalois.corpus import c2_table, corpus, f9_cubed_fixture, s7_monoid
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,
-                              Subalgebra)
+                              Subalgebra, TensorPresentation)
 from semigalois.semigroups import is_e_unitary
-from oracles import (check_psi_images_on_orbits, element_product, is_separable,
-                     is_separable_whole, joined_tensor_lattice, joined_tensor_vector,
-                     orbit_tensors, psi_check_whole, solve_coordinates_whole,
-                     verify_idempotent_by_kron, whole_full_tensor)
+from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
+                     joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
+                     solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -137,14 +136,17 @@ def test_split_routes_match_the_whole_routes(name, beta):
 
 @pytest.mark.parametrize("name", ["s7_gf4^3", "c2_(gf4xz3xz4)^2", "trace_gap"])
 def test_split_separability_matches_the_whole_solve_on_every_subalgebra(name):
-    """Each subalgebra over the invariants, as the brute-force scan meets them."""
+    """Each subalgebra over the invariants, as the brute-force scan meets them:
+    B is separable over A^beta exactly when each part B e_O is over
+    A^beta e_O, each part solved whole on its block ring."""
     beta = MULTI_ORBIT[name]()
     inv = invariant_ring(beta)
     verdicts = []
     for B in enumerate_subalgebras_over(beta, inv):
-        split = is_separable(B, inv, blocks=beta.orbits)
-        assert (split is None) == (is_separable_whole(B, inv) is None)
-        verdicts.append(split is not None)
+        split = all(is_separable_whole(block.subalgebra(B), block.subalgebra(inv)) is not None
+                    for block in beta.orbits)
+        assert split == (is_separable_whole(B, inv) is not None)
+        verdicts.append(split)
     assert True in verdicts
 
 
@@ -193,15 +195,12 @@ def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
     A = beta.A
     with pytest.raises(RingError):
         Block(A, [0, 2, 3]).iso(beta.isos[1])
-    full = Subalgebra.full(A)
     inv = invariant_ring(beta)
     with pytest.raises(NotSubring):
-        orbit_tensors(full, inv, [Block(A, [0]), Block(A, [1, 2, 3, 4, 5])])
-    with pytest.raises(ValueError):
-        orbit_tensors(full, inv, beta.orbits[:2])
+        Block(A, [0]).subalgebra(inv)
     prime = Subalgebra(A, [A.one().vec()]).closure_under_mul()
     with pytest.raises(NotSubring):
-        orbit_tensors(full, prime, beta.orbits)
+        beta.orbits[0].subalgebra(prime)
 
 
 def test_psi_image_vector_matches_element_route_on_a_multi_orbit_instance():
@@ -233,11 +232,11 @@ def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
     planted as the ones beta remembers, since psi reads no others."""
     beta = MULTI_ORBIT["c2_(gf4xz3xz4)^2"]()
     A = beta.A
-    full = Subalgebra.full(A)
     psi = gl.psi_check(beta)
     assert psi.image_order == psi.tensor_order
     base = Subalgebra(A, [A.idempotent_vec(block.atoms) for block in beta.orbits]).closure_under_mul()
-    tensors = beta.facts["full_tensor"] = orbit_tensors(full, base, beta.orbits)
+    tensors = beta.facts["full_tensor"] = tuple(
+        (block, TensorPresentation(block.ring, block.subalgebra(base))) for block in beta.orbits)
     assert math.prod(tensor.order() for _, tensor in tensors) > psi.tensor_order
     with pytest.raises(gl.EquivalenceViolation, match="psi kills part of the tensor on orbit 0"):
         gl.psi_check(beta)

@@ -16,7 +16,7 @@ from fixtures import (chain_semilattice_fixture, collapsing_semilattice_fixture,
                       group_with_zero_fixture)
 from oracles import (beta_complete_by_subset_scan, beta_maximal_by_subset_scan,
                      beta_strong_by_support_scan, boolean_sum_by_inclusion_exclusion,
-                     direct_product, full_inverse_subsemigroups_by_power_set, is_separable,
+                     direct_product, full_inverse_subsemigroups_by_power_set, is_separable_whole,
                      verify_coordinates_by_elements)
 from semigalois import actions, correspondence, galois as gl
 from semigalois.actions import invariant_ring, validate_action
@@ -115,7 +115,7 @@ def test_strongness_failure_on_separable_f9_subalgebra():
         A.element([(0, 0), (1, 0), (0, 0)]).vec(),
         A.element([(0, 0), (0, 1), (0, 0)]).vec(),
     ])
-    assert is_separable(B, invariant_ring(beta)) is not None
+    assert is_separable_whole(B, invariant_ring(beta)) is not None
     got = gl.is_beta_strong(beta, B)
     assert got == beta_strong_by_support_scan(beta, B)
     ok, (s, t, supp) = got

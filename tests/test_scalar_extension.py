@@ -14,6 +14,7 @@ routes agree on the fixed subgroup, the image of R, `act` and the sigma
 trace.  Bad structural maps are refused.
 """
 
+import functools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from oracles import (ScalarExtensionByLoops, ScalarExtensionByMatrices, extend_s
 from semigalois.actions import NotInjective, induce_partial_group_action, invariant_ring, is_injective
 from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.galois import is_galois
+from semigalois.linalg import lattice_reduce
 from semigalois.rings import Atom, FiniteRing
 from semigalois.semigroups import is_e_unitary
 
@@ -107,7 +109,7 @@ def test_iso_application_matches_the_matrix_route(r_given):
         new = extend_scalars_by_loops(*case)
         old = ScalarExtensionByMatrices(new)
         alpha = induce_partial_group_action(new.beta)
-        canon = new.pres.canon
+        canon = functools.partial(lattice_reduce, new.pres.lattice)
         n = new.k * new.l
         zs = new.pres.generator_vectors() + [tuple(rng.randrange(-99, 99) for _ in range(n))
                                              for _ in range(3)]

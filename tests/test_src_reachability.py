@@ -11,7 +11,7 @@ Anything else is read by tests alone and belongs under `tests/`.
 
 The scan goes by name, not by binding, so a definition that shares its name
 with something `src/` reads passes unread: `FiniteRing.mult_matrix` would
-hide behind `Subalgebra.mult_matrix`, and a module-level
+hide behind `TensorPresentation.mult_matrix`, and a module-level
 `semigroups.idempotents` behind the attribute `S.idempotents`.  The test
 catches what nothing reads by name, not every definition no caller reaches.
 """

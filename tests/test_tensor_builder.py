@@ -1,17 +1,23 @@
-"""The tensor builder skips only blocks that are zero.
+"""The tensor builder: A (x)_R A on unit-vector pairs, skipping only blocks that are zero.
 
-`TensorPresentation` adds, per generator r of R, the columns of
-E (x) I_l - I_k (x) F, with E and F the matrices of multiplication by r on
-M and on N.  When N is M (so F is E) and E is c times the identity, every
-column (i, j) is (E_ii - E_jj) e_(i,j) = 0, so the block is not built.  Only
-empty columns are skipped, so the relation matrix, and with it the lattice,
-is that of the build with every block (`tensor_presentation_every_block`):
-this is held on every orbit tensor of the galois ladder's rungs and of 30
-seeded corpus draws, and on the ladder some blocks are skipped.
+`TensorPresentation(ring, R)` presents A (x)_R A on the pairs e_i (x) e_j
+of the ring's unit vectors and adds, per generator r of R, the columns of
+E (x) I - I (x) E, with E the matrix of multiplication by r on the unit
+vectors.  When E is c times the identity, every column (i, j) is
+(E_ii - E_jj) e_(i,j) = 0, so the block is not built.  The tensor is held to
+the frozen build on two full factors with every block
+(`tensor_presentation_every_block`, which reads the oracles' expansions and
+relations): the same moduli, canonical lattice, free pairs and order, on
+every orbit tensor of the galois ladder's rungs and of 30 seeded corpus
+draws, and on the ladder some blocks are skipped.  The constructor refuses
+an R that is not a unital subalgebra of the ring, also under python -O.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,7 @@ import pytest
 from oracles import tensor_presentation_every_block
 from semigalois import galois
 from semigalois.corpus import corpus
+from semigalois.rings import Atom, AtomMismatch, FiniteRing, NotSubring, Subalgebra, TensorPresentation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,23 +40,27 @@ def _ladder_rungs():
 
 
 def _scalar_blocks(tensor):
-    """How many generators r of R give E is F with E = c * I."""
+    """How many generators r of R give E = c * I."""
     count = 0
     for r in tensor.R.gen_vectors:
-        E, F = tensor.left_factor(r), tensor.right_factor(r)
+        E = tensor.mult_matrix(r)
         c = E.cols[0].get(0)
-        count += E is F and all(col == {i: c} for i, col in enumerate(E.cols))
+        count += all(col == {i: c} for i, col in enumerate(E.cols))
     return count
 
 
 def _assert_unskipped(beta):
-    """Each orbit tensor's relations are the every-block build's; returns the
-    number of skipped blocks and of generators of R."""
+    """Each orbit tensor presents the every-block build on two full factors;
+    returns the number of skipped blocks and of generators of R."""
     skipped = gens = 0
-    for _, tensor in galois._full_tensor(beta):
-        ref = tensor_presentation_every_block(tensor.M, tensor.N, tensor.R)
+    for block, tensor in galois._full_tensor(beta):
+        assert tensor.ring is block.ring
+        full = Subalgebra.full(block.ring)
+        ref = tensor_presentation_every_block(full, full, tensor.R)
         assert tensor.pres.moduli == ref.moduli
-        assert tensor.pres.relations == ref.relations
+        assert tensor.pres.lattice == ref.lattice
+        assert tensor.free_pairs == tuple(p for p, c in enumerate(ref.lattice.cols) if c[p] != 1)
+        assert tensor.order() == ref.order()
         skipped += _scalar_blocks(tensor)
         gens += len(tensor.R.gen_vectors)
     return skipped, gens
@@ -67,3 +78,45 @@ def test_ladder_tensors_match_the_every_block_build():
 def test_corpus_tensors_match_the_every_block_build(seed):
     for beta in corpus(seed, 15):
         _assert_unskipped(beta)
+
+
+def _refused():
+    """The exception each refused R raises, or None where the constructor took it."""
+    A = FiniteRing([Atom.zmod(2, 2), Atom.gf(2, 2)])
+    half = Subalgebra(A, [A.idempotent_vec({0})])  # Z/4 e_0: closed, but without 1
+    open_ = Subalgebra(A, [A.one_vec, (0, 0, 1)])  # holds 1 and x, not x^2 = x + 1
+    other = FiniteRing([Atom.zmod(2, 2)])
+    out = []
+    for ring, R in ((A, half), (A, open_), (A, Subalgebra.full(other))):
+        try:
+            TensorPresentation(ring, R)
+        except (NotSubring, AtomMismatch) as exc:
+            out.append(type(exc).__name__)
+        else:
+            out.append(None)
+    return out
+
+
+def test_constructor_refuses_what_is_not_a_unital_subalgebra_of_the_ring():
+    """An R without 1 and an R not closed under multiplication raise
+    NotSubring; an R on a ring with other atoms raises AtomMismatch."""
+    assert _refused() == ["NotSubring", "NotSubring", "AtomMismatch"]
+
+
+_OPTIMIZED_PROBE = textwrap.dedent("""
+    import sys
+    from test_tensor_builder import _refused
+    if __debug__:
+        sys.exit(3)
+    sys.exit(0 if _refused() == ["NotSubring", "NotSubring", "AtomMismatch"] else 1)
+""")
+
+
+def test_constructor_refusals_survive_optimize():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()

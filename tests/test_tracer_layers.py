@@ -40,14 +40,13 @@ def test_tensor_build_hook_reads_a_built_tensor():
     """The `rings.tensor` hook reads k, l and pres.relations of the tensor it
     was called on; a traced build counts them."""
     A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-    full = Subalgebra.full(A)
     diag = Subalgebra(A, [A.one().vec()])
-    tensor = TensorPresentation(full, full, diag)
+    tensor = TensorPresentation(A, diag)
     assert (tensor.k, tensor.l) == (2, 2) and tensor.pres.relations.rows == 4
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        TensorPresentation(full, full, diag)
+        TensorPresentation(A, diag)
     finally:
         recorder.uninstall()
     assert recorder.calls()["rings.tensor"] == 1
