@@ -73,33 +73,6 @@ def galois_rhs(beta, s):
     return direct
 
 
-class _UnitProducts:
-    """Products on the unit vectors e_i of a block ring, each pair multiplied
-    once, so that e_i times the image f(e_c) of a unit vector under a partial
-    iso f (`StructuredIso.apply_vec`) is a sum over that image's entries."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.units = ring.basis_vectors()
-        self.atom = [ring.coord_atom(c) for c in range(ring.n_coords)]
-        self._products = {}
-
-    def times_image(self, i, f, c):
-        """e_i f(e_c) as {coordinate: value} over its nonzero values."""
-        out = {}
-        for r, z in enumerate(f.apply_vec(self.units[c])):
-            if z:
-                key = (i, r) if i <= r else (r, i)
-                prod = self._products.get(key)
-                if prod is None:
-                    vec = self.ring.mul_vec(self.units[i], self.units[r])
-                    prod = self._products[key] = [(q, x) for q, x in enumerate(vec) if x]
-                for q, x in prod:
-                    out[q] = out.get(q, 0) + z * x
-        moduli = self.ring.coord_moduli
-        return {q: v for q, x in out.items() if (v := x % moduli[q])}
-
-
 def _solve_coordinates(beta, isos, rhs_vectors):
     """Solve sum_i x_i f(y_i 1) = rhs_f for y with x the additive basis.
 
@@ -121,14 +94,14 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     of K's, so that solution is the restricted system's canonical one too:
     the coordinates do not move.  Column (i, c) is nonzero on f only when f
     takes e_c's atom to x_i's, which `matching` decides before any product;
-    it is then x_i times f's plan column at c, f(e_c) (`_UnitProducts`).
+    it is then x_i times f's plan column at c, f(e_c) (`FiniteRing.unit_times`).
     """
     A = beta.A
     ys = [None] * A.n_coords
     for block, tensor in _full_tensor(beta):
         ring = block.ring
         n = ring.n_coords
-        units = _UnitProducts(ring)
+        units = ring.basis_vectors()
         block_isos = [block.iso(f) for f in isos]
         free = tensor.free_pairs
         cols = []
@@ -136,8 +109,9 @@ def _solve_coordinates(beta, isos, rhs_vectors):
             i, c = divmod(p, n)
             col = {}
             for k, f in enumerate(block_isos):
-                if f.matching.get(units.atom[c]) == units.atom[i]:
-                    col.update((k * n + q, x) for q, x in units.times_image(i, f, c).items())
+                if f.matching.get(ring.coord_atom(c)) == ring.coord_atom(i):
+                    image = ring.unit_times(i, f.apply_vec(units[c]))
+                    col.update((k * n + q, x) for q, x in image.items())
             cols.append(col)
         aug = block_diag([ring.presentation.lattice] * len(isos))
         target = [x for vec in rhs_vectors for x in block.restrict(vec)]
@@ -158,7 +132,8 @@ def verify_coordinates(beta, coords, system=None):
     """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, apart from the solve.
 
     `system` is the pair (isos, right sides); by default it is beta's
-    Galois system.  `apply_vec` masks y to the domain.
+    Galois system.  `apply_vec` masks y to the domain.  The products are
+    taken by `mul_vec`, not read as the solve read them (`unit_times`).
     """
     A = beta.A
     isos, rhs = _galois_system(beta) if system is None else system
@@ -267,7 +242,7 @@ class _PAPart:
         for m, iso in enumerate(self.isos):
             for pair in iso.matching.items():
                 self.maps.setdefault(pair, []).append(m)
-        self.units = _UnitProducts(ring)
+        self.ring, self.units = ring, ring.basis_vectors()
         self.ambient = AbelianPresentation([ring.coord_moduli[local[pa.copies[c[0]][1]]]
                                             for c in self.classes])
 
@@ -282,10 +257,10 @@ class _PAPart:
         (`maps`); a class is in PA when it is zero at every copy, or met at
         every copy with one value.
         """
-        atom = self.units.atom
+        ring = self.ring
         values, met = {}, {}
-        for m in self.maps.get((atom[j], atom[i]), ()):
-            for r, v in self.units.times_image(i, self.isos[m], j).items():
+        for m in self.maps.get((ring.coord_atom(j), ring.coord_atom(i)), ()):
+            for r, v in ring.unit_times(i, self.isos[m].apply_vec(self.units[j])).items():
                 k = self.place[m, r]
                 if values.setdefault(k, v) != v:
                     return None

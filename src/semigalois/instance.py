@@ -178,9 +178,13 @@ def _parse_action(lines, S, A):
         dom_stated = im_stated = None
         for tok in spec.split():
             if tok.startswith("dom="):
+                if dom_stated is not None:
+                    raise ParseError(no, "dom= given twice")
                 dom_stated = _atom_set(tok[4:], no)
                 continue
             if tok.startswith("im="):
+                if im_stated is not None:
+                    raise ParseError(no, "im= given twice")
                 im_stated = _atom_set(tok[3:], no)
                 continue
             if tok == "empty":
@@ -197,6 +201,8 @@ def _parse_action(lines, S, A):
                 raise ParseError(no, f"bad matching token {tok!r}") from None
             if not (0 <= i < len(A.atoms) and 0 <= j < len(A.atoms)):
                 raise ParseError(no, f"atom index out of range in {tok!r}")
+            if i in matching:
+                raise ParseError(no, f"source atom {i} given twice")
             matching[i] = j
             twist[i] = tw
         try:

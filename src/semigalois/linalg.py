@@ -9,7 +9,7 @@ there is no floating point anywhere, so every comparison is tolerance-zero.
 Every matrix is a `Matrix`: a row count and a list of sparse columns, each
 a {row: value} dict of its nonzero entries; the systems built here (tensor
 relations, block-diagonal lattices) are almost all zeros.  A `Matrix` is
-applied (`apply`) and multiplied (`@`), with no `-`.  There is one
+applied (`apply`); it has no `@` and no `-`.  There is one
 elimination: canonical bases come from insertion modulo the diagonal
 (`_insert`, behind `lattice_canon`); membership is one walk down such a
 basis (`lattice_member`).  Kernels and solves insert a map's columns into
@@ -60,19 +60,6 @@ class Matrix:
                     out[i] += x * v
         return tuple(out)
 
-    def __matmul__(self, other):
-        """The product self @ other, column by column of `other`."""
-        if other.rows != len(self.cols):
-            raise ValueError("inner dimension mismatch")
-        cols = []
-        for oc in other.cols:
-            col = {}
-            for k, x in oc.items():
-                for i, v in self.cols[k].items():
-                    col[i] = col.get(i, 0) + x * v
-            cols.append({i: v for i, v in col.items() if v})
-        return Matrix(self.rows, cols)
-
 
 def vstack(blocks):
     """The blocks one above another; each must have as many columns as the first."""
@@ -88,22 +75,22 @@ def vstack(blocks):
     return Matrix(offset, cols)
 
 
-def kron_difference(E, F, pairs=None):
-    """E (x) I_l - I_k (x) F for a k x k matrix E and an l x l matrix F, or
-    its columns at the coordinates `pairs` alone, in their order.
+def kron_difference(E, pairs=None):
+    """E (x) I - I (x) E for an n x n matrix E, or its columns at the
+    coordinates `pairs` alone, in their order.
 
-    Coordinate (i, j) is row i * l + j, so column (i, j) is
-    sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c).
+    Coordinate (i, j) is row i * n + j, so column (i, j) is
+    sum_a E[a, i] e_(a, j) - sum_c E[c, j] e_(i, c).
     """
-    l = F.rows
+    n = E.rows
     cols = []
-    for p in range(len(E.cols) * l) if pairs is None else pairs:
-        i, j = divmod(p, l)
-        col = {a * l + j: u for a, u in E.cols[i].items()}
-        for c, v in F.cols[j].items():
-            col[i * l + c] = col.get(i * l + c, 0) - v
+    for p in range(n * n) if pairs is None else pairs:
+        i, j = divmod(p, n)
+        col = {a * n + j: u for a, u in E.cols[i].items()}
+        for c, v in E.cols[j].items():
+            col[i * n + c] = col.get(i * n + c, 0) - v
         cols.append({r: x for r, x in col.items() if x})
-    return Matrix(E.rows * l, cols)
+    return Matrix(n * n, cols)
 
 
 def diag_cols(moduli):

@@ -20,8 +20,7 @@ import operator
 from functools import cached_property
 
 from .budget import spend
-from .linalg import (AbelianPresentation, Matrix, cols_from_vectors, kron_difference, lattice_det,
-                     lattice_member)
+from .linalg import AbelianPresentation, Matrix, kron_difference, lattice_det, lattice_member
 
 ATOM_ORDER_GUARD = 1 << 20
 
@@ -240,6 +239,7 @@ class FiniteRing:
         for a in atoms:
             self._spans.append((pos, pos + a.coords))
             pos += a.coords
+        self._coord_atoms = tuple(idx for idx, a in enumerate(atoms) for _ in range(a.coords))
         self.exponent = math.lcm(*self.coord_moduli)
         self._products = {}  # unordered pair of coordinate tuples -> their product
         self._idempotents = {}  # atom set -> its indicator vector, built on first use
@@ -297,10 +297,7 @@ class FiniteRing:
 
     def coord_atom(self, i):
         """Atom index owning flat coordinate i."""
-        for idx, (lo, hi) in enumerate(self._spans):
-            if lo <= i < hi:
-                return idx
-        raise IndexError(i)
+        return self._coord_atoms[i]
 
     def atom_span(self, idx):
         return self._spans[idx]
@@ -335,6 +332,23 @@ class FiniteRing:
                     out.extend([0] * (hi - lo))
             out = self._products[key] = tuple(out)
         return out
+
+    def unit_times(self, i, vec):
+        """e_i * vec for the unit vector e_i, as {coordinate: value} over its
+        nonzero values.  On e_i's atom e_i is x^a, so the product is
+        sum_b vec[b] x^(a+b), each power read from the atom's `_x_powers`; off
+        that atom it is zero.  No product is taken, so nothing is charged:
+        a matrix filled from it is charged when it is eliminated."""
+        idx = self._coord_atoms[i]
+        lo, hi = self._spans[idx]
+        atom = self.atoms[idx]
+        out = [0] * (hi - lo)
+        for z, power in zip(vec[lo:hi], atom._x_powers[i - lo:]):
+            if z:
+                for t, x in enumerate(power):
+                    out[t] += z * x
+        m = atom.modulus
+        return {lo + t: v for t, x in enumerate(out) if (v := x % m)}
 
     def atom_mask(self, vec):
         """The atoms on which a coordinate vector is nonzero, as a bit mask."""
@@ -777,27 +791,19 @@ class TensorPresentation:
             c = E.cols[0].get(0)
             if all(col == {i: c} for i, col in enumerate(E.cols)):
                 continue
-            rel_cols += [col for col in kron_difference(E, E).cols if col]
+            rel_cols += [col for col in kron_difference(E).cols if col]
         moduli = ring.coord_moduli
         self.pres = AbelianPresentation([math.gcd(a, b) for a in moduli for b in moduli],
                                         Matrix(n * n, rel_cols))
 
-    @cached_property
-    def _masks(self):
-        """The atom of each unit vector, as a bit mask."""
-        return tuple(1 << self.ring.coord_atom(i) for i in range(self.k))
-
     def mult_matrix(self, b_vec):
         """Matrix E of m -> b*m on the unit vectors, column i the coordinates
-        of b*e_i; built once per b.  A unit vector off b's atoms multiplies
-        to 0, with no product taken."""
+        of b*e_i (`FiniteRing.unit_times`); built once per b."""
         b_vec = tuple(b_vec)
         mat = self._mult_matrices.get(b_vec)
         if mat is None:
-            ring, mask = self.ring, self.ring.atom_mask(b_vec)
-            mat = self._mult_matrices[b_vec] = cols_from_vectors(
-                [ring.mul_vec(b_vec, e) if mask & m else ring.zero_vec
-                 for e, m in zip(ring.basis_vectors(), self._masks)], self.k)
+            mat = self._mult_matrices[b_vec] = Matrix(
+                self.k, [self.ring.unit_times(i, b_vec) for i in range(self.k)])
         return mat
 
     def algebra_generators(self):
@@ -884,21 +890,9 @@ class TensorPresentation:
 
     @cached_property
     def _mult_map(self):
-        """Built once, each unordered pair of unit vectors multiplied once
-        (the ring is commutative), and a pair on two atoms not at all: it is 0."""
+        """Built once: column (i, j) is e_i * e_j (`FiniteRing.unit_times`)."""
         ring, units = self.ring, self.ring.basis_vectors()
-        products = {}
-        cols = []
-        for u, um in zip(units, self._masks):
-            for v, vm in zip(units, self._masks):
-                if not um & vm:
-                    cols.append(ring.zero_vec)
-                    continue
-                key = (u, v) if u <= v else (v, u)
-                if key not in products:
-                    products[key] = ring.mul_vec(u, v)
-                cols.append(products[key])
-        return cols_from_vectors(cols, ring.n_coords)
+        return Matrix(ring.n_coords, [ring.unit_times(i, e) for i in range(self.k) for e in units])
 
     def free_mult_difference(self, b_vec):
         """The matrix of z -> ((b (x) 1) - (1 (x) b)) * z, E (x) I - I (x) E
@@ -910,7 +904,7 @@ class TensorPresentation:
         l, pos = self.l, self._free_positions
         live = [p for p in self.free_pairs if E.cols[p // l] or E.cols[p % l]]
         cols = [{} for _ in pos]
-        for p, col in zip(live, self.onto_free_pairs(kron_difference(E, E, live)).cols):
+        for p, col in zip(live, self.onto_free_pairs(kron_difference(E, live)).cols):
             cols[pos[p]] = col
         return Matrix(len(pos), cols)
 

@@ -306,6 +306,7 @@ class SubSemigroup:
 
 
 def generated_subsemigroup(S, gens):
+    """The members of the inverse subsemigroup generated by `gens`, as a frozenset."""
     members = set(gens)
     frontier = list(gens)
     while frontier:
@@ -314,7 +315,7 @@ def generated_subsemigroup(S, gens):
             if nxt not in members:
                 members.add(nxt)
                 frontier.append(nxt)
-    return SubSemigroup(S, frozenset(members))
+    return frozenset(members)
 
 
 def enumerate_full_inverse_subsemigroups(S):
@@ -333,7 +334,7 @@ def enumerate_full_inverse_subsemigroups(S):
         for s in non_idem:
             if s not in members:
                 spend("subsemigroups", 1)
-                bigger = generated_subsemigroup(S, members | {s}).members
+                bigger = generated_subsemigroup(S, members | {s})
                 if bigger not in found:
                     found.add(bigger)
                     frontier.append(bigger)

@@ -64,7 +64,8 @@ joins form S/sigma (`verify_class_join_group`), the meet under the natural
 order (`meet`) and the direct product of two tables (`direct_product`).
 
 `dense` and `sparse` convert between the library's sparse `Matrix` and
-numpy object arrays for dense fixtures; `hstack` puts matrices side by side,
+numpy object arrays for dense fixtures; `hstack` puts matrices side by side
+and `matmul` multiplies two,
 `mult_difference` is a tensor's E (x) I - I (x) E on every generator pair,
 and `factor_generators` lists the additive generators of a tensor's factor.
 """
@@ -86,6 +87,34 @@ def dense(mat):
 def hstack(blocks):
     """The blocks side by side, sharing their column dicts."""
     return Matrix(blocks[0].rows, [c for b in blocks for c in b.cols])
+
+
+def matmul(a, b):
+    """The product a @ b of two `Matrix`es, column by column of b."""
+    if b.rows != len(a.cols):
+        raise ValueError("inner dimension mismatch")
+    cols = []
+    for bc in b.cols:
+        col = {}
+        for k, x in bc.items():
+            for i, v in a.cols[k].items():
+                col[i] = col.get(i, 0) + x * v
+        cols.append({i: v for i, v in col.items() if v})
+    return Matrix(a.rows, cols)
+
+
+def kron_difference_two(E, F):
+    """E (x) I_l - I_k (x) F for a k x k matrix E and an l x l matrix F:
+    column (i, j), at i * l + j, is sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c)."""
+    l = F.rows
+    cols = []
+    for i in range(len(E.cols)):
+        for j in range(l):
+            col = {a * l + j: u for a, u in E.cols[i].items()}
+            for c, v in F.cols[j].items():
+                col[i * l + c] = col.get(i * l + c, 0) - v
+            cols.append({r: x for r, x in col.items() if x})
+    return Matrix(E.rows * l, cols)
 
 
 def sparse(rows):
@@ -116,7 +145,7 @@ def mult_difference(tensor, b_vec):
     """The `Matrix` of z -> ((b (x) 1) - (1 (x) b)) * z on every generator pair:
     E (x) I - I (x) E with E = `mult_matrix(b)`."""
     E = tensor.mult_matrix(b_vec)
-    return kron_difference(E, E)
+    return kron_difference(E)
 
 
 def factor_generators(tensor):
@@ -1411,6 +1440,13 @@ class WholeTensorPresentation:
         return self.pres.is_zero(z)
 
 
+def mult_matrix_by_products(ring, b_vec):
+    """The matrix of m -> b*m on the unit vectors of `ring`, column i the
+    product b*e_i taken by `mul_vec`, as `TensorPresentation.mult_matrix`
+    built it before it read products from the atoms' powers."""
+    return cols_from_vectors([ring.mul_vec(b_vec, e) for e in ring.basis_vectors()], ring.n_coords)
+
+
 def tensor_presentation_every_block(M, N, R):
     """M (x)_R N as `TensorPresentation` built it before it skipped a scalar
     block: each side's relations, then every nonzero column of
@@ -1426,7 +1462,8 @@ def tensor_presentation_every_block(M, N, R):
     rel_cols += [{i * l + j: x for j, x in enumerate(c) if x}
                  for c in span_relations_by_kernel(N) for i in range(k)]
     rel_cols += [c for r in R.gen_vectors
-                 for c in kron_difference(mult_matrix_by_solve(M, r), mult_matrix_by_solve(N, r)).cols if c]
+                 for c in kron_difference_two(mult_matrix_by_solve(M, r), mult_matrix_by_solve(N, r)).cols
+                 if c]
     return AbelianPresentation([math.gcd(a, b) for a in m_orders for b in n_orders],
                                Matrix(k * l, rel_cols))
 
@@ -1492,7 +1529,7 @@ def solve_coordinates_whole(beta, isos, rhs_vectors):
     n = A.n_coords
     full = Subalgebra.full(A)  # its generators are the unit vectors
     mult_mats = [mult_matrix_by_solve(full, v) for v in A.basis_vectors()]
-    mat = vstack([hstack([m @ iso_matrix_by_polynomials(iso) for m in mult_mats]) for iso in isos])
+    mat = vstack([hstack([matmul(m, iso_matrix_by_polynomials(iso)) for m in mult_mats]) for iso in isos])
     aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
     sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n, list(A.coord_moduli) * len(isos))
@@ -1604,7 +1641,7 @@ def solve_coordinates_all_pairs(beta, isos, rhs_vectors):
         mult_mats = [mult_matrix_by_solve(full, v) for v in basis]
         iso_mats = [cols_from_vectors([block.iso(f).apply_vec(v) for v in basis], n)
                     for f in isos]
-        mat = vstack([hstack([m @ f for m in mult_mats]) for f in iso_mats])
+        mat = vstack([hstack([matmul(m, f) for m in mult_mats]) for f in iso_mats])
         aug = block_diag([ring.presentation.lattice] * len(isos))
         target = [x for vec in rhs_vectors for x in block.restrict(vec)]
         sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n,
@@ -1639,7 +1676,7 @@ def psi_image_canons_all_pairs(beta):
         moved = [[iso.apply_vec(y) for iso in part.isos] for y in units]
         images = []
         for x in units:
-            for family in ([part.units.ring.mul_vec(x, v) for v in vs] for vs in moved):
+            for family in ([part.ring.mul_vec(x, v) for v in vs] for vs in moved):
                 values = [family[m][r] for m, r in (copies[0] for copies in where)]
                 assert all(family[m][r] == values[k]
                            for k, copies in enumerate(where) for m, r in copies[1:])

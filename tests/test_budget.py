@@ -46,9 +46,9 @@ SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
                   ["correspond", "--brute-force-subalgebras"], ["zero"]]
 SPEND_CEILINGS = {
     "b2_f3f3": [0, 9, 0, 0, 0, 17],
-    "c2_swap": [0, 11, 75, 18, 40, 0],
-    "s7_f9cubed": [0, 30, 462, 101, 470, 0],
-    "trace_gap_c2": [0, 10, 75, 0, 0, 0],
+    "c2_swap": [0, 11, 55, 18, 40, 0],
+    "s7_f9cubed": [0, 30, 389, 101, 470, 0],
+    "trace_gap_c2": [0, 10, 61, 0, 0, 0],
 }
 
 
@@ -86,7 +86,7 @@ def test_spend_per_shipped_instance_stays_under_its_ceiling(monkeypatch, capsysb
 
 
 # `galois` on C2 swapping k pairs of Z/2 (k orbits of two atoms each), by k.
-C2_PAIRS_CEILINGS = {32: 12_320, 128: 172_160}
+C2_PAIRS_CEILINGS = {32: 11_680, 128: 169_600}
 
 
 def _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, k):

@@ -539,6 +539,25 @@ def test_repeated_single_valued_key_is_a_positioned_error(tmp_path, key, text, s
     _assert_input_error(*run_cli(["galois", str(p)]), f"line {line_no}: {message}".encode())
 
 
+@pytest.mark.parametrize("line,message", [
+    ("map = g : 0->0 0->1 1->0", "source atom 0 given twice"),
+    ("map = g : dom=0 dom=0,1 0->1 1->0", "dom= given twice"),
+    ("map = g : im=0,1 0->1 im=1 1->0", "im= given twice"),
+], ids=["source", "dom", "im"])
+def test_repeated_map_token_is_a_positioned_error(tmp_path, line, message):
+    """Each line would otherwise parse, the first as the swap with the last
+    value for atom 0 winning, the others with either stated set."""
+    good = "map = g : 0->1:0 1->0:0"
+    text = (INSTANCES / "c2_swap.sgi").read_text()
+    line_no = text.splitlines().index(good) + 1
+    p = tmp_path / "repeated.sgi"
+    p.write_text(text.replace(good, line))
+    with pytest.raises(inst.ParseError, match=re.escape(message)) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == line_no
+    _assert_input_error(*run_cli(["galois", str(p)]), f"line {line_no}: {message}".encode())
+
+
 def test_twist_on_zmod_atom_is_a_positioned_error(tmp_path):
     good = "map = g : 0->1:0 1->0:0"
     text = (INSTANCES / "c2_swap.sgi").read_text()

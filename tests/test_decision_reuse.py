@@ -9,6 +9,7 @@ matrix and element by element.
 
 import collections
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,34 @@ def test_product_table_hit_returns_the_product_and_charges_alike(monkeypatch, at
                 A.mul_vec(x.vec(), y.vec())
             assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
     assert len(A._products) == len({frozenset((x.vec(), y.vec())) for x in pool for y in pool})
+
+
+def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
+    """`galois` on s7_f9cubed multiplies a unit vector only through
+    `FiniteRing.unit_times`: no `mul_vec` call has the coordinate solve, psi,
+    `mult_matrix` or the multiplication map on its stack (43 calls when
+    they kept their own products).  `verify_coordinates` re-checks
+    the solve with `mul_vec`, apart from the read the solve used."""
+    readers = {galois._solve_coordinates.__code__, galois.psi_check.__code__,
+               rg.TensorPresentation.mult_matrix.__code__,
+               rg.TensorPresentation._mult_map.func.__code__}
+    inside, verifying, reads = [], [], []
+    original = rg.FiniteRing.mul_vec
+
+    def mul_vec(self, u, v):
+        frame = sys._getframe(1)
+        verifying.append(frame.f_code is galois.verify_coordinates.__code__)
+        while frame is not None:
+            if frame.f_code in readers:
+                inside.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return original(self, u, v)
+
+    monkeypatch.setattr(rg.FiniteRing, "mul_vec", mul_vec)
+    _recording(monkeypatch, rg.FiniteRing, "unit_times", lambda *a: reads.append(a))
+    assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
+    assert inside == []
+    assert reads and any(verifying)
 
 
 def test_rings_with_equal_atoms_share_no_table():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semigalois import linalg
-from oracles import (dense, hstack, kernel_and_solve_by_echelon, quotient_order_by_enumeration,
+from oracles import (dense, hstack, kernel_and_solve_by_echelon, matmul, quotient_order_by_enumeration,
                      scatter_lattice, sparse, subgroup_elements_by_closure)
 
 
@@ -231,7 +231,7 @@ def test_matrix_builders_match_numpy(seed):
 
     r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
     a, b, d = rand(r, k), rand(k, c), rand(rng.randint(1, 4), k)
-    assert dense(sparse(a) @ sparse(b)).tolist() == a.dot(b).reshape(r, c).tolist()
+    assert dense(matmul(sparse(a), sparse(b))).tolist() == a.dot(b).reshape(r, c).tolist()
     x = [rng.randint(-5, 5) for _ in range(k)]
     assert sparse(a).apply(x) == tuple(a.dot(np.array(x, dtype=object)).reshape(r).tolist())
     assert dense(linalg.vstack([sparse(a), sparse(d)])).tolist() == \

@@ -9,12 +9,15 @@ the frozen build on two full factors with every block
 (`tensor_presentation_every_block`, which reads the oracles' expansions and
 relations): the same moduli, canonical lattice, free pairs and order, on
 every orbit tensor of the galois ladder's rungs and of 30 seeded corpus
-draws, and on the ladder some blocks are skipped.  The constructor refuses
+draws, and on the ladder some blocks are skipped.  On the same tensors the
+multiplication matrices, read from the atoms' powers, equal the ones built
+from `mul_vec` (`mult_matrix_by_products`).  The constructor refuses
 an R that is not a unital subalgebra of the ring, also under python -O.
 """
 
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import tensor_presentation_every_block
+from oracles import hstack, mult_matrix_by_products, tensor_presentation_every_block
 from semigalois import galois
 from semigalois.corpus import corpus
 from semigalois.rings import Atom, AtomMismatch, FiniteRing, NotSubring, Subalgebra, TensorPresentation
@@ -78,6 +81,32 @@ def test_ladder_tensors_match_the_every_block_build():
 def test_corpus_tensors_match_the_every_block_build(seed):
     for beta in corpus(seed, 15):
         _assert_unskipped(beta)
+
+
+def _assert_products_read(beta, rng):
+    """Each orbit tensor's multiplication matrices, read from the atoms'
+    powers (`FiniteRing.unit_times`), equal the ones built from `mul_vec`:
+    `mult_matrix(b)` for each generator of R, each unit vector and seeded
+    vectors b, and `mult_map_vec()`, whose column (i, j) is e_i * e_j."""
+    for _, tensor in galois._full_tensor(beta):
+        ring = tensor.ring
+        units = ring.basis_vectors()
+        assert tensor.mult_map_vec() == hstack([mult_matrix_by_products(ring, e) for e in units])
+        drawn = [tuple(rng.randrange(m) for m in ring.coord_moduli) for _ in range(3)]
+        for b in [*tensor.R.gen_vectors, *units, *drawn]:
+            assert tensor.mult_matrix(b) == mult_matrix_by_products(ring, b)
+
+
+def test_ladder_multiplication_matrices_match_the_products():
+    rng = random.Random(36)
+    for rung in _ladder_rungs():
+        _assert_products_read(rung.beta, rng)
+
+
+def test_corpus_multiplication_matrices_match_the_products():
+    rng = random.Random(2408)
+    for beta in corpus(2408, 30):
+        _assert_products_read(beta, rng)
 
 
 def _refused():
