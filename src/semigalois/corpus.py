@@ -108,14 +108,17 @@ ATOM_PALETTE = [
     ("zmod", 3, 2), ("zmod", 7, 1), ("zmod", 2, 3),
     ("gf", 2, 2), ("gf", 3, 2), ("gf", 2, 3),
 ]
+_PALETTE_ATOMS = {}  # palette entry -> its atom, validated on its first draw
 
 
 def random_ring(rng: random.Random, max_atoms=3):
     n = rng.randint(1, max_atoms)
     atoms = []
     for _ in range(n):
-        kind, p, k = rng.choice(ATOM_PALETTE)
-        atoms.append(Atom.zmod(p, k) if kind == "zmod" else Atom.gf(p, k))
+        kind, p, k = entry = rng.choice(ATOM_PALETTE)
+        if entry not in _PALETTE_ATOMS:
+            _PALETTE_ATOMS[entry] = Atom.zmod(p, k) if kind == "zmod" else Atom.gf(p, k)
+        atoms.append(_PALETTE_ATOMS[entry])
     return FiniteRing(atoms)
 
 
@@ -139,34 +142,37 @@ def random_structured_iso(rng: random.Random, ring):
     return StructuredIso(ring, matching, twist)
 
 
-def close_isos(seed_isos, cap=24):
-    """Closure of a set of partial isos under composition and inverse."""
-    seen = {}
-    order = []
+def close_isos(seed_isos, cap=24, allow_empty=True):
+    """Closure of a set of partial isos under composition and inverse, in
+    order of discovery, on their keys (`isopu`'s tuple kernel); None once the
+    empty iso is found, unless `allow_empty`.  An iso taken off the frontier is
+    composed both ways with each iso found so far but those taken off since it
+    was found, which composed the pair already."""
+    ring = seed_isos[0].ring
+    seen, frontier, empty = {}, [], (None,) * len(ring.atoms)
+    met = {}  # iso -> how many isos were found when it was taken off
 
     def note(f):
         if f not in seen:
-            seen[f] = len(order)
-            order.append(f)
-            return True
-        return False
+            seen[f] = len(seen)
+            frontier.append(f)
+            if len(seen) > cap:
+                raise TooLarge("iso closure exceeded the corpus cap")
 
-    for f in seed_isos:
+    for f in map(isopu._key, seed_isos):
         note(f)
-        note(f.inverse())
-    frontier = list(order)
-    while frontier:
-        f = frontier.pop()
-        for g in list(order):
-            for h in (isopu.compose(f, g), isopu.compose(g, f)):
-                if note(h):
-                    frontier.append(h)
-                if len(order) > cap:
-                    raise TooLarge("iso closure exceeded the corpus cap")
-        inv = f.inverse()
-        if note(inv):
-            frontier.append(inv)
-    return order
+        note(isopu._inverse_key(f))
+    while frontier and (allow_empty or empty not in seen):
+        f, found = frontier.pop(), list(seen)
+        for g in found:
+            if met.get(g, 0) <= seen[f]:
+                note(isopu._compose_keys(f, g))
+                note(isopu._compose_keys(g, f))
+        met[f] = len(found)
+        note(isopu._inverse_key(f))
+    if empty in seen and not allow_empty:
+        return None
+    return [isopu._from_key(ring, f) for f in seen]
 
 
 def random_instance(rng: random.Random, cap=14, with_zero=False):
@@ -181,11 +187,11 @@ def random_instance(rng: random.Random, cap=14, with_zero=False):
     for _ in range(2):
         gens.append(random_structured_iso(rng, ring))
     try:
-        closed = close_isos(gens, cap=cap)
+        closed = close_isos(gens, cap=cap, allow_empty=with_zero)
     except TooLarge:
         return None
     empty = StructuredIso.empty(ring)
-    if (empty in closed) != with_zero:
+    if closed is None or (empty in closed) != with_zero:
         return None
     zero = closed.index(empty) if with_zero else None
     return iso_action(closed, [f"b{i}" for i in range(len(closed))], zero)

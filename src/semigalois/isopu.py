@@ -115,10 +115,34 @@ def join_product_table(joins):
 
 
 def composition_table(isos):
-    """table[a][b] is the index of isos[a] isos[b]; `isos` must be closed under composition."""
-    index = {f: i for i, f in enumerate(isos)}
-    table = [[index.get(compose(f, g)) for g in isos] for f in isos]
+    """table[a][b] is the index of isos[a] isos[b], composed on keys; `isos` must be closed."""
+    keys = [_key(f) for f in isos]
+    index = {k: i for i, k in enumerate(keys)}
+    table = [[index.get(_compose_keys(f, g)) for g in keys] for f in keys]
     if any(None in row for row in table):
         raise AssertionError("the isos are not closed under composition")
     return table
 
+
+def _key(f):
+    """f in the tuple kernel: (image, twist, coords) on each atom of its
+    domain, the twist taken mod the atom's `coords`, and None on every other
+    atom, so that equal isos have equal keys."""
+    return tuple(None if (j := f.matching.get(i)) is None else (j, f.twist[i], a.coords)
+                 for i, a in enumerate(f.ring.atoms))
+
+
+def _from_key(ring, key):
+    return StructuredIso.trusted(ring, {i: v[0] for i, v in enumerate(key) if v},
+                                 {i: v[1] for i, v in enumerate(key) if v})
+
+
+def _compose_keys(f, g):
+    """The key of `compose` on the isos of keys f and g."""
+    return tuple(None if v is None or (w := f[v[0]]) is None else (w[0], (v[1] + w[1]) % v[2], v[2])
+                 for v in g)
+
+
+def _inverse_key(f):
+    inverse = {v[0]: (i, -v[1] % v[2], v[2]) for i, v in enumerate(f) if v}
+    return tuple(map(inverse.get, range(len(f))))

@@ -233,7 +233,7 @@ class FiniteRing:
         self.size = math.prod(a.order for a in atoms)
         self.coord_moduli = tuple(m for a in atoms for m in a.coord_moduli)
         self.n_coords = len(self.coord_moduli)
-        self.presentation = AbelianPresentation(self.coord_moduli)
+        self._presentation = None
         self._spans = []
         pos = 0
         for a in atoms:
@@ -245,6 +245,14 @@ class FiniteRing:
         self._idempotents = {}  # atom set -> its indicator vector, built on first use
         self.zero_vec = (0,) * self.n_coords
         self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
+
+    @property
+    def presentation(self):
+        """The additive group, built on first use (by hand: a `cached_property`
+        writes through `__dict__`, which slows every later attribute read)."""
+        if self._presentation is None:
+            self._presentation = AbelianPresentation(self.coord_moduli)
+        return self._presentation
 
     def __eq__(self, other):
         return self is other or isinstance(other, FiniteRing) and self.atoms == other.atoms
@@ -273,12 +281,6 @@ class FiniteRing:
                     raise AtomMismatch("GF component length mismatch")
                 vec.extend(c)
         return self.from_vec(vec)
-
-    def zero(self):
-        return self.from_vec(self.zero_vec)
-
-    def one(self):
-        return self.from_vec(self.one_vec)
 
     def idempotent_vec(self, support):
         """The indicator of a set of atoms as a coordinate vector, kept per set."""
@@ -447,7 +449,8 @@ class StructuredIso:
     `matching` maps each domain atom index to its image atom index (the
     atoms must carry identical (kind, p, k, poly)); `twist` gives the
     Frobenius power applied on each domain atom, reduced mod the atom's
-    `coords` (so always 0 on Z/p^k atoms).
+    `coords` (so always 0 on Z/p^k atoms), and on no other atom, so that
+    equal maps have equal data.
     Local atoms force any isomorphism of unital ideals into this shape.
     The constructor checks this; `trusted` builds an iso derived from valid
     ones (a composite, inverse, join or block restriction) without checks.
@@ -459,6 +462,8 @@ class StructuredIso:
         matching, twist = dict(matching), {i: int(t) for i, t in twist.items()}
         if len(set(matching.values())) != len(matching):
             raise RingError("matching is not a bijection")
+        if not twist.keys() <= matching.keys():
+            raise RingError(f"twist on atoms {sorted(twist.keys() - matching.keys())} outside the domain")
         for i, j in matching.items():
             a, b = ring.atoms[i], ring.atoms[j]
             if a != b:

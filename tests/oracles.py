@@ -25,7 +25,9 @@ use), the five power-set scans that per-atom and per-element tests
 replaced (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
 `full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
 `beta_maximal_by_subset_scan`), the natural order by a scan over the
-idempotents (`natural_order_by_idempotents`), the subalgebra scan that closed every
+idempotents (`natural_order_by_idempotents`), the iso closure on iso
+objects (`close_isos_by_objects`), associativity by the scan of
+all n^3 triples (`first_non_associative_triple`), the subalgebra scan that closed every
 coset (`subalgebras_by_coset_scan`), the four action-axiom validators with
 their own loops (`validate_action_by_own_loops`,
 `validate_partial_group_action_by_own_loops`,
@@ -461,7 +463,7 @@ def separable_all_generators(B, R):
     A = B.ring
     blocks = [dense(tensor.mult_map_vec())]
     augs = [A.presentation.lattice]
-    target = list(A.one().vec())
+    target = list(A.one_vec)
     for b in B.gen_vectors:
         blocks.append(kron_left(tensor, b) - kron_right(tensor, b))
         augs.append(tensor.pres.lattice)
@@ -478,7 +480,7 @@ def verify_idempotent_by_kron(tensor, z):
     A = tensor.ring
     zcol = np.array(z, dtype=object).reshape(-1, 1)
     mz = dense(tensor.mult_map_vec()).dot(zcol)
-    if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one().vec():
+    if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one_vec:
         return False
     for b in factor_generators(tensor):
         left = kron_left(tensor, b).dot(zcol)
@@ -567,7 +569,7 @@ def subalgebras_by_coset_scan(beta, base):
     """Every `base`-subalgebra of A, closing every nonzero coset representative
     of each subalgebra found (the scan before it closed one per unit orbit)."""
     A = beta.A
-    start = base.adjoin(A.one().vec())
+    start = base.adjoin(A.one_vec)
     found = {start}
     frontier = [start]
     while frontier:
@@ -746,7 +748,7 @@ def verify_coordinates_by_elements(beta, coords):
     elements = [(A.from_vec(x), A.from_vec(y)) for x, y in coords]
     for s, iso in enumerate(beta.isos):
         want = A.from_vec(galois_rhs(beta, s))
-        total = A.zero()
+        total = A.from_vec(A.zero_vec)
         for x, y in elements:
             total = total + x * iso.apply(y.mask(iso.dom_support))
         if total != want:
@@ -793,11 +795,11 @@ def beta_strong_by_support_scan(beta, B, s_b=None):
 
 def boolean_sum_by_inclusion_exclusion(A, idempotents_list):
     """The join of commuting idempotents as the signed sum over all nonempty subsets."""
-    total = A.zero()
+    total = A.from_vec(A.zero_vec)
     for r in range(1, len(idempotents_list) + 1):
         sign = 1 if r % 2 == 1 else -1
         for combo in itertools.combinations(idempotents_list, r):
-            prod = A.one()
+            prod = A.from_vec(A.one_vec)
             for e in combo:
                 prod = prod * e
             total = total + (sign * prod)
@@ -824,6 +826,52 @@ def natural_order_by_idempotents(S):
     the natural order before it read s = ts^{-1}s."""
     return tuple(tuple(any(S.table[t][f] == s for f in S.idempotents) for t in range(S.n))
                  for s in range(S.n))
+
+
+def close_isos_by_objects(seed_isos, cap):
+    """The closure of partial isos under `compose` and `inverse`, in order of
+    discovery, as `corpus.close_isos` took it on iso objects, composing
+    every pair from both of its sides; TooLarge past `cap` isos."""
+    from semigalois import isopu
+    from semigalois.rings import TooLarge
+
+    seen, order = set(), []
+
+    def note(f):
+        if f in seen:
+            return False
+        seen.add(f)
+        order.append(f)
+        return True
+
+    for f in seed_isos:
+        note(f)
+        note(f.inverse())
+    frontier = list(order)
+    while frontier:
+        f = frontier.pop()
+        for g in list(order):
+            for h in (isopu.compose(f, g), isopu.compose(g, f)):
+                if note(h):
+                    frontier.append(h)
+                if len(order) > cap:
+                    raise TooLarge("iso closure exceeded the cap")
+        inv = f.inverse()
+        if note(inv):
+            frontier.append(inv)
+    return order
+
+
+def first_non_associative_triple(table):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or
+    None: the n^3 scan that `validate_table` ran before Light's test."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
 
 
 def beta_complete_by_subset_scan(beta, T):
@@ -1012,7 +1060,7 @@ class PresentedBaseByLoops:
     def from_finite_ring(R):
         gens = R.basis_vectors()
         return PresentedBaseByLoops(gens, R.coord_moduli, (),
-                                    lambda i, j: R.mul_vec(gens[i], gens[j]), R.one().vec())
+                                    lambda i, j: R.mul_vec(gens[i], gens[j]), R.one_vec)
 
     @staticmethod
     def from_subalgebra(B):
@@ -1021,7 +1069,7 @@ class PresentedBaseByLoops:
         return PresentedBaseByLoops(
             gens, orders, span_relations_by_kernel(B),
             lambda i, j: expand_by_solve(B, B.ring.mul_vec(gens[i], gens[j])),
-            expand_by_solve(B, B.ring.one().vec()))
+            expand_by_solve(B, B.ring.one_vec))
 
     def combine(self, coeff_vectors, weights):
         out = [0] * self.k
@@ -1101,7 +1149,7 @@ class ScalarExtensionByLoops:
         def canon(vec):
             return lattice_reduce(base.pres.lattice, vec)
 
-        got_one = base.combine(self.base_images, expand_by_solve(inv, A.one().vec()))
+        got_one = base.combine(self.base_images, expand_by_solve(inv, A.one_vec))
         if canon(got_one) != canon(base.one_coeffs):
             raise ActionError("structural map must send 1 to 1")
         for (cu, u) in zip(self.base_images, inv.gen_vectors):
@@ -1147,7 +1195,7 @@ class ScalarExtensionByLoops:
         return [_unit(self.k * self.l, i) for i in range(self.k * self.l)]
 
     def r_image_canon(self):
-        gens = [self.pure(_unit(self.k, i), self.beta.A.one().vec()) for i in range(self.k)]
+        gens = [self.pure(_unit(self.k, i), self.beta.A.one_vec) for i in range(self.k)]
         return self.pres.subgroup_canon(gens)
 
     def invariants_canon(self):
@@ -1607,7 +1655,7 @@ def is_separable_whole(B, R):
     from semigalois.linalg import block_diag, solve_cols, vstack
     tensor = WholeTensorPresentation(B, R)
     A = B.ring
-    mats, augs, target = [tensor.mult_map_vec()], [A.presentation], list(A.one().vec())
+    mats, augs, target = [tensor.mult_map_vec()], [A.presentation], list(A.one_vec)
     for b in algebra_generators_by_adjoining(B, R):
         mats.append(mult_difference(tensor, b))
         augs.append(tensor.pres)

@@ -261,7 +261,7 @@ def test_criterion_5_oracle_equivalence():
         A = random_ring(rng, max_atoms=2)
         if A.size > 81:
             continue
-        prime = Subalgebra(A, [A.one().vec()]).closure_under_mul()
+        prime = Subalgebra(A, [A.one_vec]).closure_under_mul()
         tensor = TensorPresentation(A, prime)
         moduli = list(tensor.pres.moduli)
         rel = tensor.pres.relations
@@ -343,7 +343,7 @@ def test_criterion_7_scalar_extension():
             detail.append("R = invariants case failed")
         if inv.order == 3 and beta.A.exponent % 3 == 0 and 9 * beta.A.size <= guard:
             R = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-            ext2 = extend_scalars_by_loops(beta, R, [R.one()])
+            ext2 = extend_scalars_by_loops(beta, R, [R.from_vec(R.one_vec)])
             if not scalar_extension_is_galois_by_loops(ext2):
                 ok = False
                 detail.append("F3xF3-over-diagonal case failed")

@@ -74,8 +74,8 @@ def test_plain_trace_not_invariant_but_sigma_trace_is():
 def test_sigma_trace_on_c2_swap():
     beta = c2_swap_fixture()
     A = beta.A
-    assert ac.sigma_trace(beta, A.one()) == A.element([2, 2])
-    assert ac.sigma_trace(beta, A.element([1, 0])) == A.one()
+    assert ac.sigma_trace(beta, A.from_vec(A.one_vec)) == A.element([2, 2])
+    assert ac.sigma_trace(beta, A.element([1, 0])) == A.from_vec(A.one_vec)
 
 
 def test_semilattice_sigma_trace_is_identity():
@@ -204,10 +204,10 @@ def test_image_action_of_galois_is_e_unitary_on_corpus():
 def test_scalar_extension_base_cases():
     beta = c2_swap_fixture()
     R = FiniteRing([Atom.zmod(3)])
-    ext = extend_scalars_by_loops(beta, R, [R.one()])
+    ext = extend_scalars_by_loops(beta, R, [R.from_vec(R.one_vec)])
     assert ext.pres.order() == beta.A.size
     R2 = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-    ext2 = extend_scalars_by_loops(beta, R2, [R2.one()])
+    ext2 = extend_scalars_by_loops(beta, R2, [R2.from_vec(R2.one_vec)])
     assert ext2.pres.order() == 81
 
 

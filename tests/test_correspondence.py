@@ -254,7 +254,7 @@ def test_subalgebra_scan_matches_element_scan(case):
     assert len(set(got)) == len(got)
     got_sets = {frozenset(B.element_vectors()) for B in got}
     expected = subalgebras_by_element_scan(
-        A.coord_moduli, _element_mul(A), _fixed_points(beta) + [A.one().vec()])
+        A.coord_moduli, _element_mul(A), _fixed_points(beta) + [A.one_vec])
     assert got_sets == expected
     assert [B.order for B in got] == sorted(len(e) for e in expected)
 

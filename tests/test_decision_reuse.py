@@ -188,7 +188,7 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
     """Adjoining g to a closed span multiplies g by the span's generators, and
     gives the closure of the whole generator list."""
     A = rg.FiniteRing([rg.Atom.gf(2, 2)] * 3)
-    R = rg.Subalgebra(A, [A.one().vec()]).closure_under_mul()
+    R = rg.Subalgebra(A, [A.one_vec]).closure_under_mul()
     g = A.element([(0, 1), (1, 1), (0, 0)]).vec()
     products = []
     _recording(monkeypatch, rg.FiniteRing, "mul_vec", lambda self, u, v: products.append((u, v)))
@@ -263,7 +263,7 @@ def test_rings_with_equal_atoms_share_no_table():
     atoms = [rg.Atom.gf(2, 2), rg.Atom.zmod(3)]
     A, B = rg.FiniteRing(atoms), rg.FiniteRing(atoms)
     assert A == B and A._products is not B._products
-    A.mul_vec(A.one().vec(), A.one().vec())
+    A.mul_vec(A.one_vec, A.one_vec)
     assert len(A._products) == 1 and not B._products
 
 

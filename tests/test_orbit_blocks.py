@@ -198,7 +198,7 @@ def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
     inv = invariant_ring(beta)
     with pytest.raises(NotSubring):
         Block(A, [0]).subalgebra(inv)
-    prime = Subalgebra(A, [A.one().vec()]).closure_under_mul()
+    prime = Subalgebra(A, [A.one_vec]).closure_under_mul()
     with pytest.raises(NotSubring):
         beta.orbits[0].subalgebra(prime)
 

@@ -25,7 +25,7 @@ def test_atom_guards():
 
 def test_basic_ring_ops():
     A = rg.FiniteRing([rg.Atom.zmod(2, 2), rg.Atom.gf(3, 2, (1, 0, 1))])
-    one, zero = A.one(), A.zero()
+    one, zero = A.from_vec(A.one_vec), A.from_vec(A.zero_vec)
     assert one + (-one) == zero
     x = A.element([0, (0, 1)])
     assert x * x == A.element([0, (2, 0)])  # x^2 = -1 for the modulus x^2+1
@@ -33,15 +33,16 @@ def test_basic_ring_ops():
     e2 = A.from_vec(A.idempotent_vec({1}))
     assert e1 * e2 == zero
     assert e1 + e2 == one
+    other = rg.FiniteRing([rg.Atom.zmod(2)])
     with pytest.raises(rg.AtomMismatch):
-        _ = one + rg.FiniteRing([rg.Atom.zmod(2)]).one()
+        _ = one + other.from_vec(other.one_vec)
 
 
 def test_int_scaling():
     A = rg.FiniteRing([rg.Atom.zmod(2, 2)])
     a = A.element([3])
     assert 2 * a == A.element([2])
-    assert 0 * a == A.zero()
+    assert 0 * a == A.from_vec(A.zero_vec)
 
 
 def test_central_idempotents_match_exhaustive_scan():
@@ -76,6 +77,19 @@ def test_structured_iso_requires_matching_atoms():
     A = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3, 2)])
     with pytest.raises(rg.RingError):
         rg.StructuredIso(A, {0: 1}, {})
+
+
+def test_structured_iso_refuses_a_twist_off_its_domain():
+    """A twist on an atom outside the domain changes no value, so two such
+    data would print alike and be the same map yet compare unequal."""
+    A = rg.FiniteRing([rg.Atom.gf(2, 2)] * 2)
+    plain = rg.StructuredIso(A, {0: 0}, {0: 0})
+    assert repr(plain) == "Iso(0->0^0)"
+    for twist in ({0: 0, 1: 1}, {1: 0}):
+        with pytest.raises(rg.RingError, match=r"outside the domain"):
+            rg.StructuredIso(A, {0: 0}, twist)
+    assert rg.StructuredIso(A, {0: 0}, {}) == plain
+    assert hash(rg.StructuredIso(A, {0: 0}, {})) == hash(plain)
 
 
 def test_verify_iso_extensional_accepts_and_rejects():
@@ -127,7 +141,7 @@ def test_subalgebra_basics():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     full = rg.Subalgebra.full(B)
     assert full.order == 9 and full.is_subalgebra()
-    diag = rg.Subalgebra(B, [B.one().vec()])
+    diag = rg.Subalgebra(B, [B.one_vec])
     assert diag.order == 3 and diag.is_subalgebra()
     half = rg.Subalgebra(B, [B.element([1, 0]).vec()])
     assert half.closed_under_mul() and not half.contains_one()
@@ -139,18 +153,18 @@ def test_subalgebra_basics():
 
 def test_subalgebra_canonical_equality():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
-    d1 = rg.Subalgebra(B, [B.one().vec()])
-    d2 = rg.Subalgebra(B, [B.element([2, 2]).vec(), B.one().vec()])
+    d1 = rg.Subalgebra(B, [B.one_vec])
+    d2 = rg.Subalgebra(B, [B.element([2, 2]).vec(), B.one_vec])
     assert d1 == d2
     assert len(set([d1, d2])) == 1
 
 
 def test_subalgebra_element_enumeration():
     B = rg.FiniteRing([rg.Atom.zmod(2, 2), rg.Atom.zmod(2)])
-    sub = rg.Subalgebra(B, [B.one().vec()])
+    sub = rg.Subalgebra(B, [B.one_vec])
     elements = list(sub.elements())
     assert len(elements) == sub.order == 4
-    assert B.one() in elements
+    assert B.from_vec(B.one_vec) in elements
 
 
 def test_tensor_examples():
@@ -159,7 +173,7 @@ def test_tensor_examples():
     assert t.order() == 3
 
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
-    diag = rg.Subalgebra(B, [B.one().vec()])
+    diag = rg.Subalgebra(B, [B.one_vec])
     t2 = rg.TensorPresentation(B, diag)
     assert t2.order() == 81
 
@@ -181,7 +195,7 @@ def test_tensor_checks_each_factor_once(monkeypatch):
     constructor checks R alone, once, with no containment check."""
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     full = rg.Subalgebra.full(B)
-    diag = rg.Subalgebra(B, [B.one().vec()])
+    diag = rg.Subalgebra(B, [B.one_vec])
     half = rg.Subalgebra(B, [B.element([1, 0]).vec()])
     calls = []
     for name in ("contains", "is_subalgebra"):
@@ -259,7 +273,7 @@ def test_tensor_order_matches_box_oracle(seed):
     while A.size > 81:
         A = random_ring(rng, max_atoms=2)
     full = rg.Subalgebra.full(A)
-    prime = rg.Subalgebra(A, [A.one().vec()]).closure_under_mul()
+    prime = rg.Subalgebra(A, [A.one_vec]).closure_under_mul()
     R = rng.choice([full, prime])
     tensor = rg.TensorPresentation(A, R)
     moduli = list(tensor.pres.moduli)
@@ -271,7 +285,7 @@ def test_tensor_order_matches_box_oracle(seed):
 
 def test_tensor_bilinear_structure():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
-    diag = rg.Subalgebra(B, [B.one().vec()])
+    diag = rg.Subalgebra(B, [B.one_vec])
     t = rg.TensorPresentation(B, diag)
     e1 = B.element([1, 0])
 
@@ -279,7 +293,7 @@ def test_tensor_bilinear_structure():
         return lattice_reduce(t.pres.lattice, vec)
 
     # middle linearity over R: (r m) (x) n = m (x) (r n) for r in the base
-    r = B.one()
+    r = B.from_vec(B.one_vec)
     lhs = pure(t, (r * e1).vec(), e1.vec())
     rhs = pure(t, e1.vec(), (r * e1).vec())
     assert canon(lhs) == canon(rhs)
@@ -523,7 +537,7 @@ def _mult_matrix_by_loops(t, b_vec, side):
 def test_tensor_mult_matrices_match_loops(atoms):
     rng = random.Random(len(atoms))
     A = rg.FiniteRing(atoms)
-    R = rg.Subalgebra(A, [A.one().vec()]).closure_under_mul()
+    R = rg.Subalgebra(A, [A.one_vec]).closure_under_mul()
     pool = [a.vec() for a in A.elements()]
     t = rg.TensorPresentation(A, R)
     for b in rng.sample(pool, 4):

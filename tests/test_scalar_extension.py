@@ -58,11 +58,11 @@ def foreign_cases():
         choices += [_projection(beta, i) for i in range(len(A.atoms))]
         if inv.order == 3 and A.exponent % 3 == 0:
             F33 = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-            choices.append((F33, [F33.one()]))
+            choices.append((F33, [F33.from_vec(F33.one_vec)]))
         cases += [(beta, R, images) for R, images in choices if R.size * A.size <= GUARD]
     c2 = c2_swap_fixture()
     for R in (FiniteRing([Atom.zmod(3)]), FiniteRing([Atom.zmod(3), Atom.zmod(3)])):
-        cases.append((c2, R, [R.one()]))
+        cases.append((c2, R, [R.from_vec(R.one_vec)]))
     cases.append(_f9_over_gf9((0, 1)))
     return cases
 
@@ -72,8 +72,8 @@ def _f9_over_gf9(x_image):
     sending x (with x^2 = -1) to `x_image`: a ring map when that is x."""
     f9 = f9_cubed_fixture()
     GF9 = FiniteRing([Atom.gf(3, 2, (1, 0, 1))])
-    by_comps = {((1, 0), (0, 0), (1, 0)): GF9.one(), ((0, 1), (0, 0), (0, 1)): GF9.element([x_image]),
-                ((0, 0), (1, 0), (0, 0)): GF9.zero()}
+    by_comps = {((1, 0), (0, 0), (1, 0)): GF9.from_vec(GF9.one_vec), ((0, 1), (0, 0), (0, 1)): GF9.element([x_image]),
+                ((0, 0), (1, 0), (0, 0)): GF9.from_vec(GF9.zero_vec)}
     return f9, GF9, [by_comps[g.comps] for g in invariant_ring(f9).generators()]
 
 

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from fixtures import (chain_semilattice_fixture, non_categorical_semilattice, non_e_unitary_monoid,
                       random_primitive_semigroup)
-from oracles import direct_product, meet, natural_order_by_idempotents
+from oracles import direct_product, first_non_associative_triple, meet, natural_order_by_idempotents
 from semigalois import budget
 from semigalois import semigroups as sg
 from semigalois.corpus import b2_table, c2_table, corpus, f9_cubed_ring, s7_monoid
@@ -93,6 +94,56 @@ def test_validate_rejects_non_associative():
     # 1 is an identity but x*x = 1 with x*1 mismatched breaks associativity
     with pytest.raises(sg.NotAssociative):
         sg.validate_table([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+
+
+def _associativity_cases():
+    """Every table of corpus seeds 2408, 3 and 7, with and without zero, and
+    the S7 monoid; then each of them (of two or more elements) with one
+    entry changed, at a seeded position, to a seeded other value."""
+    tables = [beta.S.table for seed in (2408, 3, 7) for zero in (False, True)
+              for beta in corpus(seed, 60, with_zero=zero)]
+    tables.append(s7_monoid().table)
+    rng = random.Random(37)
+    planted = []
+    for table in tables:
+        n = len(table)
+        if n > 1:
+            rows = [list(row) for row in table]
+            a, b = rng.randrange(n), rng.randrange(n)
+            rows[a][b] = (rows[a][b] + rng.randrange(1, n)) % n
+            planted.append(rows)
+    return tables, planted
+
+
+def test_light_associativity_test_agrees_with_the_triple_scan():
+    """Light's test on a greedy generating set gives the n^3 scan's verdict,
+    and `NotAssociative` names the scan's first failing triple."""
+    tables, planted = _associativity_cases()
+    assert (len(tables), len(planted)) == (361, 309)
+    rejected = 0
+    for table in tables + planted:
+        triple = first_non_associative_triple(table)
+        assert sg._is_associative(tuple(map(tuple, table))) == (triple is None)
+        try:
+            sg.validate_table(table)
+        except sg.NotAssociative as exc:
+            a, b, c = triple
+            assert str(exc) == f"({a}*{b})*{c} != {a}*({b}*{c})"
+            rejected += 1
+        except sg.SemigroupError:
+            assert triple is None
+        else:
+            assert triple is None
+    assert rejected == sum(first_non_associative_triple(t) is not None for t in planted) == 146
+
+
+def test_a_300_element_cyclic_table_validates_in_under_a_fifth_of_a_second():
+    n = 300
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    start = time.process_time()
+    S = sg.validate_table(table)
+    assert time.process_time() - start < 0.2
+    assert (S.n, S.idempotents) == (n, {0})
 
 
 def test_validate_rejects_non_regular():

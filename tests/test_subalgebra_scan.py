@@ -168,7 +168,7 @@ def test_each_marked_orbit_is_the_orbit_under_every_unit(case):
 ], ids=["gf4xz3", "z8xz9", "gf9xz5", "z2xgf8"])
 def test_is_unit_vec_finds_exactly_the_invertible_elements(atoms):
     A = FiniteRing(atoms)
-    one = A.one().vec()
+    one = A.one_vec
     elements = [e.vec() for e in A.elements()]
     for v in elements:
         assert A.is_unit_vec(v) == any(A.mul_vec(v, x) == one for x in elements)

@@ -40,7 +40,7 @@ def test_tensor_build_hook_reads_a_built_tensor():
     """The `rings.tensor` hook reads k, l and pres.relations of the tensor it
     was called on; a traced build counts them."""
     A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
-    diag = Subalgebra(A, [A.one().vec()])
+    diag = Subalgebra(A, [A.one_vec])
     tensor = TensorPresentation(A, diag)
     assert (tensor.k, tensor.l) == (2, 2) and tensor.pres.relations.rows == 4
     recorder = tracer.Tracer()
