@@ -92,7 +92,7 @@ class Action:
         = beta_s(y 1_{s^-1}) e_O 1_s, so every system the Galois criteria
         solve is block diagonal over the orbits.
         """
-        pairs = (pair for iso in self.isos for pair in iso.matching.items())
+        pairs = ((i, v[0]) for iso in self.isos for i, v in enumerate(iso.atom_map) if v)
         return tuple(Block(self.A, atoms) for atoms in linked_classes(len(self.A.atoms), pairs))
 
     def __repr__(self):
@@ -259,9 +259,23 @@ def validate_partial_group_action(G, A, isos):
 def iso_action(isos, names, zero=None):
     """A closed set of partial isos of one ring acting by itself, on their
     composition table with its elements named `names` and `zero` the index
-    of its declared zero."""
+    of its declared zero.
+
+    Of the unital axioms (`validate_action`) only the cover axiom can fail
+    once `validate_table` accepts the table, so only it is checked.  The
+    product axiom holds as the table is the isos' composition.  The inverse
+    axiom: S.inv[s] is an inverse of isos[s] in the table, so in Iso_pu,
+    whose inverses are unique, it is the Iso_pu inverse.  The unit axiom: an
+    idempotent partial iso e has ee = e, so im e lies in dom e, the two have
+    the same size and are equal, and e, injective with e(e(x)) = e(x), is
+    the identity on its domain.
+    """
     S = validate_table(isopu.composition_table(isos), zero=zero, names=names)
-    return validate_action(S, isos[0].ring, isos)
+    A = isos[0].ring
+    covered = set().union(*(isos[e].im_support for e in S.idempotents))
+    if covered != set(range(len(A.atoms))):
+        raise CoverFail(f"idempotent ideals cover atoms {sorted(covered)} only")
+    return Action(S, A, isos)
 
 
 def is_injective(beta):
@@ -334,9 +348,8 @@ def fixed_atom_violation(beta):
     """
     for s in range(beta.S.n):
         if not beta.S.is_idempotent(s):
-            iso = beta.isos[s]
-            for j, image in sorted(iso.matching.items()):
-                if image == j and not iso.twist[j]:
+            for j, v in enumerate(beta.isos[s].atom_map):
+                if v == (j, 0):
                     return s, j
     return None
 
@@ -360,7 +373,7 @@ def invariant_order_from_atoms(beta):
     for block in beta.orbits:
         r = block.atoms[0]
         atom = beta.A.atoms[r]
-        twists = [iso.twist[r] for iso in beta.isos if iso.matching.get(r) == r]
+        twists = [v[1] for iso in beta.isos if (v := iso.atom_map[r]) and v[0] == r]
         order *= atom.modulus ** math.gcd(atom.coords, *twists)
     return order
 

@@ -144,12 +144,11 @@ def random_structured_iso(rng: random.Random, ring):
 
 def close_isos(seed_isos, cap=24, allow_empty=True):
     """Closure of a set of partial isos under composition and inverse, in
-    order of discovery, on their keys (`isopu`'s tuple kernel); None once the
-    empty iso is found, unless `allow_empty`.  An iso taken off the frontier is
-    composed both ways with each iso found so far but those taken off since it
-    was found, which composed the pair already."""
-    ring = seed_isos[0].ring
-    seen, frontier, empty = {}, [], (None,) * len(ring.atoms)
+    order of discovery; None once the empty iso is found, unless
+    `allow_empty`.  An iso taken off the frontier is composed both ways with
+    each iso found so far but those taken off since it was found, which
+    composed the pair already."""
+    seen, frontier, empty = {}, [], StructuredIso.empty(seed_isos[0].ring)
     met = {}  # iso -> how many isos were found when it was taken off
 
     def note(f):
@@ -159,20 +158,20 @@ def close_isos(seed_isos, cap=24, allow_empty=True):
             if len(seen) > cap:
                 raise TooLarge("iso closure exceeded the corpus cap")
 
-    for f in map(isopu._key, seed_isos):
+    for f in seed_isos:
         note(f)
-        note(isopu._inverse_key(f))
+        note(f.inverse())
     while frontier and (allow_empty or empty not in seen):
         f, found = frontier.pop(), list(seen)
         for g in found:
             if met.get(g, 0) <= seen[f]:
-                note(isopu._compose_keys(f, g))
-                note(isopu._compose_keys(g, f))
+                note(isopu.compose(f, g))
+                note(isopu.compose(g, f))
         met[f] = len(found)
-        note(isopu._inverse_key(f))
+        note(f.inverse())
     if empty in seen and not allow_empty:
         return None
-    return [isopu._from_key(ring, f) for f in seen]
+    return list(seen)
 
 
 def random_instance(rng: random.Random, cap=14, with_zero=False):

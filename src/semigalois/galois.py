@@ -93,7 +93,7 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     kernel of the restricted system is K n Z^F, whose pivots are multiples
     of K's, so that solution is the restricted system's canonical one too:
     the coordinates do not move.  Column (i, c) is nonzero on f only when f
-    takes e_c's atom to x_i's, which `matching` decides before any product;
+    takes e_c's atom to x_i's, which `atom_map` decides before any product;
     it is then x_i times f's plan column at c, f(e_c) (`FiniteRing.unit_times`).
     """
     A = beta.A
@@ -109,7 +109,7 @@ def _solve_coordinates(beta, isos, rhs_vectors):
             i, c = divmod(p, n)
             col = {}
             for k, f in enumerate(block_isos):
-                if f.matching.get(ring.coord_atom(c)) == ring.coord_atom(i):
+                if (v := f.atom_map[ring.coord_atom(c)]) and v[0] == ring.coord_atom(i):
                     image = ring.unit_times(i, f.apply_vec(units[c]))
                     col.update((k * n + q, x) for q, x in image.items())
             cols.append(col)
@@ -240,8 +240,9 @@ class _PAPart:
         self.isos = [block.iso(iso) for iso in isos]
         self.maps = {}
         for m, iso in enumerate(self.isos):
-            for pair in iso.matching.items():
-                self.maps.setdefault(pair, []).append(m)
+            for i, v in enumerate(iso.atom_map):
+                if v:
+                    self.maps.setdefault((i, v[0]), []).append(m)
         self.ring, self.units = ring, ring.basis_vectors()
         self.ambient = AbelianPresentation([ring.coord_moduli[local[pa.copies[c[0]][1]]]
                                             for c in self.classes])

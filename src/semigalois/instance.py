@@ -322,10 +322,6 @@ def action_to_instance_text(beta, comment=None):
     lines.append("")
     lines.append("[action]")
     for s in range(S.n):
-        iso = beta.isos[s]
-        if not iso.matching:
-            spec = "empty"
-        else:
-            spec = " ".join(f"{i}->{j}:{iso.twist[i]}" for i, j in sorted(iso.matching.items()))
-        lines.append(f"map = {S.names[s]} : {spec}")
+        spec = " ".join(f"{i}->{v[0]}:{v[1]}" for i, v in enumerate(beta.isos[s].atom_map) if v)
+        lines.append(f"map = {S.names[s]} : {spec or 'empty'}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,12 @@
 """The inverse semigroup of partial ring isomorphisms between unital ideals.
 
-Elements are StructuredIso objects under restricted composition
-f g = f|_(im g  cap  dom f) o g|_(...); the empty iso (zero ideal to zero
-ideal) is a legitimate element and acts as a zero.  Compatibility, finite
-joins and the natural partial order are all computed structurally, with the
-defining extensional characterizations re-checked against each other.
+Elements are StructuredIso objects, each its `atom_map`: (image atom,
+twist) on each atom of its domain and None elsewhere.  Composition is
+restricted, f g = f|_(im g  cap  dom f) o g|_(...), and reads the two
+tuples atom by atom; the empty iso (zero ideal to zero ideal) is a
+legitimate element and acts as a zero.  Compatibility, finite joins and the
+natural partial order are all computed structurally, with the defining
+extensional characterizations re-checked against each other.
 """
 
 from __future__ import annotations
@@ -24,15 +26,12 @@ class LemmaMismatch(AssertionError):
 
 def compose(f: StructuredIso, g: StructuredIso) -> StructuredIso:
     """Restricted composition f o g on g^{-1}(im g cap dom f)."""
-    if f.ring != g.ring:
+    if f.ring is not g.ring and f.ring != g.ring:
         raise RingError("isos on different rings")
-    matching = {}
-    twist = {}
-    for i, j in g.matching.items():
-        if j in f.matching:
-            matching[i] = f.matching[j]
-            twist[i] = (g.twist[i] + f.twist[j]) % g.ring.atoms[i].coords
-    return StructuredIso.trusted(f.ring, matching, twist)
+    outer, atoms = f.atom_map, f.ring.atoms
+    return StructuredIso.trusted(f.ring, tuple([
+        None if v is None or (w := outer[v[0]]) is None else (w[0], (v[1] + w[1]) % atoms[i].coords)
+        for i, v in enumerate(g.atom_map)]))
 
 
 def is_idempotent_iso(f: StructuredIso) -> bool:
@@ -40,10 +39,7 @@ def is_idempotent_iso(f: StructuredIso) -> bool:
 
 
 def _restrictions_agree(f, g, atoms):
-    for i in atoms:
-        if f.matching[i] != g.matching[i] or f.twist[i] != g.twist[i]:
-            return False
-    return True
+    return all(f.atom_map[i] == g.atom_map[i] for i in atoms)
 
 
 def is_compatible(f: StructuredIso, g: StructuredIso) -> bool:
@@ -64,9 +60,9 @@ def is_compatible(f: StructuredIso, g: StructuredIso) -> bool:
 
 def natural_leq_iso(f: StructuredIso, g: StructuredIso) -> bool:
     """f <= g iff f is a restriction of g."""
-    if f.ring != g.ring:
+    if f.ring is not g.ring and f.ring != g.ring:
         raise RingError("isos on different rings")
-    return f.dom_support <= g.dom_support and _restrictions_agree(f, g, f.dom_support)
+    return all(v is None or v == w for v, w in zip(f.atom_map, g.atom_map))
 
 
 def join_sum(isos) -> StructuredIso:
@@ -78,12 +74,11 @@ def join_sum(isos) -> StructuredIso:
     for f, g in itertools.combinations(isos, 2):
         if not is_compatible(f, g):
             raise NotCompatible(f"{f} and {g} are not compatible")
-    matching = {}
-    twist = {}
+    atom_map = [None] * len(ring.atoms)
     for f in isos:
-        matching.update(f.matching)
-        twist.update(f.twist)
-    return StructuredIso.trusted(ring, matching, twist)
+        for i, v in enumerate(f.atom_map):
+            atom_map[i] = v or atom_map[i]
+    return StructuredIso.trusted(ring, tuple(atom_map))
 
 
 def class_joins(isos, classes):
@@ -115,34 +110,9 @@ def join_product_table(joins):
 
 
 def composition_table(isos):
-    """table[a][b] is the index of isos[a] isos[b], composed on keys; `isos` must be closed."""
-    keys = [_key(f) for f in isos]
-    index = {k: i for i, k in enumerate(keys)}
-    table = [[index.get(_compose_keys(f, g)) for g in keys] for f in keys]
+    """table[a][b] is the index of isos[a] isos[b]; `isos` must be closed."""
+    index = {f: i for i, f in enumerate(isos)}
+    table = [[index.get(compose(f, g)) for g in isos] for f in isos]
     if any(None in row for row in table):
         raise AssertionError("the isos are not closed under composition")
     return table
-
-
-def _key(f):
-    """f in the tuple kernel: (image, twist, coords) on each atom of its
-    domain, the twist taken mod the atom's `coords`, and None on every other
-    atom, so that equal isos have equal keys."""
-    return tuple(None if (j := f.matching.get(i)) is None else (j, f.twist[i], a.coords)
-                 for i, a in enumerate(f.ring.atoms))
-
-
-def _from_key(ring, key):
-    return StructuredIso.trusted(ring, {i: v[0] for i, v in enumerate(key) if v},
-                                 {i: v[1] for i, v in enumerate(key) if v})
-
-
-def _compose_keys(f, g):
-    """The key of `compose` on the isos of keys f and g."""
-    return tuple(None if v is None or (w := f[v[0]]) is None else (w[0], (v[1] + w[1]) % v[2], v[2])
-                 for v in g)
-
-
-def _inverse_key(f):
-    inverse = {v[0]: (i, -v[1] % v[2], v[2]) for i, v in enumerate(f) if v}
-    return tuple(map(inverse.get, range(len(f))))

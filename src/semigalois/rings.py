@@ -18,6 +18,7 @@ import itertools
 import math
 import operator
 from functools import cached_property
+from types import MappingProxyType
 
 from .budget import spend
 from .linalg import AbelianPresentation, Matrix, kron_difference, lattice_det, lattice_member
@@ -129,6 +130,17 @@ class Atom:
         else:
             self.coords, self.modulus = 1, p ** k
         self.coord_moduli = (self.modulus,) * self.coords
+        # x^d for d <= 2r-2, r = `coords`, from the monic modulus: x^r is
+        # -(poly_0 + ... + poly_(r-1) x^(r-1)), and each further power shifts
+        # the one before up a degree and rewrites its x^r term
+        r, m = self.coords, self.modulus
+        powers = [tuple(1 if t == d else 0 for t in range(r)) for d in range(r)]
+        top = tuple(-c % m for c in self.poly[:r])
+        for _ in range(r - 1):
+            last = powers[-1]
+            powers.append(tuple((s + last[-1] * c) % m for s, c in zip((0,) + last[:-1], top)))
+        self._x_powers = tuple(powers)
+        self._frobenius_cache = {}  # j -> frobenius_cols(j)
 
     def __eq__(self, other):
         if other.__class__ is not Atom:
@@ -179,23 +191,6 @@ class Atom:
                 cols.append(tuple(self.mul_coords(cols[-1], y)))
             cache[j] = tuple(cols)
         return cache[j]
-
-    @cached_property
-    def _frobenius_cache(self):
-        return {}
-
-    @cached_property
-    def _x_powers(self):
-        """x^d for d <= 2r-2, r = `coords`, from the monic modulus: x^r is
-        -(poly_0 + ... + poly_(r-1) x^(r-1)), and each further power shifts
-        the one before up a degree and rewrites its x^r term."""
-        r, m = self.coords, self.modulus
-        powers = [tuple(1 if t == d else 0 for t in range(r)) for d in range(r)]
-        top = tuple(-c % m for c in self.poly[:r])
-        for _ in range(r - 1):
-            last = powers[-1]
-            powers.append(tuple((s + last[-1] * c) % m for s, c in zip((0,) + last[:-1], top)))
-        return tuple(powers)
 
     def mul_coords(self, u, v):
         """Product of two coordinate chunks of this atom, as a list of ints:
@@ -446,24 +441,31 @@ class RingElement:
 class StructuredIso:
     """A ring isomorphism between unital ideals, stored as atom data.
 
-    `matching` maps each domain atom index to its image atom index (the
-    atoms must carry identical (kind, p, k, poly)); `twist` gives the
-    Frobenius power applied on each domain atom, reduced mod the atom's
-    `coords` (so always 0 on Z/p^k atoms), and on no other atom, so that
-    equal maps have equal data.
-    Local atoms force any isomorphism of unital ideals into this shape.
-    The constructor checks this; `trusted` builds an iso derived from valid
-    ones (a composite, inverse, join or block restriction) without checks.
+    `atom_map` has one entry per atom of the ring: (image atom, twist) on
+    each atom of the domain, and None elsewhere.  The image atom carries the
+    same (kind, p, k, poly); the twist is the Frobenius power applied on the
+    atom, reduced mod its `coords` (so always 0 on Z/p^k), so that equal maps
+    have equal tuples.  Local atoms force any isomorphism of unital ideals
+    into this shape.  The constructor takes `matching` (domain atom -> image
+    atom) and `twist` (domain atom -> Frobenius power, 0 where absent) dicts
+    and checks them; `trusted(ring, atom_map)` builds an iso derived from
+    valid ones (a composite, inverse, join or block restriction) without
+    checks.  `matching` and `twist` read the tuple back as read-only dicts.
     """
 
-    __slots__ = ("ring", "matching", "twist", "_hash", "_plan")
+    __slots__ = ("ring", "atom_map", "_dom", "_im", "_plan")
 
     def __init__(self, ring, matching, twist):
         matching, twist = dict(matching), {i: int(t) for i, t in twist.items()}
+        atoms = range(len(ring.atoms))
+        outside = [i for i in (*matching, *matching.values()) if i not in atoms]
+        if outside:
+            raise RingError(f"atom {outside[0]} is not an atom of a ring with {len(atoms)} atoms")
         if len(set(matching.values())) != len(matching):
             raise RingError("matching is not a bijection")
         if not twist.keys() <= matching.keys():
             raise RingError(f"twist on atoms {sorted(twist.keys() - matching.keys())} outside the domain")
+        atom_map = [None] * len(atoms)
         for i, j in matching.items():
             a, b = ring.atoms[i], ring.atoms[j]
             if a != b:
@@ -471,45 +473,52 @@ class StructuredIso:
             t = twist.get(i, 0)
             if a.kind == "zmod" and t:
                 raise RingError(f"atom {i} is {a.label()}, which admits no twist (got {t})")
-            twist[i] = t % a.coords
-        self._fill(ring, matching, twist)
-
-    def _fill(self, ring, matching, twist):
-        self.ring, self.matching, self.twist = ring, matching, twist
-        self._hash = self._plan = None
-        return self
+            atom_map[i] = (j, t % a.coords)
+        self.ring, self.atom_map = ring, tuple(atom_map)
+        self._dom = self._im = self._plan = None
 
     @staticmethod
-    def trusted(ring, matching, twist):
-        """The iso of valid data: dicts matching equal atoms bijectively and
-        giving each domain atom its twist, reduced mod the atom's `coords`."""
-        return StructuredIso.__new__(StructuredIso)._fill(ring, matching, twist)
+    def trusted(ring, atom_map):
+        """The iso of a valid `atom_map`: a tuple with one entry per atom,
+        matching equal atoms bijectively, each twist reduced mod its atom's
+        `coords`."""
+        iso = StructuredIso.__new__(StructuredIso)
+        iso.ring, iso.atom_map = ring, atom_map
+        iso._dom = iso._im = iso._plan = None
+        return iso
+
+    @property
+    def matching(self):
+        return MappingProxyType({i: v[0] for i, v in enumerate(self.atom_map) if v})
+
+    @property
+    def twist(self):
+        return MappingProxyType({i: v[1] for i, v in enumerate(self.atom_map) if v})
 
     @property
     def dom_support(self):
-        return frozenset(self.matching)
+        """The domain's atoms, built on first read."""
+        if self._dom is None:
+            self._dom = frozenset(i for i, v in enumerate(self.atom_map) if v)
+        return self._dom
 
     @property
     def im_support(self):
-        return frozenset(self.matching.values())
+        """The image's atoms, built on first read."""
+        if self._im is None:
+            self._im = frozenset(v[0] for v in self.atom_map if v)
+        return self._im
 
     def __eq__(self, other):
-        return (isinstance(other, StructuredIso) and self.matching == other.matching
-                and self.twist == other.twist
+        return (isinstance(other, StructuredIso) and self.atom_map == other.atom_map
                 and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        """The hash of the sorted (matching, twist) items, computed on first use."""
-        if self._hash is None:
-            self._hash = hash((tuple(sorted(self.matching.items())),
-                               tuple(sorted(self.twist.items()))))
-        return self._hash
+        return hash(self.atom_map)
 
     def __repr__(self):
-        if not self.matching:
-            return "Iso(0)"
-        parts = [f"{i}->{j}^{self.twist[i]}" for i, j in sorted(self.matching.items())]
-        return "Iso(" + ", ".join(parts) + ")"
+        parts = [f"{i}->{v[0]}^{v[1]}" for i, v in enumerate(self.atom_map) if v]
+        return "Iso(" + (", ".join(parts) or "0") + ")"
 
     @staticmethod
     def identity_on(ring, support):
@@ -520,13 +529,14 @@ class StructuredIso:
         return StructuredIso(ring, {}, {})
 
     def is_identity_map(self):
-        return all(i == j for i, j in self.matching.items()) and not any(self.twist.values())
+        return all(v is None or v == (i, 0) for i, v in enumerate(self.atom_map))
 
     def inverse(self):
-        matching = {j: i for i, j in self.matching.items()}
-        atoms = self.ring.atoms
-        twist = {j: -self.twist[i] % atoms[i].coords for i, j in self.matching.items()}
-        return StructuredIso.trusted(self.ring, matching, twist)
+        atom_map = [None] * len(self.atom_map)
+        for i, v in enumerate(self.atom_map):
+            if v:
+                atom_map[v[0]] = (i, -v[1] % self.ring.atoms[i].coords)
+        return StructuredIso.trusted(self.ring, tuple(atom_map))
 
     def apply(self, el):
         if not isinstance(el, RingElement) or el.ring != self.ring:
@@ -541,9 +551,9 @@ class StructuredIso:
         if self._plan is None:
             ring = self.ring
             plan = []
-            for i, j in self.matching.items():
+            for i, (j, t) in ((i, v) for i, v in enumerate(self.atom_map) if v):
                 lo_d, lo_i = ring.atom_span(i)[0], ring.atom_span(j)[0]
-                for c, col in enumerate(ring.atoms[i].frobenius_cols(self.twist[i])):
+                for c, col in enumerate(ring.atoms[i].frobenius_cols(t)):
                     plan.append((lo_d + c, tuple((lo_i + r, int(z)) for r, z in enumerate(col) if z)))
             self._plan = tuple(plan)
         return self._plan
@@ -734,11 +744,10 @@ class Block:
         got = self._isos.get(iso)
         if got is None:
             local = self._local
-            if any((i in local) != (j in local) for i, j in iso.matching.items()):
+            if any(v and (i in local) != (v[0] in local) for i, v in enumerate(iso.atom_map)):
                 raise RingError("the iso moves atoms into or out of the block")
-            got = self._isos[iso] = StructuredIso.trusted(
-                self.ring, {local[i]: local[j] for i, j in iso.matching.items() if i in local},
-                {local[i]: t for i, t in iso.twist.items() if i in local})
+            got = self._isos[iso] = StructuredIso.trusted(self.ring, tuple(
+                (local[v[0]], v[1]) if (v := iso.atom_map[i]) else None for i in self.atoms))
         return got
 
     def basis(self, sub):

@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -5,11 +6,14 @@ import pytest
 from fixtures import (c2_fixed_atom_fixture, chain_semilattice_fixture,
                       collapsing_semilattice_fixture)
 from oracles import (extend_scalars_by_loops, scalar_extension_is_galois_by_loops,
-                     verify_class_join_group)
+                     validate_action_by_own_loops, verify_class_join_group)
 from semigalois import actions as ac
 from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
+from semigalois.instance import parse_instance
 from semigalois.rings import Atom, FiniteRing, StructuredIso
 from semigalois.semigroups import SubSemigroup, is_e_unitary, validate_table
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def admissible(b):
@@ -199,6 +203,32 @@ def test_image_action_of_galois_is_e_unitary_on_corpus():
         assert is_e_unitary(beta_img.S)
         count += 1
     assert count >= 10
+
+
+def _passes_the_unital_axioms(beta):
+    """`validate_action` and the oracle's own loops accept beta's isos on its table."""
+    for validate in (ac.validate_action, validate_action_by_own_loops):
+        assert validate(beta.S, beta.A, beta.isos).isos == beta.isos
+
+
+@pytest.mark.parametrize("count, with_zero", [(200, False), (100, True)])
+def test_iso_action_passes_the_unital_axioms_on_the_corpus(count, with_zero):
+    for beta in corpus(2408, count, with_zero=with_zero):
+        _passes_the_unital_axioms(beta)
+
+
+def test_image_actions_pass_the_unital_axioms():
+    betas = [parse_instance(p).action for p in sorted(INSTANCES.glob("*.sgi"))]
+    for beta in [*betas, collapsing_semilattice_fixture()]:
+        _passes_the_unital_axioms(ac.image_action(beta)[0])
+
+
+def test_iso_action_refuses_idempotents_that_miss_an_atom():
+    """The identity on atom 0 is closed and its table valid, but its one
+    idempotent's ideal misses atom 1."""
+    A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
+    with pytest.raises(ac.CoverFail, match=r"cover atoms \[0\] only"):
+        ac.iso_action([StructuredIso.identity_on(A, {0})], ["e"])
 
 
 def test_scalar_extension_base_cases():

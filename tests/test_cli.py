@@ -216,6 +216,19 @@ def test_one_fixed_point_solve_and_one_iso_application():
     assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 
 
+def test_one_iso_representation():
+    """An iso is its `atom_map`, one entry per atom, which every composite,
+    inverse, join, plan and report reads; `matching` and `twist` are dict
+    views built from it for the constructor's callers, tests and oracles.
+    A module under src/ other than rings.py that read them would build a
+    second representation beside the tuple and pay a dict per read, so no
+    such module reads either attribute."""
+    readers = [f"{path.name}:{node.lineno}" for path in sorted((REPO / "src").rglob("*.py"))
+               if path.name != "rings.py" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("matching", "twist")]
+    assert readers == []
+
+
 def test_one_lattice_engine():
     """Canonical bases, kernels, solves and Smith invariants come from one
     elimination, `_insert`, which only `_insert_and_reduce` reads; no `_echelon`

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from oracles import close_isos_by_objects, iso_pu_elements, upper_bounds
+from oracles import (close_isos_by_objects, element_sum, iso_apply_by_polynomials, iso_pu_elements,
+                     upper_bounds)
 from semigalois import corpus as cp
 from semigalois import isopu
 from semigalois.corpus import random_ring, random_structured_iso, f9_cubed_fixture
@@ -47,18 +48,42 @@ def test_compose_associative_extensionally(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_tuple_kernel_agrees_with_the_iso_objects(seed):
-    """Keys are equal exactly when the isos are, and composing or inverting
-    keys gives the keys of `compose` and `inverse`."""
+    """The tuple kernel, `isopu` on `atom_map`s, agrees with the isos as maps.
+    On every element of a sample (all of A when |A| <= 16, else the unit
+    vectors and 8 seeded elements), `compose` is the two isos applied in
+    sequence by `iso_apply_by_polynomials`, `inverse` undoes the iso on its
+    domain and image, and `join_sum` of a compatible pair is the first iso
+    plus the second off the first's domain.  Two isos have equal `atom_map`s
+    exactly when they are equal, exactly when they agree on the sample, and
+    equal isos hash equal."""
     rng = random.Random(seed)
     A = random_ring(rng, max_atoms=3)
     isos = [random_structured_iso(rng, A) for _ in range(4)] + [StructuredIso.empty(A)]
     isos += [isopu.compose(f, g) for f in isos for g in isos]
+    if A.size <= 16:
+        sample = list(A.elements())
+    else:
+        sample = [A.from_vec(e) for e in A.basis_vectors()]
+        sample += [A.from_vec(tuple(rng.randrange(m) for m in A.coord_moduli)) for _ in range(8)]
+    images = {}  # by `atom_map`, which is all that the oracle reads
+
+    def on_sample(f):
+        if f.atom_map not in images:
+            images[f.atom_map] = [iso_apply_by_polynomials(f, x) for x in sample]
+        return images[f.atom_map]
+
     for f in isos:
-        assert isopu._from_key(A, isopu._key(f)) == f
-        assert isopu._inverse_key(isopu._key(f)) == isopu._key(f.inverse())
+        inv = f.inverse()
+        assert [iso_apply_by_polynomials(inv, y) for y in on_sample(f)] == [x.mask(f.dom_support) for x in sample]
+        assert [iso_apply_by_polynomials(f, y) for y in on_sample(inv)] == [x.mask(f.im_support) for x in sample]
         for g in isos:
-            assert (isopu._key(f) == isopu._key(g)) == (f == g)
-            assert isopu._compose_keys(isopu._key(f), isopu._key(g)) == isopu._key(isopu.compose(f, g))
+            assert on_sample(isopu.compose(f, g)) == [iso_apply_by_polynomials(f, y) for y in on_sample(g)]
+            assert (f.atom_map == g.atom_map) == (f == g) == (on_sample(f) == on_sample(g))
+            if f == g:
+                assert hash(f) == hash(g)
+            if isopu.is_compatible(f, g):
+                rest = [iso_apply_by_polynomials(g, x.mask(g.dom_support - f.dom_support)) for x in sample]
+                assert on_sample(isopu.join_sum([f, g])) == list(map(element_sum, on_sample(f), rest))
 
 
 def test_compatibility_on_fixture():
@@ -142,14 +167,14 @@ def _gf9_ring():
 
 
 def test_isos_built_by_different_routes_are_equal_and_hash_equal():
-    """Equality reads the matching and twist dicts, whatever their insertion
-    order, and the ring by value; the hash agrees with it."""
+    """Equality reads the atom maps, whatever the insertion order of the
+    dicts they were built from, and the ring by value; the hash agrees with it."""
     A = _gf9_ring()
     f = StructuredIso(A, {0: 1, 1: 0, 2: 2}, {0: 1})
     ident = StructuredIso.identity_on(A, {0, 1, 2})
     same = [
         StructuredIso(A, {2: 2, 1: 0, 0: 1}, {2: 0, 1: 0, 0: 3}),
-        StructuredIso.trusted(A, {1: 0, 2: 2, 0: 1}, {2: 0, 0: 1, 1: 0}),
+        StructuredIso.trusted(A, ((1, 1), (0, 0), (2, 0), None)),
         StructuredIso(_gf9_ring(), {0: 1, 1: 0, 2: 2}, {0: 1}),
         isopu.compose(f, ident),
         isopu.compose(ident, f),
@@ -189,7 +214,7 @@ def test_iso_hash_is_stable_across_calls():
     A = _gf9_ring()
     f = StructuredIso(A, {3: 3, 0: 1, 1: 0}, {0: 1, 3: 1})
     first = hash(f)
-    assert {f: 1}[StructuredIso.trusted(A, {0: 1, 1: 0, 3: 3}, {3: 1, 0: 1, 1: 0})] == 1
+    assert {f: 1}[StructuredIso.trusted(A, ((1, 1), (0, 0), None, (3, 1)))] == 1
     f.application_plan()
     assert hash(f) == first == hash(f)
 
@@ -237,8 +262,8 @@ CLOSURE_COMPOSITIONS = {(200, False): 2_916, (100, True): 4_766}
 
 @pytest.mark.parametrize("count, with_zero", sorted(CLOSURE_COMPOSITIONS))
 def test_iso_closures_stay_under_their_composition_ceilings(monkeypatch, count, with_zero):
-    calls = [0, 0]  # every composition of keys, and those inside close_isos
-    real_compose, real_close = isopu._compose_keys, cp.close_isos
+    calls = [0, 0]  # every composition, and those inside close_isos
+    real_compose, real_close = isopu.compose, cp.close_isos
 
     def counting_compose(f, g):
         calls[0] += 1
@@ -251,7 +276,7 @@ def test_iso_closures_stay_under_their_composition_ceilings(monkeypatch, count, 
         finally:
             calls[1] += calls[0] - before
 
-    monkeypatch.setattr(isopu, "_compose_keys", counting_compose)
+    monkeypatch.setattr(isopu, "compose", counting_compose)
     monkeypatch.setattr(cp, "close_isos", counting_close)
     cp.corpus(2408, count, with_zero=with_zero)
     assert calls[1] <= CLOSURE_COMPOSITIONS[count, with_zero], calls[1]

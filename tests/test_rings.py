@@ -92,6 +92,15 @@ def test_structured_iso_refuses_a_twist_off_its_domain():
     assert hash(rg.StructuredIso(A, {0: 0}, {})) == hash(plain)
 
 
+@pytest.mark.parametrize("matching", [{0: -1}, {-2: 1}, {0: 5}], ids=str)
+def test_structured_iso_refuses_an_atom_outside_the_ring(matching):
+    """A negative index would name an atom from the end, and a tuple over the
+    ring's atoms would drop it from the domain; a large one has no atom."""
+    A = rg.FiniteRing([rg.Atom.zmod(3)] * 2)
+    with pytest.raises(rg.RingError, match=r"is not an atom of a ring with 2 atoms"):
+        rg.StructuredIso(A, matching, {})
+
+
 def test_verify_iso_extensional_accepts_and_rejects():
     B = rg.FiniteRing([rg.Atom.zmod(3), rg.Atom.zmod(3)])
     swap = rg.StructuredIso(B, {0: 1, 1: 0}, {})
