@@ -18,7 +18,6 @@ subsemigroups, and the action of a closed set of isos on its own table
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from . import isopu
@@ -82,7 +81,8 @@ class Action:
     def all_ideals_nonzero(self):
         return all(self.im_support(s) for s in self.S.nonzero_elements())
 
-    @cached_property
+    @property
+    @remembered
     def orbits(self):
         """The orbits O of the atom maps, as `Block`s A e_O in order of least atom.
 
@@ -278,20 +278,14 @@ def iso_action(isos, names, zero=None):
     return Action(S, A, isos)
 
 
+@remembered
 def is_injective(beta):
-    return remembered(beta, "injective", _is_injective)
-
-
-def _is_injective(beta):
     return len(set(beta.isos)) == beta.S.n
 
 
+@remembered
 def invariant_ring(beta):
     """A^beta = {a : beta_s(a 1_{s^-1}) = a 1_s for all s}, as a Subalgebra."""
-    return remembered(beta, "invariants", _invariant_ring)
-
-
-def _invariant_ring(beta):
     return fixed_ring(beta.A, beta.isos)
 
 
@@ -311,7 +305,7 @@ def fixed_ring(A, isos):
     lattice into itself.  Each map's kernel is solved on the span the maps
     before it left, mod each vector's `vector_order`."""
     pres = A.presentation
-    current = pres.generator_vectors()
+    current = A.basis_vectors()
     for iso in isos:
         f = _defect(iso)
         cols = [f(v) for v in current]
@@ -428,6 +422,7 @@ def _trace_vec(A, isos, vec):
     return total
 
 
+@remembered
 def induce_partial_group_action(beta):
     """The partial action of G = S/sigma with alpha_g = join of the class isos.
 
@@ -440,10 +435,6 @@ def induce_partial_group_action(beta):
         raise NotEUnitary("the induced partial action needs an E-unitary S")
     if not is_injective(beta):
         raise NotInjective("the induced partial action needs an injective beta")
-    return remembered(beta, "alpha", _induce_partial_group_action)
-
-
-def _induce_partial_group_action(beta):
     G, classes, _ = sigma_partition(beta.S)
     isos = isopu.class_joins(beta.isos, classes)
     for cls, join in zip(classes, isos):

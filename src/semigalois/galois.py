@@ -146,12 +146,9 @@ def verify_coordinates(beta, coords, system=None):
     return True
 
 
+@remembered
 def _galois_system(beta):
-    """(isos, right sides) of the Galois coordinate system, derived once per action."""
-    return remembered(beta, "galois_system", _derive_galois_system)
-
-
-def _derive_galois_system(beta):
+    """(isos, right sides) of the Galois coordinate system."""
     return tuple(beta.isos), tuple(galois_rhs(beta, s) for s in range(beta.S.n))
 
 
@@ -481,14 +478,9 @@ def verify_separability_idempotent(tensors, z):
     return True
 
 
-def _full_algebra(beta):
-    """A as a subalgebra of itself, built once per action."""
-    return remembered(beta, "full_algebra", lambda beta: Subalgebra.full(beta.A))
-
-
+@remembered
 def _full_tensor(beta):
-    """A (x)_{A^beta} A as one (block, tensor) pair per orbit O of beta,
-    built once per action.
+    """A (x)_{A^beta} A as one (block, tensor) pair per orbit O of beta.
 
     e_O lies in A^beta, so a generator pair from two orbits is zero,
     b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
@@ -497,10 +489,6 @@ def _full_tensor(beta):
     e_i (x) e_c of the block ring's unit vectors, which psi and the
     coordinate solve rely on.
     """
-    return remembered(beta, "full_tensor", _derive_full_tensor)
-
-
-def _derive_full_tensor(beta):
     inv = invariant_ring(beta)
     return tuple((block, TensorPresentation(block.ring, block.subalgebra(inv))) for block in beta.orbits)
 
@@ -587,7 +575,7 @@ def cross_check_equivalences(beta: Action):
     cert.psi = psi
     verdicts["psi_bijective"] = psi.bijective
 
-    full = _full_algebra(beta)
+    full = Subalgebra.full(beta.A)
     sep = is_separable(_full_tensor(beta))
     strong, failure = is_beta_strong(beta, full)
     cert.separability_idempotent = sep

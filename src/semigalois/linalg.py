@@ -379,7 +379,6 @@ class AbelianPresentation:
         if relations.rows != self.n:
             raise ValueError("relations need one row per generator")
         self.relations = relations
-        self._units = None
         # the diagonal alone is already canonical
         self.lattice = (lattice_canon(relations, self.moduli) if relations.cols
                         else diag_cols(self.moduli))
@@ -390,13 +389,6 @@ class AbelianPresentation:
     def vector_order(self, vec):
         """The order of `vec` modulo the diagonal alone: a multiple of its order."""
         return math.lcm(*(d // math.gcd(x, d) for x, d in zip(vec, self.moduli) if x))
-
-    def generator_vectors(self):
-        """The raw generators, as a new list of the unit vectors, which are
-        built once per presentation."""
-        if self._units is None:
-            self._units = tuple(tuple(int(i == j) for j in range(self.n)) for i in range(self.n))
-        return list(self._units)
 
     def is_zero(self, vec):
         return lattice_member(self.lattice, vec)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property
 from types import MappingProxyType
 
 from .budget import spend
 from .linalg import AbelianPresentation, Matrix, kron_difference, lattice_det, lattice_member
+from .semigroups import remembered
 
 ATOM_ORDER_GUARD = 1 << 20
 
@@ -228,7 +228,6 @@ class FiniteRing:
         self.size = math.prod(a.order for a in atoms)
         self.coord_moduli = tuple(m for a in atoms for m in a.coord_moduli)
         self.n_coords = len(self.coord_moduli)
-        self._presentation = None
         self._spans = []
         pos = 0
         for a in atoms:
@@ -240,14 +239,13 @@ class FiniteRing:
         self._idempotents = {}  # atom set -> its indicator vector, built on first use
         self.zero_vec = (0,) * self.n_coords
         self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
+        self.facts = {}  # what is derived from the atoms, each once (`remembered`)
 
     @property
+    @remembered
     def presentation(self):
-        """The additive group, built on first use (by hand: a `cached_property`
-        writes through `__dict__`, which slows every later attribute read)."""
-        if self._presentation is None:
-            self._presentation = AbelianPresentation(self.coord_moduli)
-        return self._presentation
+        """The additive group, built on first use."""
+        return AbelianPresentation(self.coord_moduli)
 
     def __eq__(self, other):
         return self is other or isinstance(other, FiniteRing) and self.atoms == other.atoms
@@ -288,9 +286,12 @@ class FiniteRing:
     def from_vec(self, vec):
         return RingElement(self, tuple(int(v) % m for v, m in zip(vec, self.coord_moduli)))
 
+    @remembered
     def basis_vectors(self):
-        """Atom-pure additive generators e_0, ..., e_{n-1} as coordinate vectors."""
-        return self.presentation.generator_vectors()
+        """Atom-pure additive generators e_0, ..., e_{n-1} as coordinate vectors:
+        the unit vectors."""
+        n = self.n_coords
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     def coord_atom(self, i):
         """Atom index owning flat coordinate i."""
@@ -594,6 +595,7 @@ class Subalgebra:
         # d_j e_j, zero in the ring; the others are the generators
         self.gen_vectors = tuple(basis.column(j) for j, (c, d)
                                  in enumerate(zip(basis.cols, ring.coord_moduli)) if c[j] != d)
+        self.facts = {}  # what is derived from the basis, each once (`remembered`)
 
     @staticmethod
     def with_basis(ring, basis):
@@ -606,18 +608,15 @@ class Subalgebra:
     def full(ring):
         """The whole ring, a unital subalgebra by construction: its check takes no products."""
         sub = Subalgebra(ring, ring.basis_vectors())
-        sub._is_subalgebra = True
+        sub.facts["is_subalgebra"] = True
         return sub
 
     def __eq__(self, other):
         return (isinstance(other, Subalgebra) and self.ring == other.ring
                 and self.basis == other.basis)
 
+    @remembered
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
         return hash((self.ring, tuple(tuple(sorted(c.items())) for c in self.basis.cols)))
 
     def __repr__(self):
@@ -638,15 +637,12 @@ class Subalgebra:
     def closed_under_mul(self):
         """Every product of two generators lies in the span; a pair on
         disjoint atoms multiplies to 0, so only pairs whose atoms meet count."""
-        gens, masks = self.gen_vectors, self.gen_masks
+        gens, masks = self.gen_vectors, list(map(self.ring.atom_mask, self.gen_vectors))
         return all(self.member_vec(self.ring.mul_vec(gens[i], gens[j]))
                    for i in range(len(gens)) for j in range(i, len(gens)) if masks[i] & masks[j])
 
+    @remembered
     def is_subalgebra(self):
-        return self._is_subalgebra
-
-    @cached_property
-    def _is_subalgebra(self):
         return self.contains_one() and self.closed_under_mul()
 
     def element_vectors(self):
@@ -659,11 +655,6 @@ class Subalgebra:
 
     def elements(self):
         return (self.ring.from_vec(v) for v in self.element_vectors())
-
-    @cached_property
-    def gen_masks(self):
-        """The atoms each generator is nonzero on, as bit masks."""
-        return tuple(map(self.ring.atom_mask, self.gen_vectors))
 
     def closure_under_mul(self):
         """Smallest multiplicatively closed additive span containing this one."""
@@ -774,7 +765,7 @@ class Block:
             return sub
         part = Subalgebra.with_basis(self.ring, self.basis(sub))
         if sub.is_subalgebra():
-            part._is_subalgebra = True  # e_O is its one
+            part.facts["is_subalgebra"] = True  # e_O is its one
         return part
 
 
@@ -799,6 +790,7 @@ class TensorPresentation:
         self.ring, self.R = ring, R
         self.k = self.l = n = ring.n_coords
         self._mult_matrices = {}
+        self.facts = {}  # the free-pair presentation and multiplication map (`remembered`)
         rel_cols = []
         for r in R.gen_vectors:
             E = self.mult_matrix(r)
@@ -838,7 +830,8 @@ class TensorPresentation:
     def order(self):
         return self.pres.order()
 
-    @cached_property
+    @property
+    @remembered
     def free_pairs(self):
         """The generator pairs p whose pivot in the canonical relation
         lattice is not 1, in order; they generate the tensor.
@@ -849,11 +842,13 @@ class TensorPresentation:
         """
         return tuple(p for p, c in enumerate(self.pres.lattice.cols) if c[p] != 1)
 
-    @cached_property
+    @property
+    @remembered
     def _free_positions(self):
         return {p: s for s, p in enumerate(self.free_pairs)}
 
-    @cached_property
+    @property
+    @remembered
     def _on_free_pairs(self):
         """Per generator pair, the (free position, coefficient) terms of what
         it equals on the free pairs: a free pair itself, any other pair p
@@ -862,7 +857,8 @@ class TensorPresentation:
         return [((pos[p], 1),) if p in pos else tuple((pos[r], -v) for r, v in c.items() if r != p)
                 for p, c in enumerate(self.pres.lattice.cols)]
 
-    @cached_property
+    @property
+    @remembered
     def free_lattice(self):
         """The canonical basis of the relations among the free pairs alone,
         L n Z^F on their positions: L's columns at the free pairs, which are
@@ -898,13 +894,10 @@ class TensorPresentation:
                     if b:
                         yield i * l + j, a * b
 
+    @remembered
     def mult_map_vec(self):
-        """Matrix of the multiplication map m (x) n -> m*n into ring coords."""
-        return self._mult_map
-
-    @cached_property
-    def _mult_map(self):
-        """Built once: column (i, j) is e_i * e_j (`FiniteRing.unit_times`)."""
+        """Matrix of the multiplication map m (x) n -> m*n into ring coords:
+        column (i, j) is e_i * e_j (`FiniteRing.unit_times`)."""
         ring, units = self.ring, self.ring.basis_vectors()
         return Matrix(ring.n_coords, [ring.unit_times(i, e) for i in range(self.k) for e in units])
 

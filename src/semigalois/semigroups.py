@@ -11,6 +11,7 @@ generators+relations presentation into a table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .budget import spend
@@ -236,28 +237,34 @@ def quotient(S, classes, projection):
     return validate_table(table, zero=zero, names=names)
 
 
-def remembered(obj, key, compute):
-    """compute(obj), derived once per object and kept in `obj.facts`: a
-    validated semigroup or action never changes.  A raise is not kept, so
-    it recurs on every call."""
-    if key not in obj.facts:
-        obj.facts[key] = compute(obj)
-    return obj.facts[key]
+def remembered(derive):
+    """Decorate `derive(obj)`, a fact of a validated object, so that it is
+    derived once per object: the first call keeps its value in `obj.facts`
+    under the function's name, and later calls read it there.  A call that
+    raises stores nothing, so it raises again.  Under `property` it is an
+    attribute computed on first read.  A fact known by construction is
+    stored under the same name (`Subalgebra.full`)."""
+    key = derive.__name__
+
+    @functools.wraps(derive)
+    def fact(obj):
+        if key not in obj.facts:
+            obj.facts[key] = derive(obj)
+        return obj.facts[key]
+    return fact
 
 
+@remembered
 def sigma_partition(S):
     """The minimum group congruence, the closure of `shares_lower_bound`: the
-    group S/sigma, the classes and the projection onto them."""
-    if S.zero is not None:
-        raise ZeroForbidden("sigma is for semigroups without zero; use tau")
-    return remembered(S, "sigma", _sigma_partition)
+    group S/sigma, the classes and the projection onto them.
 
-
-def _sigma_partition(S):
-    """S/sigma is an inverse semigroup; it is a group exactly when it has one
+    S/sigma is an inverse semigroup; it is a group exactly when it has one
     idempotent e.  For then ss^{-1} = e = s^{-1}s for every s, as both are
     idempotents, so es = ss^{-1}s = s = se: e is the identity and s^{-1}
     the group inverse of s."""
+    if S.zero is not None:
+        raise ZeroForbidden("sigma is for semigroups without zero; use tau")
     classes, projection = lower_bound_classes(S)
     G = quotient(S, classes, projection)
     if G is None:
@@ -267,14 +274,11 @@ def _sigma_partition(S):
     return G, classes, projection
 
 
+@remembered
 def is_e_unitary(S):
     """E-unitarity via its three characterizations, asserted to agree."""
     if S.zero is not None:
         raise ZeroForbidden("declared zero: E-unitarity questions go through the zero module")
-    return remembered(S, "e_unitary", _is_e_unitary)
-
-
-def _is_e_unitary(S):
     via_order = all(s in S.idempotents
                     for e in S.idempotents for s in range(S.n) if S.leq[e][s])
     _, classes, projection = sigma_partition(S)

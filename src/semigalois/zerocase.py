@@ -53,13 +53,10 @@ def strongly_compatible(S, s, t):
     return a != z and b != z and a in S.idempotents and b in S.idempotents
 
 
+@remembered
 def is_0_e_unitary(S):
     """No non-idempotent sits above a nonzero idempotent."""
     _require_zero(S)
-    return remembered(S, "0_e_unitary", _is_0_e_unitary)
-
-
-def _is_0_e_unitary(S):
     for e in nonzero_idempotents(S):
         for s in range(S.n):
             if S.leq[e][s] and s not in S.idempotents:
@@ -67,13 +64,10 @@ def _is_0_e_unitary(S):
     return True
 
 
+@remembered
 def is_categorical_at_zero(S):
     """stu = 0 forces st = 0 or tu = 0."""
     _require_zero(S)
-    return remembered(S, "categorical_at_zero", _is_categorical_at_zero)
-
-
-def _is_categorical_at_zero(S):
     z = S.zero
     for s in range(S.n):
         for t in range(S.n):
@@ -84,6 +78,7 @@ def _is_categorical_at_zero(S):
     return True
 
 
+@remembered
 def tau_partition(S):
     """tau: zero alone, nonzero elements related by a shared nonzero lower bound.
 
@@ -92,10 +87,6 @@ def tau_partition(S):
     strong-compatibility relation there).
     """
     _require_zero(S)
-    return remembered(S, "tau_partition", _tau_partition)
-
-
-def _tau_partition(S):
     classes, projection = lower_bound_classes(S)
     if is_0_e_unitary(S) and is_categorical_at_zero(S):
         for s in range(S.n):
@@ -117,13 +108,10 @@ def tau_quotient(S):
     return Q, projection
 
 
+@remembered
 def is_primitive(S):
     """The natural order is equality on nonzero elements."""
     _require_zero(S)
-    return remembered(S, "primitive", _is_primitive)
-
-
-def _is_primitive(S):
     z = S.zero
     for s in range(S.n):
         for t in range(S.n):

@@ -4,10 +4,14 @@ The fixtures the library's own self-test and the benchmark build stay in
 `semigalois.corpus` (`f9_cubed_fixture`, `c2_swap_fixture`,
 `b2_swap_fixture` and the random `corpus`); these are the ones only the
 tests read, with the groupoid builders (`connected_groupoid`,
-`disjoint_union`, `random_groupoid`) that only they use.
+`disjoint_union`, `random_groupoid`) that only they use, and `derivations`,
+which counts the derivations of `remembered` facts.
 """
 
+import collections
+import contextlib
 import random
+import sys
 
 from semigalois.actions import AxiomFail, validate_action
 from semigalois.corpus import c2_table
@@ -209,3 +213,28 @@ def non_categorical_semilattice():
     idx = {x: i for i, x in enumerate(order)}
     table = [[idx[meet(x, y)] for y in order] for x in order]
     return validate_table(table, zero=0, names=order)
+
+
+@contextlib.contextmanager
+def derivations(*facts):
+    """Count the derivations of the `remembered` facts given (functions, or
+    a property's `fget`) while the block runs: a Counter of (fact name,
+    id of the object) over the calls of each fact's own body, its
+    `__wrapped__`, seen by a trace function, so nothing is patched.  The
+    objects are held until the block ends, so no two share an id."""
+    codes = {fact.__wrapped__.__code__: fact.__name__ for fact in facts}
+    counts, held = collections.Counter(), []
+
+    def trace(frame, event, arg):
+        name = codes.get(frame.f_code)
+        if name is not None:
+            obj = frame.f_locals[frame.f_code.co_varnames[0]]
+            held.append(obj)
+            counts[name, id(obj)] += 1
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)

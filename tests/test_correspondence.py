@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from fixtures import chain_semilattice_fixture, collapsing_semilattice_fixture
-from semigalois import actions as ac
+from fixtures import chain_semilattice_fixture, collapsing_semilattice_fixture, derivations
 from semigalois import budget
 from semigalois import correspondence as co
 from semigalois.actions import invariant_ring, is_injective, validate_action
@@ -64,18 +63,17 @@ def test_fixed_subalgebra_orders():
     assert (f_all.order, f_mid.order, f_e.order) == (27, 243, 729)
 
 
-def test_fixed_subalgebra_reads_the_remembered_invariants(monkeypatch):
+def test_fixed_subalgebra_reads_the_remembered_invariants():
     """A^beta is derived once per action however many fixed rings are taken,
     and the containment check still raises (on a wrong A^beta planted as the
     one beta remembers)."""
     beta = f9_cubed_fixture()
-    derived, original = [], ac._invariant_ring
-    monkeypatch.setattr(ac, "_invariant_ring", lambda b: derived.append(b) or original(b))
     ts = enumerate_full_inverse_subsemigroups(beta.S)
-    for T in ts:
-        co.fixed_subalgebra(beta, T)
-    assert sum(b is beta for b in derived) == 1
-    beta.facts["invariants"] = Subalgebra.full(beta.A)
+    with derivations(invariant_ring) as derived:
+        for T in ts:
+            co.fixed_subalgebra(beta, T)
+    assert derived[("invariant_ring", id(beta))] == 1
+    beta.facts["invariant_ring"] = Subalgebra.full(beta.A)
     with pytest.raises(AssertionError, match="contain the full invariants"):
         co.fixed_subalgebra(beta, ts[-1])
 

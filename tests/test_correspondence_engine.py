@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import collapsing_semilattice_fixture, group_with_zero_fixture
+from fixtures import collapsing_semilattice_fixture, derivations, group_with_zero_fixture
 from semigalois import actions, budget
 from semigalois import correspondence as co
 from semigalois import galois
@@ -237,13 +237,12 @@ def test_s_b_on_beta_is_the_pullback_of_s_b_on_the_image():
             assert pulled == galois.compute_S_B(beta, B).members
 
 
-def test_brute_force_verification_computes_the_invariants_once(monkeypatch):
+def test_brute_force_verification_computes_the_invariants_once():
     beta = _shipped("c2_swap")
-    calls, derive = [], actions._invariant_ring
-    monkeypatch.setattr(actions, "_invariant_ring", lambda b: calls.append(b) or derive(b))
-    rep = co.verify_e_unitary_correspondence(beta, brute_force_subalgebras=True)
+    with derivations(actions.invariant_ring) as derived:
+        rep = co.verify_e_unitary_correspondence(beta, brute_force_subalgebras=True)
     assert rep.brute_force_match
-    assert sum(b is beta for b in calls) == 1
+    assert derived[("invariant_ring", id(beta))] == 1
 
 
 @pytest.mark.parametrize("name", ["c2_swap", "s7_f9cubed", "trace_gap_c2"])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import collapsing_semilattice_fixture
+from fixtures import collapsing_semilattice_fixture, derivations
 from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
 from semigalois.corpus import b2_swap_fixture, f9_cubed_fixture, random_ring, random_structured_iso
@@ -63,7 +63,7 @@ def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, c
     assert calls == [] and 0 in codes
 
 
-ZERO_FACTS = ["_is_0_e_unitary", "_is_categorical_at_zero", "_is_primitive", "_tau_partition"]
+ZERO_FACTS = ["is_0_e_unitary", "is_categorical_at_zero", "is_primitive", "tau_partition"]
 
 
 @pytest.mark.parametrize("args", [["zero"], ["zero", "--brute-force-subalgebras"], ["analyze"]])
@@ -71,48 +71,52 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
     """Each zero-case fact is computed at most once per semigroup in one
     cli.main on b2_f3f3 (S, and P' of the tau-class joins, which zero also asks
     about), and the command reads them many times."""
-    computed, asked = collections.Counter(), collections.Counter()
-    held = []  # no two semigroups share an id
+    asked = collections.Counter()
+    facts = [getattr(zerocase, name) for name in ZERO_FACTS]
     for name in ZERO_FACTS:
-        _recording(monkeypatch, zerocase, name,
-                   lambda S, name=name: held.append(S) or computed.update([(name, id(S))]))
-        _recording(monkeypatch, zerocase, name[1:], lambda S, name=name: asked.update([name]))
-    assert _run(capsys, args[0], str(INSTANCES / "b2_f3f3.sgi"), *args[1:]) == 0
+        _recording(monkeypatch, zerocase, name, lambda S, name=name: asked.update([name]))
+    with derivations(*facts) as computed:
+        assert _run(capsys, args[0], str(INSTANCES / "b2_f3f3.sgi"), *args[1:]) == 0
     assert computed and max(computed.values()) == 1
     assert {name for name, _ in computed} == set(ZERO_FACTS)
     if args[0] == "zero":
         assert sum(asked.values()) > len(computed)
 
 
-# What each command derives about S (the first two) and about beta, by the
-# function that derives it.
-FACTS = [(semigroups, "_sigma_partition"), (semigroups, "_is_e_unitary"),
-         (actions, "_is_injective"), (actions, "_invariant_ring"),
-         (actions, "_induce_partial_group_action"), (galois, "_derive_galois_system"),
-         (galois, "_derive_full_tensor")]
+# What each command derives about S (the first two), about beta (the next
+# six), and about the rings, groups, subalgebras and tensors a decision builds.
+FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
+         actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
+         actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
+         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors,
+         rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.TensorPresentation.free_pairs.fget,
+         rg.TensorPresentation._free_positions.fget, rg.TensorPresentation._on_free_pairs.fget,
+         rg.TensorPresentation.free_lattice.fget, rg.TensorPresentation.mult_map_vec]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
             ["analyze"], ["zero"]]
 
 
 @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
-def test_facts_are_derived_once_per_semigroup_and_action(monkeypatch, capsys, args):
+def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     """In one cli.main on each shipped instance, sigma and E-unitarity are
-    derived at most once per semigroup object, and injectivity, A^beta, the
-    induced alpha, the Galois system and A (x)_{A^beta} A at most once per
-    action object."""
-    derived, held = collections.Counter(), []  # held: no two objects share an id
-    for owner, name in FACTS:
-        _recording(monkeypatch, owner, name,
-                   lambda obj, name=name: held.append(obj) or derived.update([(name, id(obj))]))
+    derived at most once per semigroup object; injectivity, A^beta, the
+    induced alpha, the orbits, the Galois system and A (x)_{A^beta} A at
+    most once per action object; the additive group and the unit vectors
+    once per ring; the hash and the subalgebra check once per
+    `Subalgebra`; and the free-pair presentation and multiplication map once
+    per tensor."""
     seen = set()
-    for path in sorted(INSTANCES.glob("*.sgi")):
-        derived.clear()
-        _run(capsys, args[0], str(path), *args[1:])
-        assert all(count == 1 for count in derived.values()), (path.name, derived)
-        seen |= {name for name, _ in derived}
+    with derivations(*FACTS) as derived:
+        for path in sorted(INSTANCES.glob("*.sgi")):
+            derived.clear()
+            _run(capsys, args[0], str(path), *args[1:])
+            assert all(count == 1 for count in derived.values()), (path.name, derived)
+            seen |= {name for name, _ in derived}
     assert seen  # every command derives some fact on some instance
-    if args == ["galois"]:
-        assert seen == {name for _, name in FACTS}
+    if args == ["galois"]:  # it keeps no set of subalgebras, so it hashes none
+        assert seen == {fact.__name__ for fact in FACTS} - {"__hash__"}
+    if args[0] == "correspond":
+        assert "__hash__" in seen
 
 
 def test_a_remembered_fact_raises_its_precondition_on_every_call():
@@ -127,12 +131,12 @@ def test_a_remembered_fact_raises_its_precondition_on_every_call():
     for _ in range(2):
         with pytest.raises(semigroups.ZeroForbidden):
             semigroups.sigma_partition(S)
-    assert "alpha" not in beta.facts and "sigma" not in S.facts
+    assert "induce_partial_group_action" not in beta.facts and "sigma_partition" not in S.facts
     beta = f9_cubed_fixture()
     for _ in range(2):
         with budget.limit(1), pytest.raises(budget.BudgetExceeded):
             actions.invariant_ring(beta)
-    assert "invariants" not in beta.facts
+    assert "invariant_ring" not in beta.facts
     assert actions.invariant_ring(beta) is actions.invariant_ring(beta)
     assert actions.invariant_ring(beta).order == 27
 
@@ -239,7 +243,7 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
     the solve with `mul_vec`, apart from the read the solve used."""
     readers = {galois._solve_coordinates.__code__, galois.psi_check.__code__,
                rg.TensorPresentation.mult_matrix.__code__,
-               rg.TensorPresentation._mult_map.func.__code__}
+               rg.TensorPresentation.mult_map_vec.__wrapped__.__code__}
     inside, verifying, reads = [], [], []
     original = rg.FiniteRing.mul_vec
 

@@ -234,7 +234,7 @@ def _closure_draws():
             yield gens, None
 
 
-def test_iso_closure_on_keys_finds_the_closure_on_objects():
+def test_iso_closure_equals_the_closure_composed_on_objects():
     """The same isos in the same order, or TooLarge alike past the cap; and
     without the empty iso, None exactly when the closure holds it (or has
     not closed by the cap)."""

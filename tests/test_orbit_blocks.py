@@ -235,7 +235,7 @@ def test_kernel_witness_is_a_nonzero_element_that_psi_kills():
     psi = gl.psi_check(beta)
     assert psi.image_order == psi.tensor_order
     base = Subalgebra(A, [A.idempotent_vec(block.atoms) for block in beta.orbits]).closure_under_mul()
-    tensors = beta.facts["full_tensor"] = tuple(
+    tensors = beta.facts["_full_tensor"] = tuple(
         (block, TensorPresentation(block.ring, block.subalgebra(base))) for block in beta.orbits)
     assert math.prod(tensor.order() for _, tensor in tensors) > psi.tensor_order
     with pytest.raises(gl.EquivalenceViolation, match="psi kills part of the tensor on orbit 0"):
