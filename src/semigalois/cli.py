@@ -12,14 +12,13 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 
 from . import __version__, budget
 from .actions import invariant_ring, is_injective
 from .galois import PreconditionFail, cross_check_equivalences
-from .instance import _BOOL, ParseError, instance_text, parse_instance_text
+from .instance import ParseError, instance_text, parse_instance_text
 from .semigroups import SemigroupError, is_e_unitary, sigma_partition
 from . import zerocase as zc
 
@@ -96,16 +95,16 @@ def _names(S, indices):
     return [S.names[i] for i in sorted(indices)]
 
 
-def cmd_validate(beta, report, opts):
+def cmd_validate(beta, report):
     S, A = beta.S, beta.A
     report.add("action_valid", True, semigroup_order=S.n, ring_order=A.size,
                atoms=[a.label() for a in A.atoms],
                zero=S.names[S.zero] if S.zero is not None else "none")
 
 
-def cmd_analyze(beta, report, opts):
+def cmd_analyze(beta, report):
     S = beta.S
-    cmd_validate(beta, report, opts)
+    cmd_validate(beta, report)
     report.info("idempotents", elements=_names(S, S.idempotents))
     order_pairs = [f"{S.names[s]}<{S.names[t]}" for s in range(S.n) for t in range(S.n)
                    if s != t and S.leq[s][t]]
@@ -127,7 +126,7 @@ def cmd_analyze(beta, report, opts):
         report.info("primitive", value=zc.is_primitive(S))
 
 
-def cmd_galois(beta, report, opts):
+def cmd_galois(beta, report):
     t0 = time.monotonic()
     rep = cross_check_equivalences(beta)
     report.time("cross_check", time.monotonic() - t0)
@@ -163,17 +162,16 @@ def _add_correspondence_verdicts(report, rep):
         report.info("failure", detail=[str(x) for x in f])
 
 
-def cmd_correspond(beta, report, opts):
+def cmd_correspond(beta, report, brute_force_subalgebras=False):
     from .correspondence import verify_e_unitary_correspondence, verify_general_correspondence
-    brute = opts.get("brute-force-subalgebras", False)
     t0 = time.monotonic()
     if beta.S.zero is not None:
         raise PreconditionFail("declared zero: use the `zero` command")
     if is_injective(beta) and is_e_unitary(beta.S):
-        rep = verify_e_unitary_correspondence(beta, brute_force_subalgebras=brute)
+        rep = verify_e_unitary_correspondence(beta, brute_force_subalgebras)
         kind = "e_unitary"
     else:
-        rep = verify_general_correspondence(beta, brute_force_subalgebras=brute)
+        rep = verify_general_correspondence(beta, brute_force_subalgebras)
         kind = "general"
     report.time("correspondence", time.monotonic() - t0)
     report.info("correspondence_kind", kind=kind, objects=len(rep.pairs))
@@ -186,7 +184,7 @@ def cmd_correspond(beta, report, opts):
     _add_correspondence_verdicts(report, rep)
 
 
-def cmd_zero(beta, report, opts):
+def cmd_zero(beta, report, brute_force_subalgebras=False):
     S = beta.S
     if S.zero is None:
         raise PreconditionFail("the zero command needs a declared zero")
@@ -208,8 +206,7 @@ def cmd_zero(beta, report, opts):
         P, joins, _ = zc.p_prime_construction(beta)
         report.add("p_prime_primitive", zc.is_primitive(P), order=P.n)
     t0 = time.monotonic()
-    rep = zc.verify_zero_correspondence(
-        beta, brute_force_subalgebras=opts.get("brute-force-subalgebras", False))
+    rep = zc.verify_zero_correspondence(beta, brute_force_subalgebras)
     report.time("zero_correspondence", time.monotonic() - t0)
     for p in rep.pairs:
         report.add(f"pair_T_{'_'.join(_names(S, p.members))}",
@@ -218,7 +215,7 @@ def cmd_zero(beta, report, opts):
     _add_correspondence_verdicts(report, rep)
 
 
-def cmd_selftest(beta, report, opts):
+def cmd_selftest(beta, report):
     """A seeded slice of the property corpus; the full suite lives in pytest."""
     # the corpus module is loaded here, not at import: no other command needs it
     from .corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
@@ -249,15 +246,8 @@ def cmd_selftest(beta, report, opts):
     report.time("selftest", time.monotonic() - t0)
 
 
-ENV_PREFIX = "SEMIGALOIS_"
 FORMATS = ("text", "json-lines")
 DEFAULT_BUDGET = 2_000_000
-
-
-def _format_name(text):
-    if text not in FORMATS:
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
-    return text
 
 
 def _positive_int(text):
@@ -270,31 +260,6 @@ def _positive_int(text):
     return value
 
 
-def _bool_setting(parser, name, value):
-    """A flag's value: True when given, else its SEMIGALOIS_* setting, spelled
-    as under [options].  The flag has no `type` to pass its default through,
-    so a bad setting is reported here, and only without the flag."""
-    if not isinstance(value, str):
-        return value
-    text = value.strip().lower()
-    if text not in _BOOL:
-        parser.error(f"argument --{name}: invalid boolean value: {text!r} "
-                     f"(choose from {', '.join(_BOOL)})")
-    return _BOOL[text]
-
-
-_FALLBACKS = {"format": "text", "seed": "0", "budget": str(DEFAULT_BUDGET),
-              "brute_force_subalgebras": "false"}
-
-
-def _read_settings(p):
-    """Set each option's default to its SEMIGALOIS_* setting, as a string:
-    argparse passes a string default through the option's `type`, so a bad
-    setting is a usage error."""
-    p.set_defaults(**{dest: os.environ.get(ENV_PREFIX + dest.upper(), fallback)
-                      for dest, fallback in _FALLBACKS.items()})
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="semigalois",
                                 description="Galois machinery for inverse semigroup "
@@ -302,28 +267,22 @@ def build_parser():
     p.add_argument("command", choices=["validate", "analyze", "galois",
                                        "correspond", "zero", "selftest"])
     p.add_argument("instance", nargs="?", help="instance file (not used by selftest)")
-    p.add_argument("--format", type=_format_name, choices=FORMATS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--format", choices=FORMATS, help="report format (default: text)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--brute-force-subalgebras", action="store_true")
     p.add_argument("--timing", action="store_true")
-    _read_settings(p)
     return p
 
 
 @functools.cache
 def parser():
-    """The one parser every `main` call uses, built on first use; each call
-    reads the SEMIGALOIS_* settings of its own moment (`_read_settings`)."""
+    """The one parser every `main` call uses, built on first use."""
     return build_parser()
 
 
 def main(argv=None):
-    _read_settings(parser())
     args = parser().parse_args(argv)
-    args.brute_force_subalgebras = _bool_setting(parser(), "brute-force-subalgebras",
-                                                 args.brute_force_subalgebras)
-    opts = {}
     if args.command == "selftest":
         beta, report = None, Report("selftest", "-", args.seed)
     elif not args.instance:
@@ -347,17 +306,17 @@ def main(argv=None):
         except budget.BudgetExceeded as exc:
             print(f"error: budget: {exc}", file=sys.stderr)
             return 3
-        opts = dict(inst.options)
-        if args.brute_force_subalgebras:
-            opts["brute-force-subalgebras"] = True
-        seed = opts.get("seed", args.seed)
-        beta, report = inst.action, Report(args.command, hashlib.sha256(data).hexdigest(), seed)
+        beta = inst.action
+        report = Report(args.command, hashlib.sha256(data).hexdigest(), args.seed)
     handler = {"validate": cmd_validate, "analyze": cmd_analyze, "galois": cmd_galois,
-               "correspond": cmd_correspond, "zero": cmd_zero, "selftest": cmd_selftest}
+               "correspond": cmd_correspond, "zero": cmd_zero,
+               "selftest": cmd_selftest}[args.command]
+    if args.command in ("correspond", "zero"):
+        handler = functools.partial(handler, brute_force_subalgebras=args.brute_force_subalgebras)
     code = None
     try:
-        with budget.limit(opts.get("budget", args.budget)):  # fresh on every call
-            handler[args.command](beta, report, opts)
+        with budget.limit(args.budget):  # fresh on every call
+            handler(beta, report)
     except PreconditionFail as exc:
         report.add("precondition", False, detail=str(exc))
     except budget.BudgetExceeded as exc:

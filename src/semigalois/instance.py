@@ -1,6 +1,6 @@
 """Line-oriented instance files: one (S, A, beta) triple per file.
 
-Sections are [semigroup], [ring], [action], [options].  The semigroup is
+Sections are [semigroup], [ring], [action].  The semigroup is
 either an explicit table (with optional zero) or a generators+relations
 presentation saturated on load; the ring is an ordered atom list; the
 action lists one map per element as an atom matching with twist powers
@@ -22,13 +22,18 @@ class ParseError(Exception):
 
 
 class InstanceFile:
-    def __init__(self, semigroup, ring, action, options=None):
+    def __init__(self, semigroup, ring, action):
         self.semigroup, self.ring, self.action = semigroup, ring, action
-        self.options = {} if options is None else options
+
+
+_SECTIONS = ("semigroup", "ring", "action")
 
 
 def _split_sections(text):
+    """Each section's (line number, line) pairs; unknown sections are
+    reported on the line of the first unknown header."""
     sections = {}
+    unknown = {}  # unknown section -> line of its first header
     current = None
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -37,10 +42,14 @@ def _split_sections(text):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
             sections.setdefault(current, [])
+            if current not in _SECTIONS:
+                unknown.setdefault(current, no)
             continue
         if current is None:
             raise ParseError(no, f"content before any section header: {line!r}")
         sections[current].append((no, line))
+    if unknown:
+        raise ParseError(min(unknown.values()), f"unknown sections: {sorted(unknown)}")
     return sections
 
 
@@ -234,50 +243,15 @@ def _atom_set(text, no):
         raise ParseError(no, f"bad atom set {text!r}") from None
 
 
-_BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
-def _parse_options(lines):
-    out = {}
-    for no, line in lines:
-        key, _, val = line.partition("=")
-        key = key.strip().lower().replace("_", "-")
-        val = val.strip()
-        if key in out:
-            raise ParseError(no, f"{key} given twice")
-        if key in ("seed", "budget"):
-            try:
-                out[key] = int(val)
-            except ValueError:
-                raise ParseError(no, f"{key} needs an integer") from None
-            if key == "budget" and out[key] < 1:
-                raise ParseError(no, f"{key} must be at least 1, got {out[key]}")
-        elif key == "brute-force-subalgebras":
-            if val.lower() not in _BOOL:
-                raise ParseError(no, f"{key} needs a boolean")
-            out[key] = _BOOL[val.lower()]
-        else:
-            raise ParseError(no, f"unknown option {key!r}")
-    return out
-
-
 def parse_instance_text(text):
     sections = _split_sections(text)
-    unknown = set(sections) - {"semigroup", "ring", "action", "options"}
-    if unknown:
-        raise ParseError(1, f"unknown sections: {sorted(unknown)}")
-    if "semigroup" not in sections:
-        raise ParseError(1, "missing [semigroup] section")
-    if "ring" not in sections:
-        raise ParseError(1, "missing [ring] section")
-    if "action" not in sections:
-        raise ParseError(1, "missing [action] section")
+    for name in _SECTIONS:
+        if name not in sections:
+            raise ParseError(1, f"missing [{name}] section")
     S = _parse_semigroup(sections["semigroup"])
     A = _parse_ring(sections["ring"])
     isos = _parse_action(sections["action"], S, A)
-    beta = validate_action(S, A, isos)
-    options = _parse_options(sections.get("options", []))
-    return InstanceFile(S, A, beta, options)
+    return InstanceFile(S, A, validate_action(S, A, isos))
 
 
 def instance_text(data):

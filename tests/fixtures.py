@@ -4,8 +4,9 @@ The fixtures the library's own self-test and the benchmark build stay in
 `semigalois.corpus` (`f9_cubed_fixture`, `c2_swap_fixture`,
 `b2_swap_fixture` and the random `corpus`); these are the ones only the
 tests read, with the groupoid builders (`connected_groupoid`,
-`disjoint_union`, `random_groupoid`) that only they use, and `derivations`,
-which counts the derivations of `remembered` facts.
+`disjoint_union`, `random_groupoid`) that only they use, `derivations`,
+which counts the derivations of `remembered` facts, and `admissible`, the
+preconditions of the Galois cross-check.
 """
 
 import collections
@@ -13,10 +14,16 @@ import contextlib
 import random
 import sys
 
-from semigalois.actions import AxiomFail, validate_action
+from semigalois.actions import AxiomFail, is_injective, validate_action
 from semigalois.corpus import c2_table
 from semigalois.rings import Atom, FiniteRing, StructuredIso, TooLarge
-from semigalois.semigroups import validate_table
+from semigalois.semigroups import is_e_unitary, validate_table
+
+
+def admissible(beta):
+    """The preconditions of `galois.cross_check_equivalences`."""
+    return (beta.S.zero is None and is_e_unitary(beta.S) and is_injective(beta)
+            and beta.all_ideals_nonzero())
 
 
 def c2_fixed_atom_fixture():

@@ -7,11 +7,12 @@ only numeric bounds are the stated runtime ceilings.
 import random
 import time
 
-from fixtures import groupoid_action_corpus, random_primitive_semigroup, trace_gap_fixture
+from fixtures import (admissible, groupoid_action_corpus, random_primitive_semigroup,
+                      trace_gap_fixture)
 from semigalois import isopu
 from semigalois import zerocase as zc
-from semigalois.actions import (induce_partial_group_action, invariant_ring, is_injective,
-                                sigma_trace, trace_map)
+from semigalois.actions import (induce_partial_group_action, invariant_ring, sigma_trace,
+                                trace_map)
 from semigalois.corpus import (b2_swap_fixture, b2_table, c2_swap_fixture, corpus, f9_cubed_fixture,
                                random_ring, random_structured_iso)
 from semigalois.correspondence import (enumerate_beta_complete, fixed_subalgebra,
@@ -28,11 +29,6 @@ def _verdict(name, ok, elapsed, detail=""):
     mark = "PASS" if ok else "FAIL"
     print(f"[criterion {name}] {mark} ({elapsed:.2f}s){('  ' + detail) if detail else ''}")
     assert ok, f"criterion {name} failed: {detail}"
-
-
-def admissible(b):
-    return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
-            and b.all_ideals_nonzero())
 
 
 def test_criterion_1_fixture_facts():

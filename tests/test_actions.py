@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fixtures import (c2_fixed_atom_fixture, chain_semilattice_fixture,
+from fixtures import (admissible, c2_fixed_atom_fixture, chain_semilattice_fixture,
                       collapsing_semilattice_fixture)
 from oracles import (extend_scalars_by_loops, scalar_extension_is_galois_by_loops,
                      validate_action_by_own_loops, verify_class_join_group)
@@ -14,11 +14,6 @@ from semigalois.rings import Atom, FiniteRing, StructuredIso
 from semigalois.semigroups import SubSemigroup, is_e_unitary, validate_table
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def admissible(b):
-    return (b.S.zero is None and is_e_unitary(b.S) and ac.is_injective(b)
-            and b.all_ideals_nonzero())
 
 
 def test_validate_action_rejects_bad_hom():

@@ -1,6 +1,5 @@
 import ast
 import json
-import os
 import re
 import subprocess
 import sys
@@ -15,10 +14,10 @@ REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
 
 
-def run_cli(args, env=None):
-    """(exit code, stdout, stderr) of one CLI run, with `env` added to the environment."""
+def run_cli(args):
+    """(exit code, stdout, stderr) of one CLI run."""
     proc = subprocess.run([sys.executable, "-m", "semigalois.cli", *args],
-                          capture_output=True, cwd=REPO, env={**os.environ, **(env or {})})
+                          capture_output=True, cwd=REPO)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -29,42 +28,20 @@ def _assert_usage_error(code, err, message):
 
 
 def test_bad_seed_setting_is_a_usage_error():
-    code, _, err = run_cli(["galois", "instances/c2_swap.sgi"], {"SEMIGALOIS_SEED": "abc"})
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--seed", "abc"])
     _assert_usage_error(code, err, b"argument --seed: invalid int value: 'abc'")
 
 
 def test_bad_guard_setting_is_a_usage_error():
-    """SEMIGALOIS_BUDGET, which replaced the guard setting, is validated like it."""
-    code, _, err = run_cli(["galois", "instances/c2_swap.sgi"], {"SEMIGALOIS_BUDGET": "x"})
+    """--budget, which replaced the guard setting, is validated like it."""
+    code, _, err = run_cli(["galois", "instances/c2_swap.sgi", "--budget", "x"])
     _assert_usage_error(code, err, b"argument --budget: invalid int value: 'x'")
 
 
 def test_unknown_format_setting_is_a_usage_error():
-    code, out, err = run_cli(["galois", "instances/c2_swap.sgi"], {"SEMIGALOIS_FORMAT": "xml"})
+    code, out, err = run_cli(["galois", "instances/c2_swap.sgi", "--format", "xml"])
     _assert_usage_error(code, err, b"argument --format: invalid choice: 'xml'")
     assert out == b""
-
-
-def test_brute_force_setting_is_case_insensitive():
-    code, out, _ = run_cli(["correspond", "instances/c2_swap.sgi"],
-                           {"SEMIGALOIS_BRUTE_FORCE_SUBALGEBRAS": "TRUE"})
-    assert code == 0
-    assert b"ok   brute_force_match" in out
-
-
-def test_unknown_brute_force_setting_is_a_usage_error():
-    code, out, err = run_cli(["correspond", "instances/c2_swap.sgi"],
-                             {"SEMIGALOIS_BRUTE_FORCE_SUBALGEBRAS": "maybe"})
-    _assert_usage_error(code, err,
-                        b"argument --brute-force-subalgebras: invalid boolean value: 'maybe'")
-    assert out == b""
-
-
-def test_brute_force_flag_overrides_a_bad_setting():
-    code, out, _ = run_cli(["correspond", "instances/c2_swap.sgi", "--brute-force-subalgebras"],
-                           {"SEMIGALOIS_BRUTE_FORCE_SUBALGEBRAS": "maybe"})
-    assert code == 0
-    assert b"ok   brute_force_match" in out
 
 
 def test_guard_flag_below_one_is_a_usage_error():
@@ -78,8 +55,9 @@ def test_old_guard_spellings_are_unknown(tmp_path):
     _assert_usage_error(code, err, b"unrecognized arguments: --guard-max-order 5")
     p = tmp_path / "old.sgi"
     p.write_text((INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\nguard-max-order = 5\n")
-    code, out, err = run_cli(["galois", str(p)])
-    assert code == 2 and out == b"" and b"unknown option 'guard-max-order'" in err
+    line_no = p.read_text().splitlines().index("[options]") + 1
+    _assert_input_error(*run_cli(["galois", str(p)]),
+                        f"error: line {line_no}: unknown sections: ['options']".encode())
 
 
 def test_small_budget_is_a_reported_verdict():
@@ -95,16 +73,9 @@ def test_small_budget_is_a_reported_verdict():
 
 def test_budget_trip_while_loading_is_an_error_line():
     """S7 is given by a presentation, and its first scan already costs more than 1."""
-    code, out, err = run_cli(["validate", "instances/s7_f9cubed.sgi"], {"SEMIGALOIS_BUDGET": "1"})
+    code, out, err = run_cli(["validate", "instances/s7_f9cubed.sgi", "--budget", "1"])
     assert code == 3 and out == b""
     assert err == b"error: budget: quantity=coset_steps  spent=38  limit=1\n"
-
-
-def test_budget_in_the_file_wins_over_the_flag(tmp_path):
-    p = tmp_path / "budget.sgi"
-    p.write_text((INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\nbudget = 1\n")
-    code, out, _ = run_cli(["galois", str(p), "--budget", "1000000"])
-    assert code == 3 and b"FAIL budget" in out
 
 
 @pytest.mark.parametrize("atom", ["zmod 2305843009213693951 1", "zmod 2 2000000000"])
@@ -169,11 +140,11 @@ def test_cli_import_loads_no_dataclasses():
     """A fresh `import semigalois.cli` loads this list of package modules,
     which the benchmark's tracer wraps, and not `dataclasses`, which no
     module under src/ names."""
-    from test_golden_reports import _clean_env
+    from test_golden_reports import _src_env
     probe = ("import sys; before = set(sys.modules); import semigalois.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=REPO,
-                          env=_clean_env(), check=True)
+                          env=_src_env(), check=True)
     loaded = proc.stdout.decode().split()
     assert "dataclasses" not in loaded
     assert not [p for p in (REPO / "src").rglob("*.py") if "dataclasses" in p.read_text()]
@@ -346,8 +317,8 @@ atom = zmod 2
 [action]
 map = a : 0->0:0
 """)
-    for env in (None, {"SEMIGALOIS_BUDGET": "1"}):
-        code, out, err = run_cli(["validate", str(p)], env)
+    for flags in ([], ["--budget", "1"]):
+        code, out, err = run_cli(["validate", str(p), *flags])
         assert (code, out) == (2, b"")
         assert err == b"error: line 4: zero is only available with explicit tables\n"
 
@@ -428,7 +399,7 @@ def test_analyze_flags():
     assert b"tau_classes" in out and b"zero_e_unitary" in out
 
 
-def test_brute_force_flag_and_env(tmp_path, monkeypatch):
+def test_brute_force_flag_adds_the_scan():
     code, out, _ = run_cli(["correspond", "instances/c2_swap.sgi",
                             "--brute-force-subalgebras"])
     assert code == 0 and b"brute_force_match" in out
@@ -448,55 +419,6 @@ def test_selftest_runs_clean():
     code, out, _ = run_cli(["selftest"])
     assert code == 0
     assert b"result: PASS" in out
-
-
-def test_options_section_overrides(tmp_path):
-    p = tmp_path / "opts.sgi"
-    p.write_text("""
-[semigroup]
-elements = 1
-row = 1
-
-[ring]
-atom = zmod 3
-
-[action]
-map = 1 : 0->0:0
-
-[options]
-seed = 17
-brute-force-subalgebras = true
-""")
-    code, out, _ = run_cli(["correspond", str(p)])
-    assert code == 0
-    assert b"seed=17" in out
-    assert b"brute_force_match" in out
-
-
-def test_options_guard_below_one_is_a_positioned_error(tmp_path):
-    """The [options] budget key, which replaced guard-max-order, must be at least 1."""
-    p = tmp_path / "guard.sgi"
-    p.write_text("""
-[semigroup]
-elements = 1
-row = 1
-
-[ring]
-atom = zmod 3
-
-[action]
-map = 1 : 0->0:0
-
-[options]
-budget = -5
-""")
-    with pytest.raises(inst.ParseError) as err:
-        inst.parse_instance(p)
-    assert err.value.line_no == 13
-    code, out, err = run_cli(["galois", str(p)])
-    assert code == 2 and out == b""
-    assert b"line 13" in err and b"budget must be at least 1" in err
-    assert b"Traceback" not in err
 
 
 def test_analyze_on_a_group():
@@ -525,7 +447,6 @@ def test_unknown_atom_token_is_a_positioned_error(tmp_path, atom, message):
 
 _C2_RING_AND_ACTION = ("[ring]\natom = zmod 3\natom = zmod 3\n\n[action]\n"
                        "map = 1 : 0->0:0 1->1:0\nmap = g : 0->1:0 1->0:0\n")
-_C2_WITH_OPTIONS = (INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\n"
 
 
 @pytest.mark.parametrize("key,text,second", [
@@ -535,11 +456,7 @@ _C2_WITH_OPTIONS = (INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\n"
      + _C2_RING_AND_ACTION, "elements = 1 g"),
     ("zero", "[semigroup]\nelements = 1 0\nrow = 1 0\nrow = 0 0\nzero = 1\nzero = 0\n\n"
      "[ring]\natom = zmod 3\n\n[action]\nmap = 1 : 0->0:0\nmap = 0 : empty\n", "zero = 0"),
-    ("seed", _C2_WITH_OPTIONS + "seed = 3\nseed = 4\n", "seed = 4"),
-    ("budget", _C2_WITH_OPTIONS + "budget = 5\nbudget = 2000000\n", "budget = 2000000"),
-    ("brute-force-subalgebras", _C2_WITH_OPTIONS + "brute-force-subalgebras = true\n"
-     "brute_force_subalgebras = false\n", "brute_force_subalgebras = false"),
-], ids=["generators", "elements", "zero", "seed", "budget", "brute-force-subalgebras"])
+], ids=["generators", "elements", "zero"])
 def test_repeated_single_valued_key_is_a_positioned_error(tmp_path, key, text, second):
     """Each file would otherwise parse, with the second value silently winning."""
     line_no = text.splitlines().index(second) + 1
@@ -595,39 +512,25 @@ def test_both_correspondence_commands_print_failure_lines(monkeypatch, command, 
     monkeypatch.setattr(*route, lambda beta: all_ts(beta)[1:])
     beta = inst.parse_instance(INSTANCES / f"{name}.sgi").action
     report = cli.Report(command, "-", 0)
-    getattr(cli, f"cmd_{command}")(beta, report, {"brute-force-subalgebras": True})
+    getattr(cli, f"cmd_{command}")(beta, report, brute_force_subalgebras=True)
     lines = cli.emit_report(report).decode().splitlines()
     assert lines[-4:] == ["FAIL bijection", "FAIL brute_force_match",
                           "failure  detail=[brute-force subalgebra scan mismatch]",
                           "# result: FAIL"]
 
 
-def test_documented_settings_match_the_parser(monkeypatch):
-    """docs/format.md names exactly the flags, SEMIGALOIS_* variables and
-    [options] keys that the CLI and the instance loader accept."""
+def test_documented_settings_match_the_parser():
+    """The command line is the one source of settings: docs/format.md names
+    exactly the parser's flags, no SEMIGALOIS_* variable and no [options]
+    section, and no flag has a string default for its `type` to convert."""
     from semigalois import cli
     doc = (REPO / "docs" / "format.md").read_text()
-    flags = {o for a in cli.build_parser()._actions for o in a.option_strings
-             if o.startswith("--") and o != "--help"}
+    options = [a for a in cli.build_parser()._actions if a.option_strings and a.dest != "help"]
+    flags = {o for a in options for o in a.option_strings}
+    assert flags == {"--format", "--seed", "--budget", "--brute-force-subalgebras", "--timing"}
+    assert not [a.dest for a in options if isinstance(a.default, str)]
     assert set(re.findall(r"`(--[a-z][a-z-]*)", doc)) == flags
-    names = {f[2:] for f in flags} | {"guard-max-order"}
-    read = set()
-    for var in {cli.ENV_PREFIX + n.upper().replace("-", "_") for n in names}:
-        monkeypatch.setenv(var, "sentinel")
-        if "sentinel" in {a.default for a in cli.build_parser()._actions}:
-            read.add(var)
-        monkeypatch.delenv(var)
-    assert set(re.findall(r"SEMIGALOIS_[A-Z_]+", doc)) == read
-    block = doc.split("## `[options]`", 1)[1].split("```")[1]
-    documented = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
-    accepted = set()
-    for key in names | documented:
-        try:
-            inst._parse_options([(1, f"{key} = 1")])
-            accepted.add(key)
-        except inst.ParseError as exc:
-            assert "unknown option" in str(exc)
-    assert documented == accepted
+    assert "SEMIGALOIS_" not in doc and "[options]" not in doc
 
 
 def test_documented_atom_lines_parse_to_their_labels():
@@ -647,25 +550,40 @@ def test_documented_atom_lines_parse_to_their_labels():
             inst._parse_ring([(1, spec)])
 
 
-def test_one_parser_reads_the_environment_on_every_call(monkeypatch, capsysbinary):
-    """cli.main reuses one parser; each call sees the SEMIGALOIS_* settings of
-    its own moment."""
+def test_one_parser_and_no_environment(monkeypatch, capsysbinary):
+    """cli.main reuses one parser, and SEMIGALOIS_* variables, once read as
+    settings, leave a golden case's bytes and exit code unchanged."""
     from semigalois import cli
-    path = str(INSTANCES / "c2_swap.sgi")
+    golden = REPO / "tests" / "golden"
     parser = cli.parser()
     monkeypatch.setenv("SEMIGALOIS_BUDGET", "1")
     monkeypatch.setenv("SEMIGALOIS_FORMAT", "json-lines")
-    assert cli.main(["galois", path]) == 3
-    first = capsysbinary.readouterr().out.decode().splitlines()
-    monkeypatch.setenv("SEMIGALOIS_BUDGET", str(cli.DEFAULT_BUDGET))
-    monkeypatch.setenv("SEMIGALOIS_FORMAT", "text")
-    assert cli.main(["galois", path]) == 0
-    second = capsysbinary.readouterr().out.decode().splitlines()
+    code = cli.main(["galois", str(INSTANCES / "c2_swap.sgi")])
+    assert code == json.loads((golden / "exit_codes.json").read_text())["c2_swap.galois.text"]
+    assert capsysbinary.readouterr().out == (golden / "c2_swap.galois.text.out").read_bytes()
     assert cli.parser() is parser
-    assert json.loads(first[0])["type"] == "header"
-    assert any(json.loads(line).get("name") == "budget" for line in first)
-    assert second[0].startswith("# semigalois report") and second[-1] == "# result: PASS"
-    monkeypatch.delenv("SEMIGALOIS_BUDGET")
-    monkeypatch.setenv("SEMIGALOIS_SEED", "7")
-    assert cli.main(["galois", path, "--format", "text"]) == 0
-    assert b"seed=7" in capsysbinary.readouterr().out.splitlines()[0]
+
+
+def test_one_source_of_settings():
+    """No module under src/ reads `os.environ` or calls `os.getenv`, so the
+    command line stays the one source of settings."""
+    readers = [f"{path.name}:{node.lineno}" for path in sorted((REPO / "src").rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+               or isinstance(node, ast.alias) and node.name in ("environ", "getenv")]
+    assert readers == []
+
+
+def test_unknown_section_is_reported_on_its_header_line(tmp_path):
+    """An [options] header below line 1 is an unknown section, reported on
+    its own line."""
+    text = (INSTANCES / "c2_swap.sgi").read_text() + "\n[options]\nseed = 3\n"
+    line_no = text.splitlines().index("[options]") + 1
+    assert line_no > 1
+    p = tmp_path / "options.sgi"
+    p.write_text(text)
+    with pytest.raises(inst.ParseError) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == line_no
+    _assert_input_error(*run_cli(["galois", str(p)]),
+                        f"error: line {line_no}: unknown sections: ['options']".encode())

@@ -2,22 +2,18 @@ import random
 
 import pytest
 
-from fixtures import chain_semilattice_fixture, collapsing_semilattice_fixture, derivations
+from fixtures import (admissible, chain_semilattice_fixture, collapsing_semilattice_fixture,
+                      derivations)
 from semigalois import budget
 from semigalois import correspondence as co
-from semigalois.actions import invariant_ring, is_injective, validate_action
+from semigalois.actions import invariant_ring, validate_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture, s7_monoid
 from semigalois.galois import compute_S_B, is_galois
 from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
-from semigalois.semigroups import (SubSemigroup, is_e_unitary,
-                                   enumerate_full_inverse_subsemigroups, validate_table)
+from semigalois.semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups,
+                                   validate_table)
 from oracles import (element_product, iso_apply_by_polynomials, subalgebras_by_element_scan,
                      subring_closure)
-
-
-def admissible(b):
-    return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
-            and b.all_ideals_nonzero())
 
 
 def test_beta_complete_enumeration_on_fixture():

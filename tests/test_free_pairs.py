@@ -19,26 +19,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import (c2_fixed_atom_fixture, chain_semilattice_fixture,
+from fixtures import (admissible, c2_fixed_atom_fixture, chain_semilattice_fixture,
                       collapsing_semilattice_fixture, trace_gap_fixture)
 from oracles import (psi_image_canons_all_pairs, separable_all_pairs,
                      solve_coordinates_all_pairs, verify_idempotent_by_kron)
 from semigalois import cli, galois as gl
-from semigalois.actions import induce_partial_group_action, is_injective
+from semigalois.actions import induce_partial_group_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.instance import action_to_instance_text, parse_instance
 from semigalois.linalg import Matrix, lattice_member, lattice_reduce
 from semigalois.rings import Atom
-from semigalois.semigroups import is_e_unitary
 from test_bench_library_calls import workloads
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def admissible(beta):
-    """The preconditions of `galois.cross_check_equivalences`."""
-    return (beta.S.zero is None and is_e_unitary(beta.S) and is_injective(beta)
-            and beta.all_ideals_nonzero())
 
 
 def assert_free_pairs_match_all_pairs(beta):

@@ -6,26 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import c2_fixed_atom_fixture, chain_semilattice_fixture, trace_gap_fixture
+from fixtures import (admissible, c2_fixed_atom_fixture, chain_semilattice_fixture,
+                      trace_gap_fixture)
 from semigalois import galois as gl
-from semigalois.actions import invariant_ring, is_injective, validate_action
+from semigalois.actions import invariant_ring, validate_action
 from semigalois.corpus import c2_swap_fixture, c2_table, corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso, Subalgebra,
                               TensorPresentation)
-from semigalois.semigroups import is_e_unitary
 from oracles import (algebra_generators_by_adjoining, check_psi_images_on_orbits,
                      is_separable_whole, joined_tensor_vector, pure, separable_all_generators,
                      verify_idempotent_by_kron, whole_full_tensor)
 from test_correspondence import SCAN_CASES
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def admissible(b):
-    return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
-            and b.all_ideals_nonzero())
 
 
 def _one_block(tensor):

@@ -41,21 +41,21 @@ def _case_name(instance, command, fmt):
     return f"{Path(instance).stem}.{command}.{fmt}"
 
 
-def _clean_env():
-    """This environment without SEMIGALOIS_* settings, with the checkout's src first."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SEMIGALOIS_")}
+def _src_env():
+    """This environment with the checkout's src first on the path."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
     return env
 
 
 def run_case(instance, command, fmt, python_flags=()):
-    """(exit code, stdout bytes) of one CLI run, free of SEMIGALOIS_* settings;
-    `python_flags` go to the interpreter."""
+    """(exit code, stdout bytes) of one CLI run; `python_flags` go to the
+    interpreter."""
     args = [COMMANDS[command][0], f"instances/{instance}", *COMMANDS[command][1:],
             "--format", fmt]
     proc = subprocess.run([sys.executable, *python_flags, "-m", "semigalois.cli", *args],
-                          capture_output=True, cwd=REPO, env=_clean_env())
+                          capture_output=True, cwd=REPO, env=_src_env())
     return proc.returncode, proc.stdout
 
 
@@ -90,7 +90,7 @@ def test_cli_runs_with_numpy_blocked():
     script = ("import sys; sys.modules['numpy'] = None; import semigalois.cli; "
               "sys.exit(semigalois.cli.main(['galois', 'instances/c2_swap.sgi']))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=REPO,
-                          env=_clean_env())
+                          env=_src_env())
     name = _case_name("c2_swap.sgi", "galois", "text")
     assert proc.stderr == b""
     assert proc.returncode == json.loads(EXIT_CODES.read_text())[name]

@@ -14,27 +14,20 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import trace_gap_fixture
+from fixtures import admissible, trace_gap_fixture
 from semigalois import galois as gl, linalg
-from semigalois.actions import (induce_partial_group_action, invariant_ring, is_injective,
-                                validate_action)
+from semigalois.actions import induce_partial_group_action, invariant_ring, validate_action
 from semigalois.corpus import c2_table, corpus, f9_cubed_fixture, s7_monoid
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,
                               Subalgebra, TensorPresentation)
-from semigalois.semigroups import is_e_unitary
 from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
                      joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
                      solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def admissible(b):
-    return (b.S.zero is None and is_e_unitary(b.S) and is_injective(b)
-            and b.all_ideals_nonzero())
 
 
 def c2_swap(atoms):
