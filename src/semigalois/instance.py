@@ -67,6 +67,18 @@ def _parse_word(token_list, gen_index, line_no):
     return tuple(word)
 
 
+def _check_generator_names(generators, line_no):
+    """Each name once, and none a word cannot spell: `1` is the empty word
+    and a trailing `'` marks an inverse."""
+    seen = set()
+    for name in generators:
+        if name == "1" or name.endswith("'"):
+            raise ParseError(line_no, f"generator name {name!r} cannot be written in a word")
+        if name in seen:
+            raise ParseError(line_no, f"generator {name!r} given twice")
+        seen.add(name)
+
+
 def _parse_semigroup(lines):
     generators = None
     relations = []
@@ -89,6 +101,7 @@ def _parse_semigroup(lines):
             seen.add(key)
         if key == "generators":
             generators = val.split()
+            _check_generator_names(generators, no)
         elif key == "relation":
             if ":" not in val:
                 raise ParseError(no, "relation needs the form  word : word")
@@ -148,6 +161,9 @@ def _parse_ring(lines):
         kind = parts[0].lower()
         if kind not in ("zmod", "gf"):
             raise ParseError(no, f"unknown atom kind {kind!r}")
+        if len(parts) < (3 if kind == "gf" else 2):
+            missing = "p" if len(parts) < 2 else "k"
+            raise ParseError(no, f"bad atom spec: {kind} atom needs {missing}")
         poly = None
         for token in parts[3:]:
             if kind != "gf" or not token.startswith("poly="):

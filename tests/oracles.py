@@ -1,75 +1,56 @@
-"""Independent brute-force oracles shared by the test suite.
+"""Independent references the test suite holds the library to: one per library quantity.
 
-These deliberately avoid the library's lattice engine: quotient orders are
-counted by union-find enumeration over a coordinate box, and memberships by
-exhaustive search.  Slow but obviously correct on small inputs.  The
-exceptions are frozen copies of routes the library has since replaced, kept
-as references for the current ones: `sparse_echelon_by_sorted_scans`
-(the tracked column elimination that kernels and solves ran on before
-they read the insertion's graph lattice) with its kernel and solve
-(`kernel_and_solve_by_echelon`), the canonical bases and span
-relations that insertion modulo the diagonal replaced
-(`lattice_canon_by_echelon`, `span_relations_by_kernel`,
-`gen_vectors_by_dense_residues`), `expand_by_solve` (span expansion
-by one exact solve), `separable_all_generators` and
-`verify_idempotent_by_kron` (the separability solve and check over every
-additive generator, on Kronecker matrices),
-`psi_image_by_elements` (the comparison map through ring elements),
-`verify_coordinates_by_elements` (the coordinate identity through ring
-elements), the three correspondence routes with their own pair loops and
-brute-force matchers (`e_unitary_correspondence_by_own_loop`,
-`general_correspondence_by_image_verifier`, `zero_correspondence_by_own_loop`,
-which decide their Galois precondition by the all-pairs coordinate solve
-`galois_by_all_pairs`, not by the fixed-atom rule the library's routes
-use), the five power-set scans that per-atom and per-element tests
-replaced (`beta_strong_by_support_scan`, `boolean_sum_by_inclusion_exclusion`,
-`full_inverse_subsemigroups_by_power_set`, `beta_complete_by_subset_scan`,
-`beta_maximal_by_subset_scan`), the natural order by a scan over the
-idempotents (`natural_order_by_idempotents`), the iso closure on iso
-objects (`close_isos_by_objects`), associativity by the scan of
-all n^3 triples (`first_non_associative_triple`), the subalgebra scan that closed every
-coset (`subalgebras_by_coset_scan`), the four action-axiom validators with
-their own loops (`validate_action_by_own_loops`,
-`validate_partial_group_action_by_own_loops`,
-`validate_partial_semigroup_action_by_own_loops`,
-`validate_partial_groupoid_action_by_own_loops`), and the polynomial
-element route (`atom_mul`, `atom_frobenius` and the element and iso
-helpers built on them) that the coordinate kernel replaced,
-with `verify_iso_extensional` on top of it; A^beta from one kernel for
-every s (`invariant_ring_by_all_kernels`).  Last, the Galois systems over
-the whole of A, as they were solved before each split into one block per
-orbit: `WholeTensorPresentation`, `solve_coordinates_whole`,
-`pa_subgroup_whole`, `psi_check_whole` and `is_separable_whole`, with
-`joined_tensor_lattice` and `joined_tensor_vector`, which put the orbit
-tensors' lattices and vectors in place on the whole tensor
-(`scatter_lattice`); and the three systems on every generator pair of each
-orbit tensor, before they were solved on its free pairs alone
-(`solve_coordinates_all_pairs`, `psi_image_canons_all_pairs`,
-`separable_all_pairs`); and the tensor relations with the block of every
-generator of R built, scalar ones included (`tensor_presentation_every_block`).
-These read a factor's expansions, relations and multiplication matrices
-from `expand_by_solve`, `span_relations_by_kernel` and
-`mult_matrix_by_solve`, and choose algebra generators over any B greedily
-(`algebra_generators_by_adjoining`).  Separability of any unital
-subalgebra B over R is `is_separable_whole`; the library solves it for A
-over A^beta alone.
+Brute force first: quotient orders by union-find over a coordinate box
+(`quotient_order_by_enumeration`), subgroups and subrings by closure, and
+subalgebras by an element scan.  Slow but obviously correct on small inputs.
 
-Scalar extension R (x)_{A^beta} A lives here alone: the paper's base-change
-statement is a test property, which no command decides.  Its two routes are
-held to each other: relation, action and mask loops on a presented base
-(`extend_scalars_by_loops`, re-tested by
-`scalar_extension_is_galois_by_loops`), and the action as block-diagonal
-copies of an iso's matrix with the fixed subgroup from one stacked kernel
-(`ScalarExtensionByMatrices`, on `iso_matrix_by_polynomials`).  The paper's
-properties that tests check and no decision reads live here too: the class
+The rest are routes the library has replaced, frozen so that each current
+route has one reference that shares none of its shortcuts:
+
+- the lattice engine: the tracked sorted-scan elimination with its canonical
+  basis, kernel and solve (`sparse_echelon_by_sorted_scans`,
+  `lattice_canon_by_echelon`, `kernel_and_solve_by_echelon`), and a
+  subalgebra's relations, generators, expansions, multiplication matrices and
+  algebra generators from exact solves (`span_relations_by_kernel`,
+  `gen_vectors_by_dense_residues`, `expand_by_solve`, `mult_matrix_by_solve`,
+  `algebra_generators_by_adjoining`);
+- the Galois systems over the whole of A, before each split into one block
+  per orbit and onto the free pairs: the tensor on every generator pair with
+  every relation block built (`WholeTensorPresentation`, `whole_full_tensor`),
+  the coordinates, PA, psi and separability each in one solve
+  (`solve_coordinates_whole`, `pa_subgroup_whole`, `psi_check_whole`,
+  `is_separable_whole`, which decides separability of any unital B over R),
+  the orbit tensors put in place on the whole tensor (`scatter_lattice`,
+  `joined_tensor_lattice`, `joined_tensor_vector`);
+- separability idempotents checked on the full Kronecker matrices over every
+  additive generator (`verify_idempotent_by_kron`);
+- the polynomial element route: atom arithmetic from the definitions
+  (`atom_mul`, `atom_frobenius` and the element helpers on them), isos
+  applied through it (`iso_apply_by_polynomials`, `iso_matrix_by_polynomials`,
+  `verify_iso_extensional`), and psi and the coordinate identity through
+  ring elements (`check_psi_images_on_orbits`, `verify_coordinates_by_elements`);
+- the three correspondence routes with their own pair loops and brute-force
+  matchers, deciding their Galois precondition by `solve_coordinates_whole`
+  rather than the library's fixed-atom rule, over the coset scan of
+  subalgebras (`subalgebras_by_coset_scan`);
+- the scans per-atom and per-element tests replaced (`beta_strong_by_support_scan`,
+  `boolean_sum_by_inclusion_exclusion`, `full_inverse_subsemigroups_by_power_set`,
+  `beta_complete_by_subset_scan`, `beta_maximal_by_subset_scan`), the natural
+  order by idempotents, the iso closure on objects, associativity over all
+  n^3 triples, A^beta from one kernel per s (`invariant_ring_by_all_kernels`),
+  Iso_pu(A) by enumeration, and the four action-axiom validators with their
+  own loops.
+
+Scalar extension R (x)_{A^beta} A lives here alone, on one route
+(`extend_scalars_by_loops`, re-tested by `scalar_extension_is_galois_by_loops`):
+the paper's base-change statement is a test property, which no command
+decides.  So do the paper's properties that no decision reads: the class
 joins form S/sigma (`verify_class_join_group`), the meet under the natural
-order (`meet`) and the direct product of two tables (`direct_product`).
+order and the direct product of two tables.
 
-`dense` and `sparse` convert between the library's sparse `Matrix` and
-numpy object arrays for dense fixtures; `hstack` puts matrices side by side
-and `matmul` multiplies two,
-`mult_difference` is a tensor's E (x) I - I (x) E on every generator pair,
-and `factor_generators` lists the additive generators of a tensor's factor.
+`dense`, `sparse`, `hstack` and `matmul` convert and combine the library's
+sparse `Matrix`, and `kron_left`, `kron_right`, `pure`, `mult_difference` and
+`factor_generators` read a tensor on every generator pair.
 """
 
 import itertools
@@ -103,20 +84,6 @@ def matmul(a, b):
                 col[i] = col.get(i, 0) + x * v
         cols.append({i: v for i, v in col.items() if v})
     return Matrix(a.rows, cols)
-
-
-def kron_difference_two(E, F):
-    """E (x) I_l - I_k (x) F for a k x k matrix E and an l x l matrix F:
-    column (i, j), at i * l + j, is sum_a E[a, i] e_(a, j) - sum_c F[c, j] e_(i, c)."""
-    l = F.rows
-    cols = []
-    for i in range(len(E.cols)):
-        for j in range(l):
-            col = {a * l + j: u for a, u in E.cols[i].items()}
-            for c, v in F.cols[j].items():
-                col[i * l + c] = col.get(i * l + c, 0) - v
-            cols.append({r: x for r, x in col.items() if x})
-    return Matrix(E.rows * l, cols)
 
 
 def sparse(rows):
@@ -455,25 +422,6 @@ def algebra_generators_by_adjoining(B, R):
     return chosen
 
 
-def separable_all_generators(B, R):
-    """(B (x)_R B, z) solving m(z) = 1 and (b (x) 1 - 1 (x) b)z = 0 for every
-    additive generator b of B, or None, on `WholeTensorPresentation`."""
-    from semigalois.linalg import block_diag, solve_cols
-    tensor = WholeTensorPresentation(B, R)
-    A = B.ring
-    blocks = [dense(tensor.mult_map_vec())]
-    augs = [A.presentation.lattice]
-    target = list(A.one_vec)
-    for b in B.gen_vectors:
-        blocks.append(kron_left(tensor, b) - kron_right(tensor, b))
-        augs.append(tensor.pres.lattice)
-        target.extend([0] * (tensor.k * tensor.l))
-    aug_moduli = list(A.coord_moduli) + list(tensor.pres.moduli) * len(B.gen_vectors)
-    sol = solve_cols(sparse(np.concatenate(blocks, axis=0)), block_diag(augs), target,
-                     tensor.pres.moduli, aug_moduli)
-    return None if sol is None else (tensor, sol)
-
-
 def verify_idempotent_by_kron(tensor, z):
     """Both defining equations of a separability idempotent, on the full
     Kronecker matrices (b (x) 1) and (1 (x) b) for every generator b."""
@@ -603,7 +551,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     """The E-unitary route with S_B computed three times per T."""
     from semigalois.actions import is_injective
     from semigalois.correspondence import CorrespondenceReport, enumerate_beta_complete
-    from semigalois.galois import PreconditionFail, compute_S_B
+    from semigalois.galois import PreconditionFail, _galois_system, compute_S_B
     from semigalois.semigroups import is_e_unitary
     S = beta.S
     if S.zero is not None:
@@ -614,7 +562,7 @@ def e_unitary_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("beta is not injective")
     if not beta.all_ideals_nonzero():
         raise PreconditionFail("some A_s is zero")
-    if galois_by_all_pairs(beta) is None:
+    if solve_coordinates_whole(beta, *_galois_system(beta)) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     pairs, failures = _correspondence_core(
         beta, enumerate_beta_complete(beta),
@@ -634,7 +582,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
     from semigalois.actions import image_action
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import PreconditionFail
+    from semigalois.galois import PreconditionFail, _galois_system
     from semigalois.semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups,
                                        is_e_unitary)
     S = beta.S
@@ -642,7 +590,7 @@ def general_correspondence_by_image_verifier(beta, brute_force_subalgebras=False
         raise PreconditionFail("use the zero-case verifier for semigroups with zero")
     if not beta.all_ideals_nonzero():
         raise PreconditionFail("some A_s is zero")
-    if galois_by_all_pairs(beta) is None:
+    if solve_coordinates_whole(beta, *_galois_system(beta)) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     beta_img, proj = image_action(beta)
     if not is_e_unitary(beta_img.S):
@@ -678,7 +626,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
     from semigalois.actions import image_action, invariant_ring
     from semigalois.correspondence import (CorrespondencePair, CorrespondenceReport,
                                            fixed_subalgebra, is_beta_maximal)
-    from semigalois.galois import PreconditionFail, compute_S_B, is_beta_strong
+    from semigalois.galois import PreconditionFail, _galois_system, compute_S_B, is_beta_strong
     from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
     from semigalois.zerocase import is_categorical_at_zero, require_zero_action
     S = beta.S
@@ -687,7 +635,7 @@ def zero_correspondence_by_own_loop(beta, brute_force_subalgebras=False):
         raise PreconditionFail("the zero correspondence assumes categoricity at zero")
     if not all(beta.im_support(s) for s in range(S.n) if s != S.zero):
         raise PreconditionFail("A_s = 0 for a nonzero s")
-    if galois_by_all_pairs(beta) is None:
+    if solve_coordinates_whole(beta, *_galois_system(beta)) is None:
         raise PreconditionFail("A is not beta-Galois over its invariants")
     beta_img, proj = image_action(beta)
     base = invariant_ring(beta)
@@ -1038,9 +986,8 @@ def validate_partial_groupoid_action_by_own_loops(G, A, isos):
 
 
 # Scalar extension R (x)_{A^beta} A along a structural map A^beta -> R: the
-# paper's base-change statement, checked as a test property.  Two routes, held
-# to each other: relation, action and mask loops on a presented base, and the
-# action as block-diagonal iso matrices with one stacked kernel.
+# paper's base-change statement, checked as a test property, on one route:
+# relation, action and mask loops on a presented base.
 
 
 class PresentedBaseByLoops:
@@ -1214,43 +1161,6 @@ class ScalarExtensionByLoops:
         for iso in alpha.isos:
             total = tuple(a + b for a, b in zip(total, self.act(iso, z)))
         return total
-
-
-class ScalarExtensionByMatrices:
-    """The action on a scalar extension `ext` (a `ScalarExtensionByLoops`) by
-    matrices: 1 (x) f as the block-diagonal I_k (x) (f's matrix), unreduced,
-    and the fixed subgroup from one kernel of I_k (x) (beta_s - 1_s), stacked
-    over s.  It reads the presentation of the extension it is held to."""
-
-    def __init__(self, ext):
-        self.beta, self.pres, self.k, self.l = ext.beta, ext.pres, ext.k, ext.l
-
-    def _on_a(self, mat):
-        from semigalois.linalg import block_diag
-        return block_diag([mat] * self.k)
-
-    def act(self, iso, z):
-        return self._on_a(iso_matrix_by_polynomials(iso)).apply(z)
-
-    def r_image_canon(self):
-        ones = self._on_a(cols_from_vectors([self.beta.A.one_vec], self.l))
-        return self.pres.subgroup_canon([ones.column(i) for i in range(self.k)])
-
-    def invariants_canon(self):
-        from semigalois.linalg import block_diag, kernel_gens, vstack
-        from semigalois.rings import StructuredIso
-        A = self.beta.A
-        rows = [self._on_a(sparse(dense(iso_matrix_by_polynomials(iso)) - dense(
-            iso_matrix_by_polynomials(StructuredIso.identity_on(A, iso.im_support)))))
-            for iso in self.beta.isos]
-        aug = block_diag([self.pres.lattice] * self.beta.S.n)
-        return self.pres.subgroup_canon(kernel_gens(vstack(rows), aug, self.pres.moduli,
-                                                    self.pres.moduli * self.beta.S.n))
-
-    def sigma_trace_vec(self, z):
-        from semigalois.actions import induce_partial_group_action
-        isos = induce_partial_group_action(self.beta).isos
-        return tuple(map(sum, zip(*(self.act(iso, z) for iso in isos))))
 
 
 def scalar_extension_is_galois_by_loops(ext):
@@ -1465,14 +1375,6 @@ class WholeTensorPresentation:
     def order(self):
         return self.pres.order()
 
-    def pure(self, m_vec, n_vec):
-        u, v = expand_by_solve(self.B, m_vec), expand_by_solve(self.B, n_vec)
-        col = [0] * (self.k * self.l)
-        for i, a in enumerate(u):
-            for j, b in enumerate(v):
-                col[self.index(i, j)] += a * b
-        return tuple(col)
-
     def mult_map_vec(self):
         return cols_from_vectors([self.ring.mul_vec(u, v) for u in self.gens for v in self.gens],
                                  self.ring.n_coords)
@@ -1486,34 +1388,6 @@ class WholeTensorPresentation:
 
     def is_zero(self, z):
         return self.pres.is_zero(z)
-
-
-def mult_matrix_by_products(ring, b_vec):
-    """The matrix of m -> b*m on the unit vectors of `ring`, column i the
-    product b*e_i taken by `mul_vec`, as `TensorPresentation.mult_matrix`
-    built it before it read products from the atoms' powers."""
-    return cols_from_vectors([ring.mul_vec(b_vec, e) for e in ring.basis_vectors()], ring.n_coords)
-
-
-def tensor_presentation_every_block(M, N, R):
-    """M (x)_R N as `TensorPresentation` built it before it skipped a scalar
-    block: each side's relations, then every nonzero column of
-    E (x) I_l - I_k (x) F for every generator r of R.  Each factor's orders,
-    relations and multiplication matrices come from the oracles
-    (`vector_order` of the ring's presentation, `span_relations_by_kernel`,
-    `mult_matrix_by_solve`)."""
-    from semigalois.linalg import AbelianPresentation
-    m_orders, n_orders = ([X.ring.presentation.vector_order(g) for g in X.gen_vectors] for X in (M, N))
-    k, l = len(m_orders), len(n_orders)
-    rel_cols = [{i * l + j: x for i, x in enumerate(c) if x}
-                for c in span_relations_by_kernel(M) for j in range(l)]
-    rel_cols += [{i * l + j: x for j, x in enumerate(c) if x}
-                 for c in span_relations_by_kernel(N) for i in range(k)]
-    rel_cols += [c for r in R.gen_vectors
-                 for c in kron_difference_two(mult_matrix_by_solve(M, r), mult_matrix_by_solve(N, r)).cols
-                 if c]
-    return AbelianPresentation([math.gcd(a, b) for a in m_orders for b in n_orders],
-                               Matrix(k * l, rel_cols))
 
 
 def whole_full_tensor(beta):
@@ -1663,95 +1537,6 @@ def is_separable_whole(B, R):
     sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
                      tensor.pres.moduli, [d for p in augs for d in p.moduli])
     return None if sol is None else (tensor, sol)
-
-
-# The three systems of the Galois criteria on every generator pair of each
-# orbit tensor, before each was solved on the free pairs alone: the
-# coordinate system with an unknown y_i[c] for every pair, psi's image from
-# every pair with every maximal beta_t applied, and the separability system
-# with an unknown for every pair.
-
-
-def solve_coordinates_all_pairs(beta, isos, rhs_vectors):
-    """sum_i x_i f(y_i 1) = rhs_f solved one orbit at a time on every
-    unknown y_i[c]: block f of the system is each basis vector's
-    multiplication matrix times f's matrix, from `apply_vec` on the basis.
-    Builds no tensor."""
-    from semigalois.linalg import block_diag, solve_cols, vstack
-    from semigalois.rings import Subalgebra
-    A = beta.A
-    ys = [None] * A.n_coords
-    for block in beta.orbits:
-        ring = block.ring
-        n = ring.n_coords
-        basis = ring.basis_vectors()
-        full = Subalgebra.full(ring)  # its generators are the unit vectors
-        mult_mats = [mult_matrix_by_solve(full, v) for v in basis]
-        iso_mats = [cols_from_vectors([block.iso(f).apply_vec(v) for v in basis], n)
-                    for f in isos]
-        mat = vstack([hstack([matmul(m, f) for m in mult_mats]) for f in iso_mats])
-        aug = block_diag([ring.presentation.lattice] * len(isos))
-        target = [x for vec in rhs_vectors for x in block.restrict(vec)]
-        sol = solve_cols(mat, aug, target, list(ring.coord_moduli) * n,
-                         list(ring.coord_moduli) * len(isos))
-        if sol is None:
-            return None
-        for i, c in enumerate(block.coords):
-            ys[c] = block.extend(sol[i * n:(i + 1) * n])
-    return list(zip(A.basis_vectors(), ys))
-
-
-def galois_by_all_pairs(beta):
-    """beta's Galois coordinates from `solve_coordinates_all_pairs`, or None."""
-    from semigalois.galois import galois_rhs
-    return solve_coordinates_all_pairs(beta, beta.isos,
-                                       [galois_rhs(beta, s) for s in range(beta.S.n)])
-
-
-def psi_image_canons_all_pairs(beta):
-    """Per orbit, the canonical basis of psi's image on PA's classes there,
-    from every generator pair of the orbit's tensor: the whole family
-    (x beta_t(y 1_{t^-1}))_t over the maximal t, read at each class's first
-    copy, with every other copy of the class asserted equal to it."""
-    from semigalois.galois import PABetaS, _full_tensor
-    pa = PABetaS(beta)
-    canons = []
-    for (_, tensor), part in zip(_full_tensor(beta), pa.parts):
-        where = [[] for _ in part.classes]
-        for place, k in part.place.items():
-            where[k].append(place)
-        units = tensor.ring.basis_vectors()
-        moved = [[iso.apply_vec(y) for iso in part.isos] for y in units]
-        images = []
-        for x in units:
-            for family in ([part.ring.mul_vec(x, v) for v in vs] for vs in moved):
-                values = [family[m][r] for m, r in (copies[0] for copies in where)]
-                assert all(family[m][r] == values[k]
-                           for k, copies in enumerate(where) for m, r in copies[1:])
-                images.append(values)
-        canons.append(part.ambient.subgroup_canon(images))
-    return canons
-
-
-def separable_all_pairs(tensors):
-    """z, one vector per block, solving m(z) = 1 and ((b (x) 1) - (1 (x) b))z
-    = 0 for the algebra generators b, with an unknown on every generator pair
-    of each block's tensor; None when some block has no solution."""
-    from semigalois.linalg import block_diag, solve_cols, vstack
-    z = []
-    for block, tensor in tensors:
-        mats, augs = [tensor.mult_map_vec()], [block.ring.presentation]
-        target = list(block.ring.one_vec)
-        for b in tensor.algebra_generators():
-            mats.append(mult_difference(tensor, b))
-            augs.append(tensor.pres)
-            target.extend([0] * (tensor.k * tensor.l))
-        sol = solve_cols(vstack(mats), block_diag([p.lattice for p in augs]), target,
-                         tensor.pres.moduli, [d for p in augs for d in p.moduli])
-        if sol is None:
-            return None
-        z.append(sol)
-    return tuple(z)
 
 
 def invariant_ring_by_all_kernels(beta):

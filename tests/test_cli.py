@@ -445,6 +445,35 @@ def test_unknown_atom_token_is_a_positioned_error(tmp_path, atom, message):
     _assert_input_error(*run_cli(["galois", str(p)]), f"line 6: {message}".encode())
 
 
+_GENERATED = ("[semigroup]\ngenerators = {}\nrelation = a a : 1\nrelation = a' : 1\n\n"
+              "[ring]\natom = zmod 2\n\n[action]\nmap = 1 : 0->0\nmap = a : 0->0\n")
+_ONE_ATOM = "[semigroup]\nelements = 1\nrow = 1\n\n[ring]\natom = {}\n\n[action]\nmap = 1 : 0->0:0\n"
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    (_GENERATED.format("a a"), 2, "generator 'a' given twice"),
+    (_GENERATED.format("a' b"), 2, "generator name \"a'\" cannot be written in a word"),
+    (_GENERATED.format("1 a"), 2, "generator name '1' cannot be written in a word"),
+    (_ONE_ATOM.format("gf 2"), 6, "bad atom spec: gf atom needs k"),
+    (_ONE_ATOM.format("gf"), 6, "bad atom spec: gf atom needs p"),
+    (_ONE_ATOM.format("zmod"), 6, "bad atom spec: zmod atom needs p"),
+], ids=["repeated-generator", "primed-generator", "generator-1", "gf-no-k", "gf-no-p", "zmod-no-p"])
+def test_a_generator_or_atom_line_that_cannot_be_read_is_a_positioned_error(
+        tmp_path, capsysbinary, text, line_no, message):
+    """`generators = a a` parsed to a two-element monoid, `a'` inverting the
+    first `a` while `a` read the second; `a' b` ran the saturation out of
+    budget; an atom line without p, or a gf line without k, printed an
+    IndexError's text."""
+    from semigalois import cli
+    p = tmp_path / "bad.sgi"
+    p.write_text(text)
+    code = cli.main(["analyze", str(p)])  # under the default budget, before the unbounded parse
+    _assert_input_error(code, *capsysbinary.readouterr(), f"line {line_no}: {message}".encode())
+    with pytest.raises(inst.ParseError, match=re.escape(message)) as err:
+        inst.parse_instance(p)
+    assert err.value.line_no == line_no
+
+
 _C2_RING_AND_ACTION = ("[ring]\natom = zmod 3\natom = zmod 3\n\n[action]\n"
                        "map = 1 : 0->0:0 1->1:0\nmap = g : 0->1:0 1->0:0\n")
 

@@ -4,13 +4,15 @@ A pair of the tensor A e_O (x)_{A^beta e_O} A e_O whose pivot in the
 canonical relation lattice is 1 equals a combination of the others, the
 free pairs (`TensorPresentation.free_pairs`).  The coordinate system, psi
 and the separability system use the free pairs alone.  They are held here
-to the all-pairs routes they replaced (`oracles.solve_coordinates_all_pairs`,
-`oracles.psi_image_canons_all_pairs`, `oracles.separable_all_pairs`): the
-coordinates are equal byte for byte, psi's image has the same canonical
-basis, and the separability verdict is the same, with the free-pair
-idempotent verifying on every generator pair of the tensor.  The cases are
-seeded corpus draws, the shipped instances, the corpus fixtures and the
-benchmark's ladder rungs.
+to the whole-tensor routes, which take every generator pair of A, by the
+check test_orbit_blocks.py makes (`check_orbit_routes_against_whole`):
+the coordinates are equal byte for byte, psi's image has the same order
+(so the same canonical basis, the free pairs' image lying inside all
+pairs') and every pair's image matches the element route, and the
+separability verdict is the same, with the free-pair idempotent, put in
+place on the whole tensor, verifying on every generator pair.  The cases
+are seeded corpus draws, the shipped instances, the corpus fixtures and
+the benchmark's ladder rungs.
 """
 
 import random
@@ -21,8 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import (admissible, c2_fixed_atom_fixture, chain_semilattice_fixture,
                       collapsing_semilattice_fixture, trace_gap_fixture)
-from oracles import (psi_image_canons_all_pairs, separable_all_pairs,
-                     solve_coordinates_all_pairs, verify_idempotent_by_kron)
 from semigalois import cli, galois as gl
 from semigalois.actions import induce_partial_group_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
@@ -30,38 +30,21 @@ from semigalois.instance import action_to_instance_text, parse_instance
 from semigalois.linalg import Matrix, lattice_member, lattice_reduce
 from semigalois.rings import Atom
 from test_bench_library_calls import workloads
+from test_orbit_blocks import check_orbit_routes_against_whole
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def assert_free_pairs_match_all_pairs(beta):
-    """Returns how many generator pairs the orbit tensors hold, and how many are free."""
-    tensors = gl._full_tensor(beta)
-    for system in (gl._galois_system(beta), gl._galois_system(induce_partial_group_action(beta))):
-        assert gl._solve_coordinates(beta, *system) == solve_coordinates_all_pairs(beta, *system)
-    pa = gl.PABetaS(beta)
-    got = [part.image_canon(tensor) for (_, tensor), part in zip(tensors, pa.parts)]
-    assert got == psi_image_canons_all_pairs(beta)
-    z, reference = gl.is_separable(tensors), separable_all_pairs(tensors)
-    assert (z is None) == (reference is None)
-    if z is not None:
-        for (_, tensor), part in zip(tensors, z):
-            assert not any(part[p] for p in range(len(part)) if p not in tensor.free_pairs)
-            assert verify_idempotent_by_kron(tensor, part)
-    return (sum(tensor.k * tensor.l for _, tensor in tensors),
-            sum(len(tensor.free_pairs) for _, tensor in tensors))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_free_pairs_match_all_pairs_on_seeded_draws(seed):
-    assert_free_pairs_match_all_pairs(corpus(seed, 1, predicate=admissible)[0])
+    check_orbit_routes_against_whole(corpus(seed, 1, predicate=admissible)[0])
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(INSTANCES.glob("*.sgi"))
                                   if admissible(parse_instance(p).action)], ids=lambda p: p.stem)
 def test_free_pairs_match_all_pairs_on_the_shipped_instances(path):
-    assert_free_pairs_match_all_pairs(parse_instance(path).action)
+    check_orbit_routes_against_whole(parse_instance(path).action)
 
 
 FIXTURES = [fixture for fixture in (b2_swap_fixture, c2_fixed_atom_fixture, c2_swap_fixture,
@@ -71,13 +54,13 @@ FIXTURES = [fixture for fixture in (b2_swap_fixture, c2_fixed_atom_fixture, c2_s
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda f: f.__name__)
 def test_free_pairs_match_all_pairs_on_the_corpus_fixtures(fixture):
-    assert_free_pairs_match_all_pairs(fixture())
+    check_orbit_routes_against_whole(fixture())
 
 
 def test_free_pairs_match_all_pairs_on_the_ladder_rungs():
     """Every galois-ladder rung and its probe; on the GF rungs some pairs are
     not free, so the restriction is exercised."""
-    counts = [assert_free_pairs_match_all_pairs(rung.beta)
+    counts = [check_orbit_routes_against_whole(rung.beta)
               for rung in workloads.ladder_rungs() + [workloads.ladder_probe()]]
     assert any(free < pairs for pairs, free in counts)
 

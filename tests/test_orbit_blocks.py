@@ -2,9 +2,10 @@
 
 The orbits of the atom maps cut A into blocks A e_O.  The split routes
 (tensor, coordinates, PA and psi, separability) are compared with the
-whole-system routes frozen in `oracles`, on two seeded corpora and on
-multi-orbit instances, and the orbit indicators are checked to be the
-primitive idempotents of A^beta by enumeration.
+whole-system routes frozen in `oracles`, by the check test_free_pairs.py
+also makes (`check_orbit_routes_against_whole`), on two seeded
+corpora and on multi-orbit instances, and the orbit indicators are checked
+to be the primitive idempotents of A^beta by enumeration.
 """
 
 import math
@@ -99,32 +100,48 @@ def test_some_split_instances_tie_copies_in_pa():
     assert sum(len(copies) > 1 for copies in gl.PABetaS(beta).classes) == 3
 
 
+def check_orbit_routes_against_whole(beta):
+    """The library's Galois systems, each solved one orbit tensor at a time
+    on its free pairs, against the whole routes: the coordinates of beta's
+    and alpha's systems byte for byte (`solve_coordinates_whole`), psi's
+    orders and witnesses (`psi_check_whole`), psi on every generator pair
+    through ring elements (`check_psi_images_on_orbits`), and the
+    separability verdict (`is_separable_whole`), with the library's
+    idempotent zero off the free pairs and, put in place on the whole
+    tensor, passing `verify_idempotent_by_kron`.  psi's image from the free
+    pairs lies inside its image from every pair, which `psi_check_whole`
+    takes, so equal image orders make the two images equal.  Returns the
+    number of generator pairs of the orbit tensors and of free pairs."""
+    tensors = gl._full_tensor(beta)
+    for system in (gl._galois_system(beta), gl._galois_system(induce_partial_group_action(beta))):
+        assert gl._solve_coordinates(beta, *system) == solve_coordinates_whole(beta, *system)
+    psi = gl.psi_check(beta)
+    t_order, pa_order, image_order, kernel_witness, cokernel_witness = psi_check_whole(beta)
+    assert (psi.tensor_order, psi.pa_order, psi.image_order) == (t_order, pa_order, image_order)
+    assert psi.cokernel_witness == cokernel_witness
+    assert kernel_witness is None  # psi is injective
+    check_psi_images_on_orbits(beta)
+    z = gl.is_separable(tensors)
+    reference = is_separable_whole(Subalgebra.full(beta.A), invariant_ring(beta))
+    assert (z is None) == (reference is None)
+    if z is not None:
+        for (_, tensor), part in zip(tensors, z):
+            assert not any(x for p, x in enumerate(part) if p not in tensor.free_pairs)
+        whole = reference[0]
+        assert verify_idempotent_by_kron(whole, joined_tensor_vector(tensors, whole, dict(enumerate(z))))
+    return (sum(tensor.k * tensor.l for _, tensor in tensors),
+            sum(len(tensor.free_pairs) for _, tensor in tensors))
+
+
 @pytest.mark.parametrize("name,beta", _split_instances(), ids=[n for n, _ in _split_instances()])
 def test_split_routes_match_the_whole_routes(name, beta):
-    inv = invariant_ring(beta)
     tensors = gl._full_tensor(beta)
     whole = whole_full_tensor(beta)
     assert [block.atoms for block, _ in tensors] == [block.atoms for block in beta.orbits]
     assert math.prod(tensor.order() for _, tensor in tensors) == whole.order()
     # the canonical basis, put together
     assert joined_tensor_lattice(tensors, whole) == whole.pres.lattice
-
-    alpha = induce_partial_group_action(beta)
-    for isos, rhs in (gl._galois_system(beta), gl._galois_system(alpha)):
-        assert gl._solve_coordinates(beta, isos, rhs) == solve_coordinates_whole(beta, isos, rhs)
-
-    psi = gl.psi_check(beta)
-    t_order, pa_order, image_order, kernel_witness, cokernel_witness = psi_check_whole(beta)
-    assert (psi.tensor_order, psi.pa_order, psi.image_order) == (t_order, pa_order, image_order)
-    assert psi.cokernel_witness == cokernel_witness
-    assert kernel_witness is None and image_order == t_order  # psi is injective
-
-    full = Subalgebra.full(beta.A)
-    split, reference = gl.is_separable(tensors), is_separable_whole(full, inv)
-    assert (split is None) == (reference is None)
-    if split is not None:
-        z = joined_tensor_vector(tensors, whole, dict(enumerate(split)))
-        assert verify_idempotent_by_kron(whole, z)
+    check_orbit_routes_against_whole(beta)
 
 
 @pytest.mark.parametrize("name", ["s7_gf4^3", "c2_(gf4xz3xz4)^2", "trace_gap"])
@@ -194,10 +211,6 @@ def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
     prime = Subalgebra(A, [A.one_vec]).closure_under_mul()
     with pytest.raises(NotSubring):
         beta.orbits[0].subalgebra(prime)
-
-
-def test_psi_image_vector_matches_element_route_on_a_multi_orbit_instance():
-    check_psi_images_on_orbits(MULTI_ORBIT["c2_(gf4xz3xz4)^2"]())
 
 
 def test_psi_check_takes_no_kernel_on_tied_copies(monkeypatch):

@@ -5,14 +5,14 @@ of the ring's unit vectors and adds, per generator r of R, the columns of
 E (x) I - I (x) E, with E the matrix of multiplication by r on the unit
 vectors.  When E is c times the identity, every column (i, j) is
 (E_ii - E_jj) e_(i,j) = 0, so the block is not built.  The tensor is held to
-the frozen build on two full factors with every block
-(`tensor_presentation_every_block`, which reads the oracles' expansions and
+the frozen whole tensor of the full ring over R, which builds every block
+(`oracles.WholeTensorPresentation`, reading the oracles' expansions and
 relations): the same moduli, canonical lattice, free pairs and order, on
 every orbit tensor of the galois ladder's rungs and of 30 seeded corpus
 draws, and on the ladder some blocks are skipped.  On the same tensors the
-multiplication matrices, read from the atoms' powers, equal the ones built
-from `mul_vec` (`mult_matrix_by_products`).  The constructor refuses
-an R that is not a unital subalgebra of the ring, also under python -O.
+multiplication matrices, read from the atoms' powers, equal the whole
+tensor's, built from `mul_vec` products.  The constructor refuses an R
+that is not a unital subalgebra of the ring, also under python -O.
 """
 
 import importlib.util
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import hstack, mult_matrix_by_products, tensor_presentation_every_block
+from oracles import WholeTensorPresentation
 from semigalois import galois
 from semigalois.corpus import corpus
 from semigalois.rings import Atom, AtomMismatch, FiniteRing, NotSubring, Subalgebra, TensorPresentation
@@ -52,14 +52,18 @@ def _scalar_blocks(tensor):
     return count
 
 
+def _whole(tensor):
+    """The frozen every-block tensor of the full ring over the tensor's R."""
+    return WholeTensorPresentation(Subalgebra.full(tensor.ring), tensor.R)
+
+
 def _assert_unskipped(beta):
-    """Each orbit tensor presents the every-block build on two full factors;
+    """Each orbit tensor presents the every-block build of the full ring;
     returns the number of skipped blocks and of generators of R."""
     skipped = gens = 0
     for block, tensor in galois._full_tensor(beta):
         assert tensor.ring is block.ring
-        full = Subalgebra.full(block.ring)
-        ref = tensor_presentation_every_block(full, full, tensor.R)
+        ref = _whole(tensor).pres
         assert tensor.pres.moduli == ref.moduli
         assert tensor.pres.lattice == ref.lattice
         assert tensor.free_pairs == tuple(p for p, c in enumerate(ref.lattice.cols) if c[p] != 1)
@@ -85,16 +89,17 @@ def test_corpus_tensors_match_the_every_block_build(seed):
 
 def _assert_products_read(beta, rng):
     """Each orbit tensor's multiplication matrices, read from the atoms'
-    powers (`FiniteRing.unit_times`), equal the ones built from `mul_vec`:
-    `mult_matrix(b)` for each generator of R, each unit vector and seeded
-    vectors b, and `mult_map_vec()`, whose column (i, j) is e_i * e_j."""
+    powers (`FiniteRing.unit_times`), equal the whole tensor's, built from
+    `mul_vec` products: `mult_matrix(b)` for each generator of R, each unit
+    vector and seeded vectors b, and `mult_map_vec()`, whose column (i, j)
+    is e_i * e_j."""
     for _, tensor in galois._full_tensor(beta):
-        ring = tensor.ring
+        ring, whole = tensor.ring, _whole(tensor)
         units = ring.basis_vectors()
-        assert tensor.mult_map_vec() == hstack([mult_matrix_by_products(ring, e) for e in units])
+        assert tensor.mult_map_vec() == whole.mult_map_vec()
         drawn = [tuple(rng.randrange(m) for m in ring.coord_moduli) for _ in range(3)]
         for b in [*tensor.R.gen_vectors, *units, *drawn]:
-            assert tensor.mult_matrix(b) == mult_matrix_by_products(ring, b)
+            assert tensor.mult_matrix(b) == whole.mult_matrix(b)
 
 
 def test_ladder_multiplication_matrices_match_the_products():
