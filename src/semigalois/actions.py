@@ -372,10 +372,11 @@ def invariant_order_from_atoms(beta):
     return order
 
 
+@remembered
 def separability_violation(beta, B):
-    """The free-part rule: the first orbit block whose part B e_O is not free
-    over A^beta e_O, or None; for a unital subalgebra B containing A^beta,
-    None exactly when B is separable over A^beta.
+    """The free-part rule, kept per B: the first orbit block whose part B e_O
+    is not free over A^beta e_O, or None; for a unital subalgebra B
+    containing A^beta, None exactly when B is separable over A^beta.
 
     B holds each e_O, so it is separable iff each B e_O is over A^beta e_O.
     An invariant is fixed on O by its value at one atom

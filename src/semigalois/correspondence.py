@@ -20,7 +20,8 @@ from .actions import (NotFullSub, fixed_ring, image_action, invariant_ring, is_i
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_galois
 from .linalg import lattice_reduce
 from .rings import Subalgebra
-from .semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of
+from .semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of,
+                         remembered)
 
 
 def is_beta_complete(beta, T: SubSemigroup):
@@ -50,9 +51,11 @@ def enumerate_beta_maximal(beta):
             if is_beta_maximal(beta, T)]
 
 
+@remembered
 def fixed_subalgebra(beta, T: SubSemigroup):
-    """A^{beta|T}: the `actions.fixed_ring` of the beta_t, t in T in sorted order.
-    T must be a full subsemigroup of S; A^{beta|T} then contains A^beta (checked)."""
+    """A^{beta|T}: the `actions.fixed_ring` of the beta_t, t in T in sorted order,
+    kept per T.  T must be a full subsemigroup of S; A^{beta|T} then contains
+    A^beta (checked)."""
     if T.parent is not beta.S or not T.is_full:
         raise NotFullSub("the fixed ring needs a full subsemigroup of S")
     B = fixed_ring(beta.A, [beta.isos[t] for t in sorted(T.members)])
@@ -127,17 +130,17 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
     """The one correspondence engine: T -> B = A^{beta|T} -> S_B -> A^{beta|S_B}.
 
     For each T in the list `ts`, B must be separable over A^beta and
-    beta-strong, S_B must be T and fix B again (a fixed ring computed
-    afresh only when S_B is not T; the fixed ring of all of S is A^beta),
-    and no two Ts may fix one B.  S_B is taken on beta for every route:
-    membership of s depends only on beta_s, so S_B on the image semigroup
-    beta(S) pulls back to exactly this set.  Every B contains A^beta, so
-    its separability is decided by the free-part rule
+    beta-strong, S_B must be T and fix B again (the fixed ring of all of S
+    is A^beta), and no two Ts may fix one B.  S_B is taken on beta for
+    every route: membership of s depends only on beta_s, so S_B on the
+    image semigroup beta(S) pulls back to exactly this set.  Every B
+    contains A^beta, so its separability is decided by the free-part rule
     (`actions.separability_violation`), with no tensor built.  The
     brute-force scan matches the S_Bs of all separable beta-strong
-    subalgebras to `ts`; it takes the pair loop's verdict on each fixed
-    algebra, asks any other B the free-part rule first, and computes S_B
-    and strongness only for a separable B.
+    subalgebras to `ts`, asking each B the free-part rule first and
+    strongness only of a separable B.  Each of these is a fact of beta,
+    kept per B or per T, so a fixed algebra is judged once however often
+    it recurs.
     """
     base = invariant_ring(beta)
 
@@ -146,19 +149,16 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
 
     pairs = []
     failures = []
-    judged = {}  # B -> (the last T fixing it, S_B, separable, strong, where strongness fails)
+    fixing = {}  # B -> the last T fixing it
     for T in ts:
         members = tuple(sorted(T.members))
         B = fixed(T)
-        verdict = judged.get(B)
-        if verdict is None:
-            sep = separability_violation(beta, B) is None
-            s_b = compute_S_B(beta, B)
-            strong, fail_at = is_beta_strong(beta, B, s_b)
-        else:
-            failures.append(("duplicate fixed algebra", members, verdict[0]))
-            _, s_b, sep, strong, fail_at = verdict
-        judged[B] = members, s_b, sep, strong, fail_at
+        if B in fixing:
+            failures.append(("duplicate fixed algebra", members, fixing[B]))
+        fixing[B] = members
+        sep = separability_violation(beta, B) is None
+        s_b = compute_S_B(beta, B)
+        strong, fail_at = is_beta_strong(beta, B)
         round_t = s_b.members == T.members
         round_b = round_t or fixed(s_b) == B
         pairs.append(CorrespondencePair(
@@ -174,18 +174,8 @@ def verify_pairs(beta, ts, brute_force_subalgebras=False):
             failures.append(("A^{beta|S_B} != B", members))
     report = CorrespondenceReport(not failures, pairs, failures)
     if brute_force_subalgebras:
-        found = []
-        for B in enumerate_subalgebras_over(beta, base):
-            verdict = judged.get(B)
-            if verdict is not None:
-                _, s_b, sep, strong, _ = verdict
-            elif separability_violation(beta, B) is None:
-                s_b = compute_S_B(beta, B)
-                sep, strong = True, is_beta_strong(beta, B, s_b)[0]
-            else:
-                continue
-            if sep and strong:
-                found.append(s_b.members)
+        found = [compute_S_B(beta, B).members for B in enumerate_subalgebras_over(beta, base)
+                 if separability_violation(beta, B) is None and is_beta_strong(beta, B)[0]]
         report.brute_force_match = (len(found) == len(ts)
                                     and set(found) == {T.members for T in ts})
         if not report.brute_force_match:
@@ -228,7 +218,7 @@ def enumerate_subalgebras_over(beta, base):
     A^beta, too: B contains A^beta and u^-1 is a power of u, so u*w and w each
     lie in the closure of B and the other.  Units keep q-torsion, as
     q*(u*w) = u*(q*w) lies in B, so one representative per orbit of the
-    prime-order cosets is closed (`_UnitOrbits`).  The marked cosets all
+    prime-order cosets is closed (`_unit_orbit`).  The marked cosets all
     have prime order, so the orbit lookup goes first and spares them the
     torsion test, which every coset passes on GF(p^k) atoms.  Neither test
     is charged.
@@ -236,7 +226,6 @@ def enumerate_subalgebras_over(beta, base):
     A = beta.A
     primes = {a.p for a in A.atoms}
     start = base.adjoin(A.one_vec)
-    unit_orbits = _UnitOrbits(beta, base)
     found = {start}
     frontier = [start]
     while frontier:
@@ -250,65 +239,59 @@ def enumerate_subalgebras_over(beta, base):
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-            closed.update(unit_orbits.orbit(cur, w))
+            closed.update(_unit_orbit(beta, base, cur, w))
     return sorted(found, key=lambda s: (s.order, repr([g for g in s.gen_vectors])))
 
 
-class _UnitOrbits:
-    """The orbits of the units of A^beta on the cosets of subalgebras B >= A^beta.
+@remembered
+def _unit_generators(block, base):
+    """Generators of the unit group of A^beta e_O, for the block A e_O of an
+    orbit O of beta and base = A^beta, on the block ring: each unit that the
+    earlier ones do not generate.  An invariant is fixed on O by its value
+    on one atom, so A^beta e_O has at most one atom's elements; they are
+    enumerated once per block."""
+    ring = block.ring
+    part = Subalgebra.with_basis(ring, block.basis(base))
+    # F_2 is the one finite local ring with no unit but 1: nothing to enumerate
+    units = part.element_vectors() if part.order > 2 else ()
+    group, gens = {ring.one_vec}, []
+    for u in units:
+        if u in group or not ring.is_unit_vec(u):
+            continue
+        gens.append(u)
+        layer = list(group)  # the group grows by its cosets h u^k until they return
+        while True:
+            layer = [ring.mul_vec(u, h) for h in layer]
+            if layer[0] in group:
+                break
+            group.update(layer)
+    return gens
+
+
+def _unit_orbit(beta, base, cur, w):
+    """The canonical representatives of the cosets u*w + cur, w one of them,
+    for the units u of base = A^beta and a subalgebra cur >= A^beta.
 
     A^beta holds the indicator e_O of each orbit O of beta, so its units are
-    the products of the units of the blocks A^beta e_O, B is the direct sum
-    of its blocks, and the orbit of w + B is the product of the orbits of its
-    block parts.  An invariant is fixed on O by its value on one atom, so
-    A^beta e_O has at most one atom's elements; they are enumerated once, for
-    the first part that needs them, and kept as a generating set of the unit
-    group: each unit that the earlier ones do not generate.  A part's orbit
-    is then its closure under multiplication by those generators.
-    """
-
-    def __init__(self, beta, base):
-        self.ring, self.base, self.blocks = beta.A, base, beta.orbits
-        self.generators = {}  # block -> generators of (A^beta e_O)^x, on the block ring
-
-    def _unit_generators(self, block):
-        if block not in self.generators:
-            ring = block.ring
-            part = Subalgebra.with_basis(ring, block.basis(self.base))
-            # F_2 is the one finite local ring with no unit but 1: nothing to enumerate
-            units = part.element_vectors() if part.order > 2 else ()
-            one = ring.one_vec
-            group, gens = {one}, []
-            for u in units:
-                if u in group or not ring.is_unit_vec(u):
-                    continue
-                gens.append(u)
-                layer = list(group)  # the group grows by its cosets h u^k until they return
-                while True:
-                    layer = [ring.mul_vec(u, h) for h in layer]
-                    if layer[0] in group:
-                        break
-                    group.update(layer)
-            self.generators[block] = gens
-        return self.generators[block]
-
-    def orbit(self, cur, w):
-        """The canonical representatives of the cosets u*w + cur, w one of them."""
-        orbit = [self.ring.zero_vec]
-        for block in self.blocks:
-            part = block.restrict(w)
-            if not any(part):
-                continue
-            basis = block.basis(cur)
-            moved, todo = {part}, [part]
-            for v in todo:
-                for g in self._unit_generators(block):
-                    x = lattice_reduce(basis, block.ring.mul_vec(g, v))
-                    if x not in moved:
-                        moved.add(x)
-                        todo.append(x)
-            orbit = [self.ring.add_vec(o, block.extend(m)) for o in orbit for m in moved]
-        return orbit
+    the products of the units of the blocks A^beta e_O, cur is the direct
+    sum of its blocks, and the orbit of w + cur is the product of the orbits
+    of its block parts.  A part's orbit is its closure under multiplication
+    by the block's `_unit_generators`."""
+    orbit = [beta.A.zero_vec]
+    for block in beta.orbits:
+        part = block.restrict(w)
+        if not any(part):
+            continue
+        basis, gens = block.basis(cur), _unit_generators(block, base)
+        moved, todo = {part}, [part]
+        for v in todo:
+            for g in gens:
+                x = lattice_reduce(basis, block.ring.mul_vec(g, v))
+                if x not in moved:
+                    moved.add(x)
+                    todo.append(x)
+        orbit = [beta.A.add_vec(o, block.extend(m)) for o in orbit for m in moved]
+    return orbit
 
 
 def verify_general_correspondence(beta, brute_force_subalgebras=False):

@@ -334,9 +334,10 @@ def psi_check(beta):
 # -- S_B, beta-strong, separability ------------------------------------------
 
 
+@remembered
 def compute_S_B(beta, B: Subalgebra):
-    """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B}: the s whose
-    defect vanishes on B's generators (they suffice, the defect being
+    """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B}, kept per B: the
+    s whose defect vanishes on B's generators (they suffice, the defect being
     additive).  The other direction, T -> A^{beta|T}, is the common kernel of
     the same defects (`actions.fixed_ring`)."""
     if not B.is_subalgebra():
@@ -350,8 +351,9 @@ def compute_S_B(beta, B: Subalgebra):
     return sub
 
 
-def is_beta_strong(beta, B: Subalgebra, s_b=None):
-    """beta-strongness of B: (True, None), or (False, (s, t, frozenset({i}))).
+@remembered
+def is_beta_strong(beta, B: Subalgebra):
+    """beta-strongness of B, kept per B: (True, None), or (False, (s, t, frozenset({i}))).
 
     A pair (s, t) needs separating only when no nonzero element of S_B
     restricts s^{-1}t (S_B is an order ideal, so this subsumes membership
@@ -366,8 +368,7 @@ def is_beta_strong(beta, B: Subalgebra, s_b=None):
     generator of B: a pair fails at the first atom of im(s) u im(t) that no
     generator separates, which is also the first failing support by size.
     """
-    if s_b is None:
-        s_b = compute_S_B(beta, B)
+    s_b = compute_S_B(beta, B)
     S = beta.S
     A = beta.A
 

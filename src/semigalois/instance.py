@@ -260,6 +260,13 @@ def _atom_set(text, no):
 
 
 def parse_instance_text(text):
+    """The `InstanceFile` an instance text describes, validated.
+
+    A presentation is saturated into a table here, and the saturation is
+    bounded only by the work budget: call this inside `budget.limit(n)`, as
+    the command line does with `--budget`.  Outside any limit block a
+    `spend` is free, so a presentation whose closure is infinite
+    (`generators = a b` with no relation) saturates until memory runs out."""
     sections = _split_sections(text)
     for name in _SECTIONS:
         if name not in sections:

@@ -140,7 +140,7 @@ class Atom:
             last = powers[-1]
             powers.append(tuple((s + last[-1] * c) % m for s, c in zip((0,) + last[:-1], top)))
         self._x_powers = tuple(powers)
-        self._frobenius_cache = {}  # j -> frobenius_cols(j)
+        self.facts = {}  # the Frobenius columns per power (`remembered`)
 
     def __eq__(self, other):
         if other.__class__ is not Atom:
@@ -169,28 +169,26 @@ class Atom:
     def order(self):
         return self.p ** self.k
 
+    @remembered
     def frobenius_cols(self, j):
         """Images of the basis 1, x, ..., x^(r-1), r = `coords`, under
         Frobenius^j, built once per j: the powers of y = x^(p^j), with y found
         by square-and-multiply.  On one coordinate they are the identity."""
-        cache = self._frobenius_cache
-        if j not in cache:
-            if j and self.kind == "zmod":
-                raise RingError(f"{self.label()} admits no twist, got {j}")
-            r = self.coords
-            one = (1,) + (0,) * (r - 1)
-            x = tuple(1 if t == 1 else 0 for t in range(r))
-            y, e = one, self.p ** (j % r)
-            while e:
-                if e & 1:
-                    y = self.mul_coords(y, x)
-                x = self.mul_coords(x, x)
-                e >>= 1
-            cols = [one]
-            for _ in range(r - 1):
-                cols.append(tuple(self.mul_coords(cols[-1], y)))
-            cache[j] = tuple(cols)
-        return cache[j]
+        if j and self.kind == "zmod":
+            raise RingError(f"{self.label()} admits no twist, got {j}")
+        r = self.coords
+        one = (1,) + (0,) * (r - 1)
+        x = tuple(1 if t == 1 else 0 for t in range(r))
+        y, e = one, self.p ** (j % r)
+        while e:
+            if e & 1:
+                y = self.mul_coords(y, x)
+            x = self.mul_coords(x, x)
+            e >>= 1
+        cols = [one]
+        for _ in range(r - 1):
+            cols.append(tuple(self.mul_coords(cols[-1], y)))
+        return tuple(cols)
 
     def mul_coords(self, u, v):
         """Product of two coordinate chunks of this atom, as a list of ints:
@@ -235,11 +233,9 @@ class FiniteRing:
             pos += a.coords
         self._coord_atoms = tuple(idx for idx, a in enumerate(atoms) for _ in range(a.coords))
         self.exponent = math.lcm(*self.coord_moduli)
-        self._products = {}  # unordered pair of coordinate tuples -> their product
-        self._idempotents = {}  # atom set -> its indicator vector, built on first use
         self.zero_vec = (0,) * self.n_coords
         self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
-        self.facts = {}  # what is derived from the atoms, each once (`remembered`)
+        self.facts = {}  # what is derived from the atoms, and each product, once (`remembered`)
 
     @property
     @remembered
@@ -276,12 +272,15 @@ class FiniteRing:
         return self.from_vec(vec)
 
     def idempotent_vec(self, support):
-        """The indicator of a set of atoms as a coordinate vector, kept per set."""
-        support = frozenset(support)
-        if support not in self._idempotents:
-            firsts = {self._spans[i][0] for i in support}
-            self._idempotents[support] = tuple(int(c in firsts) for c in range(self.n_coords))
-        return self._idempotents[support]
+        """The indicator of a set of atoms, any iterable of them, as a
+        coordinate vector (`_indicator`)."""
+        return self._indicator(frozenset(support))
+
+    @remembered
+    def _indicator(self, support):
+        """The indicator of a frozenset of atoms, kept per set."""
+        firsts = {self._spans[i][0] for i in support}
+        return tuple(int(c in firsts) for c in range(self.n_coords))
 
     def from_vec(self, vec):
         return RingElement(self, tuple(int(v) % m for v, m in zip(vec, self.coord_moduli)))
@@ -309,27 +308,28 @@ class FiniteRing:
         return tuple(map(operator.mod, map(operator.sub, u, v), self.coord_moduli))
 
     def mul_vec(self, u, v):
-        """Product of coordinate vectors, atom by atom; an atom where either
-        factor is zero gets zeros without a product, but every atom is charged.
+        """Product of coordinate vectors, every atom charged on every call.
 
-        Each unordered pair is multiplied once per ring and kept in its
-        product table; a repeat is read from there and charged all the same,
-        so the table holds at most (budget / atoms) entries.
+        Each unordered pair is multiplied once per ring, as the `_product` of
+        the ordered pair; a repeat reads it back and is charged all the same,
+        so the ring keeps at most (budget / atoms) products.
         """
         spend("ring_products", len(self.atoms))
         u, v = tuple(u), tuple(v)
-        key = (u, v) if u <= v else (v, u)
-        out = self._products.get(key)
-        if out is None:
-            out = []
-            for (lo, hi), a in zip(self._spans, self.atoms):
-                x, y = u[lo:hi], v[lo:hi]
-                if any(x) and any(y):
-                    out.extend(a.mul_coords(x, y))
-                else:
-                    out.extend([0] * (hi - lo))
-            out = self._products[key] = tuple(out)
-        return out
+        return self._product(u, v) if u <= v else self._product(v, u)
+
+    @remembered
+    def _product(self, u, v):
+        """Product of coordinate tuples u <= v, atom by atom; an atom where
+        either factor is zero gets zeros without a product."""
+        out = []
+        for (lo, hi), a in zip(self._spans, self.atoms):
+            x, y = u[lo:hi], v[lo:hi]
+            if any(x) and any(y):
+                out.extend(a.mul_coords(x, y))
+            else:
+                out.extend([0] * (hi - lo))
+        return tuple(out)
 
     def unit_times(self, i, vec):
         """e_i * vec for the unit vector e_i, as {coordinate: value} over its
@@ -454,7 +454,7 @@ class StructuredIso:
     checks.  `matching` and `twist` read the tuple back as read-only dicts.
     """
 
-    __slots__ = ("ring", "atom_map", "_dom", "_im", "_plan")
+    __slots__ = ("ring", "atom_map", "facts")
 
     def __init__(self, ring, matching, twist):
         matching, twist = dict(matching), {i: int(t) for i, t in twist.items()}
@@ -475,8 +475,7 @@ class StructuredIso:
             if a.kind == "zmod" and t:
                 raise RingError(f"atom {i} is {a.label()}, which admits no twist (got {t})")
             atom_map[i] = (j, t % a.coords)
-        self.ring, self.atom_map = ring, tuple(atom_map)
-        self._dom = self._im = self._plan = None
+        self.ring, self.atom_map, self.facts = ring, tuple(atom_map), {}
 
     @staticmethod
     def trusted(ring, atom_map):
@@ -484,8 +483,7 @@ class StructuredIso:
         matching equal atoms bijectively, each twist reduced mod its atom's
         `coords`."""
         iso = StructuredIso.__new__(StructuredIso)
-        iso.ring, iso.atom_map = ring, atom_map
-        iso._dom = iso._im = iso._plan = None
+        iso.ring, iso.atom_map, iso.facts = ring, atom_map, {}
         return iso
 
     @property
@@ -497,18 +495,16 @@ class StructuredIso:
         return MappingProxyType({i: v[1] for i, v in enumerate(self.atom_map) if v})
 
     @property
+    @remembered
     def dom_support(self):
         """The domain's atoms, built on first read."""
-        if self._dom is None:
-            self._dom = frozenset(i for i, v in enumerate(self.atom_map) if v)
-        return self._dom
+        return frozenset(i for i, v in enumerate(self.atom_map) if v)
 
     @property
+    @remembered
     def im_support(self):
         """The image's atoms, built on first read."""
-        if self._im is None:
-            self._im = frozenset(v[0] for v in self.atom_map if v)
-        return self._im
+        return frozenset(v[0] for v in self.atom_map if v)
 
     def __eq__(self, other):
         return (isinstance(other, StructuredIso) and self.atom_map == other.atom_map
@@ -546,26 +542,22 @@ class StructuredIso:
             raise OutOfDomain(f"element supported on {sorted(el.support())} not in domain {sorted(self.dom_support)}")
         return self.ring.from_vec(self.apply_vec(el.vec()))
 
+    @remembered
     def application_plan(self):
         """((domain coordinate, ((image coordinate, coefficient), ...)), ...):
         the nonzero entries of the Frobenius blocks, built on first use."""
-        if self._plan is None:
-            ring = self.ring
-            plan = []
-            for i, (j, t) in ((i, v) for i, v in enumerate(self.atom_map) if v):
-                lo_d, lo_i = ring.atom_span(i)[0], ring.atom_span(j)[0]
-                for c, col in enumerate(ring.atoms[i].frobenius_cols(t)):
-                    plan.append((lo_d + c, tuple((lo_i + r, int(z)) for r, z in enumerate(col) if z)))
-            self._plan = tuple(plan)
-        return self._plan
+        ring = self.ring
+        plan = []
+        for i, (j, t) in ((i, v) for i, v in enumerate(self.atom_map) if v):
+            lo_d, lo_i = ring.atom_span(i)[0], ring.atom_span(j)[0]
+            for c, col in enumerate(ring.atoms[i].frobenius_cols(t)):
+                plan.append((lo_d + c, tuple((lo_i + r, int(z)) for r, z in enumerate(col) if z)))
+        return tuple(plan)
 
     def apply_vec(self, vec):
         """(mask to domain, then apply) on coordinates, by the plan."""
-        plan = self._plan
-        if plan is None:
-            plan = self.application_plan()
         out = [0] * self.ring.n_coords
-        for c, targets in plan:
+        for c, targets in self.application_plan():
             x = vec[c]
             if x:
                 for r, z in targets:
@@ -714,7 +706,7 @@ class Block:
                      else FiniteRing([ring.atoms[a] for a in self.atoms]))
         self.coords = tuple(c for a in self.atoms for c in range(*ring.atom_span(a)))
         self._local = {a: i for i, a in enumerate(self.atoms)}
-        self._isos = {}
+        self.facts = {}  # each iso on the block ring, and its unit generators (`remembered`)
 
     def restrict(self, vec):
         """The block-ring coordinates of vec * e_O."""
@@ -727,19 +719,17 @@ class Block:
             out[c] = x
         return tuple(out)
 
+    @remembered
     def iso(self, iso):
         """`iso` on the block ring, restricted once per iso; its matching must
         keep the block's atoms among themselves."""
         if self.ring is self.whole:
             return iso
-        got = self._isos.get(iso)
-        if got is None:
-            local = self._local
-            if any(v and (i in local) != (v[0] in local) for i, v in enumerate(iso.atom_map)):
-                raise RingError("the iso moves atoms into or out of the block")
-            got = self._isos[iso] = StructuredIso.trusted(self.ring, tuple(
-                (local[v[0]], v[1]) if (v := iso.atom_map[i]) else None for i in self.atoms))
-        return got
+        local = self._local
+        if any(v and (i in local) != (v[0] in local) for i, v in enumerate(iso.atom_map)):
+            raise RingError("the iso moves atoms into or out of the block")
+        return StructuredIso.trusted(self.ring, tuple(
+            (local[v[0]], v[1]) if (v := iso.atom_map[i]) else None for i in self.atoms))
 
     def basis(self, sub):
         """The canonical basis of sub * e_O on the block ring; sub must contain e_O.
@@ -789,8 +779,7 @@ class TensorPresentation:
             raise NotSubring("R must be a unital subalgebra")
         self.ring, self.R = ring, R
         self.k = self.l = n = ring.n_coords
-        self._mult_matrices = {}
-        self.facts = {}  # the free-pair presentation and multiplication map (`remembered`)
+        self.facts = {}  # the free-pair presentation and multiplication matrices (`remembered`)
         rel_cols = []
         for r in R.gen_vectors:
             E = self.mult_matrix(r)
@@ -802,15 +791,11 @@ class TensorPresentation:
         self.pres = AbelianPresentation([math.gcd(a, b) for a in moduli for b in moduli],
                                         Matrix(n * n, rel_cols))
 
+    @remembered
     def mult_matrix(self, b_vec):
         """Matrix E of m -> b*m on the unit vectors, column i the coordinates
-        of b*e_i (`FiniteRing.unit_times`); built once per b."""
-        b_vec = tuple(b_vec)
-        mat = self._mult_matrices.get(b_vec)
-        if mat is None:
-            mat = self._mult_matrices[b_vec] = Matrix(
-                self.k, [self.ring.unit_times(i, b_vec) for i in range(self.k)])
-        return mat
+        of b*e_i (`FiniteRing.unit_times`); built once per b, a tuple."""
+        return Matrix(self.k, [self.ring.unit_times(i, b_vec) for i in range(self.k)])
 
     def algebra_generators(self):
         """Unit vectors, chosen greedily, that generate A as an R-algebra.

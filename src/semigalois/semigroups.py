@@ -237,20 +237,27 @@ def quotient(S, classes, projection):
     return validate_table(table, zero=zero, names=names)
 
 
+_UNSET = object()
+
+
 def remembered(derive):
-    """Decorate `derive(obj)`, a fact of a validated object, so that it is
-    derived once per object: the first call keeps its value in `obj.facts`
-    under the function's name, and later calls read it there.  A call that
-    raises stores nothing, so it raises again.  Under `property` it is an
-    attribute computed on first read.  A fact known by construction is
-    stored under the same name (`Subalgebra.full`)."""
-    key = derive.__name__
+    """Decorate `derive(obj, *args)`, a fact of a validated object, so that it
+    is derived once per object and arguments: the first call keeps its value
+    in `obj.facts`, and later calls read it there.  The key is the function's
+    name when it is called on `obj` alone, and (name, *args) otherwise, so
+    the arguments must be hashable and equal arguments share one value.
+    A call that raises stores nothing, so it raises again.  Under `property`
+    it is an attribute computed on first read.  A fact known by construction
+    is stored under the same key (`Subalgebra.full`)."""
+    name = derive.__name__
 
     @functools.wraps(derive)
-    def fact(obj):
-        if key not in obj.facts:
-            obj.facts[key] = derive(obj)
-        return obj.facts[key]
+    def fact(obj, *args):
+        key = (name, *args) if args else name
+        value = obj.facts.get(key, _UNSET)
+        if value is _UNSET:
+            value = obj.facts[key] = derive(obj, *args)
+        return value
     return fact
 
 

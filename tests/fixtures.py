@@ -3,8 +3,10 @@
 The fixtures the library's own self-test and the benchmark build stay in
 `semigalois.corpus` (`f9_cubed_fixture`, `c2_swap_fixture`,
 `b2_swap_fixture` and the random `corpus`); these are the ones only the
-tests read, with the groupoid builders (`connected_groupoid`,
-`disjoint_union`, `random_groupoid`) that only they use, `derivations`,
+tests read, one builder per family of instances several test modules take
+(`c2_swap`, `cyclic_shift`, `s7_on`), the groupoid builders
+(`connected_groupoid`, `disjoint_union`, `random_groupoid`) that only they
+use, `derivations`,
 which counts the derivations of `remembered` facts, and `admissible`, the
 preconditions of the Galois cross-check.
 """
@@ -15,7 +17,7 @@ import random
 import sys
 
 from semigalois.actions import AxiomFail, is_injective, validate_action
-from semigalois.corpus import c2_table
+from semigalois.corpus import c2_table, s7_monoid
 from semigalois.rings import Atom, FiniteRing, StructuredIso, TooLarge
 from semigalois.semigroups import is_e_unitary, validate_table
 
@@ -78,6 +80,49 @@ def group_with_zero_fixture():
             StructuredIso(A, {0: 1, 1: 0}, {}),
             StructuredIso.empty(A)]
     return validate_action(S, A, isos)
+
+
+def c2_swap(atoms):
+    """C2 swapping the two copies of each atom in atoms[0]^2 x atoms[1]^2 x ...:
+    Galois, with the diagonal as A^beta."""
+    A = FiniteRing([a for a in atoms for _ in range(2)])
+    m = len(A.atoms)
+    return validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(m)),
+                                           StructuredIso(A, {i: i ^ 1 for i in range(m)}, {})])
+
+
+def cyclic_shift(atom, n):
+    """C_n = {1, g1, ..., g(n-1)} shifting n copies of `atom` cyclically, g
+    taking copy i to i + g: Galois, with the diagonal as A^beta."""
+    S = validate_table([[(i + j) % n for j in range(n)] for i in range(n)],
+                       names=["1"] + [f"g{i}" for i in range(1, n)])
+    A = FiniteRing([atom] * n)
+    return validate_action(S, A, [StructuredIso(A, {i: (i + g) % n for i in range(n)}, {})
+                                  for g in range(n)])
+
+
+def s7_on(atom, fixed=()):
+    """The 7-element monoid on atom^3 (GF(p^k), k even): orbits {0, 2} and
+    {1}, and one more for each atom of `fixed`, put after them and fixed
+    by every map."""
+    S = s7_monoid()
+    A = FiniteRing([atom] * 3 + list(fixed))
+    tw = atom.k // 2
+    kept = {a: a for a in range(3, len(A.atoms))}
+
+    def iso(matching, twist=()):
+        return StructuredIso(A, {**matching, **kept}, dict(twist))
+
+    by_name = {
+        "1": iso({0: 0, 1: 1, 2: 2}),
+        "s": iso({0: 2, 1: 1}, {1: tw}),
+        "s'": iso({2: 0, 1: 1}, {1: -tw}),
+        "t": iso({1: 1}, {1: tw}),
+        "s*t": iso({1: 1}),
+        "s*s'": iso({1: 1, 2: 2}),
+        "s'*s": iso({0: 0, 1: 1}),
+    }
+    return validate_action(S, A, [by_name[S.names[i]] for i in range(S.n)])
 
 
 # -- zero-case corpus ---------------------------------------------------------
@@ -226,18 +271,20 @@ def non_categorical_semilattice():
 def derivations(*facts):
     """Count the derivations of the `remembered` facts given (functions, or
     a property's `fget`) while the block runs: a Counter of (fact name,
-    id of the object) over the calls of each fact's own body, its
-    `__wrapped__`, seen by a trace function, so nothing is patched.  The
-    objects are held until the block ends, so no two share an id."""
+    id of the object, *arguments), the arguments of a keyed fact, over the
+    calls of each fact's own body, its `__wrapped__`, seen by a trace
+    function, so nothing is patched.  The objects are held until the block
+    ends, so no two share an id."""
     codes = {fact.__wrapped__.__code__: fact.__name__ for fact in facts}
     counts, held = collections.Counter(), []
 
     def trace(frame, event, arg):
         name = codes.get(frame.f_code)
         if name is not None:
-            obj = frame.f_locals[frame.f_code.co_varnames[0]]
+            code = frame.f_code
+            obj, *args = (frame.f_locals[v] for v in code.co_varnames[:code.co_argcount])
             held.append(obj)
-            counts[name, id(obj)] += 1
+            counts[(name, id(obj), *args)] += 1
 
     previous = sys.gettrace()
     sys.settrace(trace)

@@ -59,6 +59,7 @@ import math
 import numpy as np
 
 from semigalois.linalg import Matrix, cols_from_vectors, kron_difference
+from semigalois.semigroups import remembered
 
 
 def dense(mat):
@@ -1443,15 +1444,28 @@ def joined_tensor_vector(tensors, whole, parts):
     return tuple(out)
 
 
-def solve_coordinates_whole(beta, isos, rhs_vectors):
-    """The coordinate system sum_i x_i f(y_i 1) = rhs_f in one solve over A."""
-    from semigalois.linalg import block_diag, solve_cols, vstack
+@remembered
+def _whole_mult_matrices(A):
+    """`mult_matrix_by_solve` on all of A for each unit vector, kept by the ring."""
     from semigalois.rings import Subalgebra
+    full = Subalgebra.full(A)  # its generators are the unit vectors
+    return tuple(mult_matrix_by_solve(full, v) for v in A.basis_vectors())
+
+
+@remembered
+def _iso_matrix(iso):
+    """`iso_matrix_by_polynomials`, kept by the iso."""
+    return iso_matrix_by_polynomials(iso)
+
+
+def solve_coordinates_whole(beta, isos, rhs_vectors):
+    """The coordinate system sum_i x_i f(y_i 1) = rhs_f in one solve over A.
+    The matrices it multiplies are built once per ring and once per iso."""
+    from semigalois.linalg import block_diag, solve_cols, vstack
     A = beta.A
     n = A.n_coords
-    full = Subalgebra.full(A)  # its generators are the unit vectors
-    mult_mats = [mult_matrix_by_solve(full, v) for v in A.basis_vectors()]
-    mat = vstack([hstack([matmul(m, iso_matrix_by_polynomials(iso)) for m in mult_mats]) for iso in isos])
+    mult_mats = _whole_mult_matrices(A)
+    mat = vstack([hstack([matmul(m, _iso_matrix(iso)) for m in mult_mats]) for iso in isos])
     aug = block_diag([A.presentation.lattice] * len(isos))
     target = [x for vec in rhs_vectors for x in vec]
     sol = solve_cols(mat, aug, target, list(A.coord_moduli) * n, list(A.coord_moduli) * len(isos))

@@ -1,10 +1,12 @@
 import contextlib
 import operator
 import re
+import time
 from pathlib import Path
 
 import pytest
 
+from fixtures import c2_swap, cyclic_shift
 from semigalois import budget
 
 
@@ -22,17 +24,32 @@ def test_limit_blocks_nest_and_spending_outside_is_free():
     budget.spend("elements", 10 ** 9)
 
 
+
+def test_library_loading_is_bounded_only_inside_a_limit_block():
+    """`generators = a b` with no relation presents the free inverse monoid on
+    two generators, whose saturation never closes.  Outside any
+    `budget.limit` block a `spend` is free, so the library loads it until
+    memory runs out; inside one the saturation ends in BudgetExceeded, here
+    within a second (the command line always loads inside `--budget`)."""
+    from semigalois.instance import parse_instance_text
+    text = "[semigroup]\ngenerators = a b\n\n[ring]\natom = zmod 2\n\n[action]\nmap = a : 0->0:0\n"
+    start = time.process_time()
+    with budget.limit(10_000), pytest.raises(budget.BudgetExceeded) as exc:
+        parse_instance_text(text)
+    assert exc.value.quantity == "coset_steps"
+    assert time.process_time() - start < 1
+
 def test_documented_margin_over_c20_holds(tmp_path, capsysbinary):
     """docs/format.md puts the default budget at "about m times" what `galois`
     spends on C20 rotating (Z/2)^20: the spend lies within DEFAULT / (m +- 1/2)."""
     from semigalois import cli
     from semigalois.instance import action_to_instance_text
-    from test_polynomial_scans import cyclic_shift_on_z2
+    from semigalois.rings import Atom
 
     doc = (Path(__file__).resolve().parent.parent / "docs" / "format.md").read_text()
     m = int(re.search(r"about (\d+) times what `galois` spends on C20", " ".join(doc.split()))[1])
     path = tmp_path / "c20.sgi"
-    path.write_text(action_to_instance_text(cyclic_shift_on_z2(20)))
+    path.write_text(action_to_instance_text(cyclic_shift(Atom.zmod(2), 20)))
     codes = [cli.main(["galois", str(path), "--budget", str(int(cli.DEFAULT_BUDGET / bound))])
              for bound in (m - 0.5, m + 0.5)]
     capsysbinary.readouterr()
@@ -92,14 +109,10 @@ C2_PAIRS_CEILINGS = {32: 11_680, 128: 169_600}
 def _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, k):
     """What `galois` spends on C2 swapping k pairs of Z/2, which must pass."""
     from semigalois import cli
-    from semigalois.actions import validate_action
-    from semigalois.corpus import c2_table
     from semigalois.instance import action_to_instance_text
-    from semigalois.rings import Atom, FiniteRing, StructuredIso
+    from semigalois.rings import Atom
 
-    A = FiniteRing([Atom.zmod(2)] * (2 * k))
-    beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(2 * k)),
-                                           StructuredIso(A, {i: i ^ 1 for i in range(2 * k)}, {})])
+    beta = c2_swap([Atom.zmod(2)] * k)
     assert len(beta.orbits) == k
     path = tmp_path / f"c2_{k}_pairs.sgi"
     path.write_text(action_to_instance_text(beta))
@@ -137,10 +150,9 @@ def test_c4_on_z16_brute_force_scan_passes_under_the_default_budget(monkeypatch,
     from semigalois import cli
     from semigalois.instance import action_to_instance_text
     from semigalois.rings import Atom
-    from test_correspondence import _cyclic_shift
 
     path = tmp_path / "c4_z16.sgi"
-    path.write_text(action_to_instance_text(_cyclic_shift(Atom.zmod(2, 4), 4)))
+    path.write_text(action_to_instance_text(cyclic_shift(Atom.zmod(2, 4), 4)))
     spent = _record_spends(monkeypatch)
     assert cli.main(["correspond", str(path), "--brute-force-subalgebras"]) == 0
     assert capsysbinary.readouterr().out.endswith(b"# result: PASS\n")

@@ -3,15 +3,14 @@ import random
 import pytest
 
 from fixtures import (admissible, chain_semilattice_fixture, collapsing_semilattice_fixture,
-                      derivations)
+                      cyclic_shift, derivations, s7_on)
 from semigalois import budget
 from semigalois import correspondence as co
-from semigalois.actions import invariant_ring, validate_action
-from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture, s7_monoid
+from semigalois.actions import invariant_ring
+from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.galois import compute_S_B, is_galois
-from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
-from semigalois.semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups,
-                                   validate_table)
+from semigalois.rings import Atom, Subalgebra
+from semigalois.semigroups import SubSemigroup, enumerate_full_inverse_subsemigroups
 from oracles import (element_product, iso_apply_by_polynomials, subalgebras_by_element_scan,
                      subring_closure)
 
@@ -61,17 +60,20 @@ def test_fixed_subalgebra_orders():
 
 def test_fixed_subalgebra_reads_the_remembered_invariants():
     """A^beta is derived once per action however many fixed rings are taken,
-    and the containment check still raises (on a wrong A^beta planted as the
-    one beta remembers)."""
+    each fixed ring once per T however often it is asked, and the
+    containment check still raises (on a wrong A^beta planted as the one a
+    fresh beta remembers, before any fixed ring is derived)."""
     beta = f9_cubed_fixture()
     ts = enumerate_full_inverse_subsemigroups(beta.S)
-    with derivations(invariant_ring) as derived:
-        for T in ts:
+    with derivations(invariant_ring, co.fixed_subalgebra) as derived:
+        for T in ts + ts:
             co.fixed_subalgebra(beta, T)
-    assert derived[("invariant_ring", id(beta))] == 1
+    assert derived.pop(("invariant_ring", id(beta))) == 1
+    assert derived == {("fixed_subalgebra", id(beta), T): 1 for T in ts}
+    beta = f9_cubed_fixture()
     beta.facts["invariant_ring"] = Subalgebra.full(beta.A)
     with pytest.raises(AssertionError, match="contain the full invariants"):
-        co.fixed_subalgebra(beta, ts[-1])
+        co.fixed_subalgebra(beta, enumerate_full_inverse_subsemigroups(beta.S)[-1])
 
 
 def test_fixed_subalgebra_is_antitone():
@@ -195,34 +197,10 @@ def test_general_correspondence_on_galois_corpus():
     assert count >= 8
 
 
-def _cyclic_shift(atom, n):
-    """C_n shifting n copies of `atom` cyclically (C2 on atom^2 for n = 2)."""
-    S = validate_table([[(i + j) % n for j in range(n)] for i in range(n)],
-                       names=["1"] + [f"g{i}" for i in range(1, n)])
-    A = FiniteRing([atom] * n)
-    return validate_action(S, A, [StructuredIso(A, {i: (i + g) % n for i in range(n)}, {})
-                                  for g in range(n)])
-
-
-def _s7_on_gf4_cubed():
-    S = s7_monoid()
-    A = FiniteRing([Atom.gf(2, 2)] * 3)
-    by_name = {
-        "1": StructuredIso.identity_on(A, {0, 1, 2}),
-        "s": StructuredIso(A, {0: 2, 1: 1}, {1: 1}),
-        "s'": StructuredIso(A, {2: 0, 1: 1}, {1: 1}),
-        "t": StructuredIso(A, {1: 1}, {1: 1}),
-        "s*t": StructuredIso.identity_on(A, {1}),
-        "s*s'": StructuredIso.identity_on(A, {1, 2}),
-        "s'*s": StructuredIso.identity_on(A, {0, 1}),
-    }
-    return validate_action(S, A, [by_name[S.names[i]] for i in range(S.n)])
-
-
 SCAN_CASES = {
-    "c2_gf4^2": lambda: _cyclic_shift(Atom.gf(2, 2), 2),
-    "s7_gf4^3": _s7_on_gf4_cubed,
-    "c3_z4^3": lambda: _cyclic_shift(Atom.zmod(2, 2), 3),
+    "c2_gf4^2": lambda: cyclic_shift(Atom.gf(2, 2), 2),
+    "s7_gf4^3": lambda: s7_on(Atom.gf(2, 2)),
+    "c3_z4^3": lambda: cyclic_shift(Atom.zmod(2, 2), 3),
     "b2_zero": b2_swap_fixture,
 }
 

@@ -195,36 +195,29 @@ def test_missing_t_is_a_brute_force_mismatch():
 # -- work done per T ------------------------------------------------------------
 
 
-def _count_s_b(monkeypatch):
-    calls = []
-    real = galois.compute_S_B
-
-    def counted(b, B):
-        calls.append(b)
-        return real(b, B)
-    monkeypatch.setattr(galois, "compute_S_B", counted)
-    monkeypatch.setattr(co, "compute_S_B", counted)
-    return calls
+def _s_b_derivations(derived):
+    """The objects S_B was derived on, one per derivation."""
+    return [obj for (_, obj, _), count in derived.items() for _ in range(count)]
 
 
-def test_e_unitary_route_computes_s_b_once_per_t(monkeypatch):
+def test_e_unitary_route_computes_s_b_once_per_t():
     beta = _shipped("s7_f9cubed")
     ts = co.enumerate_beta_complete(beta)
-    calls = _count_s_b(monkeypatch)
-    rep = co.verify_e_unitary_correspondence(beta)
+    with derivations(galois.compute_S_B) as derived:
+        rep = co.verify_e_unitary_correspondence(beta)
     assert len(rep.pairs) == len(ts) == 3
-    assert len(calls) == len(ts) and all(b is beta for b in calls)
+    assert _s_b_derivations(derived) == [id(beta)] * len(ts)
 
 
 @pytest.mark.parametrize("route", ["general", "zero"])
-def test_other_routes_compute_s_b_once_per_t(monkeypatch, route):
+def test_other_routes_compute_s_b_once_per_t(route):
     beta = c2_times_chain() if route == "general" else b2_swap_fixture()
     ts = co.enumerate_beta_maximal(beta)
-    calls = _count_s_b(monkeypatch)
     verify = (co.verify_general_correspondence if route == "general"
               else zc.verify_zero_correspondence)
-    assert len(verify(beta).pairs) == len(ts)
-    assert len(calls) == len(ts) and all(b is beta for b in calls)
+    with derivations(galois.compute_S_B) as derived:
+        assert len(verify(beta).pairs) == len(ts)
+    assert _s_b_derivations(derived) == [id(beta)] * len(ts)
 
 
 def test_s_b_on_beta_is_the_pullback_of_s_b_on_the_image():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import collapsing_semilattice_fixture, derivations
+from fixtures import collapsing_semilattice_fixture, cyclic_shift, derivations
 from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
 from semigalois.corpus import b2_swap_fixture, f9_cubed_fixture, random_ring, random_structured_iso
@@ -84,14 +84,22 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 
 
 # What each command derives about S (the first two), about beta (the next
-# six), and about the rings, groups, subalgebras and tensors a decision builds.
+# six, and the four kept per subalgebra B or per T), and about the rings,
+# atoms, isos, blocks, groups, subalgebras and tensors a decision builds
+# (the keyed ones per product, indicator, twist, iso or b).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
          actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
-         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors,
+         actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
+         correspondence.fixed_subalgebra,
+         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, rg.FiniteRing._product,
+         rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.StructuredIso.dom_support.fget,
+         rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
+         correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.TensorPresentation.free_pairs.fget,
          rg.TensorPresentation._free_positions.fget, rg.TensorPresentation._on_free_pairs.fget,
-         rg.TensorPresentation.free_lattice.fget, rg.TensorPresentation.mult_map_vec]
+         rg.TensorPresentation.free_lattice.fget, rg.TensorPresentation.mult_map_vec,
+         rg.TensorPresentation.mult_matrix]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
             ["analyze"], ["zero"]]
 
@@ -101,22 +109,29 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     """In one cli.main on each shipped instance, sigma and E-unitarity are
     derived at most once per semigroup object; injectivity, A^beta, the
     induced alpha, the orbits, the Galois system and A (x)_{A^beta} A at
-    most once per action object; the additive group and the unit vectors
-    once per ring; the hash and the subalgebra check once per
+    most once per action object, and the free-part rule, S_B and
+    strongness once per action and subalgebra, A^{beta|T} once per action
+    and T; the additive group and the unit vectors once per ring, and each
+    product and indicator once per ring and argument; the Frobenius columns
+    once per atom and twist; the supports and the plan once per iso; the
+    restriction of an iso once per block and iso, and the unit generators
+    once per block and A^beta; the hash and the subalgebra check once per
     `Subalgebra`; and the free-pair presentation and multiplication map once
-    per tensor."""
+    per tensor, and a multiplication matrix once per tensor and b."""
     seen = set()
     with derivations(*FACTS) as derived:
         for path in sorted(INSTANCES.glob("*.sgi")):
             derived.clear()
             _run(capsys, args[0], str(path), *args[1:])
             assert all(count == 1 for count in derived.values()), (path.name, derived)
-            seen |= {name for name, _ in derived}
+            seen |= {name for name, *_ in derived}
     assert seen  # every command derives some fact on some instance
-    if args == ["galois"]:  # it keeps no set of subalgebras, so it hashes none
-        assert seen == {fact.__name__ for fact in FACTS} - {"__hash__"}
+    if args == ["galois"]:  # A keys S_B, strongness and the free-part rule, so it is hashed
+        assert seen == {fact.__name__ for fact in FACTS} - {"fixed_subalgebra", "_unit_generators"}
     if args[0] == "correspond":
-        assert "__hash__" in seen
+        assert {"__hash__", "compute_S_B", "is_beta_strong", "separability_violation",
+                "fixed_subalgebra"} <= seen
+    assert ("_unit_generators" in seen) == (args[-1] == "--brute-force-subalgebras")
 
 
 def test_a_remembered_fact_raises_its_precondition_on_every_call():
@@ -139,6 +154,26 @@ def test_a_remembered_fact_raises_its_precondition_on_every_call():
     assert "invariant_ring" not in beta.facts
     assert actions.invariant_ring(beta) is actions.invariant_ring(beta)
     assert actions.invariant_ring(beta).order == 27
+    ones = semigroups.SubSemigroup(beta.S, frozenset({0}))  # misses the other idempotents
+    atom = rg.Atom.zmod(3)
+    for _ in range(2):
+        with pytest.raises(actions.NotFullSub):
+            correspondence.fixed_subalgebra(beta, ones)
+        with pytest.raises(rg.RingError, match="admits no twist"):
+            atom.frobenius_cols(1)
+    assert ("fixed_subalgebra", ones) not in beta.facts and not atom.facts
+
+
+def test_a_keyed_fact_is_kept_per_argument_under_its_name():
+    """A fact with arguments is kept under (name, *args), so equal arguments
+    share one value; `idempotent_vec` takes any iterable of atoms and keys
+    its indicator by their frozenset."""
+    A = rg.FiniteRing([rg.Atom.gf(2, 2), rg.Atom.zmod(3)])
+    e = A.idempotent_vec({1})
+    assert A.idempotent_vec([1]) is e and A.idempotent_vec(frozenset({1})) is e
+    assert A.facts == {("_indicator", frozenset({1})): e} and e == (0, 0, 1)
+    cols = A.atoms[0].frobenius_cols(1)
+    assert A.atoms[0].facts == {("frobenius_cols", 1): cols} and cols == ((1, 0), (1, 1))
 
 
 def test_verify_coordinates_takes_a_whole_system():
@@ -232,7 +267,8 @@ def test_product_table_hit_returns_the_product_and_charges_alike(monkeypatch, at
             with budget.limit(n - 1), pytest.raises(budget.BudgetExceeded) as exc:
                 A.mul_vec(x.vec(), y.vec())
             assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
-    assert len(A._products) == len({frozenset((x.vec(), y.vec())) for x in pool for y in pool})
+    kept = [key for key in A.facts if key[0] == "_product"]
+    assert len(kept) == len({frozenset((x.vec(), y.vec())) for x in pool for y in pool})
 
 
 def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
@@ -242,7 +278,7 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
     they kept their own products).  `verify_coordinates` re-checks
     the solve with `mul_vec`, apart from the read the solve used."""
     readers = {galois._solve_coordinates.__code__, galois.psi_check.__code__,
-               rg.TensorPresentation.mult_matrix.__code__,
+               rg.TensorPresentation.mult_matrix.__wrapped__.__code__,
                rg.TensorPresentation.mult_map_vec.__wrapped__.__code__}
     inside, verifying, reads = [], [], []
     original = rg.FiniteRing.mul_vec
@@ -266,9 +302,9 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
 def test_rings_with_equal_atoms_share_no_table():
     atoms = [rg.Atom.gf(2, 2), rg.Atom.zmod(3)]
     A, B = rg.FiniteRing(atoms), rg.FiniteRing(atoms)
-    assert A == B and A._products is not B._products
+    assert A == B and A.facts is not B.facts
     A.mul_vec(A.one_vec, A.one_vec)
-    assert len(A._products) == 1 and not B._products
+    assert list(A.facts) == [("_product", A.one_vec, A.one_vec)] and not B.facts
 
 
 def test_application_plan_matches_iso_matrix_and_polynomials():
@@ -298,9 +334,8 @@ def test_application_plan_matches_iso_matrix_and_polynomials():
 def _c3_on_z8_cubed(directory):
     """C3 rotating (Z/8)^3, written as an instance file in `directory`."""
     from semigalois.instance import action_to_instance_text
-    from test_correspondence import _cyclic_shift
     path = directory / "c3_z8cubed.sgi"
-    path.write_text(action_to_instance_text(_cyclic_shift(rg.Atom.zmod(2, 3), 3)))
+    path.write_text(action_to_instance_text(cyclic_shift(rg.Atom.zmod(2, 3), 3)))
     return path
 
 
@@ -320,25 +355,24 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_p
     and 3 while separability chose algebra generators by adjoining them; 148
     on C3 over (Z/8)^3 while cosets of every order were closed)."""
     separable, strong, adjoined = {}, {}, []
-    asked = collections.Counter()
     real_rule, real_strong = correspondence.separability_violation, correspondence.is_beta_strong
 
     def recording_rule(beta, B):
-        asked[("separable", B)] += 1
         separable[B] = real_rule(beta, B)
         return separable[B]
 
-    def recording_strong(beta, B, s_b=None):
-        asked[("strong", B)] += 1
-        strong[B] = real_strong(beta, B, s_b)
+    def recording_strong(beta, B):
+        strong[B] = real_strong(beta, B)
         return strong[B]
 
     monkeypatch.setattr(correspondence, "separability_violation", recording_rule)
     monkeypatch.setattr(correspondence, "is_beta_strong", recording_strong)
     _recording(monkeypatch, rg.Subalgebra, "adjoin", lambda sub, vec: adjoined.append(vec))
     path = INSTANCES / args[1] if args[1] else _c3_on_z8_cubed(tmp_path)
-    assert _run(capsys, args[0], str(path), *args[2:]) == 0
+    with derivations(actions.separability_violation, galois.is_beta_strong) as asked:
+        assert _run(capsys, args[0], str(path), *args[2:]) == 0
     assert max(asked.values()) == 1
+    assert len(asked) == len(separable) + len(strong)
     assert strong and all(B in separable and separable[B] is None for B in strong)
     assert [v[0] for v in strong.values()].count(False) == weak
     assert [v is None for v in separable.values()].count(False) == split

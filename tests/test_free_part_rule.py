@@ -20,13 +20,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import c2_fixed_atom_fixture
+from fixtures import c2_fixed_atom_fixture, c2_swap, cyclic_shift
 from semigalois import budget, galois
-from semigalois.actions import invariant_ring, separability_violation, validate_action
-from semigalois.corpus import c2_swap_fixture, c2_table, corpus
+from semigalois.actions import invariant_ring, separability_violation
+from semigalois.corpus import c2_swap_fixture, corpus
 from semigalois.correspondence import enumerate_subalgebras_over
-from semigalois.rings import Atom, FiniteRing, StructuredIso, Subalgebra
-from semigalois.semigroups import validate_table
+from semigalois.rings import Atom, Subalgebra
 from oracles import is_separable_whole
 
 
@@ -49,15 +48,6 @@ def test_rule_agrees_with_the_solve_on_seeded_scans(seed, with_zero):
     scan_verdicts(corpus(seed, 1, with_zero=with_zero)[0])
 
 
-def cyclic_on(atom, n):
-    """C_n shifting n copies of one atom cyclically: A^beta is the diagonal."""
-    S = validate_table([[(i + j) % n for j in range(n)] for i in range(n)],
-                       names=[f"g{i}" for i in range(n)])
-    A = FiniteRing([atom] * n)
-    return validate_action(S, A, [StructuredIso(A, {a: (a + g) % n for a in range(n)}, {})
-                                  for g in range(n)])
-
-
 @pytest.mark.parametrize("p,k,n,subalgebras,separable", [
     (2, 3, 4, 231, 15),
     (2, 2, 3, 12, 5),
@@ -68,7 +58,7 @@ def cyclic_on(atom, n):
 ], ids=["c4_z8^4", "c3_z4^3", "c3_z9^3", "c2_z16^2", "c2_z25^2", "c2_z27^2"])
 def test_rule_agrees_on_cyclic_shifts_of_zmod_atoms(p, k, n, subalgebras, separable):
     """On (Z/p^k)^n most subalgebras over the diagonal Z/p^k are not free."""
-    assert scan_verdicts(cyclic_on(Atom.zmod(p, k), n)) == (subalgebras, separable)
+    assert scan_verdicts(cyclic_shift(Atom.zmod(p, k), n)) == (subalgebras, separable)
 
 
 def test_rule_names_the_orbit_that_is_not_free():
@@ -76,10 +66,8 @@ def test_rule_names_the_orbit_that_is_not_free():
     (3, 0) on the Z/9 orbit gives a part of order 27 with one residue class
     mod 3, not free over Z/9; the Z/4 part stays the diagonal.  The rule
     charges no budget."""
-    A = FiniteRing([Atom.zmod(2, 2)] * 2 + [Atom.zmod(3, 2)] * 2)
-    beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
-                                           StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
-    base = invariant_ring(beta)
+    beta = c2_swap([Atom.zmod(2, 2), Atom.zmod(3, 2)])
+    A, base = beta.A, invariant_ring(beta)
     B, full = base.adjoin((0, 0, 3, 0)), Subalgebra.full(A)
     assert [block.atoms for block in beta.orbits] == [(0, 1), (2, 3)]
     with budget.limit(0):

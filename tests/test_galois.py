@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import (admissible, c2_fixed_atom_fixture, chain_semilattice_fixture,
+from fixtures import (admissible, c2_fixed_atom_fixture, c2_swap, chain_semilattice_fixture,
                       trace_gap_fixture)
 from semigalois import galois as gl
 from semigalois.actions import invariant_ring, validate_action
-from semigalois.corpus import c2_swap_fixture, c2_table, corpus, f9_cubed_fixture
+from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso, Subalgebra,
@@ -269,18 +269,12 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
         assert True in verdicts and False in verdicts
 
 
-def _c2_swap_gf4_z3():
-    """C2 swapping the atoms of GF(4)^2 x (Z/3)^2 in pairs: two orbits of two
-    atoms, so on each orbit some generator pairs multiply to zero."""
-    A = FiniteRing([Atom.gf(2, 2), Atom.gf(2, 2), Atom.zmod(3), Atom.zmod(3)])
-    return validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
-                                           StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
-
-
 def test_idempotent_check_rejects_what_the_kron_check_rejects():
     """E.Z and Z.F^T decide the same equations as the Kronecker matrices on
     the whole tensor, with the ring as one block and one orbit at a time."""
-    for beta in (f9_cubed_fixture(), _c2_swap_gf4_z3()):
+    # C2 swapping GF(4)^2 x (Z/3)^2 in pairs: two orbits of two atoms, so on
+    # each orbit some generator pairs multiply to zero
+    for beta in (f9_cubed_fixture(), c2_swap([Atom.gf(2, 2), Atom.zmod(3)])):
         inv, whole = invariant_ring(beta), whole_full_tensor(beta)
         for tensors, count in ((_one_block(TensorPresentation(beta.A, inv)), 1),
                                (gl._full_tensor(beta), 2)):

@@ -15,52 +15,19 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import admissible, trace_gap_fixture
+from fixtures import admissible, c2_swap, s7_on, trace_gap_fixture
 from semigalois import galois as gl, linalg
-from semigalois.actions import induce_partial_group_action, invariant_ring, validate_action
-from semigalois.corpus import c2_table, corpus, f9_cubed_fixture, s7_monoid
+from semigalois.actions import induce_partial_group_action, invariant_ring
+from semigalois.corpus import corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
-from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, RingError, StructuredIso,
-                              Subalgebra, TensorPresentation)
+from semigalois.rings import Atom, Block, NotSubring, RingError, Subalgebra, TensorPresentation
 from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
                      joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
                      solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def c2_swap(atoms):
-    """C2 swapping the two copies of each atom in atoms[0]^2 x atoms[1]^2 x ..."""
-    A = FiniteRing([a for a in atoms for _ in range(2)])
-    m = len(A.atoms)
-    return validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(m)),
-                                           StructuredIso(A, {i: i ^ 1 for i in range(m)}, {})])
-
-
-def s7_on(atom, fixed=()):
-    """The 7-element monoid on atom^3 (GF(p^k), k even): orbits {0, 2} and
-    {1}, and one more for each atom of `fixed`, put after them and fixed
-    by every map."""
-    S = s7_monoid()
-    A = FiniteRing([atom] * 3 + list(fixed))
-    tw = atom.k // 2
-    kept = {a: a for a in range(3, len(A.atoms))}
-
-    def iso(matching, twist=()):
-        return StructuredIso(A, {**matching, **kept}, dict(twist))
-
-    by_name = {
-        "1": iso({0: 0, 1: 1, 2: 2}),
-        "s": iso({0: 2, 1: 1}, {1: tw}),
-        "s'": iso({2: 0, 1: 1}, {1: -tw}),
-        "t": iso({1: 1}, {1: tw}),
-        "s*t": iso({1: 1}),
-        "s*s'": iso({1: 1, 2: 2}),
-        "s'*s": iso({0: 0, 1: 1}),
-    }
-    return validate_action(S, A, [by_name[S.names[i]] for i in range(S.n)])
 
 
 MULTI_ORBIT = {

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import (chain_semilattice_fixture, collapsing_semilattice_fixture,
-                      group_with_zero_fixture)
+from fixtures import (c2_swap, chain_semilattice_fixture, collapsing_semilattice_fixture,
+                      cyclic_shift, group_with_zero_fixture)
 from oracles import (beta_complete_by_subset_scan, beta_maximal_by_subset_scan,
                      beta_strong_by_support_scan, boolean_sum_by_inclusion_exclusion,
                      direct_product, full_inverse_subsemigroups_by_power_set, is_separable_whole,
@@ -140,13 +140,8 @@ def test_coordinate_check_matches_element_route(name):
 # -- tripwires: polynomial work on instances a power-set scan cannot finish
 
 
-def cyclic_shift_on_z2(n):
-    """C_n rotating the n atoms of (Z/2)^n: Galois, A^beta = {0, 1}."""
-    S = validate_table([[(i + j) % n for j in range(n)] for i in range(n)],
-                       names=[f"g{i}" for i in range(n)])
-    A = FiniteRing([Atom.zmod(2)] * n)
-    return validate_action(S, A, [StructuredIso(A, {a: (a + i) % n for a in range(n)}, {})
-                                  for i in range(n)])
+# C_n rotating the n atoms of (Z/2)^n: Galois, A^beta = {0, 1}
+cyclic_shift_on_z2 = functools.partial(cyclic_shift, Atom.zmod(2))
 
 
 def chain_on_z2(n):
@@ -175,23 +170,13 @@ def test_tripwire_answers_known_by_construction(make, n, invariants, pairs):
     assert corr.bijective and len(corr.pairs) == pairs
 
 
-def c2_swapping_pairs(atoms):
-    """C2 swapping the two copies of each atom in atoms[0]^2 x atoms[1]^2 x ...:
-    Galois, with the diagonal as A^beta."""
-    A = FiniteRing([a for a in atoms for _ in range(2)])
-    m = len(A.atoms)
-    S = validate_table([[0, 1], [1, 0]], names=["1", "g"])
-    return validate_action(S, A, [StructuredIso.identity_on(A, range(m)),
-                                  StructuredIso(A, {i: i ^ 1 for i in range(m)}, {})])
-
-
 @pytest.mark.parametrize("atoms,invariants", [
     ((Atom.gf(2, 4), Atom.gf(2, 2)), 64),
     ((Atom.gf(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), ), 256),
 ], ids=["gf16^2xgf4^2", "gf256^2"])
 def test_tensor_guard_refusals_decide(atoms, invariants):
     """|A| = 2^12 and 2^16: the tensor guard refused both, and each takes a fraction of a second."""
-    beta = c2_swapping_pairs(atoms)
+    beta = c2_swap(atoms)
     report = gl.cross_check_equivalences(beta)
     assert report.galois and report.invariants_order == invariants
     corr = verify_e_unitary_correspondence(beta)
@@ -218,13 +203,14 @@ def test_boolean_sum_takes_one_product_per_idempotent(monkeypatch):
     assert len(products) <= len(cls) + 1
 
 
-@pytest.mark.parametrize("make", [cyclic_shift_on_z2, chain_on_z2])
+@pytest.mark.parametrize("make", [pytest.param(cyclic_shift_on_z2, id="cyclic_shift_on_z2"),
+                                  pytest.param(chain_on_z2, id="chain_on_z2")])
 def test_strongness_applies_each_iso_once_per_generator(monkeypatch, make):
     beta = make(10)
     B = Subalgebra.full(beta.A)
-    s_b = gl.compute_S_B(beta, B)
+    gl.compute_S_B(beta, B)  # remembered, so strongness reads it and applies no iso for it
     applied = _counting(monkeypatch, StructuredIso, "apply_vec")
-    assert gl.is_beta_strong(beta, B, s_b) == (True, None)
+    assert gl.is_beta_strong(beta, B) == (True, None)
     assert len(applied) <= beta.S.n * len(B.gen_vectors)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from fixtures import collapsing_semilattice_fixture
+from fixtures import c2_swap, collapsing_semilattice_fixture, cyclic_shift, s7_on
 from semigalois import budget
 from semigalois import correspondence as co
 from semigalois import rings as rg
@@ -29,8 +29,6 @@ from semigalois.instance import parse_instance
 from semigalois.linalg import lattice_reduce
 from semigalois.rings import Atom, FiniteRing
 from oracles import subalgebras_by_coset_scan
-from test_correspondence import _cyclic_shift
-from test_orbit_blocks import c2_swap, s7_on
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -54,11 +52,11 @@ CASES = {
     "c2_swap_fixture": c2_swap_fixture,
     "b2_zero": b2_swap_fixture,
     "non_injective": collapsing_semilattice_fixture,
-    "c3_z8^3": lambda: _cyclic_shift(Atom.zmod(2, 3), 3),
+    "c3_z8^3": lambda: cyclic_shift(Atom.zmod(2, 3), 3),
     "c2_gf16^2": lambda: c2_swap([Atom.gf(2, 4)]),
     "s7_gf9^3": lambda: s7_on(Atom.gf(3, 2)),
     "c2_z256^2": lambda: c2_swap([Atom.zmod(2, 8)]),
-    "c3_z27^3": lambda: _cyclic_shift(Atom.zmod(3, 3), 3),
+    "c3_z27^3": lambda: cyclic_shift(Atom.zmod(3, 3), 3),
     "c2_z8^2xz9^2": lambda: c2_swap([Atom.zmod(2, 3), Atom.zmod(3, 2)]),
 }
 
@@ -154,11 +152,10 @@ def test_each_marked_orbit_is_the_orbit_under_every_unit(case):
     beta = CASES[case]()
     A, base = beta.A, invariant_ring(beta)
     units = _units_of_invariants(beta)
-    orbits = co._UnitOrbits(beta, base)
     for cur in co.enumerate_subalgebras_over(beta, base):
         for w in itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols))):
             want = {lattice_reduce(cur.basis, A.mul_vec(u, w)) for u in units}
-            got = orbits.orbit(cur, w)
+            got = co._unit_orbit(beta, base, cur, w)
             assert len(got) == len(set(got)) and set(got) == want
 
 
