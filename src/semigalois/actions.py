@@ -18,7 +18,6 @@ subsemigroups, and the action of a closed set of isos on its own table
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from . import isopu
 from .linalg import cols_from_vectors, kernel_gens, residues
@@ -107,32 +106,11 @@ class AxiomFail(Exception):
         self.tag = tag
 
 
-class ActionShape(NamedTuple):
-    """What the action axioms read of the acting structure.
-
-    `table[s][t]` is the product's index, or None where a groupoid product
-    is undefined; `units` are the elements that must act as identities, in
-    checking order; `ranges[s]` is the unit ss^{-1} (or r(s)).
-    """
-
-    table: list
-    inv: list
-    units: list
-    ranges: list
-    names: list
-    zero: int | None = None
-
-    @staticmethod
-    def of_semigroup(S):
-        return ActionShape(S.table, S.inv, S.idempotents,
-                           [S.table[s][S.inv[s]] for s in range(S.n)], S.names, S.zero)
-
-
 # One row per reading of an action: each axiom it checks, with the error it
 # raises (an exception class, or the tag of an AxiomFail) and the message.
-# Messages may name {e} (a unit), {s}, {inv}, {range} (an element, its
-# inverse, its range unit), {t}, {st} (a pair and its product) and
-# {covered} (the atoms the units cover).
+# Messages may name {e} (an idempotent), {s}, {inv}, {range} (an element,
+# its inverse, its range ss^{-1}), {t}, {st} (a pair and its product) and
+# {covered} (the atoms the idempotents cover).
 ACTION_ROWS = {
     "unital": {
         "count": (ActionError, "one iso per element required"),
@@ -172,20 +150,25 @@ ACTION_ROWS = {
 }
 
 
-def check_action_axioms(row, shape, A, isos):
+def check_action_axioms(row, S, A, isos):
     """Raise the error `row` names for the first of its axioms that fails.
 
-    Axioms run in the order written below, and the axioms of one loop meet
-    each unit, element or ordered pair in turn; every row has a cover axiom.
-    The unital homomorphism axiom runs before the units are looked at: once
-    it holds, idempotents act as identities and inverses as inverse maps.
+    S is an `InverseSemigroup` or a `Groupoid`, read through its fields:
+    `table[s][t]` is the product's index, or None where a groupoid product
+    is undefined; the `idempotents` must act as identities, met in the
+    order they are stored; the range of s is ss^{-1}, which is r(s) on a
+    groupoid.  Axioms run in the order written below, and the axioms of one
+    loop meet each idempotent, element or ordered pair in turn; every row
+    has a cover axiom.  The unital homomorphism axiom runs before the
+    idempotents are looked at: once it holds, they act as identities and
+    inverses as inverse maps.
     """
-    names, n = shape.names, len(shape.table)
+    table, inv, names, n = S.table, S.inv, S.names, S.n
 
     def fail(axiom, s=None, t=None, st=None, **fields):
         error, template = row[axiom]
         if s is not None:
-            fields.update(s=names[s], inv=names[shape.inv[s]], range=names[shape.ranges[s]])
+            fields.update(s=names[s], inv=names[inv[s]], range=names[table[s][inv[s]]])
         if t is not None:
             fields.update(t=names[t], st=None if st is None else names[st])
         message = template.format(**fields)
@@ -194,20 +177,20 @@ def check_action_axioms(row, shape, A, isos):
     if "count" in row and len(isos) != n:
         fail("count")
     if "zero" in row:
-        if shape.zero is None:
+        if S.zero is None:
             raise ZeroRequired("this operation needs a declared zero")
-        if isos[shape.zero].dom_support:
+        if isos[S.zero].dom_support:
             fail("zero")
     if "ring" in row and any(iso.ring != A for iso in isos):
         fail("ring")
     if "product_eq" in row:
         for s in range(n):
             for t in range(n):
-                st = shape.table[s][t]
+                st = table[s][t]
                 if isopu.compose(isos[s], isos[t]) != isos[st]:
                     fail("product_eq", s, t, st)
     covered = set()
-    for e in shape.units:
+    for e in S.idempotents:
         if "unit_identity" in row and not isos[e].is_identity_map():
             fail("unit_identity", e=names[e])
         if "unit_orthogonal" in row and covered & isos[e].im_support:
@@ -216,14 +199,14 @@ def check_action_axioms(row, shape, A, isos):
     if covered != set(range(len(A.atoms))):
         fail("cover", covered=sorted(covered))
     for s in range(n):
-        if "inverse" in row and isos[shape.inv[s]] != isos[s].inverse():
+        if "inverse" in row and isos[inv[s]] != isos[s].inverse():
             fail("inverse", s)
-        if "range" in row and not isos[s].im_support <= isos[shape.ranges[s]].im_support:
+        if "range" in row and not isos[s].im_support <= isos[table[s][inv[s]]].im_support:
             fail("range", s)
     if row.keys() & {"product_dom", "product_leq", "undefined_empty"}:
         for s in range(n):
             for t in range(n):
-                st, comp = shape.table[s][t], isopu.compose(isos[s], isos[t])
+                st, comp = table[s][t], isopu.compose(isos[s], isos[t])
                 if st is None:
                     if "undefined_empty" in row and comp.dom_support:
                         fail("undefined_empty", s, t)
@@ -243,7 +226,7 @@ def validate_action(S, A, isos):
     beta_{s^{-1}} is the inverse map of beta_s.
     """
     isos = list(isos)
-    check_action_axioms(ACTION_ROWS["unital"], ActionShape.of_semigroup(S), A, isos)
+    check_action_axioms(ACTION_ROWS["unital"], S, A, isos)
     return Action(S, A, isos)
 
 
@@ -252,7 +235,7 @@ def validate_partial_group_action(G, A, isos):
     identity acts as Id_A, inverses carry inverse maps, and
     alpha_g alpha_h <= alpha_{gh}."""
     isos = tuple(isos)
-    check_action_axioms(ACTION_ROWS["partial group"], ActionShape.of_semigroup(G), A, isos)
+    check_action_axioms(ACTION_ROWS["partial group"], G, A, isos)
     return Action(G, A, isos)
 
 

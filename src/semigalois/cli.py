@@ -200,7 +200,7 @@ def cmd_zero(beta, report, brute_force_subalgebras=False):
         gamma, table_ok, action_ok = zc.round_trips(alpha)
         G = gamma.S
         report.add("groupoid_round_trip", table_ok,
-                   groupoid_size=G.n, identities=[G.names[e] for e in G.identities()])
+                   groupoid_size=G.n, identities=[G.names[e] for e in G.idempotents])
         report.add("action_conversion_round_trip", action_ok)
     if zc.is_0_e_unitary(S) and zc.is_categorical_at_zero(S):
         P, joins, _ = zc.p_prime_construction(beta)
@@ -293,7 +293,7 @@ def main(argv=None):
             with open(args.instance, "rb") as fh:
                 data = fh.read()
             with budget.limit(args.budget):
-                inst = parse_instance_text(instance_text(data))
+                beta = parse_instance_text(instance_text(data))
         except FileNotFoundError:
             print(f"error: no such file: {args.instance}", file=sys.stderr)
             return 2
@@ -306,7 +306,6 @@ def main(argv=None):
         except budget.BudgetExceeded as exc:
             print(f"error: budget: {exc}", file=sys.stderr)
             return 3
-        beta = inst.action
         report = Report(args.command, hashlib.sha256(data).hexdigest(), args.seed)
     handler = {"validate": cmd_validate, "analyze": cmd_analyze, "galois": cmd_galois,
                "correspond": cmd_correspond, "zero": cmd_zero,

@@ -132,8 +132,6 @@ def random_structured_iso(rng: random.Random, ring):
     used = set()
     for i in dom:
         pool = [j for j in by_type[atoms[i]] if j not in used]
-        if not pool:
-            continue
         j = rng.choice(pool)
         matching[i] = j
         used.add(j)

@@ -21,11 +21,6 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-class InstanceFile:
-    def __init__(self, semigroup, ring, action):
-        self.semigroup, self.ring, self.action = semigroup, ring, action
-
-
 _SECTIONS = ("semigroup", "ring", "action")
 
 
@@ -68,12 +63,15 @@ def _parse_word(token_list, gen_index, line_no):
 
 
 def _check_generator_names(generators, line_no):
-    """Each name once, and none a word cannot spell: `1` is the empty word
-    and a trailing `'` marks an inverse."""
+    """Each name once, none a word cannot spell (`1` is the empty word and a
+    trailing `'` marks an inverse), and none with a `*`, which joins the
+    letters of an element's name."""
     seen = set()
     for name in generators:
         if name == "1" or name.endswith("'"):
             raise ParseError(line_no, f"generator name {name!r} cannot be written in a word")
+        if "*" in name:
+            raise ParseError(line_no, f"generator name {name!r} cannot be written in an element name")
         if name in seen:
             raise ParseError(line_no, f"generator {name!r} given twice")
         seen.add(name)
@@ -260,7 +258,7 @@ def _atom_set(text, no):
 
 
 def parse_instance_text(text):
-    """The `InstanceFile` an instance text describes, validated.
+    """The `Action` (S, A, beta) an instance text describes, validated.
 
     A presentation is saturated into a table here, and the saturation is
     bounded only by the work budget: call this inside `budget.limit(n)`, as
@@ -274,7 +272,7 @@ def parse_instance_text(text):
     S = _parse_semigroup(sections["semigroup"])
     A = _parse_ring(sections["ring"])
     isos = _parse_action(sections["action"], S, A)
-    return InstanceFile(S, A, validate_action(S, A, isos))
+    return validate_action(S, A, isos)
 
 
 def instance_text(data):

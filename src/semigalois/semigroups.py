@@ -412,8 +412,12 @@ def saturate_presentation(generators, relations):
     the result is exactly the presented inverse monoid (a regular monoid
     with commuting idempotents is inverse, and conversely every inverse
     quotient satisfies everything imposed here).  Each scan charges the work
-    budget for the row it defines and the relation letters it traces, so a
-    budget limit stops an infinite quotient.
+    budget for the row it defines and the relation letters it traces, and
+    each pass of the dynamic laws for the elements and idempotent pairs it
+    reads, so a budget limit stops an infinite quotient.  Each element is
+    named by its representative word: generator names joined by `*`, `'`
+    marking an inverse and `1` the empty word, so names containing `*` may
+    clash, and `validate_table` refuses clashing names.
     """
     g = len(generators)
     nsyms = 2 * g
@@ -511,18 +515,20 @@ def saturate_presentation(generators, relations):
                 settle()
 
     while True:
-        while True:
-            before = next_id
-            merged_before = len(cosets)
-            for x in live():
-                if x in cosets and find(x) == x:
-                    scan(x)
-            settle()
-            if next_id == before and len(cosets) == merged_before:
-                break
-        # dynamic layer: Wagner law per element, then commuting idempotents
+        before = next_id
+        merged_before = len(cosets)
+        for x in live():
+            if x in cosets and find(x) == x:
+                scan(x)
+        settle()
+        # dynamic layer after every pass, as a generator inverse bound by no
+        # relation settles only through it: Wagner law per element, then
+        # commuting idempotents.  The charge comes before the relations are
+        # built, so a limit trips before the pairs, quadratic in the number
+        # of idempotents, are held.
         grew = False
         current = live()
+        spend("coset_steps", len(current))
         reps = {x: cosets[x].rep for x in current}
         for x in current:
             rep = reps[x]
@@ -534,9 +540,10 @@ def saturate_presentation(generators, relations):
             sq = trace(x, reps[x], defining=False)
             if sq is not None and find(sq) == find(x):
                 idems.append(x)
+        spend("coset_steps", len(idems) * (len(idems) - 1) // 2)
         for e, f in itertools.combinations(idems, 2):
             grew |= add_dynamic(reps[e] + reps[f], reps[f] + reps[e])
-        if not grew:
+        if not grew and next_id == before and len(cosets) == merged_before:
             complete = all(cosets[x].row[s] is not None
                            for x in live() for s in range(nsyms))
             if complete and not pending:
@@ -554,12 +561,4 @@ def saturate_presentation(generators, relations):
             parts.append(generators[s] if s < g else generators[s - g] + "'")
         return "*".join(parts)
 
-    names = []
-    used = set()
-    for x in order:
-        nm = word_name(cosets[x].rep)
-        while nm in used:
-            nm += "_"
-        used.add(nm)
-        names.append(nm)
-    return validate_table(table, names=names)
+    return validate_table(table, names=[word_name(cosets[x].rep) for x in order])

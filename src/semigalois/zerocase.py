@@ -4,19 +4,20 @@ The zero-aware layer mirrors the sigma machinery: strong compatibility
 replaces compatibility, tau replaces the minimum group congruence (S/tau
 comes from the same `semigroups.quotient` as S/sigma, and is P'), and
 primitive inverse semigroups trade places with groupoids (strip or adjoin
-the zero); a `Groupoid` holds its own d, r and inverse maps.  A partial
-action of S (PIS) or of a groupoid (PGr) is an `actions.Action`, built by
-its validator here.  Unital actions with zero convert to orthogonal
-partial groupoid actions and back in one round trip (`round_trips`),
-which gives the table verdict and the action verdict, each up to the
-canonical relabeling.  The Galois correspondence runs on the engine of
-`correspondence` over the beta-maximal subsemigroups.
+the zero); a `Groupoid` is read through an `InverseSemigroup`'s fields
+and keeps its own d and r maps.  A partial action of S (PIS) or of a
+groupoid (PGr) is an `actions.Action`, built by its validator here.
+Unital actions with zero convert to orthogonal partial groupoid actions
+and back in one round trip (`round_trips`), which gives the table verdict
+and the action verdict, each up to the canonical relabeling.  The Galois
+correspondence runs on the engine of `correspondence` over the
+beta-maximal subsemigroups.
 """
 
 from __future__ import annotations
 
 from . import isopu
-from .actions import (ACTION_ROWS, Action, ActionShape, check_action_axioms,
+from .actions import (ACTION_ROWS, Action, check_action_axioms,
                       AxiomFail)  # noqa: F401 (AxiomFail is re-exported)
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
@@ -124,34 +125,20 @@ def is_primitive(S):
 
 
 class Groupoid:
-    """A finite groupoid with its structure maps: d[g] = g^{-1}g, r[g] = gg^{-1}
-    and inv[g] = g^{-1}.  A value, equal and hashed by (n, product, names)."""
+    """A finite groupoid, read through `InverseSemigroup`'s fields: `table`
+    (entries an element index, or None where the product is undefined),
+    `inv`, `names` and its identities as `idempotents`, in ascending order;
+    it has no zero.  It keeps its structure maps d[g] = g^{-1}g and
+    r[g] = gg^{-1}."""
 
-    def __init__(self, n, product, names, d, r, inv):
+    zero = None
+
+    def __init__(self, n, table, names, d, r, inv):
         self.n = n
-        self.product = product  # n x n tuple with entries element-index or None
+        self.table = table
         self.names = names
         self.d, self.r, self.inv = d, r, inv
-
-    def __eq__(self, other):
-        if other.__class__ is not Groupoid:
-            return NotImplemented
-        return (self.n, self.product, self.names) == (other.n, other.product, other.names)
-
-    def __hash__(self):
-        return hash((self.n, self.product, self.names))
-
-    def defined(self, g, h):
-        return self.product[g][h] is not None
-
-    def mul(self, g, h):
-        p = self.product[g][h]
-        if p is None:
-            raise GroupoidError("undefined product")
-        return p
-
-    def identities(self):
-        return sorted(set(self.d))
+        self.idempotents = tuple(sorted(set(d)))
 
 
 def validate_groupoid(n, product, names=None):
@@ -218,8 +205,8 @@ def groupoid_to_primitive(G: Groupoid):
     table = [[z] * (n + 1) for _ in range(n + 1)]
     for g in range(n):
         for h in range(n):
-            if G.defined(g, h):
-                table[g][h] = G.mul(g, h)
+            if G.table[g][h] is not None:
+                table[g][h] = G.table[g][h]
     S = validate_table(table, zero=z, names=list(G.names) + ["0"])
     if not is_primitive(S):
         raise NotPrimitive("groupoid with zero adjoined failed primitivity")
@@ -233,15 +220,14 @@ def validate_partial_semigroup_action(S, A, isos):
     """A partial action of an inverse semigroup with zero (PIS): A_0 = 0 and
     A_s an ideal of A_{ss^-1}; the Action of S."""
     isos = tuple(isos)
-    check_action_axioms(ACTION_ROWS["PIS"], ActionShape.of_semigroup(S), A, isos)
+    check_action_axioms(ACTION_ROWS["PIS"], S, A, isos)
     return Action(S, A, isos)
 
 
 def validate_partial_groupoid_action(G, A, isos):
     """An orthogonal partial action of the groupoid G (PGr); the Action of G."""
     isos = tuple(isos)
-    shape = ActionShape(G.product, G.inv, G.identities(), G.r, G.names)
-    check_action_axioms(ACTION_ROWS["PGr"], shape, A, isos)
+    check_action_axioms(ACTION_ROWS["PGr"], G, A, isos)
     return Action(G, A, isos)
 
 

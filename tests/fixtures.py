@@ -161,8 +161,8 @@ def disjoint_union(comps, prefix):
     for g in comps:
         for a in range(g.n):
             for b in range(g.n):
-                if g.defined(a, b):
-                    product[offset + a][offset + b] = offset + g.mul(a, b)
+                if g.table[a][b] is not None:
+                    product[offset + a][offset + b] = offset + g.table[a][b]
         offset += g.n
     return validate_groupoid(n, product, [f"{prefix}{i}" for i in range(n)])
 

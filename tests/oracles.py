@@ -958,7 +958,7 @@ def validate_partial_groupoid_action_by_own_loops(G, A, isos):
     if len(isos) != G.n:
         raise AxiomFail("PGr", "one iso per element")
     covered = set()
-    for e in G.identities():
+    for e in G.idempotents:
         if not isos[e].is_identity_map():
             raise AxiomFail("PGr1", f"identity {G.names[e]} must act as an identity map")
         if covered & isos[e].im_support:
@@ -973,9 +973,9 @@ def validate_partial_groupoid_action_by_own_loops(G, A, isos):
             raise AxiomFail("PGr", f"A_{G.names[g]} must sit inside A_{G.names[G.r[g]]}")
     for g in range(G.n):
         for h in range(G.n):
-            comp = isopu.compose(isos[g], isos[h])
-            if G.defined(g, h):
-                target = isos[G.mul(g, h)]
+            comp, gh = isopu.compose(isos[g], isos[h]), G.table[g][h]
+            if gh is not None:
+                target = isos[gh]
                 if not comp.dom_support <= target.dom_support:
                     raise AxiomFail("PGr2", f"({G.names[g]},{G.names[h]})")
                 if not isopu.natural_leq_iso(comp, target):

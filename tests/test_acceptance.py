@@ -300,7 +300,7 @@ def test_criterion_6_zero_case():
     for gamma in groupoid_action_corpus(606, 20):
         alpha = zc.groupoid_action_to_semigroup(gamma)
         gamma2, _ = zc.semigroup_action_to_groupoid(alpha)
-        if gamma2.S.product != gamma.S.product or list(gamma2.isos) != list(gamma.isos):
+        if gamma2.S.table != gamma.S.table or list(gamma2.isos) != list(gamma.isos):
             ok = False
             detail.append("gamma round trip")
         if not zc.convert_round_trip_ok(alpha):

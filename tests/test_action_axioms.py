@@ -97,7 +97,8 @@ def _hand_built():
     axioms are reached through a semigroup record with a mislabelled
     idempotent or inverse.  Likewise orthogonal identity ideals leave every
     undefined groupoid product with an empty composite, so that axiom is
-    reached through a groupoid record that leaves g*g undefined in C2.
+    reached through a groupoid record that leaves e*g undefined in C2 (g*g
+    stays defined, as the checker reads the range of g from the table).
     C3 = {e, a, a2} on one object, with a acting as the partial shift
     0->1, 1->2 of (Z/3)^3, has beta_a beta_a on {0}, outside the domain
     {1, 2} of beta_a2.
@@ -111,10 +112,10 @@ def _hand_built():
     shift = StructuredIso(F27, {0: 1, 1: 2}, {})
     c3 = ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["e", "a", "a2"])
     c3_isos = (StructuredIso.identity_on(F27, {0, 1, 2}), shift, shift.inverse())
-    undefined_square = zc.Groupoid(2, ((0, 1), (1, None)), ("e", "g"), (0, 0), (0, 0), (0, 1))
+    undefined_left = zc.Groupoid(2, ((0, None), (1, 0)), ("e", "g"), (0, 0), (0, 0), (0, 1))
     return [
         ("PGr", _groupoid_args(3, *c3, F27), c3_isos),
-        ("PGr", lambda isos: (undefined_square, F3, isos),
+        ("PGr", lambda isos: (undefined_left, F3, isos),
          (StructuredIso.identity_on(F3, {0}),) * 2),
         ("unital", lambda isos: (S, A, isos), beta.isos[:1]),
         ("unital", lambda isos: (S, A, isos),

@@ -213,7 +213,7 @@ def test_iso_action_passes_the_unital_axioms_on_the_corpus(count, with_zero):
 
 
 def test_image_actions_pass_the_unital_axioms():
-    betas = [parse_instance(p).action for p in sorted(INSTANCES.glob("*.sgi"))]
+    betas = [parse_instance(p) for p in sorted(INSTANCES.glob("*.sgi"))]
     for beta in [*betas, collapsing_semilattice_fixture()]:
         _passes_the_unital_axioms(ac.image_action(beta)[0])
 

@@ -87,7 +87,7 @@ def test_rule_and_count_agree_on_the_corpus_fixtures(fixture):
 
 @pytest.mark.parametrize("path", sorted(INSTANCES.glob("*.sgi")), ids=lambda p: p.stem)
 def test_rule_and_count_agree_on_the_shipped_instances(path):
-    assert_model_agrees(parse_instance(path).action)
+    assert_model_agrees(parse_instance(path))
 
 
 def zmod_fixed_by_a_non_idempotent():

@@ -93,8 +93,8 @@ def test_huge_atom_is_refused_before_any_arithmetic(tmp_path, atom):
 
 def test_shipped_fixture_parses():
     parsed = inst.parse_instance(INSTANCES / "s7_f9cubed.sgi")
-    assert parsed.semigroup.n == 7
-    assert parsed.ring.size == 729
+    assert parsed.S.n == 7
+    assert parsed.A.size == 729
 
 
 def test_empty_file_positioned_error(tmp_path):
@@ -153,6 +153,23 @@ def test_cli_import_loads_no_dataclasses():
         "semigalois.correspondence", "semigalois.galois", "semigalois.instance",
         "semigalois.isopu", "semigalois.linalg", "semigalois.rings", "semigalois.semigroups",
         "semigalois.zerocase"]
+
+
+# Modules a command never needs; each costs import time in every process.
+_HEAVY_IMPORTS = ("typing", "dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "random")
+
+
+def test_cli_import_in_a_bare_interpreter_loads_no_heavy_module():
+    """The command line starts one process per decision, so `import
+    semigalois.cli` stays lean.  `python -S` skips site-packages and the
+    `.pth` files that may preload some of these modules."""
+    from test_golden_reports import _src_env
+    probe = "import sys, semigalois.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, cwd=REPO,
+                          env=_src_env(), check=True)
+    loaded = set(proc.stdout.decode().split())
+    assert "semigalois.cli" in loaded
+    assert sorted(loaded & set(_HEAVY_IMPORTS)) == []
 
 
 def _readers(name):
@@ -410,9 +427,9 @@ def test_instance_serialization_round_trip():
     beta = f9_cubed_fixture()
     text = inst.action_to_instance_text(beta, comment="round trip")
     parsed = inst.parse_instance_text(text)
-    assert parsed.semigroup.table == beta.S.table
-    assert parsed.ring == beta.A
-    assert list(parsed.action.isos) == list(beta.isos)
+    assert parsed.S.table == beta.S.table
+    assert parsed.A == beta.A
+    assert list(parsed.isos) == list(beta.isos)
 
 
 def test_selftest_runs_clean():
@@ -454,16 +471,20 @@ _ONE_ATOM = "[semigroup]\nelements = 1\nrow = 1\n\n[ring]\natom = {}\n\n[action]
     (_GENERATED.format("a a"), 2, "generator 'a' given twice"),
     (_GENERATED.format("a' b"), 2, "generator name \"a'\" cannot be written in a word"),
     (_GENERATED.format("1 a"), 2, "generator name '1' cannot be written in a word"),
+    (_GENERATED.format("a b a*b"), 2,
+     "generator name 'a*b' cannot be written in an element name"),
     (_ONE_ATOM.format("gf 2"), 6, "bad atom spec: gf atom needs k"),
     (_ONE_ATOM.format("gf"), 6, "bad atom spec: gf atom needs p"),
     (_ONE_ATOM.format("zmod"), 6, "bad atom spec: zmod atom needs p"),
-], ids=["repeated-generator", "primed-generator", "generator-1", "gf-no-k", "gf-no-p", "zmod-no-p"])
+], ids=["repeated-generator", "primed-generator", "generator-1", "starred-generator", "gf-no-k",
+        "gf-no-p", "zmod-no-p"])
 def test_a_generator_or_atom_line_that_cannot_be_read_is_a_positioned_error(
         tmp_path, capsysbinary, text, line_no, message):
     """`generators = a a` parsed to a two-element monoid, `a'` inverting the
     first `a` while `a` read the second; `a' b` ran the saturation out of
-    budget; an atom line without p, or a gf line without k, printed an
-    IndexError's text."""
+    budget; `a b a*b` named the element a times the generator `a*b` as
+    `a*a*b`, and two elements `a*b` and `a*b_`; an atom line without p, or
+    a gf line without k, printed an IndexError's text."""
     from semigalois import cli
     p = tmp_path / "bad.sgi"
     p.write_text(text)
@@ -539,7 +560,7 @@ def test_both_correspondence_commands_print_failure_lines(monkeypatch, command, 
         else (zerocase, "enumerate_beta_maximal")
     all_ts = getattr(*route)
     monkeypatch.setattr(*route, lambda beta: all_ts(beta)[1:])
-    beta = inst.parse_instance(INSTANCES / f"{name}.sgi").action
+    beta = inst.parse_instance(INSTANCES / f"{name}.sgi")
     report = cli.Report(command, "-", 0)
     getattr(cli, f"cmd_{command}")(beta, report, brute_force_subalgebras=True)
     lines = cli.emit_report(report).decode().splitlines()

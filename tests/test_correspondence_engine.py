@@ -66,7 +66,7 @@ ZERO_CASES = {
 
 
 def _shipped(name):
-    return parse_instance(str(INSTANCES / f"{name}.sgi")).action
+    return parse_instance(str(INSTANCES / f"{name}.sgi"))
 
 
 def _decide(verify, beta, brute):

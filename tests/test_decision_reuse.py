@@ -196,7 +196,7 @@ def test_correspond_takes_no_restriction_for_all_of_s(monkeypatch, capsys, brute
     sizes = []
     _recording(monkeypatch, correspondence, "fixed_ring", lambda A, isos: sizes.append(len(isos)))
     for path in sorted(INSTANCES.glob("*.sgi")):
-        n, start = parse_instance(path).action.S.n, len(sizes)
+        n, start = parse_instance(path).S.n, len(sizes)
         _run(capsys, "correspond", str(path), *(["--brute-force-subalgebras"] if brute else []))
         assert all(k < n for k in sizes[start:])
     assert sizes
@@ -388,7 +388,7 @@ def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instan
     An R that is not a unital subalgebra still raises the constructor's
     error."""
     from semigalois.instance import parse_instance
-    beta = parse_instance(INSTANCES / instance).action
+    beta = parse_instance(INSTANCES / instance)
     pairs, picks = [], []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
     _recording(monkeypatch, rg.TensorPresentation, "algebra_generators", picks.append)
@@ -454,7 +454,7 @@ def test_a_fixed_algebra_outside_the_invariants_raises_as_before(monkeypatch):
     fixed ring of every T other than S) still stops correspond with
     fixed_subalgebra's error."""
     from semigalois.instance import parse_instance
-    beta = parse_instance(INSTANCES / "s7_f9cubed.sgi").action
+    beta = parse_instance(INSTANCES / "s7_f9cubed.sgi")
     monkeypatch.setattr(correspondence, "fixed_ring", lambda A, isos: rg.Subalgebra(A, [A.one_vec]))
     with pytest.raises(AssertionError, match="fixed ring must contain the full invariants"):
         correspondence.verify_e_unitary_correspondence(beta)

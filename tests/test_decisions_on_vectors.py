@@ -26,7 +26,7 @@ SHIPPED = sorted(p.stem for p in INSTANCES.glob("*.sgi"))
 
 
 def _shipped(name):
-    return parse_instance(str(INSTANCES / f"{name}.sgi")).action
+    return parse_instance(str(INSTANCES / f"{name}.sgi"))
 
 
 def cn_rung(atom, n):

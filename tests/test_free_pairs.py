@@ -42,9 +42,9 @@ def test_free_pairs_match_all_pairs_on_seeded_draws(seed):
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(INSTANCES.glob("*.sgi"))
-                                  if admissible(parse_instance(p).action)], ids=lambda p: p.stem)
+                                  if admissible(parse_instance(p))], ids=lambda p: p.stem)
 def test_free_pairs_match_all_pairs_on_the_shipped_instances(path):
-    check_orbit_routes_against_whole(parse_instance(path).action)
+    check_orbit_routes_against_whole(parse_instance(path))
 
 
 FIXTURES = [fixture for fixture in (b2_swap_fixture, c2_fixed_atom_fixture, c2_swap_fixture,

@@ -290,7 +290,7 @@ def test_idempotent_check_rejects_what_the_kron_check_rejects():
 
 @pytest.mark.parametrize("instance", sorted(p.name for p in (REPO / "instances").glob("*.sgi")))
 def test_psi_image_vector_matches_element_route(instance):
-    check_psi_images_on_orbits(parse_instance(REPO / "instances" / instance).action)
+    check_psi_images_on_orbits(parse_instance(REPO / "instances" / instance))
 
 
 def test_cross_check_builds_one_tensor(monkeypatch):

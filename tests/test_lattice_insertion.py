@@ -73,7 +73,7 @@ def _admissible(beta):
 
 
 def _actions():
-    shipped = [parse_instance(p).action for p in sorted(INSTANCES.glob("*.sgi"))]
+    shipped = [parse_instance(p) for p in sorted(INSTANCES.glob("*.sgi"))]
     fixtures = [f9_cubed_fixture(), c2_swap_fixture(), chain_semilattice_fixture(),
                 trace_gap_fixture(), b2_swap_fixture()]
     seeded = corpus(3, 25) + corpus(2408, 15, predicate=_admissible)

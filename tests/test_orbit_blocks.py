@@ -184,7 +184,7 @@ def test_psi_check_takes_no_kernel_on_tied_copies(monkeypatch):
     """PA is free on its classes, so once A^beta and the orbit tensors are
     built, psi_check on s7_f9cubed, whose orbit {0, 2} ties copies, calls no
     `kernel_gens` anywhere."""
-    beta = parse_instance(INSTANCES / "s7_f9cubed.sgi").action
+    beta = parse_instance(INSTANCES / "s7_f9cubed.sgi")
     assert any(len(copies) > 1 for copies in gl.PABetaS(beta).classes)
     gl._full_tensor(beta)
     calls = []

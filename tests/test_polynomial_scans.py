@@ -51,7 +51,7 @@ FIXTURES = {
     "chain": chain_semilattice_fixture,
     "collapsing": collapsing_semilattice_fixture,
     "c2_times_chain_collapsed": c2_times_chain_collapsed,
-    **{p.stem: (lambda p=p: parse_instance(p).action) for p in sorted(INSTANCES.glob("*.sgi"))},
+    **{p.stem: (lambda p=p: parse_instance(p)) for p in sorted(INSTANCES.glob("*.sgi"))},
 }
 
 

@@ -426,4 +426,27 @@ def test_presentation_cap():
     scans are charged stops the saturation."""
     with budget.limit(300), pytest.raises(budget.BudgetExceeded) as exc:
         sg.saturate_presentation(["p", "q"], [((0, 1), ())])
-    assert (exc.value.quantity, exc.value.spent, exc.value.limit) == ("coset_steps", 308, 300)
+    assert (exc.value.quantity, exc.value.spent, exc.value.limit) == ("coset_steps", 309, 300)
+
+
+def _idempotent(*gens):
+    """The relations x x : x for each listed generator index."""
+    return [((x, x), (x,)) for x in gens]
+
+
+@pytest.mark.parametrize("generators,relations,names", [
+    (["a"], _idempotent(0), ("1", "a")),
+    (["a", "b", "c"], _idempotent(0, 1, 2) + [((0, 1), (1, 0))],
+     ("1", "a", "b", "c", "a*b", "a*c", "b*c", "a*b*c")),
+], ids=["a-idempotent", "free-semilattice-3"])
+def test_presentation_finite_by_the_inverse_monoid_laws_closes(generators, relations, names):
+    """a' is bound by no relation, only by the Wagner laws: a a = a makes a
+    idempotent, so a' = a, and {1, a} closes; three idempotent generators
+    give the free semilattice with 1, all 8 elements idempotent and commuting.
+    Both ran out of the default budget while the dynamic laws waited for the
+    static relations to settle."""
+    with budget.limit(2_000_000):
+        S = sg.saturate_presentation(generators, relations)
+    assert S.names == names
+    assert S.idempotents == frozenset(range(S.n))
+    assert all(S.table[s][t] == S.table[t][s] for s in range(S.n) for t in range(S.n))

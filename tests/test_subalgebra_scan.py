@@ -34,7 +34,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def _shipped(name):
-    return lambda: parse_instance(INSTANCES / f"{name}.sgi").action
+    return lambda: parse_instance(INSTANCES / f"{name}.sgi")
 
 
 def _two_orbits(b):

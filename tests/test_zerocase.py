@@ -154,7 +154,7 @@ def test_groupoid_round_trips_on_corpus():
         assert relabel[back.zero] == S.zero
         # groupoid -> primitive -> groupoid is also the identity
         G2, _ = zc.primitive_to_groupoid(back)
-        assert G2.product == G.product
+        assert G2.table == G.table
         assert (G2.d, G2.r, G2.inv) == (G.d, G.r, G.inv)
         count += 1
         if S.table == b2_table().table:
@@ -168,13 +168,13 @@ def test_groupoid_round_trips_on_corpus():
 def test_b2_is_the_matrix_unit_groupoid():
     G, order = zc.primitive_to_groupoid(b2_table())
     assert G.n == 4
-    assert sorted(G.identities()) == sorted([order.index(0), order.index(3)])
+    assert sorted(G.idempotents) == sorted([order.index(0), order.index(3)])
 
 
 def test_group_with_zero_is_one_object_groupoid():
     S = group_with_zero_fixture().S
     G, order = zc.primitive_to_groupoid(S)
-    assert len(G.identities()) == 1
+    assert len(G.idempotents) == 1
     assert G.n == 2
 
 
@@ -195,7 +195,7 @@ def test_action_conversion_round_trips_on_corpus():
     for gamma in gammas:
         alpha = zc.groupoid_action_to_semigroup(gamma)
         gamma2, order = zc.semigroup_action_to_groupoid(alpha)
-        assert gamma2.S.product == gamma.S.product
+        assert gamma2.S.table == gamma.S.table
         assert list(gamma2.isos) == list(gamma.isos)
         assert zc.convert_round_trip_ok(alpha)
 
@@ -205,7 +205,7 @@ def test_action_conversion_on_b2_fixture():
     alpha = zc.validate_partial_semigroup_action(beta.S, beta.A, beta.isos)
     (gamma, order) = zc.semigroup_action_to_groupoid(alpha)
     # A = A_{e11} + A_{e22} as a direct sum
-    ids = gamma.S.identities()
+    ids = gamma.S.idempotents
     supports = [gamma.isos[e].im_support for e in ids]
     assert frozenset().union(*supports) == frozenset({0, 1})
     assert not (supports[0] & supports[1])
@@ -238,7 +238,7 @@ def test_pgr_orthogonality_is_checked():
     gamma = gammas[0]
     with_overlap = list(gamma.isos)
     from semigalois.rings import StructuredIso
-    ids = gamma.S.identities()
+    ids = gamma.S.idempotents
     if len(ids) >= 2:
         # force the second identity ideal onto the first: overlap
         first = with_overlap[ids[0]]
