@@ -393,14 +393,6 @@ def restrict_table(S, members):
 # -- generators and relations ------------------------------------------------
 
 
-class _Coset:
-    __slots__ = ("row", "rep")
-
-    def __init__(self, nsyms, rep):
-        self.row = [None] * nsyms
-        self.rep = rep
-
-
 def saturate_presentation(generators, relations):
     """Close an inverse monoid presentation into a multiplication table.
 
@@ -418,15 +410,23 @@ def saturate_presentation(generators, relations):
     named by its representative word: generator names joined by `*`, `'`
     marking an inverse and `1` the empty word, so names containing `*` may
     clash, and `validate_table` refuses clashing names.
+
+    The table holds live cosets only: `rows[x]` is the row of coset x and
+    `reps[x]` its representative word, and `merge` drops the coset it merges
+    away from both, so every key is its own root under `find`.  `rels` is
+    the given relations and generator inverse laws, then the dynamic laws
+    in the order they were found.
     """
     g = len(generators)
     nsyms = 2 * g
-    static_rels = [(tuple(u), tuple(v)) for u, v in relations]
+    rels = [(tuple(u), tuple(v)) for u, v in relations]
     for i in range(g):
-        static_rels.append(((i, i + g, i), (i,)))
-        static_rels.append(((i + g, i, i + g), (i + g,)))
+        rels.append(((i, i + g, i), (i,)))
+        rels.append(((i + g, i, i + g), (i + g,)))
+    letters = sum(len(u) + len(v) for u, v in rels)
 
-    cosets = {0: _Coset(nsyms, ())}
+    rows = {0: [None] * nsyms}
+    reps = {0: ()}
     uf = {0: 0}
     next_id = 1
 
@@ -441,20 +441,21 @@ def saturate_presentation(generators, relations):
     def define(x, s):
         nonlocal next_id
         x = find(x)
-        cur = cosets[x].row[s]
+        cur = rows[x][s]
         if cur is not None:
             return find(cur)
         new = next_id
         next_id += 1
         uf[new] = new
-        cosets[new] = _Coset(nsyms, cosets[x].rep + (s,))
-        cosets[x].row[s] = new
+        rows[new] = [None] * nsyms
+        reps[new] = reps[x] + (s,)
+        rows[x][s] = new
         return new
 
     def trace(x, word, defining=True):
         for s in word:
             x = find(x)
-            cur = cosets[x].row[s]
+            cur = rows[x][s]
             if cur is None:
                 if not defining:
                     return None
@@ -468,47 +469,38 @@ def saturate_presentation(generators, relations):
             return
         a, b = min(a, b), max(a, b)
         uf[b] = a
-        row_a, row_b = cosets[a].row, cosets[b].row
+        row_a, row_b = rows[a], rows.pop(b)
+        del reps[b]
         for s in range(nsyms):
             if row_b[s] is not None:
                 if row_a[s] is None:
                     row_a[s] = row_b[s]
                 else:
                     pending.append((row_a[s], row_b[s]))
-        del cosets[b]
 
     def settle():
         while pending:
             merge(*pending.pop())
 
-    def live():
-        return sorted(x for x in cosets if find(x) == x)
-
-    dynamic_rels = []
     dynamic_seen = set()
 
     def add_dynamic(u, v):
+        nonlocal letters
         key = (u, v) if u <= v else (v, u)
         if key in dynamic_seen:
             return False
         dynamic_seen.add(key)
-        dynamic_rels.append((u, v))
+        rels.append((u, v))
+        letters += len(u) + len(v)
         return True
 
     def scan(x):
         """Define the full row of x, then trace every relation from x."""
-        rels = static_rels + dynamic_rels
-        spend("coset_steps", nsyms + sum(len(u) + len(v) for u, v in rels))
+        spend("coset_steps", nsyms + letters)
         for s in range(nsyms):
-            x = find(x)
-            if x not in cosets:
-                return
             define(x, s)
             settle()
         for u, v in rels:
-            x = find(x)
-            if x not in cosets:
-                return
             a, b = trace(x, u), trace(x, v)
             if find(a) != find(b):
                 pending.append((a, b))
@@ -516,9 +508,9 @@ def saturate_presentation(generators, relations):
 
     while True:
         before = next_id
-        merged_before = len(cosets)
-        for x in live():
-            if x in cosets and find(x) == x:
+        merged_before = len(rows)
+        for x in sorted(rows):
+            if x in rows:
                 scan(x)
         settle()
         # dynamic layer after every pass, as a generator inverse bound by no
@@ -527,31 +519,26 @@ def saturate_presentation(generators, relations):
         # built, so a limit trips before the pairs, quadratic in the number
         # of idempotents, are held.
         grew = False
-        current = live()
+        current = sorted(rows)
         spend("coset_steps", len(current))
-        reps = {x: cosets[x].rep for x in current}
         for x in current:
             rep = reps[x]
             if rep:
                 winv = tuple((s + g) % nsyms for s in reversed(rep))
                 grew |= add_dynamic(rep + winv + rep, rep)
-        idems = []
-        for x in current:
-            sq = trace(x, reps[x], defining=False)
-            if sq is not None and find(sq) == find(x):
-                idems.append(x)
+        idems = [x for x in current if trace(x, reps[x], defining=False) == x]
         spend("coset_steps", len(idems) * (len(idems) - 1) // 2)
         for e, f in itertools.combinations(idems, 2):
             grew |= add_dynamic(reps[e] + reps[f], reps[f] + reps[e])
-        if not grew and next_id == before and len(cosets) == merged_before:
-            complete = all(cosets[x].row[s] is not None
-                           for x in live() for s in range(nsyms))
-            if complete and not pending:
-                break
+        # a pass that defines no coset leaves every row full, as each scan
+        # defines its whole row and a row never loses an entry; settle()
+        # leaves nothing pending, and the dynamic layer merges nothing
+        if not grew and next_id == before and len(rows) == merged_before:
+            break
 
-    order = sorted(live())
+    order = sorted(rows)
     index = {x: i for i, x in enumerate(order)}
-    table = [[index[trace(a, cosets[b].rep)] for b in order] for a in order]
+    table = [[index[trace(a, reps[b])] for b in order] for a in order]
 
     def word_name(rep):
         if not rep:
@@ -561,4 +548,4 @@ def saturate_presentation(generators, relations):
             parts.append(generators[s] if s < g else generators[s - g] + "'")
         return "*".join(parts)
 
-    return validate_table(table, names=[word_name(cosets[x].rep) for x in order])
+    return validate_table(table, names=[word_name(reps[x]) for x in order])
