@@ -403,10 +403,12 @@ def saturate_presentation(generators, relations):
     dynamically discovered idempotent-commutation relations; if it closes,
     the result is exactly the presented inverse monoid (a regular monoid
     with commuting idempotents is inverse, and conversely every inverse
-    quotient satisfies everything imposed here).  Each scan charges the work
-    budget for the row it defines and the relation letters it traces, and
-    each pass of the dynamic laws for the elements and idempotent pairs it
-    reads, so a budget limit stops an infinite quotient.  Each element is
+    quotient satisfies everything imposed here).  A scan charges the work
+    budget for the row it defines, then each relation's letters just before
+    tracing it; the dynamic laws charge each element and idempotent pair,
+    with the letters of the relation it adds, before building it.  So a
+    budget limit stops an infinite quotient within about one relation of
+    the limit.  Each element is
     named by its representative word: generator names joined by `*`, `'`
     marking an inverse and `1` the empty word, so names containing `*` may
     clash, and `validate_table` refuses clashing names.
@@ -423,7 +425,6 @@ def saturate_presentation(generators, relations):
     for i in range(g):
         rels.append(((i, i + g, i), (i,)))
         rels.append(((i + g, i, i + g), (i + g,)))
-    letters = sum(len(u) + len(v) for u, v in rels)
 
     rows = {0: [None] * nsyms}
     reps = {0: ()}
@@ -485,22 +486,21 @@ def saturate_presentation(generators, relations):
     dynamic_seen = set()
 
     def add_dynamic(u, v):
-        nonlocal letters
         key = (u, v) if u <= v else (v, u)
         if key in dynamic_seen:
             return False
         dynamic_seen.add(key)
         rels.append((u, v))
-        letters += len(u) + len(v)
         return True
 
     def scan(x):
         """Define the full row of x, then trace every relation from x."""
-        spend("coset_steps", nsyms + letters)
+        spend("coset_steps", nsyms)
         for s in range(nsyms):
             define(x, s)
             settle()
         for u, v in rels:
+            spend("coset_steps", len(u) + len(v))
             a, b = trace(x, u), trace(x, v)
             if find(a) != find(b):
                 pending.append((a, b))
@@ -515,20 +515,20 @@ def saturate_presentation(generators, relations):
         settle()
         # dynamic layer after every pass, as a generator inverse bound by no
         # relation settles only through it: Wagner law per element, then
-        # commuting idempotents.  The charge comes before the relations are
+        # commuting idempotents.  Each relation is charged before it is
         # built, so a limit trips before the pairs, quadratic in the number
         # of idempotents, are held.
         grew = False
         current = sorted(rows)
-        spend("coset_steps", len(current))
         for x in current:
             rep = reps[x]
+            spend("coset_steps", 1 + 4 * len(rep))
             if rep:
                 winv = tuple((s + g) % nsyms for s in reversed(rep))
                 grew |= add_dynamic(rep + winv + rep, rep)
         idems = [x for x in current if trace(x, reps[x], defining=False) == x]
-        spend("coset_steps", len(idems) * (len(idems) - 1) // 2)
         for e, f in itertools.combinations(idems, 2):
+            spend("coset_steps", 1 + 2 * (len(reps[e]) + len(reps[f])))
             grew |= add_dynamic(reps[e] + reps[f], reps[f] + reps[e])
         # a pass that defines no coset leaves every row full, as each scan
         # defines its whole row and a row never loses an entry; settle()

@@ -72,10 +72,11 @@ def test_small_budget_is_a_reported_verdict():
 
 
 def test_budget_trip_while_loading_is_an_error_line():
-    """S7 is given by a presentation, and its first scan already costs more than 1."""
+    """S7 is given by a presentation, and its first charge, the 4-symbol row
+    of the first scan, already costs more than 1."""
     code, out, err = run_cli(["validate", "instances/s7_f9cubed.sgi", "--budget", "1"])
     assert code == 3 and out == b""
-    assert err == b"error: budget: quantity=coset_steps  spent=38  limit=1\n"
+    assert err == b"error: budget: quantity=coset_steps  spent=4  limit=1\n"
 
 
 @pytest.mark.parametrize("atom", ["zmod 2305843009213693951 1", "zmod 2 2000000000"])

@@ -426,7 +426,22 @@ def test_presentation_cap():
     scans are charged stops the saturation."""
     with budget.limit(300), pytest.raises(budget.BudgetExceeded) as exc:
         sg.saturate_presentation(["p", "q"], [((0, 1), ())])
-    assert (exc.value.quantity, exc.value.spent, exc.value.limit) == ("coset_steps", 309, 300)
+    assert (exc.value.quantity, exc.value.spent, exc.value.limit) == ("coset_steps", 301, 300)
+
+
+@pytest.mark.parametrize("generators,relations", [
+    (["a", "b"], []),
+    (["p", "q"], [((0, 1), ())]),
+], ids=["free-inverse-monoid", "bicyclic"])
+def test_presentation_trip_overshoots_by_less_than_one_relation_pass(generators, relations):
+    """Each relation is charged just before it is traced or built, so an
+    infinite quotient trips its limit within a few relations' letters.  A
+    charge for a whole relation list at once once overshot 2 000 000 by up
+    to 25 M units, and held the memory that work built."""
+    with budget.limit(2_000_000), pytest.raises(budget.BudgetExceeded) as exc:
+        sg.saturate_presentation(generators, relations)
+    assert exc.value.quantity == "coset_steps"
+    assert 0 < exc.value.spent - exc.value.limit < 1_000
 
 
 def _idempotent(*gens):
