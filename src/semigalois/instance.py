@@ -25,8 +25,8 @@ _SECTIONS = ("semigroup", "ring", "action")
 
 
 def _split_sections(text):
-    """Each section's (line number, line) pairs; unknown sections are
-    reported on the line of the first unknown header."""
+    """Each section's header line and (line number, line) pairs; unknown
+    sections are reported on the line of the first unknown header."""
     sections = {}
     unknown = {}  # unknown section -> line of its first header
     current = None
@@ -36,13 +36,13 @@ def _split_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            sections.setdefault(current, (no, []))
             if current not in _SECTIONS:
                 unknown.setdefault(current, no)
             continue
         if current is None:
             raise ParseError(no, f"content before any section header: {line!r}")
-        sections[current].append((no, line))
+        sections[current][1].append((no, line))
     if unknown:
         raise ParseError(min(unknown.values()), f"unknown sections: {sorted(unknown)}")
     return sections
@@ -77,7 +77,7 @@ def _check_generator_names(generators, line_no):
         seen.add(name)
 
 
-def _parse_semigroup(lines):
+def _parse_semigroup(header, lines):
     generators = None
     relations = []
     elements = None
@@ -123,7 +123,7 @@ def _parse_semigroup(lines):
             raise ParseError(zero[0], "zero is only available with explicit tables")
         return saturate_presentation(generators, rels)
     if elements is None:
-        raise ParseError(lines[0][0] if lines else 1, "semigroup needs elements or generators")
+        raise ParseError(lines[0][0] if lines else header, "semigroup needs elements or generators")
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != len(elements):
         raise ParseError(lines[0][0], "duplicate element names")
@@ -147,7 +147,7 @@ def _parse_semigroup(lines):
     return validate_table(table, zero=zidx, names=elements)
 
 
-def _parse_ring(lines):
+def _parse_ring(header, lines):
     atoms = []
     for no, line in lines:
         key, _, val = line.partition("=")
@@ -178,12 +178,12 @@ def _parse_ring(lines):
                 atoms.append(Atom.gf(p, k, None if poly is None else tuple(int(c) for c in poly.split(","))))
         except Exception as exc:
             raise ParseError(no, f"bad atom spec: {exc}") from None
-    if not atoms:
-        raise ParseError(lines[0][0] if lines else 1, "ring needs at least one atom")
+    if not atoms:  # each line adds an atom or raises, so the section is empty
+        raise ParseError(header, "ring needs at least one atom")
     return FiniteRing(atoms)
 
 
-def _parse_action(lines, S, A):
+def _parse_action(header, lines, S, A):
     isos = {}
     name_index = {S.names[i]: i for i in range(S.n)}
     for no, line in lines:
@@ -243,7 +243,7 @@ def _parse_action(lines, S, A):
         isos[name] = iso
     missing = [S.names[i] for i in range(S.n) if S.names[i] not in isos]
     if missing:
-        raise ParseError(lines[-1][0] if lines else 1,
+        raise ParseError(lines[-1][0] if lines else header,
                          f"missing maps for elements: {', '.join(missing)}")
     return [isos[S.names[i]] for i in range(S.n)]
 
@@ -269,9 +269,9 @@ def parse_instance_text(text):
     for name in _SECTIONS:
         if name not in sections:
             raise ParseError(1, f"missing [{name}] section")
-    S = _parse_semigroup(sections["semigroup"])
-    A = _parse_ring(sections["ring"])
-    isos = _parse_action(sections["action"], S, A)
+    S = _parse_semigroup(*sections["semigroup"])
+    A = _parse_ring(*sections["ring"])
+    isos = _parse_action(*sections["action"], S, A)
     return validate_action(S, A, isos)
 
 

@@ -539,6 +539,52 @@ def test_repeated_map_token_is_a_positioned_error(tmp_path, line, message):
     _assert_input_error(*run_cli(["galois", str(p)]), f"line {line_no}: {message}".encode())
 
 
+_C2_SWAP = (INSTANCES / "c2_swap.sgi").read_text()  # line 1 a comment, headers on 3, 8 and 12
+_MAP_G = "map = g : 0->1:0 1->0:0"
+
+
+def _c2(old, new):
+    """c2_swap.sgi with its first `old` replaced by `new`."""
+    assert old in _C2_SWAP
+    return _C2_SWAP.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("[semigroup]\ngenerators = a\nrelation = a a\n\n[ring]\natom = zmod 2\n\n"
+     "[action]\nmap = 1 : 0->0:0\n", 3, "relation needs the form  word : word"),
+    (_c2("elements = 1 g", "elements = 1 1"), 4, "duplicate element names"),
+    (_c2("row = g 1", "row = g h"), 6, "unknown element 'h' in row"),
+    (_c2("atom = zmod 3", "atom ="), 9, "empty atom spec"),
+    (_c2("atom = zmod 3", "atom = zz 3"), 9, "unknown atom kind 'zz'"),
+    (_c2(_MAP_G, "map = g 0->1 1->0"), 14, "map needs the form  element : pairs"),
+    (_c2(_MAP_G, "map = g : 0-1 1->0:0"), 14, "bad matching token '0-1'"),
+    (_c2(_MAP_G, "map = g : 0->x 1->0:0"), 14, "bad matching token '0->x'"),
+    (_c2(_MAP_G, "map = g : dom=0 0->1:0 1->0:0"), 14,
+     "stated dom [0] differs from matching domain [0, 1]"),
+    (_c2(_MAP_G, "map = g : im=1 0->1:0 1->0:0"), 14,
+     "stated im [1] differs from matching image [0, 1]"),
+    (_c2(_MAP_G, f"{_MAP_G}\n{_MAP_G}"), 15, "duplicate map for 'g'"),
+    (_c2(_MAP_G, "map = g : dom=0,x 0->1:0 1->0:0"), 14, "bad atom set '0,x'"),
+    (_c2("elements = 1 g\nrow = 1 g\nrow = g 1\n", ""), 3,
+     "semigroup needs elements or generators"),
+    (_c2("atom = zmod 3\natom = zmod 3\n", ""), 8, "ring needs at least one atom"),
+    (_c2("map = 1 : 0->0:0 1->1:0\n" + _MAP_G, ""), 12, "missing maps for elements: 1, g"),
+], ids=["relation-form", "duplicate-elements", "unknown-row-element", "empty-atom",
+        "unknown-atom-kind", "map-form", "matching-without-arrow", "matching-not-integer",
+        "stated-dom", "stated-im", "duplicate-map", "bad-atom-set", "empty-semigroup",
+        "empty-ring", "empty-action"])
+def test_every_parse_error_names_its_line(tmp_path, capsysbinary, text, line_no, message):
+    """Each error the parser can raise on a section's lines names that line,
+    and an empty section's error names the section's header: it named line
+    1, here a comment, whatever was written there."""
+    from semigalois import cli
+    p = tmp_path / "bad.sgi"
+    p.write_text(text)
+    code = cli.main(["validate", str(p)])
+    out, err = capsysbinary.readouterr()
+    assert (code, out, err) == (2, b"", f"error: line {line_no}: {message}\n".encode())
+
+
 def test_twist_on_zmod_atom_is_a_positioned_error(tmp_path):
     good = "map = g : 0->1:0 1->0:0"
     text = (INSTANCES / "c2_swap.sgi").read_text()
@@ -592,13 +638,13 @@ def test_documented_atom_lines_parse_to_their_labels():
     examples = [line.split("#") for line in block.splitlines() if line.startswith("atom =")]
     assert len(examples) >= 3
     for spec, comment in examples:
-        ring = inst._parse_ring([(1, spec)])
+        ring = inst._parse_ring(1, [(1, spec)])
         assert [a.label() for a in ring.atoms] == [comment.split(":")[0].strip()], spec
     rejected = re.findall(r"`(atom = [^`]*)`", " ".join(prose.split()))
     assert len(rejected) == 3
     for spec in rejected:
         with pytest.raises(inst.ParseError):
-            inst._parse_ring([(1, spec)])
+            inst._parse_ring(1, [(1, spec)])
 
 
 def test_one_parser_and_no_environment(monkeypatch, capsysbinary):
