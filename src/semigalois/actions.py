@@ -286,7 +286,9 @@ def fixed_ring(A, isos):
     the isos' `_defect` maps on the group `A.presentation`.  A map sends
     integer vectors to integer vectors, additively up to the lattice, and the
     lattice into itself.  Each map's kernel is solved on the span the maps
-    before it left, mod each vector's `vector_order`."""
+    before it left, mod each vector's `vector_order`.  That span is never
+    empty: every partial iso takes 1_dom to 1_im, so 1 lies in every map's
+    kernel and stays in the span."""
     pres = A.presentation
     current = A.basis_vectors()
     for iso in isos:
@@ -298,8 +300,6 @@ def fixed_ring(A, isos):
         ker = kernel_gens(mat, pres.lattice, [pres.vector_order(v) for v in current], pres.moduli)
         span = cols_from_vectors(current, pres.n)
         current = residues([span.apply(coeffs) for coeffs in ker], pres.moduli)
-        if not current:
-            break
     sub = Subalgebra(A, current)
     if not sub.is_subalgebra():
         raise AssertionError("invariants failed to be a unital subalgebra")

@@ -684,3 +684,45 @@ def test_unknown_section_is_reported_on_its_header_line(tmp_path):
     assert err.value.line_no == line_no
     _assert_input_error(*run_cli(["galois", str(p)]),
                         f"error: line {line_no}: unknown sections: ['options']".encode())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+@pytest.mark.parametrize("command,name,timing", [
+    ("galois", "c2_swap", "cross_check"),
+    ("correspond", "c2_swap", "correspondence"),
+    ("zero", "b2_f3f3", "zero_correspondence"),
+])
+def test_timing_adds_only_its_own_lines(capsysbinary, fmt, command, name, timing):
+    """--timing adds one timing line, named for the command's timed stage;
+    without it the report is the same bytes as a run without --timing."""
+    from semigalois import cli
+    args = [command, str(INSTANCES / f"{name}.sgi"), "--format", fmt]
+    plain_code = cli.main(args)
+    plain = capsysbinary.readouterr().out
+    timed_code = cli.main(args + ["--timing"])
+    timed = capsysbinary.readouterr().out.splitlines(keepends=True)
+    if fmt == "text":
+        times = [line for line in timed if line.startswith(b"time ")]
+        assert [line.split()[1] for line in times] == [timing.encode()]
+    else:
+        times = [line for line in timed if json.loads(line)["type"] == "timing"]
+        assert [json.loads(line)["name"] for line in times] == [timing]
+    assert timed_code == plain_code == 0
+    assert b"".join(line for line in timed if line not in times) == plain
+
+
+def test_correspond_on_a_non_injective_action_takes_the_general_route(tmp_path):
+    """Both idempotents of the two-element semilattice act as Id_A, so the
+    action is not injective and the E-unitary route does not apply."""
+    from fixtures import collapsing_semilattice_fixture
+    from semigalois.instance import action_to_instance_text
+    p = tmp_path / "collapsing.sgi"
+    p.write_text(action_to_instance_text(collapsing_semilattice_fixture()))
+    code, out, err = run_cli(["correspond", str(p)])
+    assert code == 0 and err == b""
+    assert b"\ncorrespondence_kind  kind=general  objects=1\n" in out
+
+
+def test_a_command_without_an_instance_is_an_error_line():
+    code, out, err = run_cli(["galois"])
+    assert (code, out, err) == (2, b"", b"error: this command needs an instance file\n")
