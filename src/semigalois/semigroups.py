@@ -408,10 +408,10 @@ def saturate_presentation(generators, relations):
     tracing it; the dynamic laws charge each element and idempotent pair,
     with the letters of the relation it adds, before building it.  So a
     budget limit stops an infinite quotient within about one relation of
-    the limit.  Each element is
-    named by its representative word: generator names joined by `*`, `'`
-    marking an inverse and `1` the empty word, so names containing `*` may
-    clash, and `validate_table` refuses clashing names.
+    the limit.  Each element is named by its representative word:
+    generator names joined by `*`, `'` marking an inverse and `1` the empty
+    word, so names containing `*` may clash, and `validate_table` refuses
+    clashing names.
 
     The table holds live cosets only: `rows[x]` is the row of coset x and
     `reps[x]` its representative word, and `merge` drops the coset it merges

@@ -435,8 +435,8 @@ def test_presentation_cap():
 ], ids=["free-inverse-monoid", "bicyclic"])
 def test_presentation_trip_overshoots_by_less_than_one_relation_pass(generators, relations):
     """Each relation is charged just before it is traced or built, so an
-    infinite quotient trips its limit within a few relations' letters.  A
-    charge for a whole relation list at once once overshot 2 000 000 by up
+    infinite quotient trips its limit within a few relations' letters.
+    Charging a scan's whole relation list up front overshot 2 000 000 by up
     to 25 M units, and held the memory that work built."""
     with budget.limit(2_000_000), pytest.raises(budget.BudgetExceeded) as exc:
         sg.saturate_presentation(generators, relations)
