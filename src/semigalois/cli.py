@@ -17,6 +17,7 @@ import time
 
 from . import __version__, budget
 from .actions import invariant_ring, is_injective
+from .correspondence import verify_e_unitary_correspondence, verify_general_correspondence
 from .galois import PreconditionFail, cross_check_equivalences
 from .instance import ParseError, instance_text, parse_instance_text
 from .semigroups import SemigroupError, is_e_unitary, sigma_partition
@@ -163,7 +164,6 @@ def _add_correspondence_verdicts(report, rep):
 
 
 def cmd_correspond(beta, report, brute_force_subalgebras=False):
-    from .correspondence import verify_e_unitary_correspondence, verify_general_correspondence
     t0 = time.monotonic()
     if beta.S.zero is not None:
         raise PreconditionFail("declared zero: use the `zero` command")
@@ -219,7 +219,6 @@ def cmd_selftest(beta, report):
     """A seeded slice of the property corpus; the full suite lives in pytest."""
     # the corpus module is loaded here, not at import: no other command needs it
     from .corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
-    from .correspondence import verify_e_unitary_correspondence
 
     t0 = time.monotonic()
     beta = f9_cubed_fixture()

@@ -12,10 +12,11 @@ trace-image test is enforced as a necessary condition, with its known
 insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
 The coordinate and separability systems are solved one orbit of the atom
 maps at a time (`Action.orbits`), and psi is checked one orbit at a
-time into PA_beta(S), which is free on classes of tied coordinates
-(`PABetaS`), so it needs no solve.  The tensor A (x)_{A^beta} A is held as
-one `TensorPresentation` per orbit (`_full_tensor`): a generator pair from
-two orbits is zero, so it is no generator at all.  The assembled
+time into PA_beta(S), the product over S/sigma of the images of the class
+joins, where psi's columns are those of the coordinate system on the
+joins (`_columns`), so it needs no solve.  The tensor A (x)_{A^beta} A is
+held as one `TensorPresentation` per orbit (`_full_tensor`): a generator
+pair from two orbits is zero, so it is no generator at all.  The assembled
 coordinate system is re-verified over all of A, and a separability
 idempotent, one vector per orbit, by m(z) summed over the orbits against
 1 of A and by each orbit's commutation equations on its own tensor.
@@ -30,13 +31,14 @@ from __future__ import annotations
 import functools
 import math
 
+from . import isopu
 from .actions import (Action, _defect, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
-from .linalg import (AbelianPresentation, Matrix, block_diag, lattice_canon, lattice_det,
-                     lattice_member, solve_cols, vstack)
+from .linalg import (Matrix, block_diag, lattice_canon, lattice_det, lattice_member, solve_cols,
+                     vstack)
 from .rings import Subalgebra, TensorPresentation
-from .semigroups import SubSemigroup, is_e_unitary, linked_classes, remembered
+from .semigroups import SubSemigroup, is_e_unitary, remembered, sigma_partition
 
 
 class EquivalenceViolation(AssertionError):
@@ -59,18 +61,9 @@ def galois_rhs(beta, s):
     """The right side sum over E(S) of 1_e delta_{e,s}: 1_s on idempotents, else 0.
 
     On the induced alpha, S is G = S/sigma, whose one idempotent acts as
-    Id_A: 1_A there and 0 elsewhere.  The delta-sum is also evaluated
-    literally and compared.
+    Id_A: 1_A there and 0 elsewhere.
     """
-    A = beta.A
-    direct = beta.ideal_one(s) if beta.S.is_idempotent(s) else A.zero_vec
-    literal = A.zero_vec
-    for e in beta.S.idempotents:
-        if e == s:
-            literal = A.add_vec(literal, beta.ideal_one(e))
-    if literal != direct:
-        raise CertificateMismatch(f"delta-sum for s={s} disagrees with 1_s")
-    return direct
+    return beta.ideal_one(s) if beta.S.is_idempotent(s) else beta.A.zero_vec
 
 
 def _solve_coordinates(beta, isos, rhs_vectors):
@@ -92,30 +85,18 @@ def _solve_coordinates(beta, isos, rhs_vectors):
     canonical solution, reduced below K's pivots, is zero there.  The
     kernel of the restricted system is K n Z^F, whose pivots are multiples
     of K's, so that solution is the restricted system's canonical one too:
-    the coordinates do not move.  Column (i, c) is nonzero on f only when f
-    takes e_c's atom to x_i's, which `atom_map` decides before any product;
-    it is then x_i times f's plan column at c, f(e_c) (`FiniteRing.unit_times`).
+    the coordinates do not move.  The map's columns on the free pairs are
+    `_columns`.
     """
     A = beta.A
     ys = [None] * A.n_coords
     for block, tensor in _full_tensor(beta):
         ring = block.ring
         n = ring.n_coords
-        units = ring.basis_vectors()
-        block_isos = [block.iso(f) for f in isos]
         free = tensor.free_pairs
-        cols = []
-        for p in free:
-            i, c = divmod(p, n)
-            col = {}
-            for k, f in enumerate(block_isos):
-                if (v := f.atom_map[ring.coord_atom(c)]) and v[0] == ring.coord_atom(i):
-                    image = ring.unit_times(i, f.apply_vec(units[c]))
-                    col.update((k * n + q, x) for q, x in image.items())
-            cols.append(col)
         aug = block_diag([ring.presentation.lattice] * len(isos))
         target = [x for vec in rhs_vectors for x in block.restrict(vec)]
-        sol = solve_cols(Matrix(n * len(isos), cols), aug, target,
+        sol = solve_cols(_columns(block, tensor, isos), aug, target,
                          [ring.coord_moduli[p % n] for p in free],
                          list(ring.coord_moduli) * len(isos))
         if sol is None:
@@ -126,6 +107,29 @@ def _solve_coordinates(beta, isos, rhs_vectors):
         for i, g in enumerate(block.coords):
             ys[g] = block.extend(y[i])
     return list(zip(A.basis_vectors(), ys))
+
+
+def _columns(block, tensor, isos):
+    """The map (y_i)_i -> (sum_i x_i f(y_i 1_dom))_f on one orbit, on the
+    free pairs (i, c) of its tensor: column (i, c) is x_i f(e_c 1_dom) at
+    rows (index of f, block coordinate), for x_i and e_c the block's unit
+    vectors.  It is nonzero on f only when f takes e_c's atom to x_i's,
+    which `atom_map` decides before any product; it is then x_i times f's
+    plan column at c, f(e_c) (`FiniteRing.unit_times`)."""
+    ring = block.ring
+    n = ring.n_coords
+    units = ring.basis_vectors()
+    block_isos = [block.iso(f) for f in isos]
+    cols = []
+    for p in tensor.free_pairs:
+        i, c = divmod(p, n)
+        col = {}
+        for k, f in enumerate(block_isos):
+            if (v := f.atom_map[ring.coord_atom(c)]) and v[0] == ring.coord_atom(i):
+                image = ring.unit_times(i, f.apply_vec(units[c]))
+                col.update((k * n + q, x) for q, x in image.items())
+        cols.append(col)
+    return Matrix(n * len(isos), cols)
 
 
 def verify_coordinates(beta, coords, system=None):
@@ -182,107 +186,6 @@ def is_galois_trace_criterion(beta):
 # -- the compatible-family ring PA_beta(S) and the comparison map psi --------
 
 
-class PABetaS:
-    """The ring of compatible families (a_s), compressed to maximal coordinates.
-
-    A family is determined by its values on the maximal elements t of S,
-    one copy (t, i) of each coordinate i of A_t, and a tuple of copies is a
-    family exactly when (t1, i) and (t2, i) agree whenever some s below both
-    has i in A_s.  Those ties join the copies into classes, each made of
-    copies of one coordinate of A, so PA is free on the classes: one value
-    per class, and the order is the product of the classes' moduli.  A
-    class lies in one orbit of beta: one `_PAPart` per orbit.
-    """
-
-    def __init__(self, beta):
-        S, A = beta.S, beta.A
-        self.maximal = [s for s in range(S.n)
-                        if not any(t != s and S.leq[s][t] for t in range(S.n))]
-        self.copies = [(t, i) for t in self.maximal for i in range(A.n_coords)
-                       if A.coord_atom(i) in beta.im_support(t)]
-        position = {copy: p for p, copy in enumerate(self.copies)}
-        ties = []
-        for s in range(S.n):
-            first, *rest = [t for t in self.maximal if S.leq[s][t]]
-            for i in range(A.n_coords):
-                if A.coord_atom(i) in beta.im_support(s):
-                    ties += [(position[first, i], position[t, i]) for t in rest]
-        self.classes = linked_classes(len(self.copies), ties)  # by least position
-        self.order = math.prod(A.coord_moduli[self.copies[c[0]][1]] for c in self.classes)
-        isos = [beta.isos[t] for t in self.maximal]
-        self.parts = [_PAPart(block, isos, self) for block in beta.orbits]
-
-
-class _PAPart:
-    """PA's classes on one orbit's block, and psi on the block's tensor.
-
-    `classes` are PA's classes whose copies lie in the block, in PA's order.
-    `place` says which class each copy belongs to, by where the copy sits in
-    a family on the block ring: (index of the maximal t, block-ring
-    coordinate).  `isos` are the maps beta_t of the maximal t on the block
-    ring, and `maps` lists, for each pair (atom b, atom a), the indices of
-    those taking b to a.
-    """
-
-    def __init__(self, block, isos, pa):
-        ring = block.ring
-        local = {c: r for r, c in enumerate(block.coords)}
-        column = {t: m for m, t in enumerate(pa.maximal)}
-        self.classes = [c for c in pa.classes if pa.copies[c[0]][1] in local]
-        self.place = {}
-        for k, c in enumerate(self.classes):
-            for p in c:
-                t, i = pa.copies[p]
-                self.place[column[t], local[i]] = k
-        self.isos = [block.iso(iso) for iso in isos]
-        self.maps = {}
-        for m, iso in enumerate(self.isos):
-            for i, v in enumerate(iso.atom_map):
-                if v:
-                    self.maps.setdefault((i, v[0]), []).append(m)
-        self.ring, self.units = ring, ring.basis_vectors()
-        self.ambient = AbelianPresentation([ring.coord_moduli[local[pa.copies[c[0]][1]]]
-                                            for c in self.classes])
-
-    def psi_image(self, i, j):
-        """psi(e_i (x) e_j) = (e_i beta_t(e_j 1_{t^-1}))_t, one value per
-        class, for unit vectors e_i, e_j of the block ring: {class: value}
-        over the nonzero values, or None when two copies of a class differ,
-        so that the family leaves PA.
-
-        e_i beta_t(e_j 1_{t^-1}) lies on e_i's atom a, and it is zero unless
-        beta_t takes e_j's atom b to a, so only those maximal t multiply
-        (`maps`); a class is in PA when it is zero at every copy, or met at
-        every copy with one value.
-        """
-        ring = self.ring
-        values, met = {}, {}
-        for m in self.maps.get((ring.coord_atom(j), ring.coord_atom(i)), ()):
-            for r, v in ring.unit_times(i, self.isos[m].apply_vec(self.units[j])).items():
-                k = self.place[m, r]
-                if values.setdefault(k, v) != v:
-                    return None
-                met[k] = met.get(k, 0) + 1
-        if any(count != len(self.classes[k]) for k, count in met.items()):
-            return None
-        return values
-
-    def image_canon(self, tensor):
-        """The canonical basis of psi's image on the block's classes, from the
-        free pairs of the block's tensor (`TensorPresentation.free_pairs`),
-        whose generators are the block's unit vectors (`_full_tensor`): the
-        free pairs generate the tensor, so their images span psi's image.
-        Raises CertificateMismatch when an image leaves PA."""
-        images = []
-        for p in tensor.free_pairs:
-            i, j = divmod(p, tensor.l)
-            vec = self.psi_image(i, j)
-            if vec is None:
-                raise CertificateMismatch(f"psi image of generator pair ({i}, {j}) leaves PA")
-            images.append(vec)
-        return lattice_canon(Matrix(len(self.classes), images), self.ambient.moduli)
-
-
 class PsiReport:
     def __init__(self, bijective, tensor_order, pa_order, image_order, cokernel_witness=None):
         self.bijective = bijective
@@ -293,13 +196,31 @@ class PsiReport:
 def psi_check(beta):
     """Criterion (comparison map): is psi: A (x)_{A^beta} A -> PA bijective?
 
-    The tensor is one tensor per orbit of beta (`_full_tensor`), and psi
-    maps an orbit's tensor onto PA's classes in that orbit's block, so it is
-    checked one orbit at a time: on each free generator pair of the orbit's
-    tensor (`_PAPart.image_canon`), on block-ring coordinates, multiplying
-    only by the beta_t that take the pair's second atom to its first.  When
-    psi is not onto, the cokernel witness is the indicator, on PA's copies,
-    of the first class outside the image.
+    PA_beta(S) is the ring of compatible families (a_t) over the maximal t
+    of S, a_t in A_t, with a_t1 1_s = a_t2 1_s for every s below t1 and t2.
+    Under the hypotheses of `cross_check_equivalences`, S is E-unitary
+    without zero, so s <= t puts s in t's sigma-class: maximal elements of
+    two classes share no lower bound, and two maximal t1, t2 of one class
+    are compatible, so their meet t1 t2^-1 t2 lies below both, and as
+    beta_t1 ~ beta_t2 its ideal is A_t1 n A_t2, which holds the ideal of
+    every common lower bound.  So a family is one value per class g on each
+    coordinate of the union of A_t over g's maximal t, which is the ideal
+    of alpha_g, the join of g's maps (every s of g lies below a maximal
+    element of g): PA is the product over S/sigma of the A_{alpha_g}, and
+    |PA| is the product of the moduli of their coordinates.  psi(x (x) y)
+    is (x beta_t(y 1_{t^-1}))_t, and beta_t <= alpha_g for t in g, with
+    alpha_g injective: an atom of A_t is reached by alpha_g only from t's
+    domain, so the value at t is x alpha_g(y 1) read on A_t.  Hence
+    psi(e_i (x) e_c) is column (i, c) of the coordinate system on the
+    joins (`_columns`), one row (g, q) per class and coordinate, with
+    modulus m_q where q's atom lies in the image of alpha_g and 1
+    elsewhere: no image can leave PA.
+
+    The joins move atoms within the orbits of beta, and the tensor is one
+    tensor per orbit (`_full_tensor`), so psi is checked one orbit at a
+    time, on the free generator pairs of the orbit's tensor, which
+    generate it.  When psi is not onto, the cokernel witness is the first
+    (orbit, row) whose unit vector lies outside the image.
 
     psi is injective, so an orbit whose image is smaller than its tensor
     raises EquivalenceViolation: for atoms i, j of one orbit, A^beta e_O
@@ -308,27 +229,26 @@ def psi_check(beta):
     realize every K-embedding tau of F (`actions.invariant_order_from_atoms`),
     and psi there is u (x) v -> (u tau(v))_tau, an isomorphism onto prod_tau F.
     """
-    tensors = _full_tensor(beta)
-    pa = PABetaS(beta)
-    t_order = image_order = 1
-    canons = []
-    for o, ((_, tensor), part) in enumerate(zip(tensors, pa.parts)):
-        canon = part.image_canon(tensor)
-        order = part.ambient.order() // lattice_det(canon)
-        image_order *= order
-        t_order *= tensor.order()
-        canons.append(canon)
+    joins = isopu.class_joins(beta.isos, sigma_partition(beta.S)[1])
+    t_order = image_order = pa_order = 1
+    witness = None
+    for o, (block, tensor) in enumerate(_full_tensor(beta)):
+        ring = block.ring
+        moduli = [ring.coord_moduli[q] if ring.coord_atom(q) in block.iso(f).im_support else 1
+                  for f in joins for q in range(ring.n_coords)]
+        canon = lattice_canon(_columns(block, tensor, joins), moduli)
+        part = math.prod(moduli)
+        order = part // lattice_det(canon)
         if order != tensor.order():
             raise EquivalenceViolation(f"psi kills part of the tensor on orbit {o}: "
                                        f"image order {order}, tensor order {tensor.order()}")
-    bij = (image_order == pa.order)
-    report = PsiReport(bij, t_order, pa.order, image_order)
-    if not bij:
-        missing = min(c for part, canon in zip(pa.parts, canons)
-                      for k, c in enumerate(part.classes)
-                      if not lattice_member(canon, [int(i == k) for i in range(canon.rows)]))
-        report.cokernel_witness = tuple(int(p in missing) for p in range(len(pa.copies)))
-    return report
+        t_order *= order
+        image_order *= order
+        pa_order *= part
+        if witness is None and order != part:
+            witness = (o, next(r for r in range(len(moduli))
+                               if not lattice_member(canon, [int(q == r) for q in range(len(moduli))])))
+    return PsiReport(image_order == pa_order, t_order, pa_order, image_order, witness)
 
 
 # -- S_B, beta-strong, separability ------------------------------------------

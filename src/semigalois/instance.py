@@ -85,11 +85,8 @@ def _parse_semigroup(header, lines):
     zero = None
     seen = set()  # the single-valued keys read so far
     for no, line in lines:
-        if "=" not in line and not table_rows and elements is None:
+        if "=" not in line:
             raise ParseError(no, f"expected key = value, got {line!r}")
-        if elements is not None and "=" not in line:
-            table_rows.append((no, line.split()))
-            continue
         key, _, val = line.partition("=")
         key = key.strip().lower()
         val = val.strip()

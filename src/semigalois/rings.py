@@ -235,7 +235,7 @@ class FiniteRing:
         self.exponent = math.lcm(*self.coord_moduli)
         self.zero_vec = (0,) * self.n_coords
         self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
-        self.facts = {}  # what is derived from the atoms, and each product, once (`remembered`)
+        self.facts = {}  # what is derived from the atoms, each once (`remembered`)
 
     @property
     @remembered
@@ -308,20 +308,10 @@ class FiniteRing:
         return tuple(map(operator.mod, map(operator.sub, u, v), self.coord_moduli))
 
     def mul_vec(self, u, v):
-        """Product of coordinate vectors, every atom charged on every call.
-
-        Each unordered pair is multiplied once per ring, as the `_product` of
-        the ordered pair; a repeat reads it back and is charged all the same,
-        so the ring keeps at most (budget / atoms) products.
-        """
+        """Product of coordinate vectors, atom by atom, every atom charged on
+        every call; an atom where either factor is zero gets zeros without a
+        product."""
         spend("ring_products", len(self.atoms))
-        u, v = tuple(u), tuple(v)
-        return self._product(u, v) if u <= v else self._product(v, u)
-
-    @remembered
-    def _product(self, u, v):
-        """Product of coordinate tuples u <= v, atom by atom; an atom where
-        either factor is zero gets zeros without a product."""
         out = []
         for (lo, hi), a in zip(self._spans, self.atoms):
             x, y = u[lo:hi], v[lo:hi]

@@ -439,40 +439,63 @@ def verify_idempotent_by_kron(tensor, z):
     return True
 
 
-def psi_image_by_elements(beta, pa, x_vec, y_vec):
-    """psi(x (x) y) on PA's copies (t, i), through `RingElement` products
-    and the polynomial `StructuredIso.apply`."""
+def maximal_elements(S):
+    """The maximal elements of S under the natural order, ascending."""
+    return [s for s in range(S.n) if not any(t != s and S.leq[s][t] for t in range(S.n))]
+
+
+def psi_image_by_elements(beta, x_vec, y_vec):
+    """psi(x (x) y) as {maximal t: x beta_t(y 1_{t^-1})}, through
+    `RingElement` products and the polynomial `StructuredIso.apply`."""
     A = beta.A
     x, y = A.from_vec(x_vec), A.from_vec(y_vec)
     family = {}
-    for t in pa.maximal:
+    for t in maximal_elements(beta.S):
         iso = beta.isos[t]
         family[t] = (x * iso.apply(y.mask(iso.dom_support))).vec()
-    return tuple(family[t][i] for t, i in pa.copies)
+    return family
 
 
 def check_psi_images_on_orbits(beta):
     """psi on each pair of A's additive generators through ring elements
-    (`psi_image_by_elements`) against the per-orbit image `psi_check` uses
-    (`_PAPart.psi_image`, on the indices of the unit vectors): a pair on one
-    orbit's block has one value per class there, which the element route
-    gives at every copy in the class (the image lists the nonzero values
-    alone), and a pair from two orbits maps to zero."""
-    from semigalois.galois import PABetaS
-    pa = PABetaS(beta)
-    for o, (block, part) in enumerate(zip(beta.orbits, pa.parts)):
+    (`psi_image_by_elements`), folded onto (class of t, coordinate),
+    against the columns `psi_check` reads (`galois._columns` on the class
+    joins), taken here on every pair of each orbit's unit vectors.  The
+    classes are those of sharing a lower bound other than the zero
+    (`lower_bound_classes`): sigma's without a zero.  Each t is zero off
+    A_t, and the maximal t of one class agree on every coordinate they
+    share, so the family lies in PA; a pair on one orbit's block folds to
+    its column, on the block's rows (class, coordinate), and a pair from
+    two orbits maps to zero."""
+    from types import SimpleNamespace
+    from semigalois.galois import _columns
+    from semigalois.isopu import class_joins
+    from semigalois.semigroups import lower_bound_classes
+    classes, projection = lower_bound_classes(beta.S)
+    joins = class_joins(beta.isos, classes)
+    A = beta.A
+    for o, block in enumerate(beta.orbits):
+        n = block.ring.n_coords
+        every_pair = SimpleNamespace(free_pairs=range(n * n))
+        columns = _columns(block, every_pair, joins).cols
         for i, x in enumerate(block.ring.basis_vectors()):
             for q, other in enumerate(beta.orbits):
                 for j, y in enumerate(other.ring.basis_vectors()):
-                    want = [0] * len(pa.copies)
+                    folded = {}
+                    family = psi_image_by_elements(beta, block.extend(x), other.extend(y))
+                    for t, value in family.items():
+                        for c, v in enumerate(value):
+                            if A.coord_atom(c) in beta.im_support(t):
+                                assert folded.setdefault((projection[t], c), v) == v
+                            else:
+                                assert v == 0
+                    got = {key: v for key, v in folded.items() if v}
+                    want = {}
                     if o == q:
-                        values = part.psi_image(i, j)
-                        assert values is not None
-                        for k, v in values.items():
-                            for p in part.classes[k]:
-                                want[p] = v
-                    assert psi_image_by_elements(beta, pa, block.extend(x),
-                                                 other.extend(y)) == tuple(want)
+                        for row, v in columns[i * n + j].items():
+                            g, r = divmod(row, n)
+                            want[g, block.coords[r]] = v
+                    assert got == want
 
 
 # The correspondence as three separate pair loops with two brute-force
@@ -1479,7 +1502,7 @@ def pa_subgroup_whole(beta):
     over every pairwise meet constraint."""
     from semigalois.linalg import AbelianPresentation, Matrix, diag_cols, kernel_gens
     S, A = beta.S, beta.A
-    maximal = [s for s in range(S.n) if not any(t != s and S.leq[s][t] for t in range(S.n))]
+    maximal = maximal_elements(S)
     offsets, moduli, pos = {}, [], 0
     for t in maximal:
         coords = [i for i in range(A.n_coords) if A.coord_atom(i) in beta.im_support(t)]
@@ -1512,8 +1535,13 @@ def pa_subgroup_whole(beta):
 
 def psi_check_whole(beta):
     """(tensor order, PA order, image order, kernel witness, cokernel witness)
-    of psi on every generator pair of the whole tensor."""
-    from semigalois.linalg import kernel_gens, lattice_det, lattice_member, residues
+    of psi on every generator pair of the whole tensor.  The cokernel
+    witness is the first (orbit, row) whose family lies outside the image,
+    the row (g, q) of an orbit with n coordinates being g * n + q and its
+    family the indicator of the orbit's q-th coordinate on every maximal t
+    of the g-th sigma-class whose ideal holds it: an element of PA."""
+    from semigalois.linalg import kernel_gens, lattice_det, lattice_member
+    from semigalois.semigroups import sigma_partition
     tensor = whole_full_tensor(beta)
     maximal, offsets, ambient, subgroup = pa_subgroup_whole(beta)
     A = beta.A
@@ -1532,8 +1560,13 @@ def psi_check_whole(beta):
                               if not tensor.is_zero(g))
     if image_order != pa_order:
         img_canon = ambient.subgroup_canon(images)
-        elements = residues(map(subgroup.column, range(len(ambient.moduli))), ambient.moduli)
-        cokernel_witness = next(c for c in elements if not lattice_member(img_canon, c))
+        _, classes, projection = sigma_partition(beta.S)
+        rows = (((o, g * len(block.coords) + q),
+                 [int(projection[t] == g and i == c) for t in maximal for i in offsets[t][1]])
+                for o, block in enumerate(beta.orbits) for g in range(len(classes))
+                for q, c in enumerate(block.coords))
+        cokernel_witness, family = next(row for row in rows if not lattice_member(img_canon, row[1]))
+        assert lattice_member(subgroup, family)
     return tensor.order(), pa_order, image_order, kernel_witness, cokernel_witness
 
 

@@ -565,13 +565,15 @@ def _c2(old, new):
      "stated im [1] differs from matching image [0, 1]"),
     (_c2(_MAP_G, f"{_MAP_G}\n{_MAP_G}"), 15, "duplicate map for 'g'"),
     (_c2(_MAP_G, "map = g : dom=0,x 0->1:0 1->0:0"), 14, "bad atom set '0,x'"),
+    (_c2("row = 1 g\nrow = g 1", "1 g\ng 1"), 5, "expected key = value, got '1 g'"),
     (_c2("elements = 1 g\nrow = 1 g\nrow = g 1\n", ""), 3,
      "semigroup needs elements or generators"),
     (_c2("atom = zmod 3\natom = zmod 3\n", ""), 8, "ring needs at least one atom"),
     (_c2("map = 1 : 0->0:0 1->1:0\n" + _MAP_G, ""), 12, "missing maps for elements: 1, g"),
 ], ids=["relation-form", "duplicate-elements", "unknown-row-element", "empty-atom",
         "unknown-atom-kind", "map-form", "matching-without-arrow", "matching-not-integer",
-        "stated-dom", "stated-im", "duplicate-map", "bad-atom-set", "empty-semigroup",
+        "stated-dom", "stated-im", "duplicate-map", "bad-atom-set", "bare-table-row",
+        "empty-semigroup",
         "empty-ring", "empty-action"])
 def test_every_parse_error_names_its_line(tmp_path, capsysbinary, text, line_no, message):
     """Each error the parser can raise on a section's lines names that line,

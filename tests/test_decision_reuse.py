@@ -18,7 +18,7 @@ from fixtures import collapsing_semilattice_fixture, cyclic_shift, derivations
 from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
 from semigalois.corpus import b2_swap_fixture, f9_cubed_fixture, random_ring, random_structured_iso
-from oracles import element_product, iso_apply_by_polynomials, iso_matrix_by_polynomials
+from oracles import iso_apply_by_polynomials, iso_matrix_by_polynomials
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -86,13 +86,13 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 # What each command derives about S (the first two), about beta (the next
 # six, and the four kept per subalgebra B or per T), and about the rings,
 # atoms, isos, blocks, groups, subalgebras and tensors a decision builds
-# (the keyed ones per product, indicator, twist, iso or b).
+# (the keyed ones per indicator, twist, iso or b).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
          actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
          actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
          correspondence.fixed_subalgebra,
-         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, rg.FiniteRing._product,
+         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors,
          rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.StructuredIso.dom_support.fget,
          rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
          correspondence._unit_generators,
@@ -112,7 +112,7 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     most once per action object, and the free-part rule, S_B and
     strongness once per action and subalgebra, A^{beta|T} once per action
     and T; the additive group and the unit vectors once per ring, and each
-    product and indicator once per ring and argument; the Frobenius columns
+    indicator once per ring and argument; the Frobenius columns
     once per atom and twist; the supports and the plan once per iso; the
     restriction of an iso once per block and iso, and the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
@@ -167,11 +167,13 @@ def test_a_remembered_fact_raises_its_precondition_on_every_call():
 def test_a_keyed_fact_is_kept_per_argument_under_its_name():
     """A fact with arguments is kept under (name, *args), so equal arguments
     share one value; `idempotent_vec` takes any iterable of atoms and keys
-    its indicator by their frozenset."""
-    A = rg.FiniteRing([rg.Atom.gf(2, 2), rg.Atom.zmod(3)])
+    its indicator by their frozenset.  A ring with equal atoms keeps its own."""
+    atoms = [rg.Atom.gf(2, 2), rg.Atom.zmod(3)]
+    A, B = rg.FiniteRing(atoms), rg.FiniteRing(atoms)
     e = A.idempotent_vec({1})
     assert A.idempotent_vec([1]) is e and A.idempotent_vec(frozenset({1})) is e
     assert A.facts == {("_indicator", frozenset({1})): e} and e == (0, 0, 1)
+    assert A == B and not B.facts
     cols = A.atoms[0].frobenius_cols(1)
     assert A.atoms[0].facts == {("frobenius_cols", 1): cols} and cols == ((1, 0), (1, 1))
 
@@ -240,37 +242,6 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
     assert rg.Subalgebra(A, list(R.gen_vectors) + chosen).closure_under_mul() == rg.Subalgebra.full(A)
 
 
-PRODUCT_RINGS = [
-    [rg.Atom.gf(2, 2), rg.Atom.zmod(3), rg.Atom.gf(3, 2)],
-    [rg.Atom.zmod(2, 3), rg.Atom.zmod(2, 3)],
-    [rg.Atom.gf(2, 3), rg.Atom.zmod(5), rg.Atom.gf(2, 3), rg.Atom.zmod(2)],
-]
-
-
-@pytest.mark.parametrize("atoms", PRODUCT_RINGS, ids=["gf4xz3xgf9", "z8^2", "gf8xz5xgf8xz2"])
-def test_product_table_hit_returns_the_product_and_charges_alike(monkeypatch, atoms):
-    A = rg.FiniteRing(atoms)
-    n = len(A.atoms)
-    rng = random.Random(n)
-    pool = [A.from_vec([rng.randrange(m) for m in A.coord_moduli]) for _ in range(12)]
-    atom_products = []
-    _recording(monkeypatch, rg.Atom, "mul_coords", lambda *a: atom_products.append(a))
-    for x in pool:
-        for y in pool:
-            with budget.limit(10 ** 6):
-                first = A.mul_vec(x.vec(), y.vec())
-                assert budget.spent() == n
-                taken = len(atom_products)
-                again = A.mul_vec(y.vec(), x.vec())  # the unordered pair: a hit
-                assert budget.spent() == 2 * n and len(atom_products) == taken
-            assert first == again == element_product(x, y).vec()
-            with budget.limit(n - 1), pytest.raises(budget.BudgetExceeded) as exc:
-                A.mul_vec(x.vec(), y.vec())
-            assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
-    kept = [key for key in A.facts if key[0] == "_product"]
-    assert len(kept) == len({frozenset((x.vec(), y.vec())) for x in pool for y in pool})
-
-
 def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
     """`galois` on s7_f9cubed multiplies a unit vector only through
     `FiniteRing.unit_times`: no `mul_vec` call has the coordinate solve, psi,
@@ -297,14 +268,6 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
     assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
     assert inside == []
     assert reads and any(verifying)
-
-
-def test_rings_with_equal_atoms_share_no_table():
-    atoms = [rg.Atom.gf(2, 2), rg.Atom.zmod(3)]
-    A, B = rg.FiniteRing(atoms), rg.FiniteRing(atoms)
-    assert A == B and A.facts is not B.facts
-    A.mul_vec(A.one_vec, A.one_vec)
-    assert list(A.facts) == [("_product", A.one_vec, A.one_vec)] and not B.facts
 
 
 def test_application_plan_matches_iso_matrix_and_polynomials():

@@ -78,12 +78,9 @@ def test_trace_criterion():
 
 
 def test_pa_beta_s_orders():
-    beta = c2_swap_fixture()
-    pa = gl.PABetaS(beta)
-    assert pa.order == 81
-    beta7 = f9_cubed_fixture()
-    pa7 = gl.PABetaS(beta7)
-    assert pa7.order == 729 * 81 * 9  # independent hand count: a_1, a_s, free e1 part of a_s'
+    assert gl.psi_check(c2_swap_fixture()).pa_order == 81
+    # independent hand count: a_1, a_s, free e1 part of a_s'
+    assert gl.psi_check(f9_cubed_fixture()).pa_order == 729 * 81 * 9
 
 
 def test_psi_check_values():

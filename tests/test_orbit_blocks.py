@@ -22,9 +22,11 @@ from semigalois.corpus import corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, Block, NotSubring, RingError, Subalgebra, TensorPresentation
+from semigalois.semigroups import sigma_partition
 from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
-                     joined_tensor_lattice, joined_tensor_vector, psi_check_whole,
-                     solve_coordinates_whole, verify_idempotent_by_kron, whole_full_tensor)
+                     joined_tensor_lattice, joined_tensor_vector, maximal_elements,
+                     pa_subgroup_whole, psi_check_whole, solve_coordinates_whole,
+                     verify_idempotent_by_kron, whole_full_tensor)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -56,15 +58,36 @@ def test_the_corpora_and_rungs_hold_many_multi_orbit_instances():
     assert [b.atoms for b in MULTI_ORBIT["s7_gf4^3"]().orbits] == [(0, 2), (1,)]
 
 
+def _tied_classes(beta):
+    """The maximal elements of each sigma-class that has two or more: PA's
+    copies (t1, i) and (t2, i) of such a class are tied on the coordinates
+    of A_t1 n A_t2, where psi reads one value, on the class's join."""
+    S = beta.S
+    projection = sigma_partition(S)[2]
+    by_class = {}
+    for t in maximal_elements(S):
+        by_class.setdefault(projection[t], []).append(t)
+    return [ts for ts in by_class.values() if len(ts) > 1]
+
+
+def _pa_order_whole(beta):
+    _, _, ambient, subgroup = pa_subgroup_whole(beta)
+    return ambient.order() // linalg.lattice_det(subgroup)
+
+
 def test_some_split_instances_tie_copies_in_pa():
-    """PA's classes of two or more tied copies, which psi reads one value
-    from, occur on the S7 rungs only: none of the corpora's instances ties."""
-    tied = [name for name, beta in _split_instances()
-            if any(len(copies) > 1 for copies in gl.PABetaS(beta).classes)]
-    assert len(tied) >= 4, tied
+    """sigma-classes with two maximal elements, whose copies PA ties, occur
+    on the S7 rungs only: no class of the corpora's instances has two.
+    There psi's |PA| is the order of the whole route's PA."""
+    tied = [(name, beta) for name, beta in _split_instances() if _tied_classes(beta)]
+    assert len(tied) >= 4, [name for name, _ in tied]
+    for _, beta in tied:
+        assert gl.psi_check(beta).pa_order == _pa_order_whole(beta)
     beta = MULTI_ORBIT["s7_gf9^3xz2"]()
     assert not gl.is_galois(beta) and len(beta.orbits) == 3
-    assert sum(len(copies) > 1 for copies in gl.PABetaS(beta).classes) == 3
+    [[t1, t2]] = _tied_classes(beta)
+    shared = beta.im_support(t1) & beta.im_support(t2)
+    assert sum(beta.A.atoms[a].coords for a in shared) == 3
 
 
 def check_orbit_routes_against_whole(beta):
@@ -181,11 +204,13 @@ def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
 
 
 def test_psi_check_takes_no_kernel_on_tied_copies(monkeypatch):
-    """PA is free on its classes, so once A^beta and the orbit tensors are
-    built, psi_check on s7_f9cubed, whose orbit {0, 2} ties copies, calls no
-    `kernel_gens` anywhere."""
+    """PA is the product of the class joins' images, so once A^beta and the
+    orbit tensors are built, psi_check on s7_f9cubed, whose orbit {0, 2}
+    ties copies (a sigma-class with two maximal elements), calls no
+    `kernel_gens` anywhere, and its |PA| is the whole route's."""
     beta = parse_instance(INSTANCES / "s7_f9cubed.sgi")
-    assert any(len(copies) > 1 for copies in gl.PABetaS(beta).classes)
+    assert _tied_classes(beta)
+    pa_order = _pa_order_whole(beta)
     gl._full_tensor(beta)
     calls = []
     original = linalg.kernel_gens
@@ -193,7 +218,8 @@ def test_psi_check_takes_no_kernel_on_tied_copies(monkeypatch):
         if name.startswith("semigalois") and hasattr(module, "kernel_gens"):
             monkeypatch.setattr(module, "kernel_gens",
                                 lambda *args: calls.append(args) or original(*args))
-    assert gl.psi_check(beta).bijective
+    psi = gl.psi_check(beta)
+    assert psi.bijective and psi.pa_order == pa_order
     assert calls == []
 
 

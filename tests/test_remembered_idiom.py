@@ -19,8 +19,8 @@ module is parsed with `ast`, and this test fails on the other idioms:
   object it is called on alive in one cache on the class.
 
 What the scan lets pass is not a memo of an object's facts.  A dict that
-`__init__` fills (`galois._PAPart.place` and `.maps`) is data built once
-with the object.  A module-level cache (`corpus._PALETTE_ATOMS`, the
+`__init__` fills (`rings.Block._local`, each atom's place in the block) is
+data built once with the object.  A module-level cache (`corpus._PALETTE_ATOMS`, the
 `functools.cache` on `cli.parser`) belongs to no object that could hold
 facts.  The `functools.cache` closures inside `galois.is_beta_strong` die
 with the call that made them: they memo one call's images, for one B.

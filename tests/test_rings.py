@@ -476,8 +476,9 @@ SKIP_RINGS = {
 @pytest.mark.parametrize("name", sorted(SKIP_RINGS))
 def test_kernel_skips_zero_atoms_and_charges_every_atom(name):
     """`mul_vec` multiplies only atoms where both factors are nonzero: seeded
-    vectors zero on random atom sets against the polynomial route, and one
-    call charges len(atoms) ring products whatever its zero slices."""
+    vectors zero on random atom sets against the polynomial route, in either
+    order, and one call charges len(atoms) ring products whatever its zero
+    slices."""
     A = rg.FiniteRing(SKIP_RINGS[name])
     n = len(A.atoms)
     rng = random.Random(name)
@@ -489,9 +490,11 @@ def test_kernel_skips_zero_atoms_and_charges_every_atom(name):
 
     for _ in range(300):
         x, y = draw(), draw()
-        assert A.mul_vec(x.vec(), y.vec()) == element_product(x, y).vec()
+        assert A.mul_vec(x.vec(), y.vec()) == A.mul_vec(y.vec(), x.vec()) == \
+            element_product(x, y).vec()
         with budget.limit(n):
             A.mul_vec(x.vec(), y.vec())
+            assert budget.spent() == n
         with budget.limit(n - 1), pytest.raises(budget.BudgetExceeded) as exc:
             A.mul_vec(x.vec(), y.vec())
         assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
