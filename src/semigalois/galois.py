@@ -31,10 +31,10 @@ from __future__ import annotations
 import functools
 import math
 
-from . import isopu
 from .actions import (Action, _defect, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
                       is_injective, separability_violation, sigma_trace_image)
+from .isopu import class_joins
 from .linalg import (Matrix, block_diag, lattice_canon, lattice_det, lattice_member, solve_cols,
                      vstack)
 from .rings import Subalgebra, TensorPresentation
@@ -229,13 +229,14 @@ def psi_check(beta):
     realize every K-embedding tau of F (`actions.invariant_order_from_atoms`),
     and psi there is u (x) v -> (u tau(v))_tau, an isomorphism onto prod_tau F.
     """
-    joins = isopu.class_joins(beta.isos, sigma_partition(beta.S)[1])
+    joins = class_joins(beta.isos, sigma_partition(beta.S)[1])
     t_order = image_order = pa_order = 1
     witness = None
     for o, (block, tensor) in enumerate(_full_tensor(beta)):
         ring = block.ring
-        moduli = [ring.coord_moduli[q] if ring.coord_atom(q) in block.iso(f).im_support else 1
-                  for f in joins for q in range(ring.n_coords)]
+        moduli = [m if ring.coord_atom(q) in image else 1
+                  for image in (block.iso(f).im_support for f in joins)
+                  for q, m in enumerate(ring.coord_moduli)]
         canon = lattice_canon(_columns(block, tensor, joins), moduli)
         part = math.prod(moduli)
         order = part // lattice_det(canon)

@@ -1,10 +1,9 @@
-"""Each decision derives every fact, product, iso image and linear system once.
+"""Each decision derives every fact, iso image and linear system once.
 
 Call counts around one in-process `cli.main` on the shipped instances (the
-facts each semigroup and action remembers, and the solves), the per-ring
-product table (a lookup returns the product and is charged like one), and
-the per-iso application plan against the polynomial Frobenius, as a
-matrix and element by element.
+facts each semigroup and action remembers, and the solves), and the per-iso
+application plan against the polynomial Frobenius, as a matrix and element
+by element.
 """
 
 import collections
