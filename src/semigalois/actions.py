@@ -8,9 +8,9 @@ partial action alpha of the quotient group S/sigma
 (`validate_partial_group_action`) and the zero case's partial semigroup
 and groupoid actions (in `zerocase`) are Actions too, so alpha's trace
 and Galois system are beta's definitions read on alpha.  On top of
-validation this module computes the invariant subring (`fixed_ring`, the
-one solve behind A^beta and A^{beta|T}), the plain and sigma-twisted trace
-maps, alpha for E-unitary injective actions, restriction to full
+validation this module computes the invariant subring (`fixed_ring`,
+behind A^beta and A^{beta|T}), the plain and sigma-twisted trace maps,
+alpha for E-unitary injective actions, restriction to full
 subsemigroups, and the action of a closed set of isos on its own table
 (`iso_action`) and the image action through it.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 from . import isopu
-from .linalg import cols_from_vectors, kernel_gens, residues
 from .rings import AtomMismatch, Block, Subalgebra
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
                          linked_classes, remembered, restrict_table, sigma_partition,
@@ -91,8 +90,7 @@ class Action:
         = beta_s(y 1_{s^-1}) e_O 1_s, so every system the Galois criteria
         solve is block diagonal over the orbits.
         """
-        pairs = ((i, v[0]) for iso in self.isos for i, v in enumerate(iso.atom_map) if v)
-        return tuple(Block(self.A, atoms) for atoms in linked_classes(len(self.A.atoms), pairs))
+        return tuple(Block(self.A, atoms) for atoms in _atom_orbits(self.A, self.isos))
 
     def __repr__(self):
         return f"Action(|S|={self.S.n}, A={self.A!r})"
@@ -278,31 +276,58 @@ def _defect(iso):
     return lambda vec: A.sub_vec(iso.apply_vec(vec), A.mask_vec(vec, support))
 
 
-def fixed_ring(A, isos):
-    """{a : f(a 1_dom) = a 1_im for the isos f, in order}, a unital subalgebra
-    (checked) for the isos of a unital action or of a full T.
+def _atom_orbits(A, isos):
+    """The orbits of the isos' atom maps, each ascending, by least atom."""
+    pairs = ((i, v[0]) for iso in isos for i, v in enumerate(iso.atom_map) if v)
+    return linked_classes(len(A.atoms), pairs)
 
-    This is the one solve behind A^beta and A^{beta|T}: the common kernel of
-    the isos' `_defect` maps on the group `A.presentation`.  A map sends
-    integer vectors to integer vectors, additively up to the lattice, and the
-    lattice into itself.  Each map's kernel is solved on the span the maps
-    before it left, mod each vector's `vector_order`.  That span is never
-    empty: every partial iso takes 1_dom to 1_im, so 1 lies in every map's
-    kernel and stays in the span."""
-    pres = A.presentation
-    current = A.basis_vectors()
-    for iso in isos:
-        f = _defect(iso)
-        cols = [f(v) for v in current]
-        if not any(map(any, cols)):  # an idempotent's map, or one fixing the span
-            continue
-        mat = cols_from_vectors(cols, pres.n)
-        ker = kernel_gens(mat, pres.lattice, [pres.vector_order(v) for v in current], pres.moduli)
-        span = cols_from_vectors(current, pres.n)
-        current = residues([span.apply(coeffs) for coeffs in ker], pres.moduli)
-    sub = Subalgebra(A, current)
+
+def fixed_ring(A, isos):
+    """{a : f(a 1_dom) = a 1_im for the isos f}, a unital subalgebra, for the
+    isos of a unital action or of a full T: closed under composition and
+    inverse, their idempotents' ideals covering A.
+
+    Per orbit O of the atom maps, with least atom r: each atom c of O is
+    f(r) for some f (r's idempotent fixes r, and the maps compose and
+    invert along O), and an invariant a has a[c] = Frob^t(a[r]) for f's
+    twist t; t_c is the first such t.  Two maps taking r to c differ by the
+    twist of a map fixing r (f'^-1 f), and r's idempotent has twist 0, so
+    the differences generate the twists H_r of the maps fixing r
+    (`fixed_atom_violation`), the subgroup of Z/k, k = `coords`, generated
+    by h = gcd(k, the differences).  a[r] may be any H_r-fixed value, and
+    the a it defines is invariant (a map taking b to c composes with one
+    taking r to b).  Those values are the ring fixed by Frob^h, of order m^h
+    for the atom's `modulus` m: GF(p^h) in GF(p^k), or all of Z/p^k.  The
+    relative trace sum_{j<k/h} Frob^{jh} maps the atom onto it, so the
+    generator of a coordinate vector u is Frob^{t_c} of u's trace at each
+    atom c of O (`Atom.frobenius_cols`).
+
+    Checked apart from the construction: no map moves a generator
+    (`_defect`), the result is a unital subalgebra, and its order is the
+    product over the orbits of m^h, h read again from the twists of the
+    maps fixing r, so it is all of the fixed ring."""
+    gens, count = [], 1
+    for r, *_ in _atom_orbits(A, isos):
+        atom = A.atoms[r]
+        k, m = atom.coords, atom.modulus
+        reached, h = {}, k  # atom c -> t_c
+        for iso in isos:
+            if v := iso.atom_map[r]:
+                h = math.gcd(h, v[1] - reached.setdefault(*v))
+        for u in range(k):
+            gen = [0] * A.n_coords
+            for c, t in reached.items():
+                images = (atom.frobenius_cols(t % h + j * h)[u] for j in range(k // h))
+                gen[slice(*A.atom_span(c))] = [sum(col) % m for col in zip(*images)]
+            gens.append(gen)
+        count *= m ** math.gcd(k, *(v[1] for iso in isos if (v := iso.atom_map[r]) and v[0] == r))
+    sub = Subalgebra(A, gens)
+    if any(any(_defect(iso)(g)) for iso in isos for g in sub.gen_vectors):
+        raise AssertionError("a generator of the fixed ring is moved by a map")
     if not sub.is_subalgebra():
         raise AssertionError("invariants failed to be a unital subalgebra")
+    if sub.order != count:
+        raise AssertionError(f"the fixed ring has order {sub.order}; its atoms count {count}")
     return sub
 
 
@@ -331,30 +356,6 @@ def fixed_atom_violation(beta):
     return None
 
 
-def invariant_order_from_atoms(beta):
-    """|A^beta| as the product over the orbits O of |atom_r^{H_r}|, r the least atom of O.
-
-    H_r is the group of twists of the maps fixing r (`fixed_atom_violation`),
-    a subgroup of Z/n for the atom's n = `coords` coordinates, generated by
-    h = gcd(n, those twists).  atom_r^{H_r} is the ring fixed by Frob^h,
-    free on h coordinates modulo the atom's `modulus` m, so of order m^h:
-    GF(p^h) in GF(p^k) (n = k, m = p), and all of Z/p^k (n = h = 1,
-    m = p^k).  Each atom c of O is beta_s(r) for some s,
-    since r's idempotent fixes it and the maps compose and invert along O,
-    and an invariant a has a[c] = Frob^t(a[r]).  Two such s have twists
-    apart by an element of H_r (s'^-1 s fixes r), so a[r] may be any
-    H_r-fixed value, and the a it defines is invariant: an s taking b to c
-    composes with the s' taking r to b.
-    """
-    order = 1
-    for block in beta.orbits:
-        r = block.atoms[0]
-        atom = beta.A.atoms[r]
-        twists = [v[1] for iso in beta.isos if (v := iso.atom_map[r]) and v[0] == r]
-        order *= atom.modulus ** math.gcd(atom.coords, *twists)
-    return order
-
-
 @remembered
 def separability_violation(beta, B):
     """The free-part rule, kept per B: the first orbit block whose part B e_O
@@ -362,12 +363,12 @@ def separability_violation(beta, B):
     containing A^beta, None exactly when B is separable over A^beta.
 
     B holds each e_O, so it is separable iff each B e_O is over A^beta e_O.
-    An invariant is fixed on O by its value at one atom
-    (`invariant_order_from_atoms`), so A^beta e_O embeds in each atom of O,
-    as a subring K of it.  An atom whose coordinate modulus m is p is a
-    field (GF(p^k), or Z/p): there B e_O is reduced, a product of finite
-    fields over the subfield K, so separable.  An atom with m = p^k, k > 1,
-    has one coordinate (it is Z/p^k), and K is all of it.  Each primitive
+    An invariant is fixed on O by its value at one atom (`fixed_ring`), so
+    A^beta e_O embeds in each atom of O, as a subring K of it.  An atom
+    whose coordinate modulus m is p is a field (GF(p^k), or Z/p): there
+    B e_O is reduced, a product of finite fields over the subfield K, so
+    separable.  An atom with m = p^k, k > 1, has one coordinate (it is
+    Z/p^k), and K is all of it.  Each primitive
     idempotent f of B under e_O has Bf local and holding (Z/m) f.  B e_O
     mod p is a subring of F_p^O whose idempotents lift (the kernel is nil):
     the vectors constant on the atom classes of the f, read off the
@@ -420,11 +421,17 @@ def induce_partial_group_action(beta):
     if not is_injective(beta):
         raise NotInjective("the induced partial action needs an injective beta")
     G, classes, _ = sigma_partition(beta.S)
-    isos = isopu.class_joins(beta.isos, classes)
+    isos = sigma_class_joins(beta)
     for cls, join in zip(classes, isos):
         if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent_vec(join.im_support):
             raise AssertionError("boolean sum disagrees with the support union")
     return validate_partial_group_action(G, beta.A, isos)
+
+
+@remembered
+def sigma_class_joins(beta):
+    """The join of the beta_s over each sigma-class: alpha's isos, psi's columns."""
+    return tuple(isopu.class_joins(beta.isos, sigma_partition(beta.S)[1]))
 
 
 def _boolean_sum(A, idempotents_list):

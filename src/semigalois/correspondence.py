@@ -54,8 +54,8 @@ def enumerate_beta_maximal(beta):
 @remembered
 def fixed_subalgebra(beta, T: SubSemigroup):
     """A^{beta|T}: the `actions.fixed_ring` of the beta_t, t in T in sorted order,
-    kept per T.  T must be a full subsemigroup of S; A^{beta|T} then contains
-    A^beta (checked)."""
+    kept per T.  T must be a full subsemigroup of S, so that its maps are
+    closed and cover A; A^{beta|T} then contains A^beta (checked)."""
     if T.parent is not beta.S or not T.is_full:
         raise NotFullSub("the fixed ring needs a full subsemigroup of S")
     B = fixed_ring(beta.A, [beta.isos[t] for t in sorted(T.members)])

@@ -32,13 +32,12 @@ import functools
 import math
 
 from .actions import (Action, _defect, fixed_atom_violation, image_action,
-                      induce_partial_group_action, invariant_order_from_atoms, invariant_ring,
-                      is_injective, separability_violation, sigma_trace_image)
-from .isopu import class_joins
+                      induce_partial_group_action, invariant_ring, is_injective,
+                      separability_violation, sigma_class_joins, sigma_trace_image)
 from .linalg import (Matrix, block_diag, lattice_canon, lattice_det, lattice_member, solve_cols,
                      vstack)
 from .rings import Subalgebra, TensorPresentation
-from .semigroups import SubSemigroup, is_e_unitary, remembered, sigma_partition
+from .semigroups import SubSemigroup, is_e_unitary, remembered
 
 
 class EquivalenceViolation(AssertionError):
@@ -205,8 +204,8 @@ def psi_check(beta):
     beta_t1 ~ beta_t2 its ideal is A_t1 n A_t2, which holds the ideal of
     every common lower bound.  So a family is one value per class g on each
     coordinate of the union of A_t over g's maximal t, which is the ideal
-    of alpha_g, the join of g's maps (every s of g lies below a maximal
-    element of g): PA is the product over S/sigma of the A_{alpha_g}, and
+    of alpha_g, the join of g's maps (`actions.sigma_class_joins`; every s
+    of g lies below a maximal element of g): PA is the product over S/sigma of the A_{alpha_g}, and
     |PA| is the product of the moduli of their coordinates.  psi(x (x) y)
     is (x beta_t(y 1_{t^-1}))_t, and beta_t <= alpha_g for t in g, with
     alpha_g injective: an atom of A_t is reached by alpha_g only from t's
@@ -226,10 +225,10 @@ def psi_check(beta):
     raises EquivalenceViolation: for atoms i, j of one orbit, A^beta e_O
     embeds in the atom F as K (`actions.separability_violation`), the part
     e_i (x) e_j of the tensor is F (x)_K F, the maximal beta_t taking j to i
-    realize every K-embedding tau of F (`actions.invariant_order_from_atoms`),
+    realize every K-embedding tau of F (`actions.fixed_ring`),
     and psi there is u (x) v -> (u tau(v))_tau, an isomorphism onto prod_tau F.
     """
-    joins = class_joins(beta.isos, sigma_partition(beta.S)[1])
+    joins = sigma_class_joins(beta)
     t_order = image_order = pa_order = 1
     witness = None
     for o, (block, tensor) in enumerate(_full_tensor(beta)):
@@ -259,8 +258,8 @@ def psi_check(beta):
 def compute_S_B(beta, B: Subalgebra):
     """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B}, kept per B: the
     s whose defect vanishes on B's generators (they suffice, the defect being
-    additive).  The other direction, T -> A^{beta|T}, is the common kernel of
-    the same defects (`actions.fixed_ring`)."""
+    additive).  The other direction, T -> A^{beta|T}, is built from T's atom
+    maps and checked on the same defects (`actions.fixed_ring`)."""
     if not B.is_subalgebra():
         raise NotSubalgebra("S_B needs a unital subalgebra")
     defects = map(_defect, beta.isos)
@@ -457,14 +456,13 @@ def cross_check_equivalences(beta: Action):
     Preconditions: S finite E-unitary without zero, beta unital injective,
     all A_s nonzero.  The first three criteria and alpha-Galois are
     provably equivalent and asserted unanimous with zero tolerance, and so
-    are the fixed-atom rule (`is_galois`) and the atom count of |A^beta|
-    (`actions.invariant_order_from_atoms`) against A^beta's order.  The
-    trace-image criterion is necessary but not sufficient: when a class of
-    the quotient group acts trivially on an atom whose characteristic does
-    not divide the class count, the trace stays surjective while the
-    extension fails to be Galois (e.g. C2 on Z/5 x GF(9) by identity x
-    Frobenius).  That one disagreement shape is reported as `trace_gap`;
-    any other disagreement raises EquivalenceViolation.
+    is the fixed-atom rule (`is_galois`).  The trace-image criterion is
+    necessary but not sufficient: when a class of the quotient group acts
+    trivially on an atom whose characteristic does not divide the class
+    count, the trace stays surjective while the extension fails to be
+    Galois (e.g. C2 on Z/5 x GF(9) by identity x Frobenius).  That one
+    disagreement shape is reported as `trace_gap`; any other disagreement
+    raises EquivalenceViolation.
 
     alpha's coordinate system is solved only when beta has no coordinates:
     beta's, when they exist, are alpha's as well, and are checked on
@@ -517,8 +515,6 @@ def cross_check_equivalences(beta: Action):
         raise EquivalenceViolation(f"the fixed-atom rule disagrees with the criteria: {verdicts}")
     if (separability_violation(beta, full) is None) != (sep is not None):
         raise EquivalenceViolation("the free-part rule disagrees with the separability solve")
-    if invariant_order_from_atoms(beta) != inv.order:
-        raise EquivalenceViolation(f"the atom count of |A^beta| disagrees with {inv.order}")
     trace_gap = False
     if verdicts["trace_image"] != galois:
         if galois or not verdicts["trace_image"]:

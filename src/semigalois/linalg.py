@@ -386,10 +386,6 @@ class AbelianPresentation:
     def order(self):
         return lattice_det(self.lattice)
 
-    def vector_order(self, vec):
-        """The order of `vec` modulo the diagonal alone: a multiple of its order."""
-        return math.lcm(*(d // math.gcd(x, d) for x, d in zip(vec, self.moduli) if x))
-
     def is_zero(self, vec):
         return lattice_member(self.lattice, vec)
 

@@ -37,7 +37,8 @@ route has one reference that shares none of its shortcuts:
   `boolean_sum_by_inclusion_exclusion`, `full_inverse_subsemigroups_by_power_set`,
   `beta_complete_by_subset_scan`, `beta_maximal_by_subset_scan`), the natural
   order by idempotents, the iso closure on objects, associativity over all
-  n^3 triples, A^beta from one kernel per s (`invariant_ring_by_all_kernels`),
+  n^3 triples, A^beta and A^{beta|T} from one kernel per map
+  (`invariant_ring_by_all_kernels`, `fixed_ring_by_all_kernels`),
   Iso_pu(A) by enumeration, and the four action-axiom validators with their
   own loops.
 
@@ -85,6 +86,12 @@ def matmul(a, b):
                 col[i] = col.get(i, 0) + x * v
         cols.append({i: v for i, v in col.items() if v})
     return Matrix(a.rows, cols)
+
+
+def vector_order(moduli, vec):
+    """The order of `vec` modulo the diagonal `moduli` alone: a multiple of
+    its order in any presentation with those moduli."""
+    return math.lcm(*(d // math.gcd(x, d) for x, d in zip(vec, moduli) if x))
 
 
 def sparse(rows):
@@ -369,7 +376,7 @@ def span_relations_by_kernel(sub):
     if not sub.gen_vectors:
         return []
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
-    in_moduli = [ring.presentation.vector_order(g) for g in sub.gen_vectors]
+    in_moduli = [vector_order(ring.coord_moduli, g) for g in sub.gen_vectors]
     gens = kernel_gens(mat, ring.presentation.lattice, in_moduli, ring.coord_moduli)
     for i, d in enumerate(in_moduli):
         gens.append(tuple(d if t == i else 0 for t in range(len(in_moduli))))
@@ -395,7 +402,7 @@ def expand_by_solve(sub, vec):
             raise NotSubring(f"vector {vec} is outside the span")
         return ()
     mat = cols_from_vectors(list(sub.gen_vectors), ring.n_coords)
-    in_moduli = [ring.presentation.vector_order(g) for g in sub.gen_vectors]
+    in_moduli = [vector_order(ring.coord_moduli, g) for g in sub.gen_vectors]
     sol = solve_cols(mat, ring.presentation.lattice, vec, in_moduli, ring.coord_moduli)
     if sol is None:
         raise NotSubring(f"vector {vec} is outside the span")
@@ -1036,7 +1043,7 @@ class PresentedBaseByLoops:
     @staticmethod
     def from_subalgebra(B):
         gens = list(B.gen_vectors)
-        orders = [B.ring.presentation.vector_order(g) for g in gens]
+        orders = [vector_order(B.ring.coord_moduli, g) for g in gens]
         return PresentedBaseByLoops(
             gens, orders, span_relations_by_kernel(B),
             lambda i, j: expand_by_solve(B, B.ring.mul_vec(gens[i], gens[j])),
@@ -1085,7 +1092,7 @@ class ScalarExtensionByLoops:
         self._check_structural_map()
         self.ag = list(A.basis_vectors())
         self.k, self.l = base.k, len(self.ag)
-        moduli = [math.gcd(base.orders[i], A.presentation.vector_order(self.ag[j]))
+        moduli = [math.gcd(base.orders[i], vector_order(A.coord_moduli, self.ag[j]))
                   for i in range(self.k) for j in range(self.l)]
         rel_cols = []
         for col in base.pres.relations.cols:
@@ -1379,7 +1386,7 @@ class WholeTensorPresentation:
         self.gens = list(B.gen_vectors)
         self.k = self.l = len(self.gens)
         self._mult_matrices = {}
-        orders = [ring.presentation.vector_order(v) for v in self.gens]
+        orders = [vector_order(ring.coord_moduli, v) for v in self.gens]
         moduli = [math.gcd(a, b) for a in orders for b in orders]
         relations = span_relations_by_kernel(B)
         rel_cols = []
@@ -1587,16 +1594,21 @@ def is_separable_whole(B, R):
 
 
 def invariant_ring_by_all_kernels(beta):
-    """A^beta as `actions.invariant_ring` computed it before it skipped the
-    maps that are zero on the span: one kernel for every s, in order."""
+    """A^beta by `fixed_ring_by_all_kernels` on beta's isos."""
+    return fixed_ring_by_all_kernels(beta.A, beta.isos)
+
+
+def fixed_ring_by_all_kernels(A, isos):
+    """The ring fixed by the isos as `actions.fixed_ring` computed it by
+    lattice kernels, before it skipped the maps that are zero on the span:
+    one kernel for every iso, in order, on the span the ones before it left."""
     from semigalois.linalg import cols_from_vectors, kernel_gens, residues
     from semigalois.rings import Subalgebra
-    A = beta.A
     current = [tuple(v) for v in A.basis_vectors()]
-    for iso in beta.isos:
+    for iso in isos:
         cols = [A.sub_vec(iso.apply_vec(v), A.mask_vec(v, iso.im_support)) for v in current]
         ker = kernel_gens(cols_from_vectors(cols, A.n_coords), A.presentation.lattice,
-                          [A.presentation.vector_order(v) for v in current], A.coord_moduli)
+                          [vector_order(A.coord_moduli, v) for v in current], A.coord_moduli)
         span = cols_from_vectors(current, A.n_coords)
         current = residues([span.apply(coeffs) for coeffs in ker], A.coord_moduli)
         if not current:

@@ -2,14 +2,15 @@
 
 Every beta_s matches atoms Z/p^k and GF(p^k) with Frobenius twists, and
 on this class A is beta-Galois exactly when each s whose map fixes an atom
-with twist 0 is idempotent (`actions.fixed_atom_violation`), and |A^beta|
-is the product over the orbits of the twist-fixed part of one atom
-(`actions.invariant_order_from_atoms`).  Both are held here to the
-coordinate solve and to `invariant_ring`: on seeded corpora with and
-without zero, on non-E-unitary draws, on non-injective actions pulled back
-along a projection S x T -> S, on the corpus fixtures and on the shipped
-instances.  `cross_check_equivalences` must raise when the rule or the
-count disagrees with the criteria, also under python -O.
+with twist 0 is idempotent (`actions.fixed_atom_violation`), and A^beta is,
+on each orbit, the twist-fixed values of one atom carried along the orbit
+(`actions.fixed_ring`).  The rule is held here to the coordinate solve, and
+A^beta to the kernel route (`oracles.invariant_ring_by_all_kernels`): on
+seeded corpora with and without zero, on non-E-unitary draws, on
+non-injective actions pulled back along a projection S x T -> S, on the
+corpus fixtures and on the shipped instances.  `cross_check_equivalences`
+must raise when the rule disagrees with the criteria, and `fixed_ring` when
+its basis disagrees with its count from the atoms, also under python -O.
 """
 
 import os
@@ -23,10 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import (c2_fixed_atom_fixture, chain_semilattice_fixture,
                       collapsing_semilattice_fixture, group_with_zero_fixture, trace_gap_fixture)
-from oracles import direct_product
-from semigalois import galois
-from semigalois.actions import (fixed_atom_violation, invariant_order_from_atoms,
-                                invariant_ring, is_injective, validate_action)
+from oracles import direct_product, invariant_ring_by_all_kernels
+from semigalois import actions, galois
+from semigalois.actions import fixed_atom_violation, invariant_ring, is_injective, validate_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, c2_table, corpus, f9_cubed_fixture
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, FiniteRing, StructuredIso
@@ -46,11 +46,11 @@ def pulled_back(beta, T):
 
 
 def assert_model_agrees(beta):
-    """The rule against the coordinate solve, the count against A^beta; the verdict."""
+    """The rule against the coordinate solve, A^beta against the kernel route; the verdict."""
     galois_by_solve = galois.solve_galois_coordinates(beta) is not None
     assert (fixed_atom_violation(beta) is None) == galois_by_solve
     assert galois.is_galois(beta) == galois_by_solve
-    assert invariant_order_from_atoms(beta) == invariant_ring(beta).order
+    assert invariant_ring(beta).basis == invariant_ring_by_all_kernels(beta).basis
     return galois_by_solve
 
 
@@ -110,26 +110,48 @@ def gf16_frobenius():
     return validate_action(C4, A, [StructuredIso(A, {0: 0}, {0: t}) for t in range(4)])
 
 
+def gf4_twisted_swap():
+    """C2 on GF(4)^2: g swaps the atoms, with Frobenius both ways."""
+    A = FiniteRing([Atom.gf(2, 2)] * 2)
+    return validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(2)),
+                                           StructuredIso(A, {0: 1, 1: 0}, {0: 1, 1: 1})])
+
+
 @pytest.mark.parametrize("build,violation,order", [
     (zmod_fixed_by_a_non_idempotent, (1, 2), 4 * 9),
     (gf16_squared_frobenius, None, 4 * 3),  # GF(16) fixed by {0, 2}: GF(4)
     (gf16_frobenius, None, 2),
-], ids=["zmod-fixed", "gf16-frob2", "gf16-frob"])
+    (gf4_twisted_swap, None, 4),  # (u, Frob(u)): atom 1 is reached with twist 1
+], ids=["zmod-fixed", "gf16-frob2", "gf16-frob", "gf4-twisted-swap"])
 def test_fixed_atoms_decide_and_twists_count(build, violation, order):
     """A non-idempotent fixing a Z/p^k atom breaks Galois-ness; one fixing a
-    GF(p^k) atom with a nonzero twist does not.  The cross-check agrees."""
+    GF(p^k) atom with a nonzero twist does not.  A twisted swap carries the
+    fixed values of one atom to the other by its twist.  The cross-check
+    agrees."""
     beta = build()
     assert fixed_atom_violation(beta) == violation
-    assert invariant_order_from_atoms(beta) == order
+    assert invariant_ring(beta).order == order
     assert assert_model_agrees(beta) == (violation is None)
     report = galois.cross_check_equivalences(beta)
     assert report.galois == (violation is None) and report.invariants_order == order
 
 
-PLANTS = {  # name -> (the function replaced, its replacement given the real one)
-    "rule flipped": ("fixed_atom_violation",
-                     lambda real: lambda beta: None if real(beta) else (0, 0)),
-    "count doubled": ("invariant_order_from_atoms", lambda real: lambda beta: 2 * real(beta)),
+def doubled_order(real):
+    """`Subalgebra` whose order reads twice its basis's: fixed_ring's count
+    from the atoms is then half the order it checks it against."""
+    def build(ring, gen_vectors):
+        sub = real(ring, gen_vectors)
+        sub.order *= 2
+        return sub
+    return build
+
+
+PLANTS = {  # name -> (module, the name replaced, its replacement given the real one,
+    #          the raise and its message)
+    "rule flipped": (galois, "fixed_atom_violation",
+                     lambda real: lambda beta: None if real(beta) else (0, 0),
+                     galois.EquivalenceViolation, "fixed-atom rule"),
+    "count doubled": (actions, "Subalgebra", doubled_order, AssertionError, "atoms count"),
 }
 
 
@@ -137,30 +159,33 @@ PLANTS = {  # name -> (the function replaced, its replacement given the real one
 @pytest.mark.parametrize("fixture", [c2_swap_fixture, c2_fixed_atom_fixture],
                          ids=lambda f: f.__name__)
 def test_cross_check_raises_on_a_planted_disagreement(monkeypatch, plant, fixture):
-    name, replacement = PLANTS[plant]
-    monkeypatch.setattr(galois, name, replacement(getattr(galois, name)))
-    with pytest.raises(galois.EquivalenceViolation):
+    module, name, replacement, error, message = PLANTS[plant]
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
+    with pytest.raises(error, match=message):
         galois.cross_check_equivalences(fixture())
 
 
 _OPTIMIZED_PROBE = textwrap.dedent("""
     import sys
-    from semigalois import galois as gl
+    from semigalois import actions, galois as gl
     from fixtures import c2_fixed_atom_fixture
     from semigalois.corpus import c2_swap_fixture
+    from test_atom_model import doubled_order
     if __debug__:
         sys.exit(3)
     if sys.argv[1] == "rule":
         real = gl.fixed_atom_violation
         gl.fixed_atom_violation = lambda beta: None if real(beta) else (0, 0)
+        error, message = gl.EquivalenceViolation, "fixed-atom rule"
     else:
-        real = gl.invariant_order_from_atoms
-        gl.invariant_order_from_atoms = lambda beta: 2 * real(beta)
+        actions.Subalgebra = doubled_order(actions.Subalgebra)
+        error, message = AssertionError, "atoms count"
     for fixture in (c2_swap_fixture, c2_fixed_atom_fixture):
         try:
             gl.cross_check_equivalences(fixture())
-        except gl.EquivalenceViolation:
-            continue
+        except error as exc:
+            if message in str(exc):
+                continue
         sys.exit(1)
     sys.exit(0)
 """)

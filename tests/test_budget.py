@@ -62,10 +62,10 @@ def test_documented_margin_over_c20_holds(tmp_path, capsysbinary):
 SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
                   ["correspond", "--brute-force-subalgebras"], ["zero"]]
 SPEND_CEILINGS = {
-    "b2_f3f3": [0, 9, 0, 0, 0, 17],
-    "c2_swap": [0, 11, 55, 18, 40, 0],
-    "s7_f9cubed": [0, 30, 389, 101, 470, 0],
-    "trace_gap_c2": [0, 10, 61, 0, 0, 0],
+    "b2_f3f3": [0, 4, 0, 0, 0, 12],
+    "c2_swap": [0, 4, 48, 11, 33, 0],
+    "s7_f9cubed": [0, 17, 376, 81, 450, 0],
+    "trace_gap_c2": [0, 6, 57, 0, 0, 0],
 }
 
 
@@ -103,7 +103,7 @@ def test_spend_per_shipped_instance_stays_under_its_ceiling(monkeypatch, capsysb
 
 
 # `galois` on C2 swapping k pairs of Z/2 (k orbits of two atoms each), by k.
-C2_PAIRS_CEILINGS = {32: 11_680, 128: 169_600}
+C2_PAIRS_CEILINGS = {32: 11_456, 128: 168_704}
 
 
 def _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, k):

@@ -63,11 +63,11 @@ def test_old_guard_spellings_are_unknown(tmp_path):
 def test_small_budget_is_a_reported_verdict():
     """A trip inside the command ends the report with FAIL budget and exits 3.
     correspond solves no coordinate system, so its first charged work is the
-    kernel of A^beta."""
+    insertion of A^beta's generators into a canonical basis."""
     code, out, err = run_cli(["correspond", "instances/c2_swap.sgi", "--budget", "5"])
     assert code == 3 and err == b""
     lines = out.decode().splitlines()
-    assert lines[-2:] == ["FAIL budget  quantity=echelon_entries  spent=8  limit=5",
+    assert lines[-2:] == ["FAIL budget  quantity=echelon_entries  spent=6  limit=5",
                           "# result: FAIL"]
 
 
@@ -195,12 +195,15 @@ def _readers(name):
 
 
 def test_one_fixed_point_solve_and_one_iso_application():
-    """The fixed ring of a family of maps has one solve, `fixed_ring`, the one
-    reader of `kernel_gens`; an iso is applied only through its plan, which
+    """The fixed ring of a family of maps has one construction, `fixed_ring`,
+    from the orbits and stabilizers of the atom maps, so nothing under src/
+    reads `kernel_gens`; an iso is applied only through its plan, which
     only `apply_vec` reads."""
     from semigalois.linalg import Matrix
     from semigalois.rings import StructuredIso
-    assert _readers("kernel_gens") == [("actions", "fixed_ring")]
+    assert _readers("kernel_gens") == []
+    assert _readers("fixed_ring") == [("actions", "invariant_ring"),
+                                      ("correspondence", "fixed_subalgebra")]
     assert _readers("application_plan") == [("rings", "apply_vec")]
     assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 

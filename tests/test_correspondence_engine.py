@@ -22,7 +22,7 @@ from semigalois.galois import PreconditionFail, is_galois
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, FiniteRing, StructuredIso
 from semigalois.semigroups import SubSemigroup, is_e_unitary, validate_table
-from oracles import (e_unitary_correspondence_by_own_loop,
+from oracles import (e_unitary_correspondence_by_own_loop, fixed_ring_by_all_kernels,
                      general_correspondence_by_image_verifier, zero_correspondence_by_own_loop)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -339,7 +339,8 @@ def _fixed_ring_cases(source):
 @pytest.mark.parametrize("source", ["corpus", "corpus-with-zero", "shipped", "brute-rungs"])
 def test_fixed_subalgebra_matches_the_restricted_action(source):
     """A^{beta|T} from beta's own isos on T has the canonical basis of the
-    invariants of the restricted action, at the same budget spend."""
+    invariants of the restricted action, at the same budget spend, and of
+    the ring the kernel route fixes on T's isos."""
     ts = 0
     for beta in _fixed_ring_cases(source):
         actions.invariant_ring(beta)  # remembered, so neither route below pays for it
@@ -351,5 +352,7 @@ def test_fixed_subalgebra_matches_the_restricted_action(source):
                 want = actions.invariant_ring(actions.restrict_action(beta, T)[0])
                 assert budget.spent() == spent
             assert got.basis == want.basis
+            isos = [beta.isos[t] for t in sorted(T.members)]
+            assert got.basis == fixed_ring_by_all_kernels(beta.A, isos).basis
             ts += 1
     assert ts >= 9

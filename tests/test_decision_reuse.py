@@ -49,6 +49,18 @@ def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance
     assert len(calls) == solves
 
 
+def test_galois_joins_the_sigma_classes_once(monkeypatch, capsys):
+    """The induced alpha and psi read one remembered join of each sigma-class
+    (`actions.sigma_class_joins`): on the S7 monoid, where both are built,
+    `galois` joins the classes once (twice when each joined its own)."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semigalois") and hasattr(module, "class_joins"):
+            _recording(monkeypatch, module, "class_joins", lambda *a: calls.append(a))
+    assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("args", [["correspond"], ["correspond", "--brute-force-subalgebras"],
                                   ["zero"]], ids=" ".join)
 def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, capsys, args):
@@ -83,12 +95,12 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 
 
 # What each command derives about S (the first two), about beta (the next
-# six, and the four kept per subalgebra B or per T), and about the rings,
+# seven, and the four kept per subalgebra B or per T), and about the rings,
 # atoms, isos, blocks, groups, subalgebras and tensors a decision builds
 # (the keyed ones per indicator, twist, iso or b).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
-         actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
+         actions.sigma_class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
          actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
          correspondence.fixed_subalgebra,
          rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors,
@@ -107,7 +119,7 @@ COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebra
 def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     """In one cli.main on each shipped instance, sigma and E-unitarity are
     derived at most once per semigroup object; injectivity, A^beta, the
-    induced alpha, the orbits, the Galois system and A (x)_{A^beta} A at
+    induced alpha, the sigma-class joins, the orbits, the Galois system and A (x)_{A^beta} A at
     most once per action object, and the free-part rule, S_B and
     strongness once per action and subalgebra, A^{beta|T} once per action
     and T; the additive group and the unit vectors once per ring, and each

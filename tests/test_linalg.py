@@ -6,7 +6,7 @@ import pytest
 
 from semigalois import linalg
 from oracles import (dense, hstack, kernel_and_solve_by_echelon, matmul, quotient_order_by_enumeration,
-                     scatter_lattice, sparse, subgroup_elements_by_closure)
+                     scatter_lattice, sparse, subgroup_elements_by_closure, vector_order)
 
 
 def _subgroup_order(pres, gens):
@@ -265,7 +265,7 @@ def test_echelon_matches_sorted_scan_oracle(seed):
         dst = linalg.AbelianPresentation(moduli, relations=sparse(rels))
         cols = [[rng.choice([0, 0, 2, 3, -6, 4, 2 * BIG]) for _ in range(m)]
                 for _ in range(rng.randint(1, 4))]
-        in_moduli = [dst.vector_order(c) * rng.choice([1, 2, 3]) for c in cols]
+        in_moduli = [vector_order(dst.moduli, c) * rng.choice([1, 2, 3]) for c in cols]
         mat = linalg.cols_from_vectors(cols, m)
         if rng.random() < 0.5:
             b = list(mat.apply([rng.randrange(d) for d in in_moduli]))
