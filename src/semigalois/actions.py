@@ -292,9 +292,9 @@ def fixed_ring(A, isos):
     invert along O), and an invariant a has a[c] = Frob^t(a[r]) for f's
     twist t; t_c is the first such t.  Two maps taking r to c differ by the
     twist of a map fixing r (f'^-1 f), and r's idempotent has twist 0, so
-    the differences generate the twists H_r of the maps fixing r
-    (`fixed_atom_violation`), the subgroup of Z/k, k = `coords`, generated
-    by h = gcd(k, the differences).  a[r] may be any H_r-fixed value, and
+    the differences generate the twists H_r of the maps fixing r, a
+    subgroup of Z/k, k = `coords` (f g and f^-1 fix r when f and g do),
+    generated by h = gcd(k, the differences).  a[r] may be any H_r-fixed value, and
     the a it defines is invariant (a map taking b to c composes with one
     taking r to b).  Those values are the ring fixed by Frob^h, of order m^h
     for the atom's `modulus` m: GF(p^h) in GF(p^k), or all of Z/p^k.  The
@@ -334,19 +334,21 @@ def fixed_ring(A, isos):
 def fixed_atom_violation(beta):
     """The fixed-atom rule: the first (s, j) with s not idempotent and beta_s
     fixing atom j of its domain with twist 0; None exactly when A is
-    beta-Galois.
+    beta-Galois.  It is the coordinate criterion's certificate of failure
+    (`galois._coordinates`): with no witness, the trace-dual pairs are
+    Galois coordinates.
 
     At an atom a of im(s), reached from b with twist t, the Galois system
     sum_i x_i beta_s(y_i 1_{s^-1}) = [s idempotent] 1_s reads
     sum_i x_i[a] Frob^t(y_i[b]) = [s idempotent].  If such an s fixes j, so
     does ss^-1, and the two equations at j ask sum_i x_i[j] y_i[j] to be 0
     and 1.  Otherwise, as idempotents act as identities, a triple (b, a, t)
-    asks 1 exactly when b = a and t = 0.  Pairs (x_i, y_i) on a single atom
-    j give 0 whenever b != a.  The twists of the maps fixing j form a
-    subgroup H_j of Z/k (beta_s beta_u and beta_{s^-1} fix j when beta_s and
-    beta_u do), GF(p^k) is a Galois field extension of its H_j-fixed field,
-    and its Galois coordinates give sum x Frob^t(y) = [t = 0] on H_j.  On
-    Z/p^k, H_j = 0 and x = y = 1 do.
+    asks 1 exactly when b = a and t = 0.  Take x_i the unit vectors and y_i,
+    on x_i's atom alone, the member of that atom's trace-dual basis dual to
+    x_i (`Atom.trace_dual`).  Pairs on a single atom give 0 whenever
+    b != a, and at b = a they give sum_u x^u Frob^t(y_u) = [t = 0 mod k]:
+    the triple's right side, as a twist is taken mod k and every twist on
+    Z/p^k (where x = y = 1) is 0.
     """
     for s in range(beta.S.n):
         if not beta.S.is_idempotent(s):

@@ -1,29 +1,30 @@
 """Galois criteria for unital inverse semigroup actions, with certificates.
 
 Four independently implemented routes test whether A is Galois over its
-invariants: coordinate systems (an exact linear solve over the additive
-basis), bijectivity of the comparison map into the compatible-family ring,
-separability plus strongness, and the twisted-trace image.  On E-unitary
-injective instances the first three are provably equivalent and asserted
-unanimous, and cross-checked against the induced partial group action
-alpha, an `Action` whose coordinate system is beta's definition
-(`_galois_system`) read on S/sigma and kept in alpha's own facts; the
-trace-image test is enforced as a necessary condition, with its known
-insufficiency (see `cross_check_equivalences`) flagged rather than fatal.
-The coordinate and separability systems are solved one orbit of the atom
-maps at a time (`Action.orbits`), and psi is checked one orbit at a
-time into PA_beta(S), the product over S/sigma of the images of the class
-joins, where psi's columns are those of the coordinate system on the
-joins (`_columns`), so it needs no solve.  The tensor A (x)_{A^beta} A is
-held as one `TensorPresentation` per orbit (`_full_tensor`): a generator
-pair from two orbits is zero, so it is no generator at all.  The assembled
-coordinate system is re-verified over all of A, and a separability
-idempotent, one vector per orbit, by m(z) summed over the orbits against
-1 of A and by each orbit's commutation equations on its own tensor.
-`is_galois`, the precondition of the correspondences, solves nothing: it is
-the fixed-atom rule of the atom model, held to the criteria on every
-cross-check, as is the free-part rule the correspondences decide
-separability by (`actions.separability_violation`).
+invariants: coordinate systems (one candidate that depends on A alone, the
+trace-dual pairs, checked on the action's system, or a fixed-atom witness
+that no coordinates exist), bijectivity of the comparison map into the
+compatible-family ring, separability plus strongness, and the twisted-trace
+image.  On E-unitary injective instances the first three are provably
+equivalent and asserted unanimous, and cross-checked against the induced
+partial group action alpha, an `Action` whose coordinate system is beta's
+definition (`_galois_system`) read on S/sigma and kept in alpha's own
+facts; the trace-image test is enforced as a necessary condition, with its
+known insufficiency (see `cross_check_equivalences`) flagged rather than
+fatal.  The separability system is solved one orbit of the atom maps at a
+time (`Action.orbits`), and psi is checked one orbit at a time into
+PA_beta(S), the product over S/sigma of the images of the class joins,
+where psi's columns are those of the coordinate system on the joins
+(`_columns`), so it needs no solve.  The tensor A (x)_{A^beta} A is held as
+one `TensorPresentation` per orbit (`_full_tensor`): a generator pair from
+two orbits is zero, so it is no generator at all.  The coordinates are
+verified over all of A by `mul_vec`, and a separability idempotent, one
+vector per orbit, by m(z) summed over the orbits against 1 of A and by each
+orbit's commutation equations on its own tensor.  `is_galois`, the
+precondition of the correspondences, solves nothing: it is the fixed-atom
+rule of the atom model, held to the criteria on every cross-check, as is
+the free-part rule the correspondences decide separability by
+(`actions.separability_violation`).
 """
 
 from __future__ import annotations
@@ -65,56 +66,14 @@ def galois_rhs(beta, s):
     return beta.ideal_one(s) if beta.S.is_idempotent(s) else beta.A.zero_vec
 
 
-def _solve_coordinates(beta, isos, rhs_vectors):
-    """Solve sum_i x_i f(y_i 1) = rhs_f for y with x the additive basis.
-
-    Any coordinate system can be rewritten onto the basis x by pushing the
-    integer expansion coefficients onto the y side, so solvability with
-    basis x is equivalent to existence.  The isos move atoms within the
-    orbits of beta, so x_i f(y_i 1) reads y_i only on x_i's orbit, and the
-    system is solved one orbit at a time (`Action.orbits`); each y_i
-    is zero off x_i's orbit.
-
-    On an orbit, y_i[c] is the coefficient of the generator pair x_i (x) e_c
-    of the orbit's tensor (`_full_tensor`), and only the free pairs
-    (`TensorPresentation.free_pairs`) carry an unknown.  The map
-    (y_i)_i -> (sum_i x_i f(y_i 1_dom))_f kills the tensor relations L:
-    x r (x) y - x (x) r y maps to 0, as f(r 1_dom) = r 1_im for invariant r.
-    So its kernel K contains L, and K has pivot 1 wherever L does; the
-    canonical solution, reduced below K's pivots, is zero there.  The
-    kernel of the restricted system is K n Z^F, whose pivots are multiples
-    of K's, so that solution is the restricted system's canonical one too:
-    the coordinates do not move.  The map's columns on the free pairs are
-    `_columns`.
-    """
-    A = beta.A
-    ys = [None] * A.n_coords
-    for block, tensor in _full_tensor(beta):
-        ring = block.ring
-        n = ring.n_coords
-        free = tensor.free_pairs
-        aug = block_diag([ring.presentation.lattice] * len(isos))
-        target = [x for vec in rhs_vectors for x in block.restrict(vec)]
-        sol = solve_cols(_columns(block, tensor, isos), aug, target,
-                         [ring.coord_moduli[p % n] for p in free],
-                         list(ring.coord_moduli) * len(isos))
-        if sol is None:
-            return None
-        y = [[0] * n for _ in range(n)]
-        for p, x in zip(free, sol):
-            y[p // n][p % n] = x
-        for i, g in enumerate(block.coords):
-            ys[g] = block.extend(y[i])
-    return list(zip(A.basis_vectors(), ys))
-
-
 def _columns(block, tensor, isos):
     """The map (y_i)_i -> (sum_i x_i f(y_i 1_dom))_f on one orbit, on the
     free pairs (i, c) of its tensor: column (i, c) is x_i f(e_c 1_dom) at
     rows (index of f, block coordinate), for x_i and e_c the block's unit
     vectors.  It is nonzero on f only when f takes e_c's atom to x_i's,
     which `atom_map` decides before any product; it is then x_i times f's
-    plan column at c, f(e_c) (`FiniteRing.unit_times`)."""
+    plan column at c, f(e_c) (`FiniteRing.unit_times`).  psi reads it on
+    the class joins."""
     ring = block.ring
     n = ring.n_coords
     units = ring.basis_vectors()
@@ -131,16 +90,13 @@ def _columns(block, tensor, isos):
     return Matrix(n * len(isos), cols)
 
 
-def verify_coordinates(beta, coords, system=None):
-    """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, apart from the solve.
-
-    `system` is the pair (isos, right sides); by default it is beta's
-    Galois system.  `apply_vec` masks y to the domain.  The products are
-    taken by `mul_vec`, not read as the solve read them (`unit_times`).
-    """
-    A = beta.A
-    isos, rhs = _galois_system(beta) if system is None else system
-    for iso, want in zip(isos, rhs):
+def verify_coordinates(action, coords):
+    """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, over the
+    action's own Galois system (`_galois_system`), apart from their
+    construction.  `apply_vec` masks y to the domain, and the products are
+    taken by `mul_vec`."""
+    A = action.A
+    for iso, want in zip(*_galois_system(action)):
         total = A.zero_vec
         for x, y in coords:
             total = A.add_vec(total, A.mul_vec(x, iso.apply_vec(y)))
@@ -150,29 +106,51 @@ def verify_coordinates(beta, coords, system=None):
 
 
 @remembered
-def _galois_system(beta):
-    """(isos, right sides) of the Galois coordinate system."""
-    return tuple(beta.isos), tuple(galois_rhs(beta, s) for s in range(beta.S.n))
+def _galois_system(action):
+    """(isos, right sides) of the action's Galois coordinate system."""
+    return tuple(action.isos), tuple(galois_rhs(action, s) for s in range(action.S.n))
 
 
-def _solve_verified(beta, system, name):
-    coords = _solve_coordinates(beta, *system)
-    if coords is not None and not verify_coordinates(beta, coords, system):
-        raise CertificateMismatch(f"{name} coordinate system fails its defining identity")
+def _trace_dual_pairs(A):
+    """The candidate coordinates, which depend on A alone: x_i the unit
+    vectors, and y_i on x_i's atom the member of the atom's trace-dual basis
+    (`Atom.trace_dual`) dual to x_i, zero elsewhere."""
+    ys = []
+    for idx, atom in enumerate(A.atoms):
+        lo, hi = A.atom_span(idx)
+        for dual in atom.trace_dual():
+            y = [0] * A.n_coords
+            y[lo:hi] = dual
+            ys.append(tuple(y))
+    return list(zip(A.basis_vectors(), ys))
+
+
+def _coordinates(action):
+    """Galois coordinates of the action on its own system, or None.
+
+    If the fixed-atom rule finds a witness (s, j) (`fixed_atom_violation`),
+    there are none: the equations of s and of ss^-1 at atom j ask
+    sum_i x_i[j] y_i[j] to be both 0 and 1.  Otherwise the trace-dual pairs
+    (`_trace_dual_pairs`) are coordinates, by that rule's proof; they are
+    checked on the action's system, and a failed check raises."""
+    if fixed_atom_violation(action) is not None:
+        return None
+    coords = _trace_dual_pairs(action.A)
+    if not verify_coordinates(action, coords):
+        raise CertificateMismatch("the trace-dual coordinates fail their defining identity")
     return coords
 
 
 def solve_galois_coordinates(beta):
     """Criterion (coordinates): a Galois coordinate system (x, y pairs) or None."""
-    return _solve_verified(beta, _galois_system(beta), "Galois")
+    return _coordinates(beta)
 
 
 def solve_partial_action_coordinates(beta):
-    """Coordinates for the induced partial group action alpha: alpha's own
-    Galois system (1_A at the one idempotent of G = S/sigma, 0 elsewhere),
-    solved on beta's orbits, within which alpha's joins move the atoms."""
-    system = _galois_system(induce_partial_group_action(beta))
-    return _solve_verified(beta, system, "partial-action")
+    """Coordinates for the induced partial group action alpha, on alpha's
+    own Galois system (1_A at the one idempotent of G = S/sigma, 0
+    elsewhere), or None."""
+    return _coordinates(induce_partial_group_action(beta))
 
 
 def is_galois_trace_criterion(beta):
@@ -407,8 +385,7 @@ def _full_tensor(beta):
     b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
     of the blocks' A e_O (x)_{A^beta e_O} A e_O, each presented on its block
     ring, whose constructor checks A^beta e_O.  Generator pair (i, c) is
-    e_i (x) e_c of the block ring's unit vectors, which psi and the
-    coordinate solve rely on.
+    e_i (x) e_c of the block ring's unit vectors, which psi relies on.
     """
     inv = invariant_ring(beta)
     return tuple((block, TensorPresentation(block.ring, block.subalgebra(inv))) for block in beta.orbits)
@@ -434,14 +411,11 @@ def separability_idempotent_from_coordinates(beta, coords):
 class GaloisCertificate:
     """Its elements are coordinate vectors, as everywhere in a decision."""
 
-    def __init__(self, coordinates=None, trace_image_generators=(), psi=None,
-                 separability_idempotent=None, strong_failure=None, alpha_coordinates=None):
+    def __init__(self, coordinates=None, trace_image_generators=(), psi=None, strong_failure=None):
         self.coordinates = coordinates
         self.trace_image_generators = trace_image_generators
         self.psi = psi  # a PsiReport
-        self.separability_idempotent = separability_idempotent
         self.strong_failure = strong_failure
-        self.alpha_coordinates = alpha_coordinates
 
 
 class EquivalenceReport:
@@ -464,14 +438,13 @@ def cross_check_equivalences(beta: Action):
     disagreement shape is reported as `trace_gap`; any other disagreement
     raises EquivalenceViolation.
 
-    alpha's coordinate system is solved only when beta has no coordinates:
-    beta's, when they exist, are alpha's as well, and are checked on
-    alpha's system.  S is E-unitary, so a class g other than the identity
-    holds no idempotent, and alpha_g agrees with some beta_s, s in g, at
-    each atom of its image: there sum_i x_i alpha_g(y_i 1) is
-    sum_i x_i beta_s(y_i 1_{s^-1}) = 0.  alpha_1 = Id_A, and the ideals of
-    the idempotents cover A, so on each atom sum_i x_i y_i is
-    sum_i x_i beta_e(y_i 1_e) = 1_e for an idempotent e there: it is 1.
+    alpha's coordinates are beta's when the two systems are equal (S a
+    group, say); otherwise `_coordinates` decides them on alpha's own
+    system, by alpha's fixed atoms and the same candidate, which depends on
+    A alone.  The verdicts must agree: S is E-unitary, so a class g other
+    than the identity holds no idempotent, and alpha_g agrees with some
+    beta_s, s in g, at each atom of its image; so some alpha_g, g != 1,
+    fixes an atom with twist 0 exactly when some non-idempotent beta_s does.
     """
     S = beta.S
     if S.zero is not None:
@@ -498,7 +471,6 @@ def cross_check_equivalences(beta: Action):
     full = Subalgebra.full(beta.A)
     sep = is_separable(_full_tensor(beta))
     strong, failure = is_beta_strong(beta, full)
-    cert.separability_idempotent = sep
     cert.strong_failure = failure
     verdicts["separable_and_strong"] = (sep is not None) and strong
 
@@ -522,15 +494,10 @@ def cross_check_equivalences(beta: Action):
         trace_gap = True
 
     # alpha's system is often beta's (same isos in the same order, same right
-    # sides: S a group, say); otherwise beta's coordinates are checked on it
+    # sides: S a group, say), and then so are its coordinates
     alpha_system = _galois_system(induce_partial_group_action(beta))
-    alpha_coords = coords
-    if alpha_system != _galois_system(beta):
-        if coords is None:
-            alpha_coords = solve_partial_action_coordinates(beta)
-        elif not verify_coordinates(beta, coords, alpha_system):
-            raise EquivalenceViolation("beta's Galois coordinates fail alpha's system")
-    cert.alpha_coordinates = alpha_coords
+    alpha_coords = (coords if alpha_system == _galois_system(beta)
+                    else solve_partial_action_coordinates(beta))
     if (alpha_coords is not None) != galois:
         raise EquivalenceViolation("beta-Galois and alpha-Galois disagree")
 

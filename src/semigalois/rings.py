@@ -140,7 +140,7 @@ class Atom:
             last = powers[-1]
             powers.append(tuple((s + last[-1] * c) % m for s, c in zip((0,) + last[:-1], top)))
         self._x_powers = tuple(powers)
-        self.facts = {}  # the Frobenius columns per power (`remembered`)
+        self.facts = {}  # the Frobenius columns per power, the trace dual (`remembered`)
 
     def __eq__(self, other):
         if other.__class__ is not Atom:
@@ -189,6 +189,42 @@ class Atom:
         for _ in range(r - 1):
             cols.append(tuple(self.mul_coords(cols[-1], y)))
         return tuple(cols)
+
+    @remembered
+    def trace_dual(self):
+        """The basis y_0, ..., y_(r-1) dual to 1, x, ..., x^(r-1), r =
+        `coords`, under the trace form Tr(uv), Tr = sum_{j<r} Frob^j: the
+        coordinate tuples with Tr(x^a y_b) = [a = b].  On one coordinate (Z/p^k,
+        or GF(p)) Tr is the identity and it is ((1,),).
+
+        On GF(p^k), Tr is F_p-linear and not zero (as a polynomial of degree
+        p^(k-1) it has fewer than p^k roots), so for u != 0 the map
+        v -> Tr(uv) is not zero either: the trace form is nondegenerate, and
+        its Gram matrix G[a][b] = Tr(x^(a+b)) is invertible mod p.  G is
+        symmetric, so y_b is row b of G^-1.  Then for every t,
+        sum_u x^u Frob^t(y_u) = [t = 0 mod k]: with M[j][u] = Frob^j(x^u)
+        and N[j][u] = Frob^j(y_u), j < k, (M^T N)[a][b] = Tr(x^a y_b) = [a = b],
+        so M^T N = I, hence N M^T = I, whose entry (t, 0) is that sum.
+        """
+        r, p = self.coords, self.p
+        if r == 1:
+            return ((1,),)
+        # Tr(x^u) is the sum of the constant terms of the Frobenius images of x^u
+        traces = [sum(self.frobenius_cols(j)[u][0] for j in range(r)) for u in range(r)]
+        gram = [[sum(c * t for c, t in zip(self._x_powers[a + b], traces)) % p for b in range(r)]
+                for a in range(r)]
+        # Gauss-Jordan on [G | I] mod p
+        rows = [row + [int(a == b) for b in range(r)] for a, row in enumerate(gram)]
+        for c in range(r):
+            pivot = next(i for i in range(c, r) if rows[i][c])
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            inv = pow(rows[c][c], -1, p)
+            rows[c] = [v * inv % p for v in rows[c]]
+            for i in range(r):
+                if i != c and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[c])]
+        return tuple(tuple(row[r:]) for row in rows)
 
     def mul_coords(self, u, v):
         """Product of two coordinate chunks of this atom, as a list of ints:

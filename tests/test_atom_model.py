@@ -4,8 +4,12 @@ Every beta_s matches atoms Z/p^k and GF(p^k) with Frobenius twists, and
 on this class A is beta-Galois exactly when each s whose map fixes an atom
 with twist 0 is idempotent (`actions.fixed_atom_violation`), and A^beta is,
 on each orbit, the twist-fixed values of one atom carried along the orbit
-(`actions.fixed_ring`).  The rule is held here to the coordinate solve, and
-A^beta to the kernel route (`oracles.invariant_ring_by_all_kernels`): on
+(`actions.fixed_ring`).  The rule, and the coordinate criterion built on it
+(`galois.solve_galois_coordinates`: the trace-dual pairs, or the rule's
+witness), are held here to the whole coordinate solve
+(`oracles.solve_coordinates_whole`), the pairs to the element route
+(`oracles.verify_coordinates_by_elements`), and A^beta to the kernel route
+(`oracles.invariant_ring_by_all_kernels`): on
 seeded corpora with and without zero, on non-E-unitary draws, on
 non-injective actions pulled back along a projection S x T -> S, on the
 corpus fixtures and on the shipped instances.  `cross_check_equivalences`
@@ -24,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import (c2_fixed_atom_fixture, chain_semilattice_fixture,
                       collapsing_semilattice_fixture, group_with_zero_fixture, trace_gap_fixture)
-from oracles import direct_product, invariant_ring_by_all_kernels
+from oracles import (direct_product, invariant_ring_by_all_kernels, solve_coordinates_whole,
+                     verify_coordinates_by_elements)
 from semigalois import actions, galois
 from semigalois.actions import fixed_atom_violation, invariant_ring, is_injective, validate_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, c2_table, corpus, f9_cubed_fixture
@@ -46,10 +51,14 @@ def pulled_back(beta, T):
 
 
 def assert_model_agrees(beta):
-    """The rule against the coordinate solve, A^beta against the kernel route; the verdict."""
-    galois_by_solve = galois.solve_galois_coordinates(beta) is not None
+    """The rule and the candidate against the whole solve, A^beta against the
+    kernel route; the verdict."""
+    galois_by_solve = solve_coordinates_whole(beta, *galois._galois_system(beta)) is not None
     assert (fixed_atom_violation(beta) is None) == galois_by_solve
     assert galois.is_galois(beta) == galois_by_solve
+    coords = galois.solve_galois_coordinates(beta)
+    assert (coords is not None) == galois_by_solve
+    assert coords is None or verify_coordinates_by_elements(beta, coords)
     assert invariant_ring(beta).basis == invariant_ring_by_all_kernels(beta).basis
     return galois_by_solve
 
@@ -146,11 +155,14 @@ def doubled_order(real):
     return build
 
 
+# The flipped rule is the coordinate criterion's witness too: on a Galois
+# instance the criteria then disagree, and on any other its candidate fails.
+FLIP_CAUGHT = "criteria disagree|trace-dual coordinates fail"
 PLANTS = {  # name -> (module, the name replaced, its replacement given the real one,
     #          the raise and its message)
     "rule flipped": (galois, "fixed_atom_violation",
                      lambda real: lambda beta: None if real(beta) else (0, 0),
-                     galois.EquivalenceViolation, "fixed-atom rule"),
+                     (galois.EquivalenceViolation, galois.CertificateMismatch), FLIP_CAUGHT),
     "count doubled": (actions, "Subalgebra", doubled_order, AssertionError, "atoms count"),
 }
 
@@ -166,17 +178,18 @@ def test_cross_check_raises_on_a_planted_disagreement(monkeypatch, plant, fixtur
 
 
 _OPTIMIZED_PROBE = textwrap.dedent("""
+    import re
     import sys
     from semigalois import actions, galois as gl
     from fixtures import c2_fixed_atom_fixture
     from semigalois.corpus import c2_swap_fixture
-    from test_atom_model import doubled_order
+    from test_atom_model import FLIP_CAUGHT, doubled_order
     if __debug__:
         sys.exit(3)
     if sys.argv[1] == "rule":
         real = gl.fixed_atom_violation
         gl.fixed_atom_violation = lambda beta: None if real(beta) else (0, 0)
-        error, message = gl.EquivalenceViolation, "fixed-atom rule"
+        error, message = (gl.EquivalenceViolation, gl.CertificateMismatch), FLIP_CAUGHT
     else:
         actions.Subalgebra = doubled_order(actions.Subalgebra)
         error, message = AssertionError, "atoms count"
@@ -184,7 +197,7 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
         try:
             gl.cross_check_equivalences(fixture())
         except error as exc:
-            if message in str(exc):
+            if re.search(message, str(exc)):
                 continue
         sys.exit(1)
     sys.exit(0)

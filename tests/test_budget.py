@@ -63,9 +63,9 @@ SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
                   ["correspond", "--brute-force-subalgebras"], ["zero"]]
 SPEND_CEILINGS = {
     "b2_f3f3": [0, 4, 0, 0, 0, 12],
-    "c2_swap": [0, 4, 48, 11, 33, 0],
-    "s7_f9cubed": [0, 17, 376, 81, 450, 0],
-    "trace_gap_c2": [0, 6, 57, 0, 0, 0],
+    "c2_swap": [0, 4, 40, 11, 33, 0],
+    "s7_f9cubed": [0, 17, 316, 81, 450, 0],
+    "trace_gap_c2": [0, 6, 54, 0, 0, 0],
 }
 
 
@@ -103,7 +103,7 @@ def test_spend_per_shipped_instance_stays_under_its_ceiling(monkeypatch, capsysb
 
 
 # `galois` on C2 swapping k pairs of Z/2 (k orbits of two atoms each), by k.
-C2_PAIRS_CEILINGS = {32: 11_456, 128: 168_704}
+C2_PAIRS_CEILINGS = {32: 11_200, 128: 167_680}
 
 
 def _c2_swapping_pairs_spend(monkeypatch, capsysbinary, tmp_path, k):

@@ -38,15 +38,17 @@ def _recording(monkeypatch, owner, name, record):
     monkeypatch.setattr(owner, name, wrapper)
 
 
-@pytest.mark.parametrize("instance,solves", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 1)])
-def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance, solves):
-    """On a group the partial-action system is the Galois system and reuses its
-    solution; on the S7 monoid it differs, and beta's coordinates are checked
-    on it instead of solving it (2 solves when it was solved apart)."""
-    calls = []
-    _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
+@pytest.mark.parametrize("instance,checked", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
+def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance, checked):
+    """No coordinate system is solved: the candidate is checked once on each
+    distinct system.  On a group the partial-action system is the Galois
+    system and reuses its verdict (1 check); on the S7 monoid it differs,
+    and the candidate is checked on beta's system and on alpha's (2)."""
+    actions_checked = []
+    _recording(monkeypatch, galois, "verify_coordinates", lambda a, c: actions_checked.append(a))
     assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
-    assert len(calls) == solves
+    assert len(actions_checked) == checked
+    assert len({id(a) for a in actions_checked}) == checked  # beta, then alpha
 
 
 def test_galois_joins_the_sigma_classes_once(monkeypatch, capsys):
@@ -65,10 +67,11 @@ def test_galois_joins_the_sigma_classes_once(monkeypatch, capsys):
                                   ["zero"]], ids=" ".join)
 def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, capsys, args):
     """correspond (both routes) and zero take their "A is beta-Galois"
-    precondition from the fixed-atom rule, so no command solves a coordinate
-    system on any shipped instance, and each passes on some."""
+    precondition from the fixed-atom rule, so no command builds or checks
+    coordinates on any shipped instance, and each passes on some."""
     calls, codes = [], []
-    _recording(monkeypatch, galois, "_solve_coordinates", lambda *a: calls.append(a))
+    for name in ("_trace_dual_pairs", "verify_coordinates"):
+        _recording(monkeypatch, galois, name, lambda *a: calls.append(a))
     for path in sorted(INSTANCES.glob("*.sgi")):
         codes.append(_run(capsys, args[0], str(path), *args[1:]))
     assert calls == [] and 0 in codes
@@ -104,7 +107,8 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
          correspondence.fixed_subalgebra,
          rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors,
-         rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.StructuredIso.dom_support.fget,
+         rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.Atom.trace_dual,
+         rg.StructuredIso.dom_support.fget,
          rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
          correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.TensorPresentation.free_pairs.fget,
@@ -123,9 +127,10 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     most once per action object, and the free-part rule, S_B and
     strongness once per action and subalgebra, A^{beta|T} once per action
     and T; the additive group and the unit vectors once per ring, and each
-    indicator once per ring and argument; the Frobenius columns
-    once per atom and twist; the supports and the plan once per iso; the
-    restriction of an iso once per block and iso, and the unit generators
+    indicator once per ring and argument; the Frobenius columns once per
+    atom and twist, and the trace dual once per atom; the supports and the
+    plan once per iso; the restriction of an iso once per block and iso,
+    and the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
     `Subalgebra`; and the free-pair presentation and multiplication map once
     per tensor, and a multiplication matrix once per tensor and b."""
@@ -190,15 +195,19 @@ def test_a_keyed_fact_is_kept_per_argument_under_its_name():
 
 
 def test_verify_coordinates_takes_a_whole_system():
-    """The default system is beta's Galois system; a given one is used whole."""
+    """The system checked is the action's own, whole: on the S7 monoid the
+    candidate passes beta's and alpha's, a pair planted wrong in one
+    coordinate fails both, and x = y = 1 fails beta's."""
     beta = f9_cubed_fixture()
+    alpha = actions.induce_partial_group_action(beta)
+    assert galois._galois_system(alpha) != galois._galois_system(beta)
     coords = galois.solve_galois_coordinates(beta)
-    isos, rhs = galois._galois_system(beta)
-    assert galois.verify_coordinates(beta, coords)
-    assert galois.verify_coordinates(beta, coords, system=(isos, rhs))
-    assert not galois.verify_coordinates(beta, coords, system=(isos, rhs[1:] + rhs[:1]))
-    assert not galois.verify_coordinates(beta, [(beta.A.one_vec, beta.A.one_vec)],
-                                         system=(beta.isos, rhs))
+    assert galois.verify_coordinates(beta, coords) and galois.verify_coordinates(alpha, coords)
+    (x, y), *rest = coords
+    planted = [(x, beta.A.add_vec(y, x))] + rest
+    assert not galois.verify_coordinates(beta, planted)
+    assert not galois.verify_coordinates(alpha, planted)
+    assert not galois.verify_coordinates(beta, [(beta.A.one_vec, beta.A.one_vec)])
 
 
 @pytest.mark.parametrize("brute", [False, True], ids=["pairs", "brute"])
@@ -255,11 +264,11 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
 
 def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
     """`galois` on s7_f9cubed multiplies a unit vector only through
-    `FiniteRing.unit_times`: no `mul_vec` call has the coordinate solve, psi,
+    `FiniteRing.unit_times`: no `mul_vec` call has psi,
     `mult_matrix` or the multiplication map on its stack (43 calls when
-    they kept their own products).  `verify_coordinates` re-checks
-    the solve with `mul_vec`, apart from the read the solve used."""
-    readers = {galois._solve_coordinates.__code__, galois.psi_check.__code__,
+    they kept their own products).  `verify_coordinates` checks the
+    coordinates with `mul_vec`."""
+    readers = {galois.psi_check.__code__,
                rg.TensorPresentation.mult_matrix.__wrapped__.__code__,
                rg.TensorPresentation.mult_map_vec.__wrapped__.__code__}
     inside, verifying, reads = [], [], []

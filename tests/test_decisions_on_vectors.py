@@ -42,7 +42,7 @@ def cn_rung(atom, n):
 @pytest.mark.parametrize("make", [lambda: _shipped("c2_swap"), lambda: _shipped("s7_f9cubed"),
                                   lambda: cn_rung(rg.Atom.gf(2, 2), 4)],
                          ids=["c2_swap", "s7_f9cubed", "c4_gf4^4"])
-def test_invariants_take_one_kernel(monkeypatch, make):
+def test_invariants_take_no_kernel(monkeypatch, make):
     """A^beta is read off the orbits and stabilizers of the atom maps: no
     module calls `kernel_gens`, and the basis is the kernel route's."""
     beta = make()

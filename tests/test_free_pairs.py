@@ -2,11 +2,12 @@
 
 A pair of the tensor A e_O (x)_{A^beta e_O} A e_O whose pivot in the
 canonical relation lattice is 1 equals a combination of the others, the
-free pairs (`TensorPresentation.free_pairs`).  The coordinate system, psi
-and the separability system use the free pairs alone.  They are held here
-to the whole-tensor routes, which take every generator pair of A, by the
-check test_orbit_blocks.py makes (`check_orbit_routes_against_whole`):
-the coordinates are equal byte for byte, psi's image has the same order
+free pairs (`TensorPresentation.free_pairs`).  psi and the separability
+system use the free pairs alone.  They are held here to the whole-tensor
+routes, which take every generator pair of A, by the check
+test_orbit_blocks.py makes (`check_orbit_routes_against_whole`), which
+also holds the coordinate criterion's verdicts on beta's and alpha's
+systems to the whole solve: psi's image has the same order
 (so the same canonical basis, the free pairs' image lying inside all
 pairs') and every pair's image matches the element route, and the
 separability verdict is the same, with the free-pair idempotent, put in
@@ -94,17 +95,17 @@ def test_a_pair_rewritten_onto_the_free_pairs_is_the_same_tensor_element(seed):
 
 
 def test_alpha_is_checked_on_betas_coordinates(monkeypatch):
-    """On the S7 monoid alpha's system differs from beta's; beta's
-    coordinates are checked on it, and a failing check raises."""
+    """On the S7 monoid alpha's system differs from beta's; the candidate,
+    which depends on A alone, is beta's coordinates and is checked on
+    alpha's own system, and a failing check there raises."""
     beta = f9_cubed_fixture()
-    alpha_system = gl._galois_system(induce_partial_group_action(beta))
-    assert alpha_system != gl._galois_system(beta)
+    alpha = induce_partial_group_action(beta)
+    assert gl._galois_system(alpha) != gl._galois_system(beta)
     coords = gl.solve_galois_coordinates(beta)
-    assert gl.verify_coordinates(beta, coords, alpha_system)
+    assert gl.solve_partial_action_coordinates(beta) == coords
     real = gl.verify_coordinates
-    monkeypatch.setattr(gl, "verify_coordinates",
-                        lambda b, c, system=None: system is not alpha_system and real(b, c, system))
-    with pytest.raises(gl.EquivalenceViolation, match="alpha's system"):
+    monkeypatch.setattr(gl, "verify_coordinates", lambda a, c: a is not alpha and real(a, c))
+    with pytest.raises(gl.CertificateMismatch, match="trace-dual coordinates"):
         gl.cross_check_equivalences(beta)
 
 

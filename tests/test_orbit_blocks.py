@@ -1,9 +1,10 @@
 """Every Galois system solved one orbit at a time, against the whole system.
 
 The orbits of the atom maps cut A into blocks A e_O.  The split routes
-(tensor, coordinates, PA and psi, separability) are compared with the
-whole-system routes frozen in `oracles`, by the check test_free_pairs.py
-also makes (`check_orbit_routes_against_whole`), on two seeded
+(tensor, PA and psi, separability), and the coordinate criterion's
+verdicts, are compared with the whole-system routes frozen in `oracles`,
+by the check test_free_pairs.py also makes
+(`check_orbit_routes_against_whole`), on two seeded
 corpora and on multi-orbit instances, and the orbit indicators are checked
 to be the primitive idempotents of A^beta by enumeration.
 """
@@ -26,7 +27,7 @@ from semigalois.semigroups import sigma_partition
 from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
                      joined_tensor_lattice, joined_tensor_vector, maximal_elements,
                      pa_subgroup_whole, psi_check_whole, solve_coordinates_whole,
-                     verify_idempotent_by_kron, whole_full_tensor)
+                     verify_coordinates_by_elements, verify_idempotent_by_kron, whole_full_tensor)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -91,9 +92,11 @@ def test_some_split_instances_tie_copies_in_pa():
 
 
 def check_orbit_routes_against_whole(beta):
-    """The library's Galois systems, each solved one orbit tensor at a time
-    on its free pairs, against the whole routes: the coordinates of beta's
-    and alpha's systems byte for byte (`solve_coordinates_whole`), psi's
+    """The library's Galois criteria against the whole routes: the verdicts
+    of beta's and alpha's coordinate systems (`solve_coordinates_whole`),
+    each candidate that passes checked through ring elements
+    (`verify_coordinates_by_elements`), and, each solved one orbit tensor
+    at a time on its free pairs, psi's
     orders and witnesses (`psi_check_whole`), psi on every generator pair
     through ring elements (`check_psi_images_on_orbits`), and the
     separability verdict (`is_separable_whole`), with the library's
@@ -103,8 +106,10 @@ def check_orbit_routes_against_whole(beta):
     takes, so equal image orders make the two images equal.  Returns the
     number of generator pairs of the orbit tensors and of free pairs."""
     tensors = gl._full_tensor(beta)
-    for system in (gl._galois_system(beta), gl._galois_system(induce_partial_group_action(beta))):
-        assert gl._solve_coordinates(beta, *system) == solve_coordinates_whole(beta, *system)
+    for action in (beta, induce_partial_group_action(beta)):
+        coords = gl._coordinates(action)
+        assert (coords is None) == (solve_coordinates_whole(beta, *gl._galois_system(action)) is None)
+        assert coords is None or verify_coordinates_by_elements(action, coords)
     psi = gl.psi_check(beta)
     t_order, pa_order, image_order, kernel_witness, cokernel_witness = psi_check_whole(beta)
     assert (psi.tensor_order, psi.pa_order, psi.image_order) == (t_order, pa_order, image_order)

@@ -24,6 +24,29 @@ def test_atom_guards():
         rg.Atom.zmod(2, 25)
 
 
+@pytest.mark.parametrize("p,k", sorted(rg.DEFAULT_GF_POLYS), ids=lambda v: str(v))
+def test_trace_dual_gives_galois_coordinates_for_every_twist(p, k):
+    """sum_u x^u Frob^t(y_u) = [t = 0] for the trace dual y of 1, x, ...,
+    x^(k-1), for every t in range(k): products by `mul_coords`, Frobenius
+    images by `frobenius_cols`."""
+    atom = rg.Atom.gf(p, k)
+    dual = atom.trace_dual()
+    assert len(dual) == k and all(len(y) == k for y in dual)
+    for t in range(k):
+        cols = atom.frobenius_cols(t)
+        total = [0] * k
+        for u, y in enumerate(dual):
+            x_u = [int(v == u) for v in range(k)]
+            image = [sum(c * col[v] for c, col in zip(y, cols)) % p for v in range(k)]
+            total = [(a + b) % p for a, b in zip(total, atom.mul_coords(x_u, image))]
+        assert total == [int(t == 0 and v == 0) for v in range(k)], t
+
+
+def test_trace_dual_on_one_coordinate_is_one():
+    for atom in (rg.Atom.zmod(2), rg.Atom.zmod(3, 2), rg.Atom.gf(5, 1, (1, 1))):
+        assert atom.trace_dual() == ((1,),)
+
+
 def test_basic_ring_ops():
     A = rg.FiniteRing([rg.Atom.zmod(2, 2), rg.Atom.gf(3, 2, (1, 0, 1))])
     one, zero = A.from_vec(A.one_vec), A.from_vec(A.zero_vec)
