@@ -218,12 +218,9 @@ class Atom:
         for c in range(r):
             pivot = next(i for i in range(c, r) if rows[i][c])
             rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = pow(rows[c][c], -1, p)
-            rows[c] = [v * inv % p for v in rows[c]]
-            for i in range(r):
-                if i != c and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[c])]
+            top = [v * pow(rows[c][c], -1, p) % p for v in rows[c]]
+            rows = [top if i == c else [(v - row[c] * w) % p for v, w in zip(row, top)]
+                    for i, row in enumerate(rows)]
         return tuple(tuple(row[r:]) for row in rows)
 
     def mul_coords(self, u, v):
