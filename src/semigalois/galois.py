@@ -424,9 +424,8 @@ def cross_check_equivalences(beta: Action):
 
     Preconditions: S finite E-unitary without zero, beta unital injective,
     all A_s nonzero.  The first three criteria and alpha-Galois are
-    provably equivalent and asserted unanimous with zero tolerance; the
-    coordinate verdict is the fixed-atom rule's (`is_galois`), so the rule
-    is held to the others by that unanimity.  The trace-image criterion is
+    provably equivalent and asserted unanimous with zero tolerance, and so
+    is the fixed-atom rule (`is_galois`).  The trace-image criterion is
     necessary but not sufficient: when a class of the quotient group acts
     trivially on an atom whose characteristic does not divide the class
     count, the trace stays surjective while the extension fails to be
@@ -479,6 +478,8 @@ def cross_check_equivalences(beta: Action):
     if len(core) != 1:
         raise EquivalenceViolation(f"provably equivalent criteria disagree: {verdicts}")
     galois = core.pop()
+    if is_galois(beta) != galois:
+        raise EquivalenceViolation(f"the fixed-atom rule disagrees with the criteria: {verdicts}")
     if (separability_violation(beta, full) is None) != (sep is not None):
         raise EquivalenceViolation("the free-part rule disagrees with the separability solve")
     trace_gap = False
