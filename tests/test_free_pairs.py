@@ -5,13 +5,13 @@ canonical relation lattice is 1 equals a combination of the others, the
 free pairs (`TensorPresentation.free_pairs`).  psi and the separability
 system use the free pairs alone.  They are held here to the whole-tensor
 routes, which take every generator pair of A, by the check
-test_orbit_blocks.py makes (`check_orbit_routes_against_whole`), which
-also holds the coordinate criterion's verdicts on beta's and alpha's
-systems to the whole solve: psi's image has the same order
-(so the same canonical basis, the free pairs' image lying inside all
-pairs') and every pair's image matches the element route, and the
-separability verdict is the same, with the free-pair idempotent, put in
-place on the whole tensor, verifying on every generator pair.  The cases
+test_orbit_blocks.py makes (`check_orbit_routes_against_whole`): psi's
+image has the same order (so the same canonical basis, the free pairs'
+image lying inside all pairs') and every pair's image matches the element
+route, and the separability verdict is the same, with the free-pair
+idempotent, put in place on the whole tensor, verifying on every
+generator pair.  The same check holds the coordinate criterion's verdicts
+on beta's and alpha's systems to the whole solve.  The cases
 are seeded corpus draws, the shipped instances, the corpus fixtures and
 the benchmark's ladder rungs.
 """
