@@ -11,16 +11,17 @@ partial group action alpha, an `Action` whose coordinate system is beta's
 definition (`_galois_system`) read on S/sigma and kept in alpha's own
 facts; the trace-image test is enforced as a necessary condition, with its
 known insufficiency (see `cross_check_equivalences`) flagged rather than
-fatal.  The separability system is solved one orbit of the atom maps at a
-time (`Action.orbits`), and psi is checked one orbit at a time into
-PA_beta(S), the product over S/sigma of the images of the class joins,
-where psi's columns are those of the coordinate system on the joins
-(`_columns`), so it needs no solve.  The tensor A (x)_{A^beta} A is held as
-one `TensorPresentation` per orbit (`_full_tensor`): a generator pair from
-two orbits is zero, so it is no generator at all.  The coordinates are
-verified over all of A by `mul_vec`, and a separability idempotent, one
-vector per orbit, by m(z) summed over the orbits against 1 of A and by each
-orbit's commutation equations on its own tensor.  `is_galois`, the
+fatal.  The same trace-dual pairs give a separability idempotent of A over
+every subring (`is_separable`), and psi is checked one orbit of the atom
+maps (`Action.orbits`) at a time into PA_beta(S), the product over S/sigma
+of the images of the class joins, where psi's columns are those of the
+coordinate system on the joins (`_columns`), so no criterion solves.  The
+tensor A (x)_{A^beta} A is held as one `TensorPresentation` per orbit
+(`_full_tensor`): a generator pair from two orbits is zero, so it is no
+generator at all.  The coordinates are verified over all of A by
+`mul_vec`, and the separability idempotent, one vector per orbit, by m(z)
+summed over the orbits against 1 of A and by each orbit's commutation
+equations on its own tensor.  `is_galois`, the
 precondition of the correspondences, solves nothing: it is the fixed-atom
 rule of the atom model, held to the criteria on every cross-check, as is
 the free-part rule the correspondences decide separability by
@@ -35,8 +36,7 @@ import math
 from .actions import (Action, _defect, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_ring, is_injective,
                       separability_violation, sigma_class_joins, sigma_trace_image)
-from .linalg import (Matrix, block_diag, lattice_canon, lattice_det, lattice_member, solve_cols,
-                     vstack)
+from .linalg import Matrix, lattice_canon, lattice_det, lattice_member
 from .rings import Subalgebra, TensorPresentation
 from .semigroups import SubSemigroup, is_e_unitary, remembered
 
@@ -111,13 +111,15 @@ def _galois_system(action):
     return tuple(action.isos), tuple(galois_rhs(action, s) for s in range(action.S.n))
 
 
+@remembered
 def _trace_dual_pairs(A):
     """The candidate coordinates, which depend on A alone: x_i the unit
     vectors, and y_i on x_i's atom the member of the atom's trace-dual basis
-    (`Atom.trace_dual`) dual to x_i, zero elsewhere."""
+    (`Atom.trace_dual`) dual to x_i, zero elsewhere.  Kept by A, as beta's
+    and alpha's coordinates and the separability idempotent read them."""
     spans = [(A.atom_span(idx), atom.trace_dual()) for idx, atom in enumerate(A.atoms)]
     ys = [A.zero_vec[:lo] + y + A.zero_vec[hi:] for (lo, hi), duals in spans for y in duals]
-    return list(zip(A.basis_vectors(), ys))
+    return tuple(zip(A.basis_vectors(), ys))
 
 
 def _coordinates(action):
@@ -130,7 +132,7 @@ def _coordinates(action):
     checked on the action's system, and a failed check raises."""
     if fixed_atom_violation(action) is not None:
         return None
-    coords = _trace_dual_pairs(action.A)
+    coords = list(_trace_dual_pairs(action.A))  # the caller's own list
     if not verify_coordinates(action, coords):
         raise CertificateMismatch("the trace-dual coordinates fail their defining identity")
     return coords
@@ -286,50 +288,30 @@ def is_beta_strong(beta, B: Subalgebra):
     return True, None
 
 
-def is_separable(tensors):
-    """A separability idempotent of A over A^beta, or None.
+def is_separable(beta):
+    """A separability idempotent of A over A^beta, one vector per orbit
+    tensor (`_full_tensor`): e = sum_i x_i (x) y_i over the trace-dual pairs
+    (`_trace_dual_pairs`), checked on both defining equations
+    (`verify_separability_idempotent`); a failed check raises.
 
-    `tensors` are A (x)_{A^beta} A as one tensor per orbit O of beta
-    (`_full_tensor`).  e_O lies in A^beta, so A is the direct sum of its
-    blocks A e_O, and A is separable over A^beta exactly when each block is
-    over A^beta e_O.  On each block's tensor this solves m(z) = 1 and
-    ((b (x) 1) - (1 (x) b)) z = 0 exactly, for b over generators of A e_O as
-    an A^beta e_O-algebra (`TensorPresentation.algebra_generators`): the b
-    satisfying the second equation form a subalgebra, so these suffice.
-    Both equations are well defined on the tensor, and every element of it
-    is a combination of the free pairs (`TensorPresentation.free_pairs`), so
-    a solution exists exactly when one supported on the free pairs does:
-    only those pairs carry an unknown, so only their columns of m are taken
-    and only their columns of each difference are built.  A difference lies
-    in the relations L exactly when its rewriting onto the free pairs lies
-    in L n Z^F (`TensorPresentation.free_mult_difference`), so the second
-    equation is solved there.  The answer z, one vector per block with
-    zeros off the free pairs, is re-verified on every additive generator.
+    e is a separability idempotent by construction, in A (x)_Z A.  On a
+    GF(p^k) atom F, x_i runs over the unit vectors, a basis of F over F_p,
+    and y_i over the basis dual to it under Tr(uv) (`Atom.trace_dual`), so
+    every v of F is sum_i Tr(v y_i) x_i = sum_i Tr(v x_i) y_i.  Then for a
+    in F, (a (x) 1)e = sum_{i,j} Tr(a x_i y_j) x_j (x) y_i
+    = sum_j x_j (x) a y_j = (1 (x) a)e, and Tr(a m(e)) = sum_i Tr(a x_i y_i)
+    is the trace of multiplication by a, which is Tr(a 1); the trace form
+    is nondegenerate, so m(e) = 1.  On a Z/p^k atom the one pair is 1 (x) 1.  Each pair lives
+    on one atom j, where a acts as a e_j, so over A = prod_j F_j both
+    equations hold atom by atom and m(e) = sum_j 1_j = 1.  The map
+    A (x)_Z A -> A (x)_{A^beta} A is onto and respects m and the A-actions
+    on either side, so e is a separability idempotent over A^beta, as over
+    every subring: A is separable over A^beta on every instance, and the
+    criterion's verdict is strongness.
     """
-    z = []
-    for block, tensor in tensors:
-        ring = block.ring
-        free = tensor.free_pairs
-        m = tensor.mult_map_vec()
-        mats = [Matrix(m.rows, [m.cols[p] for p in free])]
-        lattices, moduli = [ring.presentation.lattice], list(ring.coord_moduli)
-        target = list(ring.one_vec)
-        free_moduli = [tensor.pres.moduli[p] for p in free]
-        for b in tensor.algebra_generators():
-            mats.append(tensor.free_mult_difference(b))
-            lattices.append(tensor.free_lattice)
-            moduli += free_moduli
-            target += [0] * len(free)
-        sol = solve_cols(vstack(mats), block_diag(lattices), target, free_moduli, moduli)
-        if sol is None:
-            return None
-        part = [0] * (tensor.k * tensor.l)
-        for p, x in zip(free, sol):
-            part[p] = x
-        z.append(tuple(part))
-    z = tuple(z)
+    tensors, z = separability_idempotent_from_coordinates(beta, _trace_dual_pairs(beta.A))
     if not verify_separability_idempotent(tensors, z):
-        raise CertificateMismatch("separability idempotent fails its defining equations")
+        raise CertificateMismatch("the trace-dual separability idempotent fails its defining equations")
     return z
 
 
@@ -344,8 +326,11 @@ def verify_separability_idempotent(tensors, z):
     (b (x) 1)z is E.Z and (1 (x) b)z is Z.E^T, for E the matrix of b* on
     the unit vectors (`TensorPresentation.mult_matrix`): entry (i, j) of Z
     goes to (a, j) with weight E[a, i] and to (i, c) with weight E[c, j].
-    The difference is summed over the nonzero entries of z and must be zero
-    in the tensor.
+    The difference is summed over the nonzero entries of z, on the pairs it
+    reaches, and must be zero in the tensor.  The relations contain each
+    pair's order times the pair, so a difference that vanishes modulo those
+    orders is zero, as it is for the trace-dual idempotent; any other is
+    walked down the relations (`TensorPresentation.is_zero`).
     """
     if len(z) != len(tensors):
         return False
@@ -357,17 +342,18 @@ def verify_separability_idempotent(tensors, z):
     if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one_vec:
         return False
     for (_, tensor), part in zip(tensors, z):
-        l = tensor.l
+        l, orders = tensor.l, tensor.pres.moduli
         entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
         for b in tensor.ring.basis_vectors():
             E = tensor.mult_matrix(b)
-            diff = [0] * (tensor.k * l)
+            diff = {}
             for i, j, x in entries:
                 for a, e in E.cols[i].items():
-                    diff[a * l + j] += e * x
+                    diff[a * l + j] = diff.get(a * l + j, 0) + e * x
                 for c, f in E.cols[j].items():
-                    diff[i * l + c] -= f * x
-            if not tensor.is_zero(diff):
+                    diff[i * l + c] = diff.get(i * l + c, 0) - f * x
+            if (any(x % orders[q] for q, x in diff.items())
+                    and not tensor.is_zero(Matrix(tensor.k * l, [diff]).column(0))):
                 return False
     return True
 
@@ -387,17 +373,28 @@ def _full_tensor(beta):
 
 
 def separability_idempotent_from_coordinates(beta, coords):
-    """e = sum x_i (x) y_i built from a coordinate system, in A (x)_{A^beta} A:
-    on each orbit's tensor, the sum of the pairs' block components."""
+    """e = sum x_i (x) y_i built from (x, y) pairs, in A (x)_{A^beta} A: on
+    each orbit's tensor, the sum of the pairs' block components.  e_O lies
+    in A^beta, so x (x) y = sum_O x e_O (x) y e_O, and a pair is restricted
+    only to the orbits that both x and y meet: the orbit of its own atom
+    for a trace-dual pair."""
     tensors = _full_tensor(beta)
-    z = []
-    for block, tensor in tensors:
-        part = [0] * (tensor.k * tensor.l)
-        for x, y in coords:
+    A = beta.A
+    orbit_of = [None] * A.n_coords
+    for o, block in enumerate(beta.orbits):
+        for c in block.coords:
+            orbit_of[c] = o
+
+    def orbits(vec):
+        return {orbit_of[c] for c, v in enumerate(vec) if v}
+
+    parts = [[0] * (tensor.k * tensor.l) for _, tensor in tensors]
+    for x, y in coords:
+        for o in orbits(x) & orbits(y):
+            block, tensor = tensors[o]
             for p, v in tensor.pure_terms(block.restrict(x), block.restrict(y)):
-                part[p] += v
-        z.append(tuple(part))
-    return tensors, tuple(z)
+                parts[o][p] += v
+    return tensors, tuple(map(tuple, parts))
 
 
 # -- the cross-checked equivalence report ------------------------------------
@@ -464,10 +461,10 @@ def cross_check_equivalences(beta: Action):
     verdicts["psi_bijective"] = psi.bijective
 
     full = Subalgebra.full(beta.A)
-    sep = is_separable(_full_tensor(beta))
+    is_separable(beta)  # e exists on every instance (its docstring); a failed check raises
     strong, failure = is_beta_strong(beta, full)
     cert.strong_failure = failure
-    verdicts["separable_and_strong"] = (sep is not None) and strong
+    verdicts["separable_and_strong"] = strong
 
     trace_img = sigma_trace_image(beta)
     cert.trace_image_generators = trace_img.gen_vectors
@@ -480,8 +477,8 @@ def cross_check_equivalences(beta: Action):
     galois = core.pop()
     if is_galois(beta) != galois:
         raise EquivalenceViolation(f"the fixed-atom rule disagrees with the criteria: {verdicts}")
-    if (separability_violation(beta, full) is None) != (sep is not None):
-        raise EquivalenceViolation("the free-part rule disagrees with the separability solve")
+    if separability_violation(beta, full) is not None:
+        raise EquivalenceViolation("the free-part rule disagrees with the separability idempotent")
     trace_gap = False
     if verdicts["trace_image"] != galois:
         if galois or not verdicts["trace_image"]:
@@ -494,11 +491,6 @@ def cross_check_equivalences(beta: Action):
     alpha_coords = coords if same else solve_partial_action_coordinates(beta)
     if (alpha_coords is not None) != galois:
         raise EquivalenceViolation("beta-Galois and alpha-Galois disagree")
-
-    if galois and coords is not None:
-        built = separability_idempotent_from_coordinates(beta, coords)
-        if not verify_separability_idempotent(*built):
-            raise EquivalenceViolation("coordinate-built separability idempotent failed")
 
     return EquivalenceReport(galois, verdicts, cert, inv.order, trace_gap)
 

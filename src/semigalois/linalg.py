@@ -8,7 +8,7 @@ there is no floating point anywhere, so every comparison is tolerance-zero.
 
 Every matrix is a `Matrix`: a row count and a list of sparse columns, each
 a {row: value} dict of its nonzero entries; the systems built here (tensor
-relations, block-diagonal lattices) are almost all zeros.  A `Matrix` is
+relations, graph lattices) are almost all zeros.  A `Matrix` is
 applied (`apply`); it has no `@` and no `-`.  There is one
 elimination: canonical bases come from insertion modulo the diagonal
 (`_insert`, behind `lattice_canon`); membership is one walk down such a
@@ -61,30 +61,15 @@ class Matrix:
         return tuple(out)
 
 
-def vstack(blocks):
-    """The blocks one above another; each must have as many columns as the first."""
-    cols = [{} for _ in blocks[0].cols]
-    offset = 0
-    for b in blocks:
-        if len(b.cols) != len(cols):
-            raise ValueError("column mismatch in block stack")
-        for col, c in zip(cols, b.cols):
-            for i, v in c.items():
-                col[offset + i] = v
-        offset += b.rows
-    return Matrix(offset, cols)
-
-
-def kron_difference(E, pairs=None):
-    """E (x) I - I (x) E for an n x n matrix E, or its columns at the
-    coordinates `pairs` alone, in their order.
+def kron_difference(E):
+    """E (x) I - I (x) E for an n x n matrix E.
 
     Coordinate (i, j) is row i * n + j, so column (i, j) is
     sum_a E[a, i] e_(a, j) - sum_c E[c, j] e_(i, c).
     """
     n = E.rows
     cols = []
-    for p in range(n * n) if pairs is None else pairs:
+    for p in range(n * n):
         i, j = divmod(p, n)
         col = {a * n + j: u for a, u in E.cols[i].items()}
         for c, v in E.cols[j].items():
@@ -96,16 +81,6 @@ def kron_difference(E, pairs=None):
 def diag_cols(moduli):
     """Columns d_i * e_i for the declared per-coordinate moduli."""
     return Matrix(len(moduli), [{i: int(d)} if d else {} for i, d in enumerate(moduli)])
-
-
-def block_diag(blocks):
-    """Block-diagonal matrix with the given blocks in order."""
-    cols = []
-    offset = 0
-    for b in blocks:
-        cols += [{offset + i: v for i, v in c.items()} for c in b.cols]
-        offset += b.rows
-    return Matrix(offset, cols)
 
 
 def residues(vectors, moduli):

@@ -820,21 +820,6 @@ class TensorPresentation:
         of b*e_i (`FiniteRing.unit_times`); built once per b, a tuple."""
         return Matrix(self.k, [self.ring.unit_times(i, b_vec) for i in range(self.k)])
 
-    def algebra_generators(self):
-        """Unit vectors, chosen greedily, that generate A as an R-algebra.
-
-        A unit vector already in the R-algebra generated by the earlier
-        choices is skipped; otherwise it is chosen and adjoined to that
-        algebra.
-        """
-        chosen = []
-        current = self.R
-        for e in self.ring.basis_vectors():
-            if not current.member_vec(e):
-                chosen.append(e)
-                current = current.adjoin(e)
-        return chosen
-
     def order(self):
         return self.pres.order()
 
@@ -849,48 +834,6 @@ class TensorPresentation:
         equals, in the tensor, minus a combination of free pairs alone.
         """
         return tuple(p for p, c in enumerate(self.pres.lattice.cols) if c[p] != 1)
-
-    @property
-    @remembered
-    def _free_positions(self):
-        return {p: s for s, p in enumerate(self.free_pairs)}
-
-    @property
-    @remembered
-    def _on_free_pairs(self):
-        """Per generator pair, the (free position, coefficient) terms of what
-        it equals on the free pairs: a free pair itself, any other pair p
-        minus the entries below its pivot 1 (`free_pairs`)."""
-        pos = self._free_positions
-        return [((pos[p], 1),) if p in pos else tuple((pos[r], -v) for r, v in c.items() if r != p)
-                for p, c in enumerate(self.pres.lattice.cols)]
-
-    @property
-    @remembered
-    def free_lattice(self):
-        """The canonical basis of the relations among the free pairs alone,
-        L n Z^F on their positions: L's columns at the free pairs, which are
-        zero at every row of pivot 1.  A vector of L n Z^F walked down L's
-        basis meets each column of pivot 1 at a zero entry, so these columns
-        span it."""
-        pos = self._free_positions
-        return Matrix(len(pos), [{pos[r]: v for r, v in self.pres.lattice.cols[p].items()}
-                                 for p in self.free_pairs])
-
-    def onto_free_pairs(self, mat):
-        """`mat`, into the tensor's coordinates, followed by the map that
-        rewrites each pair on the free pairs.  It subtracts multiples of L's
-        columns of pivot 1, so a column lies in L exactly when its image lies
-        in `free_lattice`."""
-        terms = self._on_free_pairs
-        cols = []
-        for col in mat.cols:
-            out = {}
-            for q, x in col.items():
-                for s, c in terms[q]:
-                    out[s] = out.get(s, 0) + c * x
-            cols.append({s: x for s, x in out.items() if x})
-        return Matrix(len(self.free_pairs), cols)
 
     def pure_terms(self, m_vec, n_vec):
         """The (pair, coefficient) terms of m (x) n for coordinate vectors m
@@ -908,20 +851,6 @@ class TensorPresentation:
         column (i, j) is e_i * e_j (`FiniteRing.unit_times`)."""
         ring, units = self.ring, self.ring.basis_vectors()
         return Matrix(ring.n_coords, [ring.unit_times(i, e) for i in range(self.k) for e in units])
-
-    def free_mult_difference(self, b_vec):
-        """The matrix of z -> ((b (x) 1) - (1 (x) b)) * z, E (x) I - I (x) E
-        with E = `mult_matrix(b)`, on the free pairs alone: its columns at
-        the free pairs, each rewritten onto the free pairs (`onto_free_pairs`).
-        Column (i, j) is zero unless column i or column j of E is not, so
-        only those columns are built."""
-        E = self.mult_matrix(b_vec)
-        l, pos = self.l, self._free_positions
-        live = [p for p in self.free_pairs if E.cols[p // l] or E.cols[p % l]]
-        cols = [{} for _ in pos]
-        for p, col in zip(live, self.onto_free_pairs(kron_difference(E, live)).cols):
-            cols[pos[p]] = col
-        return Matrix(len(pos), cols)
 
     def is_zero(self, z):
         return self.pres.is_zero(z)

@@ -49,9 +49,10 @@ decides.  So do the paper's properties that no decision reads: the class
 joins form S/sigma (`verify_class_join_group`), the meet under the natural
 order and the direct product of two tables.
 
-`dense`, `sparse`, `hstack` and `matmul` convert and combine the library's
-sparse `Matrix`, and `kron_left`, `kron_right`, `pure`, `mult_difference` and
-`factor_generators` read a tensor on every generator pair.
+`dense`, `sparse`, `hstack`, `vstack`, `block_diag` and `matmul` convert
+and combine the library's sparse `Matrix`, and `kron_left`, `kron_right`,
+`pure`, `mult_difference` and `factor_generators` read a tensor on every
+generator pair.
 """
 
 import itertools
@@ -72,6 +73,30 @@ def dense(mat):
 def hstack(blocks):
     """The blocks side by side, sharing their column dicts."""
     return Matrix(blocks[0].rows, [c for b in blocks for c in b.cols])
+
+
+def vstack(blocks):
+    """The blocks one above another; each must have as many columns as the first."""
+    cols = [{} for _ in blocks[0].cols]
+    offset = 0
+    for b in blocks:
+        if len(b.cols) != len(cols):
+            raise ValueError("column mismatch in block stack")
+        for col, c in zip(cols, b.cols):
+            for i, v in c.items():
+                col[offset + i] = v
+        offset += b.rows
+    return Matrix(offset, cols)
+
+
+def block_diag(blocks):
+    """Block-diagonal matrix with the given blocks in order."""
+    cols = []
+    offset = 0
+    for b in blocks:
+        cols += [{offset + i: v for i, v in c.items()} for c in b.cols]
+        offset += b.rows
+    return Matrix(offset, cols)
 
 
 def matmul(a, b):
@@ -1177,7 +1202,7 @@ class ScalarExtensionByLoops:
         return self.pres.subgroup_canon(gens)
 
     def invariants_canon(self):
-        from semigalois.linalg import block_diag, kernel_gens, vstack
+        from semigalois.linalg import kernel_gens
         rows = []
         for iso in self.beta.isos:
             cols = [tuple(a - b for a, b in zip(self.act(iso, z), self._mask(z, iso.im_support)))
@@ -1491,7 +1516,7 @@ def _iso_matrix(iso):
 def solve_coordinates_whole(beta, isos, rhs_vectors):
     """The coordinate system sum_i x_i f(y_i 1) = rhs_f in one solve over A.
     The matrices it multiplies are built once per ring and once per iso."""
-    from semigalois.linalg import block_diag, solve_cols, vstack
+    from semigalois.linalg import solve_cols
     A = beta.A
     n = A.n_coords
     mult_mats = _whole_mult_matrices(A)
@@ -1580,7 +1605,7 @@ def psi_check_whole(beta):
 def is_separable_whole(B, R):
     """(B (x)_R B, z) from one solve of m(z) = 1 and (b (x) 1 - 1 (x) b)z = 0
     over the algebra generators b of B, on the whole tensor, or None."""
-    from semigalois.linalg import block_diag, solve_cols, vstack
+    from semigalois.linalg import solve_cols
     tensor = WholeTensorPresentation(B, R)
     A = B.ring
     mats, augs, target = [tensor.mult_map_vec()], [A.presentation], list(A.one_vec)

@@ -17,7 +17,8 @@ from fixtures import collapsing_semilattice_fixture, cyclic_shift, derivations
 from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
 from semigalois import rings as rg
 from semigalois.corpus import b2_swap_fixture, f9_cubed_fixture, random_ring, random_structured_iso
-from oracles import iso_apply_by_polynomials, iso_matrix_by_polynomials
+from oracles import (algebra_generators_by_adjoining, iso_apply_by_polynomials,
+                     iso_matrix_by_polynomials)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -39,7 +40,7 @@ def _recording(monkeypatch, owner, name, record):
 
 
 @pytest.mark.parametrize("instance,checked", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
-def test_galois_solves_each_coordinate_system_once(monkeypatch, capsys, instance, checked):
+def test_galois_verifies_each_coordinate_system_once(monkeypatch, capsys, instance, checked):
     """No coordinate system is solved: the candidate is checked once on each
     distinct system.  On a group the partial-action system is the Galois
     system and reuses its verdict (1 check); on the S7 monoid it differs,
@@ -77,6 +78,20 @@ def test_correspondences_decide_galois_without_a_coordinate_solve(monkeypatch, c
     assert calls == [] and 0 in codes
 
 
+def test_galois_takes_no_solve(monkeypatch, capsys):
+    """`galois` solves no linear system on any shipped instance: the
+    coordinates and the separability idempotent are the trace-dual pairs,
+    checked, and psi is an image lattice (one `solve_cols` per orbit while
+    the separability idempotent was solved for)."""
+    calls, codes = [], []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semigalois") and hasattr(module, "solve_cols"):
+            _recording(monkeypatch, module, "solve_cols", lambda *a: calls.append(a))
+    for path in sorted(INSTANCES.glob("*.sgi")):
+        codes.append(_run(capsys, "galois", str(path)))
+    assert calls == [] and 0 in codes
+
+
 ZERO_FACTS = ["is_0_e_unitary", "is_categorical_at_zero", "is_primitive", "tau_partition"]
 
 
@@ -106,15 +121,13 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.sigma_class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
          actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
          correspondence.fixed_subalgebra,
-         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors,
+         rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, galois._trace_dual_pairs,
          rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.Atom.trace_dual,
          rg.StructuredIso.dom_support.fget,
          rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
          correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.TensorPresentation.free_pairs.fget,
-         rg.TensorPresentation._free_positions.fget, rg.TensorPresentation._on_free_pairs.fget,
-         rg.TensorPresentation.free_lattice.fget, rg.TensorPresentation.mult_map_vec,
-         rg.TensorPresentation.mult_matrix]
+         rg.TensorPresentation.mult_map_vec, rg.TensorPresentation.mult_matrix]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
             ["analyze"], ["zero"]]
 
@@ -126,14 +139,15 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     induced alpha, the sigma-class joins, the orbits, the Galois system and A (x)_{A^beta} A at
     most once per action object, and the free-part rule, S_B and
     strongness once per action and subalgebra, A^{beta|T} once per action
-    and T; the additive group and the unit vectors once per ring, and each
+    and T; the additive group, the unit vectors and the trace-dual pairs
+    once per ring, and each
     indicator once per ring and argument; the Frobenius columns once per
     atom and twist, and the trace dual once per atom; the supports and the
     plan once per iso; the restriction of an iso once per block and iso,
     and the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
-    `Subalgebra`; and the free-pair presentation and multiplication map once
-    per tensor, and a multiplication matrix once per tensor and b."""
+    `Subalgebra`; and the free pairs and multiplication map once per
+    tensor, and a multiplication matrix once per tensor and b."""
     seen = set()
     with derivations(*FACTS) as derived:
         for path in sorted(INSTANCES.glob("*.sgi")):
@@ -258,7 +272,7 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
     assert all(g in pair for pair in first_round)
     monkeypatch.undo()
     assert grown == rg.Subalgebra(A, list(R.gen_vectors) + [g]).closure_under_mul()
-    chosen = rg.TensorPresentation(A, R).algebra_generators()
+    chosen = algebra_generators_by_adjoining(rg.Subalgebra.full(A), R)
     assert rg.Subalgebra(A, list(R.gen_vectors) + chosen).closure_under_mul() == rg.Subalgebra.full(A)
 
 
@@ -364,22 +378,25 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_p
 
 @pytest.mark.parametrize("instance,checks", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 2)])
 def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instance, checks):
-    """The library's route, galois.is_separable(galois._full_tensor(beta)),
-    picks the algebra generators of each orbit's block ring over its R once,
-    and checks no containment: R lies in the block ring by construction
-    (1 and 2 `contains` checks while each orbit tensor checked its factors).
-    An R that is not a unital subalgebra still raises the constructor's
-    error."""
+    """The library's route, galois.is_separable(beta), checks no
+    containment: R lies in each orbit's block ring by construction (1 and 2
+    `contains` checks while each orbit tensor checked its factors).  It
+    builds e on the orbit tensors one pair at a time, each trace-dual pair
+    restricted to the one orbit of its atom: one `pure_terms` and two
+    `Block.restrict` calls per pair (every pair met every orbit while the
+    restriction ran over all of them).  An R that is not a unital
+    subalgebra still raises the constructor's error."""
     from semigalois.instance import parse_instance
     beta = parse_instance(INSTANCES / instance)
-    pairs, picks = [], []
-    _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
-    _recording(monkeypatch, rg.TensorPresentation, "algebra_generators", picks.append)
+    pairs, picks, restricted = [], [], []
     tensors = galois._full_tensor(beta)
-    assert galois.is_separable(tensors) is not None
+    _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
+    _recording(monkeypatch, rg.TensorPresentation, "pure_terms", lambda t, m, n: picks.append(t))
+    _recording(monkeypatch, rg.Block, "restrict", lambda block, vec: restricted.append(vec))
+    assert galois.is_separable(beta) is not None
     assert pairs == []
-    assert len(picks) == checks
-    assert picks == [tensor for _, tensor in tensors]
+    assert len(picks) == beta.A.n_coords and len(restricted) == 2 * beta.A.n_coords
+    assert len({id(t) for t in picks}) == checks == len(tensors)
     block, _ = tensors[0]
     with pytest.raises(rg.NotSubring, match="unital subalgebra"):
         rg.TensorPresentation(block.ring, rg.Subalgebra(block.ring, [block.ring.basis_vectors()[0]]))
@@ -406,15 +423,15 @@ def test_galois_checks_the_invariants_inside_a_once_per_object_pair(monkeypatch,
                                                                      instance, checks):
     """`galois` needs no check of A^beta e_O <= A e_O: the orbit tensor of O
     is built on the block ring, which holds A^beta e_O by construction, and
-    the separability solve picks algebra generators once per orbit (1 and 2
-    `contains` checks while each orbit tensor checked its factors, 2 and 4
-    when the separability criterion checked the whole pair as well)."""
+    the separability idempotent is built once, each trace-dual pair on the
+    one orbit tensor of its atom (1 and 2 `contains` checks while each
+    orbit tensor checked its factors, 2 and 4 when the separability
+    criterion checked the whole pair as well)."""
     pairs, picks = [], []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
-    _recording(monkeypatch, rg.TensorPresentation, "algebra_generators", picks.append)
+    _recording(monkeypatch, rg.TensorPresentation, "pure_terms", lambda t, m, n: picks.append(t))
     assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
     assert pairs == []
-    assert len(picks) == checks
     assert len(set(map(id, picks))) == checks
 
 

@@ -1,17 +1,16 @@
-"""The Galois criteria solved on the free generator pairs of each orbit tensor.
+"""psi on the free generator pairs of each orbit tensor.
 
 A pair of the tensor A e_O (x)_{A^beta e_O} A e_O whose pivot in the
 canonical relation lattice is 1 equals a combination of the others, the
-free pairs (`TensorPresentation.free_pairs`).  psi and the separability
-system use the free pairs alone.  They are held here to the whole-tensor
-routes, which take every generator pair of A, by the check
-test_orbit_blocks.py makes (`check_orbit_routes_against_whole`): psi's
-image has the same order (so the same canonical basis, the free pairs'
-image lying inside all pairs') and every pair's image matches the element
-route, and the separability verdict is the same, with the free-pair
-idempotent, put in place on the whole tensor, verifying on every
-generator pair.  The same check holds the coordinate criterion's verdicts
-on beta's and alpha's systems to the whole solve.  The cases
+free pairs (`TensorPresentation.free_pairs`).  psi uses the free pairs
+alone.  It is held here to the whole-tensor routes, which take every
+generator pair of A, by the check test_orbit_blocks.py makes
+(`check_orbit_routes_against_whole`): psi's image has the same order (so
+the same canonical basis, the free pairs' image lying inside all pairs')
+and every pair's image matches the element route.  The same check holds
+the separability idempotent, put in place on the whole tensor, to every
+generator pair, and the coordinate criterion's verdicts on beta's and
+alpha's systems to the whole solve.  The cases
 are seeded corpus draws, the shipped instances, the corpus fixtures and
 the benchmark's ladder rungs.
 """
@@ -28,7 +27,7 @@ from semigalois import cli, galois as gl
 from semigalois.actions import induce_partial_group_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.instance import action_to_instance_text, parse_instance
-from semigalois.linalg import Matrix, lattice_member, lattice_reduce
+from semigalois.linalg import lattice_reduce
 from semigalois.rings import Atom
 from test_bench_library_calls import workloads
 from test_orbit_blocks import check_orbit_routes_against_whole
@@ -68,9 +67,10 @@ def test_free_pairs_match_all_pairs_on_the_ladder_rungs():
 
 @pytest.mark.parametrize("seed", [3, 2408])
 def test_a_pair_rewritten_onto_the_free_pairs_is_the_same_tensor_element(seed):
-    """`onto_free_pairs` moves a vector within its coset of the relations L,
-    onto the free pairs, and a vector lies in L exactly when its rewriting
-    lies in `free_lattice`."""
+    """A pair p that is not free equals, in the tensor, minus the entries
+    below the pivot 1 of its column of the relations L, all at free pairs
+    (`free_pairs`), so every vector rewritten so lies in its own coset of L,
+    on the free pairs alone: they generate the tensor, as psi needs."""
     rng = random.Random(seed)
     betas = corpus(seed, 20, predicate=admissible)
     betas += [rung.beta for rung in workloads.ladder_rungs()]
@@ -78,20 +78,22 @@ def test_a_pair_rewritten_onto_the_free_pairs_is_the_same_tensor_element(seed):
                if len(tensor.free_pairs) < tensor.k * tensor.l]
     assert len(tensors) >= 5
     for tensor in tensors:
-        n, free = tensor.k * tensor.l, tensor.free_pairs
+        n, free = tensor.k * tensor.l, set(tensor.free_pairs)
         relations = tensor.pres.lattice
         for _ in range(6):
             vec = [rng.randrange(-9, 10) for _ in range(n)]
             in_l = relations.apply([rng.randrange(-3, 4) for _ in range(n)])
             for v in (vec, in_l):
-                col = tensor.onto_free_pairs(Matrix(n, [dict(enumerate(v))])).cols[0]
                 back = [0] * n
-                for s, x in col.items():
-                    back[free[s]] = x
-                assert (lattice_reduce(tensor.pres.lattice, back)
-                        == lattice_reduce(tensor.pres.lattice, v))
-                on_free = [col.get(s, 0) for s in range(len(free))]
-                assert lattice_member(tensor.free_lattice, on_free) == tensor.is_zero(v)
+                for q, x in enumerate(v):
+                    if q in free:
+                        back[q] += x
+                    else:
+                        for r, c in relations.cols[q].items():
+                            if r != q:
+                                assert r in free
+                                back[r] -= c * x
+                assert lattice_reduce(relations, back) == lattice_reduce(relations, v)
 
 
 def test_alpha_is_checked_on_betas_coordinates(monkeypatch):

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from fixtures import (admissible, c2_fixed_atom_fixture, c2_swap, chain_semilattice_fixture,
-                      trace_gap_fixture)
+                      collapsing_semilattice_fixture, trace_gap_fixture)
 from semigalois import galois as gl
 from semigalois.actions import invariant_ring, validate_action
-from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
+from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso, Subalgebra,
@@ -18,14 +18,29 @@ from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso
 from oracles import (algebra_generators_by_adjoining, check_psi_images_on_orbits,
                      is_separable_whole, joined_tensor_vector, pure,
                      verify_idempotent_by_kron, whole_full_tensor)
+from test_bench_library_calls import workloads
 from test_correspondence import SCAN_CASES
 
 REPO = Path(__file__).resolve().parent.parent
 
 
 def _one_block(tensor):
-    """A tensor of a whole ring, as the one block `is_separable` takes."""
+    """A tensor of a whole ring, as the one block `verify_separability_idempotent` takes."""
     return ((Block(tensor.ring, range(len(tensor.ring.atoms))), tensor),)
+
+
+def _trace_dual_idempotent(tensors):
+    """sum_i x_i (x) y_i over the trace-dual pairs of the whole ring, one
+    vector per (block, tensor), each pair restricted to every block."""
+    A = tensors[0][0].whole
+    z = []
+    for block, tensor in tensors:
+        part = [0] * (tensor.k * tensor.l)
+        for x, y in gl._trace_dual_pairs(A):
+            for p, v in tensor.pure_terms(block.restrict(x), block.restrict(y)):
+                part[p] += v
+        z.append(tuple(part))
+    return tuple(z)
 
 
 def test_galois_rhs():
@@ -164,8 +179,8 @@ def test_beta_strong_excludes_non_arising_algebra():
 def test_separability_idempotent_for_f3f3_over_diagonal():
     A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
     diag = Subalgebra(A, [A.one_vec])
+    assert is_separable_whole(Subalgebra.full(A), diag) is not None
     tensors = _one_block(TensorPresentation(A, diag))
-    assert gl.is_separable(tensors) is not None
     (_, tensor), = tensors
     # e = (1,0)(x)(1,0) + (0,1)(x)(0,1) also satisfies both equations
     e1, e2 = A.element([1, 0]).vec(), A.element([0, 1]).vec()
@@ -175,7 +190,7 @@ def test_separability_idempotent_for_f3f3_over_diagonal():
 
 def test_trivial_separability():
     A = FiniteRing([Atom.zmod(3)])
-    assert gl.is_separable(_one_block(TensorPresentation(A, Subalgebra.full(A)))) is not None
+    assert is_separable_whole(Subalgebra.full(A), Subalgebra.full(A)) is not None
 
 
 def test_non_separable_case():
@@ -187,7 +202,7 @@ def test_non_separable_case():
     # diagonal in characteristic 2 IS separable, so assert solvability.
     A = FiniteRing([Atom.zmod(2), Atom.zmod(2)])
     diag = Subalgebra(A, [A.one_vec])
-    assert gl.is_separable(_one_block(TensorPresentation(A, diag))) is not None
+    assert is_separable_whole(Subalgebra.full(A), diag) is not None
 
 
 def test_cross_check_on_corpus_slice():
@@ -242,8 +257,8 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
     """The solve over algebra generators finds an idempotent that passes the
     check over every additive generator, so it solves the all-generator
     system; when it finds none, that larger system has none either.  For
-    B = A the library's tensor picks the same algebra generators and gives
-    the same verdict, with an idempotent that passes both checks."""
+    B = A it finds one over every R, and so does the trace-dual pairs'
+    idempotent (`galois.is_separable`), which passes both checks."""
     verdicts = []
     for B, R in _separability_pairs(case):
         chosen = algebra_generators_by_adjoining(B, R)
@@ -253,14 +268,12 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
         if got is not None:
             assert verify_idempotent_by_kron(*got)
         if B == Subalgebra.full(B.ring):
+            assert got is not None
             tensors = _one_block(TensorPresentation(B.ring, R))
             (_, tensor), = tensors
-            assert tensor.algebra_generators() == chosen
-            z = gl.is_separable(tensors)
-            assert (z is None) == (got is None)
-            if z is not None:
-                assert gl.verify_separability_idempotent(tensors, z)
-                assert verify_idempotent_by_kron(tensor, z[0])
+            z = _trace_dual_idempotent(tensors)
+            assert gl.verify_separability_idempotent(tensors, z)
+            assert verify_idempotent_by_kron(tensor, z[0])
         verdicts.append(got is not None)
     if case == "c3_z4^3":  # Z/4 + 2A and its kin are not separable
         assert True in verdicts and False in verdicts
@@ -273,9 +286,9 @@ def test_idempotent_check_rejects_what_the_kron_check_rejects():
     # each orbit some generator pairs multiply to zero
     for beta in (f9_cubed_fixture(), c2_swap([Atom.gf(2, 2), Atom.zmod(3)])):
         inv, whole = invariant_ring(beta), whole_full_tensor(beta)
-        for tensors, count in ((_one_block(TensorPresentation(beta.A, inv)), 1),
-                               (gl._full_tensor(beta), 2)):
-            z = gl.is_separable(tensors)
+        one = _one_block(TensorPresentation(beta.A, inv))
+        for tensors, z, count in ((one, _trace_dual_idempotent(one), 1),
+                                  (gl._full_tensor(beta), gl.is_separable(beta), 2)):
             assert len(tensors) == len(z) == count
             for o, part in enumerate(z):
                 for i in range(len(part)):
@@ -283,6 +296,47 @@ def test_idempotent_check_rejects_what_the_kron_check_rejects():
                     joined = joined_tensor_vector(tensors, whole, dict(enumerate(bumped)))
                     assert gl.verify_separability_idempotent(tensors, bumped) == \
                         verify_idempotent_by_kron(whole, joined)
+
+
+def _separability_cases():
+    """The seeded corpora, plain and with a zero, the benchmark's ladder and
+    brute-force rungs with the ladder's probe, and the fixtures."""
+    cases = {f"corpus2408_{i}": beta for i, beta in enumerate(corpus(2408, 300))}
+    cases.update((f"zero2408_{i}", beta)
+                 for i, beta in enumerate(corpus(2408, 200, with_zero=True)))
+    rungs = workloads.ladder_rungs() + [workloads.ladder_probe()] + workloads.brute_rungs()
+    cases.update((f"rung_{i}", rung.beta) for i, rung in enumerate(rungs))
+    cases.update((f.__name__, f()) for f in (b2_swap_fixture, c2_fixed_atom_fixture, c2_swap_fixture,
+                                             chain_semilattice_fixture, collapsing_semilattice_fixture,
+                                             f9_cubed_fixture, trace_gap_fixture))
+    return cases
+
+
+def test_trace_dual_idempotent_verifies_where_the_whole_solve_finds_one():
+    """On every case the trace-dual pairs' idempotent passes both defining
+    equations on the orbit tensors, and the whole solve over A^beta finds
+    an idempotent too: A is separable over A^beta throughout, Galois or not,
+    with a zero or without."""
+    for name, beta in _separability_cases().items():
+        z = gl.is_separable(beta)
+        assert gl.verify_separability_idempotent(gl._full_tensor(beta), z), name
+        assert is_separable_whole(Subalgebra.full(beta.A), invariant_ring(beta)) is not None, name
+
+
+@pytest.mark.parametrize("instance", ["c2_swap", "trace_gap_c2"])
+def test_a_perturbed_trace_dual_member_raises(monkeypatch, instance):
+    """One y_i moved by its own x_i changes m(e) by x_i^2, which is not zero
+    on x_i's atom: the check fails, and `is_separable` raises."""
+    beta = parse_instance(REPO / "instances" / f"{instance}.sgi")
+    real = gl._trace_dual_pairs
+
+    def perturbed(A):
+        (x, y), *rest = real(A)
+        return [(x, A.add_vec(y, x))] + rest
+
+    monkeypatch.setattr(gl, "_trace_dual_pairs", perturbed)
+    with pytest.raises(gl.CertificateMismatch, match="trace-dual separability idempotent"):
+        gl.is_separable(beta)
 
 
 @pytest.mark.parametrize("instance", sorted(p.name for p in (REPO / "instances").glob("*.sgi")))
@@ -384,7 +438,7 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
         if sys.argv[1] == "verify_coordinates":
             gl.solve_galois_coordinates(beta)
         else:
-            gl.is_separable(gl._full_tensor(beta))
+            gl.is_separable(beta)
     except gl.CertificateMismatch:
         sys.exit(0)
     sys.exit(1)
@@ -413,15 +467,14 @@ _OPTIMIZED_TWO_ORBIT_PROBE = textwrap.dedent("""
     A = FiniteRing([Atom.gf(2, 2), Atom.gf(2, 2), Atom.zmod(3), Atom.zmod(3)])
     beta = validate_action(c2_table(), A, [StructuredIso.identity_on(A, range(4)),
                                            StructuredIso(A, {0: 1, 1: 0, 2: 3, 3: 2}, {})])
-    tensors = gl._full_tensor(beta)
-    if len(beta.orbits) != 2 or len(tensors) != 2:
+    if len(beta.orbits) != 2 or len(gl._full_tensor(beta)) != 2:
         sys.exit(4)
     setattr(gl, sys.argv[1], lambda *args, **kwargs: False)
     try:
         if sys.argv[1] == "verify_coordinates":
             gl.solve_galois_coordinates(beta)
         else:
-            gl.is_separable(tensors)
+            gl.is_separable(beta)
     except gl.CertificateMismatch:
         sys.exit(0)
     sys.exit(1)

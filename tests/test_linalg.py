@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from semigalois import linalg
-from oracles import (dense, hstack, kernel_and_solve_by_echelon, matmul, quotient_order_by_enumeration,
-                     scatter_lattice, sparse, subgroup_elements_by_closure, vector_order)
+from oracles import (block_diag, dense, hstack, kernel_and_solve_by_echelon, matmul,
+                     quotient_order_by_enumeration, scatter_lattice, sparse,
+                     subgroup_elements_by_closure, vector_order, vstack)
 
 
 def _subgroup_order(pres, gens):
@@ -234,7 +235,7 @@ def test_matrix_builders_match_numpy(seed):
     assert dense(matmul(sparse(a), sparse(b))).tolist() == a.dot(b).reshape(r, c).tolist()
     x = [rng.randint(-5, 5) for _ in range(k)]
     assert sparse(a).apply(x) == tuple(a.dot(np.array(x, dtype=object)).reshape(r).tolist())
-    assert dense(linalg.vstack([sparse(a), sparse(d)])).tolist() == \
+    assert dense(vstack([sparse(a), sparse(d)])).tolist() == \
         np.concatenate([a, d], axis=0).tolist()
     blocks = [rand(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(3)]
     want = np.zeros((sum(m.shape[0] for m in blocks), sum(m.shape[1] for m in blocks)),
@@ -243,11 +244,11 @@ def test_matrix_builders_match_numpy(seed):
     for m in blocks:
         want[i:i + m.shape[0], j:j + m.shape[1]] = m
         i, j = i + m.shape[0], j + m.shape[1]
-    got = linalg.block_diag([sparse(m) for m in blocks])
+    got = block_diag([sparse(m) for m in blocks])
     assert got.shape == want.shape and dense(got).tolist() == want.tolist()
     assert all(v for col in got.cols for v in col.values())
     with pytest.raises(ValueError):
-        linalg.vstack([sparse(a), sparse(rand(1, k + 1))])
+        vstack([sparse(a), sparse(rand(1, k + 1))])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,8 +1,8 @@
 """Every Galois system solved one orbit at a time, against the whole system.
 
 The orbits of the atom maps cut A into blocks A e_O.  The split routes
-(tensor, PA and psi, separability), and the coordinate criterion's
-verdicts, are compared with the whole-system routes frozen in `oracles`,
+(tensor, PA and psi, the separability idempotent), and the coordinate
+criterion's verdicts, are compared with the whole-system routes frozen in `oracles`,
 by the check test_free_pairs.py also makes
 (`check_orbit_routes_against_whole`), on two seeded
 corpora and on multi-orbit instances, and the orbit indicators are checked
@@ -95,13 +95,14 @@ def check_orbit_routes_against_whole(beta):
     """The library's Galois criteria against the whole routes: the verdicts
     of beta's and alpha's coordinate systems (`solve_coordinates_whole`),
     each candidate that passes checked through ring elements
-    (`verify_coordinates_by_elements`), and, each solved one orbit tensor
-    at a time on its free pairs, psi's
-    orders and witnesses (`psi_check_whole`), psi on every generator pair
-    through ring elements (`check_psi_images_on_orbits`), and the
-    separability verdict (`is_separable_whole`), with the library's
-    idempotent zero off the free pairs and, put in place on the whole
-    tensor, passing `verify_idempotent_by_kron`.  psi's image from the free
+    (`verify_coordinates_by_elements`), psi's orders and witnesses, taken
+    one orbit tensor at a time on its free pairs (`psi_check_whole`), psi
+    on every generator pair through ring elements
+    (`check_psi_images_on_orbits`), and the separability verdict: the
+    whole solve (`is_separable_whole`) finds an idempotent, as
+    `is_separable` always does, and the library's, one vector per orbit
+    tensor, put in place on the whole tensor passes
+    `verify_idempotent_by_kron`.  psi's image from the free
     pairs lies inside its image from every pair, which `psi_check_whole`
     takes, so equal image orders make the two images equal.  Returns the
     number of generator pairs of the orbit tensors and of free pairs."""
@@ -116,14 +117,11 @@ def check_orbit_routes_against_whole(beta):
     assert psi.cokernel_witness == cokernel_witness
     assert kernel_witness is None  # psi is injective
     check_psi_images_on_orbits(beta)
-    z = gl.is_separable(tensors)
+    z = gl.is_separable(beta)
     reference = is_separable_whole(Subalgebra.full(beta.A), invariant_ring(beta))
-    assert (z is None) == (reference is None)
-    if z is not None:
-        for (_, tensor), part in zip(tensors, z):
-            assert not any(x for p, x in enumerate(part) if p not in tensor.free_pairs)
-        whole = reference[0]
-        assert verify_idempotent_by_kron(whole, joined_tensor_vector(tensors, whole, dict(enumerate(z))))
+    assert reference is not None
+    whole = reference[0]
+    assert verify_idempotent_by_kron(whole, joined_tensor_vector(tensors, whole, dict(enumerate(z))))
     return (sum(tensor.k * tensor.l for _, tensor in tensors),
             sum(len(tensor.free_pairs) for _, tensor in tensors))
 

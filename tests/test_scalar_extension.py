@@ -19,12 +19,12 @@ import random
 import pytest
 
 from fixtures import collapsing_semilattice_fixture
-from oracles import (ScalarExtensionByLoops, extend_scalars_by_loops, iso_matrix_by_polynomials,
-                     scalar_extension_is_galois_by_loops)
+from oracles import (ScalarExtensionByLoops, block_diag, extend_scalars_by_loops,
+                     iso_matrix_by_polynomials, scalar_extension_is_galois_by_loops)
 from semigalois.actions import NotInjective, induce_partial_group_action, invariant_ring, is_injective
 from semigalois.corpus import c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.galois import is_galois
-from semigalois.linalg import block_diag, lattice_reduce
+from semigalois.linalg import lattice_reduce
 from semigalois.rings import Atom, FiniteRing
 from semigalois.semigroups import is_e_unitary
 
