@@ -22,8 +22,8 @@ import math
 from . import isopu
 from .rings import AtomMismatch, Block, Subalgebra
 from .semigroups import (SemigroupError, SubSemigroup, ZeroForbidden, ZeroRequired, is_e_unitary,
-                         linked_classes, remembered, restrict_table, sigma_partition,
-                         validate_table)
+                         linked_classes, lower_bound_classes, remembered, restrict_table,
+                         sigma_partition, validate_table)
 
 
 class ActionError(SemigroupError):
@@ -423,7 +423,7 @@ def induce_partial_group_action(beta):
     if not is_injective(beta):
         raise NotInjective("the induced partial action needs an injective beta")
     G, classes, _ = sigma_partition(beta.S)
-    isos = sigma_class_joins(beta)
+    isos = class_joins(beta)
     for cls, join in zip(classes, isos):
         if _boolean_sum(beta.A, [beta.ideal_one(s) for s in cls]) != beta.A.idempotent_vec(join.im_support):
             raise AssertionError("boolean sum disagrees with the support union")
@@ -431,9 +431,13 @@ def induce_partial_group_action(beta):
 
 
 @remembered
-def sigma_class_joins(beta):
-    """The join of the beta_s over each sigma-class: alpha's isos, psi's columns."""
-    return tuple(isopu.class_joins(beta.isos, sigma_partition(beta.S)[1]))
+def class_joins(beta):
+    """The join of the beta_s over each class of sharing a nonzero lower
+    bound (`lower_bound_classes`), in the classes' order.  Without a zero
+    the classes are sigma's: alpha's isos and psi's columns.  With a zero
+    they are tau's, the zero alone, whose join is beta_0: the joins whose
+    product table P' = S/tau is checked against."""
+    return tuple(isopu.join_sum(beta.isos[s] for s in cls) for cls in lower_bound_classes(beta.S)[0])
 
 
 def _boolean_sum(A, idempotents_list):

@@ -14,14 +14,14 @@ known insufficiency (see `cross_check_equivalences`) flagged rather than
 fatal.  The same trace-dual pairs give a separability idempotent of A over
 every subring (`is_separable`), and psi is checked one orbit of the atom
 maps (`Action.orbits`) at a time into PA_beta(S), the product over S/sigma
-of the images of the class joins, where psi's columns are those of the
-coordinate system on the joins (`_columns`), so no criterion solves.  The
-tensor A (x)_{A^beta} A is held as one `TensorPresentation` per orbit
-(`_full_tensor`): a generator pair from two orbits is zero, so it is no
-generator at all.  The coordinates are verified over all of A by
-`mul_vec`, and the separability idempotent, one vector per orbit, by m(z)
-summed over the orbits against 1 of A and by each orbit's commutation
-equations on its own tensor.  `is_galois`, the
+of the images of the class joins (`actions.class_joins`, alpha's isos),
+where psi's columns are those of the coordinate system on the joins
+(`_columns`), so no criterion solves.  The tensor A (x)_{A^beta} A is held
+as one `TensorPresentation` per orbit (`_full_tensor`): a generator pair
+from two orbits is zero, so it is no generator at all.  The coordinates
+are verified over all of A by `mul_vec`, and the separability idempotent,
+one vector per orbit, by m(z) summed over the orbits against 1 of A and by
+each orbit's commutation equations on its own tensor.  `is_galois`, the
 precondition of the correspondences, solves nothing: it is the fixed-atom
 rule of the atom model, held to the criteria on every cross-check, as is
 the free-part rule the correspondences decide separability by
@@ -33,9 +33,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .actions import (Action, _defect, fixed_atom_violation, image_action,
+from .actions import (Action, _defect, class_joins, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_ring, is_injective,
-                      separability_violation, sigma_class_joins, sigma_trace_image)
+                      separability_violation, sigma_trace_image)
 from .linalg import Matrix, lattice_canon, lattice_det, lattice_member
 from .rings import Subalgebra, TensorPresentation
 from .semigroups import SubSemigroup, is_e_unitary, remembered
@@ -179,7 +179,7 @@ def psi_check(beta):
     beta_t1 ~ beta_t2 its ideal is A_t1 n A_t2, which holds the ideal of
     every common lower bound.  So a family is one value per class g on each
     coordinate of the union of A_t over g's maximal t, which is the ideal
-    of alpha_g, the join of g's maps (`actions.sigma_class_joins`; every s
+    of alpha_g, the join of g's maps (`actions.class_joins`; every s
     of g lies below a maximal element of g): PA is the product over S/sigma of the A_{alpha_g}, and
     |PA| is the product of the moduli of their coordinates.  psi(x (x) y)
     is (x beta_t(y 1_{t^-1}))_t, and beta_t <= alpha_g for t in g, with
@@ -202,9 +202,11 @@ def psi_check(beta):
     e_i (x) e_j of the tensor is F (x)_K F, the maximal beta_t taking j to i
     realize every K-embedding tau of F (`actions.fixed_ring`),
     and psi there is u (x) v -> (u tau(v))_tau, an isomorphism onto prod_tau F.
+    A report is returned only when no orbit raised, so its tensor order is
+    its image order.
     """
-    joins = sigma_class_joins(beta)
-    t_order = image_order = pa_order = 1
+    joins = class_joins(beta)
+    image_order = pa_order = 1
     witness = None
     for o, (block, tensor) in enumerate(_full_tensor(beta)):
         ring = block.ring
@@ -217,13 +219,12 @@ def psi_check(beta):
         if order != tensor.order():
             raise EquivalenceViolation(f"psi kills part of the tensor on orbit {o}: "
                                        f"image order {order}, tensor order {tensor.order()}")
-        t_order *= order
         image_order *= order
         pa_order *= part
         if witness is None and order != part:
             witness = (o, next(r for r in range(len(moduli))
                                if not lattice_member(canon, [int(q == r) for q in range(len(moduli))])))
-    return PsiReport(image_order == pa_order, t_order, pa_order, image_order, witness)
+    return PsiReport(image_order == pa_order, image_order, pa_order, image_order, witness)
 
 
 # -- S_B, beta-strong, separability ------------------------------------------
@@ -320,14 +321,14 @@ def verify_separability_idempotent(tensors, z):
 
     `tensors` are (block, tensor) pairs over a partition of the atoms, as
     `_full_tensor` builds them, and z has one vector per block, on that
-    block's tensor.  m(z), summed over the blocks, must be 1 of the ring.
-    The second equation is checked on each block's tensor for every unit
-    vector b of its block ring.  With z reshaped to the k x l matrix Z,
-    (b (x) 1)z is E.Z and (1 (x) b)z is Z.E^T, for E the matrix of b* on
-    the unit vectors (`TensorPresentation.mult_matrix`): entry (i, j) of Z
-    goes to (a, j) with weight E[a, i] and to (i, c) with weight E[c, j].
-    The difference is summed over the nonzero entries of z, on the pairs it
-    reaches, and must be zero in the tensor.  The relations contain each
+    block's tensor.  m(z), summed over the blocks, must be 1 of the ring:
+    each nonzero entry x at pair (i, j) adds x e_i e_j.  The second equation
+    is checked on each block's tensor for every unit vector b of its block
+    ring.  (b (x) 1)z - (1 (x) b)z takes entry x at (i, j) to x (b e_i (x) e_j
+    - e_i (x) b e_j); b e_i is zero unless i lies on b's atom, so only the
+    entries whose row or column lies there take a product
+    (`FiniteRing.unit_times`).  The difference is summed on the pairs it
+    reaches and must be zero in the tensor.  The relations contain each
     pair's order times the pair, so a difference that vanishes modulo those
     orders is zero, as it is for the trace-dual idempotent; any other is
     walked down the relations (`TensorPresentation.is_zero`).
@@ -337,25 +338,26 @@ def verify_separability_idempotent(tensors, z):
     A = tensors[0][0].whole
     mz = [0] * A.n_coords
     for (block, tensor), part in zip(tensors, z):
-        for c, x in zip(block.coords, tensor.mult_map_vec().apply(part)):
-            mz[c] += x
-    if tuple(x % d for x, d in zip(mz, A.coord_moduli)) != A.one_vec:
-        return False
-    for (_, tensor), part in zip(tensors, z):
-        l, orders = tensor.l, tensor.pres.moduli
+        ring, l, orders = tensor.ring, tensor.l, tensor.pres.moduli
+        units = ring.basis_vectors()
         entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
-        for b in tensor.ring.basis_vectors():
-            E = tensor.mult_matrix(b)
+        for i, j, x in entries:
+            for q, v in ring.unit_times(i, units[j]).items():
+                mz[block.coords[q]] += v * x
+        for b, unit in enumerate(units):
+            atom = ring.coord_atom(b)
             diff = {}
             for i, j, x in entries:
-                for a, e in E.cols[i].items():
-                    diff[a * l + j] = diff.get(a * l + j, 0) + e * x
-                for c, f in E.cols[j].items():
-                    diff[i * l + c] = diff.get(i * l + c, 0) - f * x
+                if ring.coord_atom(i) == atom:
+                    for a, e in ring.unit_times(i, unit).items():
+                        diff[a * l + j] = diff.get(a * l + j, 0) + e * x
+                if ring.coord_atom(j) == atom:
+                    for c, f in ring.unit_times(j, unit).items():
+                        diff[i * l + c] = diff.get(i * l + c, 0) - f * x
             if (any(x % orders[q] for q, x in diff.items())
                     and not tensor.is_zero(Matrix(tensor.k * l, [diff]).column(0))):
                 return False
-    return True
+    return tuple(x % d for x, d in zip(mz, A.coord_moduli)) == A.one_vec
 
 
 @remembered

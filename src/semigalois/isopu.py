@@ -81,11 +81,6 @@ def join_sum(isos) -> StructuredIso:
     return StructuredIso.trusted(ring, tuple(atom_map))
 
 
-def class_joins(isos, classes):
-    """The join of `isos` over each class of a partition of their indices."""
-    return [join_sum(isos[s] for s in cls) for cls in classes]
-
-
 def join_product_table(joins):
     """The product of class joins: the one join above each nonempty composite,
     and the empty join for an empty composite.

@@ -845,12 +845,5 @@ class TensorPresentation:
                     if b:
                         yield i * l + j, a * b
 
-    @remembered
-    def mult_map_vec(self):
-        """Matrix of the multiplication map m (x) n -> m*n into ring coords:
-        column (i, j) is e_i * e_j (`FiniteRing.unit_times`)."""
-        ring, units = self.ring, self.ring.basis_vectors()
-        return Matrix(ring.n_coords, [ring.unit_times(i, e) for i in range(self.k) for e in units])
-
     def is_zero(self, z):
         return self.pres.is_zero(z)

@@ -17,7 +17,7 @@ beta-maximal subsemigroups.
 from __future__ import annotations
 
 from . import isopu
-from .actions import (ACTION_ROWS, Action, check_action_axioms,
+from .actions import (ACTION_ROWS, Action, check_action_axioms, class_joins,
                       AxiomFail)  # noqa: F401 (AxiomFail is re-exported)
 from .correspondence import enumerate_beta_maximal, verify_pairs
 from .galois import PreconditionFail, is_galois
@@ -267,21 +267,20 @@ def convert_round_trip_ok(alpha: Action):
 
 
 def p_prime_construction(beta):
-    """Joins over tau-classes of an action of a 0-E-unitary categorical S.
+    """Joins over tau-classes of a zero action of a 0-E-unitary categorical S.
 
     Returns P' = S/tau, checked equal to the product of the class joins
-    (the unique join above each composite) via tau(f) -> alpha_f, with the
-    joins and the projection onto the tau-classes.
+    (`actions.class_joins`: the unique join above each composite) via
+    tau(f) -> alpha_f, with the joins and the projection onto the
+    tau-classes.  The zero's class is the zero alone, and its join is
+    beta_0, the empty iso of a zero action.
     """
+    require_zero_action(beta)
     S = beta.S
-    _require_zero(S)
     if not (is_0_e_unitary(S) and is_categorical_at_zero(S)):
         raise PreconditionFail("P' needs a 0-E-unitary, categorical-at-zero S")
-    classes, projection = tau_partition(S)
-    empty = StructuredIso.empty(beta.A)
-    joins = isopu.class_joins([empty if s == S.zero else iso for s, iso in enumerate(beta.isos)],
-                              classes)
-    P, _ = tau_quotient(S)
+    joins = class_joins(beta)
+    P, projection = tau_quotient(S)
     if isopu.join_product_table(joins) != P.table:
         raise AssertionError("P' is not isomorphic to S/tau")
     if not is_primitive(P):

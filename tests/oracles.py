@@ -455,12 +455,21 @@ def algebra_generators_by_adjoining(B, R):
     return chosen
 
 
+def mult_map_vec(tensor):
+    """Matrix of the multiplication map m (x) n -> m*n of an orbit tensor
+    (`TensorPresentation`) into ring coordinates: column (i, j) is e_i * e_j
+    (`FiniteRing.unit_times`)."""
+    ring, units = tensor.ring, tensor.ring.basis_vectors()
+    return Matrix(ring.n_coords, [ring.unit_times(i, e) for i in range(tensor.k) for e in units])
+
+
 def verify_idempotent_by_kron(tensor, z):
     """Both defining equations of a separability idempotent, on the full
     Kronecker matrices (b (x) 1) and (1 (x) b) for every generator b."""
     A = tensor.ring
     zcol = np.array(z, dtype=object).reshape(-1, 1)
-    mz = dense(tensor.mult_map_vec()).dot(zcol)
+    whole = isinstance(tensor, WholeTensorPresentation)
+    mz = dense(tensor.mult_map_vec() if whole else mult_map_vec(tensor)).dot(zcol)
     if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one_vec:
         return False
     for b in factor_generators(tensor):
@@ -501,10 +510,10 @@ def check_psi_images_on_orbits(beta):
     two orbits maps to zero."""
     from types import SimpleNamespace
     from semigalois.galois import _columns
-    from semigalois.isopu import class_joins
+    from semigalois.isopu import join_sum
     from semigalois.semigroups import lower_bound_classes
     classes, projection = lower_bound_classes(beta.S)
-    joins = class_joins(beta.isos, classes)
+    joins = [join_sum(beta.isos[s] for s in cls) for cls in classes]
     A = beta.A
     for o, block in enumerate(beta.orbits):
         n = block.ring.n_coords

@@ -53,15 +53,27 @@ def test_galois_verifies_each_coordinate_system_once(monkeypatch, capsys, instan
 
 
 def test_galois_joins_the_sigma_classes_once(monkeypatch, capsys):
-    """The induced alpha and psi read one remembered join of each sigma-class
-    (`actions.sigma_class_joins`): on the S7 monoid, where both are built,
-    `galois` joins the classes once (twice when each joined its own)."""
-    calls = []
-    for name, module in list(sys.modules.items()):
-        if name.startswith("semigalois") and hasattr(module, "class_joins"):
-            _recording(monkeypatch, module, "class_joins", lambda *a: calls.append(a))
-    assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
-    assert len(calls) == 1
+    """alpha and psi (`galois`, over S/sigma) and P' (`zero`, over S/tau)
+    read one remembered join of each class (`actions.class_joins`): on the
+    S7 monoid, where alpha and psi are both built, `galois` derives the
+    joins once and takes one `join_sum` per sigma-class (two derivations
+    when each joined its own); on B2, `zero` takes one per tau-class, the
+    zero's included."""
+    builder, sums = actions.class_joins.__wrapped__.__code__, []
+
+    def record(isos):
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code is not builder:
+            frame = frame.f_back
+        sums.append(frame is not None)
+
+    _recording(monkeypatch, actions.isopu, "join_sum", record)
+    for command, instance, classes in [("galois", "s7_f9cubed.sgi", 2), ("zero", "b2_f3f3.sgi", 5)]:
+        sums.clear()
+        with derivations(actions.class_joins) as computed:
+            assert _run(capsys, command, str(INSTANCES / instance)) == 0
+        assert list(computed.values()) == [1]
+        assert sums.count(True) == classes
 
 
 @pytest.mark.parametrize("args", [["correspond"], ["correspond", "--brute-force-subalgebras"],
@@ -118,7 +130,7 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 # (the keyed ones per indicator, twist, iso or b).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
-         actions.sigma_class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
+         actions.class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
          actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
          correspondence.fixed_subalgebra,
          rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, galois._trace_dual_pairs,
@@ -127,7 +139,7 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
          correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.TensorPresentation.free_pairs.fget,
-         rg.TensorPresentation.mult_map_vec, rg.TensorPresentation.mult_matrix]
+         rg.TensorPresentation.mult_matrix]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
             ["analyze"], ["zero"]]
 
@@ -136,7 +148,7 @@ COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebra
 def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     """In one cli.main on each shipped instance, sigma and E-unitarity are
     derived at most once per semigroup object; injectivity, A^beta, the
-    induced alpha, the sigma-class joins, the orbits, the Galois system and A (x)_{A^beta} A at
+    induced alpha, the class joins, the orbits, the Galois system and A (x)_{A^beta} A at
     most once per action object, and the free-part rule, S_B and
     strongness once per action and subalgebra, A^{beta|T} once per action
     and T; the additive group, the unit vectors and the trace-dual pairs
@@ -146,8 +158,8 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     plan once per iso; the restriction of an iso once per block and iso,
     and the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
-    `Subalgebra`; and the free pairs and multiplication map once per
-    tensor, and a multiplication matrix once per tensor and b."""
+    `Subalgebra`; and the free pairs once per tensor, and a
+    multiplication matrix once per tensor and b."""
     seen = set()
     with derivations(*FACTS) as derived:
         for path in sorted(INSTANCES.glob("*.sgi")):
@@ -279,12 +291,12 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
 def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
     """`galois` on s7_f9cubed multiplies a unit vector only through
     `FiniteRing.unit_times`: no `mul_vec` call has psi,
-    `mult_matrix` or the multiplication map on its stack (43 calls when
+    `mult_matrix` or the separability check on its stack (43 calls when
     they kept their own products).  `verify_coordinates` checks the
     coordinates with `mul_vec`."""
     readers = {galois.psi_check.__code__,
                rg.TensorPresentation.mult_matrix.__wrapped__.__code__,
-               rg.TensorPresentation.mult_map_vec.__wrapped__.__code__}
+               galois.verify_separability_idempotent.__code__}
     inside, verifying, reads = [], [], []
     original = rg.FiniteRing.mul_vec
 
@@ -302,6 +314,22 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
     assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
     assert inside == []
     assert reads and any(verifying)
+
+
+def test_separability_check_multiplies_only_at_the_idempotents_entries(monkeypatch):
+    """`verify_separability_idempotent` takes a product (`unit_times`) only
+    where z is nonzero: one per entry for m(z), and for each unit vector b
+    one per entry whose row or column lies on b's atom.  On C32 rotating
+    GF(4)^32 each trace-dual entry lies on one atom of two coordinates, so
+    that is 5 per entry, 480 in all (8 192 when the whole multiplication
+    map and every mult_matrix(b) were built)."""
+    beta = cyclic_shift(rg.Atom.gf(2, 2), 32)
+    tensors, z = galois.separability_idempotent_from_coordinates(beta, galois._trace_dual_pairs(beta.A))
+    reads = []
+    _recording(monkeypatch, rg.FiniteRing, "unit_times", lambda *a: reads.append(a))
+    assert galois.verify_separability_idempotent(tensors, z)
+    entries = sum(1 for part in z for x in part if x)
+    assert len(reads) == entries * (1 + 2 * 2) == 480
 
 
 def test_application_plan_matches_iso_matrix_and_polynomials():

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import WholeTensorPresentation
+from oracles import WholeTensorPresentation, mult_map_vec
 from semigalois import galois
 from semigalois.corpus import corpus
 from semigalois.rings import Atom, AtomMismatch, FiniteRing, NotSubring, Subalgebra, TensorPresentation
@@ -91,12 +91,12 @@ def _assert_products_read(beta, rng):
     """Each orbit tensor's multiplication matrices, read from the atoms'
     powers (`FiniteRing.unit_times`), equal the whole tensor's, built from
     `mul_vec` products: `mult_matrix(b)` for each generator of R, each unit
-    vector and seeded vectors b, and `mult_map_vec()`, whose column (i, j)
-    is e_i * e_j."""
+    vector and seeded vectors b, and the multiplication map
+    (`oracles.mult_map_vec`), whose column (i, j) is e_i * e_j."""
     for _, tensor in galois._full_tensor(beta):
         ring, whole = tensor.ring, _whole(tensor)
         units = ring.basis_vectors()
-        assert tensor.mult_map_vec() == whole.mult_map_vec()
+        assert mult_map_vec(tensor) == whole.mult_map_vec()
         drawn = [tuple(rng.randrange(m) for m in ring.coord_moduli) for _ in range(3)]
         for b in [*tensor.R.gen_vectors, *units, *drawn]:
             assert tensor.mult_matrix(b) == whole.mult_matrix(b)

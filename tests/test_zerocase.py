@@ -5,7 +5,6 @@ import pytest
 from fixtures import (group_with_zero_fixture, groupoid_action_corpus, non_categorical_semilattice,
                       random_orthogonal_groupoid_action, random_primitive_semigroup)
 from oracles import meet
-from semigalois import isopu
 from semigalois import zerocase as zc
 from semigalois.corpus import b2_swap_fixture, b2_table, corpus
 from semigalois.semigroups import SemigroupError, ZeroRequired, validate_table
@@ -264,10 +263,28 @@ def test_p_prime_on_group_with_zero():
 @pytest.mark.parametrize("fixture", [b2_swap_fixture, group_with_zero_fixture])
 def test_p_prime_rejects_a_cut_class_join(fixture, monkeypatch):
     from test_actions import cut_first_join
-    class_joins = isopu.class_joins
-    monkeypatch.setattr(isopu, "class_joins", lambda *a: cut_first_join(class_joins(*a)))
+    class_joins = zc.class_joins
+    monkeypatch.setattr(zc, "class_joins", lambda beta: cut_first_join(class_joins(beta)))
     with pytest.raises(AssertionError, match="sits below"):
         zc.p_prime_construction(fixture())
+
+
+def test_p_prime_needs_a_zero_action():
+    """P' joins beta_0 as the zero's class, so it asks A_0 = 0 first: the
+    two-element semilattice {1, 0} acting on F_3 x F_3 with beta_0 the
+    identity on the first atom is a valid unital action, 0-E-unitary and
+    categorical at zero, and is refused rather than joined with the empty
+    iso swapped in for beta_0."""
+    from semigalois.actions import validate_action
+    from semigalois.galois import PreconditionFail
+    from semigalois.rings import Atom, FiniteRing, StructuredIso
+    S = validate_table([[0, 1], [1, 1]], zero=1, names=["1", "0"])
+    A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
+    beta = validate_action(S, A, [StructuredIso.identity_on(A, {0, 1}),
+                                  StructuredIso.identity_on(A, {0})])
+    assert zc.is_0_e_unitary(S) and zc.is_categorical_at_zero(S)
+    with pytest.raises(PreconditionFail, match="A_0 = 0"):
+        zc.p_prime_construction(beta)
 
 
 def test_p_prime_matches_sigma_machinery_on_adjoined_zero():
