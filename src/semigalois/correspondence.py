@@ -300,12 +300,12 @@ def verify_general_correspondence(beta, brute_force_subalgebras=False):
     Routes through the image semigroup: beta(S) acts injectively and is
     E-unitary for Galois actions, its beta-complete Ts pull back along beta
     to the beta-maximal Ts of S, and the engine checks those on beta: S_B
-    on beta is the pullback of S_B on the image, and strongness on beta
-    skips the same pairs (s, t) as the image does: an element of S_B below
-    s^{-1}t maps below
-    beta_{s^{-1}t}, and if u in S_B has beta_u below beta_{s^{-1}t}, then
-    s^{-1}t u^{-1}u lies below s^{-1}t with the iso beta_u, so in S_B, and
-    is nonzero as S has no zero.
+    on beta is the pullback of S_B on the image, and strongness on beta,
+    which reads each element p and its iso beta_p (`galois.is_beta_strong`),
+    skips the same elements as the image does: an element of S_B below p
+    maps below beta_p, and if u in S_B has beta_u below beta_p, then
+    p u^{-1}u lies below p with the iso beta_u, so in S_B, and is nonzero as
+    S has no zero.
     """
     S = beta.S
     if S.zero is not None:

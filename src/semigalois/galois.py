@@ -30,7 +30,6 @@ the free-part rule the correspondences decide separability by
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .actions import (Action, _defect, class_joins, fixed_atom_violation, image_action,
@@ -231,17 +230,24 @@ def psi_check(beta):
 
 
 @remembered
+def _moved_atoms(beta, B: Subalgebra):
+    """The atoms on which beta_s moves B, one bit mask per s, kept per B: the
+    atoms where the defect of beta_s (`actions._defect`) is nonzero on some
+    generator of B (they suffice, the defect being additive).  S_B and
+    strongness read it."""
+    return tuple(beta.A.atom_mask([any(c) for c in zip(*map(defect, B.gen_vectors))])
+                 for defect in map(_defect, beta.isos))
+
+
+@remembered
 def compute_S_B(beta, B: Subalgebra):
     """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B}, kept per B: the
-    s whose defect vanishes on B's generators (they suffice, the defect being
-    additive).  The other direction, T -> A^{beta|T}, is built from T's atom
-    maps and checked on the same defects (`actions.fixed_ring`)."""
+    s that move B on no atom (`_moved_atoms`).  The other direction,
+    T -> A^{beta|T}, is built from T's atom maps and checked on the same
+    defects (`actions.fixed_ring`)."""
     if not B.is_subalgebra():
         raise NotSubalgebra("S_B needs a unital subalgebra")
-    defects = map(_defect, beta.isos)
-    members = frozenset(s for s, defect in enumerate(defects)
-                        if not any(any(defect(g)) for g in B.gen_vectors))
-    sub = SubSemigroup(beta.S, members)
+    sub = SubSemigroup(beta.S, frozenset(s for s, mask in enumerate(_moved_atoms(beta, B)) if not mask))
     if not sub.is_full:
         raise CertificateMismatch("S_B is not full")
     return sub
@@ -251,42 +257,43 @@ def compute_S_B(beta, B: Subalgebra):
 def is_beta_strong(beta, B: Subalgebra):
     """beta-strongness of B, kept per B: (True, None), or (False, (s, t, frozenset({i}))).
 
-    A pair (s, t) needs separating only when no nonzero element of S_B
-    restricts s^{-1}t (S_B is an order ideal, so this subsumes membership
-    of s^{-1}t itself; for B = A with an injective action on an E-unitary
-    zero-free S it reduces to s^{-1}t being a non-idempotent).  Without
-    this weakening, fixed rings of middle subsemigroups fail on ideals
-    where the action collapses onto a twist-fixed subring even though the
-    correspondence demonstrably holds there.
+    B is beta-strong when it separates every pair (s, t) at every atom i of
+    im(s) u im(t) (some b in B has beta_s(b 1)e_i != beta_t(b 1)e_i), except
+    the pairs for which some nonzero element of S_B restricts s^{-1}t (S_B
+    is an order ideal, so this subsumes membership of s^{-1}t itself; for
+    B = A with an injective action on an E-unitary zero-free S it reduces
+    to s^{-1}t being a non-idempotent).  Without this weakening, fixed
+    rings of middle subsemigroups fail on ideals where the action collapses
+    onto a twist-fixed subring even though the correspondence demonstrably
+    holds there.
 
-    The separation defect b -> beta_s(b 1)e - beta_t(b 1)e is additive in b
-    and in e, so a support e is separated by B iff one of its atoms is, by a
-    generator of B: a pair fails at the first atom of im(s) u im(t) that no
-    generator separates, which is also the first failing support by size.
+    Whether (s, t) is separated depends on p = s^{-1}t alone:
+    - B holds 1, so on an atom of im(s) delta im(t) one of the two sides is
+      zero and the other is not: 1 separates the pair there.
+    - Take i in im(s) n im(t) and j = s^{-1}(i).  beta_{s^-1} maps A e_i
+      isomorphically onto A e_j.  It takes beta_s(b 1)e_i to b e_j, and
+      beta_t(b 1)e_i to beta_p(b 1)e_j.  So (s, t) is unseparated at i
+      exactly when the defect of beta_p vanishes on B at j, an atom of
+      im(p) outside p's moved atoms (`_moved_atoms`).
+    - Every p arises this way: take s = pp^{-1} and t = p.  The pair's
+      cover test reads only s^{-1}t.
+    So one pass over the elements decides: p fails when no nonzero member
+    of S_B lies below it and some atom of im(p) is not moved.  The witness
+    is the first failing pair in index order, (s, t) with s^{-1}t = p
+    failing, at its first unseparated atom: the least s(j) over p's
+    unmoved atoms j of im(p).
     """
-    s_b = compute_S_B(beta, B)
     S = beta.S
-    A = beta.A
-
-    @functools.cache
-    def moved(s):
-        return [beta.isos[s].apply_vec(g) for g in B.gen_vectors]
-
-    @functools.cache
-    def on_atom(s, i):
-        """beta_s(g 1_{s^-1}) e_i for the generators g of B, as one tuple."""
-        lo, hi = A.atom_span(i)
-        return tuple(v[lo:hi] for v in moved(s))
-
-    for s in range(S.n):
-        for t in range(S.n):
-            prod = S.table[S.inv[s]][t]
-            if any(u != S.zero and S.leq[u][prod] for u in s_b.members):
-                continue
-            for i in sorted(beta.im_support(s) | beta.im_support(t)):
-                if on_atom(s, i) == on_atom(t, i):
-                    return False, (s, t, frozenset({i}))
-    return True, None
+    below = [u for u in compute_S_B(beta, B).members if u != S.zero]
+    unmoved = {p: atoms for p, moved in enumerate(_moved_atoms(beta, B))
+               if (atoms := sum(1 << j for j in beta.im_support(p)) & ~moved)
+               and not any(S.leq[u][p] for u in below)}
+    if not unmoved:
+        return True, None
+    s, t, p = next((s, t, p) for s in range(S.n) for t in range(S.n)
+                   if (p := S.table[S.inv[s]][t]) in unmoved)
+    return False, (s, t, frozenset({min(v[0] for j, v in enumerate(beta.isos[s].atom_map)
+                                         if unmoved[p] >> j & 1)}))
 
 
 def is_separable(beta):

@@ -344,10 +344,18 @@ class SubSemigroup:
         return sum(1 << s for s in self.members)
 
 
-def generated_subsemigroup(S, gens):
-    """The members of the inverse subsemigroup generated by `gens`, as a frozenset."""
-    members = set(gens)
-    frontier = list(gens)
+def generated_subsemigroup(S, closed, s):
+    """The members of the inverse subsemigroup generated by the closed set
+    `closed` and the element s, as a frozenset.
+
+    The frontier starts at s, so each product taken has a new member as a
+    factor: when a leaves the frontier, its inverse and its products with
+    every member so far are added, and a member added later takes its
+    products with a when it leaves the frontier in turn.  So every product
+    with a new member as a factor, and every new member's inverse, is
+    taken; `closed` holds its own."""
+    members = {*closed, s}
+    frontier = [s]
     while frontier:
         a = frontier.pop()
         for nxt in [S.inv[a]] + [S.table[a][b] for b in members] + [S.table[b][a] for b in members]:
@@ -361,8 +369,9 @@ def enumerate_full_inverse_subsemigroups(S):
     """All full inverse subsemigroups, sorted by member bitmask.
 
     Cyclic extension: each T found is extended by each s outside it, from
-    E(S) on, which reaches every full T one element of T at a time.  The
-    work grows with the output ((C2)^8 has 417 199 subgroups), so each
+    E(S) on, which reaches every full T one element of T at a time.  T is
+    closed, so the closure of T + {s} starts from T (`generated_subsemigroup`).
+    The work grows with the output ((C2)^8 has 417 199 subgroups), so each
     closure is charged to the work budget.
     """
     non_idem = [s for s in range(S.n) if s not in S.idempotents]
@@ -373,7 +382,7 @@ def enumerate_full_inverse_subsemigroups(S):
         for s in non_idem:
             if s not in members:
                 spend("subsemigroups", 1)
-                bigger = generated_subsemigroup(S, members | {s})
+                bigger = generated_subsemigroup(S, members, s)
                 if bigger not in found:
                     found.add(bigger)
                     frontier.append(bigger)

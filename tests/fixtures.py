@@ -4,7 +4,8 @@ The fixtures the library's own self-test and the benchmark build stay in
 `semigalois.corpus` (`f9_cubed_fixture`, `c2_swap_fixture`,
 `b2_swap_fixture` and the random `corpus`); these are the ones only the
 tests read, one builder per family of instances several test modules take
-(`c2_swap`, `cyclic_shift`, `s7_on`), the groupoid builders
+(`c2_swap`, `cyclic_shift`, `s7_on`), the two families that scale the
+correspondences (`brandt`, `c2_power_regular`), the groupoid builders
 (`connected_groupoid`, `disjoint_union`, `random_groupoid`) that only they
 use, `derivations`,
 which counts the derivations of `remembered` facts, and `admissible`, the
@@ -123,6 +124,33 @@ def s7_on(atom, fixed=()):
         "s'*s": iso({0: 0, 1: 1}),
     }
     return validate_action(S, A, [by_name[S.names[i]] for i in range(S.n)])
+
+
+def brandt(n):
+    """Brandt B_n acting on GF(4)^n: the n x n matrix units (i, j), with
+    (i, j)(j, l) = (i, l) and every other product the zero; (i, j) maps
+    atom j to atom i untwisted, and the zero acts as the empty iso.  Its
+    full inverse subsemigroups are the equivalence relations on n points,
+    so `zero` has Bell(n) objects."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    zero = len(units)
+    table = [[i * n + l if j == k else zero for k, l in units] + [zero] for i, j in units]
+    S = validate_table(table + [[zero] * (zero + 1)], zero=zero,
+                       names=[f"e{i}_{j}" for i, j in units] + ["0"])
+    A = FiniteRing([Atom.gf(2, 2)] * n)
+    return validate_action(S, A, [StructuredIso(A, {j: i}, {}) for i, j in units]
+                           + [StructuredIso.empty(A)])
+
+
+def c2_power_regular(k):
+    """(C2)^k acting regularly on (Z/2)^(2^k): the table is g XOR h, and g
+    takes atom a to atom a XOR g.  Galois, and `correspond` has one object
+    per subgroup of (C2)^k."""
+    n = 1 << k
+    S = validate_table([[g ^ h for h in range(n)] for g in range(n)])
+    A = FiniteRing([Atom.zmod(2)] * n)
+    return validate_action(S, A, [StructuredIso(A, {a: a ^ g for a in range(n)}, {})
+                                  for g in range(n)])
 
 
 # -- zero-case corpus ---------------------------------------------------------

@@ -34,6 +34,7 @@ route has one reference that shares none of its shortcuts:
   rather than the library's fixed-atom rule, over the coset scan of
   subalgebras (`subalgebras_by_coset_scan`);
 - the scans per-atom and per-element tests replaced (`beta_strong_by_support_scan`,
+  the pair loop of strongness `beta_strong_by_pairs`,
   `boolean_sum_by_inclusion_exclusion`, `full_inverse_subsemigroups_by_power_set`,
   `beta_complete_by_subset_scan`, `beta_maximal_by_subset_scan`), the natural
   order by idempotents, the iso closure on objects, associativity over all
@@ -55,6 +56,7 @@ and combine the library's sparse `Matrix`, and `kron_left`, `kron_right`,
 generator pair.
 """
 
+import functools
 import itertools
 import math
 
@@ -803,6 +805,37 @@ def beta_strong_by_support_scan(beta, B, s_b=None):
                 if not any(_separates(beta, s, t, supp, g) for g in B.gen_vectors) and \
                         not any(_separates(beta, s, t, supp, g) for g in B.element_vectors()):
                     return False, (s, t, supp)
+    return True, None
+
+
+def beta_strong_by_pairs(beta, B):
+    """(ok, failure) of beta-strongness by the pair loop over all (s, t): per
+    pair the scan of S_B for a nonzero u below s^{-1}t, then each atom of
+    im(s) u im(t) in order, comparing beta_s and beta_t on B's generators
+    there."""
+    from semigalois.galois import compute_S_B
+    s_b = compute_S_B(beta, B)
+    S = beta.S
+    A = beta.A
+
+    @functools.cache
+    def moved(s):
+        return [beta.isos[s].apply_vec(g) for g in B.gen_vectors]
+
+    @functools.cache
+    def on_atom(s, i):
+        """beta_s(g 1_{s^-1}) e_i for the generators g of B, as one tuple."""
+        lo, hi = A.atom_span(i)
+        return tuple(v[lo:hi] for v in moved(s))
+
+    for s in range(S.n):
+        for t in range(S.n):
+            prod = S.table[S.inv[s]][t]
+            if any(u != S.zero and S.leq[u][prod] for u in s_b.members):
+                continue
+            for i in sorted(beta.im_support(s) | beta.im_support(t)):
+                if on_atom(s, i) == on_atom(t, i):
+                    return False, (s, t, frozenset({i}))
     return True, None
 
 

@@ -52,7 +52,7 @@ def test_galois_verifies_each_coordinate_system_once(monkeypatch, capsys, instan
     assert len({id(a) for a in actions_checked}) == checked  # beta, then alpha
 
 
-def test_galois_joins_the_sigma_classes_once(monkeypatch, capsys):
+def test_galois_and_zero_join_each_lower_bound_class_once(monkeypatch, capsys):
     """alpha and psi (`galois`, over S/sigma) and P' (`zero`, over S/tau)
     read one remembered join of each class (`actions.class_joins`): on the
     S7 monoid, where alpha and psi are both built, `galois` derives the
@@ -125,13 +125,14 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 
 
 # What each command derives about S (the first two), about beta (the next
-# seven, and the four kept per subalgebra B or per T), and about the rings,
+# seven, and the five kept per subalgebra B or per T), and about the rings,
 # atoms, isos, blocks, groups, subalgebras and tensors a decision builds
 # (the keyed ones per indicator, twist, iso or b).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
          actions.class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
-         actions.separability_violation, galois.compute_S_B, galois.is_beta_strong,
+         actions.separability_violation, galois._moved_atoms, galois.compute_S_B,
+         galois.is_beta_strong,
          correspondence.fixed_subalgebra,
          rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, galois._trace_dual_pairs,
          rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.Atom.trace_dual,
@@ -149,8 +150,8 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     """In one cli.main on each shipped instance, sigma and E-unitarity are
     derived at most once per semigroup object; injectivity, A^beta, the
     induced alpha, the class joins, the orbits, the Galois system and A (x)_{A^beta} A at
-    most once per action object, and the free-part rule, S_B and
-    strongness once per action and subalgebra, A^{beta|T} once per action
+    most once per action object, and the free-part rule, the moved atoms,
+    S_B and strongness once per action and subalgebra, A^{beta|T} once per action
     and T; the additive group, the unit vectors and the trace-dual pairs
     once per ring, and each
     indicator once per ring and argument; the Frobenius columns once per

@@ -7,6 +7,7 @@ fixtures, C10 and a 10-chain acting on (Z/2)^10, trip any scan that goes
 back to 2^atoms or 2^|class| work.
 """
 
+import collections
 import functools
 from pathlib import Path
 
@@ -206,12 +207,24 @@ def test_boolean_sum_takes_one_product_per_idempotent(monkeypatch):
 @pytest.mark.parametrize("make", [pytest.param(cyclic_shift_on_z2, id="cyclic_shift_on_z2"),
                                   pytest.param(chain_on_z2, id="chain_on_z2")])
 def test_strongness_applies_each_iso_once_per_generator(monkeypatch, make):
+    """S_B and strongness read one remembered table of moved atoms
+    (`galois._moved_atoms`): S_B applies each beta_s at most once per
+    generator of B, and strongness, after it, applies no iso."""
     beta = make(10)
     B = Subalgebra.full(beta.A)
-    gl.compute_S_B(beta, B)  # remembered, so strongness reads it and applies no iso for it
-    applied = _counting(monkeypatch, StructuredIso, "apply_vec")
+    applied = collections.Counter()
+    original = StructuredIso.apply_vec
+
+    def counting(iso, vec):
+        applied[id(iso)] += 1
+        return original(iso, vec)
+    monkeypatch.setattr(StructuredIso, "apply_vec", counting)
+    gl.compute_S_B(beta, B)
+    assert len({id(iso) for iso in beta.isos}) == beta.S.n
+    assert applied and max(applied.values()) <= len(B.gen_vectors)
+    before = applied.copy()
     assert gl.is_beta_strong(beta, B) == (True, None)
-    assert len(applied) <= beta.S.n * len(B.gen_vectors)
+    assert applied == before
 
 
 def test_completeness_takes_one_join_per_element_outside(monkeypatch):

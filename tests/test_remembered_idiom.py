@@ -22,8 +22,10 @@ What the scan lets pass is not a memo of an object's facts.  A dict that
 `__init__` fills (`rings.Block._local`, each atom's place in the block) is
 data built once with the object.  A module-level cache (`corpus._PALETTE_ATOMS`, the
 `functools.cache` on `cli.parser`) belongs to no object that could hold
-facts.  The `functools.cache` closures inside `galois.is_beta_strong` die
-with the call that made them: they memo one call's images, for one B.
+facts.  A `functools.cache` closure inside a function dies with the call
+that made it, as those of the pair-loop oracle `beta_strong_by_pairs` in
+`tests/oracles.py` do; `src/` keeps none, as strongness and S_B read the
+moved atoms kept per B (`galois._moved_atoms`).
 """
 
 import ast
