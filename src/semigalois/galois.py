@@ -18,10 +18,13 @@ of the images of the class joins (`actions.class_joins`, alpha's isos),
 where psi's columns are those of the coordinate system on the joins
 (`_columns`), so no criterion solves.  The tensor A (x)_{A^beta} A is held
 as one `TensorPresentation` per orbit (`_full_tensor`): a generator pair
-from two orbits is zero, so it is no generator at all.  The coordinates
-are verified over all of A by `mul_vec`, and the separability idempotent,
-one vector per orbit, by m(z) summed over the orbits against 1 of A and by
-each orbit's commutation equations on its own tensor.  `is_galois`, the
+from two orbits is zero, so it is no generator at all.  Each orbit tensor
+is the direct sum of its atom-pair blocks, and psi is checked block by
+block, each distinct block once.  The coordinates are verified over all
+of A, each pair multiplied only on the atoms where both factors live, and
+the separability idempotent, one vector per orbit, by m(z) summed over
+the orbits against 1 of A and by each orbit's commutation equations on
+its own tensor.  `is_galois`, the
 precondition of the correspondences, solves nothing: it is the fixed-atom
 rule of the atom model, held to the criteria on every cross-check, as is
 the free-part rule the correspondences decide separability by
@@ -30,14 +33,17 @@ the free-part rule the correspondences decide separability by
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 from .actions import (Action, _defect, class_joins, fixed_atom_violation, image_action,
                       induce_partial_group_action, invariant_ring, is_injective,
                       separability_violation, sigma_trace_image)
+from .budget import spend
 from .linalg import Matrix, lattice_canon, lattice_det, lattice_member
 from .rings import Subalgebra, TensorPresentation
-from .semigroups import SubSemigroup, is_e_unitary, remembered
+from .semigroups import SubSemigroup, ZeroForbidden, is_e_unitary, remembered
 
 
 class EquivalenceViolation(AssertionError):
@@ -65,41 +71,43 @@ def galois_rhs(beta, s):
     return beta.ideal_one(s) if beta.S.is_idempotent(s) else beta.A.zero_vec
 
 
-def _columns(block, tensor, isos):
-    """The map (y_i)_i -> (sum_i x_i f(y_i 1_dom))_f on one orbit, on the
-    free pairs (i, c) of its tensor: column (i, c) is x_i f(e_c 1_dom) at
-    rows (index of f, block coordinate), for x_i and e_c the block's unit
-    vectors.  It is nonzero on f only when f takes e_c's atom to x_i's,
-    which `atom_map` decides before any product; it is then x_i times f's
-    plan column at c, f(e_c) (`FiniteRing.unit_times`).  psi reads it on
-    the class joins."""
-    ring = block.ring
-    n = ring.n_coords
-    units = ring.basis_vectors()
-    block_isos = [block.iso(f) for f in isos]
-    cols = []
-    for p in tensor.free_pairs:
-        i, c = divmod(p, n)
-        col = {}
-        for k, f in enumerate(block_isos):
-            if (v := f.atom_map[ring.coord_atom(c)]) and v[0] == ring.coord_atom(i):
-                image = ring.unit_times(i, f.apply_vec(units[c]))
-                col.update((k * n + q, x) for q, x in image.items())
-        cols.append(col)
-    return Matrix(n * len(isos), cols)
+def _columns(atom, pairs, twists):
+    """psi on one atom-pair block F_a (x) F_b of an orbit tensor, a and b
+    equal atoms, on its generator pairs `pairs`: column (i, c), at
+    i * r + c for r = `coords`, is x^i Frob^t(x^c) at rows (k, q), for t
+    the k-th of `twists` (one per class join taking b to a) and q a
+    coordinate of a."""
+    r = atom.coords
+    units = [tuple(int(q == i) for q in range(r)) for i in range(r)]
+    return Matrix(r * len(twists), [
+        {k * r + q: v for k, t in enumerate(twists)
+         for q, v in enumerate(atom.mul_coords(units[p // r], atom.frobenius_cols(t)[p % r])) if v}
+        for p in pairs])
 
 
 def verify_coordinates(action, coords):
     """Re-evaluate sum_i x_i f(y_i 1_dom) = rhs_f on coordinates, over the
     action's own Galois system (`_galois_system`), apart from their
-    construction.  `apply_vec` masks y to the domain, and the products are
-    taken by `mul_vec`."""
+    construction.  f(y 1_dom) lives on the images of y's atoms in f's
+    domain, where it is the Frobenius twist of y read off f's `atom_map`, so
+    a pair is multiplied (`Atom.mul_coords`) only on the atoms where x
+    lives too, each charged as one of `ring_products`; elsewhere the
+    product is zero.  Every coordinate of every equation is compared."""
     A = action.A
+    chunks = [[{a: v[slice(*A.atom_span(a))]
+                for a in {A.coord_atom(c) for c in itertools.compress(range(A.n_coords), v)}}
+               for v in pair] for pair in coords]  # each factor on each atom where it lives
     for iso, want in zip(*_galois_system(action)):
-        total = A.zero_vec
-        for x, y in coords:
-            total = A.add_vec(total, A.mul_vec(x, iso.apply_vec(y)))
-        if total != want:
+        total = [0] * A.n_coords
+        for on_x, on_y in chunks:
+            for b, y in on_y.items():
+                if (v := iso.atom_map[b]) and (x := on_x.get(v[0])):
+                    spend("ring_products", 1)
+                    atom, cols = A.atoms[b], A.atoms[b].frobenius_cols(v[1])
+                    image = [sum(map(operator.mul, y, row)) for row in zip(*cols)] if v[1] else y
+                    for q, z in enumerate(atom.mul_coords(x, image), A.atom_span(v[0])[0]):
+                        total[q] += z
+        if tuple(map(operator.mod, total, A.coord_moduli)) != want:
             return False
     return True
 
@@ -190,10 +198,16 @@ def psi_check(beta):
     elsewhere: no image can leave PA.
 
     The joins move atoms within the orbits of beta, and the tensor is one
-    tensor per orbit (`_full_tensor`), so psi is checked one orbit at a
-    time, on the free generator pairs of the orbit's tensor, which
-    generate it.  When psi is not onto, the cokernel witness is the first
-    (orbit, row) whose unit vector lies outside the image.
+    tensor per orbit (`_full_tensor`), the direct sum of its atom-pair
+    blocks F_a (x) F_b (`TensorPresentation.blocks`).  Column (i, c) of a
+    block is nonzero only at the rows (g, q) with q on atom a and alpha_g
+    taking b to a, and each row with a modulus other than 1 is such a row of
+    exactly one block, as alpha_g is injective.  So psi is the direct sum of
+    its blocks, each checked on its own rows and on the free generator
+    pairs of its tensor block, which generate it (`_psi_block`); the orders
+    multiply.  When psi is not onto, the cokernel witness is the first
+    (orbit, row) whose unit vector lies outside the image: the least, over
+    the blocks, of each block's first such row.
 
     psi is injective, so an orbit whose image is smaller than its tensor
     raises EquivalenceViolation: for atoms i, j of one orbit, A^beta e_O
@@ -204,26 +218,58 @@ def psi_check(beta):
     A report is returned only when no orbit raised, so its tensor order is
     its image order.
     """
+    if beta.S.zero is not None:
+        raise ZeroForbidden("psi is checked over S/sigma, for semigroups without zero")
     joins = class_joins(beta)
     image_order = pa_order = 1
     witness = None
     for o, (block, tensor) in enumerate(_full_tensor(beta)):
         ring = block.ring
-        moduli = [m if ring.coord_atom(q) in image else 1
-                  for image in (block.iso(f).im_support for f in joins)
-                  for q, m in enumerate(ring.coord_moduli)]
-        canon = lattice_canon(_columns(block, tensor, joins), moduli)
-        part = math.prod(moduli)
-        order = part // lattice_det(canon)
+        rows = {}  # (a, b) -> [(g, twist)] over the joins alpha_g taking b to a
+        for g, f in enumerate(joins):
+            for b, v in enumerate(block.iso(f).atom_map):
+                if v:
+                    rows.setdefault((v[0], b), []).append((g, v[1]))
+        order = part = 1
+        first = []
+        for a, line in enumerate(tensor.blocks):
+            atom = ring.atoms[a]
+            for b, pair in enumerate(line):
+                joined = rows.get((a, b), ())
+                got, size, miss = _psi_block(pair, atom, tuple(t for _, t in joined))
+                order, part = order * got, part * size
+                if miss is not None:
+                    k, q = divmod(miss, atom.coords)
+                    first.append(joined[k][0] * ring.n_coords + ring.atom_span(a)[0] + q)
         if order != tensor.order():
             raise EquivalenceViolation(f"psi kills part of the tensor on orbit {o}: "
                                        f"image order {order}, tensor order {tensor.order()}")
         image_order *= order
         pa_order *= part
-        if witness is None and order != part:
-            witness = (o, next(r for r in range(len(moduli))
-                               if not lattice_member(canon, [int(q == r) for q in range(len(moduli))])))
+        if witness is None and first:
+            witness = (o, min(first))
     return PsiReport(image_order == pa_order, image_order, pa_order, image_order, witness)
+
+
+@remembered
+def _psi_block(pair, atom, twists):
+    """(image order, PA order, first row outside the image or None) of psi
+    on one atom-pair block, kept per tensor block and twists: rows (k, q)
+    for the k-th of `twists`, each of `atom`'s modulus (`_columns`), so
+    blocks alike in both are checked once.  Its columns are the free pairs,
+    whose pivot in the block's canonical relation lattice is not 1; they
+    generate the block: a column of pivot 1 is e_p plus entries at later
+    rows, each reduced below that row's pivot, so zero at every row of
+    pivot 1, and the pair p equals minus a combination of free pairs."""
+    free = [p for p, c in enumerate(pair.lattice.cols) if c[p] != 1]
+    moduli = [atom.modulus] * (atom.coords * len(twists))
+    canon = lattice_canon(_columns(atom, free, twists), moduli)
+    part = math.prod(moduli)
+    order = part // lattice_det(canon)
+    rows = range(len(moduli))
+    miss = None if order == part else next(
+        r for r in rows if not lattice_member(canon, [int(q == r) for q in rows]))
+    return order, part, miss
 
 
 # -- S_B, beta-strong, separability ------------------------------------------
@@ -345,7 +391,7 @@ def verify_separability_idempotent(tensors, z):
     A = tensors[0][0].whole
     mz = [0] * A.n_coords
     for (block, tensor), part in zip(tensors, z):
-        ring, l, orders = tensor.ring, tensor.l, tensor.pres.moduli
+        ring, l, moduli = tensor.ring, tensor.l, tensor.ring.coord_moduli
         units = ring.basis_vectors()
         entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
         for i, j, x in entries:
@@ -361,7 +407,7 @@ def verify_separability_idempotent(tensors, z):
                 if ring.coord_atom(j) == atom:
                     for c, f in ring.unit_times(j, unit).items():
                         diff[i * l + c] = diff.get(i * l + c, 0) - f * x
-            if (any(x % orders[q] for q, x in diff.items())
+            if (any(x % math.gcd(moduli[q // l], moduli[q % l]) for q, x in diff.items())
                     and not tensor.is_zero(Matrix(tensor.k * l, [diff]).column(0))):
                 return False
     return tuple(x % d for x, d in zip(mz, A.coord_moduli)) == A.one_vec
@@ -375,7 +421,8 @@ def _full_tensor(beta):
     b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
     of the blocks' A e_O (x)_{A^beta e_O} A e_O, each presented on its block
     ring, whose constructor checks A^beta e_O.  Generator pair (i, c) is
-    e_i (x) e_c of the block ring's unit vectors, which psi relies on.
+    e_i (x) e_c of the block ring's unit vectors, and psi reads each orbit
+    tensor's atom-pair blocks.
     """
     inv = invariant_ring(beta)
     return tuple((block, TensorPresentation(block.ring, block.subalgebra(inv))) for block in beta.orbits)

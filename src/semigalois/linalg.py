@@ -24,6 +24,7 @@ import heapq
 import math
 
 from .budget import spend
+from .semigroups import remembered
 
 
 class Matrix:
@@ -59,23 +60,6 @@ class Matrix:
                 for i, v in c.items():
                     out[i] += x * v
         return tuple(out)
-
-
-def kron_difference(E):
-    """E (x) I - I (x) E for an n x n matrix E.
-
-    Coordinate (i, j) is row i * n + j, so column (i, j) is
-    sum_a E[a, i] e_(a, j) - sum_c E[c, j] e_(i, c).
-    """
-    n = E.rows
-    cols = []
-    for p in range(n * n):
-        i, j = divmod(p, n)
-        col = {a * n + j: u for a, u in E.cols[i].items()}
-        for c, v in E.cols[j].items():
-            col[i * n + c] = col.get(i * n + c, 0) - v
-        cols.append({r: x for r, x in col.items() if x})
-    return Matrix(n * n, cols)
 
 
 def diag_cols(moduli):
@@ -354,9 +338,15 @@ class AbelianPresentation:
         if relations.rows != self.n:
             raise ValueError("relations need one row per generator")
         self.relations = relations
-        # the diagonal alone is already canonical
-        self.lattice = (lattice_canon(relations, self.moduli) if relations.cols
-                        else diag_cols(self.moduli))
+        self.facts = {}  # the canonical lattice, reduced on first read (`remembered`)
+
+    @property
+    @remembered
+    def lattice(self):
+        """The canonical basis of L; the diagonal alone is already canonical."""
+        if not self.relations.cols:
+            return diag_cols(self.moduli)
+        return lattice_canon(self.relations, self.moduli)
 
     def order(self):
         return lattice_det(self.lattice)

@@ -20,7 +20,7 @@ import operator
 from types import MappingProxyType
 
 from .budget import spend
-from .linalg import AbelianPresentation, Matrix, kron_difference, lattice_det, lattice_member
+from .linalg import AbelianPresentation, Matrix, lattice_det, lattice_member
 from .semigroups import remembered
 
 ATOM_ORDER_GUARD = 1 << 20
@@ -140,7 +140,7 @@ class Atom:
             last = powers[-1]
             powers.append(tuple((s + last[-1] * c) % m for s, c in zip((0,) + last[:-1], top)))
         self._x_powers = tuple(powers)
-        self.facts = {}  # the Frobenius columns per power, the trace dual (`remembered`)
+        self.facts = {}  # Frobenius columns per power, trace dual, tensor blocks (`remembered`)
 
     def __eq__(self, other):
         if other.__class__ is not Atom:
@@ -223,6 +223,31 @@ class Atom:
                     for i, row in enumerate(rows)]
         return tuple(tuple(row[r:]) for row in rows)
 
+    @remembered
+    def tensor_block(self, other, comps):
+        """F (x)_R G for this atom F and `other`, G, kept per G and `comps`,
+        the components (on F, on G) of each generator r of R: an
+        `AbelianPresentation` on the pairs x^i (x) x^j at i * (G's `coords`) + j,
+        each of order the gcd of the two moduli, whose relations are the
+        nonzero columns (r x^i) (x) x^j - x^i (x) (r x^j)."""
+        l = other.coords
+        units = [[tuple(int(q == i) for q in range(a.coords)) for i in range(a.coords)]
+                 for a in (self, other)]
+        cols = []
+        for on_f, on_g in comps:
+            if on_f == on_g and not any(on_f[1:]):
+                continue  # r is c times 1 on both atoms, and its columns are zero
+            left = [self.mul_coords(on_f, u) for u in units[0]]
+            right = [other.mul_coords(on_g, u) for u in units[1]]
+            for i, j in itertools.product(range(self.coords), range(l)):
+                col = {a * l + j: u for a, u in enumerate(left[i]) if u}
+                for c, v in enumerate(right[j]):
+                    col[i * l + c] = col.get(i * l + c, 0) - v
+                if col := {p: x for p, x in col.items() if x}:
+                    cols.append(col)
+        moduli = [math.gcd(self.modulus, other.modulus)] * (self.coords * l)
+        return AbelianPresentation(moduli, Matrix(len(moduli), cols))
+
     def mul_coords(self, u, v):
         """Product of two coordinate chunks of this atom, as a list of ints:
         their product as polynomials, each x^d with d >= `coords` rewritten
@@ -255,7 +280,8 @@ class FiniteRing:
         atoms = tuple(atoms)
         if not atoms:
             raise RingError("a ring needs at least one atom")
-        self.atoms = atoms
+        shared = {}  # one object per distinct atom, so that equal atoms share their facts
+        self.atoms = atoms = tuple(shared.setdefault(a, a) for a in atoms)
         self.size = math.prod(a.order for a in atoms)
         self.coord_moduli = tuple(m for a in atoms for m in a.coord_moduli)
         self.n_coords = len(self.coord_moduli)
@@ -786,12 +812,13 @@ class TensorPresentation:
     """A (x)_R A for a unital subalgebra R of the ring A, as an abelian group.
 
     Generator pair (i, j) is e_i (x) e_j of A's unit vectors, at i * n + j
-    for n = k = l coordinates, of order the gcd of the two coordinate
-    moduli; relations are the nonzero columns of E (x) I - I (x) E per
-    generator r of R, with E the matrix of multiplication by r on the unit
-    vectors (`mult_matrix`).  When E is c times the identity, column (i, j)
-    is (E_ii - E_jj) e_(i,j) = 0, so that block is not built: r = 1, or a
-    multiple of 1 on Z/p^k, gives no relation.
+    for n = k = l coordinates.  Each A e_a of an atom a is an ideal, so the
+    group is the direct sum of its atom-pair blocks F_a (x)_R F_b, on the
+    pairs with i on atom a and j on atom b, and a block depends only on the
+    two atoms and on R's generators' components there: `blocks[a][b]` is
+    that block (`Atom.tensor_block`), reduced once per distinct key: the
+    m^2 blocks of m equal atoms on which R's generators agree are one.  The
+    group on all pairs (`pres`) is built only when read.
     The constructor raises unless R is a unital subalgebra of the ring.
     """
 
@@ -801,39 +828,38 @@ class TensorPresentation:
         if not R.is_subalgebra():
             raise NotSubring("R must be a unital subalgebra")
         self.ring, self.R = ring, R
-        self.k = self.l = n = ring.n_coords
-        self.facts = {}  # the free-pair presentation and multiplication matrices (`remembered`)
-        rel_cols = []
-        for r in R.gen_vectors:
-            E = self.mult_matrix(r)
-            c = E.cols[0].get(0)
-            if all(col == {i: c} for i, col in enumerate(E.cols)):
-                continue
-            rel_cols += [col for col in kron_difference(E).cols if col]
-        moduli = ring.coord_moduli
-        self.pres = AbelianPresentation([math.gcd(a, b) for a in moduli for b in moduli],
-                                        Matrix(n * n, rel_cols))
-
-    @remembered
-    def mult_matrix(self, b_vec):
-        """Matrix E of m -> b*m on the unit vectors, column i the coordinates
-        of b*e_i (`FiniteRing.unit_times`); built once per b, a tuple."""
-        return Matrix(self.k, [self.ring.unit_times(i, b_vec) for i in range(self.k)])
-
-    def order(self):
-        return self.pres.order()
+        self.k = self.l = ring.n_coords
+        self.facts = {}  # the group on all pairs (`remembered`)
+        atoms = ring.atoms
+        parts = [[r[slice(*ring.atom_span(a))] for r in R.gen_vectors] for a in range(len(atoms))]
+        self.blocks = tuple(tuple(f.tensor_block(g, tuple(zip(parts[a], parts[b])))
+                                  for b, g in enumerate(atoms)) for a, f in enumerate(atoms))
 
     @property
     @remembered
-    def free_pairs(self):
-        """The generator pairs p whose pivot in the canonical relation
-        lattice is not 1, in order; they generate the tensor.
+    def pres(self):
+        """The group on all n * n pairs, built on first read: pair (i, j) of
+        block (a, b) goes to (lo_a + i) * n + lo_b + j, with lo_a the first
+        coordinate of atom a.  That map is increasing on each block, so each
+        block's canonical basis, put in place, stays lower-triangular and
+        reduced, and the canonical basis of the direct sum is the blocks'
+        put in place: it is set, not reduced again."""
+        ring, n = self.ring, self.l
+        lo = [ring.atom_span(a)[0] for a in range(len(ring.atoms))]
+        moduli, rels, cols = [1] * (n * n), [], [None] * (n * n)
+        for a, row in enumerate(self.blocks):
+            for b, pair in enumerate(row):
+                l = ring.atoms[b].coords
+                at = [(lo[a] + p // l) * n + lo[b] + p % l for p in range(pair.n)]
+                for p, d, c in zip(at, pair.moduli, pair.lattice.cols):
+                    moduli[p], cols[p] = d, {at[r]: v for r, v in c.items()}
+                rels += [{at[r]: v for r, v in c.items()} for c in pair.relations.cols]
+        pres = AbelianPresentation(moduli, Matrix(n * n, rels))
+        pres.facts["lattice"] = Matrix(n * n, cols)
+        return pres
 
-        A column of pivot 1 is e_p plus entries at later rows, each reduced
-        below that row's pivot, so zero at every row of pivot 1: the pair p
-        equals, in the tensor, minus a combination of free pairs alone.
-        """
-        return tuple(p for p, c in enumerate(self.pres.lattice.cols) if c[p] != 1)
+    def order(self):
+        return math.prod(pair.order() for row in self.blocks for pair in row)
 
     def pure_terms(self, m_vec, n_vec):
         """The (pair, coefficient) terms of m (x) n for coordinate vectors m

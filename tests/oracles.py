@@ -51,9 +51,10 @@ joins form S/sigma (`verify_class_join_group`), the meet under the natural
 order and the direct product of two tables.
 
 `dense`, `sparse`, `hstack`, `vstack`, `block_diag` and `matmul` convert
-and combine the library's sparse `Matrix`, and `kron_left`, `kron_right`,
-`pure`, `mult_difference` and `factor_generators` read a tensor on every
-generator pair.
+and combine the library's sparse `Matrix`, and `kron_difference`,
+`mult_matrix`, `free_pairs`, `kron_left`, `kron_right`, `pure`,
+`mult_difference` and `factor_generators` read a tensor on every generator
+pair, as the library's tensor did before it was built by atom-pair blocks.
 """
 
 import functools
@@ -62,7 +63,7 @@ import math
 
 import numpy as np
 
-from semigalois.linalg import Matrix, cols_from_vectors, kron_difference
+from semigalois.linalg import Matrix, cols_from_vectors
 from semigalois.semigroups import remembered
 
 
@@ -127,14 +128,47 @@ def sparse(rows):
     return cols_from_vectors(list(a.T), a.shape[0])
 
 
+def kron_difference(E):
+    """E (x) I - I (x) E for an n x n matrix E.
+
+    Coordinate (i, j) is row i * n + j, so column (i, j) is
+    sum_a E[a, i] e_(a, j) - sum_c E[c, j] e_(i, c).
+    """
+    n = E.rows
+    cols = []
+    for p in range(n * n):
+        i, j = divmod(p, n)
+        col = {a * n + j: u for a, u in E.cols[i].items()}
+        for c, v in E.cols[j].items():
+            col[i * n + c] = col.get(i * n + c, 0) - v
+        cols.append({r: x for r, x in col.items() if x})
+    return Matrix(n * n, cols)
+
+
+def mult_matrix(tensor, b_vec):
+    """Matrix E of m -> b*m on a tensor's factor: on the library's
+    `TensorPresentation`, column i the coordinates of b*e_i
+    (`FiniteRing.unit_times`); on a `WholeTensorPresentation`, its own
+    `mult_matrix_by_solve`."""
+    if isinstance(tensor, WholeTensorPresentation):
+        return tensor.mult_matrix(b_vec)
+    return Matrix(tensor.k, [tensor.ring.unit_times(i, b_vec) for i in range(tensor.k)])
+
+
+def free_pairs(tensor):
+    """The generator pairs whose pivot in the tensor's canonical relation
+    lattice (all pairs, `pres`) is not 1, in order: they generate it."""
+    return tuple(p for p, c in enumerate(tensor.pres.lattice.cols) if c[p] != 1)
+
+
 def kron_left(tensor, b_vec):
     """Dense matrix of z -> (b (x) 1) * z: E (x) I with E = `mult_matrix(b)`."""
-    return np.kron(dense(tensor.mult_matrix(b_vec)), np.eye(tensor.l, dtype=object))
+    return np.kron(dense(mult_matrix(tensor, b_vec)), np.eye(tensor.l, dtype=object))
 
 
 def kron_right(tensor, b_vec):
     """Dense matrix of z -> (1 (x) b) * z: I (x) E with E = `mult_matrix(b)`."""
-    return np.kron(np.eye(tensor.k, dtype=object), dense(tensor.mult_matrix(b_vec)))
+    return np.kron(np.eye(tensor.k, dtype=object), dense(mult_matrix(tensor, b_vec)))
 
 
 def pure(tensor, m, n):
@@ -148,8 +182,7 @@ def pure(tensor, m, n):
 def mult_difference(tensor, b_vec):
     """The `Matrix` of z -> ((b (x) 1) - (1 (x) b)) * z on every generator pair:
     E (x) I - I (x) E with E = `mult_matrix(b)`."""
-    E = tensor.mult_matrix(b_vec)
-    return kron_difference(E)
+    return kron_difference(mult_matrix(tensor, b_vec))
 
 
 def factor_generators(tensor):
@@ -502,15 +535,15 @@ def psi_image_by_elements(beta, x_vec, y_vec):
 def check_psi_images_on_orbits(beta):
     """psi on each pair of A's additive generators through ring elements
     (`psi_image_by_elements`), folded onto (class of t, coordinate),
-    against the columns `psi_check` reads (`galois._columns` on the class
-    joins), taken here on every pair of each orbit's unit vectors.  The
+    against the columns `psi_check` reads (`galois._columns` on the twists
+    of the class joins taking one atom to the other), taken here on every
+    pair of each orbit's unit vectors, one pair at a time.  The
     classes are those of sharing a lower bound other than the zero
     (`lower_bound_classes`): sigma's without a zero.  Each t is zero off
     A_t, and the maximal t of one class agree on every coordinate they
     share, so the family lies in PA; a pair on one orbit's block folds to
     its column, on the block's rows (class, coordinate), and a pair from
     two orbits maps to zero."""
-    from types import SimpleNamespace
     from semigalois.galois import _columns
     from semigalois.isopu import join_sum
     from semigalois.semigroups import lower_bound_classes
@@ -518,10 +551,8 @@ def check_psi_images_on_orbits(beta):
     joins = [join_sum(beta.isos[s] for s in cls) for cls in classes]
     A = beta.A
     for o, block in enumerate(beta.orbits):
-        n = block.ring.n_coords
-        every_pair = SimpleNamespace(free_pairs=range(n * n))
-        columns = _columns(block, every_pair, joins).cols
-        for i, x in enumerate(block.ring.basis_vectors()):
+        ring = block.ring
+        for i, x in enumerate(ring.basis_vectors()):
             for q, other in enumerate(beta.orbits):
                 for j, y in enumerate(other.ring.basis_vectors()):
                     folded = {}
@@ -535,9 +566,16 @@ def check_psi_images_on_orbits(beta):
                     got = {key: v for key, v in folded.items() if v}
                     want = {}
                     if o == q:
-                        for row, v in columns[i * n + j].items():
-                            g, r = divmod(row, n)
-                            want[g, block.coords[r]] = v
+                        a, b = ring.coord_atom(i), ring.coord_atom(j)
+                        (lo, _), (lo_b, _) = ring.atom_span(a), ring.atom_span(b)
+                        joined = [(g, v[1]) for g, f in enumerate(joins)
+                                  if (v := block.iso(f).atom_map[b]) and v[0] == a]
+                        atom = ring.atoms[a]
+                        pair = (i - lo) * atom.coords + j - lo_b
+                        column = _columns(atom, [pair], [t for _, t in joined]).cols[0]
+                        for row, v in column.items():
+                            k, r = divmod(row, atom.coords)
+                            want[joined[k][0], block.coords[lo + r]] = v
                     assert got == want
 
 

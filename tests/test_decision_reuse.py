@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import collapsing_semilattice_fixture, cyclic_shift, derivations
-from semigalois import actions, budget, cli, correspondence, galois, semigroups, zerocase
+from semigalois import actions, budget, cli, correspondence, galois, linalg, semigroups, zerocase
 from semigalois import rings as rg
 from semigalois.corpus import b2_swap_fixture, f9_cubed_fixture, random_ring, random_structured_iso
 from oracles import (algebra_generators_by_adjoining, iso_apply_by_polynomials,
@@ -126,8 +126,9 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 
 # What each command derives about S (the first two), about beta (the next
 # seven, and the five kept per subalgebra B or per T), and about the rings,
-# atoms, isos, blocks, groups, subalgebras and tensors a decision builds
-# (the keyed ones per indicator, twist, iso or b).
+# atoms, isos, blocks, groups, subalgebras, presentations and psi blocks a
+# decision builds (the keyed ones per indicator, twist, iso, atom pair or
+# twists).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
          actions.class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
@@ -139,8 +140,8 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          rg.StructuredIso.dom_support.fget,
          rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
          correspondence._unit_generators,
-         rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.TensorPresentation.free_pairs.fget,
-         rg.TensorPresentation.mult_matrix]
+         rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.Atom.tensor_block,
+         linalg.AbelianPresentation.lattice.fget, galois._psi_block]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
             ["analyze"], ["zero"]]
 
@@ -159,8 +160,9 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     plan once per iso; the restriction of an iso once per block and iso,
     and the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
-    `Subalgebra`; and the free pairs once per tensor, and a
-    multiplication matrix once per tensor and b."""
+    `Subalgebra`; and each atom-pair tensor block once per atom, other
+    atom and components of R, each presentation's canonical lattice once,
+    and psi on a tensor block once per atom and twists."""
     seen = set()
     with derivations(*FACTS) as derived:
         for path in sorted(INSTANCES.glob("*.sgi")):
@@ -291,19 +293,19 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
 
 def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
     """`galois` on s7_f9cubed multiplies a unit vector only through
-    `FiniteRing.unit_times`: no `mul_vec` call has psi,
-    `mult_matrix` or the separability check on its stack (43 calls when
-    they kept their own products).  `verify_coordinates` checks the
-    coordinates with `mul_vec`."""
-    readers = {galois.psi_check.__code__,
-               rg.TensorPresentation.mult_matrix.__wrapped__.__code__,
-               galois.verify_separability_idempotent.__code__}
+    `FiniteRing.unit_times` or an atom's own product: no `mul_vec` call has
+    psi, the tensor blocks, the separability check or the coordinate check
+    on its stack (43 calls when they kept their own products, and 2 per
+    pair and iso while the coordinate check multiplied whole vectors).
+    `verify_coordinates` multiplies on single atoms (`Atom.mul_coords`)."""
+    readers = {galois.psi_check.__code__, rg.Atom.tensor_block.__wrapped__.__code__,
+               galois.verify_separability_idempotent.__code__,
+               galois.verify_coordinates.__code__}
     inside, verifying, reads = [], [], []
     original = rg.FiniteRing.mul_vec
 
     def mul_vec(self, u, v):
         frame = sys._getframe(1)
-        verifying.append(frame.f_code is galois.verify_coordinates.__code__)
         while frame is not None:
             if frame.f_code in readers:
                 inside.append(frame.f_code.co_name)
@@ -312,6 +314,8 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
 
     monkeypatch.setattr(rg.FiniteRing, "mul_vec", mul_vec)
     _recording(monkeypatch, rg.FiniteRing, "unit_times", lambda *a: reads.append(a))
+    _recording(monkeypatch, rg.Atom, "mul_coords",
+               lambda *a: verifying.append(sys._getframe(2).f_code is galois.verify_coordinates.__code__))
     assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
     assert inside == []
     assert reads and any(verifying)
@@ -487,3 +491,38 @@ def test_a_fixed_algebra_outside_the_invariants_raises_as_before(monkeypatch):
     monkeypatch.setattr(correspondence, "fixed_ring", lambda A, isos: rg.Subalgebra(A, [A.one_vec]))
     with pytest.raises(AssertionError, match="fixed ring must contain the full invariants"):
         correspondence.verify_e_unitary_correspondence(beta)
+
+
+def test_c4_on_gf4_reduces_one_tensor_block_and_one_psi_block(monkeypatch, capsys, tmp_path):
+    """C4 rotating GF(4)^4 has one orbit of 16 atom pairs, alike in their
+    atoms and in A^beta's components, and each joined by one class join,
+    untwisted: the orbit tensor shares one block (`Atom.tensor_block`), so
+    the tensor makes one `lattice_canon` call and psi one (`_psi_block`),
+    where each made one over the whole orbit's 64 pairs and 32 rows."""
+    from semigalois.instance import action_to_instance_text
+    beta = cyclic_shift(rg.Atom.gf(2, 2), 4)
+    assert len(beta.orbits) == 1
+    [(_, tensor)] = galois._full_tensor(beta)
+    assert len({id(pair) for line in tensor.blocks for pair in line}) == 1
+    path = tmp_path / "c4_gf4.sgi"
+    path.write_text(action_to_instance_text(beta))
+    callers = {linalg.AbelianPresentation.lattice.fget.__wrapped__.__code__: "tensor",
+               galois._psi_block.__wrapped__.__code__: "psi"}
+    calls = []
+    _recording(monkeypatch, linalg, "lattice_canon",
+               lambda *a: calls.append(callers.get(sys._getframe(2).f_code)))
+    monkeypatch.setattr(galois, "lattice_canon", linalg.lattice_canon)
+    assert _run(capsys, "galois", str(path)) == 0
+    assert calls.count("tensor") == calls.count("psi") == 1
+
+
+@pytest.mark.parametrize("instance,distinct", [("c2_swap.sgi", 1), ("s7_f9cubed.sgi", 1),
+                                               ("trace_gap_c2.sgi", 2)])
+def test_galois_derives_the_trace_dual_once_per_distinct_atom(capsys, instance, distinct):
+    """A ring keeps one object per distinct atom, so equal atoms share their
+    facts: `galois` derives the trace-dual basis once per distinct atom
+    (twice on the two Z/3 atoms of c2_swap and three times on the three
+    GF(9) atoms of s7_f9cubed while each atom was its own object)."""
+    with derivations(rg.Atom.trace_dual) as derived:
+        _run(capsys, "galois", str(INSTANCES / instance))
+    assert len(derived) == distinct and set(derived.values()) == {1}

@@ -2,8 +2,9 @@
 
 A pair of the tensor A e_O (x)_{A^beta e_O} A e_O whose pivot in the
 canonical relation lattice is 1 equals a combination of the others, the
-free pairs (`TensorPresentation.free_pairs`).  psi uses the free pairs
-alone.  It is held here to the whole-tensor routes, which take every
+free pairs (`oracles.free_pairs`).  psi uses the free pairs alone, each
+atom-pair block's own (`galois._psi_block`), which put in place are the
+orbit tensor's.  It is held here to the whole-tensor routes, which take every
 generator pair of A, by the check test_orbit_blocks.py makes
 (`check_orbit_routes_against_whole`): psi's image has the same order (so
 the same canonical basis, the free pairs' image lying inside all pairs')
@@ -29,6 +30,7 @@ from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed
 from semigalois.instance import action_to_instance_text, parse_instance
 from semigalois.linalg import lattice_reduce
 from semigalois.rings import Atom
+from oracles import free_pairs
 from test_bench_library_calls import workloads
 from test_orbit_blocks import check_orbit_routes_against_whole
 
@@ -75,10 +77,10 @@ def test_a_pair_rewritten_onto_the_free_pairs_is_the_same_tensor_element(seed):
     betas = corpus(seed, 20, predicate=admissible)
     betas += [rung.beta for rung in workloads.ladder_rungs()]
     tensors = [tensor for beta in betas for _, tensor in gl._full_tensor(beta)
-               if len(tensor.free_pairs) < tensor.k * tensor.l]
+               if len(free_pairs(tensor)) < tensor.k * tensor.l]
     assert len(tensors) >= 5
     for tensor in tensors:
-        n, free = tensor.k * tensor.l, set(tensor.free_pairs)
+        n, free = tensor.k * tensor.l, set(free_pairs(tensor))
         relations = tensor.pres.lattice
         for _ in range(6):
             vec = [rng.randrange(-9, 10) for _ in range(n)]

@@ -118,6 +118,21 @@ def test_psi_identity_semigroup():
     assert rep.bijective and rep.tensor_order == 3
 
 
+def test_psi_check_refuses_a_declared_zero():
+    """psi is read over S/sigma, which a semigroup with zero does not have:
+    on b2_f3f3 `psi_check` raises ZeroForbidden before it reads a class
+    join (it read the tau-class joins, the zero alone, once `class_joins`
+    served both), and `cross_check_equivalences` still refuses first."""
+    from semigalois import actions
+    from semigalois.semigroups import ZeroForbidden
+    beta = parse_instance(REPO / "instances" / "b2_f3f3.sgi")
+    with pytest.raises(ZeroForbidden):
+        gl.psi_check(beta)
+    assert actions.class_joins.__name__ not in beta.facts
+    with pytest.raises(gl.PreconditionFail, match="zero"):
+        gl.cross_check_equivalences(beta)
+
+
 def test_compute_s_b_cases():
     beta = f9_cubed_fixture()
     A = beta.A

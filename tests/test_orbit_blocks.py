@@ -24,7 +24,7 @@ from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
 from semigalois.rings import Atom, Block, NotSubring, RingError, Subalgebra, TensorPresentation
 from semigalois.semigroups import sigma_partition
-from oracles import (check_psi_images_on_orbits, element_product, is_separable_whole,
+from oracles import (check_psi_images_on_orbits, element_product, free_pairs, is_separable_whole,
                      joined_tensor_lattice, joined_tensor_vector, maximal_elements,
                      pa_subgroup_whole, psi_check_whole, solve_coordinates_whole,
                      verify_coordinates_by_elements, verify_idempotent_by_kron, whole_full_tensor)
@@ -123,7 +123,7 @@ def check_orbit_routes_against_whole(beta):
     whole = reference[0]
     assert verify_idempotent_by_kron(whole, joined_tensor_vector(tensors, whole, dict(enumerate(z))))
     return (sum(tensor.k * tensor.l for _, tensor in tensors),
-            sum(len(tensor.free_pairs) for _, tensor in tensors))
+            sum(len(free_pairs(tensor)) for _, tensor in tensors))
 
 
 @pytest.mark.parametrize("name,beta", _split_instances(), ids=[n for n, _ in _split_instances()])

@@ -11,7 +11,7 @@ from semigalois.linalg import AbelianPresentation, cols_from_vectors, lattice_re
 from semigalois.corpus import ATOM_PALETTE, random_ring, random_structured_iso
 from oracles import (atom_elements, atom_frobenius, atom_power, dense, element_multiple, element_product,
                      element_sum, expand_by_solve, iso_apply_by_polynomials, kron_left, kron_right,
-                     mult_difference, pure, quotient_order_by_enumeration, vector_order,
+                     mult_difference, mult_matrix, pure, quotient_order_by_enumeration, vector_order,
                      verify_iso_extensional)
 
 
@@ -432,7 +432,7 @@ def test_kernel_matches_polynomial_arithmetic(name):
     tensor = rg.TensorPresentation(A, rg.Subalgebra.full(A))
     for x in els:
         _check_multiples(A, x)
-        mat = dense(tensor.mult_matrix(x.vec()))
+        mat = dense(mult_matrix(tensor, x.vec()))
         for y in els:
             _check_pair(A, x, y, mat)
     for iso in _isos(A):
