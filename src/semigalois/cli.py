@@ -144,8 +144,7 @@ def cmd_galois(beta, report):
         report.info("coordinates",
                     pairs=[f"({element(x)!r},{element(y)!r})" for x, y in cert.coordinates])
     if cert.psi is not None:
-        report.info("psi_orders", tensor=cert.psi.tensor_order, pa=cert.psi.pa_order,
-                    image=cert.psi.image_order)
+        report.info("psi_orders", pa=cert.psi.pa_order, image=cert.psi.image_order)
     if cert.strong_failure:
         s, t, supp = cert.strong_failure
         report.info("strong_failure", s=beta.S.names[s], t=beta.S.names[t],

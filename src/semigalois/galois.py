@@ -168,9 +168,9 @@ def is_galois_trace_criterion(beta):
 
 
 class PsiReport:
-    def __init__(self, bijective, tensor_order, pa_order, image_order, cokernel_witness=None):
+    def __init__(self, bijective, pa_order, image_order, cokernel_witness=None):
         self.bijective = bijective
-        self.tensor_order, self.pa_order, self.image_order = tensor_order, pa_order, image_order
+        self.pa_order, self.image_order = pa_order, image_order
         self.cokernel_witness = cokernel_witness
 
 
@@ -215,8 +215,8 @@ def psi_check(beta):
     e_i (x) e_j of the tensor is F (x)_K F, the maximal beta_t taking j to i
     realize every K-embedding tau of F (`actions.fixed_ring`),
     and psi there is u (x) v -> (u tau(v))_tau, an isomorphism onto prod_tau F.
-    A report is returned only when no orbit raised, so its tensor order is
-    its image order.
+    A report is returned only when no orbit raised, so its image order is
+    the tensor's order.
     """
     if beta.S.zero is not None:
         raise ZeroForbidden("psi is checked over S/sigma, for semigroups without zero")
@@ -248,7 +248,7 @@ def psi_check(beta):
         pa_order *= part
         if witness is None and first:
             witness = (o, min(first))
-    return PsiReport(image_order == pa_order, image_order, pa_order, image_order, witness)
+    return PsiReport(image_order == pa_order, pa_order, image_order, witness)
 
 
 @remembered

@@ -393,7 +393,7 @@ def test_json_lines_schema_and_round_trip():
     assert checks["criterion_coordinates"]["verdict"]
     # certificate fields survive the round trip
     assert "pairs" in checks["coordinates"]["data"]
-    assert checks["psi_orders"]["data"]["tensor"] == 531441
+    assert checks["psi_orders"]["data"] == {"pa": 531441, "image": 531441}
 
 
 def test_zero_command_on_b2():

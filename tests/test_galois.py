@@ -100,10 +100,10 @@ def test_pa_beta_s_orders():
 
 def test_psi_check_values():
     rep = gl.psi_check(c2_swap_fixture())
-    assert rep.bijective and rep.tensor_order == rep.pa_order == rep.image_order == 81
+    assert rep.bijective and rep.pa_order == rep.image_order == 81
     bad = gl.psi_check(trace_gap_fixture())
     assert not bad.bijective
-    assert bad.tensor_order == 405 and bad.pa_order == 2025
+    assert bad.image_order == 405 and bad.pa_order == 2025
     assert bad.cokernel_witness is not None
 
 
@@ -115,7 +115,7 @@ def test_psi_identity_semigroup():
     A = FiniteRing([Atom.zmod(3)])
     beta = validate_action(S, A, [StructuredIso.identity_on(A, {0})])
     rep = gl.psi_check(beta)
-    assert rep.bijective and rep.tensor_order == 3
+    assert rep.bijective and rep.image_order == 3
 
 
 def test_psi_check_refuses_a_declared_zero():
@@ -407,7 +407,7 @@ def test_psi_on_trivial_c2_action_is_not_surjective():
     beta = validate_action(S, A, [ident, ident])
     rep = gl.psi_check(beta)
     assert not rep.bijective
-    assert rep.tensor_order == 3 and rep.pa_order == 9 and rep.image_order == 3
+    assert rep.pa_order == 9 and rep.image_order == 3
 
 
 def test_separability_rejects_non_unital_base():
