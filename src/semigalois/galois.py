@@ -20,11 +20,10 @@ where psi's columns are those of the coordinate system on the joins
 as one `TensorPresentation` per orbit (`_full_tensor`): a generator pair
 from two orbits is zero, so it is no generator at all.  Each orbit tensor
 is the direct sum of its atom-pair blocks, and psi is checked block by
-block, each distinct block once.  The coordinates are verified over all
-of A, each pair multiplied only on the atoms where both factors live, and
-the separability idempotent, one vector per orbit, by m(z) summed over
-the orbits against 1 of A and by each orbit's commutation equations on
-its own tensor.  `is_galois`, the
+block, each distinct block once; so is the separability idempotent, whose
+part on each atom lies in that atom's diagonal block.  The coordinates are
+verified over all of A, each pair multiplied only on the atoms where both
+factors live.  `is_galois`, the
 precondition of the correspondences, solves nothing: it is the fixed-atom
 rule of the atom model, held to the criteria on every cross-check, as is
 the free-part rule the correspondences decide separability by
@@ -225,11 +224,12 @@ def psi_check(beta):
     witness = None
     for o, (block, tensor) in enumerate(_full_tensor(beta)):
         ring = block.ring
+        local = {a: i for i, a in enumerate(block.atoms)}  # A's atom -> the block ring's
         rows = {}  # (a, b) -> [(g, twist)] over the joins alpha_g taking b to a
         for g, f in enumerate(joins):
-            for b, v in enumerate(block.iso(f).atom_map):
-                if v:
-                    rows.setdefault((v[0], b), []).append((g, v[1]))
+            for b, a in enumerate(block.atoms):
+                if v := f.atom_map[a]:
+                    rows.setdefault((local[v[0]], b), []).append((g, v[1]))
         order = part = 1
         first = []
         for a, line in enumerate(tensor.blocks):
@@ -343,12 +343,12 @@ def is_beta_strong(beta, B: Subalgebra):
 
 
 def is_separable(beta):
-    """A separability idempotent of A over A^beta, one vector per orbit
-    tensor (`_full_tensor`): e = sum_i x_i (x) y_i over the trace-dual pairs
-    (`_trace_dual_pairs`), checked on both defining equations
-    (`verify_separability_idempotent`); a failed check raises.
+    """A is separable over A^beta: True, once the trace-dual pairs'
+    separability idempotent passes both defining equations on every diagonal
+    atom block of the orbit tensors (`_separable_block`); a failed check raises.
 
-    e is a separability idempotent by construction, in A (x)_Z A.  On a
+    e = sum_i x_i (x) y_i over the trace-dual pairs (`_trace_dual_pairs`)
+    is a separability idempotent by construction, in A (x)_Z A.  On a
     GF(p^k) atom F, x_i runs over the unit vectors, a basis of F over F_p,
     and y_i over the basis dual to it under Tr(uv) (`Atom.trace_dual`), so
     every v of F is sum_i Tr(v y_i) x_i = sum_i Tr(v x_i) y_i.  Then for a
@@ -362,55 +362,68 @@ def is_separable(beta):
     on either side, so e is a separability idempotent over A^beta, as over
     every subring: A is separable over A^beta on every instance, and the
     criterion's verdict is strongness.
+
+    The check reads one block at a time.  The pairs on atom a sum to
+    e_a = sum_u x^u (x) y_u, in the diagonal block F_a (x)_R F_a of its orbit
+    tensor (`_full_tensor`), the direct sum of its atom-pair blocks.  m takes
+    block (a, b) into F_a F_b, zero unless a = b, so m(e) = 1 = sum_a 1_a
+    exactly when m(e_a) = 1_a for every a.  The second equation is additive
+    in c, so the unit vectors x^c of each atom b suffice, and on either side
+    they kill every block (a, a) with a != b: (c (x) 1)e - (1 (x) c)e is
+    (x^c (x) 1)e_b - (1 (x) x^c)e_b, in block (b, b), zero exactly when it
+    is zero there.
     """
-    tensors, z = separability_idempotent_from_coordinates(beta, _trace_dual_pairs(beta.A))
-    if not verify_separability_idempotent(tensors, z):
-        raise CertificateMismatch("the trace-dual separability idempotent fails its defining equations")
-    return z
+    for block, tensor in _full_tensor(beta):
+        for a, atom in enumerate(block.ring.atoms):
+            if not _separable_block(tensor.blocks[a][a], atom):
+                raise CertificateMismatch("the trace-dual separability idempotent fails its defining equations")
+    return True
 
 
-def verify_separability_idempotent(tensors, z):
-    """Direct evaluation of both defining equations of a separability idempotent.
+@remembered
+def _separable_block(pair, atom):
+    """Whether e_a, the part of the separability idempotent on `atom`
+    (`separability_idempotent_from_coordinates`), passes both defining
+    equations in `pair`, the atom's diagonal tensor block F (x)_R F, kept
+    per block and atom, so that equal blocks are checked once."""
+    return verify_separability_idempotent(pair, atom, separability_idempotent_from_coordinates(atom))
 
-    `tensors` are (block, tensor) pairs over a partition of the atoms, as
-    `_full_tensor` builds them, and z has one vector per block, on that
-    block's tensor.  m(z), summed over the blocks, must be 1 of the ring:
-    each nonzero entry x at pair (i, j) adds x e_i e_j.  The second equation
-    is checked on each block's tensor for every unit vector b of its block
-    ring.  (b (x) 1)z - (1 (x) b)z takes entry x at (i, j) to x (b e_i (x) e_j
-    - e_i (x) b e_j); b e_i is zero unless i lies on b's atom, so only the
-    entries whose row or column lies there take a product
-    (`FiniteRing.unit_times`).  The difference is summed on the pairs it
-    reaches and must be zero in the tensor.  The relations contain each
-    pair's order times the pair, so a difference that vanishes modulo those
-    orders is zero, as it is for the trace-dual idempotent; any other is
-    walked down the relations (`TensorPresentation.is_zero`).
-    """
-    if len(z) != len(tensors):
+
+def separability_idempotent_from_coordinates(atom):
+    """e_a = sum_u x^u (x) y_u on one atom, from its trace-dual pairs: x^u the
+    unit vectors, y_u the trace dual (`Atom.trace_dual`).  It is given on the
+    pairs x^i (x) x^j of the atom's diagonal tensor block, at i * r + j for
+    r = `coords`, so entry (u, j) is coordinate j of y_u."""
+    return tuple(v for y in atom.trace_dual() for v in y)
+
+
+def verify_separability_idempotent(pair, atom, z):
+    """Direct evaluation of both defining equations of a separability
+    idempotent z on the diagonal tensor block F (x)_R F of `atom` (`pair`,
+    pair x^i (x) x^j at i * r + j for r = `coords`), by the atom's own
+    products (`Atom.mul_coords`): with rows z_i = sum_j z[i r + j] x^j and
+    columns z^j = sum_i z[i r + j] x^i, m(z) = sum_i x^i z_i must be 1, and
+    for each c < r the difference of (x^c (x) 1)z, x^c z^j in column j, and
+    (1 (x) x^c)z, x^c z_i in row i, must lie in the block's relation
+    lattice (`lattice_member`)."""
+    r = atom.coords
+    units = [tuple(int(q == i) for q in range(r)) for i in range(r)]
+    rows = [z[i * r:(i + 1) * r] for i in range(r)]
+    cols = [z[j::r] for j in range(r)]
+    mz = map(sum, zip(*(atom.mul_coords(x, row) for x, row in zip(units, rows))))
+    if [v % atom.modulus for v in mz] != list(units[0]):
         return False
-    A = tensors[0][0].whole
-    mz = [0] * A.n_coords
-    for (block, tensor), part in zip(tensors, z):
-        ring, l, moduli = tensor.ring, tensor.l, tensor.ring.coord_moduli
-        units = ring.basis_vectors()
-        entries = [(p // l, p % l, x) for p, x in enumerate(part) if x]
-        for i, j, x in entries:
-            for q, v in ring.unit_times(i, units[j]).items():
-                mz[block.coords[q]] += v * x
-        for b, unit in enumerate(units):
-            atom = ring.coord_atom(b)
-            diff = {}
-            for i, j, x in entries:
-                if ring.coord_atom(i) == atom:
-                    for a, e in ring.unit_times(i, unit).items():
-                        diff[a * l + j] = diff.get(a * l + j, 0) + e * x
-                if ring.coord_atom(j) == atom:
-                    for c, f in ring.unit_times(j, unit).items():
-                        diff[i * l + c] = diff.get(i * l + c, 0) - f * x
-            if (any(x % math.gcd(moduli[q // l], moduli[q % l]) for q, x in diff.items())
-                    and not tensor.is_zero(Matrix(tensor.k * l, [diff]).column(0))):
-                return False
-    return tuple(x % d for x, d in zip(mz, A.coord_moduli)) == A.one_vec
+    for x in units:
+        diff = [0] * (r * r)
+        for j, col in enumerate(cols):
+            for a, v in enumerate(atom.mul_coords(x, col)):
+                diff[a * r + j] += v
+        for i, row in enumerate(rows):
+            for b, v in enumerate(atom.mul_coords(x, row)):
+                diff[i * r + b] -= v
+        if not lattice_member(pair.lattice, diff):
+            return False
+    return True
 
 
 @remembered
@@ -421,36 +434,11 @@ def _full_tensor(beta):
     b e_O (x) c e_P = b (x) e_O e_P c = 0, and the tensor is the direct sum
     of the blocks' A e_O (x)_{A^beta e_O} A e_O, each presented on its block
     ring, whose constructor checks A^beta e_O.  Generator pair (i, c) is
-    e_i (x) e_c of the block ring's unit vectors, and psi reads each orbit
-    tensor's atom-pair blocks.
+    e_i (x) e_c of the block ring's unit vectors, and psi and the
+    separability check read each orbit tensor's atom-pair blocks.
     """
     inv = invariant_ring(beta)
     return tuple((block, TensorPresentation(block.ring, block.subalgebra(inv))) for block in beta.orbits)
-
-
-def separability_idempotent_from_coordinates(beta, coords):
-    """e = sum x_i (x) y_i built from (x, y) pairs, in A (x)_{A^beta} A: on
-    each orbit's tensor, the sum of the pairs' block components.  e_O lies
-    in A^beta, so x (x) y = sum_O x e_O (x) y e_O, and a pair is restricted
-    only to the orbits that both x and y meet: the orbit of its own atom
-    for a trace-dual pair."""
-    tensors = _full_tensor(beta)
-    A = beta.A
-    orbit_of = [None] * A.n_coords
-    for o, block in enumerate(beta.orbits):
-        for c in block.coords:
-            orbit_of[c] = o
-
-    def orbits(vec):
-        return {orbit_of[c] for c, v in enumerate(vec) if v}
-
-    parts = [[0] * (tensor.k * tensor.l) for _, tensor in tensors]
-    for x, y in coords:
-        for o in orbits(x) & orbits(y):
-            block, tensor = tensors[o]
-            for p, v in tensor.pure_terms(block.restrict(x), block.restrict(y)):
-                parts[o][p] += v
-    return tensors, tuple(map(tuple, parts))
 
 
 # -- the cross-checked equivalence report ------------------------------------

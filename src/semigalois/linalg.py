@@ -351,9 +351,6 @@ class AbelianPresentation:
     def order(self):
         return lattice_det(self.lattice)
 
-    def is_zero(self, vec):
-        return lattice_member(self.lattice, vec)
-
     def subgroup_canon(self, gens, basis=None):
         """Canonical basis of span(gens) + `basis`, a canonical basis of a
         lattice that contains L (L itself by default)."""

@@ -251,8 +251,10 @@ class Atom:
     def mul_coords(self, u, v):
         """Product of two coordinate chunks of this atom, as a list of ints:
         their product as polynomials, each x^d with d >= `coords` rewritten
-        by `_x_powers`."""
+        by `_x_powers` (on one coordinate, the product mod `modulus`)."""
         r = self.coords
+        if r == 1:
+            return [u[0] * v[0] % self.modulus]
         conv = [0] * (2 * r - 1)
         for i, x in enumerate(u):
             if x:
@@ -291,6 +293,7 @@ class FiniteRing:
             self._spans.append((pos, pos + a.coords))
             pos += a.coords
         self._coord_atoms = tuple(idx for idx, a in enumerate(atoms) for _ in range(a.coords))
+        self._coord_bits = tuple(1 << a for a in self._coord_atoms)
         self.exponent = math.lcm(*self.coord_moduli)
         self.zero_vec = (0,) * self.n_coords
         self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
@@ -347,9 +350,9 @@ class FiniteRing:
     @remembered
     def basis_vectors(self):
         """Atom-pure additive generators e_0, ..., e_{n-1} as coordinate vectors:
-        the unit vectors."""
-        n = self.n_coords
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        the unit vectors, each cut from `zero_vec`."""
+        zero = self.zero_vec
+        return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(self.n_coords))
 
     def coord_atom(self, i):
         """Atom index owning flat coordinate i."""
@@ -380,26 +383,10 @@ class FiniteRing:
                 out.extend([0] * (hi - lo))
         return tuple(out)
 
-    def unit_times(self, i, vec):
-        """e_i * vec for the unit vector e_i, as {coordinate: value} over its
-        nonzero values.  On e_i's atom e_i is x^a, so the product is
-        sum_b vec[b] x^(a+b), each power read from the atom's `_x_powers`; off
-        that atom it is zero.  No product is taken, so nothing is charged:
-        a matrix filled from it is charged when it is eliminated."""
-        idx = self._coord_atoms[i]
-        lo, hi = self._spans[idx]
-        atom = self.atoms[idx]
-        out = [0] * (hi - lo)
-        for z, power in zip(vec[lo:hi], atom._x_powers[i - lo:]):
-            if z:
-                for t, x in enumerate(power):
-                    out[t] += z * x
-        m = atom.modulus
-        return {lo + t: v for t, x in enumerate(out) if (v := x % m)}
-
     def atom_mask(self, vec):
-        """The atoms on which a coordinate vector is nonzero, as a bit mask."""
-        return sum(1 << a for a, (lo, hi) in enumerate(self._spans) if any(vec[lo:hi]))
+        """The atoms on which a coordinate vector is nonzero, as a bit mask:
+        the sum of the distinct bits of its nonzero coordinates' atoms."""
+        return sum(set(itertools.compress(self._coord_bits, vec)))
 
     def is_unit_vec(self, vec):
         """The element is a unit: on every atom some coordinate is prime to
@@ -499,7 +486,7 @@ class StructuredIso:
     into this shape.  The constructor takes `matching` (domain atom -> image
     atom) and `twist` (domain atom -> Frobenius power, 0 where absent) dicts
     and checks them; `trusted(ring, atom_map)` builds an iso derived from
-    valid ones (a composite, inverse, join or block restriction) without
+    valid ones (a composite, inverse or join) without
     checks.  `matching` and `twist` read the tuple back as read-only dicts.
     """
 
@@ -676,11 +663,8 @@ class Subalgebra:
         return self.member_vec(self.ring.one_vec)
 
     def closed_under_mul(self):
-        """Every product of two generators lies in the span; a pair on
-        disjoint atoms multiplies to 0, so only pairs whose atoms meet count."""
-        gens, masks = self.gen_vectors, list(map(self.ring.atom_mask, self.gen_vectors))
-        return all(self.member_vec(self.ring.mul_vec(gens[i], gens[j]))
-                   for i in range(len(gens)) for j in range(i, len(gens)) if masks[i] & masks[j])
+        """Every product of two generators lies in the span (`_products`)."""
+        return all(map(self.member_vec, _products(self.ring, self.gen_vectors, 0)))
 
     @remembered
     def is_subalgebra(self):
@@ -714,22 +698,28 @@ class Subalgebra:
         return _close_under_mul(self.extended(gens[-1:]), gens, len(gens) - 1)
 
 
+def _products(ring, gens, checked):
+    """The products gens[i] * gens[j] for i <= j and j >= checked, each
+    unordered pair once (the ring is commutative), j before i, taken as
+    they are read: a pair on disjoint atoms multiplies to 0, so only the
+    pairs whose atoms meet are multiplied."""
+    masks = list(map(ring.atom_mask, gens))
+    return itertools.starmap(ring.mul_vec, [(gens[i], gens[j]) for j in range(checked, len(gens))
+                                            for i in range(j + 1) if masks[i] & masks[j]])
+
+
 def _close_under_mul(current, gens, checked):
     """Close `current`, spanned by `gens`, under multiplication.
 
     The products among `gens[:checked]` are known to lie in `current`, so
-    each round multiplies only the newly added generators, each unordered
-    pair once (the ring is commutative), and inserts only the products it
-    finds outside the span.
+    each round multiplies only the newly added generators (`_products`) and
+    inserts only the products it finds outside the span.
     """
-    ring = current.ring
     while True:
         extra = {}
-        for j in range(checked, len(gens)):
-            for i in range(j + 1):
-                w = ring.mul_vec(gens[i], gens[j])
-                if w not in extra and not current.member_vec(w):
-                    extra[w] = None
+        for w in _products(current.ring, gens, checked):
+            if w not in extra and not current.member_vec(w):
+                extra[w] = None
         if not extra:
             return current
         checked = len(gens)
@@ -741,11 +731,9 @@ class Block:
     """The ideal A e_O of a ring A for a set O of its atoms, as a ring of its own.
 
     e_O is a central idempotent, so for a partition of the atoms A is the
-    direct sum of its blocks, and a system that commutes with each e_O
-    splits into one system per block.  The block ring's coordinates are A's
-    coordinates on O's atoms, in A's order (`coords`), so the unknowns of a
-    block system keep their global relative order.  The block of all the
-    atoms is A itself, with every map below the identity.
+    direct sum of its blocks.  The block ring's coordinates are A's
+    coordinates on O's atoms, in A's order (`coords`).  The block of all
+    the atoms is A itself.
     """
 
     def __init__(self, ring, atoms):
@@ -754,8 +742,7 @@ class Block:
         self.ring = (ring if len(self.atoms) == len(ring.atoms)
                      else FiniteRing([ring.atoms[a] for a in self.atoms]))
         self.coords = tuple(c for a in self.atoms for c in range(*ring.atom_span(a)))
-        self._local = {a: i for i, a in enumerate(self.atoms)}
-        self.facts = {}  # each iso on the block ring, and its unit generators (`remembered`)
+        self.facts = {}  # its unit generators (`remembered`)
 
     def restrict(self, vec):
         """The block-ring coordinates of vec * e_O."""
@@ -767,18 +754,6 @@ class Block:
         for c, x in zip(self.coords, vec):
             out[c] = x
         return tuple(out)
-
-    @remembered
-    def iso(self, iso):
-        """`iso` on the block ring, restricted once per iso; its matching must
-        keep the block's atoms among themselves."""
-        if self.ring is self.whole:
-            return iso
-        local = self._local
-        if any(v and (i in local) != (v[0] in local) for i, v in enumerate(iso.atom_map)):
-            raise RingError("the iso moves atoms into or out of the block")
-        return StructuredIso.trusted(self.ring, tuple(
-            (local[v[0]], v[1]) if (v := iso.atom_map[i]) else None for i in self.atoms))
 
     def basis(self, sub):
         """The canonical basis of sub * e_O on the block ring; sub must contain e_O.
@@ -818,7 +793,8 @@ class TensorPresentation:
     two atoms and on R's generators' components there: `blocks[a][b]` is
     that block (`Atom.tensor_block`), reduced once per distinct key: the
     m^2 blocks of m equal atoms on which R's generators agree are one.  The
-    group on all pairs (`pres`) is built only when read.
+    group on all pairs (`pres`) is built only when read, and no decision
+    reads it: psi and the separability check read the blocks.
     The constructor raises unless R is a unital subalgebra of the ring.
     """
 
@@ -860,16 +836,3 @@ class TensorPresentation:
 
     def order(self):
         return math.prod(pair.order() for row in self.blocks for pair in row)
-
-    def pure_terms(self, m_vec, n_vec):
-        """The (pair, coefficient) terms of m (x) n for coordinate vectors m
-        and n: the products of their coordinates."""
-        l = self.l
-        for i, a in enumerate(m_vec):
-            if a:
-                for j, b in enumerate(n_vec):
-                    if b:
-                        yield i * l + j, a * b
-
-    def is_zero(self, z):
-        return self.pres.is_zero(z)

@@ -63,7 +63,7 @@ import math
 
 import numpy as np
 
-from semigalois.linalg import Matrix, cols_from_vectors
+from semigalois.linalg import Matrix, cols_from_vectors, lattice_member
 from semigalois.semigroups import remembered
 
 
@@ -145,14 +145,18 @@ def kron_difference(E):
     return Matrix(n * n, cols)
 
 
+def _nonzero(vec):
+    return {q: x for q, x in enumerate(vec) if x}
+
+
 def mult_matrix(tensor, b_vec):
     """Matrix E of m -> b*m on a tensor's factor: on the library's
-    `TensorPresentation`, column i the coordinates of b*e_i
-    (`FiniteRing.unit_times`); on a `WholeTensorPresentation`, its own
-    `mult_matrix_by_solve`."""
+    `TensorPresentation`, column i the coordinates of e_i * b (`mul_vec`);
+    on a `WholeTensorPresentation`, its own `mult_matrix_by_solve`."""
     if isinstance(tensor, WholeTensorPresentation):
         return tensor.mult_matrix(b_vec)
-    return Matrix(tensor.k, [tensor.ring.unit_times(i, b_vec) for i in range(tensor.k)])
+    ring = tensor.ring
+    return Matrix(tensor.k, [_nonzero(ring.mul_vec(e, b_vec)) for e in ring.basis_vectors()])
 
 
 def free_pairs(tensor):
@@ -174,8 +178,9 @@ def kron_right(tensor, b_vec):
 def pure(tensor, m, n):
     """The coordinates of m (x) n on every generator pair of `tensor`."""
     col = [0] * (tensor.k * tensor.l)
-    for p, x in tensor.pure_terms(m, n):
-        col[p] += x
+    for i, a in enumerate(m):
+        for j, b in enumerate(n):
+            col[i * tensor.l + j] += a * b
     return tuple(col)
 
 
@@ -493,26 +498,33 @@ def algebra_generators_by_adjoining(B, R):
 def mult_map_vec(tensor):
     """Matrix of the multiplication map m (x) n -> m*n of an orbit tensor
     (`TensorPresentation`) into ring coordinates: column (i, j) is e_i * e_j
-    (`FiniteRing.unit_times`)."""
+    (`mul_vec`)."""
     ring, units = tensor.ring, tensor.ring.basis_vectors()
-    return Matrix(ring.n_coords, [ring.unit_times(i, e) for i in range(tensor.k) for e in units])
+    return Matrix(ring.n_coords, [_nonzero(ring.mul_vec(u, e)) for u in units for e in units])
+
+
+def idempotent_check_by_kron(tensor):
+    """z -> both defining equations of a separability idempotent, on the full
+    Kronecker matrices (b (x) 1) and (1 (x) b) for every generator b, built
+    once for the tensor."""
+    A = tensor.ring
+    whole = isinstance(tensor, WholeTensorPresentation)
+    mult = dense(tensor.mult_map_vec() if whole else mult_map_vec(tensor))
+    diffs = [kron_left(tensor, b) - kron_right(tensor, b) for b in factor_generators(tensor)]
+
+    def check(z):
+        zcol = np.array(z, dtype=object).reshape(-1, 1)
+        mz = mult.dot(zcol)
+        if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one_vec:
+            return False
+        return all(lattice_member(tensor.pres.lattice, tuple(map(int, diff.dot(zcol).ravel()))) for diff in diffs)
+    return check
 
 
 def verify_idempotent_by_kron(tensor, z):
     """Both defining equations of a separability idempotent, on the full
-    Kronecker matrices (b (x) 1) and (1 (x) b) for every generator b."""
-    A = tensor.ring
-    zcol = np.array(z, dtype=object).reshape(-1, 1)
-    whole = isinstance(tensor, WholeTensorPresentation)
-    mz = dense(tensor.mult_map_vec() if whole else mult_map_vec(tensor)).dot(zcol)
-    if tuple(int(mz[i, 0]) % d for i, d in enumerate(A.coord_moduli)) != A.one_vec:
-        return False
-    for b in factor_generators(tensor):
-        left = kron_left(tensor, b).dot(zcol)
-        right = kron_right(tensor, b).dot(zcol)
-        if not tensor.is_zero(tuple(map(int, (left - right).ravel()))):
-            return False
-    return True
+    Kronecker matrices (`idempotent_check_by_kron`)."""
+    return idempotent_check_by_kron(tensor)(z)
 
 
 def maximal_elements(S):
@@ -569,7 +581,7 @@ def check_psi_images_on_orbits(beta):
                         a, b = ring.coord_atom(i), ring.coord_atom(j)
                         (lo, _), (lo_b, _) = ring.atom_span(a), ring.atom_span(b)
                         joined = [(g, v[1]) for g, f in enumerate(joins)
-                                  if (v := block.iso(f).atom_map[b]) and v[0] == a]
+                                  if (v := f.atom_map[block.atoms[b]]) and v[0] == block.atoms[a]]
                         atom = ring.atoms[a]
                         pair = (i - lo) * atom.coords + j - lo_b
                         column = _columns(atom, [pair], [t for _, t in joined]).cols[0]
@@ -1523,7 +1535,7 @@ class WholeTensorPresentation:
         return self._mult_matrices[b_vec]
 
     def is_zero(self, z):
-        return self.pres.is_zero(z)
+        return lattice_member(self.pres.lattice, z)
 
 
 def whole_full_tensor(beta):
@@ -1577,6 +1589,30 @@ def joined_tensor_vector(tensors, whole, parts):
         for p, x in zip(positions, parts.get(o, ())):
             out[p] = x
     return tuple(out)
+
+
+def block_vector(tensor, a, b, part):
+    """The vector on every generator pair of a library `TensorPresentation`
+    that is `part` on its atom-pair block (a, b) and zero elsewhere: pair
+    (i, j) of the block, at i * (b's coords) + j, is e_(lo_a + i) (x) e_(lo_b + j)
+    for lo_a and lo_b the first coordinates of the two atoms."""
+    ring, n = tensor.ring, tensor.l
+    (lo_a, _), (lo_b, _) = ring.atom_span(a), ring.atom_span(b)
+    l = ring.atoms[b].coords
+    out = [0] * (tensor.k * n)
+    for p, x in enumerate(part):
+        out[(lo_a + p // l) * n + lo_b + p % l] = x
+    return tuple(out)
+
+
+def separability_idempotent_on_orbits(tensors):
+    """The library's separability idempotent, one vector per orbit tensor:
+    the sum over the orbit's atoms a of e_a
+    (`galois.separability_idempotent_from_coordinates`) in block (a, a)."""
+    from semigalois.galois import separability_idempotent_from_coordinates
+    return [tuple(map(sum, zip(*(block_vector(tensor, a, a, separability_idempotent_from_coordinates(atom))
+                                 for a, atom in enumerate(tensor.ring.atoms)))))
+            for _, tensor in tensors]
 
 
 @remembered

@@ -64,7 +64,7 @@ SPEND_COMMANDS = [["validate"], ["analyze"], ["galois"], ["correspond"],
 SPEND_CEILINGS = {
     "b2_f3f3": [0, 4, 0, 0, 0, 12],
     "c2_swap": [0, 4, 16, 11, 33, 0],
-    "s7_f9cubed": [0, 17, 99, 81, 450, 0],
+    "s7_f9cubed": [0, 17, 99, 81, 396, 0],
     "trace_gap_c2": [0, 6, 27, 0, 0, 0],
 }
 

@@ -126,9 +126,9 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 
 # What each command derives about S (the first two), about beta (the next
 # seven, and the five kept per subalgebra B or per T), and about the rings,
-# atoms, isos, blocks, groups, subalgebras, presentations and psi blocks a
-# decision builds (the keyed ones per indicator, twist, iso, atom pair or
-# twists).
+# atoms, isos, blocks, groups, subalgebras, presentations, psi blocks and
+# separability blocks a decision builds (the keyed ones per indicator, twist,
+# atom pair, twists or atom).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          actions.is_injective, actions.invariant_ring, actions.induce_partial_group_action,
          actions.class_joins, actions.Action.orbits.fget, galois._galois_system, galois._full_tensor,
@@ -138,10 +138,10 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, galois._trace_dual_pairs,
          rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.Atom.trace_dual,
          rg.StructuredIso.dom_support.fget,
-         rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan, rg.Block.iso,
+         rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan,
          correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.Atom.tensor_block,
-         linalg.AbelianPresentation.lattice.fget, galois._psi_block]
+         linalg.AbelianPresentation.lattice.fget, galois._psi_block, galois._separable_block]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
             ["analyze"], ["zero"]]
 
@@ -157,12 +157,12 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     once per ring, and each
     indicator once per ring and argument; the Frobenius columns once per
     atom and twist, and the trace dual once per atom; the supports and the
-    plan once per iso; the restriction of an iso once per block and iso,
-    and the unit generators
+    plan once per iso; the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
     `Subalgebra`; and each atom-pair tensor block once per atom, other
     atom and components of R, each presentation's canonical lattice once,
-    and psi on a tensor block once per atom and twists."""
+    psi on a tensor block once per atom and twists, and the separability
+    check on a diagonal tensor block once per atom."""
     seen = set()
     with derivations(*FACTS) as derived:
         for path in sorted(INSTANCES.glob("*.sgi")):
@@ -292,16 +292,16 @@ def test_algebra_generators_multiply_each_new_generator_against_the_span(monkeyp
 
 
 def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, capsys):
-    """`galois` on s7_f9cubed multiplies a unit vector only through
-    `FiniteRing.unit_times` or an atom's own product: no `mul_vec` call has
-    psi, the tensor blocks, the separability check or the coordinate check
-    on its stack (43 calls when they kept their own products, and 2 per
-    pair and iso while the coordinate check multiplied whole vectors).
-    `verify_coordinates` multiplies on single atoms (`Atom.mul_coords`)."""
-    readers = {galois.psi_check.__code__, rg.Atom.tensor_block.__wrapped__.__code__,
-               galois.verify_separability_idempotent.__code__,
-               galois.verify_coordinates.__code__}
-    inside, verifying, reads = [], [], []
+    """`galois` on s7_f9cubed multiplies a unit vector only through an
+    atom's own product: no `mul_vec` call has psi, the tensor blocks, the
+    separability check or the coordinate check on its stack (43 calls when
+    they kept their own products, and 2 per pair and iso while the
+    coordinate check multiplied whole vectors).  `verify_coordinates` and
+    `verify_separability_idempotent` multiply on single atoms
+    (`Atom.mul_coords`)."""
+    verifiers = {galois.verify_separability_idempotent.__code__, galois.verify_coordinates.__code__}
+    readers = {galois.psi_check.__code__, rg.Atom.tensor_block.__wrapped__.__code__, *verifiers}
+    inside, verifying = [], []
     original = rg.FiniteRing.mul_vec
 
     def mul_vec(self, u, v):
@@ -313,28 +313,32 @@ def test_galois_reads_products_with_unit_vectors_and_takes_none(monkeypatch, cap
         return original(self, u, v)
 
     monkeypatch.setattr(rg.FiniteRing, "mul_vec", mul_vec)
-    _recording(monkeypatch, rg.FiniteRing, "unit_times", lambda *a: reads.append(a))
-    _recording(monkeypatch, rg.Atom, "mul_coords",
-               lambda *a: verifying.append(sys._getframe(2).f_code is galois.verify_coordinates.__code__))
+    _recording(monkeypatch, rg.Atom, "mul_coords", lambda *a: verifying.append(sys._getframe(2).f_code))
     assert _run(capsys, "galois", str(INSTANCES / "s7_f9cubed.sgi")) == 0
     assert inside == []
-    assert reads and any(verifying)
+    assert verifiers <= set(verifying)
 
 
 def test_separability_check_multiplies_only_at_the_idempotents_entries(monkeypatch):
-    """`verify_separability_idempotent` takes a product (`unit_times`) only
-    where z is nonzero: one per entry for m(z), and for each unit vector b
-    one per entry whose row or column lies on b's atom.  On C32 rotating
-    GF(4)^32 each trace-dual entry lies on one atom of two coordinates, so
-    that is 5 per entry, 480 in all (8 192 when the whole multiplication
-    map and every mult_matrix(b) were built)."""
+    """The separability check multiplies only the entries of e_a, grouped
+    into its rows and columns, on one diagonal block per distinct block and
+    atom.  On C32 rotating GF(4)^32 the 32 atoms are one object and their
+    diagonal blocks one, so `is_separable` checks one block: r products for
+    m(e_a) and 2r for each x^c, c < r, with r = 2, 10 `Atom.mul_coords` in
+    all (480 `unit_times` products when the whole orbit tensor was checked,
+    8 192 when the whole multiplication map and every mult_matrix(b) were
+    built)."""
     beta = cyclic_shift(rg.Atom.gf(2, 2), 32)
-    tensors, z = galois.separability_idempotent_from_coordinates(beta, galois._trace_dual_pairs(beta.A))
-    reads = []
-    _recording(monkeypatch, rg.FiniteRing, "unit_times", lambda *a: reads.append(a))
-    assert galois.verify_separability_idempotent(tensors, z)
-    entries = sum(1 for part in z for x in part if x)
-    assert len(reads) == entries * (1 + 2 * 2) == 480
+    (_, tensor), = galois._full_tensor(beta)
+    atom = beta.A.atoms[0]
+    atom.trace_dual()  # the tensor and the trace dual are derived before the count
+    checked, products = [], []
+    _recording(monkeypatch, galois, "verify_separability_idempotent",
+               lambda pair, atom, z: checked.append((pair, atom, z)))
+    _recording(monkeypatch, rg.Atom, "mul_coords", lambda *a: products.append(a))
+    assert galois.is_separable(beta) is True
+    assert checked == [(tensor.blocks[0][0], atom, (1, 1, 1, 0))]
+    assert len(products) == 2 + 2 * (2 * 2) == 10
 
 
 def test_application_plan_matches_iso_matrix_and_polynomials():
@@ -414,22 +418,24 @@ def test_separability_checks_r_inside_b_once_per_object_pair(monkeypatch, instan
     """The library's route, galois.is_separable(beta), checks no
     containment: R lies in each orbit's block ring by construction (1 and 2
     `contains` checks while each orbit tensor checked its factors).  It
-    builds e on the orbit tensors one pair at a time, each trace-dual pair
-    restricted to the one orbit of its atom: one `pure_terms` and two
-    `Block.restrict` calls per pair (every pair met every orbit while the
-    restriction ran over all of them).  An R that is not a unital
+    reads e off each atom, with no vector of A restricted (two
+    `Block.restrict` calls per trace-dual pair while e was built on the
+    orbit tensors), and checks it on the diagonal blocks of each orbit
+    tensor, one per distinct block and atom.  An R that is not a unital
     subalgebra still raises the constructor's error."""
     from semigalois.instance import parse_instance
     beta = parse_instance(INSTANCES / instance)
-    pairs, picks, restricted = [], [], []
+    pairs, checked, restricted = [], [], []
     tensors = galois._full_tensor(beta)
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
-    _recording(monkeypatch, rg.TensorPresentation, "pure_terms", lambda t, m, n: picks.append(t))
+    _recording(monkeypatch, galois, "verify_separability_idempotent",
+               lambda pair, atom, z: checked.append(pair))
     _recording(monkeypatch, rg.Block, "restrict", lambda block, vec: restricted.append(vec))
-    assert galois.is_separable(beta) is not None
-    assert pairs == []
-    assert len(picks) == beta.A.n_coords and len(restricted) == 2 * beta.A.n_coords
-    assert len({id(t) for t in picks}) == checks == len(tensors)
+    assert galois.is_separable(beta) is True
+    assert pairs == [] and restricted == []
+    owner = {id(tensor.blocks[a][a]): o for o, (_, tensor) in enumerate(tensors)
+             for a in range(len(tensor.blocks))}
+    assert len({owner[id(pair)] for pair in checked}) == len(checked) == checks == len(tensors)
     block, _ = tensors[0]
     with pytest.raises(rg.NotSubring, match="unital subalgebra"):
         rg.TensorPresentation(block.ring, rg.Subalgebra(block.ring, [block.ring.basis_vectors()[0]]))
@@ -456,16 +462,17 @@ def test_galois_checks_the_invariants_inside_a_once_per_object_pair(monkeypatch,
                                                                      instance, checks):
     """`galois` needs no check of A^beta e_O <= A e_O: the orbit tensor of O
     is built on the block ring, which holds A^beta e_O by construction, and
-    the separability idempotent is built once, each trace-dual pair on the
-    one orbit tensor of its atom (1 and 2 `contains` checks while each
-    orbit tensor checked its factors, 2 and 4 when the separability
-    criterion checked the whole pair as well)."""
-    pairs, picks = [], []
+    the separability idempotent is checked once, each atom's part on the
+    one diagonal block of its atom in its orbit tensor, equal blocks once
+    (1 and 2 `contains` checks while each orbit tensor checked its factors,
+    2 and 4 when the separability criterion checked the whole pair as
+    well)."""
+    pairs = []
     _recording(monkeypatch, rg.Subalgebra, "contains", lambda big, sub: pairs.append((big, sub)))
-    _recording(monkeypatch, rg.TensorPresentation, "pure_terms", lambda t, m, n: picks.append(t))
-    assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
+    with derivations(galois._separable_block) as checked:
+        assert _run(capsys, "galois", str(INSTANCES / instance)) == 0
     assert pairs == []
-    assert len(set(map(id, picks))) == checks
+    assert len(checked) == checks and max(checked.values()) == 1
 
 
 @pytest.mark.parametrize("args", [["correspond"], ["correspond", "--brute-force-subalgebras"],

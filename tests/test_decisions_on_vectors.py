@@ -80,8 +80,8 @@ def _equals_its_checked_twin(iso):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_derived_isos_equal_their_checked_twins(data):
-    """compose, inverse, join_sum over a compatible family and Block.iso on
-    every orbit, for isos drawn from seeded corpus actions with and without zero."""
+    """compose, inverse and join_sum over a compatible family, for isos drawn
+    from seeded corpus actions with and without zero."""
     beta = data.draw(st.sampled_from(ACTIONS))
     f, g = data.draw(st.sampled_from(beta.isos)), data.draw(st.sampled_from(beta.isos))
     _equals_its_checked_twin(isopu.compose(f, g))
@@ -91,8 +91,6 @@ def test_derived_isos_equal_their_checked_twins(data):
         if all(isopu.is_compatible(h, k) for k in family):
             family.append(h)
     _equals_its_checked_twin(isopu.join_sum(family))
-    for block in beta.orbits:
-        _equals_its_checked_twin(block.iso(g))
 
 
 @pytest.mark.parametrize("command", ["galois", "correspond", "zero"])

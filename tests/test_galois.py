@@ -1,3 +1,4 @@
+import operator
 import os
 import subprocess
 import sys
@@ -13,34 +14,31 @@ from semigalois.actions import invariant_ring, validate_action
 from semigalois.corpus import b2_swap_fixture, c2_swap_fixture, corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
-from semigalois.rings import (Atom, Block, FiniteRing, NotSubring, StructuredIso, Subalgebra,
+from semigalois.rings import (Atom, FiniteRing, NotSubring, StructuredIso, Subalgebra,
                               TensorPresentation)
-from oracles import (algebra_generators_by_adjoining, check_psi_images_on_orbits,
+from oracles import (algebra_generators_by_adjoining, block_vector, check_psi_images_on_orbits,
                      is_separable_whole, joined_tensor_vector, pure,
-                     verify_idempotent_by_kron, whole_full_tensor)
+                     separability_idempotent_on_orbits, verify_idempotent_by_kron,
+                     whole_full_tensor)
 from test_bench_library_calls import workloads
 from test_correspondence import SCAN_CASES
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _one_block(tensor):
-    """A tensor of a whole ring, as the one block `verify_separability_idempotent` takes."""
-    return ((Block(tensor.ring, range(len(tensor.ring.atoms))), tensor),)
+def _trace_dual_idempotent(tensor):
+    """sum_i x_i (x) y_i over the trace-dual pairs of the tensor's ring, on
+    every generator pair of the tensor (`oracles.pure`)."""
+    terms = [pure(tensor, x, y) for x, y in gl._trace_dual_pairs(tensor.ring)]
+    return tuple(map(sum, zip(*terms)))
 
 
-def _trace_dual_idempotent(tensors):
-    """sum_i x_i (x) y_i over the trace-dual pairs of the whole ring, one
-    vector per (block, tensor), each pair restricted to every block."""
-    A = tensors[0][0].whole
-    z = []
-    for block, tensor in tensors:
-        part = [0] * (tensor.k * tensor.l)
-        for x, y in gl._trace_dual_pairs(A):
-            for p, v in tensor.pure_terms(block.restrict(x), block.restrict(y)):
-                part[p] += v
-        z.append(tuple(part))
-    return tuple(z)
+def _diagonal_blocks_pass(tensor):
+    """Each atom's part of the separability idempotent passes the block check
+    in the atom's diagonal block of `tensor`."""
+    return all(gl.verify_separability_idempotent(tensor.blocks[a][a], atom,
+                                                 gl.separability_idempotent_from_coordinates(atom))
+               for a, atom in enumerate(tensor.ring.atoms))
 
 
 def test_galois_rhs():
@@ -195,12 +193,14 @@ def test_separability_idempotent_for_f3f3_over_diagonal():
     A = FiniteRing([Atom.zmod(3), Atom.zmod(3)])
     diag = Subalgebra(A, [A.one_vec])
     assert is_separable_whole(Subalgebra.full(A), diag) is not None
-    tensors = _one_block(TensorPresentation(A, diag))
-    (_, tensor), = tensors
-    # e = (1,0)(x)(1,0) + (0,1)(x)(0,1) also satisfies both equations
+    tensor = TensorPresentation(A, diag)
+    # e = (1,0)(x)(1,0) + (0,1)(x)(0,1) satisfies both equations, and its part
+    # on each atom is 1 (x) 1 in the atom's diagonal block
     e1, e2 = A.element([1, 0]).vec(), A.element([0, 1]).vec()
     hand = tuple(a + b for a, b in zip(pure(tensor, e1, e1), pure(tensor, e2, e2)))
-    assert gl.verify_separability_idempotent(tensors, (hand,))
+    assert verify_idempotent_by_kron(tensor, hand)
+    assert hand == tuple(map(sum, zip(*(block_vector(tensor, a, a, (1,)) for a in range(2)))))
+    assert all(gl.verify_separability_idempotent(tensor.blocks[a][a], A.atoms[a], (1,)) for a in range(2))
 
 
 def test_trivial_separability():
@@ -273,7 +273,8 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
     check over every additive generator, so it solves the all-generator
     system; when it finds none, that larger system has none either.  For
     B = A it finds one over every R, and so does the trace-dual pairs'
-    idempotent (`galois.is_separable`), which passes both checks."""
+    idempotent (`galois.is_separable`), which passes the Kronecker check on
+    every generator pair and the block check on each diagonal block."""
     verdicts = []
     for B, R in _separability_pairs(case):
         chosen = algebra_generators_by_adjoining(B, R)
@@ -284,33 +285,43 @@ def test_separability_on_algebra_generators_matches_all_generators(case):
             assert verify_idempotent_by_kron(*got)
         if B == Subalgebra.full(B.ring):
             assert got is not None
-            tensors = _one_block(TensorPresentation(B.ring, R))
-            (_, tensor), = tensors
-            z = _trace_dual_idempotent(tensors)
-            assert gl.verify_separability_idempotent(tensors, z)
-            assert verify_idempotent_by_kron(tensor, z[0])
+            tensor = TensorPresentation(B.ring, R)
+            assert _diagonal_blocks_pass(tensor)
+            assert verify_idempotent_by_kron(tensor, _trace_dual_idempotent(tensor))
         verdicts.append(got is not None)
     if case == "c3_z4^3":  # Z/4 + 2A and its kin are not separable
         assert True in verdicts and False in verdicts
 
 
 def test_idempotent_check_rejects_what_the_kron_check_rejects():
-    """E.Z and Z.F^T decide the same equations as the Kronecker matrices on
-    the whole tensor, with the ring as one block and one orbit at a time."""
+    """The block check on each diagonal block decides the same equations as
+    the Kronecker matrices, on the ring's tensor taken as one and on the
+    whole tensor from the orbit tensors: every entry of each e_a bumped by
+    one, the other parts left whole."""
     # C2 swapping GF(4)^2 x (Z/3)^2 in pairs: two orbits of two atoms, so on
     # each orbit some generator pairs multiply to zero
     for beta in (f9_cubed_fixture(), c2_swap([Atom.gf(2, 2), Atom.zmod(3)])):
         inv, whole = invariant_ring(beta), whole_full_tensor(beta)
-        one = _one_block(TensorPresentation(beta.A, inv))
-        for tensors, z, count in ((one, _trace_dual_idempotent(one), 1),
-                                  (gl._full_tensor(beta), gl.is_separable(beta), 2)):
-            assert len(tensors) == len(z) == count
-            for o, part in enumerate(z):
-                for i in range(len(part)):
-                    bumped = z[:o] + (tuple(x + (j == i) for j, x in enumerate(part)),) + z[o + 1:]
-                    joined = joined_tensor_vector(tensors, whole, dict(enumerate(bumped)))
-                    assert gl.verify_separability_idempotent(tensors, bumped) == \
-                        verify_idempotent_by_kron(whole, joined)
+        one = TensorPresentation(beta.A, inv)
+        tensors = gl._full_tensor(beta)
+        assert len(tensors) == 2
+        e = _trace_dual_idempotent(one)
+        assert separability_idempotent_on_orbits([(None, one)]) == [e]
+        parts = separability_idempotent_on_orbits(tensors)
+        routes = [(one, one, lambda bump: tuple(map(operator.add, e, bump)))]
+        for o, (_, tensor) in enumerate(tensors):
+            def placed(bump, o=o):
+                moved = {**dict(enumerate(parts)), o: tuple(map(operator.add, parts[o], bump))}
+                return joined_tensor_vector(tensors, whole, moved)
+            routes.append((tensor, whole, placed))
+        for tensor, reference, placed in routes:
+            for a, atom in enumerate(tensor.ring.atoms):
+                e_a = gl.separability_idempotent_from_coordinates(atom)
+                for i in range(len(e_a)):
+                    unit = [int(j == i) for j in range(len(e_a))]
+                    z = tuple(map(operator.add, e_a, unit))
+                    assert gl.verify_separability_idempotent(tensor.blocks[a][a], atom, z) == \
+                        verify_idempotent_by_kron(reference, placed(block_vector(tensor, a, a, unit)))
 
 
 def _separability_cases():
@@ -329,27 +340,29 @@ def _separability_cases():
 
 def test_trace_dual_idempotent_verifies_where_the_whole_solve_finds_one():
     """On every case the trace-dual pairs' idempotent passes both defining
-    equations on the orbit tensors, and the whole solve over A^beta finds
-    an idempotent too: A is separable over A^beta throughout, Galois or not,
-    with a zero or without."""
+    equations on every diagonal block of the orbit tensors, and the whole
+    solve over A^beta finds an idempotent too: A is separable over A^beta
+    throughout, Galois or not, with a zero or without."""
     for name, beta in _separability_cases().items():
-        z = gl.is_separable(beta)
-        assert gl.verify_separability_idempotent(gl._full_tensor(beta), z), name
+        assert gl.is_separable(beta) is True, name
+        assert all(_diagonal_blocks_pass(tensor) for _, tensor in gl._full_tensor(beta)), name
         assert is_separable_whole(Subalgebra.full(beta.A), invariant_ring(beta)) is not None, name
 
 
 @pytest.mark.parametrize("instance", ["c2_swap", "trace_gap_c2"])
 def test_a_perturbed_trace_dual_member_raises(monkeypatch, instance):
-    """One y_i moved by its own x_i changes m(e) by x_i^2, which is not zero
-    on x_i's atom: the check fails, and `is_separable` raises."""
+    """One y_u moved by its own x^u, here y_0 by 1, changes m(e_a) by
+    (x^u)^2, which is not zero on the atom: the block check fails, and
+    `is_separable` raises.  The instance is parsed here, so its atoms, and
+    the tensor blocks they keep, are its own."""
     beta = parse_instance(REPO / "instances" / f"{instance}.sgi")
-    real = gl._trace_dual_pairs
+    real = Atom.trace_dual
 
-    def perturbed(A):
-        (x, y), *rest = real(A)
-        return [(x, A.add_vec(y, x))] + rest
+    def perturbed(atom):
+        first, *rest = real(atom)
+        return (tuple(v + (q == 0) for q, v in enumerate(first)), *rest)
 
-    monkeypatch.setattr(gl, "_trace_dual_pairs", perturbed)
+    monkeypatch.setattr(Atom, "trace_dual", perturbed)
     with pytest.raises(gl.CertificateMismatch, match="trace-dual separability idempotent"):
         gl.is_separable(beta)
 
@@ -378,11 +391,17 @@ def test_cross_check_builds_one_tensor(monkeypatch):
 
 
 def test_separability_idempotent_from_coordinates():
+    """e_a on each atom is the sum of x (x) y over the coordinates on that
+    atom, read in the atom's diagonal block, and passes the block check."""
     beta = f9_cubed_fixture()
     coords = gl.solve_galois_coordinates(beta)
-    tensors, z = gl.separability_idempotent_from_coordinates(beta, coords)
-    assert len(tensors) == len(z) == len(beta.orbits) == 2
-    assert gl.verify_separability_idempotent(tensors, z)
+    tensor = TensorPresentation(beta.A, invariant_ring(beta))
+    for a, atom in enumerate(beta.A.atoms):
+        on_a = [pure(tensor, x, y) for x, y in coords if beta.A.coord_atom(x.index(1)) == a]
+        e_a = gl.separability_idempotent_from_coordinates(atom)
+        assert tuple(map(sum, zip(*on_a))) == block_vector(tensor, a, a, e_a)
+        assert gl.verify_separability_idempotent(tensor.blocks[a][a], atom, e_a)
+    assert len(gl._full_tensor(beta)) == len(beta.orbits) == 2
 
 
 def test_scalar_extension_retest():

@@ -8,7 +8,7 @@ from oracles import (close_isos_by_objects, element_sum, iso_apply_by_polynomial
 from semigalois import corpus as cp
 from semigalois import isopu
 from semigalois.corpus import random_ring, random_structured_iso, f9_cubed_fixture
-from semigalois.rings import Atom, Block, FiniteRing, StructuredIso, TooLarge
+from semigalois.rings import Atom, FiniteRing, StructuredIso, TooLarge
 
 
 def f3f3():
@@ -185,17 +185,6 @@ def test_isos_built_by_different_routes_are_equal_and_hash_equal():
     assert len({f, *same}) == 1
     assert f.inverse() == StructuredIso(A, {1: 0, 0: 1, 2: 2}, {1: 1})
     assert hash(f.inverse()) == hash(StructuredIso(A, {2: 2, 0: 1, 1: 0}, {1: 1}))
-
-
-def test_block_isos_equal_isos_built_on_an_equal_ring():
-    A = _gf9_ring()
-    f = StructuredIso(A, {0: 1, 1: 0, 3: 3}, {1: 1, 3: 1})
-    on_block = Block(A, [0, 1, 3]).iso(f)
-    fresh = FiniteRing([Atom.gf(3, 2)] * 3)
-    assert on_block.ring is not fresh and on_block.ring == fresh
-    built = StructuredIso(fresh, {2: 2, 1: 0, 0: 1}, {2: 1, 1: 1})
-    assert on_block == built and hash(on_block) == hash(built)
-    assert on_block != f
 
 
 def test_isos_that_differ_in_twist_or_matching_alone_are_unequal():

@@ -22,12 +22,13 @@ from semigalois.actions import induce_partial_group_action, invariant_ring
 from semigalois.corpus import corpus, f9_cubed_fixture
 from semigalois.correspondence import enumerate_subalgebras_over
 from semigalois.instance import parse_instance
-from semigalois.rings import Atom, Block, NotSubring, RingError, Subalgebra, TensorPresentation
+from semigalois.rings import Atom, Block, NotSubring, Subalgebra, TensorPresentation
 from semigalois.semigroups import sigma_partition
 from oracles import (check_psi_images_on_orbits, element_product, free_pairs, is_separable_whole,
                      joined_tensor_lattice, joined_tensor_vector, maximal_elements,
                      pa_subgroup_whole, psi_check_whole, solve_coordinates_whole,
-                     verify_coordinates_by_elements, verify_idempotent_by_kron, whole_full_tensor)
+                     separability_idempotent_on_orbits, verify_coordinates_by_elements,
+                     verify_idempotent_by_kron, whole_full_tensor)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -100,9 +101,9 @@ def check_orbit_routes_against_whole(beta):
     on every generator pair through ring elements
     (`check_psi_images_on_orbits`), and the separability verdict: the
     whole solve (`is_separable_whole`) finds an idempotent, as
-    `is_separable` always does, and the library's, one vector per orbit
-    tensor, put in place on the whole tensor passes
-    `verify_idempotent_by_kron`.  psi's image from the free
+    `is_separable` always does, and the library's, each atom's part in its
+    diagonal block (`separability_idempotent_on_orbits`), put in place on
+    the whole tensor passes `verify_idempotent_by_kron`.  psi's image from the free
     pairs lies inside its image from every pair, which `psi_check_whole`
     takes, so equal image orders make the two images equal.  Returns the
     number of generator pairs of the orbit tensors and of free pairs."""
@@ -117,11 +118,12 @@ def check_orbit_routes_against_whole(beta):
     assert psi.cokernel_witness == cokernel_witness
     assert kernel_witness is None  # psi is injective
     check_psi_images_on_orbits(beta)
-    z = gl.is_separable(beta)
+    assert gl.is_separable(beta) is True
     reference = is_separable_whole(Subalgebra.full(beta.A), invariant_ring(beta))
     assert reference is not None
     whole = reference[0]
-    assert verify_idempotent_by_kron(whole, joined_tensor_vector(tensors, whole, dict(enumerate(z))))
+    parts = separability_idempotent_on_orbits(tensors)
+    assert verify_idempotent_by_kron(whole, joined_tensor_vector(tensors, whole, dict(enumerate(parts))))
     return (sum(tensor.k * tensor.l for _, tensor in tensors),
             sum(len(free_pairs(tensor)) for _, tensor in tensors))
 
@@ -186,18 +188,15 @@ def test_block_maps_match_the_whole_ring():
             vec = tuple(rng.randrange(m) for m in A.coord_moduli)
             masked = A.mask_vec(vec, block.atoms)
             assert block.extend(block.restrict(vec)) == masked
-            for iso in beta.isos:
-                assert block.extend(block.iso(iso).apply_vec(block.restrict(vec))) == \
-                    iso.apply_vec(masked)
-    whole = Block(A, range(len(A.atoms)))
-    assert whole.ring is A and whole.iso(beta.isos[1]) is beta.isos[1]
+    assert Block(A, range(len(A.atoms))).ring is A
 
 
 def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
+    """A subalgebra restricted to a block must split along it.  No block
+    restricts a map any more: psi reads the joins' atom maps on the orbits,
+    which the maps keep among themselves by construction (`Action.orbits`)."""
     beta = MULTI_ORBIT["c2_(gf4xz3xz4)^2"]()
     A = beta.A
-    with pytest.raises(RingError):
-        Block(A, [0, 2, 3]).iso(beta.isos[1])
     inv = invariant_ring(beta)
     with pytest.raises(NotSubring):
         Block(A, [0]).subalgebra(inv)

@@ -18,11 +18,10 @@ module is parsed with `ast`, and this test fails on the other idioms:
 - `functools.cache` or `lru_cache` decorating a method, which keeps every
   object it is called on alive in one cache on the class.
 
-What the scan lets pass is not a memo of an object's facts.  A dict that
-`__init__` fills (`rings.Block._local`, each atom's place in the block) is
-data built once with the object.  A module-level cache (`corpus._PALETTE_ATOMS`, the
-`functools.cache` on `cli.parser`) belongs to no object that could hold
-facts.  A `functools.cache` closure inside a function dies with the call
+What the scan lets pass is not a memo of an object's facts.  A dict
+attribute that `__init__` fills is data built once with the object.  A
+module-level cache (`corpus._PALETTE_ATOMS`, the `functools.cache` on
+`cli.parser`) belongs to no object that could hold facts.  A `functools.cache` closure inside a function dies with the call
 that made it, as those of the pair-loop oracle `beta_strong_by_pairs` in
 `tests/oracles.py` do; `src/` keeps none, as strongness and S_B read the
 moved atoms kept per B (`galois._moved_atoms`).

@@ -8,7 +8,7 @@ from semigalois import budget
 from semigalois import rings as rg
 from semigalois import isopu
 from semigalois.linalg import AbelianPresentation, cols_from_vectors, lattice_reduce
-from semigalois.corpus import ATOM_PALETTE, random_ring, random_structured_iso
+from semigalois.corpus import random_ring, random_structured_iso
 from oracles import (atom_elements, atom_frobenius, atom_power, dense, element_multiple, element_product,
                      element_sum, expand_by_solve, iso_apply_by_polynomials, kron_left, kron_right,
                      mult_difference, mult_matrix, pure, quotient_order_by_enumeration, vector_order,
@@ -522,30 +522,6 @@ def test_kernel_skips_zero_atoms_and_charges_every_atom(name):
         with budget.limit(n - 1), pytest.raises(budget.BudgetExceeded) as exc:
             A.mul_vec(x.vec(), y.vec())
         assert (exc.value.quantity, exc.value.spent) == ("ring_products", n)
-
-
-UNIT_TIMES_ATOMS = [rg.Atom.zmod(p, k) if kind == "zmod" else rg.Atom.gf(p, k)
-                    for kind, p, k in ATOM_PALETTE] + [
-    rg.Atom.gf(2, 4), rg.Atom.gf(3, 3), rg.Atom.zmod(2, 4), rg.Atom.gf(3, 2, (2, 1, 1)),
-    LARGE_ATOMS["GF(81)"]]
-
-
-def test_unit_times_is_the_product_with_a_unit_vector():
-    """`unit_times(i, v)` is the nonzero part of mul_vec(e_i, v), for every
-    coordinate i and seeded vectors v zero on random atom sets (GF(9) and
-    GF(81) under non-default moduli among the atoms), and it charges nothing."""
-    A = rg.FiniteRing(UNIT_TIMES_ATOMS)
-    n = len(A.atoms)
-    rng = random.Random(36)
-    units = A.basis_vectors()
-    for _ in range(40):
-        zero = set(rng.sample(range(n), rng.randrange(n + 1)))
-        v = A.mask_vec([rng.randrange(m) for m in A.coord_moduli], set(range(n)) - zero)
-        for i, e in enumerate(units):
-            want = {q: x for q, x in enumerate(A.mul_vec(e, v)) if x}
-            with budget.limit(1):
-                assert A.unit_times(i, v) == want
-                assert budget.spent() == 0
 
 
 def _mult_matrix_by_loops(t, b_vec, side):

@@ -88,10 +88,10 @@ def test_corpus_tensors_match_the_every_block_build(seed):
 
 
 def _assert_products_read(beta, rng):
-    """Each orbit tensor's multiplication matrices, read from the atoms'
-    powers (`FiniteRing.unit_times`), equal the whole tensor's, built from
-    `mul_vec` products: `mult_matrix(b)` for each generator of R, each unit
-    vector and seeded vectors b, and the multiplication map
+    """Each orbit tensor's multiplication matrices, read from `mul_vec`
+    products with unit vectors, equal the whole tensor's, expanded by the
+    solve oracle on its generators: `mult_matrix(b)` for each generator of
+    R, each unit vector and seeded vectors b, and the multiplication map
     (`oracles.mult_map_vec`), whose column (i, j) is e_i * e_j."""
     for _, tensor in galois._full_tensor(beta):
         ring, whole = tensor.ring, _whole(tensor)
