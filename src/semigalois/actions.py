@@ -270,10 +270,23 @@ def invariant_ring(beta):
     return fixed_ring(beta.A, beta.isos)
 
 
-def _defect(iso):
-    """The map vec -> f(vec 1_dom) - vec 1_im of the iso f."""
-    A, support = iso.ring, iso.im_support
-    return lambda vec: A.sub_vec(iso.apply_vec(vec), A.mask_vec(vec, support))
+def moved_atoms(A, isos, gens):
+    """One bit mask per iso f: the atoms a where f(g 1_dom) and g 1_im differ
+    for some g of `gens`, each vector read by atom once (`FiniteRing.chunks`).
+    Both are zero off im f.  At a = f(b) with twist t, f(g 1_dom) is
+    Frob^t(g[b]), an automorphism's image, zero exactly when g[b] is: a g
+    living on one of b and a alone is moved at a, and one living on both is
+    when Frob^t(g[b]) != g[a].  So f moves some g at a exactly when the gs
+    living on b and on a differ, or one living on both is moved."""
+    by_atom = {}  # atom -> {index of a vector living there: its chunk}
+    for i, g in enumerate(gens):
+        for b, u in A.chunks(g).items():
+            by_atom.setdefault(b, {})[i] = u
+
+    def moved(b, a, t):
+        on_b, on_a = by_atom.get(b, {}), by_atom.get(a, {})
+        return on_b.keys() != on_a.keys() or any(A.atoms[b].frobenius(u, t) != on_a[i] for i, u in on_b.items())
+    return tuple(sum(1 << v[0] for b, v in enumerate(iso.atom_map) if v and moved(b, *v)) for iso in isos)
 
 
 def _atom_orbits(A, isos):
@@ -300,10 +313,10 @@ def fixed_ring(A, isos):
     for the atom's `modulus` m: GF(p^h) in GF(p^k), or all of Z/p^k.  The
     relative trace sum_{j<k/h} Frob^{jh} maps the atom onto it, so the
     generator of a coordinate vector u is Frob^{t_c} of u's trace at each
-    atom c of O (`Atom.frobenius_cols`).
+    atom c of O (`Atom.frobenius`).
 
     Checked apart from the construction: no map moves a generator
-    (`_defect`), the result is a unital subalgebra, and its order is the
+    (`moved_atoms`), the result is a unital subalgebra, and its order is the
     product over the orbits of m^h, h read again from the twists of the
     maps fixing r, so it is all of the fixed ring."""
     gens, count = [], 1
@@ -315,14 +328,15 @@ def fixed_ring(A, isos):
             if v := iso.atom_map[r]:
                 h = math.gcd(h, v[1] - reached.setdefault(*v))
         for u in range(k):
+            unit = tuple(int(q == u) for q in range(k))
             gen = [0] * A.n_coords
             for c, t in reached.items():
-                images = (atom.frobenius_cols(t % h + j * h)[u] for j in range(k // h))
+                images = (atom.frobenius(unit, t % h + j * h) for j in range(k // h))
                 gen[slice(*A.atom_span(c))] = [sum(col) % m for col in zip(*images)]
             gens.append(gen)
         count *= m ** math.gcd(k, *(v[1] for iso in isos if (v := iso.atom_map[r]) and v[0] == r))
     sub = Subalgebra(A, gens)
-    if any(any(_defect(iso)(g)) for iso in isos for g in sub.gen_vectors):
+    if any(moved_atoms(A, isos, sub.gen_vectors)):
         raise AssertionError("a generator of the fixed ring is moved by a map")
     if not sub.is_subalgebra():
         raise AssertionError("invariants failed to be a unital subalgebra")

@@ -32,12 +32,11 @@ the free-part rule the correspondences decide separability by
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
-from .actions import (Action, _defect, class_joins, fixed_atom_violation, image_action,
-                      induce_partial_group_action, invariant_ring, is_injective,
+from .actions import (Action, class_joins, fixed_atom_violation, image_action,
+                      induce_partial_group_action, invariant_ring, is_injective, moved_atoms,
                       separability_violation, sigma_trace_image)
 from .budget import spend
 from .linalg import Matrix, lattice_canon, lattice_det, lattice_member
@@ -80,7 +79,7 @@ def _columns(atom, pairs, twists):
     units = [tuple(int(q == i) for q in range(r)) for i in range(r)]
     return Matrix(r * len(twists), [
         {k * r + q: v for k, t in enumerate(twists)
-         for q, v in enumerate(atom.mul_coords(units[p // r], atom.frobenius_cols(t)[p % r])) if v}
+         for q, v in enumerate(atom.mul_coords(units[p // r], atom.frobenius(units[p % r], t))) if v}
         for p in pairs])
 
 
@@ -90,21 +89,18 @@ def verify_coordinates(action, coords):
     construction.  f(y 1_dom) lives on the images of y's atoms in f's
     domain, where it is the Frobenius twist of y read off f's `atom_map`, so
     a pair is multiplied (`Atom.mul_coords`) only on the atoms where x
-    lives too, each charged as one of `ring_products`; elsewhere the
-    product is zero.  Every coordinate of every equation is compared."""
+    lives too (`FiniteRing.chunks`), each charged as one of `ring_products`;
+    elsewhere the product is zero.  Every coordinate of every equation is compared."""
     A = action.A
-    chunks = [[{a: v[slice(*A.atom_span(a))]
-                for a in {A.coord_atom(c) for c in itertools.compress(range(A.n_coords), v)}}
-               for v in pair] for pair in coords]  # each factor on each atom where it lives
+    chunks = [[A.chunks(v) for v in pair] for pair in coords]
     for iso, want in zip(*_galois_system(action)):
         total = [0] * A.n_coords
         for on_x, on_y in chunks:
             for b, y in on_y.items():
                 if (v := iso.atom_map[b]) and (x := on_x.get(v[0])):
                     spend("ring_products", 1)
-                    atom, cols = A.atoms[b], A.atoms[b].frobenius_cols(v[1])
-                    image = [sum(map(operator.mul, y, row)) for row in zip(*cols)] if v[1] else y
-                    for q, z in enumerate(atom.mul_coords(x, image), A.atom_span(v[0])[0]):
+                    atom = A.atoms[b]
+                    for q, z in enumerate(atom.mul_coords(x, atom.frobenius(y, v[1])), A.atom_span(v[0])[0]):
                         total[q] += z
         if tuple(map(operator.mod, total, A.coord_moduli)) != want:
             return False
@@ -277,20 +273,18 @@ def _psi_block(pair, atom, twists):
 
 @remembered
 def _moved_atoms(beta, B: Subalgebra):
-    """The atoms on which beta_s moves B, one bit mask per s, kept per B: the
-    atoms where the defect of beta_s (`actions._defect`) is nonzero on some
-    generator of B (they suffice, the defect being additive).  S_B and
-    strongness read it."""
-    return tuple(beta.A.atom_mask([any(c) for c in zip(*map(defect, B.gen_vectors))])
-                 for defect in map(_defect, beta.isos))
+    """The atoms on which beta_s moves some generator of B, one bit mask per s
+    (`actions.moved_atoms`), kept per B: as beta_s is additive, they are the
+    atoms where it moves some b of B.  S_B and strongness read it."""
+    return moved_atoms(beta.A, beta.isos, B.gen_vectors)
 
 
 @remembered
 def compute_S_B(beta, B: Subalgebra):
     """S_B = {s : beta_s(b 1_{s^-1}) = b 1_s for all b in B}, kept per B: the
     s that move B on no atom (`_moved_atoms`).  The other direction,
-    T -> A^{beta|T}, is built from T's atom maps and checked on the same
-    defects (`actions.fixed_ring`)."""
+    T -> A^{beta|T}, is built from T's atom maps and checked by the same
+    moved atoms (`actions.fixed_ring`)."""
     if not B.is_subalgebra():
         raise NotSubalgebra("S_B needs a unital subalgebra")
     sub = SubSemigroup(beta.S, frozenset(s for s, mask in enumerate(_moved_atoms(beta, B)) if not mask))

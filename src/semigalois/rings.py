@@ -190,6 +190,14 @@ class Atom:
             cols.append(tuple(self.mul_coords(cols[-1], y)))
         return tuple(cols)
 
+    def frobenius(self, u, j):
+        """Frobenius^j of the coordinate chunk u, reduced, as a tuple: u's
+        combination of the columns `frobenius_cols(j)`, or u where j is 0."""
+        m = self.modulus
+        if not j:
+            return tuple(x % m for x in u)
+        return tuple(sum(map(operator.mul, u, row)) % m for row in zip(*self.frobenius_cols(j)))
+
     @remembered
     def trace_dual(self):
         """The basis y_0, ..., y_(r-1) dual to 1, x, ..., x^(r-1), r =
@@ -292,8 +300,7 @@ class FiniteRing:
         for a in atoms:
             self._spans.append((pos, pos + a.coords))
             pos += a.coords
-        self._coord_atoms = tuple(idx for idx, a in enumerate(atoms) for _ in range(a.coords))
-        self._coord_bits = tuple(1 << a for a in self._coord_atoms)
+        self.coord_atom = tuple(idx for idx, a in enumerate(atoms) for _ in range(a.coords))  # each coordinate's atom
         self.exponent = math.lcm(*self.coord_moduli)
         self.zero_vec = (0,) * self.n_coords
         self.one_vec = tuple(x for a in atoms for x in (1,) + (0,) * (a.coords - 1))
@@ -354,12 +361,14 @@ class FiniteRing:
         zero = self.zero_vec
         return tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(self.n_coords))
 
-    def coord_atom(self, i):
-        """Atom index owning flat coordinate i."""
-        return self._coord_atoms[i]
-
     def atom_span(self, idx):
         return self._spans[idx]
+
+    def chunks(self, vec):
+        """{atom: vec's coordinates on it} over the atoms on which vec is
+        nonzero, in the order of the atoms: the one by-atom view of a vector."""
+        spans = self._spans
+        return {a: vec[slice(*spans[a])] for a in dict.fromkeys(itertools.compress(self.coord_atom, vec))}
 
     # -- vector arithmetic (used by the solvers, avoids element objects) ---
 
@@ -382,11 +391,6 @@ class FiniteRing:
             else:
                 out.extend([0] * (hi - lo))
         return tuple(out)
-
-    def atom_mask(self, vec):
-        """The atoms on which a coordinate vector is nonzero, as a bit mask:
-        the sum of the distinct bits of its nonzero coordinates' atoms."""
-        return sum(set(itertools.compress(self._coord_bits, vec)))
 
     def is_unit_vec(self, vec):
         """The element is a unit: on every atom some coordinate is prime to
@@ -462,8 +466,7 @@ class RingElement:
                      for (lo, hi), a in zip(self.ring._spans, self.ring.atoms))
 
     def support(self):
-        vec = self._vec
-        return frozenset(i for i, (lo, hi) in enumerate(self.ring._spans) if any(vec[lo:hi]))
+        return frozenset(self.ring.chunks(self._vec))
 
     def is_idempotent(self):
         return self * self == self
@@ -578,27 +581,14 @@ class StructuredIso:
             raise OutOfDomain(f"element supported on {sorted(el.support())} not in domain {sorted(self.dom_support)}")
         return self.ring.from_vec(self.apply_vec(el.vec()))
 
-    @remembered
-    def application_plan(self):
-        """((domain coordinate, ((image coordinate, coefficient), ...)), ...):
-        the nonzero entries of the Frobenius blocks, built on first use."""
-        ring = self.ring
-        plan = []
-        for i, (j, t) in ((i, v) for i, v in enumerate(self.atom_map) if v):
-            lo_d, lo_i = ring.atom_span(i)[0], ring.atom_span(j)[0]
-            for c, col in enumerate(ring.atoms[i].frobenius_cols(t)):
-                plan.append((lo_d + c, tuple((lo_i + r, int(z)) for r, z in enumerate(col) if z)))
-        return tuple(plan)
-
     def apply_vec(self, vec):
-        """(mask to domain, then apply) on coordinates, by the plan."""
-        out = [0] * self.ring.n_coords
-        for c, targets in self.application_plan():
-            x = vec[c]
-            if x:
-                for r, z in targets:
-                    out[r] += x * z
-        return tuple(map(operator.mod, out, self.ring.coord_moduli))
+        """(mask to domain, then apply) on coordinates, chunk by chunk (`FiniteRing.chunks`)."""
+        ring = self.ring
+        out = list(ring.zero_vec)
+        for b, u in ring.chunks(vec).items():
+            if v := self.atom_map[b]:
+                out[slice(*ring.atom_span(v[0]))] = ring.atoms[b].frobenius(u, v[1])
+        return tuple(out)
 
 
 class Subalgebra:
@@ -701,9 +691,9 @@ class Subalgebra:
 def _products(ring, gens, checked):
     """The products gens[i] * gens[j] for i <= j and j >= checked, each
     unordered pair once (the ring is commutative), j before i, taken as
-    they are read: a pair on disjoint atoms multiplies to 0, so only the
-    pairs whose atoms meet are multiplied."""
-    masks = list(map(ring.atom_mask, gens))
+    they are read: a pair on disjoint atoms (`FiniteRing.chunks`)
+    multiplies to 0, so only the pairs whose atoms meet are multiplied."""
+    masks = [sum(1 << a for a in ring.chunks(g)) for g in gens]
     return itertools.starmap(ring.mul_vec, [(gens[i], gens[j]) for j in range(checked, len(gens))
                                             for i in range(j + 1) if masks[i] & masks[j]])
 

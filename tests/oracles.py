@@ -571,14 +571,14 @@ def check_psi_images_on_orbits(beta):
                     family = psi_image_by_elements(beta, block.extend(x), other.extend(y))
                     for t, value in family.items():
                         for c, v in enumerate(value):
-                            if A.coord_atom(c) in beta.im_support(t):
+                            if A.coord_atom[c] in beta.im_support(t):
                                 assert folded.setdefault((projection[t], c), v) == v
                             else:
                                 assert v == 0
                     got = {key: v for key, v in folded.items() if v}
                     want = {}
                     if o == q:
-                        a, b = ring.coord_atom(i), ring.coord_atom(j)
+                        a, b = ring.coord_atom[i], ring.coord_atom[j]
                         (lo, _), (lo_b, _) = ring.atom_span(a), ring.atom_span(b)
                         joined = [(g, v[1]) for g, f in enumerate(joins)
                                   if (v := f.atom_map[block.atoms[b]]) and v[0] == block.atoms[a]]
@@ -1427,6 +1427,20 @@ def iso_apply_by_polynomials(iso, el):
     return iso.ring.element(comps)
 
 
+def moved_atoms_by_polynomials(isos, gens):
+    """The atoms on which each iso moves some of the elements `gens`, one bit
+    mask per iso: iso(g 1_dom), by `iso_apply_by_polynomials`, against
+    g 1_im, compared atom by atom."""
+    masks = []
+    for iso in isos:
+        mask = 0
+        for g in gens:
+            image = iso_apply_by_polynomials(iso, g.mask(iso.dom_support)).comps
+            mask |= sum(1 << a for a, (x, y) in enumerate(zip(image, g.mask(iso.im_support).comps)) if x != y)
+        masks.append(mask)
+    return tuple(masks)
+
+
 def iso_matrix_by_polynomials(iso):
     """The n x n matrix of (mask to domain, then apply): column j is the image
     of the unit vector e_j by `iso_apply_by_polynomials`, zero off the domain."""
@@ -1653,7 +1667,7 @@ def pa_subgroup_whole(beta):
     maximal = maximal_elements(S)
     offsets, moduli, pos = {}, [], 0
     for t in maximal:
-        coords = [i for i in range(A.n_coords) if A.coord_atom(i) in beta.im_support(t)]
+        coords = [i for i in range(A.n_coords) if A.coord_atom[i] in beta.im_support(t)]
         offsets[t] = (pos, coords)
         moduli.extend(A.coord_moduli[i] for i in coords)
         pos += len(coords)
@@ -1665,7 +1679,7 @@ def pa_subgroup_whole(beta):
     rows = []
     for (t1, t2), supp in sorted(supports.items()):
         for i in range(A.n_coords):
-            if A.coord_atom(i) in supp:
+            if A.coord_atom[i] in supp:
                 (p1, c1), (p2, c2) = offsets[t1], offsets[t2]
                 rows.append((p1 + c1.index(i), p2 + c2.index(i), A.coord_moduli[i]))
     if rows:

@@ -197,14 +197,18 @@ def _readers(name):
 def test_one_fixed_point_solve_and_one_iso_application():
     """The fixed ring of a family of maps has one construction, `fixed_ring`,
     from the orbits and stabilizers of the atom maps, so nothing under src/
-    reads `kernel_gens`; an iso is applied only through its plan, which
-    only `apply_vec` reads."""
+    reads `kernel_gens`; an iso is applied chunk by chunk, each twisted by
+    `Atom.frobenius`, and outside `Atom` nothing under src/ reads the
+    Frobenius columns, so no plan or matrix of an iso is kept."""
     from semigalois.linalg import Matrix
-    from semigalois.rings import StructuredIso
+    from semigalois.rings import Atom, StructuredIso
     assert _readers("kernel_gens") == []
     assert _readers("fixed_ring") == [("actions", "invariant_ring"),
                                       ("correspondence", "fixed_subalgebra")]
-    assert _readers("application_plan") == [("rings", "apply_vec")]
+    readers = sorted(set(_readers("frobenius_cols")))
+    assert readers == [("rings", "frobenius"), ("rings", "trace_dual")]
+    assert all(callable(getattr(Atom, scope)) for _, scope in readers)
+    assert _readers("application_plan") == [] and not hasattr(StructuredIso, "application_plan")
     assert not hasattr(StructuredIso, "matrix") and not hasattr(Matrix, "__sub__")
 
 

@@ -138,7 +138,7 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          rg.FiniteRing.presentation.fget, rg.FiniteRing.basis_vectors, galois._trace_dual_pairs,
          rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.Atom.trace_dual,
          rg.StructuredIso.dom_support.fget,
-         rg.StructuredIso.im_support.fget, rg.StructuredIso.application_plan,
+         rg.StructuredIso.im_support.fget,
          correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.Atom.tensor_block,
          linalg.AbelianPresentation.lattice.fget, galois._psi_block, galois._separable_block]
@@ -156,8 +156,8 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     and T; the additive group, the unit vectors and the trace-dual pairs
     once per ring, and each
     indicator once per ring and argument; the Frobenius columns once per
-    atom and twist, and the trace dual once per atom; the supports and the
-    plan once per iso; the unit generators
+    atom and twist, and the trace dual once per atom; the supports once
+    per iso; the unit generators
     once per block and A^beta; the hash and the subalgebra check once per
     `Subalgebra`; and each atom-pair tensor block once per atom, other
     atom and components of R, each presentation's canonical lattice once,
@@ -341,11 +341,11 @@ def test_separability_check_multiplies_only_at_the_idempotents_entries(monkeypat
     assert len(products) == 2 + 2 * (2 * 2) == 10
 
 
-def test_application_plan_matches_iso_matrix_and_polynomials():
-    """apply_vec by the plan equals the iso's matrix from the polynomial
-    Frobenius, reduced mod the moduli, and the polynomial Frobenius on masked
-    elements, on twisted GF isos and partial domains, and the plan reads only
-    domain coordinates."""
+def test_apply_vec_matches_iso_matrix_and_polynomials():
+    """apply_vec, chunk by chunk, equals the iso's matrix from the
+    polynomial Frobenius, reduced mod the moduli, and the polynomial
+    Frobenius on masked elements, on twisted GF isos and partial domains,
+    and it reads only domain coordinates: a vector off the domain maps to 0."""
     rng = random.Random(7)
     twisted = partial = 0
     for _ in range(200):
@@ -354,7 +354,8 @@ def test_application_plan_matches_iso_matrix_and_polynomials():
         twisted += any(iso.twist.values())
         partial += len(iso.matching) < len(A.atoms)
         domain = {c for i in iso.matching for c in range(*A.atom_span(i))}
-        assert {c for c, _ in iso.application_plan()} <= domain
+        off = tuple(0 if c in domain else rng.randrange(m) for c, m in enumerate(A.coord_moduli))
+        assert iso.apply_vec(off) == A.zero_vec
         mat = iso_matrix_by_polynomials(iso)
         for _ in range(5):
             vec = tuple(rng.randrange(m) for m in A.coord_moduli)

@@ -397,7 +397,7 @@ def test_separability_idempotent_from_coordinates():
     coords = gl.solve_galois_coordinates(beta)
     tensor = TensorPresentation(beta.A, invariant_ring(beta))
     for a, atom in enumerate(beta.A.atoms):
-        on_a = [pure(tensor, x, y) for x, y in coords if beta.A.coord_atom(x.index(1)) == a]
+        on_a = [pure(tensor, x, y) for x, y in coords if beta.A.coord_atom[x.index(1)] == a]
         e_a = gl.separability_idempotent_from_coordinates(atom)
         assert tuple(map(sum, zip(*on_a))) == block_vector(tensor, a, a, e_a)
         assert gl.verify_separability_idempotent(tensor.blocks[a][a], atom, e_a)

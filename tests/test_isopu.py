@@ -204,7 +204,7 @@ def test_iso_hash_is_stable_across_calls():
     f = StructuredIso(A, {3: 3, 0: 1, 1: 0}, {0: 1, 3: 1})
     first = hash(f)
     assert {f: 1}[StructuredIso.trusted(A, ((1, 1), (0, 0), None, (3, 1)))] == 1
-    f.application_plan()
+    f.apply_vec(A.one_vec)
     assert hash(f) == first == hash(f)
 
 

@@ -191,7 +191,7 @@ def test_block_maps_match_the_whole_ring():
     assert Block(A, range(len(A.atoms))).ring is A
 
 
-def test_a_block_must_be_closed_under_the_maps_and_lie_in_r():
+def test_a_subalgebra_must_split_along_the_block():
     """A subalgebra restricted to a block must split along it.  No block
     restricts a map any more: psi reads the joins' atom maps on the orbits,
     which the maps keep among themselves by construction (`Action.orbits`)."""

@@ -208,23 +208,19 @@ def test_boolean_sum_takes_one_product_per_idempotent(monkeypatch):
                                   pytest.param(chain_on_z2, id="chain_on_z2")])
 def test_strongness_applies_each_iso_once_per_generator(monkeypatch, make):
     """S_B and strongness read one remembered table of moved atoms
-    (`galois._moved_atoms`): S_B applies each beta_s at most once per
-    generator of B, and strongness, after it, applies no iso."""
+    (`galois._moved_atoms`): S_B twists each generator of B at most once per
+    beta_s and atom of its domain where the generator lives
+    (`Atom.frobenius`), and strongness, after it, twists nothing."""
     beta = make(10)
-    B = Subalgebra.full(beta.A)
-    applied = collections.Counter()
-    original = StructuredIso.apply_vec
-
-    def counting(iso, vec):
-        applied[id(iso)] += 1
-        return original(iso, vec)
-    monkeypatch.setattr(StructuredIso, "apply_vec", counting)
+    A, B = beta.A, Subalgebra.full(beta.A)
+    living = collections.Counter(b for g in B.gen_vectors for b in A.chunks(g))
+    bound = sum(living[b] for iso in beta.isos for b in iso.dom_support)
+    twisted = _counting(monkeypatch, Atom, "frobenius")
     gl.compute_S_B(beta, B)
-    assert len({id(iso) for iso in beta.isos}) == beta.S.n
-    assert applied and max(applied.values()) <= len(B.gen_vectors)
-    before = applied.copy()
+    assert 0 < len(twisted) <= bound
+    before = len(twisted)
     assert gl.is_beta_strong(beta, B) == (True, None)
-    assert applied == before
+    assert len(twisted) == before
 
 
 def test_completeness_takes_one_join_per_element_outside(monkeypatch):
