@@ -12,6 +12,7 @@ Reports carry every object and a failure tuple per broken check.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from . import isopu
@@ -19,7 +20,6 @@ from .actions import (NotFullSub, fixed_ring, image_action, invariant_ring, is_i
                       separability_violation)
 from .galois import PreconditionFail, compute_S_B, is_beta_strong, is_galois
 from .linalg import lattice_reduce
-from .rings import Subalgebra
 from .semigroups import (SubSemigroup, enumerate_full_inverse_subsemigroups, is_e_unitary, join_of,
                          remembered)
 
@@ -203,93 +203,101 @@ def verify_e_unitary_correspondence(beta, brute_force_subalgebras=False):
 def enumerate_subalgebras_over(beta, base):
     """Every A^beta-subalgebra of A, by closing one added coset at a time.
 
-    The closure of B + Z*v depends only on the coset v + B, so each found
-    subalgebra B is extended by representatives of its nonzero cosets: the
-    vectors w with 0 <= w_j < B.basis.cols[j][j], since the canonical basis is
-    lower-triangular and contains diag(moduli).
-
-    Only cosets of prime order in A/B are closed: those w with q*w in B for a
-    prime q of an atom (every order in A divides a product of those primes).
-    They suffice.  For a subalgebra C > B, take x in C \\ B, of order n in A/B,
-    and a prime q dividing n; then w = (n/q)*x lies in C \\ B and q*w = n*x in
-    B, so B < B[w] <= C, and induction on |C/B| reaches C from the found B[w].
+    The closure of B + Z*v depends only on the coset v + B, whose canonical
+    representative w has 0 <= w_j < B.basis.cols[j][j] (the basis is
+    lower-triangular and contains diag(moduli)).  Only cosets of prime order
+    in A/B are closed, walked directly for each prime q of an atom
+    (`_torsion_reps`; every order in A divides a product of those primes,
+    and a w in two primes' torsion lies in B).  They suffice.  For a
+    subalgebra C > B, take x in C \\ B, of order n in A/B, and a prime q
+    dividing n; then w = (n/q)*x lies in C \\ B and q*w = n*x in B, so
+    B < B[w] <= C, and induction on |C/B| reaches C from the found B[w].
 
     The closure depends only on the orbit of the coset under the units u of
     A^beta, too: B contains A^beta and u^-1 is a power of u, so u*w and w each
     lie in the closure of B and the other.  Units keep q-torsion, as
     q*(u*w) = u*(q*w) lies in B, so one representative per orbit of the
-    prime-order cosets is closed (`_unit_orbit`).  The marked cosets all
-    have prime order, so the orbit lookup goes first and spares them the
-    torsion test, which every coset passes on GF(p^k) atoms.  Neither test
-    is charged.
+    prime-order cosets is taken (`_unit_orbit`), and not closed when B + Z*w
+    is a found subalgebra, its own closure.  The walk is not charged.
     """
     A = beta.A
-    primes = {a.p for a in A.atoms}
+    primes, lifts = {a.p for a in A.atoms}, _residue_lifts(beta, base)
     start = base.adjoin(A.one_vec)
     found = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
-        closed = set()  # the cosets in the orbit of one already closed
-        reps = itertools.product(*(range(c[j]) for j, c in enumerate(cur.basis.cols)))
-        for w in itertools.islice(reps, 1, None):  # the first is the zero coset
-            if w in closed or not any(cur.member_vec([q * x for x in w]) for q in primes):
+        closed = set()  # the cosets in the orbit of one already taken
+        for w in heapq.merge(*(_torsion_reps(cur.basis, q) for q in primes)):
+            if w in closed or not any(w):
                 continue
-            bigger = cur.adjoin(w)
-            if bigger not in found:
+            spanned = cur.extended([w])
+            if spanned not in found and (bigger := spanned.close_extension(cur, w)) not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-            closed.update(_unit_orbit(beta, base, cur, w))
+            if lifts:  # else every orbit is the coset alone
+                closed.update(_unit_orbit(beta, lifts, cur, w))
     return sorted(found, key=lambda s: (s.order, repr([g for g in s.gen_vectors])))
 
 
-@remembered
-def _unit_generators(block, base):
-    """Generators of the unit group of A^beta e_O, for the block A e_O of an
-    orbit O of beta and base = A^beta, on the block ring: each unit that the
-    earlier ones do not generate.  An invariant is fixed on O by its value
-    on one atom, so A^beta e_O has at most one atom's elements; they are
-    enumerated once per block."""
-    ring = block.ring
-    part = Subalgebra.with_basis(ring, block.basis(base))
-    # F_2 is the one finite local ring with no unit but 1: nothing to enumerate
-    units = part.element_vectors() if part.order > 2 else ()
-    group, gens = {ring.one_vec}, []
-    for u in units:
-        if u in group or not ring.is_unit_vec(u):
-            continue
-        gens.append(u)
-        layer = list(group)  # the group grows by its cosets h u^k until they return
-        while True:
-            layer = [ring.mul_vec(u, h) for h in layer]
-            if layer[0] in group:
-                break
-            group.update(layer)
-    return gens
+def _torsion_reps(basis, q):
+    """The canonical representatives w (0 <= w_j < d_j, the pivot of column
+    j) with q*w in the lattice, in increasing order.  `linalg.lattice_member`
+    walks q*w down the basis: d_j must divide the remainder q*w_j + r_j at
+    pivot j, where r_j, what the columns before j took off, is fixed by w_0,
+    ..., w_(j-1).  So w_j is fixed row by row, over the x in [0, d_j) with
+    q*x = -r_j mod d_j: for g = gcd(q, d_j), none unless g divides r_j, and
+    then the g values of (-r_j/g)(q/g)^-1 mod d_j/g, in increasing order."""
+    level = [((), [0] * len(basis.cols))]  # each w_0..w_(j-1) and what it took off
+    for j, col in enumerate(basis.cols):
+        d = col[j]
+        g = 1 if d % q else q  # gcd(q, d)
+        step, unit, grown = d // g, pow(q // g, -1, d // g), []
+        for w, rest in level:
+            if rest[j] % g:
+                continue
+            for x in range(-rest[j] // g * unit % step, d, step):
+                t, below = (q * x + rest[j]) // d, rest
+                if t:
+                    below = rest.copy()
+                    for i, v in col.items():
+                        below[i] -= t * v
+                grown.append((w + (x,), below))
+        level = grown
+    return [w for w, _ in level]
 
 
-def _unit_orbit(beta, base, cur, w):
-    """The canonical representatives of the cosets u*w + cur, w one of them,
-    for the units u of base = A^beta and a subalgebra cur >= A^beta.
+def _residue_lifts(beta, base):
+    """{block A e_O: lifts of an F_p-basis of the residue field k of R =
+    A^beta e_O} over the orbits O of beta with k > F_2.  An invariant is fixed
+    on O by its value on one atom, so R is Z/p^k e_O or a subfield of GF(p^k),
+    local with maximal ideal pR; A^beta's canonical generators on the block
+    (`Block.basis`), each of pivot 1, lift a basis of k."""
+    lifts = {block: [g for v in base.gen_vectors if any(g := block.restrict(v))]
+             for block in beta.orbits}
+    return {block: gens for block, gens in lifts.items() if block.ring.atoms[0].p ** len(gens) > 2}
 
+
+def _unit_orbit(beta, lifts, cur, w):
+    """The canonical representatives of the cosets u*w + cur, for the units u
+    of A^beta, w with q*w in cur for a prime q, and lifts `_residue_lifts`.
     A^beta holds the indicator e_O of each orbit O of beta, so its units are
-    the products of the units of the blocks A^beta e_O, cur is the direct
-    sum of its blocks, and the orbit of w + cur is the product of the orbits
-    of its block parts.  A part's orbit is its closure under multiplication
-    by the block's `_unit_generators`."""
+    the products of the units of the blocks R = A^beta e_O, cur >= A^beta is
+    the direct sum of its blocks, and the orbit of w + cur is the product of
+    the orbits of its block parts v, each 0 unless O's prime p is q.  The
+    x + cur with p*x in cur are an R-module that pR kills, so a k-space, on
+    which the units act through all of k^x: the orbit of v is k*v less 0,
+    the nonzero F_p-combinations of v times the lifts, distinct as k is a
+    field, and v alone when k is F_2."""
     orbit = [beta.A.zero_vec]
     for block in beta.orbits:
         part = block.restrict(w)
-        if not any(part):
-            continue
-        basis, gens = block.basis(cur), _unit_generators(block, base)
-        moved, todo = {part}, [part]
-        for v in todo:
-            for g in gens:
-                x = lattice_reduce(basis, block.ring.mul_vec(g, v))
-                if x not in moved:
-                    moved.add(x)
-                    todo.append(x)
+        moved = [part]
+        if block in lifts and any(part):
+            ring, basis = block.ring, block.basis(cur)
+            images = [part if g == ring.one_vec else ring.mul_vec(g, part) for g in lifts[block]]
+            moved = [lattice_reduce(basis, [sum(a * x for a, x in zip(c, xs)) for xs in zip(*images)])
+                     for c in itertools.product(range(ring.atoms[0].p), repeat=len(images)) if any(c)]
         orbit = [beta.A.add_vec(o, block.extend(m)) for o in orbit for m in moved]
     return orbit
 

@@ -392,11 +392,6 @@ class FiniteRing:
                 out.extend([0] * (hi - lo))
         return tuple(out)
 
-    def is_unit_vec(self, vec):
-        """The element is a unit: on every atom some coordinate is prime to
-        p, as an atom's maximal ideal is p times the atom."""
-        return all(any(x % a.p for x in vec[lo:hi]) for (lo, hi), a in zip(self._spans, self.atoms))
-
     def mask_vec(self, u, support):
         out = [0] * self.n_coords
         for idx in support:
@@ -680,12 +675,14 @@ class Subalgebra:
         return Subalgebra.with_basis(self.ring, self.ring.presentation.subgroup_canon(vectors, self.basis))
 
     def adjoin(self, vec):
-        """Smallest multiplicatively closed additive span containing this one,
-        which must be closed under multiplication, and `vec`: the products
-        among this span's generators lie in it, so only `vec` and what it
-        brings in are multiplied."""
-        gens = list(self.gen_vectors) + [tuple(vec)]
-        return _close_under_mul(self.extended(gens[-1:]), gens, len(gens) - 1)
+        """Smallest multiplicatively closed span containing this one, so closed, and vec."""
+        return self.extended([vec]).close_extension(self, vec)
+
+    def close_extension(self, sub, vec):
+        """This span, sub + Z*vec for `sub` closed under multiplication, closed
+        under it: only vec and what it brings in are multiplied."""
+        gens = list(sub.gen_vectors) + [tuple(vec)]
+        return _close_under_mul(self, gens, len(gens) - 1)
 
 
 def _products(ring, gens, checked):
@@ -732,7 +729,6 @@ class Block:
         self.ring = (ring if len(self.atoms) == len(ring.atoms)
                      else FiniteRing([ring.atoms[a] for a in self.atoms]))
         self.coords = tuple(c for a in self.atoms for c in range(*ring.atom_span(a)))
-        self.facts = {}  # its unit generators (`remembered`)
 
     def restrict(self, vec):
         """The block-ring coordinates of vec * e_O."""

@@ -32,7 +32,9 @@ route has one reference that shares none of its shortcuts:
 - the three correspondence routes with their own pair loops and brute-force
   matchers, deciding their Galois precondition by `solve_coordinates_whole`
   rather than the library's fixed-atom rule, over the coset scan of
-  subalgebras (`subalgebras_by_coset_scan`);
+  subalgebras (`subalgebras_by_coset_scan`), and the scan's walk of the
+  prime-order cosets by filtering every coset (`torsion_reps_by_product`)
+  and its units by their residues (`is_unit_vec`);
 - the scans per-atom and per-element tests replaced (`beta_strong_by_support_scan`,
   the pair loop of strongness `beta_strong_by_pairs`,
   `boolean_sum_by_inclusion_exclusion`, `full_inverse_subsemigroups_by_power_set`,
@@ -646,6 +648,21 @@ def subalgebras_by_coset_scan(beta, base):
                 found.add(bigger)
                 frontier.append(bigger)
     return sorted(found, key=lambda s: (s.order, repr([g for g in s.gen_vectors])))
+
+
+def torsion_reps_by_product(basis, q):
+    """The canonical representatives w (0 <= w_j < pivot_j) with q*w in the
+    lattice of `basis`, in increasing order: every representative, filtered
+    by `lattice_member` (the scan's walk before it walked the q-torsion)."""
+    reps = itertools.product(*(range(c[j]) for j, c in enumerate(basis.cols)))
+    return [w for w in reps if lattice_member(basis, [q * x for x in w])]
+
+
+def is_unit_vec(ring, vec):
+    """The element is a unit: on every atom some coordinate is prime to p,
+    as an atom's maximal ideal is p times the atom."""
+    return all(any(x % a.p for x in vec[slice(*ring.atom_span(i))])
+               for i, a in enumerate(ring.atoms))
 
 
 def _brute_force_check(beta, t_side_members):

@@ -141,11 +141,13 @@ def test_brute_force_flag_on_fixture():
 
 def test_brute_force_guard():
     """The scan pays for its candidates through their products and
-    eliminations, so a small budget stops it: it spends 297 units here
-    (351 while its closures multiplied generator pairs on disjoint atoms)."""
+    eliminations, so a small budget stops it: it spends 157 units here
+    (297 while it enumerated A^beta e_O for unit generators and multiplied
+    each orbit by them, 351 while its closures multiplied generator pairs on
+    disjoint atoms)."""
     beta = f9_cubed_fixture()
     inv = invariant_ring(beta)
-    with budget.limit(250), pytest.raises(budget.BudgetExceeded) as exc:
+    with budget.limit(130), pytest.raises(budget.BudgetExceeded) as exc:
         co.enumerate_subalgebras_over(beta, inv)
     assert exc.value.quantity in ("ring_products", "echelon_entries")
     with budget.limit(10 ** 6):

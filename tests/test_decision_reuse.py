@@ -126,7 +126,7 @@ def test_zero_facts_are_derived_once_per_semigroup(monkeypatch, capsys, args):
 
 # What each command derives about S (the first two), about beta (the next
 # seven, and the five kept per subalgebra B or per T), and about the rings,
-# atoms, isos, blocks, groups, subalgebras, presentations, psi blocks and
+# atoms, isos, groups, subalgebras, presentations, psi blocks and
 # separability blocks a decision builds (the keyed ones per indicator, twist,
 # atom pair, twists or atom).
 FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
@@ -139,7 +139,6 @@ FACTS = [semigroups.sigma_partition, semigroups.is_e_unitary,
          rg.FiniteRing._indicator, rg.Atom.frobenius_cols, rg.Atom.trace_dual,
          rg.StructuredIso.dom_support.fget,
          rg.StructuredIso.im_support.fget,
-         correspondence._unit_generators,
          rg.Subalgebra.__hash__, rg.Subalgebra.is_subalgebra, rg.Atom.tensor_block,
          linalg.AbelianPresentation.lattice.fget, galois._psi_block, galois._separable_block]
 COMMANDS = [["galois"], ["correspond"], ["correspond", "--brute-force-subalgebras"],
@@ -157,8 +156,7 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
     once per ring, and each
     indicator once per ring and argument; the Frobenius columns once per
     atom and twist, and the trace dual once per atom; the supports once
-    per iso; the unit generators
-    once per block and A^beta; the hash and the subalgebra check once per
+    per iso; the hash and the subalgebra check once per
     `Subalgebra`; and each atom-pair tensor block once per atom, other
     atom and components of R, each presentation's canonical lattice once,
     psi on a tensor block once per atom and twists, and the separability
@@ -172,11 +170,10 @@ def test_facts_are_derived_once_per_semigroup_and_action(capsys, args):
             seen |= {name for name, *_ in derived}
     assert seen  # every command derives some fact on some instance
     if args == ["galois"]:  # A keys S_B, strongness and the free-part rule, so it is hashed
-        assert seen == {fact.__name__ for fact in FACTS} - {"fixed_subalgebra", "_unit_generators"}
+        assert seen == {fact.__name__ for fact in FACTS} - {"fixed_subalgebra"}
     if args[0] == "correspond":
         assert {"__hash__", "compute_S_B", "is_beta_strong", "separability_violation",
                 "fixed_subalgebra"} <= seen
-    assert ("_unit_generators" in seen) == (args[-1] == "--brute-force-subalgebras")
 
 
 def test_a_remembered_fact_raises_its_precondition_on_every_call():
@@ -375,9 +372,9 @@ def _c3_on_z8_cubed(directory):
 
 
 @pytest.mark.parametrize("args,adjoins,weak,split", [
-    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 6, 1, 0),
+    (["correspond", "s7_f9cubed.sgi", "--brute-force-subalgebras"], 5, 1, 0),
     (["zero", "b2_f3f3.sgi", "--brute-force-subalgebras"], 2, 0, 0),
-    (["correspond", None, "--brute-force-subalgebras"], 55, 3, 20),
+    (["correspond", None, "--brute-force-subalgebras"], 36, 3, 20),
 ], ids=["correspond", "zero", "correspond_c3_z8cubed"])
 def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_path,
                                                       args, adjoins, weak, split):
@@ -388,7 +385,9 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_p
     25 subalgebras are not separable and are never asked.  The closures the
     whole command takes are pinned (44 and 5 when every coset was closed, 9
     and 3 while separability chose algebra generators by adjoining them; 148
-    on C3 over (Z/8)^3 while cosets of every order were closed)."""
+    on C3 over (Z/8)^3 while cosets of every order were closed, 6 and 55
+    while a coset whose additive extension was a found subalgebra was
+    closed again)."""
     separable, strong, adjoined = {}, {}, []
     real_rule, real_strong = correspondence.separability_violation, correspondence.is_beta_strong
 
@@ -402,7 +401,8 @@ def test_brute_force_scan_judges_each_subalgebra_once(monkeypatch, capsys, tmp_p
 
     monkeypatch.setattr(correspondence, "separability_violation", recording_rule)
     monkeypatch.setattr(correspondence, "is_beta_strong", recording_strong)
-    _recording(monkeypatch, rg.Subalgebra, "adjoin", lambda sub, vec: adjoined.append(vec))
+    _recording(monkeypatch, rg.Subalgebra, "close_extension",
+               lambda spanned, sub, vec: adjoined.append(vec))
     path = INSTANCES / args[1] if args[1] else _c3_on_z8_cubed(tmp_path)
     with derivations(actions.separability_violation, galois.is_beta_strong) as asked:
         assert _run(capsys, args[0], str(path), *args[2:]) == 0
