@@ -675,7 +675,7 @@ class Subalgebra:
         return Subalgebra.with_basis(self.ring, self.ring.presentation.subgroup_canon(vectors, self.basis))
 
     def adjoin(self, vec):
-        """Smallest multiplicatively closed span containing this one, so closed, and vec."""
+        """Smallest multiplicatively closed span containing this closed one and `vec`."""
         return self.extended([vec]).close_extension(self, vec)
 
     def close_extension(self, sub, vec):
